@@ -124,8 +124,8 @@ fn main() {
     );
     println!(
         "client: attempted={} failed={} unavailability={:.4}",
-        r.client_ops_attempted,
-        r.client_ops_failed,
+        r.traffic.attempted,
+        r.traffic.failed,
         r.unavailability()
     );
     let e = &r.engine;

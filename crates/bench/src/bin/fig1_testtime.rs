@@ -11,7 +11,7 @@
 //! ```
 
 use scalecheck_bench::{exit_usage, parse_list_flag, print_row, run_sweep, Cell, SweepOptions};
-use scalecheck_cluster::{run_scenario, DeploymentMode, RunReport, ScenarioConfig, Workload};
+use scalecheck_cluster::{run_scenario, RunMode, RunReport, ScenarioConfig, Workload};
 use scalecheck_memo::OrderRecorder;
 use scalecheck_sim::SimDuration;
 
@@ -46,15 +46,13 @@ fn main() {
     let mut cells: Vec<Cell<RunReport>> = Vec::new();
     for &n in &scales {
         let cfg = scenario(n);
-        let real_cfg = cfg.clone().with_deployment(DeploymentMode::Real);
+        let real_cfg = cfg.clone().with_mode(RunMode::Real);
         cells.push(Cell::new(
             format!("fig1 N={n} Real"),
             ("fig1-real", real_cfg.clone()),
             move || run_scenario(&real_cfg),
         ));
-        let colo_cfg = cfg
-            .clone()
-            .with_deployment(DeploymentMode::Colo { cores: 1 });
+        let colo_cfg = cfg.clone().with_mode(RunMode::Colo { cores: 1 });
         cells.push(Cell::new(
             format!("fig1 N={n} Colo(1)"),
             ("fig1-colo", colo_cfg.clone()),
@@ -68,10 +66,7 @@ fn main() {
                 // then PIL-replay on the 1-core box: the PIL sleeps do
                 // not occupy the core, so the replay tracks Real.
                 let memo = scalecheck::memoize(&cfg, 16);
-                let mut replay_cfg = cfg
-                    .clone()
-                    .with_deployment(DeploymentMode::PilReplay { cores: 1 })
-                    .with_calc_io(scalecheck_cluster::CalcIo::Replay);
+                let mut replay_cfg = cfg.clone().with_mode(RunMode::PilReplay { cores: 1 });
                 replay_cfg.order_enforcement = true;
                 let order: OrderRecorder = memo.order.clone();
                 scalecheck_cluster::run_scenario_with_db(

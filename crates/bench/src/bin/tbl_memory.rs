@@ -14,7 +14,7 @@
 use scalecheck::colocation_memory_demand;
 use scalecheck_bench::{exit_usage, print_row, run_sweep, Cell, SweepOptions};
 use scalecheck_cluster::{
-    run_scenario, AllocStrategy, CalcIo, DeploymentMode, RunReport, ScenarioConfig, Workload,
+    run_scenario, AllocStrategy, RunMode, RunReport, ScenarioConfig, Workload,
 };
 use scalecheck_sim::SimDuration;
 
@@ -40,8 +40,7 @@ fn rebalance_cfg(n: usize, strategy: AllocStrategy) -> ScenarioConfig {
     cfg.max_duration = SimDuration::from_secs(600);
     cfg.memory.rebalance_alloc = Some(strategy);
     cfg.memory.single_process = true;
-    cfg.with_deployment(DeploymentMode::Colo { cores: 16 })
-        .with_calc_io(CalcIo::Execute)
+    cfg.with_mode(RunMode::Colo { cores: 16 })
 }
 
 fn main() {

@@ -44,8 +44,8 @@ use std::time::Instant;
 
 use scalecheck::{CellSpec, ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    bug_scenario, exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, run_sweep, Cell,
-    SweepOptions,
+    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, run_sweep, try_bug_scenario,
+    Cell, SweepOptions,
 };
 use scalecheck_cluster::{RunReport, ScenarioConfig, SloSummary, TrafficConfig};
 use scalecheck_explore::{SloParams, SloTriple, SloVerdict};
@@ -67,7 +67,9 @@ const DEFAULT_USERS: u64 = 1_000_000;
 /// The swept scenario: the named bug with the open-loop traffic
 /// datapath attached.
 fn slo_scenario(bug: &str, n: usize, seed: u64, users: u64) -> ScenarioConfig {
-    bug_scenario(bug, n, seed).with_traffic(TrafficConfig::open_loop(users))
+    try_bug_scenario(bug, n, seed)
+        .unwrap_or_else(|e| exit_usage(USAGE, &e))
+        .with_traffic(TrafficConfig::open_loop(users))
 }
 
 fn all_modes() -> [ExecMode; 3] {
@@ -463,15 +465,6 @@ fn main() {
             Some(spec) => parse_modes(&spec).unwrap_or_else(|e| exit_usage(USAGE, &e)),
             None => all_modes().to_vec(),
         };
-    for bug in &bugs {
-        if let Err(e) = scalecheck_bench::try_bug_scenario(bug, 8, seed) {
-            exit_usage(USAGE, &e);
-        }
-    }
-    if has_flag(&args, "--smoke") {
-        smoke(seed, users, budget_secs);
-    }
-
     let mut cells = Vec::new();
     for bug in &bugs {
         for &n in &scales {
@@ -479,6 +472,9 @@ fn main() {
                 cells.push(slo_cell(bug, n, seed, users, mode));
             }
         }
+    }
+    if has_flag(&args, "--smoke") {
+        smoke(seed, users, budget_secs);
     }
     let out = run_sweep(cells, &opts);
 

@@ -27,16 +27,6 @@ pub fn try_bug_scenario(bug: &str, n: usize, seed: u64) -> Result<ScenarioConfig
     }
 }
 
-/// Builds the scenario for a named bug at a given scale.
-///
-/// # Panics
-///
-/// Panics on an unknown bug id; binaries should prefer
-/// [`try_bug_scenario`] and exit through [`exit_usage`].
-pub fn bug_scenario(bug: &str, n: usize, seed: u64) -> ScenarioConfig {
-    try_bug_scenario(bug, n, seed).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Prints an error plus usage to stderr and exits with status 2 — the
 /// bad-CLI-arguments path for every binary in this crate.
 pub fn exit_usage(usage: &str, msg: &str) -> ! {
@@ -126,15 +116,9 @@ mod tests {
     #[test]
     fn bug_scenarios_resolve() {
         for bug in ["c3831", "c3881", "c5456", "c6127"] {
-            let cfg = bug_scenario(bug, 32, 1);
+            let cfg = try_bug_scenario(bug, 32, 1).expect("known bug id");
             assert!(cfg.n_nodes == 32);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown bug id")]
-    fn unknown_bug_panics() {
-        bug_scenario("c9999", 32, 1);
     }
 
     #[test]

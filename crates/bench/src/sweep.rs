@@ -23,6 +23,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use scalecheck::content_digest;
 use scalecheck_cluster::RunReport;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -126,25 +127,17 @@ pub struct SweepOutcome<R> {
     pub cached: usize,
 }
 
-/// 128-bit FNV-1a over the canonical serialized cell configuration —
-/// the content address for the cache.
-pub fn digest(key: &serde_json::Value) -> String {
-    let text = key.to_string();
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for b in text.bytes() {
-        h ^= b as u128;
-        h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
-    }
-    format!("{h:032x}")
-}
-
 fn cache_path(dir: &Path, digest: &str) -> PathBuf {
     dir.join(format!("{digest}.json"))
 }
 
-fn cache_load<R: DeserializeOwned>(dir: &Path, digest: &str) -> Option<R> {
+/// Loads a cached result. Anything but the exact bytes this build would
+/// have stored for the result — a truncated file, a report from a build
+/// with other fields — is a miss: the cell re-executes and overwrites it.
+fn cache_load<R: Serialize + DeserializeOwned>(dir: &Path, digest: &str) -> Option<R> {
     let text = std::fs::read_to_string(cache_path(dir, digest)).ok()?;
-    serde_json::from_str(&text).ok()
+    let result: R = serde_json::from_str(&text).ok()?;
+    (serde_json::to_string(&result).ok()? == text).then_some(result)
 }
 
 fn cache_store<R: Serialize>(dir: &Path, digest: &str, result: &R) {
@@ -191,7 +184,7 @@ where
     let mut pending: Vec<Job<R>> = Vec::new();
 
     for (idx, cell) in cells.into_iter().enumerate() {
-        let digest = opts.use_cache.then(|| digest(&cell.key));
+        let digest = opts.use_cache.then(|| content_digest(&cell.key));
         if let Some(d) = digest.as_deref() {
             if let Some(result) = cache_load::<R>(&opts.cache_dir, d) {
                 eprintln!(
@@ -370,8 +363,8 @@ mod tests {
 
     #[test]
     fn distinct_keys_get_distinct_digests() {
-        let a = digest(&serde_json::to_value(&("square", 1u64)).unwrap());
-        let b = digest(&serde_json::to_value(&("square", 2u64)).unwrap());
+        let a = content_digest(&("square", 1u64));
+        let b = content_digest(&("square", 2u64));
         assert_ne!(a, b);
         assert_eq!(a.len(), 32);
     }

@@ -78,12 +78,10 @@ fn run_tbl_faults(dir: &PathBuf, extra: &[&str]) -> Output {
 
 #[test]
 fn fault_plans_change_the_cell_digest() {
-    use scalecheck::{CellSpec, ExecMode};
-    use scalecheck_bench::sweep::digest;
+    use scalecheck::{content_digest as key, CellSpec, ExecMode};
     use scalecheck_cluster::{FaultPlan, ScenarioConfig};
 
     let cfg = ScenarioConfig::c3831(8, 1);
-    let key = |spec: &CellSpec| digest(&serde_json::to_value(spec).expect("spec serializes"));
 
     let plain = CellSpec::new(cfg.clone(), ExecMode::Real);
     let stormy = CellSpec::new(
@@ -99,6 +97,42 @@ fn fault_plans_change_the_cell_digest() {
     // (warm-cache hit for identical faulty cells).
     let stormy_again = CellSpec::new(cfg.with_faults(FaultPlan::storm(1, 8, 0.5)), ExecMode::Real);
     assert_eq!(key(&stormy), key(&stormy_again));
+}
+
+#[test]
+fn stale_or_truncated_cache_entries_are_misses() {
+    use scalecheck::{content_digest, CellSpec, ExecMode};
+    use scalecheck_bench::{run_sweep, spec_cell, SweepOptions};
+    use scalecheck_cluster::ScenarioConfig;
+
+    let spec = CellSpec::new(ScenarioConfig::baseline(8, 1), ExecMode::Real);
+    let opts = SweepOptions {
+        jobs: 1,
+        use_cache: true,
+        cache_dir: fresh_dir("stale"),
+    };
+    let sweep = || run_sweep(vec![spec_cell("stale", spec.clone())], &opts);
+    assert_eq!(sweep().executed, 1);
+    let path = opts
+        .cache_dir
+        .join(format!("{}.json", content_digest(&spec)));
+    let good = fs::read_to_string(&path).expect("cold run stored its result");
+
+    // A report shaped like an older build's (it carried a second trace
+    // log beside `obs`) under the current key, and a write cut short.
+    let older_build = format!(
+        r#"{{"trace":{{"enabled":false,"events":[]}},{}"#,
+        &good[1..]
+    );
+    for bad in [older_build.as_str(), &good[..good.len() / 2]] {
+        fs::write(&path, bad).expect("plant bad entry");
+        let out = sweep();
+        assert_eq!((out.executed, out.cached), (1, 0), "bad entry must miss");
+        assert_eq!(serde_json::to_string(&out.results[0]).unwrap(), good);
+        assert_eq!(fs::read_to_string(&path).unwrap(), good, "entry healed");
+    }
+    assert_eq!(sweep().cached, 1, "the healed entry hits");
+    let _ = fs::remove_dir_all(&opts.cache_dir);
 }
 
 #[test]
@@ -155,12 +189,10 @@ fn run_tbl_slo(dir: &PathBuf, extra: &[&str]) -> Output {
 
 #[test]
 fn arrival_configs_change_the_cell_digest() {
-    use scalecheck::{CellSpec, ExecMode};
-    use scalecheck_bench::sweep::digest;
+    use scalecheck::{content_digest as key, CellSpec, ExecMode};
     use scalecheck_cluster::{ScenarioConfig, TrafficConfig};
 
     let cfg = ScenarioConfig::c3831(8, 1);
-    let key = |spec: &CellSpec| digest(&serde_json::to_value(spec).expect("spec serializes"));
 
     let quiet = CellSpec::new(
         cfg.clone().with_traffic(TrafficConfig::open_loop(1_000)),

@@ -1,14 +1,13 @@
 //! The calculation engine: executes, records, or replays the
 //! pending-range computation.
 //!
-//! This is where the paper's three pipelines meet:
+//! This is where the paper's four runs ([`RunMode`]) meet:
 //!
-//! * **Execute** (Real / plain Colo): run the real algorithm, count ops,
-//!   convert to virtual compute time via the calibration constant.
-//! * **Record** (the memoization run, Figure 2 step d): execute *and*
-//!   store `(input digest) → (output, duration)` plus the invocation
-//!   order.
-//! * **Replay** (Figure 2 steps e–f): look the input up and return the
+//! * **Real / Colo**: run the real algorithm, count ops, convert to
+//!   virtual compute time via the calibration constant.
+//! * **Memoize** (Figure 2 step d): execute *and* store
+//!   `(input digest) → (output, duration)` plus the invocation order.
+//! * **PilReplay** (Figure 2 steps e–f): look the input up and return the
 //!   recorded output and duration without computing; fall back to the
 //!   invocation index and finally to genuine execution, counting every
 //!   fallback honestly.
@@ -20,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use scalecheck_memo::{Digest128, FnId, Hasher128, MemoDb};
+use scalecheck_memo::{Digest128, FnId, Hasher128, MemoDb, RunMode};
 use scalecheck_ring::{
     write_changes_canonical, write_pending_canonical, FreshRingQuadratic, NodeId, OpCounter,
     PendingRangeCalculator, PendingRanges, Range, RingTable, TopologyChange, V1Cubic, V2Quadratic,
@@ -30,7 +29,7 @@ use scalecheck_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::calibrate::ops_to_duration;
-use crate::config::{CalcIo, CalcVersion};
+use crate::config::CalcVersion;
 
 /// Wire form of [`PendingRanges`] (JSON-friendly: no map keys that are
 /// structs).
@@ -96,7 +95,7 @@ pub struct CalcStats {
 pub struct CalcEngine {
     version: CalcVersion,
     ns_per_op: u64,
-    io: CalcIo,
+    mode: RunMode,
     exec_cache: HashMap<u128, (PendingWire, u64)>,
     db: MemoDb<PendingWire>,
     stats: CalcStats,
@@ -104,28 +103,21 @@ pub struct CalcEngine {
 
 impl CalcEngine {
     /// Creates an engine with an empty memo database.
-    pub fn new(version: CalcVersion, ns_per_op: u64, io: CalcIo) -> Self {
-        CalcEngine {
-            version,
-            ns_per_op,
-            io,
-            exec_cache: HashMap::new(),
-            db: MemoDb::new(),
-            stats: CalcStats::default(),
-        }
+    pub fn new(version: CalcVersion, ns_per_op: u64, mode: RunMode) -> Self {
+        Self::with_db(version, ns_per_op, mode, MemoDb::new())
     }
 
     /// Creates a replay engine over a previously recorded database.
     pub fn with_db(
         version: CalcVersion,
         ns_per_op: u64,
-        io: CalcIo,
+        mode: RunMode,
         db: MemoDb<PendingWire>,
     ) -> Self {
         CalcEngine {
             version,
             ns_per_op,
-            io,
+            mode,
             exec_cache: HashMap::new(),
             db,
             stats: CalcStats::default(),
@@ -194,8 +186,8 @@ impl CalcEngine {
         let digest = Self::digest(ring, changes);
         let fid = Self::fn_id(self.version);
 
-        let (wire, duration, source) = match self.io {
-            CalcIo::Execute | CalcIo::Record => {
+        let (wire, duration, source) = match self.mode {
+            RunMode::Real | RunMode::Colo { .. } | RunMode::Memoize { .. } => {
                 let (wire, ops, cached) = self.execute(digest, ring, changes);
                 let duration = ops_to_duration(ops, self.ns_per_op);
                 if cached {
@@ -203,7 +195,7 @@ impl CalcEngine {
                 } else {
                     self.stats.executed += 1;
                 }
-                if self.io == CalcIo::Record {
+                if matches!(self.mode, RunMode::Memoize { .. }) {
                     self.db.record(node, fid, digest, wire.clone(), duration);
                 }
                 (
@@ -216,7 +208,7 @@ impl CalcEngine {
                     },
                 )
             }
-            CalcIo::Replay => {
+            RunMode::PilReplay { .. } => {
                 if let Some(rec) = self.db.lookup(fid, digest) {
                     self.stats.memo_hits += 1;
                     (rec.output, rec.duration, CalcSource::MemoHit)
@@ -272,6 +264,9 @@ mod tests {
     use super::*;
     use scalecheck_ring::{spread_tokens, NodeStatus};
 
+    const MEMOIZE: RunMode = RunMode::Memoize { cores: 4 };
+    const REPLAY: RunMode = RunMode::PilReplay { cores: 4 };
+
     fn ring_of(n: u32) -> RingTable {
         let mut r = RingTable::new(3);
         for i in 0..n {
@@ -287,7 +282,7 @@ mod tests {
 
     #[test]
     fn execute_mode_runs_and_caches() {
-        let mut e = CalcEngine::new(CalcVersion::V3VnodeAware, 100, CalcIo::Execute);
+        let mut e = CalcEngine::new(CalcVersion::V3VnodeAware, 100, RunMode::Real);
         let ring = ring_of(8);
         let (out1, d1, s1) = e.calculate(0, 0, &ring, &leave(1));
         let (out2, d2, s2) = e.calculate(1, 0, &ring, &leave(1));
@@ -302,7 +297,7 @@ mod tests {
 
     #[test]
     fn record_mode_populates_db() {
-        let mut e = CalcEngine::new(CalcVersion::V1Cubic, 100, CalcIo::Record);
+        let mut e = CalcEngine::new(CalcVersion::V1Cubic, 100, MEMOIZE);
         let ring = ring_of(8);
         e.calculate(0, 0, &ring, &leave(1));
         e.calculate(0, 1, &ring, &leave(2));
@@ -317,11 +312,11 @@ mod tests {
     #[test]
     fn replay_hits_recorded_inputs() {
         let ring = ring_of(8);
-        let mut rec = CalcEngine::new(CalcVersion::V1Cubic, 100, CalcIo::Record);
+        let mut rec = CalcEngine::new(CalcVersion::V1Cubic, 100, MEMOIZE);
         let (out_rec, d_rec, _) = rec.calculate(0, 0, &ring, &leave(1));
         let db = rec.into_db();
 
-        let mut rep = CalcEngine::with_db(CalcVersion::V1Cubic, 100, CalcIo::Replay, db);
+        let mut rep = CalcEngine::with_db(CalcVersion::V1Cubic, 100, REPLAY, db);
         let (out_rep, d_rep, src) = rep.calculate(0, 0, &ring, &leave(1));
         assert_eq!(src, CalcSource::MemoHit);
         assert_eq!(out_rep, out_rec);
@@ -332,11 +327,11 @@ mod tests {
     #[test]
     fn replay_index_fallback_when_digest_differs() {
         let ring = ring_of(8);
-        let mut rec = CalcEngine::new(CalcVersion::V2Quadratic, 100, CalcIo::Record);
+        let mut rec = CalcEngine::new(CalcVersion::V2Quadratic, 100, MEMOIZE);
         rec.calculate(5, 0, &ring, &leave(1));
         let db = rec.into_db();
 
-        let mut rep = CalcEngine::with_db(CalcVersion::V2Quadratic, 100, CalcIo::Replay, db);
+        let mut rep = CalcEngine::with_db(CalcVersion::V2Quadratic, 100, REPLAY, db);
         // Different input (leave 2 instead of 1): digest misses, but node
         // 5's invocation 0 exists.
         let (_, _, src) = rep.calculate(5, 0, &ring, &leave(2));
@@ -347,7 +342,7 @@ mod tests {
     fn replay_full_miss_executes_for_real() {
         let ring = ring_of(8);
         let db = MemoDb::new();
-        let mut rep = CalcEngine::with_db(CalcVersion::V3VnodeAware, 100, CalcIo::Replay, db);
+        let mut rep = CalcEngine::with_db(CalcVersion::V3VnodeAware, 100, REPLAY, db);
         let (out, d, src) = rep.calculate(0, 0, &ring, &leave(1));
         assert_eq!(src, CalcSource::MemoMiss);
         assert!(!out.is_empty());
@@ -377,7 +372,7 @@ mod tests {
     #[test]
     fn wire_round_trip() {
         let ring = ring_of(8);
-        let mut e = CalcEngine::new(CalcVersion::V3VnodeAware, 100, CalcIo::Execute);
+        let mut e = CalcEngine::new(CalcVersion::V3VnodeAware, 100, RunMode::Real);
         let (out, _, _) = e.calculate(0, 0, &ring, &leave(1));
         let wire = PendingWire::from(&out);
         let back: PendingRanges = (&wire).into();
@@ -391,7 +386,7 @@ mod tests {
     #[test]
     fn stats_track_totals() {
         let ring = ring_of(8);
-        let mut e = CalcEngine::new(CalcVersion::V1Cubic, 1000, CalcIo::Execute);
+        let mut e = CalcEngine::new(CalcVersion::V1Cubic, 1000, RunMode::Real);
         e.calculate(0, 0, &ring, &leave(1));
         e.calculate(0, 1, &ring, &leave(2));
         let s = e.stats();

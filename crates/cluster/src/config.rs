@@ -2,14 +2,14 @@
 //!
 //! A [`ScenarioConfig`] fully determines a cluster run: cluster size and
 //! vnode count, the pending-range calculator version (the bug), how the
-//! calculation is threaded/locked (C5456), the rescale workload, the
-//! deployment mode (the paper's Real / Colo / PIL trichotomy), and the
-//! calibration constants that map counted operations to virtual compute
-//! time.
+//! calculation is threaded/locked (C5456), the rescale workload, which
+//! of the paper's four runs it is ([`RunMode`]), and the calibration
+//! constants that map counted operations to virtual compute time.
 
+use scalecheck_memo::RunMode;
 use scalecheck_net::NetworkConfig;
 use scalecheck_sim::{FaultPlan, SimDuration, TieOrderSpec};
-use scalecheck_traffic::TrafficConfig;
+use scalecheck_traffic::{Consistency, TrafficConfig};
 use serde::{Deserialize, Serialize};
 
 /// When the first rescale action (decommission or join) fires, for
@@ -65,38 +65,6 @@ pub enum Workload {
     },
     /// The whole cluster boots simultaneously from scratch (C6127).
     BootstrapFromScratch,
-}
-
-/// Where nodes' compute runs — the paper's three test setups.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum DeploymentMode {
-    /// Real-scale testing: every node has its own machine (Figure 1a).
-    Real,
-    /// Basic colocation: all nodes share one machine with `cores` cores
-    /// (Figure 1b).
-    Colo {
-        /// Cores on the shared machine (the paper's Nome box has 16).
-        cores: usize,
-    },
-    /// PIL-infused replay: like `Colo`, but PIL-replaced functions sleep
-    /// instead of computing (Figure 1c).
-    PilReplay {
-        /// Cores on the shared machine.
-        cores: usize,
-    },
-}
-
-/// How the run interacts with the memoization database.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum CalcIo {
-    /// Execute calculations for real (Real and plain Colo runs).
-    Execute,
-    /// Execute and record input/output/duration (the memoization run,
-    /// Figure 2 step d).
-    Record,
-    /// Replay from the database: sleep the recorded duration and copy
-    /// the recorded output (Figure 2 steps e–f).
-    Replay,
 }
 
 /// Rebalance allocation strategy (§6's space-oblivious code).
@@ -171,10 +139,9 @@ pub struct ScenarioConfig {
     pub workload_end: SimDuration,
     /// Hard cap on run duration (quiescence is detected earlier).
     pub max_duration: SimDuration,
-    /// Deployment (Real / Colo / PIL).
-    pub deployment: DeploymentMode,
-    /// Memoization interaction.
-    pub calc_io: CalcIo,
+    /// Which of the paper's four runs this is (Real / Colo / memoize /
+    /// PIL replay).
+    pub mode: RunMode,
     /// Enforce recorded message order during replay (§5 order
     /// determinism).
     pub order_enforcement: bool,
@@ -195,19 +162,13 @@ pub struct ScenarioConfig {
     /// Scheduled fault injections (empty plan = no faults). Part of the
     /// serialized config, so sweep cache keys distinguish plans.
     pub faults: FaultPlan,
-    /// Client availability probe (the paper's user-visible impact:
-    /// "making some data not reachable by the users"). Legacy knob: it
-    /// is translated into an equivalent [`TrafficConfig`] unless
-    /// `traffic` below is enabled, which takes precedence.
-    pub client: crate::datapath::ClientConfig,
-    /// Full client-request datapath: open-loop arrivals, consistency
-    /// levels, and SLO accounting ([`scalecheck_traffic`]). When
-    /// enabled it supersedes `client`; when off (the default) the
-    /// legacy `client` probe shape is used. Part of the serialized
-    /// config, so sweep cache keys distinguish traffic shapes.
+    /// The client-request datapath ([`scalecheck_traffic`]): the paper's
+    /// user-visible impact, "making some data not reachable by the
+    /// users". Presets carry the light observer probe
+    /// ([`TrafficConfig::probe`]); [`TrafficConfig::OFF`] means off.
+    /// Part of the serialized config, so sweep cache keys distinguish
+    /// traffic shapes.
     pub traffic: TrafficConfig,
-    /// Record a deterministic event trace (replay debugging, §7 f).
-    pub trace_events: bool,
     /// Full observability tracing (spans, metrics, utilization
     /// timelines) on virtual time; see [`scalecheck_obs`].
     pub trace: scalecheck_obs::TraceConfig,
@@ -255,8 +216,7 @@ impl ScenarioConfig {
             rescale_window: SimDuration::from_secs(25),
             workload_end: SimDuration::from_secs(100),
             max_duration: SimDuration::from_secs(900),
-            deployment: DeploymentMode::Real,
-            calc_io: CalcIo::Execute,
+            mode: RunMode::Real,
             order_enforcement: false,
             order_hold_timeout: SimDuration::from_secs(2),
             ns_per_op: crate::calibrate::NS_PER_OP_V1,
@@ -265,9 +225,7 @@ impl ScenarioConfig {
             memory: MemoryConfig::default(),
             network: NetworkConfig::default(),
             faults: FaultPlan::default(),
-            client: crate::datapath::ClientConfig::light(),
-            traffic: TrafficConfig::OFF,
-            trace_events: false,
+            traffic: TrafficConfig::probe(50, Consistency::Quorum),
             trace: scalecheck_obs::TraceConfig::default(),
             global_event_queue: false,
             tie_order: TieOrderSpec::identity(),
@@ -343,16 +301,10 @@ impl ScenarioConfig {
         cfg
     }
 
-    /// Switches the scenario to a deployment mode, leaving the workload
+    /// Switches the scenario to a run mode, leaving the workload
     /// untouched (the paper's accuracy comparison varies only this).
-    pub fn with_deployment(mut self, deployment: DeploymentMode) -> Self {
-        self.deployment = deployment;
-        self
-    }
-
-    /// Switches the calc-IO mode (execute / record / replay).
-    pub fn with_calc_io(mut self, calc_io: CalcIo) -> Self {
-        self.calc_io = calc_io;
+    pub fn with_mode(mut self, mode: RunMode) -> Self {
+        self.mode = mode;
         self
     }
 
@@ -376,16 +328,10 @@ impl ScenarioConfig {
         }
     }
 
-    /// The traffic shape this run actually drives: the new datapath
-    /// when configured, otherwise the legacy `client` probe translated
-    /// onto it (same stream id, same 1 op/s-per-user constant rate, so
-    /// old scenarios keep their semantics).
+    /// The traffic shape this run drives: `self.traffic`. The benchmark
+    /// package (`benchmarks/`) reads it through this accessor.
     pub fn effective_traffic(&self) -> TrafficConfig {
-        if self.traffic.enabled() {
-            self.traffic
-        } else {
-            TrafficConfig::from_legacy(self.client.ops_per_sec, self.client.quorum, self.rf)
-        }
+        self.traffic
     }
 
     /// The `[start, end]` window (offsets from t=0) during which the
@@ -401,20 +347,10 @@ impl ScenarioConfig {
     }
 
     /// Rejects configurations whose request semantics would silently
-    /// lie. Historically `client.quorum > rf` was clamped down to the
-    /// replica count inside the probe, *undercounting* the
-    /// acknowledgements the operator asked for; it is now a build-time
-    /// error. Called by the runner before any state is built.
+    /// lie. Called by the runner before any state is built.
     pub fn validate(&self) -> Result<(), String> {
         if self.rf == 0 {
             return Err("rf must be at least 1".into());
-        }
-        if self.client.ops_per_sec > 0 && self.client.quorum > self.rf {
-            return Err(format!(
-                "client.quorum ({}) exceeds rf ({}): the probe would silently \
-                 demand fewer acknowledgements than configured",
-                self.client.quorum, self.rf
-            ));
         }
         if self.traffic.enabled() {
             if self.traffic.read_permille > 1000 {
@@ -504,11 +440,52 @@ mod tests {
 
     #[test]
     fn with_helpers_only_touch_their_field() {
-        let cfg = ScenarioConfig::c3831(32, 1)
-            .with_deployment(DeploymentMode::Colo { cores: 16 })
-            .with_calc_io(CalcIo::Record);
-        assert_eq!(cfg.deployment, DeploymentMode::Colo { cores: 16 });
-        assert_eq!(cfg.calc_io, CalcIo::Record);
+        let cfg = ScenarioConfig::c3831(32, 1).with_mode(RunMode::Memoize { cores: 16 });
+        assert_eq!(cfg.mode, RunMode::Memoize { cores: 16 });
         assert_eq!(cfg.calculator, CalcVersion::V1Cubic);
+    }
+
+    #[test]
+    fn baseline_traffic_is_the_light_quorum_probe() {
+        use scalecheck_traffic::{
+            ArrivalConfig, ArrivalProcess, CostModel, Degradation, KeySkew, SloTarget,
+        };
+        let cfg = ScenarioConfig::baseline(8, 1);
+        assert_eq!(cfg.effective_traffic(), cfg.traffic);
+        assert_eq!(cfg.traffic, TrafficConfig::probe(50, Consistency::Quorum));
+        // Pinned field for field: every committed artifact was produced
+        // under this probe.
+        assert_eq!(
+            cfg.traffic,
+            TrafficConfig {
+                arrival: ArrivalConfig {
+                    users: 50,
+                    millirate_per_user: 1000,
+                    process: ArrivalProcess::Constant,
+                    rescale_ramp_permille: 1000,
+                    tick: SimDuration::from_secs(1),
+                },
+                read_cl: Consistency::Quorum,
+                write_cl: Consistency::Quorum,
+                read_permille: 0,
+                cost: CostModel {
+                    read_service: SimDuration::from_micros(350),
+                    write_service: SimDuration::from_micros(150),
+                    coord_service: SimDuration::from_micros(50),
+                    timeout: SimDuration::from_secs(2),
+                },
+                degradation: Degradation::FailFast,
+                slo: SloTarget {
+                    latency_target: SimDuration::from_millis(100),
+                    availability_floor_permille: 999,
+                },
+                sample_cap_per_tick: 64,
+                log_sample_cap: 32,
+                coupled: false,
+                client_retries: 0,
+                retry_backoff: SimDuration::from_millis(100),
+                key_skew: KeySkew::Uniform,
+            }
+        );
     }
 }

@@ -12,18 +12,17 @@
 //! * **C6127** — bootstrap-from-scratch exercising the fresh-ring
 //!   quadratic path.
 //!
-//! Each scenario runs in one of the paper's three deployment semantics
-//! (Real / Colo / PIL replay) and one of three calc-IO modes (execute /
-//! record / replay), yielding a [`RunReport`] whose flap counts are the
-//! Figure 3 measurements.
+//! Each scenario runs as one of the paper's four runs ([`RunMode`]: Real /
+//! Colo / memoize / PIL replay), yielding a [`RunReport`] whose flap
+//! counts are the Figure 3 measurements.
 //!
 //! # Examples
 //!
 //! ```
-//! use scalecheck_cluster::{run_scenario, DeploymentMode, ScenarioConfig};
+//! use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
 //!
 //! // A small healthy cluster decommissioning one node: no flapping.
-//! let cfg = ScenarioConfig::baseline(8, 42).with_deployment(DeploymentMode::Real);
+//! let cfg = ScenarioConfig::baseline(8, 42).with_mode(RunMode::Real);
 //! let report = run_scenario(&cfg);
 //! assert_eq!(report.total_flaps, 0);
 //! assert!(report.quiesced);
@@ -34,25 +33,19 @@
 pub mod calc;
 pub mod calibrate;
 pub mod config;
-pub mod datapath;
 pub mod node;
 pub mod report;
 pub mod ringinfo;
 pub mod runner;
-pub mod trace;
 
 pub use calc::{CalcEngine, CalcSource, CalcStats, PendingWire};
-pub use config::{
-    AllocStrategy, CalcIo, CalcVersion, DeploymentMode, LockingMode, MemoryConfig, ScenarioConfig,
-    Workload,
-};
-pub use datapath::{probe_operation, ClientConfig};
+pub use config::{AllocStrategy, CalcVersion, LockingMode, MemoryConfig, ScenarioConfig, Workload};
 pub use node::{Envelope, GossipMessage, Node, Task, ViewChanges};
 pub use report::RunReport;
 pub use ringinfo::{addr_of, node_of, peer_of, RingInfo};
 pub use runner::{run_scenario, run_scenario_with_db, ClusterState, StageKind};
+pub use scalecheck_memo::RunMode;
 pub use scalecheck_sim::{FaultEvent, FaultPlan, FaultReport, FiredFault};
 pub use scalecheck_traffic::{
     ArrivalConfig, ArrivalProcess, Consistency, SloSummary, SloTarget, TrafficConfig, TrafficReport,
 };
-pub use trace::{TraceEvent, TraceLog};

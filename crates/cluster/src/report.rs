@@ -5,7 +5,6 @@ use scalecheck_sim::{EngineCounters, FaultReport, ScheduleProbe, SimDuration, Ti
 use serde::{Deserialize, Serialize};
 
 use crate::calc::CalcStats;
-use crate::trace::TraceLog;
 
 /// Everything an experiment needs to know about a finished run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -54,13 +53,6 @@ pub struct RunReport {
     pub order_out_of_log: u64,
     /// Held messages force-released after the hold timeout.
     pub order_forced_releases: u64,
-    /// Client quorum operations attempted by the availability probe.
-    /// Weighted totals from the traffic datapath (kept for Figure 3
-    /// compatibility; `traffic` carries the full picture).
-    pub client_ops_attempted: u64,
-    /// Client quorum operations that failed (no quorum of live
-    /// replicas — the paper's "data not reachable by the users").
-    pub client_ops_failed: u64,
     /// The client-request datapath's full outcome: per-phase latency
     /// histograms, error-budget accounting, and the byte-deterministic
     /// request-log digest ([`scalecheck_traffic`]).
@@ -74,8 +66,6 @@ pub struct RunReport {
     /// What the run's fault plan did (all zeros/empty under the default
     /// empty plan).
     pub faults: FaultReport,
-    /// Deterministic event trace (empty unless `trace_events` was set).
-    pub trace: TraceLog,
     /// Full observability trace: spans, instants, utilization counters,
     /// and metric histograms on virtual time (buffers empty unless
     /// `trace.enabled` was set; the metadata header is always stamped).
@@ -92,12 +82,13 @@ impl RunReport {
         self.total_flaps as f64 / 1000.0
     }
 
-    /// Fraction of client operations that failed.
+    /// Fraction of client operations that failed (no quorum of live
+    /// replicas — the paper's "data not reachable by the users").
     pub fn unavailability(&self) -> f64 {
-        if self.client_ops_attempted == 0 {
+        if self.traffic.attempted == 0 {
             0.0
         } else {
-            self.client_ops_failed as f64 / self.client_ops_attempted as f64
+            self.traffic.failed as f64 / self.traffic.attempted as f64
         }
     }
 }
@@ -129,13 +120,10 @@ mod tests {
             crashed_nodes: 0,
             order_out_of_log: 0,
             order_forced_releases: 0,
-            client_ops_attempted: 0,
-            client_ops_failed: 0,
             traffic: Default::default(),
             engine: EngineCounters::default(),
             stale_timer_fires: 0,
             faults: FaultReport::default(),
-            trace: TraceLog::default(),
             obs: scalecheck_obs::Trace::default(),
             schedule_probe: None,
         };

@@ -7,6 +7,8 @@
 //!   contends across nodes (Figure 1a).
 //! * **Colo**: every node's compute is submitted to one shared machine —
 //!   queueing and context switching delay everything (Figure 1b).
+//! * **Memoize**: Colo that also records every calculation and the
+//!   per-node message order (Figure 2 step d).
 //! * **PilReplay**: like Colo, but the pending-range calculation (the
 //!   PIL-replaced function) *sleeps* its duration instead of occupying a
 //!   core (Figure 1c).
@@ -22,7 +24,7 @@
 use std::collections::BTreeMap;
 
 use scalecheck_gossip::Liveness;
-use scalecheck_memo::{OrderDecision, OrderEnforcer, OrderRecorder};
+use scalecheck_memo::{OrderDecision, OrderEnforcer, OrderRecorder, RunMode};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_CALC, TID_GOSSIP, TID_REQUEST};
 use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, PendingRanges, RingTable, Token};
@@ -34,7 +36,7 @@ use scalecheck_sim::{
 };
 
 use crate::calc::{CalcEngine, PendingWire};
-use crate::config::{AllocStrategy, CalcIo, DeploymentMode, LockingMode, ScenarioConfig, Workload};
+use crate::config::{AllocStrategy, LockingMode, ScenarioConfig, Workload};
 use crate::node::{Envelope, GossipMessage, Node, Task};
 use crate::report::RunReport;
 use crate::ringinfo::{addr_of, peer_of, RingInfo};
@@ -89,14 +91,11 @@ pub struct ClusterState {
     /// The client-request datapath (open-loop arrivals, consistency
     /// levels, SLO accounting). In coupled mode it is a tenant of the
     /// simulation — request service bills node CPUs and replica round
-    /// trips ride the data plane; the legacy uncoupled probe only reads
+    /// trips ride the data plane; the uncoupled probe only reads
     /// coordinator state. Either way it owns its private RNG fork.
     traffic: scalecheck_traffic::TrafficState,
     /// Handler for periodic traffic ticks.
     traffic_handler: Option<HandlerId>,
-    /// Observability tracing active (full spans or the legacy event log;
-    /// both feed off the thread-local [`scalecheck_obs`] tracer).
-    trace_enabled: bool,
     /// Cumulative per-node `[gossip, calc, request]` CPU demand
     /// submitted, in virtual ns, billed by *work kind* (C3831 runs calc
     /// work on the gossip stage; attribution needs the kind, not the
@@ -165,8 +164,8 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     let total = cfg.total_nodes();
     let mut park = MachinePark::new();
     let mut machine_mem = Vec::new();
-    match cfg.deployment {
-        DeploymentMode::Real => {
+    match cfg.mode.colo_cores() {
+        None => {
             let cs = if cfg.free_ctx_switch {
                 CtxSwitchModel::FREE
             } else {
@@ -177,7 +176,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
                 machine_mem.push(MemoryModel::new(cfg.memory.machine_capacity));
             }
         }
-        DeploymentMode::Colo { cores } | DeploymentMode::PilReplay { cores } => {
+        Some(cores) => {
             // §6: per-node daemon threads amplify context switching with
             // the multiprogramming level; the global-event-queue redesign
             // pays only the fixed dispatch cost.
@@ -201,7 +200,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     // datapath sees real deployment's per-node service queueing instead
     // of either the colocated contention or an uncontended sleep.
     let mut pil_request_park = MachinePark::new();
-    if matches!(cfg.deployment, DeploymentMode::PilReplay { .. }) {
+    if matches!(cfg.mode, RunMode::PilReplay { .. }) {
         let cs = if cfg.free_ctx_switch {
             CtxSwitchModel::FREE
         } else {
@@ -225,8 +224,8 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     let mut ring_lock = Vec::with_capacity(total);
     for i in 0..total {
         let id = NodeId(i as u32);
-        let machine = match cfg.deployment {
-            DeploymentMode::Real => scalecheck_sim::cpu::MachineId(i),
+        let machine = match cfg.mode {
+            RunMode::Real => scalecheck_sim::cpu::MachineId(i),
             _ => scalecheck_sim::cpu::MachineId(0),
         };
         let tokens = spread_tokens(id, cfg.vnodes);
@@ -351,16 +350,12 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
         cfg.faults.end_time() + FAULT_SETTLE
     };
 
-    let traffic = scalecheck_traffic::TrafficState::new(
-        cfg.effective_traffic(),
-        &root_rng,
-        cfg.network.latency,
-    );
+    let traffic =
+        scalecheck_traffic::TrafficState::new(cfg.traffic, &root_rng, cfg.network.latency);
     ClusterState {
         workload_end_at: (SimTime::ZERO + cfg.workload_end).max(fault_horizon),
         traffic,
         traffic_handler: None,
-        trace_enabled: cfg.trace.enabled || cfg.trace_events,
         work_busy: vec![[0, 0, 0]; total],
         busy_sampled: vec![[0, 0, 0]; total],
         cfg: cfg.clone(),
@@ -674,7 +669,7 @@ fn compute(
     work: StageKind,
     pil_replaced: bool,
 ) -> SimTime {
-    let pil_mode = matches!(st.cfg.deployment, DeploymentMode::PilReplay { .. });
+    let pil_mode = matches!(st.cfg.mode, RunMode::PilReplay { .. });
     if pil_mode && pil_replaced {
         now + demand
     } else {
@@ -775,7 +770,7 @@ fn begin_calc_compute(
             .calculate(st.nodes[i].id.0, idx, &ring_view, &changes);
     let done_at = compute(st, now, i, duration, StageKind::Calc, true);
     if scalecheck_obs::enabled() {
-        let pil_mode = matches!(st.cfg.deployment, DeploymentMode::PilReplay { .. });
+        let pil_mode = matches!(st.cfg.mode, RunMode::PilReplay { .. });
         let name = if pil_mode {
             SpanName::CalcPilSleep
         } else {
@@ -1229,9 +1224,8 @@ impl scalecheck_traffic::ClusterFabric for LiveFabric<'_> {
 
 /// One traffic tick: classify the phase, lend the traffic engine the
 /// live fabric, and rearm the timer. Exactly one engine schedule per
-/// tick on the same cadence the legacy client probe used (first fire at
-/// 700 ms, then every arrival tick), so committed schedule witnesses
-/// keep their sequence numbering.
+/// tick (first fire at 700 ms, then every arrival tick): committed
+/// schedule witnesses depend on this sequence numbering.
 fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
     let now = ctx.now();
     let (start, end) = st.cfg.rescale_phase_span();
@@ -1253,7 +1247,7 @@ fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
             traffic,
             ..
         } = st;
-        let pil = matches!(cfg.deployment, DeploymentMode::PilReplay { .. });
+        let pil = matches!(cfg.mode, RunMode::PilReplay { .. });
         let mut fabric = LiveFabric {
             nodes,
             net,
@@ -1351,8 +1345,8 @@ fn schedule_faults(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
 fn fire_fault(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, ev: &FaultEvent, idx: usize) {
     let now = ctx.now();
     let label = ev.label();
-    // The instant's argument is the fault's plan index; the label is
-    // re-derived from the config when the legacy event log is rebuilt.
+    // The instant's argument is the fault's plan index into
+    // `cfg.faults.events`.
     scalecheck_obs::instant(
         SpanName::FaultInjected,
         ENGINE_PID,
@@ -1510,18 +1504,19 @@ pub fn run_scenario_with_db(
     if let Err(msg) = cfg.validate() {
         panic!("invalid ScenarioConfig: {msg}");
     }
-    let calc = match db {
-        Some(db) => CalcEngine::with_db(cfg.calculator, cfg.ns_per_op, cfg.calc_io, db),
-        None => CalcEngine::new(cfg.calculator, cfg.ns_per_op, cfg.calc_io),
-    };
+    let calc = CalcEngine::with_db(
+        cfg.calculator,
+        cfg.ns_per_op,
+        cfg.mode,
+        db.unwrap_or_default(),
+    );
     let mut state = build(cfg, calc);
-    if cfg.calc_io == CalcIo::Record {
-        state.order_rec = Some(OrderRecorder::new());
-    }
-    if cfg.calc_io == CalcIo::Replay && cfg.order_enforcement {
-        if let Some(log) = order_log {
-            state.order_enf = Some(log.into_enforcer());
+    match cfg.mode {
+        RunMode::Memoize { .. } => state.order_rec = Some(OrderRecorder::new()),
+        RunMode::PilReplay { .. } if cfg.order_enforcement => {
+            state.order_enf = order_log.map(OrderRecorder::into_enforcer);
         }
+        _ => {}
     }
 
     let mut engine: Engine<ClusterState> =
@@ -1659,7 +1654,7 @@ pub fn run_scenario_with_db(
 
     // The thread-local tracer collects spans for this run only; per-thread
     // isolation keeps traces byte-identical at any sweep parallelism.
-    if state.trace_enabled {
+    if cfg.trace.enabled {
         scalecheck_obs::install(scalecheck_obs::Tracer::new());
     } else {
         scalecheck_obs::clear();
@@ -1689,60 +1684,6 @@ pub fn run_scenario_with_db(
 /// runs.
 pub fn run_scenario(cfg: &ScenarioConfig) -> RunReport {
     run_scenario_with_db(cfg, None, None).0
-}
-
-/// Rebuilds the legacy replay-debugging event log from the obs trace so
-/// the repo keeps a single trace format: convictions, crashes, and fault
-/// injections come from instants; calculation completions come from the
-/// calc spans (their op-count argument round-trips the compute duration
-/// exactly, because durations are op-count multiples of `ns_per_op`).
-fn rebuild_tracelog(trace: &scalecheck_obs::Trace, cfg: &ScenarioConfig) -> crate::trace::TraceLog {
-    use crate::trace::TraceEvent;
-    let mut events: Vec<TraceEvent> = Vec::new();
-    for inst in &trace.instants {
-        let at = SimTime::ZERO + SimDuration::from_nanos(inst.ts);
-        match SpanName::from_u16(inst.name) {
-            Some(SpanName::FdConvicted) => events.push(TraceEvent::Convicted {
-                at,
-                observer: NodeId(inst.pid),
-                peer: NodeId(inst.arg as u32),
-            }),
-            Some(SpanName::NodeCrashed) => events.push(TraceEvent::NodeCrashed {
-                at,
-                node: NodeId(inst.pid),
-            }),
-            Some(SpanName::FaultInjected) => events.push(TraceEvent::FaultInjected {
-                at,
-                label: cfg
-                    .faults
-                    .events
-                    .get(inst.arg as usize)
-                    .map(|ev| ev.label())
-                    .unwrap_or_default(),
-            }),
-            _ => {}
-        }
-    }
-    for span in &trace.spans {
-        if matches!(
-            SpanName::from_u16(span.name),
-            Some(SpanName::CalcRecalculate | SpanName::CalcPilSleep)
-        ) {
-            events.push(TraceEvent::CalcFinished {
-                at: SimTime::ZERO + SimDuration::from_nanos(span.ts + span.dur),
-                node: NodeId(span.pid),
-                duration: SimDuration::from_nanos(span.arg * cfg.ns_per_op.max(1)),
-            });
-        }
-    }
-    // Emission order within each source list is deterministic, so a
-    // stable sort by timestamp yields the same log on every replay.
-    events.sort_by_key(|e| e.at());
-    let mut log = crate::trace::TraceLog::new(true);
-    for ev in events {
-        log.push(ev);
-    }
-    log
 }
 
 fn assemble_report(
@@ -1782,19 +1723,6 @@ fn assemble_report(
         engine_pool_hits: engine.pool_hits,
         engine_pool_misses: engine.pool_misses,
     };
-    let trace = if st.cfg.trace_events {
-        rebuild_tracelog(&obs, &st.cfg)
-    } else {
-        crate::trace::TraceLog::new(false)
-    };
-    // The legacy log is the only consumer of the obs buffers when full
-    // tracing is off: don't ship span soup nobody asked for.
-    if !st.cfg.trace.enabled {
-        obs.spans = Vec::new();
-        obs.instants = Vec::new();
-        obs.counters = Vec::new();
-        obs.metrics = vec![scalecheck_obs::LogHistogram::default(); scalecheck_obs::METRIC_COUNT];
-    }
 
     RunReport {
         total_flaps: st.total_flaps(),
@@ -1817,13 +1745,10 @@ fn assemble_report(
         crashed_nodes: st.crashed,
         order_out_of_log: st.order_enf.as_ref().map_or(0, |e| e.out_of_log()),
         order_forced_releases: st.forced_releases,
-        client_ops_attempted: st.traffic.attempted(),
-        client_ops_failed: st.traffic.failed(),
         traffic: st.traffic.report(),
         engine,
         stale_timer_fires: st.stale_timer_fires,
         faults: assemble_fault_report(st, ended),
-        trace,
         obs,
         schedule_probe: None,
     }

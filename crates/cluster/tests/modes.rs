@@ -6,7 +6,7 @@
 //! same mechanisms fire at N≈24–32 in seconds.
 
 use scalecheck_cluster::{
-    run_scenario, CalcIo, CalcVersion, DeploymentMode, LockingMode, ScenarioConfig, Workload,
+    run_scenario, CalcVersion, LockingMode, RunMode, ScenarioConfig, Workload,
 };
 use scalecheck_net::{LatencyModel, NetworkConfig};
 use scalecheck_sim::SimDuration;
@@ -144,23 +144,15 @@ fn pil_replay_mode_uses_no_cpu_for_calcs() {
     // In PIL mode the big computations sleep: CPU utilization of the
     // shared box stays low even while the mini bug rages.
     let cfg = mini_inline_bug(7);
-    let colo = run_scenario(
-        &cfg.clone()
-            .with_deployment(DeploymentMode::Colo { cores: 4 })
-            .with_calc_io(CalcIo::Record),
-    );
-    // Feed the recorded DB into a replay.
-    let (_, db, order) = scalecheck_cluster::run_scenario_with_db(
-        &cfg.clone()
-            .with_deployment(DeploymentMode::Colo { cores: 4 })
-            .with_calc_io(CalcIo::Record),
+    // The memoization run is a Colo run; feed what it recorded into a
+    // replay.
+    let (colo, db, order) = scalecheck_cluster::run_scenario_with_db(
+        &cfg.clone().with_mode(RunMode::Memoize { cores: 4 }),
         None,
         None,
     );
     let (pil, _, _) = scalecheck_cluster::run_scenario_with_db(
-        &cfg.clone()
-            .with_deployment(DeploymentMode::PilReplay { cores: 4 })
-            .with_calc_io(CalcIo::Replay),
+        &cfg.clone().with_mode(RunMode::PilReplay { cores: 4 }),
         Some(db),
         order,
     );
@@ -182,7 +174,7 @@ fn flapping_causes_user_visible_unavailability() {
     storm.ns_per_op = 500_000;
     let buggy = run_scenario(&storm);
     assert!(buggy.total_flaps > 100);
-    assert!(buggy.client_ops_attempted > 100);
+    assert!(buggy.traffic.attempted > 100);
     assert!(
         buggy.unavailability() > 0.01,
         "flapping must surface as failed quorums: {:.4}",
@@ -198,11 +190,8 @@ fn flapping_causes_user_visible_unavailability() {
 #[test]
 fn real_mode_gives_every_node_its_own_machine() {
     let cfg = ScenarioConfig::baseline(8, 8);
-    let real = run_scenario(&cfg.clone().with_deployment(DeploymentMode::Real));
-    let colo = run_scenario(
-        &cfg.clone()
-            .with_deployment(DeploymentMode::Colo { cores: 2 }),
-    );
+    let real = run_scenario(&cfg.clone().with_mode(RunMode::Real));
+    let colo = run_scenario(&cfg.clone().with_mode(RunMode::Colo { cores: 2 }));
     // Both healthy, but the shared 2-core box works much harder.
     assert_eq!(real.total_flaps, 0);
     assert_eq!(colo.total_flaps, 0);
@@ -220,18 +209,10 @@ fn global_event_queue_reduces_contention_penalty() {
         count: 1,
         gap: SimDuration::from_secs(60),
     };
-    let threads = run_scenario(
-        &cfg.clone()
-            .with_deployment(DeploymentMode::Colo { cores: 4 })
-            .with_calc_io(CalcIo::Execute),
-    );
+    let threads = run_scenario(&cfg.clone().with_mode(RunMode::Colo { cores: 4 }));
     let mut redesigned = cfg.clone();
     redesigned.global_event_queue = true;
-    let global = run_scenario(
-        &redesigned
-            .with_deployment(DeploymentMode::Colo { cores: 4 })
-            .with_calc_io(CalcIo::Execute),
-    );
+    let global = run_scenario(&redesigned.with_mode(RunMode::Colo { cores: 4 }));
     assert!(
         global.duration <= threads.duration,
         "global queue must not be slower: {} vs {}",

@@ -20,7 +20,7 @@
 //!   is outside this crate's scope by definition (the whole point is to
 //!   run the real code).
 
-use scalecheck_cluster::{DeploymentMode, ScenarioConfig, Workload};
+use scalecheck_cluster::{RunMode, ScenarioConfig, Workload};
 
 /// Least-squares power-law fit `flaps ≈ a · N^b` in log space over
 /// `(scale, flaps)` training points, evaluated at `target`.
@@ -57,15 +57,12 @@ pub fn extrapolate_power_law(train: &[(usize, u64)], target: usize) -> f64 {
 /// stretches each guest's perception of time by TDF and gives each VM a
 /// proportional 1/TDF CPU slice, so perceived compute time matches the
 /// real deployment. We model the proportional-share scheduler as a
-/// dedicated 1/TDF-rate core per node (deployment `Real` with all
+/// dedicated 1/TDF-rate core per node (run mode `Real` with all
 /// compute demands and protocol timescales multiplied by TDF): the
 /// guest-visible dynamics are identical to real-scale testing, and the
 /// test duration multiplies by TDF — Figure 1b's cost.
 pub fn time_dilated(cfg: &ScenarioConfig, _cores: usize, tdf: u64) -> ScenarioConfig {
-    let mut out = cfg
-        .clone()
-        .with_deployment(DeploymentMode::Real)
-        .with_calc_io(scalecheck_cluster::CalcIo::Execute);
+    let mut out = cfg.clone().with_mode(RunMode::Real);
     out.ns_per_op = out.ns_per_op.saturating_mul(tdf);
     out.msg_base_cost = out.msg_base_cost.saturating_mul(tdf);
     out.per_endpoint_cost = out.per_endpoint_cost.saturating_mul(tdf);
@@ -162,6 +159,6 @@ mod tests {
             cfg.ns_per_op * 10,
             "perceived compute is dilated with the clock"
         );
-        assert!(matches!(d.deployment, DeploymentMode::Real));
+        assert_eq!(d.mode, RunMode::Real);
     }
 }

@@ -144,13 +144,10 @@ mod tests {
             crashed_nodes: 0,
             order_out_of_log: 0,
             order_forced_releases: 0,
-            client_ops_attempted: 0,
-            client_ops_failed: 0,
             traffic: Default::default(),
             engine: scalecheck_sim::EngineCounters::default(),
             stale_timer_fires: 0,
             faults: scalecheck_cluster::FaultReport::default(),
-            trace: scalecheck_cluster::TraceLog::default(),
             obs: Default::default(),
             schedule_probe: None,
         }

@@ -9,11 +9,14 @@
 //! cache key.
 
 use scalecheck_cluster::{RunReport, ScenarioConfig};
+use scalecheck_memo::digest_bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::scalecheck::{memoize, replay, replay_ordered, run_colo, run_real};
 
-/// Which pipeline a cell runs.
+/// Which pipeline a cell runs. Not a [`scalecheck_cluster::RunMode`]:
+/// a pipeline may be more than one run — `ScPil` is the memoization run
+/// followed by the PIL replay, reporting the latter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecMode {
     /// Real-scale testing: every node on its own machine.
@@ -75,6 +78,14 @@ impl CellSpec {
     pub fn run(&self) -> RunReport {
         run_cell(&self.config, self.mode)
     }
+}
+
+/// The content address of a serializable value: 128-bit FNV-1a over its
+/// canonical JSON, as 32 hex characters. Sweep-cache keys and witness
+/// report digests both use it, so digests are comparable across tools.
+pub fn content_digest<T: Serialize + ?Sized>(value: &T) -> String {
+    let text = serde_json::to_string(value).expect("value serializes");
+    format!("{:032x}", digest_bytes(text.as_bytes()).0)
 }
 
 /// Runs one cell to completion, constructing all engine and cluster
@@ -147,7 +158,7 @@ mod tests {
     #[test]
     fn cell_spec_round_trips_through_json() {
         let spec = CellSpec::new(
-            tiny(),
+            ScenarioConfig::baseline(10, 7),
             ExecMode::ScPil {
                 cores: COLO_CORES,
                 ordered: true,
@@ -158,5 +169,46 @@ mod tests {
         assert_eq!(back.mode, spec.mode);
         assert_eq!(back.config.n_nodes, spec.config.n_nodes);
         assert_eq!(json, serde_json::to_string(&back).expect("re-serialize"));
+
+        // Every independently settable scenario field, once: one run
+        // mode, one traffic shape, one trace switch.
+        let value = serde_json::to_value(&spec.config).expect("serialize");
+        let serde_json::Value::Object(entries) = value else {
+            panic!("a config serializes as an object");
+        };
+        let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "n_nodes",
+                "vnodes",
+                "rf",
+                "seed",
+                "gossip_interval",
+                "fd_interval",
+                "phi_threshold",
+                "calculator",
+                "locking",
+                "workload",
+                "rescale_window",
+                "workload_end",
+                "max_duration",
+                "mode",
+                "order_enforcement",
+                "order_hold_timeout",
+                "ns_per_op",
+                "msg_base_cost",
+                "per_endpoint_cost",
+                "memory",
+                "network",
+                "faults",
+                "traffic",
+                "trace",
+                "global_event_queue",
+                "tie_order",
+                "record_schedule",
+                "free_ctx_switch",
+            ]
+        );
     }
 }

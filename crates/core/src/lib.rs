@@ -48,7 +48,7 @@ pub use bottleneck::{
     colocation_memory_demand, diagnose, max_colocation, Bottleneck, BottleneckThresholds,
     ColocationStep,
 };
-pub use cell::{run_cell, CellSpec, ExecMode};
+pub use cell::{content_digest, run_cell, CellSpec, ExecMode};
 pub use scalecheck::{
     memoize, replay, replay_ordered, run_colo, run_real, scale_check, MemoArtifacts,
     ScaleCheckResult, COLO_CORES,

@@ -9,9 +9,7 @@
 //! * [`scale_check`] — memoize once, then replay: the paper's full
 //!   "SC+PIL" pipeline.
 
-use scalecheck_cluster::{
-    run_scenario_with_db, CalcIo, DeploymentMode, PendingWire, RunReport, ScenarioConfig,
-};
+use scalecheck_cluster::{run_scenario_with_db, PendingWire, RunMode, RunReport, ScenarioConfig};
 use scalecheck_memo::{MemoDb, OrderRecorder};
 
 /// Cores on the paper's colocation machine (a 16-core Nome node).
@@ -38,29 +36,19 @@ pub struct ScaleCheckResult {
 
 /// Runs the scenario at real scale (every node on its own machine).
 pub fn run_real(cfg: &ScenarioConfig) -> RunReport {
-    let cfg = cfg
-        .clone()
-        .with_deployment(DeploymentMode::Real)
-        .with_calc_io(CalcIo::Execute);
-    run_scenario_with_db(&cfg, None, None).0
+    run_scenario_with_db(&cfg.clone().with_mode(RunMode::Real), None, None).0
 }
 
 /// Runs the scenario under basic colocation on `cores` cores.
 pub fn run_colo(cfg: &ScenarioConfig, cores: usize) -> RunReport {
-    let cfg = cfg
-        .clone()
-        .with_deployment(DeploymentMode::Colo { cores })
-        .with_calc_io(CalcIo::Execute);
+    let cfg = cfg.clone().with_mode(RunMode::Colo { cores });
     run_scenario_with_db(&cfg, None, None).0
 }
 
 /// The one-time memoization run: basic colocation with input/output/
 /// duration recording and order logging.
 pub fn memoize(cfg: &ScenarioConfig, cores: usize) -> MemoArtifacts {
-    let cfg = cfg
-        .clone()
-        .with_deployment(DeploymentMode::Colo { cores })
-        .with_calc_io(CalcIo::Record);
+    let cfg = cfg.clone().with_mode(RunMode::Memoize { cores });
     let (report, db, order) = run_scenario_with_db(&cfg, None, None);
     MemoArtifacts {
         db,
@@ -77,10 +65,7 @@ pub fn memoize(cfg: &ScenarioConfig, cores: usize) -> MemoArtifacts {
 /// implemented and measurable — see [`replay_ordered`] and the
 /// fix-ablation experiment).
 pub fn replay(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
-    let mut cfg = cfg
-        .clone()
-        .with_deployment(DeploymentMode::PilReplay { cores })
-        .with_calc_io(CalcIo::Replay);
+    let mut cfg = cfg.clone().with_mode(RunMode::PilReplay { cores });
     cfg.order_enforcement = false;
     run_scenario_with_db(&cfg, Some(memo.db.clone()), Some(memo.order.clone())).0
 }
@@ -89,10 +74,7 @@ pub fn replay(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunRe
 /// message-processing order (§5 order determinism), with the configured
 /// hold timeout bounding divergence damage.
 pub fn replay_ordered(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
-    let mut cfg = cfg
-        .clone()
-        .with_deployment(DeploymentMode::PilReplay { cores })
-        .with_calc_io(CalcIo::Replay);
+    let mut cfg = cfg.clone().with_mode(RunMode::PilReplay { cores });
     cfg.order_enforcement = true;
     run_scenario_with_db(&cfg, Some(memo.db.clone()), Some(memo.order.clone())).0
 }

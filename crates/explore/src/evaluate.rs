@@ -15,7 +15,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::verdict::{FlapTriple, VerdictParams};
 
-/// Which deployment the perturbation is applied to.
+/// Which leg of the (Real, Colo, SC+PIL) flap triple the perturbation
+/// is applied to. Not a run mode: the memoization run is never a target,
+/// it only feeds the SC+PIL leg.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Target {
     /// Perturb the real-scale run (hunt orderings that make Real flap).

@@ -102,18 +102,10 @@ fn race_scenario(n_nodes: usize, seed: u64) -> ScenarioConfig {
     cfg
 }
 
-/// 128-bit FNV-1a over a report's canonical JSON — the same content
-/// addressing the sweep cache uses, so digests are comparable across
-/// tools.
+/// A report's content address ([`scalecheck::content_digest`]) — the
+/// same addressing the sweep cache uses.
 pub fn digest_report(report: &RunReport) -> String {
-    let value = serde_json::to_value(report).expect("report serializes");
-    let text = value.to_string();
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for b in text.bytes() {
-        h ^= b as u128;
-        h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
-    }
-    format!("{h:032x}")
+    scalecheck::content_digest(report)
 }
 
 impl ScheduleWitness {

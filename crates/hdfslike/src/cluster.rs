@@ -10,12 +10,12 @@
 //! the paper's §7 goal of integrating scale check with systems beyond
 //! Cassandra.
 //!
-//! The same three pipelines apply: execute (Real/Colo), record
+//! The same four runs apply ([`RunMode`]): execute (Real/Colo), record
 //! (memoize), and PIL replay (report processing replaced by
 //! `sleep(recorded duration)` with the recorded output — the block-map
 //! size — copied from the database and verified at the end).
 
-use scalecheck_memo::{Digest128, FnId, Hasher128, MemoDb, MemoStats};
+use scalecheck_memo::{Digest128, FnId, Hasher128, MemoDb, MemoStats, RunMode};
 use scalecheck_net::{LatencyModel, Network, NetworkConfig};
 use scalecheck_sim::{
     Ctx, CtxSwitchModel, Engine, Machine, MachinePark, SimDuration, SimTime, Stage,
@@ -26,34 +26,6 @@ use crate::master::{blocks_of, DnId, Master, MasterOps, ReportVersion};
 
 /// Memo function id for block-report processing.
 pub const REPORT_FN: FnId = FnId(10);
-
-/// Deployment semantics, mirroring the Cassandra substrate's.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum HdfsDeployment {
-    /// Master and every datanode on dedicated machines.
-    Real,
-    /// Everything on one shared machine.
-    Colo {
-        /// Cores on the shared machine.
-        cores: usize,
-    },
-    /// Shared machine, report processing PIL-replaced.
-    PilReplay {
-        /// Cores on the shared machine.
-        cores: usize,
-    },
-}
-
-/// Memoization interaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum HdfsCalcIo {
-    /// Execute report processing for real.
-    Execute,
-    /// Execute and record (input digest → duration, block count).
-    Record,
-    /// Replay from the database.
-    Replay,
-}
 
 /// Scenario configuration.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -70,10 +42,9 @@ pub struct HdfsConfig {
     pub heartbeat_timeout: SimDuration,
     /// Report-processing implementation.
     pub version: ReportVersion,
-    /// Deployment semantics.
-    pub deployment: HdfsDeployment,
-    /// Memoization interaction.
-    pub calc_io: HdfsCalcIo,
+    /// Which of the paper's four runs this is. Real gives the master
+    /// and every datanode dedicated machines; the others share one.
+    pub mode: RunMode,
     /// Virtual nanoseconds per counted master operation.
     pub ns_per_op: u64,
     /// Capacity of the master's RPC call queue; arrivals beyond it are
@@ -96,8 +67,7 @@ impl HdfsConfig {
             report_interval: SimDuration::from_secs(120),
             heartbeat_timeout: SimDuration::from_secs(60),
             version: ReportVersion::FullRescan,
-            deployment: HdfsDeployment::Real,
-            calc_io: HdfsCalcIo::Execute,
+            mode: RunMode::Real,
             ns_per_op: 8000,
             queue_capacity: 20,
             duration: SimDuration::from_secs(600),
@@ -176,30 +146,26 @@ fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
     let Some(task) = st.stage.try_begin(now) else {
         return;
     };
-    let pil = matches!(st.cfg.deployment, HdfsDeployment::PilReplay { .. });
     match task {
         MTask::Report(dn, seq) => {
             let digest = report_digest(dn, seq, st.cfg.version, st.cfg.blocks_per_node);
-            // Decide duration and whether to execute.
-            let (duration, executed_count) = match st.cfg.calc_io {
-                HdfsCalcIo::Replay => match st.db.lookup(REPORT_FN, digest) {
-                    Some(rec) => (rec.duration, Some(rec.output)),
+            let duration = match st.cfg.mode {
+                RunMode::PilReplay { .. } => match st.db.lookup(REPORT_FN, digest) {
+                    Some(rec) => rec.duration,
                     None => {
                         st.db.note_miss();
-                        let (d, c) = execute_report(st, dn);
-                        (d, Some(c))
+                        execute_report(st, dn).0
                     }
                 },
-                HdfsCalcIo::Execute | HdfsCalcIo::Record => {
+                RunMode::Real | RunMode::Colo { .. } | RunMode::Memoize { .. } => {
                     let (d, c) = execute_report(st, dn);
-                    if st.cfg.calc_io == HdfsCalcIo::Record {
+                    if matches!(st.cfg.mode, RunMode::Memoize { .. }) {
                         st.db.record(dn.0, REPORT_FN, digest, c, d);
                     }
-                    (d, Some(c))
+                    d
                 }
             };
-            let _ = executed_count;
-            let finish = if pil {
+            let finish = if matches!(st.cfg.mode, RunMode::PilReplay { .. }) {
                 now + duration
             } else {
                 st.park
@@ -283,20 +249,18 @@ fn liveness_sweep(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
 }
 
 /// Runs a scenario, optionally against a previously recorded database.
-/// Returns the report and the database (populated in `Record` mode).
+/// Returns the report and the database (populated by a `Memoize` run).
 pub fn run_hdfs_with_db(cfg: &HdfsConfig, db: Option<MemoDb<u64>>) -> (HdfsReport, MemoDb<u64>) {
     let mut park = MachinePark::new();
-    let master_machine = match cfg.deployment {
-        HdfsDeployment::Real => {
+    let master_machine = match cfg.mode.colo_cores() {
+        None => {
             let m = park.add(Machine::new(2, CtxSwitchModel::commodity()));
             for _ in 0..cfg.n_datanodes {
                 park.add(Machine::new(1, CtxSwitchModel::commodity()));
             }
             m
         }
-        HdfsDeployment::Colo { cores } | HdfsDeployment::PilReplay { cores } => {
-            park.add(Machine::new(cores.max(1), CtxSwitchModel::commodity()))
-        }
+        Some(cores) => park.add(Machine::new(cores.max(1), CtxSwitchModel::commodity())),
     };
     let mut master = Master::new(cfg.version, cfg.heartbeat_timeout);
     for i in 0..cfg.n_datanodes {
@@ -370,13 +334,11 @@ pub fn run_hdfs(cfg: &HdfsConfig) -> HdfsReport {
 /// the shared box, then PIL-replay. Returns `(memoize, replay)`.
 pub fn hdfs_scale_check(cfg: &HdfsConfig, cores: usize) -> (HdfsReport, HdfsReport) {
     let mut rec_cfg = cfg.clone();
-    rec_cfg.deployment = HdfsDeployment::Colo { cores };
-    rec_cfg.calc_io = HdfsCalcIo::Record;
+    rec_cfg.mode = RunMode::Memoize { cores };
     let (rec_report, db) = run_hdfs_with_db(&rec_cfg, None);
 
     let mut rep_cfg = cfg.clone();
-    rep_cfg.deployment = HdfsDeployment::PilReplay { cores };
-    rep_cfg.calc_io = HdfsCalcIo::Replay;
+    rep_cfg.mode = RunMode::PilReplay { cores };
     let (mut rep_report, db) = run_hdfs_with_db(&rep_cfg, Some(db));
 
     // Output verification (the PIL contract): the replay's copied

@@ -40,7 +40,7 @@ pub mod cluster;
 pub mod master;
 
 pub use cluster::{
-    hdfs_scale_check, run_hdfs, run_hdfs_with_db, HdfsCalcIo, HdfsConfig, HdfsDeployment,
-    HdfsReport, REPORT_FN,
+    hdfs_scale_check, run_hdfs, run_hdfs_with_db, HdfsConfig, HdfsReport, REPORT_FN,
 };
 pub use master::{blocks_of, BlockId, DnId, DnRecord, Master, MasterOps, ReportVersion};
+pub use scalecheck_memo::RunMode;

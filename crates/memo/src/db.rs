@@ -18,6 +18,48 @@ use serde::{Deserialize, Serialize};
 
 use crate::digest::Digest128;
 
+/// The paper's four runs (Figures 1–2): where nodes' compute executes
+/// and what the run does with the memoization database. Shared by every
+/// scale-checked system, so a run is one of these four and nothing else.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+pub enum RunMode {
+    /// Real-scale testing: every node has its own machine; PIL-replaced
+    /// functions execute (Figure 1a).
+    Real,
+    /// Basic colocation: all nodes share one machine; PIL-replaced
+    /// functions execute (Figure 1b).
+    Colo {
+        /// Cores on the shared machine (the paper's Nome box has 16).
+        cores: usize,
+    },
+    /// The one-time memoization run: basic colocation that also records
+    /// every PIL-replaced call's input, output and duration (Figure 2
+    /// step d).
+    Memoize {
+        /// Cores on the shared machine.
+        cores: usize,
+    },
+    /// PIL-infused replay: colocated, but PIL-replaced functions sleep
+    /// their recorded duration and copy the recorded output instead of
+    /// computing (Figure 1c, Figure 2 steps e–f).
+    PilReplay {
+        /// Cores on the shared machine.
+        cores: usize,
+    },
+}
+
+impl RunMode {
+    /// Cores of the shared colocation machine; `None` at real scale.
+    pub fn colo_cores(self) -> Option<usize> {
+        match self {
+            RunMode::Real => None,
+            RunMode::Colo { cores } | RunMode::Memoize { cores } | RunMode::PilReplay { cores } => {
+                Some(cores)
+            }
+        }
+    }
+}
+
 /// Identifies a PIL-replaced function.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct FnId(pub u16);

@@ -81,6 +81,12 @@ mod tests {
     fn known_vector() {
         // FNV-1a 128 of the empty string is the offset basis.
         assert_eq!(digest_bytes(b"").0, FNV_OFFSET);
+        // Pinned; `scalecheck_traffic`'s streaming `LogDigest` (a leaf
+        // crate with its own copy of the constants) pins the same value.
+        assert_eq!(
+            digest_bytes(b"scalecheck").0,
+            0x4863cc1ab514064a7747ac2bdd05fc3b
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! `sleep(t)` plus its memoized output. This crate stores what that
 //! needs:
 //!
+//! * the four runs a scale check is made of ([`RunMode`]);
 //! * content digests for inputs ([`digest_bytes`], [`Hasher128`]);
 //! * the input → (output, duration) database ([`MemoDb`]) with
 //!   invocation-order fallback and honest hit/miss statistics;
@@ -36,7 +37,7 @@ pub mod digest;
 pub mod order;
 pub mod orderspace;
 
-pub use db::{FnId, MemoDb, MemoRecord, MemoStats, PersistError};
+pub use db::{FnId, MemoDb, MemoRecord, MemoStats, PersistError, RunMode};
 pub use digest::{digest_bytes, Digest128, Hasher128};
 pub use order::{OrderDecision, OrderEnforcer, OrderRecorder};
 pub use orderspace::{

@@ -12,9 +12,10 @@
 //! the SLO layer must see the paper's CPU-starvation bugs, not a
 //! standalone latency model.
 //!
-//! The legacy client probe stays **uncoupled** (`coupled = false`): it
-//! samples the latency model read-only so existing scenarios keep their
-//! control-plane dynamics bit-identical.
+//! The light observer probe ([`TrafficConfig::probe`]) stays
+//! **uncoupled** (`coupled = false`): it samples the latency model
+//! read-only so probe scenarios keep their control-plane dynamics
+//! bit-identical.
 //!
 //! All engine randomness comes from one private [`DetRng`] fork, so
 //! two runs of the same (config, plan, seed) produce the same request
@@ -34,8 +35,7 @@ use crate::consistency::{Consistency, CostModel, Degradation, OpKind};
 use crate::report::{LogDigest, Outcome, PhaseHist, RequestRecord, TrafficReport};
 use crate::slo::{ErrorBudget, SloTarget};
 
-/// RNG stream id for the traffic fork — the same stream the legacy
-/// client probe used, so runs keep their seeds comparable.
+/// RNG stream id for the traffic fork.
 pub const TRAFFIC_RNG_STREAM: u64 = 999_983;
 
 /// Where the run is relative to its rescale window.
@@ -188,19 +188,11 @@ impl TrafficConfig {
         !self.arrival.is_off()
     }
 
-    /// The legacy quorum-probe shape: `ops_per_sec` constant-rate
-    /// writes at a fixed acknowledgement count, failing fast. Keeps old
-    /// `ClientConfig { ops_per_sec, quorum }` scenarios running on the
-    /// new datapath with equivalent semantics — *uncoupled*, so probe
-    /// scenarios keep their control-plane dynamics bit-identical.
-    pub fn from_legacy(ops_per_sec: u64, quorum: usize, rf: usize) -> TrafficConfig {
-        let write_cl = if quorum <= 1 {
-            Consistency::One
-        } else if quorum >= rf.max(1) {
-            Consistency::All
-        } else {
-            Consistency::Quorum
-        };
+    /// The light observer probe every preset scenario carries:
+    /// `ops_per_sec` constant-rate writes at consistency level `cl`,
+    /// failing fast — *uncoupled*, so it reads coordinator views
+    /// without perturbing control-plane dynamics.
+    pub fn probe(ops_per_sec: u64, cl: Consistency) -> TrafficConfig {
         TrafficConfig {
             arrival: ArrivalConfig {
                 users: ops_per_sec,
@@ -209,8 +201,8 @@ impl TrafficConfig {
                 rescale_ramp_permille: 1000,
                 tick: SimDuration::from_secs(1),
             },
-            read_cl: write_cl,
-            write_cl,
+            read_cl: cl,
+            write_cl: cl,
             read_permille: 0,
             ..TrafficConfig::OFF
         }
@@ -349,16 +341,6 @@ impl TrafficState {
     /// The configuration this state runs under.
     pub fn config(&self) -> &TrafficConfig {
         &self.cfg
-    }
-
-    /// Weighted requests that have failed so far.
-    pub fn failed(&self) -> u64 {
-        self.failed
-    }
-
-    /// Weighted requests offered so far.
-    pub fn attempted(&self) -> u64 {
-        self.attempted
     }
 
     /// Max pending retries tracked before further timeouts are shed
@@ -658,10 +640,10 @@ impl TrafficState {
         }
     }
 
-    /// The uncoupled legacy probe: replica RTTs sampled from the
-    /// standalone latency model, read-only against the cluster. Kept
-    /// for `ClientConfig` compatibility — probe scenarios must leave
-    /// control-plane dynamics bit-identical.
+    /// The uncoupled probe ([`TrafficConfig::probe`]): replica RTTs
+    /// sampled from the standalone latency model, read-only against
+    /// the cluster, so probe scenarios leave control-plane dynamics
+    /// bit-identical — the differential tests' reference path.
     fn route_sampled<F: ClusterFabric>(
         &mut self,
         fabric: &mut F,
@@ -676,8 +658,7 @@ impl TrafficState {
         self.scratch_replicas.clear();
         fabric.replicas_of(coord as usize, key, &mut self.scratch_replicas);
         // A ring smaller than RF yields fewer replicas; the level can
-        // only require what exists (quorum > RF is a config error,
-        // rejected upstream at scenario-build time).
+        // only require what exists.
         let required = cl.required(self.scratch_replicas.len());
         self.scratch_rtts.clear();
         let mut live = 0usize;
@@ -956,7 +937,7 @@ mod tests {
             small.tick(SimTime::from_secs(t + 1), Phase::Rescale, &mut fab_small);
             huge.tick(SimTime::from_secs(t + 1), Phase::Rescale, &mut fab_huge);
         }
-        assert!(huge.attempted() > 900 * small.attempted());
+        assert!(huge.attempted > 900 * small.attempted);
         assert_eq!(
             small.tracked_bytes(),
             huge.tracked_bytes(),
@@ -1054,31 +1035,28 @@ mod tests {
     }
 
     #[test]
-    fn legacy_shape_maps_quorum_and_rate() {
-        let t = TrafficConfig::from_legacy(50, 2, 3);
+    fn probe_shape_maps_level_and_rate() {
+        let t = TrafficConfig::probe(50, Consistency::Quorum);
         assert!(t.enabled());
-        assert!(!t.coupled, "the legacy probe must stay an observer");
-        assert_eq!(t.client_retries, 0);
-        assert_eq!(t.key_skew, KeySkew::Uniform);
-        assert_eq!(t.write_cl, Consistency::Quorum);
-        assert_eq!(t.read_permille, 0);
+        assert!(!t.coupled, "the probe must stay an observer");
+        assert_eq!(
+            (t.read_cl, t.write_cl),
+            (Consistency::Quorum, Consistency::Quorum)
+        );
+        assert_eq!(t.read_permille, 0, "the probe is write-only");
         assert_eq!(t.arrival.milliops_per_sec(), 50_000);
-        assert_eq!(
-            TrafficConfig::from_legacy(10, 3, 3).write_cl,
-            Consistency::All
-        );
-        assert_eq!(
-            TrafficConfig::from_legacy(10, 1, 3).write_cl,
-            Consistency::One
-        );
-        assert!(!TrafficConfig::from_legacy(0, 2, 3).enabled());
+        assert!(!TrafficConfig::probe(0, Consistency::Quorum).enabled());
         assert!(TrafficConfig::open_loop(10).coupled);
     }
 
     #[test]
     fn uncoupled_probe_reads_but_never_writes_the_fabric() {
         let mut fabric = ToyFabric::healthy(8);
-        let r = run_on(TrafficConfig::from_legacy(50, 2, 3), &mut fabric, 20);
+        let r = run_on(
+            TrafficConfig::probe(50, Consistency::Quorum),
+            &mut fabric,
+            20,
+        );
         assert!(r.attempted > 0);
         assert!(!r.coupled);
         assert_eq!(fabric.billed, 0, "observer must not bill CPU");

@@ -21,7 +21,7 @@
 //!   replica service bill the per-node simulated CPUs and replica round
 //!   trips ride the real per-link FIFO clocks and fault windows, so CPU
 //!   starvation and network congestion show up in user-visible tails.
-//!   The legacy client probe stays an uncoupled observer, and either
+//!   The light probe stays an uncoupled observer, and either
 //!   way traffic never draws from the simulation's shared RNG streams —
 //!   with traffic off (or coupled traffic offered zero load) the
 //!   control plane is bit-identical.

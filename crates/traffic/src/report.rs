@@ -210,6 +210,15 @@ mod tests {
     }
 
     #[test]
+    fn digest_constants_match_the_memo_crates() {
+        // `scalecheck_memo::digest_bytes` pins the same literal; this
+        // crate keeps its own streaming copy to stay a leaf.
+        let mut d = LogDigest::default();
+        d.bytes(b"scalecheck");
+        assert_eq!(d.hex(), "4863cc1ab514064a7747ac2bdd05fc3b");
+    }
+
+    #[test]
     fn empty_report_is_benign() {
         let r = TrafficReport::default();
         assert_eq!(r.unavailability(), 0.0);

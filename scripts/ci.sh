@@ -23,6 +23,14 @@ cargo test -q
 echo "=== cargo test (workspace) ==="
 cargo test --workspace -q
 
+# The benchmark package (BENCHMARK.json) is a workspace of its own that
+# compiles against these crates' public API and is run by the merge
+# gate: build, test and smoke-run it here, so a deletion that breaks it
+# fails locally instead of there.
+echo "=== benchmark package (tests + --smoke against this workspace) ==="
+cargo test --offline --manifest-path benchmarks/Cargo.toml
+cargo run --release --offline --manifest-path benchmarks/Cargo.toml -- --smoke
+
 # The fault/regression suites gate the determinism and paper-shape
 # contracts; run them by name so a failure is attributable at a glance
 # even though the broad passes above include them.

@@ -75,7 +75,7 @@ fn print_report(label: &str, r: &RunReport) {
     println!(
         "  availability    : {:.2}% of {} client ops failed",
         r.unavailability() * 100.0,
-        r.client_ops_attempted
+        r.traffic.attempted
     );
     println!(
         "  cpu/lateness    : {:.0}% peak util, p99 stage lateness {}",
@@ -130,9 +130,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut rcfg = cfg
-        .with_deployment(scalecheck_cluster::DeploymentMode::PilReplay { cores: COLO_CORES })
-        .with_calc_io(scalecheck_cluster::CalcIo::Replay);
+    let mut rcfg = cfg.with_mode(scalecheck_cluster::RunMode::PilReplay { cores: COLO_CORES });
     rcfg.order_enforcement = false;
     let (report, _, _) = scalecheck_cluster::run_scenario_with_db(&rcfg, Some(db), None);
     print_report("PIL replay", &report);

@@ -4,7 +4,7 @@
 
 use scalecheck::{memoize, replay_ordered, run_real, COLO_CORES};
 use scalecheck_cluster::{
-    run_scenario, AllocStrategy, CalcIo, DeploymentMode, FaultPlan, ScenarioConfig, Workload,
+    run_scenario, AllocStrategy, FaultPlan, RunMode, ScenarioConfig, Workload,
 };
 use scalecheck_sim::{SimDuration, SimTime};
 
@@ -153,9 +153,7 @@ fn naive_rebalance_allocation_crashes_nodes_under_colocation() {
     };
     cfg.memory.rebalance_alloc = Some(AllocStrategy::Naive);
     cfg.memory.single_process = true;
-    let cfg = cfg
-        .with_deployment(DeploymentMode::Colo { cores: 16 })
-        .with_calc_io(CalcIo::Execute);
+    let cfg = cfg.with_mode(RunMode::Colo { cores: 16 });
     let r = run_scenario(&cfg);
     assert!(r.oom_events > 0, "naive allocation must hit the wall");
     assert!(r.crashed_nodes > 0, "OOM crashes nodes (S8)");
@@ -182,9 +180,7 @@ fn crashed_nodes_get_convicted_by_the_rest() {
     cfg.memory.single_process = true;
     // Capacity sized so that a couple of rebalance allocations blow up.
     cfg.memory.machine_capacity = 1 << 30;
-    let cfg = cfg
-        .with_deployment(DeploymentMode::Colo { cores: 16 })
-        .with_calc_io(CalcIo::Execute);
+    let cfg = cfg.with_mode(RunMode::Colo { cores: 16 });
     let r = run_scenario(&cfg);
     assert!(r.crashed_nodes > 0);
     assert!(
@@ -210,8 +206,7 @@ fn replay_with_truncated_db_falls_back_and_completes() {
 
     let mut rcfg = cfg
         .clone()
-        .with_deployment(DeploymentMode::PilReplay { cores: COLO_CORES })
-        .with_calc_io(CalcIo::Replay);
+        .with_mode(RunMode::PilReplay { cores: COLO_CORES });
     rcfg.order_enforcement = true;
     let (r, _, _) =
         scalecheck_cluster::run_scenario_with_db(&rcfg, Some(damaged), Some(memo.order.clone()));

@@ -7,9 +7,7 @@
 //! so the same starvation mechanism fires at N≈32 in seconds.
 
 use scalecheck::{memoize, replay, run_colo, run_real, COLO_CORES};
-use scalecheck_cluster::{
-    CalcIo, CalcVersion, DeploymentMode, PendingWire, ScenarioConfig, Workload,
-};
+use scalecheck_cluster::{CalcVersion, PendingWire, RunMode, ScenarioConfig, Workload};
 use scalecheck_memo::MemoDb;
 use scalecheck_sim::SimDuration;
 
@@ -106,8 +104,7 @@ fn memo_db_survives_persistence_round_trip() {
     // Replaying against the reloaded DB behaves identically.
     let mut rcfg = cfg
         .clone()
-        .with_deployment(DeploymentMode::PilReplay { cores: COLO_CORES })
-        .with_calc_io(CalcIo::Replay);
+        .with_mode(RunMode::PilReplay { cores: COLO_CORES });
     rcfg.order_enforcement = true;
     let (r1, _, _) = scalecheck_cluster::run_scenario_with_db(
         &rcfg,
@@ -167,8 +164,7 @@ fn replay_without_db_degrades_gracefully() {
     let cfg = healthy(10, 4);
     let mut rcfg = cfg
         .clone()
-        .with_deployment(DeploymentMode::PilReplay { cores: COLO_CORES })
-        .with_calc_io(CalcIo::Replay);
+        .with_mode(RunMode::PilReplay { cores: COLO_CORES });
     rcfg.order_enforcement = false;
     let (r, _, _) = scalecheck_cluster::run_scenario_with_db(&rcfg, Some(MemoDb::new()), None);
     assert!(r.quiesced);
@@ -180,28 +176,28 @@ fn replay_without_db_degrades_gracefully() {
 fn replay_traces_are_bit_identical() {
     // §7's debugging loop depends on replay determinism: two replays of
     // the same artifacts must produce identical event traces.
+    use scalecheck_obs::SpanName;
     let mut cfg = mini_bug(3);
-    cfg.trace_events = true;
+    cfg.trace.enabled = true;
     let memo = memoize(&cfg, COLO_CORES);
     let t1 = replay(&cfg, COLO_CORES, &memo);
     let t2 = replay(&cfg, COLO_CORES, &memo);
-    assert!(!t1.trace.is_empty(), "trace must record events");
-    assert_eq!(t1.trace.events(), t2.trace.events());
+    assert!(!t1.obs.is_empty(), "trace must record events");
+    assert_eq!(t1.obs, t2.obs);
     assert_eq!(t1.total_flaps, t2.total_flaps);
-    // The trace contains both convictions and calculations.
-    use scalecheck_cluster::TraceEvent;
+    // The trace contains both convictions and (PIL-slept) calculations.
     assert!(t1
-        .trace
-        .events()
+        .obs
+        .instants
         .iter()
-        .any(|e| matches!(e, TraceEvent::Convicted { .. })));
+        .any(|i| i.name == SpanName::FdConvicted as u16));
     assert!(t1
-        .trace
-        .events()
+        .obs
+        .spans
         .iter()
-        .any(|e| matches!(e, TraceEvent::CalcFinished { .. })));
-    // Timestamps are nondecreasing.
-    for w in t1.trace.events().windows(2) {
-        assert!(w[0].at() <= w[1].at());
+        .any(|s| s.name == SpanName::CalcPilSleep as u16));
+    // Instants are emitted at the virtual clock: nondecreasing.
+    for w in t1.obs.instants.windows(2) {
+        assert!(w[0].ts <= w[1].ts);
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end contracts of the client-traffic datapath riding on the
 //! cluster runner:
 //!
-//! * the *uncoupled* legacy probe never perturbs control-plane
+//! * the *uncoupled* observer probe never perturbs control-plane
 //!   dynamics, and the *coupled* open-loop datapath offered zero load
 //!   is bit-identical to traffic-off (arming the engine costs
 //!   nothing);
@@ -10,14 +10,13 @@
 //! * the request log and histograms are byte-deterministic;
 //! * traffic state is O(requests), not O(users), all the way through a
 //!   full scenario run;
-//! * nonsensical quorum settings are rejected at config level instead
-//!   of silently under-counting;
+//! * an invalid config is refused before the runner builds any state;
 //! * (release-mode, `--ignored`) the paper-shape regression: C3831 at
 //!   128 nodes shows Colo diverging from Real on the user-visible SLO
 //!   axis while SC+PIL tracks Real.
 
 use proptest::prelude::*;
-use scalecheck_cluster::{run_scenario, ClientConfig, ScenarioConfig, TrafficConfig, Workload};
+use scalecheck_cluster::{run_scenario, Consistency, ScenarioConfig, TrafficConfig, Workload};
 use scalecheck_sim::SimDuration;
 
 /// A small, fast scenario: one decommission on a healthy cluster.
@@ -32,12 +31,9 @@ fn small(n: usize, seed: u64) -> ScenarioConfig {
     cfg
 }
 
-/// The same scenario with every client-side datapath disabled.
+/// The same scenario with the client-side datapath off.
 fn silent(n: usize, seed: u64) -> ScenarioConfig {
-    let mut cfg = small(n, seed);
-    cfg.client = ClientConfig::OFF;
-    cfg.traffic = TrafficConfig::OFF;
-    cfg
+    small(n, seed).with_traffic(TrafficConfig::OFF)
 }
 
 /// Control-plane fields that must not move when traffic is attached.
@@ -67,10 +63,10 @@ fn zero_load(users: u64) -> TrafficConfig {
 #[test]
 fn uncoupled_probe_observes_without_perturbing_the_control_plane() {
     let off = run_scenario(&silent(12, 7));
-    let on = run_scenario(&small(12, 7).with_traffic(TrafficConfig::from_legacy(50, 2, 3)));
+    let on = run_scenario(&small(12, 7));
     assert!(!off.traffic.enabled);
     assert!(on.traffic.enabled);
-    assert!(!on.traffic.coupled, "the legacy probe must stay uncoupled");
+    assert!(!on.traffic.coupled, "the default probe must stay uncoupled");
     assert!(on.traffic.attempted > 0, "traffic must actually flow");
     assert_eq!(
         control_plane(&off),
@@ -99,7 +95,7 @@ fn coupled_traffic_actually_rides_the_simulation() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The differential contract across scales and seeds: the legacy
+    /// The differential contract across scales and seeds: the light
     /// probe (uncoupled observer) and the coupled datapath at zero
     /// offered load both leave control-plane dynamics bit-identical to
     /// traffic-off. A *loaded* coupled run is exempt by design — its
@@ -107,13 +103,13 @@ proptest! {
     #[test]
     fn traffic_on_off_differential(n in 8usize..14, seed in 1u64..50) {
         let off = run_scenario(&silent(n, seed));
-        let legacy = run_scenario(&silent(n, seed).with_traffic(
-            ClientConfig::light().to_traffic(3),
+        let probe = run_scenario(&silent(n, seed).with_traffic(
+            TrafficConfig::probe(50, Consistency::Quorum),
         ));
         let armed = run_scenario(&silent(n, seed).with_traffic(zero_load(100_000)));
         prop_assert!(armed.traffic.enabled, "zero-rate population stays armed");
         prop_assert_eq!(armed.traffic.attempted, 0);
-        prop_assert_eq!(control_plane(&off), control_plane(&legacy));
+        prop_assert_eq!(control_plane(&off), control_plane(&probe));
         prop_assert_eq!(control_plane(&off), control_plane(&armed));
     }
 }
@@ -149,30 +145,10 @@ fn traffic_state_is_o_requests_not_o_users_through_a_full_run() {
 }
 
 #[test]
-fn quorum_beyond_rf_is_a_config_error_not_an_undercount() {
+#[should_panic(expected = "invalid ScenarioConfig: rf")]
+fn runner_refuses_to_start_with_an_invalid_config() {
     let mut cfg = small(10, 1);
-    cfg.client = ClientConfig {
-        ops_per_sec: 50,
-        quorum: cfg.rf + 1,
-    };
-    let err = cfg.validate().unwrap_err();
-    assert!(
-        err.contains("quorum") && err.contains("rf"),
-        "error must name the clash: {err}"
-    );
-    // Disabling the probe makes the same setting inert and valid.
-    cfg.client.ops_per_sec = 0;
-    cfg.validate().expect("disabled probe never under-counts");
-}
-
-#[test]
-#[should_panic(expected = "quorum")]
-fn runner_refuses_to_start_with_an_invalid_quorum() {
-    let mut cfg = small(10, 1);
-    cfg.client = ClientConfig {
-        ops_per_sec: 50,
-        quorum: cfg.rf + 1,
-    };
+    cfg.rf = 0;
     let _ = run_scenario(&cfg);
 }
 
