@@ -6,14 +6,14 @@
 //! message keys for order determinism); the event orchestration lives in
 //! [`crate::runner`].
 
-use std::collections::BTreeMap;
-
-use scalecheck_gossip::{Ack, Ack2, ApplyOutcome, FailureDetector, Gossiper, Syn};
+use scalecheck_gossip::{
+    Ack, Ack2, ApplyOutcome, EndpointState, FailureDetector, Gossiper, Peer, Syn,
+};
 use scalecheck_memo::Hasher128;
 use scalecheck_ring::{NodeId, NodeStatus, PendingRanges, RingTable, TopologyChange};
 use scalecheck_sim::{cpu::MachineId, DetRng, SimDuration, SimTime, Stage, TimerId};
 
-use crate::ringinfo::{peer_of, RingInfo};
+use crate::ringinfo::{node_of, peer_of, RingInfo};
 
 /// A gossip message on the wire.
 #[derive(Clone, Debug)]
@@ -133,7 +133,17 @@ pub struct Node {
     pub gossip_timer: Option<TimerId>,
     /// Pending periodic failure-detector timer, cancelled on crash/leave.
     pub fd_timer: Option<TimerId>,
-    link_seq: BTreeMap<(NodeId, u8), u64>,
+    /// Next per-link sequence number, `[syn, ack, ack2]` per
+    /// destination id (node ids are dense indexes).
+    link_seq: Vec<[u64; 3]>,
+    /// Mirror of "`Peer(i)`'s status in the gossip view is `Left`", so
+    /// neither heartbeat application nor the per-round target pick has
+    /// to chase an `Arc<RingInfo>` per peer. Kept by
+    /// [`Self::refresh_left`] wherever the view's app states change:
+    /// [`Self::seed_peer`] and the top of [`Self::apply_outcome`].
+    view_left: Vec<bool>,
+    /// Number of `true`s in `view_left`.
+    left_in_view: usize,
 }
 
 impl Node {
@@ -172,13 +182,19 @@ impl Node {
             timer_epoch: 0,
             gossip_timer: None,
             fd_timer: None,
-            link_seq: BTreeMap::new(),
+            link_seq: Vec::new(),
+            view_left: Vec::new(),
+            left_in_view: 0,
         }
     }
 
     /// Next order key for a message to `dst` of the given kind.
     pub fn next_key(&mut self, dst: NodeId, kind: u8) -> u64 {
-        let seq = self.link_seq.entry((dst, kind)).or_insert(0);
+        let d = dst.0 as usize;
+        if d >= self.link_seq.len() {
+            self.link_seq.resize(d + 1, [0; 3]);
+        }
+        let seq = &mut self.link_seq[d][kind as usize];
         let s = *seq;
         *seq += 1;
         let mut h = Hasher128::new();
@@ -194,12 +210,19 @@ impl Node {
     /// the local ring view.
     pub fn apply_outcome(&mut self, outcome: &ApplyOutcome, now: SimTime) -> ViewChanges {
         let mut changes = ViewChanges::default();
+        // Ordering hazard: "has this peer Left?" below must be answered
+        // from the *post-apply* view — a `Left` full state carries a
+        // heartbeat advance too, and reporting that last beat would
+        // revive a convicted peer (`recoveries` drifts) just before
+        // `sync_ring_entry` forgets it. So the mirror is brought up to
+        // date here, for every peer whose app state moved, before any
+        // heartbeat is looked at — not in `sync_ring_entry`, which runs
+        // after the reports.
+        for &peer in &outcome.app_advanced {
+            self.refresh_left(peer);
+        }
         for &peer in &outcome.heartbeat_advanced {
-            let left = self
-                .gossiper
-                .endpoint(peer)
-                .is_some_and(|st| st.app.status == NodeStatus::Left);
-            if !left {
+            if !self.has_left(peer) {
                 self.fd.report(peer, now);
             }
         }
@@ -213,11 +236,11 @@ impl Node {
 
     /// Synchronizes one peer's ring entry from the gossip view. Returns
     /// whether topology-relevant state changed.
-    fn sync_ring_entry(&mut self, peer: scalecheck_gossip::Peer, out: &mut ViewChanges) -> bool {
+    fn sync_ring_entry(&mut self, peer: Peer, out: &mut ViewChanges) -> bool {
         let Some(state) = self.gossiper.endpoint(peer) else {
             return false;
         };
-        let node = crate::ringinfo::node_of(peer);
+        let node = node_of(peer);
         let status = state.app.status;
         match status {
             NodeStatus::Left => {
@@ -276,27 +299,80 @@ impl Node {
     /// window during which Cassandra recalculates on every applied
     /// gossip).
     pub fn pending_window_open(&self) -> bool {
-        self.ring
-            .iter()
-            .any(|(_, st)| matches!(st.status, NodeStatus::Joining | NodeStatus::Leaving))
+        self.ring.has_pending_change()
     }
 
-    /// Peers this node would gossip to: known, not Left in our view.
+    /// Seeds the gossip view with a peer known out-of-band (the
+    /// established members, the seed list). No-op if already known.
+    pub fn seed_peer(&mut self, peer: Peer, state: EndpointState<RingInfo>) {
+        self.gossiper.seed_peer(peer, state);
+        self.refresh_left(peer);
+    }
+
+    /// Whether `peer`'s status in the gossip view is `Left` (by the
+    /// mirror).
+    fn has_left(&self, peer: Peer) -> bool {
+        self.view_left.get(peer.0 as usize).is_some_and(|&l| l)
+    }
+
+    /// Re-reads `peer`'s status from the gossip view into the `Left`
+    /// mirror. Own state is never mirrored: `me` is no gossip target
+    /// whatever its status.
+    fn refresh_left(&mut self, peer: Peer) {
+        if peer == self.gossiper.me() {
+            return;
+        }
+        let idx = peer.0 as usize;
+        if idx >= self.view_left.len() {
+            self.view_left.resize(idx + 1, false);
+        }
+        let left = self
+            .gossiper
+            .endpoint(peer)
+            .is_some_and(|st| st.app.status == NodeStatus::Left);
+        if left != self.view_left[idx] {
+            self.view_left[idx] = left;
+            if left {
+                self.left_in_view += 1;
+            } else {
+                self.left_in_view -= 1;
+            }
+        }
+    }
+
+    /// Peers this node would gossip to: known, not Left in our view, in
+    /// ascending id order.
     pub fn gossip_candidates(&self) -> Vec<NodeId> {
         self.iter_gossip_candidates().collect()
     }
 
-    /// How many gossip candidates there are. Paired with
-    /// [`Self::nth_gossip_candidate`], the per-round random target pick
-    /// needs no scratch `Vec` — the count-then-index walk visits
-    /// candidates in the same order the collected list had, so the
-    /// selected peer (and the RNG draw feeding it) is unchanged.
+    /// How many gossip candidates there are. O(1): everyone known, less
+    /// ourselves, less the peers that have `Left`.
     pub fn gossip_candidate_count(&self) -> usize {
-        self.iter_gossip_candidates().count()
+        let count = self.gossiper.endpoints().len() - 1 - self.left_in_view;
+        debug_assert_eq!(
+            count,
+            self.gossiper
+                .endpoints()
+                .iter()
+                .filter(|&(p, st)| p != self.gossiper.me() && st.app.status != NodeStatus::Left)
+                .count(),
+            "Left mirror out of step with the gossip view"
+        );
+        count
     }
 
-    /// The `idx`-th gossip candidate in view order.
+    /// The `idx`-th gossip candidate in ascending id order — the order
+    /// (and so, fed by the same single RNG draw, the pick) a walk of the
+    /// view gives. While nobody in the view has `Left` and the id space
+    /// has no hole, the candidates are simply every id but ours and the
+    /// answer is arithmetic; otherwise walk.
     pub fn nth_gossip_candidate(&self, idx: usize) -> Option<NodeId> {
+        if self.left_in_view == 0 && self.gossiper.endpoints().is_gapless() {
+            let me = self.id.0 as usize;
+            return (idx < self.gossip_candidate_count())
+                .then(|| NodeId((idx + usize::from(idx >= me)) as u32));
+        }
         self.iter_gossip_candidates().nth(idx)
     }
 
@@ -305,8 +381,9 @@ impl Node {
         self.gossiper
             .endpoints()
             .iter()
-            .filter(move |(&p, st)| p != me && st.app.status != NodeStatus::Left)
-            .map(|(&p, _)| crate::ringinfo::node_of(p))
+            .map(|(p, _)| p)
+            .filter(move |&p| p != me && !self.has_left(p))
+            .map(node_of)
     }
 
     /// Updates this node's own gossiped ring state (and its own ring
@@ -335,7 +412,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalecheck_gossip::{EndpointState, HeartbeatState, Peer};
+    use scalecheck_gossip::HeartbeatState;
     use scalecheck_ring::spread_tokens;
 
     fn node(id: u32) -> Node {
@@ -411,6 +488,66 @@ mod tests {
         assert!(n.fd.liveness(Peer(1)).is_none(), "no flap for clean leave");
         // Left nodes are not gossip candidates.
         assert!(!n.gossip_candidates().contains(&NodeId(1)));
+    }
+
+    /// The ordering hazard spelled out in `apply_outcome`: the `Left`
+    /// state's own heartbeat advance must not be reported, or the
+    /// convicted peer is revived for an instant and `recoveries` drifts.
+    #[test]
+    fn left_delta_for_a_convicted_peer_counts_no_recovery() {
+        let mut n = node(0);
+        let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
+        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        n.apply_outcome(&outcome, SimTime::from_secs(1));
+        assert_eq!(n.fd.interpret_all(SimTime::from_secs(60)), vec![peer]);
+        assert_eq!(n.gossip_candidates(), vec![NodeId(1)]);
+        let (peer, mut st) = remote_state(1, NodeStatus::Left, 9);
+        st.app_version = 9;
+        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        assert_eq!(outcome.heartbeat_advanced, vec![peer]);
+        assert_eq!(outcome.app_advanced, vec![peer]);
+        n.apply_outcome(&outcome, SimTime::from_secs(61));
+        assert_eq!(n.fd.recoveries(), 0, "the farewell beat is not a recovery");
+        assert_eq!(n.fd.liveness(peer), None, "monitor gone");
+        assert_eq!((n.fd.flaps(), n.fd.monitored()), (1, 0));
+        assert_eq!(n.gossip_candidate_count(), 0);
+    }
+
+    /// Count-then-index target selection agrees with the collected
+    /// list on both sides of the fast path: gapless view with nobody
+    /// gone (arithmetic), then a hole in the id space, then a `Left`.
+    #[test]
+    fn nth_candidate_matches_the_walk_on_and_off_the_fast_path() {
+        fn check(n: &Node) {
+            let want = n.gossip_candidates();
+            assert_eq!(n.gossip_candidate_count(), want.len());
+            let got: Vec<NodeId> = (0..want.len())
+                .map(|k| n.nth_gossip_candidate(k).unwrap())
+                .collect();
+            assert_eq!(got, want);
+            assert_eq!(n.nth_gossip_candidate(want.len()), None);
+        }
+        let mut n = node(2);
+        check(&n); // Alone: no candidates.
+        for id in [0, 1, 3, 4] {
+            let (peer, st) = remote_state(id, NodeStatus::Normal, 1);
+            n.seed_peer(peer, st);
+        }
+        assert_eq!(
+            n.gossip_candidates(),
+            [0, 1, 3, 4].map(NodeId),
+            "arithmetic path skips self"
+        );
+        check(&n);
+        let (peer, st) = remote_state(9, NodeStatus::Joining, 1);
+        n.seed_peer(peer, st);
+        check(&n); // Ids 5..9 are a hole.
+        let (peer, mut st) = remote_state(3, NodeStatus::Left, 7);
+        st.app_version = 7;
+        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        n.apply_outcome(&outcome, SimTime::from_secs(1));
+        assert_eq!(n.gossip_candidates(), [0, 1, 4, 9].map(NodeId));
+        check(&n);
     }
 
     #[test]

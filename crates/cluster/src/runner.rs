@@ -272,7 +272,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
         for i in 0..cfg.n_nodes {
             for (peer, st) in &member_states {
                 if peer.0 != i as u32 {
-                    nodes[i].gossiper.seed_peer(*peer, st.clone());
+                    nodes[i].seed_peer(*peer, st.clone());
                 }
             }
             // Pre-populate the ring view with the established members.
@@ -297,7 +297,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     for i in joiner_range {
         for &s in &seeds {
             if s != NodeId(i as u32) {
-                nodes[i].gossiper.seed_peer(
+                nodes[i].seed_peer(
                     peer_of(s),
                     scalecheck_gossip::EndpointState::new(
                         scalecheck_gossip::HeartbeatState {
@@ -892,19 +892,21 @@ fn finish_receive(
             let node = &mut st.nodes[i];
             let local_now = now + node.clock_skew;
             let view = node.apply_outcome(&outcome, local_now);
-            let window_open = node.pending_window_open();
-            // Walk the outcome's peer lists directly (post-apply, as
-            // before) instead of collecting them into a scratch Vec.
-            let touched_pending = outcome
-                .heartbeat_advanced
-                .iter()
-                .chain(outcome.app_advanced.iter())
-                .any(|p| {
-                    node.gossiper.endpoint(*p).is_some_and(|s| {
-                        matches!(s.app.status, NodeStatus::Joining | NodeStatus::Leaving)
+            // While a join/leave is pending, any applied gossip that
+            // touches a Joining/Leaving peer recalculates. Pure, so it
+            // hides behind the (almost always false) window check.
+            let touched_pending = || {
+                outcome
+                    .heartbeat_advanced
+                    .iter()
+                    .chain(outcome.app_advanced.iter())
+                    .any(|p| {
+                        node.gossiper
+                            .endpoint(*p)
+                            .is_some_and(|s| s.app.status.in_transition())
                     })
-                });
-            trigger = view.topology_changed || (window_open && touched_pending);
+            };
+            trigger = view.topology_changed || (node.pending_window_open() && touched_pending());
         }
     }
 

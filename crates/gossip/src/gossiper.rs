@@ -93,46 +93,59 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 
     /// The state this node knows for `peer`, if any.
     pub fn endpoint(&self, peer: Peer) -> Option<&EndpointState<A>> {
-        self.map.get(&peer)
+        self.map.get(peer)
     }
 
     /// Peers other than `me` currently in the view.
     pub fn known_peers(&self) -> Vec<Peer> {
-        self.map.keys().copied().filter(|&p| p != self.me).collect()
+        let me = self.me;
+        self.map
+            .iter()
+            .map(|(p, _)| p)
+            .filter(|&p| p != me)
+            .collect()
     }
 
     /// Seeds the view with a peer known out-of-band (e.g. the contact
     /// list at bootstrap). No-op if already known.
     pub fn seed_peer(&mut self, peer: Peer, state: EndpointState<A>) {
-        self.map.entry(peer).or_insert(state);
+        if self.map.get(peer).is_none() {
+            self.map.insert(peer, state);
+        }
+    }
+
+    fn own(&self) -> &EndpointState<A> {
+        self.map.get(self.me).expect("own state always present")
+    }
+
+    fn own_mut(&mut self) -> &mut EndpointState<A> {
+        self.map.get_mut(self.me).expect("own state always present")
     }
 
     /// Bumps the local heartbeat version (called every gossip interval).
     pub fn beat(&mut self) {
         self.version_clock += 1;
-        let me = self.me;
-        let st = self.map.get_mut(&me).expect("own state always present");
-        st.heartbeat.version = self.version_clock;
+        self.own_mut().heartbeat.version = self.version_clock;
     }
 
     /// Updates the local application state (e.g. "I am leaving with
     /// tokens T"), bumping the shared version clock.
     pub fn update_app(&mut self, app: A) {
         self.version_clock += 1;
-        let me = self.me;
-        let st = self.map.get_mut(&me).expect("own state always present");
+        let version = self.version_clock;
+        let st = self.own_mut();
         st.app = Arc::new(app);
-        st.app_version = self.version_clock;
+        st.app_version = version;
     }
 
     /// The local application state.
     pub fn my_app(&self) -> &A {
-        self.map[&self.me].app.as_ref()
+        self.own().app.as_ref()
     }
 
     /// This node's current generation.
     pub fn my_generation(&self) -> u64 {
-        self.map[&self.me].heartbeat.generation
+        self.own().heartbeat.generation
     }
 
     /// Restarts this node's process: the generation bumps and versions
@@ -141,8 +154,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     /// restarted state supersedes anything they remember.
     pub fn restart(&mut self) {
         self.version_clock = 0;
-        let me = self.me;
-        let st = self.map.get_mut(&me).expect("own state always present");
+        let st = self.own_mut();
         st.heartbeat.generation += 1;
         st.heartbeat.version = 0;
         st.app_version = 0;
@@ -150,17 +162,15 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 
     /// Builds a SYN covering everything this node knows.
     pub fn make_syn(&self) -> Syn {
-        Syn {
-            digests: self
-                .map
-                .iter()
-                .map(|(&peer, st)| Digest {
-                    peer,
-                    generation: st.heartbeat.generation,
-                    max_version: st.max_version(),
-                })
-                .collect(),
-        }
+        // Sized up front: the view's iterator skips unknown slots, so
+        // it cannot promise a length and `collect` would regrow.
+        let mut digests = Vec::with_capacity(self.map.len());
+        digests.extend(self.map.iter().map(|(peer, st)| Digest {
+            peer,
+            generation: st.heartbeat.generation,
+            max_version: st.max_version(),
+        }));
+        Syn { digests }
     }
 
     /// Handles a SYN, producing the ACK to send back.
@@ -168,7 +178,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         let mut deltas = Vec::new();
         let mut requests = Vec::new();
         for d in &syn.digests {
-            match self.map.get(&d.peer) {
+            match self.map.get(d.peer) {
                 Some(local) => {
                     if local.newer_than(d.generation, d.max_version) {
                         deltas.push((d.peer, local.delta_against(d.generation, d.max_version)));
@@ -194,15 +204,15 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             }
         }
         // Peers only we know about: volunteer them in full. SYNs built
-        // by `make_syn` list digests in peer order (ordered-map
-        // iteration), so a single merge pass against our own ordered
+        // by `make_syn` list digests in peer order (the view iterates
+        // ascending), so a single merge pass against our own ordered
         // view finds the gaps with no allocation and no sort — with
         // n-entry SYNs every round this is hot. A SYN that arrives
         // unsorted (the wire type allows it) falls back to
         // sort-and-probe with the identical result.
         if syn.digests.windows(2).all(|w| w[0].peer <= w[1].peer) {
             let mut digests = syn.digests.iter().peekable();
-            for (&peer, st) in &self.map {
+            for (peer, st) in self.map.iter() {
                 while digests.next_if(|d| d.peer < peer).is_some() {}
                 if digests.peek().is_none_or(|d| d.peer != peer) {
                     deltas.push((peer, Delta::Full(st.clone())));
@@ -211,7 +221,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         } else {
             let mut claimed: Vec<Peer> = syn.digests.iter().map(|d| d.peer).collect();
             claimed.sort_unstable();
-            for (&peer, st) in &self.map {
+            for (peer, st) in self.map.iter() {
                 if claimed.binary_search(&peer).is_err() {
                     deltas.push((peer, Delta::Full(st.clone())));
                 }
@@ -230,7 +240,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         let outcome = self.apply(&ack.deltas);
         let mut deltas = Vec::new();
         for req in &ack.requests {
-            if let Some(local) = self.map.get(&req.peer) {
+            if let Some(local) = self.map.get(req.peer) {
                 if local.newer_than(req.generation, req.max_version) {
                     deltas.push((
                         req.peer,
@@ -257,7 +267,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
                 continue;
             }
             match delta {
-                Delta::Full(remote) => match self.map.get_mut(peer) {
+                Delta::Full(remote) => match self.map.get_mut(*peer) {
                     Some(local) => {
                         let local_gen = local.heartbeat.generation;
                         let local_max = local.max_version();
@@ -285,7 +295,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
                     // Only meaningful against a known state in the same
                     // generation; anything else would have been sent as a
                     // full state (or is stale and must be ignored).
-                    if let Some(local) = self.map.get_mut(peer) {
+                    if let Some(local) = self.map.get_mut(*peer) {
                         if hb.generation == local.heartbeat.generation
                             && hb.version > local.max_version()
                         {

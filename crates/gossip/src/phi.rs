@@ -18,9 +18,100 @@
 use std::collections::VecDeque;
 
 use scalecheck_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
-/// Sliding-window arrival statistics and suspicion for one peer.
+/// The detector constants: one copy per owner, not per peer. A
+/// [`crate::FailureDetector`] watching N peers holds one of these and N
+/// [`ArrivalWindow`]s; a [`PhiDetector`] holds one of each.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PhiParams {
+    window_cap: usize,
+    mean_floor_s: f64,
+    initial_mean_s: f64,
+    max_interval_ns: u64,
+}
+
+impl PhiParams {
+    /// See [`PhiDetector::new`] for what each constant means.
+    pub(crate) fn new(
+        window_cap: usize,
+        initial_mean: SimDuration,
+        mean_floor: SimDuration,
+        max_interval: SimDuration,
+    ) -> Self {
+        PhiParams {
+            window_cap: window_cap.max(1),
+            mean_floor_s: mean_floor.as_secs_f64(),
+            initial_mean_s: initial_mean.as_secs_f64(),
+            max_interval_ns: max_interval.as_nanos(),
+        }
+    }
+
+    /// See [`PhiDetector::cassandra`].
+    pub(crate) fn cassandra(gossip_interval: SimDuration) -> Self {
+        Self::new(
+            1000,
+            gossip_interval,
+            SimDuration::from_nanos(gossip_interval.as_nanos() / 2),
+            SimDuration::from_nanos(gossip_interval.as_nanos() * 2),
+        )
+    }
+
+    /// Estimated mean inter-arrival over `window`, clamped to the floor.
+    /// O(1): reads the running nanosecond sum.
+    pub(crate) fn mean_interval(&self, window: &ArrivalWindow) -> f64 {
+        let mean = if window.samples.is_empty() {
+            self.initial_mean_s
+        } else {
+            mean_of(window.sum_ns, window.samples.len())
+        };
+        mean.max(self.mean_floor_s)
+    }
+
+    /// The suspicion level a mean inter-arrival of `mean_s` gives after
+    /// `silence` without a heartbeat. The one φ expression: the sweep's
+    /// pre-filter bound ([`Self::safe_silence_ns`]) is derived from, and
+    /// checked against, exactly this.
+    fn phi_of(silence: SimDuration, mean_s: f64) -> f64 {
+        silence.as_secs_f64() / (mean_s * std::f64::consts::LN_10)
+    }
+
+    /// Suspicion level for a peer silent for `silence`.
+    pub(crate) fn phi(&self, window: &ArrivalWindow, silence: SimDuration) -> f64 {
+        Self::phi_of(silence, self.mean_interval(window))
+    }
+
+    /// A silence, in nanoseconds, below which **no** window can yield
+    /// `phi > threshold`; zero when there is no such silence.
+    ///
+    /// Why it is safe, not just close. [`Self::phi_of`] is a chain of
+    /// correctly rounded operations, each monotone in its argument:
+    /// non-decreasing in the silence (int→float, `/ 1e9`, the final
+    /// quotient's numerator) and non-increasing in the mean (`× LN_10`,
+    /// the quotient's denominator). [`Self::mean_interval`] never
+    /// returns less than `mean_floor_s`. So for every window and every
+    /// silence `s < bound`, `phi(s) ≤ phi_of(bound, floor)`, and the
+    /// bound is accepted only if that right-hand side — evaluated here
+    /// with the very expression the sweep uses — does not exceed the
+    /// threshold. The analytic value `threshold × floor × ln 10` is
+    /// only the *guess*, shaved by 2⁻⁴⁰ so the check practically never
+    /// fails; correctness rests on the check. A non-positive or NaN
+    /// threshold or a zero floor gives a zero guess, and a zero bound
+    /// filters nobody.
+    pub(crate) fn safe_silence_ns(&self, threshold: f64) -> u64 {
+        let guess = threshold * self.mean_floor_s * std::f64::consts::LN_10 * 1e9;
+        // Saturating cast: NaN and negatives become 0, +inf u64::MAX.
+        let bound = (guess * (1.0 - 2f64.powi(-40))) as u64;
+        if Self::phi_of(SimDuration::from_nanos(bound), self.mean_floor_s) > threshold {
+            return 0;
+        }
+        bound
+    }
+}
+
+/// One peer's sliding window of heartbeat inter-arrival samples.
+///
+/// Grows with the samples it actually holds (up to the owner's
+/// `window_cap`); an idle or freshly seen peer costs the empty deque.
 ///
 /// # Numerical anchoring of the running sum
 ///
@@ -28,27 +119,57 @@ use serde::{Deserialize, Serialize};
 /// samples) on every call — and it is called once per peer per
 /// failure-detector tick, making the detector O(window · peers) per
 /// tick. The fix keeps a running sum maintained incrementally in
-/// [`PhiDetector::heartbeat`]. A running *float* sum cannot be kept
+/// [`ArrivalWindow::record`]. A running *float* sum cannot be kept
 /// bit-identical to a windowed re-sum (float addition is not
 /// associative, and subtracting an evicted sample re-rounds), so the
 /// window stores intervals as **integer nanoseconds** and the running
 /// sum is a `u128`: integer addition is exact and associative, the
 /// incremental sum equals a from-scratch re-sum bit-for-bit, and both
-/// paths share the single final float conversion in `mean_interval`.
+/// paths share the single final float conversion in `mean_of`.
 /// The differential proptest in `tests/proptests.rs` pins this
 /// equivalence (exact `f64::to_bits` equality against
 /// [`PhiDetector::mean_interval_naive`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PhiDetector {
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ArrivalWindow {
     /// Inter-arrival samples in integer nanoseconds (see above).
-    window: VecDeque<u64>,
-    /// Exact sum of `window` in nanoseconds, maintained incrementally.
-    window_sum_ns: u128,
-    window_cap: usize,
+    samples: VecDeque<u64>,
+    /// Exact sum of `samples` in nanoseconds, maintained incrementally.
+    sum_ns: u128,
+}
+
+impl ArrivalWindow {
+    /// Records one inter-arrival interval. Cassandra drops outsize
+    /// intervals instead of letting them inflate the mean.
+    pub(crate) fn record(&mut self, interval_ns: u64, params: &PhiParams) {
+        if interval_ns > params.max_interval_ns {
+            return;
+        }
+        if self.samples.len() == params.window_cap {
+            if let Some(evicted) = self.samples.pop_front() {
+                self.sum_ns -= u128::from(evicted);
+            }
+        }
+        self.samples.push_back(interval_ns);
+        self.sum_ns += u128::from(interval_ns);
+    }
+}
+
+/// The one place nanoseconds become seconds: `sum / len` stays in the
+/// reals until the final division, so running and naive sums round
+/// identically.
+fn mean_of(sum_ns: u128, len: usize) -> f64 {
+    (sum_ns as f64) / (len as f64) / 1e9
+}
+
+/// Sliding-window arrival statistics and suspicion for one peer: the
+/// one-peer form of the arithmetic [`crate::FailureDetector`] runs over
+/// its per-peer columns (same `PhiParams`, same `ArrivalWindow`),
+/// and the oracle its differential proptests compare against.
+#[derive(Clone, Debug)]
+pub struct PhiDetector {
+    params: PhiParams,
+    window: ArrivalWindow,
     last_arrival: Option<SimTime>,
-    mean_floor_s: f64,
-    initial_mean_s: f64,
-    max_interval_ns: u64,
 }
 
 impl PhiDetector {
@@ -70,14 +191,19 @@ impl PhiDetector {
         mean_floor: SimDuration,
         max_interval: SimDuration,
     ) -> Self {
+        Self::with_params(PhiParams::new(
+            window_cap,
+            initial_mean,
+            mean_floor,
+            max_interval,
+        ))
+    }
+
+    fn with_params(params: PhiParams) -> Self {
         PhiDetector {
-            window: VecDeque::with_capacity(window_cap.min(4096)),
-            window_sum_ns: 0,
-            window_cap: window_cap.max(1),
+            params,
+            window: ArrivalWindow::default(),
             last_arrival: None,
-            mean_floor_s: mean_floor.as_secs_f64(),
-            initial_mean_s: initial_mean.as_secs_f64(),
-            max_interval_ns: max_interval.as_nanos(),
         }
     }
 
@@ -85,12 +211,7 @@ impl PhiDetector {
     /// interval, floor = half the interval, max accepted interval = 2x
     /// the interval.
     pub fn cassandra(gossip_interval: SimDuration) -> Self {
-        Self::new(
-            1000,
-            gossip_interval,
-            SimDuration::from_nanos(gossip_interval.as_nanos() / 2),
-            SimDuration::from_nanos(gossip_interval.as_nanos() * 2),
-        )
+        Self::with_params(PhiParams::cassandra(gossip_interval))
     }
 
     /// Records a heartbeat arrival at `now`.
@@ -104,18 +225,7 @@ impl PhiDetector {
             None => self.last_arrival = Some(now),
             Some(last) if now <= last => {}
             Some(last) => {
-                let interval_ns = now.since(last).as_nanos();
-                // Cassandra drops outsize intervals instead of letting
-                // them inflate the mean.
-                if interval_ns <= self.max_interval_ns {
-                    if self.window.len() == self.window_cap {
-                        if let Some(evicted) = self.window.pop_front() {
-                            self.window_sum_ns -= u128::from(evicted);
-                        }
-                    }
-                    self.window.push_back(interval_ns);
-                    self.window_sum_ns += u128::from(interval_ns);
-                }
+                self.window.record(now.since(last).as_nanos(), &self.params);
                 self.last_arrival = Some(now);
             }
         }
@@ -124,12 +234,7 @@ impl PhiDetector {
     /// Estimated mean inter-arrival, clamped to the floor. O(1): reads
     /// the running nanosecond sum maintained by [`Self::heartbeat`].
     pub fn mean_interval(&self) -> f64 {
-        let mean = if self.window.is_empty() {
-            self.initial_mean_s
-        } else {
-            Self::mean_of(self.window_sum_ns, self.window.len())
-        };
-        mean.max(self.mean_floor_s)
+        self.params.mean_interval(&self.window)
     }
 
     /// Reference implementation of [`Self::mean_interval`] that re-sums
@@ -137,20 +242,13 @@ impl PhiDetector {
     /// behavior). Kept public so the differential proptests can pin
     /// exact `f64` equality between the two paths.
     pub fn mean_interval_naive(&self) -> f64 {
-        let mean = if self.window.is_empty() {
-            self.initial_mean_s
+        let mean = if self.window.samples.is_empty() {
+            self.params.initial_mean_s
         } else {
-            let sum: u128 = self.window.iter().map(|&ns| u128::from(ns)).sum();
-            Self::mean_of(sum, self.window.len())
+            let sum: u128 = self.window.samples.iter().map(|&ns| u128::from(ns)).sum();
+            mean_of(sum, self.window.samples.len())
         };
-        mean.max(self.mean_floor_s)
-    }
-
-    /// The one place nanoseconds become seconds: `sum / len` stays in
-    /// the reals until the final division, so running and naive sums
-    /// round identically.
-    fn mean_of(sum_ns: u128, len: usize) -> f64 {
-        (sum_ns as f64) / (len as f64) / 1e9
+        mean.max(self.params.mean_floor_s)
     }
 
     /// Current suspicion level. Zero until the first heartbeat arrives.
@@ -158,8 +256,7 @@ impl PhiDetector {
         let Some(last) = self.last_arrival else {
             return 0.0;
         };
-        let t = now.since(last).as_secs_f64();
-        t / (self.mean_interval() * std::f64::consts::LN_10)
+        self.params.phi(&self.window, now.since(last))
     }
 
     /// When the last heartbeat arrived.
@@ -169,7 +266,7 @@ impl PhiDetector {
 
     /// Number of inter-arrival samples currently held.
     pub fn samples(&self) -> usize {
-        self.window.len()
+        self.window.samples.len()
     }
 }
 

@@ -5,12 +5,21 @@
 //! its application state. Peers compare `(generation, max_version)` pairs
 //! to decide who has fresher information.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 /// Identifies a gossip participant.
+///
+/// # Dense-id contract
+///
+/// Ids are **dense node indexes** — the cluster numbers its nodes
+/// `0..total_nodes` and `Peer(i)` is node `i`. Every per-peer structure
+/// in this crate ([`EndpointMap`], [`crate::FailureDetector`]) is a table
+/// indexed by `Peer.0` and costs O(highest id seen) slots, the same
+/// contract `scalecheck_net`'s tiled link clocks state for `Addr`. A
+/// sparse id (`Peer(5000)` in a three-peer view) is legal and costs
+/// 5001 slots, not a panic.
 #[derive(
     Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
 )]
@@ -124,8 +133,85 @@ pub struct Digest {
     pub max_version: u64,
 }
 
-/// A node's full gossip view: one [`EndpointState`] per known peer.
-pub type EndpointMap<A> = BTreeMap<Peer, EndpointState<A>>;
+/// A node's full gossip view: one [`EndpointState`] per known peer, in
+/// a table addressed by `Peer.0` (see the dense-id contract on
+/// [`Peer`]).
+///
+/// Lookups are array indexing; the table grows geometrically (`Vec`
+/// capacity doubling) to the highest id inserted and never shrinks;
+/// [`Self::iter`] yields known peers in ascending id order — the order
+/// SYN digests, the `handle_syn` merge pass and the gossip-target walk
+/// all rely on.
+#[derive(Clone, Debug)]
+pub struct EndpointMap<A> {
+    /// `slots[i]` is what this node knows about `Peer(i)`. A slot is 32
+    /// bytes: `None` lives in the `Arc`'s null niche.
+    slots: Vec<Option<EndpointState<A>>>,
+    known: usize,
+}
+
+impl<A> Default for EndpointMap<A> {
+    fn default() -> Self {
+        EndpointMap {
+            slots: Vec::new(),
+            known: 0,
+        }
+    }
+}
+
+impl<A> EndpointMap<A> {
+    /// An empty view.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of known peers.
+    pub fn len(&self) -> usize {
+        self.known
+    }
+
+    /// Whether no peer is known.
+    pub fn is_empty(&self) -> bool {
+        self.known == 0
+    }
+
+    /// Whether the known peers are exactly `Peer(0)..Peer(len)`: no gap
+    /// in the id space, so the `k`-th known peer *is* `Peer(k)`.
+    pub fn is_gapless(&self) -> bool {
+        self.known == self.slots.len()
+    }
+
+    /// The state known for `peer`.
+    pub fn get(&self, peer: Peer) -> Option<&EndpointState<A>> {
+        self.slots.get(peer.0 as usize)?.as_ref()
+    }
+
+    /// Mutable access to the state known for `peer`.
+    pub fn get_mut(&mut self, peer: Peer) -> Option<&mut EndpointState<A>> {
+        self.slots.get_mut(peer.0 as usize)?.as_mut()
+    }
+
+    /// Sets the state for `peer`, returning what was known before.
+    pub fn insert(&mut self, peer: Peer, state: EndpointState<A>) -> Option<EndpointState<A>> {
+        let idx = peer.0 as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, || None);
+        }
+        let old = self.slots[idx].replace(state);
+        if old.is_none() {
+            self.known += 1;
+        }
+        old
+    }
+
+    /// Known peers and their states, ascending by peer id.
+    pub fn iter(&self) -> impl Iterator<Item = (Peer, &EndpointState<A>)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, slot)| Some((Peer(idx as u32), slot.as_ref()?)))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -140,6 +226,43 @@ mod tests {
             appv,
             0,
         )
+    }
+
+    #[test]
+    fn sparse_id_costs_slots_not_a_panic() {
+        let mut map = EndpointMap::new();
+        for id in [1, 5000, 0] {
+            assert!(map.insert(Peer(id), st(1, id as u64, 0)).is_none());
+        }
+        assert_eq!(map.len(), 3);
+        assert!(!map.is_gapless(), "ids 2..5000 are holes");
+        assert_eq!(map.get(Peer(5000)).unwrap().heartbeat.version, 5000);
+        assert!(map.get(Peer(4999)).is_none());
+        assert!(map.get(Peer(5001)).is_none(), "past the table: unknown");
+        assert!(map.get_mut(Peer(u32::MAX)).is_none());
+        // Replacing keeps the count; the old state comes back.
+        let old = map.insert(Peer(1), st(2, 0, 0)).unwrap();
+        assert_eq!(old.heartbeat.generation, 1);
+        assert_eq!(map.len(), 3);
+    }
+
+    #[test]
+    fn iteration_stays_ascending_across_growth() {
+        let mut map = EndpointMap::new();
+        let mut want = Vec::new();
+        // Out-of-order inserts, each batch forcing the table to grow.
+        for id in [7u32, 2, 300, 299, 0, 4000, 1] {
+            map.insert(Peer(id), st(1, 0, 0));
+            want.push(Peer(id));
+            want.sort_unstable();
+            let got: Vec<Peer> = map.iter().map(|(p, _)| p).collect();
+            assert_eq!(got, want);
+        }
+        let mut dense = EndpointMap::new();
+        for id in 0..5 {
+            dense.insert(Peer(id), st(1, 0, 0));
+            assert!(dense.is_gapless());
+        }
     }
 
     #[test]

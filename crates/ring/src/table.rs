@@ -25,6 +25,15 @@ pub enum NodeStatus {
     Left,
 }
 
+impl NodeStatus {
+    /// Whether the node is part-way through a topology change
+    /// (`Joining` or `Leaving`): the statuses that put a pending range
+    /// on the ring.
+    pub fn in_transition(self) -> bool {
+        matches!(self, NodeStatus::Joining | NodeStatus::Leaving)
+    }
+}
+
 /// Per-node ring state.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NodeState {
@@ -92,10 +101,8 @@ impl std::error::Error for RingError {}
 /// lookups are O(1) and snapshot clones of the ring keep the warm
 /// cache. Every topology mutation resets it.
 ///
-/// The cache is pure memoization and must stay invisible to the
-/// serialized form (memo digests and sweep cache keys hash the
-/// serialized config/ring, never the cache): it serializes as `null`
-/// and deserializes to cold, and `write_canonical` never reads it.
+/// The cache is pure memoization: `write_canonical` (what memo digests
+/// hash) never reads it.
 #[derive(Default)]
 struct TokenMapCache(OnceLock<Arc<Vec<(Token, NodeId)>>>);
 
@@ -118,24 +125,20 @@ impl std::fmt::Debug for TokenMapCache {
     }
 }
 
-impl Serialize for TokenMapCache {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-impl Deserialize for TokenMapCache {
-    fn deserialize(_v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(TokenMapCache::default())
-    }
-}
-
 /// The cluster's view of token ownership.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Deliberately not `Serialize`/`Deserialize`: nothing stores a ring
+/// (memo digests go through [`Self::write_canonical`]), and a
+/// deserialised table could disagree with its own `in_transition`
+/// count.
+#[derive(Clone, Debug)]
 pub struct RingTable {
     rf: usize,
     nodes: BTreeMap<NodeId, NodeState>,
     token_map: TokenMapCache,
+    /// How many nodes are `Joining` or `Leaving`, kept by the three
+    /// mutators so [`Self::has_pending_change`] is not a ring walk.
+    in_transition: usize,
 }
 
 impl RingTable {
@@ -150,6 +153,7 @@ impl RingTable {
             rf,
             nodes: BTreeMap::new(),
             token_map: TokenMapCache::default(),
+            in_transition: 0,
         }
     }
 
@@ -176,6 +180,7 @@ impl RingTable {
             }
         }
         self.nodes.insert(node, NodeState { status, tokens });
+        self.in_transition += usize::from(status.in_transition());
         self.token_map = TokenMapCache::default();
         Ok(())
     }
@@ -184,6 +189,8 @@ impl RingTable {
     pub fn set_status(&mut self, node: NodeId, status: NodeStatus) -> Result<(), RingError> {
         match self.nodes.get_mut(&node) {
             Some(st) => {
+                self.in_transition -= usize::from(st.status.in_transition());
+                self.in_transition += usize::from(status.in_transition());
                 st.status = status;
                 self.token_map = TokenMapCache::default();
                 Ok(())
@@ -195,7 +202,8 @@ impl RingTable {
     /// Removes a node entirely.
     pub fn remove_node(&mut self, node: NodeId) -> Result<(), RingError> {
         match self.nodes.remove(&node) {
-            Some(_) => {
+            Some(st) => {
+                self.in_transition -= usize::from(st.status.in_transition());
                 self.token_map = TokenMapCache::default();
                 Ok(())
             }
@@ -206,6 +214,13 @@ impl RingTable {
     /// A node's state, if present.
     pub fn node(&self, node: NodeId) -> Option<&NodeState> {
         self.nodes.get(&node)
+    }
+
+    /// Whether any node is `Joining` or `Leaving` — the window during
+    /// which Cassandra recalculates pending ranges on every applied
+    /// gossip. O(1).
+    pub fn has_pending_change(&self) -> bool {
+        self.in_transition > 0
     }
 
     /// Number of nodes in any status except `Left`.

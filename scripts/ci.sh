@@ -85,14 +85,26 @@ echo "=== wheel/heap differential properties ==="
 cargo test -q --test proptests wheel_and_heap_schedulers_are_indistinguishable
 cargo test -q --test proptests steady_state_periodic_timers_run_allocation_free
 
+# The gossip view and the failure detector are tables indexed by node
+# id; the tree-map forms they replaced live on as oracles in
+# tests/model. Whole-run report digests captured before the move pin
+# every iteration order the tables must preserve.
+echo "=== dense gossip/phi tables vs tree-map models, whole-run pins ==="
+cargo test -q --test proptests dense_failure_detector_matches_the_tree_model
+cargo test -q --test proptests phi_sweep_prefilter_never_hides_a_conviction
+cargo test -q --test proptests dense_endpoint_map_matches_the_tree_model
+cargo test -q --test run_pins
+
 # Scale smoke: the harness must stay fast enough to reach the scales
 # the paper argues for. One 1024-node SC+PIL cell runs cache-free and
-# must finish inside the wall budget (sized for a single-CPU worker),
-# and its row must satisfy the bench_scale/v1 schema. Full trajectory
+# must finish inside the wall budget (sized for a single-CPU worker:
+# ~75 s with index-addressed gossip/phi tables, 306 s with the per-peer
+# tree maps they replaced — a slide back fails here), and its row must
+# satisfy the bench_scale/v1 schema. Full trajectory
 # numbers come from scripts/run_experiments.sh --scale (see
 # EXPERIMENTS.md, "Scaling beyond the paper").
 echo "=== scale smoke (tbl_scale --smoke, 1024-node SC+PIL) ==="
-target/release/tbl_scale --smoke --budget-secs 600
+target/release/tbl_scale --smoke --budget-secs 240
 
 # SLO smoke: the coupled datapath must flow a million open-loop users
 # through the c3831 128-node Real and Colo cells, produce schema-valid

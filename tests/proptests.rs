@@ -3,6 +3,8 @@
 
 use proptest::prelude::*;
 
+mod model;
+
 use scalecheck_memo::{digest_bytes, FnId, MemoDb, OrderDecision, OrderRecorder};
 use scalecheck_ring::{
     all_calculators, NodeId, NodeStatus, OpCounter, PendingRangeCalculator, RingTable, Token,
@@ -579,6 +581,10 @@ proptest! {
                 }
             }
             prop_assert_eq!(&*ring.current_token_map(), &ring.rebuild_current_token_map());
+            prop_assert_eq!(
+                ring.has_pending_change(),
+                ring.iter().any(|(_, st)| matches!(st.status, NodeStatus::Joining | NodeStatus::Leaving))
+            );
             let snap = ring.clone();
             prop_assert_eq!(&*snap.current_token_map(), &snap.rebuild_current_token_map());
         }
@@ -638,6 +644,243 @@ proptest! {
             prop_assert_eq!(m.in_use(), ledger);
             prop_assert!(m.in_use() <= m.capacity());
             prop_assert!(m.peak() >= m.in_use());
+        }
+    }
+}
+
+/// Peer ids for the dense-table differentials: a dense run, holes, a
+/// neighbour pair far out, and ids past any plausible table — in no
+/// particular order, because the tables must not care.
+const PEER_IDS: [u32; 12] = [3, 0, 5000, 1, 64, 2, 4999, 65, 7, 300, 12, 77];
+
+// Index-addressed tables against the tree-map models in `tests/model`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Differential: the column-layout `FailureDetector` is
+    /// indistinguishable from one `PhiDetector` per peer in a
+    /// `BTreeMap` — newly-dead lists (order included), every counter,
+    /// every verdict and φ to the bit — over arbitrary interleavings of
+    /// reports (late and early, i.e. skewed clocks), sweeps, forgets,
+    /// resets and fault marks on sparse, out-of-order peer ids.
+    #[test]
+    fn dense_failure_detector_matches_the_tree_model(
+        knobs in (0usize..6, 0usize..4),
+        ops in prop::collection::vec((0u8..16, 0usize..12, 0u64..3_000_000_000), 1..400),
+    ) {
+        use model::TreeFailureDetector;
+        use scalecheck_gossip::{FailureDetector, Peer};
+        let threshold = [8.0, 5.0, 1.0, 0.3, 0.0, -1.0][knobs.0];
+        let interval = SimDuration::from_nanos([1_000_000_000, 100_000_000, 2_500_000_000, 1][knobs.1]);
+        let mut dense = FailureDetector::new(threshold, interval);
+        let mut tree = TreeFailureDetector::new(threshold, interval);
+        let mut now = SimTime::from_secs(10);
+        for (kind, who, x) in ops {
+            let peer = Peer(PEER_IDS[who]);
+            match kind {
+                // Reports dominate; `x` jitters the arrival stamp both
+                // ways around `now` (a stale beat, a skewed-ahead one).
+                0..=7 => {
+                    now += SimDuration::from_nanos(x / 8);
+                    let at = if kind == 0 {
+                        SimTime::from_nanos(now.as_nanos().saturating_sub(x))
+                    } else if kind == 1 {
+                        now + SimDuration::from_nanos(x)
+                    } else {
+                        now
+                    };
+                    dense.report(peer, at);
+                    tree.report(peer, at);
+                }
+                8 | 9 => {
+                    now += SimDuration::from_nanos(x);
+                    prop_assert_eq!(dense.interpret_all(now), tree.interpret_all(now));
+                }
+                10 => {
+                    // A long silence, then a sweep: mass conviction.
+                    now += SimDuration::from_nanos(x * 12);
+                    prop_assert_eq!(dense.interpret_all(now), tree.interpret_all(now));
+                }
+                11 => {
+                    dense.forget(peer);
+                    tree.forget(peer);
+                }
+                12 | 13 => {
+                    dense.set_fault_suspect(peer, kind == 12);
+                    tree.set_fault_suspect(peer, kind == 12);
+                }
+                14 => {
+                    dense.mark_all_fault_suspects();
+                    tree.mark_all_fault_suspects();
+                }
+                _ => {
+                    if x % 8 == 0 {
+                        dense.reset_monitoring();
+                        tree.reset_monitoring();
+                    }
+                }
+            }
+            prop_assert_eq!(dense.flaps(), tree.flaps);
+            prop_assert_eq!(dense.recoveries(), tree.recoveries);
+            prop_assert_eq!(dense.fault_attributed_flaps(), tree.fault_attributed);
+            prop_assert_eq!(dense.monitored(), tree.monitored());
+            prop_assert_eq!(dense.dead_peers(), tree.dead_peers());
+            for id in PEER_IDS.into_iter().chain([6, 5001, u32::MAX]) {
+                let p = Peer(id);
+                prop_assert_eq!(dense.liveness(p), tree.liveness(p));
+                prop_assert_eq!(
+                    dense.phi(p, now).map(f64::to_bits),
+                    tree.phi(p, now).map(f64::to_bits)
+                );
+            }
+        }
+    }
+
+    /// Differential: the sweep's integer pre-filter never hides a
+    /// conviction. Probed where it could: at sweep times within a few
+    /// nanoseconds — and within an ulp of the float product — of
+    /// `threshold × mean_floor × ln 10` after the last arrival, with
+    /// the mean clamped to the floor (a burst of fast beats), above it,
+    /// and with no samples at all. Thresholds ≤ 0 and a zero floor (1 ns
+    /// gossip interval) are the cases where the filter must skip nobody.
+    #[test]
+    fn phi_sweep_prefilter_never_hides_a_conviction(
+        threshold_milli in 0u64..20_000,
+        knobs in (0usize..8, 0usize..6, 0usize..4),
+        last_ns in 0u64..100_000_000_000,
+    ) {
+        use model::TreeFailureDetector;
+        use scalecheck_gossip::{FailureDetector, Peer};
+        let threshold = [
+            threshold_milli as f64 / 1000.0,
+            threshold_milli as f64 / 1000.0,
+            8.0,
+            8.0,
+            f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            -3.5,
+        ][knobs.0];
+        let interval_ns = [1_000_000_000u64, 1_000_000_000, 137_000_001, 2, 1, 40_000_000_000][knobs.1];
+        let interval = SimDuration::from_nanos(interval_ns);
+        let mut dense = FailureDetector::new(threshold, interval);
+        let mut tree = TreeFailureDetector::new(threshold, interval);
+        // Beats ending at `last_ns`: none, a burst far under the floor,
+        // on the nominal interval, or slow (but inside max_interval).
+        let step = [0, interval_ns / 8, interval_ns, interval_ns + interval_ns / 2][knobs.2];
+        let beats = if step == 0 { 0 } else { 12 };
+        for (peer, shift) in [(Peer(3), 0), (Peer(5000), 1)] {
+            for k in (0..=beats).rev() {
+                let at = SimTime::from_nanos((last_ns + shift).saturating_sub(k * step));
+                dense.report(peer, at);
+                tree.report(peer, at);
+            }
+        }
+        let floor_s = SimDuration::from_nanos(interval_ns / 2).as_secs_f64();
+        let product = threshold * floor_s * std::f64::consts::LN_10 * 1e9;
+        let mut probes = vec![0u64, 1];
+        for around in [product, f64::from_bits(product.to_bits() + 1), f64::from_bits(product.to_bits().saturating_sub(1))] {
+            let mid = around as u64; // Saturating; NaN and negatives are 0.
+            for d in 0..4 {
+                probes.push(mid.saturating_sub(d));
+                probes.push(mid.saturating_add(d));
+            }
+        }
+        for silence in probes {
+            let at = SimTime::from_nanos(last_ns.saturating_add(silence));
+            // Each probe sweeps a fresh copy: a conviction is sticky.
+            let mut d = dense.clone();
+            let got = d.interpret_all(at);
+            let want: Vec<Peer> = [Peer(3), Peer(5000)]
+                .into_iter()
+                .filter(|&p| tree.phi(p, at).unwrap() > threshold)
+                .collect();
+            prop_assert_eq!(got, want, "threshold {} interval {} silence {}", threshold, interval_ns, silence);
+        }
+        // The models agree once the sweep really runs, too.
+        let late = SimTime::from_nanos(last_ns.saturating_add(product as u64).saturating_add(interval_ns));
+        prop_assert_eq!(dense.interpret_all(late), tree.interpret_all(late));
+    }
+
+    /// Differential: gossipers over the dense `EndpointMap` and over a
+    /// `BTreeMap` exchange identical SYN/ACK/ACK2 values and report
+    /// identical `ApplyOutcome`s, round after round, across restarts,
+    /// app updates, an unsorted SYN, news of peers nobody hosts, and an
+    /// id space full of holes.
+    #[test]
+    fn dense_endpoint_map_matches_the_tree_model(
+        n in 2usize..13,
+        ops in prop::collection::vec((0u8..12, 0usize..12, 0usize..12, any::<u32>()), 1..160),
+    ) {
+        use model::TreeGossiper;
+        use scalecheck_gossip::{Delta, EndpointState, Gossiper, HeartbeatState, Peer};
+        let ids = &PEER_IDS[..n];
+        let mut dense: Vec<Gossiper<u32>> =
+            ids.iter().map(|&id| Gossiper::new(Peer(id), 1, id)).collect();
+        let mut tree: Vec<TreeGossiper<u32>> =
+            ids.iter().map(|&id| TreeGossiper::new(Peer(id), 1, id)).collect();
+        for (kind, a, b, x) in ops {
+            let (a, b) = (a % n, b % n);
+            match kind {
+                0..=4 if a != b => {
+                    let syn = dense[a].make_syn();
+                    prop_assert_eq!(&syn, &tree[a].make_syn());
+                    let ack = dense[b].handle_syn(&syn);
+                    prop_assert_eq!(&ack, &tree[b].handle_syn(&syn));
+                    let (out_a, ack2) = dense[a].handle_ack(&ack);
+                    let (model_out_a, model_ack2) = tree[a].handle_ack(&ack);
+                    prop_assert_eq!(&out_a, &model_out_a);
+                    prop_assert_eq!(&ack2, &model_ack2);
+                    prop_assert_eq!(dense[b].handle_ack2(&ack2), tree[b].handle_ack2(&ack2));
+                }
+                5 if a != b => {
+                    // The wire type does not promise a sorted SYN.
+                    let mut syn = dense[a].make_syn();
+                    let len = syn.digests.len();
+                    syn.digests.rotate_left(x as usize % len);
+                    syn.digests.reverse();
+                    prop_assert_eq!(dense[b].handle_syn(&syn), tree[b].handle_syn(&syn));
+                }
+                6 | 7 => {
+                    dense[a].beat();
+                    tree[a].beat();
+                }
+                8 => {
+                    dense[a].update_app(x);
+                    tree[a].update_app(x);
+                }
+                9 => {
+                    dense[a].restart();
+                    tree[a].restart();
+                }
+                10 => {
+                    // Hearsay about a peer that hosts no gossiper, full
+                    // state or (for a stranger: ignored) bare heartbeat.
+                    let ghost = Peer([9, 6000, 66][x as usize % 3]);
+                    let hb = HeartbeatState { generation: 1 + u64::from(x % 2), version: u64::from(x % 50) };
+                    let delta = if x % 5 == 0 {
+                        Delta::Heartbeat(hb)
+                    } else {
+                        Delta::Full(EndpointState::new(hb, u64::from(x % 7), x))
+                    };
+                    let deltas = [(ghost, delta)];
+                    prop_assert_eq!(dense[a].apply(&deltas), tree[a].apply(&deltas));
+                }
+                11 => {
+                    let st = EndpointState::new(HeartbeatState::default(), 0, x);
+                    let peer = Peer(PEER_IDS[b]);
+                    dense[a].seed_peer(peer, st.clone());
+                    tree[a].seed_peer(peer, st);
+                }
+                _ => {}
+            }
+        }
+        for (d, t) in dense.iter().zip(&tree) {
+            let view: Vec<Peer> = d.endpoints().iter().map(|(p, _)| p).collect();
+            prop_assert_eq!(&view, &t.known());
+            for p in view.into_iter().chain([Peer(6), Peer(6001), Peer(u32::MAX)]) {
+                prop_assert_eq!(d.endpoint(p), t.endpoint(p));
+            }
         }
     }
 }

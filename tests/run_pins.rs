@@ -1,0 +1,99 @@
+//! Whole-run pins: the content digest of the full `RunReport` for four
+//! small cells, captured on the commit *before* the gossip/φ state moved
+//! from per-peer tree maps to index-addressed tables.
+//!
+//! Every table, flap count and obs instant in the repo is a function of
+//! iteration order somewhere in `gossip` or `cluster::node` (SYN digest
+//! order, the φ sweep's conviction order, gossip-target selection). A
+//! data-layout change that reorders any of them produces a different —
+//! but perfectly plausible — report; these digests are what makes that
+//! loud. A deliberate behaviour change re-captures them (run with
+//! `--nocapture`, the failing assertion prints the new digest) and says
+//! why in CHANGES.md.
+
+use scalecheck::{content_digest, run_colo, run_real};
+use scalecheck_cluster::{FaultPlan, RunReport, ScenarioConfig};
+use scalecheck_sim::SimTime;
+
+fn pin(name: &str, report: &RunReport, flaps_expected: bool, want: &str) {
+    assert_eq!(
+        report.total_flaps > 0,
+        flaps_expected,
+        "{name}: the cell no longer exercises what it was chosen for \
+         (flaps={}, recoveries={})",
+        report.total_flaps,
+        report.recoveries
+    );
+    assert_eq!(
+        content_digest(report),
+        want,
+        "{name}: RunReport digest moved (flaps={}, recoveries={}, fired={}, sent={})",
+        report.total_flaps,
+        report.recoveries,
+        report.engine.fired,
+        report.messages_sent
+    );
+}
+
+/// Healthy steady state: heartbeat-only gossip and φ sweeps.
+#[test]
+fn baseline_48_colo_report_is_pinned() {
+    let r = run_colo(&ScenarioConfig::baseline(48, 1), 16);
+    pin(
+        "baseline(48) colo",
+        &r,
+        false,
+        "f33a5d21ac50646a297edb65d779ed1a",
+    );
+}
+
+/// The paper's bug on a small box: a flap storm, so convictions,
+/// recoveries and full-state deltas all run. (48 nodes do not flap on
+/// one core or two; 64 on one core is the smallest cell that does.)
+#[test]
+fn c3831_64_colo_flapping_report_is_pinned() {
+    let r = run_colo(&ScenarioConfig::c3831(64, 1), 1);
+    pin(
+        "c3831(64) colo/1",
+        &r,
+        true,
+        "fa10218d93e3084b73f1b00164a106bf",
+    );
+}
+
+/// Crash + restart + partition + clock skew: `reset_monitoring`,
+/// `forget` and fault-suspect attribution all run.
+#[test]
+fn c3831_48_fault_storm_report_is_pinned() {
+    let cfg = ScenarioConfig::c3831(48, 1).with_faults(FaultPlan::storm(1, 48, 0.6));
+    let r = run_real(&cfg);
+    assert!(r.faults.crashes > 0 && r.faults.restarts > 0);
+    assert!(r.faults.attributed_flaps > 0);
+    pin(
+        "c3831(48) storm",
+        &r,
+        true,
+        "c585753be399ea76f5647525ad4ab6d3",
+    );
+}
+
+/// Traced run: every span rides in the digest, and two nodes crashing
+/// in the same instant make each observer convict both in one sweep, so
+/// the `FdConvicted` instants record `interpret_all`'s order.
+#[test]
+fn c5456_32_traced_real_report_is_pinned() {
+    let mut cfg = ScenarioConfig::c5456(32, 1);
+    cfg.trace = scalecheck_obs::TraceConfig::enabled();
+    cfg.faults = FaultPlan::new()
+        .crash(SimTime::from_secs(50), 3)
+        .crash(SimTime::from_secs(50), 17)
+        .restart(SimTime::from_secs(120), 3);
+    let r = run_real(&cfg);
+    assert!(!r.obs.spans.is_empty() && !r.obs.instants.is_empty());
+    pin(
+        "c5456(32) traced real",
+        &r,
+        true,
+        "8b64710a1db772fd1555b684e96b16f0",
+    );
+}
