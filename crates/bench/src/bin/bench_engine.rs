@@ -44,7 +44,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use scalecheck_bench::{exit_usage, flag_value, has_flag, print_row};
+use scalecheck_bench::{exit_usage, flag_value, has_flag, print_row, validate_doc, Field};
 use scalecheck_gossip::{Delta, EndpointState, Gossiper, HeartbeatState, Peer};
 use scalecheck_sim::{
     Ctx, DetRng, Engine, EngineCounters, HandlerId, SchedulerKind, SimDuration, SimTime,
@@ -564,13 +564,13 @@ fn report_value(results: &[ScenarioResult], smoke: bool) -> serde_json::Value {
 fn verify(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| format!("parse: {e:?}"))?;
-    if v.get("schema").and_then(|s| s.as_str()) != Some("bench_engine/v2") {
-        return Err("schema is not bench_engine/v2".into());
-    }
-    let scenarios = v
-        .get("scenarios")
-        .and_then(|s| s.as_array())
-        .ok_or("missing scenarios array")?;
+    let scenarios = validate_doc(
+        &v,
+        "bench_engine/v2",
+        &[("smoke", Field::Bool)],
+        "scenarios",
+        &[("name", Field::Str), ("deterministic_match", Field::Bool)],
+    )?;
     if scenarios.len() < 5 {
         return Err(format!("expected >= 5 scenarios, got {}", scenarios.len()));
     }

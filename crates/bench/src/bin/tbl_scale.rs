@@ -39,7 +39,8 @@ use std::time::Instant;
 
 use scalecheck::{CellSpec, ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, run_sweep, Cell, SweepOptions,
+    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, parse_modes, run_sweep,
+    validate_doc, Cell, Field, SweepOptions,
 };
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 use serde::{Deserialize, Serialize};
@@ -77,30 +78,8 @@ fn scale_scenario(n: usize, seed: u64) -> ScenarioConfig {
     cfg
 }
 
-fn all_modes() -> [ExecMode; 2] {
-    [
-        ExecMode::Colo { cores: COLO_CORES },
-        ExecMode::ScPil {
-            cores: COLO_CORES,
-            ordered: false,
-        },
-    ]
-}
-
-/// Parses the `--modes` selector: a comma-separated subset of
-/// `colo` / `scpil`, swept in the order given.
-fn parse_modes(spec: &str) -> Result<Vec<ExecMode>, String> {
-    spec.split(',')
-        .map(|m| match m.trim().to_ascii_lowercase().as_str() {
-            "colo" => Ok(ExecMode::Colo { cores: COLO_CORES }),
-            "scpil" | "sc+pil" => Ok(ExecMode::ScPil {
-                cores: COLO_CORES,
-                ordered: false,
-            }),
-            other => Err(format!("unknown mode '{other}' (expected colo or scpil)")),
-        })
-        .collect()
-}
+/// The deployments `--modes` may name; all of them by default.
+const MODES: [&str; 2] = ["colo", "scpil"];
 
 /// Builds the timed sweep cell for one `(n, mode)` point. The cache key
 /// is namespaced so these entries never collide with the plain
@@ -145,65 +124,28 @@ fn row_json(n: usize, mode_label: &str, t: &TimedReport) -> serde_json::Value {
     })
 }
 
-/// Checks one row against the `bench_scale/v1` contract. Returns the
-/// first violation, if any.
-fn validate_row(row: &serde_json::Value) -> Result<(), String> {
-    let u64_fields = [
-        "nodes",
-        "events_scheduled",
-        "events_fired",
-        "events_cancelled",
-        "timer_pool_hits",
-        "timer_pool_misses",
-        "mem_peak_bytes",
-        "messages_sent",
-        "messages_delivered",
-        "total_flaps",
-    ];
-    for f in u64_fields {
-        row.get(f)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("row missing u64 field '{f}'"))?;
-    }
-    for f in ["wall_secs", "events_per_sec", "virtual_secs"] {
-        let v = row
-            .get(f)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("row missing numeric field '{f}'"))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("row field '{f}' must be finite and >= 0, got {v}"));
-        }
-    }
-    row.get("mode")
-        .and_then(|v| v.as_str())
-        .ok_or("row missing string field 'mode'".to_string())?;
-    row.get("quiesced")
-        .and_then(|v| v.as_bool())
-        .ok_or("row missing bool field 'quiesced'".to_string())?;
-    Ok(())
-}
+/// The `bench_scale/v1` contract: document fields, then row fields.
+const DOC_FIELDS: [(&str, Field); 1] = [("seed", Field::U64)];
+const ROW_FIELDS: [(&str, Field); 15] = [
+    ("nodes", Field::U64),
+    ("events_scheduled", Field::U64),
+    ("events_fired", Field::U64),
+    ("events_cancelled", Field::U64),
+    ("timer_pool_hits", Field::U64),
+    ("timer_pool_misses", Field::U64),
+    ("mem_peak_bytes", Field::U64),
+    ("messages_sent", Field::U64),
+    ("messages_delivered", Field::U64),
+    ("total_flaps", Field::U64),
+    ("wall_secs", Field::F64),
+    ("events_per_sec", Field::F64),
+    ("virtual_secs", Field::F64),
+    ("mode", Field::Str),
+    ("quiesced", Field::Bool),
+];
 
-/// Checks a whole document: schema tag, non-empty rows, every row
-/// well-formed.
-fn validate_doc(doc: &serde_json::Value) -> Result<(), String> {
-    match doc.get("schema").and_then(|v| v.as_str()) {
-        Some(SCHEMA) => {}
-        other => return Err(format!("schema tag must be '{SCHEMA}', got {other:?}")),
-    }
-    doc.get("seed")
-        .and_then(|v| v.as_u64())
-        .ok_or("document missing u64 'seed'".to_string())?;
-    let rows = doc
-        .get("rows")
-        .and_then(|v| v.as_array())
-        .ok_or("document missing 'rows' array".to_string())?;
-    if rows.is_empty() {
-        return Err("document has zero rows".to_string());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        validate_row(row).map_err(|e| format!("row {i}: {e}"))?;
-    }
-    Ok(())
+fn validate(doc: &serde_json::Value) -> Result<(), String> {
+    validate_doc(doc, SCHEMA, &DOC_FIELDS, "rows", &ROW_FIELDS).map(|_| ())
 }
 
 fn mib(bytes: u64) -> f64 {
@@ -279,7 +221,7 @@ fn smoke(seed: u64, budget_secs: f64) -> ! {
         "scenario": "baseline single-process",
         "rows": [row_json(n, mode.label(), &timed)],
     });
-    if let Err(e) = validate_doc(&doc) {
+    if let Err(e) = validate(&doc) {
         eprintln!("[smoke] FAIL: schema violation: {e}");
         std::process::exit(1);
     }
@@ -322,11 +264,9 @@ fn main() {
     let budget_secs: f64 = parse_flag(&args, "--budget-secs")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or(600.0);
-    let modes: Vec<ExecMode> =
-        match flag_value(&args, "--modes").unwrap_or_else(|e| exit_usage(USAGE, &e)) {
-            Some(spec) => parse_modes(&spec).unwrap_or_else(|e| exit_usage(USAGE, &e)),
-            None => all_modes().to_vec(),
-        };
+    let modes = flag_value(&args, "--modes")
+        .and_then(|spec| parse_modes(&spec.unwrap_or_else(|| MODES.join(",")), &MODES))
+        .unwrap_or_else(|e| exit_usage(USAGE, &e));
     if has_flag(&args, "--smoke") {
         smoke(seed, budget_secs);
     }
@@ -360,7 +300,7 @@ fn main() {
             .map(|(n, label, t)| row_json(*n, label, t))
             .collect::<Vec<_>>(),
     });
-    validate_doc(&doc).unwrap_or_else(|e| {
+    validate(&doc).unwrap_or_else(|e| {
         eprintln!("internal error: generated document violates {SCHEMA}: {e}");
         std::process::exit(1);
     });

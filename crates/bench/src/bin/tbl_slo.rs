@@ -44,8 +44,8 @@ use std::time::Instant;
 
 use scalecheck::{CellSpec, ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, run_sweep, try_bug_scenario,
-    Cell, SweepOptions,
+    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, parse_modes, run_sweep,
+    try_bug_scenario, validate_doc, validate_fields, Cell, Field, SweepOptions,
 };
 use scalecheck_cluster::{RunReport, ScenarioConfig, SloSummary, TrafficConfig};
 use scalecheck_explore::{SloParams, SloTriple, SloVerdict};
@@ -72,34 +72,9 @@ fn slo_scenario(bug: &str, n: usize, seed: u64, users: u64) -> ScenarioConfig {
         .with_traffic(TrafficConfig::open_loop(users))
 }
 
-fn all_modes() -> [ExecMode; 3] {
-    [
-        ExecMode::Real,
-        ExecMode::Colo { cores: COLO_CORES },
-        ExecMode::ScPil {
-            cores: COLO_CORES,
-            ordered: false,
-        },
-    ]
-}
-
-/// Parses the `--modes` selector: a comma-separated subset of
-/// `real` / `colo` / `scpil`, swept in the order given.
-fn parse_modes(spec: &str) -> Result<Vec<ExecMode>, String> {
-    spec.split(',')
-        .map(|m| match m.trim().to_ascii_lowercase().as_str() {
-            "real" => Ok(ExecMode::Real),
-            "colo" => Ok(ExecMode::Colo { cores: COLO_CORES }),
-            "scpil" | "sc+pil" => Ok(ExecMode::ScPil {
-                cores: COLO_CORES,
-                ordered: false,
-            }),
-            other => Err(format!(
-                "unknown mode '{other}' (expected real, colo or scpil)"
-            )),
-        })
-        .collect()
-}
+/// The deployments `--modes` may name; all of them by default
+/// (verdicts need all three).
+const MODES: [&str; 3] = ["real", "colo", "scpil"];
 
 /// Builds the sweep cell for one `(bug, n, mode)` point. The key is
 /// namespaced by schema and embeds the whole spec, so the arrival
@@ -142,82 +117,55 @@ fn row_json(bug: &str, n: usize, mode_label: &str, r: &RunReport) -> serde_json:
     })
 }
 
-/// Checks one row against the `bench_slo/v2` contract. Returns the
-/// first violation, if any.
-fn validate_row(row: &serde_json::Value) -> Result<(), String> {
-    let u64_fields = [
-        "nodes",
-        "total_flaps",
-        "attempted",
-        "failed",
-        "degraded",
-        "p50_ns",
-        "p99_ns",
-        "p999_ns",
-        "retried",
-        "data_dropped",
-        "availability_permille",
-        "budget_burned_permille",
-    ];
-    for f in u64_fields {
-        row.get(f)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("row missing u64 field '{f}'"))?;
-    }
-    for f in ["bug", "mode", "log_digest"] {
-        row.get(f)
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("row missing string field '{f}'"))?;
-    }
-    let digest = row.get("log_digest").and_then(|v| v.as_str()).unwrap();
-    if digest.len() != 32 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err(format!("log_digest must be 32 hex chars, got '{digest}'"));
-    }
-    let avail = row.get("availability_permille").and_then(|v| v.as_u64());
-    if avail.is_none_or(|a| a > 1000) {
-        return Err("availability_permille must be <= 1000".to_string());
-    }
-    for f in ["budget_breached", "tail_saturated"] {
-        row.get(f)
-            .and_then(|v| v.as_bool())
-            .ok_or_else(|| format!("row missing bool field '{f}'"))?;
-    }
-    Ok(())
-}
+/// The `bench_slo/v2` contract: document, row and verdict fields.
+const DOC_FIELDS: [(&str, Field); 2] = [("seed", Field::U64), ("users", Field::U64)];
+const ROW_FIELDS: [(&str, Field); 17] = [
+    ("nodes", Field::U64),
+    ("total_flaps", Field::U64),
+    ("attempted", Field::U64),
+    ("failed", Field::U64),
+    ("degraded", Field::U64),
+    ("p50_ns", Field::U64),
+    ("p99_ns", Field::U64),
+    ("p999_ns", Field::U64),
+    ("retried", Field::U64),
+    ("data_dropped", Field::U64),
+    ("availability_permille", Field::U64),
+    ("budget_burned_permille", Field::U64),
+    ("bug", Field::Str),
+    ("mode", Field::Str),
+    ("log_digest", Field::Str),
+    ("budget_breached", Field::Bool),
+    ("tail_saturated", Field::Bool),
+];
+const VERDICT_FIELDS: [(&str, Field); 3] = [
+    ("colo_diverges", Field::Bool),
+    ("pil_tracks", Field::Bool),
+    ("paper", Field::Bool),
+];
 
-/// Checks a whole document: schema tag, non-empty rows, every row
-/// well-formed, and verdict entries consistent.
-fn validate_doc(doc: &serde_json::Value) -> Result<(), String> {
-    match doc.get("schema").and_then(|v| v.as_str()) {
-        Some(SCHEMA) => {}
-        other => return Err(format!("schema tag must be '{SCHEMA}', got {other:?}")),
-    }
-    doc.get("seed")
-        .and_then(|v| v.as_u64())
-        .ok_or("document missing u64 'seed'".to_string())?;
-    doc.get("users")
-        .and_then(|v| v.as_u64())
-        .ok_or("document missing u64 'users'".to_string())?;
-    let rows = doc
-        .get("rows")
-        .and_then(|v| v.as_array())
-        .ok_or("document missing 'rows' array".to_string())?;
-    if rows.is_empty() {
-        return Err("document has zero rows".to_string());
-    }
+/// Checks a whole document: the shared walk, then this schema's own
+/// value constraints and the verdict entries.
+fn validate(doc: &serde_json::Value) -> Result<(), String> {
+    let rows = validate_doc(doc, SCHEMA, &DOC_FIELDS, "rows", &ROW_FIELDS)?;
     for (i, row) in rows.iter().enumerate() {
-        validate_row(row).map_err(|e| format!("row {i}: {e}"))?;
+        let digest = row.get("log_digest").and_then(|v| v.as_str()).unwrap_or("");
+        if digest.len() != 32 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(format!(
+                "row {i}: log_digest must be 32 hex chars, got '{digest}'"
+            ));
+        }
+        let avail = row.get("availability_permille").and_then(|v| v.as_u64());
+        if avail.is_none_or(|a| a > 1000) {
+            return Err(format!("row {i}: availability_permille must be <= 1000"));
+        }
     }
     let verdicts = doc
         .get("verdicts")
         .and_then(|v| v.as_array())
         .ok_or("document missing 'verdicts' array".to_string())?;
     for (i, v) in verdicts.iter().enumerate() {
-        for f in ["colo_diverges", "pil_tracks", "paper"] {
-            v.get(f)
-                .and_then(|b| b.as_bool())
-                .ok_or_else(|| format!("verdict {i}: missing bool field '{f}'"))?;
-        }
+        validate_fields(&format!("verdict {i}"), v, &VERDICT_FIELDS)?;
     }
     Ok(())
 }
@@ -377,7 +325,7 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
         "rows": rows,
         "verdicts": verdicts,
     });
-    if let Err(e) = validate_doc(&doc) {
+    if let Err(e) = validate(&doc) {
         eprintln!("[smoke] FAIL: schema violation: {e}");
         std::process::exit(1);
     }
@@ -460,11 +408,9 @@ fn main() {
     let budget_secs: f64 = parse_flag(&args, "--budget-secs")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or(120.0);
-    let modes: Vec<ExecMode> =
-        match flag_value(&args, "--modes").unwrap_or_else(|e| exit_usage(USAGE, &e)) {
-            Some(spec) => parse_modes(&spec).unwrap_or_else(|e| exit_usage(USAGE, &e)),
-            None => all_modes().to_vec(),
-        };
+    let modes = flag_value(&args, "--modes")
+        .and_then(|spec| parse_modes(&spec.unwrap_or_else(|| MODES.join(",")), &MODES))
+        .unwrap_or_else(|e| exit_usage(USAGE, &e));
     let mut cells = Vec::new();
     for bug in &bugs {
         for &n in &scales {
@@ -523,7 +469,7 @@ fn main() {
         "rows": rows,
         "verdicts": verdicts,
     });
-    validate_doc(&doc).unwrap_or_else(|e| {
+    validate(&doc).unwrap_or_else(|e| {
         eprintln!("internal error: generated document violates {SCHEMA}: {e}");
         std::process::exit(1);
     });

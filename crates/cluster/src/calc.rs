@@ -19,11 +19,10 @@
 
 use std::collections::HashMap;
 
-use scalecheck_memo::{Digest128, FnId, Hasher128, MemoDb, RunMode};
+use scalecheck_memo::{CallSource, Digest128, FnId, Hasher128, MemoDb, RunMode};
 use scalecheck_ring::{
-    write_changes_canonical, write_pending_canonical, FreshRingQuadratic, NodeId, OpCounter,
-    PendingRangeCalculator, PendingRanges, Range, RingTable, TopologyChange, V1Cubic, V2Quadratic,
-    V3VnodeAware,
+    write_changes_canonical, FreshRingQuadratic, NodeId, OpCounter, PendingRangeCalculator,
+    PendingRanges, Range, RingTable, TopologyChange, V1Cubic, V2Quadratic, V3VnodeAware,
 };
 use scalecheck_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -52,22 +51,6 @@ impl From<&PendingWire> for PendingRanges {
             .map(|(r, v)| (*r, v.iter().copied().collect()))
             .collect()
     }
-}
-
-/// Where a calculation result came from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum CalcSource {
-    /// Executed the real algorithm.
-    Executed,
-    /// Served from the host-side execution cache (same virtual cost as
-    /// executing).
-    ExecCache,
-    /// Replay: input digest hit in the memo DB.
-    MemoHit,
-    /// Replay: digest missed, invocation index matched.
-    MemoIndexFallback,
-    /// Replay: nothing matched; executed for real.
-    MemoMiss,
 }
 
 /// Aggregate calculation statistics for a run.
@@ -144,32 +127,13 @@ impl CalcEngine {
         h.finish()
     }
 
-    fn calculator(&self) -> Box<dyn PendingRangeCalculator> {
-        match self.version {
+    fn calculator(version: CalcVersion) -> Box<dyn PendingRangeCalculator> {
+        match version {
             CalcVersion::V1Cubic => Box::new(V1Cubic),
             CalcVersion::V2Quadratic => Box::new(V2Quadratic),
             CalcVersion::V3VnodeAware => Box::new(V3VnodeAware),
             CalcVersion::FreshRing => Box::new(FreshRingQuadratic),
         }
-    }
-
-    fn execute(
-        &mut self,
-        digest: Digest128,
-        ring: &RingTable,
-        changes: &[TopologyChange],
-    ) -> (PendingWire, u64, bool) {
-        if let Some((wire, ops)) = self.exec_cache.get(&digest.0) {
-            return (wire.clone(), *ops, true);
-        }
-        let mut counter = OpCounter::new();
-        let out = self
-            .calculator()
-            .calculate_traced(ring, changes, &mut counter);
-        let wire = PendingWire::from(&out);
-        self.exec_cache
-            .insert(digest.0, (wire.clone(), counter.ops()));
-        (wire, counter.ops(), false)
     }
 
     /// Runs (or replays) the calculation for `node`'s
@@ -181,54 +145,42 @@ impl CalcEngine {
         invocation_idx: u64,
         ring: &RingTable,
         changes: &[TopologyChange],
-    ) -> (PendingRanges, SimDuration, CalcSource) {
+    ) -> (PendingRanges, SimDuration, CallSource) {
         self.stats.invocations += 1;
         let digest = Self::digest(ring, changes);
-        let fid = Self::fn_id(self.version);
-
-        let (wire, duration, source) = match self.mode {
-            RunMode::Real | RunMode::Colo { .. } | RunMode::Memoize { .. } => {
-                let (wire, ops, cached) = self.execute(digest, ring, changes);
-                let duration = ops_to_duration(ops, self.ns_per_op);
-                if cached {
-                    self.stats.exec_cache_hits += 1;
-                } else {
-                    self.stats.executed += 1;
-                }
-                if matches!(self.mode, RunMode::Memoize { .. }) {
-                    self.db.record(node, fid, digest, wire.clone(), duration);
-                }
-                (
-                    wire,
-                    duration,
-                    if cached {
-                        CalcSource::ExecCache
-                    } else {
-                        CalcSource::Executed
-                    },
-                )
-            }
-            RunMode::PilReplay { .. } => {
-                if let Some(rec) = self.db.lookup(fid, digest) {
-                    self.stats.memo_hits += 1;
-                    (rec.output, rec.duration, CalcSource::MemoHit)
-                } else if let Some(rec) =
-                    self.db.lookup_by_index(node, fid, invocation_idx as usize)
-                {
-                    self.stats.memo_index_fallbacks += 1;
-                    (rec.output, rec.duration, CalcSource::MemoIndexFallback)
-                } else {
-                    self.db.note_miss();
-                    self.stats.memo_misses += 1;
-                    let (wire, ops, _) = self.execute(digest, ring, changes);
-                    (
-                        wire,
-                        ops_to_duration(ops, self.ns_per_op),
-                        CalcSource::MemoMiss,
-                    )
-                }
-            }
-        };
+        let (exec_cache, version, ns_per_op) = (&mut self.exec_cache, self.version, self.ns_per_op);
+        let mut cached = false;
+        let (wire, duration, source) = self.db.call(
+            self.mode,
+            node,
+            Self::fn_id(version),
+            digest,
+            Some(invocation_idx as usize),
+            || {
+                let (wire, ops) = match exec_cache.get(&digest.0) {
+                    Some(hit) => {
+                        cached = true;
+                        hit.clone()
+                    }
+                    None => {
+                        let mut counter = OpCounter::new();
+                        let out =
+                            Self::calculator(version).calculate_traced(ring, changes, &mut counter);
+                        let fresh = (PendingWire::from(&out), counter.ops());
+                        exec_cache.insert(digest.0, fresh.clone());
+                        fresh
+                    }
+                };
+                (wire, ops_to_duration(ops, ns_per_op))
+            },
+        );
+        match source {
+            CallSource::Executed if cached => self.stats.exec_cache_hits += 1,
+            CallSource::Executed => self.stats.executed += 1,
+            CallSource::Hit => self.stats.memo_hits += 1,
+            CallSource::IndexFallback => self.stats.memo_index_fallbacks += 1,
+            CallSource::Miss => self.stats.memo_misses += 1,
+        }
         self.stats.total_compute += duration;
         self.stats.max_compute = self.stats.max_compute.max(duration);
         ((&wire).into(), duration, source)
@@ -247,15 +199,6 @@ impl CalcEngine {
     /// Read access to the database.
     pub fn db(&self) -> &MemoDb<PendingWire> {
         &self.db
-    }
-
-    /// Digest of a pending-ranges output (used in accuracy checks).
-    pub fn output_digest(p: &PendingRanges) -> Digest128 {
-        let mut bytes = Vec::new();
-        write_pending_canonical(p, &mut bytes);
-        let mut h = Hasher128::new();
-        h.update(&bytes);
-        h.finish()
     }
 }
 
@@ -286,8 +229,7 @@ mod tests {
         let ring = ring_of(8);
         let (out1, d1, s1) = e.calculate(0, 0, &ring, &leave(1));
         let (out2, d2, s2) = e.calculate(1, 0, &ring, &leave(1));
-        assert_eq!(s1, CalcSource::Executed);
-        assert_eq!(s2, CalcSource::ExecCache);
+        assert_eq!((s1, s2), (CallSource::Executed, CallSource::Executed));
         assert_eq!(out1, out2);
         assert_eq!(d1, d2, "cache must not change virtual cost");
         assert!(d1 > SimDuration::ZERO);
@@ -303,10 +245,7 @@ mod tests {
         e.calculate(0, 1, &ring, &leave(2));
         let db = e.into_db();
         assert_eq!(db.len(), 2);
-        assert_eq!(
-            db.invocations(0, CalcEngine::fn_id(CalcVersion::V1Cubic)),
-            2
-        );
+        assert_eq!(db.stats().recorded, 2);
     }
 
     #[test]
@@ -318,7 +257,7 @@ mod tests {
 
         let mut rep = CalcEngine::with_db(CalcVersion::V1Cubic, 100, REPLAY, db);
         let (out_rep, d_rep, src) = rep.calculate(0, 0, &ring, &leave(1));
-        assert_eq!(src, CalcSource::MemoHit);
+        assert_eq!(src, CallSource::Hit);
         assert_eq!(out_rep, out_rec);
         assert_eq!(d_rep, d_rec, "replay sleeps the recorded duration");
         assert_eq!(rep.stats().memo_hits, 1);
@@ -335,7 +274,7 @@ mod tests {
         // Different input (leave 2 instead of 1): digest misses, but node
         // 5's invocation 0 exists.
         let (_, _, src) = rep.calculate(5, 0, &ring, &leave(2));
-        assert_eq!(src, CalcSource::MemoIndexFallback);
+        assert_eq!(src, CallSource::IndexFallback);
     }
 
     #[test]
@@ -344,7 +283,7 @@ mod tests {
         let db = MemoDb::new();
         let mut rep = CalcEngine::with_db(CalcVersion::V3VnodeAware, 100, REPLAY, db);
         let (out, d, src) = rep.calculate(0, 0, &ring, &leave(1));
-        assert_eq!(src, CalcSource::MemoMiss);
+        assert_eq!(src, CallSource::Miss);
         assert!(!out.is_empty());
         assert!(d > SimDuration::ZERO);
         assert_eq!(rep.stats().memo_misses, 1);
@@ -377,10 +316,6 @@ mod tests {
         let wire = PendingWire::from(&out);
         let back: PendingRanges = (&wire).into();
         assert_eq!(out, back);
-        assert_eq!(
-            CalcEngine::output_digest(&out),
-            CalcEngine::output_digest(&back)
-        );
     }
 
     #[test]

@@ -38,12 +38,12 @@ pub mod report;
 pub mod ringinfo;
 pub mod runner;
 
-pub use calc::{CalcEngine, CalcSource, CalcStats, PendingWire};
+pub use calc::{CalcEngine, CalcStats, PendingWire};
 pub use config::{AllocStrategy, CalcVersion, LockingMode, MemoryConfig, ScenarioConfig, Workload};
 pub use node::{Envelope, GossipMessage, Node, Task, ViewChanges};
 pub use report::RunReport;
 pub use ringinfo::{addr_of, node_of, peer_of, RingInfo};
-pub use runner::{run_scenario, run_scenario_with_db, ClusterState, StageKind};
+pub use runner::{run_scenario, run_scenario_with_db};
 pub use scalecheck_memo::RunMode;
 pub use scalecheck_sim::{FaultEvent, FaultPlan, FaultReport, FiredFault};
 pub use scalecheck_traffic::{

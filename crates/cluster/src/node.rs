@@ -2,15 +2,14 @@
 //! view + SEDA-like stages.
 //!
 //! The engine-agnostic protocol logic lives here (applying gossip
-//! outcomes to the ring view, deriving the outstanding change list,
-//! message keys for order determinism); the event orchestration lives in
-//! [`crate::runner`].
+//! outcomes to the ring view, message keys for order determinism); the
+//! event orchestration lives in [`crate::runner`].
 
 use scalecheck_gossip::{
     Ack, Ack2, ApplyOutcome, EndpointState, FailureDetector, Gossiper, Peer, Syn,
 };
 use scalecheck_memo::Hasher128;
-use scalecheck_ring::{NodeId, NodeStatus, PendingRanges, RingTable, TopologyChange};
+use scalecheck_ring::{NodeId, NodeStatus, PendingRanges, RingTable};
 use scalecheck_sim::{cpu::MachineId, DetRng, SimDuration, SimTime, Stage, TimerId};
 
 use crate::ringinfo::{node_of, peer_of, RingInfo};
@@ -278,23 +277,6 @@ impl Node {
         }
     }
 
-    /// The outstanding topology changes visible in this node's ring view
-    /// (the `M`-element change list of the paper).
-    pub fn outstanding_changes(&self) -> Vec<TopologyChange> {
-        let mut out = Vec::new();
-        for (id, st) in self.ring.iter() {
-            match st.status {
-                NodeStatus::Joining => out.push(TopologyChange::Join {
-                    node: id,
-                    tokens: st.tokens.clone(),
-                }),
-                NodeStatus::Leaving => out.push(TopologyChange::Leave { node: id }),
-                _ => {}
-            }
-        }
-        out
-    }
-
     /// Whether any join/leave is pending in this node's view (the
     /// window during which Cassandra recalculates on every applied
     /// gossip).
@@ -342,7 +324,8 @@ impl Node {
 
     /// Peers this node would gossip to: known, not Left in our view, in
     /// ascending id order.
-    pub fn gossip_candidates(&self) -> Vec<NodeId> {
+    #[cfg(test)]
+    fn gossip_candidates(&self) -> Vec<NodeId> {
         self.iter_gossip_candidates().collect()
     }
 
@@ -412,7 +395,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalecheck_gossip::HeartbeatState;
+    use scalecheck_gossip::{Delta, HeartbeatState};
     use scalecheck_ring::spread_tokens;
 
     fn node(id: u32) -> Node {
@@ -427,6 +410,10 @@ mod tests {
         );
         n.announce(RingInfo::normal(spread_tokens(NodeId(id), 2)));
         n
+    }
+
+    fn apply_state(n: &mut Node, peer: Peer, st: EndpointState<RingInfo>) -> ApplyOutcome {
+        n.gossiper.apply(&[(peer, Delta::Full(st))])
     }
 
     fn remote_state(id: u32, status: NodeStatus, hb: u64) -> (Peer, EndpointState<RingInfo>) {
@@ -450,7 +437,7 @@ mod tests {
     fn apply_outcome_reports_heartbeats_and_updates_ring() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         let ch = n.apply_outcome(&outcome, SimTime::from_secs(1));
         assert!(ch.topology_changed, "new node entered the ring view");
         assert!(n.ring.node(NodeId(1)).is_some());
@@ -461,26 +448,23 @@ mod tests {
     fn joining_peer_opens_pending_window() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Joining, 5);
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         n.apply_outcome(&outcome, SimTime::from_secs(1));
         assert!(n.pending_window_open());
-        let changes = n.outstanding_changes();
-        assert_eq!(changes.len(), 1);
-        assert!(matches!(changes[0], TopologyChange::Join { node, .. } if node == NodeId(1)));
     }
 
     #[test]
     fn left_peer_is_removed_and_forgotten() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         n.apply_outcome(&outcome, SimTime::from_secs(1));
         assert!(n.fd.liveness(Peer(1)).is_some());
         // Now the peer leaves.
         let (peer, mut st) = remote_state(1, NodeStatus::Left, 6);
         st.app_version = 7;
         st.heartbeat.version = 7;
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         let ch = n.apply_outcome(&outcome, SimTime::from_secs(2));
         assert!(ch.topology_changed);
         assert_eq!(ch.departed, vec![NodeId(1)]);
@@ -497,13 +481,13 @@ mod tests {
     fn left_delta_for_a_convicted_peer_counts_no_recovery() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         n.apply_outcome(&outcome, SimTime::from_secs(1));
         assert_eq!(n.fd.interpret_all(SimTime::from_secs(60)), vec![peer]);
         assert_eq!(n.gossip_candidates(), vec![NodeId(1)]);
         let (peer, mut st) = remote_state(1, NodeStatus::Left, 9);
         st.app_version = 9;
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         assert_eq!(outcome.heartbeat_advanced, vec![peer]);
         assert_eq!(outcome.app_advanced, vec![peer]);
         n.apply_outcome(&outcome, SimTime::from_secs(61));
@@ -544,7 +528,7 @@ mod tests {
         check(&n); // Ids 5..9 are a hole.
         let (peer, mut st) = remote_state(3, NodeStatus::Left, 7);
         st.app_version = 7;
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         n.apply_outcome(&outcome, SimTime::from_secs(1));
         assert_eq!(n.gossip_candidates(), [0, 1, 4, 9].map(NodeId));
         check(&n);
@@ -554,7 +538,7 @@ mod tests {
     fn heartbeat_of_left_peer_not_reported() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Left, 5);
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         n.apply_outcome(&outcome, SimTime::from_secs(1));
         assert!(n.fd.liveness(Peer(1)).is_none());
     }
@@ -563,20 +547,20 @@ mod tests {
     fn status_change_flags_topology_but_same_status_does_not() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Joining, 5);
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         let ch1 = n.apply_outcome(&outcome, SimTime::from_secs(1));
         assert!(ch1.topology_changed);
         // Same status, newer version: no topology change.
         let (peer, mut st) = remote_state(1, NodeStatus::Joining, 9);
         st.app_version = 9;
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         let ch2 = n.apply_outcome(&outcome, SimTime::from_secs(2));
         assert!(!ch2.topology_changed);
         // Joining -> Normal: topology change again.
         let (peer, mut st) = remote_state(1, NodeStatus::Normal, 12);
         st.app_version = 12;
         st.heartbeat.version = 12;
-        let outcome = n.gossiper.apply_states(&[(peer, st)]);
+        let outcome = apply_state(&mut n, peer, st);
         let ch3 = n.apply_outcome(&outcome, SimTime::from_secs(3));
         assert!(ch3.topology_changed);
         assert!(!n.pending_window_open());

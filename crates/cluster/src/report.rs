@@ -77,11 +77,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Flaps in thousands — the unit of the paper's Figure 3 axes.
-    pub fn flaps_k(&self) -> f64 {
-        self.total_flaps as f64 / 1000.0
-    }
-
     /// Fraction of client operations that failed (no quorum of live
     /// replicas — the paper's "data not reachable by the users").
     pub fn unavailability(&self) -> f64 {
@@ -90,43 +85,5 @@ impl RunReport {
         } else {
             self.traffic.failed as f64 / self.traffic.attempted as f64
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn flaps_k_scales() {
-        let r = RunReport {
-            total_flaps: 2500,
-            per_node_flaps: vec![],
-            recoveries: 0,
-            flap_series: TimeSeries::new(),
-            duration: SimDuration::ZERO,
-            quiesced: true,
-            calc: CalcStats::default(),
-            memo: MemoStats::default(),
-            messages_sent: 0,
-            messages_dropped: 0,
-            messages_delivered: 0,
-            max_stage_lateness: SimDuration::ZERO,
-            p99_stage_lateness: SimDuration::ZERO,
-            cpu_utilization: 0.0,
-            peak_runnable: 0,
-            mem_peak_bytes: 0,
-            oom_events: 0,
-            crashed_nodes: 0,
-            order_out_of_log: 0,
-            order_forced_releases: 0,
-            traffic: Default::default(),
-            engine: EngineCounters::default(),
-            stale_timer_fires: 0,
-            faults: FaultReport::default(),
-            obs: scalecheck_obs::Trace::default(),
-            schedule_probe: None,
-        };
-        assert!((r.flaps_k() - 2.5).abs() < 1e-9);
     }
 }

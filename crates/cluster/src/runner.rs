@@ -43,7 +43,7 @@ use crate::ringinfo::{addr_of, peer_of, RingInfo};
 
 /// Which stage a task runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StageKind {
+enum StageKind {
     /// The gossip stage.
     Gossip,
     /// The calculation stage (thread modes).
@@ -51,15 +51,15 @@ pub enum StageKind {
 }
 
 /// The complete world state the engine drives.
-pub struct ClusterState {
+struct ClusterState {
     /// Scenario configuration.
-    pub cfg: ScenarioConfig,
+    cfg: ScenarioConfig,
     /// All nodes (initial members first, then scale-out joiners).
-    pub nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// The simulated network.
-    pub net: Network,
+    net: Network,
     /// Machines (one per node in Real, a single shared one otherwise).
-    pub park: MachinePark,
+    park: MachinePark,
     /// PilReplay only: the *emulated* real-scale park (one two-core
     /// machine per node, Real's context-switch model) that coupled
     /// request service bills instead of the colocated `park`. The
@@ -69,16 +69,16 @@ pub struct ClusterState {
     /// other deployment mode.
     pil_request_park: MachinePark,
     /// Memory budget per machine.
-    pub machine_mem: Vec<MemoryModel>,
+    machine_mem: Vec<MemoryModel>,
     /// Virtual locks (one ring lock per node).
-    pub locks: LockTable,
+    locks: LockTable,
     ring_lock: Vec<LockId>,
     /// The calculation engine (execute / record / replay).
-    pub calc: CalcEngine,
+    calc: CalcEngine,
     /// Order recorder (memoization runs).
-    pub order_rec: Option<OrderRecorder>,
+    order_rec: Option<OrderRecorder>,
     /// Order enforcer (replay runs).
-    pub order_enf: Option<OrderEnforcer>,
+    order_enf: Option<OrderEnforcer>,
     seeds: Vec<NodeId>,
     /// Handler for periodic gossip rounds (payload packs node + epoch).
     gossip_handler: Option<HandlerId>,
@@ -164,15 +164,16 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     let total = cfg.total_nodes();
     let mut park = MachinePark::new();
     let mut machine_mem = Vec::new();
+    // Real hardware — and the real-scale park PIL emulates below.
+    let real_cs = if cfg.free_ctx_switch {
+        CtxSwitchModel::FREE
+    } else {
+        CtxSwitchModel::commodity()
+    };
     match cfg.mode.colo_cores() {
         None => {
-            let cs = if cfg.free_ctx_switch {
-                CtxSwitchModel::FREE
-            } else {
-                CtxSwitchModel::commodity()
-            };
             for _ in 0..total {
-                park.add(Machine::new(2, cs));
+                park.add(Machine::new(2, real_cs));
                 machine_mem.push(MemoryModel::new(cfg.memory.machine_capacity));
             }
         }
@@ -180,15 +181,13 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
             // §6: per-node daemon threads amplify context switching with
             // the multiprogramming level; the global-event-queue redesign
             // pays only the fixed dispatch cost.
-            let cs = if cfg.free_ctx_switch {
-                CtxSwitchModel::FREE
-            } else if cfg.global_event_queue {
+            let cs = if cfg.global_event_queue && !cfg.free_ctx_switch {
                 CtxSwitchModel {
-                    base: scalecheck_sim::SimDuration::from_micros(5),
-                    per_excess_load: scalecheck_sim::SimDuration::ZERO,
+                    base: SimDuration::from_micros(5),
+                    per_excess_load: SimDuration::ZERO,
                 }
             } else {
-                CtxSwitchModel::commodity()
+                real_cs
             };
             park.add(Machine::new(cores.max(1), cs));
             machine_mem.push(MemoryModel::new(cfg.memory.machine_capacity));
@@ -201,13 +200,8 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     // of either the colocated contention or an uncontended sleep.
     let mut pil_request_park = MachinePark::new();
     if matches!(cfg.mode, RunMode::PilReplay { .. }) {
-        let cs = if cfg.free_ctx_switch {
-            CtxSwitchModel::FREE
-        } else {
-            CtxSwitchModel::commodity()
-        };
         for _ in 0..total {
-            pil_request_park.add(Machine::new(2, cs));
+            pil_request_park.add(Machine::new(2, real_cs));
         }
     }
 
@@ -848,7 +842,7 @@ fn finish_send_round(
             send_msg(st, ctx, i, target, GossipMessage::Syn(syn));
         }
     }
-    end_task(st, ctx, i, stage, false);
+    end_task(st, ctx, i, stage);
 }
 
 fn finish_receive(
@@ -936,7 +930,7 @@ fn finish_receive(
     if holds_lock {
         release_ring_lock(st, ctx, i, stage);
     }
-    end_task(st, ctx, i, stage, false);
+    end_task(st, ctx, i, stage);
     release_held(st, ctx, i);
     pump(st, ctx, i, StageKind::Calc);
 }
@@ -964,7 +958,7 @@ fn finish_calc(
             node.calc_queued = false;
         }
     }
-    end_task(st, ctx, i, stage, true);
+    end_task(st, ctx, i, stage);
 }
 
 /// Applies a computed pending-range set: stores it and models the §6
@@ -1023,14 +1017,8 @@ fn apply_pending(
 }
 
 /// Finishes the current stage task and pulls the next one.
-fn end_task(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    stage: StageKind,
-    _was_calc: bool,
-) {
-    stage_of(&mut st.nodes[i], stage).finish_at(ctx.now());
+fn end_task(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, stage: StageKind) {
+    stage_of(&mut st.nodes[i], stage).finish();
     pump(st, ctx, i, stage);
 }
 
@@ -1694,7 +1682,7 @@ fn assemble_report(
     engine: EngineCounters,
     tracer: Option<scalecheck_obs::Tracer>,
 ) -> RunReport {
-    let mut lateness = scalecheck_sim::Histogram::new();
+    let mut lateness = scalecheck_obs::LogHistogram::new();
     for n in &st.nodes {
         lateness.merge(n.gossip_stage.lateness());
         lateness.merge(n.calc_stage.lateness());
@@ -1738,8 +1726,8 @@ fn assemble_report(
         messages_sent: st.net.sent(),
         messages_dropped: st.net.dropped(),
         messages_delivered: st.deliveries,
-        max_stage_lateness: lateness.max(),
-        p99_stage_lateness: lateness.quantile(0.99),
+        max_stage_lateness: SimDuration::from_nanos(lateness.max),
+        p99_stage_lateness: SimDuration::from_nanos(lateness.quantile_permille(990)),
         cpu_utilization,
         peak_runnable,
         mem_peak_bytes,
@@ -1772,17 +1760,4 @@ fn assemble_fault_report(st: &ClusterState, ended: SimTime) -> FaultReport {
         downtime,
         attributed_flaps: st.nodes.iter().map(|n| n.fd.fault_attributed_flaps()).sum(),
     }
-}
-
-/// How many peers each node currently considers dead (diagnostic).
-pub fn dead_view(st: &ClusterState) -> Vec<usize> {
-    st.nodes
-        .iter()
-        .map(|n| {
-            n.fd.dead_peers()
-                .iter()
-                .filter(|&&p| n.fd.liveness(p) == Some(Liveness::Dead))
-                .count()
-        })
-        .collect()
 }

@@ -6,9 +6,9 @@
 //! (>90% utilization), memory exhaustion [...], or high event lateness
 //! (queuing delays from thread context switching)."
 //!
-//! [`diagnose`] inspects a run report against those three limits;
-//! [`max_colocation`] sweeps the colocation factor to find the largest
-//! scale that stays clean — reproducing the §8 limit experiment.
+//! [`diagnose`] inspects a run report against those three limits; the
+//! `tbl_colocation_limit` sweep applies it per colocation factor to
+//! reproduce the §8 limit experiment.
 
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 use scalecheck_sim::SimDuration;
@@ -56,50 +56,6 @@ pub fn diagnose(report: &RunReport, thresholds: &BottleneckThresholds) -> Vec<Bo
         out.push(Bottleneck::EventLateness);
     }
     out
-}
-
-/// Result of one step of the colocation sweep.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ColocationStep {
-    /// Colocation factor (nodes on the one machine).
-    pub nodes: usize,
-    /// Limits hit at this factor.
-    pub bottlenecks: Vec<Bottleneck>,
-    /// CPU utilization observed.
-    pub cpu_utilization: f64,
-    /// Peak memory observed.
-    pub mem_peak_bytes: u64,
-    /// p99 stage lateness observed.
-    pub p99_lateness: SimDuration,
-}
-
-/// Sweeps colocation factors, running `run` at each, and returns the
-/// per-step diagnostics plus the largest clean factor.
-pub fn max_colocation<F>(
-    factors: &[usize],
-    thresholds: &BottleneckThresholds,
-    mut run: F,
-) -> (Vec<ColocationStep>, Option<usize>)
-where
-    F: FnMut(usize) -> RunReport,
-{
-    let mut steps = Vec::new();
-    let mut best = None;
-    for &n in factors {
-        let report = run(n);
-        let bottlenecks = diagnose(&report, thresholds);
-        if bottlenecks.is_empty() {
-            best = Some(n);
-        }
-        steps.push(ColocationStep {
-            nodes: n,
-            bottlenecks,
-            cpu_utilization: report.cpu_utilization,
-            mem_peak_bytes: report.mem_peak_bytes,
-            p99_lateness: report.p99_stage_lateness,
-        });
-    }
-    (steps, best)
 }
 
 /// Estimated memory demand of colocating `nodes` nodes (used by the
@@ -176,24 +132,6 @@ mod tests {
         );
         let all = diagnose(&report(0.95, 1, 900), &t);
         assert_eq!(all.len(), 3);
-    }
-
-    #[test]
-    fn sweep_finds_largest_clean_factor() {
-        let (steps, best) = max_colocation(
-            &[128, 256, 512, 600],
-            &BottleneckThresholds::default(),
-            |n| {
-                if n <= 512 {
-                    report(0.5, 0, 10)
-                } else {
-                    report(0.97, 1, 800)
-                }
-            },
-        );
-        assert_eq!(best, Some(512));
-        assert_eq!(steps.len(), 4);
-        assert_eq!(steps[3].bottlenecks.len(), 3);
     }
 
     #[test]

@@ -96,16 +96,6 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         self.map.get(peer)
     }
 
-    /// Peers other than `me` currently in the view.
-    pub fn known_peers(&self) -> Vec<Peer> {
-        let me = self.me;
-        self.map
-            .iter()
-            .map(|(p, _)| p)
-            .filter(|&p| p != me)
-            .collect()
-    }
-
     /// Seeds the view with a peer known out-of-band (e.g. the contact
     /// list at bootstrap). No-op if already known.
     pub fn seed_peer(&mut self, peer: Peer, state: EndpointState<A>) {
@@ -141,11 +131,6 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     /// The local application state.
     pub fn my_app(&self) -> &A {
         self.own().app.as_ref()
-    }
-
-    /// This node's current generation.
-    pub fn my_generation(&self) -> u64 {
-        self.own().heartbeat.generation
     }
 
     /// Restarts this node's process: the generation bumps and versions
@@ -308,17 +293,6 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         }
         out
     }
-
-    /// Applies a batch of full remote states, keeping only fresher ones.
-    /// Convenience for callers holding [`EndpointState`]s directly (seed
-    /// exchange, tests); gossip rounds go through [`Gossiper::apply`].
-    pub fn apply_states(&mut self, states: &[(Peer, EndpointState<A>)]) -> ApplyOutcome {
-        let deltas: Vec<(Peer, Delta<A>)> = states
-            .iter()
-            .map(|(peer, st)| (*peer, Delta::Full(st.clone())))
-            .collect();
-        self.apply(&deltas)
-    }
 }
 
 #[cfg(test)]
@@ -467,7 +441,7 @@ mod tests {
             99,
             12345,
         );
-        let out = a.apply_states(&[(Peer(0), bogus)]);
+        let out = a.apply(&[(Peer(0), Delta::Full(bogus))]);
         assert!(out.heartbeat_advanced.is_empty());
         assert_eq!(*a.my_app(), 100);
         let _ = b;
@@ -497,7 +471,7 @@ mod tests {
         assert_eq!(a.endpoint(Peer(1)).unwrap().heartbeat.version, 4);
         // b's process restarts in place.
         b.restart();
-        assert_eq!(b.my_generation(), 2);
+        assert_eq!(b.endpoint(Peer(1)).unwrap().heartbeat.generation, 2);
         b.beat();
         b.update_app(999);
         // Despite lower versions, the higher generation wins at a.
@@ -524,13 +498,5 @@ mod tests {
         );
         a.seed_peer(Peer(1), stale);
         assert_eq!(a.endpoint(Peer(1)).unwrap(), &seed_state);
-    }
-
-    #[test]
-    fn known_peers_excludes_self() {
-        let (mut a, mut b) = two();
-        round(&mut a, &mut b);
-        assert_eq!(a.known_peers(), vec![Peer(1)]);
-        assert_eq!(b.known_peers(), vec![Peer(0)]);
     }
 }

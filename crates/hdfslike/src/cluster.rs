@@ -149,22 +149,10 @@ fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
     match task {
         MTask::Report(dn, seq) => {
             let digest = report_digest(dn, seq, st.cfg.version, st.cfg.blocks_per_node);
-            let duration = match st.cfg.mode {
-                RunMode::PilReplay { .. } => match st.db.lookup(REPORT_FN, digest) {
-                    Some(rec) => rec.duration,
-                    None => {
-                        st.db.note_miss();
-                        execute_report(st, dn).0
-                    }
-                },
-                RunMode::Real | RunMode::Colo { .. } | RunMode::Memoize { .. } => {
-                    let (d, c) = execute_report(st, dn);
-                    if matches!(st.cfg.mode, RunMode::Memoize { .. }) {
-                        st.db.record(dn.0, REPORT_FN, digest, c, d);
-                    }
-                    d
-                }
-            };
+            let (cfg, master) = (&st.cfg, &mut st.master);
+            let (_, duration, _) = st.db.call(cfg.mode, dn.0, REPORT_FN, digest, None, || {
+                execute_report(cfg, master, dn)
+            });
             let finish = if matches!(st.cfg.mode, RunMode::PilReplay { .. }) {
                 now + duration
             } else {
@@ -183,28 +171,28 @@ fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
     }
 }
 
-/// Executes report processing for real, returning its virtual duration
-/// and the resulting block count.
-fn execute_report(st: &mut HdfsState, dn: DnId) -> (SimDuration, u64) {
-    let blocks = blocks_of(dn, st.cfg.blocks_per_node);
+/// Executes report processing for real, returning the resulting block
+/// count (the memoized output) and the virtual duration.
+fn execute_report(cfg: &HdfsConfig, master: &mut Master, dn: DnId) -> (u64, SimDuration) {
+    let blocks = blocks_of(dn, cfg.blocks_per_node);
     let mut ops = MasterOps::new();
-    st.master.process_block_report(dn, &blocks, &mut ops);
+    master.process_block_report(dn, &blocks, &mut ops);
     (
-        SimDuration::from_nanos(ops.ops().saturating_mul(st.cfg.ns_per_op)),
-        st.master.block_count() as u64,
+        master.block_count() as u64,
+        SimDuration::from_nanos(ops.ops().saturating_mul(cfg.ns_per_op)),
     )
 }
 
 fn dn_heartbeat(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>, i: usize) {
     let dn = DnId(i as u32);
     let now = ctx.now();
-    if let Ok((_, at)) = st.net.send(
+    if let Ok(d) = st.net.offer(
         now,
         ctx.rng(),
         scalecheck_net::Addr(1 + i as u32),
         scalecheck_net::Addr(0),
     ) {
-        ctx.schedule_at(at, move |st: &mut HdfsState, ctx| {
+        ctx.schedule_at(d.deliver_at, move |st: &mut HdfsState, ctx| {
             // The heartbeat needs the namesystem lock: it processes
             // once the in-flight block report (if any) releases it.
             let ready = ctx.now().max(st.lock_held_until);
@@ -224,13 +212,13 @@ fn dn_report(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>, i: usize) {
     let seq = st.report_seq[i];
     st.report_seq[i] += 1;
     let now = ctx.now();
-    if let Ok((_, at)) = st.net.send(
+    if let Ok(d) = st.net.offer(
         now,
         ctx.rng(),
         scalecheck_net::Addr(1 + i as u32),
         scalecheck_net::Addr(0),
     ) {
-        ctx.schedule_at(at, move |st: &mut HdfsState, ctx| {
+        ctx.schedule_at(d.deliver_at, move |st: &mut HdfsState, ctx| {
             if st.stage.depth() >= st.cfg.queue_capacity {
                 st.dropped_rpcs += 1;
                 return;
@@ -315,7 +303,7 @@ pub fn run_hdfs_with_db(cfg: &HdfsConfig, db: Option<MemoDb<u64>>) -> (HdfsRepor
         recoveries: state.master.recoveries(),
         reports_processed: state.reports_processed,
         heartbeats_processed: state.heartbeats_processed,
-        max_master_lateness: state.stage.lateness().max(),
+        max_master_lateness: SimDuration::from_nanos(state.stage.lateness().max),
         dropped_rpcs: state.dropped_rpcs,
         final_block_count: state.master.block_count(),
         output_mismatches: state.output_mismatches,

@@ -226,18 +226,9 @@ impl Master {
     }
 
     /// Holders of a block.
-    pub fn holders(&self, block: BlockId) -> Option<&BTreeSet<DnId>> {
+    #[cfg(test)]
+    fn holders(&self, block: BlockId) -> Option<&BTreeSet<DnId>> {
         self.block_map.get(&block)
-    }
-
-    /// Datanodes currently declared dead.
-    pub fn dead_now(&self) -> usize {
-        self.registry.values().filter(|r| r.declared_dead).count()
-    }
-
-    /// The processing version in force.
-    pub fn version(&self) -> ReportVersion {
-        self.version
     }
 }
 
@@ -314,13 +305,11 @@ mod tests {
         let newly = m.check_liveness(secs(70));
         assert_eq!(newly, vec![DnId(2)]);
         assert_eq!(m.false_dead(), 1);
-        assert_eq!(m.dead_now(), 1);
         // No double declaration.
         assert!(m.check_liveness(secs(80)).is_empty());
         // Recovery on the next processed heartbeat.
         m.process_heartbeat(DnId(2), secs(90), &mut c);
         assert_eq!(m.recoveries(), 1);
-        assert_eq!(m.dead_now(), 0);
     }
 
     #[test]

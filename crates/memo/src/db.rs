@@ -101,6 +101,19 @@ impl MemoStats {
     }
 }
 
+/// Where a [`MemoDb::call`] answer came from.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CallSource {
+    /// Real, Colo or Memoize: the function executed.
+    Executed,
+    /// PIL replay: the input digest hit.
+    Hit,
+    /// PIL replay: the digest missed, the invocation index matched.
+    IndexFallback,
+    /// PIL replay: nothing matched; the function executed for real.
+    Miss,
+}
+
 /// The memoization database, generic over the function output type.
 #[derive(Clone, Debug)]
 pub struct MemoDb<O> {
@@ -152,6 +165,40 @@ impl<O: Clone> MemoDb<O> {
             .push(input.0);
     }
 
+    /// One call of a PIL-replaced function under `mode` — the paper's
+    /// four runs at their single call site. Real and Colo execute;
+    /// Memoize executes and records; PIL replay looks the input digest
+    /// up, falls back to `node`'s `idx`-th recorded invocation (when the
+    /// caller tracks one), and as a last resort counts a miss and
+    /// executes. Returns the output, the virtual duration to bill (or
+    /// sleep), and where they came from.
+    pub fn call(
+        &mut self,
+        mode: RunMode,
+        node: u32,
+        func: FnId,
+        input: Digest128,
+        idx: Option<usize>,
+        exec: impl FnOnce() -> (O, SimDuration),
+    ) -> (O, SimDuration, CallSource) {
+        if !matches!(mode, RunMode::PilReplay { .. }) {
+            let (output, duration) = exec();
+            if matches!(mode, RunMode::Memoize { .. }) {
+                self.record(node, func, input, output.clone(), duration);
+            }
+            return (output, duration, CallSource::Executed);
+        }
+        if let Some(rec) = self.lookup(func, input) {
+            return (rec.output, rec.duration, CallSource::Hit);
+        }
+        if let Some(rec) = idx.and_then(|i| self.lookup_by_index(node, func, i)) {
+            return (rec.output, rec.duration, CallSource::IndexFallback);
+        }
+        self.note_miss();
+        let (output, duration) = exec();
+        (output, duration, CallSource::Miss)
+    }
+
     /// Replay lookup by input digest. Counts a hit or nothing (the caller
     /// decides what a miss becomes).
     pub fn lookup(&mut self, func: FnId, input: Digest128) -> Option<MemoRecord<O>> {
@@ -189,21 +236,9 @@ impl<O: Clone> MemoDb<O> {
         self.records.is_empty()
     }
 
-    /// Number of invocations logged for `(node, func)`.
-    pub fn invocations(&self, node: u32, func: FnId) -> usize {
-        self.invocation_order.get(&(node, func)).map_or(0, Vec::len)
-    }
-
     /// Usage statistics.
     pub fn stats(&self) -> MemoStats {
         self.stats
-    }
-
-    /// Resets replay counters (call between replays of the same DB).
-    pub fn reset_replay_stats(&mut self) {
-        self.stats.hits = 0;
-        self.stats.index_fallbacks = 0;
-        self.stats.misses = 0;
     }
 
     /// Iterates over all records as `(function, input-digest, record)`.
@@ -216,16 +251,6 @@ impl<O: Clone> MemoDb<O> {
     /// which is the honest behaviour for a damaged database).
     pub fn remove(&mut self, func: FnId, input: Digest128) -> bool {
         self.records.remove(&(func, input.0)).is_some()
-    }
-
-    /// Sum of all recorded durations (the total compute the PIL replay
-    /// will *sleep* instead of burn).
-    pub fn total_recorded_compute(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for r in self.records.values() {
-            total += r.duration;
-        }
-        total
     }
 }
 
@@ -371,7 +396,6 @@ mod tests {
         m.record(7, FnId(0), d("first"), vec![1], ms(1));
         m.record(7, FnId(0), d("second"), vec![2], ms(2));
         m.record(8, FnId(0), d("other-node"), vec![3], ms(3));
-        assert_eq!(m.invocations(7, FnId(0)), 2);
         let r = m.lookup_by_index(7, FnId(0), 1).unwrap();
         assert_eq!(r.output, vec![2]);
         assert!(m.lookup_by_index(7, FnId(0), 5).is_none());
@@ -391,18 +415,49 @@ mod tests {
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 1);
         assert!((s.replay_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        m.reset_replay_stats();
-        assert_eq!(m.stats().hits, 0);
-        assert_eq!(m.stats().recorded, 1);
-        assert_eq!(m.stats().replay_hit_rate(), 1.0);
+        assert_eq!(s.recorded, 1);
+        assert_eq!(db().stats().replay_hit_rate(), 1.0);
     }
 
     #[test]
-    fn total_recorded_compute_sums() {
+    fn call_runs_each_of_the_four_modes() {
+        const REPLAY: RunMode = RunMode::PilReplay { cores: 4 };
         let mut m = db();
-        m.record(1, FnId(0), d("a"), vec![], ms(100));
-        m.record(1, FnId(0), d("b"), vec![], ms(250));
-        assert_eq!(m.total_recorded_compute(), ms(350));
+        let mut runs = 0;
+        let mut exec = || {
+            runs += 1;
+            (vec![runs], ms(10))
+        };
+        // Real and Colo execute and leave the database alone.
+        for mode in [RunMode::Real, RunMode::Colo { cores: 4 }] {
+            let (_, dur, src) = m.call(mode, 7, FnId(0), d("a"), Some(0), &mut exec);
+            assert_eq!((dur, src), (ms(10), CallSource::Executed));
+        }
+        assert!(m.is_empty());
+        // Memoize executes and records.
+        let (out, _, src) = m.call(
+            RunMode::Memoize { cores: 4 },
+            7,
+            FnId(0),
+            d("a"),
+            Some(0),
+            &mut exec,
+        );
+        assert_eq!((out, src), (vec![3], CallSource::Executed));
+        assert_eq!(m.stats().recorded, 1);
+        // Replay: digest hit, then index fallback, then a counted miss
+        // that executes; without an index there is no fallback.
+        let (out, dur, src) = m.call(REPLAY, 9, FnId(0), d("a"), None, &mut exec);
+        assert_eq!((out, dur, src), (vec![3], ms(10), CallSource::Hit));
+        let (out, _, src) = m.call(REPLAY, 7, FnId(0), d("zzz"), Some(0), &mut exec);
+        assert_eq!((out, src), (vec![3], CallSource::IndexFallback));
+        let (out, _, src) = m.call(REPLAY, 7, FnId(0), d("zzz"), Some(5), &mut exec);
+        assert_eq!((out, src), (vec![4], CallSource::Miss));
+        let (_, _, src) = m.call(REPLAY, 7, FnId(0), d("zzz"), None, &mut exec);
+        assert_eq!(src, CallSource::Miss);
+        let s = m.stats();
+        assert_eq!((s.hits, s.index_fallbacks, s.misses), (1, 1, 2));
+        assert_eq!(runs, 5);
     }
 
     #[test]
@@ -415,7 +470,10 @@ mod tests {
         assert_eq!(back.len(), 2);
         assert_eq!(back.lookup(FnId(0), d("a")).unwrap().output, vec![9, 9]);
         assert_eq!(back.lookup(FnId(3), d("b")).unwrap().duration, ms(456));
-        assert_eq!(back.invocations(1, FnId(0)), 1);
+        assert_eq!(
+            back.lookup_by_index(1, FnId(0), 0).unwrap().output,
+            vec![9, 9]
+        );
         assert_eq!(back.stats().recorded, 2);
     }
 

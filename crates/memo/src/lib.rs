@@ -37,7 +37,7 @@ pub mod digest;
 pub mod order;
 pub mod orderspace;
 
-pub use db::{FnId, MemoDb, MemoRecord, MemoStats, PersistError, RunMode};
+pub use db::{CallSource, FnId, MemoDb, MemoRecord, MemoStats, PersistError, RunMode};
 pub use digest::{digest_bytes, Digest128, Hasher128};
 pub use order::{OrderDecision, OrderEnforcer, OrderRecorder};
 pub use orderspace::{

@@ -134,11 +134,6 @@ impl OrderEnforcer {
     pub fn out_of_log(&self) -> u64 {
         self.out_of_log
     }
-
-    /// Whether `node` has consumed its entire log.
-    pub fn exhausted(&self, node: u32) -> bool {
-        self.expected(node).is_none()
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +153,7 @@ mod tests {
             assert_eq!(enf.classify(1, k), OrderDecision::ProcessNow);
             enf.advance(1, k);
         }
-        assert!(enf.exhausted(1));
+        assert_eq!(enf.expected(1), None);
         assert_eq!(enf.enforced(), 3);
         assert_eq!(enf.out_of_log(), 0);
     }
@@ -196,7 +191,7 @@ mod tests {
         assert_eq!(enf.expected(2), Some(20));
         enf.advance(2, 20);
         assert_eq!(enf.expected(1), Some(10));
-        assert!(enf.exhausted(2));
+        assert_eq!(enf.expected(2), None);
     }
 
     #[test]
@@ -231,6 +226,6 @@ mod tests {
         assert_eq!(enf.classify(1, 5), OrderDecision::ProcessNow);
         enf.advance(1, 5);
         enf.advance(1, 7);
-        assert!(enf.exhausted(1));
+        assert_eq!(enf.expected(1), None);
     }
 }

@@ -1,9 +1,8 @@
 //! Simulated network substrate for the ScaleCheck reproduction.
 //!
 //! Provides the message fabric the cluster gossips over: latency
-//! distributions ([`LatencyModel`]), per-link FIFO delivery, drop and
-//! partition fault injection, and a delivery trace that the memoizer
-//! records to enforce order determinism during PIL replay ([`Network`]).
+//! distributions ([`LatencyModel`]), per-link FIFO delivery, and drop,
+//! delay, duplicate and partition fault injection ([`Network`]).
 //!
 //! # Examples
 //!
@@ -16,8 +15,8 @@
 //!     drop_probability: 0.0,
 //! });
 //! let mut rng = DetRng::new(42);
-//! let (_id, deliver_at) = net.send(SimTime::ZERO, &mut rng, Addr(0), Addr(1)).unwrap();
-//! assert_eq!(deliver_at, SimTime::from_millis(1));
+//! let delivery = net.offer(SimTime::ZERO, &mut rng, Addr(0), Addr(1)).unwrap();
+//! assert_eq!(delivery.deliver_at, SimTime::from_millis(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -26,4 +25,4 @@ pub mod latency;
 pub mod network;
 
 pub use latency::LatencyModel;
-pub use network::{Addr, Delivery, DeliveryRecord, DropReason, MessageId, Network, NetworkConfig};
+pub use network::{Addr, Delivery, DropReason, Network, NetworkConfig};

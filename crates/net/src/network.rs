@@ -5,14 +5,10 @@
 //! per-link FIFO ordering). It is pure data: the caller passes the
 //! current time and RNG and schedules the delivery event itself, which
 //! keeps the network engine-agnostic and unit-testable.
-//!
-//! Every accepted message is appended to a delivery trace; the trace is
-//! what the memoizer records to enforce the paper's *order determinism*
-//! during PIL replay (§5).
 
 use std::collections::BTreeSet;
 
-use scalecheck_sim::{Counter, DetRng, SimDuration, SimTime};
+use scalecheck_sim::{DetRng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::latency::LatencyModel;
@@ -27,27 +23,6 @@ impl std::fmt::Display for Addr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "a{}", self.0)
     }
-}
-
-/// Globally unique id of an accepted message.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
-pub struct MessageId(pub u64);
-
-/// One accepted message in the delivery trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DeliveryRecord {
-    /// Message id (monotone in send order).
-    pub id: MessageId,
-    /// Sender.
-    pub src: Addr,
-    /// Receiver.
-    pub dst: Addr,
-    /// When it was sent.
-    pub sent_at: SimTime,
-    /// When it arrives.
-    pub deliver_at: SimTime,
 }
 
 /// Why a message was not accepted.
@@ -65,8 +40,6 @@ pub enum DropReason {
 /// optional fault-injected duplicate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Delivery {
-    /// The message id.
-    pub id: MessageId,
     /// When the primary copy arrives.
     pub deliver_at: SimTime,
     /// When the duplicate arrives, if a duplication window fired.
@@ -174,21 +147,18 @@ impl LinkClocks {
 #[derive(Clone, Debug)]
 pub struct Network {
     config: NetworkConfig,
-    next_id: u64,
     // Per-link clock enforcing FIFO delivery on each (src, dst) pair.
     link_clock: LinkClocks,
     partitions: BTreeSet<(Addr, Addr)>,
     drop_windows: Vec<(FaultWindow, f64)>,
     delay_windows: Vec<(FaultWindow, SimDuration)>,
     dup_windows: Vec<(FaultWindow, f64)>,
-    trace: Vec<DeliveryRecord>,
-    record_trace: bool,
-    sent: Counter,
-    dropped: Counter,
-    dropped_partition: Counter,
-    dropped_fault: Counter,
-    fault_delayed: Counter,
-    fault_duplicated: Counter,
+    sent: u64,
+    dropped: u64,
+    dropped_partition: u64,
+    dropped_fault: u64,
+    fault_delayed: u64,
+    fault_duplicated: u64,
 }
 
 impl Network {
@@ -196,20 +166,17 @@ impl Network {
     pub fn new(config: NetworkConfig) -> Self {
         Network {
             config,
-            next_id: 0,
             link_clock: LinkClocks::default(),
             partitions: BTreeSet::new(),
             drop_windows: Vec::new(),
             delay_windows: Vec::new(),
             dup_windows: Vec::new(),
-            trace: Vec::new(),
-            record_trace: false,
-            sent: Counter::new(),
-            dropped: Counter::new(),
-            dropped_partition: Counter::new(),
-            dropped_fault: Counter::new(),
-            fault_delayed: Counter::new(),
-            fault_duplicated: Counter::new(),
+            sent: 0,
+            dropped: 0,
+            dropped_partition: 0,
+            dropped_fault: 0,
+            fault_delayed: 0,
+            fault_duplicated: 0,
         }
     }
 
@@ -275,26 +242,6 @@ impl Network {
         ));
     }
 
-    /// Enables or disables delivery-trace recording (used by the
-    /// memoization run; replays do not need to re-record).
-    pub fn set_record_trace(&mut self, on: bool) {
-        self.record_trace = on;
-    }
-
-    /// Offers a message to the fabric, returning its id and delivery
-    /// time on acceptance (the caller schedules the delivery event) or
-    /// the drop reason. Compatibility wrapper around [`Network::offer`]
-    /// that ignores fault-injected duplicates.
-    pub fn send(
-        &mut self,
-        now: SimTime,
-        rng: &mut DetRng,
-        src: Addr,
-        dst: Addr,
-    ) -> Result<(MessageId, SimTime), DropReason> {
-        self.offer(now, rng, src, dst).map(|d| (d.id, d.deliver_at))
-    }
-
     /// Offers a message to the fabric. On acceptance returns the full
     /// delivery schedule — primary arrival plus an optional
     /// fault-injected duplicate — on drop, the reason. Consults, in
@@ -308,27 +255,27 @@ impl Network {
         src: Addr,
         dst: Addr,
     ) -> Result<Delivery, DropReason> {
-        self.sent.inc();
+        self.sent += 1;
         if self.is_partitioned(src, dst) {
-            self.dropped.inc();
-            self.dropped_partition.inc();
+            self.dropped += 1;
+            self.dropped_partition += 1;
             return Err(DropReason::Partitioned);
         }
         if self.config.drop_probability > 0.0 && rng.gen_bool(self.config.drop_probability) {
-            self.dropped.inc();
+            self.dropped += 1;
             return Err(DropReason::RandomLoss);
         }
         for k in 0..self.drop_windows.len() {
             let (w, p) = self.drop_windows[k];
             if w.matches(now, src, dst) && rng.gen_bool(p) {
-                self.dropped.inc();
-                self.dropped_fault.inc();
+                self.dropped += 1;
+                self.dropped_fault += 1;
                 return Err(DropReason::FaultLoss);
             }
         }
         let extra = self.fault_delay(now, src, dst);
         if extra > SimDuration::ZERO {
-            self.fault_delayed.inc();
+            self.fault_delayed += 1;
         }
         let latency = self.config.latency.sample(rng) + extra;
         let deliver_at = self.fifo_clamp(src, dst, now + latency);
@@ -340,26 +287,14 @@ impl Network {
         for k in 0..self.dup_windows.len() {
             let (w, p) = self.dup_windows[k];
             if w.matches(now, src, dst) && rng.gen_bool(p) {
-                self.fault_duplicated.inc();
+                self.fault_duplicated += 1;
                 let dup_latency = self.config.latency.sample(rng) + extra;
                 duplicate_at = Some(self.fifo_clamp(src, dst, now + dup_latency));
                 break;
             }
         }
 
-        let id = MessageId(self.next_id);
-        self.next_id += 1;
-        if self.record_trace {
-            self.trace.push(DeliveryRecord {
-                id,
-                src,
-                dst,
-                sent_at: now,
-                deliver_at,
-            });
-        }
         Ok(Delivery {
-            id,
             deliver_at,
             duplicate_at,
         })
@@ -392,13 +327,10 @@ impl Network {
     /// loss, drop/delay fault windows, latency model, and — crucially —
     /// the per-link FIFO clocks, so queued gossip delays requests and
     /// heavy request traffic delays gossip. They are *not* part of the
-    /// control-plane bookkeeping: no [`MessageId`], no delivery-trace
-    /// entry (schedule memoization replays the control plane only), no
-    /// duplicate injection (replica RPCs are idempotent, so the extra
-    /// arrival would be unobservable), and none of the control-plane
-    /// counters move — callers account data messages themselves. This
-    /// replaces the old read-only `fifo_lag` probe, which sampled the
-    /// link clock without paying for a slot on the link.
+    /// control-plane bookkeeping: no duplicate injection (replica RPCs
+    /// are idempotent, so the extra arrival would be unobservable), and
+    /// none of the control-plane counters move — callers account data
+    /// messages themselves.
     pub fn offer_data(
         &mut self,
         now: SimTime,
@@ -439,44 +371,34 @@ impl Network {
         self.partitions.contains(&(src, dst))
     }
 
-    /// The recorded delivery trace.
-    pub fn trace(&self) -> &[DeliveryRecord] {
-        &self.trace
-    }
-
-    /// Takes ownership of the recorded trace, clearing it.
-    pub fn take_trace(&mut self) -> Vec<DeliveryRecord> {
-        std::mem::take(&mut self.trace)
-    }
-
     /// Messages offered to the fabric.
     pub fn sent(&self) -> u64 {
-        self.sent.get()
+        self.sent
     }
 
     /// Messages dropped (loss, partition, or fault window).
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        self.dropped
     }
 
     /// Messages dropped because the link was partitioned.
     pub fn dropped_by_partition(&self) -> u64 {
-        self.dropped_partition.get()
+        self.dropped_partition
     }
 
     /// Messages dropped by an injected drop window.
     pub fn dropped_by_fault(&self) -> u64 {
-        self.dropped_fault.get()
+        self.dropped_fault
     }
 
     /// Messages delayed by an injected delay window.
     pub fn fault_delayed(&self) -> u64 {
-        self.fault_delayed.get()
+        self.fault_delayed
     }
 
     /// Messages duplicated by an injected duplication window.
     pub fn fault_duplicated(&self) -> u64 {
-        self.fault_duplicated.get()
+        self.fault_duplicated
     }
 
     /// The active configuration.
@@ -556,11 +478,10 @@ mod tests {
     fn data_offers_ride_fifo_clocks_but_skip_control_bookkeeping() {
         let mut n = net(0.0);
         let mut rng = DetRng::new(1);
-        n.set_record_trace(true);
         // Queue three control messages at t=0 on one link: constant
         // 1 ms latency stacks the link clock to 1 ms + 2 ns.
         for _ in 0..3 {
-            n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
+            n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
         }
         // A data message on the jammed link queues behind the three
         // accepted control messages...
@@ -570,18 +491,15 @@ mod tests {
         assert!(at > SimTime::ZERO + SimDuration::from_millis(1), "{at:?}");
         // ...and the next control message queues behind the data one:
         // the coupling is bidirectional.
-        let (id, ctrl_at) = n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
-        assert!(ctrl_at > at);
+        let ctrl = n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
+        assert!(ctrl.deliver_at > at);
         // The reverse direction is independent and idle.
         assert_eq!(
             n.offer_data(SimTime::ZERO, &mut rng, Addr(2), Addr(1)),
             Some(SimTime::ZERO + SimDuration::from_millis(1))
         );
-        // Ids, counters, and the delivery trace never saw the data
-        // messages.
-        assert_eq!(id, MessageId(3));
+        // The control-plane counters never saw the data messages.
         assert_eq!(n.sent(), 4);
-        assert_eq!(n.trace().len(), 4);
         // Partitions drop data messages outright.
         n.partition(Addr(1), Addr(2));
         assert_eq!(
@@ -591,16 +509,14 @@ mod tests {
     }
 
     #[test]
-    fn send_assigns_monotone_ids_and_latency() {
+    fn offer_samples_latency_and_counts() {
         let mut n = net(0.0);
         let mut rng = DetRng::new(1);
-        let (id0, t0) = n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
-        let (id1, _) = n
-            .send(SimTime::from_millis(5), &mut rng, Addr(1), Addr(2))
+        let d0 = n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
+        n.offer(SimTime::from_millis(5), &mut rng, Addr(1), Addr(2))
             .unwrap();
-        assert_eq!(id0, MessageId(0));
-        assert_eq!(id1, MessageId(1));
-        assert_eq!(t0, SimTime::from_millis(1));
+        assert_eq!(d0.deliver_at, SimTime::from_millis(1));
+        assert_eq!(d0.duplicate_at, None);
         assert_eq!(n.sent(), 2);
         assert_eq!(n.dropped(), 0);
     }
@@ -620,7 +536,7 @@ mod tests {
         let mut last = SimTime::ZERO;
         for i in 0..1000 {
             let now = SimTime::from_nanos(i * 1000);
-            let (_, at) = n.send(now, &mut rng, Addr(1), Addr(2)).unwrap();
+            let at = n.offer(now, &mut rng, Addr(1), Addr(2)).unwrap().deliver_at;
             assert!(at > last, "FIFO violated: {at} after {last}");
             last = at;
         }
@@ -630,8 +546,8 @@ mod tests {
     fn different_links_are_independent() {
         let mut n = net(0.0);
         let mut rng = DetRng::new(1);
-        let (_, t_ab) = n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
-        let (_, t_ba) = n.send(SimTime::ZERO, &mut rng, Addr(2), Addr(1)).unwrap();
+        let t_ab = n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
+        let t_ba = n.offer(SimTime::ZERO, &mut rng, Addr(2), Addr(1)).unwrap();
         // Reverse direction is a different link: same constant latency.
         assert_eq!(t_ab, t_ba);
     }
@@ -642,19 +558,19 @@ mod tests {
         let mut rng = DetRng::new(1);
         n.partition(Addr(1), Addr(2));
         assert_eq!(
-            n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2))
+            n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(2))
                 .unwrap_err(),
             DropReason::Partitioned
         );
         assert_eq!(
-            n.send(SimTime::ZERO, &mut rng, Addr(2), Addr(1))
+            n.offer(SimTime::ZERO, &mut rng, Addr(2), Addr(1))
                 .unwrap_err(),
             DropReason::Partitioned
         );
         // Unrelated pair unaffected.
-        assert!(n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(3)).is_ok());
+        assert!(n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(3)).is_ok());
         n.heal(Addr(1), Addr(2));
-        assert!(n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).is_ok());
+        assert!(n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).is_ok());
         assert_eq!(n.dropped(), 2);
     }
 
@@ -664,7 +580,7 @@ mod tests {
         let mut rng = DetRng::new(5);
         let mut drops = 0;
         for _ in 0..10_000 {
-            if n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).is_err() {
+            if n.offer(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).is_err() {
                 drops += 1;
             }
         }
@@ -685,21 +601,21 @@ mod tests {
         );
         // Before the window: accepted.
         assert!(n
-            .send(SimTime::from_secs(5), &mut rng, Addr(1), Addr(2))
+            .offer(SimTime::from_secs(5), &mut rng, Addr(1), Addr(2))
             .is_ok());
         // Inside the window, matching src: always dropped at p=1.
         assert_eq!(
-            n.send(SimTime::from_secs(15), &mut rng, Addr(1), Addr(2))
+            n.offer(SimTime::from_secs(15), &mut rng, Addr(1), Addr(2))
                 .unwrap_err(),
             DropReason::FaultLoss
         );
         // Inside the window, non-matching src: accepted.
         assert!(n
-            .send(SimTime::from_secs(15), &mut rng, Addr(3), Addr(2))
+            .offer(SimTime::from_secs(15), &mut rng, Addr(3), Addr(2))
             .is_ok());
         // At the exclusive end: accepted.
         assert!(n
-            .send(SimTime::from_secs(20), &mut rng, Addr(1), Addr(2))
+            .offer(SimTime::from_secs(20), &mut rng, Addr(1), Addr(2))
             .is_ok());
         assert_eq!(n.dropped_by_fault(), 1);
         assert_eq!(n.dropped(), 1);
@@ -778,22 +694,5 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11).0, run(12).0);
-    }
-
-    #[test]
-    fn trace_records_only_when_enabled() {
-        let mut n = net(0.0);
-        let mut rng = DetRng::new(1);
-        n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
-        assert!(n.trace().is_empty());
-        n.set_record_trace(true);
-        n.send(SimTime::ZERO, &mut rng, Addr(1), Addr(2)).unwrap();
-        assert_eq!(n.trace().len(), 1);
-        let rec = n.trace()[0];
-        assert_eq!(rec.src, Addr(1));
-        assert_eq!(rec.dst, Addr(2));
-        let taken = n.take_trace();
-        assert_eq!(taken.len(), 1);
-        assert!(n.trace().is_empty());
     }
 }

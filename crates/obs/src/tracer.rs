@@ -319,11 +319,6 @@ impl Tracer {
         self.trace.metrics[m as usize].record(v);
     }
 
-    /// Number of spans still open (should be zero at run end).
-    pub fn open_spans(&self) -> usize {
-        self.open.iter().filter(|s| s.live).count()
-    }
-
     /// Finishes collection and returns the trace.
     pub fn finish(self) -> Trace {
         self.trace

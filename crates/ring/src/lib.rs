@@ -36,8 +36,8 @@ pub mod table;
 pub mod token;
 
 pub use pending::{
-    all_calculators, write_pending_canonical, FreshRingQuadratic, OpCounter,
-    PendingRangeCalculator, PendingRanges, V1Cubic, V2Quadratic, V3VnodeAware,
+    all_calculators, FreshRingQuadratic, OpCounter, PendingRangeCalculator, PendingRanges, V1Cubic,
+    V2Quadratic, V3VnodeAware,
 };
 pub use table::{
     write_changes_canonical, NodeState, NodeStatus, RingError, RingTable, TopologyChange,

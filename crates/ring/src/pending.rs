@@ -64,19 +64,6 @@ impl OpCounter {
 /// set of endpoints that must start receiving writes.
 pub type PendingRanges = BTreeMap<Range, BTreeSet<NodeId>>;
 
-/// Canonical byte encoding of a result (for memo digests and replay).
-pub fn write_pending_canonical(p: &PendingRanges, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(p.len() as u64).to_le_bytes());
-    for (r, nodes) in p {
-        out.extend_from_slice(&r.start.0.to_le_bytes());
-        out.extend_from_slice(&r.end.0.to_le_bytes());
-        out.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
-        for n in nodes {
-            out.extend_from_slice(&n.0.to_le_bytes());
-        }
-    }
-}
-
 /// A pending-range calculator version.
 pub trait PendingRangeCalculator {
     /// Short version name (e.g. `"v1-cubic"`).
@@ -681,21 +668,5 @@ mod tests {
             out.values().any(|s| s.contains(&joiner)),
             "joiner must appear in pending sets: {out:?}"
         );
-    }
-
-    #[test]
-    fn canonical_pending_encoding_stable_and_discriminating() {
-        let ring = ring_of(8, 2);
-        let mut c = OpCounter::new();
-        let a = V3VnodeAware.calculate(&ring, &[join_change(100, 2)], &mut c);
-        let b = V3VnodeAware.calculate(&ring, &[join_change(101, 2)], &mut c);
-        let mut ba = Vec::new();
-        let mut bb = Vec::new();
-        write_pending_canonical(&a, &mut ba);
-        write_pending_canonical(&b, &mut bb);
-        assert_ne!(ba, bb);
-        let mut ba2 = Vec::new();
-        write_pending_canonical(&a, &mut ba2);
-        assert_eq!(ba, ba2);
     }
 }

@@ -223,14 +223,6 @@ impl RingTable {
         self.in_transition > 0
     }
 
-    /// Number of nodes in any status except `Left`.
-    pub fn member_count(&self) -> usize {
-        self.nodes
-            .values()
-            .filter(|s| s.status != NodeStatus::Left)
-            .count()
-    }
-
     /// Iterates over `(node, state)` in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> {
         self.nodes.iter().map(|(&id, st)| (id, st))
@@ -400,7 +392,7 @@ mod tests {
     #[test]
     fn add_and_lookup() {
         let r = ring_of(4, 8);
-        assert_eq!(r.member_count(), 4);
+        assert_eq!(r.iter().count(), 4);
         let t = r.node(NodeId(2)).unwrap().tokens[0];
         assert_eq!(r.owner_of_token(t), Some(NodeId(2)));
         assert_eq!(r.owner_of_token(Token(1)), None);

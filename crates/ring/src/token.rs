@@ -64,14 +64,6 @@ impl Range {
             t > self.start || t <= self.end
         }
     }
-
-    /// Whether two wrapping ranges overlap (share at least one token).
-    pub fn overlaps(&self, other: &Range) -> bool {
-        if self.start == self.end || other.start == other.end {
-            return true;
-        }
-        self.contains(other.end) || other.contains(self.end)
-    }
 }
 
 impl fmt::Display for Range {
@@ -125,29 +117,6 @@ mod tests {
         assert!(r.contains(Token(0)));
         assert!(r.contains(Token(7)));
         assert!(r.contains(Token(u64::MAX)));
-    }
-
-    #[test]
-    fn overlap_detection() {
-        let a = Range::new(Token(10), Token(20));
-        let b = Range::new(Token(15), Token(30));
-        let c = Range::new(Token(20), Token(30));
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&a));
-        // c starts exactly where a ends (exclusive start): only the point
-        // 20 is shared via a's inclusive end, which is not in c.
-        assert!(!a.overlaps(&c) || a.contains(Token(30)) || c.contains(Token(20)));
-        let far = Range::new(Token(100), Token(200));
-        assert!(!a.overlaps(&far));
-    }
-
-    #[test]
-    fn wrapping_overlap() {
-        let wrap = Range::new(Token(u64::MAX - 10), Token(10));
-        let low = Range::new(Token(5), Token(50));
-        let mid = Range::new(Token(100), Token(200));
-        assert!(wrap.overlaps(&low));
-        assert!(!wrap.overlaps(&mid));
     }
 
     #[test]

@@ -23,7 +23,6 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::Histogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a machine within a [`MachinePark`].
@@ -80,9 +79,7 @@ pub struct Machine {
     ctx_switch: CtxSwitchModel,
     in_flight: BinaryHeap<Reverse<SimTime>>,
     busy_ns: u128,
-    dispatches: u64,
     created: SimTime,
-    queue_delay: Histogram,
     peak_runnable: usize,
 }
 
@@ -100,16 +97,9 @@ impl Machine {
             ctx_switch,
             in_flight: BinaryHeap::new(),
             busy_ns: 0,
-            dispatches: 0,
             created: SimTime::ZERO,
-            queue_delay: Histogram::new(),
             peak_runnable: 0,
         }
-    }
-
-    /// Number of cores.
-    pub fn cores(&self) -> usize {
-        self.cores.len()
     }
 
     /// Submits a compute task of the given `demand` at time `now`; returns
@@ -141,9 +131,7 @@ impl Machine {
         self.cores[idx] = finish;
         self.in_flight.push(Reverse(finish));
         self.busy_ns += busy.as_nanos() as u128;
-        self.dispatches += 1;
         let queue_delay = start.since(now);
-        self.queue_delay.record(queue_delay);
         scalecheck_obs::metric(
             scalecheck_obs::Metric::CpuQueueDelay,
             queue_delay.as_nanos(),
@@ -162,17 +150,6 @@ impl Machine {
             return 0.0;
         }
         (self.busy_ns as f64 / elapsed as f64).min(1.0)
-    }
-
-    /// Histogram of queueing delays ("event lateness" in the paper's terms:
-    /// how late compute starts relative to when it was ready).
-    pub fn queue_delay(&self) -> &Histogram {
-        &self.queue_delay
-    }
-
-    /// Total tasks dispatched.
-    pub fn dispatches(&self) -> u64 {
-        self.dispatches
     }
 
     /// Highest observed multiprogramming level.
@@ -369,13 +346,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_recorded() {
+    fn queued_task_reports_its_delay_and_the_load_peak() {
         let mut m = Machine::new(1, CtxSwitchModel::FREE);
-        m.submit(SimTime::ZERO, ms(10));
-        m.submit(SimTime::ZERO, ms(10));
-        assert_eq!(m.queue_delay().count(), 2);
-        assert_eq!(m.queue_delay().max(), ms(10));
-        assert_eq!(m.dispatches(), 2);
+        assert_eq!(m.submit(SimTime::ZERO, ms(10)).queue_delay, ms(0));
+        assert_eq!(m.submit(SimTime::ZERO, ms(10)).queue_delay, ms(10));
         assert_eq!(m.peak_runnable(), 2);
     }
 
@@ -399,10 +373,9 @@ mod tests {
         let a = park.add(Machine::new(1, CtxSwitchModel::FREE));
         let b = park.add(Machine::new(2, CtxSwitchModel::FREE));
         assert_eq!(park.len(), 2);
-        assert_eq!(park.get(a).cores(), 1);
-        assert_eq!(park.get(b).cores(), 2);
         park.get_mut(a).submit(SimTime::ZERO, ms(1));
-        assert_eq!(park.get(a).dispatches(), 1);
+        assert_eq!(park.get(a).peak_runnable(), 1);
+        assert_eq!(park.get(b).peak_runnable(), 0);
         assert_eq!(park.iter().count(), 2);
     }
 

@@ -465,14 +465,6 @@ impl<S> Engine<S> {
         }
     }
 
-    /// Which scheduler backs this engine.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        match self.core.sched {
-            Sched::Wheel { .. } => SchedulerKind::Wheel,
-            Sched::Heap { .. } => SchedulerKind::Heap,
-        }
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.now

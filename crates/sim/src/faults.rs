@@ -372,12 +372,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Total messages the fault layer touched (dropped, delayed, or
-    /// duplicated).
-    pub fn messages_affected(&self) -> u64 {
-        self.fault_dropped + self.fault_delayed + self.fault_duplicated
-    }
-
     /// Total downtime across all nodes.
     pub fn total_downtime(&self) -> SimDuration {
         self.downtime
@@ -466,15 +460,9 @@ mod tests {
 
     #[test]
     fn report_totals() {
-        let mut r = FaultReport {
-            fault_dropped: 3,
-            fault_delayed: 2,
-            fault_duplicated: 1,
-            ..FaultReport::default()
-        };
+        let mut r = FaultReport::default();
         r.downtime.insert(0, SimDuration::from_secs(10));
         r.downtime.insert(5, SimDuration::from_secs(5));
-        assert_eq!(r.messages_affected(), 6);
         assert_eq!(r.total_downtime(), SimDuration::from_secs(15));
     }
 }

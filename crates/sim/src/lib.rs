@@ -16,7 +16,7 @@
 //! * SEDA-like serial stages ([`Stage`]) with event-lateness accounting;
 //! * memory accounting ([`MemoryModel`]) for the §6/§8 colocation
 //!   bottlenecks;
-//! * small metrics types ([`Histogram`], [`Counter`], [`TimeSeries`]).
+//! * engine counters and time series ([`EngineCounters`], [`TimeSeries`]).
 //!
 //! Everything is deterministic: same seed, same run, bit for bit.
 //!
@@ -56,7 +56,7 @@ pub use engine::{
 pub use faults::{FaultEvent, FaultPlan, FaultReport, FiredFault};
 pub use lock::{Acquire, HolderToken, LockId, LockTable};
 pub use memory::{MemoryModel, OutOfMemory, MIB};
-pub use metrics::{Counter, EngineCounters, Histogram, TimeSeries};
+pub use metrics::{EngineCounters, TimeSeries};
 pub use rng::DetRng;
 pub use stage::Stage;
 pub use tie::{FireRec, ScheduleProbe, TagRec, TieOrder, TieOrderSpec, TieSwap};

@@ -13,7 +13,6 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::Histogram;
 use crate::time::SimTime;
 
 /// Identifies a lock within a [`LockTable`].
@@ -38,10 +37,6 @@ struct LockState {
     holder: Option<HolderToken>,
     waiters: VecDeque<(HolderToken, SimTime)>,
     acquired_at: SimTime,
-    acquisitions: u64,
-    contentions: u64,
-    wait: Histogram,
-    hold: Histogram,
 }
 
 /// A table of virtual-time FIFO mutexes.
@@ -79,13 +74,10 @@ impl LockTable {
         if st.holder.is_none() {
             st.holder = Some(holder);
             st.acquired_at = now;
-            st.acquisitions += 1;
-            st.wait.record(crate::time::SimDuration::ZERO);
             scalecheck_obs::metric(scalecheck_obs::Metric::LockWait, 0);
             Acquire::Granted
         } else {
             st.waiters.push_back((holder, now));
-            st.contentions += 1;
             Acquire::Queued
         }
     }
@@ -109,7 +101,6 @@ impl LockTable {
             Some(holder),
             "release of lock {lock:?} by non-holder {holder}"
         );
-        st.hold.record(now.since(st.acquired_at));
         scalecheck_obs::metric(
             scalecheck_obs::Metric::LockHold,
             now.since(st.acquired_at).as_nanos(),
@@ -118,8 +109,6 @@ impl LockTable {
             Some((next, queued_at)) => {
                 st.holder = Some(next);
                 st.acquired_at = now;
-                st.acquisitions += 1;
-                st.wait.record(now.since(queued_at));
                 scalecheck_obs::metric(
                     scalecheck_obs::Metric::LockWait,
                     now.since(queued_at).as_nanos(),
@@ -142,32 +131,11 @@ impl LockTable {
     pub fn waiters(&self, lock: LockId) -> usize {
         self.locks[lock.0].waiters.len()
     }
-
-    /// Total successful acquisitions.
-    pub fn acquisitions(&self, lock: LockId) -> u64 {
-        self.locks[lock.0].acquisitions
-    }
-
-    /// Total acquisition attempts that had to queue.
-    pub fn contentions(&self, lock: LockId) -> u64 {
-        self.locks[lock.0].contentions
-    }
-
-    /// Histogram of time spent waiting for the lock.
-    pub fn wait_times(&self, lock: LockId) -> &Histogram {
-        &self.locks[lock.0].wait
-    }
-
-    /// Histogram of hold durations.
-    pub fn hold_times(&self, lock: LockId) -> &Histogram {
-        &self.locks[lock.0].hold
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     fn at_ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
@@ -195,20 +163,21 @@ mod tests {
         assert_eq!(lt.release(l, 2, at_ms(20)), Some(3));
         assert_eq!(lt.release(l, 3, at_ms(30)), None);
         assert_eq!(lt.holder(l), None);
-        assert_eq!(lt.acquisitions(l), 3);
-        assert_eq!(lt.contentions(l), 2);
     }
 
     #[test]
-    fn wait_and_hold_times_recorded() {
+    fn lock_wait_and_hold_reach_the_obs_metrics() {
+        use scalecheck_obs::Metric;
+        scalecheck_obs::install(scalecheck_obs::Tracer::new());
         let mut lt = LockTable::new();
         let l = lt.create();
         lt.acquire(l, 1, SimTime::ZERO);
         lt.acquire(l, 2, at_ms(5));
         lt.release(l, 1, at_ms(30));
+        let trace = scalecheck_obs::take().expect("installed above").finish();
         // Holder 1 held 30ms; waiter 2 waited 25ms.
-        assert_eq!(lt.hold_times(l).max(), SimDuration::from_millis(30));
-        assert_eq!(lt.wait_times(l).max(), SimDuration::from_millis(25));
+        assert_eq!(trace.metric(Metric::LockHold).max, 30_000_000);
+        assert_eq!(trace.metric(Metric::LockWait).max, 25_000_000);
     }
 
     #[test]

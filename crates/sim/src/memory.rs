@@ -60,11 +60,6 @@ impl MemoryModel {
         }
     }
 
-    /// Convenience constructor from gibibytes.
-    pub fn with_gib(gib: u64) -> Self {
-        Self::new(gib * (1 << 30))
-    }
-
     /// Attempts to allocate `bytes` under `label`.
     pub fn alloc(&mut self, label: &str, bytes: u64) -> Result<(), OutOfMemory> {
         if self.in_use.saturating_add(bytes) > self.capacity {
@@ -106,15 +101,6 @@ impl MemoryModel {
         self.capacity
     }
 
-    /// Fraction of capacity in use, in `[0, 1]`.
-    pub fn pressure(&self) -> f64 {
-        if self.capacity == 0 {
-            1.0
-        } else {
-            self.in_use as f64 / self.capacity as f64
-        }
-    }
-
     /// Number of failed allocations.
     pub fn oom_events(&self) -> u64 {
         self.oom_events
@@ -123,11 +109,6 @@ impl MemoryModel {
     /// Bytes attributed to one label.
     pub fn labelled(&self, label: &str) -> u64 {
         self.by_label.get(label).copied().unwrap_or(0)
-    }
-
-    /// Iterates over `(label, bytes)` attribution, sorted by label.
-    pub fn breakdown(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.by_label.iter().map(|(k, &v)| (k.as_str(), v))
     }
 }
 
@@ -174,29 +155,5 @@ mod tests {
         assert_eq!(m.in_use(), 0);
         m.free("never-allocated", 10);
         assert_eq!(m.in_use(), 0);
-    }
-
-    #[test]
-    fn pressure_fraction() {
-        let mut m = MemoryModel::new(200);
-        assert_eq!(m.pressure(), 0.0);
-        m.alloc("x", 100).unwrap();
-        assert!((m.pressure() - 0.5).abs() < 1e-9);
-        assert_eq!(MemoryModel::new(0).pressure(), 1.0);
-    }
-
-    #[test]
-    fn gib_constructor() {
-        let m = MemoryModel::with_gib(32);
-        assert_eq!(m.capacity(), 32 * (1u64 << 30));
-    }
-
-    #[test]
-    fn breakdown_is_sorted() {
-        let mut m = MemoryModel::new(1000);
-        m.alloc("b", 1).unwrap();
-        m.alloc("a", 2).unwrap();
-        let labels: Vec<&str> = m.breakdown().map(|(l, _)| l).collect();
-        assert_eq!(labels, vec!["a", "b"]);
     }
 }

@@ -1,120 +1,9 @@
-//! Lightweight metrics used across the simulator: log-bucketed duration
-//! histograms, counters, and time series.
+//! Lightweight metrics used across the simulator: engine event counters
+//! and time series. (Histograms live in `scalecheck_obs`.)
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A histogram of durations with power-of-two nanosecond buckets.
-///
-/// Bucket `i` covers `[2^i, 2^(i+1))` ns (bucket 0 also covers 0).
-/// Quantiles are approximate: the answer is the upper bound of the bucket
-/// containing the requested rank, so errors are at most 2x, which is ample
-/// for the order-of-magnitude questions the paper asks (e.g. "is event
-/// lateness in the millisecond range?").
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u128,
-    max_ns: u64,
-    min_ns: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; 64],
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            min_ns: u64::MAX,
-        }
-    }
-
-    /// Records one duration.
-    pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let idx = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.max_ns = self.max_ns.max(ns);
-        self.min_ns = self.min_ns.min(ns);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded samples (zero if empty).
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos((self.sum_ns / self.count as u128) as u64)
-        }
-    }
-
-    /// Largest recorded sample (zero if empty).
-    pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.max_ns)
-    }
-
-    /// Smallest recorded sample (zero if empty).
-    pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_nanos(self.min_ns)
-        }
-    }
-
-    /// Approximate quantile `q` in `[0, 1]` (upper bucket bound).
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let upper = if i >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return SimDuration::from_nanos(upper.min(self.max_ns));
-            }
-        }
-        SimDuration::from_nanos(self.max_ns)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-    }
-}
+use crate::time::SimTime;
 
 /// Scheduler-level event accounting for one [`crate::Engine`].
 ///
@@ -144,32 +33,6 @@ impl EngineCounters {
     }
 }
 
-/// A monotone event counter.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A timestamped series of float samples (e.g. flap counts over time).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
@@ -196,11 +59,6 @@ impl TimeSeries {
         &self.points
     }
 
-    /// Last sample value (zero if empty).
-    pub fn last_value(&self) -> f64 {
-        self.points.last().map_or(0.0, |&(_, v)| v)
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -217,69 +75,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_basic_stats() {
-        let mut h = Histogram::new();
-        for ms in [1u64, 2, 4, 8] {
-            h.record(SimDuration::from_millis(ms));
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), SimDuration::from_millis(8));
-        assert_eq!(h.min(), SimDuration::from_millis(1));
-        let mean_ms = h.mean().as_millis_f64();
-        assert!((mean_ms - 3.75).abs() < 0.01, "mean {mean_ms}");
-    }
-
-    #[test]
-    fn histogram_quantile_brackets_value() {
-        let mut h = Histogram::new();
-        for _ in 0..99 {
-            h.record(SimDuration::from_millis(1));
-        }
-        h.record(SimDuration::from_secs(1));
-        let p50 = h.quantile(0.5);
-        assert!(p50 <= SimDuration::from_millis(2), "p50 {p50}");
-        let p999 = h.quantile(0.999);
-        assert!(p999 >= SimDuration::from_millis(500), "p999 {p999}");
-    }
-
-    #[test]
-    fn histogram_zero_and_empty() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile(0.5), SimDuration::ZERO);
-        assert_eq!(h.mean(), SimDuration::ZERO);
-        h.record(SimDuration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn histogram_merge_adds() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(SimDuration::from_millis(1));
-        b.record(SimDuration::from_millis(100));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), SimDuration::from_millis(100));
-        assert_eq!(a.min(), SimDuration::from_millis(1));
-    }
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn time_series_tracks_points() {
         let mut s = TimeSeries::new();
         assert!(s.is_empty());
         s.push(SimTime::from_secs(1), 1.0);
         s.push(SimTime::from_secs(2), 3.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.last_value(), 3.0);
-        assert_eq!(s.points()[0].1, 1.0);
+        assert_eq!(s.points()[1], (SimTime::from_secs(2), 3.0));
     }
 }

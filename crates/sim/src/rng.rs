@@ -112,15 +112,6 @@ impl DetRng {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.gen_index(xs.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -224,13 +215,5 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_none_on_empty() {
-        let mut r = DetRng::new(1);
-        let empty: [u8; 0] = [];
-        assert!(r.choose(&empty).is_none());
-        assert_eq!(*r.choose(&[5]).unwrap(), 5);
     }
 }

@@ -5,24 +5,24 @@
 //! unprocessed and peers get convicted — the core mechanism of the bugs in
 //! §2. [`Stage`] models a serial work queue: at most one item is being
 //! processed at a time, and the queueing delay of each item is recorded as
-//! the stage's *event lateness* (§6/§8's colocation-bottleneck metric).
+//! the stage's *event lateness* (§6/§8's colocation-bottleneck metric) —
+//! the one measurement a stage keeps for the run report. Queue depth and
+//! the same lateness samples also go to the `obs` tracer when one is
+//! installed; utilization is not measured here (the cluster runner
+//! samples the CPU demand it bills).
 
 use std::collections::VecDeque;
 
-use crate::metrics::Histogram;
-use crate::time::{SimDuration, SimTime};
+use scalecheck_obs::LogHistogram;
+
+use crate::time::SimTime;
 
 /// A serial work queue with lateness accounting.
 #[derive(Clone, Debug)]
 pub struct Stage<T> {
     queue: VecDeque<(SimTime, T)>,
     busy: bool,
-    enqueued: u64,
-    processed: u64,
-    lateness: Histogram,
-    max_depth: usize,
-    busy_since: Option<SimTime>,
-    busy_ns: u64,
+    lateness: LogHistogram,
 }
 
 impl<T> Default for Stage<T> {
@@ -37,29 +37,14 @@ impl<T> Stage<T> {
         Stage {
             queue: VecDeque::new(),
             busy: false,
-            enqueued: 0,
-            processed: 0,
-            lateness: Histogram::new(),
-            max_depth: 0,
-            busy_since: None,
-            busy_ns: 0,
+            lateness: LogHistogram::new(),
         }
     }
 
     /// Enqueues an item at time `now`.
     pub fn push(&mut self, now: SimTime, item: T) {
         self.queue.push_back((now, item));
-        self.enqueued += 1;
-        self.max_depth = self.max_depth.max(self.queue.len());
         scalecheck_obs::metric(scalecheck_obs::Metric::QueueDepth, self.queue.len() as u64);
-    }
-
-    /// Pushes an item to the *front* of the queue (priority admission,
-    /// used by the deterministic replayer's order enforcement).
-    pub fn push_front(&mut self, now: SimTime, item: T) {
-        self.queue.push_front((now, item));
-        self.enqueued += 1;
-        self.max_depth = self.max_depth.max(self.queue.len());
     }
 
     /// If the stage is idle and work is queued, dequeues the next item,
@@ -70,13 +55,9 @@ impl<T> Stage<T> {
         }
         let (enq_at, item) = self.queue.pop_front()?;
         self.busy = true;
-        self.busy_since = Some(now);
-        self.processed += 1;
-        self.lateness.record(now.since(enq_at));
-        scalecheck_obs::metric(
-            scalecheck_obs::Metric::StageLateness,
-            now.since(enq_at).as_nanos(),
-        );
+        let late_ns = now.since(enq_at).as_nanos();
+        self.lateness.record(late_ns);
+        scalecheck_obs::metric(scalecheck_obs::Metric::StageLateness, late_ns);
         Some(item)
     }
 
@@ -88,40 +69,6 @@ impl<T> Stage<T> {
     pub fn finish(&mut self) {
         assert!(self.busy, "finish() on an idle stage");
         self.busy = false;
-        self.busy_since = None;
-    }
-
-    /// Like [`Stage::finish`], but also credits the busy interval that
-    /// started at the matching `try_begin` to the stage's busy-time
-    /// total (the utilization-timeline source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stage was not busy.
-    pub fn finish_at(&mut self, now: SimTime) {
-        assert!(self.busy, "finish_at() on an idle stage");
-        self.busy = false;
-        if let Some(since) = self.busy_since.take() {
-            self.busy_ns = self.busy_ns.saturating_add(now.since(since).as_nanos());
-        }
-    }
-
-    /// Cumulative busy time through `now`, including the currently
-    /// running item (if any). Monotone in `now`; the utilization
-    /// sampler differences successive readings.
-    pub fn busy_nanos_until(&self, now: SimTime) -> u64 {
-        let open = self
-            .busy_since
-            .map_or(0, |since| now.since(since).as_nanos());
-        self.busy_ns.saturating_add(open)
-    }
-
-    /// Removes and returns the first queued item matching `pred`
-    /// (regardless of position). Used by order-enforced replay to pull a
-    /// specific message out of turn. Does not count as lateness.
-    pub fn take_matching<F: FnMut(&T) -> bool>(&mut self, mut pred: F) -> Option<T> {
-        let pos = self.queue.iter().position(|(_, item)| pred(item))?;
-        Some(self.queue.remove(pos).expect("position valid").1)
     }
 
     /// Whether an item is currently being processed.
@@ -134,29 +81,9 @@ impl<T> Stage<T> {
         self.queue.len()
     }
 
-    /// Deepest the queue has ever been.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// Total items enqueued.
-    pub fn enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Total items whose processing began.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Queueing-delay histogram (event lateness).
-    pub fn lateness(&self) -> &Histogram {
+    /// Queueing-delay histogram (event lateness), in nanoseconds.
+    pub fn lateness(&self) -> &LogHistogram {
         &self.lateness
-    }
-
-    /// Peeks at the next queued item.
-    pub fn peek(&self) -> Option<&T> {
-        self.queue.front().map(|(_, item)| item)
     }
 
     /// Drops all queued items, returning how many were discarded.
@@ -165,11 +92,6 @@ impl<T> Stage<T> {
         self.queue.clear();
         n
     }
-}
-
-/// Convenience alias: the maximum lateness a stage has observed.
-pub fn max_lateness<T>(stage: &Stage<T>) -> SimDuration {
-    stage.lateness().max()
 }
 
 #[cfg(test)]
@@ -202,42 +124,8 @@ mod tests {
         st.try_begin(at_ms(0));
         st.finish();
         st.try_begin(at_ms(500));
-        assert_eq!(st.lateness().max(), SimDuration::from_millis(500));
-    }
-
-    #[test]
-    fn depth_statistics() {
-        let mut st = Stage::new();
-        for i in 0..5 {
-            st.push(SimTime::ZERO, i);
-        }
-        assert_eq!(st.depth(), 5);
-        assert_eq!(st.max_depth(), 5);
-        st.try_begin(SimTime::ZERO);
-        assert_eq!(st.depth(), 4);
-        assert_eq!(st.max_depth(), 5);
-        assert_eq!(st.enqueued(), 5);
-        assert_eq!(st.processed(), 1);
-    }
-
-    #[test]
-    fn take_matching_pulls_out_of_order() {
-        let mut st = Stage::new();
-        st.push(SimTime::ZERO, 1u32);
-        st.push(SimTime::ZERO, 2u32);
-        st.push(SimTime::ZERO, 3u32);
-        assert_eq!(st.take_matching(|&x| x == 2), Some(2));
-        assert_eq!(st.take_matching(|&x| x == 9), None);
-        assert_eq!(st.depth(), 2);
-        assert_eq!(st.try_begin(SimTime::ZERO), Some(1));
-    }
-
-    #[test]
-    fn push_front_takes_priority() {
-        let mut st = Stage::new();
-        st.push(SimTime::ZERO, 1u32);
-        st.push_front(SimTime::ZERO, 0u32);
-        assert_eq!(st.try_begin(SimTime::ZERO), Some(0));
+        assert_eq!(st.lateness().max, 500_000_000);
+        assert_eq!(st.lateness().count, 2);
     }
 
     #[test]
@@ -248,32 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn busy_time_accumulates_through_finish_at() {
-        let mut st = Stage::new();
-        st.push(SimTime::ZERO, 1u32);
-        st.push(SimTime::ZERO, 2u32);
-        st.try_begin(at_ms(0));
-        // Mid-item reading includes the open interval.
-        assert_eq!(st.busy_nanos_until(at_ms(3)), 3_000_000);
-        st.finish_at(at_ms(5));
-        assert_eq!(st.busy_nanos_until(at_ms(10)), 5_000_000);
-        st.try_begin(at_ms(10));
-        st.finish_at(at_ms(12));
-        assert_eq!(st.busy_nanos_until(at_ms(20)), 7_000_000);
-        // Plain finish() leaves the busy total untouched.
-        st.push(SimTime::ZERO, 3u32);
-        st.try_begin(at_ms(30));
-        st.finish();
-        assert_eq!(st.busy_nanos_until(at_ms(40)), 7_000_000);
-    }
-
-    #[test]
     fn clear_discards_queue() {
         let mut st = Stage::new();
         st.push(SimTime::ZERO, 1u32);
         st.push(SimTime::ZERO, 2u32);
         assert_eq!(st.clear(), 2);
         assert_eq!(st.depth(), 0);
-        assert!(st.peek().is_none());
+        assert_eq!(st.try_begin(SimTime::ZERO), None);
     }
 }

@@ -2,7 +2,7 @@
 //! network misbehaves, nodes crash from memory pressure, or the memo
 //! database is incomplete.
 
-use scalecheck::{memoize, replay_ordered, run_real, COLO_CORES};
+use scalecheck::{content_digest, memoize, replay_ordered, run_real, COLO_CORES};
 use scalecheck_cluster::{
     run_scenario, AllocStrategy, FaultPlan, RunMode, ScenarioConfig, Workload,
 };
@@ -138,6 +138,32 @@ fn same_fault_triple_yields_byte_identical_reports() {
     );
     assert_eq!(a.total_flaps, b.total_flaps);
     assert_eq!(a.messages_delivered, b.messages_delivered);
+}
+
+#[test]
+fn delay_and_duplicate_windows_reach_the_run_and_gossip_shrugs() {
+    // No storm emits these two window kinds, so this is the one whole
+    // run through `Network`'s delay/duplicate arms and the runner's
+    // second-delivery branch.
+    let (from, until) = (SimTime::from_secs(50), SimTime::from_secs(60));
+    let mut cfg = base(12, 1);
+    cfg.faults = FaultPlan::new()
+        .delay_window(from, until, None, None, SimDuration::from_millis(40))
+        .duplicate_window(from, until, None, None, 1.0);
+    let calm = run_real(&base(12, 1));
+    let a = run_real(&cfg);
+    let b = run_real(&cfg);
+    assert!(a.faults.fault_delayed > 0, "the delay window must bite");
+    assert!(a.faults.fault_duplicated > 0, "p = 1.0 must duplicate");
+    assert!(
+        a.messages_delivered > calm.messages_delivered,
+        "duplicates are extra deliveries: {} vs {}",
+        a.messages_delivered,
+        calm.messages_delivered
+    );
+    assert!(a.quiesced, "every duplicate drains");
+    assert_eq!(a.total_flaps, 0, "stale duplicates apply idempotently");
+    assert_eq!(content_digest(&a), content_digest(&b));
 }
 
 #[test]

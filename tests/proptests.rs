@@ -612,9 +612,10 @@ proptest! {
         let mut now = SimTime::ZERO;
         for (src, dst, advance) in sends {
             now += SimDuration::from_nanos(advance);
-            let (_, deliver_at) = net
-                .send(now, &mut rng, Addr(src), Addr(dst))
-                .expect("loss-free network never drops");
+            let deliver_at = net
+                .offer(now, &mut rng, Addr(src), Addr(dst))
+                .expect("loss-free network never drops")
+                .deliver_at;
             let clock = model.entry((src, dst)).or_insert(0);
             let raw = now.as_nanos() + lat;
             let expected = if raw <= *clock { *clock + 1 } else { raw };

@@ -1,6 +1,7 @@
 //! Whole-run pins: the content digest of the full `RunReport` for four
 //! small cells, captured on the commit *before* the gossip/φ state moved
-//! from per-peer tree maps to index-addressed tables.
+//! from per-peer tree maps to index-addressed tables, and of the full
+//! `HdfsReport` for the second system's runs.
 //!
 //! Every table, flap count and obs instant in the repo is a function of
 //! iteration order somewhere in `gossip` or `cluster::node` (SYN digest
@@ -10,9 +11,15 @@
 //! loud. A deliberate behaviour change re-captures them (run with
 //! `--nocapture`, the failing assertion prints the new digest) and says
 //! why in CHANGES.md.
+//!
+//! Re-captured once since: the fault-storm and traced cells when
+//! `p99_stage_lateness` moved from the old stage histogram's `1 ns`
+//! (bucket 0's upper bound) to `LogHistogram`'s exact `0 ns` — the only
+//! field that differed (CHANGES.md, PR 14).
 
 use scalecheck::{content_digest, run_colo, run_real};
 use scalecheck_cluster::{FaultPlan, RunReport, ScenarioConfig};
+use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
 use scalecheck_sim::SimTime;
 
 fn pin(name: &str, report: &RunReport, flaps_expected: bool, want: &str) {
@@ -73,7 +80,7 @@ fn c3831_48_fault_storm_report_is_pinned() {
         "c3831(48) storm",
         &r,
         true,
-        "c585753be399ea76f5647525ad4ab6d3",
+        "a343cd210680bdfcd4ceaa772fa1ebfe",
     );
 }
 
@@ -94,6 +101,53 @@ fn c5456_32_traced_real_report_is_pinned() {
         "c5456(32) traced real",
         &r,
         true,
-        "8b64710a1db772fd1555b684e96b16f0",
+        "206912839e5316c15c34850eed9960f9",
+    );
+}
+
+/// The second system (`hdfslike`) has its own run loop; these digests of
+/// the whole `HdfsReport` were captured on the commit before that loop's
+/// `pump` was routed through `MemoDb::call` and its sends through
+/// `Network::offer`.
+fn pin_hdfs(name: &str, report: &HdfsReport, want: &str) {
+    assert_eq!(
+        content_digest(report),
+        want,
+        "{name}: HdfsReport digest moved: {report:?}"
+    );
+}
+
+/// Below the onset: heartbeats and reports flow, nobody is declared dead.
+#[test]
+fn hdfs_64_real_report_is_pinned() {
+    let r = run_hdfs(&HdfsConfig::bug(64, 9));
+    assert_eq!(r.false_dead, 0);
+    pin_hdfs("hdfs bug(64, 9)", &r, "55165e62d016d7d6934b512469a840df");
+}
+
+/// Past the onset: full-rescan reports hold the namesystem lock beyond
+/// the heartbeat timeout, the call queue overflows, live datanodes flap.
+#[test]
+fn hdfs_192_real_flapping_report_is_pinned() {
+    let r = run_hdfs(&HdfsConfig::bug(192, 1));
+    assert!(r.false_dead > 0 && r.dropped_rpcs > 0);
+    pin_hdfs("hdfs bug(192, 1)", &r, "706978ea12bb2e9054d82a756c74070e");
+}
+
+/// Memoize then PIL replay: every report is recorded, then every replayed
+/// report is a digest hit that sleeps the recorded duration.
+#[test]
+fn hdfs_96_scale_check_reports_are_pinned() {
+    let (memoized, replayed) = hdfs_scale_check(&HdfsConfig::bug(96, 1), 16);
+    assert!(memoized.memo.recorded > 0 && replayed.memo.hits > 0);
+    pin_hdfs(
+        "hdfs bug(96, 1) memoize/16",
+        &memoized,
+        "ff1919ced588659cd01b4ae31b5b54a7",
+    );
+    pin_hdfs(
+        "hdfs bug(96, 1) replay/16",
+        &replayed,
+        "f8c6f2a320cbae83e9a4a15e9b3caae0",
     );
 }
