@@ -36,9 +36,7 @@
 //! * `--verify PATH` — validate an existing report instead of running:
 //!   well-formed JSON, ≥ 5 scenarios, nonzero throughput, determinism,
 //!   and the tracer-overhead budget;
-//! * `--json` — echo the report to stdout as well;
-//! * `--jobs N` / `--no-cache` — accepted for sweep-harness
-//!   compatibility; single-process, so both are no-ops.
+//! * `--json` — echo the report to stdout as well.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +49,7 @@ use scalecheck_sim::{
 };
 use serde_json::json;
 
-const USAGE: &str =
-    "usage: bench_engine [--smoke] [--out PATH] [--verify PATH] [--json] [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: bench_engine [--smoke] [--out PATH] [--verify PATH] [--json]";
 
 // ---------------------------------------------------------------------
 // Allocation counting.
@@ -634,11 +631,6 @@ fn main() {
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| "BENCH_engine.json".to_string());
     let echo = has_flag(&args, "--json");
-    // Sweep-harness flags: single-process binary, nothing to parallelize
-    // or cache.
-    let _jobs: Option<u64> =
-        scalecheck_bench::parse_flag(&args, "--jobs").unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let _no_cache = has_flag(&args, "--no-cache");
 
     let results = run_all(smoke);
 

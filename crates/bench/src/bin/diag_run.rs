@@ -7,17 +7,17 @@
 //! With `--trace-out PATH` the run records a full observability trace
 //! and writes it as Chrome `trace_event` JSON (load it in Perfetto or
 //! `chrome://tracing`; the native trace rides along under the
-//! `"scalecheck"` key). With `--diverge A.json B.json` no scenario runs:
+//! `"scalecheck"` key) and prints the end-of-run per-span / per-metric
+//! summary. With `--diverge A.json B.json` no scenario runs:
 //! the two traces are loaded and the divergence analyzer attributes
 //! where B's virtual time went relative to A.
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
-use scalecheck_bench::{
-    exit_usage, flag_value, parse_flag, run_sweep, spec_cell, try_bug_scenario, SweepOptions,
-};
+use scalecheck::{run_cell, ExecMode, COLO_CORES};
+use scalecheck_bench::{exit_usage, flag_value, parse_flag};
+use scalecheck_cluster::ScenarioConfig;
 
 const USAGE: &str = "usage: diag_run [--bug c3831|c3881|c5456|c6127] [--nodes N] \
-[--mode real|colo|pil] [--seed N] [--jobs N] [--no-cache] [--trace-out PATH] \
+[--mode real|colo|pil] [--seed N] [--trace-out PATH] \
 [--diverge TRACE_A TRACE_B]";
 
 /// Reads the two paths following `--diverge` (a two-valued flag;
@@ -48,7 +48,6 @@ fn main() {
         return;
     }
 
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let bug = flag_value(&args, "--bug")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| "c3831".to_string());
@@ -64,7 +63,7 @@ fn main() {
 
     let trace_out = flag_value(&args, "--trace-out").unwrap_or_else(|e| exit_usage(USAGE, &e));
 
-    let mut cfg = try_bug_scenario(&bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let mut cfg = ScenarioConfig::bug(&bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
     if trace_out.is_some() {
         cfg.trace = scalecheck_obs::TraceConfig::enabled();
     }
@@ -81,16 +80,7 @@ fn main() {
         ),
     };
 
-    // One cell: still routed through the sweep so a diagnostic rerun of
-    // an already-swept point is a cache hit.
-    let out = run_sweep(
-        vec![spec_cell(
-            format!("diag {bug} N={n} {}", exec_mode.label()),
-            CellSpec::new(cfg, exec_mode),
-        )],
-        &opts,
-    );
-    let r = &out.results[0];
+    let r = run_cell(&cfg, exec_mode);
 
     println!("bug={bug} n={n} mode={mode}");
     println!("flaps={} recoveries={}", r.total_flaps, r.recoveries);
@@ -143,7 +133,7 @@ fn main() {
     );
 
     if let Some(path) = trace_out {
-        let mut trace = r.obs.clone();
+        let mut trace = r.obs;
         trace.meta.label = format!("{bug}@{n} {}", exec_mode.label());
         let json = scalecheck_obs::to_chrome_json(&trace);
         std::fs::write(&path, json.as_bytes())
@@ -154,5 +144,6 @@ fn main() {
             trace.instants.len(),
             trace.counters.len()
         );
+        print!("\n{}", scalecheck_obs::summarize(&trace));
     }
 }

@@ -15,15 +15,15 @@
 //! ```
 
 use scalecheck_bench::{
-    exit_usage, parse_flag, parse_list_flag, print_row, run_sweep, Cell, SweepOptions,
+    exit_usage, jobs_from_args, parse_flag, parse_list_flag, print_row, run_sweep, Cell,
 };
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
 
-const USAGE: &str = "usage: ext_hdfs [--scales 64,128,192,256] [--seed N] [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: ext_hdfs [--scales 64,128,192,256] [--seed N] [--jobs N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let scales: Vec<usize> = parse_list_flag(&args, "--scales")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| vec![64, 128, 192, 256]);
@@ -36,31 +36,25 @@ fn main() {
         let cfg = HdfsConfig::bug(n, seed);
         {
             let cfg = cfg.clone();
-            cells.push(Cell::new(
-                format!("ext-hdfs N={n} real(bug)"),
-                ("ext_hdfs-real", cfg.clone()),
-                move || run_hdfs(&cfg),
-            ));
+            cells.push(Cell::new(format!("ext-hdfs N={n} real(bug)"), move || {
+                run_hdfs(&cfg)
+            }));
         }
         {
             let cfg = cfg.clone();
-            cells.push(Cell::new(
-                format!("ext-hdfs N={n} sc+pil"),
-                ("ext_hdfs-scpil-16", cfg.clone()),
-                move || hdfs_scale_check(&cfg, 16).1,
-            ));
+            cells.push(Cell::new(format!("ext-hdfs N={n} sc+pil"), move || {
+                hdfs_scale_check(&cfg, 16).1
+            }));
         }
         {
             let mut cfg = cfg.clone();
             cfg.version = scalecheck_hdfslike::ReportVersion::IncrementalDiff;
-            cells.push(Cell::new(
-                format!("ext-hdfs N={n} real(fix)"),
-                ("ext_hdfs-real", cfg.clone()),
-                move || run_hdfs(&cfg),
-            ));
+            cells.push(Cell::new(format!("ext-hdfs N={n} real(fix)"), move || {
+                run_hdfs(&cfg)
+            }));
         }
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Extension — HDFS-like serialized-O(N) bug (block reports under the namenode lock)");
     println!("false dead declarations of live datanodes over a 600s run\n");
@@ -75,9 +69,9 @@ fn main() {
         12,
     );
     for (i, &n) in scales.iter().enumerate() {
-        let real = &out.results[3 * i];
-        let pil = &out.results[3 * i + 1];
-        let fixed = &out.results[3 * i + 2];
+        let real = &out[3 * i];
+        let pil = &out[3 * i + 1];
+        let fixed = &out[3 * i + 2];
         print_row(
             &[
                 n.to_string(),

@@ -10,12 +10,12 @@
 //! cargo run --release -p scalecheck-bench --bin fig1_testtime
 //! ```
 
-use scalecheck_bench::{exit_usage, parse_list_flag, print_row, run_sweep, Cell, SweepOptions};
+use scalecheck_bench::{exit_usage, jobs_from_args, parse_list_flag, print_row, run_sweep, Cell};
 use scalecheck_cluster::{run_scenario, RunMode, RunReport, ScenarioConfig, Workload};
 use scalecheck_memo::OrderRecorder;
 use scalecheck_sim::SimDuration;
 
-const USAGE: &str = "usage: fig1_testtime [--scales 8,16,32] [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: fig1_testtime [--scales 8,16,32] [--jobs N]";
 
 fn scenario(n: usize) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::c3831(n, 1);
@@ -36,7 +36,7 @@ fn scenario(n: usize) -> ScenarioConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let scales: Vec<usize> = parse_list_flag(&args, "--scales")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| vec![8, 16, 32]);
@@ -47,38 +47,30 @@ fn main() {
     for &n in &scales {
         let cfg = scenario(n);
         let real_cfg = cfg.clone().with_mode(RunMode::Real);
-        cells.push(Cell::new(
-            format!("fig1 N={n} Real"),
-            ("fig1-real", real_cfg.clone()),
-            move || run_scenario(&real_cfg),
-        ));
+        cells.push(Cell::new(format!("fig1 N={n} Real"), move || {
+            run_scenario(&real_cfg)
+        }));
         let colo_cfg = cfg.clone().with_mode(RunMode::Colo { cores: 1 });
-        cells.push(Cell::new(
-            format!("fig1 N={n} Colo(1)"),
-            ("fig1-colo", colo_cfg.clone()),
-            move || run_scenario(&colo_cfg),
-        ));
-        cells.push(Cell::new(
-            format!("fig1 N={n} PIL(1)"),
-            ("fig1-pil-ordered-1core-memo16", cfg.clone()),
-            move || {
-                // Memoize (on 16 cores to keep the one-time cost sane),
-                // then PIL-replay on the 1-core box: the PIL sleeps do
-                // not occupy the core, so the replay tracks Real.
-                let memo = scalecheck::memoize(&cfg, 16);
-                let mut replay_cfg = cfg.clone().with_mode(RunMode::PilReplay { cores: 1 });
-                replay_cfg.order_enforcement = true;
-                let order: OrderRecorder = memo.order.clone();
-                scalecheck_cluster::run_scenario_with_db(
-                    &replay_cfg,
-                    Some(memo.db.clone()),
-                    Some(order),
-                )
-                .0
-            },
-        ));
+        cells.push(Cell::new(format!("fig1 N={n} Colo(1)"), move || {
+            run_scenario(&colo_cfg)
+        }));
+        cells.push(Cell::new(format!("fig1 N={n} PIL(1)"), move || {
+            // Memoize (on 16 cores to keep the one-time cost sane),
+            // then PIL-replay on the 1-core box: the PIL sleeps do
+            // not occupy the core, so the replay tracks Real.
+            let memo = scalecheck::memoize(&cfg, 16);
+            let mut replay_cfg = cfg.clone().with_mode(RunMode::PilReplay { cores: 1 });
+            replay_cfg.order_enforcement = true;
+            let order: OrderRecorder = memo.order.clone();
+            scalecheck_cluster::run_scenario_with_db(
+                &replay_cfg,
+                Some(memo.db.clone()),
+                Some(order),
+            )
+            .0
+        }));
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Figure 1 — test completion time by approach (1-core colocation)");
     println!("(virtual seconds until the protocol quiesces)\n");
@@ -94,9 +86,9 @@ fn main() {
     );
 
     for (i, &n) in scales.iter().enumerate() {
-        let real = &out.results[3 * i];
-        let colo = &out.results[3 * i + 1];
-        let pil = &out.results[3 * i + 2];
+        let real = &out[3 * i];
+        let colo = &out[3 * i + 1];
+        let pil = &out[3 * i + 2];
         // "t" here is the active settling time after the workload
         // begins; quiescent runs end at different absolute points, so
         // report the full run duration.

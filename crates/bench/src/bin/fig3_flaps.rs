@@ -6,25 +6,29 @@
 //! ```
 //!
 //! Options:
-//! * `--bug c3831|c3881|c5456` — which panel (default c3831);
+//! * `--bug c3831|c3881|c5456` — which panel (default c3831); `c6127`
+//!   is the extension experiment: the paper narrates the bug in §2 (the
+//!   fresh-ring construction is O(MN²) on a code path only the
+//!   bootstrap-from-scratch workload reaches) but leaves it out of
+//!   Figure 3;
 //! * `--scales 32,64,128,256` — x-axis (default the paper's);
 //! * `--seed 1` — simulation seed;
 //! * `--json` — additionally emit one JSON object per point;
-//! * `--jobs N` — parallel sweep workers (default all cores);
-//! * `--no-cache` — bypass the on-disk result cache.
+//! * `--jobs N` — parallel sweep workers (default all cores).
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
+use scalecheck::{ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    exit_usage, has_flag, parse_flag, parse_list_flag, print_row, report_json, run_sweep,
-    spec_cell, try_bug_scenario, SweepOptions, PAPER_SCALES,
+    cell, exit_usage, has_flag, jobs_from_args, parse_flag, parse_list_flag, print_row,
+    report_json, run_sweep, PAPER_SCALES,
 };
+use scalecheck_cluster::ScenarioConfig;
 
 const USAGE: &str = "usage: fig3_flaps [--bug c3831|c3881|c5456|c6127] [--scales 32,64,128,256] \
-[--seed N] [--json] [--jobs N] [--no-cache]";
+[--seed N] [--json] [--jobs N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let bug = scalecheck_bench::flag_value(&args, "--bug")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| "c3831".to_string());
@@ -40,6 +44,7 @@ fn main() {
         "c3831" => "Figure 3a — c3831: Decommission",
         "c3881" => "Figure 3b — c3881: Scale-Out",
         "c5456" => "Figure 3c — c5456: Scale-Out",
+        "c6127" => "Extension (not a paper figure) — c6127: Bootstrap-from-scratch",
         other => other,
     };
 
@@ -55,15 +60,16 @@ fn main() {
     ];
     let mut cells = Vec::new();
     for &n in &scales {
-        let cfg = try_bug_scenario(&bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
+        let cfg = ScenarioConfig::bug(&bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
         for mode in MODES {
-            cells.push(spec_cell(
+            cells.push(cell(
                 format!("fig3 {bug} N={n} {}", mode.label()),
-                CellSpec::new(cfg.clone(), mode),
+                cfg.clone(),
+                mode,
             ));
         }
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("{title}");
     println!("#flaps observed across the whole cluster (paper plots x1000)\n");
@@ -81,9 +87,9 @@ fn main() {
     let mut rows = Vec::new();
     let mut unavail: Vec<(f64, f64)> = Vec::new();
     for (i, &n) in scales.iter().enumerate() {
-        let real = &out.results[3 * i];
-        let colo = &out.results[3 * i + 1];
-        let pil = &out.results[3 * i + 2];
+        let real = &out[3 * i];
+        let colo = &out[3 * i + 1];
+        let pil = &out[3 * i + 2];
         print_row(
             &[
                 n.to_string(),

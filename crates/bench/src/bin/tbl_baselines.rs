@@ -18,18 +18,16 @@
 
 use scalecheck::baselines::time_dilated;
 use scalecheck::{extrapolate_power_law, memoize, replay, COLO_CORES};
-use scalecheck_bench::{
-    exit_usage, parse_flag, print_row, run_sweep, try_bug_scenario, Cell, SweepOptions,
-};
-use scalecheck_cluster::{run_scenario, RunReport};
+use scalecheck_bench::{exit_usage, jobs_from_args, parse_flag, print_row, run_sweep, Cell};
+use scalecheck_cluster::{run_scenario, RunReport, ScenarioConfig};
 
-const USAGE: &str = "usage: tbl_baselines [--target N] [--tdf N] [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: tbl_baselines [--target N] [--tdf N] [--jobs N]";
 
 const TRAIN_SCALES: [usize; 4] = [8, 16, 32, 64];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let target: usize = parse_flag(&args, "--target")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or(256);
@@ -38,8 +36,7 @@ fn main() {
         .unwrap_or(16);
     let seed = 1;
 
-    let bug =
-        |n: usize| try_bug_scenario("c3831", n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let bug = |n: usize| ScenarioConfig::c3831(n, seed);
 
     // Cells: four mini-cluster training runs, then real / colo /
     // diecast at the target, then the memoize+replay pair (one cell —
@@ -47,34 +44,27 @@ fn main() {
     let mut cells: Vec<Cell<Vec<RunReport>>> = Vec::new();
     for &n in &TRAIN_SCALES {
         let cfg = bug(n);
-        cells.push(Cell::new(
-            format!("baselines mini N={n}"),
-            ("tbl_baselines-real", cfg.clone()),
-            move || vec![scalecheck::run_real(&cfg)],
-        ));
+        cells.push(Cell::new(format!("baselines mini N={n}"), move || {
+            vec![scalecheck::run_real(&cfg)]
+        }));
     }
     let cfg = bug(target);
     {
         let cfg = cfg.clone();
-        cells.push(Cell::new(
-            format!("baselines real N={target}"),
-            ("tbl_baselines-real", cfg.clone()),
-            move || vec![scalecheck::run_real(&cfg)],
-        ));
+        cells.push(Cell::new(format!("baselines real N={target}"), move || {
+            vec![scalecheck::run_real(&cfg)]
+        }));
     }
     {
         let cfg = cfg.clone();
-        cells.push(Cell::new(
-            format!("baselines colo N={target}"),
-            ("tbl_baselines-colo", cfg.clone()),
-            move || vec![scalecheck::run_colo(&cfg, COLO_CORES)],
-        ));
+        cells.push(Cell::new(format!("baselines colo N={target}"), move || {
+            vec![scalecheck::run_colo(&cfg, COLO_CORES)]
+        }));
     }
     {
         let dilated = time_dilated(&cfg, COLO_CORES, tdf);
         cells.push(Cell::new(
             format!("baselines diecast tdf={tdf} N={target}"),
-            ("tbl_baselines-diecast", dilated.clone()),
             move || vec![run_scenario(&dilated)],
         ));
     }
@@ -82,7 +72,6 @@ fn main() {
         let cfg = cfg.clone();
         cells.push(Cell::new(
             format!("baselines sc+pil N={target}"),
-            ("tbl_baselines-scpil", cfg.clone()),
             move || {
                 let memo = memoize(&cfg, COLO_CORES);
                 let pil = replay(&cfg, COLO_CORES, &memo);
@@ -90,22 +79,22 @@ fn main() {
             },
         ));
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("S4 baselines vs scale check on c3831, target N={target}\n");
 
     let train: Vec<(usize, u64)> = TRAIN_SCALES
         .iter()
-        .zip(&out.results)
+        .zip(&out)
         .map(|(&n, r)| (n, r[0].total_flaps))
         .collect();
     let extrapolated = extrapolate_power_law(&train, target);
     let k = TRAIN_SCALES.len();
-    let real = &out.results[k][0];
-    let colo = &out.results[k + 1][0];
-    let diecast = &out.results[k + 2][0];
-    let memo_report = &out.results[k + 3][0];
-    let pil = &out.results[k + 3][1];
+    let real = &out[k][0];
+    let colo = &out[k + 1][0];
+    let diecast = &out[k + 2][0];
+    let memo_report = &out[k + 3][0];
+    let pil = &out[k + 3][1];
 
     println!();
     print_row(

@@ -5,17 +5,10 @@
 //! cargo run --release -p scalecheck-bench --bin tbl_bugstudy
 //! ```
 
-use scalecheck_bench::{exit_usage, print_row, SweepOptions};
+use scalecheck_bench::print_row;
 use scalecheck_bugstudy::{bugs, stats};
 
-const USAGE: &str = "usage: tbl_bugstudy [--jobs N] [--no-cache]";
-
 fn main() {
-    // A static dataset: nothing to fan out, but the shared sweep flags
-    // are still validated so every binary speaks the same CLI.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let _ = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-
     let all = bugs();
     let s = stats(&all);
 

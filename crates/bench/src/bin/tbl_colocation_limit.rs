@@ -20,15 +20,12 @@
 //! cargo run --release -p scalecheck-bench --bin tbl_colocation_limit
 //! ```
 
-use scalecheck::{Bottleneck, BottleneckThresholds, CellSpec, ExecMode, COLO_CORES};
-use scalecheck_bench::{
-    exit_usage, parse_list_flag, print_row, run_sweep, spec_cell, SweepOptions,
-};
+use scalecheck::{Bottleneck, BottleneckThresholds, ExecMode, COLO_CORES};
+use scalecheck_bench::{cell, exit_usage, jobs_from_args, parse_list_flag, print_row, run_sweep};
 use scalecheck_cluster::{CalcVersion, ScenarioConfig, Workload};
 use scalecheck_sim::SimDuration;
 
-const USAGE: &str =
-    "usage: tbl_colocation_limit [--factors 128,256,384,512,600] [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: tbl_colocation_limit [--factors 128,256,384,512,600] [--jobs N]";
 
 fn scenario(n: usize, scale_checkable: bool) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::baseline(n, 1);
@@ -63,29 +60,26 @@ const CONFIGS: [(&str, bool); 2] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let factors: Vec<usize> = parse_list_flag(&args, "--factors")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| vec![128, 256, 384, 512, 600]);
     let thresholds = BottleneckThresholds::default();
 
     let mut cells = Vec::new();
-    for (label, scale_checkable) in CONFIGS {
+    for (_, scale_checkable) in CONFIGS {
         for &n in &factors {
-            cells.push(spec_cell(
+            cells.push(cell(
                 format!(
                     "t-colo-limit {} N={n}",
                     if scale_checkable { "S6" } else { "naive" }
                 ),
-                CellSpec::new(
-                    scenario(n, scale_checkable),
-                    ExecMode::Memo { cores: COLO_CORES },
-                ),
+                scenario(n, scale_checkable),
+                ExecMode::Memo { cores: COLO_CORES },
             ));
         }
-        let _ = label;
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Colocation limits of the memoization run on a 16-core / 32-GB machine (S6, S8)\n");
 
@@ -103,7 +97,7 @@ fn main() {
         );
         let mut max_ok = None;
         for (i, &n) in factors.iter().enumerate() {
-            let r = &out.results[c * factors.len() + i];
+            let r = &out[c * factors.len() + i];
             let hits = scalecheck::diagnose(r, &thresholds);
             let verdict = if hits.is_empty() {
                 max_ok = Some(n);

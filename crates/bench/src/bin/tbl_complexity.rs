@@ -6,7 +6,7 @@
 //! cargo run --release -p scalecheck-bench --bin tbl_complexity
 //! ```
 
-use scalecheck_bench::{exit_usage, print_row, run_sweep, Cell, SweepOptions};
+use scalecheck_bench::{exit_usage, jobs_from_args, print_row, run_sweep, Cell};
 use scalecheck_cluster::calibrate::{
     ops_to_duration, NS_PER_OP_FRESH, NS_PER_OP_V1, NS_PER_OP_V2_VNODES,
 };
@@ -15,7 +15,7 @@ use scalecheck_ring::{
     RingTable, TopologyChange, V1Cubic, V2Quadratic, V3VnodeAware,
 };
 
-const USAGE: &str = "usage: tbl_complexity [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: tbl_complexity [--jobs N]";
 
 const SCALES: [u32; 4] = [32, 64, 128, 256];
 
@@ -69,7 +69,7 @@ fn exponent(o1: u64, o2: u64) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
 
     let rows: [(&str, usize, u64); 5] = [
         ("v1-cubic", 1, NS_PER_OP_V1),
@@ -82,15 +82,9 @@ fn main() {
     // One cell per calculator version: its op counts at every scale.
     let cells: Vec<Cell<Vec<u64>>> = rows
         .iter()
-        .map(|&(name, p, _)| {
-            Cell::new(
-                format!("t-complexity {name}"),
-                ("tbl_complexity-ops", name, p, SCALES),
-                move || row_ops(name, p),
-            )
-        })
+        .map(|&(name, p, _)| Cell::new(format!("t-complexity {name}"), move || row_ops(name, p)))
         .collect();
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Complexity of the pending-range calculator versions");
     println!("(ops for one topology change; duration via calibrated ns/op)\n");
@@ -109,7 +103,7 @@ fn main() {
         12,
     );
 
-    for ((name, p, ns), o) in rows.iter().zip(&out.results) {
+    for ((name, p, ns), o) in rows.iter().zip(&out) {
         let exp = (exponent(o[0], o[1]) + exponent(o[1], o[2]) + exponent(o[2], o[3])) / 3.0;
         let t256 = ops_to_duration(o[3], *ns);
         print_row(

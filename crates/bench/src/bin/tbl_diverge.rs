@@ -18,21 +18,20 @@
 //!
 //! Options: `--bug`, `--nodes`, `--seed` select the scenario
 //! (default c3831 @ 128, seed 1); `--out PATH` also writes the table to
-//! a file; `--trace-dir DIR` dumps the three Chrome traces; `--jobs` /
-//! `--no-cache` are the usual sweep-harness knobs.
+//! a file; `--trace-dir DIR` dumps the three Chrome traces; `--jobs N`
+//! sets the sweep's worker threads.
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
-use scalecheck_bench::{
-    exit_usage, flag_value, parse_flag, run_sweep, spec_cell, try_bug_scenario, SweepOptions,
-};
+use scalecheck::{ExecMode, COLO_CORES};
+use scalecheck_bench::{cell, exit_usage, flag_value, jobs_from_args, parse_flag, run_sweep};
+use scalecheck_cluster::ScenarioConfig;
 use scalecheck_obs::Trace;
 
 const USAGE: &str = "usage: tbl_diverge [--bug c3831|c3881|c5456|c6127] [--nodes N] [--seed N] \
-[--out PATH] [--trace-dir DIR] [--jobs N] [--no-cache]";
+[--out PATH] [--trace-dir DIR] [--jobs N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let bug = flag_value(&args, "--bug")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| "c3831".to_string());
@@ -45,7 +44,7 @@ fn main() {
     let out_path = flag_value(&args, "--out").unwrap_or_else(|e| exit_usage(USAGE, &e));
     let trace_dir = flag_value(&args, "--trace-dir").unwrap_or_else(|e| exit_usage(USAGE, &e));
 
-    let mut cfg = try_bug_scenario(&bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let mut cfg = ScenarioConfig::bug(&bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
     cfg.trace = scalecheck_obs::TraceConfig::enabled();
 
     let modes = [
@@ -59,16 +58,17 @@ fn main() {
     let cells = modes
         .iter()
         .map(|&mode| {
-            spec_cell(
+            cell(
                 format!("diverge {bug} N={n} {}", mode.label()),
-                CellSpec::new(cfg.clone(), mode),
+                cfg.clone(),
+                mode,
             )
         })
         .collect();
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     let mut traces: Vec<Trace> = Vec::new();
-    for (r, mode) in out.results.iter().zip(modes.iter()) {
+    for (r, mode) in out.iter().zip(modes.iter()) {
         let mut t = r.obs.clone();
         t.meta.label = format!("{bug}@{n} {}", mode.label());
         traces.push(t);
@@ -93,7 +93,7 @@ fn main() {
     text.push_str(&format!(
         "Divergence diagnosis: {bug} N={n} seed={seed} (§6 colocation distortion)\n"
     ));
-    for (r, mode) in out.results.iter().zip(modes.iter()) {
+    for (r, mode) in out.iter().zip(modes.iter()) {
         let e = &r.engine;
         text.push_str(&format!(
             "  {:<7} duration={:>6.0}s flaps={:<6} engine: scheduled={} fired={} cancelled={}\n",

@@ -16,22 +16,21 @@
 //! * `--intensities 0,0.3,0.7` — storm intensities in `[0, 1]`;
 //! * `--seed 1` — simulation seed (also seeds the storm generator);
 //! * `--json` — additionally emit one JSON object per cell;
-//! * `--jobs N` — parallel sweep workers (default all cores);
-//! * `--no-cache` — bypass the on-disk result cache.
+//! * `--jobs N` — parallel sweep workers (default all cores).
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
+use scalecheck::{ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    exit_usage, has_flag, parse_flag, parse_list_flag, print_row, report_json, run_sweep,
-    spec_cell, try_bug_scenario, SweepOptions,
+    cell, exit_usage, has_flag, jobs_from_args, parse_flag, parse_list_flag, print_row,
+    report_json, run_sweep,
 };
-use scalecheck_cluster::FaultPlan;
+use scalecheck_cluster::{FaultPlan, ScenarioConfig};
 
 const USAGE: &str = "usage: tbl_faults [--bug c3831|c3881|c5456|c6127] [--scales 16,32,64] \
-[--intensities 0,0.3,0.7] [--seed N] [--json] [--jobs N] [--no-cache]";
+[--intensities 0,0.3,0.7] [--seed N] [--json] [--jobs N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let bug = scalecheck_bench::flag_value(&args, "--bug")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| "c3831".to_string());
@@ -60,18 +59,19 @@ fn main() {
     for &intensity in &intensities {
         for &n in &scales {
             let plan = FaultPlan::storm(seed, n as u32, intensity);
-            let cfg = try_bug_scenario(&bug, n, seed)
+            let cfg = ScenarioConfig::bug(&bug, n, seed)
                 .unwrap_or_else(|e| exit_usage(USAGE, &e))
                 .with_faults(plan);
             for mode in MODES {
-                cells.push(spec_cell(
+                cells.push(cell(
                     format!("faults {bug} i={intensity} N={n} {}", mode.label()),
-                    CellSpec::new(cfg.clone(), mode),
+                    cfg.clone(),
+                    mode,
                 ));
             }
         }
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Fault-intensity table — {bug}: #flaps under a deterministic fault storm");
     println!("attr = flaps attributable to injected faults (SC+PIL run)\n");
@@ -92,9 +92,9 @@ fn main() {
     let mut idx = 0;
     for &intensity in &intensities {
         for &n in &scales {
-            let real = &out.results[idx];
-            let colo = &out.results[idx + 1];
-            let pil = &out.results[idx + 2];
+            let real = &out[idx];
+            let colo = &out[idx + 1];
+            let pil = &out[idx + 2];
             idx += 3;
             print_row(
                 &[
@@ -132,8 +132,4 @@ fn main() {
             }
         }
     }
-
-    // Cache accounting goes to stderr via the sweep harness; stdout
-    // stays byte-identical between cold and warm runs.
-    let _ = (out.cached, out.executed);
 }

@@ -7,18 +7,10 @@
 //! cargo run --release -p scalecheck-bench --bin tbl_finder
 //! ```
 
-use scalecheck_bench::{exit_usage, print_row, SweepOptions};
+use scalecheck_bench::print_row;
 use scalecheck_pilfinder::{analyze, cluster_protocol_model, instrument, FinderConfig};
 
-const USAGE: &str = "usage: tbl_finder [--jobs N] [--no-cache]";
-
 fn main() {
-    // Static analysis of one model: nothing to fan out, but the shared
-    // sweep flags are still validated so every binary speaks the same
-    // CLI.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let _ = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-
     let program = cluster_protocol_model();
     program.validate().expect("model valid");
     let report = analyze(&program, FinderConfig::default());

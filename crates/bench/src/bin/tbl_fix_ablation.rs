@@ -11,25 +11,23 @@
 //! cargo run --release -p scalecheck-bench --bin tbl_fix_ablation -- --nodes 256
 //! ```
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
-use scalecheck_bench::{
-    exit_usage, parse_flag, print_row, run_sweep, spec_cell, try_bug_scenario, SweepOptions,
-};
+use scalecheck::{ExecMode, COLO_CORES};
+use scalecheck_bench::{cell, exit_usage, jobs_from_args, parse_flag, print_row, run_sweep};
 use scalecheck_cluster::{CalcVersion, LockingMode, ScenarioConfig};
 use scalecheck_sim::{ps_completions, SimDuration, SimTime};
 
-const USAGE: &str = "usage: tbl_fix_ablation [--nodes N] [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: tbl_fix_ablation [--nodes N] [--jobs N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let n: usize = parse_flag(&args, "--nodes")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or(256);
     let seed = 1;
 
     let scenario = |bug: &str| -> ScenarioConfig {
-        try_bug_scenario(bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e))
+        ScenarioConfig::bug(bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e))
     };
 
     // Buggy/fixed pairs, each a Real-deployment cell; then the two
@@ -42,9 +40,10 @@ fn main() {
     let mut cells = Vec::new();
     for (bug, _, _) in rows {
         let cfg = scenario(bug);
-        cells.push(spec_cell(
+        cells.push(cell(
             format!("ablation {bug} buggy"),
-            CellSpec::new(cfg.clone(), ExecMode::Real),
+            cfg.clone(),
+            ExecMode::Real,
         ));
         let mut fixed_cfg = cfg;
         match bug {
@@ -52,24 +51,23 @@ fn main() {
             "c3881" => fixed_cfg.calculator = CalcVersion::V3VnodeAware,
             _ => fixed_cfg.locking = LockingMode::SnapshotThread,
         }
-        cells.push(spec_cell(
+        cells.push(cell(
             format!("ablation {bug} fixed"),
-            CellSpec::new(fixed_cfg, ExecMode::Real),
+            fixed_cfg,
+            ExecMode::Real,
         ));
     }
     for ordered in [true, false] {
-        cells.push(spec_cell(
+        cells.push(cell(
             format!("ablation c3831 replay ordered={ordered}"),
-            CellSpec::new(
-                scenario("c3831"),
-                ExecMode::ScPil {
-                    cores: COLO_CORES,
-                    ordered,
-                },
-            ),
+            scenario("c3831"),
+            ExecMode::ScPil {
+                cores: COLO_CORES,
+                ordered,
+            },
         ));
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Fix ablation at N={n}: buggy vs fixed implementation (Real deployment)\n");
     print_row(
@@ -83,8 +81,8 @@ fn main() {
         18,
     );
     for (i, (bug, buggy_label, fixed_label)) in rows.iter().enumerate() {
-        let buggy = &out.results[2 * i];
-        let fixed = &out.results[2 * i + 1];
+        let buggy = &out[2 * i];
+        let fixed = &out[2 * i + 1];
         print_row(
             &[
                 (*bug).into(),
@@ -101,7 +99,7 @@ fn main() {
     println!();
     println!("harness ablation: PIL replay with vs without order enforcement (c3831, N={n}):");
     for (j, enforce) in [true, false].iter().enumerate() {
-        let r = &out.results[6 + j];
+        let r = &out[6 + j];
         println!(
             "  enforcement={enforce}: flaps={} hit-rate={:.3} forced-releases={}",
             r.total_flaps,

@@ -12,18 +12,16 @@
 //! ```
 
 use scalecheck::{memoize, replay, run_real, COLO_CORES};
-use scalecheck_bench::{
-    exit_usage, parse_flag, print_row, run_sweep, try_bug_scenario, Cell, SweepOptions,
-};
-use scalecheck_cluster::RunReport;
+use scalecheck_bench::{exit_usage, jobs_from_args, parse_flag, print_row, run_sweep, Cell};
+use scalecheck_cluster::{RunReport, ScenarioConfig};
 
-const USAGE: &str = "usage: tbl_memo_vs_replay [--nodes N] [--seed N] [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: tbl_memo_vs_replay [--nodes N] [--seed N] [--jobs N]";
 
 const BUGS: [&str; 3] = ["c3831", "c3881", "c5456"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let n: usize = parse_flag(&args, "--nodes")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or(256);
@@ -35,17 +33,13 @@ fn main() {
     // (which must share one memo database, so they form one cell).
     let mut cells: Vec<Cell<Vec<RunReport>>> = Vec::new();
     for bug in BUGS {
-        let cfg = try_bug_scenario(bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
+        let cfg = ScenarioConfig::bug(bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
         let real_cfg = cfg.clone();
-        cells.push(Cell::new(
-            format!("t-memo {bug} real"),
-            ("tbl_memo_vs_replay-real", cfg.clone()),
-            move || vec![run_real(&real_cfg)],
-        ));
-        let key = ("tbl_memo_vs_replay-memo-replay", cfg.clone());
+        cells.push(Cell::new(format!("t-memo {bug} real"), move || {
+            vec![run_real(&real_cfg)]
+        }));
         cells.push(Cell::new(
             format!("t-memo {bug} memoize+replay"),
-            key,
             move || {
                 let memo = memoize(&cfg, COLO_CORES);
                 let rep = replay(&cfg, COLO_CORES, &memo);
@@ -53,7 +47,7 @@ fn main() {
             },
         ));
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Memoization vs replay time at {n}-node colocation (virtual minutes)");
     println!("(paper S8: memoization 7-125 min, replay 4-15 min ~ real deployment)\n");
@@ -70,9 +64,9 @@ fn main() {
     );
 
     for (i, bug) in BUGS.iter().enumerate() {
-        let real = &out.results[2 * i][0];
-        let memo_report = &out.results[2 * i + 1][0];
-        let rep = &out.results[2 * i + 1][1];
+        let real = &out[2 * i][0];
+        let memo_report = &out[2 * i + 1][0];
+        let rep = &out[2 * i + 1][1];
         let mins = |d: scalecheck_sim::SimDuration| d.as_secs_f64() / 60.0;
         print_row(
             &[

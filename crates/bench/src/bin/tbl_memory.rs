@@ -12,13 +12,13 @@
 //! ```
 
 use scalecheck::colocation_memory_demand;
-use scalecheck_bench::{exit_usage, print_row, run_sweep, Cell, SweepOptions};
+use scalecheck_bench::{exit_usage, jobs_from_args, print_row, run_sweep, Cell};
 use scalecheck_cluster::{
     run_scenario, AllocStrategy, RunMode, RunReport, ScenarioConfig, Workload,
 };
 use scalecheck_sim::SimDuration;
 
-const USAGE: &str = "usage: tbl_memory [--jobs N] [--no-cache]";
+const USAGE: &str = "usage: tbl_memory [--jobs N]";
 
 const GIB: f64 = (1u64 << 30) as f64;
 
@@ -45,7 +45,7 @@ fn rebalance_cfg(n: usize, strategy: AllocStrategy) -> ScenarioConfig {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
 
     // Part 2's live runs: one cell per (scale, allocation strategy).
     let mut cells: Vec<Cell<RunReport>> = Vec::new();
@@ -54,12 +54,11 @@ fn main() {
             let cfg = rebalance_cfg(n, strategy);
             cells.push(Cell::new(
                 format!("t-memory N={n} {strategy:?}"),
-                ("tbl_memory-rebalance", cfg.clone()),
                 move || run_scenario(&cfg),
             ));
         }
     }
-    let out = run_sweep(cells, &opts);
+    let out = run_sweep(cells, jobs);
 
     println!("Memory as a colocation bottleneck (S6)\n");
 
@@ -95,8 +94,8 @@ fn main() {
         20,
     );
     for (i, &n) in REBALANCE_SCALES.iter().enumerate() {
-        let naive = &out.results[2 * i];
-        let frugal = &out.results[2 * i + 1];
+        let naive = &out[2 * i];
+        let frugal = &out[2 * i + 1];
         let outcome = if naive.crashed_nodes > 0 {
             format!("{} nodes OOM-crashed", naive.crashed_nodes)
         } else {

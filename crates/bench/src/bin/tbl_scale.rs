@@ -25,37 +25,34 @@
 //!   both);
 //! * `--json-out PATH` / `--table-out PATH` — artifact destinations;
 //! * `--no-write` — print only, write no artifact files;
-//! * `--smoke` — CI mode: run one 1024-node SC+PIL cell cache-free,
+//! * `--smoke` — CI mode: run one 1024-node SC+PIL cell,
 //!   validate the `bench_scale/v1` schema on its row, and fail if the
 //!   cell exceeds `--budget-secs` (default 600) of wall clock;
-//! * `--jobs N` / `--no-cache` — sweep worker/caching control.
+//! * `--jobs N` — sweep worker threads.
 //!
 //! Wall times are measured on whatever machine runs the sweep and are
-//! *not* deterministic; they ride along inside the sweep cache next to
-//! the deterministic `RunReport`, so a warm-cache rerun reproduces the
-//! committed artifact byte-for-byte.
+//! *not* deterministic: `wall_secs` and `events_per_sec` are always the
+//! clock of the run that wrote the JSON, every other column reproduces
+//! byte-for-byte.
 
 use std::time::Instant;
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
+use scalecheck::{run_cell, ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, parse_modes, run_sweep,
-    validate_doc, Cell, Field, SweepOptions,
+    exit_usage, flag_value, has_flag, jobs_from_args, parse_flag, parse_list_flag, parse_modes,
+    run_sweep, validate_doc, Cell, Field,
 };
 use scalecheck_cluster::{RunReport, ScenarioConfig};
-use serde::{Deserialize, Serialize};
 
 const USAGE: &str = "usage: tbl_scale [--scales 256,512,1024,2048] [--seed N] \
 [--modes colo,scpil] [--json-out PATH] [--table-out PATH] [--no-write] \
-[--smoke] [--budget-secs N] [--jobs N] [--no-cache]";
+[--smoke] [--budget-secs N] [--jobs N]";
 
 /// The schema tag committed artifacts carry.
 const SCHEMA: &str = "bench_scale/v1";
 
 /// One executed cell: the deterministic report plus the wall-clock cost
-/// of producing it. Cached as a unit so warm-cache reruns keep the
-/// originally measured timings.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// of producing it.
 struct TimedReport {
     wall_secs: f64,
     report: RunReport,
@@ -78,24 +75,19 @@ fn scale_scenario(n: usize, seed: u64) -> ScenarioConfig {
     cfg
 }
 
+/// Runs one `(n, mode)` point of the scale scenario under the clock.
+fn timed_run(n: usize, seed: u64, mode: ExecMode) -> TimedReport {
+    let cfg = scale_scenario(n, seed);
+    let t0 = Instant::now();
+    let report = run_cell(&cfg, mode);
+    TimedReport {
+        wall_secs: t0.elapsed().as_secs_f64(),
+        report,
+    }
+}
+
 /// The deployments `--modes` may name; all of them by default.
 const MODES: [&str; 2] = ["colo", "scpil"];
-
-/// Builds the timed sweep cell for one `(n, mode)` point. The cache key
-/// is namespaced so these entries never collide with the plain
-/// `RunReport` cells other table binaries store for the same spec.
-fn timed_cell(n: usize, seed: u64, mode: ExecMode) -> Cell<TimedReport> {
-    let spec = CellSpec::new(scale_scenario(n, seed), mode);
-    let key = serde_json::to_value(&(SCHEMA, &spec)).expect("cell key serializes");
-    Cell::new(format!("scale N={n} {}", mode.label()), key, move || {
-        let t0 = Instant::now();
-        let report = spec.run();
-        TimedReport {
-            wall_secs: t0.elapsed().as_secs_f64(),
-            report,
-        }
-    })
-}
 
 /// One `bench_scale/v1` row.
 fn row_json(n: usize, mode_label: &str, t: &TimedReport) -> serde_json::Value {
@@ -200,21 +192,14 @@ fn render_table(seed: u64, rows: &[(usize, &'static str, TimedReport)]) -> Strin
 }
 
 fn smoke(seed: u64, budget_secs: f64) -> ! {
-    // One 1024-node SC+PIL cell, always executed (never cache-served):
-    // the point is to measure this machine, not to replay a result.
+    // One 1024-node SC+PIL cell: the point is to measure this machine.
     let n = 1024;
     let mode = ExecMode::ScPil {
         cores: COLO_CORES,
         ordered: false,
     };
-    let spec = CellSpec::new(scale_scenario(n, seed), mode);
     eprintln!("[smoke] running N={n} {} ...", mode.label());
-    let t0 = Instant::now();
-    let report = spec.run();
-    let timed = TimedReport {
-        wall_secs: t0.elapsed().as_secs_f64(),
-        report,
-    };
+    let timed = timed_run(n, seed, mode);
     let doc = serde_json::json!({
         "schema": SCHEMA,
         "seed": seed,
@@ -247,7 +232,7 @@ fn smoke(seed: u64, budget_secs: f64) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let seed: u64 = parse_flag(&args, "--seed")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or(1);
@@ -274,19 +259,13 @@ fn main() {
     let mut cells = Vec::new();
     for &n in &scales {
         for &mode in &modes {
-            cells.push(timed_cell(n, seed, mode));
+            cells.push(Cell::new(
+                format!("scale N={n} {}", mode.label()),
+                move || (n, mode.label(), timed_run(n, seed, mode)),
+            ));
         }
     }
-    let out = run_sweep(cells, &opts);
-
-    let mut rows: Vec<(usize, &'static str, TimedReport)> = Vec::new();
-    let mut idx = 0;
-    for &n in &scales {
-        for mode in &modes {
-            rows.push((n, mode.label(), out.results[idx].clone()));
-            idx += 1;
-        }
-    }
+    let rows: Vec<(usize, &'static str, TimedReport)> = run_sweep(cells, jobs);
 
     let table = render_table(seed, &rows);
     print!("{table}");

@@ -29,30 +29,26 @@
 //!   need all three);
 //! * `--json-out PATH` / `--table-out PATH` — artifact destinations;
 //! * `--no-write` — print only, write no artifact files;
-//! * `--smoke` — CI mode: run the c3831 128-node Real and Colo cells
-//!   cache-free, validate the `bench_slo/v2` rows, require the Colo
+//! * `--smoke` — CI mode: run the c3831 128-node Real and Colo cells,
+//!   validate the `bench_slo/v2` rows, require the Colo
 //!   tail to *diverge* from Real (the coupled datapath's core claim),
 //!   check the request-log digest is stable across a re-run, and fail
 //!   past `--budget-secs` (default 120) of wall clock;
-//! * `--jobs N` / `--no-cache` — sweep worker/caching control.
-//!
-//! The cache key embeds the full scenario — including the arrival
-//! process — so changing the traffic shape (rate, users, consistency)
-//! re-executes cells instead of replaying stale results.
+//! * `--jobs N` — sweep worker threads.
 
 use std::time::Instant;
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
+use scalecheck::{run_cell, ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, parse_modes, run_sweep,
-    try_bug_scenario, validate_doc, validate_fields, Cell, Field, SweepOptions,
+    cell, exit_usage, flag_value, has_flag, jobs_from_args, parse_flag, parse_list_flag,
+    parse_modes, run_sweep, validate_doc, validate_fields, Field,
 };
 use scalecheck_cluster::{RunReport, ScenarioConfig, SloSummary, TrafficConfig};
 use scalecheck_explore::{SloParams, SloTriple, SloVerdict};
 
 const USAGE: &str = "usage: tbl_slo [--bugs c3831,c3881,c5456] [--scales 64,128,256] \
 [--users N] [--seed N] [--modes real,colo,scpil] [--json-out PATH] [--table-out PATH] \
-[--no-write] [--smoke] [--budget-secs N] [--jobs N] [--no-cache]";
+[--no-write] [--smoke] [--budget-secs N] [--jobs N]";
 
 /// The schema tag committed artifacts carry. v2: requests run coupled
 /// to the simulated CPUs and network, rows gain `tail_saturated` /
@@ -67,7 +63,7 @@ const DEFAULT_USERS: u64 = 1_000_000;
 /// The swept scenario: the named bug with the open-loop traffic
 /// datapath attached.
 fn slo_scenario(bug: &str, n: usize, seed: u64, users: u64) -> ScenarioConfig {
-    try_bug_scenario(bug, n, seed)
+    ScenarioConfig::bug(bug, n, seed)
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .with_traffic(TrafficConfig::open_loop(users))
 }
@@ -75,19 +71,6 @@ fn slo_scenario(bug: &str, n: usize, seed: u64, users: u64) -> ScenarioConfig {
 /// The deployments `--modes` may name; all of them by default
 /// (verdicts need all three).
 const MODES: [&str; 3] = ["real", "colo", "scpil"];
-
-/// Builds the sweep cell for one `(bug, n, mode)` point. The key is
-/// namespaced by schema and embeds the whole spec, so the arrival
-/// configuration participates in the cache key.
-fn slo_cell(bug: &str, n: usize, seed: u64, users: u64, mode: ExecMode) -> Cell<RunReport> {
-    let spec = CellSpec::new(slo_scenario(bug, n, seed, users), mode);
-    let key = serde_json::to_value(&(SCHEMA, &spec)).expect("cell key serializes");
-    Cell::new(
-        format!("slo {bug} N={n} {}", mode.label()),
-        key,
-        move || spec.run(),
-    )
-}
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -295,9 +278,8 @@ fn render_table(seed: u64, users: u64, points: &[Point], params: &SloParams) -> 
 }
 
 fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
-    // The c3831 128-node Real and Colo cells, always executed (never
-    // cache-served). Three contracts, on exactly the point the paper's
-    // user-visible claim rests on:
+    // The c3831 128-node Real and Colo cells. Three contracts, on
+    // exactly the point the paper's user-visible claim rests on:
     //  1. `bench_slo/v2` rows validate;
     //  2. the Colo tail *diverges* from Real — the coupled datapath
     //     must surface C3831's CPU starvation past the test scale;
@@ -308,9 +290,8 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
     let t0 = Instant::now();
     let mut reports = Vec::new();
     for mode in [ExecMode::Real, ExecMode::Colo { cores: COLO_CORES }] {
-        let spec = CellSpec::new(slo_scenario(bug, n, seed, users), mode);
         eprintln!("[smoke] running {bug} N={n} {} ...", mode.label());
-        reports.push((mode, spec.run()));
+        reports.push((mode, run_cell(&slo_scenario(bug, n, seed, users), mode)));
     }
     let wall = t0.elapsed().as_secs_f64();
     let rows: Vec<serde_json::Value> = reports
@@ -364,11 +345,10 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
         );
         std::process::exit(1);
     }
-    let rerun = CellSpec::new(
-        slo_scenario(bug, n, seed, users),
+    let rerun = run_cell(
+        &slo_scenario(bug, n, seed, users),
         ExecMode::Colo { cores: COLO_CORES },
-    )
-    .run();
+    );
     if rerun.traffic != colo.traffic {
         eprintln!("[smoke] FAIL: traffic report not reproducible across reruns");
         std::process::exit(1);
@@ -385,7 +365,7 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
     let seed: u64 = parse_flag(&args, "--seed")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or(1);
@@ -415,24 +395,23 @@ fn main() {
     for bug in &bugs {
         for &n in &scales {
             for &mode in &modes {
-                cells.push(slo_cell(bug, n, seed, users, mode));
+                cells.push(cell(
+                    format!("slo {bug} N={n} {}", mode.label()),
+                    slo_scenario(bug, n, seed, users),
+                    mode,
+                ));
             }
         }
     }
     if has_flag(&args, "--smoke") {
         smoke(seed, users, budget_secs);
     }
-    let out = run_sweep(cells, &opts);
+    let mut out = run_sweep(cells, jobs).into_iter();
 
     let mut points: Vec<Point> = Vec::new();
-    let mut idx = 0;
     for bug in &bugs {
         for &n in &scales {
-            let mut rows = Vec::new();
-            for mode in &modes {
-                rows.push((mode.label(), out.results[idx].clone()));
-                idx += 1;
-            }
+            let rows = modes.iter().map(|m| m.label()).zip(&mut out).collect();
             points.push(Point {
                 bug: bug.clone(),
                 n,

@@ -7,30 +7,18 @@
 //! ```
 
 use scalecheck::{memoize, COLO_CORES};
-use scalecheck_bench::{exit_usage, print_row, run_sweep, try_bug_scenario, Cell, SweepOptions};
+use scalecheck_bench::print_row;
+use scalecheck_cluster::ScenarioConfig;
 use scalecheck_memo::{log10_ordering_space, ordering_space_digits, savings_orders_of_magnitude};
 
-const USAGE: &str = "usage: tbl_statespace [--jobs N] [--no-cache]";
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = SweepOptions::from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-
     // The one live run: a memoization at N=32, reduced to the two
     // counts the table needs (records, ordered events).
     let n = 32;
-    let cfg = try_bug_scenario("c3831", n, 1).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let cfg = ScenarioConfig::c3831(n, 1);
     let vnodes = cfg.vnodes;
-    let cell: Cell<(u64, u64)> = Cell::new(
-        format!("t-statespace memoize c3831 N={n}"),
-        ("tbl_statespace-memo-counts", cfg.clone()),
-        move || {
-            let memo = memoize(&cfg, COLO_CORES);
-            (memo.db.stats().recorded, memo.order.total() as u64)
-        },
-    );
-    let out = run_sweep(vec![cell], &opts);
-    let (records, ordered) = out.results[0];
+    let memo = memoize(&cfg, COLO_CORES);
+    let (records, ordered) = (memo.db.stats().recorded, memo.order.total() as u64);
 
     println!("The S5 state-space argument: orderings vs one recorded run\n");
     print_row(

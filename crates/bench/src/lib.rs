@@ -9,24 +9,10 @@
 pub mod sweep;
 
 use scalecheck::{ExecMode, COLO_CORES};
-use scalecheck_cluster::{RunReport, ScenarioConfig};
+use scalecheck_cluster::RunReport;
 use serde_json::{json, Value};
 
-pub use sweep::{run_sweep, spec_cell, Cell, SweepOptions, SweepOutcome};
-
-/// Builds the scenario for a named bug at a given scale, or explains
-/// why the bug id is unknown.
-pub fn try_bug_scenario(bug: &str, n: usize, seed: u64) -> Result<ScenarioConfig, String> {
-    match bug {
-        "c3831" => Ok(ScenarioConfig::c3831(n, seed)),
-        "c3881" => Ok(ScenarioConfig::c3881(n, seed)),
-        "c5456" => Ok(ScenarioConfig::c5456(n, seed)),
-        "c6127" => Ok(ScenarioConfig::c6127(n, seed)),
-        other => Err(format!(
-            "unknown bug id '{other}' (use c3831|c3881|c5456|c6127)"
-        )),
-    }
-}
+pub use sweep::{cell, jobs_from_args, run_sweep, Cell};
 
 /// Prints an error plus usage to stderr and exits with status 2 — the
 /// bad-CLI-arguments path for every binary in this crate.
@@ -202,21 +188,6 @@ pub fn has_flag(args: &[String], key: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bug_scenarios_resolve() {
-        for bug in ["c3831", "c3881", "c5456", "c6127"] {
-            let cfg = try_bug_scenario(bug, 32, 1).expect("known bug id");
-            assert!(cfg.n_nodes == 32);
-        }
-    }
-
-    #[test]
-    fn unknown_bug_is_a_recoverable_error() {
-        let err = try_bug_scenario("c9999", 32, 1).unwrap_err();
-        assert!(err.contains("unknown bug id 'c9999'"));
-        assert!(err.contains("c3831"), "error should list valid ids");
-    }
 
     #[test]
     fn parse_flag_distinguishes_absent_from_malformed() {

@@ -3,36 +3,23 @@
 //! narrative (Colo's calc inflation, SC+PIL's non-inflation).
 
 use proptest::prelude::*;
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
-use scalecheck_bench::{run_sweep, spec_cell, try_bug_scenario, SweepOptions};
+use scalecheck::{ExecMode, COLO_CORES};
+use scalecheck_bench::{cell, run_sweep};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
 fn traced(bug: &str, n: usize, seed: u64) -> ScenarioConfig {
-    let mut cfg = try_bug_scenario(bug, n, seed).expect("known bug id");
+    let mut cfg = ScenarioConfig::bug(bug, n, seed).expect("known bug id");
     cfg.trace = scalecheck_obs::TraceConfig::enabled();
     cfg
-}
-
-fn opts(jobs: usize) -> SweepOptions {
-    SweepOptions {
-        jobs,
-        use_cache: false,
-        ..SweepOptions::default()
-    }
 }
 
 /// Runs the (cfg, mode) cells and returns the reports in order.
 fn sweep(cfg: &ScenarioConfig, modes: &[ExecMode], jobs: usize) -> Vec<RunReport> {
     let cells = modes
         .iter()
-        .map(|&mode| {
-            spec_cell(
-                format!("obs-it {}", mode.label()),
-                CellSpec::new(cfg.clone(), mode),
-            )
-        })
+        .map(|&mode| cell(format!("obs-it {}", mode.label()), cfg.clone(), mode))
         .collect();
-    run_sweep(cells, &opts(jobs)).results
+    run_sweep(cells, jobs)
 }
 
 proptest! {

@@ -159,15 +159,12 @@ pub struct ScenarioConfig {
     pub memory: MemoryConfig,
     /// Network fabric parameters (latency distribution, loss).
     pub network: NetworkConfig,
-    /// Scheduled fault injections (empty plan = no faults). Part of the
-    /// serialized config, so sweep cache keys distinguish plans.
+    /// Scheduled fault injections (empty plan = no faults).
     pub faults: FaultPlan,
     /// The client-request datapath ([`scalecheck_traffic`]): the paper's
     /// user-visible impact, "making some data not reachable by the
     /// users". Presets carry the light observer probe
     /// ([`TrafficConfig::probe`]); [`TrafficConfig::OFF`] means off.
-    /// Part of the serialized config, so sweep cache keys distinguish
-    /// traffic shapes.
     pub traffic: TrafficConfig,
     /// Full observability tracing (spans, metrics, utilization
     /// timelines) on virtual time; see [`scalecheck_obs`].
@@ -179,8 +176,7 @@ pub struct ScenarioConfig {
     pub global_event_queue: bool,
     /// Tie-order perturbation applied to the engine (identity = stock
     /// scheduling order). Part of the serialized config, so schedule
-    /// witnesses replay from JSON and sweep cache keys distinguish
-    /// perturbed cells.
+    /// witnesses replay from JSON.
     pub tie_order: TieOrderSpec,
     /// Record the engine fire log and the runner's event tags into the
     /// report's [`scalecheck_sim::ScheduleProbe`] (explorer input).
@@ -301,6 +297,20 @@ impl ScenarioConfig {
         cfg
     }
 
+    /// The named bug's preset at a scale, or why the id is unknown: the
+    /// one bug-name → preset table every command line shares.
+    pub fn bug(bug: &str, n_nodes: usize, seed: u64) -> Result<Self, String> {
+        match bug {
+            "c3831" => Ok(Self::c3831(n_nodes, seed)),
+            "c3881" => Ok(Self::c3881(n_nodes, seed)),
+            "c5456" => Ok(Self::c5456(n_nodes, seed)),
+            "c6127" => Ok(Self::c6127(n_nodes, seed)),
+            other => Err(format!(
+                "unknown bug id '{other}' (use c3831|c3881|c5456|c6127)"
+            )),
+        }
+    }
+
     /// Switches the scenario to a run mode, leaving the workload
     /// untouched (the paper's accuracy comparison varies only this).
     pub fn with_mode(mut self, mode: RunMode) -> Self {
@@ -418,6 +428,15 @@ mod tests {
         let d = ScenarioConfig::c6127(64, 1);
         assert_eq!(d.calculator, CalcVersion::FreshRing);
         assert!(matches!(d.workload, Workload::BootstrapFromScratch));
+    }
+
+    #[test]
+    fn bug_ids_resolve_and_unknown_ones_list_the_valid_ids() {
+        for bug in ["c3831", "c3881", "c5456", "c6127"] {
+            assert_eq!(ScenarioConfig::bug(bug, 32, 1).map(|c| c.n_nodes), Ok(32));
+        }
+        let err = ScenarioConfig::bug("c9999", 32, 1).unwrap_err();
+        assert!(err.contains("unknown bug id 'c9999'") && err.contains("c3831"));
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Experiment cells: self-contained, serializable units of sweep work.
+//! Experiment cells: self-contained units of sweep work.
 //!
 //! A sweep (one figure or table) decomposes into independent cells,
 //! each a `(scenario, mode)` pair. [`run_cell`] builds every piece of
 //! runner state — engine, cluster, memo database — fresh inside the
 //! call, so cells can execute concurrently on worker threads with no
-//! shared state. [`ExecMode`] and [`CellSpec`] are serializable so a
-//! cell's full configuration can be digested into a content-addressed
-//! cache key.
+//! shared state.
 
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 use scalecheck_memo::digest_bytes;
@@ -56,33 +54,10 @@ impl ExecMode {
     }
 }
 
-/// One cell's full configuration: everything that determines its
-/// result, and nothing else. Serializing this is the content-addressed
-/// cache key. Because the scenario embeds its `FaultPlan`, two cells
-/// differing only in injected faults digest to different keys.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CellSpec {
-    /// The complete scenario (includes bug shape, scale, and seed).
-    pub config: ScenarioConfig,
-    /// Which pipeline to run it under.
-    pub mode: ExecMode,
-}
-
-impl CellSpec {
-    /// Builds a cell spec.
-    pub fn new(config: ScenarioConfig, mode: ExecMode) -> Self {
-        CellSpec { config, mode }
-    }
-
-    /// Runs this cell. See [`run_cell`].
-    pub fn run(&self) -> RunReport {
-        run_cell(&self.config, self.mode)
-    }
-}
-
 /// The content address of a serializable value: 128-bit FNV-1a over its
-/// canonical JSON, as 32 hex characters. Sweep-cache keys and witness
-/// report digests both use it, so digests are comparable across tools.
+/// canonical JSON, as 32 hex characters. Witness report digests, the
+/// traffic log digest and the whole-run pins all use it, so digests are
+/// comparable across tools.
 pub fn content_digest<T: Serialize + ?Sized>(value: &T) -> String {
     let text = serde_json::to_string(value).expect("value serializes");
     format!("{:032x}", digest_bytes(text.as_bytes()).0)
@@ -134,19 +109,13 @@ mod tests {
 
     #[test]
     fn cells_run_concurrently_and_deterministically() {
-        let spec = CellSpec::new(
-            tiny(),
-            ExecMode::ScPil {
-                cores: COLO_CORES,
-                ordered: false,
-            },
-        );
-        let serial = spec.run();
+        let mode = ExecMode::ScPil {
+            cores: COLO_CORES,
+            ordered: false,
+        };
+        let serial = run_cell(&tiny(), mode);
         let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let spec = spec.clone();
-                std::thread::spawn(move || spec.run())
-            })
+            .map(|_| std::thread::spawn(move || run_cell(&tiny(), mode)))
             .collect();
         for h in handles {
             let parallel = h.join().expect("cell thread");
@@ -156,23 +125,24 @@ mod tests {
     }
 
     #[test]
-    fn cell_spec_round_trips_through_json() {
-        let spec = CellSpec::new(
-            ScenarioConfig::baseline(10, 7),
-            ExecMode::ScPil {
-                cores: COLO_CORES,
-                ordered: true,
-            },
-        );
-        let json = serde_json::to_string(&spec).expect("serialize");
-        let back: CellSpec = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back.mode, spec.mode);
-        assert_eq!(back.config.n_nodes, spec.config.n_nodes);
+    fn distinct_keys_get_distinct_digests() {
+        let a = content_digest(&("square", 1u64));
+        let b = content_digest(&("square", 2u64));
+        assert_ne!(a, b);
+        assert_eq!(a.len(), 32);
+    }
+
+    #[test]
+    fn scenario_config_round_trips_through_json() {
+        let cfg = ScenarioConfig::baseline(10, 7);
+        let json = serde_json::to_string(&cfg).expect("serialize");
+        let back: ScenarioConfig = serde_json::from_str(&json).expect("deserialize");
+        assert_eq!(back.n_nodes, cfg.n_nodes);
         assert_eq!(json, serde_json::to_string(&back).expect("re-serialize"));
 
         // Every independently settable scenario field, once: one run
         // mode, one traffic shape, one trace switch.
-        let value = serde_json::to_value(&spec.config).expect("serialize");
+        let value = serde_json::to_value(&cfg).expect("serialize");
         let serde_json::Value::Object(entries) = value else {
             panic!("a config serializes as an object");
         };

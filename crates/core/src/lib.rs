@@ -45,7 +45,7 @@ pub mod scalecheck;
 pub use accuracy::{compare_sweeps, FlapSweep, SweepComparison};
 pub use baselines::{extrapolate_power_law, time_dilated};
 pub use bottleneck::{colocation_memory_demand, diagnose, Bottleneck, BottleneckThresholds};
-pub use cell::{content_digest, run_cell, CellSpec, ExecMode};
+pub use cell::{content_digest, run_cell, ExecMode};
 pub use scalecheck::{
     memoize, replay, replay_ordered, run_colo, run_real, scale_check, MemoArtifacts,
     ScaleCheckResult, COLO_CORES,

@@ -60,12 +60,8 @@ pub struct WitnessReplay {
 pub fn scenario_for(bug: &str, n_nodes: usize, seed: u64) -> Option<ScenarioConfig> {
     match bug {
         "baseline" => Some(ScenarioConfig::baseline(n_nodes, seed)),
-        "c3831" => Some(ScenarioConfig::c3831(n_nodes, seed)),
-        "c3881" => Some(ScenarioConfig::c3881(n_nodes, seed)),
-        "c5456" => Some(ScenarioConfig::c5456(n_nodes, seed)),
-        "c6127" => Some(ScenarioConfig::c6127(n_nodes, seed)),
         "race" => Some(race_scenario(n_nodes, seed)),
-        _ => None,
+        bug => ScenarioConfig::bug(bug, n_nodes, seed).ok(),
     }
 }
 
@@ -102,8 +98,8 @@ fn race_scenario(n_nodes: usize, seed: u64) -> ScenarioConfig {
     cfg
 }
 
-/// A report's content address ([`scalecheck::content_digest`]) — the
-/// same addressing the sweep cache uses.
+/// A report's content address ([`scalecheck::content_digest`]) — what
+/// a witness's `report_digest` line and the whole-run pins compare.
 pub fn digest_report(report: &RunReport) -> String {
     scalecheck::content_digest(report)
 }

@@ -49,7 +49,6 @@ impl OrderRecorder {
             logs: self.logs,
             cursors: BTreeMap::new(),
             out_of_log: 0,
-            enforced: 0,
         }
     }
 }
@@ -72,7 +71,6 @@ pub struct OrderEnforcer {
     logs: BTreeMap<u32, Vec<u64>>,
     cursors: BTreeMap<u32, usize>,
     out_of_log: u64,
-    enforced: u64,
 }
 
 impl OrderEnforcer {
@@ -122,12 +120,6 @@ impl OrderEnforcer {
             "order enforcer advanced out of order (expected {exp:?}, got {key})"
         );
         *self.cursors.entry(node).or_insert(0) += 1;
-        self.enforced += 1;
-    }
-
-    /// Events processed in recorded order so far.
-    pub fn enforced(&self) -> u64 {
-        self.enforced
     }
 
     /// Arrivals the log never saw (replay divergence indicator).
@@ -154,7 +146,6 @@ mod tests {
             enf.advance(1, k);
         }
         assert_eq!(enf.expected(1), None);
-        assert_eq!(enf.enforced(), 3);
         assert_eq!(enf.out_of_log(), 0);
     }
 

@@ -6,8 +6,8 @@
 //! [`FaultEvent`]s pinned to virtual times; the cluster runner drives
 //! them off the engine's clock and the seeded RNG, so the same
 //! `(scenario, plan, seed)` triple always produces a byte-identical
-//! [`FaultReport`]. Plans are plain data: they serialize into the
-//! scenario configuration and therefore into the sweep cache key.
+//! [`FaultReport`]. Plans are plain data: they serialize with the
+//! scenario configuration that carries them.
 //!
 //! Node identity is the raw `u32` index shared by the ring / gossip /
 //! network id spaces of the upper layers; this crate stays agnostic of

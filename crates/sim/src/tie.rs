@@ -16,10 +16,10 @@
 //! produced.
 //!
 //! [`TieOrderSpec`] is the serializable description (it rides inside
-//! `ScenarioConfig`, so schedule witnesses replay from JSON and sweep
-//! cache keys distinguish perturbed cells). [`ScheduleProbe`] is the
-//! engine's fire log plus the runner's event tags, from which the
-//! explorer derives tie groups and targeted swap candidates.
+//! `ScenarioConfig`, so schedule witnesses replay from JSON).
+//! [`ScheduleProbe`] is the engine's fire log plus the runner's event
+//! tags, from which the explorer derives tie groups and targeted swap
+//! candidates.
 
 use serde::{Deserialize, Serialize};
 

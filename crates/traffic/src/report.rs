@@ -131,9 +131,9 @@ impl TrafficReport {
     }
 }
 
-/// Streaming FNV-1a-128 over request records — the same constants the
-/// sweep cache and witness digests use, so digests are comparable
-/// across tools.
+/// Streaming FNV-1a-128 over request records — the same constants
+/// witness and run-pin digests use, so digests are comparable across
+/// tools.
 #[derive(Clone, Debug)]
 pub struct LogDigest {
     h: u128,

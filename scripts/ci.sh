@@ -17,6 +17,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== cargo build --release (workspace) ==="
 cargo build --release --workspace
 
+# One way to get a cell's result: every sweep cell is executed by the
+# binary that prints it. The result cache, its flag and its key types
+# are gone; nothing may bring them back under another spelling.
+echo "=== no result cache (grep gate) ==="
+if grep -rnE 'no-cache|use_cache|cache_dir|results/cache|CellSpec|spec_cell' \
+  crates src examples tests scripts/run_experiments.sh; then
+  echo "error: the sweep result cache is gone; see the matches above" >&2
+  exit 1
+fi
+
 # The root package's integration suites are the behaviour contracts, each
 # run once here: paper shapes at pinned seeds (bug_regressions), fault
 # injection + byte-identical same-seed reports (failure_injection), the
@@ -32,8 +42,8 @@ cargo test -q
 # Every member crate's unit and integration suites: obs (tracer,
 # histograms, exporters, analyzer), traffic, explore (tie order,
 # frontier, shrinker, witness), cluster's schedule tests, and bench's
-# sweep-cache and obs-integration contracts (trace determinism across
-# --jobs, Chrome-export well-formedness).
+# sweep and obs-integration contracts (byte-identical output and traces
+# across --jobs, Chrome-export well-formedness).
 echo "=== cargo test (workspace) ==="
 cargo test --workspace -q
 
@@ -51,12 +61,13 @@ cargo run --release --offline --manifest-path benchmarks/Cargo.toml -- --smoke
 echo "=== §6 divergence narrative (c3831@128, release) ==="
 cargo test --release -q -p scalecheck-bench --test obs_integration -- --ignored
 
-# Trace-pipeline smoke: a real run exports a Chrome trace and the
-# analyzer loads a pair of them end to end through the CLI surface.
+# Trace-pipeline smoke: a real run exports a Chrome trace (and prints
+# the end-of-run obs summary), and the analyzer loads a pair of them
+# end to end through the CLI surface.
 echo "=== diag_run trace export + analyzer smoke ==="
-target/release/diag_run --bug c3831 --nodes 12 --mode real --no-cache \
+target/release/diag_run --bug c3831 --nodes 12 --mode real \
   --trace-out target/ci_trace_real.json
-target/release/diag_run --bug c3831 --nodes 12 --mode colo --no-cache \
+target/release/diag_run --bug c3831 --nodes 12 --mode colo \
   --trace-out target/ci_trace_colo.json
 target/release/diag_run --diverge target/ci_trace_real.json target/ci_trace_colo.json
 
@@ -71,13 +82,13 @@ target/release/bench_engine --smoke --out target/BENCH_engine_smoke.json
 target/release/bench_engine --verify target/BENCH_engine_smoke.json
 
 # Scale smoke: the harness must stay fast enough to reach the scales
-# the paper argues for. One 1024-node SC+PIL cell runs cache-free and
-# must finish inside the wall budget (sized for a single-CPU worker:
-# ~75 s with index-addressed gossip/phi tables, 306 s with the per-peer
-# tree maps they replaced — a slide back fails here), and its row must
-# satisfy the bench_scale/v1 schema. Full trajectory
-# numbers come from scripts/run_experiments.sh --scale (see
-# EXPERIMENTS.md, "Scaling beyond the paper").
+# the paper argues for. One 1024-node SC+PIL cell must finish inside
+# the wall budget (sized for a single-CPU worker: ~75 s with
+# index-addressed gossip/phi tables, 306 s with the per-peer tree maps
+# they replaced — a slide back fails here), and its row must satisfy the
+# bench_scale/v1 schema. Full trajectory numbers come from
+# scripts/run_experiments.sh --scale (see EXPERIMENTS.md, "Scaling
+# beyond the paper").
 echo "=== scale smoke (tbl_scale --smoke, 1024-node SC+PIL) ==="
 target/release/tbl_scale --smoke --budget-secs 240
 

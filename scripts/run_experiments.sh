@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # Regenerates every paper artifact into results/.
-# Usage: scripts/run_experiments.sh [--quick] [--jobs N] [--no-cache] [--faults LIST] [--diverge]
+# Usage: scripts/run_experiments.sh [--quick] [--jobs N] [--faults LIST] [--diverge] [--scale] [--explore] [--slo]
+# Every step runs its binary from scratch; a step that exits non-zero is
+# reported at the end and the script exits 1 (its results/NAME.txt is
+# then a truncated transcript, not an artifact).
 # --quick       caps Figure 3 sweeps at N=96 for a fast smoke pass.
 # --jobs N      worker threads per experiment sweep (default: all cores).
-# --no-cache    ignore and bypass the on-disk result cache (results/cache/).
 # --faults LIST comma-separated storm intensities passed through to
 #               tbl_faults (default 0,0.3,0.7).
 # --diverge     also regenerate TBL_diverge.txt (the §6 divergence
 #               attribution at C3831/N=128: three traced runs + two
 #               analyzer passes — several extra minutes).
 # --scale       also regenerate BENCH_scale.json / TBL_scale.txt (the
-#               256–4096-node harness-throughput sweep; the big cells
-#               take tens of minutes each on a cold cache).
+#               256–2048-node harness-throughput sweep; minutes per
+#               big cell, and wall_secs is this run's clock).
 # --explore     also regenerate TBL_explore.txt (schedule-exploration
 #               outcomes: stock presets stay tick-commutative, the
 #               race preset yields shrunk single-swap witnesses).
@@ -27,14 +29,13 @@ DIVERGE=0
 SCALE=0
 EXPLORE=0
 SLO=0
-SWEEP_FLAGS=()
+JOBS=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --quick) SCALES="32,64,96" ;;
     --jobs)
       [ $# -ge 2 ] || { echo "--jobs needs a value" >&2; exit 2; }
-      SWEEP_FLAGS+=(--jobs "$2"); shift ;;
-    --no-cache) SWEEP_FLAGS+=(--no-cache) ;;
+      JOBS=(--jobs "$2"); shift ;;
     --faults)
       [ $# -ge 2 ] || { echo "--faults needs a value" >&2; exit 2; }
       FAULT_INTENSITIES="$2"; shift ;;
@@ -42,50 +43,58 @@ while [ $# -gt 0 ]; do
     --scale) SCALE=1 ;;
     --explore) EXPLORE=1 ;;
     --slo) SLO=1 ;;
-    *) echo "unknown flag: $1" >&2; echo "usage: $0 [--quick] [--jobs N] [--no-cache] [--faults LIST] [--diverge] [--scale] [--explore] [--slo]" >&2; exit 2 ;;
+    *) echo "unknown flag: $1" >&2; echo "usage: $0 [--quick] [--jobs N] [--faults LIST] [--diverge] [--scale] [--explore] [--slo]" >&2; exit 2 ;;
   esac
   shift
 done
 BIN=target/release
 cargo build --workspace --release || exit 1
 
+FAILED=()
+# run NAME CMD...: stdout -> results/NAME.txt, stderr -> results/NAME.log.
 run() {
   name=$1; shift
   echo "=== $name ==="
-  "$@" ${SWEEP_FLAGS[@]+"${SWEEP_FLAGS[@]}"} >"results/$name.txt" 2>"results/$name.log"
-  echo "    -> results/$name.txt"
+  if "$@" >"results/$name.txt" 2>"results/$name.log"; then
+    echo "    -> results/$name.txt"
+  else
+    echo "    FAILED (exit $?): see results/$name.log" >&2
+    FAILED+=("$name")
+  fi
 }
+# sweep NAME CMD...: a step whose binary fans cells out over --jobs workers.
+sweep() { run "$@" ${JOBS[@]+"${JOBS[@]}"}; }
 
-run fig3a_c3831 "$BIN/fig3_flaps" --bug c3831 --scales "$SCALES"
-run fig3b_c3881 "$BIN/fig3_flaps" --bug c3881 --scales "$SCALES"
-run fig3c_c5456 "$BIN/fig3_flaps" --bug c5456 --scales "$SCALES"
-run fig1_testtime "$BIN/fig1_testtime"
-run tbl_memo_vs_replay "$BIN/tbl_memo_vs_replay" --nodes 256
-run tbl_colocation_limit "$BIN/tbl_colocation_limit"
-run tbl_complexity "$BIN/tbl_complexity"
+sweep fig3a_c3831 "$BIN/fig3_flaps" --bug c3831 --scales "$SCALES"
+sweep fig3b_c3881 "$BIN/fig3_flaps" --bug c3881 --scales "$SCALES"
+sweep fig3c_c5456 "$BIN/fig3_flaps" --bug c5456 --scales "$SCALES"
+sweep fig1_testtime "$BIN/fig1_testtime"
+sweep tbl_memo_vs_replay "$BIN/tbl_memo_vs_replay" --nodes 256
+sweep tbl_colocation_limit "$BIN/tbl_colocation_limit"
+sweep tbl_complexity "$BIN/tbl_complexity"
 run tbl_bugstudy "$BIN/tbl_bugstudy"
 run tbl_finder "$BIN/tbl_finder"
-run tbl_memory "$BIN/tbl_memory"
+sweep tbl_memory "$BIN/tbl_memory"
 run tbl_statespace "$BIN/tbl_statespace"
-run tbl_fix_ablation "$BIN/tbl_fix_ablation" --nodes 256
-run tbl_baselines "$BIN/tbl_baselines" --target 256
-run ext_hdfs "$BIN/ext_hdfs"
-run fig_c6127 "$BIN/fig_c6127"
-run tbl_faults "$BIN/tbl_faults" --bug c3831 --intensities "$FAULT_INTENSITIES"
+sweep tbl_fix_ablation "$BIN/tbl_fix_ablation" --nodes 256
+sweep tbl_baselines "$BIN/tbl_baselines" --target 256
+sweep ext_hdfs "$BIN/ext_hdfs"
+sweep fig_c6127 "$BIN/fig3_flaps" --bug c6127 --scales "$SCALES"
+sweep tbl_faults "$BIN/tbl_faults" --bug c3831 --intensities "$FAULT_INTENSITIES"
 # Engine microbenchmark trajectory: writes BENCH_engine.json at the
 # repo root (tracked) in addition to the results/ transcript.
 run bench_engine "$BIN/bench_engine" --out BENCH_engine.json
 # §6 divergence attribution: three traced 128-node runs plus the
-# analyzer; writes TBL_diverge.txt at the repo root (tracked). Traced
-# runs defeat the result cache, so this is opt-in.
+# analyzer; writes TBL_diverge.txt at the repo root (tracked). Several
+# extra minutes, so this is opt-in.
 if [ "$DIVERGE" = 1 ]; then
-  run tbl_diverge "$BIN/tbl_diverge" --nodes 128 --out TBL_diverge.txt
+  sweep tbl_diverge "$BIN/tbl_diverge" --nodes 128 --out TBL_diverge.txt
 fi
 # Harness-throughput scale sweep: writes BENCH_scale.json and
-# TBL_scale.txt at the repo root (tracked). The 2048/4096-node cells
-# are expensive on a cold cache, so this is opt-in.
+# TBL_scale.txt at the repo root (tracked). The 1024/2048-node cells
+# take minutes each, so this is opt-in.
 if [ "$SCALE" = 1 ]; then
-  run tbl_scale "$BIN/tbl_scale" --scales "$SCALE_SCALES"
+  sweep tbl_scale "$BIN/tbl_scale" --scales "$SCALE_SCALES"
 fi
 # Schedule-exploration outcomes: writes TBL_explore.txt at the repo
 # root (tracked). Deterministic: the eval cap (not the wall budget,
@@ -96,12 +105,16 @@ fi
 # because the 256-node Colo cells re-execute the bug scenarios with the
 # coupled datapath attached (minutes each).
 if [ "$SLO" = 1 ]; then
-  run tbl_slo "$BIN/tbl_slo"
+  sweep tbl_slo "$BIN/tbl_slo"
 fi
 if [ "$EXPLORE" = 1 ]; then
   run tbl_explore "$BIN/explore_run" \
     --cells c3831:64:1:colo,c3881:48:1:colo,c5456:48:1:colo,race:40:1:real,race:40:2:real,race:40:3:real,race:40:4:real \
     --max-evals 64 --max-swaps 1024 --shuffles 8 --budget-secs 1200 \
     --table-out TBL_explore.txt
+fi
+if [ ${#FAILED[@]} -gt 0 ]; then
+  echo "FAILED steps: ${FAILED[*]}" >&2
+  exit 1
 fi
 echo "all experiments done"

@@ -27,24 +27,21 @@ fn flag(args: &[String], key: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn scenario(args: &[String]) -> ScenarioConfig {
-    let bug = flag(args, "--bug").unwrap_or_else(|| "c3831".into());
-    let nodes: usize = flag(args, "--nodes")
-        .map(|s| s.parse().expect("--nodes must be an integer"))
-        .unwrap_or(64);
-    let seed: u64 = flag(args, "--seed")
-        .map(|s| s.parse().expect("--seed must be an integer"))
-        .unwrap_or(1);
-    match bug.as_str() {
-        "c3831" => ScenarioConfig::c3831(nodes, seed),
-        "c3881" => ScenarioConfig::c3881(nodes, seed),
-        "c5456" => ScenarioConfig::c5456(nodes, seed),
-        "c6127" => ScenarioConfig::c6127(nodes, seed),
-        other => {
-            eprintln!("unknown bug '{other}' (c3831|c3881|c5456|c6127)");
-            std::process::exit(2);
-        }
+/// Parses `--key N`, falling back to `default` when the flag is absent.
+fn int_flag<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
+    match flag(args, key) {
+        None => Ok(default),
+        Some(raw) => raw
+            .parse()
+            .map_err(|_| format!("{key} must be an integer, got '{raw}'")),
     }
+}
+
+fn scenario(args: &[String]) -> Result<ScenarioConfig, String> {
+    let bug = flag(args, "--bug").unwrap_or_else(|| "c3831".into());
+    let nodes = int_flag(args, "--nodes", 64)?;
+    let seed = int_flag(args, "--seed", 1)?;
+    ScenarioConfig::bug(&bug, nodes, seed)
 }
 
 fn print_report(label: &str, r: &RunReport) {
@@ -84,8 +81,8 @@ fn print_report(label: &str, r: &RunReport) {
     );
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let cfg = scenario(args);
+fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
+    let cfg = scenario(args)?;
     let mode = flag(args, "--mode").unwrap_or_else(|| "real".into());
     let report = match mode.as_str() {
         "real" => run_real(&cfg),
@@ -94,47 +91,44 @@ fn cmd_run(args: &[String]) -> ExitCode {
             let memo = memoize(&cfg, COLO_CORES);
             replay(&cfg, COLO_CORES, &memo)
         }
-        other => {
-            eprintln!("unknown mode '{other}' (real|colo|pil)");
-            return ExitCode::from(2);
-        }
+        other => return Err(format!("unknown mode '{other}' (use real|colo|pil)")),
     };
     print_report(&format!("{mode} run"), &report);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_memoize(args: &[String]) -> ExitCode {
-    let cfg = scenario(args);
+fn cmd_memoize(args: &[String]) -> Result<ExitCode, String> {
+    let cfg = scenario(args)?;
     let db_path = flag(args, "--db").unwrap_or_else(|| "memo.json".into());
     let memo = memoize(&cfg, COLO_CORES);
     print_report("memoization (colo) run", &memo.report);
     match memo.db.save(Path::new(&db_path)) {
         Ok(()) => {
             println!("  database        : {} records -> {db_path}", memo.db.len());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("failed to save database: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let cfg = scenario(args);
+fn cmd_replay(args: &[String]) -> Result<ExitCode, String> {
+    let cfg = scenario(args)?;
     let db_path = flag(args, "--db").unwrap_or_else(|| "memo.json".into());
     let db: MemoDb<PendingWire> = match MemoDb::load(Path::new(&db_path)) {
         Ok(db) => db,
         Err(e) => {
             eprintln!("failed to load database '{db_path}': {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut rcfg = cfg.with_mode(scalecheck_cluster::RunMode::PilReplay { cores: COLO_CORES });
     rcfg.order_enforcement = false;
     let (report, _, _) = scalecheck_cluster::run_scenario_with_db(&rcfg, Some(db), None);
     print_report("PIL replay", &report);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_finder() -> ExitCode {
@@ -171,39 +165,37 @@ fn cmd_bugstudy() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_statespace(args: &[String]) -> ExitCode {
-    let n: u64 = flag(args, "--nodes")
-        .map(|s| s.parse().unwrap())
-        .unwrap_or(256);
-    let p: u64 = flag(args, "--vnodes")
-        .map(|s| s.parse().unwrap())
-        .unwrap_or(256);
+fn cmd_statespace(args: &[String]) -> Result<ExitCode, String> {
+    let n: u64 = int_flag(args, "--nodes", 256)?;
+    let p: u64 = int_flag(args, "--vnodes", 256)?;
     println!(
         "ordering space at N={n}, P={p}: ~10^{:.0} possibilities ({} digits)",
         scalecheck_memo::log10_ordering_space(n, p),
         scalecheck_memo::ordering_space_digits(n, p)
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: scalecheck-cli <run|memoize|replay|finder|bugstudy|statespace> \
-         [--bug c3831|c3881|c5456|c6127] [--nodes N] [--seed S] [--mode real|colo|pil] \
-         [--db memo.json]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage: scalecheck-cli <run|memoize|replay|finder|bugstudy|statespace> \
+[--bug c3831|c3881|c5456|c6127] [--nodes N] [--vnodes P] [--seed S] [--mode real|colo|pil] \
+[--db memo.json]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let done = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("memoize") => cmd_memoize(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
-        Some("finder") => cmd_finder(),
-        Some("bugstudy") => cmd_bugstudy(),
+        Some("finder") => Ok(cmd_finder()),
+        Some("bugstudy") => Ok(cmd_bugstudy()),
         Some("statespace") => cmd_statespace(&args[1..]),
-        _ => usage(),
-    }
+        Some(other) => Err(format!("unknown command '{other}'")),
+        None => Err("missing command".to_string()),
+    };
+    // Bad arguments end in the usage text and status 2, never a panic.
+    done.unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        eprintln!("{USAGE}");
+        ExitCode::from(2)
+    })
 }

@@ -162,19 +162,17 @@ fn runner_refuses_to_start_with_an_invalid_config() {
 #[test]
 #[ignore = "release-mode paper-shape regression: run with --ignored"]
 fn c3831_at_128_shows_the_paper_shape_on_the_slo_axis() {
-    use scalecheck::{CellSpec, ExecMode, COLO_CORES};
-    let scenario =
-        || ScenarioConfig::c3831(128, 1).with_traffic(TrafficConfig::open_loop(1_000_000));
-    let real = CellSpec::new(scenario(), ExecMode::Real).run();
-    let colo = CellSpec::new(scenario(), ExecMode::Colo { cores: COLO_CORES }).run();
-    let pil = CellSpec::new(
-        scenario(),
+    use scalecheck::{run_cell, ExecMode, COLO_CORES};
+    let cfg = ScenarioConfig::c3831(128, 1).with_traffic(TrafficConfig::open_loop(1_000_000));
+    let real = run_cell(&cfg, ExecMode::Real);
+    let colo = run_cell(&cfg, ExecMode::Colo { cores: COLO_CORES });
+    let pil = run_cell(
+        &cfg,
         ExecMode::ScPil {
             cores: COLO_CORES,
             ordered: false,
         },
-    )
-    .run();
+    );
     let triple = scalecheck_explore::SloTriple {
         real: real.traffic.slo_summary(),
         colo: colo.traffic.slo_summary(),
