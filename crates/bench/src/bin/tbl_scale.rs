@@ -17,9 +17,10 @@
 //! `TBL_scale.txt` in the working directory, and prints the table.
 //!
 //! Options:
-//! * `--scales 256,512,1024,2048` — cluster sizes (default; 4096-node
-//!   cells work too, but take on the order of an hour each on one
-//!   CPU, so they are opt-in);
+//! * `--scales 256,512,1024,2048` — cluster sizes (default; the
+//!   committed artifacts also carry the 4096-node cells, which take
+//!   ~3 minutes each on one CPU but ~14 GB of host memory, so they are
+//!   opt-in here and named by `scripts/run_experiments.sh --scale`);
 //! * `--seed 1` — simulation seed;
 //! * `--modes colo,scpil` — which execution modes to sweep (default
 //!   both);

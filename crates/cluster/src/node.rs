@@ -220,8 +220,11 @@ impl Node {
         for &peer in &outcome.app_advanced {
             self.refresh_left(peer);
         }
+        // Nearly always nobody in the view has `Left`, and the mirror
+        // need not be probed per peer.
+        let nobody_left = self.left_in_view == 0;
         for &peer in &outcome.heartbeat_advanced {
-            if !self.has_left(peer) {
+            if nobody_left || !self.has_left(peer) {
                 self.fd.report(peer, now);
             }
         }

@@ -9,7 +9,7 @@
 use scalecheck_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::phi::{ArrivalWindow, PhiParams};
+use crate::phi::PhiParams;
 use crate::state::Peer;
 
 /// A peer's liveness verdict.
@@ -36,6 +36,51 @@ const SUSPECT: u8 = 4;
 /// empty slots without a second load.
 const NEVER: u64 = u64::MAX;
 
+/// Ring slot `k` of every peer's sample window: one `u64` of
+/// nanoseconds per peer, kept as two 4-byte words.
+#[derive(Clone, Debug)]
+struct SampleRow {
+    /// Low words, as long as the detector's columns.
+    lo: Vec<u32>,
+    /// High words: empty, which reads as all zeros, until some sample in
+    /// this row reaches 2³² ns; from then on as long as `lo`.
+    hi: Vec<u32>,
+}
+
+impl SampleRow {
+    fn new(slots: usize) -> Self {
+        SampleRow {
+            lo: vec![0; slots],
+            hi: Vec::new(),
+        }
+    }
+
+    fn widen(&mut self, slots: usize) {
+        self.lo.resize(slots, 0);
+        if !self.hi.is_empty() {
+            self.hi.resize(slots, 0);
+        }
+    }
+
+    fn get(&self, idx: usize) -> u64 {
+        let high = self.hi.get(idx).copied().unwrap_or(0);
+        u64::from(high) << 32 | u64::from(self.lo[idx])
+    }
+
+    fn set(&mut self, idx: usize, sample_ns: u64) {
+        self.lo[idx] = sample_ns as u32;
+        let high = (sample_ns >> 32) as u32;
+        if high != 0 && self.hi.is_empty() {
+            self.hi.resize(self.lo.len(), 0);
+        }
+        // An allocated high word is always written: the slot's previous
+        // sample may have left one there.
+        if let Some(word) = self.hi.get_mut(idx) {
+            *word = high;
+        }
+    }
+}
+
 /// One node's failure-detection state over all its peers.
 ///
 /// # Layout
@@ -44,12 +89,39 @@ const NEVER: u64 = u64::MAX;
 /// lives in parallel columns indexed by `Peer.0` rather than in a map:
 /// `report`, `liveness`, `forget` and `phi` are array indexing, and the
 /// once-per-interval [`Self::interpret_all`] sweep is a linear pass
-/// over the contiguous `last_arrival_ns` column. The columns grow
-/// geometrically to the highest id seen, so a detector costs
-/// O(highest id) slots (~57 bytes each) plus 8 bytes per heartbeat
-/// sample actually held — the same contract `scalecheck_net`'s tiled
-/// link clocks state for `Addr`. The detector constants are held once
-/// here, not once per peer.
+/// over the contiguous `last_arrival_ns` column.
+///
+/// Each peer's window of inter-arrival samples is a ring of up to
+/// `window_cap` slots, and the rings are stored **time-major**:
+/// `rows[k]` holds ring slot `k` of every peer, so a gossip exchange
+/// that reports N peers in ascending order, all at about the same fill
+/// level, walks one contiguous row and the five columns instead of N
+/// separately allocated windows. Row `k` is allocated the first time
+/// any peer fills slot `k` and is overwritten in place once the ring is
+/// full; `forget` and `reset_monitoring` zero a peer's `count`/`head`
+/// and leave the rows alone (a slot is always written before it is
+/// read again).
+///
+/// A sample is a `u64` of nanoseconds kept as two 4-byte words: the low
+/// word always; the high word in a second vector of the row, which
+/// stays unallocated until some sample in slot `k` reaches 2³² ns
+/// (≈4.29 s — only time-dilated runs, whose gossip interval is seconds
+/// × TDF, get there). An absent high vector reads as zeros, so there is
+/// one code path and it is lossless for any `max_interval`.
+///
+/// A peer's `sum_ns` fits a `u64` whatever the parameters: its samples
+/// are the gaps between successive accepted arrivals, arrivals only
+/// move forward, so the gaps are disjoint stretches of one `u64`
+/// nanosecond clock.
+///
+/// The columns and rows grow to the highest id seen, so a detector
+/// costs O(highest id) slots of 25 bytes, plus 4 bytes (8 past 4.29 s)
+/// × slots for each of the `min(longest window, window_cap)` rows — for
+/// densely numbered peers all beating alike, 4 bytes per sample held. A
+/// sparse id is paid for in every row: `Peer(5000)` alone makes each
+/// row 20 KB. The same contract `scalecheck_net`'s tiled link clocks
+/// state for `Addr`. The detector constants are held once here, not
+/// once per peer.
 #[derive(Clone, Debug)]
 pub struct FailureDetector {
     threshold: f64,
@@ -62,8 +134,15 @@ pub struct FailureDetector {
     last_arrival_ns: Vec<u64>,
     /// Column: `MONITORED | DEAD | SUSPECT` bits.
     flags: Vec<u8>,
-    /// Column: inter-arrival windows.
-    windows: Vec<ArrivalWindow>,
+    /// Column: samples held, `0..=window_cap`.
+    count: Vec<u32>,
+    /// Column: ring slot of the oldest sample. Zero until the window is
+    /// full, so while it fills the next free slot is `count`.
+    head: Vec<u32>,
+    /// Column: exact sum of the samples held, in nanoseconds.
+    sum_ns: Vec<u64>,
+    /// Sample rows: `rows[k]` is ring slot `k` of every peer.
+    rows: Vec<SampleRow>,
     monitored: usize,
     flaps: u64,
     recoveries: u64,
@@ -81,7 +160,10 @@ impl FailureDetector {
             safe_silence_ns: params.safe_silence_ns(threshold),
             last_arrival_ns: Vec::new(),
             flags: Vec::new(),
-            windows: Vec::new(),
+            count: Vec::new(),
+            head: Vec::new(),
+            sum_ns: Vec::new(),
+            rows: Vec::new(),
             monitored: 0,
             flaps: 0,
             recoveries: 0,
@@ -89,14 +171,53 @@ impl FailureDetector {
         }
     }
 
-    /// Extends every column to cover `idx` (amortised: `Vec` doubles
-    /// its capacity).
+    /// Extends every column and every allocated row to cover `idx`
+    /// (amortised: `Vec` doubles its capacity).
     fn ensure_slot(&mut self, idx: usize) {
         if idx >= self.flags.len() {
-            self.last_arrival_ns.resize(idx + 1, NEVER);
-            self.flags.resize(idx + 1, 0);
-            self.windows.resize_with(idx + 1, ArrivalWindow::default);
+            let slots = idx + 1;
+            self.last_arrival_ns.resize(slots, NEVER);
+            self.flags.resize(slots, 0);
+            self.count.resize(slots, 0);
+            self.head.resize(slots, 0);
+            self.sum_ns.resize(slots, 0);
+            for row in &mut self.rows {
+                row.widen(slots);
+            }
         }
+    }
+
+    /// Appends one accepted inter-arrival sample to peer `idx`'s window,
+    /// evicting the oldest once `window_cap` are held.
+    fn push_sample(&mut self, idx: usize, interval_ns: u64) {
+        let held = self.count[idx] as usize;
+        let slot = if held == self.params.window_cap {
+            let oldest = self.head[idx] as usize;
+            self.sum_ns[idx] -= self.rows[oldest].get(idx);
+            self.head[idx] = if oldest + 1 == held {
+                0
+            } else {
+                oldest as u32 + 1
+            };
+            oldest
+        } else {
+            self.count[idx] += 1;
+            if held == self.rows.len() {
+                self.rows.push(SampleRow::new(self.flags.len()));
+            }
+            held
+        };
+        self.sum_ns[idx] += interval_ns;
+        self.rows[slot].set(idx, interval_ns);
+    }
+
+    /// φ for the monitored peer in slot `idx` after `silence`.
+    fn phi_at(&self, idx: usize, silence: SimDuration) -> f64 {
+        self.params.phi(
+            u128::from(self.sum_ns[idx]),
+            self.count[idx] as usize,
+            silence,
+        )
     }
 
     /// The slot of `peer` if it is monitored.
@@ -123,7 +244,10 @@ impl FailureDetector {
         }
         let last_ns = self.last_arrival_ns[idx];
         if now_ns > last_ns {
-            self.windows[idx].record(now_ns - last_ns, &self.params);
+            let interval_ns = now_ns - last_ns;
+            if interval_ns <= self.params.max_interval_ns {
+                self.push_sample(idx, interval_ns);
+            }
             self.last_arrival_ns[idx] = now_ns;
         }
         if self.flags[idx] & DEAD != 0 {
@@ -153,7 +277,7 @@ impl FailureDetector {
                 continue;
             }
             let silence = SimDuration::from_nanos(silence_ns);
-            if self.params.phi(&self.windows[idx], silence) > self.threshold {
+            if self.phi_at(idx, silence) > self.threshold {
                 self.flags[idx] |= DEAD;
                 self.flaps += 1;
                 if flags & SUSPECT != 0 {
@@ -229,9 +353,11 @@ impl FailureDetector {
     /// with no inter-arrival history — while keeping the lifetime flap,
     /// recovery, and attribution counters.
     pub fn reset_monitoring(&mut self) {
-        self.last_arrival_ns.clear();
-        self.flags.clear();
-        self.windows.clear();
+        self.last_arrival_ns.fill(NEVER);
+        self.flags.fill(0);
+        self.count.fill(0);
+        self.head.fill(0);
+        self.sum_ns.fill(0);
         self.monitored = 0;
     }
 
@@ -239,17 +365,20 @@ impl FailureDetector {
     pub fn phi(&self, peer: Peer, now: SimTime) -> Option<f64> {
         self.monitored_slot(peer).map(|idx| {
             let last = SimTime::from_nanos(self.last_arrival_ns[idx]);
-            self.params.phi(&self.windows[idx], now.since(last))
+            self.phi_at(idx, now.since(last))
         })
     }
 
     /// Stops monitoring `peer` (it departed cleanly; silence is expected
-    /// and must not count as a flap). Its window's memory is released.
+    /// and must not count as a flap). Its window is emptied; the rows it
+    /// shared with every other peer stay.
     pub fn forget(&mut self, peer: Peer) {
         if let Some(idx) = self.monitored_slot(peer) {
             self.flags[idx] &= SUSPECT;
             self.last_arrival_ns[idx] = NEVER;
-            self.windows[idx] = ArrivalWindow::default();
+            self.count[idx] = 0;
+            self.head[idx] = 0;
+            self.sum_ns[idx] = 0;
             self.monitored -= 1;
         }
     }
@@ -400,6 +529,44 @@ mod tests {
         );
         assert_eq!(f.dead_peers(), vec![Peer(0), Peer(1), Peer(5000)]);
         assert_eq!(f.liveness(Peer(4999)), None, "a hole is not a peer");
+    }
+
+    /// The memory contract in the type's rustdoc: one row per ring slot
+    /// anybody has reached, never more than `window_cap`; high-word rows
+    /// only where a sample needed one; `forget` gives nothing back and
+    /// takes nothing new.
+    #[test]
+    fn rows_follow_the_longest_window_and_the_widest_sample() {
+        let mut f = fd();
+        feed(&mut f, Peer(0), 0, 31); // 30 samples
+        feed(&mut f, Peer(3), 0, 11);
+        assert_eq!(f.rows.len(), 30);
+        assert!(f.rows.iter().all(|row| row.lo.len() == 4));
+        assert!(
+            f.rows.iter().all(|row| row.hi.is_empty()),
+            "1 s samples fit 32 bits"
+        );
+        f.forget(Peer(0));
+        feed(&mut f, Peer(0), 100, 121);
+        assert_eq!(f.rows.len(), 30, "a forgotten peer refills the rows it had");
+        // A later, higher id widens every row.
+        f.report(Peer(9), secs(200));
+        assert!(f.rows.iter().all(|row| row.lo.len() == 10));
+        // 1500 more beats wrap the 1000-slot ring instead of growing it.
+        feed(&mut f, Peer(3), 11, 1511);
+        assert_eq!(f.rows.len(), 1000);
+        assert_eq!(f.count[3], 1000);
+        assert_eq!(f.sum_ns[3], 1000 * 1_000_000_000);
+
+        // 8 s beats (a time-dilated run): every slot needs its high row.
+        let mut wide = FailureDetector::new(8.0, SimDuration::from_secs(8));
+        for beat in 0..5 {
+            wide.report(Peer(1), secs(8 * beat));
+        }
+        assert_eq!(wide.rows.len(), 4);
+        assert!(wide.rows.iter().all(|row| row.hi.len() == 2));
+        assert_eq!(wide.rows[3].get(1), 8_000_000_000);
+        assert_eq!(wide.sum_ns[1], 32_000_000_000);
     }
 
     #[test]

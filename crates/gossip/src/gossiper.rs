@@ -160,9 +160,18 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 
     /// Handles a SYN, producing the ACK to send back.
     pub fn handle_syn(&self, syn: &Syn) -> Ack<A> {
+        // Not sized from the SYN: a digest yields a delta, a request or
+        // neither, and an ACK reserved for one of each per digest holds
+        // twice what it carries for as long as it queues at a saturated
+        // receiver — at 4096 nodes the cell no longer fits the host.
         let mut deltas = Vec::new();
         let mut requests = Vec::new();
+        // Whether the digests arrive in peer order (see below).
+        let mut ascending = true;
+        let mut prev = Peer(0);
         for d in &syn.digests {
+            ascending &= prev <= d.peer;
+            prev = d.peer;
             match self.map.get(d.peer) {
                 Some(local) => {
                     if local.newer_than(d.generation, d.max_version) {
@@ -195,7 +204,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         // n-entry SYNs every round this is hot. A SYN that arrives
         // unsorted (the wire type allows it) falls back to
         // sort-and-probe with the identical result.
-        if syn.digests.windows(2).all(|w| w[0].peer <= w[1].peer) {
+        if ascending {
             let mut digests = syn.digests.iter().peekable();
             for (peer, st) in self.map.iter() {
                 while digests.next_if(|d| d.peer < peer).is_some() {}
@@ -223,7 +232,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     /// an ACK2.
     pub fn handle_ack(&mut self, ack: &Ack<A>) -> (ApplyOutcome, Ack2<A>) {
         let outcome = self.apply(&ack.deltas);
-        let mut deltas = Vec::new();
+        let mut deltas = Vec::with_capacity(ack.requests.len());
         for req in &ack.requests {
             if let Some(local) = self.map.get(req.peer) {
                 if local.newer_than(req.generation, req.max_version) {
@@ -245,7 +254,10 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 
     /// Applies a batch of deltas, keeping only fresher information.
     pub fn apply(&mut self, deltas: &[(Peer, Delta<A>)]) -> ApplyOutcome {
-        let mut out = ApplyOutcome::default();
+        let mut out = ApplyOutcome {
+            heartbeat_advanced: Vec::with_capacity(deltas.len()),
+            app_advanced: Vec::new(),
+        };
         for (peer, delta) in deltas {
             if *peer == self.me {
                 // Nobody overrides our own state.

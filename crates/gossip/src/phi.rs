@@ -19,15 +19,19 @@ use std::collections::VecDeque;
 
 use scalecheck_sim::{SimDuration, SimTime};
 
-/// The detector constants: one copy per owner, not per peer. A
-/// [`crate::FailureDetector`] watching N peers holds one of these and N
-/// [`ArrivalWindow`]s; a [`PhiDetector`] holds one of each.
+/// The detector constants and the φ arithmetic over a window given as
+/// `(sum of samples, number of samples)`: one copy per owner, not per
+/// peer. A [`crate::FailureDetector`] watching N peers holds one of
+/// these beside its sample rows; a [`PhiDetector`] holds one beside its
+/// [`ArrivalWindow`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PhiParams {
-    window_cap: usize,
+    /// How many inter-arrival samples a window keeps (at least 1).
+    pub(crate) window_cap: usize,
     mean_floor_s: f64,
     initial_mean_s: f64,
-    max_interval_ns: u64,
+    /// Samples above this are dropped, not recorded.
+    pub(crate) max_interval_ns: u64,
 }
 
 impl PhiParams {
@@ -56,13 +60,13 @@ impl PhiParams {
         )
     }
 
-    /// Estimated mean inter-arrival over `window`, clamped to the floor.
-    /// O(1): reads the running nanosecond sum.
-    pub(crate) fn mean_interval(&self, window: &ArrivalWindow) -> f64 {
-        let mean = if window.samples.is_empty() {
+    /// Estimated mean inter-arrival over a window of `len` samples
+    /// summing to `sum_ns`, clamped to the floor.
+    pub(crate) fn mean_interval(&self, sum_ns: u128, len: usize) -> f64 {
+        let mean = if len == 0 {
             self.initial_mean_s
         } else {
-            mean_of(window.sum_ns, window.samples.len())
+            mean_of(sum_ns, len)
         };
         mean.max(self.mean_floor_s)
     }
@@ -75,9 +79,10 @@ impl PhiParams {
         silence.as_secs_f64() / (mean_s * std::f64::consts::LN_10)
     }
 
-    /// Suspicion level for a peer silent for `silence`.
-    pub(crate) fn phi(&self, window: &ArrivalWindow, silence: SimDuration) -> f64 {
-        Self::phi_of(silence, self.mean_interval(window))
+    /// Suspicion level for a peer silent for `silence`, its window
+    /// given as in [`Self::mean_interval`].
+    pub(crate) fn phi(&self, sum_ns: u128, len: usize, silence: SimDuration) -> f64 {
+        Self::phi_of(silence, self.mean_interval(sum_ns, len))
     }
 
     /// A silence, in nanoseconds, below which **no** window can yield
@@ -108,10 +113,11 @@ impl PhiParams {
     }
 }
 
-/// One peer's sliding window of heartbeat inter-arrival samples.
-///
-/// Grows with the samples it actually holds (up to the owner's
-/// `window_cap`); an idle or freshly seen peer costs the empty deque.
+/// One peer's sliding window of heartbeat inter-arrival samples, in the
+/// obvious form: a deque and its sum. [`crate::FailureDetector`] keeps
+/// the same window per peer as a ring inside shared time-major rows;
+/// this form lives on in [`PhiDetector`], the oracle that layout is
+/// checked against.
 ///
 /// # Numerical anchoring of the running sum
 ///
@@ -123,14 +129,14 @@ impl PhiParams {
 /// bit-identical to a windowed re-sum (float addition is not
 /// associative, and subtracting an evicted sample re-rounds), so the
 /// window stores intervals as **integer nanoseconds** and the running
-/// sum is a `u128`: integer addition is exact and associative, the
+/// sum is an integer: integer addition is exact and associative, the
 /// incremental sum equals a from-scratch re-sum bit-for-bit, and both
 /// paths share the single final float conversion in `mean_of`.
 /// The differential proptest in `tests/proptests.rs` pins this
 /// equivalence (exact `f64::to_bits` equality against
 /// [`PhiDetector::mean_interval_naive`]).
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ArrivalWindow {
+struct ArrivalWindow {
     /// Inter-arrival samples in integer nanoseconds (see above).
     samples: VecDeque<u64>,
     /// Exact sum of `samples` in nanoseconds, maintained incrementally.
@@ -140,7 +146,7 @@ pub(crate) struct ArrivalWindow {
 impl ArrivalWindow {
     /// Records one inter-arrival interval. Cassandra drops outsize
     /// intervals instead of letting them inflate the mean.
-    pub(crate) fn record(&mut self, interval_ns: u64, params: &PhiParams) {
+    fn record(&mut self, interval_ns: u64, params: &PhiParams) {
         if interval_ns > params.max_interval_ns {
             return;
         }
@@ -163,8 +169,9 @@ fn mean_of(sum_ns: u128, len: usize) -> f64 {
 
 /// Sliding-window arrival statistics and suspicion for one peer: the
 /// one-peer form of the arithmetic [`crate::FailureDetector`] runs over
-/// its per-peer columns (same `PhiParams`, same `ArrivalWindow`),
-/// and the oracle its differential proptests compare against.
+/// its per-peer columns and sample rows (same `PhiParams`, a plain
+/// deque for the window), and the oracle its differential proptests
+/// compare against.
 #[derive(Clone, Debug)]
 pub struct PhiDetector {
     params: PhiParams,
@@ -234,7 +241,8 @@ impl PhiDetector {
     /// Estimated mean inter-arrival, clamped to the floor. O(1): reads
     /// the running nanosecond sum maintained by [`Self::heartbeat`].
     pub fn mean_interval(&self) -> f64 {
-        self.params.mean_interval(&self.window)
+        self.params
+            .mean_interval(self.window.sum_ns, self.window.samples.len())
     }
 
     /// Reference implementation of [`Self::mean_interval`] that re-sums
@@ -242,13 +250,8 @@ impl PhiDetector {
     /// behavior). Kept public so the differential proptests can pin
     /// exact `f64` equality between the two paths.
     pub fn mean_interval_naive(&self) -> f64 {
-        let mean = if self.window.samples.is_empty() {
-            self.params.initial_mean_s
-        } else {
-            let sum: u128 = self.window.samples.iter().map(|&ns| u128::from(ns)).sum();
-            mean_of(sum, self.window.samples.len())
-        };
-        mean.max(self.params.mean_floor_s)
+        let sum: u128 = self.window.samples.iter().map(|&ns| u128::from(ns)).sum();
+        self.params.mean_interval(sum, self.window.samples.len())
     }
 
     /// Current suspicion level. Zero until the first heartbeat arrives.
@@ -256,7 +259,11 @@ impl PhiDetector {
         let Some(last) = self.last_arrival else {
             return 0.0;
         };
-        self.params.phi(&self.window, now.since(last))
+        self.params.phi(
+            self.window.sum_ns,
+            self.window.samples.len(),
+            now.since(last),
+        )
     }
 
     /// When the last heartbeat arrived.

@@ -83,14 +83,16 @@ target/release/bench_engine --verify target/BENCH_engine_smoke.json
 
 # Scale smoke: the harness must stay fast enough to reach the scales
 # the paper argues for. One 1024-node SC+PIL cell must finish inside
-# the wall budget (sized for a single-CPU worker: ~75 s with
-# index-addressed gossip/phi tables, 306 s with the per-peer tree maps
-# they replaced — a slide back fails here), and its row must satisfy the
-# bench_scale/v1 schema. Full trajectory numbers come from
-# scripts/run_experiments.sh --scale (see EXPERIMENTS.md, "Scaling
-# beyond the paper").
+# the wall budget and its row must satisfy the bench_scale/v1 schema.
+# The budget is sized for the single-CPU worker this was measured on:
+# the cell takes 31-32 s with the time-major phi sample rows and took
+# 49-52 s the same day with the per-peer windows they replaced, so 45 s
+# passes the first with ~40 % to spare and fails a slide back to the
+# second (twice the measured wall would let it through). Full
+# trajectory numbers come from scripts/run_experiments.sh --scale (see
+# EXPERIMENTS.md, "Scaling beyond the paper").
 echo "=== scale smoke (tbl_scale --smoke, 1024-node SC+PIL) ==="
-target/release/tbl_scale --smoke --budget-secs 240
+target/release/tbl_scale --smoke --budget-secs 45
 
 # SLO smoke: the coupled datapath must flow a million open-loop users
 # through the c3831 128-node Real and Colo cells, produce schema-valid

@@ -12,8 +12,9 @@
 #               attribution at C3831/N=128: three traced runs + two
 #               analyzer passes — several extra minutes).
 # --scale       also regenerate BENCH_scale.json / TBL_scale.txt (the
-#               256–2048-node harness-throughput sweep; minutes per
-#               big cell, and wall_secs is this run's clock).
+#               256–4096-node harness-throughput sweep; minutes per
+#               big cell, ~14 GB of host memory for the 4096-node
+#               ones, and wall_secs is this run's clock).
 # --explore     also regenerate TBL_explore.txt (schedule-exploration
 #               outcomes: stock presets stay tick-commutative, the
 #               race preset yields shrunk single-swap witnesses).
@@ -23,7 +24,7 @@
 set -u
 cd "$(dirname "$0")/.."
 SCALES="32,64,128,256"
-SCALE_SCALES="256,512,1024,2048"
+SCALE_SCALES="256,512,1024,2048,4096"
 FAULT_INTENSITIES="0,0.3,0.7"
 DIVERGE=0
 SCALE=0
@@ -91,10 +92,13 @@ if [ "$DIVERGE" = 1 ]; then
   sweep tbl_diverge "$BIN/tbl_diverge" --nodes 128 --out TBL_diverge.txt
 fi
 # Harness-throughput scale sweep: writes BENCH_scale.json and
-# TBL_scale.txt at the repo root (tracked). The 1024/2048-node cells
-# take minutes each, so this is opt-in.
+# TBL_scale.txt at the repo root (tracked). The 1024-4096-node cells
+# take minutes each and the 4096-node ones ~14 GB of host memory, so
+# this is opt-in — and one cell at a time whatever --jobs says: the
+# column being measured is each cell's wall clock, and two 4096-node
+# cells do not fit the host together.
 if [ "$SCALE" = 1 ]; then
-  sweep tbl_scale "$BIN/tbl_scale" --scales "$SCALE_SCALES"
+  run tbl_scale "$BIN/tbl_scale" --scales "$SCALE_SCALES" --jobs 1
 fi
 # Schedule-exploration outcomes: writes TBL_explore.txt at the repo
 # root (tracked). Deterministic: the eval cap (not the wall budget,

@@ -281,4 +281,9 @@ impl TreeFailureDetector {
     pub fn monitored(&self) -> usize {
         self.monitors.len()
     }
+
+    /// Inter-arrival samples held for `peer`, if monitored.
+    pub fn samples(&self, peer: Peer) -> Option<usize> {
+        self.monitors.get(&peer).map(|m| m.0.samples())
+    }
 }

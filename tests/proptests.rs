@@ -737,6 +737,87 @@ proptest! {
         }
     }
 
+    /// Differential, past the window: the existing test above stops at
+    /// 400 operations and so never fills a 1000-sample window. Here
+    /// three peers beat round after round for 4000 rounds — each window
+    /// fills, evicts and wraps — with at most two `forget`s /
+    /// `reset_monitoring`s dropped in at random rounds (so some land on
+    /// a wrapped ring, which must restart from slot 0), skipped and
+    /// late beats, outsize gaps (dropped samples) and the odd long
+    /// silence (convictions, recoveries). The gossip interval decides
+    /// how wide the samples are: at 1 s every sample fits 32 bits and no
+    /// high-word row is ever allocated, at 40 s every sample needs one,
+    /// at 2.5 s (`max_interval` 5 s, either side of 2³² ns ≈ 4.29 s)
+    /// both kinds share rows. Against `model::TreeFailureDetector`: φ to
+    /// the bit, `interpret_all` lists, every counter, every round.
+    #[test]
+    fn failure_detector_ring_matches_the_tree_model_through_eviction(
+        interval_idx in 0usize..3,
+        rounds in prop::collection::vec((0u64..4000, (0u64..32, 0u64..32, 0u64..32)), 4000),
+        disruptions in prop::collection::vec((0usize..4000, 0usize..4), 0..3),
+    ) {
+        use model::TreeFailureDetector;
+        use scalecheck_gossip::{FailureDetector, Peer};
+        const PEERS: [Peer; 3] = [Peer(0), Peer(2), Peer(9)];
+        let interval_ms = [1_000, 2_500, 40_000][interval_idx];
+        let interval = SimDuration::from_millis(interval_ms);
+        let part = |num: u64, den: u64| SimDuration::from_nanos(interval.as_nanos() * num / den);
+        let mut dense = FailureDetector::new(8.0, interval);
+        let mut tree = TreeFailureDetector::new(8.0, interval);
+        let mut now = SimTime::from_secs(3600);
+        let mut evictions = 0u32;
+        for (round, (step, actions)) in rounds.into_iter().enumerate() {
+            for &(_, what) in disruptions.iter().filter(|d| d.0 == round) {
+                match PEERS.get(what) {
+                    Some(&peer) => {
+                        dense.forget(peer);
+                        tree.forget(peer);
+                    }
+                    None => {
+                        dense.reset_monitoring();
+                        tree.reset_monitoring();
+                    }
+                }
+            }
+            // 0.3–2.05 intervals (past 2 the sample is dropped as
+            // outsize), one round in 200 a 30-interval silence.
+            let step = if step < 20 { part(30, 1) } else { part(300 + step % 1750, 1000) };
+            now += step;
+            // Sweep before this round's beats, so a long step is seen
+            // as the silence it is.
+            prop_assert_eq!(dense.interpret_all(now), tree.interpret_all(now));
+            for (peer, action) in PEERS.into_iter().zip([actions.0, actions.1, actions.2]) {
+                let at = match action {
+                    0 => continue,
+                    1 => SimTime::from_nanos(now.as_nanos() - interval.as_nanos()),
+                    jitter => now + part(jitter, 512),
+                };
+                if tree.samples(peer) == Some(1000) {
+                    evictions += 1;
+                }
+                dense.report(peer, at);
+                tree.report(peer, at);
+            }
+            let probe_at = now + part(1, 8);
+            prop_assert_eq!(dense.flaps(), tree.flaps);
+            prop_assert_eq!(dense.recoveries(), tree.recoveries);
+            prop_assert_eq!(dense.fault_attributed_flaps(), tree.fault_attributed);
+            prop_assert_eq!(dense.monitored(), tree.monitored());
+            prop_assert_eq!(dense.dead_peers(), tree.dead_peers());
+            for peer in PEERS {
+                prop_assert_eq!(dense.liveness(peer), tree.liveness(peer));
+                prop_assert_eq!(
+                    dense.phi(peer, probe_at).map(f64::to_bits),
+                    tree.phi(peer, probe_at).map(f64::to_bits),
+                    "round {} peer {:?}", round, peer
+                );
+            }
+        }
+        // The case did what it is here for.
+        prop_assert!(evictions > 500, "only {} reports into a full window", evictions);
+        prop_assert!(tree.flaps > 0 && tree.recoveries > 0);
+    }
+
     /// Differential: the sweep's integer pre-filter never hides a
     /// conviction. Probed where it could: at sweep times within a few
     /// nanoseconds — and within an ulp of the float product — of

@@ -1,7 +1,9 @@
 //! Whole-run pins: the content digest of the full `RunReport` for four
 //! small cells, captured on the commit *before* the gossip/φ state moved
-//! from per-peer tree maps to index-addressed tables, and of the full
-//! `HdfsReport` for the second system's runs.
+//! from per-peer tree maps to index-addressed tables (a fifth, the
+//! time-dilated cell, on the commit before the φ samples moved into
+//! shared 4-byte rows), and of the full `HdfsReport` for the second
+//! system's runs.
 //!
 //! Every table, flap count and obs instant in the repo is a function of
 //! iteration order somewhere in `gossip` or `cluster::node` (SYN digest
@@ -17,7 +19,7 @@
 //! (bucket 0's upper bound) to `LogHistogram`'s exact `0 ns` — the only
 //! field that differed (CHANGES.md, PR 14).
 
-use scalecheck::{content_digest, run_colo, run_real};
+use scalecheck::{content_digest, run_colo, run_real, time_dilated};
 use scalecheck_cluster::{FaultPlan, RunReport, ScenarioConfig};
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
 use scalecheck_sim::SimTime;
@@ -51,6 +53,21 @@ fn baseline_48_colo_report_is_pinned() {
         &r,
         false,
         "f33a5d21ac50646a297edb65d779ed1a",
+    );
+}
+
+/// A time-dilated baseline (§4's alternative to scale-check): every
+/// clock × 8, so heartbeats arrive 8 s apart — the only committed run
+/// shape whose φ samples exceed 2³² ns and need their high word kept.
+#[test]
+fn baseline_32_time_dilated_report_is_pinned() {
+    let cfg = time_dilated(&ScenarioConfig::baseline(32, 1), 16, 8);
+    assert!(cfg.gossip_interval.as_nanos() > u64::from(u32::MAX));
+    pin(
+        "baseline(32) real, tdf 8",
+        &run_real(&cfg),
+        false,
+        "99f6e7e97ecb24c69a0299dbf2409338",
     );
 }
 
