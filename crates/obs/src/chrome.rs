@@ -16,15 +16,15 @@
 //! keys; [`from_chrome_json`] round-trips through it, so one file
 //! serves both the viewer and the divergence analyzer.
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+
+use serde::json::{push_u64, Error, Kind, Reader};
+use serde::{Deserialize as _, Serialize as _};
 
 use crate::names::{SpanName, ENGINE_PID, TID_CALC, TID_GOSSIP, TID_REQUEST};
 use crate::tracer::Trace;
-
-fn push_ts(out: &mut String, ns: u64) {
-    let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
-}
 
 fn thread_label(pid: u32, tid: u32) -> &'static str {
     if pid == ENGINE_PID {
@@ -48,76 +48,59 @@ fn counter_label(name: u16, tid: u32) -> &'static str {
     }
 }
 
-enum Ev<'a> {
-    End(&'a crate::SpanEvent),
-    Inst {
-        name: u16,
-        pid: u32,
-        tid: u32,
-        ts: u64,
-        arg: u64,
-    },
-    Count(&'a crate::CounterSample),
-    Begin(&'a crate::SpanEvent),
+/// A `traceEvents` phase. Declared in the order rows sort at equal
+/// timestamps: a span's end comes before the next span's begin, keeping
+/// each serial track balanced.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    End,
+    Instant,
+    Counter,
+    Begin,
 }
 
-impl Ev<'_> {
-    fn key(&self) -> (u64, u8) {
-        match self {
-            // At equal timestamps a span's end sorts before the next
-            // span's begin, keeping each serial track balanced.
-            Ev::End(s) => (s.ts + s.dur, 0),
-            Ev::Inst { ts, .. } => (*ts, 1),
-            Ev::Count(c) => (c.ts, 2),
-            Ev::Begin(s) => (s.ts, 3),
-        }
-    }
+/// One `traceEvents` row; `arg` is the span/instant argument or the
+/// counter value (unused by `End`).
+struct Row {
+    ts: u64,
+    phase: Phase,
+    name: u16,
+    pid: u32,
+    tid: u32,
+    arg: u64,
 }
 
 /// Renders a trace as a Chrome `trace_event` JSON object string.
 pub fn to_chrome_json(trace: &Trace) -> String {
-    let mut evs: Vec<Ev<'_>> =
+    let mut rows: Vec<Row> =
         Vec::with_capacity(trace.spans.len() * 2 + trace.instants.len() + trace.counters.len());
+    let mut row = |phase, name, pid, tid, ts, arg| {
+        rows.push(Row {
+            ts,
+            phase,
+            name,
+            pid,
+            tid,
+            arg,
+        })
+    };
     for s in &trace.spans {
         if s.dur == 0 {
-            evs.push(Ev::Inst {
-                name: s.name,
-                pid: s.pid,
-                tid: s.tid,
-                ts: s.ts,
-                arg: s.arg,
-            });
+            row(Phase::Instant, s.name, s.pid, s.tid, s.ts, s.arg);
         } else {
-            evs.push(Ev::Begin(s));
-            evs.push(Ev::End(s));
+            row(Phase::Begin, s.name, s.pid, s.tid, s.ts, s.arg);
+            row(Phase::End, s.name, s.pid, s.tid, s.ts + s.dur, 0);
         }
     }
     for i in &trace.instants {
-        evs.push(Ev::Inst {
-            name: i.name,
-            pid: i.pid,
-            tid: i.tid,
-            ts: i.ts,
-            arg: i.arg,
-        });
+        row(Phase::Instant, i.name, i.pid, i.tid, i.ts, i.arg);
     }
     for c in &trace.counters {
-        evs.push(Ev::Count(c));
+        row(Phase::Counter, c.name, c.pid, c.tid, c.ts, c.value);
     }
-    evs.sort_by_key(Ev::key);
+    rows.sort_by_key(|r| (r.ts, r.phase));
 
-    // Metadata rows for every (pid, tid) seen, in sorted order.
-    let mut tracks: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for e in &evs {
-        let (pid, tid) = match e {
-            Ev::Begin(s) | Ev::End(s) => (s.pid, s.tid),
-            Ev::Inst { pid, tid, .. } => (*pid, *tid),
-            Ev::Count(c) => (c.pid, c.tid),
-        };
-        tracks.insert((pid, tid));
-    }
-
-    let mut out = String::with_capacity(evs.len() * 96 + 4096);
+    let mut out = String::with_capacity(rows.len() * 96 + 4096);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
     let mut sep = |out: &mut String| {
@@ -128,6 +111,8 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         }
         out.push('\n');
     };
+    // Metadata rows for every (pid, tid) seen, in sorted order.
+    let tracks: BTreeSet<(u32, u32)> = rows.iter().map(|r| (r.pid, r.tid)).collect();
     let mut last_pid = None;
     for &(pid, tid) in &tracks {
         if last_pid != Some(pid) {
@@ -152,109 +137,164 @@ pub fn to_chrome_json(trace: &Trace) -> String {
             thread_label(pid, tid)
         );
     }
-    for e in &evs {
+    for r in &rows {
         sep(&mut out);
-        match e {
-            Ev::Begin(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ph\":\"B\",\"pid\":{},\"tid\":{},\"ts\":",
-                    SpanName::str_of(s.name),
-                    s.pid,
-                    s.tid
-                );
-                push_ts(&mut out, s.ts);
-                let _ = write!(out, ",\"args\":{{\"v\":{}}}}}", s.arg);
-            }
-            Ev::End(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ph\":\"E\",\"pid\":{},\"tid\":{},\"ts\":",
-                    SpanName::str_of(s.name),
-                    s.pid,
-                    s.tid
-                );
-                push_ts(&mut out, s.ts + s.dur);
-                out.push('}');
-            }
-            Ev::Inst {
-                name,
-                pid,
-                tid,
-                ts,
-                arg,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":",
-                    SpanName::str_of(*name)
-                );
-                push_ts(&mut out, *ts);
-                let _ = write!(out, ",\"args\":{{\"v\":{arg}}}}}");
-            }
-            Ev::Count(c) => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{},\"tid\":{},\"ts\":",
-                    counter_label(c.name, c.tid),
-                    c.pid,
-                    c.tid
-                );
-                push_ts(&mut out, c.ts);
-                let _ = write!(out, ",\"args\":{{\"v\":{}}}}}", c.value);
-            }
+        out.push_str("{\"name\":\"");
+        out.push_str(match r.phase {
+            Phase::Counter => counter_label(r.name, r.tid),
+            _ => SpanName::str_of(r.name),
+        });
+        out.push_str(match r.phase {
+            Phase::Begin => "\",\"ph\":\"B\",\"pid\":",
+            Phase::End => "\",\"ph\":\"E\",\"pid\":",
+            Phase::Instant => "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":",
+            Phase::Counter => "\",\"ph\":\"C\",\"pid\":",
+        });
+        push_u64(&mut out, u64::from(r.pid));
+        out.push_str(",\"tid\":");
+        push_u64(&mut out, u64::from(r.tid));
+        // Virtual µs with a fixed three-digit ns fraction.
+        out.push_str(",\"ts\":");
+        push_u64(&mut out, r.ts / 1000);
+        out.push('.');
+        for digit in [r.ts % 1000 / 100, r.ts % 100 / 10, r.ts % 10] {
+            out.push(char::from(b'0' + digit as u8));
         }
+        if r.phase != Phase::End {
+            out.push_str(",\"args\":{\"v\":");
+            push_u64(&mut out, r.arg);
+            out.push('}');
+        }
+        out.push('}');
     }
     out.push_str("\n],\"displayTimeUnit\":\"ms\",\"scalecheck\":");
-    out.push_str(&serde_json::to_string(trace).expect("trace serializes"));
+    trace.serialize(&mut out);
     out.push('}');
     out
 }
 
+fn not_json(e: Error) -> String {
+    format!("not valid JSON: {e:?}")
+}
+
+/// What to report for a file that failed with `why`: its first syntax
+/// error if it has one anywhere — a file is JSON before it is a trace —
+/// and `why` otherwise.
+fn reject(json: &str, why: String) -> String {
+    let mut r = Reader::new(json);
+    match r.skip_value().and_then(|()| r.end()) {
+        Err(e) => not_json(e),
+        Ok(()) => why,
+    }
+}
+
+/// Walks the top-level object of `json`: the value of the first `want`
+/// key goes to `read`, everything else is skipped (and validated).
+/// `Ok(None)` if the key never appears.
+fn read_top_level_key<'a, T>(
+    json: &'a str,
+    want: &str,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    let mut r = Reader::new(json);
+    if r.kind().map_err(not_json)? != Kind::Object {
+        return Err("top level is not an object".into());
+    }
+    let mut found = None;
+    let mut more = r.begin_object().map_err(not_json)?;
+    while more {
+        let key = r.key().map_err(not_json)?;
+        if found.is_none() && key == want {
+            found = Some(read(&mut r)?);
+        } else {
+            r.skip_value().map_err(not_json)?;
+        }
+        more = r.next_entry().map_err(not_json)?;
+    }
+    r.end().map_err(not_json)?;
+    Ok(found)
+}
+
 /// Parses a Chrome trace file produced by [`to_chrome_json`] back into
-/// the native [`Trace`] via its embedded `"scalecheck"` key.
+/// the native [`Trace`] via its embedded `"scalecheck"` key. The rest of
+/// the file is validated as JSON but never materialised.
 pub fn from_chrome_json(json: &str) -> Result<Trace, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
-    let obj = v.as_object().ok_or("top level is not an object")?;
-    let native = obj
-        .iter()
-        .find(|(k, _)| k == "scalecheck")
-        .map(|(_, v)| v.clone())
-        .ok_or("missing \"scalecheck\" key (not a scalecheck trace?)")?;
-    serde_json::from_value(native).map_err(|e| format!("bad native trace: {e:?}"))
+    read_top_level_key(json, "scalecheck", |r| {
+        Trace::deserialize(r).map_err(|e| format!("bad native trace: {e:?}"))
+    })
+    .and_then(|native| {
+        native.ok_or_else(|| "missing \"scalecheck\" key (not a scalecheck trace?)".to_string())
+    })
+    .map_err(|why| reject(json, why))
 }
 
 /// Validates the `traceEvents` stream: parses as JSON and checks that
 /// on every `(pid, tid)` track the `B`/`E` events are balanced with
 /// matching names. Returns the number of events checked.
 pub fn validate_chrome(json: &str) -> Result<usize, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e:?}"))?;
-    let obj = v.as_object().ok_or("top level is not an object")?;
-    let events = obj
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .and_then(|(_, v)| v.as_array())
-        .ok_or("missing traceEvents array")?;
-    let mut stacks: std::collections::BTreeMap<(u64, u64), Vec<String>> =
-        std::collections::BTreeMap::new();
-    let field = |e: &serde_json::Value, k: &str| -> Option<serde_json::Value> {
-        e.as_object()?
-            .iter()
-            .find(|(key, _)| key == k)
-            .map(|(_, v)| v.clone())
-    };
-    for (i, e) in events.iter().enumerate() {
-        let ph = field(e, "ph")
-            .and_then(|v| v.as_str().map(str::to_string))
+    read_top_level_key(json, "traceEvents", check_events)
+        .and_then(|n| n.ok_or_else(|| "missing traceEvents array".to_string()))
+        .map_err(|why| reject(json, why))
+}
+
+/// The string at the reader; `None` (and the value skipped) if it holds
+/// anything else.
+fn string_or_skip<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, Error> {
+    if r.kind()? == Kind::String {
+        r.string().map(Some)
+    } else {
+        r.skip_value().map(|()| None)
+    }
+}
+
+/// The number at the reader; `None` (and the value skipped) if it holds
+/// anything else.
+fn number_or_skip(r: &mut Reader<'_>) -> Result<Option<f64>, Error> {
+    if r.kind()? == Kind::Number {
+        r.number().map(|n| Some(n.as_f64()))
+    } else {
+        r.skip_value().map(|()| None)
+    }
+}
+
+fn check_events<'a>(r: &mut Reader<'a>) -> Result<usize, String> {
+    if r.kind().map_err(not_json)? != Kind::Array {
+        return Err("missing traceEvents array".into());
+    }
+    let mut stacks: BTreeMap<(u64, u64), Vec<Cow<'a, str>>> = BTreeMap::new();
+    let mut i = 0;
+    let mut more = r.begin_array().map_err(not_json)?;
+    while more {
+        // The first of each key counts, as in a lookup; an event that is
+        // not an object has no fields at all.
+        let (mut ph, mut name, mut pid, mut tid) = (None, None, None, None);
+        let mut fields = || -> Result<(), Error> {
+            if r.kind()? != Kind::Object {
+                return r.skip_value();
+            }
+            let mut more = r.begin_object()?;
+            while more {
+                match &*r.key()? {
+                    "ph" if ph.is_none() => ph = Some(string_or_skip(r)?),
+                    "name" if name.is_none() => name = Some(string_or_skip(r)?),
+                    "pid" if pid.is_none() => pid = Some(number_or_skip(r)?),
+                    "tid" if tid.is_none() => tid = Some(number_or_skip(r)?),
+                    _ => r.skip_value()?,
+                }
+                more = r.next_entry()?;
+            }
+            Ok(())
+        };
+        fields().map_err(not_json)?;
+        let ph = ph
+            .flatten()
             .ok_or_else(|| format!("event {i}: missing ph"))?;
-        let name = field(e, "name")
-            .and_then(|v| v.as_str().map(str::to_string))
+        let name = name
+            .flatten()
             .ok_or_else(|| format!("event {i}: missing name"))?;
-        let pid = field(e, "pid").and_then(|v| v.as_f64()).unwrap_or(-1.0) as u64;
-        let tid = field(e, "tid").and_then(|v| v.as_f64()).unwrap_or(-1.0) as u64;
-        match ph.as_str() {
+        let pid = pid.flatten().unwrap_or(-1.0) as u64;
+        let tid = tid.flatten().unwrap_or(-1.0) as u64;
+        match &*ph {
             "B" => stacks.entry((pid, tid)).or_default().push(name),
             "E" => {
                 let open = stacks
@@ -271,13 +311,15 @@ pub fn validate_chrome(json: &str) -> Result<usize, String> {
             "M" | "i" | "C" | "X" => {}
             other => return Err(format!("event {i}: unexpected phase {other:?}")),
         }
+        i += 1;
+        more = r.next_element().map_err(not_json)?;
     }
     for ((pid, tid), stack) in &stacks {
         if let Some(open) = stack.last() {
             return Err(format!("unclosed B \"{open}\" on track ({pid},{tid})"));
         }
     }
-    Ok(events.len())
+    Ok(i)
 }
 
 #[cfg(test)]
@@ -336,9 +378,78 @@ mod tests {
     }
 
     #[test]
-    fn from_chrome_json_rejects_foreign_files() {
-        assert!(from_chrome_json("{\"traceEvents\":[]}").is_err());
-        assert!(from_chrome_json("not json").is_err());
+    fn from_chrome_json_rejects_foreign_files_with_a_typed_error() {
+        let err = |json: &str| from_chrome_json(json).unwrap_err();
+        assert!(err("not json").starts_with("not valid JSON"));
+        assert!(err("[1,2]").starts_with("top level is not an object"));
+        assert!(err("{\"traceEvents\":[]}").starts_with("missing \"scalecheck\" key"));
+        assert!(err("{\"scalecheck\":{\"meta\":1}}").starts_with("bad native trace"));
+        // A file is JSON before it is a trace: a syntax error anywhere
+        // outranks what the walk met first.
+        assert!(err("{\"scalecheck\":{\"meta\":1},\"x\":tru}").starts_with("not valid JSON"));
+        assert!(err("[1,2").starts_with("not valid JSON"));
+        assert!(validate_chrome("{\"traceEvents\":[{\"ph\":7}],\"x\":]}")
+            .unwrap_err()
+            .starts_with("not valid JSON"));
+    }
+
+    #[test]
+    fn syntax_error_after_the_native_trace_is_still_rejected() {
+        let tr = sample_trace();
+        let json = to_chrome_json(&tr);
+        let open = json.strip_suffix('}').expect("an object");
+        for tail in [",\"x\":tru}", ",}", "}}", "} x", ""] {
+            let bad = format!("{open}{tail}");
+            assert!(
+                from_chrome_json(&bad)
+                    .unwrap_err()
+                    .starts_with("not valid JSON"),
+                "{tail:?}"
+            );
+        }
+        // ... while well-formed extras, a later duplicate included, are fine.
+        let extra = format!("{open},\"x\":[1,{{}}],\"scalecheck\":null}}");
+        assert_eq!(from_chrome_json(&extra).as_ref(), Ok(&tr));
+    }
+
+    /// Damaged files end in an error value: never a panic, never an
+    /// abort, and never a different trace.
+    #[test]
+    fn truncated_and_flipped_files_return() {
+        let tr = sample_trace();
+        let json = to_chrome_json(&tr);
+        assert!(json.is_ascii(), "byte offsets below are char offsets");
+        for cut in 0..json.len() {
+            assert!(from_chrome_json(&json[..cut]).is_err(), "cut at {cut}");
+            assert!(validate_chrome(&json[..cut]).is_err(), "cut at {cut}");
+        }
+
+        let events = json.find("\"traceEvents\":[").unwrap()..json.find("\n],").unwrap();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let (mut survived, mut survived_in_events) = (0, 0);
+        for _ in 0..1000 {
+            let at = next() % json.len();
+            let mut bytes = json.clone().into_bytes();
+            let alphabet = b" \"\\{}[],:.-+0123456789eEntfu\x01z";
+            bytes[at] = alphabet[next() % alphabet.len()];
+            let flipped = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            let _ = validate_chrome(&flipped);
+            if let Ok(back) = from_chrome_json(&flipped) {
+                survived += 1;
+                if events.contains(&at) {
+                    survived_in_events += 1;
+                    assert_eq!(back, tr, "flip at {at} changed the trace");
+                }
+            }
+        }
+        // The cases above must not be vacuous.
+        assert!(survived_in_events > 20 && survived > survived_in_events);
     }
 
     #[test]

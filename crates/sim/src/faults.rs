@@ -421,8 +421,10 @@ mod tests {
     fn plan_round_trips_through_serde() {
         let plan = FaultPlan::storm(7, 16, 0.8);
         assert!(!plan.is_empty());
-        let v = serde::Serialize::serialize(&plan);
-        let back: FaultPlan = serde::Deserialize::deserialize(&v).expect("deserialize");
+        let mut json = String::new();
+        serde::Serialize::serialize(&plan, &mut json);
+        let back: FaultPlan = serde::Deserialize::deserialize(&mut serde::json::Reader::new(&json))
+            .expect("deserialize");
         assert_eq!(back, plan);
     }
 

@@ -27,6 +27,17 @@ if grep -rnE 'no-cache|use_cache|cache_dir|results/cache|CellSpec|spec_cell' \
   exit 1
 fi
 
+# One serialisation path and one deserialisation path: the serde shim's
+# traits stream (`serialize(&self, &mut String)`, `deserialize(&mut
+# Reader)`). No `Value`-returning `serialize` or `&Value`-taking
+# `deserialize` may grow back beside them, derived or by hand.
+echo "=== no Value-tree serde path (grep gate) ==="
+if grep -rnE 'fn serialize\(&self\) *-> *[A-Za-z_:]*Value|fn deserialize\([a-z_]+: *&[A-Za-z_:]*Value\)|from_value' \
+  shims crates --include='*.rs'; then
+  echo "error: the serde shim streams; see the matches above" >&2
+  exit 1
+fi
+
 # The root package's integration suites are the behaviour contracts, each
 # run once here: paper shapes at pinned seeds (bug_regressions), fault
 # injection + byte-identical same-seed reports (failure_injection), the
@@ -61,15 +72,22 @@ cargo run --release --offline --manifest-path benchmarks/Cargo.toml -- --smoke
 echo "=== §6 divergence narrative (c3831@128, release) ==="
 cargo test --release -q -p scalecheck-bench --test obs_integration -- --ignored
 
-# Trace-pipeline smoke: a real run exports a Chrome trace (and prints
-# the end-of-run obs summary), and the analyzer loads a pair of them
-# end to end through the CLI surface.
-echo "=== diag_run trace export + analyzer smoke ==="
-target/release/diag_run --bug c3831 --nodes 12 --mode real \
+# Trace-pipeline smoke at the size the paper argues about: a real
+# 128-node run exports a Chrome trace (63-66 MB; and prints the
+# end-of-run obs summary), and the analyzer loads a pair of them end to
+# end through the CLI surface — inside a 512 MiB address-space limit.
+# Read through a document tree the pair needed 1.34 GiB (and aborts
+# here); the streaming reader peaks at 84 MiB, one file buffer plus the
+# two traces, so giving the DOM back fails locally.
+echo "=== diag_run trace export + analyzer smoke (c3831@128, --diverge under ulimit -v 512 MiB) ==="
+target/release/diag_run --bug c3831 --nodes 128 --mode real \
   --trace-out target/ci_trace_real.json
-target/release/diag_run --bug c3831 --nodes 12 --mode colo \
+target/release/diag_run --bug c3831 --nodes 128 --mode colo \
   --trace-out target/ci_trace_colo.json
-target/release/diag_run --diverge target/ci_trace_real.json target/ci_trace_colo.json
+(
+  ulimit -v 524288
+  target/release/diag_run --diverge target/ci_trace_real.json target/ci_trace_colo.json
+)
 
 # Perf smoke: the engine microbenchmark must run, emit well-formed
 # bench_engine/v2 JSON with nonzero throughput on every scenario, and

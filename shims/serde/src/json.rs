@@ -1,11 +1,40 @@
-//! The JSON document model shared by the `serde` and `serde_json`
-//! shims: [`Value`], a writer, and a recursive-descent parser.
+//! JSON text, both directions, for the `serde` and `serde_json` shims.
+//!
+//! * **Writing** is appending to a `String`: [`push_u64`] and friends
+//!   are what every `Serialize` impl (hand-written or derived) bottoms
+//!   out in.
+//! * **Reading** is pulling from a [`Reader`], a recursive-descent
+//!   tokenizer over a `&str` that hands out one token at a time and
+//!   never builds anything the caller did not ask for.
+//! * [`Value`] is the document tree for callers that want one (`json!`,
+//!   untyped result files). It is an ordinary implementor of the two
+//!   traits: its `deserialize` *is* the DOM builder, so a tree and a
+//!   typed struct are read by the same tokenizer.
 //!
 //! Integers are kept at full `u128`/`i128` precision (the memo database
 //! digests 128-bit inputs); floats use Rust's shortest round-trip
 //! `Display` form.
+//!
+//! # What the reader accepts
+//!
+//! RFC 8259 plus the leniencies this shim has always had, kept so that
+//! every file written or read before still means the same: leading
+//! zeros (`007`), an empty integer, fraction or exponent part as long as
+//! Rust's own `f64`/`u128`/`i128` parser takes the spelling (`1.`,
+//! `1.e3`, `-.5`; not `-`, `1e`, `.5`), raw control characters inside
+//! strings, duplicate object keys, and float overflow to `inf`. Integers
+//! beyond `u128`/`i128` are an error, as is a `\u` high surrogate not
+//! followed by a low one. [`Reader::skip_value`] and the typed readers
+//! share one number scanner and one string scanner, so what is skipped
+//! is validated exactly as what is kept.
+//!
+//! Nesting deeper than [`MAX_DEPTH`] is an error (`recursion limit
+//! exceeded`), so hostile input ends in an `Err`, not a stack overflow.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
+
+use crate::{Deserialize, Serialize};
 
 /// A JSON number. Integers and floats are kept apart so 64/128-bit
 /// values round-trip exactly.
@@ -77,9 +106,7 @@ impl Value {
     /// The value as an f64, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Value::Num(Num::Pos(p)) => Some(*p as f64),
-            Value::Num(Num::Neg(n)) => Some(*n as f64),
-            Value::Num(Num::Float(f)) => Some(*f),
+            Value::Num(n) => Some(n.as_f64()),
             _ => None,
         }
     }
@@ -107,83 +134,210 @@ impl Value {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
     }
+}
 
-    fn write(&self, out: &mut String) {
+impl Num {
+    /// The number as an f64 (integers round to nearest).
+    pub fn as_f64(&self) -> f64 {
+        match *self {
+            Num::Pos(p) => p as f64,
+            Num::Neg(n) => n as f64,
+            Num::Float(f) => f,
+        }
+    }
+}
+
+impl Serialize for Value {
+    fn serialize(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Num(Num::Pos(p)) => {
-                out.push_str(&p.to_string());
-            }
-            Value::Num(Num::Neg(n)) => {
-                out.push_str(&n.to_string());
-            }
-            Value::Num(Num::Float(f)) => {
-                if f.is_finite() {
-                    let s = f.to_string();
-                    out.push_str(&s);
-                    // Keep the float/integer distinction in the output so
-                    // a round trip preserves the number's flavour.
-                    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => write_escaped(s, out),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Value::Object(entries) => {
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
+            Value::Bool(b) => b.serialize(out),
+            Value::Num(Num::Pos(p)) => push_u128(out, *p),
+            Value::Num(Num::Neg(n)) => push_i128(out, *n),
+            Value::Num(Num::Float(f)) => push_f64(out, *f),
+            Value::Str(s) => push_string(out, s),
+            Value::Array(items) => items.serialize(out),
+            Value::Object(entries) => crate::write_map(out, entries.iter().map(|(k, v)| (k, v))),
         }
+    }
+}
+
+/// The DOM builder: one `Value` per token, through the same [`Reader`]
+/// calls a typed `Deserialize` makes.
+impl Deserialize for Value {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.kind()? {
+            Kind::Null => {
+                r.null()?;
+                Value::Null
+            }
+            Kind::Bool => Value::Bool(r.bool()?),
+            Kind::Number => Value::Num(r.number()?),
+            Kind::String => Value::Str(r.string()?.into_owned()),
+            Kind::Array => {
+                let mut items = Vec::new();
+                let mut more = r.begin_array()?;
+                while more {
+                    items.push(Value::deserialize(r)?);
+                    more = r.next_element()?;
+                }
+                Value::Array(items)
+            }
+            Kind::Object => {
+                let mut entries = Vec::new();
+                let mut more = r.begin_object()?;
+                while more {
+                    let key = r.key()?.into_owned();
+                    entries.push((key, Value::deserialize(r)?));
+                    more = r.next_entry()?;
+                }
+                Value::Object(entries)
+            }
+        })
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        f.write_str(&to_string(self))
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Renders `value` as compact JSON text.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
+    let mut out = String::new();
+    value.serialize(&mut out);
+    out
+}
+
+/// Reads one `T` from a complete JSON document (nothing but whitespace
+/// may follow it).
+pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.end()?;
+    Ok(value)
+}
+
+/// Parses a JSON document into a tree.
+pub fn parse(s: &str) -> Result<Value, Error> {
+    from_str(s)
+}
+
+// ---------------------------------------------------------------------
+// Writing.
+// ---------------------------------------------------------------------
+
+/// `"00" "01" … "99"`: two digits per division when rendering integers.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Writes `v`'s decimal digits right-aligned into `buf`, returning the
+/// index of the first one. `buf` must hold 20 bytes or as many as `v`
+/// can need.
+fn fill_digits(buf: &mut [u8], mut v: u64) -> usize {
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    i
+}
+
+fn push_ascii(out: &mut String, digits: &[u8]) {
+    out.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
+}
+
+/// Appends `v` in decimal.
+pub fn push_u64(out: &mut String, v: u64) {
+    let mut buf = [0u8; 20];
+    let start = fill_digits(&mut buf, v);
+    push_ascii(out, &buf[start..]);
+}
+
+/// Appends `v` in decimal.
+pub fn push_u128(out: &mut String, v: u128) {
+    /// 10¹⁹, the largest power of ten a `u64` holds.
+    const CHUNK: u128 = 10_000_000_000_000_000_000;
+    match u64::try_from(v) {
+        Ok(small) => push_u64(out, small),
+        Err(_) => {
+            push_u128(out, v / CHUNK);
+            let mut low = [b'0'; 19];
+            fill_digits(&mut low, (v % CHUNK) as u64);
+            push_ascii(out, &low);
         }
     }
+}
+
+/// Appends `v` in decimal.
+pub fn push_i128(out: &mut String, v: i128) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u128(out, v.unsigned_abs());
+}
+
+/// Appends `f` in Rust's shortest round-trip form, `null` if it is not
+/// finite (as serde_json does). A whole number keeps a `.0` so a round
+/// trip preserves the float/integer distinction.
+pub fn push_f64(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Appends `s` as a quoted, escaped JSON string.
+pub fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut clean_from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let letter = match b {
+            b'"' | b'\\' => b,
+            b'\n' => b'n',
+            b'\r' => b'r',
+            b'\t' => b't',
+            0x00..=0x1F => b'u',
+            _ => continue,
+        };
+        out.push_str(&s[clean_from..i]);
+        out.push('\\');
+        out.push(letter as char);
+        if letter == b'u' {
+            out.push_str("00");
+            for nibble in [b >> 4, b & 0xF] {
+                out.push(char::from_digit(nibble.into(), 16).expect("a nibble"));
+            }
+        }
+        clean_from = i + 1;
+    }
+    out.push_str(&s[clean_from..]);
     out.push('"');
 }
+
+// ---------------------------------------------------------------------
+// Errors.
+// ---------------------------------------------------------------------
 
 /// A (de)serialization error.
 #[derive(Clone, Debug)]
@@ -196,16 +350,23 @@ impl Error {
     }
 
     /// Builds a "expected X, got Y" error.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        let kind = match got {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        };
-        Error(format!("expected {what}, got {kind}"))
+    pub fn expected(what: &str, got: Kind) -> Self {
+        Error(format!("expected {what}, got {}", got.name()))
+    }
+
+    /// A required struct field never appeared.
+    pub fn missing_field(key: &str) -> Self {
+        Error(format!("missing field '{key}'"))
+    }
+
+    /// Wraps the error of a struct field's value with the field's name.
+    pub fn field(key: &str, inner: Error) -> Self {
+        Error(format!("field '{key}': {inner}"))
+    }
+
+    /// An enum tag that names no variant of the right shape.
+    pub fn unknown_variant(ty: &str, tag: &str) -> Self {
+        Error(format!("unknown {ty} variant '{tag}'"))
     }
 }
 
@@ -217,51 +378,98 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Fetches a required field from object entries and deserializes it.
-pub fn field<T: crate::Deserialize>(obj: &[(String, Value)], key: &str) -> Result<T, Error> {
-    let v = obj
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error(format!("missing field '{key}'")))?;
-    T::deserialize(v).map_err(|e| Error(format!("field '{key}': {e}")))
-}
-
-/// Wraps an enum variant payload as `{"Variant": payload}`.
-pub fn tagged(tag: &str, payload: Value) -> Value {
-    Value::Object(vec![(tag.to_string(), payload)])
-}
-
 // ---------------------------------------------------------------------
-// Parser.
+// Reading.
 // ---------------------------------------------------------------------
 
-/// Parses a JSON document.
-pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::msg(format!(
-            "trailing characters at offset {}",
-            p.pos
-        )));
+/// Containers may nest this deep (the limit real serde_json has).
+pub const MAX_DEPTH: usize = 128;
+
+/// What the next token starts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    String,
+    /// `[`
+    Array,
+    /// `{`
+    Object,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Null => "null",
+            Kind::Bool => "bool",
+            Kind::Number => "number",
+            Kind::String => "string",
+            Kind::Array => "array",
+            Kind::Object => "object",
+        }
     }
-    Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull tokenizer over one JSON document.
+///
+/// [`kind`](Reader::kind) peeks; every other method consumes exactly one
+/// token (or, for [`skip_value`](Reader::skip_value), one whole value)
+/// and fails with an [`Error`] if the input does not hold it. Containers
+/// are walked with a `more` flag:
+///
+/// ```
+/// # use serde::json::{Reader, Error};
+/// # fn main() -> Result<(), Error> {
+/// let mut r = Reader::new(r#"{"a": [1, 2], "b": null}"#);
+/// let mut sum = 0;
+/// let mut more = r.begin_object()?;
+/// while more {
+///     if r.key()? == "a" {
+///         let mut more = r.begin_array()?;
+///         while more {
+///             sum += r.number()?.as_f64() as u32;
+///             more = r.next_element()?;
+///         }
+///     } else {
+///         r.skip_value()?;
+///     }
+///     more = r.next_entry()?;
+/// }
+/// r.end()?;
+/// assert_eq!(sum, 3);
+/// # Ok(())
+/// # }
+/// ```
+///
+/// After an `Err` the position is unspecified; drop the reader.
+pub struct Reader<'a> {
+    src: &'a str,
     pos: usize,
+    depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Reader {
+            src,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Bytes consumed so far.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Result<u8, Error> {
@@ -278,7 +486,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
+    fn expect_byte(&mut self, b: u8) -> Result<(), Error> {
         let got = self.bump()?;
         if got != b {
             return Err(Error::msg(format!(
@@ -291,16 +499,17 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn value(&mut self) -> Result<Value, Error> {
+    /// Skips whitespace and reports what the next token starts, without
+    /// consuming it.
+    pub fn kind(&mut self) -> Result<Kind, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             Some(c) => Err(Error::msg(format!(
                 "unexpected character '{}' at offset {}",
                 c as char, self.pos
@@ -309,10 +518,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Checks that the next token starts a `want`.
+    fn expect_kind(&mut self, want: Kind) -> Result<(), Error> {
+        let got = self.kind()?;
+        if got == want {
+            Ok(())
+        } else {
+            Err(Error::expected(want.name(), got))
+        }
+    }
+
+    fn literal(&mut self, word: &str) -> Result<(), Error> {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(Error::msg(format!(
                 "invalid literal at offset {}",
@@ -321,67 +540,152 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self.bump()?;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let cp = self.hex4()?;
-                        // Surrogate pairs.
-                        if (0xD800..0xDC00).contains(&cp) {
-                            self.expect(b'\\')?;
-                            self.expect(b'u')?;
-                            let lo = self.hex4()?;
-                            let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                            out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| Error::msg("invalid surrogate pair"))?,
-                            );
-                        } else {
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| Error::msg("invalid codepoint"))?,
-                            );
-                        }
-                    }
-                    other => {
-                        return Err(Error::msg(format!("invalid escape '\\{}'", other as char)))
-                    }
-                },
-                _ => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err(Error::msg("truncated UTF-8 sequence"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| Error::msg("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
+    /// Consumes `null`.
+    pub fn null(&mut self) -> Result<(), Error> {
+        self.expect_kind(Kind::Null)?;
+        self.literal("null")
+    }
+
+    /// Consumes `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, Error> {
+        self.expect_kind(Kind::Bool)?;
+        if self.peek() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
         }
+    }
+
+    /// Consumes a number.
+    pub fn number(&mut self) -> Result<Num, Error> {
+        self.expect_kind(Kind::Number)?;
+        let bytes = self.src.as_bytes();
+        let digits = |mut pos: usize| {
+            while matches!(bytes.get(pos), Some(b'0'..=b'9')) {
+                pos += 1;
+            }
+            pos
+        };
+        let start = self.pos;
+        let negative = bytes[start] == b'-';
+        let int_start = start + usize::from(negative);
+        let mut pos = digits(int_start);
+        let int_end = pos;
+        if bytes.get(pos) == Some(&b'.') {
+            pos = digits(pos + 1);
+        }
+        if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+            pos += 1;
+            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                pos += 1;
+            }
+            pos = digits(pos);
+        }
+        self.pos = pos;
+        let text = &self.src[start..pos];
+        if pos > int_end {
+            let f: f64 = text
+                .parse()
+                .map_err(|_| Error::msg(format!("invalid number '{text}'")))?;
+            return Ok(Num::Float(f));
+        }
+        // Up to 19 digits fit a u64 without overflow: the common case,
+        // and several times cheaper than the 128-bit parser.
+        if (1..=19).contains(&(int_end - int_start)) {
+            let small = bytes[int_start..int_end]
+                .iter()
+                .fold(0u64, |acc, d| acc * 10 + u64::from(d - b'0'));
+            return Ok(if negative {
+                Num::Neg(-i128::from(small))
+            } else {
+                Num::Pos(u128::from(small))
+            });
+        }
+        let out_of_range = |_| Error::msg(format!("integer '{text}' out of range"));
+        if negative {
+            text.parse().map(Num::Neg).map_err(out_of_range)
+        } else {
+            text.parse().map(Num::Pos).map_err(out_of_range)
+        }
+    }
+
+    /// Consumes a string: borrowed from the input when it holds no
+    /// escapes, decoded into an owned one otherwise.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        let mut decoded = String::new();
+        Ok(match self.scan_string(Some(&mut decoded))? {
+            Some(raw) => Cow::Borrowed(raw),
+            None => Cow::Owned(decoded),
+        })
+    }
+
+    /// The one string scanner. Returns the contents as a slice of the
+    /// input if they hold no escapes; otherwise validates every escape
+    /// and, if `decoded` is given, appends the decoded contents to it.
+    fn scan_string(&mut self, mut decoded: Option<&mut String>) -> Result<Option<&'a str>, Error> {
+        self.expect_kind(Kind::String)?;
+        self.pos += 1;
+        let src = self.src;
+        let mut clean_from = self.pos;
+        let mut escaped = false;
+        loop {
+            // `"` and `\` are ASCII, so every index this stops at is a
+            // character boundary of the (valid UTF-8) input.
+            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                self.pos += 1;
+            }
+            let clean = &src[clean_from..self.pos];
+            if self.bump()? == b'"' {
+                if !escaped {
+                    return Ok(Some(clean));
+                }
+                if let Some(out) = decoded {
+                    out.push_str(clean);
+                }
+                return Ok(None);
+            }
+            escaped = true;
+            let c = match self.bump()? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => self.unicode_escape()?,
+                other => return Err(Error::msg(format!("invalid escape '\\{}'", other as char))),
+            };
+            if let Some(out) = decoded.as_deref_mut() {
+                out.push_str(clean);
+                out.push(c);
+            }
+            clean_from = self.pos;
+        }
+    }
+
+    /// The code point of a `\uXXXX` escape (the `\u` already consumed),
+    /// joining a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let cp = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&cp) {
+            return char::from_u32(cp).ok_or_else(|| Error::msg("invalid codepoint"));
+        }
+        self.expect_byte(b'\\')?;
+        self.expect_byte(b'u')?;
+        let lo = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(Error::msg("invalid surrogate pair"));
+        }
+        char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+            .ok_or_else(|| Error::msg("invalid surrogate pair"))
     }
 
     fn hex4(&mut self) -> Result<u32, Error> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.bump()?;
-            let d = (b as char)
+            let d = (self.bump()? as char)
                 .to_digit(16)
                 .ok_or_else(|| Error::msg("invalid \\u escape"))?;
             v = v * 16 + d;
@@ -389,113 +693,125 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    fn enter(&mut self) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "recursion limit exceeded at offset {}",
+                self.pos
+            )));
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
-        if is_float {
-            let f: f64 = text
-                .parse()
-                .map_err(|_| Error::msg(format!("invalid number '{text}'")))?;
-            Ok(Value::Num(Num::Float(f)))
-        } else if let Some(mag) = text.strip_prefix('-') {
-            // Negative integer: parse magnitude wide, negate as i128.
-            let n: i128 = text.parse().map_err(|_| {
-                let _ = mag;
-                Error::msg(format!("integer '{text}' out of range"))
-            })?;
-            Ok(Value::Num(Num::Neg(n)))
-        } else {
-            let p: u128 = text
-                .parse()
-                .map_err(|_| Error::msg(format!("integer '{text}' out of range")))?;
-            Ok(Value::Num(Num::Pos(p)))
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+        self.depth += 1;
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b']' => return Ok(Value::Array(items)),
-                other => {
-                    return Err(Error::msg(format!(
-                        "expected ',' or ']', got '{}'",
-                        other as char
-                    )))
-                }
-            }
-        }
+        Ok(())
     }
 
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
+    /// After an opening bracket: `false` (and the container is closed)
+    /// if `close` follows.
+    fn first(&mut self, close: u8) -> bool {
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            return false;
+        }
+        true
+    }
+
+    /// After a member: `true` past a `,`, `false` past `close`.
+    fn after_member(&mut self, close: u8) -> Result<bool, Error> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(entries));
+        match self.bump()? {
+            b',' => Ok(true),
+            b if b == close => {
+                self.depth -= 1;
+                Ok(false)
+            }
+            other => Err(Error::msg(format!(
+                "expected ',' or '{}', got '{}'",
+                close as char, other as char
+            ))),
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b'}' => return Ok(Value::Object(entries)),
-                other => {
-                    return Err(Error::msg(format!(
-                        "expected ',' or '}}', got '{}'",
-                        other as char
-                    )))
+    }
+
+    /// Consumes `[`. `false` means the array was empty and is already
+    /// closed; `true` means an element follows.
+    pub fn begin_array(&mut self) -> Result<bool, Error> {
+        self.expect_kind(Kind::Array)?;
+        self.enter()?;
+        Ok(self.first(b']'))
+    }
+
+    /// After an element: `true` if another follows, `false` once the
+    /// array is closed.
+    pub fn next_element(&mut self) -> Result<bool, Error> {
+        self.after_member(b']')
+    }
+
+    /// Consumes `{`. `false` means the object was empty and is already
+    /// closed; `true` means a key follows.
+    pub fn begin_object(&mut self) -> Result<bool, Error> {
+        self.expect_kind(Kind::Object)?;
+        self.enter()?;
+        Ok(self.first(b'}'))
+    }
+
+    /// Consumes an entry's key and its `:`, leaving the reader on the
+    /// entry's value. Borrowed from the input when it holds no escapes.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, Error> {
+        let key = self.string()?;
+        self.colon()?;
+        Ok(key)
+    }
+
+    fn colon(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        self.expect_byte(b':')
+    }
+
+    /// After an entry's value: `true` if another entry follows, `false`
+    /// once the object is closed.
+    pub fn next_entry(&mut self) -> Result<bool, Error> {
+        self.after_member(b'}')
+    }
+
+    /// Consumes one whole value of any kind, validating it exactly as
+    /// the typed readers would, allocating nothing.
+    pub fn skip_value(&mut self) -> Result<(), Error> {
+        match self.kind()? {
+            Kind::Null => self.null(),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number().map(drop),
+            Kind::String => self.scan_string(None).map(drop),
+            Kind::Array => {
+                let mut more = self.begin_array()?;
+                while more {
+                    self.skip_value()?;
+                    more = self.next_element()?;
                 }
+                Ok(())
+            }
+            Kind::Object => {
+                let mut more = self.begin_object()?;
+                while more {
+                    self.scan_string(None)?;
+                    self.colon()?;
+                    self.skip_value()?;
+                    more = self.next_entry()?;
+                }
+                Ok(())
             }
         }
     }
-}
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
+    /// Checks that nothing but whitespace is left.
+    pub fn end(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos != self.src.len() {
+            return Err(Error::msg(format!(
+                "trailing characters at offset {}",
+                self.pos
+            )));
+        }
+        Ok(())
     }
 }

@@ -3,9 +3,21 @@
 //! The build environment for this repository has no network access and
 //! no crates.io mirror, so the real `serde` cannot be fetched. This shim
 //! provides the subset the workspace uses — `Serialize`, `Deserialize`,
-//! `de::DeserializeOwned`, and the two derive macros — over a simple
-//! JSON document model ([`json::Value`]). The companion `serde_json`
-//! shim builds its `to_string`/`from_str`/`json!` API on top of it.
+//! `de::DeserializeOwned`, and the two derive macros — with JSON as the
+//! one data format, so there is no `Serializer`/`Visitor` indirection:
+//! both traits **stream**. [`Serialize::serialize`] appends the value's
+//! JSON text to a `String`; [`Deserialize::deserialize`] pulls the value
+//! out of a [`json::Reader`], a tokenizer over the input `&str`. Nothing
+//! sits between a struct and its bytes, so a 60 MB trace file is written
+//! and read in memory proportional to the *trace*, not to a document
+//! tree of it. The companion `serde_json` shim builds its
+//! `to_string`/`from_str`/`json!` API on top.
+//!
+//! [`json::Value`] is still here, as one more implementor of the two
+//! traits: it is what `json!` builds and what untyped callers (result
+//! files, pretty-printing) read into. `to_value(x)` is
+//! `parse(&to_string(x))`; there is no second, tree-shaped path through
+//! every type.
 //!
 //! The wire format follows serde_json's conventions so existing
 //! fixtures and round-trip tests keep their meaning:
@@ -15,23 +27,37 @@
 //! * unit enum variants serialize as `"Variant"`, data variants as
 //!   `{"Variant": payload}`;
 //! * map keys serialize through their JSON form (quoted when needed);
+//!   `HashMap`/`HashSet` sort their rendered entries, so output does not
+//!   depend on hash order;
 //! * integers keep full `u128`/`i128` precision (memo digests are
-//!   `u128` and must round-trip exactly).
+//!   `u128` and must round-trip exactly); non-finite floats write as
+//!   `null`.
+//!
+//! Reading is as lenient as it has always been: object keys may come in
+//! any order, unknown keys are skipped (but validated), the first of a
+//! duplicated key wins, every field must be present (`Option` fields
+//! too), integers accept a whole float (`3.0`), floats read `null` as
+//! NaN, `()` and unit structs accept any value. See [`json`] for the
+//! token-level rules and the nesting limit.
 
 pub mod json;
 
 pub use json::{Error, Value};
 
-/// Serialization into the shim's JSON document model.
+use std::{rc::Rc, sync::Arc};
+
+use json::{Kind, Num, Reader};
+
+/// Serialization as JSON text.
 pub trait Serialize {
-    /// Converts `self` into a JSON value.
-    fn serialize(&self) -> Value;
+    /// Appends `self`'s JSON form to `out`.
+    fn serialize(&self, out: &mut String);
 }
 
-/// Deserialization from the shim's JSON document model.
+/// Deserialization from JSON text.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a JSON value.
-    fn deserialize(v: &Value) -> Result<Self, Error>;
+    /// Reads one `Self` from `r`, consuming exactly one JSON value.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 /// The `serde::de` namespace: owned deserialization.
@@ -48,53 +74,53 @@ pub use serde_derive::{Deserialize, Serialize};
 // Primitive impls.
 // ---------------------------------------------------------------------
 
+/// Reads a number for integer or float type `what`.
+fn number(r: &mut Reader<'_>, what: &str) -> Result<Num, Error> {
+    match r.kind()? {
+        Kind::Number => r.number(),
+        other => Err(Error::expected(what, other)),
+    }
+}
+
 macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
+    ($push:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Num(json::Num::Pos(*self as u128))
+            fn serialize(&self, out: &mut String) {
+                json::$push(out, *self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Num(json::Num::Pos(p)) => <$t>::try_from(*p)
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                match number(r, stringify!($t))? {
+                    Num::Pos(p) => <$t>::try_from(p)
                         .map_err(|_| Error::msg(concat!("integer out of range for ", stringify!($t)))),
-                    Value::Num(json::Num::Neg(_)) => {
-                        Err(Error::msg(concat!("negative value for ", stringify!($t))))
-                    }
-                    Value::Num(json::Num::Float(f)) if f.fract() == 0.0 && *f >= 0.0 => {
-                        Ok(*f as $t)
-                    }
-                    other => Err(Error::expected(stringify!($t), other)),
+                    Num::Neg(_) => Err(Error::msg(concat!("negative value for ", stringify!($t)))),
+                    Num::Float(f) if f.fract() == 0.0 && f >= 0.0 => Ok(f as $t),
+                    Num::Float(_) => Err(Error::expected(stringify!($t), Kind::Number)),
                 }
             }
         }
     )*};
 }
-impl_unsigned!(u8, u16, u32, u64, u128, usize);
+impl_unsigned!(push_u64 as u64: u8, u16, u32, u64, usize);
+impl_unsigned!(push_u128 as u128: u128);
 
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                let v = *self as i128;
-                if v < 0 {
-                    Value::Num(json::Num::Neg(v))
-                } else {
-                    Value::Num(json::Num::Pos(v as u128))
-                }
+            fn serialize(&self, out: &mut String) {
+                json::push_i128(out, *self as i128);
             }
         }
         impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Num(json::Num::Pos(p)) => <$t>::try_from(*p)
-                        .map_err(|_| Error::msg(concat!("integer out of range for ", stringify!($t)))),
-                    Value::Num(json::Num::Neg(n)) => <$t>::try_from(*n)
-                        .map_err(|_| Error::msg(concat!("integer out of range for ", stringify!($t)))),
-                    Value::Num(json::Num::Float(f)) if f.fract() == 0.0 => Ok(*f as $t),
-                    other => Err(Error::expected(stringify!($t), other)),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let out_of_range =
+                    || Error::msg(concat!("integer out of range for ", stringify!($t)));
+                match number(r, stringify!($t))? {
+                    Num::Pos(p) => <$t>::try_from(p).map_err(|_| out_of_range()),
+                    Num::Neg(n) => <$t>::try_from(n).map_err(|_| out_of_range()),
+                    Num::Float(f) if f.fract() == 0.0 => Ok(f as $t),
+                    Num::Float(_) => Err(Error::expected(stringify!($t), Kind::Number)),
                 }
             }
         }
@@ -105,24 +131,22 @@ impl_signed!(i8, i16, i32, i64, i128, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                if self.is_finite() {
-                    Value::Num(json::Num::Float(*self as f64))
-                } else {
-                    // serde_json maps non-finite floats to null.
-                    Value::Null
-                }
+            fn serialize(&self, out: &mut String) {
+                json::push_f64(out, *self as f64);
             }
         }
         impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Num(json::Num::Float(f)) => Ok(*f as $t),
-                    Value::Num(json::Num::Pos(p)) => Ok(*p as $t),
-                    Value::Num(json::Num::Neg(n)) => Ok(*n as $t),
-                    Value::Null => Ok(<$t>::NAN),
-                    other => Err(Error::expected(stringify!($t), other)),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                // Non-finite floats are written as null.
+                if r.kind()? == Kind::Null {
+                    r.null()?;
+                    return Ok(<$t>::NAN);
                 }
+                Ok(match number(r, stringify!($t))? {
+                    Num::Float(f) => f as $t,
+                    Num::Pos(p) => p as $t,
+                    Num::Neg(n) => n as $t,
+                })
             }
         }
     )*};
@@ -130,180 +154,246 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 impl Deserialize for bool {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::expected("bool", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
 impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, out: &mut String) {
+        json::push_string(out, self);
     }
 }
 impl Deserialize for String {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::expected("string", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(r.string()?.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut String) {
+        json::push_string(out, self);
     }
 }
 // `&'static str` struct fields: deserialization must allocate for the
 // full program lifetime; acceptable for this shim's test-only use.
 impl Deserialize for &'static str {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(Box::leak(s.clone().into_boxed_str())),
-            other => Err(Error::expected("string", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(Box::leak(r.string()?.into_owned().into_boxed_str()))
     }
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut String) {
+        json::push_string(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 impl Deserialize for char {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::expected("char", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let s = r.string()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(Error::expected("char", Kind::String)),
         }
     }
 }
 
 impl Serialize for () {
-    fn serialize(&self) -> Value {
-        Value::Null
+    fn serialize(&self, out: &mut String) {
+        out.push_str("null");
     }
 }
 impl Deserialize for () {
-    fn deserialize(_v: &Value) -> Result<Self, Error> {
-        Ok(())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.skip_value()
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self, out: &mut String) {
+        (**self).serialize(out);
     }
 }
 
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
+macro_rules! impl_pointer {
+    ($($ptr:ident),*) => {$(
+        impl<T: Serialize + ?Sized> Serialize for $ptr<T> {
+            fn serialize(&self, out: &mut String) {
+                (**self).serialize(out);
+            }
+        }
+        impl<T: Deserialize> Deserialize for $ptr<T> {
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                T::deserialize(r).map($ptr::new)
+            }
+        }
+    )*};
 }
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(Box::new(T::deserialize(v)?))
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(std::sync::Arc::new(T::deserialize(v)?))
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for std::rc::Rc<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-impl<T: Deserialize> Deserialize for std::rc::Rc<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(std::rc::Rc::new(T::deserialize(v)?))
-    }
-}
+impl_pointer!(Box, Arc, Rc);
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, out: &mut String) {
         match self {
-            Some(t) => t.serialize(),
-            None => Value::Null,
+            Some(t) => t.serialize(out),
+            None => out.push_str("null"),
         }
     }
 }
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::deserialize(other)?)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.kind()? == Kind::Null {
+            r.null()?;
+            return Ok(None);
         }
+        T::deserialize(r).map(Some)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sequences.
+// ---------------------------------------------------------------------
+
+fn write_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.serialize(out);
+    }
+    out.push(']');
+}
+
+fn read_seq<T: Deserialize, C: Default + Extend<T>>(r: &mut Reader<'_>) -> Result<C, Error> {
+    let mut items = C::default();
+    let mut more = r.begin_array()?;
+    while more {
+        items.extend(Some(T::deserialize(r)?));
+        more = r.next_element()?;
+    }
+    Ok(items)
+}
+
+impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
+    fn serialize(&self, out: &mut String) {
+        write_seq(out, self);
+    }
+}
+impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_seq(r)
+    }
+}
+
+impl<T: Serialize> Serialize for std::collections::BTreeSet<T> {
+    fn serialize(&self, out: &mut String) {
+        write_seq(out, self);
+    }
+}
+impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_seq(r)
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::deserialize).collect(),
-            other => Err(Error::expected("array", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_seq(r)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+    fn serialize(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::deserialize(v)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let items: Vec<T> = read_seq(r)?;
         items
             .try_into()
             .map_err(|_| Error::msg("array length mismatch"))
     }
 }
 
+impl<T: Serialize, S> Serialize for std::collections::HashSet<T, S> {
+    fn serialize(&self, out: &mut String) {
+        // Deterministic output regardless of hash order.
+        let mut items: Vec<String> = self.iter().map(json::to_string).collect();
+        items.sort();
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(item);
+        }
+        out.push(']');
+    }
+}
+impl<T, S> Deserialize for std::collections::HashSet<T, S>
+where
+    T: Deserialize + std::hash::Hash + Eq,
+    S: std::hash::BuildHasher + Default,
+{
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_seq(r)
+    }
+}
+
 macro_rules! impl_tuple {
     ($(($($name:ident : $idx:tt),+))*) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn serialize(&self) -> Value {
-                Value::Array(vec![$(self.$idx.serialize()),+])
+            fn serialize(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $idx > 0 {
+                        out.push(',');
+                    }
+                    self.$idx.serialize(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                const LEN: usize = 0 $(+ { let _ = $idx; 1 })+;
-                match v {
-                    Value::Array(items) if items.len() == LEN => {
-                        Ok(($($name::deserialize(&items[$idx])?,)+))
-                    }
-                    other => Err(Error::expected("tuple array", other)),
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let kind = r.kind()?;
+                let wrong = || Error::expected("tuple array", kind);
+                if kind != Kind::Array {
+                    return Err(wrong());
                 }
+                let mut more = r.begin_array()?;
+                let tuple = ($(
+                    {
+                        if !more {
+                            return Err(wrong());
+                        }
+                        let item = $name::deserialize(r)?;
+                        more = r.next_element()?;
+                        item
+                    },
+                )+);
+                if more {
+                    return Err(wrong());
+                }
+                Ok(tuple)
             }
         }
     )*};
@@ -321,51 +411,70 @@ impl_tuple! {
 // Maps: keys go through their JSON form (quoted when not a string).
 // ---------------------------------------------------------------------
 
+/// The object key for `key`: its contents if it serializes as a string,
+/// its JSON text (`7`, `[1,2]`, `{"V":3}`) otherwise.
 fn key_to_string<K: Serialize>(key: &K) -> String {
-    match key.serialize() {
-        Value::Str(s) => s,
-        other => other.to_string(),
+    let text = json::to_string(key);
+    if text.starts_with('"') {
+        json::from_str(&text).expect("a string this writer just produced")
+    } else {
+        text
     }
 }
 
 fn key_from_string<K: Deserialize>(key: &str) -> Result<K, Error> {
-    if let Ok(k) = K::deserialize(&Value::Str(key.to_string())) {
-        return Ok(k);
+    let mut quoted = String::with_capacity(key.len() + 2);
+    json::push_string(&mut quoted, key);
+    json::from_str(&quoted).or_else(|_| json::from_str(key))
+}
+
+pub(crate) fn write_map<'a, K: AsRef<str>, V: Serialize + 'a>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = (K, &'a V)>,
+) {
+    out.push('{');
+    for (i, (key, value)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::push_string(out, key.as_ref());
+        out.push(':');
+        value.serialize(out);
     }
-    let parsed = json::parse(key)?;
-    K::deserialize(&parsed)
+    out.push('}');
+}
+
+fn read_map<K: Deserialize, V: Deserialize, C: Default + Extend<(K, V)>>(
+    r: &mut Reader<'_>,
+) -> Result<C, Error> {
+    let mut entries = C::default();
+    let mut more = r.begin_object()?;
+    while more {
+        let key = key_from_string(&r.key()?)?;
+        entries.extend(Some((key, V::deserialize(r)?)));
+        more = r.next_entry()?;
+    }
+    Ok(entries)
 }
 
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (key_to_string(k), v.serialize()))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut String) {
+        write_map(out, self.iter().map(|(k, v)| (key_to_string(k), v)));
     }
 }
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for std::collections::BTreeMap<K, V> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((key_from_string(k)?, V::deserialize(v)?)))
-                .collect(),
-            other => Err(Error::expected("object", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_map(r)
     }
 }
 
 impl<K: Serialize, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn serialize(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (key_to_string(k), v.serialize()))
-            .collect();
+    fn serialize(&self, out: &mut String) {
+        let mut entries: Vec<(String, &V)> =
+            self.iter().map(|(k, v)| (key_to_string(k), v)).collect();
         // Deterministic output regardless of hash order.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
+        write_map(out, entries);
     }
 }
 impl<K, V, S> Deserialize for std::collections::HashMap<K, V, S>
@@ -374,72 +483,7 @@ where
     V: Deserialize,
     S: std::hash::BuildHasher + Default,
 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((key_from_string(k)?, V::deserialize(v)?)))
-                .collect(),
-            other => Err(Error::expected("object", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::deserialize).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::BTreeSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-impl<T: Deserialize + Ord> Deserialize for std::collections::BTreeSet<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::deserialize).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize, S> Serialize for std::collections::HashSet<T, S> {
-    fn serialize(&self) -> Value {
-        let mut items: Vec<Value> = self.iter().map(Serialize::serialize).collect();
-        items.sort_by_key(|v| v.to_string());
-        Value::Array(items)
-    }
-}
-impl<T, S> Deserialize for std::collections::HashSet<T, S>
-where
-    T: Deserialize + std::hash::Hash + Eq,
-    S: std::hash::BuildHasher + Default,
-{
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::deserialize).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
-impl Serialize for Value {
-    fn serialize(&self) -> Value {
-        self.clone()
-    }
-}
-impl Deserialize for Value {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        read_map(r)
     }
 }

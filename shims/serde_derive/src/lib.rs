@@ -9,8 +9,23 @@
 //! are unit, tuple, or struct-like — all optionally generic over type
 //! parameters (each type parameter gets the respective trait bound).
 //!
-//! Wire conventions match serde_json's defaults (see the `serde` shim's
-//! crate docs).
+//! The emitted bodies **stream** (see the `serde` shim's crate docs):
+//!
+//! * `serialize(&self, out: &mut String)` pushes the punctuation and
+//!   field names as string literals and calls `serialize` on each field
+//!   in declaration order — no intermediate value, no allocation of its
+//!   own.
+//! * `deserialize(r: &mut json::Reader)` pulls tokens. A struct keeps one
+//!   `Option` slot per field and loops over the object's keys, so keys may
+//!   come in any order; an unknown key's value is `skip_value`d (validated,
+//!   not built); the first of a duplicated key wins and later ones are
+//!   skipped; a slot still empty at the end is `missing field 'x'`, a bad
+//!   value is `field 'x': …`. An enum is `"Unit"` or an object of exactly
+//!   one `"Variant": payload` entry. A tuple struct or variant is an array
+//!   of exactly its arity. A unit struct accepts (and skips) any value.
+//!
+//! Wire conventions match serde_json's defaults; nesting is bounded by
+//! the reader's depth limit, not by anything emitted here.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -438,157 +453,220 @@ fn impl_header(item: &Item, trait_path: &str) -> String {
     header
 }
 
+/// A Rust string literal spelling `text`.
+fn lit(text: &str) -> String {
+    format!("{text:?}")
+}
+
+/// Statements appending `{"f0":<f0>,"f1":<f1>}`; `access(f)` is the
+/// expression (a reference) for field `f`.
+fn ser_named(fields: &[String], access: impl Fn(&str) -> String) -> String {
+    let mut code = String::new();
+    for (i, f) in fields.iter().enumerate() {
+        let lead = if i == 0 { '{' } else { ',' };
+        code.push_str(&format!(
+            "__out.push_str({}); ::serde::Serialize::serialize({}, __out); ",
+            lit(&format!("{lead}\"{f}\":")),
+            access(f)
+        ));
+    }
+    let close = if fields.is_empty() { "{}" } else { "}" };
+    code.push_str(&format!("__out.push_str({});", lit(close)));
+    code
+}
+
+/// Statements appending `[<0>,<1>]`; `access(i)` is the expression (a
+/// reference) for position `i`.
+fn ser_tuple(n: usize, access: impl Fn(usize) -> String) -> String {
+    let mut code = String::new();
+    for i in 0..n {
+        let lead = if i == 0 { '[' } else { ',' };
+        code.push_str(&format!(
+            "__out.push('{lead}'); ::serde::Serialize::serialize({}, __out); ",
+            access(i)
+        ));
+    }
+    let close = if n == 0 { "[]" } else { "]" };
+    code.push_str(&format!("__out.push_str({});", lit(close)));
+    code
+}
+
 fn gen_serialize(item: &Item) -> String {
     let body = match &item.shape {
-        Shape::Named(fields) => {
-            let entries: Vec<String> = fields
+        Shape::Named(fields) => ser_named(fields, |f| format!("&self.{f}")),
+        Shape::Tuple(1) => "::serde::Serialize::serialize(&self.0, __out);".to_string(),
+        Shape::Tuple(n) => ser_tuple(*n, |i| format!("&self.{i}")),
+        Shape::Unit => "__out.push_str(\"null\");".to_string(),
+        Shape::Enum(variants) => {
+            let ty = &item.name;
+            let arms: Vec<String> = variants
                 .iter()
-                .map(|f| {
+                .map(|v| {
+                    let vn = &v.name;
+                    let open = lit(&format!("{{\"{vn}\":"));
+                    let (pattern, payload) = match &v.shape {
+                        VariantShape::Unit => {
+                            return format!(
+                                "{ty}::{vn} => __out.push_str({}),",
+                                lit(&format!("\"{vn}\""))
+                            )
+                        }
+                        VariantShape::Tuple(1) => (
+                            "(__f0)".to_string(),
+                            "::serde::Serialize::serialize(__f0, __out);".to_string(),
+                        ),
+                        VariantShape::Tuple(n) => {
+                            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                            (
+                                format!("({})", binds.join(", ")),
+                                ser_tuple(*n, |i| format!("__f{i}")),
+                            )
+                        }
+                        VariantShape::Struct(fields) => (
+                            format!("{{ {} }}", fields.join(", ")),
+                            ser_named(fields, str::to_string),
+                        ),
+                    };
                     format!(
-                        "(::std::string::String::from(\"{f}\"), ::serde::Serialize::serialize(&self.{f}))"
+                        "{ty}::{vn}{pattern} => {{ __out.push_str({open}); {payload} __out.push('}}'); }}"
                     )
                 })
                 .collect();
-            format!(
-                "::serde::json::Value::Object(::std::vec![{}])",
-                entries.join(", ")
-            )
-        }
-        Shape::Tuple(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-        Shape::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                .collect();
-            format!(
-                "::serde::json::Value::Array(::std::vec![{}])",
-                items.join(", ")
-            )
-        }
-        Shape::Unit => "::serde::json::Value::Null".to_string(),
-        Shape::Enum(variants) => {
-            let mut arms = Vec::new();
-            for v in variants {
-                let vn = &v.name;
-                let ty = &item.name;
-                match &v.shape {
-                    VariantShape::Unit => arms.push(format!(
-                        "{ty}::{vn} => ::serde::json::Value::Str(::std::string::String::from(\"{vn}\"))"
-                    )),
-                    VariantShape::Tuple(1) => arms.push(format!(
-                        "{ty}::{vn}(__f0) => ::serde::json::tagged(\"{vn}\", ::serde::Serialize::serialize(__f0))"
-                    )),
-                    VariantShape::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::serialize({b})"))
-                            .collect();
-                        arms.push(format!(
-                            "{ty}::{vn}({}) => ::serde::json::tagged(\"{vn}\", ::serde::json::Value::Array(::std::vec![{}]))",
-                            binds.join(", "),
-                            items.join(", ")
-                        ));
-                    }
-                    VariantShape::Struct(fields) => {
-                        let binds = fields.join(", ");
-                        let entries: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from(\"{f}\"), ::serde::Serialize::serialize({f}))"
-                                )
-                            })
-                            .collect();
-                        arms.push(format!(
-                            "{ty}::{vn} {{ {binds} }} => ::serde::json::tagged(\"{vn}\", ::serde::json::Value::Object(::std::vec![{}]))",
-                            entries.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!("match self {{ {} }}", arms.join(", "))
+            format!("match self {{ {} }}", arms.join(" "))
         }
     };
     format!(
-        "#[automatically_derived]\n{} {{\n    fn serialize(&self) -> ::serde::json::Value {{\n        {body}\n    }}\n}}\n",
+        "#[automatically_derived]\n{} {{\n    fn serialize(&self, __out: &mut ::std::string::String) {{\n        {body}\n    }}\n}}\n",
         impl_header(item, "::serde::Serialize")
     )
+}
+
+const ERR: &str = "::std::result::Result::Err";
+const OK: &str = "::std::result::Result::Ok";
+const DE: &str = "::serde::Deserialize::deserialize(__r)";
+
+/// A block expression reading `{...}` into `ctor {{ fields }}`: one
+/// `Option` slot per field, keys in any order, unknown keys skipped,
+/// the first of a duplicated key kept, every field required.
+fn de_named(ctor: &str, fields: &[String]) -> String {
+    let mut code = format!(
+        "{{ let __kind = __r.kind()?; \
+         if __kind != ::serde::json::Kind::Object {{ \
+         return {ERR}(::serde::json::Error::expected({}, __kind)); }} ",
+        lit(&format!("object for {ctor}"))
+    );
+    for i in 0..fields.len() {
+        code.push_str(&format!("let mut __f{i} = ::std::option::Option::None; "));
+    }
+    code.push_str("let mut __more = __r.begin_object()?; while __more { match &*__r.key()? { ");
+    for (i, f) in fields.iter().enumerate() {
+        let key = lit(f);
+        code.push_str(&format!(
+            "{key} if __f{i}.is_none() => __f{i} = ::std::option::Option::Some(\
+             {DE}.map_err(|__e| ::serde::json::Error::field({key}, __e))?), "
+        ));
+    }
+    code.push_str("_ => __r.skip_value()?, } __more = __r.next_entry()?; } ");
+    let inits: Vec<String> = fields
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            format!(
+                "{f}: match __f{i} {{ ::std::option::Option::Some(__v) => __v, \
+                 ::std::option::Option::None => \
+                 return {ERR}(::serde::json::Error::missing_field({})) }}",
+                lit(f)
+            )
+        })
+        .collect();
+    code.push_str(&format!("{ctor} {{ {} }} }}", inits.join(", ")));
+    code
+}
+
+/// A block expression reading `[...]` of exactly `n` items into
+/// `ctor(items)`.
+fn de_tuple(ctor: &str, arity_msg: &str, n: usize) -> String {
+    let wrong = format!(
+        "return {ERR}(::serde::json::Error::msg({}));",
+        lit(arity_msg)
+    );
+    let mut code = format!(
+        "{{ let __kind = __r.kind()?; \
+         if __kind != ::serde::json::Kind::Array {{ \
+         return {ERR}(::serde::json::Error::expected({}, __kind)); }} \
+         let mut __more = __r.begin_array()?; ",
+        lit(&format!("array for {ctor}"))
+    );
+    for i in 0..n {
+        code.push_str(&format!(
+            "if !__more {{ {wrong} }} let __f{i} = {DE}?; __more = __r.next_element()?; "
+        ));
+    }
+    let items: Vec<String> = (0..n).map(|i| format!("__f{i}")).collect();
+    code.push_str(&format!(
+        "if __more {{ {wrong} }} {ctor}({}) }}",
+        items.join(", ")
+    ));
+    code
 }
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
     let body = match &item.shape {
-        Shape::Named(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| format!("{f}: ::serde::json::field(__obj, \"{f}\")?"))
-                .collect();
-            format!(
-                "let __obj = __v.as_object().ok_or_else(|| ::serde::json::Error::expected(\"object for {name}\", __v))?;\n        ::std::result::Result::Ok({name} {{ {} }})",
-                inits.join(", ")
-            )
-        }
-        Shape::Tuple(1) => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__v)?))")
-        }
-        Shape::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::deserialize(&__items[{i}])?"))
-                .collect();
-            format!(
-                "let __items = __v.as_array().ok_or_else(|| ::serde::json::Error::expected(\"array for {name}\", __v))?;\n        if __items.len() != {n} {{ return ::std::result::Result::Err(::serde::json::Error::msg(\"wrong tuple arity for {name}\")); }}\n        ::std::result::Result::Ok({name}({}))",
-                items.join(", ")
-            )
-        }
-        Shape::Unit => format!("::std::result::Result::Ok({name})"),
+        Shape::Named(fields) => format!("{OK}({})", de_named(name, fields)),
+        Shape::Tuple(1) => format!("{OK}({name}({DE}?))"),
+        Shape::Tuple(n) => format!(
+            "{OK}({})",
+            de_tuple(name, &format!("wrong tuple arity for {name}"), *n)
+        ),
+        Shape::Unit => format!("__r.skip_value()?; {OK}({name})"),
         Shape::Enum(variants) => {
-            let mut unit_arms = Vec::new();
-            let mut data_arms = Vec::new();
+            let mut unit_arms = String::new();
+            let mut data_arms = String::new();
             for v in variants {
                 let vn = &v.name;
+                let ctor = format!("{name}::{vn}");
+                let tag = lit(vn);
                 match &v.shape {
-                    VariantShape::Unit => unit_arms.push(format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn})"
-                    )),
-                    VariantShape::Tuple(1) => data_arms.push(format!(
-                        "\"{vn}\" => ::std::result::Result::Ok({name}::{vn}(::serde::Deserialize::deserialize(__payload)?))"
-                    )),
-                    VariantShape::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::deserialize(&__items[{i}])?"))
-                            .collect();
-                        data_arms.push(format!(
-                            "\"{vn}\" => {{ let __items = __payload.as_array().ok_or_else(|| ::serde::json::Error::expected(\"array for {name}::{vn}\", __payload))?; if __items.len() != {n} {{ return ::std::result::Result::Err(::serde::json::Error::msg(\"wrong arity for {name}::{vn}\")); }} ::std::result::Result::Ok({name}::{vn}({})) }}",
-                            items.join(", ")
-                        ));
+                    VariantShape::Unit => unit_arms.push_str(&format!("{tag} => {OK}({ctor}), ")),
+                    VariantShape::Tuple(1) => {
+                        data_arms.push_str(&format!("{tag} => {OK}({ctor}({DE}?)), "))
                     }
+                    VariantShape::Tuple(n) => data_arms.push_str(&format!(
+                        "{tag} => {OK}({}), ",
+                        de_tuple(&ctor, &format!("wrong arity for {ctor}"), *n)
+                    )),
                     VariantShape::Struct(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::json::field(__fields, \"{f}\")?"))
-                            .collect();
-                        data_arms.push(format!(
-                            "\"{vn}\" => {{ let __fields = __payload.as_object().ok_or_else(|| ::serde::json::Error::expected(\"object for {name}::{vn}\", __payload))?; ::std::result::Result::Ok({name}::{vn} {{ {} }}) }}",
-                            inits.join(", ")
-                        ));
+                        data_arms.push_str(&format!("{tag} => {OK}({}), ", de_named(&ctor, fields)))
                     }
                 }
             }
-            unit_arms.push(format!(
-                "__other => ::std::result::Result::Err(::serde::json::Error::msg(::std::format!(\"unknown {name} variant '{{__other}}'\")))"
-            ));
-            data_arms.push(format!(
-                "__other => ::std::result::Result::Err(::serde::json::Error::msg(::std::format!(\"unknown {name} variant '{{__other}}'\")))"
-            ));
+            let unknown = format!(
+                "{ERR}(::serde::json::Error::unknown_variant({}, __other))",
+                lit(name)
+            );
+            let not_enum = format!(
+                "{ERR}(::serde::json::Error::expected({}, ::serde::json::Kind::Object))",
+                lit(&format!("enum {name}"))
+            );
+            // `"Unit"`, or an object of exactly one `"Variant": payload`.
             format!(
-                "match __v {{\n            ::serde::json::Value::Str(__s) => match __s.as_str() {{ {} }},\n            ::serde::json::Value::Object(__entries) if __entries.len() == 1 => {{\n                let (__tag, __payload) = &__entries[0];\n                match __tag.as_str() {{ {} }}\n            }}\n            __other => ::std::result::Result::Err(::serde::json::Error::expected(\"enum {name}\", __other)),\n        }}",
-                unit_arms.join(", "),
-                data_arms.join(", ")
+                "match __r.kind()? {{\n\
+                 ::serde::json::Kind::String => match &*__r.string()? {{ {unit_arms}__other => {unknown} }},\n\
+                 ::serde::json::Kind::Object => {{\n\
+                 if !__r.begin_object()? {{ return {not_enum}; }}\n\
+                 let __value: Self = match &*__r.key()? {{ {data_arms}__other => {unknown} }}?;\n\
+                 if __r.next_entry()? {{ return {not_enum}; }}\n\
+                 {OK}(__value)\n\
+                 }}\n\
+                 __other => {ERR}(::serde::json::Error::expected({}, __other)),\n\
+                 }}",
+                lit(&format!("enum {name}"))
             )
         }
     };
     format!(
-        "#[automatically_derived]\n{} {{\n    fn deserialize(__v: &::serde::json::Value) -> ::std::result::Result<Self, ::serde::json::Error> {{\n        {body}\n    }}\n}}\n",
+        "#[automatically_derived]\n{} {{\n    #[allow(unused_mut)]\n    fn deserialize(__r: &mut ::serde::json::Reader<'_>) -> ::std::result::Result<Self, ::serde::json::Error> {{\n        {body}\n    }}\n}}\n",
         impl_header(item, "::serde::Deserialize")
     )
 }

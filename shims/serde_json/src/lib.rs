@@ -1,19 +1,23 @@
-//! Offline stand-in for `serde_json`, backed by the `serde` shim's
-//! [`Value`] document model. Provides the subset this workspace uses:
-//! [`to_string`], [`from_str`], [`Value`], [`Error`], and the [`json!`]
-//! macro.
+//! Offline stand-in for `serde_json` over the `serde` shim's streaming
+//! traits. Provides the subset this workspace uses: [`to_string`],
+//! [`to_string_pretty`], [`from_str`], [`to_value`], [`Value`],
+//! [`Error`], and the [`json!`] macro.
+//!
+//! `to_string` and `from_str` go straight between `T` and text; only
+//! `to_value`, `json!` and `to_string_pretty` build a [`Value`] tree (by
+//! parsing the text `to_string` wrote), so they are for small documents.
 
 pub use serde::json::{Error, Num, Value};
 
 /// Serializes a value to a compact JSON string.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.serialize().to_string())
+    Ok(serde::json::to_string(value))
 }
 
 /// Serializes a value to a pretty-printed JSON string (two-space
 /// indent).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(pretty(&value.serialize(), 0))
+    Ok(pretty(&to_value(value)?, 0))
 }
 
 fn pretty(v: &Value, indent: usize) -> String {
@@ -46,18 +50,12 @@ fn pretty(v: &Value, indent: usize) -> String {
 
 /// Parses a JSON string into a value of type `T`.
 pub fn from_str<T: serde::de::DeserializeOwned>(s: &str) -> Result<T, Error> {
-    let v = serde::json::parse(s)?;
-    T::deserialize(&v)
+    serde::json::from_str(s)
 }
 
 /// Converts any serializable value into a [`Value`].
 pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Result<Value, Error> {
-    Ok(value.serialize())
-}
-
-/// Reconstructs a `T` from a [`Value`].
-pub fn from_value<T: serde::de::DeserializeOwned>(v: Value) -> Result<T, Error> {
-    T::deserialize(&v)
+    serde::json::parse(&serde::json::to_string(value))
 }
 
 /// Builds a [`Value`] from JSON-like syntax, serde_json style.

@@ -168,3 +168,24 @@ fn hdfs_96_scale_check_reports_are_pinned() {
         "f8c6f2a320cbae83e9a4a15e9b3caae0",
     );
 }
+
+/// The exported trace *file*: `to_chrome_json` of a traced Real cell,
+/// event rows and embedded native trace alike, captured on the commit
+/// before the serde shim started streaming (the pins above hash
+/// `to_string(RunReport)` and are the `Serialize` oracle; this one adds
+/// the exporter's own integer and timestamp rendering).
+#[test]
+fn c3831_24_traced_real_chrome_file_is_pinned() {
+    let mut cfg = ScenarioConfig::c3831(24, 1);
+    cfg.trace = scalecheck_obs::TraceConfig::enabled();
+    let r = run_real(&cfg);
+    assert!(!r.obs.spans.is_empty() && !r.obs.counters.is_empty());
+    let json = scalecheck_obs::to_chrome_json(&r.obs);
+    assert_eq!(
+        format!("{:032x}", scalecheck_memo::digest_bytes(json.as_bytes()).0),
+        "4a76f7e5d8050e38bf84cebd4f98d506",
+        "Chrome trace file moved ({} bytes, {} spans)",
+        json.len(),
+        r.obs.spans.len()
+    );
+}
