@@ -5,7 +5,11 @@
 //!
 //! * **hunt** (default) — sweep the given cells under the wall/eval
 //!   budget, print the outcome table, and (optionally) write the first
-//!   discovered minimal witness to `--witness-out`.
+//!   discovered minimal witness to `--witness-out`. A cell is
+//!   `bug:nodes:seed:target`, bug one of `baseline|c3831|c3881|c5456|
+//!   c6127|race` and target one of `real|colo|scpil`; `race` is the
+//!   tie-heavy preset engineered so interleaving genuinely decides
+//!   convictions.
 //! * **`--smoke`** — pinned cheap cells that the stock engine handles
 //!   deterministically; asserts *zero* verdict flips and exits nonzero
 //!   on any flip (the CI guard that tie-order plumbing stays inert on
@@ -16,32 +20,27 @@
 
 use std::time::Instant;
 
-use scalecheck_bench::{exit_usage, flag_value, has_flag, parse_flag};
+use crate::cli::{bare, read_file, val, write_file, Args, Command, Failure};
 use scalecheck_explore::{
     explore_cell, render_table, CellPlan, ExploreOpts, ScheduleWitness, Target,
 };
 
-const USAGE: &str = "\
-usage: explore_run [options]
-
-modes (default: hunt over --cells):
-  --smoke               run the pinned smoke cells; fail on any verdict flip
-  --replay FILE         replay a witness JSON; fail unless it still flips
-                        with a bit-identical perturbed report
-
-options:
-  --cells SPEC[,SPEC]   cells to explore, SPEC = bug:nodes:seed:target
-                        (bug: baseline|c3831|c3881|c5456|c6127|race;
-                         target: real|colo|scpil — `race` is the
-                         tie-heavy preset engineered so interleaving
-                         genuinely decides convictions)
-  --budget-secs N       wall-clock budget across all cells (default 120)
-  --max-evals N         perturbation evaluations per cell (default 40)
-  --shuffles N          shuffle seeds per cell (default 8)
-  --max-swaps N         targeted-swap frontier cap per cell (default 24)
-  --witness-out FILE    write the first discovered witness as JSON
-  --table-out FILE      write the outcome table (TBL_explore format)
-";
+pub const COMMAND: Command = Command {
+    name: "explore",
+    about: "schedule exploration: perturb-and-shrink search for verdict-flipping interleavings",
+    flags: &[
+        bare("--smoke", "pinned cells; fail on any verdict flip"),
+        val("--replay", "FILE", "witness to replay; must still flip"),
+        val("--cells", "SPEC,..", "bug:nodes:seed:target cells to hunt"),
+        val("--budget-secs", "N", "wall budget, all cells (default 120)"),
+        val("--max-evals", "N", "evaluations per cell (default 40)"),
+        val("--shuffles", "N", "shuffle seeds per cell (default 8)"),
+        val("--max-swaps", "N", "swap candidates per cell (default 24)"),
+        val("--witness-out", "FILE", "write the first witness found"),
+        val("--table-out", "FILE", "write the outcome table"),
+    ],
+    run,
+};
 
 /// The smoke suite: cheap cells whose identity schedules the verdict
 /// pipeline classifies robustly — swaps and shuffles must not flip
@@ -66,12 +65,9 @@ fn cell(bug: &str, n_nodes: usize, seed: u64, target: Target) -> CellPlan {
 }
 
 fn parse_target(raw: &str) -> Result<Target, String> {
-    match raw {
-        "real" => Ok(Target::Real),
-        "colo" => Ok(Target::Colo),
-        "scpil" => Ok(Target::ScPil),
-        other => Err(format!("unknown target '{other}' (use real|colo|scpil)")),
-    }
+    let targets = [Target::Real, Target::Colo, Target::ScPil];
+    let named = targets.into_iter().find(|t| t.name() == raw);
+    named.ok_or_else(|| format!("unknown target '{raw}' (use real|colo|scpil)"))
 }
 
 fn parse_cells(raw: &str) -> Result<Vec<CellPlan>, String> {
@@ -87,31 +83,14 @@ fn parse_cells(raw: &str) -> Result<Vec<CellPlan>, String> {
             let seed: u64 = seed
                 .parse()
                 .map_err(|_| format!("cell '{spec}': bad seed '{seed}'"))?;
-            Ok(CellPlan {
-                bug: bug.to_string(),
-                n_nodes,
-                seed,
-                target: parse_target(target)?,
-            })
+            Ok(cell(bug, n_nodes, seed, parse_target(target)?))
         })
         .collect()
 }
 
-fn replay_witness(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read witness {path}: {e}");
-            return 1;
-        }
-    };
-    let witness = match ScheduleWitness::from_json(&text) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+fn replay_witness(path: &str) -> Result<(), Failure> {
+    let witness = ScheduleWitness::from_json(&read_file(path)?)
+        .map_err(|e| Failure::Failed(format!("error: {e}")))?;
     println!(
         "replaying witness: bug={} n={} seed={} target={} swaps={} shuffle={:?}",
         witness.bug,
@@ -159,45 +138,30 @@ fn replay_witness(path: &str) -> i32 {
         );
         ok = false;
     }
-    if ok {
-        println!("OK: verdict flip reproduced bit-identically");
-        0
-    } else {
-        1
+    if !ok {
+        return Err(Failure::Failed(format!("FAIL: {path} did not replay")));
     }
+    println!("OK: verdict flip reproduced bit-identically");
+    Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if has_flag(&args, "--help") || has_flag(&args, "-h") {
-        println!("{USAGE}");
-        return;
+fn run(args: &Args) -> Result<(), Failure> {
+    if let Some(path) = args.value("--replay") {
+        return replay_witness(path);
     }
 
-    if let Some(path) = flag_value(&args, "--replay").unwrap_or_else(|e| exit_usage(USAGE, &e)) {
-        std::process::exit(replay_witness(&path));
-    }
-
-    let smoke = has_flag(&args, "--smoke");
+    let smoke = args.has("--smoke");
     let mut opts = ExploreOpts::default();
-    if let Some(b) = parse_flag::<u64>(&args, "--budget-secs").unwrap_or_else(|e| {
-        exit_usage(USAGE, &e);
-    }) {
+    if let Some(b) = args.get("--budget-secs")? {
         opts.budget_secs = b;
     }
-    if let Some(m) =
-        parse_flag::<usize>(&args, "--max-evals").unwrap_or_else(|e| exit_usage(USAGE, &e))
-    {
+    if let Some(m) = args.get("--max-evals")? {
         opts.max_evals = m;
     }
-    if let Some(s) =
-        parse_flag::<u64>(&args, "--shuffles").unwrap_or_else(|e| exit_usage(USAGE, &e))
-    {
+    if let Some(s) = args.get("--shuffles")? {
         opts.shuffles = s;
     }
-    if let Some(c) =
-        parse_flag::<usize>(&args, "--max-swaps").unwrap_or_else(|e| exit_usage(USAGE, &e))
-    {
+    if let Some(c) = args.get("--max-swaps")? {
         opts.max_swap_candidates = c;
     }
     if smoke {
@@ -206,10 +170,13 @@ fn main() {
         opts.shuffles = opts.shuffles.min(2);
     }
 
-    let cells = match flag_value(&args, "--cells").unwrap_or_else(|e| exit_usage(USAGE, &e)) {
-        Some(raw) => parse_cells(&raw).unwrap_or_else(|e| exit_usage(USAGE, &e)),
+    let cells = match args.value("--cells") {
+        Some(raw) => parse_cells(raw).map_err(Failure::Usage)?,
         None if smoke => smoke_cells(),
-        None => exit_usage(USAGE, "hunt mode needs --cells (or pass --smoke)"),
+        None => {
+            let msg = "hunt mode needs --cells (or pass --smoke)";
+            return Err(Failure::Usage(msg.into()));
+        }
     };
 
     let start = Instant::now();
@@ -235,22 +202,15 @@ fn main() {
         start.elapsed().as_secs_f64(),
     );
 
-    if let Some(path) = flag_value(&args, "--table-out").unwrap_or_else(|e| exit_usage(USAGE, &e)) {
-        std::fs::write(&path, &table).unwrap_or_else(|e| {
-            eprintln!("error: cannot write {path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(path) = args.value("--table-out") {
+        write_file(path, &table)?;
         eprintln!("wrote {path}");
     }
 
-    if let Some(path) = flag_value(&args, "--witness-out").unwrap_or_else(|e| exit_usage(USAGE, &e))
-    {
+    if let Some(path) = args.value("--witness-out") {
         match outcomes.iter().find_map(|o| o.witness.as_ref()) {
             Some(w) => {
-                std::fs::write(&path, w.to_json()).unwrap_or_else(|e| {
-                    eprintln!("error: cannot write {path}: {e}");
-                    std::process::exit(1);
-                });
+                write_file(path, w.to_json())?;
                 eprintln!("wrote witness {path}");
             }
             None => eprintln!("no witness found; {path} not written"),
@@ -259,7 +219,8 @@ fn main() {
 
     let flips: usize = outcomes.iter().map(|o| o.flips_found).sum();
     if smoke && flips > 0 {
-        eprintln!("FAIL: smoke cells must not flip (found {flips})");
-        std::process::exit(1);
+        let msg = format!("FAIL: smoke cells must not flip (found {flips})");
+        return Err(Failure::Failed(msg));
     }
+    Ok(())
 }

@@ -9,27 +9,28 @@
 //! datanodes dead, in waves (flapping). The incremental-diff fix
 //! removes the symptom; SC+PIL reproduces it with report processing
 //! replaced by `sleep(recorded duration)`.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin ext_hdfs
-//! ```
 
-use scalecheck_bench::{
-    exit_usage, jobs_from_args, parse_flag, parse_list_flag, print_row, run_sweep, Cell,
-};
+use crate::cli::{val, Args, Command, Failure, JOBS, SEED};
+use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
 
-const USAGE: &str = "usage: ext_hdfs [--scales 64,128,192,256] [--seed N] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "ext_hdfs",
+    about: "extension: the HDFS-like serialized-O(N) block-report bug, Real vs SC+PIL vs fix",
+    flags: &[
+        val("--scales", "N,N..", "#datanodes (default 64,128,192,256)"),
+        SEED,
+        JOBS,
+    ],
+    run,
+};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let scales: Vec<usize> = parse_list_flag(&args, "--scales")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let scales: Vec<usize> = args
+        .list("--scales")?
         .unwrap_or_else(|| vec![64, 128, 192, 256]);
-    let seed: u64 = parse_flag(&args, "--seed")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(1);
+    let seed: u64 = args.get("--seed")?.unwrap_or(1);
 
     let mut cells: Vec<Cell<HdfsReport>> = Vec::new();
     for &n in &scales {
@@ -58,16 +59,7 @@ fn main() {
 
     println!("Extension — HDFS-like serialized-O(N) bug (block reports under the namenode lock)");
     println!("false dead declarations of live datanodes over a 600s run\n");
-    print_row(
-        &[
-            "#DNs".into(),
-            "Real(bug)".into(),
-            "SC+PIL".into(),
-            "hit%".into(),
-            "Real(fix)".into(),
-        ],
-        12,
-    );
+    print_row(&["#DNs", "Real(bug)", "SC+PIL", "hit%", "Real(fix)"], 12);
     for (i, &n) in scales.iter().enumerate() {
         let real = &out[3 * i];
         let pil = &out[3 * i + 1];
@@ -88,4 +80,5 @@ fn main() {
     println!("incremental-diff fix removes it; SC+PIL reproduces it on one machine.");
     println!("the finder catches this class at threshold 1 (S4 footnote): the rescan");
     println!("is a single scale-dependent loop, not a nest.");
+    Ok(())
 }

@@ -5,17 +5,22 @@
 //! One CPU-heavy protocol round is run at each N under the three
 //! setups; a 1-core colocation machine makes the N·t serialization of
 //! Figure 1b explicit.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin fig1_testtime
-//! ```
 
-use scalecheck_bench::{exit_usage, jobs_from_args, parse_list_flag, print_row, run_sweep, Cell};
+use crate::cli::{val, Args, Command, Failure, JOBS};
+use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck_cluster::{run_scenario, RunMode, RunReport, ScenarioConfig, Workload};
 use scalecheck_memo::OrderRecorder;
 use scalecheck_sim::SimDuration;
 
-const USAGE: &str = "usage: fig1_testtime [--scales 8,16,32] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "fig1_testtime",
+    about: "Figure 1: test duration under real-scale testing, 1-core colocation and PIL replay",
+    flags: &[
+        val("--scales", "N,N..", "cluster sizes (default 8,16,32)"),
+        JOBS,
+    ],
+    run,
+};
 
 fn scenario(n: usize) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::c3831(n, 1);
@@ -34,12 +39,9 @@ fn scenario(n: usize) -> ScenarioConfig {
     cfg
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let scales: Vec<usize> = parse_list_flag(&args, "--scales")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| vec![8, 16, 32]);
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let scales: Vec<usize> = args.list("--scales")?.unwrap_or_else(|| vec![8, 16, 32]);
 
     // Three cells per scale: real, 1-core colocation, and the ordered
     // PIL replay on the 1-core box (memoized on 16 cores).
@@ -74,16 +76,7 @@ fn main() {
 
     println!("Figure 1 — test completion time by approach (1-core colocation)");
     println!("(virtual seconds until the protocol quiesces)\n");
-    print_row(
-        &[
-            "#Nodes".into(),
-            "Real t".into(),
-            "Colo".into(),
-            "~N*t".into(),
-            "PIL t+e".into(),
-        ],
-        10,
-    );
+    print_row(&["#Nodes", "Real t", "Colo", "~N*t", "PIL t+e"], 10);
 
     for (i, &n) in scales.iter().enumerate() {
         let real = &out[3 * i];
@@ -109,4 +102,5 @@ fn main() {
     println!();
     println!("Colo on one core stretches the run (towards N*t for CPU-bound work);");
     println!("PIL replay finishes in about the real-scale time (t+e).");
+    Ok(())
 }

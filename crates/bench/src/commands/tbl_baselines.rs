@@ -11,29 +11,30 @@
 //!   TDF × t;
 //! * SC+PIL — accurate at ~real-scale iteration time after a one-time
 //!   memoization.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_baselines -- --target 128
-//! ```
 
+use crate::cli::{val, Args, Command, Failure, JOBS};
+use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck::baselines::time_dilated;
 use scalecheck::{extrapolate_power_law, memoize, replay, COLO_CORES};
-use scalecheck_bench::{exit_usage, jobs_from_args, parse_flag, print_row, run_sweep, Cell};
 use scalecheck_cluster::{run_scenario, RunReport, ScenarioConfig};
 
-const USAGE: &str = "usage: tbl_baselines [--target N] [--tdf N] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_baselines",
+    about: "S4: mini-cluster, extrapolation, colocation and time dilation vs SC+PIL on c3831",
+    flags: &[
+        val("--target", "N", "the scale to judge at (default 256)"),
+        val("--tdf", "N", "DieCast time-dilation factor (default 16)"),
+        JOBS,
+    ],
+    run,
+};
 
 const TRAIN_SCALES: [usize; 4] = [8, 16, 32, 64];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let target: usize = parse_flag(&args, "--target")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(256);
-    let tdf: u64 = parse_flag(&args, "--tdf")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(16);
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let target: usize = args.get("--target")?.unwrap_or(256);
+    let tdf: u64 = args.get("--tdf")?.unwrap_or(16);
     let seed = 1;
 
     let bug = |n: usize| ScenarioConfig::c3831(n, seed);
@@ -97,15 +98,7 @@ fn main() {
     let pil = &out[k + 3][1];
 
     println!();
-    print_row(
-        &[
-            "approach".into(),
-            "flaps".into(),
-            "run (virt s)".into(),
-            "verdict".into(),
-        ],
-        22,
-    );
+    print_row(&["approach", "flaps", "run (virt s)", "verdict"], 22);
     let mini_max = train.iter().map(|&(_, f)| f).max().unwrap_or(0);
     print_row(
         &[
@@ -177,4 +170,5 @@ fn main() {
         real.duration.as_secs_f64(),
         memo_report.duration.as_secs_f64()
     );
+    Ok(())
 }

@@ -1,21 +1,25 @@
 //! Regenerates the §2/§3 bug-study aggregates: per-system counts, the
 //! 47 %/53 % root-cause split, fix times, and protocol diversity.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_bugstudy
-//! ```
 
-use scalecheck_bench::print_row;
+use crate::cli::{Args, Command, Failure};
+use crate::print_row;
 use scalecheck_bugstudy::{bugs, stats};
 
-fn main() {
+pub const COMMAND: Command = Command {
+    name: "tbl_bugstudy",
+    about: "S2-S3: the 38-bug study's per-system counts, root causes, fix times and protocols",
+    flags: &[],
+    run,
+};
+
+fn run(_: &Args) -> Result<(), Failure> {
     let all = bugs();
     let s = stats(&all);
 
     println!("The scalability-bug study (38 bugs; paper S2-S3)\n");
 
     println!("bugs per system (paper: 9 Cassandra, 5 Couchbase, 2 Hadoop, 9 HBase, 11 HDFS, 1 Riak, 1 Voldemort):");
-    print_row(&["system".into(), "bugs".into()], 12);
+    print_row(&["system", "bugs"], 12);
     for (sys, count) in &s.per_system {
         print_row(&[sys.clone(), count.to_string()], 12);
     }
@@ -37,7 +41,7 @@ fn main() {
 
     println!();
     println!("protocols the bugs linger in (S3: 'diverse protocols'):");
-    print_row(&["protocol".into(), "bugs".into()], 14);
+    print_row(&["protocol", "bugs"], 14);
     for (proto, count) in &s.per_protocol {
         print_row(&[proto.clone(), count.to_string()], 14);
     }
@@ -53,4 +57,5 @@ fn main() {
          reproducing the paper's aggregates (marked synthetic in the dataset).",
         all.iter().filter(|b| b.synthetic).count()
     );
+    Ok(())
 }

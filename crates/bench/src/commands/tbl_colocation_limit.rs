@@ -15,17 +15,22 @@
 //! * naive per-process / per-thread colocation (70 MB runtime each,
 //!   context-switch amplification): collapses far earlier — §6's point
 //!   that systems are not built scale-checkable.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_colocation_limit
-//! ```
 
+use crate::cli::{val, Args, Command, Failure, JOBS};
+use crate::{cell, jobs, print_row, run_sweep};
 use scalecheck::{Bottleneck, BottleneckThresholds, ExecMode, COLO_CORES};
-use scalecheck_bench::{cell, exit_usage, jobs_from_args, parse_list_flag, print_row, run_sweep};
 use scalecheck_cluster::{CalcVersion, ScenarioConfig, Workload};
 use scalecheck_sim::SimDuration;
 
-const USAGE: &str = "usage: tbl_colocation_limit [--factors 128,256,384,512,600] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_colocation_limit",
+    about: "S8: the maximum colocation factor of the memoization run, redesigned vs per-process",
+    flags: &[
+        val("--factors", "N,N..", "#nodes; default 128,256,384,512,600"),
+        JOBS,
+    ],
+    run,
+};
 
 fn scenario(n: usize, scale_checkable: bool) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::baseline(n, 1);
@@ -58,11 +63,10 @@ const CONFIGS: [(&str, bool); 2] = [
     ),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let factors: Vec<usize> = parse_list_flag(&args, "--factors")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let factors: Vec<usize> = args
+        .list("--factors")?
         .unwrap_or_else(|| vec![128, 256, 384, 512, 600]);
     let thresholds = BottleneckThresholds::default();
 
@@ -85,16 +89,7 @@ fn main() {
 
     for (c, (label, _)) in CONFIGS.iter().enumerate() {
         println!("config: {label}");
-        print_row(
-            &[
-                "nodes".into(),
-                "cpu".into(),
-                "mem-peak".into(),
-                "p99-lateness".into(),
-                "verdict".into(),
-            ],
-            14,
-        );
+        print_row(&["nodes", "cpu", "mem-peak", "p99-lateness", "verdict"], 14);
         let mut max_ok = None;
         for (i, &n) in factors.iter().enumerate() {
             let r = &out[c * factors.len() + i];
@@ -128,4 +123,5 @@ fn main() {
             None => println!("=> no clean colocation factor in the sweep\n"),
         }
     }
+    Ok(())
 }

@@ -1,12 +1,9 @@
 //! Regenerates the §2/§3 complexity claims: measured op counts and
 //! virtual durations of every pending-range calculator version across
 //! scales, with fitted growth exponents.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_complexity
-//! ```
 
-use scalecheck_bench::{exit_usage, jobs_from_args, print_row, run_sweep, Cell};
+use crate::cli::{Args, Command, Failure, JOBS};
+use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck_cluster::calibrate::{
     ops_to_duration, NS_PER_OP_FRESH, NS_PER_OP_V1, NS_PER_OP_V2_VNODES,
 };
@@ -15,7 +12,12 @@ use scalecheck_ring::{
     RingTable, TopologyChange, V1Cubic, V2Quadratic, V3VnodeAware,
 };
 
-const USAGE: &str = "usage: tbl_complexity [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_complexity",
+    about: "S2-S3: op counts, durations and growth exponents of every pending-range calculator",
+    flags: &[JOBS],
+    run,
+};
 
 const SCALES: [u32; 4] = [32, 64, 128, 256];
 
@@ -67,9 +69,8 @@ fn exponent(o1: u64, o2: u64) -> f64 {
     (o2 as f64 / o1 as f64).log2()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
 
     let rows: [(&str, usize, u64); 5] = [
         ("v1-cubic", 1, NS_PER_OP_V1),
@@ -89,19 +90,7 @@ fn main() {
     println!("Complexity of the pending-range calculator versions");
     println!("(ops for one topology change; duration via calibrated ns/op)\n");
 
-    print_row(
-        &[
-            "version".into(),
-            "P".into(),
-            "N=32".into(),
-            "N=64".into(),
-            "N=128".into(),
-            "N=256".into(),
-            "exp".into(),
-            "t@256".into(),
-        ],
-        12,
-    );
+    print_row(&["version", "P", "N=32", "N=64", "N=128", "N=256", "exp", "t@256"], 12);
 
     for ((name, p, ns), o) in rows.iter().zip(&out) {
         let exp = (exponent(o[0], o[1]) + exponent(o[1], o[2]) + exponent(o[2], o[3])) / 3.0;
@@ -126,4 +115,5 @@ fn main() {
     let d_lo = ops_to_duration(ops(&V1Cubic, 32, 1), NS_PER_OP_V1);
     let d_hi = ops_to_duration(ops(&V1Cubic, 256, 1), NS_PER_OP_V1);
     println!("  v1 ranges {d_lo} (N=32) .. {d_hi} (N=256)");
+    Ok(())
 }

@@ -1,9 +1,5 @@
 //! Divergence-diagnosis table: where does colocated virtual time go?
 //!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_diverge -- --nodes 128
-//! ```
-//!
 //! Reproduces §6's diagnosis narrative with traces instead of prose.
 //! The same scenario runs under Real, Colo, and SC+PIL with full
 //! observability tracing, then the divergence analyzer attributes the
@@ -15,47 +11,36 @@
 //!   distorts;
 //! * **SC+PIL vs Real** — replacing the calculation with a PIL sleep
 //!   removes the inflation: no category should exceed tolerance.
-//!
-//! Options: `--bug`, `--nodes`, `--seed` select the scenario
-//! (default c3831 @ 128, seed 1); `--out PATH` also writes the table to
-//! a file; `--trace-dir DIR` dumps the three Chrome traces; `--jobs N`
-//! sets the sweep's worker threads.
 
-use scalecheck::{ExecMode, COLO_CORES};
-use scalecheck_bench::{cell, exit_usage, flag_value, jobs_from_args, parse_flag, run_sweep};
+use crate::cli::{val, write_file, Args, Command, Failure, BUG, JOBS, SEED};
+use crate::{cell, jobs, run_sweep, MODES};
 use scalecheck_cluster::ScenarioConfig;
 use scalecheck_obs::Trace;
 
-const USAGE: &str = "usage: tbl_diverge [--bug c3831|c3881|c5456|c6127] [--nodes N] [--seed N] \
-[--out PATH] [--trace-dir DIR] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_diverge",
+    about: "S6: where colocated virtual time goes, from traced Real / Colo / SC+PIL runs",
+    flags: &[
+        BUG,
+        val("--nodes", "N", "cluster size (default 128)"),
+        SEED,
+        val("--out", "PATH", "also write the table to PATH"),
+        val("--trace-dir", "DIR", "dump the three Chrome traces here"),
+        JOBS,
+    ],
+    run,
+};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let bug = flag_value(&args, "--bug")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| "c3831".to_string());
-    let n: usize = parse_flag(&args, "--nodes")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(128);
-    let seed: u64 = parse_flag(&args, "--seed")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(1);
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let trace_dir = flag_value(&args, "--trace-dir").unwrap_or_else(|e| exit_usage(USAGE, &e));
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let bug = args.value("--bug").unwrap_or("c3831");
+    let n: usize = args.get("--nodes")?.unwrap_or(128);
+    let seed: u64 = args.get("--seed")?.unwrap_or(1);
 
-    let mut cfg = ScenarioConfig::bug(&bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let mut cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;
     cfg.trace = scalecheck_obs::TraceConfig::enabled();
 
-    let modes = [
-        ExecMode::Real,
-        ExecMode::Colo { cores: COLO_CORES },
-        ExecMode::ScPil {
-            cores: COLO_CORES,
-            ordered: false,
-        },
-    ];
-    let cells = modes
+    let cells = MODES
         .iter()
         .map(|&mode| {
             cell(
@@ -68,20 +53,19 @@ fn main() {
     let out = run_sweep(cells, jobs);
 
     let mut traces: Vec<Trace> = Vec::new();
-    for (r, mode) in out.iter().zip(modes.iter()) {
+    for (r, mode) in out.iter().zip(&MODES) {
         let mut t = r.obs.clone();
         t.meta.label = format!("{bug}@{n} {}", mode.label());
         traces.push(t);
     }
     let (real, colo, scpil) = (&traces[0], &traces[1], &traces[2]);
 
-    if let Some(dir) = trace_dir {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| exit_usage(USAGE, &format!("mkdir {dir}: {e}")));
-        for (t, mode) in traces.iter().zip(modes.iter()) {
+    if let Some(dir) = args.value("--trace-dir") {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| Failure::Failed(format!("cannot create {dir}: {e}")))?;
+        for (t, mode) in traces.iter().zip(&MODES) {
             let path = format!("{dir}/{bug}_{n}_{}.json", mode.label().to_lowercase());
-            std::fs::write(&path, scalecheck_obs::to_chrome_json(t).as_bytes())
-                .unwrap_or_else(|e| exit_usage(USAGE, &format!("write {path}: {e}")));
+            write_file(&path, scalecheck_obs::to_chrome_json(t))?;
             eprintln!("[tbl_diverge] wrote {path}");
         }
     }
@@ -93,7 +77,7 @@ fn main() {
     text.push_str(&format!(
         "Divergence diagnosis: {bug} N={n} seed={seed} (§6 colocation distortion)\n"
     ));
-    for (r, mode) in out.iter().zip(modes.iter()) {
+    for (r, mode) in out.iter().zip(&MODES) {
         let e = &r.engine;
         text.push_str(&format!(
             "  {:<7} duration={:>6.0}s flaps={:<6} engine: scheduled={} fired={} cancelled={}\n",
@@ -120,14 +104,14 @@ fn main() {
     ));
 
     print!("{text}");
-    if let Some(path) = out_path {
-        std::fs::write(&path, text.as_bytes())
-            .unwrap_or_else(|e| exit_usage(USAGE, &format!("write {path}: {e}")));
+    if let Some(path) = args.value("--out") {
+        write_file(path, &text)?;
         println!("wrote {path}");
     }
 
     if !colo_ok || !pil_ok {
-        eprintln!("error: divergence diagnosis did not match the paper's narrative");
-        std::process::exit(1);
+        let msg = "error: divergence diagnosis did not match the paper's narrative";
+        return Err(Failure::Failed(msg.into()));
     }
+    Ok(())
 }

@@ -2,30 +2,25 @@
 //! locates the scale-dependent loop nests (spanning functions, hidden
 //! behind workload-specific branches), classifies PIL-safety, and
 //! emits the instrumentation plan.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_finder
-//! ```
 
-use scalecheck_bench::print_row;
+use crate::cli::{Args, Command, Failure};
+use crate::print_row;
 use scalecheck_pilfinder::{analyze, cluster_protocol_model, instrument, FinderConfig};
 
-fn main() {
+pub const COMMAND: Command = Command {
+    name: "tbl_finder",
+    about: "S5/S7: the offending-function finder's verdicts and instrumentation plan",
+    flags: &[],
+    run,
+};
+
+fn run(_: &Args) -> Result<(), Failure> {
     let program = cluster_protocol_model();
     program.validate().expect("model valid");
     let report = analyze(&program, FinderConfig::default());
 
     println!("Offending-function finder over the cluster protocol model (S5, S7)\n");
-    print_row(
-        &[
-            "function".into(),
-            "degree".into(),
-            "span-loc".into(),
-            "pil-safe".into(),
-            "why-not".into(),
-        ],
-        28,
-    );
+    print_row(&["function", "degree", "span-loc", "pil-safe", "why-not"], 28);
     for name in &report.offending {
         let f = &report.functions[name];
         let why = if f.pil_safe {
@@ -109,4 +104,5 @@ fn main() {
         "threshold=1 additionally flags {} linear functions (S4 footnote)",
         strict.offending.len() - report.offending.len()
     );
+    Ok(())
 }

@@ -6,29 +6,26 @@
 //! Also ablates the harness itself: the FIFO-cores CPU model against
 //! the offline processor-sharing model, and PIL replay with and without
 //! order enforcement.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_fix_ablation -- --nodes 256
-//! ```
 
+use crate::cli::{val, Args, Command, Failure, JOBS};
+use crate::{cell, jobs, print_row, run_sweep};
 use scalecheck::{ExecMode, COLO_CORES};
-use scalecheck_bench::{cell, exit_usage, jobs_from_args, parse_flag, print_row, run_sweep};
 use scalecheck_cluster::{CalcVersion, LockingMode, ScenarioConfig};
 use scalecheck_sim::{ps_completions, SimDuration, SimTime};
 
-const USAGE: &str = "usage: tbl_fix_ablation [--nodes N] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_fix_ablation",
+    about: "S2: each bug with its historical fix in place, plus two harness ablations",
+    flags: &[val("--nodes", "N", "cluster size (default 256)"), JOBS],
+    run,
+};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let n: usize = parse_flag(&args, "--nodes")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(256);
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let n: usize = args.get("--nodes")?.unwrap_or(256);
     let seed = 1;
 
-    let scenario = |bug: &str| -> ScenarioConfig {
-        ScenarioConfig::bug(bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e))
-    };
+    let scenario = |bug: &str| ScenarioConfig::bug(bug, n, seed).expect("a bug of `rows`");
 
     // Buggy/fixed pairs, each a Real-deployment cell; then the two
     // order-enforcement ablation replays.
@@ -70,16 +67,7 @@ fn main() {
     let out = run_sweep(cells, jobs);
 
     println!("Fix ablation at N={n}: buggy vs fixed implementation (Real deployment)\n");
-    print_row(
-        &[
-            "bug".into(),
-            "buggy".into(),
-            "flaps".into(),
-            "fixed".into(),
-            "flaps".into(),
-        ],
-        18,
-    );
+    print_row(&["bug", "buggy", "flaps", "fixed", "flaps"], 18);
     for (i, (bug, buggy_label, fixed_label)) in rows.iter().enumerate() {
         let buggy = &out[2 * i];
         let fixed = &out[2 * i + 1];
@@ -129,4 +117,5 @@ fn main() {
         fifo_last.as_secs_f64(),
         ps_last.as_secs_f64()
     );
+    Ok(())
 }

@@ -6,34 +6,35 @@
 //! The memoization run is a basic-colocation run (CPU contention
 //! stretches it); the PIL replay sleeps instead of computing, so it
 //! finishes in about real-scale time.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_memo_vs_replay -- --nodes 128
-//! ```
 
+use crate::cli::{val, Args, Command, Failure, JOBS, SEED};
+use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck::{memoize, replay, run_real, COLO_CORES};
-use scalecheck_bench::{exit_usage, jobs_from_args, parse_flag, print_row, run_sweep, Cell};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
-const USAGE: &str = "usage: tbl_memo_vs_replay [--nodes N] [--seed N] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_memo_vs_replay",
+    about: "S8: one-time memoization vs repeatable replay duration per bug",
+    flags: &[
+        val("--nodes", "N", "cluster size (default 256)"),
+        SEED,
+        JOBS,
+    ],
+    run,
+};
 
 const BUGS: [&str; 3] = ["c3831", "c3881", "c5456"];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let n: usize = parse_flag(&args, "--nodes")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(256);
-    let seed: u64 = parse_flag(&args, "--seed")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(1);
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let n: usize = args.get("--nodes")?.unwrap_or(256);
+    let seed: u64 = args.get("--seed")?.unwrap_or(1);
 
     // Two cells per bug: the real run, and the memoize+replay pair
     // (which must share one memo database, so they form one cell).
     let mut cells: Vec<Cell<Vec<RunReport>>> = Vec::new();
     for bug in BUGS {
-        let cfg = ScenarioConfig::bug(bug, n, seed).unwrap_or_else(|e| exit_usage(USAGE, &e));
+        let cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;
         let real_cfg = cfg.clone();
         cells.push(Cell::new(format!("t-memo {bug} real"), move || {
             vec![run_real(&real_cfg)]
@@ -51,17 +52,7 @@ fn main() {
 
     println!("Memoization vs replay time at {n}-node colocation (virtual minutes)");
     println!("(paper S8: memoization 7-125 min, replay 4-15 min ~ real deployment)\n");
-    print_row(
-        &[
-            "bug".into(),
-            "real".into(),
-            "memoize".into(),
-            "replay".into(),
-            "memo/replay".into(),
-            "replay~real".into(),
-        ],
-        12,
-    );
+    print_row(&["bug", "real", "memoize", "replay", "memo/replay", "replay~real"], 12);
 
     for (i, bug) in BUGS.iter().enumerate() {
         let real = &out[2 * i][0];
@@ -89,4 +80,5 @@ fn main() {
     println!();
     println!("memoization is a one-time cost; the replay can be repeated cheaply");
     println!("as many times as debugging requires (S8).");
+    Ok(())
 }

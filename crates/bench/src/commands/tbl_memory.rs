@@ -6,19 +6,21 @@
 //!   services per node while only `P·1.3 MB` is eventually needed;
 //! * with N-node colocation, every per-node overhead is amplified N
 //!   times.
-//!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_memory
-//! ```
 
+use crate::cli::{Args, Command, Failure, JOBS};
+use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck::colocation_memory_demand;
-use scalecheck_bench::{exit_usage, jobs_from_args, print_row, run_sweep, Cell};
 use scalecheck_cluster::{
     run_scenario, AllocStrategy, RunMode, RunReport, ScenarioConfig, Workload,
 };
 use scalecheck_sim::SimDuration;
 
-const USAGE: &str = "usage: tbl_memory [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_memory",
+    about: "S6: memory as a colocation bottleneck (runtime overhead, rebalance over-allocation)",
+    flags: &[JOBS],
+    run,
+};
 
 const GIB: f64 = (1u64 << 30) as f64;
 
@@ -43,9 +45,8 @@ fn rebalance_cfg(n: usize, strategy: AllocStrategy) -> ScenarioConfig {
     cfg.with_mode(RunMode::Colo { cores: 16 })
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
 
     // Part 2's live runs: one cell per (scale, allocation strategy).
     let mut cells: Vec<Cell<RunReport>> = Vec::new();
@@ -64,14 +65,7 @@ fn main() {
 
     // Part 1: static demand of runtime overhead + ring tables.
     println!("runtime + ring-table demand on one machine (32 GB capacity):");
-    print_row(
-        &[
-            "nodes".into(),
-            "per-process".into(),
-            "single-process".into(),
-        ],
-        16,
-    );
+    print_row(&["nodes", "per-process", "single-process"], 16);
     for n in [128usize, 256, 512, 600] {
         let mut cfg = ScenarioConfig::baseline(n, 1);
         cfg.memory.single_process = false;
@@ -84,15 +78,7 @@ fn main() {
     // Part 2: the rebalance over-allocation, measured in a live run.
     println!();
     println!("rebalance partition-service allocation during one join (P=8 vnodes):");
-    print_row(
-        &[
-            "nodes".into(),
-            "naive (N-1)*P*1.3M".into(),
-            "frugal P*1.3M".into(),
-            "naive outcome".into(),
-        ],
-        20,
-    );
+    print_row(&["nodes", "naive (N-1)*P*1.3M", "frugal P*1.3M", "naive outcome"], 20);
     for (i, &n) in REBALANCE_SCALES.iter().enumerate() {
         let naive = &out[2 * i];
         let frugal = &out[2 * i + 1];
@@ -114,4 +100,5 @@ fn main() {
     println!();
     println!("the naive strategy amplifies per-node waste by N under colocation;");
     println!("space-oblivious code is what makes systems non-scale-checkable (S6).");
+    Ok(())
 }

@@ -9,27 +9,11 @@
 //! events fired per wall second, peak tracked memory, and the engine's
 //! schedule/fire/pool counters.
 //!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_scale
-//! ```
-//!
 //! Writes `BENCH_scale.json` (schema `bench_scale/v1`) and
-//! `TBL_scale.txt` in the working directory, and prints the table.
-//!
-//! Options:
-//! * `--scales 256,512,1024,2048` — cluster sizes (default; the
-//!   committed artifacts also carry the 4096-node cells, which take
-//!   ~3 minutes each on one CPU but ~14 GB of host memory, so they are
-//!   opt-in here and named by `scripts/run_experiments.sh --scale`);
-//! * `--seed 1` — simulation seed;
-//! * `--modes colo,scpil` — which execution modes to sweep (default
-//!   both);
-//! * `--json-out PATH` / `--table-out PATH` — artifact destinations;
-//! * `--no-write` — print only, write no artifact files;
-//! * `--smoke` — CI mode: run one 1024-node SC+PIL cell,
-//!   validate the `bench_scale/v1` schema on its row, and fail if the
-//!   cell exceeds `--budget-secs` (default 600) of wall clock;
-//! * `--jobs N` — sweep worker threads.
+//! `TBL_scale.txt` in the working directory, and prints the table. The
+//! committed artifacts also carry the 4096-node cells, which take
+//! ~3 minutes each on one CPU but ~14 GB of host memory, so they are
+//! opt-in here and named by `scripts/run_experiments.sh --scale`.
 //!
 //! Wall times are measured on whatever machine runs the sweep and are
 //! *not* deterministic: `wall_secs` and `events_per_sec` are always the
@@ -38,16 +22,27 @@
 
 use std::time::Instant;
 
-use scalecheck::{run_cell, ExecMode, COLO_CORES};
-use scalecheck_bench::{
-    exit_usage, flag_value, has_flag, jobs_from_args, parse_flag, parse_list_flag, parse_modes,
-    run_sweep, validate_doc, Cell, Field,
-};
+use crate::cli::{bare, read_file, val, write_file, Args, Command, Failure, JOBS, SEED};
+use crate::{fmt_row, jobs, parse_modes, run_sweep, validate_doc, Cell, Field, MODES, MODE_NAMES};
+use scalecheck::{run_cell, ExecMode};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
-const USAGE: &str = "usage: tbl_scale [--scales 256,512,1024,2048] [--seed N] \
-[--modes colo,scpil] [--json-out PATH] [--table-out PATH] [--no-write] \
-[--smoke] [--budget-secs N] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_scale",
+    about: "harness throughput at 256-4096 nodes: wall clock, events/s and memory per cell",
+    flags: &[
+        val("--scales", "N,N..", "#nodes; default 256,512,1024,2048"),
+        SEED,
+        val("--modes", "M,M..", "of colo,scpil (default both)"),
+        val("--json-out", "PATH", "JSON goes here (BENCH_scale.json)"),
+        val("--table-out", "PATH", "table goes here (TBL_scale.txt)"),
+        bare("--no-write", "print only, write no artifact files"),
+        bare("--smoke", "CI: the 1024-node SC+PIL cell only"),
+        val("--budget-secs", "N", "--smoke wall budget (default 600)"),
+        JOBS,
+    ],
+    run,
+};
 
 /// The schema tag committed artifacts carry.
 const SCHEMA: &str = "bench_scale/v1";
@@ -57,6 +52,16 @@ const SCHEMA: &str = "bench_scale/v1";
 struct TimedReport {
     wall_secs: f64,
     report: RunReport,
+}
+
+impl TimedReport {
+    fn events_per_sec(&self) -> f64 {
+        if self.wall_secs > 0.0 {
+            self.report.engine.fired as f64 / self.wall_secs
+        } else {
+            0.0
+        }
+    }
 }
 
 /// The swept scenario: the baseline decommission run under the paper's
@@ -87,22 +92,14 @@ fn timed_run(n: usize, seed: u64, mode: ExecMode) -> TimedReport {
     }
 }
 
-/// The deployments `--modes` may name; all of them by default.
-const MODES: [&str; 2] = ["colo", "scpil"];
-
 /// One `bench_scale/v1` row.
 fn row_json(n: usize, mode_label: &str, t: &TimedReport) -> serde_json::Value {
     let r = &t.report;
-    let eps = if t.wall_secs > 0.0 {
-        r.engine.fired as f64 / t.wall_secs
-    } else {
-        0.0
-    };
     serde_json::json!({
         "nodes": n,
         "mode": mode_label,
         "wall_secs": t.wall_secs,
-        "events_per_sec": eps,
+        "events_per_sec": t.events_per_sec(),
         "virtual_secs": r.duration.as_secs_f64(),
         "events_scheduled": r.engine.scheduled,
         "events_fired": r.engine.fired,
@@ -137,8 +134,8 @@ const ROW_FIELDS: [(&str, Field); 15] = [
     ("quiesced", Field::Bool),
 ];
 
-fn validate(doc: &serde_json::Value) -> Result<(), String> {
-    validate_doc(doc, SCHEMA, &DOC_FIELDS, "rows", &ROW_FIELDS).map(|_| ())
+fn validate(doc: &serde_json::Value) -> Result<&[serde_json::Value], String> {
+    validate_doc(doc, SCHEMA, &DOC_FIELDS, "rows", &ROW_FIELDS)
 }
 
 fn mib(bytes: u64) -> f64 {
@@ -157,48 +154,37 @@ fn render_table(seed: u64, rows: &[(usize, &'static str, TimedReport)]) -> Strin
         out,
         "wall = host seconds for the cell; ev/s = engine events fired per wall second\n"
     );
-    let mut buf = vec![vec![
-        "#Nodes".to_string(),
-        "mode".to_string(),
-        "wall_s".to_string(),
-        "ev/s".to_string(),
-        "fired".to_string(),
-        "virt_s".to_string(),
-        "peak_MiB".to_string(),
-        "flaps".to_string(),
-    ]];
+    let header = ["#Nodes", "mode", "wall_s", "ev/s", "fired", "virt_s", "peak_MiB", "flaps"];
+    let _ = writeln!(out, "{}", fmt_row(&header, 9, " "));
     for (n, label, t) in rows {
         let r = &t.report;
-        let eps = if t.wall_secs > 0.0 {
-            r.engine.fired as f64 / t.wall_secs
-        } else {
-            0.0
-        };
-        buf.push(vec![
+        let cells = [
             n.to_string(),
             label.to_string(),
             format!("{:.2}", t.wall_secs),
-            format!("{eps:.0}"),
+            format!("{:.0}", t.events_per_sec()),
             r.engine.fired.to_string(),
             format!("{:.0}", r.duration.as_secs_f64()),
             format!("{:.1}", mib(r.mem_peak_bytes)),
             r.total_flaps.to_string(),
-        ]);
-    }
-    for cells in buf {
-        let line: Vec<String> = cells.iter().map(|c| format!("{c:>9}")).collect();
-        let _ = writeln!(out, "{}", line.join(" "));
+        ];
+        let _ = writeln!(out, "{}", fmt_row(&cells, 9, " "));
     }
     out
 }
 
-fn smoke(seed: u64, budget_secs: f64) -> ! {
+/// The columns of a row that repeat on any host.
+const DETERMINISTIC: [&str; 3] = ["events_fired", "total_flaps", "messages_delivered"];
+
+/// CI mode. Proves the 1024-node cell *runs*, is schema-valid and — it
+/// is the same cell as the committed document's 1024/SC+PIL row when
+/// the seeds agree — repeats that row's deterministic columns. The wall
+/// budget only catches a hang: perf is gated by the benchmark.
+fn smoke(seed: u64, budget_secs: f64) -> Result<(), Failure> {
+    let fail = |msg: String| Err(Failure::Failed(format!("[smoke] FAIL: {msg}")));
     // One 1024-node SC+PIL cell: the point is to measure this machine.
     let n = 1024;
-    let mode = ExecMode::ScPil {
-        cores: COLO_CORES,
-        ordered: false,
-    };
+    let mode = MODES[2];
     eprintln!("[smoke] running N={n} {} ...", mode.label());
     let timed = timed_run(n, seed, mode);
     let doc = serde_json::json!({
@@ -207,54 +193,66 @@ fn smoke(seed: u64, budget_secs: f64) -> ! {
         "scenario": "baseline single-process",
         "rows": [row_json(n, mode.label(), &timed)],
     });
-    if let Err(e) = validate(&doc) {
-        eprintln!("[smoke] FAIL: schema violation: {e}");
-        std::process::exit(1);
-    }
-    let eps = timed.report.engine.fired as f64 / timed.wall_secs.max(1e-9);
+    let row = match validate(&doc) {
+        Ok(rows) => &rows[0],
+        Err(e) => return fail(format!("schema violation: {e}")),
+    };
     println!(
         "smoke: N={n} {} wall={:.2}s events/s={:.0} fired={} quiesced={}",
         mode.label(),
         timed.wall_secs,
-        eps,
+        timed.events_per_sec(),
         timed.report.engine.fired,
         timed.report.quiesced,
     );
-    if timed.wall_secs > budget_secs {
-        eprintln!(
-            "[smoke] FAIL: {:.2}s exceeds the {budget_secs:.0}s wall budget",
-            timed.wall_secs
+    let broken = |e: String| Failure::Failed(format!("[smoke] FAIL: BENCH_scale.json: {e}"));
+    let committed: serde_json::Value =
+        serde_json::from_str(&read_file("BENCH_scale.json")?).map_err(|e| broken(e.to_string()))?;
+    let rows = validate(&committed).map_err(broken)?;
+    if committed.get("seed").and_then(|s| s.as_u64()) != Some(seed) {
+        println!("smoke: BENCH_scale.json has another seed; its row is not compared");
+    } else {
+        let same = |want: &serde_json::Value, column: &str| want.get(column) == row.get(column);
+        let Some(want) = rows.iter().find(|r| same(r, "nodes") && same(r, "mode")) else {
+            return fail(format!(
+                "BENCH_scale.json has no {n}-node {} row",
+                mode.label()
+            ));
+        };
+        if let Some(column) = DETERMINISTIC.iter().find(|c| !same(want, c)) {
+            let (got, want) = (row.get(column), want.get(column));
+            return fail(format!(
+                "{column} is {got:?}, BENCH_scale.json has {want:?}"
+            ));
+        }
+        println!(
+            "smoke: {} repeat the BENCH_scale.json row",
+            DETERMINISTIC.join(", ")
         );
-        std::process::exit(1);
+    }
+    if timed.wall_secs > budget_secs {
+        return fail(format!(
+            "{:.2}s exceeds the {budget_secs:.0}s wall budget",
+            timed.wall_secs
+        ));
     }
     println!("smoke: PASS (schema ok, within {budget_secs:.0}s budget)");
-    std::process::exit(0);
+    Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let seed: u64 = parse_flag(&args, "--seed")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(1);
-    let scales: Vec<usize> = parse_list_flag(&args, "--scales")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let seed: u64 = args.get("--seed")?.unwrap_or(1);
+    let scales: Vec<usize> = args
+        .list("--scales")?
         .unwrap_or_else(|| vec![256, 512, 1024, 2048]);
-    let json_out = flag_value(&args, "--json-out")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| "BENCH_scale.json".to_string());
-    let table_out = flag_value(&args, "--table-out")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| "TBL_scale.txt".to_string());
-    let no_write = has_flag(&args, "--no-write");
-    let budget_secs: f64 = parse_flag(&args, "--budget-secs")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(600.0);
-    let modes = flag_value(&args, "--modes")
-        .and_then(|spec| parse_modes(&spec.unwrap_or_else(|| MODES.join(",")), &MODES))
-        .unwrap_or_else(|e| exit_usage(USAGE, &e));
-    if has_flag(&args, "--smoke") {
-        smoke(seed, budget_secs);
+    let json_out = args.value("--json-out").unwrap_or("BENCH_scale.json");
+    let table_out = args.value("--table-out").unwrap_or("TBL_scale.txt");
+    let budget_secs: f64 = args.get("--budget-secs")?.unwrap_or(600.0);
+    let modes = args.value("--modes").unwrap_or("colo,scpil");
+    let modes = parse_modes(modes, &MODE_NAMES[1..]).map_err(Failure::Usage)?;
+    if args.has("--smoke") {
+        return smoke(seed, budget_secs);
     }
 
     let mut cells = Vec::new();
@@ -280,20 +278,16 @@ fn main() {
             .map(|(n, label, t)| row_json(*n, label, t))
             .collect::<Vec<_>>(),
     });
-    validate(&doc).unwrap_or_else(|e| {
-        eprintln!("internal error: generated document violates {SCHEMA}: {e}");
-        std::process::exit(1);
-    });
-    if no_write {
-        return;
+    validate(&doc).map_err(|e| {
+        Failure::Failed(format!(
+            "internal error: generated document violates {SCHEMA}: {e}"
+        ))
+    })?;
+    if args.has("--no-write") {
+        return Ok(());
     }
-    std::fs::write(&json_out, format!("{doc}\n")).unwrap_or_else(|e| {
-        eprintln!("cannot write {json_out}: {e}");
-        std::process::exit(1);
-    });
-    std::fs::write(&table_out, &table).unwrap_or_else(|e| {
-        eprintln!("cannot write {table_out}: {e}");
-        std::process::exit(1);
-    });
+    write_file(json_out, format!("{doc}\n"))?;
+    write_file(table_out, &table)?;
     eprintln!("wrote {json_out} and {table_out}");
+    Ok(())
 }

@@ -12,43 +12,44 @@
 //! [`scalecheck_explore::SloTriple`] classified by
 //! [`scalecheck_explore::SloVerdict`].
 //!
-//! ```text
-//! cargo run --release -p scalecheck-bench --bin tbl_slo
-//! ```
-//!
 //! Writes `BENCH_slo.json` (schema `bench_slo/v2`) and `TBL_slo.txt`
 //! in the working directory, and prints the table.
 //!
-//! Options:
-//! * `--bugs c3831,c3881,c5456` — scenarios (default all three);
-//! * `--scales 64,128,256` — cluster sizes (default: one at-or-below
-//!   the paper's 100-node test scale, two past it);
-//! * `--users 1000000` — virtual users per cell;
-//! * `--seed 1` — simulation seed;
-//! * `--modes real,colo,scpil` — deployments (default all; verdicts
-//!   need all three);
-//! * `--json-out PATH` / `--table-out PATH` — artifact destinations;
-//! * `--no-write` — print only, write no artifact files;
-//! * `--smoke` — CI mode: run the c3831 128-node Real and Colo cells,
-//!   validate the `bench_slo/v2` rows, require the Colo
-//!   tail to *diverge* from Real (the coupled datapath's core claim),
-//!   check the request-log digest is stable across a re-run, and fail
-//!   past `--budget-secs` (default 120) of wall clock;
-//! * `--jobs N` — sweep worker threads.
+//! `--smoke` is the CI mode: run the c3831 128-node Real and Colo
+//! cells, validate the `bench_slo/v2` rows, require the Colo tail to
+//! *diverge* from Real (the coupled datapath's core claim), check the
+//! request-log digest is stable across a re-run, and fail past
+//! `--budget-secs` of wall clock.
 
 use std::time::Instant;
 
-use scalecheck::{run_cell, ExecMode, COLO_CORES};
-use scalecheck_bench::{
-    cell, exit_usage, flag_value, has_flag, jobs_from_args, parse_flag, parse_list_flag,
-    parse_modes, run_sweep, validate_doc, validate_fields, Field,
+use crate::cli::{bare, val, write_file, Args, Command, Failure, JOBS, SEED};
+use crate::{
+    cell, fmt_row, jobs, parse_modes, run_sweep, validate_doc, validate_fields, Field, MODES,
+    MODE_NAMES,
 };
+use scalecheck::run_cell;
 use scalecheck_cluster::{RunReport, ScenarioConfig, SloSummary, TrafficConfig};
 use scalecheck_explore::{SloParams, SloTriple, SloVerdict};
 
-const USAGE: &str = "usage: tbl_slo [--bugs c3831,c3881,c5456] [--scales 64,128,256] \
-[--users N] [--seed N] [--modes real,colo,scpil] [--json-out PATH] [--table-out PATH] \
-[--no-write] [--smoke] [--budget-secs N] [--jobs N]";
+pub const COMMAND: Command = Command {
+    name: "tbl_slo",
+    about: "user-visible tail latency and error-budget verdicts per bug, scale and deployment",
+    flags: &[
+        val("--bugs", "ID,ID..", "scenarios (default c3831,c3881,c5456)"),
+        val("--scales", "N,N..", "cluster sizes (default 64,128,256)"),
+        val("--users", "N", "virtual users per cell (default 1000000)"),
+        SEED,
+        val("--modes", "M,M..", "of real,colo,scpil (default all)"),
+        val("--json-out", "PATH", "JSON goes here (BENCH_slo.json)"),
+        val("--table-out", "PATH", "table goes here (TBL_slo.txt)"),
+        bare("--no-write", "print only, write no artifact files"),
+        bare("--smoke", "CI: c3831@128 Real vs Colo only"),
+        val("--budget-secs", "N", "--smoke wall budget (default 120)"),
+        JOBS,
+    ],
+    run,
+};
 
 /// The schema tag committed artifacts carry. v2: requests run coupled
 /// to the simulated CPUs and network, rows gain `tail_saturated` /
@@ -62,15 +63,10 @@ const DEFAULT_USERS: u64 = 1_000_000;
 
 /// The swept scenario: the named bug with the open-loop traffic
 /// datapath attached.
-fn slo_scenario(bug: &str, n: usize, seed: u64, users: u64) -> ScenarioConfig {
-    ScenarioConfig::bug(bug, n, seed)
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .with_traffic(TrafficConfig::open_loop(users))
+fn slo_scenario(bug: &str, n: usize, seed: u64, users: u64) -> Result<ScenarioConfig, Failure> {
+    let cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;
+    Ok(cfg.with_traffic(TrafficConfig::open_loop(users)))
 }
-
-/// The deployments `--modes` may name; all of them by default
-/// (verdicts need all three).
-const MODES: [&str; 3] = ["real", "colo", "scpil"];
 
 fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
@@ -212,23 +208,14 @@ fn render_table(seed: u64, users: u64, points: &[Point], params: &SloParams) -> 
         "verdict: diverge = Colo p99.9/budget departs Real, track = SC+PIL stays within"
     );
     let _ = writeln!(out, "the allowance of Real\n");
-    let mut buf = vec![vec![
-        "bug".to_string(),
-        "#Nodes".to_string(),
-        "mode".to_string(),
-        "flaps".to_string(),
-        "p50".to_string(),
-        "p99".to_string(),
-        "p99.9".to_string(),
-        "retry".to_string(),
-        "avail".to_string(),
-        "burn".to_string(),
-        "breach".to_string(),
-    ]];
+    let header = [
+        "bug", "#Nodes", "mode", "flaps", "p50", "p99", "p99.9", "retry", "avail", "burn", "breach",
+    ];
+    let _ = writeln!(out, "{}", fmt_row(&header, 8, " "));
     for p in points {
         for (label, r) in &p.rows {
             let s = r.traffic.slo_summary();
-            buf.push(vec![
+            let cells = [
                 p.bug.clone(),
                 p.n.to_string(),
                 label.to_string(),
@@ -244,12 +231,9 @@ fn render_table(seed: u64, users: u64, points: &[Point], params: &SloParams) -> 
                 s.availability_permille.to_string(),
                 s.budget_burned_permille.to_string(),
                 if s.budget_breached { "YES" } else { "-" }.to_string(),
-            ]);
+            ];
+            let _ = writeln!(out, "{}", fmt_row(&cells, 8, " "));
         }
-    }
-    for cells in buf {
-        let line: Vec<String> = cells.iter().map(|c| format!("{c:>8}")).collect();
-        let _ = writeln!(out, "{}", line.join(" "));
     }
     let _ = writeln!(
         out,
@@ -277,7 +261,8 @@ fn render_table(seed: u64, users: u64, points: &[Point], params: &SloParams) -> 
     out
 }
 
-fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
+fn smoke(seed: u64, users: u64, budget_secs: f64) -> Result<(), Failure> {
+    let fail = |msg: String| Err(Failure::Failed(format!("[smoke] FAIL: {msg}")));
     // The c3831 128-node Real and Colo cells. Three contracts, on
     // exactly the point the paper's user-visible claim rests on:
     //  1. `bench_slo/v2` rows validate;
@@ -287,11 +272,12 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
     //     byte-for-byte (the datapath's determinism contract).
     let bug = "c3831";
     let n = 128;
+    let cfg = slo_scenario(bug, n, seed, users)?;
     let t0 = Instant::now();
     let mut reports = Vec::new();
-    for mode in [ExecMode::Real, ExecMode::Colo { cores: COLO_CORES }] {
+    for mode in [MODES[0], MODES[1]] {
         eprintln!("[smoke] running {bug} N={n} {} ...", mode.label());
-        reports.push((mode, run_cell(&slo_scenario(bug, n, seed, users), mode)));
+        reports.push((mode, run_cell(&cfg, mode)));
     }
     let wall = t0.elapsed().as_secs_f64();
     let rows: Vec<serde_json::Value> = reports
@@ -307,8 +293,7 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
         "verdicts": verdicts,
     });
     if let Err(e) = validate(&doc) {
-        eprintln!("[smoke] FAIL: schema violation: {e}");
-        std::process::exit(1);
+        return fail(format!("schema violation: {e}"));
     }
     let (real, colo) = (&reports[0].1, &reports[1].1);
     for (label, r) in [("Real", real), ("Colo", colo)] {
@@ -322,8 +307,7 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
             r.traffic.log_digest,
         );
         if s.attempted == 0 {
-            eprintln!("[smoke] FAIL: {label} attempted zero requests");
-            std::process::exit(1);
+            return fail(format!("{label} attempted zero requests"));
         }
     }
     // The divergence assertion: same params the full table applies.
@@ -336,75 +320,55 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> ! {
     };
     let v = triple.verdict(&SloParams::default());
     if !v.colo_diverges {
-        eprintln!(
-            "[smoke] FAIL: Colo SLO does not diverge from Real at {bug} N={n} \
+        return fail(format!(
+            "Colo SLO does not diverge from Real at {bug} N={n} \
              (real p99.9={:.2}ms colo p99.9={:.2}ms): the coupled datapath lost \
              the paper's user-visible signal",
             ms(triple.real.p999_ns),
             ms(triple.colo.p999_ns),
-        );
-        std::process::exit(1);
+        ));
     }
-    let rerun = run_cell(
-        &slo_scenario(bug, n, seed, users),
-        ExecMode::Colo { cores: COLO_CORES },
-    );
-    if rerun.traffic != colo.traffic {
-        eprintln!("[smoke] FAIL: traffic report not reproducible across reruns");
-        std::process::exit(1);
+    if run_cell(&cfg, MODES[1]).traffic != colo.traffic {
+        return fail("traffic report not reproducible across reruns".into());
     }
     if wall > budget_secs {
-        eprintln!("[smoke] FAIL: {wall:.2}s exceeds the {budget_secs:.0}s wall budget");
-        std::process::exit(1);
+        return fail(format!(
+            "{wall:.2}s exceeds the {budget_secs:.0}s wall budget"
+        ));
     }
     println!(
         "smoke: PASS (schema ok, colo diverges from real, digest stable, within {budget_secs:.0}s budget)"
     );
-    std::process::exit(0);
+    Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = jobs_from_args(&args).unwrap_or_else(|e| exit_usage(USAGE, &e));
-    let seed: u64 = parse_flag(&args, "--seed")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(1);
-    let users: u64 = parse_flag(&args, "--users")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(DEFAULT_USERS);
-    let scales: Vec<usize> = parse_list_flag(&args, "--scales")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| vec![64, 128, 256]);
-    let bugs: Vec<String> = parse_list_flag(&args, "--bugs")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
+fn run(args: &Args) -> Result<(), Failure> {
+    let jobs = jobs(args.get("--jobs")?);
+    let seed: u64 = args.get("--seed")?.unwrap_or(1);
+    let users: u64 = args.get("--users")?.unwrap_or(DEFAULT_USERS);
+    let scales: Vec<usize> = args.list("--scales")?.unwrap_or_else(|| vec![64, 128, 256]);
+    let bugs: Vec<String> = args
+        .list("--bugs")?
         .unwrap_or_else(|| vec!["c3831".into(), "c3881".into(), "c5456".into()]);
-    let json_out = flag_value(&args, "--json-out")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| "BENCH_slo.json".to_string());
-    let table_out = flag_value(&args, "--table-out")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| "TBL_slo.txt".to_string());
-    let no_write = has_flag(&args, "--no-write");
-    let budget_secs: f64 = parse_flag(&args, "--budget-secs")
-        .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or(120.0);
-    let modes = flag_value(&args, "--modes")
-        .and_then(|spec| parse_modes(&spec.unwrap_or_else(|| MODES.join(",")), &MODES))
-        .unwrap_or_else(|e| exit_usage(USAGE, &e));
+    let json_out = args.value("--json-out").unwrap_or("BENCH_slo.json");
+    let table_out = args.value("--table-out").unwrap_or("TBL_slo.txt");
+    let budget_secs: f64 = args.get("--budget-secs")?.unwrap_or(120.0);
+    let modes = args.value("--modes").unwrap_or("real,colo,scpil");
+    let modes = parse_modes(modes, &MODE_NAMES).map_err(Failure::Usage)?;
+    if args.has("--smoke") {
+        return smoke(seed, users, budget_secs);
+    }
     let mut cells = Vec::new();
     for bug in &bugs {
         for &n in &scales {
             for &mode in &modes {
                 cells.push(cell(
                     format!("slo {bug} N={n} {}", mode.label()),
-                    slo_scenario(bug, n, seed, users),
+                    slo_scenario(bug, n, seed, users)?,
                     mode,
                 ));
             }
         }
-    }
-    if has_flag(&args, "--smoke") {
-        smoke(seed, users, budget_secs);
     }
     let mut out = run_sweep(cells, jobs).into_iter();
 
@@ -448,20 +412,16 @@ fn main() {
         "rows": rows,
         "verdicts": verdicts,
     });
-    validate(&doc).unwrap_or_else(|e| {
-        eprintln!("internal error: generated document violates {SCHEMA}: {e}");
-        std::process::exit(1);
-    });
-    if no_write {
-        return;
+    validate(&doc).map_err(|e| {
+        Failure::Failed(format!(
+            "internal error: generated document violates {SCHEMA}: {e}"
+        ))
+    })?;
+    if args.has("--no-write") {
+        return Ok(());
     }
-    std::fs::write(&json_out, format!("{doc}\n")).unwrap_or_else(|e| {
-        eprintln!("cannot write {json_out}: {e}");
-        std::process::exit(1);
-    });
-    std::fs::write(&table_out, &table).unwrap_or_else(|e| {
-        eprintln!("cannot write {table_out}: {e}");
-        std::process::exit(1);
-    });
+    write_file(json_out, format!("{doc}\n"))?;
+    write_file(table_out, &table)?;
     eprintln!("wrote {json_out} and {table_out}");
+    Ok(())
 }

@@ -1,81 +1,51 @@
-//! Shared harness utilities for the figure/table binaries.
+//! The harness behind `scalecheck-cli`: the command table and its
+//! argument parser ([`cli`]), one module per command ([`commands`]), the
+//! parallel sweep they share ([`sweep`]), and the helpers below.
 //!
-//! Every binary in this crate regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md's experiment index) and prints an aligned
-//! text table plus, optionally, machine-readable JSON.
+//! Every `fig*` / `tbl_*` / `ext_*` command regenerates one artifact of
+//! the paper's evaluation (see DESIGN.md's experiment index) as an
+//! aligned text table on stdout.
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
+pub mod commands;
 pub mod sweep;
 
 use scalecheck::{ExecMode, COLO_CORES};
-use scalecheck_cluster::RunReport;
-use serde_json::{json, Value};
+use serde_json::Value;
 
-pub use sweep::{cell, jobs_from_args, run_sweep, Cell};
+pub use sweep::{cell, jobs, run_sweep, Cell};
 
-/// Prints an error plus usage to stderr and exits with status 2 — the
-/// bad-CLI-arguments path for every binary in this crate.
-pub fn exit_usage(usage: &str, msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("{usage}");
-    std::process::exit(2);
-}
-
-/// Parses `--key value` into a `T`, distinguishing "absent" (`Ok(None)`)
-/// from "present but malformed" (`Err`).
-pub fn parse_flag<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, String> {
-    match flag_value(args, key)? {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse()
-            .map(Some)
-            .map_err(|_| format!("{key} got invalid value '{raw}'")),
-    }
-}
-
-/// Parses a comma-separated `--key a,b,c` list, `Ok(None)` if absent.
-pub fn parse_list_flag<T: std::str::FromStr>(
-    args: &[String],
-    key: &str,
-) -> Result<Option<Vec<T>>, String> {
-    match flag_value(args, key)? {
-        None => Ok(None),
-        Some(raw) => raw
-            .split(',')
-            .map(|x| {
-                x.trim()
-                    .parse()
-                    .map_err(|_| format!("{key} got invalid element '{}'", x.trim()))
-            })
-            .collect::<Result<Vec<T>, String>>()
-            .map(Some),
-    }
-}
+/// The three deployments the paper compares, in column order, and the
+/// names `--modes` knows them by.
+pub const MODES: [ExecMode; 3] = [
+    ExecMode::Real,
+    ExecMode::Colo { cores: COLO_CORES },
+    ExecMode::ScPil {
+        cores: COLO_CORES,
+        ordered: false,
+    },
+];
+pub const MODE_NAMES: [&str; 3] = ["real", "colo", "scpil"];
 
 /// Parses a `--modes` selector: a comma-separated subset of `allowed`
-/// (drawn from `real` / `colo` / `scpil`), swept in the order given.
+/// (drawn from [`MODE_NAMES`]; `pil` and `sc+pil` also name `scpil`),
+/// swept in the order given.
 pub fn parse_modes(spec: &str, allowed: &[&str]) -> Result<Vec<ExecMode>, String> {
     spec.split(',')
         .map(|m| {
             let lower = m.trim().to_ascii_lowercase();
-            let name = if lower == "sc+pil" { "scpil" } else { &lower };
-            let unknown = || {
-                format!(
-                    "unknown mode '{name}' (expected one of {})",
-                    allowed.join(", ")
-                )
+            let name = match lower.as_str() {
+                "sc+pil" | "pil" => "scpil",
+                other => other,
             };
-            let mode = match name {
-                "real" => ExecMode::Real,
-                "colo" => ExecMode::Colo { cores: COLO_CORES },
-                "scpil" => ExecMode::ScPil {
-                    cores: COLO_CORES,
-                    ordered: false,
-                },
-                _ => return Err(unknown()),
-            };
-            allowed.contains(&name).then_some(mode).ok_or_else(unknown)
+            let known = MODE_NAMES.iter().position(|k| *k == name);
+            let mode = known.filter(|_| allowed.contains(&name)).map(|i| MODES[i]);
+            mode.ok_or_else(|| {
+                let expected = allowed.join(", ");
+                format!("unknown mode '{name}' (expected one of {expected})")
+            })
         })
         .collect()
 }
@@ -142,80 +112,29 @@ pub fn validate_doc<'a>(
     Ok(rows)
 }
 
-/// The scales the paper evaluates (Figure 3 x-axis).
-pub const PAPER_SCALES: [usize; 4] = [32, 64, 128, 256];
+/// One table row: `cells` right-aligned to `width`, `gap` between them.
+pub fn fmt_row<S: AsRef<str>>(cells: &[S], width: usize, gap: &str) -> String {
+    let pad = |c: &S| format!("{:>width$}", c.as_ref());
+    cells.iter().map(pad).collect::<Vec<_>>().join(gap)
+}
 
 /// Prints a row of right-aligned cells under a fixed width.
-pub fn print_row(cells: &[String], width: usize) {
-    let row: Vec<String> = cells.iter().map(|c| format!("{c:>width$}")).collect();
-    println!("{}", row.join("  "));
-}
-
-/// Renders a run report as a compact JSON value for machine-readable
-/// output.
-pub fn report_json(label: &str, n: usize, r: &RunReport) -> serde_json::Value {
-    json!({
-        "series": label,
-        "nodes": n,
-        "flaps": r.total_flaps,
-        "duration_s": r.duration.as_secs_f64(),
-        "quiesced": r.quiesced,
-        "cpu_utilization": r.cpu_utilization,
-        "p99_lateness_ms": r.p99_stage_lateness.as_millis_f64(),
-        "memo_hit_rate": r.memo.replay_hit_rate(),
-    })
-}
-
-/// Parses `--key value` style flags from an argument list.
-///
-/// `Ok(None)` when the flag is absent; `Err` when the flag is present
-/// but trailing with no value to consume.
-pub fn flag_value(args: &[String], key: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == key) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(format!("{key} expects a value")),
-        },
-    }
-}
-
-/// Whether a bare flag is present.
-pub fn has_flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
+pub fn print_row<S: AsRef<str>>(cells: &[S], width: usize) {
+    println!("{}", fmt_row(cells, width, "  "));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_flag_distinguishes_absent_from_malformed() {
-        let args: Vec<String> = ["--nodes", "abc"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_flag::<u64>(&args, "--seed"), Ok(None));
-        assert!(parse_flag::<u64>(&args, "--nodes").is_err());
-        let ok: Vec<String> = ["--nodes", "64"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(parse_flag::<u64>(&ok, "--nodes"), Ok(Some(64)));
-        let list: Vec<String> = ["--scales", "32, 64,128"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            parse_list_flag::<usize>(&list, "--scales"),
-            Ok(Some(vec![32, 64, 128]))
-        );
-    }
+    use serde_json::json;
 
     #[test]
     fn modes_parse_in_order_within_the_allowed_set() {
-        let scpil = ExecMode::ScPil {
-            cores: COLO_CORES,
-            ordered: false,
-        };
         assert_eq!(
-            parse_modes("SC+PIL, real", &["real", "colo", "scpil"]),
-            Ok(vec![scpil, ExecMode::Real])
+            parse_modes("SC+PIL, real", &MODE_NAMES),
+            Ok(vec![MODES[2], ExecMode::Real])
         );
+        assert_eq!(parse_modes("pil", &MODE_NAMES), Ok(vec![MODES[2]]));
         let err = parse_modes("colo,real", &["colo", "scpil"]).unwrap_err();
         assert!(err.contains("unknown mode 'real'") && err.contains("colo, scpil"));
     }
@@ -246,23 +165,5 @@ mod tests {
         let nan = json!({"x": f64::NAN, "s": "a"});
         assert!(validate_fields("v", &nan, &[("s", Field::Str)]).is_ok());
         assert!(validate_fields("v", &nan, &[("x", Field::F64)]).is_err());
-    }
-
-    #[test]
-    fn flag_parsing() {
-        let args: Vec<String> = ["--bug", "c3831", "--json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            flag_value(&args, "--bug").unwrap().as_deref(),
-            Some("c3831")
-        );
-        assert_eq!(flag_value(&args, "--nodes"), Ok(None));
-        assert!(has_flag(&args, "--json"));
-        assert!(!has_flag(&args, "--quiet"));
-        // A trailing flag with no value is an error, not a silent default.
-        let trailing: Vec<String> = ["--bug"].iter().map(|s| s.to_string()).collect();
-        assert!(flag_value(&trailing, "--bug").is_err());
     }
 }

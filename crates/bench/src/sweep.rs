@@ -1,6 +1,6 @@
 //! The shared parallel sweep harness.
 //!
-//! Every figure/table binary decomposes its work into independent
+//! Every figure/table command decomposes its work into independent
 //! [`Cell`]s — one `(scenario, mode)` experiment each — and hands them
 //! to [`run_sweep`], which executes every one of them, each time, on a
 //! pool of OS threads fed from one shared queue. Two properties hold
@@ -8,30 +8,23 @@
 //!
 //! * **Determinism** — cells may *complete* in any order, but results
 //!   are assembled in submission (canonical) order, so everything the
-//!   binary prints on stdout is byte-identical to a `--jobs 1` run.
+//!   command prints on stdout is byte-identical to a `--jobs 1` run.
 //! * **Progress** — per-cell start/finish/timing lines go to stderr
 //!   (never stdout), so live feedback does not perturb captured
 //!   artifacts.
 
+use std::num::NonZeroUsize;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use scalecheck::{run_cell, ExecMode};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
-/// Parses `--jobs N`, the sweep's worker-thread count (default: all
-/// cores).
-pub fn jobs_from_args(args: &[String]) -> Result<usize, String> {
-    match crate::flag_value(args, "--jobs")? {
-        None => Ok(std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)),
-        Some(j) => match j.parse() {
-            Ok(0) => Err("--jobs must be at least 1".to_string()),
-            Ok(jobs) => Ok(jobs),
-            Err(_) => Err(format!("--jobs expects a positive integer, got '{j}'")),
-        },
-    }
+/// The sweep's worker-thread count: `--jobs N` if given, else all
+/// cores.
+pub fn jobs(flag: Option<NonZeroUsize>) -> usize {
+    flag.or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get)
 }
 
 /// One independent unit of sweep work.
@@ -117,15 +110,5 @@ mod tests {
         assert_eq!(run_sweep(squares(17), 4), want);
         assert_eq!(run_sweep(squares(17), 1), want);
         assert_eq!(run_sweep(squares(0), 4), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn jobs_flag_parses_and_rejects_garbage() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(jobs_from_args(&args(&["--jobs", "3"])), Ok(3));
-        assert!(jobs_from_args(&args(&[])).is_ok_and(|jobs| jobs >= 1));
-        assert!(jobs_from_args(&args(&["--jobs", "many"])).is_err());
-        assert!(jobs_from_args(&args(&["--jobs", "0"])).is_err());
-        assert!(jobs_from_args(&args(&["--jobs"])).is_err());
     }
 }

@@ -79,5 +79,5 @@ fn main() {
         );
     }
     println!();
-    println!("the full §8 sweep (to 600 nodes) is `cargo run --release -p scalecheck-bench --bin tbl_colocation_limit`.");
+    println!("the full §8 sweep (to 600 nodes) is `scalecheck-cli tbl_colocation_limit`.");
 }

@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
-# Regenerates every paper artifact into results/.
-# Usage: scripts/run_experiments.sh [--quick] [--jobs N] [--faults LIST] [--diverge] [--scale] [--explore] [--slo]
-# Every step runs its binary from scratch; a step that exits non-zero is
+# Regenerates every paper artifact into results/ — the one map from an
+# artifact to the `scalecheck-cli` command line that prints it
+# (`scalecheck-cli list` describes the commands).
+# Usage: see USAGE below.
+# Every step runs its command from scratch; a step that exits non-zero is
 # reported at the end and the script exits 1 (its results/NAME.txt is
 # then a truncated transcript, not an artifact).
+# --check LIST  freshness gate: run only the named default steps, into a
+#               temporary directory, and compare each transcript with
+#               the committed results/NAME.txt; prints `diff -u` and
+#               exits 1 on a mismatch, and names the steps it skipped.
 # --quick       caps Figure 3 sweeps at N=96 for a fast smoke pass.
 # --jobs N      worker threads per experiment sweep (default: all cores).
 # --faults LIST comma-separated storm intensities passed through to
@@ -20,105 +26,123 @@
 #               race preset yields shrunk single-swap witnesses).
 # --slo         also regenerate BENCH_slo.json / TBL_slo.txt (the
 #               client-traffic SLO triples: per-bug tail-latency and
-#               error-budget verdicts under Real / Colo / SC+PIL).
+#               error-budget verdicts under Real / Colo / SC+PIL; the
+#               256-node Colo cells take minutes each).
 set -u
 cd "$(dirname "$0")/.."
-SCALES="32,64,128,256"
-SCALE_SCALES="256,512,1024,2048,4096"
-FAULT_INTENSITIES="0,0.3,0.7"
-DIVERGE=0
-SCALE=0
-EXPLORE=0
-SLO=0
+USAGE="usage: $0 [--quick] [--jobs N] [--faults LIST] [--diverge] [--scale] [--explore] [--slo]
+       $0 --check NAME[,NAME...] [--jobs N]"
+FIG3_SCALES=()
+FAULT_INTENSITIES=()
+OPT_IN=""
+CHECK=""   # non-empty under --check; WANTED then holds the names not yet run
+WANTED=""
+OUT=results
 JOBS=()
 while [ $# -gt 0 ]; do
   case "$1" in
-    --quick) SCALES="32,64,96" ;;
+    --quick) FIG3_SCALES=(--scales 32,64,96) ;;
     --jobs)
       [ $# -ge 2 ] || { echo "--jobs needs a value" >&2; exit 2; }
       JOBS=(--jobs "$2"); shift ;;
     --faults)
       [ $# -ge 2 ] || { echo "--faults needs a value" >&2; exit 2; }
-      FAULT_INTENSITIES="$2"; shift ;;
-    --diverge) DIVERGE=1 ;;
-    --scale) SCALE=1 ;;
-    --explore) EXPLORE=1 ;;
-    --slo) SLO=1 ;;
-    *) echo "unknown flag: $1" >&2; echo "usage: $0 [--quick] [--jobs N] [--faults LIST] [--diverge] [--scale] [--explore] [--slo]" >&2; exit 2 ;;
+      FAULT_INTENSITIES=(--intensities "$2"); shift ;;
+    --check)
+      [ $# -ge 2 ] || { echo "--check needs a list of step names" >&2; exit 2; }
+      CHECK=1; WANTED=",$2,"; shift ;;
+    --diverge|--scale|--explore|--slo) OPT_IN="$OPT_IN $1" ;;
+    *) echo "unknown flag: $1" >&2; echo "$USAGE" >&2; exit 2 ;;
   esac
   shift
 done
-BIN=target/release
-cargo build --workspace --release || exit 1
+if [ -n "$CHECK" ]; then
+  # The opt-in steps write their artifacts at the repo root; checking
+  # those is ROADMAP item 8's remainder.
+  [ -z "$OPT_IN" ] || { echo "--check covers the default steps only, not$OPT_IN" >&2; exit 2; }
+  OUT=$(mktemp -d)
+  trap 'rm -rf "$OUT"' EXIT
+fi
+CLI=target/release/scalecheck-cli
+cargo build --release || exit 1
 
 FAILED=()
-# run NAME CMD...: stdout -> results/NAME.txt, stderr -> results/NAME.log.
+STALE=()
+SKIPPED=()
+# run NAME COMMAND ARGS...: stdout -> $OUT/NAME.txt, stderr -> $OUT/NAME.log.
 run() {
   name=$1; shift
+  if [ -n "$CHECK" ]; then
+    case "$WANTED" in
+      *",$name,"*) WANTED=${WANTED/,$name,/,} ;;
+      *) SKIPPED+=("$name"); return ;;
+    esac
+  fi
   echo "=== $name ==="
-  if "$@" >"results/$name.txt" 2>"results/$name.log"; then
-    echo "    -> results/$name.txt"
-  else
-    echo "    FAILED (exit $?): see results/$name.log" >&2
+  "$CLI" "$@" >"$OUT/$name.txt" 2>"$OUT/$name.log"
+  rc=$?
+  if [ $rc -ne 0 ]; then
+    echo "    FAILED (exit $rc): $(tail -n 1 "$OUT/$name.log")" >&2
     FAILED+=("$name")
+  elif [ -z "$CHECK" ]; then
+    echo "    -> results/$name.txt"
+  elif ! diff -u "results/$name.txt" "$OUT/$name.txt"; then
+    STALE+=("$name")
   fi
 }
-# sweep NAME CMD...: a step whose binary fans cells out over --jobs workers.
+# sweep NAME COMMAND ARGS...: a step whose command fans cells out over --jobs workers.
 sweep() { run "$@" ${JOBS[@]+"${JOBS[@]}"}; }
+opted() { case "$OPT_IN " in *" $1 "*) return 0 ;; *) return 1 ;; esac; }
 
-sweep fig3a_c3831 "$BIN/fig3_flaps" --bug c3831 --scales "$SCALES"
-sweep fig3b_c3881 "$BIN/fig3_flaps" --bug c3881 --scales "$SCALES"
-sweep fig3c_c5456 "$BIN/fig3_flaps" --bug c5456 --scales "$SCALES"
-sweep fig1_testtime "$BIN/fig1_testtime"
-sweep tbl_memo_vs_replay "$BIN/tbl_memo_vs_replay" --nodes 256
-sweep tbl_colocation_limit "$BIN/tbl_colocation_limit"
-sweep tbl_complexity "$BIN/tbl_complexity"
-run tbl_bugstudy "$BIN/tbl_bugstudy"
-run tbl_finder "$BIN/tbl_finder"
-sweep tbl_memory "$BIN/tbl_memory"
-run tbl_statespace "$BIN/tbl_statespace"
-sweep tbl_fix_ablation "$BIN/tbl_fix_ablation" --nodes 256
-sweep tbl_baselines "$BIN/tbl_baselines" --target 256
-sweep ext_hdfs "$BIN/ext_hdfs"
-sweep fig_c6127 "$BIN/fig3_flaps" --bug c6127 --scales "$SCALES"
-sweep tbl_faults "$BIN/tbl_faults" --bug c3831 --intensities "$FAULT_INTENSITIES"
-# Engine microbenchmark trajectory: writes BENCH_engine.json at the
-# repo root (tracked) in addition to the results/ transcript.
-run bench_engine "$BIN/bench_engine" --out BENCH_engine.json
-# §6 divergence attribution: three traced 128-node runs plus the
-# analyzer; writes TBL_diverge.txt at the repo root (tracked). Several
-# extra minutes, so this is opt-in.
-if [ "$DIVERGE" = 1 ]; then
-  sweep tbl_diverge "$BIN/tbl_diverge" --nodes 128 --out TBL_diverge.txt
+sweep fig3a_c3831 fig3_flaps --bug c3831 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
+sweep fig3b_c3881 fig3_flaps --bug c3881 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
+sweep fig3c_c5456 fig3_flaps --bug c5456 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
+sweep fig1_testtime fig1_testtime
+sweep tbl_memo_vs_replay tbl_memo_vs_replay
+sweep tbl_colocation_limit tbl_colocation_limit
+sweep tbl_complexity tbl_complexity
+run tbl_bugstudy tbl_bugstudy
+run tbl_finder tbl_finder
+sweep tbl_memory tbl_memory
+run tbl_statespace tbl_statespace
+sweep tbl_fix_ablation tbl_fix_ablation
+sweep tbl_baselines tbl_baselines
+sweep ext_hdfs ext_hdfs
+sweep fig_c6127 fig3_flaps --bug c6127 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
+sweep tbl_faults tbl_faults ${FAULT_INTENSITIES[@]+"${FAULT_INTENSITIES[@]}"}
+# The opt-in steps (see the header) write tracked artifacts at the repo
+# root; results/ only gets their stdout transcript.
+if opted --diverge; then
+  sweep tbl_diverge tbl_diverge --out TBL_diverge.txt
 fi
-# Harness-throughput scale sweep: writes BENCH_scale.json and
-# TBL_scale.txt at the repo root (tracked). The 1024-4096-node cells
-# take minutes each and the 4096-node ones ~14 GB of host memory, so
-# this is opt-in — and one cell at a time whatever --jobs says: the
-# column being measured is each cell's wall clock, and two 4096-node
-# cells do not fit the host together.
-if [ "$SCALE" = 1 ]; then
-  run tbl_scale "$BIN/tbl_scale" --scales "$SCALE_SCALES" --jobs 1
+# One cell at a time whatever --jobs says: the column being measured is
+# each cell's wall clock, and two 4096-node cells do not fit the host
+# together.
+if opted --scale; then
+  run tbl_scale tbl_scale --scales 256,512,1024,2048,4096 --jobs 1
 fi
-# Schedule-exploration outcomes: writes TBL_explore.txt at the repo
-# root (tracked). Deterministic: the eval cap (not the wall budget,
-# which is sized never to bind) cuts every cell, so regeneration
-# reproduces the committed table byte-for-byte.
-# Client-traffic SLO triples: writes BENCH_slo.json and TBL_slo.txt at
-# the repo root (tracked). Deterministic virtual-time results; opt-in
-# because the 256-node Colo cells re-execute the bug scenarios with the
-# coupled datapath attached (minutes each).
-if [ "$SLO" = 1 ]; then
-  sweep tbl_slo "$BIN/tbl_slo"
+if opted --slo; then
+  sweep tbl_slo tbl_slo
 fi
-if [ "$EXPLORE" = 1 ]; then
-  run tbl_explore "$BIN/explore_run" \
+# Deterministic: the eval cap (not the wall budget, which is sized never
+# to bind) cuts every cell, so regeneration reproduces the committed
+# table byte-for-byte.
+if opted --explore; then
+  run tbl_explore explore \
     --cells c3831:64:1:colo,c3881:48:1:colo,c5456:48:1:colo,race:40:1:real,race:40:2:real,race:40:3:real,race:40:4:real \
     --max-evals 64 --max-swaps 1024 --shuffles 8 --budget-secs 1200 \
     --table-out TBL_explore.txt
 fi
-if [ ${#FAILED[@]} -gt 0 ]; then
-  echo "FAILED steps: ${FAILED[*]}" >&2
+if [ -n "$CHECK" ]; then
+  if [ "$WANTED" != , ]; then
+    echo "--check: no such default step: ${WANTED//,/ }" >&2
+    exit 2
+  fi
+  echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts at the repo root"
+fi
+if [ ${#FAILED[@]} -gt 0 ] || [ ${#STALE[@]} -gt 0 ]; then
+  [ ${#FAILED[@]} -eq 0 ] || echo "FAILED steps: ${FAILED[*]}" >&2
+  [ ${#STALE[@]} -eq 0 ] || echo "STALE (results/NAME.txt is not what this tree prints): ${STALE[*]}" >&2
   exit 1
 fi
-echo "all experiments done"
+[ -n "$CHECK" ] && echo "checked artifacts are fresh" || echo "all experiments done"
