@@ -9,7 +9,6 @@
 use crate::cli::{val, Args, Command, Failure, JOBS};
 use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck_cluster::{run_scenario, RunMode, RunReport, ScenarioConfig, Workload};
-use scalecheck_memo::OrderRecorder;
 use scalecheck_sim::SimDuration;
 
 pub const COMMAND: Command = Command {
@@ -61,15 +60,7 @@ fn run(args: &Args) -> Result<(), Failure> {
             // then PIL-replay on the 1-core box: the PIL sleeps do
             // not occupy the core, so the replay tracks Real.
             let memo = scalecheck::memoize(&cfg, 16);
-            let mut replay_cfg = cfg.clone().with_mode(RunMode::PilReplay { cores: 1 });
-            replay_cfg.order_enforcement = true;
-            let order: OrderRecorder = memo.order.clone();
-            scalecheck_cluster::run_scenario_with_db(
-                &replay_cfg,
-                Some(memo.db.clone()),
-                Some(order),
-            )
-            .0
+            scalecheck::replay_ordered(&cfg, 1, &memo)
         }));
     }
     let out = run_sweep(cells, jobs);

@@ -7,7 +7,7 @@
 //! Figure 3.
 
 use crate::cli::{val, Args, Command, Failure, BUG, JOBS, SEED};
-use crate::{cell, jobs, print_row, run_sweep, MODES};
+use crate::{jobs, print_row, run_triples};
 use scalecheck_cluster::ScenarioConfig;
 
 pub const COMMAND: Command = Command {
@@ -38,62 +38,45 @@ fn run(args: &Args) -> Result<(), Failure> {
         other => other,
     };
 
-    // One cell per (scale, mode): independent engines, any completion
-    // order, canonical assembly below.
-    let mut cells = Vec::new();
+    // Two cells per scale (Real; memoize → replay), canonical assembly.
+    let mut points = Vec::new();
     for &n in &scales {
         let cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;
-        for mode in MODES {
-            cells.push(cell(
-                format!("fig3 {bug} N={n} {}", mode.label()),
-                cfg.clone(),
-                mode,
-            ));
-        }
+        points.push((format!("fig3 {bug} N={n}"), cfg));
     }
-    let out = run_sweep(cells, jobs);
+    let triples = run_triples(points, jobs);
 
     println!("{title}");
     println!("#flaps observed across the whole cluster (paper plots x1000)\n");
     print_row(&["#Nodes", "Real", "Colo", "SC+PIL", "hit%"], 10);
 
-    let mut rows = Vec::new();
-    let mut unavail: Vec<(f64, f64)> = Vec::new();
-    for (i, &n) in scales.iter().enumerate() {
-        let real = &out[3 * i];
-        let colo = &out[3 * i + 1];
-        let pil = &out[3 * i + 2];
+    for (&n, t) in scales.iter().zip(&triples) {
         print_row(
             &[
                 n.to_string(),
-                real.total_flaps.to_string(),
-                colo.total_flaps.to_string(),
-                pil.total_flaps.to_string(),
-                format!("{:.0}", pil.memo.replay_hit_rate() * 100.0),
+                t.real.total_flaps.to_string(),
+                t.colo.total_flaps.to_string(),
+                t.pil.total_flaps.to_string(),
+                format!("{:.0}", t.pil.memo.replay_hit_rate() * 100.0),
             ],
             10,
         );
-        rows.push((n, real.total_flaps, colo.total_flaps, pil.total_flaps));
-        unavail.push((real.unavailability(), pil.unavailability()));
     }
 
     // Shape summary (the paper's qualitative claims).
     println!();
-    let peak = rows.last().expect("a list flag has at least one element");
+    let peak_n = scales.last().expect("a list flag has at least one element");
+    let peak = triples.last().expect("one triple per scale");
     println!(
-        "shape: at N={}, Colo/Real = {:.1}x, SC+PIL/Real = {:.2}x",
-        peak.0,
-        ratio(peak.2, peak.1),
-        ratio(peak.3, peak.1),
+        "shape: at N={peak_n}, Colo/Real = {:.1}x, SC+PIL/Real = {:.2}x",
+        ratio(peak.colo.total_flaps, peak.real.total_flaps),
+        ratio(peak.pil.total_flaps, peak.real.total_flaps),
     );
-    if let Some((real_u, pil_u)) = unavail.last() {
-        println!(
-            "user impact at N={}: unavailability Real {:.2}%, SC+PIL {:.2}%",
-            peak.0,
-            real_u * 100.0,
-            pil_u * 100.0
-        );
-    }
+    println!(
+        "user impact at N={peak_n}: unavailability Real {:.2}%, SC+PIL {:.2}%",
+        peak.real.unavailability() * 100.0,
+        peak.pil.unavailability() * 100.0
+    );
     Ok(())
 }
 

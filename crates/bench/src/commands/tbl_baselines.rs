@@ -13,9 +13,9 @@
 //!   memoization.
 
 use crate::cli::{val, Args, Command, Failure, JOBS};
-use crate::{jobs, print_row, run_sweep, Cell};
+use crate::{jobs, print_row, run_sweep, triple_cells, Cell};
 use scalecheck::baselines::time_dilated;
-use scalecheck::{extrapolate_power_law, memoize, replay, COLO_CORES};
+use scalecheck::{extrapolate_power_law, COLO_CORES};
 use scalecheck_cluster::{run_scenario, RunReport, ScenarioConfig};
 
 pub const COMMAND: Command = Command {
@@ -39,9 +39,9 @@ fn run(args: &Args) -> Result<(), Failure> {
 
     let bug = |n: usize| ScenarioConfig::c3831(n, seed);
 
-    // Cells: four mini-cluster training runs, then real / colo /
-    // diecast at the target, then the memoize+replay pair (one cell —
-    // they share the memo database).
+    // Cells: four mini-cluster training runs, the target's triple
+    // (Real; memoize → replay — the memoization run is the basic
+    // colocation row), then diecast at the target.
     let mut cells: Vec<Cell<Vec<RunReport>>> = Vec::new();
     for &n in &TRAIN_SCALES {
         let cfg = bug(n);
@@ -50,52 +50,24 @@ fn run(args: &Args) -> Result<(), Failure> {
         }));
     }
     let cfg = bug(target);
-    {
-        let cfg = cfg.clone();
-        cells.push(Cell::new(format!("baselines real N={target}"), move || {
-            vec![scalecheck::run_real(&cfg)]
-        }));
-    }
-    {
-        let cfg = cfg.clone();
-        cells.push(Cell::new(format!("baselines colo N={target}"), move || {
-            vec![scalecheck::run_colo(&cfg, COLO_CORES)]
-        }));
-    }
-    {
-        let dilated = time_dilated(&cfg, COLO_CORES, tdf);
-        cells.push(Cell::new(
-            format!("baselines diecast tdf={tdf} N={target}"),
-            move || vec![run_scenario(&dilated)],
-        ));
-    }
-    {
-        let cfg = cfg.clone();
-        cells.push(Cell::new(
-            format!("baselines sc+pil N={target}"),
-            move || {
-                let memo = memoize(&cfg, COLO_CORES);
-                let pil = replay(&cfg, COLO_CORES, &memo);
-                vec![memo.report, pil]
-            },
-        ));
-    }
-    let out = run_sweep(cells, jobs);
+    cells.extend(triple_cells(&format!("baselines N={target}"), &cfg));
+    let dilated = time_dilated(&cfg, COLO_CORES, tdf);
+    cells.push(Cell::new(
+        format!("baselines diecast tdf={tdf} N={target}"),
+        move || vec![run_scenario(&dilated)],
+    ));
+    let mut out = run_sweep(cells, jobs).into_iter().flatten();
 
     println!("S4 baselines vs scale check on c3831, target N={target}\n");
 
     let train: Vec<(usize, u64)> = TRAIN_SCALES
         .iter()
-        .zip(&out)
-        .map(|(&n, r)| (n, r[0].total_flaps))
+        .zip(&mut out)
+        .map(|(&n, r)| (n, r.total_flaps))
         .collect();
     let extrapolated = extrapolate_power_law(&train, target);
-    let k = TRAIN_SCALES.len();
-    let real = &out[k][0];
-    let colo = &out[k + 1][0];
-    let diecast = &out[k + 2][0];
-    let memo_report = &out[k + 3][0];
-    let pil = &out[k + 3][1];
+    let mut next = || out.next().expect("one report per run");
+    let (real, colo, pil, diecast) = (next(), next(), next(), next());
 
     println!();
     print_row(&["approach", "flaps", "run (virt s)", "verdict"], 22);
@@ -168,7 +140,7 @@ fn run(args: &Args) -> Result<(), Failure> {
          memoization ({:.0}s).",
         diecast.duration.as_secs_f64(),
         real.duration.as_secs_f64(),
-        memo_report.duration.as_secs_f64()
+        colo.duration.as_secs_f64()
     );
     Ok(())
 }

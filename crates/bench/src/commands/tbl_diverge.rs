@@ -13,7 +13,7 @@
 //!   removes the inflation: no category should exceed tolerance.
 
 use crate::cli::{val, write_file, Args, Command, Failure, BUG, JOBS, SEED};
-use crate::{cell, jobs, run_sweep, MODES};
+use crate::{jobs, run_triples, MODES};
 use scalecheck_cluster::ScenarioConfig;
 use scalecheck_obs::Trace;
 
@@ -40,17 +40,9 @@ fn run(args: &Args) -> Result<(), Failure> {
     let mut cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;
     cfg.trace = scalecheck_obs::TraceConfig::enabled();
 
-    let cells = MODES
-        .iter()
-        .map(|&mode| {
-            cell(
-                format!("diverge {bug} N={n} {}", mode.label()),
-                cfg.clone(),
-                mode,
-            )
-        })
-        .collect();
-    let out = run_sweep(cells, jobs);
+    let point = (format!("diverge {bug} N={n}"), cfg);
+    let triple = run_triples(vec![point], jobs).pop().expect("one point");
+    let out = [&triple.real, &triple.colo, &triple.pil];
 
     let mut traces: Vec<Trace> = Vec::new();
     for (r, mode) in out.iter().zip(&MODES) {

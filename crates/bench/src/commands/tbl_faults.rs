@@ -8,7 +8,7 @@
 //! storm generator as well as the simulation.
 
 use crate::cli::{val, Args, Command, Failure, BUG, JOBS, SEED};
-use crate::{cell, jobs, print_row, run_sweep, MODES};
+use crate::{jobs, print_row, run_triples};
 use scalecheck_cluster::{FaultPlan, ScenarioConfig};
 
 pub const COMMAND: Command = Command {
@@ -33,51 +33,40 @@ fn run(args: &Args) -> Result<(), Failure> {
         .list("--intensities")?
         .unwrap_or_else(|| vec![0.0, 0.3, 0.7]);
 
-    // One cell per (intensity, scale, mode): independent engines, any
-    // completion order, canonical assembly below.
-    let mut cells = Vec::new();
-    for &intensity in &intensities {
-        for &n in &scales {
-            let plan = FaultPlan::storm(seed, n as u32, intensity);
-            let cfg = ScenarioConfig::bug(bug, n, seed)
-                .map_err(Failure::Usage)?
-                .with_faults(plan);
-            for mode in MODES {
-                cells.push(cell(
-                    format!("faults {bug} i={intensity} N={n} {}", mode.label()),
-                    cfg.clone(),
-                    mode,
-                ));
-            }
-        }
+    // Two cells per (intensity, scale) point (Real; memoize → replay),
+    // canonical assembly below.
+    let rows: Vec<(f64, usize)> = intensities
+        .iter()
+        .flat_map(|&i| scales.iter().map(move |&n| (i, n)))
+        .collect();
+    let mut points = Vec::new();
+    for &(intensity, n) in &rows {
+        let plan = FaultPlan::storm(seed, n as u32, intensity);
+        let cfg = ScenarioConfig::bug(bug, n, seed)
+            .map_err(Failure::Usage)?
+            .with_faults(plan);
+        points.push((format!("faults {bug} i={intensity} N={n}"), cfg));
     }
-    let out = run_sweep(cells, jobs);
+    let triples = run_triples(points, jobs);
 
     println!("Fault-intensity table — {bug}: #flaps under a deterministic fault storm");
     println!("attr = flaps attributable to injected faults (SC+PIL run)\n");
     print_row(&["intens", "#Nodes", "Real", "Colo", "SC+PIL", "attr", "dropped", "down_s"], 8);
 
-    let mut idx = 0;
-    for &intensity in &intensities {
-        for &n in &scales {
-            let real = &out[idx];
-            let colo = &out[idx + 1];
-            let pil = &out[idx + 2];
-            idx += 3;
-            print_row(
-                &[
-                    format!("{intensity:.2}"),
-                    n.to_string(),
-                    real.total_flaps.to_string(),
-                    colo.total_flaps.to_string(),
-                    pil.total_flaps.to_string(),
-                    pil.faults.attributed_flaps.to_string(),
-                    pil.faults.fault_dropped.to_string(),
-                    format!("{:.0}", pil.faults.total_downtime().as_secs_f64()),
-                ],
-                8,
-            );
-        }
+    for ((intensity, n), t) in rows.iter().zip(&triples) {
+        print_row(
+            &[
+                format!("{intensity:.2}"),
+                n.to_string(),
+                t.real.total_flaps.to_string(),
+                t.colo.total_flaps.to_string(),
+                t.pil.total_flaps.to_string(),
+                t.pil.faults.attributed_flaps.to_string(),
+                t.pil.faults.fault_dropped.to_string(),
+                format!("{:.0}", t.pil.faults.total_downtime().as_secs_f64()),
+            ],
+            8,
+        );
     }
     Ok(())
 }

@@ -8,9 +8,8 @@
 //! finishes in about real-scale time.
 
 use crate::cli::{val, Args, Command, Failure, JOBS, SEED};
-use crate::{jobs, print_row, run_sweep, Cell};
-use scalecheck::{memoize, replay, run_real, COLO_CORES};
-use scalecheck_cluster::{RunReport, ScenarioConfig};
+use crate::{jobs, print_row, run_triples};
+use scalecheck_cluster::ScenarioConfig;
 
 pub const COMMAND: Command = Command {
     name: "tbl_memo_vs_replay",
@@ -32,32 +31,19 @@ fn run(args: &Args) -> Result<(), Failure> {
 
     // Two cells per bug: the real run, and the memoize+replay pair
     // (which must share one memo database, so they form one cell).
-    let mut cells: Vec<Cell<Vec<RunReport>>> = Vec::new();
+    let mut points = Vec::new();
     for bug in BUGS {
         let cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;
-        let real_cfg = cfg.clone();
-        cells.push(Cell::new(format!("t-memo {bug} real"), move || {
-            vec![run_real(&real_cfg)]
-        }));
-        cells.push(Cell::new(
-            format!("t-memo {bug} memoize+replay"),
-            move || {
-                let memo = memoize(&cfg, COLO_CORES);
-                let rep = replay(&cfg, COLO_CORES, &memo);
-                vec![memo.report, rep]
-            },
-        ));
+        points.push((format!("t-memo {bug}"), cfg));
     }
-    let out = run_sweep(cells, jobs);
+    let triples = run_triples(points, jobs);
 
     println!("Memoization vs replay time at {n}-node colocation (virtual minutes)");
     println!("(paper S8: memoization 7-125 min, replay 4-15 min ~ real deployment)\n");
     print_row(&["bug", "real", "memoize", "replay", "memo/replay", "replay~real"], 12);
 
-    for (i, bug) in BUGS.iter().enumerate() {
-        let real = &out[2 * i][0];
-        let memo_report = &out[2 * i + 1][0];
-        let rep = &out[2 * i + 1][1];
+    for (bug, t) in BUGS.iter().zip(&triples) {
+        let (real, memo_report, rep) = (&t.real, &t.colo, &t.pil);
         let mins = |d: scalecheck_sim::SimDuration| d.as_secs_f64() / 60.0;
         print_row(
             &[

@@ -25,10 +25,10 @@ use std::time::Instant;
 
 use crate::cli::{bare, val, write_file, Args, Command, Failure, JOBS, SEED};
 use crate::{
-    cell, fmt_row, jobs, parse_modes, run_sweep, validate_doc, validate_fields, Field, MODES,
-    MODE_NAMES,
+    fmt_row, jobs, parse_modes, run_sweep, triple_cells, validate_doc, validate_fields, Cell,
+    Field, MODES, MODE_NAMES,
 };
-use scalecheck::run_cell;
+use scalecheck::{run_cell, ExecMode};
 use scalecheck_cluster::{RunReport, ScenarioConfig, SloSummary, TrafficConfig};
 use scalecheck_explore::{SloParams, SloTriple, SloVerdict};
 
@@ -358,24 +358,38 @@ fn run(args: &Args) -> Result<(), Failure> {
     if args.has("--smoke") {
         return smoke(seed, users, budget_secs);
     }
+    // The deployments to run per point, in column order. With both Colo
+    // and SC+PIL asked for, one memoize → replay cell yields the pair:
+    // the memoization run is the Colo run.
+    let ran: Vec<ExecMode> = MODES.into_iter().filter(|m| modes.contains(m)).collect();
+    let paired = ran.contains(&MODES[1]) && ran.contains(&MODES[2]);
     let mut cells = Vec::new();
     for bug in &bugs {
         for &n in &scales {
-            for &mode in &modes {
-                cells.push(cell(
-                    format!("slo {bug} N={n} {}", mode.label()),
-                    slo_scenario(bug, n, seed, users)?,
-                    mode,
-                ));
+            let cfg = slo_scenario(bug, n, seed, users)?;
+            let label = format!("slo {bug} N={n}");
+            if paired {
+                let [real, pair] = triple_cells(&label, &cfg);
+                cells.extend(ran.contains(&MODES[0]).then_some(real));
+                cells.push(pair);
+            } else {
+                for &mode in &ran {
+                    let cfg = cfg.clone();
+                    cells.push(Cell::new(format!("{label} {}", mode.label()), move || {
+                        vec![run_cell(&cfg, mode)]
+                    }));
+                }
             }
         }
     }
-    let mut out = run_sweep(cells, jobs).into_iter();
+    let mut out = run_sweep(cells, jobs).into_iter().flatten();
 
     let mut points: Vec<Point> = Vec::new();
     for bug in &bugs {
         for &n in &scales {
-            let rows = modes.iter().map(|m| m.label()).zip(&mut out).collect();
+            let got: Vec<(ExecMode, RunReport)> = ran.iter().copied().zip(&mut out).collect();
+            let report = |mode| &got.iter().find(|(m, _)| m == mode).expect("mode ran").1;
+            let rows = modes.iter().map(|m| (m.label(), report(m).clone())).collect();
             points.push(Point {
                 bug: bug.clone(),
                 n,

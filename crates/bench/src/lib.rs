@@ -15,7 +15,7 @@ pub mod sweep;
 use scalecheck::{ExecMode, COLO_CORES};
 use serde_json::Value;
 
-pub use sweep::{cell, jobs, run_sweep, Cell};
+pub use sweep::{cell, jobs, run_sweep, run_triples, triple_cells, Cell};
 
 /// The three deployments the paper compares, in column order, and the
 /// names `--modes` knows them by.

@@ -1,7 +1,8 @@
 //! The shared parallel sweep harness.
 //!
 //! Every figure/table command decomposes its work into independent
-//! [`Cell`]s — one `(scenario, mode)` experiment each — and hands them
+//! [`Cell`]s — one `(scenario, mode)` experiment each, or the two cells
+//! of a (Real, Colo, SC+PIL) point ([`triple_cells`]) — and hands them
 //! to [`run_sweep`], which executes every one of them, each time, on a
 //! pool of OS threads fed from one shared queue. Two properties hold
 //! regardless of `--jobs`:
@@ -17,7 +18,7 @@ use std::num::NonZeroUsize;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use scalecheck::{run_cell, ExecMode};
+use scalecheck::{run_cell, run_real, scale_check, ExecMode, Triple, COLO_CORES};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
 /// The sweep's worker-thread count: `--jobs N` if given, else all
@@ -50,6 +51,40 @@ impl<R> Cell<R> {
 /// [`scalecheck::run_cell`].
 pub fn cell(label: impl Into<String>, cfg: ScenarioConfig, mode: ExecMode) -> Cell<RunReport> {
     Cell::new(label, move || run_cell(&cfg, mode))
+}
+
+/// The two cells of one (Real, Colo, SC+PIL) point: the Real run, and
+/// the memoization run followed by the replay over its database,
+/// returning `[colo, pil]` — the memoization run *is* the Colo run, so
+/// a triple is three simulations, and the pair cell is exactly as long
+/// as an SC+PIL cell on its own. The results of the two cells,
+/// flattened, read Real, Colo, SC+PIL.
+pub fn triple_cells(label: &str, cfg: &ScenarioConfig) -> [Cell<Vec<RunReport>>; 2] {
+    let (real_cfg, pair_cfg) = (cfg.clone(), cfg.clone());
+    [
+        Cell::new(format!("{label} Real"), move || vec![run_real(&real_cfg)]),
+        Cell::new(format!("{label} Colo+SC+PIL"), move || {
+            scale_check(&pair_cfg, COLO_CORES).into_reports().into()
+        }),
+    ]
+}
+
+/// Runs one triple per `(label, scenario)` point — two cells each — and
+/// returns them in point order.
+pub fn run_triples(points: Vec<(String, ScenarioConfig)>, jobs: usize) -> Vec<Triple> {
+    let cells = points
+        .iter()
+        .flat_map(|(label, cfg)| triple_cells(label, cfg))
+        .collect();
+    let mut out = run_sweep(cells, jobs).into_iter().flatten();
+    let mut next = || out.next().expect("three reports per point");
+    (0..points.len())
+        .map(|_| Triple {
+            real: next(),
+            colo: next(),
+            pil: next(),
+        })
+        .collect()
 }
 
 /// Runs every cell on up to `jobs` worker threads and returns the

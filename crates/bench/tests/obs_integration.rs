@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use scalecheck::{ExecMode, COLO_CORES};
-use scalecheck_bench::{cell, run_sweep};
+use scalecheck_bench::{cell, run_sweep, run_triples};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
 fn traced(bug: &str, n: usize, seed: u64) -> ScenarioConfig {
@@ -95,17 +95,9 @@ fn divergence_smoke_attributes_single_core_colo_to_calc() {
 #[test]
 #[ignore = "heavy: three 128-node traced runs; ci.sh runs this in release"]
 fn divergence_attributes_c3831_colo_to_calc_and_clears_scpil() {
-    let cfg = traced("c3831", 128, 1);
-    let modes = [
-        ExecMode::Real,
-        ExecMode::Colo { cores: COLO_CORES },
-        ExecMode::ScPil {
-            cores: COLO_CORES,
-            ordered: false,
-        },
-    ];
-    let reports = sweep(&cfg, &modes, 1);
-    let (real, colo, scpil) = (&reports[0].obs, &reports[1].obs, &reports[2].obs);
+    let point = ("obs-it".to_string(), traced("c3831", 128, 1));
+    let triple = run_triples(vec![point], 1).pop().expect("one point");
+    let (real, colo, scpil) = (&triple.real.obs, &triple.colo.obs, &triple.pil.obs);
 
     let colo_report = scalecheck_obs::diverge(real, colo);
     let top = colo_report.top().expect("Colo-vs-Real must diverge");

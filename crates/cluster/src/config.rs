@@ -142,9 +142,6 @@ pub struct ScenarioConfig {
     /// Which of the paper's four runs this is (Real / Colo / memoize /
     /// PIL replay).
     pub mode: RunMode,
-    /// Enforce recorded message order during replay (§5 order
-    /// determinism).
-    pub order_enforcement: bool,
     /// How long an out-of-order message may be held for its recorded
     /// turn before being released anyway (bounds divergence damage).
     pub order_hold_timeout: SimDuration,
@@ -213,7 +210,6 @@ impl ScenarioConfig {
             workload_end: SimDuration::from_secs(100),
             max_duration: SimDuration::from_secs(900),
             mode: RunMode::Real,
-            order_enforcement: false,
             order_hold_timeout: SimDuration::from_secs(2),
             ns_per_op: crate::calibrate::NS_PER_OP_V1,
             msg_base_cost: SimDuration::from_micros(50),

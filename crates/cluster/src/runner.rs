@@ -1481,7 +1481,8 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
 ///
 /// `db` carries a memo database into a replay run; the database the run
 /// ends with (populated by a recording run) is returned alongside the
-/// report.
+/// report. A PIL replay handed an `order_log` enforces it (§5 order
+/// determinism); without one, messages are processed as they arrive.
 pub fn run_scenario_with_db(
     cfg: &ScenarioConfig,
     db: Option<scalecheck_memo::MemoDb<PendingWire>>,
@@ -1503,7 +1504,7 @@ pub fn run_scenario_with_db(
     let mut state = build(cfg, calc);
     match cfg.mode {
         RunMode::Memoize { .. } => state.order_rec = Some(OrderRecorder::new()),
-        RunMode::PilReplay { .. } if cfg.order_enforcement => {
+        RunMode::PilReplay { .. } => {
             state.order_enf = order_log.map(OrderRecorder::into_enforcer);
         }
         _ => {}

@@ -144,9 +144,9 @@ fn pil_replay_mode_uses_no_cpu_for_calcs() {
     // In PIL mode the big computations sleep: CPU utilization of the
     // shared box stays low even while the mini bug rages.
     let cfg = mini_inline_bug(7);
-    // The memoization run is a Colo run; feed what it recorded into a
-    // replay.
-    let (colo, db, order) = scalecheck_cluster::run_scenario_with_db(
+    // The memoization run is a Colo run; feed the database it recorded
+    // into a replay (no order log: nothing to enforce).
+    let (colo, db, _) = scalecheck_cluster::run_scenario_with_db(
         &cfg.clone().with_mode(RunMode::Memoize { cores: 4 }),
         None,
         None,
@@ -154,7 +154,7 @@ fn pil_replay_mode_uses_no_cpu_for_calcs() {
     let (pil, _, _) = scalecheck_cluster::run_scenario_with_db(
         &cfg.clone().with_mode(RunMode::PilReplay { cores: 4 }),
         Some(db),
-        order,
+        None,
     );
     assert!(
         pil.cpu_utilization < colo.cpu_utilization / 2.0,

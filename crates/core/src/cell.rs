@@ -12,9 +12,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::scalecheck::{memoize, replay, replay_ordered, run_colo, run_real};
 
-/// Which pipeline a cell runs. Not a [`scalecheck_cluster::RunMode`]:
-/// a pipeline may be more than one run — `ScPil` is the memoization run
-/// followed by the PIL replay, reporting the latter.
+/// Which pipeline a cell runs *on its own*. Not a
+/// [`scalecheck_cluster::RunMode`]: a pipeline may be more than one run
+/// — `ScPil` is the memoization run followed by the PIL replay,
+/// reporting the latter. A comparison that wants the Colo column beside
+/// the SC+PIL one runs [`crate::scale_check`] once (see
+/// [`crate::Triple`]) instead of a `Colo` cell and a `ScPil` cell: the
+/// memoization run is the Colo run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecMode {
     /// Real-scale testing: every node on its own machine.
@@ -164,7 +168,6 @@ mod tests {
                 "workload_end",
                 "max_duration",
                 "mode",
-                "order_enforcement",
                 "order_hold_timeout",
                 "ns_per_op",
                 "msg_base_cost",

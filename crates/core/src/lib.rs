@@ -16,8 +16,8 @@
 //!   baseline;
 //! * [`memoize`] → [`replay`] / [`scale_check`] — the SC+PIL pipeline
 //!   (instrumented colocation run, then deterministic PIL replay);
-//! * [`accuracy`] — sweep comparison metrics (Figure 3's question: does
-//!   SC+PIL track Real where Colo does not?);
+//! * [`Triple`] — Figure 3's question (does SC+PIL track Real where
+//!   Colo does not?) as three runs: the memoization run is the Colo run;
 //! * [`bottleneck`] — the §8 colocation-limit diagnostics (CPU > 90 %,
 //!   OOM, event lateness).
 //!
@@ -36,17 +36,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod accuracy;
 pub mod baselines;
 pub mod bottleneck;
 pub mod cell;
 pub mod scalecheck;
 
-pub use accuracy::{compare_sweeps, FlapSweep, SweepComparison};
 pub use baselines::{extrapolate_power_law, time_dilated};
 pub use bottleneck::{colocation_memory_demand, diagnose, Bottleneck, BottleneckThresholds};
 pub use cell::{content_digest, run_cell, ExecMode};
 pub use scalecheck::{
     memoize, replay, replay_ordered, run_colo, run_real, scale_check, MemoArtifacts,
-    ScaleCheckResult, COLO_CORES,
+    ScaleCheckResult, Triple, COLO_CORES,
 };

@@ -3,11 +3,16 @@
 //! * [`run_real`] — real-scale testing (Figure 1a): the ground truth.
 //! * [`run_colo`] — basic colocation (Figure 1b): cheap but inaccurate.
 //! * [`memoize`] — the one-time instrumented colocation run
-//!   (Figure 2 step d) that fills the memo database and order log.
+//!   (Figure 2 step d) that fills the memo database and order log. It
+//!   *is* the Colo run with recording on: its report equals
+//!   [`run_colo`]'s but for the recording counters
+//!   (`tests/run_pins.rs::memoization_run_is_the_colo_run`).
 //! * [`replay`] — the fast, accurate PIL-infused replay
 //!   (Figure 2 steps e–f).
 //! * [`scale_check`] — memoize once, then replay: the paper's full
 //!   "SC+PIL" pipeline.
+//! * [`Triple`] — the paper's (Real, Colo, SC+PIL) comparison of one
+//!   scenario: Real beside [`scale_check`], three runs in all.
 
 use scalecheck_cluster::{run_scenario_with_db, PendingWire, RunMode, RunReport, ScenarioConfig};
 use scalecheck_memo::{MemoDb, OrderRecorder};
@@ -22,7 +27,10 @@ pub struct MemoArtifacts {
     pub db: MemoDb<PendingWire>,
     /// Per-node processed-message order.
     pub order: OrderRecorder,
-    /// The memoization run's own report (it *is* a Colo run).
+    /// The memoization run's own report. It *is* the Colo run — equal
+    /// to [`run_colo`]'s report on the same scenario and cores except
+    /// for `memo.recorded` / `memo.duplicate_inputs` — so a comparison
+    /// that memoizes never needs a separate Colo run.
     pub report: RunReport,
 }
 
@@ -32,6 +40,34 @@ pub struct ScaleCheckResult {
     pub memo: MemoArtifacts,
     /// The PIL-infused replay's report.
     pub replay: RunReport,
+}
+
+impl ScaleCheckResult {
+    /// The pipeline's two reports as the `[Colo, SC+PIL]` columns of a
+    /// [`Triple`].
+    pub fn into_reports(self) -> [RunReport; 2] {
+        [self.memo.report, self.replay]
+    }
+}
+
+/// The paper's comparison of one scenario under its three deployments:
+/// three runs, the Colo column being the memoization run's report.
+pub struct Triple {
+    /// Real-scale testing: the ground truth.
+    pub real: RunReport,
+    /// Basic colocation — [`MemoArtifacts::report`].
+    pub colo: RunReport,
+    /// The PIL-infused replay.
+    pub pil: RunReport,
+}
+
+impl Triple {
+    /// Runs Real, then [`scale_check`], on `cores` colocation cores.
+    pub fn run(cfg: &ScenarioConfig, cores: usize) -> Triple {
+        let real = run_real(cfg);
+        let [colo, pil] = scale_check(cfg, cores).into_reports();
+        Triple { real, colo, pil }
+    }
 }
 
 /// Runs the scenario at real scale (every node on its own machine).
@@ -65,17 +101,15 @@ pub fn memoize(cfg: &ScenarioConfig, cores: usize) -> MemoArtifacts {
 /// implemented and measurable — see [`replay_ordered`] and the
 /// fix-ablation experiment).
 pub fn replay(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
-    let mut cfg = cfg.clone().with_mode(RunMode::PilReplay { cores });
-    cfg.order_enforcement = false;
-    run_scenario_with_db(&cfg, Some(memo.db.clone()), Some(memo.order.clone())).0
+    let cfg = cfg.clone().with_mode(RunMode::PilReplay { cores });
+    run_scenario_with_db(&cfg, Some(memo.db.clone()), None).0
 }
 
 /// A PIL-infused replay that also enforces the recorded per-node
 /// message-processing order (§5 order determinism), with the configured
 /// hold timeout bounding divergence damage.
 pub fn replay_ordered(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
-    let mut cfg = cfg.clone().with_mode(RunMode::PilReplay { cores });
-    cfg.order_enforcement = true;
+    let cfg = cfg.clone().with_mode(RunMode::PilReplay { cores });
     run_scenario_with_db(&cfg, Some(memo.db.clone()), Some(memo.order.clone())).0
 }
 

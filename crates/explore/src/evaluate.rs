@@ -1,12 +1,13 @@
 //! Perturbation evaluation: one identity baseline, then one targeted
 //! re-run per candidate tie-order spec.
 //!
-//! The baseline costs four scenario runs (Real, Colo, memoize, replay —
-//! the same pipeline the regression suite uses). Each perturbation then
-//! re-runs only the *target* deployment with the candidate
-//! [`TieOrderSpec`] installed; the other two flap counts are carried
-//! over from the baseline, and an SC+PIL target reuses the baseline's
-//! memo artifacts (replay is the cheap leg by construction).
+//! The baseline costs three scenario runs (Real, memoize, replay — the
+//! same triple the regression suite uses; the memoization run is the
+//! Colo run). Each perturbation then re-runs only the *target*
+//! deployment with the candidate [`TieOrderSpec`] installed; the other
+//! two flap counts are carried over from the baseline, and an SC+PIL
+//! target reuses the baseline's memo artifacts (replay is the cheap leg
+//! by construction).
 
 use scalecheck::{memoize, replay, run_colo, run_real, MemoArtifacts};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
@@ -16,8 +17,9 @@ use serde::{Deserialize, Serialize};
 use crate::verdict::{FlapTriple, VerdictParams};
 
 /// Which leg of the (Real, Colo, SC+PIL) flap triple the perturbation
-/// is applied to. Not a run mode: the memoization run is never a target,
-/// it only feeds the SC+PIL leg.
+/// is applied to. Not a run mode: the baseline's memoization run is the
+/// Colo leg and feeds the SC+PIL leg; a *perturbed* Colo leg is a plain
+/// Colo run (nothing replays it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Target {
     /// Perturb the real-scale run (hunt orderings that make Real flap).
@@ -50,13 +52,14 @@ pub struct Evaluator {
     pub baseline: FlapTriple,
     /// Schedule probe of the baseline target run (tie batches + tags).
     pub probe: ScheduleProbe,
-    /// Scenario runs executed so far (baseline counts four).
+    /// Scenario runs executed so far (baseline counts three).
     pub runs: usize,
 }
 
 impl Evaluator {
-    /// Runs the identity baseline (4 scenario runs) and records the
-    /// target run's schedule probe.
+    /// Runs the identity baseline (3 scenario runs) and records the
+    /// target run's schedule probe — for a Colo target, on the
+    /// memoization run.
     pub fn new(cfg: &ScenarioConfig, params: VerdictParams, target: Target) -> Self {
         assert!(
             cfg.tie_order.is_identity(),
@@ -64,28 +67,16 @@ impl Evaluator {
         );
         let mut probe_cfg = cfg.clone();
         probe_cfg.record_schedule = true;
+        let cfg_for = |leg: Target| if leg == target { &probe_cfg } else { cfg };
 
-        let real = if target == Target::Real {
-            run_real(&probe_cfg)
-        } else {
-            run_real(cfg)
-        };
-        let colo = if target == Target::Colo {
-            run_colo(&probe_cfg, params.cores)
-        } else {
-            run_colo(cfg, params.cores)
-        };
-        let memo = memoize(cfg, params.cores);
-        let pil = if target == Target::ScPil {
-            replay(&probe_cfg, params.cores, &memo)
-        } else {
-            replay(cfg, params.cores, &memo)
-        };
+        let mut real = run_real(cfg_for(Target::Real));
+        let mut memo = memoize(cfg_for(Target::Colo), params.cores);
+        let mut pil = replay(cfg_for(Target::ScPil), params.cores, &memo);
 
         let probe = match target {
-            Target::Real => real.schedule_probe.clone(),
-            Target::Colo => colo.schedule_probe.clone(),
-            Target::ScPil => pil.schedule_probe.clone(),
+            Target::Real => real.schedule_probe.take(),
+            Target::Colo => memo.report.schedule_probe.take(),
+            Target::ScPil => pil.schedule_probe.take(),
         }
         .expect("probe recorded on the target baseline run");
 
@@ -93,14 +84,14 @@ impl Evaluator {
             cfg: cfg.clone(),
             params,
             target,
-            memo,
             baseline: FlapTriple {
                 real: real.total_flaps,
-                colo: colo.total_flaps,
+                colo: memo.report.total_flaps,
                 pil: pil.total_flaps,
             },
+            memo,
             probe,
-            runs: 4,
+            runs: 3,
         }
     }
 

@@ -19,7 +19,7 @@
 //!   engine's schedule probe (same-node races only);
 //! * [`shrink`] — greedy ddmin to a verified 1-minimal core;
 //! * [`witness`] — serialization and from-scratch replay;
-//! * [`search`] — the budgeted driver behind the `explore_run` bin.
+//! * [`search`] — the budgeted driver behind `scalecheck-cli explore`.
 
 #![forbid(unsafe_code)]
 

@@ -31,7 +31,7 @@ pub struct ExploreOpts {
     /// Wall-clock budget in seconds (checked between evaluations).
     pub budget_secs: u64,
     /// Maximum perturbation evaluations per cell (scenario re-runs,
-    /// excluding the 4-run baseline; shrinking may exceed it).
+    /// excluding the 3-run baseline; shrinking may exceed it).
     pub max_evals: usize,
     /// Shuffle seeds tried per cell.
     pub shuffles: u64,

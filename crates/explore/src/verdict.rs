@@ -3,14 +3,19 @@
 //! The regression suite (`tests/bug_regressions.rs`) pins every bug to
 //! the same Figure-3 shape: colocation manufactures flaps that Real
 //! does not exhibit, while SC+PIL tracks Real within a small absolute
-//! tolerance. The explorer's objective is a *verdict flip*: a schedule
-//! perturbation under which that shape classification changes.
+//! tolerance. [`FlapTriple::shape`] is the one definition of that shape
+//! — the suite classifies its [`scalecheck::Triple`]s with it — and the
+//! explorer's objective is a *verdict flip*: a schedule perturbation
+//! under which the classification changes.
 
 use scalecheck_cluster::SloSummary;
 use serde::{Deserialize, Serialize};
 
-/// Verdict parameters: the colocation box and the tracking tolerance
-/// (defaults mirror `tests/bug_regressions.rs`).
+/// Verdict parameters: the colocation box and the tracking tolerance.
+/// The defaults are the regression suite's: a deliberately small box, so
+/// contention at test scales mirrors the paper's 16-core box at 128+
+/// nodes, and the paper's "SC+PIL reproduces results of real-scale
+/// testing" as an absolute flap slack.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VerdictParams {
     /// Cores on the colocation box.
@@ -46,6 +51,16 @@ pub struct Shape {
     pub colo_diverges: bool,
     /// SC+PIL stays within tolerance of Real.
     pub pil_tracks: bool,
+}
+
+impl From<&scalecheck::Triple> for FlapTriple {
+    fn from(t: &scalecheck::Triple) -> Self {
+        FlapTriple {
+            real: t.real.total_flaps,
+            colo: t.colo.total_flaps,
+            pil: t.pil.total_flaps,
+        }
+    }
 }
 
 impl FlapTriple {
@@ -120,6 +135,16 @@ pub struct SloVerdict {
     pub colo_diverges: bool,
     /// SC+PIL stays within the allowance of Real on every clause.
     pub pil_tracks: bool,
+}
+
+impl From<&scalecheck::Triple> for SloTriple {
+    fn from(t: &scalecheck::Triple) -> Self {
+        SloTriple {
+            real: t.real.traffic.slo_summary(),
+            colo: t.colo.traffic.slo_summary(),
+            pil: t.pil.traffic.slo_summary(),
+        }
+    }
 }
 
 impl SloTriple {

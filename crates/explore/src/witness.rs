@@ -153,7 +153,7 @@ impl ScheduleWitness {
         self.perturbed.shape(self.params.tolerance) != self.baseline.shape(self.params.tolerance)
     }
 
-    /// Replays the witness from scratch: identity baseline (4 runs)
+    /// Replays the witness from scratch: identity baseline (3 runs)
     /// plus the perturbed target run (1 run). Panics on unknown bug
     /// presets (a witness naming one is corrupt).
     pub fn replay(&self) -> WitnessReplay {

@@ -20,9 +20,9 @@ fn committed_witness() -> ScheduleWitness {
     ScheduleWitness::from_json(&text).expect("committed witness parses")
 }
 
-/// Regression: the witness `explore_run` discovered and shrank stays
-/// replayable from nothing — same triples, same verdict flip, same
-/// perturbed-report digest. Any engine or runner change that breaks
+/// Regression: the witness `scalecheck-cli explore` discovered and
+/// shrank stays replayable from nothing — same triples, same verdict
+/// flip, same perturbed-report digest. Any engine or runner change that breaks
 /// schedule determinism trips this first.
 #[test]
 fn committed_witness_replays_bit_identically() {

@@ -25,7 +25,7 @@
 //! traces are identical at any `--jobs` level. When no tracer is
 //! installed every emission site is one `Cell<bool>` load and a
 //! predictable branch — no allocation, no locking (guarded by the
-//! counting-allocator benchmark in `bench_engine`).
+//! benchmark's exact `alloc.count_per_event` on its untraced workloads).
 //!
 //! This crate is a dependency leaf: timestamps are raw `u64` virtual
 //! nanoseconds, converted from `SimTime` at the call site.

@@ -5,15 +5,17 @@
 //!
 //! 1. real-scale testing (every node on its own machine) — the ground
 //!    truth;
-//! 2. basic colocation — cheap but distorted by CPU contention;
-//! 3. scale check (memoize once, then PIL-infused replay) — cheap *and*
+//! 2. basic colocation — cheap but distorted by CPU contention. This
+//!    run doubles as scale check's one-time memoization step: it *is*
+//!    the colocated run, with recording switched on;
+//! 3. the PIL-infused replay over what step 2 recorded — cheap *and*
 //!    accurate.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use scalecheck::{memoize, replay, run_colo, run_real, COLO_CORES};
+use scalecheck::{memoize, replay, run_real, COLO_CORES};
 use scalecheck_cluster::ScenarioConfig;
 
 fn main() {
@@ -33,22 +35,21 @@ fn main() {
         real.quiesced
     );
 
-    println!("[2/3] basic colocation (1 machine, {COLO_CORES} cores)...");
-    let colo = run_colo(&cfg, COLO_CORES);
+    println!("[2/3] basic colocation (1 machine, {COLO_CORES} cores), memoizing...");
+    let memo = memoize(&cfg, COLO_CORES);
+    let colo = &memo.report;
     println!(
         "      flaps={} duration={:.0}s (contention stretches the run)",
         colo.total_flaps,
         colo.duration.as_secs_f64()
     );
-
-    println!("[3/3] scale check: memoize once, then PIL-infused replay...");
-    let memo = memoize(&cfg, COLO_CORES);
     println!(
-        "      memoized {} records, {} ordered events, took {:.0}s (one-time)",
+        "      memoized {} records, {} ordered events (one-time)",
         memo.db.stats().recorded,
         memo.order.total(),
-        memo.report.duration.as_secs_f64()
     );
+
+    println!("[3/3] scale check: PIL-infused replay of the memoized run...");
     let pil = replay(&cfg, COLO_CORES, &memo);
     println!(
         "      replay flaps={} duration={:.0}s memo-hit-rate={:.1}%",

@@ -12,8 +12,12 @@
 //! cargo run --release --example reproduce_c3831 -- --full  # the paper's 32..256
 //! ```
 
-use scalecheck::{compare_sweeps, memoize, replay, run_colo, run_real, FlapSweep, COLO_CORES};
+use scalecheck::{Triple, COLO_CORES};
 use scalecheck_cluster::ScenarioConfig;
+use scalecheck_explore::FlapTriple;
+
+/// Flaps past which the symptom counts as present.
+const ONSET: u64 = 500;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
@@ -25,35 +29,24 @@ fn main() {
     println!("== Reproducing CASSANDRA-3831 (decommission flapping) ==");
     println!("scales: {scales:?} (use --full for the paper's 32..256)\n");
 
-    let mut real_flaps = Vec::new();
-    let mut colo_flaps = Vec::new();
-    let mut pil_flaps = Vec::new();
+    // Three runs per scale: real-scale, then the memoization run (which
+    // is the basic-colocation run) and the PIL replay over it.
+    let mut onset = None;
+    let mut shapes = Vec::new();
     for &n in &scales {
-        let cfg = ScenarioConfig::c3831(n, 1);
-        eprint!("N={n:>4}: real...");
-        let real = run_real(&cfg);
-        eprint!(" colo...");
-        let colo = run_colo(&cfg, COLO_CORES);
-        eprint!(" sc+pil...");
-        let memo = memoize(&cfg, COLO_CORES);
-        let pil = replay(&cfg, COLO_CORES, &memo);
+        eprint!("N={n:>4}: real, colo (memoizing), sc+pil...");
+        let t = FlapTriple::from(&Triple::run(&ScenarioConfig::c3831(n, 1), COLO_CORES));
         eprintln!(" done");
         println!(
             "N={n:>4}: real={:>8} colo={:>8} sc+pil={:>8}",
-            real.total_flaps, colo.total_flaps, pil.total_flaps
+            t.real, t.colo, t.pil
         );
-        real_flaps.push(real.total_flaps);
-        colo_flaps.push(colo.total_flaps);
-        pil_flaps.push(pil.total_flaps);
+        onset = onset.or((t.real > ONSET).then_some(n));
+        shapes.push(t.shape(t.real / 4 + 3));
     }
 
-    let real = FlapSweep::new(scales.clone(), real_flaps);
-    let colo = FlapSweep::new(scales.clone(), colo_flaps);
-    let pil = FlapSweep::new(scales.clone(), pil_flaps);
-    let onset_threshold = 500;
-
     println!();
-    match real.onset(onset_threshold) {
+    match onset {
         Some(n) => println!("symptom onset in real-scale testing: N={n}"),
         None => println!(
             "no symptom below N={} — exactly the paper's point: small-scale \
@@ -61,14 +54,10 @@ fn main() {
             scales.last().unwrap()
         ),
     }
-    let pil_cmp = compare_sweeps(&real, &pil, onset_threshold);
-    let colo_cmp = compare_sweeps(&real, &colo, onset_threshold);
     println!(
-        "SC+PIL vs real: mean error {:.2}, same onset: {}",
-        pil_cmp.mean_error, pil_cmp.same_onset
-    );
-    println!(
-        "Colo   vs real: mean error {:.2}, same onset: {}",
-        colo_cmp.mean_error, colo_cmp.same_onset
+        "SC+PIL tracks real (within 25 %) at {} of {} scales; Colo diverges at {}",
+        shapes.iter().filter(|s| s.pil_tracks).count(),
+        shapes.len(),
+        shapes.iter().filter(|s| s.colo_diverges).count(),
     );
 }

@@ -107,11 +107,14 @@ CLI=target/release/scalecheck-cli
 
 # Freshness: the committed tables must be what this tree prints. The
 # steps that regenerate in seconds are re-run and compared byte for
-# byte; the script names the ones it did not check (minutes each —
+# byte, and so are two of the Figure 3 panels (fig3b, fig3c: about a
+# minute of CPU together now that a triple is three runs — the first
+# (Real, Colo, SC+PIL) artifacts under the gate). The script prints each
+# step's wall time and names the steps it did not check (minutes each —
 # ROADMAP item 8), so a green gate vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3b_c3881,fig3c_c5456
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy

@@ -3,13 +3,15 @@
 # artifact to the `scalecheck-cli` command line that prints it
 # (`scalecheck-cli list` describes the commands).
 # Usage: see USAGE below.
-# Every step runs its command from scratch; a step that exits non-zero is
-# reported at the end and the script exits 1 (its results/NAME.txt is
-# then a truncated transcript, not an artifact).
+# Every step runs its command from scratch and prints its wall time; a
+# step that exits non-zero is reported at the end and the script exits 1
+# (its results/NAME.txt is then a truncated transcript, not an artifact).
 # --check LIST  freshness gate: run only the named default steps, into a
 #               temporary directory, and compare each transcript with
 #               the committed results/NAME.txt; prints `diff -u` and
 #               exits 1 on a mismatch, and names the steps it skipped.
+#               A name that is not a default step exits 2 before
+#               anything is built or run.
 # --quick       caps Figure 3 sweeps at N=96 for a fast smoke pass.
 # --jobs N      worker threads per experiment sweep (default: all cores).
 # --faults LIST comma-separated storm intensities passed through to
@@ -35,7 +37,7 @@ USAGE="usage: $0 [--quick] [--jobs N] [--faults LIST] [--diverge] [--scale] [--e
 FIG3_SCALES=()
 FAULT_INTENSITIES=()
 OPT_IN=""
-CHECK=""   # non-empty under --check; WANTED then holds the names not yet run
+CHECK=""   # non-empty under --check; WANTED then holds the names to run
 WANTED=""
 OUT=results
 JOBS=()
@@ -56,10 +58,40 @@ while [ $# -gt 0 ]; do
   esac
   shift
 done
+# The default steps, one per line: NAME KIND COMMAND ARGS... — the one
+# list both the runs below and --check's name validation read. KIND
+# `sweep` marks a command that fans cells out over --jobs workers.
+default_steps() {
+  cat <<EOF
+fig3a_c3831 sweep fig3_flaps --bug c3831 ${FIG3_SCALES[*]-}
+fig3b_c3881 sweep fig3_flaps --bug c3881 ${FIG3_SCALES[*]-}
+fig3c_c5456 sweep fig3_flaps --bug c5456 ${FIG3_SCALES[*]-}
+fig1_testtime sweep fig1_testtime
+tbl_memo_vs_replay sweep tbl_memo_vs_replay
+tbl_colocation_limit sweep tbl_colocation_limit
+tbl_complexity sweep tbl_complexity
+tbl_bugstudy run tbl_bugstudy
+tbl_finder run tbl_finder
+tbl_memory sweep tbl_memory
+tbl_statespace run tbl_statespace
+tbl_fix_ablation sweep tbl_fix_ablation
+tbl_baselines sweep tbl_baselines
+ext_hdfs sweep ext_hdfs
+fig_c6127 sweep fig3_flaps --bug c6127 ${FIG3_SCALES[*]-}
+tbl_faults sweep tbl_faults ${FAULT_INTENSITIES[*]-}
+EOF
+}
 if [ -n "$CHECK" ]; then
   # The opt-in steps write their artifacts at the repo root; checking
   # those is ROADMAP item 8's remainder.
   [ -z "$OPT_IN" ] || { echo "--check covers the default steps only, not$OPT_IN" >&2; exit 2; }
+  known=",$(default_steps | cut -d' ' -f1 | paste -sd,),"
+  for name in ${WANTED//,/ }; do
+    case "$known" in
+      *",$name,"*) ;;
+      *) echo "--check: no such default step: $name" >&2; exit 2 ;;
+    esac
+  done
   OUT=$(mktemp -d)
   trap 'rm -rf "$OUT"' EXIT
 fi
@@ -74,19 +106,24 @@ run() {
   name=$1; shift
   if [ -n "$CHECK" ]; then
     case "$WANTED" in
-      *",$name,"*) WANTED=${WANTED/,$name,/,} ;;
+      *",$name,"*) ;;
       *) SKIPPED+=("$name"); return ;;
     esac
   fi
   echo "=== $name ==="
+  t0=${EPOCHREALTIME/./}
   "$CLI" "$@" >"$OUT/$name.txt" 2>"$OUT/$name.log"
   rc=$?
+  secs=$(( (${EPOCHREALTIME/./} - t0) / 100000 ))
+  secs="$(( secs / 10 )).$(( secs % 10 ))s"
   if [ $rc -ne 0 ]; then
-    echo "    FAILED (exit $rc): $(tail -n 1 "$OUT/$name.log")" >&2
+    echo "    FAILED (exit $rc, $secs): $(tail -n 1 "$OUT/$name.log")" >&2
     FAILED+=("$name")
   elif [ -z "$CHECK" ]; then
-    echo "    -> results/$name.txt"
-  elif ! diff -u "results/$name.txt" "$OUT/$name.txt"; then
+    echo "    -> results/$name.txt ($secs)"
+  elif diff -u "results/$name.txt" "$OUT/$name.txt"; then
+    echo "    fresh ($secs)"
+  else
     STALE+=("$name")
   fi
 }
@@ -94,22 +131,10 @@ run() {
 sweep() { run "$@" ${JOBS[@]+"${JOBS[@]}"}; }
 opted() { case "$OPT_IN " in *" $1 "*) return 0 ;; *) return 1 ;; esac; }
 
-sweep fig3a_c3831 fig3_flaps --bug c3831 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
-sweep fig3b_c3881 fig3_flaps --bug c3881 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
-sweep fig3c_c5456 fig3_flaps --bug c5456 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
-sweep fig1_testtime fig1_testtime
-sweep tbl_memo_vs_replay tbl_memo_vs_replay
-sweep tbl_colocation_limit tbl_colocation_limit
-sweep tbl_complexity tbl_complexity
-run tbl_bugstudy tbl_bugstudy
-run tbl_finder tbl_finder
-sweep tbl_memory tbl_memory
-run tbl_statespace tbl_statespace
-sweep tbl_fix_ablation tbl_fix_ablation
-sweep tbl_baselines tbl_baselines
-sweep ext_hdfs ext_hdfs
-sweep fig_c6127 fig3_flaps --bug c6127 ${FIG3_SCALES[@]+"${FIG3_SCALES[@]}"}
-sweep tbl_faults tbl_faults ${FAULT_INTENSITIES[@]+"${FAULT_INTENSITIES[@]}"}
+while read -r name kind args; do
+  # shellcheck disable=SC2086 # the arguments are words by construction
+  "$kind" "$name" $args
+done < <(default_steps)
 # The opt-in steps (see the header) write tracked artifacts at the repo
 # root; results/ only gets their stdout transcript.
 if opted --diverge; then
@@ -134,10 +159,6 @@ if opted --explore; then
     --table-out TBL_explore.txt
 fi
 if [ -n "$CHECK" ]; then
-  if [ "$WANTED" != , ]; then
-    echo "--check: no such default step: ${WANTED//,/ }" >&2
-    exit 2
-  fi
   echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts at the repo root"
 fi
 if [ ${#FAILED[@]} -gt 0 ] || [ ${#STALE[@]} -gt 0 ]; then

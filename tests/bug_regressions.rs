@@ -14,30 +14,26 @@
 //! budget) with a proportionally smaller colocation box, which moves
 //! the divergence knee down without changing the mechanism.
 
-use scalecheck::{memoize, replay, run_colo, run_real};
+use scalecheck::Triple;
 use scalecheck_cluster::ScenarioConfig;
+use scalecheck_explore::{FlapTriple, VerdictParams};
 
-/// Cores on the (deliberately small) colocation box: contention at
-/// these scales mirrors the paper's 16-core box at 128+ nodes.
-const CORES: usize = 2;
-
-/// SC+PIL must reproduce Real's flap count within this absolute slack
-/// (paper: "SC+PIL reproduces results of real-scale testing").
-const TOLERANCE: u64 = 3;
-
+/// Three runs (the memoization run is the Colo run), classified by the
+/// one shape definition, on [`VerdictParams`]' default box: 2 cores,
+/// so contention at these scales mirrors the paper's 16-core box at
+/// 128+ nodes, and an absolute flap slack of 3.
 fn assert_paper_shape(bug: &str, cfg: &ScenarioConfig) {
-    let real = run_real(cfg).total_flaps;
-    let colo = run_colo(cfg, CORES).total_flaps;
-    let memo = memoize(cfg, CORES);
-    let pil = replay(cfg, CORES, &memo).total_flaps;
-
+    let params = VerdictParams::default();
+    let flaps = FlapTriple::from(&Triple::run(cfg, params.cores));
+    let shape = flaps.shape(params.tolerance);
     assert!(
-        colo > real + TOLERANCE,
-        "{bug}: Colo must diverge from Real (colo={colo}, real={real})"
+        shape.colo_diverges,
+        "{bug}: Colo must diverge from Real ({flaps:?})"
     );
     assert!(
-        pil.abs_diff(real) <= TOLERANCE,
-        "{bug}: SC+PIL must track Real within {TOLERANCE} (pil={pil}, real={real}, colo={colo})"
+        shape.pil_tracks,
+        "{bug}: SC+PIL must track Real within {} ({flaps:?})",
+        params.tolerance
     );
 }
 

@@ -230,10 +230,9 @@ fn replay_with_truncated_db_falls_back_and_completes() {
         assert!(damaged.remove(*f, *d));
     }
 
-    let mut rcfg = cfg
+    let rcfg = cfg
         .clone()
         .with_mode(RunMode::PilReplay { cores: COLO_CORES });
-    rcfg.order_enforcement = true;
     let (r, _, _) =
         scalecheck_cluster::run_scenario_with_db(&rcfg, Some(damaged), Some(memo.order.clone()));
     assert!(r.quiesced, "replay must not wedge on missing records");

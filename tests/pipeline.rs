@@ -6,7 +6,7 @@
 //! calibration; here we shrink the cluster and inflate the per-op cost
 //! so the same starvation mechanism fires at N≈32 in seconds.
 
-use scalecheck::{memoize, replay, run_colo, run_real, COLO_CORES};
+use scalecheck::{memoize, replay, run_colo, run_real, Triple, COLO_CORES};
 use scalecheck_cluster::{CalcVersion, PendingWire, RunMode, ScenarioConfig, Workload};
 use scalecheck_memo::MemoDb;
 use scalecheck_sim::SimDuration;
@@ -42,14 +42,10 @@ fn mini_bug(seed: u64) -> ScenarioConfig {
 
 #[test]
 fn healthy_cluster_no_flaps_in_any_mode() {
-    let cfg = healthy(16, 3);
-    let real = run_real(&cfg);
+    let Triple { real, colo, pil } = Triple::run(&healthy(16, 3), COLO_CORES);
     assert_eq!(real.total_flaps, 0);
     assert!(real.quiesced);
-    let colo = run_colo(&cfg, COLO_CORES);
     assert_eq!(colo.total_flaps, 0);
-    let memo = memoize(&cfg, COLO_CORES);
-    let pil = replay(&cfg, COLO_CORES, &memo);
     assert_eq!(pil.total_flaps, 0);
     assert!(pil.quiesced);
 }
@@ -102,10 +98,9 @@ fn memo_db_survives_persistence_round_trip() {
     let db2: MemoDb<PendingWire> = MemoDb::from_json(&json).expect("deserialize");
     assert_eq!(db2.len(), memo.db.len());
     // Replaying against the reloaded DB behaves identically.
-    let mut rcfg = cfg
+    let rcfg = cfg
         .clone()
         .with_mode(RunMode::PilReplay { cores: COLO_CORES });
-    rcfg.order_enforcement = true;
     let (r1, _, _) = scalecheck_cluster::run_scenario_with_db(
         &rcfg,
         Some(memo.db.clone()),
@@ -162,10 +157,9 @@ fn replay_without_db_degrades_gracefully() {
     // A replay with an empty DB must still complete (everything falls
     // back to genuine execution) and report the misses honestly.
     let cfg = healthy(10, 4);
-    let mut rcfg = cfg
+    let rcfg = cfg
         .clone()
         .with_mode(RunMode::PilReplay { cores: COLO_CORES });
-    rcfg.order_enforcement = false;
     let (r, _, _) = scalecheck_cluster::run_scenario_with_db(&rcfg, Some(MemoDb::new()), None);
     assert!(r.quiesced);
     assert!(r.memo.misses > 0);

@@ -19,8 +19,8 @@
 //! (bucket 0's upper bound) to `LogHistogram`'s exact `0 ns` — the only
 //! field that differed (CHANGES.md, PR 14).
 
-use scalecheck::{content_digest, run_colo, run_real, time_dilated};
-use scalecheck_cluster::{FaultPlan, RunReport, ScenarioConfig};
+use scalecheck::{content_digest, memoize, run_colo, run_real, time_dilated};
+use scalecheck_cluster::{FaultPlan, RunReport, ScenarioConfig, TrafficConfig};
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
 use scalecheck_sim::SimTime;
 
@@ -120,6 +120,72 @@ fn c5456_32_traced_real_report_is_pinned() {
         true,
         "206912839e5316c15c34850eed9960f9",
     );
+}
+
+/// Figure 2 step d is not a fourth deployment: the memoization run is
+/// the basic-colocation run with recording switched on, and recording
+/// (the memo database, the order log) is something the simulation never
+/// reads back. Every (Real, Colo, SC+PIL) triple in the repo takes its
+/// Colo column from the memoization run on the strength of this test:
+/// over the six presets, a traced cell, a coupled-traffic cell, a fault
+/// storm and a schedule-probed cell, the two reports may differ in
+/// `memo.recorded` / `memo.duplicate_inputs` and nowhere else — spans,
+/// request-log digest, fire log and tags included.
+#[test]
+fn memoization_run_is_the_colo_run() {
+    let preset = |bug: &str, n, cores| {
+        let cfg = scalecheck_explore::scenario_for(bug, n, 1).expect("known preset");
+        (format!("{bug}({n})/{cores}"), cfg, cores)
+    };
+    let variant = |name: &str, edit: &dyn Fn(&mut ScenarioConfig)| {
+        let mut cfg = ScenarioConfig::c3831(24, 1);
+        edit(&mut cfg);
+        (format!("c3831(24)/2 {name}"), cfg, 2)
+    };
+    let cells = [
+        preset("baseline", 24, 16),
+        preset("c3831", 64, 1),
+        preset("c3881", 24, 2),
+        preset("c5456", 24, 2),
+        preset("c6127", 24, 2),
+        preset("race", 20, 2),
+        variant("traced", &|c| {
+            c.trace = scalecheck_obs::TraceConfig::enabled()
+        }),
+        variant("open loop", &|c| {
+            c.traffic = TrafficConfig::open_loop(100_000)
+        }),
+        variant("storm", &|c| c.faults = FaultPlan::storm(1, 24, 0.6)),
+        variant("probed", &|c| c.record_schedule = true),
+    ];
+    let (mut flapped, mut exercised) = (0, [false; 4]);
+    for (name, cfg, cores) in &cells {
+        let colo = run_colo(cfg, *cores);
+        let mut memo = memoize(cfg, *cores).report;
+        assert!(memo.memo.recorded > 0, "{name}: nothing was memoized");
+        assert_eq!(colo.memo.recorded, 0, "{name}: a Colo run records nothing");
+        memo.memo.recorded = colo.memo.recorded;
+        memo.memo.duplicate_inputs = colo.memo.duplicate_inputs;
+        assert_eq!(
+            content_digest(&memo),
+            content_digest(&colo),
+            "{name}: the memoization run is no longer the Colo run \
+             (flaps {} vs {}, fired {} vs {}, sent {} vs {})",
+            memo.total_flaps,
+            colo.total_flaps,
+            memo.engine.fired,
+            colo.engine.fired,
+            memo.messages_sent,
+            colo.messages_sent
+        );
+        flapped += usize::from(colo.total_flaps > 0);
+        exercised[0] |= !colo.obs.spans.is_empty();
+        exercised[1] |= colo.traffic.coupled && colo.traffic.data_sent > 0;
+        exercised[2] |= colo.faults.crashes > 0;
+        exercised[3] |= colo.schedule_probe.is_some_and(|p| !p.fires.is_empty());
+    }
+    assert!(flapped >= 2, "the cells must include flapping runs");
+    assert_eq!(exercised, [true; 4], "spans, traffic, faults, probe");
 }
 
 /// The second system (`hdfslike`) has its own run loop; these digests of

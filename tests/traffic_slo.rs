@@ -156,28 +156,16 @@ fn runner_refuses_to_start_with_an_invalid_config() {
 /// C3831 at 128 nodes under a million open-loop users. Colocated
 /// testing must report an SLO catastrophe (p99.9 inflation / budget
 /// burn) that real-scale deployment does not show, and SC+PIL must
-/// track Real. Runs the three deployment modes end to end — minutes of
-/// wall clock — so it is `#[ignore]`d in the default suite; CI runs it
-/// via `cargo test --release -- --ignored` (see scripts/ci.sh).
+/// track Real. Runs the triple (three simulations) end to end —
+/// minutes of wall clock — so it is `#[ignore]`d in the default suite;
+/// CI runs it via `cargo test --release -- --ignored` (see
+/// scripts/ci.sh).
 #[test]
 #[ignore = "release-mode paper-shape regression: run with --ignored"]
 fn c3831_at_128_shows_the_paper_shape_on_the_slo_axis() {
-    use scalecheck::{run_cell, ExecMode, COLO_CORES};
+    use scalecheck::{Triple, COLO_CORES};
     let cfg = ScenarioConfig::c3831(128, 1).with_traffic(TrafficConfig::open_loop(1_000_000));
-    let real = run_cell(&cfg, ExecMode::Real);
-    let colo = run_cell(&cfg, ExecMode::Colo { cores: COLO_CORES });
-    let pil = run_cell(
-        &cfg,
-        ExecMode::ScPil {
-            cores: COLO_CORES,
-            ordered: false,
-        },
-    );
-    let triple = scalecheck_explore::SloTriple {
-        real: real.traffic.slo_summary(),
-        colo: colo.traffic.slo_summary(),
-        pil: pil.traffic.slo_summary(),
-    };
+    let triple = scalecheck_explore::SloTriple::from(&Triple::run(&cfg, COLO_CORES));
     let v = triple.verdict(&scalecheck_explore::SloParams::default());
     assert!(
         v.colo_diverges,
