@@ -7,7 +7,8 @@
 //!   budget, print the outcome table, and (optionally) write the first
 //!   discovered minimal witness to `--witness-out`. A cell is
 //!   `bug:nodes:seed:target`, bug one of `baseline|c3831|c3881|c5456|
-//!   c6127|race` and target one of `real|colo|scpil`; `race` is the
+//!   c6127|race` and target a deployment name as `run --mode` takes it
+//!   (`real|colo|scpil`, `pil` also naming `scpil`); `race` is the
 //!   tie-heavy preset engineered so interleaving genuinely decides
 //!   convictions.
 //! * **`--smoke`** — pinned cheap cells that the stock engine handles
@@ -21,9 +22,8 @@
 use std::time::Instant;
 
 use crate::cli::{bare, read_file, val, write_file, Args, Command, Failure};
-use scalecheck_explore::{
-    explore_cell, render_table, CellPlan, ExploreOpts, ScheduleWitness, Target,
-};
+use scalecheck::Deployment;
+use scalecheck_explore::{explore_cell, render_table, CellPlan, ExploreOpts, ScheduleWitness};
 
 pub const COMMAND: Command = Command {
     name: "explore",
@@ -49,25 +49,19 @@ pub const COMMAND: Command = Command {
 /// flaky.
 fn smoke_cells() -> Vec<CellPlan> {
     vec![
-        cell("baseline", 8, 1, Target::Real),
-        cell("baseline", 8, 1, Target::Colo),
-        cell("c3831", 16, 1, Target::ScPil),
+        cell("baseline", 8, 1, Deployment::Real),
+        cell("baseline", 8, 1, Deployment::Colo),
+        cell("c3831", 16, 1, Deployment::ScPil),
     ]
 }
 
-fn cell(bug: &str, n_nodes: usize, seed: u64, target: Target) -> CellPlan {
+fn cell(bug: &str, n_nodes: usize, seed: u64, target: Deployment) -> CellPlan {
     CellPlan {
         bug: bug.to_string(),
         n_nodes,
         seed,
         target,
     }
-}
-
-fn parse_target(raw: &str) -> Result<Target, String> {
-    let targets = [Target::Real, Target::Colo, Target::ScPil];
-    let named = targets.into_iter().find(|t| t.name() == raw);
-    named.ok_or_else(|| format!("unknown target '{raw}' (use real|colo|scpil)"))
 }
 
 fn parse_cells(raw: &str) -> Result<Vec<CellPlan>, String> {
@@ -83,7 +77,8 @@ fn parse_cells(raw: &str) -> Result<Vec<CellPlan>, String> {
             let seed: u64 = seed
                 .parse()
                 .map_err(|_| format!("cell '{spec}': bad seed '{seed}'"))?;
-            Ok(cell(bug, n_nodes, seed, parse_target(target)?))
+            let target = Deployment::parse(target, &Deployment::ALL)?;
+            Ok(cell(bug, n_nodes, seed, target))
         })
         .collect()
 }

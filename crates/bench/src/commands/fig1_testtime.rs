@@ -8,7 +8,8 @@
 
 use crate::cli::{val, Args, Command, Failure, JOBS};
 use crate::{jobs, print_row, run_sweep, Cell};
-use scalecheck_cluster::{run_scenario, RunMode, RunReport, ScenarioConfig, Workload};
+use scalecheck::{memoize, replay_ordered, run_colo, run_real};
+use scalecheck_cluster::{RunReport, ScenarioConfig, Workload};
 use scalecheck_sim::SimDuration;
 
 pub const COMMAND: Command = Command {
@@ -47,20 +48,19 @@ fn run(args: &Args) -> Result<(), Failure> {
     let mut cells: Vec<Cell<RunReport>> = Vec::new();
     for &n in &scales {
         let cfg = scenario(n);
-        let real_cfg = cfg.clone().with_mode(RunMode::Real);
+        let (real_cfg, colo_cfg) = (cfg.clone(), cfg.clone());
         cells.push(Cell::new(format!("fig1 N={n} Real"), move || {
-            run_scenario(&real_cfg)
+            run_real(&real_cfg)
         }));
-        let colo_cfg = cfg.clone().with_mode(RunMode::Colo { cores: 1 });
         cells.push(Cell::new(format!("fig1 N={n} Colo(1)"), move || {
-            run_scenario(&colo_cfg)
+            run_colo(&colo_cfg, 1)
         }));
         cells.push(Cell::new(format!("fig1 N={n} PIL(1)"), move || {
             // Memoize (on 16 cores to keep the one-time cost sane),
             // then PIL-replay on the 1-core box: the PIL sleeps do
             // not occupy the core, so the replay tracks Real.
-            let memo = scalecheck::memoize(&cfg, 16);
-            scalecheck::replay_ordered(&cfg, 1, &memo)
+            let memo = memoize(&cfg, 16);
+            replay_ordered(&cfg, 1, &memo)
         }));
     }
     let out = run_sweep(cells, jobs);

@@ -21,8 +21,8 @@ fn run(args: &Args) -> Result<(), Failure> {
     let db_path = args.value("--db").unwrap_or("memo.json");
     let db: MemoDb<PendingWire> = MemoDb::load(Path::new(db_path))
         .map_err(|e| Failure::Failed(format!("cannot load {db_path}: {e}")))?;
-    let rcfg = cfg.with_mode(RunMode::PilReplay { cores: COLO_CORES });
-    let (report, _, _) = run_scenario_with_db(&rcfg, Some(db), None);
+    let mode = RunMode::PilReplay { cores: COLO_CORES };
+    let (report, _, _) = run_scenario_with_db(&cfg, mode, Some(db), None);
     print_report(bug, n, "replay", &report);
     Ok(())
 }

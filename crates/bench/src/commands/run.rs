@@ -1,4 +1,5 @@
-//! Diagnostic: run one scenario in one mode and dump the full report.
+//! Diagnostic: run one scenario under one deployment and dump the full
+//! report.
 //!
 //! With `--trace-out PATH` the run records a full observability trace
 //! and writes it as Chrome `trace_event` JSON (load it in Perfetto or
@@ -7,8 +8,7 @@
 //! summary; `diverge` compares two such files.
 
 use crate::cli::{val, write_file, Args, Command, Failure, Flag, BUG, SEED};
-use crate::{parse_modes, MODE_NAMES};
-use scalecheck::run_cell;
+use scalecheck::Deployment;
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
 pub const NODES: Flag = val("--nodes", "N", "cluster size (default 64)");
@@ -19,7 +19,7 @@ pub const COMMAND: Command = Command {
     flags: &[
         BUG,
         NODES,
-        val("--mode", "MODE", "real|colo|pil (default real)"),
+        val("--mode", "MODE", "real|colo|scpil (default real)"),
         SEED,
         val("--trace-out", "PATH", "trace the run; write Chrome JSON"),
     ],
@@ -42,16 +42,14 @@ fn run(args: &Args) -> Result<(), Failure> {
     if trace_out.is_some() {
         cfg.trace = scalecheck_obs::TraceConfig::enabled();
     }
-    let [exec_mode] = parse_modes(mode, &MODE_NAMES).map_err(Failure::Usage)?[..] else {
-        return Err(Failure::Usage("--mode takes one mode".into()));
-    };
+    let deployment = Deployment::parse(mode, &Deployment::ALL).map_err(Failure::Usage)?;
 
-    let r = run_cell(&cfg, exec_mode);
+    let r = deployment.run(&cfg);
     print_report(bug, n, mode, &r);
 
     if let Some(path) = trace_out {
         let mut trace = r.obs;
-        trace.meta.label = format!("{bug}@{n} {}", exec_mode.label());
+        trace.meta.label = format!("{bug}@{n} {}", deployment.label());
         write_file(path, scalecheck_obs::to_chrome_json(&trace))?;
         println!(
             "trace: {} spans, {} instants, {} counter samples -> {path}",

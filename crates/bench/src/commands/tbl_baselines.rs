@@ -14,9 +14,8 @@
 
 use crate::cli::{val, Args, Command, Failure, JOBS};
 use crate::{jobs, print_row, run_sweep, triple_cells, Cell};
-use scalecheck::baselines::time_dilated;
-use scalecheck::{extrapolate_power_law, COLO_CORES};
-use scalecheck_cluster::{run_scenario, RunReport, ScenarioConfig};
+use scalecheck::{extrapolate_power_law, run_real, time_dilated};
+use scalecheck_cluster::{RunReport, ScenarioConfig};
 
 pub const COMMAND: Command = Command {
     name: "tbl_baselines",
@@ -46,15 +45,15 @@ fn run(args: &Args) -> Result<(), Failure> {
     for &n in &TRAIN_SCALES {
         let cfg = bug(n);
         cells.push(Cell::new(format!("baselines mini N={n}"), move || {
-            vec![scalecheck::run_real(&cfg)]
+            vec![run_real(&cfg)]
         }));
     }
     let cfg = bug(target);
     cells.extend(triple_cells(&format!("baselines N={target}"), &cfg));
-    let dilated = time_dilated(&cfg, COLO_CORES, tdf);
+    let dilated = time_dilated(&cfg, tdf);
     cells.push(Cell::new(
         format!("baselines diecast tdf={tdf} N={target}"),
-        move || vec![run_scenario(&dilated)],
+        move || vec![run_real(&dilated)],
     ));
     let mut out = run_sweep(cells, jobs).into_iter().flatten();
 

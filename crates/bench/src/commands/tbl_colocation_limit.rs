@@ -17,8 +17,8 @@
 //!   that systems are not built scale-checkable.
 
 use crate::cli::{val, Args, Command, Failure, JOBS};
-use crate::{cell, jobs, print_row, run_sweep};
-use scalecheck::{Bottleneck, BottleneckThresholds, ExecMode, COLO_CORES};
+use crate::{jobs, print_row, run_sweep, Cell};
+use scalecheck::{memoize, Bottleneck, BottleneckThresholds, COLO_CORES};
 use scalecheck_cluster::{CalcVersion, ScenarioConfig, Workload};
 use scalecheck_sim::SimDuration;
 
@@ -73,14 +73,11 @@ fn run(args: &Args) -> Result<(), Failure> {
     let mut cells = Vec::new();
     for (_, scale_checkable) in CONFIGS {
         for &n in &factors {
-            cells.push(cell(
-                format!(
-                    "t-colo-limit {} N={n}",
-                    if scale_checkable { "S6" } else { "naive" }
-                ),
-                scenario(n, scale_checkable),
-                ExecMode::Memo { cores: COLO_CORES },
-            ));
+            let cfg = scenario(n, scale_checkable);
+            let config = if scale_checkable { "S6" } else { "naive" };
+            cells.push(Cell::new(format!("t-colo-limit {config} N={n}"), move || {
+                memoize(&cfg, COLO_CORES).report
+            }));
         }
     }
     let out = run_sweep(cells, jobs);

@@ -13,7 +13,8 @@
 //!   removes the inflation: no category should exceed tolerance.
 
 use crate::cli::{val, write_file, Args, Command, Failure, BUG, JOBS, SEED};
-use crate::{jobs, run_triples, MODES};
+use crate::{jobs, run_triples};
+use scalecheck::Deployment;
 use scalecheck_cluster::ScenarioConfig;
 use scalecheck_obs::Trace;
 
@@ -42,21 +43,19 @@ fn run(args: &Args) -> Result<(), Failure> {
 
     let point = (format!("diverge {bug} N={n}"), cfg);
     let triple = run_triples(vec![point], jobs).pop().expect("one point");
-    let out = [&triple.real, &triple.colo, &triple.pil];
 
-    let mut traces: Vec<Trace> = Vec::new();
-    for (r, mode) in out.iter().zip(&MODES) {
-        let mut t = r.obs.clone();
-        t.meta.label = format!("{bug}@{n} {}", mode.label());
-        traces.push(t);
-    }
-    let (real, colo, scpil) = (&traces[0], &traces[1], &traces[2]);
+    let traces = Deployment::ALL.map(|d| {
+        let mut t = triple.get(d).obs.clone();
+        t.meta.label = format!("{bug}@{n} {}", d.label());
+        t
+    });
+    let [real, colo, scpil]: &[Trace; 3] = &traces;
 
     if let Some(dir) = args.value("--trace-dir") {
         std::fs::create_dir_all(dir)
             .map_err(|e| Failure::Failed(format!("cannot create {dir}: {e}")))?;
-        for (t, mode) in traces.iter().zip(&MODES) {
-            let path = format!("{dir}/{bug}_{n}_{}.json", mode.label().to_lowercase());
+        for (t, d) in traces.iter().zip(Deployment::ALL) {
+            let path = format!("{dir}/{bug}_{n}_{}.json", d.label().to_lowercase());
             write_file(&path, scalecheck_obs::to_chrome_json(t))?;
             eprintln!("[tbl_diverge] wrote {path}");
         }
@@ -69,11 +68,12 @@ fn run(args: &Args) -> Result<(), Failure> {
     text.push_str(&format!(
         "Divergence diagnosis: {bug} N={n} seed={seed} (§6 colocation distortion)\n"
     ));
-    for (r, mode) in out.iter().zip(&MODES) {
+    for d in Deployment::ALL {
+        let r = triple.get(d);
         let e = &r.engine;
         text.push_str(&format!(
             "  {:<7} duration={:>6.0}s flaps={:<6} engine: scheduled={} fired={} cancelled={}\n",
-            mode.label(),
+            d.label(),
             r.duration.as_secs_f64(),
             r.total_flaps,
             e.scheduled,

@@ -8,9 +8,9 @@
 //! order enforcement.
 
 use crate::cli::{val, Args, Command, Failure, JOBS};
-use crate::{cell, jobs, print_row, run_sweep};
-use scalecheck::{ExecMode, COLO_CORES};
-use scalecheck_cluster::{CalcVersion, LockingMode, ScenarioConfig};
+use crate::{jobs, print_row, run_sweep, Cell};
+use scalecheck::{memoize, replay, replay_ordered, run_real, COLO_CORES};
+use scalecheck_cluster::{CalcVersion, LockingMode, RunReport, ScenarioConfig};
 use scalecheck_sim::{ps_completions, SimDuration, SimTime};
 
 pub const COMMAND: Command = Command {
@@ -27,44 +27,37 @@ fn run(args: &Args) -> Result<(), Failure> {
 
     let scenario = |bug: &str| ScenarioConfig::bug(bug, n, seed).expect("a bug of `rows`");
 
-    // Buggy/fixed pairs, each a Real-deployment cell; then the two
-    // order-enforcement ablation replays.
+    // Buggy/fixed pairs, each a Real-deployment cell; then one cell
+    // that memoizes c3831 once and replays it with and without order
+    // enforcement.
     let rows: [(&str, &str, &str); 3] = [
         ("c3831", "v1-cubic", "v2-quadratic"),
         ("c3881", "v2+vnodes", "v3-vnode-aware"),
         ("c5456", "coarse-lock", "snapshot"),
     ];
-    let mut cells = Vec::new();
+    let mut cells: Vec<Cell<Vec<RunReport>>> = Vec::new();
     for (bug, _, _) in rows {
         let cfg = scenario(bug);
-        cells.push(cell(
-            format!("ablation {bug} buggy"),
-            cfg.clone(),
-            ExecMode::Real,
-        ));
-        let mut fixed_cfg = cfg;
+        let mut fixed_cfg = cfg.clone();
         match bug {
             "c3831" => fixed_cfg.calculator = CalcVersion::V2Quadratic,
             "c3881" => fixed_cfg.calculator = CalcVersion::V3VnodeAware,
             _ => fixed_cfg.locking = LockingMode::SnapshotThread,
         }
-        cells.push(cell(
-            format!("ablation {bug} fixed"),
-            fixed_cfg,
-            ExecMode::Real,
-        ));
+        cells.push(Cell::new(format!("ablation {bug} buggy"), move || {
+            vec![run_real(&cfg)]
+        }));
+        cells.push(Cell::new(format!("ablation {bug} fixed"), move || {
+            vec![run_real(&fixed_cfg)]
+        }));
     }
-    for ordered in [true, false] {
-        cells.push(cell(
-            format!("ablation c3831 replay ordered={ordered}"),
-            scenario("c3831"),
-            ExecMode::ScPil {
-                cores: COLO_CORES,
-                ordered,
-            },
-        ));
-    }
-    let out = run_sweep(cells, jobs);
+    let cfg = scenario("c3831");
+    cells.push(Cell::new("ablation c3831 replay ordered, unordered", move || {
+        let memo = memoize(&cfg, COLO_CORES);
+        let ordered = replay_ordered(&cfg, COLO_CORES, &memo);
+        vec![ordered, replay(&cfg, COLO_CORES, &memo)]
+    }));
+    let out: Vec<RunReport> = run_sweep(cells, jobs).into_iter().flatten().collect();
 
     println!("Fix ablation at N={n}: buggy vs fixed implementation (Real deployment)\n");
     print_row(&["bug", "buggy", "flaps", "fixed", "flaps"], 18);

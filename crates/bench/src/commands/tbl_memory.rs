@@ -9,10 +9,8 @@
 
 use crate::cli::{Args, Command, Failure, JOBS};
 use crate::{jobs, print_row, run_sweep, Cell};
-use scalecheck::colocation_memory_demand;
-use scalecheck_cluster::{
-    run_scenario, AllocStrategy, RunMode, RunReport, ScenarioConfig, Workload,
-};
+use scalecheck::{colocation_memory_demand, run_colo, COLO_CORES};
+use scalecheck_cluster::{AllocStrategy, RunReport, ScenarioConfig, Workload};
 use scalecheck_sim::SimDuration;
 
 pub const COMMAND: Command = Command {
@@ -42,7 +40,7 @@ fn rebalance_cfg(n: usize, strategy: AllocStrategy) -> ScenarioConfig {
     cfg.max_duration = SimDuration::from_secs(600);
     cfg.memory.rebalance_alloc = Some(strategy);
     cfg.memory.single_process = true;
-    cfg.with_mode(RunMode::Colo { cores: 16 })
+    cfg
 }
 
 fn run(args: &Args) -> Result<(), Failure> {
@@ -55,7 +53,7 @@ fn run(args: &Args) -> Result<(), Failure> {
             let cfg = rebalance_cfg(n, strategy);
             cells.push(Cell::new(
                 format!("t-memory N={n} {strategy:?}"),
-                move || run_scenario(&cfg),
+                move || run_colo(&cfg, COLO_CORES),
             ));
         }
     }

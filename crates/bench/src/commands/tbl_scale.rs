@@ -23,8 +23,8 @@
 use std::time::Instant;
 
 use crate::cli::{bare, read_file, val, write_file, Args, Command, Failure, JOBS, SEED};
-use crate::{fmt_row, jobs, parse_modes, run_sweep, validate_doc, Cell, Field, MODES, MODE_NAMES};
-use scalecheck::{run_cell, ExecMode};
+use crate::{fmt_row, jobs, run_sweep, validate_doc, Cell, Field};
+use scalecheck::Deployment;
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
 pub const COMMAND: Command = Command {
@@ -82,10 +82,10 @@ fn scale_scenario(n: usize, seed: u64) -> ScenarioConfig {
 }
 
 /// Runs one `(n, mode)` point of the scale scenario under the clock.
-fn timed_run(n: usize, seed: u64, mode: ExecMode) -> TimedReport {
+fn timed_run(n: usize, seed: u64, mode: Deployment) -> TimedReport {
     let cfg = scale_scenario(n, seed);
     let t0 = Instant::now();
-    let report = run_cell(&cfg, mode);
+    let report = mode.run(&cfg);
     TimedReport {
         wall_secs: t0.elapsed().as_secs_f64(),
         report,
@@ -184,7 +184,7 @@ fn smoke(seed: u64, budget_secs: f64) -> Result<(), Failure> {
     let fail = |msg: String| Err(Failure::Failed(format!("[smoke] FAIL: {msg}")));
     // One 1024-node SC+PIL cell: the point is to measure this machine.
     let n = 1024;
-    let mode = MODES[2];
+    let mode = Deployment::ScPil;
     eprintln!("[smoke] running N={n} {} ...", mode.label());
     let timed = timed_run(n, seed, mode);
     let doc = serde_json::json!({
@@ -250,7 +250,7 @@ fn run(args: &Args) -> Result<(), Failure> {
     let table_out = args.value("--table-out").unwrap_or("TBL_scale.txt");
     let budget_secs: f64 = args.get("--budget-secs")?.unwrap_or(600.0);
     let modes = args.value("--modes").unwrap_or("colo,scpil");
-    let modes = parse_modes(modes, &MODE_NAMES[1..]).map_err(Failure::Usage)?;
+    let modes = Deployment::parse_list(modes, &Deployment::ALL[1..]).map_err(Failure::Usage)?;
     if args.has("--smoke") {
         return smoke(seed, budget_secs);
     }

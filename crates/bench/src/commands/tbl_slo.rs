@@ -25,10 +25,9 @@ use std::time::Instant;
 
 use crate::cli::{bare, val, write_file, Args, Command, Failure, JOBS, SEED};
 use crate::{
-    fmt_row, jobs, parse_modes, run_sweep, triple_cells, validate_doc, validate_fields, Cell,
-    Field, MODES, MODE_NAMES,
+    fmt_row, jobs, run_sweep, triple_cells, validate_doc, validate_fields, Cell, Field,
 };
-use scalecheck::{run_cell, ExecMode};
+use scalecheck::Deployment;
 use scalecheck_cluster::{RunReport, ScenarioConfig, SloSummary, TrafficConfig};
 use scalecheck_explore::{SloParams, SloTriple, SloVerdict};
 
@@ -149,27 +148,27 @@ fn validate(doc: &serde_json::Value) -> Result<(), String> {
     Ok(())
 }
 
-/// One `(bug, n)` group with its three per-mode summaries.
+/// One `(bug, n)` group with its per-deployment reports.
 struct Point {
     bug: String,
     n: usize,
-    rows: Vec<(&'static str, RunReport)>,
+    rows: Vec<(Deployment, RunReport)>,
 }
 
 impl Point {
-    fn summary(&self, label: &str) -> Option<SloSummary> {
+    fn summary(&self, deployment: Deployment) -> Option<SloSummary> {
         self.rows
             .iter()
-            .find(|(l, _)| *l == label)
+            .find(|(d, _)| *d == deployment)
             .map(|(_, r)| r.traffic.slo_summary())
     }
 
     /// The SLO triple, present only when all three deployments ran.
     fn triple(&self) -> Option<SloTriple> {
         Some(SloTriple {
-            real: self.summary("Real")?,
-            colo: self.summary("Colo")?,
-            pil: self.summary("SC+PIL")?,
+            real: self.summary(Deployment::Real)?,
+            colo: self.summary(Deployment::Colo)?,
+            pil: self.summary(Deployment::ScPil)?,
         })
     }
 }
@@ -213,12 +212,12 @@ fn render_table(seed: u64, users: u64, points: &[Point], params: &SloParams) -> 
     ];
     let _ = writeln!(out, "{}", fmt_row(&header, 8, " "));
     for p in points {
-        for (label, r) in &p.rows {
+        for (d, r) in &p.rows {
             let s = r.traffic.slo_summary();
             let cells = [
                 p.bug.clone(),
                 p.n.to_string(),
-                label.to_string(),
+                d.label().to_string(),
                 r.total_flaps.to_string(),
                 format!("{:.2}", ms(s.p50_ns)),
                 format!("{:.2}", ms(s.p99_ns)),
@@ -275,14 +274,14 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> Result<(), Failure> {
     let cfg = slo_scenario(bug, n, seed, users)?;
     let t0 = Instant::now();
     let mut reports = Vec::new();
-    for mode in [MODES[0], MODES[1]] {
-        eprintln!("[smoke] running {bug} N={n} {} ...", mode.label());
-        reports.push((mode, run_cell(&cfg, mode)));
+    for d in [Deployment::Real, Deployment::Colo] {
+        eprintln!("[smoke] running {bug} N={n} {} ...", d.label());
+        reports.push((d, d.run(&cfg)));
     }
     let wall = t0.elapsed().as_secs_f64();
     let rows: Vec<serde_json::Value> = reports
         .iter()
-        .map(|(mode, r)| row_json(bug, n, mode.label(), r))
+        .map(|(d, r)| row_json(bug, n, d.label(), r))
         .collect();
     let verdicts: Vec<serde_json::Value> = Vec::new();
     let doc = serde_json::json!({
@@ -328,7 +327,7 @@ fn smoke(seed: u64, users: u64, budget_secs: f64) -> Result<(), Failure> {
             ms(triple.colo.p999_ns),
         ));
     }
-    if run_cell(&cfg, MODES[1]).traffic != colo.traffic {
+    if Deployment::Colo.run(&cfg).traffic != colo.traffic {
         return fail("traffic report not reproducible across reruns".into());
     }
     if wall > budget_secs {
@@ -354,15 +353,15 @@ fn run(args: &Args) -> Result<(), Failure> {
     let table_out = args.value("--table-out").unwrap_or("TBL_slo.txt");
     let budget_secs: f64 = args.get("--budget-secs")?.unwrap_or(120.0);
     let modes = args.value("--modes").unwrap_or("real,colo,scpil");
-    let modes = parse_modes(modes, &MODE_NAMES).map_err(Failure::Usage)?;
+    let modes = Deployment::parse_list(modes, &Deployment::ALL).map_err(Failure::Usage)?;
     if args.has("--smoke") {
         return smoke(seed, users, budget_secs);
     }
     // The deployments to run per point, in column order. With both Colo
     // and SC+PIL asked for, one memoize → replay cell yields the pair:
     // the memoization run is the Colo run.
-    let ran: Vec<ExecMode> = MODES.into_iter().filter(|m| modes.contains(m)).collect();
-    let paired = ran.contains(&MODES[1]) && ran.contains(&MODES[2]);
+    let ran: Vec<Deployment> = Deployment::ALL.into_iter().filter(|d| modes.contains(d)).collect();
+    let paired = ran.contains(&Deployment::Colo) && ran.contains(&Deployment::ScPil);
     let mut cells = Vec::new();
     for bug in &bugs {
         for &n in &scales {
@@ -370,13 +369,13 @@ fn run(args: &Args) -> Result<(), Failure> {
             let label = format!("slo {bug} N={n}");
             if paired {
                 let [real, pair] = triple_cells(&label, &cfg);
-                cells.extend(ran.contains(&MODES[0]).then_some(real));
+                cells.extend(ran.contains(&Deployment::Real).then_some(real));
                 cells.push(pair);
             } else {
-                for &mode in &ran {
+                for &d in &ran {
                     let cfg = cfg.clone();
-                    cells.push(Cell::new(format!("{label} {}", mode.label()), move || {
-                        vec![run_cell(&cfg, mode)]
+                    cells.push(Cell::new(format!("{label} {}", d.label()), move || {
+                        vec![d.run(&cfg)]
                     }));
                 }
             }
@@ -387,9 +386,9 @@ fn run(args: &Args) -> Result<(), Failure> {
     let mut points: Vec<Point> = Vec::new();
     for bug in &bugs {
         for &n in &scales {
-            let got: Vec<(ExecMode, RunReport)> = ran.iter().copied().zip(&mut out).collect();
-            let report = |mode| &got.iter().find(|(m, _)| m == mode).expect("mode ran").1;
-            let rows = modes.iter().map(|m| (m.label(), report(m).clone())).collect();
+            let got: Vec<(Deployment, RunReport)> = ran.iter().copied().zip(&mut out).collect();
+            let report = |d| &got.iter().find(|(m, _)| *m == d).expect("deployment ran").1;
+            let rows = modes.iter().map(|&d| (d, report(d).clone())).collect();
             points.push(Point {
                 bug: bug.clone(),
                 n,
@@ -407,7 +406,7 @@ fn run(args: &Args) -> Result<(), Failure> {
         .flat_map(|p| {
             p.rows
                 .iter()
-                .map(|(label, r)| row_json(&p.bug, p.n, label, r))
+                .map(|(d, r)| row_json(&p.bug, p.n, d.label(), r))
         })
         .collect();
     let verdicts: Vec<serde_json::Value> = points

@@ -12,43 +12,9 @@ pub mod cli;
 pub mod commands;
 pub mod sweep;
 
-use scalecheck::{ExecMode, COLO_CORES};
 use serde_json::Value;
 
-pub use sweep::{cell, jobs, run_sweep, run_triples, triple_cells, Cell};
-
-/// The three deployments the paper compares, in column order, and the
-/// names `--modes` knows them by.
-pub const MODES: [ExecMode; 3] = [
-    ExecMode::Real,
-    ExecMode::Colo { cores: COLO_CORES },
-    ExecMode::ScPil {
-        cores: COLO_CORES,
-        ordered: false,
-    },
-];
-pub const MODE_NAMES: [&str; 3] = ["real", "colo", "scpil"];
-
-/// Parses a `--modes` selector: a comma-separated subset of `allowed`
-/// (drawn from [`MODE_NAMES`]; `pil` and `sc+pil` also name `scpil`),
-/// swept in the order given.
-pub fn parse_modes(spec: &str, allowed: &[&str]) -> Result<Vec<ExecMode>, String> {
-    spec.split(',')
-        .map(|m| {
-            let lower = m.trim().to_ascii_lowercase();
-            let name = match lower.as_str() {
-                "sc+pil" | "pil" => "scpil",
-                other => other,
-            };
-            let known = MODE_NAMES.iter().position(|k| *k == name);
-            let mode = known.filter(|_| allowed.contains(&name)).map(|i| MODES[i]);
-            mode.ok_or_else(|| {
-                let expected = allowed.join(", ");
-                format!("unknown mode '{name}' (expected one of {expected})")
-            })
-        })
-        .collect()
-}
+pub use sweep::{jobs, run_sweep, run_triples, triple_cells, Cell};
 
 /// The JSON type a required BENCH-document field must hold.
 #[derive(Clone, Copy, Debug)]
@@ -127,17 +93,6 @@ pub fn print_row<S: AsRef<str>>(cells: &[S], width: usize) {
 mod tests {
     use super::*;
     use serde_json::json;
-
-    #[test]
-    fn modes_parse_in_order_within_the_allowed_set() {
-        assert_eq!(
-            parse_modes("SC+PIL, real", &MODE_NAMES),
-            Ok(vec![MODES[2], ExecMode::Real])
-        );
-        assert_eq!(parse_modes("pil", &MODE_NAMES), Ok(vec![MODES[2]]));
-        let err = parse_modes("colo,real", &["colo", "scpil"]).unwrap_err();
-        assert!(err.contains("unknown mode 'real'") && err.contains("colo, scpil"));
-    }
 
     #[test]
     fn doc_validator_names_the_first_violation() {

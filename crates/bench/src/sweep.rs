@@ -1,7 +1,7 @@
 //! The shared parallel sweep harness.
 //!
 //! Every figure/table command decomposes its work into independent
-//! [`Cell`]s — one `(scenario, mode)` experiment each, or the two cells
+//! [`Cell`]s — one scenario under one deployment each, or the two cells
 //! of a (Real, Colo, SC+PIL) point ([`triple_cells`]) — and hands them
 //! to [`run_sweep`], which executes every one of them, each time, on a
 //! pool of OS threads fed from one shared queue. Two properties hold
@@ -18,7 +18,7 @@ use std::num::NonZeroUsize;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use scalecheck::{run_cell, run_real, scale_check, ExecMode, Triple, COLO_CORES};
+use scalecheck::{run_real, scale_check, Triple, COLO_CORES};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
 /// The sweep's worker-thread count: `--jobs N` if given, else all
@@ -45,12 +45,6 @@ impl<R> Cell<R> {
             run: Box::new(run),
         }
     }
-}
-
-/// Builds the cell that runs `cfg` under `mode` via
-/// [`scalecheck::run_cell`].
-pub fn cell(label: impl Into<String>, cfg: ScenarioConfig, mode: ExecMode) -> Cell<RunReport> {
-    Cell::new(label, move || run_cell(&cfg, mode))
 }
 
 /// The two cells of one (Real, Colo, SC+PIL) point: the Real run, and

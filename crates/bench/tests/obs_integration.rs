@@ -3,9 +3,9 @@
 //! narrative (Colo's calc inflation, SC+PIL's non-inflation).
 
 use proptest::prelude::*;
-use scalecheck::{ExecMode, COLO_CORES};
-use scalecheck_bench::{cell, run_sweep, run_triples};
-use scalecheck_cluster::{RunReport, ScenarioConfig};
+use scalecheck::COLO_CORES;
+use scalecheck_bench::{run_sweep, run_triples, Cell};
+use scalecheck_cluster::{run_scenario, RunMode, RunReport, ScenarioConfig};
 
 fn traced(bug: &str, n: usize, seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::bug(bug, n, seed).expect("known bug id");
@@ -13,11 +13,15 @@ fn traced(bug: &str, n: usize, seed: u64) -> ScenarioConfig {
     cfg
 }
 
-/// Runs the (cfg, mode) cells and returns the reports in order.
-fn sweep(cfg: &ScenarioConfig, modes: &[ExecMode], jobs: usize) -> Vec<RunReport> {
+/// Runs `cfg` once under each mode, as sweep cells, and returns the
+/// reports in order.
+fn sweep(cfg: &ScenarioConfig, modes: &[RunMode], jobs: usize) -> Vec<RunReport> {
     let cells = modes
         .iter()
-        .map(|&mode| cell(format!("obs-it {}", mode.label()), cfg.clone(), mode))
+        .map(|&mode| {
+            let cfg = cfg.clone();
+            Cell::new(format!("obs-it {mode:?}"), move || run_scenario(&cfg, mode))
+        })
         .collect();
     run_sweep(cells, jobs)
 }
@@ -32,7 +36,7 @@ proptest! {
     #[test]
     fn traces_are_byte_identical_across_jobs(seed in 0u64..1_000, jobs in 2usize..5) {
         let cfg = traced("c3831", 16, seed);
-        let modes = [ExecMode::Real, ExecMode::Colo { cores: COLO_CORES }];
+        let modes = [RunMode::Real, RunMode::Colo { cores: COLO_CORES }];
         let serial = sweep(&cfg, &modes, 1);
         let parallel = sweep(&cfg, &modes, jobs);
         for (a, b) in serial.iter().zip(parallel.iter()) {
@@ -54,7 +58,7 @@ proptest! {
 #[test]
 fn chrome_export_of_a_real_run_is_well_formed() {
     let cfg = traced("c3831", 12, 1);
-    let reports = sweep(&cfg, &[ExecMode::Colo { cores: COLO_CORES }], 1);
+    let reports = sweep(&cfg, &[RunMode::Colo { cores: COLO_CORES }], 1);
     let trace = &reports[0].obs;
     let json = scalecheck_obs::to_chrome_json(trace);
     let events = scalecheck_obs::chrome::validate_chrome(&json).expect("well-formed trace");
@@ -74,7 +78,7 @@ fn chrome_export_of_a_real_run_is_well_formed() {
 #[test]
 fn divergence_smoke_attributes_single_core_colo_to_calc() {
     let cfg = traced("c3831", 48, 1);
-    let modes = [ExecMode::Real, ExecMode::Colo { cores: 1 }];
+    let modes = [RunMode::Real, RunMode::Colo { cores: 1 }];
     let reports = sweep(&cfg, &modes, 1);
     let report = scalecheck_obs::diverge(&reports[0].obs, &reports[1].obs);
     let top = report.top().expect("single-core Colo must diverge");

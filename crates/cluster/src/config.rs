@@ -1,12 +1,13 @@
-//! Scenario configuration: which bug, which scale, which deployment.
+//! Scenario configuration: which bug, at which scale.
 //!
-//! A [`ScenarioConfig`] fully determines a cluster run: cluster size and
-//! vnode count, the pending-range calculator version (the bug), how the
-//! calculation is threaded/locked (C5456), the rescale workload, which
-//! of the paper's four runs it is ([`RunMode`]), and the calibration
-//! constants that map counted operations to virtual compute time.
+//! A [`ScenarioConfig`] fixes the system and its workload: cluster size
+//! and vnode count, the pending-range calculator version (the bug), how
+//! the calculation is threaded/locked (C5456), the rescale workload, and
+//! the calibration constants that map counted operations to virtual
+//! compute time. How it is deployed — which of the paper's four runs
+//! ([`scalecheck_memo::RunMode`]) — is an argument of the run, not part
+//! of the scenario: the paper's comparison varies only that.
 
-use scalecheck_memo::RunMode;
 use scalecheck_net::NetworkConfig;
 use scalecheck_sim::{FaultPlan, SimDuration, TieOrderSpec};
 use scalecheck_traffic::{Consistency, TrafficConfig};
@@ -139,9 +140,6 @@ pub struct ScenarioConfig {
     pub workload_end: SimDuration,
     /// Hard cap on run duration (quiescence is detected earlier).
     pub max_duration: SimDuration,
-    /// Which of the paper's four runs this is (Real / Colo / memoize /
-    /// PIL replay).
-    pub mode: RunMode,
     /// How long an out-of-order message may be held for its recorded
     /// turn before being released anyway (bounds divergence damage).
     pub order_hold_timeout: SimDuration,
@@ -209,7 +207,6 @@ impl ScenarioConfig {
             rescale_window: SimDuration::from_secs(25),
             workload_end: SimDuration::from_secs(100),
             max_duration: SimDuration::from_secs(900),
-            mode: RunMode::Real,
             order_hold_timeout: SimDuration::from_secs(2),
             ns_per_op: crate::calibrate::NS_PER_OP_V1,
             msg_base_cost: SimDuration::from_micros(50),
@@ -305,13 +302,6 @@ impl ScenarioConfig {
                 "unknown bug id '{other}' (use c3831|c3881|c5456|c6127)"
             )),
         }
-    }
-
-    /// Switches the scenario to a run mode, leaving the workload
-    /// untouched (the paper's accuracy comparison varies only this).
-    pub fn with_mode(mut self, mode: RunMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Attaches a fault plan, leaving everything else untouched.
@@ -455,8 +445,9 @@ mod tests {
 
     #[test]
     fn with_helpers_only_touch_their_field() {
-        let cfg = ScenarioConfig::c3831(32, 1).with_mode(RunMode::Memoize { cores: 16 });
-        assert_eq!(cfg.mode, RunMode::Memoize { cores: 16 });
+        let open = TrafficConfig::open_loop(1_000);
+        let cfg = ScenarioConfig::c3831(32, 1).with_traffic(open);
+        assert_eq!(cfg.traffic, open);
         assert_eq!(cfg.calculator, CalcVersion::V1Cubic);
     }
 

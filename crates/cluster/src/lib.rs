@@ -12,9 +12,10 @@
 //! * **C6127** — bootstrap-from-scratch exercising the fresh-ring
 //!   quadratic path.
 //!
-//! Each scenario runs as one of the paper's four runs ([`RunMode`]: Real /
-//! Colo / memoize / PIL replay), yielding a [`RunReport`] whose flap
-//! counts are the Figure 3 measurements.
+//! A scenario runs as one of the paper's four runs — the [`RunMode`]
+//! argument of [`run_scenario`]: Real / Colo / memoize / PIL replay —
+//! yielding a [`RunReport`] whose flap counts are the Figure 3
+//! measurements.
 //!
 //! # Examples
 //!
@@ -22,8 +23,8 @@
 //! use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
 //!
 //! // A small healthy cluster decommissioning one node: no flapping.
-//! let cfg = ScenarioConfig::baseline(8, 42).with_mode(RunMode::Real);
-//! let report = run_scenario(&cfg);
+//! let cfg = ScenarioConfig::baseline(8, 42);
+//! let report = run_scenario(&cfg, RunMode::Real);
 //! assert_eq!(report.total_flaps, 0);
 //! assert!(report.quiesced);
 //! ```

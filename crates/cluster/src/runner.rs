@@ -54,6 +54,8 @@ enum StageKind {
 struct ClusterState {
     /// Scenario configuration.
     cfg: ScenarioConfig,
+    /// Which of the paper's four runs this is.
+    mode: RunMode,
     /// All nodes (initial members first, then scale-out joiners).
     nodes: Vec<Node>,
     /// The simulated network.
@@ -160,7 +162,7 @@ impl ClusterState {
 // Setup.
 // ---------------------------------------------------------------------
 
-fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
+fn build(cfg: &ScenarioConfig, mode: RunMode, calc: CalcEngine) -> ClusterState {
     let total = cfg.total_nodes();
     let mut park = MachinePark::new();
     let mut machine_mem = Vec::new();
@@ -170,7 +172,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     } else {
         CtxSwitchModel::commodity()
     };
-    match cfg.mode.colo_cores() {
+    match mode.colo_cores() {
         None => {
             for _ in 0..total {
                 park.add(Machine::new(2, real_cs));
@@ -199,7 +201,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     // datapath sees real deployment's per-node service queueing instead
     // of either the colocated contention or an uncontended sleep.
     let mut pil_request_park = MachinePark::new();
-    if matches!(cfg.mode, RunMode::PilReplay { .. }) {
+    if matches!(mode, RunMode::PilReplay { .. }) {
         for _ in 0..total {
             pil_request_park.add(Machine::new(2, real_cs));
         }
@@ -218,7 +220,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
     let mut ring_lock = Vec::with_capacity(total);
     for i in 0..total {
         let id = NodeId(i as u32);
-        let machine = match cfg.mode {
+        let machine = match mode {
             RunMode::Real => scalecheck_sim::cpu::MachineId(i),
             _ => scalecheck_sim::cpu::MachineId(0),
         };
@@ -353,6 +355,7 @@ fn build(cfg: &ScenarioConfig, calc: CalcEngine) -> ClusterState {
         work_busy: vec![[0, 0, 0]; total],
         busy_sampled: vec![[0, 0, 0]; total],
         cfg: cfg.clone(),
+        mode,
         nodes,
         net,
         park,
@@ -663,7 +666,7 @@ fn compute(
     work: StageKind,
     pil_replaced: bool,
 ) -> SimTime {
-    let pil_mode = matches!(st.cfg.mode, RunMode::PilReplay { .. });
+    let pil_mode = matches!(st.mode, RunMode::PilReplay { .. });
     if pil_mode && pil_replaced {
         now + demand
     } else {
@@ -764,7 +767,7 @@ fn begin_calc_compute(
             .calculate(st.nodes[i].id.0, idx, &ring_view, &changes);
     let done_at = compute(st, now, i, duration, StageKind::Calc, true);
     if scalecheck_obs::enabled() {
-        let pil_mode = matches!(st.cfg.mode, RunMode::PilReplay { .. });
+        let pil_mode = matches!(st.mode, RunMode::PilReplay { .. });
         let name = if pil_mode {
             SpanName::CalcPilSleep
         } else {
@@ -1226,9 +1229,9 @@ fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
     } else {
         scalecheck_traffic::Phase::Post
     };
+    let pil = matches!(st.mode, RunMode::PilReplay { .. });
     {
         let ClusterState {
-            cfg,
             nodes,
             net,
             park,
@@ -1237,7 +1240,6 @@ fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
             traffic,
             ..
         } = st;
-        let pil = matches!(cfg.mode, RunMode::PilReplay { .. });
         let mut fabric = LiveFabric {
             nodes,
             net,
@@ -1477,7 +1479,8 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
 // The run loop.
 // ---------------------------------------------------------------------
 
-/// Runs a scenario to quiescence (or the hard cap) and reports.
+/// Runs a scenario as one of the paper's four runs (`mode`) to
+/// quiescence (or the hard cap) and reports.
 ///
 /// `db` carries a memo database into a replay run; the database the run
 /// ends with (populated by a recording run) is returned alongside the
@@ -1485,6 +1488,7 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
 /// determinism); without one, messages are processed as they arrive.
 pub fn run_scenario_with_db(
     cfg: &ScenarioConfig,
+    mode: RunMode,
     db: Option<scalecheck_memo::MemoDb<PendingWire>>,
     order_log: Option<OrderRecorder>,
 ) -> (
@@ -1495,14 +1499,9 @@ pub fn run_scenario_with_db(
     if let Err(msg) = cfg.validate() {
         panic!("invalid ScenarioConfig: {msg}");
     }
-    let calc = CalcEngine::with_db(
-        cfg.calculator,
-        cfg.ns_per_op,
-        cfg.mode,
-        db.unwrap_or_default(),
-    );
-    let mut state = build(cfg, calc);
-    match cfg.mode {
+    let calc = CalcEngine::with_db(cfg.calculator, cfg.ns_per_op, mode, db.unwrap_or_default());
+    let mut state = build(cfg, mode, calc);
+    match mode {
         RunMode::Memoize { .. } => state.order_rec = Some(OrderRecorder::new()),
         RunMode::PilReplay { .. } => {
             state.order_enf = order_log.map(OrderRecorder::into_enforcer);
@@ -1671,10 +1670,10 @@ pub fn run_scenario_with_db(
     (report, calc.into_db(), order_out)
 }
 
-/// Runs a scenario with no memo database interaction carried across
-/// runs.
-pub fn run_scenario(cfg: &ScenarioConfig) -> RunReport {
-    run_scenario_with_db(cfg, None, None).0
+/// Runs a scenario under `mode` with no memo database interaction
+/// carried across runs.
+pub fn run_scenario(cfg: &ScenarioConfig, mode: RunMode) -> RunReport {
+    run_scenario_with_db(cfg, mode, None, None).0
 }
 
 fn assemble_report(

@@ -39,11 +39,11 @@ fn mini_lock_bug(seed: u64) -> ScenarioConfig {
 
 #[test]
 fn inline_bug_flaps_and_v3_fix_does_not() {
-    let buggy = run_scenario(&mini_inline_bug(1));
+    let buggy = run_scenario(&mini_inline_bug(1), RunMode::Real);
     assert!(buggy.total_flaps > 100, "flaps: {}", buggy.total_flaps);
     let mut fixed = mini_inline_bug(1);
     fixed.calculator = CalcVersion::V3VnodeAware;
-    let ok = run_scenario(&fixed);
+    let ok = run_scenario(&fixed, RunMode::Real);
     assert_eq!(ok.total_flaps, 0);
 }
 
@@ -51,7 +51,7 @@ fn inline_bug_flaps_and_v3_fix_does_not() {
 fn coarse_lock_starves_and_snapshot_fix_does_not() {
     // The C5456 pair: same workload, same calculator cost; only the
     // locking discipline changes.
-    let coarse = run_scenario(&mini_lock_bug(2));
+    let coarse = run_scenario(&mini_lock_bug(2), RunMode::Real);
     assert!(
         coarse.total_flaps > 50,
         "coarse lock must starve gossip: {} flaps",
@@ -59,7 +59,7 @@ fn coarse_lock_starves_and_snapshot_fix_does_not() {
     );
     let mut fixed = mini_lock_bug(2);
     fixed.locking = LockingMode::SnapshotThread;
-    let snap = run_scenario(&fixed);
+    let snap = run_scenario(&fixed, RunMode::Real);
     assert!(
         snap.total_flaps * 10 <= coarse.total_flaps,
         "snapshotting must (mostly) eliminate the starvation: {} vs {}",
@@ -74,7 +74,7 @@ fn bootstrap_from_scratch_exercises_fresh_ring_path() {
     cfg.rescale_window = SimDuration::from_secs(45);
     cfg.workload_end = SimDuration::from_secs(100);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg);
+    let r = run_scenario(&cfg, RunMode::Real);
     assert!(r.quiesced);
     assert!(r.calc.invocations > 0);
     // A fresh 16-node bootstrap is healthy (the bug needs 500+ nodes).
@@ -93,7 +93,7 @@ fn decommissioned_nodes_depart_cleanly_without_convictions() {
     cfg.rescale_window = SimDuration::from_secs(30);
     cfg.workload_end = SimDuration::from_secs(220);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg);
+    let r = run_scenario(&cfg, RunMode::Real);
     assert!(r.quiesced);
     assert_eq!(
         r.total_flaps, 0,
@@ -111,7 +111,7 @@ fn scale_out_joins_converge() {
     cfg.rescale_window = SimDuration::from_secs(30);
     cfg.workload_end = SimDuration::from_secs(180);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg);
+    let r = run_scenario(&cfg, RunMode::Real);
     assert!(r.quiesced);
     assert_eq!(r.total_flaps, 0);
     // The joiners triggered pending-range calculations cluster-wide.
@@ -132,7 +132,7 @@ fn message_loss_does_not_wedge_the_cluster() {
     cfg.rescale_window = SimDuration::from_secs(30);
     cfg.workload_end = SimDuration::from_secs(120);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg);
+    let r = run_scenario(&cfg, RunMode::Real);
     assert!(r.quiesced, "gossip is loss-tolerant; the run must settle");
     assert!(r.messages_dropped > 0, "loss must actually occur");
     // Anti-entropy keeps the cluster mostly stable even at 20% loss.
@@ -146,13 +146,11 @@ fn pil_replay_mode_uses_no_cpu_for_calcs() {
     let cfg = mini_inline_bug(7);
     // The memoization run is a Colo run; feed the database it recorded
     // into a replay (no order log: nothing to enforce).
-    let (colo, db, _) = scalecheck_cluster::run_scenario_with_db(
-        &cfg.clone().with_mode(RunMode::Memoize { cores: 4 }),
-        None,
-        None,
-    );
+    let (colo, db, _) =
+        scalecheck_cluster::run_scenario_with_db(&cfg, RunMode::Memoize { cores: 4 }, None, None);
     let (pil, _, _) = scalecheck_cluster::run_scenario_with_db(
-        &cfg.clone().with_mode(RunMode::PilReplay { cores: 4 }),
+        &cfg,
+        RunMode::PilReplay { cores: 4 },
         Some(db),
         None,
     );
@@ -172,7 +170,7 @@ fn flapping_causes_user_visible_unavailability() {
     // cost) must surface as failed quorums.
     let mut storm = mini_inline_bug(1);
     storm.ns_per_op = 500_000;
-    let buggy = run_scenario(&storm);
+    let buggy = run_scenario(&storm, RunMode::Real);
     assert!(buggy.total_flaps > 100);
     assert!(buggy.traffic.attempted > 100);
     assert!(
@@ -183,15 +181,15 @@ fn flapping_causes_user_visible_unavailability() {
     // The fixed cluster serves everything.
     let mut fixed = storm.clone();
     fixed.calculator = CalcVersion::V3VnodeAware;
-    let ok = run_scenario(&fixed);
+    let ok = run_scenario(&fixed, RunMode::Real);
     assert_eq!(ok.unavailability(), 0.0);
 }
 
 #[test]
 fn real_mode_gives_every_node_its_own_machine() {
     let cfg = ScenarioConfig::baseline(8, 8);
-    let real = run_scenario(&cfg.clone().with_mode(RunMode::Real));
-    let colo = run_scenario(&cfg.clone().with_mode(RunMode::Colo { cores: 2 }));
+    let real = run_scenario(&cfg, RunMode::Real);
+    let colo = run_scenario(&cfg, RunMode::Colo { cores: 2 });
     // Both healthy, but the shared 2-core box works much harder.
     assert_eq!(real.total_flaps, 0);
     assert_eq!(colo.total_flaps, 0);
@@ -209,10 +207,10 @@ fn global_event_queue_reduces_contention_penalty() {
         count: 1,
         gap: SimDuration::from_secs(60),
     };
-    let threads = run_scenario(&cfg.clone().with_mode(RunMode::Colo { cores: 4 }));
+    let threads = run_scenario(&cfg, RunMode::Colo { cores: 4 });
     let mut redesigned = cfg.clone();
     redesigned.global_event_queue = true;
-    let global = run_scenario(&redesigned.with_mode(RunMode::Colo { cores: 4 }));
+    let global = run_scenario(&redesigned, RunMode::Colo { cores: 4 });
     assert!(
         global.duration <= threads.duration,
         "global queue must not be slower: {} vs {}",

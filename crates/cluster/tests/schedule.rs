@@ -2,7 +2,7 @@
 //! yields real tie batches with semantic tags, perturbations stay
 //! deterministic, and identity specs leave the run byte-identical.
 
-use scalecheck_cluster::{run_scenario, ScenarioConfig};
+use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{TieOrderSpec, TieSwap};
 
@@ -14,7 +14,7 @@ fn probe_cfg(seed: u64) -> ScenarioConfig {
 
 #[test]
 fn recorded_probe_has_tie_batches_and_tags() {
-    let report = run_scenario(&probe_cfg(1));
+    let report = run_scenario(&probe_cfg(1), RunMode::Real);
     let probe = report.schedule_probe.expect("probe recorded");
     assert!(!probe.fires.is_empty(), "fires recorded");
     assert!(!probe.tags.is_empty(), "runner tagged events");
@@ -51,16 +51,16 @@ fn recorded_probe_has_tie_batches_and_tags() {
 
 #[test]
 fn probe_absent_unless_requested() {
-    let report = run_scenario(&ScenarioConfig::baseline(8, 1));
+    let report = run_scenario(&ScenarioConfig::baseline(8, 1), RunMode::Real);
     assert!(report.schedule_probe.is_none());
 }
 
 #[test]
 fn identity_tie_order_is_byte_identical_to_stock() {
-    let stock = run_scenario(&probe_cfg(1));
+    let stock = run_scenario(&probe_cfg(1), RunMode::Real);
     let mut cfg = probe_cfg(1);
     cfg.tie_order = TieOrderSpec::identity();
-    let ident = run_scenario(&cfg);
+    let ident = run_scenario(&cfg, RunMode::Real);
     assert_eq!(
         stock.schedule_probe, ident.schedule_probe,
         "identity spec must not move a single event"
@@ -74,7 +74,7 @@ fn identity_tie_order_is_byte_identical_to_stock() {
     let mut cfg = probe_cfg(1);
     cfg.tie_order = TieOrderSpec::with_swaps(vec![TieSwap { seq: 1, shift: 0 }]);
     assert!(!cfg.tie_order.is_identity());
-    let zero = run_scenario(&cfg);
+    let zero = run_scenario(&cfg, RunMode::Real);
     assert_eq!(
         stock.schedule_probe, zero.schedule_probe,
         "zero-shift policy path must not move a single event"
@@ -87,8 +87,8 @@ fn identity_tie_order_is_byte_identical_to_stock() {
 fn perturbed_runs_are_deterministic_per_spec() {
     let mut cfg = probe_cfg(3);
     cfg.tie_order = TieOrderSpec::shuffled(17);
-    let a = run_scenario(&cfg);
-    let b = run_scenario(&cfg);
+    let a = run_scenario(&cfg, RunMode::Real);
+    let b = run_scenario(&cfg, RunMode::Real);
     assert_eq!(a.schedule_probe, b.schedule_probe);
     assert_eq!(a.total_flaps, b.total_flaps);
     assert_eq!(a.duration, b.duration);
@@ -98,7 +98,7 @@ fn perturbed_runs_are_deterministic_per_spec() {
 fn a_targeted_swap_reorders_a_real_tie_batch() {
     // Find a tie batch in the stock schedule, swap its first two
     // members, and check the perturbed schedule fires them reversed.
-    let stock = run_scenario(&probe_cfg(1));
+    let stock = run_scenario(&probe_cfg(1), RunMode::Real);
     let stock_probe = stock.schedule_probe.expect("probe");
     let groups = stock_probe.tie_groups();
     let g = groups.first().expect("at least one tie batch");
@@ -109,7 +109,7 @@ fn a_targeted_swap_reorders_a_real_tie_batch() {
         seq: a.min(b),
         shift: 1,
     }]);
-    let swapped = run_scenario(&cfg);
+    let swapped = run_scenario(&cfg, RunMode::Real);
     let probe = swapped.schedule_probe.expect("probe");
     let at = g[0].at;
     let batch: Vec<u64> = probe

@@ -20,7 +20,7 @@
 //!   is outside this crate's scope by definition (the whole point is to
 //!   run the real code).
 
-use scalecheck_cluster::{RunMode, ScenarioConfig, Workload};
+use scalecheck_cluster::{ScenarioConfig, Workload};
 
 /// Least-squares power-law fit `flaps ≈ a · N^b` in log space over
 /// `(scale, flaps)` training points, evaluated at `target`.
@@ -57,12 +57,13 @@ pub fn extrapolate_power_law(train: &[(usize, u64)], target: usize) -> f64 {
 /// stretches each guest's perception of time by TDF and gives each VM a
 /// proportional 1/TDF CPU slice, so perceived compute time matches the
 /// real deployment. We model the proportional-share scheduler as a
-/// dedicated 1/TDF-rate core per node (run mode `Real` with all
-/// compute demands and protocol timescales multiplied by TDF): the
-/// guest-visible dynamics are identical to real-scale testing, and the
-/// test duration multiplies by TDF — Figure 1b's cost.
-pub fn time_dilated(cfg: &ScenarioConfig, _cores: usize, tdf: u64) -> ScenarioConfig {
-    let mut out = cfg.clone().with_mode(RunMode::Real);
+/// dedicated 1/TDF-rate core per node — the returned scenario, with all
+/// compute demands and protocol timescales multiplied by TDF, is run
+/// with [`crate::run_real`]: the guest-visible dynamics are identical
+/// to real-scale testing, and the test duration multiplies by TDF —
+/// Figure 1b's cost.
+pub fn time_dilated(cfg: &ScenarioConfig, tdf: u64) -> ScenarioConfig {
+    let mut out = cfg.clone();
     out.ns_per_op = out.ns_per_op.saturating_mul(tdf);
     out.msg_base_cost = out.msg_base_cost.saturating_mul(tdf);
     out.per_endpoint_cost = out.per_endpoint_cost.saturating_mul(tdf);
@@ -131,7 +132,7 @@ mod tests {
     #[test]
     fn dilation_scales_every_timescale() {
         let cfg = ScenarioConfig::c3831(64, 1);
-        let d = time_dilated(&cfg, 16, 10);
+        let d = time_dilated(&cfg, 10);
         assert_eq!(
             d.gossip_interval,
             SimDuration::from_secs(10),
@@ -159,6 +160,5 @@ mod tests {
             cfg.ns_per_op * 10,
             "perceived compute is dilated with the clock"
         );
-        assert_eq!(d.mode, RunMode::Real);
     }
 }

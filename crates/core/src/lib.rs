@@ -18,6 +18,7 @@
 //!   (instrumented colocation run, then deterministic PIL replay);
 //! * [`Triple`] — Figure 3's question (does SC+PIL track Real where
 //!   Colo does not?) as three runs: the memoization run is the Colo run;
+//!   [`Deployment`] names its columns;
 //! * [`bottleneck`] — the §8 colocation-limit diagnostics (CPU > 90 %,
 //!   OOM, event lateness).
 //!
@@ -38,13 +39,13 @@
 
 pub mod baselines;
 pub mod bottleneck;
-pub mod cell;
+pub mod digest;
 pub mod scalecheck;
 
 pub use baselines::{extrapolate_power_law, time_dilated};
 pub use bottleneck::{colocation_memory_demand, diagnose, Bottleneck, BottleneckThresholds};
-pub use cell::{content_digest, run_cell, ExecMode};
+pub use digest::content_digest;
 pub use scalecheck::{
-    memoize, replay, replay_ordered, run_colo, run_real, scale_check, MemoArtifacts,
+    memoize, replay, replay_ordered, run_colo, run_real, scale_check, Deployment, MemoArtifacts,
     ScaleCheckResult, Triple, COLO_CORES,
 };

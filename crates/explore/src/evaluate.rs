@@ -9,44 +9,22 @@
 //! target reuses the baseline's memo artifacts (replay is the cheap leg
 //! by construction).
 
-use scalecheck::{memoize, replay, run_colo, run_real, MemoArtifacts};
+use scalecheck::{memoize, replay, run_colo, run_real, Deployment, MemoArtifacts};
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 use scalecheck_sim::{ScheduleProbe, TieOrderSpec};
-use serde::{Deserialize, Serialize};
 
 use crate::verdict::{FlapTriple, VerdictParams};
 
-/// Which leg of the (Real, Colo, SC+PIL) flap triple the perturbation
-/// is applied to. Not a run mode: the baseline's memoization run is the
-/// Colo leg and feeds the SC+PIL leg; a *perturbed* Colo leg is a plain
-/// Colo run (nothing replays it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Target {
-    /// Perturb the real-scale run (hunt orderings that make Real flap).
-    Real,
-    /// Perturb the basic-colocation run.
-    Colo,
-    /// Perturb the SC+PIL replay over the baseline memo artifacts
-    /// (hunt orderings that break replay tracking).
-    ScPil,
-}
-
-impl Target {
-    /// Stable lowercase name (table rows, witness JSON paths).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Target::Real => "real",
-            Target::Colo => "colo",
-            Target::ScPil => "scpil",
-        }
-    }
-}
-
-/// Baseline-plus-evaluator for one `(scenario, target)` cell.
+/// Baseline-plus-evaluator for one `(scenario, target)` cell: the
+/// target is the [`Deployment`] whose leg of the flap triple is
+/// perturbed. The baseline's memoization run is the Colo leg and feeds
+/// the SC+PIL leg; a *perturbed* Colo leg is a plain Colo run (nothing
+/// replays it), and a perturbed SC+PIL leg replays over the baseline
+/// memo artifacts.
 pub struct Evaluator {
     cfg: ScenarioConfig,
     params: VerdictParams,
-    target: Target,
+    target: Deployment,
     memo: MemoArtifacts,
     /// Identity-schedule flap triple.
     pub baseline: FlapTriple,
@@ -60,23 +38,23 @@ impl Evaluator {
     /// Runs the identity baseline (3 scenario runs) and records the
     /// target run's schedule probe — for a Colo target, on the
     /// memoization run.
-    pub fn new(cfg: &ScenarioConfig, params: VerdictParams, target: Target) -> Self {
+    pub fn new(cfg: &ScenarioConfig, params: VerdictParams, target: Deployment) -> Self {
         assert!(
             cfg.tie_order.is_identity(),
             "evaluator baseline must start from the stock schedule"
         );
         let mut probe_cfg = cfg.clone();
         probe_cfg.record_schedule = true;
-        let cfg_for = |leg: Target| if leg == target { &probe_cfg } else { cfg };
+        let cfg_for = |leg: Deployment| if leg == target { &probe_cfg } else { cfg };
 
-        let mut real = run_real(cfg_for(Target::Real));
-        let mut memo = memoize(cfg_for(Target::Colo), params.cores);
-        let mut pil = replay(cfg_for(Target::ScPil), params.cores, &memo);
+        let mut real = run_real(cfg_for(Deployment::Real));
+        let mut memo = memoize(cfg_for(Deployment::Colo), params.cores);
+        let mut pil = replay(cfg_for(Deployment::ScPil), params.cores, &memo);
 
         let probe = match target {
-            Target::Real => real.schedule_probe.take(),
-            Target::Colo => memo.report.schedule_probe.take(),
-            Target::ScPil => pil.schedule_probe.take(),
+            Deployment::Real => real.schedule_probe.take(),
+            Deployment::Colo => memo.report.schedule_probe.take(),
+            Deployment::ScPil => pil.schedule_probe.take(),
         }
         .expect("probe recorded on the target baseline run");
 
@@ -101,7 +79,7 @@ impl Evaluator {
     }
 
     /// The perturbation target.
-    pub fn target(&self) -> Target {
+    pub fn target(&self) -> Deployment {
         self.target
     }
 
@@ -117,9 +95,9 @@ impl Evaluator {
         cfg.tie_order = spec.clone();
         self.runs += 1;
         match self.target {
-            Target::Real => run_real(&cfg),
-            Target::Colo => run_colo(&cfg, self.params.cores),
-            Target::ScPil => replay(&cfg, self.params.cores, &self.memo),
+            Deployment::Real => run_real(&cfg),
+            Deployment::Colo => run_colo(&cfg, self.params.cores),
+            Deployment::ScPil => replay(&cfg, self.params.cores, &self.memo),
         }
     }
 
@@ -127,9 +105,9 @@ impl Evaluator {
     pub fn triple_with(&self, report: &RunReport) -> FlapTriple {
         let mut t = self.baseline;
         match self.target {
-            Target::Real => t.real = report.total_flaps,
-            Target::Colo => t.colo = report.total_flaps,
-            Target::ScPil => t.pil = report.total_flaps,
+            Deployment::Real => t.real = report.total_flaps,
+            Deployment::Colo => t.colo = report.total_flaps,
+            Deployment::ScPil => t.pil = report.total_flaps,
         }
         t
     }

@@ -14,7 +14,8 @@
 //! * [`verdict`] — the (Real, Colo, SC+PIL) flap-triple shape
 //!   classification;
 //! * [`evaluate`] — identity baseline plus one-run-per-candidate
-//!   evaluation with a chosen perturbation [`Target`];
+//!   evaluation with a chosen perturbation target (a
+//!   [`scalecheck::Deployment`]);
 //! * [`candidates`] — DPOR-lite targeted-swap frontier from the
 //!   engine's schedule probe (same-node races only);
 //! * [`shrink`] — greedy ddmin to a verified 1-minimal core;
@@ -31,7 +32,7 @@ pub mod verdict;
 pub mod witness;
 
 pub use candidates::{targeted_swaps, CandidateSet};
-pub use evaluate::{Evaluator, Target};
+pub use evaluate::Evaluator;
 pub use search::{explore, explore_cell, render_table, CellOutcome, CellPlan, ExploreOpts};
 pub use shrink::shrink_swaps;
 pub use verdict::{FlapTriple, Shape, SloParams, SloTriple, SloVerdict, VerdictParams};

@@ -17,10 +17,11 @@
 
 use std::time::Instant;
 
+use scalecheck::Deployment;
 use scalecheck_sim::TieOrderSpec;
 
 use crate::candidates::targeted_swaps;
-use crate::evaluate::{Evaluator, Target};
+use crate::evaluate::Evaluator;
 use crate::shrink::shrink_swaps;
 use crate::verdict::{FlapTriple, VerdictParams};
 use crate::witness::{scenario_for, ScheduleWitness};
@@ -63,7 +64,7 @@ pub struct CellPlan {
     /// Scenario seed.
     pub seed: u64,
     /// Deployment to perturb.
-    pub target: Target,
+    pub target: Deployment,
 }
 
 /// What exploring one cell found.

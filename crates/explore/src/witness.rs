@@ -7,11 +7,12 @@
 //! digest of the perturbed target report, so replay can assert
 //! bit-level reproduction, not just the same verdict.
 
+use scalecheck::Deployment;
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 use scalecheck_sim::TieOrderSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::evaluate::{Evaluator, Target};
+use crate::evaluate::Evaluator;
 use crate::verdict::{FlapTriple, VerdictParams};
 
 /// Bump when the witness schema changes incompatibly.
@@ -32,7 +33,7 @@ pub struct ScheduleWitness {
     /// Verdict parameters the flip was classified under.
     pub params: VerdictParams,
     /// Which deployment the perturbation applies to.
-    pub target: Target,
+    pub target: Deployment,
     /// The (shrunk) perturbation.
     pub tie_order: TieOrderSpec,
     /// Identity-schedule flap triple.
@@ -184,7 +185,7 @@ mod tests {
             n_nodes: 8,
             seed: 1,
             params: VerdictParams::default(),
-            target: Target::Real,
+            target: Deployment::Real,
             tie_order: TieOrderSpec::with_swaps(vec![TieSwap { seq: 40, shift: 2 }]),
             baseline: FlapTriple {
                 real: 0,

@@ -1,23 +1,36 @@
-//! End-to-end explorer contracts: the committed witness replays
-//! bit-identically, discovery-plus-shrink finds it from scratch, and
+//! End-to-end explorer contracts: the committed witness reserializes
+//! and replays bit-identically, discovery-plus-shrink finds it from
+//! scratch, and
 //! the shrinker's 1-minimality guarantee holds on randomized
 //! predicates.
 
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use scalecheck_explore::{
-    explore_cell, shrink_swaps, CellPlan, ExploreOpts, ScheduleWitness, Target,
-};
+use scalecheck::Deployment;
+use scalecheck_explore::{explore_cell, shrink_swaps, CellPlan, ExploreOpts, ScheduleWitness};
 use scalecheck_sim::TieSwap;
 
-fn committed_witness() -> ScheduleWitness {
+fn committed_witness_text() -> String {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/witnesses/race_40_1_real.json"
     );
-    let text = std::fs::read_to_string(path).expect("committed witness readable");
-    ScheduleWitness::from_json(&text).expect("committed witness parses")
+    std::fs::read_to_string(path).expect("committed witness readable")
+}
+
+fn committed_witness() -> ScheduleWitness {
+    ScheduleWitness::from_json(&committed_witness_text()).expect("committed witness parses")
+}
+
+/// The on-disk format is a contract of its own: the committed file is
+/// exactly what `to_json` writes for it (plus the trailing newline), so
+/// renaming a deployment variant or reordering a stored field — which
+/// a parse-then-compare round trip would not notice — fails here.
+#[test]
+fn committed_witness_reserializes_byte_identically() {
+    let text = committed_witness_text();
+    assert_eq!(format!("{}\n", committed_witness().to_json()), text);
 }
 
 /// Regression: the witness `scalecheck-cli explore` discovered and
@@ -48,7 +61,7 @@ fn explorer_rediscovers_the_committed_witness() {
         bug: "race".into(),
         n_nodes: 40,
         seed: 1,
-        target: Target::Real,
+        target: Deployment::Real,
     };
     let opts = ExploreOpts {
         budget_secs: 600,

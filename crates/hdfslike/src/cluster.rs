@@ -10,8 +10,9 @@
 //! the paper's §7 goal of integrating scale check with systems beyond
 //! Cassandra.
 //!
-//! The same four runs apply ([`RunMode`]): execute (Real/Colo), record
-//! (memoize), and PIL replay (report processing replaced by
+//! The same four runs apply ([`RunMode`], an argument of
+//! [`run_hdfs_with_db`]): execute (Real/Colo), record (memoize), and PIL
+//! replay (report processing replaced by
 //! `sleep(recorded duration)` with the recorded output — the block-map
 //! size — copied from the database and verified at the end).
 
@@ -42,9 +43,6 @@ pub struct HdfsConfig {
     pub heartbeat_timeout: SimDuration,
     /// Report-processing implementation.
     pub version: ReportVersion,
-    /// Which of the paper's four runs this is. Real gives the master
-    /// and every datanode dedicated machines; the others share one.
-    pub mode: RunMode,
     /// Virtual nanoseconds per counted master operation.
     pub ns_per_op: u64,
     /// Capacity of the master's RPC call queue; arrivals beyond it are
@@ -67,7 +65,6 @@ impl HdfsConfig {
             report_interval: SimDuration::from_secs(120),
             heartbeat_timeout: SimDuration::from_secs(60),
             version: ReportVersion::FullRescan,
-            mode: RunMode::Real,
             ns_per_op: 8000,
             queue_capacity: 20,
             duration: SimDuration::from_secs(600),
@@ -115,6 +112,7 @@ enum MTask {
 
 struct HdfsState {
     cfg: HdfsConfig,
+    mode: RunMode,
     master: Master,
     stage: Stage<MTask>,
     park: MachinePark,
@@ -150,10 +148,10 @@ fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
         MTask::Report(dn, seq) => {
             let digest = report_digest(dn, seq, st.cfg.version, st.cfg.blocks_per_node);
             let (cfg, master) = (&st.cfg, &mut st.master);
-            let (_, duration, _) = st.db.call(cfg.mode, dn.0, REPORT_FN, digest, None, || {
+            let (_, duration, _) = st.db.call(st.mode, dn.0, REPORT_FN, digest, None, || {
                 execute_report(cfg, master, dn)
             });
-            let finish = if matches!(st.cfg.mode, RunMode::PilReplay { .. }) {
+            let finish = if matches!(st.mode, RunMode::PilReplay { .. }) {
                 now + duration
             } else {
                 st.park
@@ -236,20 +234,19 @@ fn liveness_sweep(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
     ctx.schedule_after(SimDuration::from_secs(5), liveness_sweep);
 }
 
-/// Runs a scenario, optionally against a previously recorded database.
-/// Returns the report and the database (populated by a `Memoize` run).
-pub fn run_hdfs_with_db(cfg: &HdfsConfig, db: Option<MemoDb<u64>>) -> (HdfsReport, MemoDb<u64>) {
+/// Runs a scenario as one of the paper's four runs (`mode`), optionally
+/// against a previously recorded database. Returns the report and the
+/// database (populated by a `Memoize` run). Only the master's report
+/// processing bills CPU: Real gives it a dedicated two-core machine, the
+/// other modes the shared colocation box.
+pub fn run_hdfs_with_db(
+    cfg: &HdfsConfig,
+    mode: RunMode,
+    db: Option<MemoDb<u64>>,
+) -> (HdfsReport, MemoDb<u64>) {
     let mut park = MachinePark::new();
-    let master_machine = match cfg.mode.colo_cores() {
-        None => {
-            let m = park.add(Machine::new(2, CtxSwitchModel::commodity()));
-            for _ in 0..cfg.n_datanodes {
-                park.add(Machine::new(1, CtxSwitchModel::commodity()));
-            }
-            m
-        }
-        Some(cores) => park.add(Machine::new(cores.max(1), CtxSwitchModel::commodity())),
-    };
+    let cores = mode.colo_cores().map_or(2, |c| c.max(1));
+    let master_machine = park.add(Machine::new(cores, CtxSwitchModel::commodity()));
     let mut master = Master::new(cfg.version, cfg.heartbeat_timeout);
     for i in 0..cfg.n_datanodes {
         let dn = DnId(i as u32);
@@ -260,6 +257,7 @@ pub fn run_hdfs_with_db(cfg: &HdfsConfig, db: Option<MemoDb<u64>>) -> (HdfsRepor
     }
     let mut state = HdfsState {
         cfg: cfg.clone(),
+        mode,
         master,
         stage: Stage::new(),
         park,
@@ -313,21 +311,16 @@ pub fn run_hdfs_with_db(cfg: &HdfsConfig, db: Option<MemoDb<u64>>) -> (HdfsRepor
     (report, state.db)
 }
 
-/// Runs a scenario with no database carried across runs.
+/// Runs a scenario at real scale with no database carried across runs.
 pub fn run_hdfs(cfg: &HdfsConfig) -> HdfsReport {
-    run_hdfs_with_db(cfg, None).0
+    run_hdfs_with_db(cfg, RunMode::Real, None).0
 }
 
 /// The full scale-check pipeline for the HDFS-like target: memoize on
 /// the shared box, then PIL-replay. Returns `(memoize, replay)`.
 pub fn hdfs_scale_check(cfg: &HdfsConfig, cores: usize) -> (HdfsReport, HdfsReport) {
-    let mut rec_cfg = cfg.clone();
-    rec_cfg.mode = RunMode::Memoize { cores };
-    let (rec_report, db) = run_hdfs_with_db(&rec_cfg, None);
-
-    let mut rep_cfg = cfg.clone();
-    rep_cfg.mode = RunMode::PilReplay { cores };
-    let (mut rep_report, db) = run_hdfs_with_db(&rep_cfg, Some(db));
+    let (rec_report, db) = run_hdfs_with_db(cfg, RunMode::Memoize { cores }, None);
+    let (mut rep_report, db) = run_hdfs_with_db(cfg, RunMode::PilReplay { cores }, Some(db));
 
     // Output verification (the PIL contract): the replay's copied
     // outputs must reach the same final block count the memoization run

@@ -19,9 +19,10 @@
 //! * [`ReportVersion::IncrementalDiff`] (the fix) diffs against the
 //!   previous report and the symptom vanishes.
 //!
-//! The ScaleCheck pipelines apply unchanged: [`run_hdfs`] in Real/Colo
-//! deployments, and [`hdfs_scale_check`] to memoize once and PIL-replay
-//! with report processing replaced by `sleep(recorded duration)`.
+//! The ScaleCheck pipelines apply unchanged: [`run_hdfs`] at real scale,
+//! [`run_hdfs_with_db`] under any [`RunMode`], and [`hdfs_scale_check`]
+//! to memoize once and PIL-replay with report processing replaced by
+//! `sleep(recorded duration)`.
 //!
 //! # Examples
 //!

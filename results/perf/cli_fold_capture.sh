@@ -6,10 +6,10 @@
 #
 #   cli_fold_capture.sh parent BIN_DIR OUT_DIR   # BIN_DIR/fig3_flaps ...
 #   cli_fold_capture.sh change BIN_DIR OUT_DIR   # BIN_DIR/scalecheck-cli fig3_flaps ...
-#   diff -r OUT_PARENT OUT_CHANGE
+#   diff -r -x '*.err' OUT_PARENT OUT_CHANGE
 #
-# stderr (sweep progress, usage text) is kept as *.err beside each
-# transcript and is not part of the comparison. Host-clock readings are
+# stderr (sweep progress with its timings, usage text) is kept as *.err
+# beside each transcript and is left out of the comparison by `-x`. Host-clock readings are
 # masked: the explorer's "in 1.2s" / "# .. 1.2s" and tbl_scale's
 # wall_s, ev/s, wall_secs and events_per_sec.
 set -u

@@ -43,6 +43,19 @@ if grep -rnE 'no-cache|use_cache|cache_dir|results/cache|CellSpec|spec_cell' \
   exit 1
 fi
 
+# One deployment vocabulary: a scenario does not carry its deployment
+# (the run mode is an argument of `run_scenario` / `run_hdfs_with_db`),
+# `scalecheck::Deployment` is the one name for the Real / Colo / SC+PIL
+# columns with the one parser of their command-line names, and
+# `RunMode` the one name for what a single simulation does. No second
+# enum, cell runner, config setter or name parser may grow back.
+echo "=== one deployment vocabulary (grep gate) ==="
+if grep -rnE 'enum ExecMode|fn run_cell|fn with_mode|fn parse_modes|fn parse_target|MODE_NAMES|pub mode: RunMode' \
+  crates src tests examples; then
+  echo "error: scalecheck::Deployment and RunMode are the deployment names; see the matches above" >&2
+  exit 1
+fi
+
 # One serialisation path and one deserialisation path: the serde shim's
 # traits stream (`serialize(&self, &mut String)`, `deserialize(&mut
 # Reader)`). No `Value`-returning `serialize` or `&Value`-taking
@@ -109,12 +122,14 @@ CLI=target/release/scalecheck-cli
 # steps that regenerate in seconds are re-run and compared byte for
 # byte, and so are two of the Figure 3 panels (fig3b, fig3c: about a
 # minute of CPU together now that a triple is three runs — the first
-# (Real, Colo, SC+PIL) artifacts under the gate). The script prints each
+# (Real, Colo, SC+PIL) artifacts under the gate) and ext_hdfs (~45 s:
+# the second system's run loop, whose only other guards are the four
+# HdfsReport pins in tests/run_pins.rs). The script prints each
 # step's wall time and names the steps it did not check (minutes each —
 # ROADMAP item 8), so a green gate vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3b_c3881,fig3c_c5456
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3b_c3881,fig3c_c5456,ext_hdfs
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy

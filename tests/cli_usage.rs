@@ -49,6 +49,10 @@ fn bad_arguments_exit_with_usage_not_a_panic() {
         "tbl_statespace --node 3",
         "ext_hdfs --scale 16",
         &format!("{SLO} --scales 8"),
+        // One deployment parser for every command: an unknown name, or
+        // one outside a command's allowed set, is a usage error.
+        "explore --cells race:40:1:warp",
+        "tbl_scale --modes real",
     ];
     for line in hostile {
         assert_usage_error(line);

@@ -179,15 +179,14 @@ fn naive_rebalance_allocation_crashes_nodes_under_colocation() {
     };
     cfg.memory.rebalance_alloc = Some(AllocStrategy::Naive);
     cfg.memory.single_process = true;
-    let cfg = cfg.with_mode(RunMode::Colo { cores: 16 });
-    let r = run_scenario(&cfg);
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
     assert!(r.oom_events > 0, "naive allocation must hit the wall");
     assert!(r.crashed_nodes > 0, "OOM crashes nodes (S8)");
 
     // The frugal strategy survives the identical workload.
     let mut frugal = cfg.clone();
     frugal.memory.rebalance_alloc = Some(AllocStrategy::Frugal);
-    let r2 = run_scenario(&frugal);
+    let r2 = run_scenario(&frugal, RunMode::Colo { cores: 16 });
     assert_eq!(r2.oom_events, 0);
     assert_eq!(r2.crashed_nodes, 0);
 }
@@ -206,8 +205,7 @@ fn crashed_nodes_get_convicted_by_the_rest() {
     cfg.memory.single_process = true;
     // Capacity sized so that a couple of rebalance allocations blow up.
     cfg.memory.machine_capacity = 1 << 30;
-    let cfg = cfg.with_mode(RunMode::Colo { cores: 16 });
-    let r = run_scenario(&cfg);
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
     assert!(r.crashed_nodes > 0);
     assert!(
         r.total_flaps as usize >= (cfg.n_nodes - r.crashed_nodes as usize) / 2,
@@ -230,11 +228,12 @@ fn replay_with_truncated_db_falls_back_and_completes() {
         assert!(damaged.remove(*f, *d));
     }
 
-    let rcfg = cfg
-        .clone()
-        .with_mode(RunMode::PilReplay { cores: COLO_CORES });
-    let (r, _, _) =
-        scalecheck_cluster::run_scenario_with_db(&rcfg, Some(damaged), Some(memo.order.clone()));
+    let (r, _, _) = scalecheck_cluster::run_scenario_with_db(
+        &cfg,
+        RunMode::PilReplay { cores: COLO_CORES },
+        Some(damaged),
+        Some(memo.order.clone()),
+    );
     assert!(r.quiesced, "replay must not wedge on missing records");
     assert!(
         r.memo.misses + r.memo.index_fallbacks > 0,

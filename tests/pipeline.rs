@@ -98,16 +98,15 @@ fn memo_db_survives_persistence_round_trip() {
     let db2: MemoDb<PendingWire> = MemoDb::from_json(&json).expect("deserialize");
     assert_eq!(db2.len(), memo.db.len());
     // Replaying against the reloaded DB behaves identically.
-    let rcfg = cfg
-        .clone()
-        .with_mode(RunMode::PilReplay { cores: COLO_CORES });
+    let mode = RunMode::PilReplay { cores: COLO_CORES };
     let (r1, _, _) = scalecheck_cluster::run_scenario_with_db(
-        &rcfg,
+        &cfg,
+        mode,
         Some(memo.db.clone()),
         Some(memo.order.clone()),
     );
     let (r2, _, _) =
-        scalecheck_cluster::run_scenario_with_db(&rcfg, Some(db2), Some(memo.order.clone()));
+        scalecheck_cluster::run_scenario_with_db(&cfg, mode, Some(db2), Some(memo.order.clone()));
     assert_eq!(r1.total_flaps, r2.total_flaps);
     assert_eq!(r1.duration, r2.duration);
 }
@@ -157,10 +156,8 @@ fn replay_without_db_degrades_gracefully() {
     // A replay with an empty DB must still complete (everything falls
     // back to genuine execution) and report the misses honestly.
     let cfg = healthy(10, 4);
-    let rcfg = cfg
-        .clone()
-        .with_mode(RunMode::PilReplay { cores: COLO_CORES });
-    let (r, _, _) = scalecheck_cluster::run_scenario_with_db(&rcfg, Some(MemoDb::new()), None);
+    let mode = RunMode::PilReplay { cores: COLO_CORES };
+    let (r, _, _) = scalecheck_cluster::run_scenario_with_db(&cfg, mode, Some(MemoDb::new()), None);
     assert!(r.quiesced);
     assert!(r.memo.misses > 0);
     assert_eq!(r.memo.hits, 0);

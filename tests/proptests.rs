@@ -977,11 +977,12 @@ proptest! {
     /// FaultReport on every run.
     #[test]
     fn same_seed_fault_reports_are_byte_identical(seed in 0u64..1_000, tenths in 1u32..10) {
-        use scalecheck_cluster::{run_scenario, FaultPlan, ScenarioConfig};
+        use scalecheck::run_real;
+        use scalecheck_cluster::{FaultPlan, ScenarioConfig};
         let mut cfg = ScenarioConfig::baseline(8, seed);
         cfg.faults = FaultPlan::storm(seed, 8, tenths as f64 / 10.0);
-        let a = run_scenario(&cfg);
-        let b = run_scenario(&cfg);
+        let a = run_real(&cfg);
+        let b = run_real(&cfg);
         prop_assert_eq!(
             serde_json::to_string(&a.faults).unwrap(),
             serde_json::to_string(&b.faults).unwrap()
@@ -1000,12 +1001,13 @@ proptest! {
         node in 1u32..7,
         down_secs in 25u64..40,
     ) {
-        use scalecheck_cluster::{run_scenario, FaultPlan, ScenarioConfig};
+        use scalecheck::run_real;
+        use scalecheck_cluster::{FaultPlan, ScenarioConfig};
         let mut cfg = ScenarioConfig::baseline(8, seed);
         cfg.faults = FaultPlan::new()
             .crash(SimTime::from_secs(50), node)
             .restart(SimTime::from_secs(50 + down_secs), node);
-        let r = run_scenario(&cfg);
+        let r = run_real(&cfg);
         prop_assert!(r.quiesced, "restarted cluster must settle");
         prop_assert_eq!(r.faults.crashes, 1);
         prop_assert_eq!(r.faults.restarts, 1);

@@ -61,7 +61,7 @@ fn baseline_48_colo_report_is_pinned() {
 /// shape whose φ samples exceed 2³² ns and need their high word kept.
 #[test]
 fn baseline_32_time_dilated_report_is_pinned() {
-    let cfg = time_dilated(&ScenarioConfig::baseline(32, 1), 16, 8);
+    let cfg = time_dilated(&ScenarioConfig::baseline(32, 1), 8);
     assert!(cfg.gossip_interval.as_nanos() > u64::from(u32::MAX));
     pin(
         "baseline(32) real, tdf 8",

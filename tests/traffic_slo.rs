@@ -16,7 +16,8 @@
 //!   axis while SC+PIL tracks Real.
 
 use proptest::prelude::*;
-use scalecheck_cluster::{run_scenario, Consistency, ScenarioConfig, TrafficConfig, Workload};
+use scalecheck::run_real;
+use scalecheck_cluster::{Consistency, ScenarioConfig, TrafficConfig, Workload};
 use scalecheck_sim::SimDuration;
 
 /// A small, fast scenario: one decommission on a healthy cluster.
@@ -62,8 +63,8 @@ fn zero_load(users: u64) -> TrafficConfig {
 
 #[test]
 fn uncoupled_probe_observes_without_perturbing_the_control_plane() {
-    let off = run_scenario(&silent(12, 7));
-    let on = run_scenario(&small(12, 7));
+    let off = run_real(&silent(12, 7));
+    let on = run_real(&small(12, 7));
     assert!(!off.traffic.enabled);
     assert!(on.traffic.enabled);
     assert!(!on.traffic.coupled, "the default probe must stay uncoupled");
@@ -77,7 +78,7 @@ fn uncoupled_probe_observes_without_perturbing_the_control_plane() {
 
 #[test]
 fn coupled_traffic_actually_rides_the_simulation() {
-    let r = run_scenario(&small(12, 7).with_traffic(TrafficConfig::open_loop(1_000_000)));
+    let r = run_real(&small(12, 7).with_traffic(TrafficConfig::open_loop(1_000_000)));
     assert!(r.traffic.enabled && r.traffic.coupled);
     assert!(r.traffic.attempted > 0, "traffic must actually flow");
     assert!(
@@ -102,11 +103,11 @@ proptest! {
     /// requests genuinely contend with gossip for CPUs and links.
     #[test]
     fn traffic_on_off_differential(n in 8usize..14, seed in 1u64..50) {
-        let off = run_scenario(&silent(n, seed));
-        let probe = run_scenario(&silent(n, seed).with_traffic(
+        let off = run_real(&silent(n, seed));
+        let probe = run_real(&silent(n, seed).with_traffic(
             TrafficConfig::probe(50, Consistency::Quorum),
         ));
-        let armed = run_scenario(&silent(n, seed).with_traffic(zero_load(100_000)));
+        let armed = run_real(&silent(n, seed).with_traffic(zero_load(100_000)));
         prop_assert!(armed.traffic.enabled, "zero-rate population stays armed");
         prop_assert_eq!(armed.traffic.attempted, 0);
         prop_assert_eq!(control_plane(&off), control_plane(&probe));
@@ -117,8 +118,8 @@ proptest! {
 #[test]
 fn request_log_and_histograms_are_byte_deterministic() {
     let cfg = small(10, 3).with_traffic(TrafficConfig::open_loop(1_000_000));
-    let a = run_scenario(&cfg);
-    let b = run_scenario(&cfg);
+    let a = run_real(&cfg);
+    let b = run_real(&cfg);
     assert_eq!(a.traffic, b.traffic, "traffic reports must be identical");
     assert_eq!(
         serde_json::to_string(&a.traffic).unwrap(),
@@ -134,8 +135,8 @@ fn traffic_state_is_o_requests_not_o_users_through_a_full_run() {
     // A thousand users and a million users differ by 1000x in offered
     // load, but the datapath aggregates arrivals into weighted samples:
     // its tracked memory must not grow with the population.
-    let thousand = run_scenario(&small(10, 5).with_traffic(TrafficConfig::open_loop(1_000)));
-    let million = run_scenario(&small(10, 5).with_traffic(TrafficConfig::open_loop(1_000_000)));
+    let thousand = run_real(&small(10, 5).with_traffic(TrafficConfig::open_loop(1_000)));
+    let million = run_real(&small(10, 5).with_traffic(TrafficConfig::open_loop(1_000_000)));
     assert!(million.traffic.attempted > 100 * thousand.traffic.attempted);
     assert_eq!(
         thousand.traffic.state_peak_bytes, million.traffic.state_peak_bytes,
@@ -149,7 +150,7 @@ fn traffic_state_is_o_requests_not_o_users_through_a_full_run() {
 fn runner_refuses_to_start_with_an_invalid_config() {
     let mut cfg = small(10, 1);
     cfg.rf = 0;
-    let _ = run_scenario(&cfg);
+    let _ = run_real(&cfg);
 }
 
 /// The paper-shape regression the whole coupled datapath exists for:
