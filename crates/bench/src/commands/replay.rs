@@ -6,8 +6,8 @@ use super::memoize::DB;
 use super::run::{print_report, scenario, NODES};
 use crate::cli::{Args, Command, Failure, BUG, SEED};
 use scalecheck::COLO_CORES;
-use scalecheck_cluster::{run_scenario_with_db, PendingWire, RunMode};
-use scalecheck_memo::MemoDb;
+use scalecheck_cluster::{run_colocated, PendingWire};
+use scalecheck_memo::{MemoDb, Pil, Replay};
 
 pub const COMMAND: Command = Command {
     name: "replay",
@@ -21,8 +21,7 @@ fn run(args: &Args) -> Result<(), Failure> {
     let db_path = args.value("--db").unwrap_or("memo.json");
     let db: MemoDb<PendingWire> = MemoDb::load(Path::new(db_path))
         .map_err(|e| Failure::Failed(format!("cannot load {db_path}: {e}")))?;
-    let mode = RunMode::PilReplay { cores: COLO_CORES };
-    let (report, _, _) = run_scenario_with_db(&cfg, mode, Some(db), None);
+    let report = run_colocated(&cfg, COLO_CORES, Pil::Replay(Replay::new(&db, None)));
     print_report(bug, n, "replay", &report);
     Ok(())
 }

@@ -1,16 +1,8 @@
-//! The calculation engine: executes, records, or replays the
-//! pending-range computation.
-//!
-//! This is where the paper's four runs ([`RunMode`]) meet:
-//!
-//! * **Real / Colo**: run the real algorithm, count ops, convert to
-//!   virtual compute time via the calibration constant.
-//! * **Memoize** (Figure 2 step d): execute *and* store
-//!   `(input digest) → (output, duration)` plus the invocation order.
-//! * **PilReplay** (Figure 2 steps e–f): look the input up and return the
-//!   recorded output and duration without computing; fall back to the
-//!   invocation index and finally to genuine execution, counting every
-//!   fallback honestly.
+//! The calculation engine: runs the pending-range computation as the
+//! run's PIL handle ([`Pil`]) says — execute it (Real / Colo), execute
+//! and record it (the memoization run), or replay its recorded output
+//! and duration (PilReplay) — counting ops and converting them to
+//! virtual compute time via the calibration constant.
 //!
 //! A host-side execution cache deduplicates identical inputs across
 //! simulated nodes. It is a pure host optimization: the returned ops
@@ -19,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use scalecheck_memo::{CallSource, Digest128, FnId, Hasher128, MemoDb, RunMode};
+use scalecheck_memo::{Digest128, FnId, Hasher128, MemoStats, Pil};
 use scalecheck_ring::{
     write_changes_canonical, FreshRingQuadratic, NodeId, OpCounter, PendingRangeCalculator,
     PendingRanges, Range, RingTable, TopologyChange, V1Cubic, V2Quadratic, V3VnodeAware,
@@ -78,31 +70,17 @@ pub struct CalcStats {
 pub struct CalcEngine {
     version: CalcVersion,
     ns_per_op: u64,
-    mode: RunMode,
     exec_cache: HashMap<u128, (PendingWire, u64)>,
-    db: MemoDb<PendingWire>,
     stats: CalcStats,
 }
 
 impl CalcEngine {
-    /// Creates an engine with an empty memo database.
-    pub fn new(version: CalcVersion, ns_per_op: u64, mode: RunMode) -> Self {
-        Self::with_db(version, ns_per_op, mode, MemoDb::new())
-    }
-
-    /// Creates a replay engine over a previously recorded database.
-    pub fn with_db(
-        version: CalcVersion,
-        ns_per_op: u64,
-        mode: RunMode,
-        db: MemoDb<PendingWire>,
-    ) -> Self {
+    /// Creates an engine with a cold execution cache.
+    pub fn new(version: CalcVersion, ns_per_op: u64) -> Self {
         CalcEngine {
             version,
             ns_per_op,
-            mode,
             exec_cache: HashMap::new(),
-            db,
             stats: CalcStats::default(),
         }
     }
@@ -136,22 +114,22 @@ impl CalcEngine {
         }
     }
 
-    /// Runs (or replays) the calculation for `node`'s
-    /// `invocation_idx`-th call, returning the result, its virtual
-    /// compute duration, and where it came from.
+    /// Runs (or records, or replays) the calculation for `node`'s
+    /// `invocation_idx`-th call, returning the result and its virtual
+    /// compute duration.
     pub fn calculate(
         &mut self,
+        pil: &mut Pil<'_, PendingWire>,
         node: u32,
         invocation_idx: u64,
         ring: &RingTable,
         changes: &[TopologyChange],
-    ) -> (PendingRanges, SimDuration, CallSource) {
+    ) -> (PendingRanges, SimDuration) {
         self.stats.invocations += 1;
         let digest = Self::digest(ring, changes);
         let (exec_cache, version, ns_per_op) = (&mut self.exec_cache, self.version, self.ns_per_op);
         let mut cached = false;
-        let (wire, duration, source) = self.db.call(
-            self.mode,
+        let (wire, duration) = pil.call(
             node,
             Self::fn_id(version),
             digest,
@@ -174,41 +152,34 @@ impl CalcEngine {
                 (wire, ops_to_duration(ops, ns_per_op))
             },
         );
-        match source {
-            CallSource::Executed if cached => self.stats.exec_cache_hits += 1,
-            CallSource::Executed => self.stats.executed += 1,
-            CallSource::Hit => self.stats.memo_hits += 1,
-            CallSource::IndexFallback => self.stats.memo_index_fallbacks += 1,
-            CallSource::Miss => self.stats.memo_misses += 1,
+        match pil {
+            // The replay counts its lookups, executed misses included;
+            // `stats` reads them back.
+            Pil::Replay(_) => {}
+            _ if cached => self.stats.exec_cache_hits += 1,
+            _ => self.stats.executed += 1,
         }
         self.stats.total_compute += duration;
         self.stats.max_compute = self.stats.max_compute.max(duration);
-        ((&wire).into(), duration, source)
+        ((&wire).into(), duration)
     }
 
-    /// Run statistics.
-    pub fn stats(&self) -> CalcStats {
-        self.stats
-    }
-
-    /// The memo database (e.g. after a recording run).
-    pub fn into_db(self) -> MemoDb<PendingWire> {
-        self.db
-    }
-
-    /// Read access to the database.
-    pub fn db(&self) -> &MemoDb<PendingWire> {
-        &self.db
+    /// Run statistics; the replay counters are the run's `memo` ones.
+    pub fn stats(&self, memo: MemoStats) -> CalcStats {
+        CalcStats {
+            memo_hits: memo.hits,
+            memo_index_fallbacks: memo.index_fallbacks,
+            memo_misses: memo.misses,
+            ..self.stats
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scalecheck_memo::{MemoDb, OrderRecorder, Replay};
     use scalecheck_ring::{spread_tokens, NodeStatus};
-
-    const MEMOIZE: RunMode = RunMode::Memoize { cores: 4 };
-    const REPLAY: RunMode = RunMode::PilReplay { cores: 4 };
 
     fn ring_of(n: u32) -> RingTable {
         let mut r = RingTable::new(3);
@@ -224,70 +195,51 @@ mod tests {
     }
 
     #[test]
-    fn execute_mode_runs_and_caches() {
-        let mut e = CalcEngine::new(CalcVersion::V3VnodeAware, 100, RunMode::Real);
+    fn execute_mode_runs_caches_and_totals() {
+        let mut e = CalcEngine::new(CalcVersion::V3VnodeAware, 100);
         let ring = ring_of(8);
-        let (out1, d1, s1) = e.calculate(0, 0, &ring, &leave(1));
-        let (out2, d2, s2) = e.calculate(1, 0, &ring, &leave(1));
-        assert_eq!((s1, s2), (CallSource::Executed, CallSource::Executed));
+        let (out1, d1) = e.calculate(&mut Pil::Execute, 0, 0, &ring, &leave(1));
+        let (out2, d2) = e.calculate(&mut Pil::Execute, 1, 0, &ring, &leave(1));
+        e.calculate(&mut Pil::Execute, 0, 1, &ring, &leave(2));
         assert_eq!(out1, out2);
+        assert_eq!(out1, PendingRanges::from(&PendingWire::from(&out1)));
         assert_eq!(d1, d2, "cache must not change virtual cost");
         assert!(d1 > SimDuration::ZERO);
-        assert_eq!(e.stats().executed, 1);
-        assert_eq!(e.stats().exec_cache_hits, 1);
+        let s = e.stats(MemoStats::default());
+        assert_eq!((s.invocations, s.executed, s.exec_cache_hits), (3, 2, 1));
+        assert!(s.total_compute > s.max_compute && s.max_compute >= d1);
     }
 
     #[test]
-    fn record_mode_populates_db() {
-        let mut e = CalcEngine::new(CalcVersion::V1Cubic, 100, MEMOIZE);
+    fn record_then_replay_hits_falls_back_and_misses() {
         let ring = ring_of(8);
-        e.calculate(0, 0, &ring, &leave(1));
-        e.calculate(0, 1, &ring, &leave(2));
-        let db = e.into_db();
-        assert_eq!(db.len(), 2);
-        assert_eq!(db.stats().recorded, 2);
-    }
+        let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+        let mut rec = Pil::Record(&mut db, &mut order);
+        let mut e = CalcEngine::new(CalcVersion::V2Quadratic, 100);
+        let (out_rec, d_rec) = e.calculate(&mut rec, 5, 0, &ring, &leave(1));
+        e.calculate(&mut rec, 5, 1, &ring, &leave(2));
+        assert_eq!(e.stats(rec.stats()).executed, 2);
+        assert_eq!((db.len(), db.stats().recorded), (2, 2));
 
-    #[test]
-    fn replay_hits_recorded_inputs() {
-        let ring = ring_of(8);
-        let mut rec = CalcEngine::new(CalcVersion::V1Cubic, 100, MEMOIZE);
-        let (out_rec, d_rec, _) = rec.calculate(0, 0, &ring, &leave(1));
-        let db = rec.into_db();
-
-        let mut rep = CalcEngine::with_db(CalcVersion::V1Cubic, 100, REPLAY, db);
-        let (out_rep, d_rep, src) = rep.calculate(0, 0, &ring, &leave(1));
-        assert_eq!(src, CallSource::Hit);
+        let mut pil = Pil::Replay(Replay::new(&db, None));
+        let mut e = CalcEngine::new(CalcVersion::V2Quadratic, 100);
+        let mut lookups = |e: &mut CalcEngine, node, idx, change| {
+            let answer = e.calculate(&mut pil, node, idx, &ring, &leave(change));
+            let s = e.stats(pil.stats());
+            (answer, (s.memo_hits, s.memo_index_fallbacks, s.memo_misses))
+        };
+        let ((out_rep, d_rep), counts) = lookups(&mut e, 5, 0, 1);
+        assert_eq!(counts, (1, 0, 0));
         assert_eq!(out_rep, out_rec);
         assert_eq!(d_rep, d_rec, "replay sleeps the recorded duration");
-        assert_eq!(rep.stats().memo_hits, 1);
-    }
-
-    #[test]
-    fn replay_index_fallback_when_digest_differs() {
-        let ring = ring_of(8);
-        let mut rec = CalcEngine::new(CalcVersion::V2Quadratic, 100, MEMOIZE);
-        rec.calculate(5, 0, &ring, &leave(1));
-        let db = rec.into_db();
-
-        let mut rep = CalcEngine::with_db(CalcVersion::V2Quadratic, 100, REPLAY, db);
-        // Different input (leave 2 instead of 1): digest misses, but node
-        // 5's invocation 0 exists.
-        let (_, _, src) = rep.calculate(5, 0, &ring, &leave(2));
-        assert_eq!(src, CallSource::IndexFallback);
-    }
-
-    #[test]
-    fn replay_full_miss_executes_for_real() {
-        let ring = ring_of(8);
-        let db = MemoDb::new();
-        let mut rep = CalcEngine::with_db(CalcVersion::V3VnodeAware, 100, REPLAY, db);
-        let (out, d, src) = rep.calculate(0, 0, &ring, &leave(1));
-        assert_eq!(src, CallSource::Miss);
-        assert!(!out.is_empty());
-        assert!(d > SimDuration::ZERO);
-        assert_eq!(rep.stats().memo_misses, 1);
-        assert_eq!(rep.db().stats().misses, 1);
+        // A digest the recording never saw: node 5's invocation 1 exists,
+        // node 6 has none, so the real function executes.
+        assert_eq!(lookups(&mut e, 5, 1, 3).1, (1, 1, 0));
+        let ((out, d), counts) = lookups(&mut e, 6, 0, 3);
+        assert_eq!(counts, (1, 1, 1));
+        assert!(!out.is_empty() && d > SimDuration::ZERO);
+        let s = e.stats(MemoStats::default());
+        assert_eq!((s.invocations, s.executed, s.exec_cache_hits), (3, 0, 0));
     }
 
     #[test]
@@ -306,27 +258,5 @@ mod tests {
             CalcEngine::digest(&r8, &leave(1)),
             CalcEngine::digest(&ring_of(8), &leave(1))
         );
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let ring = ring_of(8);
-        let mut e = CalcEngine::new(CalcVersion::V3VnodeAware, 100, RunMode::Real);
-        let (out, _, _) = e.calculate(0, 0, &ring, &leave(1));
-        let wire = PendingWire::from(&out);
-        let back: PendingRanges = (&wire).into();
-        assert_eq!(out, back);
-    }
-
-    #[test]
-    fn stats_track_totals() {
-        let ring = ring_of(8);
-        let mut e = CalcEngine::new(CalcVersion::V1Cubic, 1000, RunMode::Real);
-        e.calculate(0, 0, &ring, &leave(1));
-        e.calculate(0, 1, &ring, &leave(2));
-        let s = e.stats();
-        assert_eq!(s.invocations, 2);
-        assert!(s.total_compute >= s.max_compute);
-        assert!(s.max_compute > SimDuration::ZERO);
     }
 }

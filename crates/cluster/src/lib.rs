@@ -12,9 +12,11 @@
 //! * **C6127** — bootstrap-from-scratch exercising the fresh-ring
 //!   quadratic path.
 //!
-//! A scenario runs as one of the paper's four runs — the [`RunMode`]
-//! argument of [`run_scenario`]: Real / Colo / memoize / PIL replay —
-//! yielding a [`RunReport`] whose flap counts are the Figure 3
+//! A scenario runs as one of three single simulations — Real, Colo or
+//! PIL replay ([`RunMode`]) — through [`run_scenario`] (Real / Colo) or
+//! [`run_colocated`], whose PIL handle makes the run basic colocation,
+//! the memoization run (Colo with a recorder) or a PIL replay. Either
+//! yields a [`RunReport`] whose flap counts are the Figure 3
 //! measurements.
 //!
 //! # Examples
@@ -44,7 +46,7 @@ pub use config::{AllocStrategy, CalcVersion, LockingMode, MemoryConfig, Scenario
 pub use node::{Envelope, GossipMessage, Node, Task, ViewChanges};
 pub use report::RunReport;
 pub use ringinfo::{addr_of, node_of, peer_of, RingInfo};
-pub use runner::{run_scenario, run_scenario_with_db};
+pub use runner::{run_colocated, run_scenario};
 pub use scalecheck_memo::RunMode;
 pub use scalecheck_sim::{FaultEvent, FaultPlan, FaultReport, FiredFault};
 pub use scalecheck_traffic::{

@@ -7,11 +7,13 @@
 //!   contends across nodes (Figure 1a).
 //! * **Colo**: every node's compute is submitted to one shared machine —
 //!   queueing and context switching delay everything (Figure 1b).
-//! * **Memoize**: Colo that also records every calculation and the
-//!   per-node message order (Figure 2 step d).
 //! * **PilReplay**: like Colo, but the pending-range calculation (the
 //!   PIL-replaced function) *sleeps* its duration instead of occupying a
 //!   core (Figure 1c).
+//!
+//! The memoization run (Figure 2 step d) is a Colo run whose PIL handle
+//! records every calculation and the per-node message order
+//! ([`Pil::Record`]); nothing the simulation reads depends on it.
 //!
 //! The bug mechanism is modelled faithfully to Cassandra's architecture:
 //! in [`LockingMode::InlineOnGossipStage`], applying a gossip message
@@ -24,7 +26,7 @@
 use std::collections::BTreeMap;
 
 use scalecheck_gossip::Liveness;
-use scalecheck_memo::{OrderDecision, OrderEnforcer, OrderRecorder, RunMode};
+use scalecheck_memo::{OrderDecision, Pil, RunMode};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_CALC, TID_GOSSIP, TID_REQUEST};
 use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, PendingRanges, RingTable, Token};
@@ -51,10 +53,10 @@ enum StageKind {
 }
 
 /// The complete world state the engine drives.
-struct ClusterState {
+struct ClusterState<'a> {
     /// Scenario configuration.
     cfg: ScenarioConfig,
-    /// Which of the paper's four runs this is.
+    /// Which of the three single simulations this is.
     mode: RunMode,
     /// All nodes (initial members first, then scale-out joiners).
     nodes: Vec<Node>,
@@ -75,12 +77,11 @@ struct ClusterState {
     /// Virtual locks (one ring lock per node).
     locks: LockTable,
     ring_lock: Vec<LockId>,
-    /// The calculation engine (execute / record / replay).
+    /// The calculation engine.
     calc: CalcEngine,
-    /// Order recorder (memoization runs).
-    order_rec: Option<OrderRecorder>,
-    /// Order enforcer (replay runs).
-    order_enf: Option<OrderEnforcer>,
+    /// The run's PIL side: execute, record (calculations and message
+    /// order), or replay (enforcing the recorded order when handed it).
+    pil: Pil<'a, PendingWire>,
     seeds: Vec<NodeId>,
     /// Handler for periodic gossip rounds (payload packs node + epoch).
     gossip_handler: Option<HandlerId>,
@@ -127,7 +128,7 @@ struct ClusterState {
     sched_tags: Option<Vec<TagRec>>,
 }
 
-impl ClusterState {
+impl ClusterState<'_> {
     fn lock_token(i: usize, stage: StageKind) -> u64 {
         (i as u64) * 2
             + match stage {
@@ -162,7 +163,7 @@ impl ClusterState {
 // Setup.
 // ---------------------------------------------------------------------
 
-fn build(cfg: &ScenarioConfig, mode: RunMode, calc: CalcEngine) -> ClusterState {
+fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> ClusterState<'a> {
     let total = cfg.total_nodes();
     let mut park = MachinePark::new();
     let mut machine_mem = Vec::new();
@@ -363,9 +364,8 @@ fn build(cfg: &ScenarioConfig, mode: RunMode, calc: CalcEngine) -> ClusterState 
         machine_mem,
         locks,
         ring_lock,
-        calc,
-        order_rec: None,
-        order_enf: None,
+        calc: CalcEngine::new(cfg.calculator, cfg.ns_per_op),
+        pil,
         seeds,
         gossip_handler: None,
         fd_handler: None,
@@ -762,9 +762,9 @@ fn begin_calc_compute(
     let changes = changes_of(&ring_view);
     let idx = st.nodes[i].calc_invocations;
     st.nodes[i].calc_invocations += 1;
-    let (pending, duration, _source) =
+    let (pending, duration) =
         st.calc
-            .calculate(st.nodes[i].id.0, idx, &ring_view, &changes);
+            .calculate(&mut st.pil, st.nodes[i].id.0, idx, &ring_view, &changes);
     let done_at = compute(st, now, i, duration, StageKind::Calc, true);
     if scalecheck_obs::enabled() {
         let pil_mode = matches!(st.mode, RunMode::PilReplay { .. });
@@ -858,14 +858,7 @@ fn finish_receive(
 ) {
     let now = ctx.now();
     // Order bookkeeping at processing time.
-    if let Some(rec) = st.order_rec.as_mut() {
-        rec.record(st.nodes[i].id.0, env.key);
-    }
-    if let Some(enf) = st.order_enf.as_mut() {
-        if enf.expected(st.nodes[i].id.0) == Some(env.key) {
-            enf.advance(st.nodes[i].id.0, env.key);
-        }
-    }
+    st.pil.processed(st.nodes[i].id.0, env.key);
 
     let mut trigger = false;
     if st.nodes[i].active && !st.nodes[i].departed {
@@ -1065,7 +1058,7 @@ fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, env: Envelope
     }
     st.deliveries += 1;
     let now = ctx.now();
-    if let Some(enf) = st.order_enf.as_mut() {
+    if let Some(enf) = st.pil.enforcer() {
         match enf.classify(env.dst.0, env.key) {
             OrderDecision::ProcessNow | OrderDecision::NotInLog => {
                 st.nodes[i].gossip_stage.push(now, Task::Receive(env));
@@ -1085,7 +1078,7 @@ fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, env: Envelope
 
 /// Moves the next expected held message (if any) onto the stage.
 fn release_held(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
-    let Some(enf) = st.order_enf.as_ref() else {
+    let Some(enf) = st.pil.enforcer() else {
         return;
     };
     let node_id = st.nodes[i].id.0;
@@ -1479,35 +1472,33 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
 // The run loop.
 // ---------------------------------------------------------------------
 
-/// Runs a scenario as one of the paper's four runs (`mode`) to
-/// quiescence (or the hard cap) and reports.
-///
-/// `db` carries a memo database into a replay run; the database the run
-/// ends with (populated by a recording run) is returned alongside the
-/// report. A PIL replay handed an `order_log` enforces it (§5 order
-/// determinism); without one, messages are processed as they arrive.
-pub fn run_scenario_with_db(
-    cfg: &ScenarioConfig,
-    mode: RunMode,
-    db: Option<scalecheck_memo::MemoDb<PendingWire>>,
-    order_log: Option<OrderRecorder>,
-) -> (
-    RunReport,
-    scalecheck_memo::MemoDb<PendingWire>,
-    Option<OrderRecorder>,
-) {
+/// Runs a scenario with every PIL-replaced function executing, `Real` or
+/// `Colo`, to quiescence (or the hard cap) and reports. Panics on
+/// `PilReplay`: a replay needs a recording ([`run_colocated`]).
+pub fn run_scenario(cfg: &ScenarioConfig, mode: RunMode) -> RunReport {
+    assert!(
+        !matches!(mode, RunMode::PilReplay { .. }),
+        "a PIL replay needs a recording: run_colocated(cfg, cores, Pil::Replay(..))"
+    );
+    run(cfg, mode, Pil::Execute)
+}
+
+/// Runs a scenario colocated on `cores` cores, `pil` deciding the PIL
+/// side: `Execute` is basic colocation, `Record` the memoization run
+/// (basic colocation with a recorder), `Replay` the PIL replay.
+pub fn run_colocated(cfg: &ScenarioConfig, cores: usize, pil: Pil<'_, PendingWire>) -> RunReport {
+    let mode = match pil {
+        Pil::Replay(_) => RunMode::PilReplay { cores },
+        Pil::Execute | Pil::Record(..) => RunMode::Colo { cores },
+    };
+    run(cfg, mode, pil)
+}
+
+fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunReport {
     if let Err(msg) = cfg.validate() {
         panic!("invalid ScenarioConfig: {msg}");
     }
-    let calc = CalcEngine::with_db(cfg.calculator, cfg.ns_per_op, mode, db.unwrap_or_default());
-    let mut state = build(cfg, mode, calc);
-    match mode {
-        RunMode::Memoize { .. } => state.order_rec = Some(OrderRecorder::new()),
-        RunMode::PilReplay { .. } => {
-            state.order_enf = order_log.map(OrderRecorder::into_enforcer);
-        }
-        _ => {}
-    }
+    let mut state = build(cfg, mode, pil);
 
     let mut engine: Engine<ClusterState> =
         Engine::with_tie_order(cfg.seed, SchedulerKind::Wheel, &cfg.tie_order);
@@ -1665,15 +1656,7 @@ pub fn run_scenario_with_db(
     };
     let mut report = assemble_report(&state, ended, engine.counters(), tracer);
     report.schedule_probe = probe;
-    let order_out = state.order_rec.take();
-    let calc = state.calc;
-    (report, calc.into_db(), order_out)
-}
-
-/// Runs a scenario under `mode` with no memo database interaction
-/// carried across runs.
-pub fn run_scenario(cfg: &ScenarioConfig, mode: RunMode) -> RunReport {
-    run_scenario_with_db(cfg, mode, None, None).0
+    report
 }
 
 fn assemble_report(
@@ -1721,8 +1704,8 @@ fn assemble_report(
         flap_series: st.flap_series.clone(),
         duration: ended.since(SimTime::ZERO),
         quiesced: st.stopped_quiescent,
-        calc: st.calc.stats(),
-        memo: st.calc.db().stats(),
+        calc: st.calc.stats(st.pil.stats()),
+        memo: st.pil.stats(),
         messages_sent: st.net.sent(),
         messages_dropped: st.net.dropped(),
         messages_delivered: st.deliveries,
@@ -1733,7 +1716,7 @@ fn assemble_report(
         mem_peak_bytes,
         oom_events,
         crashed_nodes: st.crashed,
-        order_out_of_log: st.order_enf.as_ref().map_or(0, |e| e.out_of_log()),
+        order_out_of_log: st.pil.out_of_log(),
         order_forced_releases: st.forced_releases,
         traffic: st.traffic.report(),
         engine,

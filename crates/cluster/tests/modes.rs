@@ -6,8 +6,9 @@
 //! same mechanisms fire at N≈24–32 in seconds.
 
 use scalecheck_cluster::{
-    run_scenario, CalcVersion, LockingMode, RunMode, ScenarioConfig, Workload,
+    run_colocated, run_scenario, CalcVersion, LockingMode, RunMode, ScenarioConfig, Workload,
 };
+use scalecheck_memo::{MemoDb, OrderRecorder, Pil, Replay};
 use scalecheck_net::{LatencyModel, NetworkConfig};
 use scalecheck_sim::SimDuration;
 
@@ -146,14 +147,9 @@ fn pil_replay_mode_uses_no_cpu_for_calcs() {
     let cfg = mini_inline_bug(7);
     // The memoization run is a Colo run; feed the database it recorded
     // into a replay (no order log: nothing to enforce).
-    let (colo, db, _) =
-        scalecheck_cluster::run_scenario_with_db(&cfg, RunMode::Memoize { cores: 4 }, None, None);
-    let (pil, _, _) = scalecheck_cluster::run_scenario_with_db(
-        &cfg,
-        RunMode::PilReplay { cores: 4 },
-        Some(db),
-        None,
-    );
+    let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+    let colo = run_colocated(&cfg, 4, Pil::Record(&mut db, &mut order));
+    let pil = run_colocated(&cfg, 4, Pil::Replay(Replay::new(&db, None)));
     assert!(
         pil.cpu_utilization < colo.cpu_utilization / 2.0,
         "PIL {} vs Colo {}",

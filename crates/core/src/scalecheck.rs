@@ -16,12 +16,14 @@
 //! * [`Deployment`] — the names of those three columns, and a run of
 //!   one of them on its own.
 //!
-//! The scenario never carries its deployment: each call passes its
-//! [`RunMode`] to the runner, so one [`ScenarioConfig`] serves all of
-//! them unchanged.
+//! The scenario never carries its deployment: each call hands the runner
+//! its [`RunMode`] or PIL handle ([`Pil`]), so one [`ScenarioConfig`]
+//! serves all of them unchanged.
 
-use scalecheck_cluster::{run_scenario_with_db, PendingWire, RunMode, RunReport, ScenarioConfig};
-use scalecheck_memo::{MemoDb, OrderRecorder};
+use scalecheck_cluster::{
+    run_colocated, run_scenario, PendingWire, RunMode, RunReport, ScenarioConfig,
+};
+use scalecheck_memo::{MemoDb, OrderRecorder, Pil, Replay};
 use serde::{Deserialize, Serialize};
 
 /// Cores on the paper's colocation machine (a 16-core Nome node).
@@ -88,9 +90,9 @@ impl Triple {
 
 /// The three deployments the paper compares one scenario under — the
 /// columns of a [`Triple`], in order. Not a [`RunMode`], which names
-/// what one simulation does: SC+PIL is two simulations (memoize, then
-/// replay), and a comparison that wants Colo beside it takes Colo from
-/// the memoization run ([`Triple::run`]).
+/// what one simulation does: SC+PIL is two simulations (memoize — Colo
+/// with a recorder — then replay), and a comparison that wants Colo
+/// beside it takes Colo from the memoization run ([`Triple::run`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Deployment {
     /// Real-scale testing (Figure 1a): every node on its own machine.
@@ -163,26 +165,23 @@ impl Deployment {
 
 /// Runs the scenario at real scale (every node on its own machine).
 pub fn run_real(cfg: &ScenarioConfig) -> RunReport {
-    run_scenario_with_db(cfg, RunMode::Real, None, None).0
+    run_scenario(cfg, RunMode::Real)
 }
 
 /// Runs the scenario under basic colocation on `cores` cores.
 pub fn run_colo(cfg: &ScenarioConfig, cores: usize) -> RunReport {
-    run_scenario_with_db(cfg, RunMode::Colo { cores }, None, None).0
+    run_colocated(cfg, cores, Pil::Execute)
 }
 
 /// The one-time memoization run: basic colocation with input/output/
 /// duration recording and order logging.
 pub fn memoize(cfg: &ScenarioConfig, cores: usize) -> MemoArtifacts {
-    let (report, db, order) = run_scenario_with_db(cfg, RunMode::Memoize { cores }, None, None);
-    MemoArtifacts {
-        db,
-        order: order.unwrap_or_default(),
-        report,
-    }
+    let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+    let report = run_colocated(cfg, cores, Pil::Record(&mut db, &mut order));
+    MemoArtifacts { db, order, report }
 }
 
-/// A PIL-infused replay over previously memoized artifacts.
+/// A PIL-infused replay borrowing previously memoized artifacts.
 ///
 /// Input lookups go by content digest. In this substrate the
 /// calculation inputs mostly converge deterministically, so digest hits
@@ -192,16 +191,15 @@ pub fn memoize(cfg: &ScenarioConfig, cores: usize) -> MemoArtifacts {
 /// is left off by default; it is implemented and measurable — see
 /// [`replay_ordered`] and the fix-ablation experiment.
 pub fn replay(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
-    let mode = RunMode::PilReplay { cores };
-    run_scenario_with_db(cfg, mode, Some(memo.db.clone()), None).0
+    run_colocated(cfg, cores, Pil::Replay(Replay::new(&memo.db, None)))
 }
 
 /// A PIL-infused replay that also enforces the recorded per-node
 /// message-processing order (§5 order determinism), with the configured
 /// hold timeout bounding divergence damage.
 pub fn replay_ordered(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
-    let mode = RunMode::PilReplay { cores };
-    run_scenario_with_db(cfg, mode, Some(memo.db.clone()), Some(memo.order.clone())).0
+    let replay = Replay::new(&memo.db, Some(&memo.order));
+    run_colocated(cfg, cores, Pil::Replay(replay))
 }
 
 /// The full SC+PIL pipeline: memoize once, replay once.

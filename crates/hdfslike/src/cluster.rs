@@ -10,13 +10,14 @@
 //! the paper's §7 goal of integrating scale check with systems beyond
 //! Cassandra.
 //!
-//! The same four runs apply ([`RunMode`], an argument of
-//! [`run_hdfs_with_db`]): execute (Real/Colo), record (memoize), and PIL
-//! replay (report processing replaced by
-//! `sleep(recorded duration)` with the recorded output — the block-map
-//! size — copied from the database and verified at the end).
+//! The same simulations ([`RunMode`]) and PIL handle ([`Pil`]) apply:
+//! execute, record (memoize), and PIL replay (report processing replaced
+//! by `sleep(recorded duration)` with the recorded output — the
+//! block-map size — copied from the database and verified at the end).
 
-use scalecheck_memo::{Digest128, FnId, Hasher128, MemoDb, MemoStats, RunMode};
+use scalecheck_memo::{
+    Digest128, FnId, Hasher128, MemoDb, MemoStats, OrderRecorder, Pil, Replay, RunMode,
+};
 use scalecheck_net::{LatencyModel, Network, NetworkConfig};
 use scalecheck_sim::{
     Ctx, CtxSwitchModel, Engine, Machine, MachinePark, SimDuration, SimTime, Stage,
@@ -110,7 +111,7 @@ enum MTask {
     Report(DnId, u64),
 }
 
-struct HdfsState {
+struct HdfsState<'a> {
     cfg: HdfsConfig,
     mode: RunMode,
     master: Master,
@@ -118,7 +119,7 @@ struct HdfsState {
     park: MachinePark,
     master_machine: scalecheck_sim::cpu::MachineId,
     net: Network,
-    db: MemoDb<u64>,
+    pil: Pil<'a, u64>,
     report_seq: Vec<u64>,
     lock_held_until: SimTime,
     reports_processed: u64,
@@ -148,7 +149,7 @@ fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
         MTask::Report(dn, seq) => {
             let digest = report_digest(dn, seq, st.cfg.version, st.cfg.blocks_per_node);
             let (cfg, master) = (&st.cfg, &mut st.master);
-            let (_, duration, _) = st.db.call(st.mode, dn.0, REPORT_FN, digest, None, || {
+            let (_, duration) = st.pil.call(dn.0, REPORT_FN, digest, None, || {
                 execute_report(cfg, master, dn)
             });
             let finish = if matches!(st.mode, RunMode::PilReplay { .. }) {
@@ -234,16 +235,10 @@ fn liveness_sweep(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
     ctx.schedule_after(SimDuration::from_secs(5), liveness_sweep);
 }
 
-/// Runs a scenario as one of the paper's four runs (`mode`), optionally
-/// against a previously recorded database. Returns the report and the
-/// database (populated by a `Memoize` run). Only the master's report
-/// processing bills CPU: Real gives it a dedicated two-core machine, the
-/// other modes the shared colocation box.
-pub fn run_hdfs_with_db(
-    cfg: &HdfsConfig,
-    mode: RunMode,
-    db: Option<MemoDb<u64>>,
-) -> (HdfsReport, MemoDb<u64>) {
+/// Runs a scenario as `mode` with `pil` its PIL side. Only the master's
+/// report processing bills CPU: Real gives it a dedicated two-core
+/// machine, the other modes the shared colocation box.
+fn run(cfg: &HdfsConfig, mode: RunMode, pil: Pil<'_, u64>) -> HdfsReport {
     let mut park = MachinePark::new();
     let cores = mode.colo_cores().map_or(2, |c| c.max(1));
     let master_machine = park.add(Machine::new(cores, CtxSwitchModel::commodity()));
@@ -266,7 +261,7 @@ pub fn run_hdfs_with_db(
             latency: LatencyModel::lan(),
             drop_probability: 0.0,
         }),
-        db: db.unwrap_or_default(),
+        pil,
         report_seq: vec![0; cfg.n_datanodes],
         lock_held_until: SimTime::ZERO,
         reports_processed: 0,
@@ -296,7 +291,7 @@ pub fn run_hdfs_with_db(
     engine.schedule_at(SimTime::from_secs(5), liveness_sweep);
     engine.run_until(&mut state, SimTime::ZERO + cfg.duration);
 
-    let report = HdfsReport {
+    HdfsReport {
         false_dead: state.master.false_dead(),
         recoveries: state.master.recoveries(),
         reports_processed: state.reports_processed,
@@ -305,22 +300,25 @@ pub fn run_hdfs_with_db(
         dropped_rpcs: state.dropped_rpcs,
         final_block_count: state.master.block_count(),
         output_mismatches: state.output_mismatches,
-        memo: state.db.stats(),
+        memo: state.pil.stats(),
         duration: cfg.duration,
-    };
-    (report, state.db)
+    }
 }
 
-/// Runs a scenario at real scale with no database carried across runs.
+/// Runs a scenario at real scale.
 pub fn run_hdfs(cfg: &HdfsConfig) -> HdfsReport {
-    run_hdfs_with_db(cfg, RunMode::Real, None).0
+    run(cfg, RunMode::Real, Pil::Execute)
 }
 
 /// The full scale-check pipeline for the HDFS-like target: memoize on
 /// the shared box, then PIL-replay. Returns `(memoize, replay)`.
 pub fn hdfs_scale_check(cfg: &HdfsConfig, cores: usize) -> (HdfsReport, HdfsReport) {
-    let (rec_report, db) = run_hdfs_with_db(cfg, RunMode::Memoize { cores }, None);
-    let (mut rep_report, db) = run_hdfs_with_db(cfg, RunMode::PilReplay { cores }, Some(db));
+    // The order log stays empty: the master takes RPCs as they arrive.
+    let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+    let recorder = Pil::Record(&mut db, &mut order);
+    let rec_report = run(cfg, RunMode::Colo { cores }, recorder);
+    let replay = Pil::Replay(Replay::new(&db, None));
+    let mut rep_report = run(cfg, RunMode::PilReplay { cores }, replay);
 
     // Output verification (the PIL contract): the replay's copied
     // outputs must reach the same final block count the memoization run

@@ -20,8 +20,8 @@
 //!   previous report and the symptom vanishes.
 //!
 //! The ScaleCheck pipelines apply unchanged: [`run_hdfs`] at real scale,
-//! [`run_hdfs_with_db`] under any [`RunMode`], and [`hdfs_scale_check`]
-//! to memoize once and PIL-replay with report processing replaced by
+//! and [`hdfs_scale_check`] to memoize once (the Colo run with a
+//! recorder) and PIL-replay with report processing replaced by
 //! `sleep(recorded duration)`.
 //!
 //! # Examples
@@ -40,8 +40,5 @@
 pub mod cluster;
 pub mod master;
 
-pub use cluster::{
-    hdfs_scale_check, run_hdfs, run_hdfs_with_db, HdfsConfig, HdfsReport, REPORT_FN,
-};
+pub use cluster::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport, REPORT_FN};
 pub use master::{blocks_of, BlockId, DnId, DnRecord, Master, MasterOps, ReportVersion};
-pub use scalecheck_memo::RunMode;

@@ -18,48 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::digest::Digest128;
 
-/// The paper's four runs (Figures 1–2): where nodes' compute executes
-/// and what the run does with the memoization database. Shared by every
-/// scale-checked system, so a run is one of these four and nothing else.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum RunMode {
-    /// Real-scale testing: every node has its own machine; PIL-replaced
-    /// functions execute (Figure 1a).
-    Real,
-    /// Basic colocation: all nodes share one machine; PIL-replaced
-    /// functions execute (Figure 1b).
-    Colo {
-        /// Cores on the shared machine (the paper's Nome box has 16).
-        cores: usize,
-    },
-    /// The one-time memoization run: basic colocation that also records
-    /// every PIL-replaced call's input, output and duration (Figure 2
-    /// step d).
-    Memoize {
-        /// Cores on the shared machine.
-        cores: usize,
-    },
-    /// PIL-infused replay: colocated, but PIL-replaced functions sleep
-    /// their recorded duration and copy the recorded output instead of
-    /// computing (Figure 1c, Figure 2 steps e–f).
-    PilReplay {
-        /// Cores on the shared machine.
-        cores: usize,
-    },
-}
-
-impl RunMode {
-    /// Cores of the shared colocation machine; `None` at real scale.
-    pub fn colo_cores(self) -> Option<usize> {
-        match self {
-            RunMode::Real => None,
-            RunMode::Colo { cores } | RunMode::Memoize { cores } | RunMode::PilReplay { cores } => {
-                Some(cores)
-            }
-        }
-    }
-}
-
 /// Identifies a PIL-replaced function.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct FnId(pub u16);
@@ -73,7 +31,7 @@ pub struct MemoRecord<O> {
     pub duration: SimDuration,
 }
 
-/// Counters describing how a replay used the database.
+/// Counters describing a recording and how a replay used it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoStats {
     /// Records written during memoization.
@@ -99,19 +57,6 @@ impl MemoStats {
             (self.hits + self.index_fallbacks) as f64 / total as f64
         }
     }
-}
-
-/// Where a [`MemoDb::call`] answer came from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CallSource {
-    /// Real, Colo or Memoize: the function executed.
-    Executed,
-    /// PIL replay: the input digest hit.
-    Hit,
-    /// PIL replay: the digest missed, the invocation index matched.
-    IndexFallback,
-    /// PIL replay: nothing matched; the function executed for real.
-    Miss,
 }
 
 /// The memoization database, generic over the function output type.
@@ -165,65 +110,16 @@ impl<O: Clone> MemoDb<O> {
             .push(input.0);
     }
 
-    /// One call of a PIL-replaced function under `mode` — the paper's
-    /// four runs at their single call site. Real and Colo execute;
-    /// Memoize executes and records; PIL replay looks the input digest
-    /// up, falls back to `node`'s `idx`-th recorded invocation (when the
-    /// caller tracks one), and as a last resort counts a miss and
-    /// executes. Returns the output, the virtual duration to bill (or
-    /// sleep), and where they came from.
-    pub fn call(
-        &mut self,
-        mode: RunMode,
-        node: u32,
-        func: FnId,
-        input: Digest128,
-        idx: Option<usize>,
-        exec: impl FnOnce() -> (O, SimDuration),
-    ) -> (O, SimDuration, CallSource) {
-        if !matches!(mode, RunMode::PilReplay { .. }) {
-            let (output, duration) = exec();
-            if matches!(mode, RunMode::Memoize { .. }) {
-                self.record(node, func, input, output.clone(), duration);
-            }
-            return (output, duration, CallSource::Executed);
-        }
-        if let Some(rec) = self.lookup(func, input) {
-            return (rec.output, rec.duration, CallSource::Hit);
-        }
-        if let Some(rec) = idx.and_then(|i| self.lookup_by_index(node, func, i)) {
-            return (rec.output, rec.duration, CallSource::IndexFallback);
-        }
-        self.note_miss();
-        let (output, duration) = exec();
-        (output, duration, CallSource::Miss)
-    }
-
-    /// Replay lookup by input digest. Counts a hit or nothing (the caller
-    /// decides what a miss becomes).
-    pub fn lookup(&mut self, func: FnId, input: Digest128) -> Option<MemoRecord<O>> {
-        match self.records.get(&(func, input.0)) {
-            Some(r) => {
-                self.stats.hits += 1;
-                Some(r.clone())
-            }
-            None => None,
-        }
+    /// Replay lookup by input digest.
+    pub fn lookup(&self, func: FnId, input: Digest128) -> Option<MemoRecord<O>> {
+        self.records.get(&(func, input.0)).cloned()
     }
 
     /// Replay fallback: the record for `node`'s `idx`-th invocation of
     /// `func` during memoization.
-    pub fn lookup_by_index(&mut self, node: u32, func: FnId, idx: usize) -> Option<MemoRecord<O>> {
+    pub fn lookup_by_index(&self, node: u32, func: FnId, idx: usize) -> Option<MemoRecord<O>> {
         let digest = *self.invocation_order.get(&(node, func))?.get(idx)?;
-        let rec = self.records.get(&(func, digest))?.clone();
-        self.stats.index_fallbacks += 1;
-        Some(rec)
-    }
-
-    /// Registers that a replay lookup missed entirely and the real
-    /// function was executed.
-    pub fn note_miss(&mut self) {
-        self.stats.misses += 1;
+        self.records.get(&(func, digest)).cloned()
     }
 
     /// Number of distinct `(function, input)` records.
@@ -236,7 +132,8 @@ impl<O: Clone> MemoDb<O> {
         self.records.is_empty()
     }
 
-    /// Usage statistics.
+    /// The recording's counters (`recorded`, `duplicate_inputs`); a
+    /// replay counts its own lookups ([`Replay`](crate::Replay)).
     pub fn stats(&self) -> MemoStats {
         self.stats
     }
@@ -368,7 +265,6 @@ mod tests {
         let rec = m.lookup(FnId(0), d("input-a")).unwrap();
         assert_eq!(rec.output, vec![1, 2, 3]);
         assert_eq!(rec.duration, ms(500));
-        assert_eq!(m.stats().hits, 1);
         assert_eq!(m.len(), 1);
     }
 
@@ -400,64 +296,6 @@ mod tests {
         assert_eq!(r.output, vec![2]);
         assert!(m.lookup_by_index(7, FnId(0), 5).is_none());
         assert!(m.lookup_by_index(9, FnId(0), 0).is_none());
-        assert_eq!(m.stats().index_fallbacks, 1);
-    }
-
-    #[test]
-    fn stats_and_hit_rate() {
-        let mut m = db();
-        m.record(1, FnId(0), d("a"), vec![], ms(1));
-        m.lookup(FnId(0), d("a"));
-        m.lookup(FnId(0), d("a"));
-        assert!(m.lookup(FnId(0), d("zzz")).is_none());
-        m.note_miss();
-        let s = m.stats();
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.misses, 1);
-        assert!((s.replay_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(s.recorded, 1);
-        assert_eq!(db().stats().replay_hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn call_runs_each_of_the_four_modes() {
-        const REPLAY: RunMode = RunMode::PilReplay { cores: 4 };
-        let mut m = db();
-        let mut runs = 0;
-        let mut exec = || {
-            runs += 1;
-            (vec![runs], ms(10))
-        };
-        // Real and Colo execute and leave the database alone.
-        for mode in [RunMode::Real, RunMode::Colo { cores: 4 }] {
-            let (_, dur, src) = m.call(mode, 7, FnId(0), d("a"), Some(0), &mut exec);
-            assert_eq!((dur, src), (ms(10), CallSource::Executed));
-        }
-        assert!(m.is_empty());
-        // Memoize executes and records.
-        let (out, _, src) = m.call(
-            RunMode::Memoize { cores: 4 },
-            7,
-            FnId(0),
-            d("a"),
-            Some(0),
-            &mut exec,
-        );
-        assert_eq!((out, src), (vec![3], CallSource::Executed));
-        assert_eq!(m.stats().recorded, 1);
-        // Replay: digest hit, then index fallback, then a counted miss
-        // that executes; without an index there is no fallback.
-        let (out, dur, src) = m.call(REPLAY, 9, FnId(0), d("a"), None, &mut exec);
-        assert_eq!((out, dur, src), (vec![3], ms(10), CallSource::Hit));
-        let (out, _, src) = m.call(REPLAY, 7, FnId(0), d("zzz"), Some(0), &mut exec);
-        assert_eq!((out, src), (vec![3], CallSource::IndexFallback));
-        let (out, _, src) = m.call(REPLAY, 7, FnId(0), d("zzz"), Some(5), &mut exec);
-        assert_eq!((out, src), (vec![4], CallSource::Miss));
-        let (_, _, src) = m.call(REPLAY, 7, FnId(0), d("zzz"), None, &mut exec);
-        assert_eq!(src, CallSource::Miss);
-        let s = m.stats();
-        assert_eq!((s.hits, s.index_fallbacks, s.misses), (1, 1, 2));
-        assert_eq!(runs, 5);
     }
 
     #[test]
@@ -466,7 +304,7 @@ mod tests {
         m.record(1, FnId(0), d("a"), vec![9, 9], ms(123));
         m.record(2, FnId(3), d("b"), vec![7], ms(456));
         let json = m.to_json().unwrap();
-        let mut back: MemoDb<Vec<u8>> = MemoDb::from_json(&json).unwrap();
+        let back: MemoDb<Vec<u8>> = MemoDb::from_json(&json).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.lookup(FnId(0), d("a")).unwrap().output, vec![9, 9]);
         assert_eq!(back.lookup(FnId(3), d("b")).unwrap().duration, ms(456));

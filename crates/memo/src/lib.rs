@@ -4,7 +4,10 @@
 //! `sleep(t)` plus its memoized output. This crate stores what that
 //! needs:
 //!
-//! * the four runs a scale check is made of ([`RunMode`]);
+//! * the three single simulations a scale check is made of
+//!   ([`RunMode`]) and the PIL side of a run ([`Pil`]): execute, record
+//!   (the memoization run is Colo with a recorder), or replay a borrowed
+//!   recording ([`Replay`]);
 //! * content digests for inputs ([`digest_bytes`], [`Hasher128`]);
 //! * the input → (output, duration) database ([`MemoDb`]) with
 //!   invocation-order fallback and honest hit/miss statistics;
@@ -36,10 +39,12 @@ pub mod db;
 pub mod digest;
 pub mod order;
 pub mod orderspace;
+pub mod pil;
 
-pub use db::{CallSource, FnId, MemoDb, MemoRecord, MemoStats, PersistError, RunMode};
+pub use db::{FnId, MemoDb, MemoRecord, MemoStats, PersistError};
 pub use digest::{digest_bytes, Digest128, Hasher128};
 pub use order::{OrderDecision, OrderEnforcer, OrderRecorder};
 pub use orderspace::{
     log10_ordering_space, log10_recorded_space, ordering_space_digits, savings_orders_of_magnitude,
 };
+pub use pil::{Pil, Replay, RunMode};

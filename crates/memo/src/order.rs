@@ -14,10 +14,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Records per-node message-processing order during memoization.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct OrderRecorder {
     logs: BTreeMap<u32, Vec<u64>>,
 }
@@ -33,20 +31,15 @@ impl OrderRecorder {
         self.logs.entry(node).or_default().push(key);
     }
 
-    /// Number of recorded events for `node`.
-    pub fn len(&self, node: u32) -> usize {
-        self.logs.get(&node).map_or(0, Vec::len)
-    }
-
     /// Total recorded events across all nodes.
     pub fn total(&self) -> usize {
         self.logs.values().map(Vec::len).sum()
     }
 
-    /// Freezes the recording into an enforcer for replay.
-    pub fn into_enforcer(self) -> OrderEnforcer {
+    /// An enforcer replaying this recording, which it borrows.
+    pub fn enforcer(&self) -> OrderEnforcer<'_> {
         OrderEnforcer {
-            logs: self.logs,
+            logs: &self.logs,
             cursors: BTreeMap::new(),
             out_of_log: 0,
         }
@@ -67,13 +60,13 @@ pub enum OrderDecision {
 
 /// Enforces a recorded per-node processing order during replay.
 #[derive(Clone, Debug)]
-pub struct OrderEnforcer {
-    logs: BTreeMap<u32, Vec<u64>>,
+pub struct OrderEnforcer<'a> {
+    logs: &'a BTreeMap<u32, Vec<u64>>,
     cursors: BTreeMap<u32, usize>,
     out_of_log: u64,
 }
 
-impl OrderEnforcer {
+impl OrderEnforcer<'_> {
     /// The key `node` should process next, if the log has more entries.
     pub fn expected(&self, node: u32) -> Option<u64> {
         let cursor = self.cursors.get(&node).copied().unwrap_or(0);
@@ -138,9 +131,8 @@ mod tests {
         for k in [10u64, 20, 30] {
             rec.record(1, k);
         }
-        assert_eq!(rec.len(1), 3);
         assert_eq!(rec.total(), 3);
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         for k in [10u64, 20, 30] {
             assert_eq!(enf.classify(1, k), OrderDecision::ProcessNow);
             enf.advance(1, k);
@@ -154,7 +146,7 @@ mod tests {
         let mut rec = OrderRecorder::new();
         rec.record(1, 10);
         rec.record(1, 20);
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         assert_eq!(enf.classify(1, 20), OrderDecision::HoldForLater);
         assert_eq!(enf.classify(1, 10), OrderDecision::ProcessNow);
         enf.advance(1, 10);
@@ -165,7 +157,7 @@ mod tests {
     fn unknown_key_flagged_not_deadlocked() {
         let mut rec = OrderRecorder::new();
         rec.record(1, 10);
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         assert_eq!(enf.classify(1, 999), OrderDecision::NotInLog);
         assert_eq!(enf.out_of_log(), 1);
         // The expected message still processes normally.
@@ -177,7 +169,7 @@ mod tests {
         let mut rec = OrderRecorder::new();
         rec.record(1, 10);
         rec.record(2, 20);
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         assert_eq!(enf.expected(1), Some(10));
         assert_eq!(enf.expected(2), Some(20));
         enf.advance(2, 20);
@@ -189,7 +181,7 @@ mod tests {
     fn arrivals_after_log_exhaustion_are_not_in_log() {
         let mut rec = OrderRecorder::new();
         rec.record(1, 10);
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         enf.advance(1, 10);
         assert_eq!(enf.classify(1, 10), OrderDecision::NotInLog);
     }
@@ -200,7 +192,7 @@ mod tests {
         let mut rec = OrderRecorder::new();
         rec.record(1, 10);
         rec.record(1, 20);
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         enf.advance(1, 20);
     }
 
@@ -210,7 +202,7 @@ mod tests {
         for k in [5u64, 5, 7] {
             rec.record(1, k);
         }
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         assert_eq!(enf.classify(1, 5), OrderDecision::ProcessNow);
         enf.advance(1, 5);
         assert_eq!(enf.classify(1, 7), OrderDecision::HoldForLater);

@@ -2,10 +2,11 @@
 //! network misbehaves, nodes crash from memory pressure, or the memo
 //! database is incomplete.
 
-use scalecheck::{content_digest, memoize, replay_ordered, run_real, COLO_CORES};
+use scalecheck::{content_digest, memoize, run_real, COLO_CORES};
 use scalecheck_cluster::{
-    run_scenario, AllocStrategy, FaultPlan, RunMode, ScenarioConfig, Workload,
+    run_colocated, run_scenario, AllocStrategy, FaultPlan, RunMode, ScenarioConfig, Workload,
 };
+use scalecheck_memo::{Pil, Replay};
 use scalecheck_sim::{SimDuration, SimTime};
 
 fn base(n: usize, seed: u64) -> ScenarioConfig {
@@ -228,12 +229,8 @@ fn replay_with_truncated_db_falls_back_and_completes() {
         assert!(damaged.remove(*f, *d));
     }
 
-    let (r, _, _) = scalecheck_cluster::run_scenario_with_db(
-        &cfg,
-        RunMode::PilReplay { cores: COLO_CORES },
-        Some(damaged),
-        Some(memo.order.clone()),
-    );
+    let replay = Replay::new(&damaged, Some(&memo.order));
+    let r = run_colocated(&cfg, COLO_CORES, Pil::Replay(replay));
     assert!(r.quiesced, "replay must not wedge on missing records");
     assert!(
         r.memo.misses + r.memo.index_fallbacks > 0,
@@ -249,15 +246,8 @@ fn order_log_from_wrong_run_is_survivable() {
     let cfg = base(12, 5);
     let memo = memoize(&cfg, COLO_CORES);
     let other = memoize(&base(12, 99), COLO_CORES);
-    let pil = replay_ordered(
-        &cfg,
-        COLO_CORES,
-        &scalecheck::MemoArtifacts {
-            db: memo.db.clone(),
-            order: other.order.clone(),
-            report: memo.report.clone(),
-        },
-    );
+    let replay = Replay::new(&memo.db, Some(&other.order));
+    let pil = run_colocated(&cfg, COLO_CORES, Pil::Replay(replay));
     assert!(pil.quiesced, "mismatched order log must not deadlock");
     assert!(
         pil.order_out_of_log > 0 || pil.order_forced_releases > 0,

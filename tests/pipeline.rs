@@ -6,9 +6,9 @@
 //! calibration; here we shrink the cluster and inflate the per-op cost
 //! so the same starvation mechanism fires at N≈32 in seconds.
 
-use scalecheck::{memoize, replay, run_colo, run_real, Triple, COLO_CORES};
-use scalecheck_cluster::{CalcVersion, PendingWire, RunMode, ScenarioConfig, Workload};
-use scalecheck_memo::MemoDb;
+use scalecheck::{memoize, replay, replay_ordered, run_colo, run_real, Triple, COLO_CORES};
+use scalecheck_cluster::{run_colocated, CalcVersion, PendingWire, ScenarioConfig, Workload};
+use scalecheck_memo::{MemoDb, Pil, Replay};
 use scalecheck_sim::SimDuration;
 
 /// A healthy little cluster: nothing should flap anywhere.
@@ -98,15 +98,9 @@ fn memo_db_survives_persistence_round_trip() {
     let db2: MemoDb<PendingWire> = MemoDb::from_json(&json).expect("deserialize");
     assert_eq!(db2.len(), memo.db.len());
     // Replaying against the reloaded DB behaves identically.
-    let mode = RunMode::PilReplay { cores: COLO_CORES };
-    let (r1, _, _) = scalecheck_cluster::run_scenario_with_db(
-        &cfg,
-        mode,
-        Some(memo.db.clone()),
-        Some(memo.order.clone()),
-    );
-    let (r2, _, _) =
-        scalecheck_cluster::run_scenario_with_db(&cfg, mode, Some(db2), Some(memo.order.clone()));
+    let r1 = replay_ordered(&cfg, COLO_CORES, &memo);
+    let reloaded = Replay::new(&db2, Some(&memo.order));
+    let r2 = run_colocated(&cfg, COLO_CORES, Pil::Replay(reloaded));
     assert_eq!(r1.total_flaps, r2.total_flaps);
     assert_eq!(r1.duration, r2.duration);
 }
@@ -156,8 +150,8 @@ fn replay_without_db_degrades_gracefully() {
     // A replay with an empty DB must still complete (everything falls
     // back to genuine execution) and report the misses honestly.
     let cfg = healthy(10, 4);
-    let mode = RunMode::PilReplay { cores: COLO_CORES };
-    let (r, _, _) = scalecheck_cluster::run_scenario_with_db(&cfg, mode, Some(MemoDb::new()), None);
+    let empty = MemoDb::new();
+    let r = run_colocated(&cfg, COLO_CORES, Pil::Replay(Replay::new(&empty, None)));
     assert!(r.quiesced);
     assert!(r.memo.misses > 0);
     assert_eq!(r.memo.hits, 0);

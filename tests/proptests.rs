@@ -128,7 +128,7 @@ proptest! {
             );
         }
         let json = db.to_json().unwrap();
-        let mut back: MemoDb<Vec<u8>> = MemoDb::from_json(&json).unwrap();
+        let back: MemoDb<Vec<u8>> = MemoDb::from_json(&json).unwrap();
         prop_assert_eq!(back.len(), db.len());
         for (input, _, dur) in &records {
             let d = digest_bytes(&input.to_le_bytes());
@@ -156,7 +156,7 @@ proptest! {
         for &k in &unique {
             rec.record(0, k);
         }
-        let mut enf = rec.into_enforcer();
+        let mut enf = rec.enforcer();
         // Arrivals in a random permutation; held messages wait.
         let mut arrivals = unique.clone();
         let mut rng = DetRng::new(seed);

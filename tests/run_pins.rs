@@ -19,7 +19,9 @@
 //! (bucket 0's upper bound) to `LogHistogram`'s exact `0 ns` — the only
 //! field that differed (CHANGES.md, PR 14).
 
-use scalecheck::{content_digest, memoize, run_colo, run_real, time_dilated};
+use scalecheck::{
+    content_digest, memoize, replay, replay_ordered, run_colo, run_real, time_dilated,
+};
 use scalecheck_cluster::{FaultPlan, RunReport, ScenarioConfig, TrafficConfig};
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
 use scalecheck_sim::SimTime;
@@ -188,10 +190,39 @@ fn memoization_run_is_the_colo_run() {
     assert_eq!(exercised, [true; 4], "spans, traffic, faults, probe");
 }
 
+/// SC+PIL's second leg: c6127(24) on one core is the smallest preset
+/// cell whose replay misses, so its replays exercise digest hits, index
+/// fallbacks and re-execution. Captured on the commit before the replay
+/// counters (`memo.*`, `calc.memo_*`) moved off the memo database.
+#[test]
+fn c6127_24_replay_reports_are_pinned() {
+    let cfg = ScenarioConfig::c6127(24, 1);
+    let memo = memoize(&cfg, 1);
+    let recorded = memo.db.to_json().expect("serialize");
+    let plain = replay(&cfg, 1, &memo);
+    let ordered = replay_ordered(&cfg, 1, &memo);
+    let (p, o) = (plain.memo, ordered.memo);
+    assert!(p.hits > 0 && p.index_fallbacks > 0, "{p:?}");
+    assert!(o.hits > 0 && o.index_fallbacks > 0 && o.misses > 0, "{o:?}");
+    assert_eq!(memo.db.to_json().expect("serialize"), recorded);
+    pin(
+        "c6127(24) replay/1",
+        &plain,
+        false,
+        "257e4929009baeda189c857232302318",
+    );
+    pin(
+        "c6127(24) replay_ordered/1",
+        &ordered,
+        false,
+        "71c92b8bc22d56c8a1f23ffb1bae99f8",
+    );
+}
+
 /// The second system (`hdfslike`) has its own run loop; these digests of
 /// the whole `HdfsReport` were captured on the commit before that loop's
-/// `pump` was routed through `MemoDb::call` and its sends through
-/// `Network::offer`.
+/// `pump` was routed through one PIL call site (today `Pil::call`) and
+/// its sends through `Network::offer`.
 fn pin_hdfs(name: &str, report: &HdfsReport, want: &str) {
     assert_eq!(
         content_digest(report),
