@@ -8,6 +8,7 @@
 //! never a silently different cell. Exit 1 is reserved for a command
 //! that ran and [`Failure::Failed`].
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -177,6 +178,19 @@ impl Args {
         };
         let split = |raw: &str| raw.split(',').map(parse).collect();
         self.value(name).map(split).transpose()
+    }
+
+    /// The value of `name` as a cluster size: 0 is malformed, since a
+    /// cluster of no nodes "runs" and reports nothing.
+    pub fn size(&self, name: &str) -> Result<Option<usize>, Failure> {
+        Ok(self.get::<NonZeroUsize>(name)?.map(NonZeroUsize::get))
+    }
+
+    /// The comma-separated value of `name` as cluster sizes (see
+    /// [`Self::size`]).
+    pub fn sizes(&self, name: &str) -> Result<Option<Vec<usize>>, Failure> {
+        let sizes = self.list::<NonZeroUsize>(name)?;
+        Ok(sizes.map(|v| v.into_iter().map(NonZeroUsize::get).collect()))
     }
 }
 

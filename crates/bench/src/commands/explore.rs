@@ -19,6 +19,7 @@
 //!   asserts the verdict still flips and the perturbed report digest is
 //!   bit-identical; exits nonzero otherwise.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use crate::cli::{bare, read_file, val, write_file, Args, Command, Failure};
@@ -71,9 +72,10 @@ fn parse_cells(raw: &str) -> Result<Vec<CellPlan>, String> {
             let [bug, n, seed, target] = parts.as_slice() else {
                 return Err(format!("cell '{spec}' is not bug:nodes:seed:target"));
             };
-            let n_nodes: usize = n
-                .parse()
-                .map_err(|_| format!("cell '{spec}': bad node count '{n}'"))?;
+            let n_nodes = n
+                .parse::<NonZeroUsize>()
+                .map_err(|_| format!("cell '{spec}': bad node count '{n}'"))?
+                .get();
             let seed: u64 = seed
                 .parse()
                 .map_err(|_| format!("cell '{spec}': bad seed '{seed}'"))?;

@@ -28,7 +28,7 @@ pub const COMMAND: Command = Command {
 fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
     let scales: Vec<usize> = args
-        .list("--scales")?
+        .sizes("--scales")?
         .unwrap_or_else(|| vec![64, 128, 192, 256]);
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
 

@@ -41,7 +41,7 @@ fn scenario(n: usize) -> ScenarioConfig {
 
 fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
-    let scales: Vec<usize> = args.list("--scales")?.unwrap_or_else(|| vec![8, 16, 32]);
+    let scales: Vec<usize> = args.sizes("--scales")?.unwrap_or_else(|| vec![8, 16, 32]);
 
     // Three cells per scale: real, 1-core colocation, and the ordered
     // PIL replay on the 1-core box (memoized on 16 cores).

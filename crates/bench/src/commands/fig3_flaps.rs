@@ -27,7 +27,7 @@ fn run(args: &Args) -> Result<(), Failure> {
     let bug = args.value("--bug").unwrap_or("c3831");
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
     let scales: Vec<usize> = args
-        .list("--scales")?
+        .sizes("--scales")?
         .unwrap_or_else(|| vec![32, 64, 128, 256]);
 
     let title = match bug {

@@ -29,7 +29,7 @@ pub const COMMAND: Command = Command {
 /// The scenario `--bug --nodes --seed` name (`run`, `memoize`, `replay`).
 pub fn scenario(args: &Args) -> Result<(&str, usize, ScenarioConfig), Failure> {
     let bug = args.value("--bug").unwrap_or("c3831");
-    let n: usize = args.get("--nodes")?.unwrap_or(64);
+    let n: usize = args.size("--nodes")?.unwrap_or(64);
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
     let cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;
     Ok((bug, n, cfg))

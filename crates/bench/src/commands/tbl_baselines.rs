@@ -32,7 +32,7 @@ const TRAIN_SCALES: [usize; 4] = [8, 16, 32, 64];
 
 fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
-    let target: usize = args.get("--target")?.unwrap_or(256);
+    let target: usize = args.size("--target")?.unwrap_or(256);
     let tdf: u64 = args.get("--tdf")?.unwrap_or(16);
     let seed = 1;
 

@@ -35,7 +35,7 @@ pub const COMMAND: Command = Command {
 fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
     let bug = args.value("--bug").unwrap_or("c3831");
-    let n: usize = args.get("--nodes")?.unwrap_or(128);
+    let n: usize = args.size("--nodes")?.unwrap_or(128);
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
 
     let mut cfg = ScenarioConfig::bug(bug, n, seed).map_err(Failure::Usage)?;

@@ -28,7 +28,7 @@ fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
     let bug = args.value("--bug").unwrap_or("c3831");
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
-    let scales: Vec<usize> = args.list("--scales")?.unwrap_or_else(|| vec![16, 32, 64]);
+    let scales: Vec<usize> = args.sizes("--scales")?.unwrap_or_else(|| vec![16, 32, 64]);
     let intensities: Vec<f64> = args
         .list("--intensities")?
         .unwrap_or_else(|| vec![0.0, 0.3, 0.7]);

@@ -22,7 +22,7 @@ pub const COMMAND: Command = Command {
 
 fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
-    let n: usize = args.get("--nodes")?.unwrap_or(256);
+    let n: usize = args.size("--nodes")?.unwrap_or(256);
     let seed = 1;
 
     let scenario = |bug: &str| ScenarioConfig::bug(bug, n, seed).expect("a bug of `rows`");

@@ -26,7 +26,7 @@ const BUGS: [&str; 3] = ["c3831", "c3881", "c5456"];
 
 fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
-    let n: usize = args.get("--nodes")?.unwrap_or(256);
+    let n: usize = args.size("--nodes")?.unwrap_or(256);
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
 
     // Two cells per bug: the real run, and the memoize+replay pair

@@ -244,7 +244,7 @@ fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
     let scales: Vec<usize> = args
-        .list("--scales")?
+        .sizes("--scales")?
         .unwrap_or_else(|| vec![256, 512, 1024, 2048]);
     let json_out = args.value("--json-out").unwrap_or("BENCH_scale.json");
     let table_out = args.value("--table-out").unwrap_or("TBL_scale.txt");

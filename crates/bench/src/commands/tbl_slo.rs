@@ -345,7 +345,7 @@ fn run(args: &Args) -> Result<(), Failure> {
     let jobs = jobs(args.get("--jobs")?);
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
     let users: u64 = args.get("--users")?.unwrap_or(DEFAULT_USERS);
-    let scales: Vec<usize> = args.list("--scales")?.unwrap_or_else(|| vec![64, 128, 256]);
+    let scales: Vec<usize> = args.sizes("--scales")?.unwrap_or_else(|| vec![64, 128, 256]);
     let bugs: Vec<String> = args
         .list("--bugs")?
         .unwrap_or_else(|| vec!["c3831".into(), "c3881".into(), "c5456".into()]);

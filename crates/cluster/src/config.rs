@@ -342,9 +342,16 @@ impl ScenarioConfig {
         }
     }
 
-    /// Rejects configurations whose request semantics would silently
-    /// lie. Called by the runner before any state is built.
+    /// Rejects configurations that would silently lie: an empty cluster
+    /// "quiesces" with zero flaps, and request semantics need replicas.
+    /// Called by the runner before any state is built.
     pub fn validate(&self) -> Result<(), String> {
+        if self.n_nodes == 0 {
+            return Err("n_nodes must be at least 1".into());
+        }
+        if self.vnodes == 0 {
+            return Err("vnodes must be at least 1".into());
+        }
         if self.rf == 0 {
             return Err("rf must be at least 1".into());
         }
@@ -423,6 +430,16 @@ mod tests {
         }
         let err = ScenarioConfig::bug("c9999", 32, 1).unwrap_err();
         assert!(err.contains("unknown bug id 'c9999'") && err.contains("c3831"));
+    }
+
+    #[test]
+    fn empty_clusters_and_tokenless_nodes_are_rejected() {
+        assert_eq!(ScenarioConfig::baseline(1, 1).validate(), Ok(()));
+        let err = ScenarioConfig::baseline(0, 1).validate().unwrap_err();
+        assert!(err.contains("n_nodes"), "{err}");
+        let mut cfg = ScenarioConfig::c3881(8, 1);
+        cfg.vnodes = 0;
+        assert!(cfg.validate().unwrap_err().contains("vnodes"));
     }
 
     #[test]

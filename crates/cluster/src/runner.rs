@@ -265,6 +265,17 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
                 )
             })
             .collect();
+        // Each member's ring view is this table less the member itself.
+        // Cloning keeps the build quadratic: `add_node` checks every token
+        // against every node already in the table, so filling each view
+        // pair by pair is cubic in N.
+        let mut members = RingTable::new(cfg.rf);
+        for j in 0..cfg.n_nodes {
+            let id = NodeId(j as u32);
+            members
+                .add_node(id, NodeStatus::Normal, spread_tokens(id, cfg.vnodes))
+                .expect("distinct tokens");
+        }
         #[allow(clippy::needless_range_loop)]
         for i in 0..cfg.n_nodes {
             for (peer, st) in &member_states {
@@ -272,16 +283,9 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
                     nodes[i].seed_peer(*peer, st.clone());
                 }
             }
-            // Pre-populate the ring view with the established members.
-            for j in 0..cfg.n_nodes {
-                if i != j {
-                    let jid = NodeId(j as u32);
-                    nodes[i]
-                        .ring
-                        .add_node(jid, NodeStatus::Normal, spread_tokens(jid, cfg.vnodes))
-                        .expect("distinct tokens");
-                }
-            }
+            let view = &mut nodes[i].ring;
+            *view = members.clone();
+            view.remove_node(NodeId(i as u32)).expect("a member");
         }
     }
     // Joiners (and everyone at fresh bootstrap) know the seed addresses
@@ -1742,5 +1746,69 @@ fn assemble_fault_report(st: &ClusterState, ended: SimTime) -> FaultReport {
         fault_duplicated: st.net.fault_duplicated(),
         downtime,
         attributed_flaps: st.nodes.iter().map(|n| n.fd.fault_attributed_flaps()).sum(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The construction `build` replaced, kept as the reference: an empty
+    /// view per node, then one checked `add_node` per other established
+    /// member. Joiners and bootstrapping nodes start with an empty view.
+    fn per_pair_view(cfg: &ScenarioConfig, i: usize) -> RingTable {
+        let mut view = RingTable::new(cfg.rf);
+        if matches!(cfg.workload, Workload::BootstrapFromScratch) || i >= cfg.n_nodes {
+            return view;
+        }
+        for j in (0..cfg.n_nodes).filter(|&j| j != i) {
+            let jid = NodeId(j as u32);
+            view.add_node(jid, NodeStatus::Normal, spread_tokens(jid, cfg.vnodes))
+                .expect("distinct tokens");
+        }
+        view
+    }
+
+    type ViewContents = (Vec<(NodeId, NodeStatus, Vec<Token>)>, Vec<u8>, bool);
+
+    /// Everything a view shows: its entries, the canonical bytes memo
+    /// digests hash, and whether a change is pending.
+    fn contents(ring: &RingTable) -> ViewContents {
+        let entries = ring
+            .iter()
+            .map(|(id, st)| (id, st.status, st.tokens.clone()))
+            .collect();
+        let mut bytes = Vec::new();
+        ring.write_canonical(&mut bytes);
+        (entries, bytes, ring.has_pending_change())
+    }
+
+    /// Differential: every node's pre-filled view is the per-pair one —
+    /// on a 1-vnode baseline, on c3881 (32 vnodes, plus two joiners whose
+    /// views are not pre-filled) and on c6127 (bootstrap: none is).
+    #[test]
+    fn every_view_equals_the_per_pair_construction() {
+        let cells = [
+            ("baseline(64)", ScenarioConfig::baseline(64, 1), 64),
+            ("c3881(48)", ScenarioConfig::c3881(48, 1), 48),
+            ("c6127(24)", ScenarioConfig::c6127(24, 1), 0),
+        ];
+        for (name, cfg, prefilled) in cells {
+            let state = build(&cfg, RunMode::Real, Pil::Execute);
+            assert_eq!(state.nodes.len(), cfg.total_nodes(), "{name}");
+            let mut filled = 0;
+            for (i, node) in state.nodes.iter().enumerate() {
+                let want = per_pair_view(&cfg, i);
+                assert!(
+                    contents(&node.ring) == contents(&want),
+                    "{name}: node {i}'s view differs from the per-pair one \
+                     ({} vs {} entries)",
+                    node.ring.iter().count(),
+                    want.iter().count()
+                );
+                filled += usize::from(want.iter().next().is_some());
+            }
+            assert_eq!(filled, prefilled, "{name}: pre-filled views");
+        }
     }
 }

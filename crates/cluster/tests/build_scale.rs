@@ -1,0 +1,32 @@
+//! The harness's own scalability bug, guarded: building a cluster must
+//! not grow cubically with N.
+//!
+//! Filling each established node's ring view with one checked `add_node`
+//! per other member scanned the view once per token: a 2048-node build
+//! took ~12 s before the first event and grew ~7× per doubling of N.
+//! The build now clones one members table per node, ~0.7 s of this
+//! cell's ~1.2 s on a 2-vCPU container. The 1 s horizon keeps the build
+//! the bulk of the cell, so the 4 s budget tells the two apart with room
+//! for a slow host.
+
+use std::time::Instant;
+
+use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
+use scalecheck_sim::SimDuration;
+
+#[test]
+#[ignore = "release-only: a 2048-node cell; ci.sh runs this in release"]
+fn a_2048_node_cell_builds_in_seconds_not_minutes() {
+    let mut cfg = ScenarioConfig::baseline(2048, 1);
+    cfg.memory.single_process = true;
+    cfg.max_duration = SimDuration::from_secs(1);
+    let t0 = Instant::now();
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
+    let wall = t0.elapsed().as_secs_f64();
+    assert!(r.engine.fired > 0, "the cell ran no events");
+    assert!(
+        wall <= 4.0,
+        "a 2048-node baseline cell with a 1 s horizon took {wall:.2} s (budget 4 s): \
+         is the cluster build cubic again?"
+    );
+}

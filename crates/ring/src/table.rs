@@ -247,11 +247,14 @@ impl RingTable {
     /// `Arc<Vec<_>>` derefs to a slice, so read-only callers are
     /// unchanged.
     pub fn current_token_map(&self) -> Arc<Vec<(Token, NodeId)>> {
-        Arc::clone(
-            self.token_map
-                .0
-                .get_or_init(|| Arc::new(self.rebuild_current_token_map())),
-        )
+        Arc::clone(self.cached_token_map())
+    }
+
+    /// The cached map, filled on first use after a mutation.
+    fn cached_token_map(&self) -> &Arc<Vec<(Token, NodeId)>> {
+        self.token_map
+            .0
+            .get_or_init(|| Arc::new(self.rebuild_current_token_map()))
     }
 
     /// Reference implementation of [`Self::current_token_map`]: rebuilds
@@ -278,14 +281,10 @@ impl RingTable {
     /// it.
     pub fn replicas_of(&self, key: Token, out: &mut Vec<NodeId>) {
         out.clear();
-        let map = self.current_token_map();
-        if map.is_empty() {
-            return;
-        }
-        // First token >= key, wrapping.
-        let start = map.partition_point(|&(t, _)| t < key) % map.len();
-        for step in 0..map.len() {
-            let (_, node) = map[(start + step) % map.len()];
+        let map = self.cached_token_map();
+        // From the first token >= key to the end, then wrap to the head.
+        let (head, tail) = map.split_at(map.partition_point(|&(t, _)| t < key));
+        for &(_, node) in tail.iter().chain(head) {
             if !out.contains(&node) {
                 out.push(node);
                 if out.len() == self.rf {

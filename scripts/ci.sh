@@ -171,6 +171,13 @@ echo "=== slo smoke (tbl_slo --smoke, c3831@128 Real vs Colo, 1M users) ==="
 echo "=== paper-shape SLO regression (c3831@128 triple, release) ==="
 cargo test --release -q --test traffic_slo -- --ignored
 
+# The harness's own scalability bug: filling every ring view with
+# per-pair checked inserts made the cluster build cubic in N (~12 s at
+# 2048 nodes before the first event). A 2048-node cell with a 1 s
+# horizon, mostly build, must finish inside 4 s (~1.2 s now).
+echo "=== cluster build stays sub-cubic (2048-node cell, release) ==="
+cargo test --release -q -p scalecheck-cluster --test build_scale -- --ignored
+
 # Schedule exploration: the tie-order plumbing must stay inert on the
 # identity path (pinned smoke cells, zero verdict flips), and the
 # committed witness — a single targeted swap that flips the race

@@ -53,9 +53,28 @@ fn bad_arguments_exit_with_usage_not_a_panic() {
         // one outside a command's allowed set, is a usage error.
         "explore --cells race:40:1:warp",
         "tbl_scale --modes real",
+        // A cluster of no nodes used to "quiesce with zero flaps".
+        "run --nodes 0",
+        "fig3_flaps --bug c3831 --scales 8,0",
+        "tbl_baselines --target 0",
+        "explore --cells race:0:1:real",
     ];
     for line in hostile {
         assert_usage_error(line);
+    }
+
+    // ... and a 0-node sweep wrote its row over the artifacts: it must
+    // stop before running or writing anything.
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let (json, table) = (format!("{dir}/scale0.json"), format!("{dir}/scale0.txt"));
+    for path in [&json, &table] {
+        let _ = std::fs::remove_file(path);
+    }
+    assert_usage_error(&format!(
+        "tbl_scale --scales 0 --modes colo --json-out {json} --table-out {table}"
+    ));
+    for path in [&json, &table] {
+        assert!(!std::path::Path::new(path).exists(), "{path} was written");
     }
 }
 

@@ -3,7 +3,8 @@
 //! index-addressed tables, kept here (and only here) as oracles for the
 //! differential proptests. They are written for obviousness, one
 //! ordered-map probe per peer, and make no assumption about peer ids
-//! being dense.
+//! being dense. Beside them, the modulo replica walk `RingTable` used
+//! before it split its token map at the key.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -12,7 +13,30 @@ use scalecheck_gossip::{
     Ack, Ack2, ApplyOutcome, Delta, Digest, EndpointState, HeartbeatState, Liveness, Peer,
     PhiDetector, Syn,
 };
+use scalecheck_ring::{NodeId, Token};
 use scalecheck_sim::{SimDuration, SimTime};
+
+/// `RingTable::replicas_of` as an index walk: start at the first token
+/// at or after `key` (modulo the map's length, so a key past the last
+/// token starts at the head) and step round the ring, collecting up to
+/// `rf` distinct nodes.
+pub fn modulo_replicas(map: &[(Token, NodeId)], rf: usize, key: Token) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    if map.is_empty() {
+        return out;
+    }
+    let start = map.partition_point(|&(t, _)| t < key) % map.len();
+    for step in 0..map.len() {
+        let (_, node) = map[(start + step) % map.len()];
+        if !out.contains(&node) {
+            out.push(node);
+            if out.len() == rf {
+                break;
+            }
+        }
+    }
+    out
+}
 
 /// `scalecheck_gossip::Gossiper` over a `BTreeMap<Peer, _>` view.
 pub struct TreeGossiper<A> {

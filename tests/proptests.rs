@@ -590,6 +590,35 @@ proptest! {
         }
     }
 
+    /// Differential: `replicas_of`'s split walk (from the first token at
+    /// or after the key to the end, then the head) resolves what the
+    /// modulo walk it replaced did — for keys before, on and past the
+    /// last token, on rings with fewer distinct current owners than `rf`
+    /// (joiners own nothing yet), and on the empty ring.
+    #[test]
+    fn replica_walk_matches_the_modulo_walk(
+        nodes in prop::collection::vec(
+            (0u32..20, prop::collection::vec(0u64..1 << 20, 1..4), any::<bool>()),
+            0..6,
+        ),
+        rf in 1usize..6,
+        keys in prop::collection::vec(0u64..1 << 21, 1..8),
+    ) {
+        let mut ring = RingTable::new(rf);
+        for (id, tokens, joining) in nodes {
+            let status = if joining { NodeStatus::Joining } else { NodeStatus::Normal };
+            let _ = ring.add_node(NodeId(id), status, tokens.into_iter().map(Token).collect());
+        }
+        let map = ring.current_token_map();
+        let on_tokens = map.iter().map(|&(t, _)| t.0);
+        let past_last = map.last().map_or(0, |&(t, _)| t.0 + 1);
+        let mut got = Vec::new();
+        for key in keys.into_iter().chain(on_tokens).chain([past_last, u64::MAX]) {
+            ring.replicas_of(Token(key), &mut got);
+            prop_assert_eq!(&got, &model::modulo_replicas(&map, rf, Token(key)));
+        }
+    }
+
     /// Differential: the tiled per-link FIFO clock store behaves exactly
     /// like a sparse `BTreeMap<(src, dst), clock>` model. Constant
     /// latency plus zero loss makes delivery times fully deterministic,

@@ -87,6 +87,25 @@ fn c3831_64_colo_flapping_report_is_pinned() {
     );
 }
 
+/// The one preset with vnodes > 1 that no other pin runs through Real:
+/// two 32-vnode joiners on three established members, the smallest
+/// cluster that holds a full replica set (rf 3) when they arrive. The
+/// members' pre-filled ring views are 32-token entries. Captured on the
+/// commit before those views became clones of one members table.
+#[test]
+fn c3881_3_real_report_is_pinned() {
+    let cfg = ScenarioConfig::c3881(3, 1);
+    let r = run_real(&cfg);
+    assert_eq!(cfg.total_nodes(), 5);
+    assert!(r.calc.executed > 0, "the joiners opened no pending window");
+    pin(
+        "c3881(3) real",
+        &r,
+        false,
+        "53455bb43b17a045a01e49117ee8bd98",
+    );
+}
+
 /// Crash + restart + partition + clock skew: `reset_monitoring`,
 /// `forget` and fault-suspect attribution all run.
 #[test]
