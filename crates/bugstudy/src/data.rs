@@ -17,10 +17,8 @@
 //! states (the `synthetic` flag marks them), because the paper does not
 //! enumerate them individually.
 
-use serde::{Deserialize, Serialize};
-
 /// The systems covered by the study.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum System {
     /// Apache Cassandra.
     Cassandra,
@@ -39,7 +37,7 @@ pub enum System {
 }
 
 /// Root-cause taxonomy: the §4 footnote's split.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RootCause {
     /// Scale-dependent CPU-intensive computation (47 % of the study).
     CpuIntensiveComputation,
@@ -48,7 +46,7 @@ pub enum RootCause {
 }
 
 /// Which protocol/path the bug lingers in (§3: "diverse protocols").
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Protocol {
     /// Cluster bootstrap.
     Bootstrap,
@@ -65,7 +63,7 @@ pub enum Protocol {
 }
 
 /// One studied bug.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BugRecord {
     /// Tracker id (real for named bugs, `SYN-*` for synthetic records).
     pub id: &'static str,

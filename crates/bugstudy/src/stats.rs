@@ -2,12 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::data::{BugRecord, Protocol, RootCause, System};
 
 /// Aggregate statistics over a set of bug records.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StudyStats {
     /// Bugs per system.
     pub per_system: BTreeMap<String, usize>,

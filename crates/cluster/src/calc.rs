@@ -46,7 +46,7 @@ impl From<&PendingWire> for PendingRanges {
 }
 
 /// Aggregate calculation statistics for a run.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct CalcStats {
     /// Total calculate() calls.
     pub invocations: u64,

@@ -11,7 +11,6 @@
 use scalecheck_net::NetworkConfig;
 use scalecheck_sim::{FaultPlan, SimDuration, TieOrderSpec};
 use scalecheck_traffic::{Consistency, TrafficConfig};
-use serde::{Deserialize, Serialize};
 
 /// When the first rescale action (decommission or join) fires, for
 /// workloads that rescale an already-running cluster. Bootstrap runs
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 pub const RESCALE_FIRST_ACTION: SimDuration = SimDuration::from_secs(40);
 
 /// Which historical pending-range calculator the cluster runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CalcVersion {
     /// Pre-C3831 cubic implementation.
     V1Cubic,
@@ -34,7 +33,7 @@ pub enum CalcVersion {
 }
 
 /// How the calculation interacts with the gossip stage (the C5456 axis).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LockingMode {
     /// The calculation runs inline on the gossip stage, blocking it for
     /// the whole compute (the C3831/C3881 architecture).
@@ -48,7 +47,7 @@ pub enum LockingMode {
 }
 
 /// The rescale workload driving the run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Workload {
     /// `count` nodes decommission sequentially, `gap` apart (C3831).
     Decommission {
@@ -69,7 +68,7 @@ pub enum Workload {
 }
 
 /// Rebalance allocation strategy (§6's space-oblivious code).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AllocStrategy {
     /// Over-allocates `(N-1) · P · 1.3 MB` partition services per node.
     Naive,
@@ -78,7 +77,7 @@ pub enum AllocStrategy {
 }
 
 /// Memory-model parameters (§6, §8 colocation bottlenecks).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MemoryConfig {
     /// Fixed runtime overhead per node process (managed-runtime cost;
     /// ~70 MB for a JVM). In single-process mode this is paid once.
@@ -107,7 +106,7 @@ impl Default for MemoryConfig {
 }
 
 /// Full configuration of one cluster run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScenarioConfig {
     /// Initial cluster size (nodes in Normal status at t=0; scale-out
     /// nodes come on top).
@@ -170,8 +169,8 @@ pub struct ScenarioConfig {
     /// context-switch amplification term from the shared machine.
     pub global_event_queue: bool,
     /// Tie-order perturbation applied to the engine (identity = stock
-    /// scheduling order). Part of the serialized config, so schedule
-    /// witnesses replay from JSON.
+    /// scheduling order). A schedule witness stores the spec itself and
+    /// sets it here on replay.
     pub tie_order: TieOrderSpec,
     /// Record the engine fire log and the runner's event tags into the
     /// report's [`scalecheck_sim::ScheduleProbe`] (explorer input).
@@ -342,9 +341,12 @@ impl ScenarioConfig {
         }
     }
 
-    /// Rejects configurations that would silently lie: an empty cluster
-    /// "quiesces" with zero flaps, and request semantics need replicas.
-    /// Called by the runner before any state is built.
+    /// Rejects configurations that would silently lie or never finish: an
+    /// empty cluster "quiesces" with zero flaps, a zero timer interval
+    /// re-arms at one instant forever, a NaN φ never convicts, a fault on
+    /// a node the cluster lacks fires and does nothing, and request
+    /// semantics need replicas. Called by the runner before any state is
+    /// built; the runner indexes fault-plan node ids unchecked.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_nodes == 0 {
             return Err("n_nodes must be at least 1".into());
@@ -354,6 +356,27 @@ impl ScenarioConfig {
         }
         if self.rf == 0 {
             return Err("rf must be at least 1".into());
+        }
+        if self.gossip_interval == SimDuration::ZERO {
+            return Err("gossip_interval must be positive".into());
+        }
+        if self.fd_interval == SimDuration::ZERO {
+            return Err("fd_interval must be positive".into());
+        }
+        if !(self.phi_threshold.is_finite() && self.phi_threshold > 0.0) {
+            return Err(format!(
+                "phi_threshold ({}) must be finite and positive",
+                self.phi_threshold
+            ));
+        }
+        let total = self.total_nodes();
+        for ev in &self.faults.events {
+            if let Some(node) = ev.nodes().into_iter().find(|&n| n as usize >= total) {
+                return Err(format!(
+                    "fault '{}' names node {node}, but the cluster has {total} nodes",
+                    ev.label()
+                ));
+            }
         }
         if self.traffic.enabled() {
             if self.traffic.read_permille > 1000 {
@@ -440,6 +463,72 @@ mod tests {
         let mut cfg = ScenarioConfig::c3881(8, 1);
         cfg.vnodes = 0;
         assert!(cfg.validate().unwrap_err().contains("vnodes"));
+
+        // Unchecked, these run a 4-node baseline into an OOM, a hang, no
+        // conviction ever, or a crash that fires but crashes nothing.
+        let rejected = |edit: &dyn Fn(&mut ScenarioConfig), want: &str| {
+            let mut cfg = ScenarioConfig::baseline(4, 1);
+            edit(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(want), "{err}");
+        };
+        rejected(&|c| c.gossip_interval = SimDuration::ZERO, "gossip");
+        rejected(&|c| c.fd_interval = SimDuration::ZERO, "fd_interval");
+        for phi in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            rejected(&|c| c.phi_threshold = phi, "phi_threshold");
+        }
+        let at = SimTime::from_secs(50);
+        let plans = [
+            FaultPlan::new().crash(at, 99),
+            FaultPlan::new().restart(at, 4),
+            FaultPlan::new().clock_skew(at, 4, SimDuration::from_secs(1)),
+            FaultPlan::new().partition(at, vec![0], vec![1, 4]),
+            FaultPlan::new().heal(at, vec![4], vec![0]),
+            FaultPlan::new().drop_window(at, at, Some(4), None, 0.5),
+            FaultPlan::new().delay_window(at, at, None, Some(4), SimDuration::ZERO),
+        ];
+        for plan in plans {
+            rejected(&|c| c.faults = plan.clone(), "but the cluster has 4 nodes");
+        }
+        // A scale-out joiner is a node the plan may name.
+        let joiner = ScenarioConfig::c3881(8, 1).with_faults(FaultPlan::new().crash(at, 9));
+        assert_eq!(joiner.validate(), Ok(()));
+    }
+
+    /// Every independently settable scenario field, once: one traffic
+    /// shape, one trace switch, and no run mode (an argument of the run,
+    /// not part of the scenario). The pattern names all 26 fields with no
+    /// `..`, so adding a field fails to compile here.
+    #[test]
+    fn a_scenario_is_exactly_these_26_fields() {
+        let ScenarioConfig {
+            n_nodes: _,
+            vnodes: _,
+            rf: _,
+            seed: _,
+            gossip_interval: _,
+            fd_interval: _,
+            phi_threshold: _,
+            calculator: _,
+            locking: _,
+            workload: _,
+            rescale_window: _,
+            workload_end: _,
+            max_duration: _,
+            order_hold_timeout: _,
+            ns_per_op: _,
+            msg_base_cost: _,
+            per_endpoint_cost: _,
+            memory: _,
+            network: _,
+            faults: _,
+            traffic: _,
+            trace: _,
+            global_event_queue: _,
+            tie_order: _,
+            record_schedule: _,
+            free_ctx_switch: _,
+        } = ScenarioConfig::baseline(10, 7);
     }
 
     #[test]

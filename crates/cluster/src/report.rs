@@ -2,12 +2,12 @@
 
 use scalecheck_memo::MemoStats;
 use scalecheck_sim::{EngineCounters, FaultReport, ScheduleProbe, SimDuration, TimeSeries};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::calc::CalcStats;
 
 /// Everything an experiment needs to know about a finished run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct RunReport {
     /// Total flaps: alive→dead convictions summed over all observers
     /// (the y-axis of the paper's Figure 3).

@@ -10,10 +10,9 @@
 use scalecheck_gossip::Peer;
 use scalecheck_net::Addr;
 use scalecheck_ring::{NodeId, NodeStatus, Token};
-use serde::{Deserialize, Serialize};
 
 /// A node's gossiped ring state.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RingInfo {
     /// Lifecycle status.
     pub status: NodeStatus,

@@ -1351,7 +1351,7 @@ fn fire_fault(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, ev: &Fault
         FaultEvent::Restart { node, .. } => restart_node(st, ctx, *node as usize),
         FaultEvent::ClockSkew { node, skew, .. } => {
             let i = *node as usize;
-            if i < st.nodes.len() && st.nodes[i].active && !st.nodes[i].departed {
+            if st.nodes[i].active && !st.nodes[i].departed {
                 st.nodes[i].clock_skew = *skew;
                 // Every conviction the skewed node issues from here on
                 // is the fault's doing.
@@ -1377,10 +1377,8 @@ fn set_partition(st: &mut ClusterState, a: &[u32], b: &[u32], up: bool) {
                 st.net.heal(Addr(x), Addr(y));
             }
             let (xi, yi) = (x as usize, y as usize);
-            if xi < st.nodes.len() && yi < st.nodes.len() {
-                st.nodes[xi].fd.set_fault_suspect(peer_of(NodeId(y)), up);
-                st.nodes[yi].fd.set_fault_suspect(peer_of(NodeId(x)), up);
-            }
+            st.nodes[xi].fd.set_fault_suspect(peer_of(NodeId(y)), up);
+            st.nodes[yi].fd.set_fault_suspect(peer_of(NodeId(x)), up);
         }
     }
 }
@@ -1390,7 +1388,7 @@ fn set_partition(st: &mut ClusterState, a: &[u32], b: &[u32], up: bool) {
 /// decommission (the node does not leave the ring) and from OOM death
 /// (which is permanent).
 fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
-    if i >= st.nodes.len() || !st.nodes[i].active || st.nodes[i].departed {
+    if !st.nodes[i].active || st.nodes[i].departed {
         return;
     }
     let now = ctx.now();
@@ -1426,7 +1424,7 @@ fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) 
 /// failure-detection history, restarted timers. No-op unless the node
 /// is currently down from a [`FaultEvent::Crash`].
 fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
-    if i >= st.nodes.len() || st.nodes[i].active || st.nodes[i].departed {
+    if st.nodes[i].active || st.nodes[i].departed {
         return;
     }
     let Some(down_at) = st.fault_crash_at.remove(&(i as u32)) else {

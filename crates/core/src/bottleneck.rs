@@ -12,10 +12,9 @@
 
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 use scalecheck_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The §8 colocation limits.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Bottleneck {
     /// CPU utilization above the threshold (default 90 %).
     CpuContention,
@@ -26,7 +25,7 @@ pub enum Bottleneck {
 }
 
 /// Detection thresholds.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct BottleneckThresholds {
     /// CPU utilization limit (the paper's ">90%").
     pub cpu_utilization: f64,

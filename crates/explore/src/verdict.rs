@@ -45,7 +45,7 @@ pub struct FlapTriple {
 }
 
 /// The two-clause shape classification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shape {
     /// Colo manufactures flaps beyond Real + tolerance.
     pub colo_diverges: bool,
@@ -88,7 +88,7 @@ impl Shape {
 /// both ends of the scale sweep — with an absolute floor (`p999_slack_ns`)
 /// so log-histogram bucket granularity near small baselines cannot flip
 /// a verdict on its own.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct SloParams {
     /// Relative p99.9 allowance in permille of Real's p99.9 (300 =
     /// a 30 % inflation is still "tracking"; beyond it, divergence).
@@ -115,7 +115,7 @@ impl Default for SloParams {
 }
 
 /// The SLO summaries of the three deployments for one scenario.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SloTriple {
     /// Real-scale SLO outcome (ground truth).
     pub real: SloSummary,
@@ -127,7 +127,7 @@ pub struct SloTriple {
 
 /// The user-visible analogue of [`Shape`], over tail latency and the
 /// error budget instead of flap counts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SloVerdict {
     /// Colo inflates p99.9 beyond the allowance, loses availability
     /// beyond the slack, or reaches a different error-budget breach

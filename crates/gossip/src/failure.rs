@@ -7,13 +7,12 @@
 //! Figure 3.
 
 use scalecheck_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::phi::PhiParams;
 use crate::state::Peer;
 
 /// A peer's liveness verdict.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Liveness {
     /// Considered up.
     Alive,

@@ -11,12 +11,10 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::state::{Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer};
 
 /// Gossip SYN: freshness claims for every peer the sender knows.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Syn {
     /// One digest per known peer.
     pub digests: Vec<Digest>,
@@ -24,7 +22,7 @@ pub struct Syn {
 
 /// Gossip ACK: deltas the receiver is fresher on, plus requests for
 /// peers the SYN sender is fresher on.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ack<A> {
     /// Updates the ACK sender believes are fresher (heartbeat-only in
     /// the steady state, full states around topology changes).
@@ -34,7 +32,7 @@ pub struct Ack<A> {
 }
 
 /// Gossip ACK2: the deltas answering an ACK's requests.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ack2<A> {
     /// Updates answering the requests.
     pub deltas: Vec<(Peer, Delta<A>)>,

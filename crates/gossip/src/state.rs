@@ -7,8 +7,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a gossip participant.
 ///
 /// # Dense-id contract
@@ -20,9 +18,7 @@ use serde::{Deserialize, Serialize};
 /// contract `scalecheck_net`'s tiled link clocks state for `Addr`. A
 /// sparse id (`Peer(5000)` in a three-peer view) is legal and costs
 /// 5001 slots, not a panic.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Peer(pub u32);
 
 impl std::fmt::Display for Peer {
@@ -32,7 +28,7 @@ impl std::fmt::Display for Peer {
 }
 
 /// A node's liveness beacon.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HeartbeatState {
     /// Incarnation number (bumped when the node restarts).
     pub generation: u64,
@@ -48,7 +44,7 @@ pub struct HeartbeatState {
 /// with the vnode count). Only the owning node ever changes its own
 /// app state — via [`EndpointState::new`]-style replacement, never
 /// in-place — so shared payloads are immutable by construction.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EndpointState<A> {
     /// Liveness beacon.
     pub heartbeat: HeartbeatState,
@@ -113,7 +109,7 @@ impl<A: Clone> EndpointState<A> {
 /// stored heartbeat version in place when `(generation, version)` is
 /// strictly fresher than the local watermark, and is a no-op otherwise
 /// (exactly the cases where a full state would have been a no-op too).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Delta<A> {
     /// Full endpoint state: generation moved, the app state advanced
     /// past the requester's watermark, or the peer is new to them.
@@ -123,7 +119,7 @@ pub enum Delta<A> {
 }
 
 /// A compact claim about a peer's freshness, exchanged in gossip SYNs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Digest {
     /// The peer the claim is about.
     pub peer: Peer,

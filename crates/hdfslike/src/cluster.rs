@@ -22,7 +22,7 @@ use scalecheck_net::{LatencyModel, Network, NetworkConfig};
 use scalecheck_sim::{
     Ctx, CtxSwitchModel, Engine, Machine, MachinePark, SimDuration, SimTime, Stage,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::master::{blocks_of, DnId, Master, MasterOps, ReportVersion};
 
@@ -30,7 +30,7 @@ use crate::master::{blocks_of, DnId, Master, MasterOps, ReportVersion};
 pub const REPORT_FN: FnId = FnId(10);
 
 /// Scenario configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HdfsConfig {
     /// Number of datanodes.
     pub n_datanodes: usize,
@@ -82,7 +82,7 @@ impl HdfsConfig {
 }
 
 /// Run results.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct HdfsReport {
     /// Live datanodes declared dead (the flap analog).
     pub false_dead: u64,

@@ -17,14 +17,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use scalecheck_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifies a datanode.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DnId(pub u32);
 
 /// Identifies a block.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct BlockId(pub u64);
 
 /// Deterministically generates the blocks datanode `dn` holds.
@@ -40,7 +39,7 @@ pub fn blocks_of(dn: DnId, blocks_per_node: usize) -> Vec<BlockId> {
 }
 
 /// A datanode's liveness record at the master.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DnRecord {
     /// Last heartbeat the master *processed* (not merely received).
     pub last_heartbeat: SimTime,
@@ -73,7 +72,7 @@ impl MasterOps {
 }
 
 /// Which report-processing implementation the master runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReportVersion {
     /// The buggy implementation: every report walks the entire block
     /// map (O(total blocks)) under the global lock.

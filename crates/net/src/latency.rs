@@ -6,10 +6,9 @@
 //! all sampling flows through the deterministic simulator RNG.
 
 use scalecheck_sim::{DetRng, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// A distribution of one-way link latencies.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimDuration),

@@ -9,14 +9,11 @@
 use std::collections::BTreeSet;
 
 use scalecheck_sim::{DetRng, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::latency::LatencyModel;
 
 /// A network endpoint (one simulated node).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Addr(pub u32);
 
 impl std::fmt::Display for Addr {
@@ -66,7 +63,7 @@ impl FaultWindow {
 }
 
 /// Network configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NetworkConfig {
     /// One-way latency distribution.
     pub latency: LatencyModel,

@@ -29,8 +29,6 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use crate::names::{Metric, SpanName};
 use crate::tracer::Trace;
 
@@ -42,7 +40,7 @@ pub const ABS_NS_TOLERANCE: u64 = 5_000_000_000;
 pub const FLAP_WINDOW_HALF_NS: u64 = 2_000_000_000;
 
 /// One ranked attribution row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DivergenceRow {
     /// Category label (`calc`, `gossip`, `lock`, `net`, a `gossip.*`
     /// breakdown component, or `queueing` in the unattributed
@@ -87,7 +85,7 @@ impl DivergenceRow {
 /// `wait = StageLateness + CpuQueueDelay` metric sums; each trace's
 /// wait pool is split between calc and gossip by that trace's own
 /// sampled busy-time share.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WaitAttribution {
     /// Total wait in trace A, virtual ns.
     pub wait_a_ns: u64,
@@ -100,7 +98,7 @@ pub struct WaitAttribution {
 }
 
 /// Suspect-trace time overlapping flap windows, per category.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlapOverlapRow {
     /// Category label.
     pub category: String,
@@ -111,7 +109,7 @@ pub struct FlapOverlapRow {
 }
 
 /// The full analyzer output.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DivergenceReport {
     /// Label of trace A (the reference).
     pub a_label: String,

@@ -16,7 +16,7 @@ use crate::hist::LogHistogram;
 use crate::names::{Metric, METRIC_COUNT};
 
 /// Tracing knobs carried by `ScenarioConfig`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceConfig {
     /// Master switch; when false no tracer is installed and every
     /// emission site reduces to one thread-local flag check.

@@ -18,13 +18,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::complexity::Degree;
 use crate::ir::{Program, Stmt};
 
 /// Why a function is not PIL-safe.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum EffectReason {
     /// Sends network messages.
     SendsMessages,
@@ -39,7 +37,7 @@ pub enum EffectReason {
 }
 
 /// One maximal cost term of a function, with what it takes to reach it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Contribution {
     /// The growth term.
     pub degree: Degree,
@@ -52,7 +50,7 @@ pub struct Contribution {
 }
 
 /// Per-function analysis result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FuncReport {
     /// Function name.
     pub name: String,
@@ -71,7 +69,7 @@ pub struct FuncReport {
 }
 
 /// Whole-program finder output.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FinderReport {
     /// Per-function reports.
     pub functions: BTreeMap<String, FuncReport>,
@@ -84,7 +82,7 @@ pub struct FinderReport {
 }
 
 /// Finder configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FinderConfig {
     /// Minimum `scale_order` (polynomial degree in cluster size) to
     /// call a function offending. Default 2 (superlinear in cluster size). The §4

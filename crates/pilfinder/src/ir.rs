@@ -10,12 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::complexity::Degree;
 
 /// A named collection with a symbolic size.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Collection {
     /// Collection name (e.g. `"ring_table"`).
     pub name: String,
@@ -28,7 +26,7 @@ pub struct Collection {
 }
 
 /// One statement in a function body.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Stmt {
     /// A loop over a named collection; cost = |collection| × body.
     Loop {
@@ -82,7 +80,7 @@ pub enum Stmt {
 }
 
 /// A function in the modelled protocol.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -94,7 +92,7 @@ pub struct Function {
 }
 
 /// A whole modelled protocol: collections plus functions.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Collections by name.
     pub collections: BTreeMap<String, Collection>,

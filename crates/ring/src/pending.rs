@@ -21,8 +21,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::{RingTable, TopologyChange};
 use crate::token::{NodeId, Range, Token};
 
@@ -31,7 +29,7 @@ use crate::token::{NodeId, Range, Token};
 /// One "op" is one inner-loop step (a comparison, a map probe, a scan
 /// step). The cluster layer converts ops into virtual compute time with a
 /// calibrated cost per op, realizing the paper's in-situ time recording.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounter {
     ops: u64,
 }

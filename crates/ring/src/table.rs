@@ -8,12 +8,10 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::token::{NodeId, Token};
 
 /// Gossip-visible lifecycle status of a node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeStatus {
     /// Fully joined; owns its ranges.
     Normal,
@@ -35,7 +33,7 @@ impl NodeStatus {
 }
 
 /// Per-node ring state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NodeState {
     /// Lifecycle status.
     pub status: NodeStatus,
@@ -45,7 +43,7 @@ pub struct NodeState {
 
 /// A topology change carried by gossip (the paper's `M`-element change
 /// list).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum TopologyChange {
     /// `node` is joining with the given tokens.
     Join {

@@ -11,12 +11,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Identifies a lock within a [`LockTable`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LockId(pub usize);
 
 /// An opaque token naming a lock holder (e.g. a (node, stage) encoding).

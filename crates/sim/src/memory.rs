@@ -11,10 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Error returned when an allocation exceeds capacity.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutOfMemory {
     /// The label of the failing allocation.
     pub label: String,
@@ -39,7 +37,7 @@ impl fmt::Display for OutOfMemory {
 impl std::error::Error for OutOfMemory {}
 
 /// A labelled memory budget for one machine.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MemoryModel {
     capacity: u64,
     in_use: u64,

@@ -1,7 +1,7 @@
 //! Lightweight metrics used across the simulator: engine event counters
 //! and time series. (Histograms live in `scalecheck_obs`.)
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::SimTime;
 
@@ -12,7 +12,7 @@ use crate::time::SimTime;
 /// itself), a miss means fresh storage was grown. The reference
 /// `BinaryHeap` scheduler has no pool, so every schedule there counts as
 /// a miss; the timer wheel reaches a 100% hit rate in steady state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct EngineCounters {
     /// Events ever scheduled (including later-cancelled ones).
     pub scheduled: u64,
@@ -34,7 +34,7 @@ impl EngineCounters {
 }
 
 /// A timestamped series of float samples (e.g. flap counts over time).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

@@ -15,8 +15,8 @@
 //! sound: every explored ordering is a run the real system could have
 //! produced.
 //!
-//! [`TieOrderSpec`] is the serializable description (it rides inside
-//! `ScenarioConfig`, so schedule witnesses replay from JSON).
+//! [`TieOrderSpec`] is the serializable description (a schedule witness
+//! stores it, and replays the perturbation from its JSON).
 //! [`ScheduleProbe`] is the engine's fire log plus the runner's event
 //! tags, from which the explorer derives tie groups and targeted swap
 //! candidates.
@@ -156,7 +156,7 @@ impl TieOrder for SpecTieOrder {
 
 /// One fired event: firing time (virtual nanoseconds) and scheduling
 /// sequence, in firing order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct FireRec {
     /// Firing time in virtual nanoseconds.
     pub at: u64,
@@ -168,7 +168,7 @@ pub struct FireRec {
 /// scheduling sequence: what kind of event it is and which node it
 /// belongs to. Untagged events are internal continuations (stage
 /// completions, lock grants) whose reordering the explorer skips.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct TagRec {
     /// Scheduling sequence the tag describes.
     pub seq: u64,
@@ -209,7 +209,7 @@ pub mod tag {
 
 /// The engine's fire log joined with the runner's event tags — enough
 /// to reconstruct every tie batch of a run and classify its members.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ScheduleProbe {
     /// Every fired event, in firing order.
     pub fires: Vec<FireRec>,

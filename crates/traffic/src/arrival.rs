@@ -10,10 +10,9 @@
 //! per-user state.
 
 use scalecheck_sim::{DetRng, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// How per-tick batch sizes are drawn from the configured mean rate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Exactly the configured rate each tick (remainders carry over).
     Constant,
@@ -24,7 +23,7 @@ pub enum ArrivalProcess {
 }
 
 /// The offered-load shape of one cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ArrivalConfig {
     /// Simulated user population. Scales the offered rate only — state
     /// stays O(1) no matter how large this is.

@@ -7,10 +7,10 @@
 //! convicted-but-alive replica stops counting toward the quorum.
 
 use scalecheck_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How many replica acknowledgements a request waits for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Consistency {
     /// One replica suffices.
     One,
@@ -42,7 +42,7 @@ impl Consistency {
 }
 
 /// Read or write — distinct service-time models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum OpKind {
     /// A read: served from memtable/row cache, cheap at the replica.
     Read,
@@ -61,7 +61,7 @@ impl OpKind {
 }
 
 /// Replica-side service times added on top of network RTTs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CostModel {
     /// Service time a replica adds to a read.
     pub read_service: SimDuration,
@@ -98,7 +98,7 @@ impl CostModel {
 
 /// What a coordinator does when its view offers fewer live replicas
 /// than the consistency level requires.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Degradation {
     /// Fail the request immediately at the client timeout.
     FailFast,

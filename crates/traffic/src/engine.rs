@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 use scalecheck_net::LatencyModel;
 use scalecheck_obs::{metric, LogHistogram, Metric};
 use scalecheck_sim::{DetRng, SimDuration, SimTime, TimeSeries};
-use serde::{Deserialize, Serialize};
 
 use crate::arrival::{ArrivalConfig, ArrivalGen, ArrivalProcess};
 use crate::consistency::{Consistency, CostModel, Degradation, OpKind};
@@ -39,7 +38,7 @@ use crate::slo::{ErrorBudget, SloTarget};
 pub const TRAFFIC_RNG_STREAM: u64 = 999_983;
 
 /// Where the run is relative to its rescale window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Before any topology change begins.
     Pre,
@@ -104,7 +103,7 @@ pub trait ClusterFabric {
 }
 
 /// Per-key popularity distribution of the offered load.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeySkew {
     /// Every key equally likely (the old behavior).
     Uniform,
@@ -121,7 +120,7 @@ pub enum KeySkew {
 }
 
 /// Full shape of one cell's offered load and objectives.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrafficConfig {
     /// Arrival process (users, rates, ramp, tick).
     pub arrival: ArrivalConfig,

@@ -3,13 +3,13 @@
 
 use scalecheck_obs::LogHistogram;
 use scalecheck_sim::TimeSeries;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::consistency::OpKind;
 use crate::slo::{ErrorBudget, SloSummary, SloTarget};
 
 /// What happened to one request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Outcome {
     /// Required acknowledgements arrived.
     Ok,
@@ -31,7 +31,7 @@ impl Outcome {
 
 /// One simulated request sample (weight = offered requests it stands
 /// for).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct RequestRecord {
     /// Virtual issue time (ns).
     pub at_ns: u64,
@@ -50,7 +50,7 @@ pub struct RequestRecord {
 }
 
 /// One latency histogram cell: (phase, kind) with a readable label.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct PhaseHist {
     /// `"<phase>/<kind>"`, e.g. `"rescale/read"`.
     pub label: String,
@@ -60,7 +60,7 @@ pub struct PhaseHist {
 
 /// Everything one run's traffic produced. Deterministic to the byte:
 /// same (config, plan, seed) serializes identically at any `--jobs`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct TrafficReport {
     /// Whether any load was offered.
     pub enabled: bool,
@@ -224,23 +224,5 @@ mod tests {
         assert_eq!(r.unavailability(), 0.0);
         assert_eq!(r.slo_summary().attempted, 0);
         assert_eq!(r.latency_hist().count, 0);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let mut r = TrafficReport {
-            enabled: true,
-            attempted: 100,
-            failed: 3,
-            ..Default::default()
-        };
-        r.log_sample.push(rec(9));
-        r.hists.push(PhaseHist {
-            label: "steady/read".into(),
-            hist: LogHistogram::new(),
-        });
-        let json = serde_json::to_string(&r).expect("serialize");
-        let back: TrafficReport = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, r);
     }
 }

@@ -9,10 +9,10 @@
 
 use scalecheck_obs::LogHistogram;
 use scalecheck_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The objective one cell is held to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct SloTarget {
     /// Latency target: a good request completes within this.
     pub latency_target: SimDuration,
@@ -30,7 +30,7 @@ impl Default for SloTarget {
 }
 
 /// Weighted good/bad accounting against an [`SloTarget`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct ErrorBudget {
     /// Total requests accounted (weighted).
     pub total: u64,
@@ -77,7 +77,7 @@ impl ErrorBudget {
 }
 
 /// One cell's user-visible outcome, condensed for verdicts and tables.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SloSummary {
     /// Median request latency (ns, log-bucket upper bound).
     pub p50_ns: u64,

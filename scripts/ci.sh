@@ -77,6 +77,24 @@ if grep -rnE 'fn serialize\(&self\) *-> *[A-Za-z_:]*Value|fn deserialize\([a-z_]
   exit 1
 fi
 
+# Serialize only what is written, deserialize only what is read back (the
+# memo db snapshot, the trace in a Chrome file, a schedule witness: the
+# files below); the four crates that write nothing do not use serde.
+echo "=== serde surface (grep gate) ==="
+derive_re() { echo "(#\[derive\(|^\s*)([A-Za-z]+, *)*$1(,|\)\])"; }
+read_back='^crates/(memo/src/db|obs/src/(tracer|hist)|ring/src/token|sim/src/(time|tie)|explore/src/(witness|verdict)|cluster/src/calc|core/src/scalecheck)\.rs:'
+if grep -rnE "$(derive_re Deserialize)" crates --include='*.rs' | grep -vE "$read_back"; then
+  echo "error: only what the program reads back derives Deserialize; see the matches above" >&2
+  exit 1
+fi
+if grep -nE '^serde' crates/{bugstudy,gossip,net,pilfinder}/Cargo.toml; then
+  echo "error: bugstudy, gossip, net and pilfinder write nothing; see the matches above" >&2
+  exit 1
+fi
+for trait in Deserialize Serialize; do
+  echo "$trait derives: $(grep -rhE "$(derive_re "$trait")" crates --include='*.rs' | wc -l)"
+done
+
 # The root package's integration suites are the behaviour contracts, each
 # run once here: paper shapes at pinned seeds (bug_regressions), fault
 # injection + byte-identical same-seed reports (failure_injection), the
