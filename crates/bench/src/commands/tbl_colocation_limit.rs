@@ -19,7 +19,7 @@
 use crate::cli::{val, Args, Command, Failure, JOBS};
 use crate::{jobs, print_row, run_sweep, Cell};
 use scalecheck::{memoize, Bottleneck, BottleneckThresholds, COLO_CORES};
-use scalecheck_cluster::{CalcVersion, ScenarioConfig, Workload};
+use scalecheck_cluster::{CalcVersion, ContextSwitch, ScenarioConfig, Workload};
 use scalecheck_sim::SimDuration;
 
 pub const COMMAND: Command = Command {
@@ -51,7 +51,11 @@ fn scenario(n: usize, scale_checkable: bool) -> ScenarioConfig {
     cfg.workload_end = SimDuration::from_secs(140);
     cfg.max_duration = SimDuration::from_secs(1200);
     cfg.memory.single_process = scale_checkable;
-    cfg.global_event_queue = scale_checkable;
+    cfg.context_switch = if scale_checkable {
+        ContextSwitch::GlobalEventQueue
+    } else {
+        ContextSwitch::PerNodeThreads
+    };
     cfg
 }
 

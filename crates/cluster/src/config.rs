@@ -67,6 +67,28 @@ pub enum Workload {
     BootstrapFromScratch,
 }
 
+/// What a context switch costs on the machines (§6).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ContextSwitch {
+    /// Commodity machines; colocated, every node brings its own daemon
+    /// threads, so the shared machine's switch cost grows with the
+    /// multiprogramming level.
+    PerNodeThreads,
+    /// §6's scale-checkable redesign: the colocated cluster runs as one
+    /// global event queue with one multithreaded handler (SEDA-like), so
+    /// the shared machine pays only a fixed dispatch cost per switch.
+    /// Dedicated machines stay commodity.
+    GlobalEventQueue,
+    /// Ideal machine model: zero context-switch overhead on every
+    /// machine. The commodity overhead normally offsets each task
+    /// completion by a few microseconds, which *separates* causally
+    /// chained events onto distinct nanoseconds; the ideal model keeps
+    /// them on the timestamps the protocol math produces, making
+    /// exact-time collisions (and thus schedule races) far denser —
+    /// the explorer's race-prone presets rely on this.
+    Free,
+}
+
 /// Rebalance allocation strategy (§6's space-oblivious code).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AllocStrategy {
@@ -163,11 +185,9 @@ pub struct ScenarioConfig {
     /// Full observability tracing (spans, metrics, utilization
     /// timelines) on virtual time; see [`scalecheck_obs`].
     pub trace: scalecheck_obs::TraceConfig,
-    /// §6's scale-checkable redesign: run the whole colocated cluster as
-    /// one global event queue with one multithreaded handler (SEDA-like)
-    /// instead of thousands of per-node daemon threads. Removes the
-    /// context-switch amplification term from the shared machine.
-    pub global_event_queue: bool,
+    /// What a context switch costs: per-node threads, §6's global event
+    /// queue, or free.
+    pub context_switch: ContextSwitch,
     /// Tie-order perturbation applied to the engine (identity = stock
     /// scheduling order). A schedule witness stores the spec itself and
     /// sets it here on replay.
@@ -175,14 +195,6 @@ pub struct ScenarioConfig {
     /// Record the engine fire log and the runner's event tags into the
     /// report's [`scalecheck_sim::ScheduleProbe`] (explorer input).
     pub record_schedule: bool,
-    /// Ideal machine model: zero context-switch overhead on every
-    /// machine. The commodity overhead normally offsets each task
-    /// completion by a few microseconds, which *separates* causally
-    /// chained events onto distinct nanoseconds; the ideal model keeps
-    /// them on the timestamps the protocol math produces, making
-    /// exact-time collisions (and thus schedule races) far denser —
-    /// the explorer's race-prone presets rely on this.
-    pub free_ctx_switch: bool,
 }
 
 impl ScenarioConfig {
@@ -215,10 +227,9 @@ impl ScenarioConfig {
             faults: FaultPlan::default(),
             traffic: TrafficConfig::probe(50, Consistency::Quorum),
             trace: scalecheck_obs::TraceConfig::default(),
-            global_event_queue: false,
+            context_switch: ContextSwitch::PerNodeThreads,
             tie_order: TieOrderSpec::identity(),
             record_schedule: false,
-            free_ctx_switch: false,
         }
     }
 
@@ -342,11 +353,12 @@ impl ScenarioConfig {
     }
 
     /// Rejects configurations that would silently lie or never finish: an
-    /// empty cluster "quiesces" with zero flaps, a zero timer interval
-    /// re-arms at one instant forever, a NaN φ never convicts, a fault on
-    /// a node the cluster lacks fires and does nothing, and request
-    /// semantics need replicas. Called by the runner before any state is
-    /// built; the runner indexes fault-plan node ids unchecked.
+    /// empty cluster "quiesces" with zero flaps, a zero timer or
+    /// utilization-sampler interval re-arms at one instant forever, a NaN
+    /// φ never convicts, a fault on a node the cluster lacks fires and
+    /// does nothing, and request semantics need replicas. Called by the
+    /// runner before any state is built; the runner indexes fault-plan
+    /// node ids unchecked.
     pub fn validate(&self) -> Result<(), String> {
         if self.n_nodes == 0 {
             return Err("n_nodes must be at least 1".into());
@@ -368,6 +380,9 @@ impl ScenarioConfig {
                 "phi_threshold ({}) must be finite and positive",
                 self.phi_threshold
             ));
+        }
+        if self.trace.enabled && self.trace.sample_every_ns == 0 {
+            return Err("trace.sample_every_ns must be positive when tracing".into());
         }
         let total = self.total_nodes();
         for ev in &self.faults.events {
@@ -477,6 +492,11 @@ mod tests {
         for phi in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
             rejected(&|c| c.phi_threshold = phi, "phi_threshold");
         }
+        let zero_sampler = scalecheck_obs::TraceConfig {
+            sample_every_ns: 0,
+            ..scalecheck_obs::TraceConfig::enabled()
+        };
+        rejected(&|c| c.trace = zero_sampler, "sample_every_ns");
         let at = SimTime::from_secs(50);
         let plans = [
             FaultPlan::new().crash(at, 99),
@@ -497,10 +517,10 @@ mod tests {
 
     /// Every independently settable scenario field, once: one traffic
     /// shape, one trace switch, and no run mode (an argument of the run,
-    /// not part of the scenario). The pattern names all 26 fields with no
+    /// not part of the scenario). The pattern names all 25 fields with no
     /// `..`, so adding a field fails to compile here.
     #[test]
-    fn a_scenario_is_exactly_these_26_fields() {
+    fn a_scenario_is_exactly_these_25_fields() {
         let ScenarioConfig {
             n_nodes: _,
             vnodes: _,
@@ -524,10 +544,9 @@ mod tests {
             faults: _,
             traffic: _,
             trace: _,
-            global_event_queue: _,
+            context_switch: _,
             tie_order: _,
             record_schedule: _,
-            free_ctx_switch: _,
         } = ScenarioConfig::baseline(10, 7);
     }
 

@@ -42,8 +42,10 @@ pub mod ringinfo;
 pub mod runner;
 
 pub use calc::{CalcEngine, CalcStats, PendingWire};
-pub use config::{AllocStrategy, CalcVersion, LockingMode, MemoryConfig, ScenarioConfig, Workload};
-pub use node::{Envelope, GossipMessage, Node, Task, ViewChanges};
+pub use config::{
+    AllocStrategy, CalcVersion, ContextSwitch, LockingMode, MemoryConfig, ScenarioConfig, Workload,
+};
+pub use node::{Envelope, GossipMessage, Node, Task};
 pub use report::RunReport;
 pub use ringinfo::{addr_of, node_of, peer_of, RingInfo};
 pub use runner::{run_colocated, run_scenario};

@@ -9,7 +9,8 @@ use scalecheck_gossip::{
     Ack, Ack2, ApplyOutcome, EndpointState, FailureDetector, Gossiper, Peer, Syn,
 };
 use scalecheck_memo::Hasher128;
-use scalecheck_ring::{NodeId, NodeStatus, PendingRanges, RingTable};
+use scalecheck_obs::{TID_CALC, TID_GOSSIP};
+use scalecheck_ring::{NodeId, NodeStatus, RingTable};
 use scalecheck_sim::{cpu::MachineId, DetRng, SimDuration, SimTime, Stage, TimerId};
 
 use crate::ringinfo::{node_of, peer_of, RingInfo};
@@ -70,13 +71,39 @@ pub enum Task {
     Recalculate,
 }
 
-/// What applying a gossip outcome changed.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ViewChanges {
-    /// The ring view changed in a way that requires recalculation.
-    pub topology_changed: bool,
-    /// Peers newly observed as departed (observers must stop monitoring).
-    pub departed: Vec<NodeId>,
+/// One of a node's two serial stages. The discriminant is the stage's
+/// index into [`Node::stages`] and [`Node::parked`], its obs track id,
+/// its slot in the runner's per-work-kind CPU accounting, and its holder
+/// token on the node's ring lock.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u32)]
+pub enum StageKind {
+    /// The gossip stage.
+    Gossip = TID_GOSSIP,
+    /// The calculation stage (thread modes).
+    Calc = TID_CALC,
+}
+
+impl StageKind {
+    /// The node's other stage: the only one that can be waiting for the
+    /// ring lock this one holds.
+    pub(crate) fn other(self) -> Self {
+        match self {
+            StageKind::Gossip => StageKind::Calc,
+            StageKind::Calc => StageKind::Gossip,
+        }
+    }
+}
+
+/// Where a node is in its life.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Lifecycle {
+    /// Not yet activated, or fault-crashed (a restart brings it back).
+    Down,
+    /// Participating: processing, sending and timing.
+    Up,
+    /// Decommissioned or dead of OOM, for good.
+    Departed,
 }
 
 /// One simulated node.
@@ -93,30 +120,20 @@ pub struct Node {
     pub fd: FailureDetector,
     /// Local ring view.
     pub ring: RingTable,
-    /// Last computed pending ranges.
-    pub pending: PendingRanges,
-    /// Serial gossip stage.
-    pub gossip_stage: Stage<Task>,
-    /// Serial calculation stage (used by the C5456 thread modes).
-    pub calc_stage: Stage<Task>,
+    /// The serial stages, indexed by [`StageKind`] (the calculation
+    /// stage is used by the C5456 thread modes).
+    pub stages: [Stage<Task>; 2],
     /// A topology change arrived while a calculation was queued/running.
     pub calc_dirty: bool,
     /// A `Recalculate` task is queued or running.
     pub calc_queued: bool,
     /// Monotone calculation invocation counter (memo index fallback).
     pub calc_invocations: u64,
-    /// Node is participating (started and not crashed).
-    pub active: bool,
-    /// Node has left the cluster and stopped its timers.
-    pub departed: bool,
-    /// Task parked on the gossip stage waiting for the ring lock.
-    pub parked_gossip: Option<Task>,
-    /// When the parked gossip task started waiting (lock-wait spans).
-    pub parked_gossip_at: Option<SimTime>,
-    /// Task parked on the calc stage waiting for the ring lock.
-    pub parked_calc: Option<Task>,
-    /// When the parked calc task started waiting (lock-wait spans).
-    pub parked_calc_at: Option<SimTime>,
+    /// Only an `Up` node processes, sends and times.
+    pub lifecycle: Lifecycle,
+    /// Per stage ([`StageKind`]): the task parked waiting for the ring
+    /// lock, and since when (lock-wait spans).
+    pub parked: [Option<(Task, SimTime)>; 2],
     /// Order-enforcement holding pen (replay only): messages waiting
     /// for their recorded turn, with a forced-release deadline.
     pub held: Vec<(SimTime, Envelope)>,
@@ -163,18 +180,12 @@ impl Node {
             gossiper: Gossiper::new(peer_of(id), 1, info),
             fd: FailureDetector::new(phi_threshold, gossip_interval),
             ring: RingTable::new(rf),
-            pending: PendingRanges::new(),
-            gossip_stage: Stage::new(),
-            calc_stage: Stage::new(),
+            stages: [Stage::new(), Stage::new()],
             calc_dirty: false,
             calc_queued: false,
             calc_invocations: 0,
-            active: false,
-            departed: false,
-            parked_gossip: None,
-            parked_gossip_at: None,
-            parked_calc: None,
-            parked_calc_at: None,
+            lifecycle: Lifecycle::Down,
+            parked: [None, None],
             held: Vec::new(),
             rebalance_bytes: 0,
             clock_skew: SimDuration::ZERO,
@@ -206,9 +217,9 @@ impl Node {
 
     /// Applies a gossip [`ApplyOutcome`] at time `now`: heartbeat
     /// advances feed the failure detector, application advances update
-    /// the local ring view.
-    pub fn apply_outcome(&mut self, outcome: &ApplyOutcome, now: SimTime) -> ViewChanges {
-        let mut changes = ViewChanges::default();
+    /// the local ring view. Returns whether the ring view changed in a
+    /// way that requires recalculation.
+    pub fn apply_outcome(&mut self, outcome: &ApplyOutcome, now: SimTime) -> bool {
         // Ordering hazard: "has this peer Left?" below must be answered
         // from the *post-apply* view — a `Left` full state carries a
         // heartbeat advance too, and reporting that last beat would
@@ -228,17 +239,16 @@ impl Node {
                 self.fd.report(peer, now);
             }
         }
+        let mut topology_changed = false;
         for &peer in &outcome.app_advanced {
-            if self.sync_ring_entry(peer, &mut changes) {
-                changes.topology_changed = true;
-            }
+            topology_changed |= self.sync_ring_entry(peer);
         }
-        changes
+        topology_changed
     }
 
     /// Synchronizes one peer's ring entry from the gossip view. Returns
     /// whether topology-relevant state changed.
-    fn sync_ring_entry(&mut self, peer: Peer, out: &mut ViewChanges) -> bool {
+    fn sync_ring_entry(&mut self, peer: Peer) -> bool {
         let Some(state) = self.gossiper.endpoint(peer) else {
             return false;
         };
@@ -251,7 +261,6 @@ impl Node {
                     self.ring.remove_node(node).expect("presence checked");
                 }
                 self.fd.forget(peer);
-                out.departed.push(node);
                 was_present
             }
             _ => match self.ring.node(node) {
@@ -441,8 +450,10 @@ mod tests {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
         let outcome = apply_state(&mut n, peer, st);
-        let ch = n.apply_outcome(&outcome, SimTime::from_secs(1));
-        assert!(ch.topology_changed, "new node entered the ring view");
+        assert!(
+            n.apply_outcome(&outcome, SimTime::from_secs(1)),
+            "new node entered the ring view"
+        );
         assert!(n.ring.node(NodeId(1)).is_some());
         assert!(n.fd.liveness(Peer(1)).is_some());
     }
@@ -468,11 +479,10 @@ mod tests {
         st.app_version = 7;
         st.heartbeat.version = 7;
         let outcome = apply_state(&mut n, peer, st);
-        let ch = n.apply_outcome(&outcome, SimTime::from_secs(2));
-        assert!(ch.topology_changed);
-        assert_eq!(ch.departed, vec![NodeId(1)]);
+        assert!(n.apply_outcome(&outcome, SimTime::from_secs(2)));
         assert!(n.ring.node(NodeId(1)).is_none());
         assert!(n.fd.liveness(Peer(1)).is_none(), "no flap for clean leave");
+        assert_eq!((n.fd.flaps(), n.fd.monitored()), (0, 0));
         // Left nodes are not gossip candidates.
         assert!(!n.gossip_candidates().contains(&NodeId(1)));
     }
@@ -551,21 +561,18 @@ mod tests {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Joining, 5);
         let outcome = apply_state(&mut n, peer, st);
-        let ch1 = n.apply_outcome(&outcome, SimTime::from_secs(1));
-        assert!(ch1.topology_changed);
+        assert!(n.apply_outcome(&outcome, SimTime::from_secs(1)));
         // Same status, newer version: no topology change.
         let (peer, mut st) = remote_state(1, NodeStatus::Joining, 9);
         st.app_version = 9;
         let outcome = apply_state(&mut n, peer, st);
-        let ch2 = n.apply_outcome(&outcome, SimTime::from_secs(2));
-        assert!(!ch2.topology_changed);
+        assert!(!n.apply_outcome(&outcome, SimTime::from_secs(2)));
         // Joining -> Normal: topology change again.
         let (peer, mut st) = remote_state(1, NodeStatus::Normal, 12);
         st.app_version = 12;
         st.heartbeat.version = 12;
         let outcome = apply_state(&mut n, peer, st);
-        let ch3 = n.apply_outcome(&outcome, SimTime::from_secs(3));
-        assert!(ch3.topology_changed);
+        assert!(n.apply_outcome(&outcome, SimTime::from_secs(3)));
         assert!(!n.pending_window_open());
     }
 

@@ -22,35 +22,31 @@
 //! processing and the node's own gossip rounds; in the thread modes the
 //! calculation runs on its own stage but couples through the ring lock
 //! (C5456) unless it snapshots (the fix).
+//!
+//! Everything a node keeps per stage — its queue, the task parked for
+//! the ring lock, its obs track, its CPU-accounting slot, its holder
+//! token on the node's one ring lock — is indexed by [`StageKind`], and
+//! whether a node takes part at all is its one [`Lifecycle`].
 
 use std::collections::BTreeMap;
 
 use scalecheck_gossip::Liveness;
 use scalecheck_memo::{OrderDecision, Pil, RunMode};
 use scalecheck_net::{Addr, Network};
-use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_CALC, TID_GOSSIP, TID_REQUEST};
-use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, PendingRanges, RingTable, Token};
+use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
+use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, RingTable, Token};
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{
     Acquire, Ctx, CtxSwitchModel, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault,
     HandlerId, LockId, LockTable, Machine, MachinePark, MemoryModel, ScheduleProbe, SchedulerKind,
-    SimDuration, SimTime, Stage, TagRec, TimeSeries,
+    SimDuration, SimTime, TagRec, TimeSeries,
 };
 
 use crate::calc::{CalcEngine, PendingWire};
-use crate::config::{AllocStrategy, LockingMode, ScenarioConfig, Workload};
-use crate::node::{Envelope, GossipMessage, Node, Task};
+use crate::config::{AllocStrategy, ContextSwitch, LockingMode, ScenarioConfig, Workload};
+use crate::node::{Envelope, GossipMessage, Lifecycle, Node, StageKind, Task};
 use crate::report::RunReport;
 use crate::ringinfo::{addr_of, peer_of, RingInfo};
-
-/// Which stage a task runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum StageKind {
-    /// The gossip stage.
-    Gossip,
-    /// The calculation stage (thread modes).
-    Calc,
-}
 
 /// The complete world state the engine drives.
 struct ClusterState<'a> {
@@ -74,9 +70,9 @@ struct ClusterState<'a> {
     pil_request_park: MachinePark,
     /// Memory budget per machine.
     machine_mem: Vec<MemoryModel>,
-    /// Virtual locks (one ring lock per node).
+    /// Virtual locks: node `i`'s ring lock is `LockId(i)`, held by one
+    /// of its stages (holder token `StageKind as u64`).
     locks: LockTable,
-    ring_lock: Vec<LockId>,
     /// The calculation engine.
     calc: CalcEngine,
     /// The run's PIL side: execute, record (calculations and message
@@ -84,9 +80,9 @@ struct ClusterState<'a> {
     pil: Pil<'a, PendingWire>,
     seeds: Vec<NodeId>,
     /// Handler for periodic gossip rounds (payload packs node + epoch).
-    gossip_handler: Option<HandlerId>,
+    gossip_handler: HandlerId,
     /// Handler for periodic failure-detector checks.
-    fd_handler: Option<HandlerId>,
+    fd_handler: HandlerId,
     /// Periodic timers that fired after their node's epoch moved on.
     /// Crash/restart cancels timers eagerly, so this stays zero; the
     /// epoch guard remains as a backstop and this counts its catches.
@@ -98,9 +94,10 @@ struct ClusterState<'a> {
     /// coordinator state. Either way it owns its private RNG fork.
     traffic: scalecheck_traffic::TrafficState,
     /// Handler for periodic traffic ticks.
-    traffic_handler: Option<HandlerId>,
+    traffic_handler: HandlerId,
     /// Cumulative per-node `[gossip, calc, request]` CPU demand
-    /// submitted, in virtual ns, billed by *work kind* (C3831 runs calc
+    /// submitted, in virtual ns, indexed by obs track id (`StageKind`,
+    /// then `TID_REQUEST`) and billed by *work kind* (C3831 runs calc
     /// work on the gossip stage; attribution needs the kind, not the
     /// host stage). PIL-replaced calc sleeps bill nothing — they do
     /// not occupy a core. Request service bills in every mode; under
@@ -118,25 +115,18 @@ struct ClusterState<'a> {
     crashed: u64,
     workload_end_at: SimTime,
     stopped_quiescent: bool,
-    fault_fired: Vec<FiredFault>,
+    /// Fault bookkeeping kept as the run goes (fired, crashes, restarts,
+    /// downtime of completed outages); the network's counters and the
+    /// outages still open join it at report time.
+    faults: FaultReport,
+    /// When each currently fault-crashed node went down.
     fault_crash_at: BTreeMap<u32, SimTime>,
-    fault_downtime: BTreeMap<u32, SimDuration>,
-    fault_crashes: u64,
-    fault_restarts: u64,
     /// Semantic tags for scheduled events (deliveries, periodic timers),
     /// collected only when `record_schedule` is set.
     sched_tags: Option<Vec<TagRec>>,
 }
 
 impl ClusterState<'_> {
-    fn lock_token(i: usize, stage: StageKind) -> u64 {
-        (i as u64) * 2
-            + match stage {
-                StageKind::Gossip => 0,
-                StageKind::Calc => 1,
-            }
-    }
-
     fn total_flaps(&self) -> u64 {
         self.nodes.iter().map(|n| n.fd.flaps()).sum()
     }
@@ -144,14 +134,9 @@ impl ClusterState<'_> {
     fn is_quiescent(&self) -> bool {
         self.inflight == 0
             && self.nodes.iter().all(|n| {
-                !n.active
-                    || n.departed
-                    || (n.gossip_stage.depth() == 0
-                        && !n.gossip_stage.is_busy()
-                        && n.calc_stage.depth() == 0
-                        && !n.calc_stage.is_busy()
-                        && n.parked_gossip.is_none()
-                        && n.parked_calc.is_none()
+                n.lifecycle != Lifecycle::Up
+                    || (n.stages.iter().all(|s| s.depth() == 0 && !s.is_busy())
+                        && n.parked.iter().all(Option::is_none)
                         && !n.calc_dirty
                         && !n.calc_queued
                         && n.held.is_empty())
@@ -163,12 +148,33 @@ impl ClusterState<'_> {
 // Setup.
 // ---------------------------------------------------------------------
 
-fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> ClusterState<'a> {
+/// Registers the runner's three handlers on `engine` and builds the
+/// cluster.
+fn build<'a>(
+    cfg: &ScenarioConfig,
+    mode: RunMode,
+    pil: Pil<'a, PendingWire>,
+    engine: &mut Engine<ClusterState<'a>>,
+) -> ClusterState<'a> {
+    // Periodic per-node timers run as handler events: the payload packs
+    // (node, epoch), so steady-state rounds recur without boxing a new
+    // closure per fire.
+    let gossip_handler = engine.register_handler(|st: &mut ClusterState, ctx, payload| {
+        let (i, epoch) = unpack_timer(payload);
+        gossip_round(st, ctx, i, epoch);
+    });
+    let fd_handler = engine.register_handler(|st: &mut ClusterState, ctx, payload| {
+        let (i, epoch) = unpack_timer(payload);
+        fd_check(st, ctx, i, epoch);
+    });
+    let traffic_handler =
+        engine.register_handler(|st: &mut ClusterState, ctx, _payload| traffic_tick(st, ctx));
+
     let total = cfg.total_nodes();
     let mut park = MachinePark::new();
     let mut machine_mem = Vec::new();
     // Real hardware — and the real-scale park PIL emulates below.
-    let real_cs = if cfg.free_ctx_switch {
+    let real_cs = if cfg.context_switch == ContextSwitch::Free {
         CtxSwitchModel::FREE
     } else {
         CtxSwitchModel::commodity()
@@ -184,7 +190,7 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
             // §6: per-node daemon threads amplify context switching with
             // the multiprogramming level; the global-event-queue redesign
             // pays only the fixed dispatch cost.
-            let cs = if cfg.global_event_queue && !cfg.free_ctx_switch {
+            let cs = if cfg.context_switch == ContextSwitch::GlobalEventQueue {
                 CtxSwitchModel {
                     base: SimDuration::from_micros(5),
                     per_excess_load: SimDuration::ZERO,
@@ -218,7 +224,6 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
     let root_rng = scalecheck_sim::DetRng::new(cfg.seed);
     let mut nodes = Vec::with_capacity(total);
     let mut locks = LockTable::new();
-    let mut ring_lock = Vec::with_capacity(total);
     for i in 0..total {
         let id = NodeId(i as u32);
         let machine = match mode {
@@ -243,7 +248,8 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
             cfg.phi_threshold,
             cfg.gossip_interval,
         ));
-        ring_lock.push(locks.create());
+        let ring_lock = locks.create();
+        debug_assert_eq!(ring_lock, LockId(i));
     }
 
     // Established members know each other; everyone knows the seeds.
@@ -356,7 +362,7 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
     ClusterState {
         workload_end_at: (SimTime::ZERO + cfg.workload_end).max(fault_horizon),
         traffic,
-        traffic_handler: None,
+        traffic_handler,
         work_busy: vec![[0, 0, 0]; total],
         busy_sampled: vec![[0, 0, 0]; total],
         cfg: cfg.clone(),
@@ -367,12 +373,11 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
         pil_request_park,
         machine_mem,
         locks,
-        ring_lock,
         calc: CalcEngine::new(cfg.calculator, cfg.ns_per_op),
         pil,
         seeds,
-        gossip_handler: None,
-        fd_handler: None,
+        gossip_handler,
+        fd_handler,
         stale_timer_fires: 0,
         inflight: 0,
         deliveries: 0,
@@ -380,11 +385,8 @@ fn build<'a>(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'a, PendingWire>) -> 
         flap_series: TimeSeries::new(),
         crashed: 0,
         stopped_quiescent: false,
-        fault_fired: Vec::new(),
+        faults: FaultReport::default(),
         fault_crash_at: BTreeMap::new(),
-        fault_downtime: BTreeMap::new(),
-        fault_crashes: 0,
-        fault_restarts: 0,
         sched_tags: if cfg.record_schedule {
             Some(Vec::new())
         } else {
@@ -459,26 +461,34 @@ fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, in
         // The §8 symptom: "nodes receive out-of-memory exceptions and
         // crash".
         st.crashed += 1;
-        st.nodes[i].departed = true;
+        st.nodes[i].lifecycle = Lifecycle::Departed;
         return;
     }
 
-    st.nodes[i].active = true;
+    st.nodes[i].lifecycle = Lifecycle::Up;
     st.nodes[i].announce(info);
     let interval = st.cfg.gossip_interval;
     let stagger = SimDuration::from_nanos(
         interval.as_nanos() * (i as u64 % st.cfg.total_nodes() as u64)
             / st.cfg.total_nodes().max(1) as u64,
     );
-    let epoch = st.nodes[i].timer_epoch;
-    let gh = st.gossip_handler.expect("handlers registered before run");
-    let fh = st.fd_handler.expect("handlers registered before run");
-    st.nodes[i].gossip_timer =
-        Some(ctx.schedule_handler_after(stagger, gh, timer_payload(i, epoch)));
+    arm_node_timers(st, ctx, i, stagger);
+}
+
+/// Arms node `i`'s periodic timers under its current epoch: the first
+/// gossip round `after` from now, the first failure-detector check one
+/// `fd_interval` later.
+fn arm_node_timers(
+    st: &mut ClusterState,
+    ctx: &mut Ctx<'_, ClusterState>,
+    i: usize,
+    after: SimDuration,
+) {
+    let payload = timer_payload(i, st.nodes[i].timer_epoch);
+    st.nodes[i].gossip_timer = Some(ctx.schedule_handler_after(after, st.gossip_handler, payload));
     tag_sched(st, ctx, tag::GOSSIP_TIMER, i as u32);
-    let fd_interval = st.cfg.fd_interval;
-    st.nodes[i].fd_timer =
-        Some(ctx.schedule_handler_after(stagger + fd_interval, fh, timer_payload(i, epoch)));
+    let fd_at = after + st.cfg.fd_interval;
+    st.nodes[i].fd_timer = Some(ctx.schedule_handler_after(fd_at, st.fd_handler, payload));
     tag_sched(st, ctx, tag::FD_TIMER, i as u32);
 }
 
@@ -489,15 +499,15 @@ fn gossip_round(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
         st.stale_timer_fires += 1;
         return;
     }
-    if !node.active || node.departed {
+    if node.lifecycle != Lifecycle::Up {
         return;
     }
-    node.gossip_stage.push(ctx.now(), Task::SendRound);
+    node.stages[StageKind::Gossip as usize].push(ctx.now(), Task::SendRound);
     pump(st, ctx, i, StageKind::Gossip);
     let interval = st.cfg.gossip_interval;
-    let gh = st.gossip_handler.expect("handlers registered before run");
+    let payload = timer_payload(i, epoch);
     st.nodes[i].gossip_timer =
-        Some(ctx.schedule_handler_after(interval, gh, timer_payload(i, epoch)));
+        Some(ctx.schedule_handler_after(interval, st.gossip_handler, payload));
     tag_sched(st, ctx, tag::GOSSIP_TIMER, i as u32);
 }
 
@@ -508,7 +518,7 @@ fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, ep
         st.stale_timer_fires += 1;
         return;
     }
-    if !node.active || node.departed {
+    if node.lifecycle != Lifecycle::Up {
         return;
     }
     // Failure detection runs on the node's local clock, which may be
@@ -525,8 +535,8 @@ fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, ep
         );
     }
     let interval = st.cfg.fd_interval;
-    let fh = st.fd_handler.expect("handlers registered before run");
-    st.nodes[i].fd_timer = Some(ctx.schedule_handler_after(interval, fh, timer_payload(i, epoch)));
+    let payload = timer_payload(i, epoch);
+    st.nodes[i].fd_timer = Some(ctx.schedule_handler_after(interval, st.fd_handler, payload));
     tag_sched(st, ctx, tag::FD_TIMER, i as u32);
 }
 
@@ -534,20 +544,13 @@ fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, ep
 // Stage pump and task lifecycle.
 // ---------------------------------------------------------------------
 
-fn stage_of(node: &mut Node, stage: StageKind) -> &mut Stage<Task> {
-    match stage {
-        StageKind::Gossip => &mut node.gossip_stage,
-        StageKind::Calc => &mut node.calc_stage,
-    }
-}
-
 fn pump(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, stage: StageKind) {
     let now = ctx.now();
     let node = &mut st.nodes[i];
-    if !node.active || node.departed {
+    if node.lifecycle != Lifecycle::Up {
         return;
     }
-    let Some(task) = stage_of(node, stage).try_begin(now) else {
+    let Some(task) = node.stages[stage as usize].try_begin(now) else {
         return;
     };
     start_task(st, ctx, i, stage, task);
@@ -573,45 +576,31 @@ fn start_task(
     task: Task,
 ) {
     if needs_lock(&st.cfg, stage, &task) {
-        let token = ClusterState::lock_token(i, stage);
-        match st.locks.acquire(st.ring_lock[i], token, ctx.now()) {
+        let now = ctx.now();
+        match st.locks.acquire(LockId(i), stage as u64, now) {
             Acquire::Granted => run_task(st, ctx, i, stage, task, true),
-            Acquire::Queued => {
-                let now = ctx.now();
-                let node = &mut st.nodes[i];
-                match stage {
-                    StageKind::Gossip => {
-                        node.parked_gossip = Some(task);
-                        node.parked_gossip_at = Some(now);
-                    }
-                    StageKind::Calc => {
-                        node.parked_calc = Some(task);
-                        node.parked_calc_at = Some(now);
-                    }
-                }
-            }
+            Acquire::Queued => st.nodes[i].parked[stage as usize] = Some((task, now)),
         }
     } else {
         run_task(st, ctx, i, stage, task, false);
     }
 }
 
+/// Releases node `i`'s ring lock held by `stage`. The only possible
+/// waiter is the node's other stage (a stage stays busy from taking the
+/// lock until after releasing it, so it never waits for itself), which
+/// gets it next.
 fn release_ring_lock(
     st: &mut ClusterState,
     ctx: &mut Ctx<'_, ClusterState>,
     i: usize,
     stage: StageKind,
 ) {
-    let token = ClusterState::lock_token(i, stage);
-    if let Some(next) = st.locks.release(st.ring_lock[i], token, ctx.now()) {
-        let next_stage = if next % 2 == 0 {
-            StageKind::Gossip
-        } else {
-            StageKind::Calc
-        };
-        let j = (next / 2) as usize;
+    if let Some(holder) = st.locks.release(LockId(i), stage as u64, ctx.now()) {
+        let next = stage.other();
+        debug_assert_eq!(holder, next as u64);
         ctx.schedule_after(SimDuration::ZERO, move |st, ctx| {
-            lock_granted(st, ctx, j, next_stage)
+            lock_granted(st, ctx, i, next)
         });
     }
 }
@@ -622,28 +611,16 @@ fn lock_granted(
     i: usize,
     stage: StageKind,
 ) {
-    let node = &mut st.nodes[i];
-    let (parked, parked_at) = match stage {
-        StageKind::Gossip => (node.parked_gossip.take(), node.parked_gossip_at.take()),
-        StageKind::Calc => (node.parked_calc.take(), node.parked_calc_at.take()),
-    };
-    match parked {
-        Some(task) => {
-            if let Some(since) = parked_at {
-                let tid = match stage {
-                    StageKind::Gossip => TID_GOSSIP,
-                    StageKind::Calc => TID_CALC,
-                };
-                let now = ctx.now();
-                scalecheck_obs::span(
-                    SpanName::LockWait,
-                    i as u32,
-                    tid,
-                    since.as_nanos(),
-                    now.since(since).as_nanos(),
-                    0,
-                );
-            }
+    match st.nodes[i].parked[stage as usize].take() {
+        Some((task, since)) => {
+            scalecheck_obs::span(
+                SpanName::LockWait,
+                i as u32,
+                stage as u32,
+                since.as_nanos(),
+                ctx.now().since(since).as_nanos(),
+                0,
+            );
             run_task(st, ctx, i, stage, task, true)
         }
         None => {
@@ -674,11 +651,7 @@ fn compute(
     if pil_mode && pil_replaced {
         now + demand
     } else {
-        let slot = match work {
-            StageKind::Gossip => 0,
-            StageKind::Calc => 1,
-        };
-        st.work_busy[i][slot] += demand.as_nanos();
+        st.work_busy[i][work as usize] += demand.as_nanos();
         let machine = st.nodes[i].machine;
         st.park.get_mut(machine).submit(now, demand).finish
     }
@@ -777,25 +750,22 @@ fn begin_calc_compute(
         } else {
             SpanName::CalcRecalculate
         };
-        let tid = match stage {
-            StageKind::Gossip => TID_GOSSIP,
-            StageKind::Calc => TID_CALC,
-        };
         // `duration = ops * ns_per_op` by construction, so the op count
         // round-trips exactly through the span's integer argument.
         let ops = duration.as_nanos() / st.cfg.ns_per_op.max(1);
         scalecheck_obs::span(
             name,
             i as u32,
-            tid,
+            stage as u32,
             now.as_nanos(),
             done_at.since(now).as_nanos(),
             ops,
         );
         scalecheck_obs::metric(Metric::CalcDuration, done_at.since(now).as_nanos());
     }
+    let has_pending = !pending.is_empty();
     ctx.schedule_at(done_at, move |st, ctx| {
-        finish_calc(st, ctx, i, stage, pending, release_lock_after);
+        finish_calc(st, ctx, i, stage, has_pending, release_lock_after);
     });
 }
 
@@ -825,7 +795,7 @@ fn finish_send_round(
     stage: StageKind,
 ) {
     let node = &mut st.nodes[i];
-    if node.active && !node.departed {
+    if node.lifecycle == Lifecycle::Up {
         node.gossiper.beat();
         // Count-then-index target selection: same candidate order and
         // the same single RNG draw as collecting the list, without the
@@ -865,7 +835,7 @@ fn finish_receive(
     st.pil.processed(st.nodes[i].id.0, env.key);
 
     let mut trigger = false;
-    if st.nodes[i].active && !st.nodes[i].departed {
+    if st.nodes[i].lifecycle == Lifecycle::Up {
         let src = env.src;
         let outcome = match env.msg {
             GossipMessage::Syn(ref syn) => {
@@ -885,7 +855,7 @@ fn finish_receive(
         if let Some(outcome) = outcome {
             let node = &mut st.nodes[i];
             let local_now = now + node.clock_skew;
-            let view = node.apply_outcome(&outcome, local_now);
+            let topology_changed = node.apply_outcome(&outcome, local_now);
             // While a join/leave is pending, any applied gossip that
             // touches a Joining/Leaving peer recalculates. Pure, so it
             // hides behind the (almost always false) window check.
@@ -900,7 +870,7 @@ fn finish_receive(
                             .is_some_and(|s| s.app.status.in_transition())
                     })
             };
-            trigger = view.topology_changed || (node.pending_window_open() && touched_pending());
+            trigger = topology_changed || (node.pending_window_open() && touched_pending());
         }
     }
 
@@ -921,7 +891,7 @@ fn finish_receive(
                     node.calc_dirty = true;
                 } else {
                     node.calc_queued = true;
-                    node.calc_stage.push(now, Task::Recalculate);
+                    node.stages[StageKind::Calc as usize].push(now, Task::Recalculate);
                     // Pump after finishing this task (below).
                 }
             }
@@ -940,10 +910,10 @@ fn finish_calc(
     ctx: &mut Ctx<'_, ClusterState>,
     i: usize,
     stage: StageKind,
-    pending: PendingRanges,
+    has_pending: bool,
     release_lock_after: bool,
 ) {
-    apply_pending(st, ctx, i, pending);
+    apply_pending(st, ctx, i, has_pending);
     if release_lock_after {
         release_ring_lock(st, ctx, i, StageKind::Calc);
     }
@@ -953,7 +923,7 @@ fn finish_calc(
         let node = &mut st.nodes[i];
         if node.calc_dirty {
             node.calc_dirty = false;
-            node.calc_stage.push(now, Task::Recalculate);
+            node.stages[StageKind::Calc as usize].push(now, Task::Recalculate);
         } else {
             node.calc_queued = false;
         }
@@ -961,17 +931,15 @@ fn finish_calc(
     end_task(st, ctx, i, stage);
 }
 
-/// Applies a computed pending-range set: stores it and models the §6
-/// rebalance allocation if configured.
+/// Applies a computed pending-range set — whether it is non-empty is all
+/// that matters — by modelling the §6 rebalance allocation if configured.
 fn apply_pending(
     st: &mut ClusterState,
     ctx: &mut Ctx<'_, ClusterState>,
     i: usize,
-    pending: PendingRanges,
+    has_pending: bool,
 ) {
     let now = ctx.now();
-    let has_pending = !pending.is_empty();
-    st.nodes[i].pending = pending;
     let Some(strategy) = st.cfg.memory.rebalance_alloc else {
         return;
     };
@@ -996,8 +964,7 @@ fn apply_pending(
             // OOM: the node crashes (§8).
             st.machine_mem[machine].free("rebalance", have);
             st.nodes[i].rebalance_bytes = 0;
-            st.nodes[i].active = false;
-            st.nodes[i].departed = true;
+            st.nodes[i].lifecycle = Lifecycle::Departed;
             cancel_node_timers(st, ctx, i);
             st.crashed += 1;
             scalecheck_obs::instant(
@@ -1018,7 +985,7 @@ fn apply_pending(
 
 /// Finishes the current stage task and pulls the next one.
 fn end_task(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, stage: StageKind) {
-    stage_of(&mut st.nodes[i], stage).finish();
+    st.nodes[i].stages[stage as usize].finish();
     pump(st, ctx, i, stage);
 }
 
@@ -1057,15 +1024,16 @@ fn send_msg(
 fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, env: Envelope) {
     st.inflight -= 1;
     let i = env.dst.0 as usize;
-    if i >= st.nodes.len() || !st.nodes[i].active || st.nodes[i].departed {
+    if i >= st.nodes.len() || st.nodes[i].lifecycle != Lifecycle::Up {
         return;
     }
     st.deliveries += 1;
     let now = ctx.now();
+    let gossip = &mut st.nodes[i].stages[StageKind::Gossip as usize];
     if let Some(enf) = st.pil.enforcer() {
         match enf.classify(env.dst.0, env.key) {
             OrderDecision::ProcessNow | OrderDecision::NotInLog => {
-                st.nodes[i].gossip_stage.push(now, Task::Receive(env));
+                gossip.push(now, Task::Receive(env));
             }
             OrderDecision::HoldForLater => {
                 let deadline = now + st.cfg.order_hold_timeout;
@@ -1075,7 +1043,7 @@ fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, env: Envelope
             }
         }
     } else {
-        st.nodes[i].gossip_stage.push(now, Task::Receive(env));
+        gossip.push(now, Task::Receive(env));
     }
     pump(st, ctx, i, StageKind::Gossip);
 }
@@ -1089,17 +1057,17 @@ fn release_held(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
     let Some(expected) = enf.expected(node_id) else {
         // Log exhausted: flush everything held.
         let now = ctx.now();
-        let held = std::mem::take(&mut st.nodes[i].held);
-        for (_, env) in held {
-            st.nodes[i].gossip_stage.push(now, Task::Receive(env));
+        let node = &mut st.nodes[i];
+        for (_, env) in node.held.drain(..) {
+            node.stages[StageKind::Gossip as usize].push(now, Task::Receive(env));
         }
         pump(st, ctx, i, StageKind::Gossip);
         return;
     };
-    if let Some(pos) = st.nodes[i].held.iter().position(|(_, e)| e.key == expected) {
-        let (_, env) = st.nodes[i].held.remove(pos);
-        let now = ctx.now();
-        st.nodes[i].gossip_stage.push(now, Task::Receive(env));
+    let node = &mut st.nodes[i];
+    if let Some(pos) = node.held.iter().position(|(_, e)| e.key == expected) {
+        let (_, env) = node.held.remove(pos);
+        node.stages[StageKind::Gossip as usize].push(ctx.now(), Task::Receive(env));
         pump(st, ctx, i, StageKind::Gossip);
     }
 }
@@ -1113,9 +1081,7 @@ fn flush_expired_held(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i:
     held.retain(|(deadline, env)| {
         if *deadline <= now {
             st.forced_releases += 1;
-            st.nodes[i]
-                .gossip_stage
-                .push(now, Task::Receive(env.clone()));
+            st.nodes[i].stages[StageKind::Gossip as usize].push(now, Task::Receive(env.clone()));
             released = true;
             false
         } else {
@@ -1161,7 +1127,7 @@ impl scalecheck_traffic::ClusterFabric for LiveFabric<'_> {
     }
 
     fn is_live_coordinator(&self, i: usize) -> bool {
-        self.nodes[i].active && !self.nodes[i].departed
+        self.nodes[i].lifecycle == Lifecycle::Up
     }
 
     fn rf(&self) -> usize {
@@ -1191,7 +1157,7 @@ impl scalecheck_traffic::ClusterFabric for LiveFabric<'_> {
         // core allocator is monotone in submission order, so billing at
         // a future `at` (mid-request-lifecycle) is well-defined.
         let i = node as usize;
-        self.work_busy[i][2] += demand.as_nanos();
+        self.work_busy[i][TID_REQUEST as usize] += demand.as_nanos();
         let machine = if self.pil {
             scalecheck_sim::cpu::MachineId(i)
         } else {
@@ -1247,8 +1213,7 @@ fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
         };
         traffic.tick(now, phase, &mut fabric);
     }
-    let h = st.traffic_handler.expect("traffic handler registered");
-    ctx.schedule_handler_after(st.traffic.config().arrival.tick, h, 0);
+    ctx.schedule_handler_after(st.traffic.config().arrival.tick, st.traffic_handler, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -1263,7 +1228,7 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
             for k in 0..count.min(cfg.n_nodes.saturating_sub(1)) {
                 let i = cfg.n_nodes - 1 - k;
                 let t = first + gap.saturating_mul(k as u64);
-                engine.schedule_at(t, move |st: &mut ClusterState, ctx| {
+                engine.schedule_at(t, move |st: &mut ClusterState, _ctx| {
                     let tokens = st.nodes[i]
                         .ring
                         .node(NodeId(i as u32))
@@ -1273,7 +1238,6 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
                         status: NodeStatus::Leaving,
                         tokens,
                     });
-                    let _ = ctx;
                 });
                 engine.schedule_at(t + window, move |st, _ctx| {
                     st.nodes[i].announce(RingInfo {
@@ -1282,9 +1246,11 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
                     });
                 });
                 engine.schedule_at(t + window + SimDuration::from_secs(10), move |st, ctx| {
-                    st.nodes[i].departed = true;
-                    st.nodes[i].gossip_stage.clear();
-                    st.nodes[i].calc_stage.clear();
+                    let node = &mut st.nodes[i];
+                    node.lifecycle = Lifecycle::Departed;
+                    for stage in &mut node.stages {
+                        stage.clear();
+                    }
                     cancel_node_timers(st, ctx, i);
                 });
             }
@@ -1301,7 +1267,7 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
                     activate(st, ctx, i, RingInfo::joining(tokens));
                 });
                 engine.schedule_at(t + window, move |st, _ctx| {
-                    if st.nodes[i].active {
+                    if st.nodes[i].lifecycle == Lifecycle::Up {
                         let tokens = spread_tokens(NodeId(i as u32), vnodes);
                         st.nodes[i].announce(RingInfo::normal(tokens));
                     }
@@ -1343,7 +1309,7 @@ fn fire_fault(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, ev: &Fault
         now.as_nanos(),
         idx as u64,
     );
-    st.fault_fired.push(FiredFault { at: now, label });
+    st.faults.fired.push(FiredFault { at: now, label });
     match ev {
         FaultEvent::Partition { a, b, .. } => set_partition(st, a, b, true),
         FaultEvent::Heal { a, b, .. } => set_partition(st, a, b, false),
@@ -1351,7 +1317,7 @@ fn fire_fault(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, ev: &Fault
         FaultEvent::Restart { node, .. } => restart_node(st, ctx, *node as usize),
         FaultEvent::ClockSkew { node, skew, .. } => {
             let i = *node as usize;
-            if st.nodes[i].active && !st.nodes[i].departed {
+            if st.nodes[i].lifecycle == Lifecycle::Up {
                 st.nodes[i].clock_skew = *skew;
                 // Every conviction the skewed node issues from here on
                 // is the fault's doing.
@@ -1388,30 +1354,28 @@ fn set_partition(st: &mut ClusterState, a: &[u32], b: &[u32], up: bool) {
 /// decommission (the node does not leave the ring) and from OOM death
 /// (which is permanent).
 fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
-    if !st.nodes[i].active || st.nodes[i].departed {
+    if st.nodes[i].lifecycle != Lifecycle::Up {
         return;
     }
     let now = ctx.now();
     // Cancel the periodic timer chains outright — the bumped epoch
     // below is only a backstop; in-flight stage completions still drain
-    // through the idle `active` checks.
+    // through the idle lifecycle checks.
     cancel_node_timers(st, ctx, i);
     let node = &mut st.nodes[i];
-    node.active = false;
+    node.lifecycle = Lifecycle::Down;
     node.timer_epoch += 1;
-    node.gossip_stage.clear();
-    node.calc_stage.clear();
-    node.parked_gossip = None;
-    node.parked_gossip_at = None;
-    node.parked_calc = None;
-    node.parked_calc_at = None;
+    for stage in &mut node.stages {
+        stage.clear();
+    }
+    node.parked = [None, None];
     node.held.clear();
     node.calc_dirty = false;
     node.calc_queued = false;
     let peer = peer_of(node.id);
     let id = node.id;
     st.fault_crash_at.insert(i as u32, now);
-    st.fault_crashes += 1;
+    st.faults.crashes += 1;
     for k in 0..st.nodes.len() {
         if k != i {
             st.nodes[k].fd.set_fault_suspect(peer, true);
@@ -1424,22 +1388,23 @@ fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) 
 /// failure-detection history, restarted timers. No-op unless the node
 /// is currently down from a [`FaultEvent::Crash`].
 fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
-    if st.nodes[i].active || st.nodes[i].departed {
+    if st.nodes[i].lifecycle != Lifecycle::Down {
         return;
     }
     let Some(down_at) = st.fault_crash_at.remove(&(i as u32)) else {
         return;
     };
     let now = ctx.now();
-    *st.fault_downtime
+    *st.faults
+        .downtime
         .entry(i as u32)
         .or_insert(SimDuration::ZERO) += now.since(down_at);
-    st.fault_restarts += 1;
+    st.faults.restarts += 1;
 
     let vnodes = st.cfg.vnodes;
     let node = &mut st.nodes[i];
     node.timer_epoch += 1;
-    node.active = true;
+    node.lifecycle = Lifecycle::Up;
     node.clock_skew = SimDuration::ZERO;
     node.gossiper.restart();
     node.fd.reset_monitoring();
@@ -1453,21 +1418,12 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
     let tokens = spread_tokens(node.id, vnodes);
     node.announce(RingInfo { status, tokens });
     let peer = peer_of(node.id);
-    let epoch = node.timer_epoch;
     for k in 0..st.nodes.len() {
         if k != i {
             st.nodes[k].fd.set_fault_suspect(peer, false);
         }
     }
-    let gh = st.gossip_handler.expect("handlers registered before run");
-    let fh = st.fd_handler.expect("handlers registered before run");
-    st.nodes[i].gossip_timer =
-        Some(ctx.schedule_handler_after(SimDuration::ZERO, gh, timer_payload(i, epoch)));
-    tag_sched(st, ctx, tag::GOSSIP_TIMER, i as u32);
-    let fd_interval = st.cfg.fd_interval;
-    st.nodes[i].fd_timer =
-        Some(ctx.schedule_handler_after(fd_interval, fh, timer_payload(i, epoch)));
-    tag_sched(st, ctx, tag::FD_TIMER, i as u32);
+    arm_node_timers(st, ctx, i, SimDuration::ZERO);
 }
 
 // ---------------------------------------------------------------------
@@ -1500,34 +1456,12 @@ fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunRep
     if let Err(msg) = cfg.validate() {
         panic!("invalid ScenarioConfig: {msg}");
     }
-    let mut state = build(cfg, mode, pil);
-
     let mut engine: Engine<ClusterState> =
         Engine::with_tie_order(cfg.seed, SchedulerKind::Wheel, &cfg.tie_order);
     if cfg.record_schedule {
         engine.record_fires(true);
     }
-
-    // Periodic per-node timers run as handler events: the payload packs
-    // (node, epoch), so steady-state rounds recur without boxing a new
-    // closure per fire.
-    state.gossip_handler = Some(
-        engine.register_handler(|st: &mut ClusterState, ctx, payload| {
-            let (i, epoch) = unpack_timer(payload);
-            gossip_round(st, ctx, i, epoch);
-        }),
-    );
-    state.fd_handler = Some(
-        engine.register_handler(|st: &mut ClusterState, ctx, payload| {
-            let (i, epoch) = unpack_timer(payload);
-            fd_check(st, ctx, i, epoch);
-        }),
-    );
-    state.traffic_handler = Some(engine.register_handler(
-        |st: &mut ClusterState, ctx, _payload| {
-            traffic_tick(st, ctx);
-        },
-    ));
+    let mut state = build(cfg, mode, pil, &mut engine);
 
     // Activate the initial population.
     let bootstrap = matches!(cfg.workload, Workload::BootstrapFromScratch);
@@ -1552,7 +1486,7 @@ fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunRep
                 if matches!(st.cfg.workload, Workload::BootstrapFromScratch) {
                     let window = st.cfg.rescale_window;
                     ctx.schedule_after(window, move |st: &mut ClusterState, _| {
-                        if st.nodes[i].active && !st.nodes[i].departed {
+                        if st.nodes[i].lifecycle == Lifecycle::Up {
                             let tokens = spread_tokens(NodeId(i as u32), st.cfg.vnodes);
                             st.nodes[i].announce(RingInfo::normal(tokens));
                         }
@@ -1579,49 +1513,34 @@ fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunRep
     // starts can read above 1000‰. Pure observation — no RNG draws, no
     // state the simulation reads — so enabling it cannot perturb a run.
     fn sample_utilization(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
-        let now = ctx.now();
-        let interval = st.cfg.trace.sample_every_ns.max(1);
+        let ts = ctx.now().as_nanos();
+        let interval = st.cfg.trace.sample_every_ns;
         for i in 0..st.nodes.len() {
-            let [gossip, calc, request] = st.work_busy[i];
-            let [prev_g, prev_c, prev_r] = st.busy_sampled[i];
-            st.busy_sampled[i] = [gossip, calc, request];
-            let ts = now.as_nanos();
-            scalecheck_obs::counter(
-                SpanName::StageUtilization,
-                i as u32,
-                TID_GOSSIP,
-                ts,
-                gossip.saturating_sub(prev_g) * 1000 / interval,
-            );
-            scalecheck_obs::counter(
-                SpanName::StageUtilization,
-                i as u32,
-                TID_CALC,
-                ts,
-                calc.saturating_sub(prev_c) * 1000 / interval,
-            );
-            scalecheck_obs::counter(
-                SpanName::StageUtilization,
-                i as u32,
-                TID_REQUEST,
-                ts,
-                request.saturating_sub(prev_r) * 1000 / interval,
-            );
+            let busy = st.work_busy[i];
+            let prev = std::mem::replace(&mut st.busy_sampled[i], busy);
+            // The slot is the track id: gossip, calc, request.
+            for (tid, (busy, prev)) in busy.into_iter().zip(prev).enumerate() {
+                let permille = busy.saturating_sub(prev) * 1000 / interval;
+                scalecheck_obs::counter(
+                    SpanName::StageUtilization,
+                    i as u32,
+                    tid as u32,
+                    ts,
+                    permille,
+                );
+            }
         }
         ctx.schedule_after(SimDuration::from_nanos(interval), sample_utilization);
     }
     if cfg.trace.enabled {
-        engine.schedule_at(
-            SimTime::ZERO + SimDuration::from_nanos(cfg.trace.sample_every_ns.max(1)),
-            sample_utilization,
-        );
+        let first = SimTime::ZERO + SimDuration::from_nanos(cfg.trace.sample_every_ns);
+        engine.schedule_at(first, sample_utilization);
     }
 
     // Client traffic (the user-visible impact of flapping): a handler
     // timer so steady-state ticks recur without boxing a closure.
     if state.traffic.config().enabled() {
-        let h = state.traffic_handler.expect("registered above");
-        engine.schedule_handler_at(SimTime::from_millis(700), h, 0);
+        engine.schedule_handler_at(SimTime::from_millis(700), state.traffic_handler, 0);
     }
 
     // Quiescence detection after the workload completes.
@@ -1668,9 +1587,8 @@ fn assemble_report(
     tracer: Option<scalecheck_obs::Tracer>,
 ) -> RunReport {
     let mut lateness = scalecheck_obs::LogHistogram::new();
-    for n in &st.nodes {
-        lateness.merge(n.gossip_stage.lateness());
-        lateness.merge(n.calc_stage.lateness());
+    for stage in st.nodes.iter().flat_map(|n| &n.stages) {
+        lateness.merge(stage.lateness());
     }
     let cpu_utilization = st
         .park
@@ -1730,21 +1648,18 @@ fn assemble_report(
 }
 
 fn assemble_fault_report(st: &ClusterState, ended: SimTime) -> FaultReport {
-    // Nodes still down at run end accrue downtime through `ended`.
-    let mut downtime = st.fault_downtime.clone();
-    for (&node, &down_at) in &st.fault_crash_at {
-        *downtime.entry(node).or_insert(SimDuration::ZERO) += ended.since(down_at);
-    }
-    FaultReport {
-        fired: st.fault_fired.clone(),
-        crashes: st.fault_crashes,
-        restarts: st.fault_restarts,
+    let mut faults = FaultReport {
         fault_dropped: st.net.dropped_by_fault() + st.net.dropped_by_partition(),
         fault_delayed: st.net.fault_delayed(),
         fault_duplicated: st.net.fault_duplicated(),
-        downtime,
         attributed_flaps: st.nodes.iter().map(|n| n.fd.fault_attributed_flaps()).sum(),
+        ..st.faults.clone()
+    };
+    // Nodes still down at run end accrue downtime through `ended`.
+    for (&node, &down_at) in &st.fault_crash_at {
+        *faults.downtime.entry(node).or_insert(SimDuration::ZERO) += ended.since(down_at);
     }
+    faults
 }
 
 #[cfg(test)]
@@ -1792,7 +1707,12 @@ mod tests {
             ("c6127(24)", ScenarioConfig::c6127(24, 1), 0),
         ];
         for (name, cfg, prefilled) in cells {
-            let state = build(&cfg, RunMode::Real, Pil::Execute);
+            let state = build(
+                &cfg,
+                RunMode::Real,
+                Pil::Execute,
+                &mut Engine::new(cfg.seed),
+            );
             assert_eq!(state.nodes.len(), cfg.total_nodes(), "{name}");
             let mut filled = 0;
             for (i, node) in state.nodes.iter().enumerate() {

@@ -6,7 +6,8 @@
 //! same mechanisms fire at N≈24–32 in seconds.
 
 use scalecheck_cluster::{
-    run_colocated, run_scenario, CalcVersion, LockingMode, RunMode, ScenarioConfig, Workload,
+    run_colocated, run_scenario, CalcVersion, ContextSwitch, LockingMode, RunMode, ScenarioConfig,
+    Workload,
 };
 use scalecheck_memo::{MemoDb, OrderRecorder, Pil, Replay};
 use scalecheck_net::{LatencyModel, NetworkConfig};
@@ -194,7 +195,7 @@ fn real_mode_gives_every_node_its_own_machine() {
 }
 
 #[test]
-fn global_event_queue_reduces_contention_penalty() {
+fn one_event_queue_reduces_contention_penalty() {
     // §6: thousands of per-node threads cause severe context switching;
     // the one-queue redesign removes the amplification. Same workload,
     // same cores — the redesigned machine must show less queueing.
@@ -205,7 +206,7 @@ fn global_event_queue_reduces_contention_penalty() {
     };
     let threads = run_scenario(&cfg, RunMode::Colo { cores: 4 });
     let mut redesigned = cfg.clone();
-    redesigned.global_event_queue = true;
+    redesigned.context_switch = ContextSwitch::GlobalEventQueue;
     let global = run_scenario(&redesigned, RunMode::Colo { cores: 4 });
     assert!(
         global.duration <= threads.duration,

@@ -8,7 +8,7 @@
 //! bit-level reproduction, not just the same verdict.
 
 use scalecheck::Deployment;
-use scalecheck_cluster::{RunReport, ScenarioConfig};
+use scalecheck_cluster::{ContextSwitch, RunReport, ScenarioConfig};
 use scalecheck_sim::TieOrderSpec;
 use serde::{Deserialize, Serialize};
 
@@ -94,7 +94,7 @@ fn race_scenario(n_nodes: usize, seed: u64) -> ScenarioConfig {
     cfg.phi_threshold = 5.0;
     cfg.msg_base_cost = scalecheck_sim::SimDuration::ZERO;
     cfg.per_endpoint_cost = scalecheck_sim::SimDuration::ZERO;
-    cfg.free_ctx_switch = true;
+    cfg.context_switch = ContextSwitch::Free;
     cfg.max_duration = scalecheck_sim::SimDuration::from_secs(300);
     cfg
 }

@@ -17,7 +17,8 @@ use crate::time::SimTime;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LockId(pub usize);
 
-/// An opaque token naming a lock holder (e.g. a (node, stage) encoding).
+/// An opaque token naming a lock holder among the lock's contenders
+/// (e.g. which of a node's stages, on that node's own lock).
 pub type HolderToken = u64;
 
 /// Outcome of an acquisition attempt.

@@ -66,6 +66,19 @@ if grep -rnE 'RunMode::Memoize|Memoize \{|run_scenario_with_db|run_hdfs_with_db|
   exit 1
 fi
 
+# One node record: a node's per-stage state (queue, task parked for the
+# ring lock) is indexed by `StageKind`, whose discriminant is also the
+# obs track, the CPU-accounting slot and the ring-lock holder token; a
+# node's life is one `Lifecycle`; a scenario's context-switch cost is one
+# `ContextSwitch`. No per-stage field pair, stage/token decoder, write-only
+# view-change record or context-switch bool may grow back.
+echo "=== one node record (grep gate) ==="
+if grep -rnE 'parked_gossip|parked_calc|gossip_stage|calc_stage|fn lock_token|fn stage_of|ViewChanges|free_ctx_switch|global_event_queue' \
+  crates src tests examples; then
+  echo "error: per-stage node state is indexed by StageKind; see the matches above" >&2
+  exit 1
+fi
+
 # One serialisation path and one deserialisation path: the serde shim's
 # traits stream (`serialize(&self, &mut String)`, `deserialize(&mut
 # Reader)`). No `Value`-returning `serialize` or `&Value`-taking
@@ -150,14 +163,16 @@ CLI=target/release/scalecheck-cli
 # steps that regenerate in seconds are re-run and compared byte for
 # byte, and so are two of the Figure 3 panels (fig3b, fig3c: about a
 # minute of CPU together now that a triple is three runs — the first
-# (Real, Colo, SC+PIL) artifacts under the gate) and ext_hdfs (~45 s:
+# (Real, Colo, SC+PIL) artifacts under the gate), ext_hdfs (~45 s:
 # the second system's run loop, whose only other guards are the four
-# HdfsReport pins in tests/run_pins.rs). The script prints each
+# HdfsReport pins in tests/run_pins.rs) and tbl_colocation_limit (~38 s:
+# the only artifact of the global-event-queue context-switch setting
+# and of single-process memory admission). The script prints each
 # step's wall time and names the steps it did not check (minutes each —
 # ROADMAP item 8), so a green gate vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3b_c3881,fig3c_c5456,ext_hdfs
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3b_c3881,fig3c_c5456,ext_hdfs,tbl_colocation_limit
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy

@@ -22,7 +22,9 @@
 use scalecheck::{
     content_digest, memoize, replay, replay_ordered, run_colo, run_real, time_dilated,
 };
-use scalecheck_cluster::{FaultPlan, RunReport, ScenarioConfig, TrafficConfig};
+use scalecheck_cluster::{
+    ContextSwitch, FaultPlan, LockingMode, RunReport, ScenarioConfig, TrafficConfig,
+};
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
 use scalecheck_sim::SimTime;
 
@@ -140,6 +142,47 @@ fn c5456_32_traced_real_report_is_pinned() {
         &r,
         true,
         "206912839e5316c15c34850eed9960f9",
+    );
+}
+
+/// The C5456 fix: the calculation clones the ring under the lock and
+/// computes off it. Traced, so the `LockWait` spans of a gossip receive
+/// queued behind a clone (or a clone behind a receive) ride in the
+/// digest — the ring-lock handoff between a node's two stages. (On its
+/// own machine no stage ever waits at this size; four shared cores make
+/// the clone and the receives overlap.)
+#[test]
+fn c5456_48_snapshot_traced_colo_report_is_pinned() {
+    let mut cfg = ScenarioConfig::c5456(48, 1);
+    cfg.locking = LockingMode::SnapshotThread;
+    cfg.trace = scalecheck_obs::TraceConfig::enabled();
+    let r = run_colo(&cfg, 4);
+    let lock_wait = scalecheck_obs::SpanName::LockWait as u16;
+    let waits = r.obs.spans.iter().filter(|s| s.name == lock_wait).count();
+    assert!(waits > 0, "no stage waited for the ring lock");
+    pin(
+        "c5456(48) snapshot traced colo/4",
+        &r,
+        false,
+        "4118628d4c39c58db7cf2eecd8bc282a",
+    );
+}
+
+/// §6's scale-checkable redesign on the shared machine: one global event
+/// queue pays a fixed dispatch cost per switch, without the per-node
+/// threads' amplification with load — on the very cell that flaps with
+/// per-node threads (`c3831_64_colo_flapping_report_is_pinned`), it does
+/// not flap at all.
+#[test]
+fn c3831_64_one_event_queue_colo_report_is_pinned() {
+    let mut cfg = ScenarioConfig::c3831(64, 1);
+    cfg.context_switch = ContextSwitch::GlobalEventQueue;
+    let r = run_colo(&cfg, 1);
+    pin(
+        "c3831(64) global event queue colo/1",
+        &r,
+        false,
+        "719d8be3bcdba84eac1b55286cbf1c1b",
     );
 }
 
