@@ -5,7 +5,8 @@
 //! `@scaledep` ring table ([`RingTable`]), and the four historical
 //! versions of the pending key-range calculation
 //! ([`V1Cubic`], [`V2Quadratic`], [`V3VnodeAware`],
-//! [`FreshRingQuadratic`]) with instrumented operation counting.
+//! [`FreshRingQuadratic`]), each billing through an [`OpCounter`] the ops
+//! its historical loops execute.
 //!
 //! # Examples
 //!

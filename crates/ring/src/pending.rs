@@ -12,12 +12,19 @@
 //! do, which each one reports through [`OpCounter`]. This mirrors the
 //! history: every fix preserved semantics while lowering complexity.
 //!
-//! | Version | Era | Complexity class (physical N, vnodes P, changes M) |
+//! | Version | Era | Billed op count (physical N, vnodes P, changes M) |
 //! |---|---|---|
 //! | [`V1Cubic`] | pre-C3831 | O(M · (NP)³) + sort factors |
 //! | [`V2Quadratic`] | C3831 fix | O(M · (NP)² · log(NP)) |
 //! | [`V3VnodeAware`] | C3881 fix | O(M · NP · log(NP)) |
 //! | [`FreshRingQuadratic`] | C6127 path | O(M · (NP)²), only on bootstrap-from-scratch |
+//!
+//! The column is the count each version adds to [`OpCounter`], which the
+//! cluster layer turns into virtual compute time. The host does not run
+//! the historical loops to arrive at it: every version finds the same
+//! replica sets with early-exit walks and binary searches and bills the
+//! ops its loops would have executed, so the host cost of every version
+//! is O(M · NP · rf) walk steps plus one future-map sort per prefix.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -100,28 +107,26 @@ pub trait PendingRangeCalculator {
 }
 
 // ---------------------------------------------------------------------
-// Shared primitives (each counts its own work).
+// Shared primitives.
 // ---------------------------------------------------------------------
 
-/// Distinct replica endpoints for the range ending at `map[idx]`,
-/// walking clockwise with early exit once `rf` distinct nodes are found.
-fn replicas_at_fast(
-    map: &[(Token, NodeId)],
-    idx: usize,
-    rf: usize,
-    counter: &mut OpCounter,
-) -> BTreeSet<NodeId> {
-    let mut out = BTreeSet::new();
+/// Distinct replica endpoints for the range ending at `map[idx]`: walks
+/// clockwise, collecting distinct nodes into `out` (cleared first) until
+/// it holds `rf` of them or the ring is exhausted. Returns the steps
+/// taken, the ops the walk bills; on a non-empty map that is at least 1.
+fn replicas_at_fast(map: &[(Token, NodeId)], idx: usize, rf: usize, out: &mut Vec<NodeId>) -> u64 {
+    out.clear();
     let n = map.len();
     for step in 0..n {
-        counter.tick();
         let (_, node) = map[(idx + step) % n];
-        out.insert(node);
+        if !out.contains(&node) {
+            out.push(node);
+        }
         if out.len() >= rf {
-            break;
+            return step as u64 + 1;
         }
     }
-    out
+    n as u64
 }
 
 /// Index of the token map entry owning point `t`: first token `>= t`,
@@ -141,16 +146,19 @@ fn point_index_bsearch(map: &[(Token, NodeId)], t: Token, counter: &mut OpCounte
     lo % map.len()
 }
 
-/// Same as [`point_index_bsearch`] but by exhaustive linear scan (counts
-/// every step) — the wasteful variant used by older calculator versions.
+/// Same index as [`point_index_bsearch`], billed as the exhaustive linear
+/// scan the older versions ran: one op per entry up to and including the
+/// owner, or the whole map when `t` lies past the last token and the scan
+/// falls through to 0. Found by binary search.
 fn point_index_linear(map: &[(Token, NodeId)], t: Token, counter: &mut OpCounter) -> usize {
-    for (i, &(tok, _)) in map.iter().enumerate() {
-        counter.tick();
-        if tok >= t {
-            return i;
-        }
+    let p = map.partition_point(|&(tok, _)| tok < t);
+    if p < map.len() {
+        counter.add(p as u64 + 1);
+        p
+    } else {
+        counter.add(map.len() as u64);
+        0
     }
-    0
 }
 
 /// Counts the cost of producing a sorted future map (`k log k` for the
@@ -160,36 +168,92 @@ fn count_sort(k: usize, counter: &mut OpCounter) {
     counter.add(k as u64 * logk);
 }
 
-/// The canonical pending-range semantics, computed the cheap way.
-/// All calculators reduce to this result.
-fn pending_for(
+/// What a version executed to find one range's replica sets. Every
+/// version finds the same sets; they differ only in the ops they bill.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Billing {
+    /// V1: every node tested for replica-ship by a full-ring walk, then
+    /// a linear lookup of the range in the current map.
+    NaiveWalks,
+    /// V2: an early-exit walk on the future map, then a linear lookup in
+    /// the current map.
+    LinearLookup,
+    /// V3: an early-exit walk on the future map, then a binary-search
+    /// lookup in the current map.
+    BinaryLookup,
+    /// C6127, empty current ring: a linear lookup of the range's own
+    /// index in the future map before its early-exit walk.
+    FreshRing,
+}
+
+/// The canonical pending-range semantics, billed as `billing`'s version
+/// executed it. Every version recomputed the whole state for each prefix
+/// of the change list and kept only the final answer, so each prefix
+/// bills its ops but only the last builds the output. The replica sets
+/// live in two buffers reused across ranges; a set is built only for a
+/// range that enters the output.
+fn pending_billed(
     ring: &RingTable,
     changes: &[TopologyChange],
     counter: &mut OpCounter,
-    current: &[(Token, NodeId)],
-    future: &[(Token, NodeId)],
+    billing: Billing,
 ) -> PendingRanges {
     let rf = ring.rf();
+    let current = ring.current_token_map();
     let mut out = PendingRanges::new();
-    let n = future.len();
-    if n == 0 {
-        return out;
-    }
-    let _ = changes;
-    for i in 0..n {
-        let start = future[(i + n - 1) % n].0;
-        let end = future[i].0;
-        let range = Range::new(start, end);
-        let fut_reps = replicas_at_fast(future, i, rf, counter);
-        let cur_reps = if current.is_empty() {
-            BTreeSet::new()
-        } else {
-            let idx = point_index_bsearch(current, end, counter);
-            replicas_at_fast(current, idx, rf, counter)
-        };
-        let pend: BTreeSet<NodeId> = fut_reps.difference(&cur_reps).copied().collect();
-        if !pend.is_empty() {
-            out.insert(range, pend);
+    let (mut fut, mut cur) = (Vec::new(), Vec::new());
+    let prefixes = changes.len().max(1);
+    for m in 1..=prefixes {
+        let last = m == prefixes;
+        let future = ring
+            .future_token_map(&changes[..m.min(changes.len())])
+            .expect("duplicate token in change list");
+        count_sort(future.len(), counter);
+        let n = future.len();
+        if n == 0 {
+            continue;
+        }
+        if billing == Billing::NaiveWalks {
+            // A full walk ticks n; one per (range, node). A node passes iff
+            // it is among the first `rf` distinct owners from the range:
+            // exactly the early-exit walk's set.
+            let mut nodes: Vec<NodeId> = future.iter().map(|&(_, id)| id).collect();
+            nodes.sort_unstable();
+            nodes.dedup();
+            counter.add(n as u64 * n as u64 * nodes.len() as u64);
+        }
+        for i in 0..n {
+            let end = future[i].0;
+            match billing {
+                Billing::NaiveWalks if last => {
+                    replicas_at_fast(&future, i, rf, &mut fut);
+                }
+                Billing::NaiveWalks => {}
+                Billing::FreshRing => {
+                    let idx = point_index_linear(&future, end, counter);
+                    counter.add(replicas_at_fast(&future, idx, rf, &mut fut));
+                }
+                Billing::LinearLookup | Billing::BinaryLookup => {
+                    counter.add(replicas_at_fast(&future, i, rf, &mut fut));
+                }
+            }
+            cur.clear();
+            if !current.is_empty() {
+                let idx = if billing == Billing::BinaryLookup {
+                    point_index_bsearch(&current, end, counter)
+                } else {
+                    point_index_linear(&current, end, counter)
+                };
+                counter.add(replicas_at_fast(&current, idx, rf, &mut cur));
+            }
+            if last {
+                let pend: BTreeSet<NodeId> =
+                    fut.iter().filter(|id| !cur.contains(id)).copied().collect();
+                if !pend.is_empty() {
+                    let start = future[(i + n - 1) % n].0;
+                    out.insert(Range::new(start, end), pend);
+                }
+            }
         }
     }
     out
@@ -207,35 +271,6 @@ fn pending_for(
 #[derive(Clone, Copy, Debug, Default)]
 pub struct V1Cubic;
 
-impl V1Cubic {
-    /// Naive replica-ship test: walk the full circle from `idx`, never
-    /// early-exiting, and report whether `node` appears among the first
-    /// `rf` distinct endpoints.
-    fn is_replica_naive(
-        map: &[(Token, NodeId)],
-        idx: usize,
-        node: NodeId,
-        rf: usize,
-        counter: &mut OpCounter,
-    ) -> bool {
-        let n = map.len();
-        let mut distinct: Vec<NodeId> = Vec::new();
-        let mut hit = false;
-        for step in 0..n {
-            counter.tick();
-            let (_, at) = map[(idx + step) % n];
-            if !distinct.contains(&at) {
-                distinct.push(at);
-            }
-            if at == node && distinct.iter().position(|&d| d == at).unwrap() < rf {
-                hit = true;
-            }
-            // No early exit: the historical code walked on.
-        }
-        hit
-    }
-}
-
 impl PendingRangeCalculator for V1Cubic {
     fn name(&self) -> &'static str {
         "v1-cubic"
@@ -251,49 +286,7 @@ impl PendingRangeCalculator for V1Cubic {
         changes: &[TopologyChange],
         counter: &mut OpCounter,
     ) -> PendingRanges {
-        let rf = ring.rf();
-        let current = ring.current_token_map();
-        let mut out = PendingRanges::new();
-        // The historical code recomputed the whole state per change entry,
-        // keeping only the final answer.
-        for m in 1..=changes.len().max(1) {
-            let prefix = &changes[..m.min(changes.len())];
-            let future = ring
-                .future_token_map(prefix)
-                .expect("duplicate token in change list");
-            count_sort(future.len(), counter);
-            out = PendingRanges::new();
-            let n = future.len();
-            if n == 0 {
-                continue;
-            }
-            let mut node_ids: Vec<NodeId> = future.iter().map(|&(_, id)| id).collect();
-            node_ids.sort_unstable();
-            node_ids.dedup();
-            for i in 0..n {
-                let start = future[(i + n - 1) % n].0;
-                let end = future[i].0;
-                let range = Range::new(start, end);
-                let mut fut_reps = BTreeSet::new();
-                for &node in &node_ids {
-                    // Triple loop: ranges x nodes x full-ring walk.
-                    if Self::is_replica_naive(&future, i, node, rf, counter) {
-                        fut_reps.insert(node);
-                    }
-                }
-                let cur_reps = if current.is_empty() {
-                    BTreeSet::new()
-                } else {
-                    let idx = point_index_linear(&current, end, counter);
-                    replicas_at_fast(&current, idx, rf, counter)
-                };
-                let pend: BTreeSet<NodeId> = fut_reps.difference(&cur_reps).copied().collect();
-                if !pend.is_empty() {
-                    out.insert(range, pend);
-                }
-            }
-        }
-        out
+        pending_billed(ring, changes, counter, Billing::NaiveWalks)
     }
 }
 
@@ -323,39 +316,7 @@ impl PendingRangeCalculator for V2Quadratic {
         changes: &[TopologyChange],
         counter: &mut OpCounter,
     ) -> PendingRanges {
-        let rf = ring.rf();
-        let current = ring.current_token_map();
-        let mut out = PendingRanges::new();
-        for m in 1..=changes.len().max(1) {
-            let prefix = &changes[..m.min(changes.len())];
-            let future = ring
-                .future_token_map(prefix)
-                .expect("duplicate token in change list");
-            count_sort(future.len(), counter);
-            out = PendingRanges::new();
-            let n = future.len();
-            if n == 0 {
-                continue;
-            }
-            for i in 0..n {
-                let start = future[(i + n - 1) % n].0;
-                let end = future[i].0;
-                let range = Range::new(start, end);
-                let fut_reps = replicas_at_fast(&future, i, rf, counter);
-                let cur_reps = if current.is_empty() {
-                    BTreeSet::new()
-                } else {
-                    // Linear point lookup: the remaining quadratic term.
-                    let idx = point_index_linear(&current, end, counter);
-                    replicas_at_fast(&current, idx, rf, counter)
-                };
-                let pend: BTreeSet<NodeId> = fut_reps.difference(&cur_reps).copied().collect();
-                if !pend.is_empty() {
-                    out.insert(range, pend);
-                }
-            }
-        }
-        out
+        pending_billed(ring, changes, counter, Billing::LinearLookup)
     }
 }
 
@@ -383,17 +344,7 @@ impl PendingRangeCalculator for V3VnodeAware {
         changes: &[TopologyChange],
         counter: &mut OpCounter,
     ) -> PendingRanges {
-        let current = ring.current_token_map();
-        let mut out = PendingRanges::new();
-        for m in 1..=changes.len().max(1) {
-            let prefix = &changes[..m.min(changes.len())];
-            let future = ring
-                .future_token_map(prefix)
-                .expect("duplicate token in change list");
-            count_sort(future.len(), counter);
-            out = pending_for(ring, prefix, counter, &current, &future);
-        }
-        out
+        pending_billed(ring, changes, counter, Billing::BinaryLookup)
     }
 }
 
@@ -403,9 +354,11 @@ impl PendingRangeCalculator for V3VnodeAware {
 
 /// The fresh-ring construction path of C6127: taken only when the current
 /// ring is empty (a cluster bootstrapping from scratch), it constructs
-/// ownership with a quadratic scan per change entry. On the incremental
-/// path it delegates to [`V3VnodeAware`], exactly like the patched code
-/// that still contained this second, rarely-exercised branch.
+/// ownership with a quadratic scan per change entry — a linear lookup of
+/// every range's own index, after which nothing is currently owned and
+/// every range is pending. On the incremental path it delegates to
+/// [`V3VnodeAware`], exactly like the patched code that still contained
+/// this second, rarely-exercised branch.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FreshRingQuadratic;
 
@@ -424,36 +377,12 @@ impl PendingRangeCalculator for FreshRingQuadratic {
         changes: &[TopologyChange],
         counter: &mut OpCounter,
     ) -> PendingRanges {
-        let current = ring.current_token_map();
-        if !current.is_empty() {
-            return V3VnodeAware.calculate(ring, changes, counter);
-        }
-        // Bootstrap-from-scratch: every range's replica set is computed
-        // with linear point lookups against a per-change rebuilt map.
-        let rf = ring.rf();
-        let mut out = PendingRanges::new();
-        for m in 1..=changes.len().max(1) {
-            let prefix = &changes[..m.min(changes.len())];
-            let future = ring
-                .future_token_map(prefix)
-                .expect("duplicate token in change list");
-            count_sort(future.len(), counter);
-            out = PendingRanges::new();
-            let n = future.len();
-            if n == 0 {
-                continue;
-            }
-            for i in 0..n {
-                let start = future[(i + n - 1) % n].0;
-                let end = future[i].0;
-                // Linear lookup of own index — the quadratic term.
-                let idx = point_index_linear(&future, end, counter);
-                let fut_reps = replicas_at_fast(&future, idx, rf, counter);
-                // Fresh ring: nothing is currently owned, all is pending.
-                out.insert(Range::new(start, end), fut_reps);
-            }
-        }
-        out
+        let billing = if ring.current_token_map().is_empty() {
+            Billing::FreshRing
+        } else {
+            Billing::BinaryLookup
+        };
+        pending_billed(ring, changes, counter, billing)
     }
 }
 

@@ -161,18 +161,20 @@ CLI=target/release/scalecheck-cli
 
 # Freshness: the committed tables must be what this tree prints. The
 # steps that regenerate in seconds are re-run and compared byte for
-# byte, and so are two of the Figure 3 panels (fig3b, fig3c: about a
-# minute of CPU together now that a triple is three runs — the first
-# (Real, Colo, SC+PIL) artifacts under the gate), ext_hdfs (~45 s:
-# the second system's run loop, whose only other guards are the four
+# byte, and so are all three Figure 3 panels (fig3a, fig3b, fig3c:
+# ~24 s, ~21 s and ~18 s on a 2-vCPU host — the (Real, Colo, SC+PIL)
+# artifacts), tbl_baselines (~18 s: the §4 mini-cluster, extrapolation
+# and time-dilation baselines), ext_hdfs (~45 s: the
+# second system's run loop, whose only other guards are the four
 # HdfsReport pins in tests/run_pins.rs) and tbl_colocation_limit (~38 s:
 # the only artifact of the global-event-queue context-switch setting
 # and of single-process memory admission). The script prints each
-# step's wall time and names the steps it did not check (minutes each —
-# ROADMAP item 8), so a green gate vouches only for what it ran.
+# step's wall time and names the steps it did not check
+# (tbl_memo_vs_replay, tbl_fix_ablation and fig_c6127, a minute or more
+# each — ROADMAP item 12), so a green gate vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3b_c3881,fig3c_c5456,ext_hdfs,tbl_colocation_limit
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy
@@ -210,6 +212,14 @@ cargo test --release -q --test traffic_slo -- --ignored
 # horizon, mostly build, must finish inside 4 s (~1.2 s now).
 echo "=== cluster build stays sub-cubic (2048-node cell, release) ==="
 cargo test --release -q -p scalecheck-cluster --test build_scale -- --ignored
+
+# The offending function's host cost: a calculator bills the ops of its
+# historical loops (V1's full-ring walk per range and node) as virtual
+# time, it does not run them. Three leaves on a 2048-node ring bill V1
+# 25.7 G ops; each calculator must answer inside 100 ms (under 1 ms
+# now; the literal V1 loops take over an hour).
+echo "=== pending-range host cost stays sub-cubic (2048-node ring, release) ==="
+cargo test --release -q -p scalecheck-ring --test host_cost -- --ignored
 
 # Schedule exploration: the tie-order plumbing must stay inert on the
 # identity path (pinned smoke cells, zero verdict flips), and the

@@ -4,7 +4,11 @@
 //! differential proptests. They are written for obviousness, one
 //! ordered-map probe per peer, and make no assumption about peer ids
 //! being dense. Beside them, the modulo replica walk `RingTable` used
-//! before it split its token map at the key.
+//! before it split its token map at the key, and (in [`pending`]) the
+//! four pending-range calculators as literal loops — V1's full-ring walk
+//! per (range, node), the linear scans, a set per range and an output
+//! per prefix — before the crate billed those ops instead of running
+//! them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -15,6 +19,8 @@ use scalecheck_gossip::{
 };
 use scalecheck_ring::{NodeId, Token};
 use scalecheck_sim::{SimDuration, SimTime};
+
+pub mod pending;
 
 /// `RingTable::replicas_of` as an index walk: start at the first token
 /// at or after `key` (modulo the map's length, so a key past the last

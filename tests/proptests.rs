@@ -76,6 +76,71 @@ proptest! {
         }
     }
 
+    /// Differential: each calculator returns what its literal loops in
+    /// `tests/model/pending.rs` return and bills the ops they executed —
+    /// with several prefixes of a mixed change list to recompute, rf
+    /// above the distinct node count, points past the last token, and the
+    /// empty current ring of a bootstrap from scratch (the fresh path).
+    #[test]
+    fn calculators_match_their_literal_models(
+        nodes in prop::collection::vec(prop::collection::vec(any::<u64>(), 1..5), 2..13),
+        rf in 1usize..6,
+        fresh in any::<bool>(),
+        changes in prop::collection::vec(
+            (any::<bool>(), 0usize..16, prop::collection::vec(any::<u64>(), 1..5)),
+            1..5,
+        ),
+    ) {
+        use model::pending as literal;
+        use scalecheck_ring::{FreshRingQuadratic, V1Cubic, V2Quadratic, V3VnodeAware};
+
+        let mut used = std::collections::HashSet::new();
+        let mut fresh_tokens = |tokens: &[u64]| -> Vec<Token> {
+            tokens.iter().filter(|&&t| used.insert(t)).map(|&t| Token(t)).collect()
+        };
+        let mut ring = RingTable::new(rf);
+        let mut members = Vec::new();
+        for (i, tokens) in nodes.iter().enumerate() {
+            let toks = fresh_tokens(tokens);
+            let id = NodeId(i as u32);
+            if fresh {
+                // Never in the current map: every node joins below.
+                ring.add_node(id, NodeStatus::Joining, toks).unwrap();
+            } else if !toks.is_empty() {
+                ring.add_node(id, NodeStatus::Normal, toks).unwrap();
+                members.push(id);
+            }
+        }
+        let changes: Vec<TopologyChange> = changes
+            .iter()
+            .enumerate()
+            .map(|(j, (join, pick, tokens))| {
+                if *join || fresh {
+                    let node = NodeId(1000 + j as u32);
+                    members.push(node);
+                    TopologyChange::Join { node, tokens: fresh_tokens(tokens) }
+                } else {
+                    TopologyChange::Leave { node: members[pick % members.len()] }
+                }
+            })
+            .collect();
+        prop_assert_eq!(ring.current_token_map().is_empty(), fresh);
+
+        let pairs: [(&dyn PendingRangeCalculator, &dyn PendingRangeCalculator); 4] = [
+            (&V1Cubic, &literal::V1Cubic),
+            (&V2Quadratic, &literal::V2Quadratic),
+            (&V3VnodeAware, &literal::V3VnodeAware),
+            (&FreshRingQuadratic, &literal::FreshRingQuadratic),
+        ];
+        for (calc, oracle) in pairs {
+            let (mut ops, mut oracle_ops) = (OpCounter::new(), OpCounter::new());
+            let out = calc.calculate(&ring, &changes, &mut ops);
+            let want = oracle.calculate(&ring, &changes, &mut oracle_ops);
+            prop_assert_eq!(&out, &want, "{} output", calc.name());
+            prop_assert_eq!(ops.ops(), oracle_ops.ops(), "{} ops", calc.name());
+        }
+    }
+
     /// Pending endpoints never include nodes that are leaving the ring.
     #[test]
     fn pending_never_includes_the_leaver(
