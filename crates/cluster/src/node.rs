@@ -54,7 +54,8 @@ pub struct Envelope {
     /// Receiver.
     pub dst: NodeId,
     /// Stable key `(src, dst, kind, per-link seq)` for order recording
-    /// and enforcement.
+    /// and enforcement; 0 in a run that does neither
+    /// ([`scalecheck_memo::Pil::orders_messages`]).
     pub key: u64,
     /// Payload.
     pub msg: GossipMessage,

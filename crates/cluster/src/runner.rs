@@ -709,39 +709,40 @@ fn run_task(
                     SimDuration::from_nanos(100 * (st.cfg.total_nodes() * st.cfg.vnodes) as u64);
                 let done_at = compute(st, now, i, clone_cost, StageKind::Calc, false);
                 ctx.schedule_at(done_at, move |st, ctx| {
-                    let snapshot = st.nodes[i].ring.clone();
-                    if holds_lock {
-                        release_ring_lock(st, ctx, i, StageKind::Calc);
-                    }
-                    begin_calc_compute(st, ctx, i, stage, snapshot, false);
+                    begin_calc_compute(st, ctx, i, stage, holds_lock);
                 });
             }
-            _ => {
-                // Coarse mode: compute while holding the lock.
-                let snapshot = st.nodes[i].ring.clone();
-                begin_calc_compute(st, ctx, i, stage, snapshot, holds_lock);
-            }
+            // Coarse mode: compute while holding the lock.
+            _ => begin_calc_compute(st, ctx, i, stage, holds_lock),
         },
     }
 }
 
-/// Starts the pending-range computation from `ring_view`; schedules its
-/// application.
+/// Runs the pending-range calculation on node `i`'s ring view as it
+/// stands, bills its compute and schedules its application. A held ring
+/// lock is released as soon as the calculation has read the ring in
+/// [`LockingMode::SnapshotThread`] (the simulated snapshot is taken at
+/// this instant), and when the compute is done otherwise.
 fn begin_calc_compute(
     st: &mut ClusterState,
     ctx: &mut Ctx<'_, ClusterState>,
     i: usize,
     stage: StageKind,
-    ring_view: RingTable,
-    release_lock_after: bool,
+    holds_lock: bool,
 ) {
     let now = ctx.now();
-    let changes = changes_of(&ring_view);
-    let idx = st.nodes[i].calc_invocations;
-    st.nodes[i].calc_invocations += 1;
-    let (pending, duration) =
-        st.calc
-            .calculate(&mut st.pil, st.nodes[i].id.0, idx, &ring_view, &changes);
+    let node = &mut st.nodes[i];
+    let changes = changes_of(&node.ring);
+    let idx = node.calc_invocations;
+    node.calc_invocations += 1;
+    let (pending, duration) = st
+        .calc
+        .calculate(&mut st.pil, node.id.0, idx, &node.ring, &changes);
+    let snapshot = st.cfg.locking == LockingMode::SnapshotThread;
+    if holds_lock && snapshot {
+        release_ring_lock(st, ctx, i, StageKind::Calc);
+    }
+    let release_lock_after = holds_lock && !snapshot;
     let done_at = compute(st, now, i, duration, StageKind::Calc, true);
     if scalecheck_obs::enabled() {
         let pil_mode = matches!(st.mode, RunMode::PilReplay { .. });
@@ -763,7 +764,7 @@ fn begin_calc_compute(
         );
         scalecheck_obs::metric(Metric::CalcDuration, done_at.since(now).as_nanos());
     }
-    let has_pending = !pending.is_empty();
+    let has_pending = !pending.0.is_empty();
     ctx.schedule_at(done_at, move |st, ctx| {
         finish_calc(st, ctx, i, stage, has_pending, release_lock_after);
     });
@@ -880,8 +881,7 @@ fn finish_receive(
                 // Cassandra's architecture: the calculation runs
                 // synchronously inside gossip application — the stage
                 // stays busy for the whole compute.
-                let snapshot = st.nodes[i].ring.clone();
-                begin_calc_compute(st, ctx, i, stage, snapshot, holds_lock);
+                begin_calc_compute(st, ctx, i, stage, holds_lock);
                 release_held(st, ctx, i);
                 return;
             }
@@ -1000,8 +1000,12 @@ fn send_msg(
     dst: NodeId,
     msg: GossipMessage,
 ) {
-    let kind = msg.kind();
-    let key = st.nodes[i].next_key(dst, kind);
+    // Only the order log and an order-enforcing replay read the key.
+    let key = if st.pil.orders_messages() {
+        st.nodes[i].next_key(dst, msg.kind())
+    } else {
+        0
+    };
     let src = st.nodes[i].id;
     let now = ctx.now();
     if let Ok(d) = st.net.offer(now, ctx.rng(), addr_of(src), addr_of(dst)) {

@@ -120,6 +120,17 @@ impl<'a, O: Clone> Pil<'a, O> {
         }
     }
 
+    /// Whether anything reads message order keys: the memoization run
+    /// logs them and an order-enforcing replay enforces them. Other runs
+    /// need not compute them.
+    pub fn orders_messages(&self) -> bool {
+        match self {
+            Pil::Execute => false,
+            Pil::Record(..) => true,
+            Pil::Replay(r) => r.order.is_some(),
+        }
+    }
+
     /// The enforcer of an order-enforcing replay.
     pub fn enforcer(&mut self) -> Option<&mut OrderEnforcer<'a>> {
         match self {
@@ -173,6 +184,7 @@ mod tests {
         };
         // Real and Colo execute; an execute run has no database to fill.
         let mut pil = Pil::Execute;
+        assert!(!pil.orders_messages());
         let answer = pil.call(7, FnId(0), d("a"), Some(0), &mut exec);
         assert_eq!(answer, (vec![1], ms(10)));
         assert_eq!(pil.stats(), MemoStats::default());
@@ -180,6 +192,7 @@ mod tests {
         // Record executes and records.
         let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
         let mut pil = Pil::Record(&mut db, &mut order);
+        assert!(pil.orders_messages());
         assert_eq!(pil.call(7, FnId(0), d("a"), Some(0), &mut exec).0, vec![2]);
         pil.processed(7, 42);
         assert_eq!((pil.stats().recorded, lookups(&pil)), (1, (0, 0, 0)));
@@ -201,8 +214,9 @@ mod tests {
         assert_eq!(runs, 4);
         assert_eq!(db.to_json().unwrap(), before);
         // An ordered replay advances through the borrowed log.
-        assert!(pil.enforcer().is_none());
+        assert!(pil.enforcer().is_none() && !pil.orders_messages());
         let mut pil = Pil::Replay(Replay::new(&db, Some(&order)));
+        assert!(pil.orders_messages());
         assert_eq!(pil.enforcer().and_then(|e| e.expected(7)), Some(42));
         pil.processed(7, 42);
         assert_eq!(pil.enforcer().and_then(|e| e.expected(7)), None);

@@ -8,6 +8,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
+use scalecheck_memo::Hasher128;
+
 use crate::token::{NodeId, Token};
 
 /// Gossip-visible lifecycle status of a node.
@@ -91,36 +93,23 @@ impl std::fmt::Display for RingError {
 
 impl std::error::Error for RingError {}
 
-/// Lazily built cache of [`RingTable::current_token_map`].
+/// Lazily built values derived from the node table alone.
 ///
 /// The token map used to be rebuilt and re-sorted from the node table
 /// on every call — O(N·P log N·P) in a path the calculators hit per
-/// change entry. The cache holds the sorted map behind an `Arc` so
-/// lookups are O(1) and snapshot clones of the ring keep the warm
-/// cache. Every topology mutation resets it.
+/// change entry — and every memo digest of a calculation re-encoded and
+/// re-hashed the whole unchanged table, O(N·P) bytes per call. The
+/// cache holds the sorted map behind an `Arc`, so lookups are O(1), and
+/// the FNV-1a-128 state after [`RingTable::write_canonical`]'s bytes,
+/// so a digest hashes only its change list. Snapshot clones of the ring
+/// keep both warm; every topology mutation resets both.
 ///
 /// The cache is pure memoization: `write_canonical` (what memo digests
 /// hash) never reads it.
-#[derive(Default)]
-struct TokenMapCache(OnceLock<Arc<Vec<(Token, NodeId)>>>);
-
-impl Clone for TokenMapCache {
-    fn clone(&self) -> Self {
-        let cache = TokenMapCache::default();
-        if let Some(map) = self.0.get() {
-            let _ = cache.0.set(Arc::clone(map));
-        }
-        cache
-    }
-}
-
-impl std::fmt::Debug for TokenMapCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.get() {
-            Some(map) => write!(f, "TokenMapCache(warm, {} entries)", map.len()),
-            None => write!(f, "TokenMapCache(cold)"),
-        }
-    }
+#[derive(Clone, Debug, Default)]
+struct DerivedCache {
+    token_map: OnceLock<Arc<Vec<(Token, NodeId)>>>,
+    canonical: OnceLock<Hasher128>,
 }
 
 /// The cluster's view of token ownership.
@@ -133,7 +122,7 @@ impl std::fmt::Debug for TokenMapCache {
 pub struct RingTable {
     rf: usize,
     nodes: BTreeMap<NodeId, NodeState>,
-    token_map: TokenMapCache,
+    derived: DerivedCache,
     /// How many nodes are `Joining` or `Leaving`, kept by the three
     /// mutators so [`Self::has_pending_change`] is not a ring walk.
     in_transition: usize,
@@ -150,7 +139,7 @@ impl RingTable {
         RingTable {
             rf,
             nodes: BTreeMap::new(),
-            token_map: TokenMapCache::default(),
+            derived: DerivedCache::default(),
             in_transition: 0,
         }
     }
@@ -179,7 +168,7 @@ impl RingTable {
         }
         self.nodes.insert(node, NodeState { status, tokens });
         self.in_transition += usize::from(status.in_transition());
-        self.token_map = TokenMapCache::default();
+        self.derived = DerivedCache::default();
         Ok(())
     }
 
@@ -190,7 +179,7 @@ impl RingTable {
                 self.in_transition -= usize::from(st.status.in_transition());
                 self.in_transition += usize::from(status.in_transition());
                 st.status = status;
-                self.token_map = TokenMapCache::default();
+                self.derived = DerivedCache::default();
                 Ok(())
             }
             None => Err(RingError::UnknownNode(node)),
@@ -202,7 +191,7 @@ impl RingTable {
         match self.nodes.remove(&node) {
             Some(st) => {
                 self.in_transition -= usize::from(st.status.in_transition());
-                self.token_map = TokenMapCache::default();
+                self.derived = DerivedCache::default();
                 Ok(())
             }
             None => Err(RingError::UnknownNode(node)),
@@ -250,8 +239,8 @@ impl RingTable {
 
     /// The cached map, filled on first use after a mutation.
     fn cached_token_map(&self) -> &Arc<Vec<(Token, NodeId)>> {
-        self.token_map
-            .0
+        self.derived
+            .token_map
             .get_or_init(|| Arc::new(self.rebuild_current_token_map()))
     }
 
@@ -328,6 +317,21 @@ impl RingTable {
             }
         }
         Ok(map)
+    }
+
+    /// The FNV-1a-128 hasher that has consumed exactly
+    /// [`Self::write_canonical`]'s bytes: the prefix every memo digest of
+    /// a calculation on this ring resumes. Cached: the first call after a
+    /// topology mutation encodes and hashes the table; later calls, and
+    /// clones, copy the state.
+    pub fn canonical_hasher(&self) -> Hasher128 {
+        *self.derived.canonical.get_or_init(|| {
+            let mut bytes = Vec::new();
+            self.write_canonical(&mut bytes);
+            let mut h = Hasher128::new();
+            h.update(&bytes);
+            h
+        })
     }
 
     /// Canonical byte encoding for memoization digests: stable across

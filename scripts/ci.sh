@@ -113,10 +113,11 @@ done
 # injection + byte-identical same-seed reports (failure_injection), the
 # property suites (proptests: wheel vs heap scheduler, steady-state
 # timers allocation-free, dense gossip/phi tables vs the tree-map oracles
-# in tests/model, phi running sum, token-map cache, link FIFO clocks vs
-# a sparse model), whole-run report digests (run_pins — every iteration
-# order in gossip/cluster/hdfslike that a refactor must preserve), and
-# the traffic datapath differential (traffic_slo).
+# in tests/model, phi running sum, token-map and calc-digest caches,
+# link FIFO clocks vs a sparse model), whole-run report digests
+# (run_pins — every iteration order in gossip/cluster/hdfslike that a
+# refactor must preserve), and the traffic datapath differential
+# (traffic_slo).
 echo "=== cargo test (root package) ==="
 cargo test -q
 
@@ -220,6 +221,21 @@ cargo test --release -q -p scalecheck-cluster --test build_scale -- --ignored
 # now; the literal V1 loops take over an hour).
 echo "=== pending-range host cost stays sub-cubic (2048-node ring, release) ==="
 cargo test --release -q -p scalecheck-ring --test host_cost -- --ignored
+
+# The cost around it: while a join or leave is pending, every applied
+# gossip that touches the moving node recalculates on an unchanged ring
+# view, and the run reads one bit of the answer. Each call used to clone
+# the view and re-encode and re-hash all of it for its memo digest; the
+# calculation now borrows the view, and the digest resumes the hash
+# state the ring caches after its canonical bytes. 10,000 calls on one
+# unchanged 2048-node ring must finish inside 100 ms (~3 ms now, ~0.9 s
+# re-hashing), and the runner must not clone a ring view again.
+echo "=== pending-range invocation host cost (2048-node ring, release; grep gate) ==="
+cargo test --release -q -p scalecheck-cluster --test calc_host_cost -- --ignored
+if grep -n 'ring\.clone()' crates/cluster/src/runner.rs; then
+  echo "error: the calculation borrows the node's ring view; see the matches above" >&2
+  exit 1
+fi
 
 # Schedule exploration: the tie-order plumbing must stay inert on the
 # identity path (pinned smoke cells, zero verdict flips), and the

@@ -8,7 +8,7 @@
 //! four pending-range calculators as literal loops — V1's full-ring walk
 //! per (range, node), the linear scans, a set per range and an output
 //! per prefix — before the crate billed those ops instead of running
-//! them.
+//! them; and a calculation's memo digest hashed from scratch.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -17,7 +17,8 @@ use scalecheck_gossip::{
     Ack, Ack2, ApplyOutcome, Delta, Digest, EndpointState, HeartbeatState, Liveness, Peer,
     PhiDetector, Syn,
 };
-use scalecheck_ring::{NodeId, Token};
+use scalecheck_memo::{digest_bytes, Digest128};
+use scalecheck_ring::{write_changes_canonical, NodeId, RingTable, Token, TopologyChange};
 use scalecheck_sim::{SimDuration, SimTime};
 
 pub mod pending;
@@ -42,6 +43,17 @@ pub fn modulo_replicas(map: &[(Token, NodeId)], rf: usize, key: Token) -> Vec<No
         }
     }
     out
+}
+
+/// A calculation's memo digest as `CalcEngine::digest` computed it
+/// before it resumed the ring's cached hash state: one FNV-1a-128 pass
+/// over the ring's canonical bytes followed by the change list's, both
+/// encoded from scratch.
+pub fn calc_digest_from_scratch(ring: &RingTable, changes: &[TopologyChange]) -> Digest128 {
+    let mut bytes = Vec::new();
+    ring.write_canonical(&mut bytes);
+    write_changes_canonical(changes, &mut bytes);
+    digest_bytes(&bytes)
 }
 
 /// `scalecheck_gossip::Gossiper` over a `BTreeMap<Peer, _>` view.

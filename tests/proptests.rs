@@ -655,6 +655,71 @@ proptest! {
         }
     }
 
+    /// Differential: a calculation's memo digest, which resumes the FNV
+    /// state the ring caches after its canonical bytes, equals hashing
+    /// the canonical ring and change list from scratch — across random
+    /// interleavings of the three mutators (successful or not), clones
+    /// taken with the cache cold or warm, and further mutation of the
+    /// original after a clone. So every mutator resets the cache, and a
+    /// clone neither carries a stale one nor sees its original move.
+    #[test]
+    fn calc_digest_cache_matches_hashing_from_scratch(
+        nodes in prop::collection::vec(
+            (0u32..12, prop::collection::vec(0u64..64, 1..4), 0u8..4),
+            0..8,
+        ),
+        ops in prop::collection::vec((0u8..3, 0u32..12, 0u64..64, 0u8..4, 0u8..3), 0..24),
+        changes in prop::collection::vec(
+            (any::<bool>(), 0u32..16, prop::collection::vec(0u64..64, 0..3)),
+            0..3,
+        ),
+    ) {
+        use scalecheck_cluster::CalcEngine;
+        let status = |s: u8| {
+            use NodeStatus::*;
+            [Normal, Joining, Leaving, Left][s as usize % 4]
+        };
+        let tokens = |t: Vec<u64>| t.into_iter().map(Token).collect::<Vec<_>>();
+        let changes: Vec<TopologyChange> = changes
+            .into_iter()
+            .map(|(join, id, t)| match join {
+                true => TopologyChange::Join { node: NodeId(id), tokens: tokens(t) },
+                false => TopologyChange::Leave { node: NodeId(id) },
+            })
+            .collect();
+        let mut ring = RingTable::new(3);
+        for (id, t, s) in nodes {
+            let _ = ring.add_node(NodeId(id), status(s), tokens(t));
+        }
+        // Every snapshot with the digest it had when it was taken.
+        let mut snaps: Vec<(RingTable, scalecheck_memo::Digest128)> = Vec::new();
+        for (kind, id, tok, s, snap) in ops {
+            let _ = match kind {
+                0 => ring.add_node(NodeId(id), status(s), vec![Token(tok)]),
+                1 => ring.set_status(NodeId(id), status(s)),
+                _ => ring.remove_node(NodeId(id)),
+            };
+            // Clone right after the mutation, with the cache as the
+            // mutator left it (0) or warmed first (1), or not at all (2).
+            if snap < 2 {
+                let want = model::calc_digest_from_scratch(&ring, &changes);
+                if snap == 1 {
+                    prop_assert_eq!(CalcEngine::digest(&ring, &changes), want);
+                }
+                snaps.push((ring.clone(), want));
+            }
+            for list in [&changes[..], &[]] {
+                prop_assert_eq!(
+                    CalcEngine::digest(&ring, list),
+                    model::calc_digest_from_scratch(&ring, list)
+                );
+            }
+            for (snap, taken) in &snaps {
+                prop_assert_eq!(CalcEngine::digest(snap, &changes), *taken);
+            }
+        }
+    }
+
     /// Differential: `replicas_of`'s split walk (from the first token at
     /// or after the key to the end, then the head) resolves what the
     /// modulo walk it replaced did — for keys before, on and past the

@@ -14,6 +14,14 @@
 //! `--nocapture`, the failing assertion prints the new digest) and says
 //! why in CHANGES.md.
 //!
+//! The ring-lock discipline (`LockingMode`) decides where a node's
+//! pending-range calculation runs, and each of the three is pinned with
+//! calculations in the run: `InlineOnGossipStage` (every preset but
+//! C5456: the baseline, time-dilated, c3831, c3881, fault-storm,
+//! one-event-queue and c6127 replay cells), `CoarseLockThread`
+//! (`c5456_32_traced_real`) and `SnapshotThread`
+//! (`c5456_48_snapshot_traced_colo`).
+//!
 //! Re-captured once since: the fault-storm and traced cells when
 //! `p99_stage_lateness` moved from the old stage histogram's `1 ns`
 //! (bucket 0's upper bound) to `LogHistogram`'s exact `0 ns` — the only
@@ -137,6 +145,10 @@ fn c5456_32_traced_real_report_is_pinned() {
         .restart(SimTime::from_secs(120), 3);
     let r = run_real(&cfg);
     assert!(!r.obs.spans.is_empty() && !r.obs.instants.is_empty());
+    assert!(
+        r.calc.invocations > 0,
+        "the coarse-lock calc path never ran"
+    );
     pin(
         "c5456(32) traced real",
         &r,
@@ -160,6 +172,7 @@ fn c5456_48_snapshot_traced_colo_report_is_pinned() {
     let lock_wait = scalecheck_obs::SpanName::LockWait as u16;
     let waits = r.obs.spans.iter().filter(|s| s.name == lock_wait).count();
     assert!(waits > 0, "no stage waited for the ring lock");
+    assert!(r.calc.invocations > 0, "the snapshot calc path never ran");
     pin(
         "c5456(48) snapshot traced colo/4",
         &r,
