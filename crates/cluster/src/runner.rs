@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use scalecheck_gossip::Liveness;
+use scalecheck_gossip::{AckSpace, Liveness};
 use scalecheck_memo::{OrderDecision, Pil, RunMode};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
@@ -56,6 +56,8 @@ struct ClusterState<'a> {
     mode: RunMode,
     /// All nodes (initial members first, then scale-out joiners).
     nodes: Vec<Node>,
+    /// Where every node builds the ACK it answers a SYN with.
+    ack_space: AckSpace<RingInfo>,
     /// The simulated network.
     net: Network,
     /// Machines (one per node in Real, a single shared one otherwise).
@@ -368,6 +370,7 @@ fn build<'a>(
         cfg: cfg.clone(),
         mode,
         nodes,
+        ack_space: AckSpace::default(),
         net,
         park,
         pil_request_park,
@@ -840,7 +843,7 @@ fn finish_receive(
         let src = env.src;
         let outcome = match env.msg {
             GossipMessage::Syn(ref syn) => {
-                let ack = st.nodes[i].gossiper.handle_syn(syn);
+                let ack = st.nodes[i].gossiper.handle_syn_in(syn, &mut st.ack_space);
                 send_msg(st, ctx, i, src, GossipMessage::Ack(ack));
                 None
             }

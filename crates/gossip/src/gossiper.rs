@@ -38,6 +38,40 @@ pub struct Ack2<A> {
     pub deltas: Vec<(Peer, Delta<A>)>,
 }
 
+/// Where [`Gossiper::handle_syn_in`] builds an ACK before emitting it.
+///
+/// How many deltas and requests a SYN yields is known only once every
+/// digest has been compared, so the bodies are built here, in vectors
+/// that keep their capacity from call to call, and each is then emitted
+/// as one allocation of exactly its length. One space serves every
+/// gossiper of a run: a build leaves it empty of deltas and requests.
+#[derive(Debug)]
+pub struct AckSpace<A> {
+    deltas: Vec<(Peer, Delta<A>)>,
+    requests: Vec<Digest>,
+    /// The peers an unsorted SYN claims, sorted for the probe.
+    claimed: Vec<Peer>,
+}
+
+impl<A> Default for AckSpace<A> {
+    fn default() -> Self {
+        AckSpace {
+            deltas: Vec::new(),
+            requests: Vec::new(),
+            claimed: Vec::new(),
+        }
+    }
+}
+
+/// Moves what `build` holds into one allocation of exactly its length,
+/// leaving `build` empty with its capacity for the next build. Handing
+/// out `build` itself (`mem::take`) would ship its spare capacity too.
+fn emit_exact<T>(build: &mut Vec<T>) -> Vec<T> {
+    let mut body = Vec::with_capacity(build.len());
+    body.append(build);
+    body
+}
+
 /// What changed when a delta batch was applied.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ApplyOutcome {
@@ -156,14 +190,27 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         Syn { digests }
     }
 
-    /// Handles a SYN, producing the ACK to send back.
+    /// Handles a SYN, producing the ACK to send back, in fresh build
+    /// space (see [`Gossiper::handle_syn_in`]).
     pub fn handle_syn(&self, syn: &Syn) -> Ack<A> {
-        // Not sized from the SYN: a digest yields a delta, a request or
-        // neither, and an ACK reserved for one of each per digest holds
-        // twice what it carries for as long as it queues at a saturated
-        // receiver — at 4096 nodes the cell no longer fits the host.
-        let mut deltas = Vec::new();
-        let mut requests = Vec::new();
+        self.handle_syn_in(syn, &mut AckSpace::default())
+    }
+
+    /// Handles a SYN, producing the ACK to send back; the bodies are
+    /// built in `space` and each emitted at exactly its length.
+    ///
+    /// Not reserved from the SYN: a digest yields a delta, a request or
+    /// neither, and an ACK reserved for one of each per digest holds
+    /// twice what it carries for as long as it queues at a saturated
+    /// receiver (at 4096 nodes the cell no longer fits the host). Nor
+    /// grown in place: a body grown by doubling costs a reallocation per
+    /// doubling and queues with up to twice its length in capacity.
+    pub fn handle_syn_in(&self, syn: &Syn, space: &mut AckSpace<A>) -> Ack<A> {
+        let AckSpace {
+            deltas,
+            requests,
+            claimed,
+        } = space;
         // Whether the digests arrive in peer order (see below).
         let mut ascending = true;
         let mut prev = Peer(0);
@@ -198,10 +245,10 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         // Peers only we know about: volunteer them in full. SYNs built
         // by `make_syn` list digests in peer order (the view iterates
         // ascending), so a single merge pass against our own ordered
-        // view finds the gaps with no allocation and no sort — with
-        // n-entry SYNs every round this is hot. A SYN that arrives
-        // unsorted (the wire type allows it) falls back to
-        // sort-and-probe with the identical result.
+        // view finds the gaps with no sort — with n-entry SYNs every
+        // round this is hot. A SYN that arrives unsorted (the wire type
+        // allows it) falls back to sort-and-probe with the identical
+        // result.
         if ascending {
             let mut digests = syn.digests.iter().peekable();
             for (peer, st) in self.map.iter() {
@@ -211,7 +258,8 @@ impl<A: Clone + PartialEq> Gossiper<A> {
                 }
             }
         } else {
-            let mut claimed: Vec<Peer> = syn.digests.iter().map(|d| d.peer).collect();
+            claimed.clear();
+            claimed.extend(syn.digests.iter().map(|d| d.peer));
             claimed.sort_unstable();
             for (peer, st) in self.map.iter() {
                 if claimed.binary_search(&peer).is_err() {
@@ -223,7 +271,10 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             scalecheck_obs::Metric::GossipDeltas,
             (deltas.len() + requests.len()) as u64,
         );
-        Ack { deltas, requests }
+        Ack {
+            deltas: emit_exact(deltas),
+            requests: emit_exact(requests),
+        }
     }
 
     /// Handles an ACK: applies its deltas and answers its requests with

@@ -25,6 +25,6 @@ pub mod phi;
 pub mod state;
 
 pub use failure::{FailureDetector, Liveness};
-pub use gossiper::{Ack, Ack2, ApplyOutcome, Gossiper, Syn};
+pub use gossiper::{Ack, Ack2, AckSpace, ApplyOutcome, Gossiper, Syn};
 pub use phi::PhiDetector;
 pub use state::{Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer};

@@ -304,6 +304,62 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// A [`KeySkew`] with its per-draw constants worked out: a tick makes
+/// one and draws its whole batch from it. It lives on the stack, not in
+/// [`TrafficState`], whose size is part of `tracked_bytes`.
+#[derive(Clone, Copy)]
+enum KeyDraw {
+    Uniform,
+    /// Inverse-CDF draw from the continuous Zipf(θ) approximation over
+    /// ranks `1..=n`, with `θ = 1`: rank `n^u`.
+    ZipfOne {
+        n: u64,
+    },
+    /// As `ZipfOne`, with `θ ≠ 1` and `a = 1 − θ`: rank
+    /// `((n^a − 1)·u + 1)^(1/a)`, carrying `n^a − 1` and `1/a`.
+    Zipf {
+        n: u64,
+        span: f64,
+        inv_a: f64,
+    },
+}
+
+impl KeyDraw {
+    fn new(skew: KeySkew) -> KeyDraw {
+        match skew {
+            KeySkew::Uniform => KeyDraw::Uniform,
+            KeySkew::Zipfian {
+                theta_permille,
+                keyspace,
+            } => {
+                let n = keyspace.max(2);
+                let theta = (theta_permille as f64 / 1000.0).clamp(0.0, 4.0);
+                if (theta - 1.0).abs() < 1e-6 {
+                    KeyDraw::ZipfOne { n }
+                } else {
+                    let a = 1.0 - theta;
+                    KeyDraw::Zipf {
+                        n,
+                        span: (n as f64).powf(a) - 1.0,
+                        inv_a: 1.0 / a,
+                    }
+                }
+            }
+        }
+    }
+
+    /// Draws the next request key: a Zipf rank is hashed to its fixed
+    /// token.
+    fn sample(self, rng: &mut DetRng) -> u64 {
+        let (n, rank) = match self {
+            KeyDraw::Uniform => return rng.next_u64(),
+            KeyDraw::ZipfOne { n } => (n, (n as f64).powf(rng.gen_f64())),
+            KeyDraw::Zipf { n, span, inv_a } => (n, (span * rng.gen_f64() + 1.0).powf(inv_a)),
+        };
+        splitmix64((rank.floor() as u64).clamp(1, n))
+    }
+}
+
 impl TrafficState {
     /// Builds traffic state from the run's root RNG (forks the
     /// dedicated stream) and the scenario's link latency model (used
@@ -406,10 +462,11 @@ impl TrafficState {
             let n_samples = offered.min(self.cfg.sample_cap_per_tick.max(1) as u64);
             let base = offered / n_samples;
             let extra = offered % n_samples;
+            let draw = KeyDraw::new(self.cfg.key_skew);
             for s in 0..n_samples {
                 let weight = base + u64::from(s < extra);
                 self.attempted = self.attempted.saturating_add(weight);
-                let key = self.sample_key();
+                let key = draw.sample(&mut self.rng);
                 let kind = if self.rng.gen_range(1000) < self.cfg.read_permille as u64 {
                     OpKind::Read
                 } else {
@@ -428,31 +485,6 @@ impl TrafficState {
         for i in 0..fabric.node_count() {
             if fabric.is_live_coordinator(i) {
                 self.scratch_live.push(i as u32);
-            }
-        }
-    }
-
-    /// Draws the next request key under the configured skew.
-    fn sample_key(&mut self) -> u64 {
-        match self.cfg.key_skew {
-            KeySkew::Uniform => self.rng.next_u64(),
-            KeySkew::Zipfian {
-                theta_permille,
-                keyspace,
-            } => {
-                // Inverse-CDF draw from the continuous Zipf(θ)
-                // approximation over ranks 1..=keyspace, then hash the
-                // rank to its fixed token.
-                let n = keyspace.max(2);
-                let theta = (theta_permille as f64 / 1000.0).clamp(0.0, 4.0);
-                let u = self.rng.gen_f64();
-                let rank = if (theta - 1.0).abs() < 1e-6 {
-                    (n as f64).powf(u)
-                } else {
-                    let a = 1.0 - theta;
-                    (((n as f64).powf(a) - 1.0) * u + 1.0).powf(1.0 / a)
-                };
-                splitmix64((rank.floor() as u64).clamp(1, n))
             }
         }
     }
@@ -1016,9 +1048,10 @@ mod tests {
             TrafficState::new(TrafficConfig::open_loop(1000), &root, LatencyModel::lan());
         uniform.cfg.key_skew = KeySkew::Uniform;
         let top_share = |st: &mut TrafficState| -> usize {
+            let draw = KeyDraw::new(st.cfg.key_skew);
             let mut counts = std::collections::BTreeMap::new();
             for _ in 0..10_000 {
-                *counts.entry(st.sample_key()).or_insert(0usize) += 1;
+                *counts.entry(draw.sample(&mut st.rng)).or_insert(0usize) += 1;
             }
             counts.values().copied().max().unwrap()
         };

@@ -237,6 +237,15 @@ if grep -n 'ring\.clone()' crates/cluster/src/runner.rs; then
   exit 1
 fi
 
+# Host memory in a flap storm: 160 nodes on 16 cores queue gossip ACKs
+# at starved receivers, and that queue sets the peak of the verdict
+# benchmark. Each ACK's bodies are built in a space the run owns and
+# emitted at exactly their length; grown by doubling they peaked at
+# 46.7 MiB here. The c3831@160 one-decommission Colo leg must peak under
+# 42 MiB of VmHWM (~38 MiB now).
+echo "=== flap-storm host memory (c3831@160 Colo leg, release) ==="
+cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
+
 # Schedule exploration: the tie-order plumbing must stay inert on the
 # identity path (pinned smoke cells, zero verdict flips), and the
 # committed witness — a single targeted swap that flips the race

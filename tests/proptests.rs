@@ -1047,14 +1047,20 @@ proptest! {
     /// `BTreeMap` exchange identical SYN/ACK/ACK2 values and report
     /// identical `ApplyOutcome`s, round after round, across restarts,
     /// app updates, an unsorted SYN, news of peers nobody hosts, and an
-    /// id space full of holes.
+    /// id space full of holes. Every ACK is built in one build space
+    /// that all nodes and steps share, as the runner builds them, and
+    /// each of its bodies is one allocation of exactly its length.
     #[test]
     fn dense_endpoint_map_matches_the_tree_model(
         n in 2usize..13,
         ops in prop::collection::vec((0u8..12, 0usize..12, 0usize..12, any::<u32>()), 1..160),
     ) {
         use model::TreeGossiper;
-        use scalecheck_gossip::{Delta, EndpointState, Gossiper, HeartbeatState, Peer};
+        use scalecheck_gossip::{Ack, AckSpace, Delta, EndpointState, Gossiper, HeartbeatState, Peer};
+        fn exact(ack: &Ack<u32>) -> bool {
+            ack.deltas.capacity() == ack.deltas.len() && ack.requests.capacity() == ack.requests.len()
+        }
+        let mut space = AckSpace::default();
         let ids = &PEER_IDS[..n];
         let mut dense: Vec<Gossiper<u32>> =
             ids.iter().map(|&id| Gossiper::new(Peer(id), 1, id)).collect();
@@ -1066,8 +1072,9 @@ proptest! {
                 0..=4 if a != b => {
                     let syn = dense[a].make_syn();
                     prop_assert_eq!(&syn, &tree[a].make_syn());
-                    let ack = dense[b].handle_syn(&syn);
+                    let ack = dense[b].handle_syn_in(&syn, &mut space);
                     prop_assert_eq!(&ack, &tree[b].handle_syn(&syn));
+                    prop_assert!(exact(&ack), "an ACK body has spare capacity");
                     let (out_a, ack2) = dense[a].handle_ack(&ack);
                     let (model_out_a, model_ack2) = tree[a].handle_ack(&ack);
                     prop_assert_eq!(&out_a, &model_out_a);
@@ -1080,7 +1087,9 @@ proptest! {
                     let len = syn.digests.len();
                     syn.digests.rotate_left(x as usize % len);
                     syn.digests.reverse();
-                    prop_assert_eq!(dense[b].handle_syn(&syn), tree[b].handle_syn(&syn));
+                    let ack = dense[b].handle_syn_in(&syn, &mut space);
+                    prop_assert_eq!(&ack, &tree[b].handle_syn(&syn));
+                    prop_assert!(exact(&ack), "an ACK body has spare capacity");
                 }
                 6 | 7 => {
                     dense[a].beat();
