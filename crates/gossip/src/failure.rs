@@ -6,6 +6,8 @@
 //! counts alive→dead transitions — the y-axis of every panel in
 //! Figure 3.
 
+use std::collections::VecDeque;
+
 use scalecheck_sim::{SimDuration, SimTime};
 
 use crate::phi::PhiParams;
@@ -35,48 +37,97 @@ const SUSPECT: u8 = 4;
 /// empty slots without a second load.
 const NEVER: u64 = u64::MAX;
 
-/// Ring slot `k` of every peer's sample window: one `u64` of
-/// nanoseconds per peer, kept as two 4-byte words.
-#[derive(Clone, Debug)]
-struct SampleRow {
-    /// Low words, as long as the detector's columns.
-    lo: Vec<u32>,
-    /// High words: empty, which reads as all zeros, until some sample in
-    /// this row reaches 2³² ns; from then on as long as `lo`.
-    hi: Vec<u32>,
+/// The arrival epochs a [`FailureDetector`]'s sample windows reach back
+/// to, oldest first. An *arrival* is a report that moved a peer's last
+/// arrival; an *epoch* is one report time at which at least one peer
+/// arrived. Epochs are numbered from the detector's start (or last
+/// [`FailureDetector::reset_monitoring`]), and the numbers run on when
+/// old epochs are trimmed.
+#[derive(Clone, Debug, Default)]
+struct EpochLog {
+    /// Number of the oldest held epoch, `at_ns[0]`.
+    first: u32,
+    /// Report time of each held epoch, in nanoseconds.
+    at_ns: VecDeque<u64>,
+    /// `stride` words per held epoch: bit `idx` of an epoch's words is
+    /// set if peer `idx` arrived then.
+    arrived: VecDeque<u64>,
+    /// Words per epoch, enough for every column slot.
+    stride: usize,
 }
 
-impl SampleRow {
-    fn new(slots: usize) -> Self {
-        SampleRow {
-            lo: vec![0; slots],
-            hi: Vec::new(),
-        }
-    }
-
+impl EpochLog {
+    /// Re-strides every held epoch's bitset to cover `slots` peers,
+    /// keeping its bits.
     fn widen(&mut self, slots: usize) {
-        self.lo.resize(slots, 0);
-        if !self.hi.is_empty() {
-            self.hi.resize(slots, 0);
+        let stride = slots.div_ceil(64);
+        if stride <= self.stride {
+            return;
         }
+        let old = std::mem::replace(
+            &mut self.arrived,
+            VecDeque::with_capacity(self.at_ns.len() * stride),
+        );
+        for held in 0..self.at_ns.len() {
+            self.arrived
+                .extend(old.range(held * self.stride..(held + 1) * self.stride));
+            self.arrived
+                .extend(std::iter::repeat_n(0, stride - self.stride));
+        }
+        self.stride = stride;
     }
 
-    fn get(&self, idx: usize) -> u64 {
-        let high = self.hi.get(idx).copied().unwrap_or(0);
-        u64::from(high) << 32 | u64::from(self.lo[idx])
+    /// Records that peer `idx` arrived at `now_ns`, in the newest epoch
+    /// or in a new one if the newest is at another time, and returns
+    /// that epoch's number.
+    fn arrive(&mut self, idx: usize, now_ns: u64) -> u32 {
+        if self.at_ns.back() != Some(&now_ns) {
+            self.at_ns.push_back(now_ns);
+            self.arrived.resize(self.arrived.len() + self.stride, 0);
+        }
+        let held = self.at_ns.len() - 1;
+        self.arrived[held * self.stride + idx / 64] |= 1 << (idx % 64);
+        u32::try_from(self.first as usize + held).expect("more than 2^32 arrival epochs")
     }
 
-    fn set(&mut self, idx: usize, sample_ns: u64) {
-        self.lo[idx] = sample_ns as u32;
-        let high = (sample_ns >> 32) as u32;
-        if high != 0 && self.hi.is_empty() {
-            self.hi.resize(self.lo.len(), 0);
+    /// Position of epoch `number` among the held epochs.
+    fn offset(&self, number: u32) -> usize {
+        number
+            .checked_sub(self.first)
+            .expect("an epoch was trimmed while a window still reaches back to it") as usize
+    }
+
+    /// Report time of epoch `number`.
+    fn time_ns(&self, number: u32) -> u64 {
+        self.at_ns[self.offset(number)]
+    }
+
+    /// Number of the first epoch after `number` at which peer `idx`
+    /// arrived. There is one: a full window holds samples after its
+    /// `since`.
+    fn next_arrival(&self, idx: usize, number: u32) -> u32 {
+        let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+        let from = self.offset(number);
+        let mut held = from + 1;
+        while self.arrived[held * self.stride + word] & bit == 0 {
+            held += 1;
         }
-        // An allocated high word is always written: the slot's previous
-        // sample may have left one there.
-        if let Some(word) = self.hi.get_mut(idx) {
-            *word = high;
-        }
+        number + (held - from) as u32
+    }
+
+    /// Drops every epoch numbered below `number`.
+    fn trim_before(&mut self, number: u32) {
+        let gone = (number.saturating_sub(self.first) as usize).min(self.at_ns.len());
+        self.at_ns.drain(..gone);
+        self.arrived.drain(..gone * self.stride);
+        self.first += gone as u32;
+    }
+
+    /// Drops every epoch and restarts the numbering.
+    fn clear(&mut self) {
+        self.at_ns.clear();
+        self.arrived.clear();
+        self.first = 0;
     }
 }
 
@@ -90,35 +141,37 @@ impl SampleRow {
 /// once-per-interval [`Self::interpret_all`] sweep is a linear pass
 /// over the contiguous `last_arrival_ns` column.
 ///
-/// Each peer's window of inter-arrival samples is a ring of up to
-/// `window_cap` slots, and the rings are stored **time-major**:
-/// `rows[k]` holds ring slot `k` of every peer, so a gossip exchange
-/// that reports N peers in ascending order, all at about the same fill
-/// level, walks one contiguous row and the five columns instead of N
-/// separately allocated windows. Row `k` is allocated the first time
-/// any peer fills slot `k` and is overwritten in place once the ring is
-/// full; `forget` and `reset_monitoring` zero a peer's `count`/`head`
-/// and leave the rows alone (a slot is always written before it is
-/// read again).
-///
-/// A sample is a `u64` of nanoseconds kept as two 4-byte words: the low
-/// word always; the high word in a second vector of the row, which
-/// stays unallocated until some sample in slot `k` reaches 2³² ns
-/// (≈4.29 s — only time-dilated runs, whose gossip interval is seconds
-/// × TDF, get there). An absent high vector reads as zeros, so there is
-/// one code path and it is lossless for any `max_interval`.
+/// A sample is the gap between two consecutive arrivals of a peer,
+/// when that gap is at most `max_interval` (a longer one is dropped).
+/// So the detector keeps the arrivals, not the samples: an `EpochLog`
+/// of every report time at which some peer arrived, each with a bitset
+/// of the peers that did, `stride` words per epoch in one flat deque
+/// (re-strided when the columns outgrow it). A gossip exchange that
+/// reports N peers at one instant opens one epoch of `8 + N/8` bytes.
+/// `count` and `sum_ns` make φ; the window's samples themselves are
+/// only needed to evict the oldest once `window_cap` are held. Then the
+/// eviction walks from `since` (the epoch the oldest held sample is
+/// measured from) to the peer's next arrival: that gap is the oldest
+/// sample, unless it exceeded `max_interval`, in which case it never was
+/// one and the walk goes on from there. After a sweep that follows an
+/// eviction, the epochs older than every monitored peer's `since` are
+/// trimmed; `reset_monitoring` clears the log, and `forget` needs
+/// nothing from it (a peer seen again starts a new `since`).
 ///
 /// A peer's `sum_ns` fits a `u64` whatever the parameters: its samples
 /// are the gaps between successive accepted arrivals, arrivals only
 /// move forward, so the gaps are disjoint stretches of one `u64`
-/// nanosecond clock.
+/// nanosecond clock. Epoch times are that clock, so time-dilated runs,
+/// whose samples pass 2³² ns, take the same path as the rest.
 ///
-/// The columns and rows grow to the highest id seen, so a detector
-/// costs O(highest id) slots of 25 bytes, plus 4 bytes (8 past 4.29 s)
-/// × slots for each of the `min(longest window, window_cap)` rows — for
-/// densely numbered peers all beating alike, 4 bytes per sample held. A
-/// sparse id is paid for in every row: `Peer(5000)` alone makes each
-/// row 20 KB. The same contract `scalecheck_net`'s tiled link clocks
+/// The columns and bitsets grow to the highest id seen, so a detector
+/// costs O(highest id) slots of 25 bytes, plus `8 + 8 · ⌈slots / 64⌉`
+/// bytes for each epoch that some window reaches back to (a window that
+/// has not evicted yet reaches back to its peer's first arrival, so a
+/// peer that falls silent holds the log until its window fills or it
+/// is forgotten). A sparse id
+/// is paid for in every epoch: `Peer(5000)` alone makes each epoch
+/// 640 bytes. The same contract `scalecheck_net`'s tiled link clocks
 /// state for `Addr`. The detector constants are held once here, not
 /// once per peer.
 #[derive(Clone, Debug)]
@@ -135,13 +188,15 @@ pub struct FailureDetector {
     flags: Vec<u8>,
     /// Column: samples held, `0..=window_cap`.
     count: Vec<u32>,
-    /// Column: ring slot of the oldest sample. Zero until the window is
-    /// full, so while it fills the next free slot is `count`.
-    head: Vec<u32>,
+    /// Column: number of the epoch the oldest held sample is measured
+    /// from (while the window fills, the peer's first arrival).
+    since: Vec<u32>,
     /// Column: exact sum of the samples held, in nanoseconds.
     sum_ns: Vec<u64>,
-    /// Sample rows: `rows[k]` is ring slot `k` of every peer.
-    rows: Vec<SampleRow>,
+    /// The arrivals the windows are gaps between.
+    epochs: EpochLog,
+    /// Some window evicted since the last trim of `epochs`.
+    evicted: bool,
     monitored: usize,
     flaps: u64,
     recoveries: u64,
@@ -160,9 +215,10 @@ impl FailureDetector {
             last_arrival_ns: Vec::new(),
             flags: Vec::new(),
             count: Vec::new(),
-            head: Vec::new(),
+            since: Vec::new(),
             sum_ns: Vec::new(),
-            rows: Vec::new(),
+            epochs: EpochLog::default(),
+            evicted: false,
             monitored: 0,
             flaps: 0,
             recoveries: 0,
@@ -170,44 +226,40 @@ impl FailureDetector {
         }
     }
 
-    /// Extends every column and every allocated row to cover `idx`
-    /// (amortised: `Vec` doubles its capacity).
+    /// Extends every column (amortised: `Vec` doubles its capacity) and
+    /// every epoch's bitset to cover `idx`.
     fn ensure_slot(&mut self, idx: usize) {
         if idx >= self.flags.len() {
             let slots = idx + 1;
             self.last_arrival_ns.resize(slots, NEVER);
             self.flags.resize(slots, 0);
             self.count.resize(slots, 0);
-            self.head.resize(slots, 0);
+            self.since.resize(slots, 0);
             self.sum_ns.resize(slots, 0);
-            for row in &mut self.rows {
-                row.widen(slots);
-            }
+            self.epochs.widen(slots);
         }
     }
 
-    /// Appends one accepted inter-arrival sample to peer `idx`'s window,
+    /// Adds one accepted inter-arrival sample to peer `idx`'s window,
     /// evicting the oldest once `window_cap` are held.
     fn push_sample(&mut self, idx: usize, interval_ns: u64) {
-        let held = self.count[idx] as usize;
-        let slot = if held == self.params.window_cap {
-            let oldest = self.head[idx] as usize;
-            self.sum_ns[idx] -= self.rows[oldest].get(idx);
-            self.head[idx] = if oldest + 1 == held {
-                0
-            } else {
-                oldest as u32 + 1
-            };
-            oldest
+        if self.count[idx] as usize == self.params.window_cap {
+            let mut from = self.since[idx];
+            loop {
+                let to = self.epochs.next_arrival(idx, from);
+                let gap_ns = self.epochs.time_ns(to) - self.epochs.time_ns(from);
+                from = to;
+                if gap_ns <= self.params.max_interval_ns {
+                    self.sum_ns[idx] -= gap_ns;
+                    break;
+                }
+            }
+            self.since[idx] = from;
+            self.evicted = true;
         } else {
             self.count[idx] += 1;
-            if held == self.rows.len() {
-                self.rows.push(SampleRow::new(self.flags.len()));
-            }
-            held
-        };
+        }
         self.sum_ns[idx] += interval_ns;
-        self.rows[slot].set(idx, interval_ns);
     }
 
     /// φ for the monitored peer in slot `idx` after `silence`.
@@ -239,10 +291,12 @@ impl FailureDetector {
             self.flags[idx] |= MONITORED;
             self.monitored += 1;
             self.last_arrival_ns[idx] = now_ns;
+            self.since[idx] = self.epochs.arrive(idx, now_ns);
             return;
         }
         let last_ns = self.last_arrival_ns[idx];
         if now_ns > last_ns {
+            self.epochs.arrive(idx, now_ns);
             let interval_ns = now_ns - last_ns;
             if interval_ns <= self.params.max_interval_ns {
                 self.push_sample(idx, interval_ns);
@@ -263,7 +317,17 @@ impl FailureDetector {
     /// threshold (`PhiParams::safe_silence_ns` has the argument) and are
     /// passed over on an integer compare; everyone else gets the float
     /// expression.
+    ///
+    /// After an eviction, the sweep also trims the epochs no window
+    /// reaches back to any more.
     pub fn interpret_all(&mut self, now: SimTime) -> Vec<Peer> {
+        if std::mem::take(&mut self.evicted) {
+            let oldest = (self.since.iter().zip(&self.flags))
+                .filter(|&(_, &flags)| flags & MONITORED != 0)
+                .map(|(&since, _)| since)
+                .min();
+            self.epochs.trim_before(oldest.unwrap_or(u32::MAX));
+        }
         let now_ns = now.as_nanos();
         let mut newly_dead = Vec::new();
         for (idx, &last_ns) in self.last_arrival_ns.iter().enumerate() {
@@ -355,8 +419,9 @@ impl FailureDetector {
         self.last_arrival_ns.fill(NEVER);
         self.flags.fill(0);
         self.count.fill(0);
-        self.head.fill(0);
         self.sum_ns.fill(0);
+        self.epochs.clear();
+        self.evicted = false;
         self.monitored = 0;
     }
 
@@ -369,14 +434,13 @@ impl FailureDetector {
     }
 
     /// Stops monitoring `peer` (it departed cleanly; silence is expected
-    /// and must not count as a flap). Its window is emptied; the rows it
-    /// shared with every other peer stay.
+    /// and must not count as a flap). Its window is emptied; its bits in
+    /// the epoch log stay until the log is trimmed past them.
     pub fn forget(&mut self, peer: Peer) {
         if let Some(idx) = self.monitored_slot(peer) {
             self.flags[idx] &= SUSPECT;
             self.last_arrival_ns[idx] = NEVER;
             self.count[idx] = 0;
-            self.head[idx] = 0;
             self.sum_ns[idx] = 0;
             self.monitored -= 1;
         }
@@ -530,42 +594,80 @@ mod tests {
         assert_eq!(f.liveness(Peer(4999)), None, "a hole is not a peer");
     }
 
-    /// The memory contract in the type's rustdoc: one row per ring slot
-    /// anybody has reached, never more than `window_cap`; high-word rows
-    /// only where a sample needed one; `forget` gives nothing back and
-    /// takes nothing new.
-    #[test]
-    fn rows_follow_the_longest_window_and_the_widest_sample() {
-        let mut f = fd();
-        feed(&mut f, Peer(0), 0, 31); // 30 samples
-        feed(&mut f, Peer(3), 0, 11);
-        assert_eq!(f.rows.len(), 30);
-        assert!(f.rows.iter().all(|row| row.lo.len() == 4));
-        assert!(
-            f.rows.iter().all(|row| row.hi.is_empty()),
-            "1 s samples fit 32 bits"
-        );
-        f.forget(Peer(0));
-        feed(&mut f, Peer(0), 100, 121);
-        assert_eq!(f.rows.len(), 30, "a forgotten peer refills the rows it had");
-        // A later, higher id widens every row.
-        f.report(Peer(9), secs(200));
-        assert!(f.rows.iter().all(|row| row.lo.len() == 10));
-        // 1500 more beats wrap the 1000-slot ring instead of growing it.
-        feed(&mut f, Peer(3), 11, 1511);
-        assert_eq!(f.rows.len(), 1000);
-        assert_eq!(f.count[3], 1000);
-        assert_eq!(f.sum_ns[3], 1000 * 1_000_000_000);
+    /// Peers whose bit is set in epoch `number`.
+    fn arrivals(f: &FailureDetector, number: u32) -> Vec<u32> {
+        let log = &f.epochs;
+        let held = log.offset(number);
+        (0..log.stride * 64)
+            .filter(|&idx| log.arrived[held * log.stride + idx / 64] & 1 << (idx % 64) != 0)
+            .map(|idx| idx as u32)
+            .collect()
+    }
 
-        // 8 s beats (a time-dilated run): every slot needs its high row.
-        let mut wide = FailureDetector::new(8.0, SimDuration::from_secs(8));
-        for beat in 0..5 {
-            wide.report(Peer(1), secs(8 * beat));
+    /// The memory contract in the type's rustdoc: one epoch per report
+    /// time that moved some peer, each as wide as the columns; trimmed to
+    /// what the full windows reach back to; one code path for every
+    /// sample width.
+    #[test]
+    fn epochs_are_arrival_times_and_trim_to_the_windows() {
+        let mut f = fd();
+        for s in 0..31 {
+            f.report(Peer(0), secs(s));
+            if s <= 10 {
+                f.report(Peer(3), secs(s));
+            }
+            f.report(Peer(0), secs(s)); // A repeated time moves nobody.
+            f.interpret_all(secs(s));
         }
-        assert_eq!(wide.rows.len(), 4);
-        assert!(wide.rows.iter().all(|row| row.hi.len() == 2));
-        assert_eq!(wide.rows[3].get(1), 8_000_000_000);
-        assert_eq!(wide.sum_ns[1], 32_000_000_000);
+        f.report(Peer(3), secs(5)); // A late beat moves nobody.
+        assert_eq!(f.epochs.at_ns.len(), 31);
+        assert_eq!((f.epochs.first, f.epochs.stride), (0, 1));
+        assert_eq!(f.epochs.time_ns(7), 7_000_000_000);
+        assert_eq!(arrivals(&f, 7), [0, 3]);
+        assert_eq!(arrivals(&f, 11), [0]);
+
+        // A higher id widens every epoch and keeps its bits.
+        f.report(Peer(200), secs(31));
+        assert_eq!(f.epochs.stride, 4);
+        assert_eq!(f.epochs.arrived.len(), 32 * 4);
+        assert_eq!(arrivals(&f, 7), [0, 3]);
+        assert_eq!(arrivals(&f, 31), [200]);
+
+        // 1500 more beats fill and wrap both windows. Peer 0's 30 → 32
+        // gap is a sample, peer 3's 10 → 32 is outsize and is not, so
+        // both windows' oldest samples start at 531 s (epoch 531). The
+        // silent but monitored Peer(200) still holds epoch 31.
+        for s in 32..1532 {
+            f.report(Peer(0), secs(s));
+            f.report(Peer(3), secs(s));
+            f.interpret_all(secs(s));
+        }
+        for peer in [0, 3] {
+            assert_eq!((f.count[peer], f.since[peer]), (1000, 531));
+            assert_eq!(f.sum_ns[peer], 1000 * 1_000_000_000);
+        }
+        assert_eq!((f.epochs.first, f.epochs.at_ns.len()), (31, 1501));
+        // Forgotten, it holds nothing: the next sweep after an eviction
+        // trims to the windows.
+        f.forget(Peer(200));
+        feed(&mut f, Peer(0), 1532, 1533);
+        assert_eq!((f.epochs.first, f.epochs.at_ns.len()), (531, 1002));
+        assert_eq!(f.epochs.time_ns(531), 531_000_000_000);
+
+        // 8 s beats (a time-dilated run) take the same path: samples
+        // past 2³² ns, evicted like any other.
+        let mut wide = FailureDetector::new(8.0, SimDuration::from_secs(8));
+        for beat in 0..1005 {
+            wide.report(Peer(1), secs(8 * beat));
+            wide.interpret_all(secs(8 * beat));
+        }
+        assert_eq!(wide.count[1], 1000);
+        assert_eq!(wide.sum_ns[1], 1000 * 8_000_000_000);
+        assert_eq!((wide.since[1], wide.epochs.first), (4, 4));
+        assert_eq!(wide.epochs.time_ns(4), 32_000_000_000);
+
+        f.reset_monitoring();
+        assert!(f.epochs.at_ns.is_empty() && f.epochs.arrived.is_empty());
     }
 
     #[test]

@@ -22,8 +22,8 @@ use scalecheck_sim::{SimDuration, SimTime};
 /// The detector constants and the φ arithmetic over a window given as
 /// `(sum of samples, number of samples)`: one copy per owner, not per
 /// peer. A [`crate::FailureDetector`] watching N peers holds one of
-/// these beside its sample rows; a [`PhiDetector`] holds one beside its
-/// [`ArrivalWindow`].
+/// these beside its per-peer columns and arrival epochs; a
+/// [`PhiDetector`] holds one beside its [`ArrivalWindow`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PhiParams {
     /// How many inter-arrival samples a window keeps (at least 1).
@@ -115,9 +115,9 @@ impl PhiParams {
 
 /// One peer's sliding window of heartbeat inter-arrival samples, in the
 /// obvious form: a deque and its sum. [`crate::FailureDetector`] keeps
-/// the same window per peer as a ring inside shared time-major rows;
-/// this form lives on in [`PhiDetector`], the oracle that layout is
-/// checked against.
+/// only each peer's count and sum, and recovers a sample to evict from
+/// the arrival times it is the gap between; this form lives on in
+/// [`PhiDetector`], the oracle that layout is checked against.
 ///
 /// # Numerical anchoring of the running sum
 ///
@@ -169,7 +169,7 @@ fn mean_of(sum_ns: u128, len: usize) -> f64 {
 
 /// Sliding-window arrival statistics and suspicion for one peer: the
 /// one-peer form of the arithmetic [`crate::FailureDetector`] runs over
-/// its per-peer columns and sample rows (same `PhiParams`, a plain
+/// its per-peer columns and arrival epochs (same `PhiParams`, a plain
 /// deque for the window), and the oracle its differential proptests
 /// compare against.
 #[derive(Clone, Debug)]

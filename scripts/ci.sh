@@ -242,9 +242,16 @@ fi
 # benchmark. Each ACK's bodies are built in a space the run owns and
 # emitted at exactly their length; grown by doubling they peaked at
 # 46.7 MiB here. The c3831@160 one-decommission Colo leg must peak under
-# 42 MiB of VmHWM (~38 MiB now).
+# 42 MiB of VmHWM (~37 MiB now).
 echo "=== flap-storm host memory (c3831@160 Colo leg, release) ==="
 cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
+
+# Host memory in steady state: the tbl_scale 512-node Colo cell, where
+# the φ windows are what grows. A detector keeps the arrival epochs the
+# windows are gaps between; as per-peer sample rows it peaked at
+# 169 MiB here. The cell must peak under 120 MiB of VmHWM (~74 MiB now).
+echo "=== steady-state host memory (baseline(512) Colo cell, release) ==="
+cargo test --release -q -p scalecheck-cluster --test steady_peak_rss -- --ignored
 
 # Schedule exploration: the tie-order plumbing must stay inert on the
 # identity path (pinned smoke cells, zero verdict flips), and the

@@ -899,16 +899,19 @@ proptest! {
     /// Differential, past the window: the existing test above stops at
     /// 400 operations and so never fills a 1000-sample window. Here
     /// three peers beat round after round for 4000 rounds — each window
-    /// fills, evicts and wraps — with at most two `forget`s /
-    /// `reset_monitoring`s dropped in at random rounds (so some land on
-    /// a wrapped ring, which must restart from slot 0), skipped and
-    /// late beats, outsize gaps (dropped samples) and the odd long
-    /// silence (convictions, recoveries). The gossip interval decides
-    /// how wide the samples are: at 1 s every sample fits 32 bits and no
-    /// high-word row is ever allocated, at 40 s every sample needs one,
-    /// at 2.5 s (`max_interval` 5 s, either side of 2³² ns ≈ 4.29 s)
-    /// both kinds share rows. Against `model::TreeFailureDetector`: φ to
-    /// the bit, `interpret_all` lists, every counter, every round.
+    /// fills and then evicts, the oldest sample recovered from the
+    /// epoch log by walking to the peer's next arrival and over any
+    /// outsize gap on the way, and the log trimmed behind the windows at
+    /// each sweep — with at most two `forget`s / `reset_monitoring`s
+    /// dropped in at random rounds (so some land on full windows, which
+    /// must start again from the next arrival), skipped and late beats,
+    /// outsize gaps (dropped samples) and the odd long silence
+    /// (convictions, recoveries). The gossip interval decides how wide
+    /// the samples are: at 1 s every sample fits 32 bits, at 40 s none
+    /// does, at 2.5 s (`max_interval` 5 s, either side of 2³² ns ≈
+    /// 4.29 s) both kinds share a window. Against
+    /// `model::TreeFailureDetector`: φ to the bit, `interpret_all`
+    /// lists, every counter, every round.
     #[test]
     fn failure_detector_ring_matches_the_tree_model_through_eviction(
         interval_idx in 0usize..3,

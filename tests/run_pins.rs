@@ -2,8 +2,9 @@
 //! small cells, captured on the commit *before* the gossip/φ state moved
 //! from per-peer tree maps to index-addressed tables (a fifth, the
 //! time-dilated cell, on the commit before the φ samples moved into
-//! shared 4-byte rows), and of the full `HdfsReport` for the second
-//! system's runs.
+//! shared 4-byte rows; the 1600 s baseline, whose windows wrap, on the
+//! commit before they became arrival epochs), and of the full
+//! `HdfsReport` for the second system's runs.
 //!
 //! Every table, flap count and obs instant in the repo is a function of
 //! iteration order somewhere in `gossip` or `cluster::node` (SYN digest
@@ -34,7 +35,7 @@ use scalecheck_cluster::{
     ContextSwitch, FaultPlan, LockingMode, RunReport, ScenarioConfig, TrafficConfig,
 };
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
-use scalecheck_sim::SimTime;
+use scalecheck_sim::{SimDuration, SimTime};
 
 fn pin(name: &str, report: &RunReport, flaps_expected: bool, want: &str) {
     assert_eq!(
@@ -68,9 +69,28 @@ fn baseline_48_colo_report_is_pinned() {
     );
 }
 
+/// Long steady state: the baseline held to 1600 s, so φ windows fill
+/// their 1000 samples and evict (562 evictions over the run, counted
+/// with a temporary counter in the eviction branch); every other cell
+/// ends long before a window is full.
+/// Captured on the commit before the windows became arrival epochs.
+#[test]
+fn baseline_16_long_colo_report_is_pinned() {
+    let mut cfg = ScenarioConfig::baseline(16, 1);
+    cfg.workload_end = SimDuration::from_secs(1600);
+    cfg.max_duration = cfg.workload_end;
+    pin(
+        "baseline(16) colo, 1600 s",
+        &run_colo(&cfg, 16),
+        false,
+        "f8ab465f1543cb9d202f28b1e56e22bd",
+    );
+}
+
 /// A time-dilated baseline (§4's alternative to scale-check): every
 /// clock × 8, so heartbeats arrive 8 s apart — the only committed run
-/// shape whose φ samples exceed 2³² ns and need their high word kept.
+/// shape whose φ samples exceed 2³² ns (a 4-byte sample layout once
+/// needed a high word for them).
 #[test]
 fn baseline_32_time_dilated_report_is_pinned() {
     let cfg = time_dilated(&ScenarioConfig::baseline(32, 1), 8);
