@@ -199,6 +199,15 @@ impl Node {
         }
     }
 
+    /// Makes room in the per-peer tables (gossip view, failure
+    /// detector, ring view) for node ids `0..slots`, so a run of that
+    /// many nodes allocates each table once instead of doubling it.
+    pub fn reserve_slots(&mut self, slots: usize) {
+        self.gossiper.reserve_slots(slots);
+        self.fd.reserve_slots(slots);
+        self.ring.reserve_slots(slots);
+    }
+
     /// Next order key for a message to `dst` of the given kind.
     pub fn next_key(&mut self, dst: NodeId, kind: u8) -> u64 {
         let d = dst.0 as usize;
@@ -580,7 +589,7 @@ mod tests {
     #[test]
     fn announce_updates_self_everywhere() {
         let mut n = node(0);
-        let tokens = n.ring.node(NodeId(0)).unwrap().tokens.clone();
+        let tokens = n.ring.node(NodeId(0)).unwrap().tokens.to_vec();
         n.announce(RingInfo {
             status: NodeStatus::Leaving,
             tokens: tokens.clone(),

@@ -276,7 +276,10 @@ fn build<'a>(
         // Each member's ring view is this table less the member itself.
         // Cloning keeps the build quadratic: `add_node` checks every token
         // against every node already in the table, so filling each view
-        // pair by pair is cubic in N.
+        // pair by pair is cubic in N. A clone shares every node's token
+        // list. Each node's per-peer tables are sized for all `total` ids
+        // once its view is in place and before its gossip view is seeded,
+        // here and for the joiners below, so none of them doubles.
         let mut members = RingTable::new(cfg.rf);
         for j in 0..cfg.n_nodes {
             let id = NodeId(j as u32);
@@ -286,14 +289,15 @@ fn build<'a>(
         }
         #[allow(clippy::needless_range_loop)]
         for i in 0..cfg.n_nodes {
+            let view = &mut nodes[i].ring;
+            *view = members.clone();
+            view.remove_node(NodeId(i as u32)).expect("a member");
+            nodes[i].reserve_slots(total);
             for (peer, st) in &member_states {
                 if peer.0 != i as u32 {
                     nodes[i].seed_peer(*peer, st.clone());
                 }
             }
-            let view = &mut nodes[i].ring;
-            *view = members.clone();
-            view.remove_node(NodeId(i as u32)).expect("a member");
         }
     }
     // Joiners (and everyone at fresh bootstrap) know the seed addresses
@@ -304,6 +308,7 @@ fn build<'a>(
         cfg.n_nodes..total
     };
     for i in joiner_range {
+        nodes[i].reserve_slots(total);
         for &s in &seeds {
             if s != NodeId(i as u32) {
                 nodes[i].seed_peer(
@@ -779,7 +784,7 @@ fn changes_of(ring: &RingTable) -> Vec<scalecheck_ring::TopologyChange> {
         match ns.status {
             NodeStatus::Joining => out.push(scalecheck_ring::TopologyChange::Join {
                 node: id,
-                tokens: ns.tokens.clone(),
+                tokens: ns.tokens.to_vec(),
             }),
             NodeStatus::Leaving => out.push(scalecheck_ring::TopologyChange::Leave { node: id }),
             _ => {}
@@ -1239,7 +1244,7 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
                     let tokens = st.nodes[i]
                         .ring
                         .node(NodeId(i as u32))
-                        .map(|s| s.tokens.clone())
+                        .map(|s| s.tokens.to_vec())
                         .unwrap_or_default();
                     st.nodes[i].announce(RingInfo {
                         status: NodeStatus::Leaving,
@@ -1696,7 +1701,7 @@ mod tests {
     fn contents(ring: &RingTable) -> ViewContents {
         let entries = ring
             .iter()
-            .map(|(id, st)| (id, st.status, st.tokens.clone()))
+            .map(|(id, st)| (id, st.status, st.tokens.to_vec()))
             .collect();
         let mut bytes = Vec::new();
         ring.write_canonical(&mut bytes);

@@ -4,8 +4,10 @@
 //! Filling each established node's ring view with one checked `add_node`
 //! per other member scanned the view once per token: a 2048-node build
 //! took ~12 s before the first event and grew ~7× per doubling of N.
-//! The build now clones one members table per node, ~0.7 s of this
-//! cell's ~1.2 s on a 2-vCPU container. The 1 s horizon keeps the build
+//! The build now clones one members table per node, and the clones share
+//! each node's token list: the cell takes 0.8–0.9 s on a 2-vCPU container
+//! (1.5–1.7 s while each view was a tree of entries that owned their
+//! tokens). The 1 s horizon keeps the build
 //! the bulk of the cell, so the 4 s budget tells the two apart with room
 //! for a slow host.
 

@@ -10,9 +10,11 @@
 //! This is the leg that sets the peak of the benchmark's
 //! `verdict_c3831_160`. On a 2-vCPU container this binary's `VmHWM`
 //! read 46.7–46.8 MiB when the bodies grew by doubling, 37.9–38.1 MiB
-//! once they were exact, and 36.8–36.9 MiB since the φ windows are kept
-//! as arrival epochs (three runs each). The 42 MiB budget leaves 5 MiB
-//! to spare above today's peak and 4.7 MiB below the doubling one.
+//! once they were exact, 36.6–36.9 MiB once the φ windows were kept
+//! as arrival epochs, and 34.2–34.3 MiB since the ring views are dense
+//! slots and the per-peer tables are sized once (three runs each). The
+//! 42 MiB budget leaves 7.7 MiB to spare above today's peak and 4.7 MiB
+//! below the doubling one.
 //!
 //! The test is alone in its binary: `VmHWM` is per process, and a
 //! second test would share it.

@@ -2,16 +2,21 @@
 //! 512-node Colo cell must peak under a fixed resident set.
 //!
 //! Heartbeat-only gossip reports every peer to every node about once a
-//! second, so the φ windows are what grows: 512 × 511 of them. Each
-//! window used to be a ring of 4-byte samples in rows shared by all of
-//! a node's peers, one row per sample slot that any peer had reached.
-//! Now a node keeps the arrival epochs the windows are gaps between, one
-//! report time and a 64-byte bitset of the peers that arrived then.
+//! second, so what a node keeps per peer is what grows: 512 × 511 gossip
+//! endpoints, φ windows and ring-view entries. Each window used to be a
+//! ring of 4-byte samples in rows shared by all of a node's peers; now a
+//! node keeps the arrival epochs the windows are gaps between. Each ring
+//! view used to be a tree of 511 entries that each owned a token `Vec`;
+//! now it is one 24-byte slot per node id, and the views share each
+//! node's token list. The gossip endpoint table and the φ columns used to
+//! grow by doubling from the node's own id; now the build sizes them once
+//! for the cluster.
 //!
 //! On a 2-vCPU container this binary's `VmHWM` read 169.1–169.3 MiB with
-//! the sample rows and 74.0–74.3 MiB with the epochs (three runs each).
-//! The 120 MiB budget leaves 45.7 MiB to spare above today's peak and
-//! 49.1 MiB below the old one.
+//! the sample rows, 74.2–74.4 MiB with the epochs but tree ring views
+//! and doubling tables, and 49.4–49.7 MiB with dense views and tables
+//! sized once (three runs each). The 62 MiB budget leaves 12.3 MiB to
+//! spare above today's peak and 12.2 MiB below the tree views' one.
 //!
 //! The test is alone in its binary: `VmHWM` is per process, and a
 //! second test would share it.
@@ -19,7 +24,7 @@
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
 use scalecheck_sim::SimDuration;
 
-const BUDGET_MIB: f64 = 120.0;
+const BUDGET_MIB: f64 = 62.0;
 
 /// This process's peak resident set so far, MiB.
 fn vm_hwm_mib() -> f64 {
@@ -46,6 +51,7 @@ fn baseline_512_colo_cell_peaks_under_budget() {
     assert!(
         peak <= BUDGET_MIB,
         "the baseline(512) Colo cell peaked at {peak:.1} MiB (budget {BUDGET_MIB} MiB): \
-         do the failure detectors keep per-peer sample rows again?"
+         are the ring views trees of per-entry token lists again, or do the per-peer \
+         tables (gossip endpoints, φ columns) grow by doubling again?"
     );
 }

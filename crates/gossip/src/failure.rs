@@ -164,8 +164,9 @@ impl EpochLog {
 /// nanosecond clock. Epoch times are that clock, so time-dilated runs,
 /// whose samples pass 2³² ns, take the same path as the rest.
 ///
-/// The columns and bitsets grow to the highest id seen, so a detector
-/// costs O(highest id) slots of 25 bytes, plus `8 + 8 · ⌈slots / 64⌉`
+/// The columns and bitsets grow to the highest id seen, or the columns
+/// to the ids reserved up front, so a detector costs O(highest id)
+/// slots of 25 bytes, plus `8 + 8 · ⌈slots / 64⌉`
 /// bytes for each epoch that some window reaches back to (a window that
 /// has not evicted yet reaches back to its peer's first arrival, so a
 /// peer that falls silent holds the log until its window fills or it
@@ -226,8 +227,21 @@ impl FailureDetector {
         }
     }
 
-    /// Extends every column (amortised: `Vec` doubles its capacity) and
-    /// every epoch's bitset to cover `idx`.
+    /// Makes room in every column for peer ids `0..slots` without
+    /// reallocating later; a larger id still grows them. The epoch
+    /// bitsets are not widened ahead of the peers they cover.
+    pub fn reserve_slots(&mut self, slots: usize) {
+        let extra = slots.saturating_sub(self.flags.len());
+        self.last_arrival_ns.reserve_exact(extra);
+        self.flags.reserve_exact(extra);
+        self.count.reserve_exact(extra);
+        self.since.reserve_exact(extra);
+        self.sum_ns.reserve_exact(extra);
+    }
+
+    /// Extends every column (amortised: `Vec` doubles its capacity
+    /// past what [`Self::reserve_slots`] made room for) and every
+    /// epoch's bitset to cover `idx`.
     fn ensure_slot(&mut self, idx: usize) {
         if idx >= self.flags.len() {
             let slots = idx + 1;

@@ -123,6 +123,12 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         &self.map
     }
 
+    /// Makes room in the view for peer ids `0..slots` (see
+    /// [`EndpointMap::reserve_slots`]).
+    pub fn reserve_slots(&mut self, slots: usize) {
+        self.map.reserve_slots(slots);
+    }
+
     /// The state this node knows for `peer`, if any.
     pub fn endpoint(&self, peer: Peer) -> Option<&EndpointState<A>> {
         self.map.get(peer)

@@ -133,8 +133,10 @@ pub struct Digest {
 /// a table addressed by `Peer.0` (see the dense-id contract on
 /// [`Peer`]).
 ///
-/// Lookups are array indexing; the table grows geometrically (`Vec`
-/// capacity doubling) to the highest id inserted and never shrinks;
+/// Lookups are array indexing; the table grows to the highest id
+/// inserted and never shrinks. Grown one insert at a time it doubles
+/// its capacity, so a run that knows its node count reserves it once
+/// ([`Self::reserve_slots`]) and holds exactly one slot per node;
 /// [`Self::iter`] yields known peers in ascending id order — the order
 /// SYN digests, the `handle_syn` merge pass and the gossip-target walk
 /// all rely on.
@@ -164,6 +166,13 @@ impl<A> EndpointMap<A> {
     /// Number of known peers.
     pub fn len(&self) -> usize {
         self.known
+    }
+
+    /// Makes room for ids `0..slots` without reallocating later; a
+    /// larger id still grows the table.
+    pub fn reserve_slots(&mut self, slots: usize) {
+        self.slots
+            .reserve_exact(slots.saturating_sub(self.slots.len()));
     }
 
     /// Whether no peer is known.

@@ -5,7 +5,6 @@
 //! virtual nodes), and loops over it are what the offending-function
 //! finder flags.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use scalecheck_memo::Hasher128;
@@ -34,13 +33,18 @@ impl NodeStatus {
     }
 }
 
-/// Per-node ring state.
+/// Per-node ring state: one slot of a [`RingTable`], which addresses
+/// its slots by `NodeId.0` (see the dense-id contract there).
+///
+/// The token list is shared, never mutated in place: a cloned view
+/// points at the same list, so N views of an N-node ring hold N lists,
+/// not N². A change of tokens is a `remove_node` and an `add_node`.
 #[derive(Clone, Debug)]
 pub struct NodeState {
     /// Lifecycle status.
     pub status: NodeStatus,
     /// The node's tokens (sorted, deduplicated at insert).
-    pub tokens: Vec<Token>,
+    pub tokens: Arc<[Token]>,
 }
 
 /// A topology change carried by gossip (the paper's `M`-element change
@@ -114,6 +118,16 @@ struct DerivedCache {
 
 /// The cluster's view of token ownership.
 ///
+/// # Dense-id contract
+///
+/// Node ids are **dense node indexes**, the contract
+/// `scalecheck_gossip::EndpointMap` states for `Peer`: the cluster
+/// numbers its nodes `0..total_nodes`, and a table holds one slot per
+/// id up to the highest id added, present or not. Lookups are array
+/// indexing, and iteration is ascending by id. A sparse id
+/// (`NodeId(5000)` in a three-node ring) is legal and costs 5001 slots
+/// of 24 bytes, not a panic. Slots are never given back.
+///
 /// Deliberately not `Serialize`/`Deserialize`: nothing stores a ring
 /// (memo digests go through [`Self::write_canonical`]), and a
 /// deserialised table could disagree with its own `in_transition`
@@ -121,7 +135,10 @@ struct DerivedCache {
 #[derive(Clone, Debug)]
 pub struct RingTable {
     rf: usize,
-    nodes: BTreeMap<NodeId, NodeState>,
+    /// `nodes[i]` is the state of `NodeId(i)`, if present.
+    nodes: Vec<Option<NodeState>>,
+    /// Number of `Some` slots in `nodes`.
+    present: usize,
     derived: DerivedCache,
     /// How many nodes are `Joining` or `Leaving`, kept by the three
     /// mutators so [`Self::has_pending_change`] is not a ring walk.
@@ -138,7 +155,8 @@ impl RingTable {
         assert!(rf > 0, "replication factor must be positive");
         RingTable {
             rf,
-            nodes: BTreeMap::new(),
+            nodes: Vec::new(),
+            present: 0,
             derived: DerivedCache::default(),
             in_transition: 0,
         }
@@ -149,6 +167,15 @@ impl RingTable {
         self.rf
     }
 
+    /// Makes room for ids `0..slots` without reallocating later. In a
+    /// dense-id run, reserving the cluster's node count once keeps a
+    /// view at exactly one slot per node; a larger id still grows the
+    /// table.
+    pub fn reserve_slots(&mut self, slots: usize) {
+        self.nodes
+            .reserve_exact(slots.saturating_sub(self.nodes.len()));
+    }
+
     /// Adds a node with the given status and tokens.
     pub fn add_node(
         &mut self,
@@ -156,7 +183,7 @@ impl RingTable {
         status: NodeStatus,
         mut tokens: Vec<Token>,
     ) -> Result<(), RingError> {
-        if self.nodes.contains_key(&node) {
+        if self.node(node).is_some() {
             return Err(RingError::DuplicateNode(node));
         }
         tokens.sort_unstable();
@@ -166,7 +193,15 @@ impl RingTable {
                 return Err(RingError::DuplicateToken(*t, owner));
             }
         }
-        self.nodes.insert(node, NodeState { status, tokens });
+        let idx = node.0 as usize;
+        if idx >= self.nodes.len() {
+            self.nodes.resize_with(idx + 1, || None);
+        }
+        self.nodes[idx] = Some(NodeState {
+            status,
+            tokens: tokens.into(),
+        });
+        self.present += 1;
         self.in_transition += usize::from(status.in_transition());
         self.derived = DerivedCache::default();
         Ok(())
@@ -174,7 +209,7 @@ impl RingTable {
 
     /// Changes a node's status.
     pub fn set_status(&mut self, node: NodeId, status: NodeStatus) -> Result<(), RingError> {
-        match self.nodes.get_mut(&node) {
+        match self.nodes.get_mut(node.0 as usize).and_then(Option::as_mut) {
             Some(st) => {
                 self.in_transition -= usize::from(st.status.in_transition());
                 self.in_transition += usize::from(status.in_transition());
@@ -188,8 +223,9 @@ impl RingTable {
 
     /// Removes a node entirely.
     pub fn remove_node(&mut self, node: NodeId) -> Result<(), RingError> {
-        match self.nodes.remove(&node) {
+        match self.nodes.get_mut(node.0 as usize).and_then(Option::take) {
             Some(st) => {
+                self.present -= 1;
                 self.in_transition -= usize::from(st.status.in_transition());
                 self.derived = DerivedCache::default();
                 Ok(())
@@ -200,7 +236,7 @@ impl RingTable {
 
     /// A node's state, if present.
     pub fn node(&self, node: NodeId) -> Option<&NodeState> {
-        self.nodes.get(&node)
+        self.nodes.get(node.0 as usize)?.as_ref()
     }
 
     /// Whether any node is `Joining` or `Leaving` — the window during
@@ -212,17 +248,17 @@ impl RingTable {
 
     /// Iterates over `(node, state)` in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> {
-        self.nodes.iter().map(|(&id, st)| (id, st))
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, slot)| Some((NodeId(idx as u32), slot.as_ref()?)))
     }
 
     /// Which node currently owns a token, if any.
     pub fn owner_of_token(&self, t: Token) -> Option<NodeId> {
-        for (&id, st) in &self.nodes {
-            if st.tokens.binary_search(&t).is_ok() {
-                return Some(id);
-            }
-        }
-        None
+        self.iter()
+            .find(|(_, st)| st.tokens.binary_search(&t).is_ok())
+            .map(|(id, _)| id)
     }
 
     /// The sorted `(token, node)` map of *current* owners: nodes in
@@ -250,10 +286,9 @@ impl RingTable {
     /// proptests pinning cached == rebuilt.
     pub fn rebuild_current_token_map(&self) -> Vec<(Token, NodeId)> {
         let mut map: Vec<(Token, NodeId)> = self
-            .nodes
             .iter()
             .filter(|(_, st)| matches!(st.status, NodeStatus::Normal | NodeStatus::Leaving))
-            .flat_map(|(&id, st)| st.tokens.iter().map(move |&t| (t, id)))
+            .flat_map(|(id, st)| st.tokens.iter().map(move |&t| (t, id)))
             .collect();
         map.sort_unstable();
         map
@@ -335,11 +370,13 @@ impl RingTable {
     }
 
     /// Canonical byte encoding for memoization digests: stable across
-    /// insertion order because the underlying maps are ordered.
+    /// insertion order because nodes are visited in id order. It counts
+    /// the nodes present, not the slots, so a view's bytes do not depend
+    /// on the ids it has held.
     pub fn write_canonical(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.rf as u64).to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
-        for (id, st) in &self.nodes {
+        out.extend_from_slice(&(self.present as u64).to_le_bytes());
+        for (id, st) in self.iter() {
             out.extend_from_slice(&id.0.to_le_bytes());
             out.push(match st.status {
                 NodeStatus::Normal => 0,
@@ -348,7 +385,7 @@ impl RingTable {
                 NodeStatus::Left => 3,
             });
             out.extend_from_slice(&(st.tokens.len() as u64).to_le_bytes());
-            for t in &st.tokens {
+            for t in st.tokens.iter() {
                 out.extend_from_slice(&t.0.to_le_bytes());
             }
         }
@@ -397,6 +434,16 @@ mod tests {
         let t = r.node(NodeId(2)).unwrap().tokens[0];
         assert_eq!(r.owner_of_token(t), Some(NodeId(2)));
         assert_eq!(r.owner_of_token(Token(1)), None);
+    }
+
+    #[test]
+    fn clones_share_token_lists() {
+        let r = ring_of(4, 8);
+        let mut view = r.clone();
+        view.remove_node(NodeId(0)).unwrap();
+        for (id, st) in view.iter() {
+            assert!(Arc::ptr_eq(&st.tokens, &r.node(id).unwrap().tokens));
+        }
     }
 
     #[test]

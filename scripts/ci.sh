@@ -210,7 +210,7 @@ cargo test --release -q --test traffic_slo -- --ignored
 # The harness's own scalability bug: filling every ring view with
 # per-pair checked inserts made the cluster build cubic in N (~12 s at
 # 2048 nodes before the first event). A 2048-node cell with a 1 s
-# horizon, mostly build, must finish inside 4 s (~1.2 s now).
+# horizon, mostly build, must finish inside 4 s (~0.9 s now).
 echo "=== cluster build stays sub-cubic (2048-node cell, release) ==="
 cargo test --release -q -p scalecheck-cluster --test build_scale -- --ignored
 
@@ -237,19 +237,32 @@ if grep -n 'ring\.clone()' crates/cluster/src/runner.rs; then
   exit 1
 fi
 
+# One ring representation: a ring view is a table of slots addressed by
+# node id. The ordered-map table it replaced lives only in
+# tests/model/ring.rs, the oracle of
+# proptests::dense_ring_table_matches_the_tree_model.
+echo "=== one ring representation (grep gate) ==="
+if grep -n 'BTreeMap' crates/ring/src/table.rs; then
+  echo "error: crates/ring/src/table.rs must not use a BTreeMap; see the matches above" >&2
+  exit 1
+fi
+
 # Host memory in a flap storm: 160 nodes on 16 cores queue gossip ACKs
 # at starved receivers, and that queue sets the peak of the verdict
 # benchmark. Each ACK's bodies are built in a space the run owns and
 # emitted at exactly their length; grown by doubling they peaked at
 # 46.7 MiB here. The c3831@160 one-decommission Colo leg must peak under
-# 42 MiB of VmHWM (~37 MiB now).
+# 42 MiB of VmHWM (~34 MiB now).
 echo "=== flap-storm host memory (c3831@160 Colo leg, release) ==="
 cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 
 # Host memory in steady state: the tbl_scale 512-node Colo cell, where
-# the φ windows are what grows. A detector keeps the arrival epochs the
-# windows are gaps between; as per-peer sample rows it peaked at
-# 169 MiB here. The cell must peak under 120 MiB of VmHWM (~74 MiB now).
+# per-peer state is what grows. A detector keeps the arrival epochs the
+# windows are gaps between (as per-peer sample rows it peaked at
+# 169 MiB here); a ring view is one slot per node id sharing each node's
+# token list, and the build sizes the per-peer tables once (as tree views
+# and doubling tables it peaked at ~74 MiB). The cell must peak under
+# 62 MiB of VmHWM (~50 MiB now).
 echo "=== steady-state host memory (baseline(512) Colo cell, release) ==="
 cargo test --release -q -p scalecheck-cluster --test steady_peak_rss -- --ignored
 

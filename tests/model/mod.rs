@@ -8,7 +8,9 @@
 //! four pending-range calculators as literal loops — V1's full-ring walk
 //! per (range, node), the linear scans, a set per range and an output
 //! per prefix — before the crate billed those ops instead of running
-//! them; and a calculation's memo digest hashed from scratch.
+//! them; a calculation's memo digest hashed from scratch; and (in
+//! [`ring`]) the ring table as a `BTreeMap` of entries that each own
+//! their tokens, before it addressed its nodes by id.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -22,6 +24,7 @@ use scalecheck_ring::{write_changes_canonical, NodeId, RingTable, Token, Topolog
 use scalecheck_sim::{SimDuration, SimTime};
 
 pub mod pending;
+pub mod ring;
 
 /// `RingTable::replicas_of` as an index walk: start at the first token
 /// at or after `key` (modulo the map's length, so a key past the last

@@ -1138,6 +1138,165 @@ proptest! {
     }
 }
 
+/// Node ids the ring differential draws from, in no order: dense low
+/// ids and a block near 5000, so a table holding both has ~5000 empty
+/// slots below the block.
+const RING_IDS: [u32; 16] = [3, 0, 5000, 1, 2, 4999, 7, 5, 12, 4, 6, 300, 9, 8, 4998, 10];
+/// Tokens are drawn below this, so lists collide within and across
+/// nodes.
+const RING_TOKENS: u64 = 48;
+const RING_STATUSES: [NodeStatus; 4] = [
+    NodeStatus::Normal,
+    NodeStatus::Joining,
+    NodeStatus::Leaving,
+    NodeStatus::Left,
+];
+
+/// Everything a ring view answers, dense against tree: every lookup,
+/// the iteration, the owner of each token in `probes`, both token maps
+/// (the cached one and the rebuilt one), a future map over `changes`
+/// (errors included), the pending flag, the canonical bytes and the
+/// cached hash state after them.
+fn ring_matches_tree(
+    dense: &RingTable,
+    tree: &model::ring::TreeRingTable,
+    probes: &[u64],
+    changes: &[TopologyChange],
+) -> Result<(), TestCaseError> {
+    for id in RING_IDS.into_iter().chain([11, 5001, u32::MAX]) {
+        let id = NodeId(id);
+        prop_assert_eq!(
+            dense.node(id).map(|st| (st.status, st.tokens.to_vec())),
+            tree.node(id).map(|st| (st.status, st.tokens.clone())),
+            "node({})",
+            id
+        );
+    }
+    let dense_entries: Vec<_> = dense
+        .iter()
+        .map(|(id, st)| (id, st.status, st.tokens.to_vec()))
+        .collect();
+    let tree_entries: Vec<_> = tree
+        .iter()
+        .map(|(id, st)| (id, st.status, st.tokens.clone()))
+        .collect();
+    prop_assert_eq!(dense_entries, tree_entries, "iter");
+    for &t in probes {
+        prop_assert_eq!(
+            dense.owner_of_token(Token(t)),
+            tree.owner_of_token(Token(t)),
+            "owner_of_token({})",
+            t
+        );
+    }
+    let current = tree.current_token_map();
+    prop_assert_eq!(&*dense.current_token_map(), &current, "current_token_map");
+    prop_assert_eq!(
+        dense.rebuild_current_token_map(),
+        current,
+        "rebuild_current_token_map"
+    );
+    prop_assert_eq!(
+        dense.future_token_map(changes),
+        tree.future_token_map(changes),
+        "future_token_map"
+    );
+    prop_assert_eq!(
+        dense.has_pending_change(),
+        tree.has_pending_change(),
+        "has_pending_change"
+    );
+    let (mut dense_bytes, mut tree_bytes) = (Vec::new(), Vec::new());
+    dense.write_canonical(&mut dense_bytes);
+    tree.write_canonical(&mut tree_bytes);
+    prop_assert_eq!(&dense_bytes, &tree_bytes, "write_canonical");
+    prop_assert_eq!(
+        dense.canonical_hasher().finish(),
+        digest_bytes(&tree_bytes),
+        "canonical_hasher"
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential: the id-addressed `RingTable`, whose clones share
+    /// each node's token list, is indistinguishable from the
+    /// `BTreeMap` table it replaced (`model::ring`) over arbitrary
+    /// `add_node`s (duplicate ids, tokens colliding within a list and
+    /// across nodes, unsorted lists, ids out of order and ~5000 apart),
+    /// `set_status`es and `remove_node`s of present and absent ids, and
+    /// clones taken along the way. After every step the live table and
+    /// every clone answer as their tree twins do — so mutating the
+    /// original after a clone leaves the clone as it was.
+    #[test]
+    fn dense_ring_table_matches_the_tree_model(
+        rf in 1usize..4,
+        ops in prop::collection::vec(
+            (
+                0u8..10,
+                0usize..RING_IDS.len(),
+                0usize..4,
+                prop::collection::vec(0..RING_TOKENS, 0..4),
+                prop::collection::vec(
+                    (any::<bool>(), 0usize..RING_IDS.len(), prop::collection::vec(0..RING_TOKENS, 0..3)),
+                    0..4,
+                ),
+            ),
+            1..80,
+        ),
+    ) {
+        use model::ring::TreeRingTable;
+        let mut dense = RingTable::new(rf);
+        let mut tree = TreeRingTable::new(rf);
+        let mut clones: Vec<(RingTable, TreeRingTable)> = Vec::new();
+        for (kind, who, status, tokens, changes) in ops {
+            let node = NodeId(RING_IDS[who]);
+            let status = RING_STATUSES[status];
+            // Ownership is asked of the tokens this step draws, one token
+            // never drawn, and one past every draw.
+            let probes: Vec<u64> = tokens
+                .iter()
+                .chain(changes.iter().flat_map(|c| &c.2))
+                .copied()
+                .chain([RING_TOKENS, u64::MAX])
+                .collect();
+            match kind {
+                0..=3 => {
+                    let tokens: Vec<Token> = tokens.into_iter().map(Token).collect();
+                    prop_assert_eq!(
+                        dense.add_node(node, status, tokens.clone()),
+                        tree.add_node(node, status, tokens)
+                    );
+                }
+                4 | 5 => prop_assert_eq!(dense.set_status(node, status), tree.set_status(node, status)),
+                6 | 7 => prop_assert_eq!(dense.remove_node(node), tree.remove_node(node)),
+                _ => {
+                    if clones.len() < 4 {
+                        clones.push((dense.clone(), tree.clone()));
+                    }
+                }
+            }
+            let changes: Vec<TopologyChange> = changes
+                .into_iter()
+                .map(|(join, who, tokens)| {
+                    let node = NodeId(RING_IDS[who]);
+                    if join {
+                        TopologyChange::Join { node, tokens: tokens.into_iter().map(Token).collect() }
+                    } else {
+                        TopologyChange::Leave { node }
+                    }
+                })
+                .collect();
+            ring_matches_tree(&dense, &tree, &probes, &changes)?;
+            for (dense_clone, tree_clone) in &clones {
+                ring_matches_tree(dense_clone, tree_clone, &probes, &changes)?;
+            }
+        }
+    }
+}
+
 // Full-cluster fault properties: each case is two complete simulation
 // runs, so the case count stays tiny.
 proptest! {
