@@ -372,6 +372,22 @@ impl ScenarioConfig {
         if self.gossip_interval == SimDuration::ZERO {
             return Err("gossip_interval must be positive".into());
         }
+        // Gossip clocks are u32 and must stay at or below
+        // `scalecheck_gossip::CLOCK_MAX` (2^31 - 1). A node's version
+        // clock ticks once per gossip round (at most one per interval,
+        // plus the first) and once per announce of its own state (at
+        // most four between restarts: activation or re-announce, Normal,
+        // Leaving, Left); a restart resets it. The generation ticks once
+        // per restart event, and no plan holds 2^31 of them.
+        let rounds = self.max_duration.as_nanos() / self.gossip_interval.as_nanos() + 1;
+        let limit = u64::from(scalecheck_gossip::CLOCK_MAX);
+        if rounds.saturating_add(4) > limit {
+            return Err(format!(
+                "max_duration / gossip_interval ({} / {}) could tick a gossip version \
+                 clock past {limit}",
+                self.max_duration, self.gossip_interval
+            ));
+        }
         if self.fd_interval == SimDuration::ZERO {
             return Err("fd_interval must be positive".into());
         }
@@ -513,6 +529,44 @@ mod tests {
         // A scale-out joiner is a node the plan may name.
         let joiner = ScenarioConfig::c3881(8, 1).with_faults(FaultPlan::new().crash(at, 9));
         assert_eq!(joiner.validate(), Ok(()));
+    }
+
+    /// The gossip clocks' width bound is an error, at the boundary: a
+    /// 1 ns round on the c3831 horizon is rejected, as is the first
+    /// horizon that could tick a version clock past `CLOCK_MAX`, and
+    /// every committed scenario builder is accepted.
+    #[test]
+    fn scenarios_that_could_overflow_a_gossip_clock_are_rejected() {
+        let max = u64::from(scalecheck_gossip::CLOCK_MAX);
+        let with = |interval_ns: u64, horizon_ns: u64| {
+            let mut cfg = ScenarioConfig::c3831(4, 1);
+            cfg.gossip_interval = SimDuration::from_nanos(interval_ns);
+            cfg.max_duration = SimDuration::from_nanos(horizon_ns);
+            cfg.validate()
+        };
+        let err = with(1, ScenarioConfig::c3831(4, 1).max_duration.as_nanos()).unwrap_err();
+        assert!(err.contains("gossip version clock"), "{err}");
+        // Ticks are horizon / interval + 1 rounds plus four announces,
+        // so with a 1 ns interval a horizon of max - 5 ns is the last
+        // that fits.
+        assert_eq!(with(1, max - 5), Ok(()));
+        assert!(with(1, max - 4).is_err());
+        assert_eq!(with(2, 2 * (max - 5) + 1), Ok(()));
+        assert!(with(2, 2 * (max - 4)).is_err());
+        for n in [1, 4, 256, 4096] {
+            for seed in [1, 5] {
+                let builders = [
+                    ScenarioConfig::baseline(n, seed),
+                    ScenarioConfig::c3831(n, seed),
+                    ScenarioConfig::c3881(n, seed),
+                    ScenarioConfig::c5456(n, seed),
+                    ScenarioConfig::c6127(n, seed),
+                ];
+                for cfg in builders {
+                    assert_eq!(cfg.validate(), Ok(()), "{n} nodes, seed {seed}");
+                }
+            }
+        }
     }
 
     /// Every independently settable scenario field, once: one traffic

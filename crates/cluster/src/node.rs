@@ -417,7 +417,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalecheck_gossip::{Delta, HeartbeatState};
+    use scalecheck_gossip::{Delta, Deltas, HeartbeatState};
     use scalecheck_ring::spread_tokens;
 
     fn node(id: u32) -> Node {
@@ -435,10 +435,11 @@ mod tests {
     }
 
     fn apply_state(n: &mut Node, peer: Peer, st: EndpointState<RingInfo>) -> ApplyOutcome {
-        n.gossiper.apply(&[(peer, Delta::Full(st))])
+        n.gossiper
+            .apply(&Deltas::from_iter([(peer, Delta::Full(st))]))
     }
 
-    fn remote_state(id: u32, status: NodeStatus, hb: u64) -> (Peer, EndpointState<RingInfo>) {
+    fn remote_state(id: u32, status: NodeStatus, hb: u32) -> (Peer, EndpointState<RingInfo>) {
         (
             Peer(id),
             EndpointState::new(

@@ -56,7 +56,8 @@ struct ClusterState<'a> {
     mode: RunMode,
     /// All nodes (initial members first, then scale-out joiners).
     nodes: Vec<Node>,
-    /// Where every node builds the ACK it answers a SYN with.
+    /// Where every node builds the ACK it answers a SYN with and the
+    /// ACK2 it answers an ACK with.
     ack_space: AckSpace<RingInfo>,
     /// The simulated network.
     net: Network,
@@ -853,7 +854,7 @@ fn finish_receive(
                 None
             }
             GossipMessage::Ack(ref ack) => {
-                let (outcome, ack2) = st.nodes[i].gossiper.handle_ack(ack);
+                let (outcome, ack2) = st.nodes[i].gossiper.handle_ack_in(ack, &mut st.ack_space);
                 if !ack2.deltas.is_empty() {
                     send_msg(st, ctx, i, src, GossipMessage::Ack2(ack2));
                 }

@@ -2,19 +2,24 @@
 //! one-decommission Colo cell must peak under a fixed resident set.
 //!
 //! Sixteen cores host 160 nodes, so receivers fall behind and gossip
-//! ACKs queue. An ACK's bodies used to be grown from empty by doubling:
-//! a reallocation per doubling, and up to twice its length in capacity
+//! messages queue; their bodies are most of the live heap at the peak.
+//! An ACK's bodies used to be grown from empty by doubling: a
+//! reallocation per doubling, and up to twice its length in capacity
 //! for as long as it queued. They are now built in a space the run owns
-//! and emitted at exactly their length.
+//! and emitted at exactly their length, and every body is narrow: a SYN
+//! is 12-byte digests, an ACK or ACK2 16-byte delta records plus a side
+//! list of full-state payloads (24-byte digests and 40-byte deltas
+//! before).
 //!
 //! This is the leg that sets the peak of the benchmark's
 //! `verdict_c3831_160`. On a 2-vCPU container this binary's `VmHWM`
 //! read 46.7–46.8 MiB when the bodies grew by doubling, 37.9–38.1 MiB
 //! once they were exact, 36.6–36.9 MiB once the φ windows were kept
-//! as arrival epochs, and 34.2–34.3 MiB since the ring views are dense
-//! slots and the per-peer tables are sized once (three runs each). The
-//! 42 MiB budget leaves 7.7 MiB to spare above today's peak and 4.7 MiB
-//! below the doubling one.
+//! as arrival epochs, 34.1–34.3 MiB once the ring views were dense
+//! slots and the per-peer tables sized once, and 21.1–21.3 MiB with
+//! narrow gossip bodies (three runs each). The 28 MiB budget leaves
+//! 6.7 MiB to spare above today's peak and 6.1 MiB below the wide
+//! bodies' one.
 //!
 //! The test is alone in its binary: `VmHWM` is per process, and a
 //! second test would share it.
@@ -23,7 +28,7 @@ use scalecheck_cluster::config::RESCALE_FIRST_ACTION;
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig, Workload};
 use scalecheck_sim::SimDuration;
 
-const BUDGET_MIB: f64 = 42.0;
+const BUDGET_MIB: f64 = 28.0;
 
 /// This process's peak resident set so far, MiB.
 fn vm_hwm_mib() -> f64 {
@@ -50,6 +55,7 @@ fn c3831_colo_leg_peaks_under_budget() {
     assert!(
         peak <= BUDGET_MIB,
         "the c3831@160 Colo leg peaked at {peak:.1} MiB (budget {BUDGET_MIB} MiB): \
-         do queued gossip ACKs carry spare capacity again?"
+         are queued gossip bodies (SYN digests, ACK/ACK2 delta records) wide again, \
+         or do they carry spare capacity?"
     );
 }

@@ -14,9 +14,11 @@
 //!
 //! On a 2-vCPU container this binary's `VmHWM` read 169.1–169.3 MiB with
 //! the sample rows, 74.2–74.4 MiB with the epochs but tree ring views
-//! and doubling tables, and 49.4–49.7 MiB with dense views and tables
-//! sized once (three runs each). The 62 MiB budget leaves 12.3 MiB to
-//! spare above today's peak and 12.2 MiB below the tree views' one.
+//! and doubling tables, 49.4–49.7 MiB with dense views and tables sized
+//! once, and 46.7–46.8 MiB once gossip clocks were `u32` (a 24-byte
+//! endpoint slot, 32 before) and gossip bodies narrow records (three
+//! runs each). The 62 MiB budget leaves 15.2 MiB to spare above today's
+//! peak and 12.2 MiB below the tree views' one.
 //!
 //! The test is alone in its binary: `VmHWM` is per process, and a
 //! second test would share it.

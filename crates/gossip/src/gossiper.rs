@@ -11,43 +11,60 @@
 
 use std::sync::Arc;
 
-use crate::state::{Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer};
+use crate::state::{
+    emit_exact, tick, Delta, DeltaBuild, Deltas, Digest, EndpointMap, EndpointState,
+    HeartbeatState, Peer,
+};
 
 /// Gossip SYN: freshness claims for every peer the sender knows.
+///
+/// The body is one 12-byte [`Digest`] per known peer, allocated at
+/// exactly its length. How many entries a message carries is simulated
+/// (it sets the receiver's CPU demand); the bytes each entry takes on
+/// the host are not.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Syn {
-    /// One digest per known peer.
-    pub digests: Vec<Digest>,
+    /// One digest per known peer, in ascending peer order when built by
+    /// [`Gossiper::make_syn`] (the wire type does not promise it).
+    pub digests: Box<[Digest]>,
 }
 
 /// Gossip ACK: deltas the receiver is fresher on, plus requests for
 /// peers the SYN sender is fresher on.
+///
+/// Both bodies are allocated at exactly their length: the deltas as
+/// 16-byte records with a side list of full-state payloads
+/// ([`Deltas`]), the requests as 12-byte [`Digest`]s. It carries
+/// `deltas.len() + requests.len()` entries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ack<A> {
     /// Updates the ACK sender believes are fresher (heartbeat-only in
     /// the steady state, full states around topology changes).
-    pub deltas: Vec<(Peer, Delta<A>)>,
+    pub deltas: Deltas<A>,
     /// Watermarks the ACK sender wants newer data for.
-    pub requests: Vec<Digest>,
+    pub requests: Box<[Digest]>,
 }
 
-/// Gossip ACK2: the deltas answering an ACK's requests.
+/// Gossip ACK2: the deltas answering an ACK's requests, as 16-byte
+/// records with a side list of full-state payloads ([`Deltas`]),
+/// allocated at exactly the number answered.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ack2<A> {
     /// Updates answering the requests.
-    pub deltas: Vec<(Peer, Delta<A>)>,
+    pub deltas: Deltas<A>,
 }
 
-/// Where [`Gossiper::handle_syn_in`] builds an ACK before emitting it.
+/// Where [`Gossiper::handle_syn_in`] and [`Gossiper::handle_ack_in`]
+/// build a body before emitting it.
 ///
-/// How many deltas and requests a SYN yields is known only once every
-/// digest has been compared, so the bodies are built here, in vectors
-/// that keep their capacity from call to call, and each is then emitted
-/// as one allocation of exactly its length. One space serves every
-/// gossiper of a run: a build leaves it empty of deltas and requests.
+/// How many deltas and requests a message yields is known only once
+/// every digest has been compared, so the bodies are built here, in
+/// vectors that keep their capacity from call to call, and each is then
+/// emitted as one allocation of exactly its length. One space serves
+/// every gossiper of a run: a build leaves it empty of entries.
 #[derive(Debug)]
 pub struct AckSpace<A> {
-    deltas: Vec<(Peer, Delta<A>)>,
+    deltas: DeltaBuild<A>,
     requests: Vec<Digest>,
     /// The peers an unsorted SYN claims, sorted for the probe.
     claimed: Vec<Peer>,
@@ -56,20 +73,11 @@ pub struct AckSpace<A> {
 impl<A> Default for AckSpace<A> {
     fn default() -> Self {
         AckSpace {
-            deltas: Vec::new(),
+            deltas: DeltaBuild::default(),
             requests: Vec::new(),
             claimed: Vec::new(),
         }
     }
-}
-
-/// Moves what `build` holds into one allocation of exactly its length,
-/// leaving `build` empty with its capacity for the next build. Handing
-/// out `build` itself (`mem::take`) would ship its spare capacity too.
-fn emit_exact<T>(build: &mut Vec<T>) -> Vec<T> {
-    let mut body = Vec::with_capacity(build.len());
-    body.append(build);
-    body
 }
 
 /// What changed when a delta batch was applied.
@@ -86,14 +94,14 @@ pub struct ApplyOutcome {
 #[derive(Clone, Debug)]
 pub struct Gossiper<A> {
     me: Peer,
-    version_clock: u64,
+    version_clock: u32,
     map: EndpointMap<A>,
 }
 
 impl<A: Clone + PartialEq> Gossiper<A> {
     /// Creates a gossiper for `me`, with generation `generation` and
     /// initial application state `app`.
-    pub fn new(me: Peer, generation: u64, app: A) -> Self {
+    pub fn new(me: Peer, generation: u32, app: A) -> Self {
         let mut map = EndpointMap::new();
         map.insert(
             me,
@@ -152,14 +160,14 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 
     /// Bumps the local heartbeat version (called every gossip interval).
     pub fn beat(&mut self) {
-        self.version_clock += 1;
+        self.version_clock = tick(self.version_clock);
         self.own_mut().heartbeat.version = self.version_clock;
     }
 
     /// Updates the local application state (e.g. "I am leaving with
     /// tokens T"), bumping the shared version clock.
     pub fn update_app(&mut self, app: A) {
-        self.version_clock += 1;
+        self.version_clock = tick(self.version_clock);
         let version = self.version_clock;
         let st = self.own_mut();
         st.app = Arc::new(app);
@@ -178,7 +186,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     pub fn restart(&mut self) {
         self.version_clock = 0;
         let st = self.own_mut();
-        st.heartbeat.generation += 1;
+        st.heartbeat.generation = tick(st.heartbeat.generation);
         st.heartbeat.version = 0;
         st.app_version = 0;
     }
@@ -193,7 +201,9 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             generation: st.heartbeat.generation,
             max_version: st.max_version(),
         }));
-        Syn { digests }
+        Syn {
+            digests: digests.into_boxed_slice(),
+        }
     }
 
     /// Handles a SYN, producing the ACK to send back, in fresh build
@@ -203,7 +213,8 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     }
 
     /// Handles a SYN, producing the ACK to send back; the bodies are
-    /// built in `space` and each emitted at exactly its length.
+    /// written as records in `space` and each emitted at exactly its
+    /// length.
     ///
     /// Not reserved from the SYN: a digest yields a delta, a request or
     /// neither, and an ACK reserved for one of each per digest holds
@@ -226,7 +237,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             match self.map.get(d.peer) {
                 Some(local) => {
                     if local.newer_than(d.generation, d.max_version) {
-                        deltas.push((d.peer, local.delta_against(d.generation, d.max_version)));
+                        deltas.push(d.peer, local.delta_against(d.generation, d.max_version));
                     } else if local.heartbeat.generation < d.generation
                         || (local.heartbeat.generation == d.generation
                             && local.max_version() < d.max_version)
@@ -260,7 +271,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             for (peer, st) in self.map.iter() {
                 while digests.next_if(|d| d.peer < peer).is_some() {}
                 if digests.peek().is_none_or(|d| d.peer != peer) {
-                    deltas.push((peer, Delta::Full(st.clone())));
+                    deltas.push(peer, Delta::Full(st.clone()));
                 }
             }
         } else {
@@ -269,7 +280,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             claimed.sort_unstable();
             for (peer, st) in self.map.iter() {
                 if claimed.binary_search(&peer).is_err() {
-                    deltas.push((peer, Delta::Full(st.clone())));
+                    deltas.push(peer, Delta::Full(st.clone()));
                 }
             }
         }
@@ -278,28 +289,44 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             (deltas.len() + requests.len()) as u64,
         );
         Ack {
-            deltas: emit_exact(deltas),
+            deltas: deltas.emit(),
             requests: emit_exact(requests),
         }
     }
 
     /// Handles an ACK: applies its deltas and answers its requests with
-    /// an ACK2.
+    /// an ACK2, in fresh build space (see [`Gossiper::handle_ack_in`]).
     pub fn handle_ack(&mut self, ack: &Ack<A>) -> (ApplyOutcome, Ack2<A>) {
+        self.handle_ack_in(ack, &mut AckSpace::default())
+    }
+
+    /// Handles an ACK: applies its deltas and answers its requests with
+    /// an ACK2, written as records in `space` and emitted at exactly the
+    /// number of requests answered.
+    pub fn handle_ack_in(
+        &mut self,
+        ack: &Ack<A>,
+        space: &mut AckSpace<A>,
+    ) -> (ApplyOutcome, Ack2<A>) {
         let outcome = self.apply(&ack.deltas);
-        let mut deltas = Vec::with_capacity(ack.requests.len());
+        let deltas = &mut space.deltas;
         for req in &ack.requests {
             if let Some(local) = self.map.get(req.peer) {
                 if local.newer_than(req.generation, req.max_version) {
-                    deltas.push((
+                    deltas.push(
                         req.peer,
                         local.delta_against(req.generation, req.max_version),
-                    ));
+                    );
                 }
             }
         }
         scalecheck_obs::metric(scalecheck_obs::Metric::GossipDeltas, deltas.len() as u64);
-        (outcome, Ack2 { deltas })
+        (
+            outcome,
+            Ack2 {
+                deltas: deltas.emit(),
+            },
+        )
     }
 
     /// Handles an ACK2: applies its deltas.
@@ -308,51 +335,64 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     }
 
     /// Applies a batch of deltas, keeping only fresher information.
-    pub fn apply(&mut self, deltas: &[(Peer, Delta<A>)]) -> ApplyOutcome {
+    pub fn apply(&mut self, deltas: &Deltas<A>) -> ApplyOutcome {
         let mut out = ApplyOutcome {
             heartbeat_advanced: Vec::with_capacity(deltas.len()),
             app_advanced: Vec::new(),
         };
-        for (peer, delta) in deltas {
-            if *peer == self.me {
+        let mut payloads = deltas.payloads().iter();
+        for rec in deltas.records() {
+            let peer = rec.peer;
+            let hb = rec.heartbeat;
+            // A full entry's payload is the next in the side list; take
+            // it even for an entry about us, so the rest stay aligned.
+            let full = rec.app_version().map(|app_version| {
+                let app = payloads.next().expect("a payload per full entry");
+                (app_version, app)
+            });
+            if peer == self.me {
                 // Nobody overrides our own state.
                 continue;
             }
-            match delta {
-                Delta::Full(remote) => match self.map.get_mut(*peer) {
-                    Some(local) => {
-                        let local_gen = local.heartbeat.generation;
-                        let local_max = local.max_version();
-                        if remote.newer_than(local_gen, local_max) {
-                            if remote.heartbeat.generation > local_gen
-                                || remote.heartbeat.version > local.heartbeat.version
-                            {
-                                out.heartbeat_advanced.push(*peer);
+            match full {
+                Some((app_version, app)) => {
+                    let remote = || EndpointState {
+                        heartbeat: hb,
+                        app_version,
+                        app: Arc::clone(app),
+                    };
+                    match self.map.get_mut(peer) {
+                        Some(local) => {
+                            let local_gen = local.heartbeat.generation;
+                            let fresher = (hb.generation, hb.version.max(app_version));
+                            if fresher > (local_gen, local.max_version()) {
+                                if hb.generation > local_gen || hb.version > local.heartbeat.version
+                                {
+                                    out.heartbeat_advanced.push(peer);
+                                }
+                                if hb.generation > local_gen || app_version > local.app_version {
+                                    out.app_advanced.push(peer);
+                                }
+                                *local = remote();
                             }
-                            if remote.heartbeat.generation > local_gen
-                                || remote.app_version > local.app_version
-                            {
-                                out.app_advanced.push(*peer);
-                            }
-                            *local = remote.clone();
+                        }
+                        None => {
+                            out.heartbeat_advanced.push(peer);
+                            out.app_advanced.push(peer);
+                            self.map.insert(peer, remote());
                         }
                     }
-                    None => {
-                        out.heartbeat_advanced.push(*peer);
-                        out.app_advanced.push(*peer);
-                        self.map.insert(*peer, remote.clone());
-                    }
-                },
-                Delta::Heartbeat(hb) => {
+                }
+                None => {
                     // Only meaningful against a known state in the same
                     // generation; anything else would have been sent as a
                     // full state (or is stale and must be ignored).
-                    if let Some(local) = self.map.get_mut(*peer) {
+                    if let Some(local) = self.map.get_mut(peer) {
                         if hb.generation == local.heartbeat.generation
                             && hb.version > local.max_version()
                         {
                             local.heartbeat.version = hb.version;
-                            out.heartbeat_advanced.push(*peer);
+                            out.heartbeat_advanced.push(peer);
                         }
                     }
                 }
@@ -430,10 +470,10 @@ mod tests {
         let syn = a.make_syn();
         let ack = b.handle_syn(&syn);
         assert_eq!(ack.deltas.len(), 1);
+        let rec = ack.deltas.records()[0];
         assert!(
-            matches!(ack.deltas[0], (Peer(1), Delta::Heartbeat(_))),
-            "converged peers exchange heartbeats, not full states: {:?}",
-            ack.deltas[0]
+            rec.peer == Peer(1) && !rec.is_full() && ack.deltas.payloads().is_empty(),
+            "converged peers exchange heartbeats, not full states: {rec:?}"
         );
         let (out_a, _) = a.handle_ack(&ack);
         assert_eq!(out_a.heartbeat_advanced, vec![Peer(1)]);
@@ -452,22 +492,22 @@ mod tests {
         b.beat();
         round(&mut a, &mut b);
         // Replay an old heartbeat: must be a no-op.
-        let out = a.apply(&[(
+        let out = a.apply(&Deltas::from_iter([(
             Peer(1),
             Delta::Heartbeat(HeartbeatState {
                 generation: 1,
                 version: 1,
             }),
-        )]);
+        )]));
         assert!(out.heartbeat_advanced.is_empty());
         // A heartbeat for an unknown peer is dropped, not fabricated.
-        let out = a.apply(&[(
+        let out = a.apply(&Deltas::from_iter([(
             Peer(9),
             Delta::Heartbeat(HeartbeatState {
                 generation: 1,
                 version: 5,
             }),
-        )]);
+        )]));
         assert!(out.heartbeat_advanced.is_empty());
         assert!(a.endpoint(Peer(9)).is_none());
     }
@@ -508,7 +548,7 @@ mod tests {
             99,
             12345,
         );
-        let out = a.apply(&[(Peer(0), Delta::Full(bogus))]);
+        let out = a.apply(&Deltas::from_iter([(Peer(0), Delta::Full(bogus))]));
         assert!(out.heartbeat_advanced.is_empty());
         assert_eq!(*a.my_app(), 100);
         let _ = b;

@@ -27,4 +27,6 @@ pub mod state;
 pub use failure::{FailureDetector, Liveness};
 pub use gossiper::{Ack, Ack2, AckSpace, ApplyOutcome, Gossiper, Syn};
 pub use phi::PhiDetector;
-pub use state::{Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer};
+pub use state::{
+    Delta, DeltaRecord, Deltas, Digest, EndpointMap, EndpointState, HeartbeatState, Peer, CLOCK_MAX,
+};

@@ -27,13 +27,43 @@ impl std::fmt::Display for Peer {
     }
 }
 
+/// The largest value a generation or version clock may hold: 2³¹ − 1.
+///
+/// Clocks are `u32`, and the top bit of a [`DeltaRecord`]'s app-version
+/// word marks a full-state entry, so a clock must stay below 2³¹. A
+/// clock advances with [`tick`], which panics past this value; a
+/// scenario whose clocks could get there is rejected before it runs.
+pub const CLOCK_MAX: u32 = (1 << 31) - 1;
+
+/// Advances a generation or version clock by one.
+///
+/// # Panics
+///
+/// If the clock would pass [`CLOCK_MAX`].
+pub(crate) fn tick(clock: u32) -> u32 {
+    match clock.checked_add(1) {
+        Some(next) if next <= CLOCK_MAX => next,
+        _ => panic!("a gossip clock passed {CLOCK_MAX}"),
+    }
+}
+
 /// A node's liveness beacon.
+///
+/// # Width contract
+///
+/// Both clocks are `u32` and stay at or below [`CLOCK_MAX`] (2³¹ − 1):
+/// the generation ticks once per restart, the version once per gossip
+/// round and once per app-state update, and a restart resets the
+/// version. A run that could tick a clock past that is rejected up
+/// front (`ScenarioConfig::validate` in the cluster crate bounds
+/// `max_duration / gossip_interval`), so there is one width and no wide
+/// fallback.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct HeartbeatState {
     /// Incarnation number (bumped when the node restarts).
-    pub generation: u64,
+    pub generation: u32,
     /// Monotone version within the generation.
-    pub version: u64,
+    pub version: u32,
 }
 
 /// Everything one node knows about one peer.
@@ -48,15 +78,16 @@ pub struct HeartbeatState {
 pub struct EndpointState<A> {
     /// Liveness beacon.
     pub heartbeat: HeartbeatState,
-    /// Version at which `app` last changed.
-    pub app_version: u64,
+    /// Version at which `app` last changed (a clock of the heartbeat's
+    /// width contract).
+    pub app_version: u32,
     /// Application payload (ring status, tokens, ... — opaque to gossip).
     pub app: Arc<A>,
 }
 
 impl<A> EndpointState<A> {
     /// Creates an endpoint state, wrapping the payload for sharing.
-    pub fn new(heartbeat: HeartbeatState, app_version: u64, app: A) -> Self {
+    pub fn new(heartbeat: HeartbeatState, app_version: u32, app: A) -> Self {
         EndpointState {
             heartbeat,
             app_version,
@@ -66,13 +97,13 @@ impl<A> EndpointState<A> {
 
     /// The freshness watermark peers compare: the larger of the heartbeat
     /// and application versions.
-    pub fn max_version(&self) -> u64 {
+    pub fn max_version(&self) -> u32 {
         self.heartbeat.version.max(self.app_version)
     }
 
     /// Whether this state is strictly fresher than a `(generation,
     /// max_version)` watermark.
-    pub fn newer_than(&self, generation: u64, max_version: u64) -> bool {
+    pub fn newer_than(&self, generation: u32, max_version: u32) -> bool {
         self.heartbeat.generation > generation
             || (self.heartbeat.generation == generation && self.max_version() > max_version)
     }
@@ -90,7 +121,7 @@ impl<A: Clone> EndpointState<A> {
     /// snapshots of the owner's monotone history, so a requester whose
     /// watermark covers `app_version` already holds this very app state
     /// (see [`Delta`]).
-    pub fn delta_against(&self, generation: u64, max_version: u64) -> Delta<A> {
+    pub fn delta_against(&self, generation: u32, max_version: u32) -> Delta<A> {
         if self.heartbeat.generation == generation && self.app_version <= max_version {
             Delta::Heartbeat(self.heartbeat)
         } else {
@@ -118,15 +149,173 @@ pub enum Delta<A> {
     Heartbeat(HeartbeatState),
 }
 
-/// A compact claim about a peer's freshness, exchanged in gossip SYNs.
+/// A compact claim about a peer's freshness, exchanged in gossip SYNs
+/// and as an ACK's requests: 12 bytes.
+///
+/// Its clocks follow [`HeartbeatState`]'s width contract: `u32`, never
+/// above [`CLOCK_MAX`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Digest {
     /// The peer the claim is about.
     pub peer: Peer,
     /// Claimed generation.
-    pub generation: u64,
+    pub generation: u32,
     /// Claimed max version.
-    pub max_version: u64,
+    pub max_version: u32,
+}
+
+/// The bit of [`DeltaRecord`]'s app-version word that marks a full-state
+/// entry; clocks never reach it ([`CLOCK_MAX`]).
+const FULL: u32 = 1 << 31;
+
+/// One entry of an ACK or ACK2 body ([`Deltas`]): 16 bytes, four `u32`s.
+///
+/// A heartbeat-only entry is the record alone. A full-state entry is the
+/// record, marked full, plus its payload, which sits in the body's side
+/// list of payloads in entry order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DeltaRecord {
+    /// The peer the entry is about.
+    pub peer: Peer,
+    /// The peer's heartbeat as the sender knows it.
+    pub heartbeat: HeartbeatState,
+    /// A full entry's app version with [`FULL`] set; 0 for a
+    /// heartbeat-only entry.
+    app: u32,
+}
+
+impl DeltaRecord {
+    /// Whether the entry is a full state (its payload is the next one in
+    /// the body's side list).
+    pub fn is_full(&self) -> bool {
+        self.app & FULL != 0
+    }
+
+    /// A full entry's app version; `None` for a heartbeat-only entry.
+    pub fn app_version(&self) -> Option<u32> {
+        self.is_full().then_some(self.app & !FULL)
+    }
+}
+
+/// The delta entries of an ACK or ACK2: one [`DeltaRecord`] per entry,
+/// plus the payload of each full-state entry in a side list, in entry
+/// order.
+///
+/// Both lists are allocated at exactly their length. Build one from
+/// `(Peer, Delta)` pairs with `collect`; the gossiper writes its bodies
+/// as records directly.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Deltas<A> {
+    records: Box<[DeltaRecord]>,
+    payloads: Box<[Arc<A>]>,
+}
+
+impl<A> Default for Deltas<A> {
+    fn default() -> Self {
+        Deltas {
+            records: Box::default(),
+            payloads: Box::default(),
+        }
+    }
+}
+
+impl<A> Deltas<A> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the body carries no entry.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The entries, in order.
+    pub fn records(&self) -> &[DeltaRecord] {
+        &self.records
+    }
+
+    /// The payloads of the full-state entries, in entry order.
+    pub fn payloads(&self) -> &[Arc<A>] {
+        &self.payloads
+    }
+}
+
+impl<A> FromIterator<(Peer, Delta<A>)> for Deltas<A> {
+    fn from_iter<I: IntoIterator<Item = (Peer, Delta<A>)>>(entries: I) -> Self {
+        let mut build = DeltaBuild::default();
+        for (peer, delta) in entries {
+            build.push(peer, delta);
+        }
+        build.emit()
+    }
+}
+
+/// Where a [`Deltas`] body is written before it is emitted: vectors that
+/// keep their capacity from one body to the next.
+#[derive(Debug)]
+pub(crate) struct DeltaBuild<A> {
+    records: Vec<DeltaRecord>,
+    payloads: Vec<Arc<A>>,
+}
+
+impl<A> Default for DeltaBuild<A> {
+    fn default() -> Self {
+        DeltaBuild {
+            records: Vec::new(),
+            payloads: Vec::new(),
+        }
+    }
+}
+
+impl<A> DeltaBuild<A> {
+    /// Entries written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Appends one entry.
+    pub(crate) fn push(&mut self, peer: Peer, delta: Delta<A>) {
+        let record = match delta {
+            Delta::Heartbeat(heartbeat) => DeltaRecord {
+                peer,
+                heartbeat,
+                app: 0,
+            },
+            Delta::Full(st) => {
+                assert!(
+                    st.app_version <= CLOCK_MAX,
+                    "app version {} is past the clock range",
+                    st.app_version
+                );
+                self.payloads.push(st.app);
+                DeltaRecord {
+                    peer,
+                    heartbeat: st.heartbeat,
+                    app: st.app_version | FULL,
+                }
+            }
+        };
+        self.records.push(record);
+    }
+
+    /// Moves what was written into a body of exactly its length, leaving
+    /// the build empty with its capacity.
+    pub(crate) fn emit(&mut self) -> Deltas<A> {
+        Deltas {
+            records: emit_exact(&mut self.records),
+            payloads: emit_exact(&mut self.payloads),
+        }
+    }
+}
+
+/// Moves what `build` holds into one allocation of exactly its length,
+/// leaving `build` empty with its capacity for the next build. Handing
+/// out `build` itself (`mem::take`) would ship its spare capacity too.
+pub(crate) fn emit_exact<T>(build: &mut Vec<T>) -> Box<[T]> {
+    let mut body = Vec::with_capacity(build.len());
+    body.append(build);
+    body.into_boxed_slice()
 }
 
 /// A node's full gossip view: one [`EndpointState`] per known peer, in
@@ -142,7 +331,7 @@ pub struct Digest {
 /// all rely on.
 #[derive(Clone, Debug)]
 pub struct EndpointMap<A> {
-    /// `slots[i]` is what this node knows about `Peer(i)`. A slot is 32
+    /// `slots[i]` is what this node knows about `Peer(i)`. A slot is 24
     /// bytes: `None` lives in the `Arc`'s null niche.
     slots: Vec<Option<EndpointState<A>>>,
     known: usize,
@@ -222,7 +411,7 @@ impl<A> EndpointMap<A> {
 mod tests {
     use super::*;
 
-    fn st(gen: u64, hb: u64, appv: u64) -> EndpointState<u8> {
+    fn st(gen: u32, hb: u32, appv: u32) -> EndpointState<u8> {
         EndpointState::new(
             HeartbeatState {
                 generation: gen,
@@ -237,7 +426,7 @@ mod tests {
     fn sparse_id_costs_slots_not_a_panic() {
         let mut map = EndpointMap::new();
         for id in [1, 5000, 0] {
-            assert!(map.insert(Peer(id), st(1, id as u64, 0)).is_none());
+            assert!(map.insert(Peer(id), st(1, id, 0)).is_none());
         }
         assert_eq!(map.len(), 3);
         assert!(!map.is_gapless(), "ids 2..5000 are holes");
@@ -268,6 +457,60 @@ mod tests {
             dense.insert(Peer(id), st(1, 0, 0));
             assert!(dense.is_gapless());
         }
+    }
+
+    #[test]
+    fn wire_entries_are_narrow() {
+        assert_eq!(std::mem::size_of::<Digest>(), 12);
+        assert_eq!(std::mem::size_of::<DeltaRecord>(), 16);
+        assert_eq!(std::mem::size_of::<Option<EndpointState<u8>>>(), 24);
+    }
+
+    #[test]
+    fn clocks_tick_up_to_their_bound_and_no_further() {
+        assert_eq!(tick(0), 1);
+        assert_eq!(tick(CLOCK_MAX - 1), CLOCK_MAX);
+        for past in [CLOCK_MAX, u32::MAX] {
+            assert!(std::panic::catch_unwind(|| tick(past)).is_err(), "{past}");
+        }
+    }
+
+    #[test]
+    fn a_body_keeps_each_payload_with_its_full_entry() {
+        let hb = |version| HeartbeatState {
+            generation: 1,
+            version,
+        };
+        let body: Deltas<u8> = [
+            (
+                Peer(4),
+                Delta::Full(EndpointState::new(hb(2), CLOCK_MAX, 7)),
+            ),
+            (Peer(2), Delta::Heartbeat(hb(3))),
+            (Peer(9), Delta::Full(EndpointState::new(hb(0), 0, 9))),
+            (Peer(0), Delta::Heartbeat(hb(CLOCK_MAX))),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(body.len(), 4);
+        let got: Vec<(Peer, bool, Option<u32>)> = body
+            .records()
+            .iter()
+            .map(|r| (r.peer, r.is_full(), r.app_version()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (Peer(4), true, Some(CLOCK_MAX)),
+                (Peer(2), false, None),
+                (Peer(9), true, Some(0)),
+                (Peer(0), false, None),
+            ]
+        );
+        let payloads: Vec<u8> = body.payloads().iter().map(|a| **a).collect();
+        assert_eq!(payloads, [7, 9]);
+        assert_eq!(body.records()[3].heartbeat.version, CLOCK_MAX);
+        assert!(Deltas::<u8>::default().is_empty());
     }
 
     #[test]

@@ -247,12 +247,25 @@ if grep -n 'BTreeMap' crates/ring/src/table.rs; then
   exit 1
 fi
 
-# Host memory in a flap storm: 160 nodes on 16 cores queue gossip ACKs
-# at starved receivers, and that queue sets the peak of the verdict
-# benchmark. Each ACK's bodies are built in a space the run owns and
-# emitted at exactly their length; grown by doubling they peaked at
-# 46.7 MiB here. The c3831@160 one-decommission Colo leg must peak under
-# 42 MiB of VmHWM (~34 MiB now).
+# One gossip width: clocks are u32 (validate bounds them below 2^31) and
+# SYN/ACK/ACK2 bodies are 12- and 16-byte records. The u64, Vec-bodied
+# exchange they replaced lives only in tests/model/gossip.rs, the oracle
+# of proptests::dense_endpoint_map_matches_the_tree_model.
+echo "=== one gossip width (grep gate) ==="
+if grep -rnE '(generation|version|app_version|max_version|version_clock) *: *u64|Vec<\(Peer, *Delta' \
+  crates/gossip/src; then
+  echo "error: gossip clocks are u32 and bodies are records; see the matches above" >&2
+  exit 1
+fi
+
+# Host memory in a flap storm: 160 nodes on 16 cores queue gossip
+# messages at starved receivers, and that queue sets the peak of the
+# verdict benchmark. Each body is built in a space the run owns and
+# emitted at exactly its length, as 12-byte digests and 16-byte delta
+# records; grown by doubling the ACKs peaked at 46.7 MiB here, and with
+# exact but wide bodies (24-byte digests, 40-byte deltas) at 34.2 MiB.
+# The c3831@160 one-decommission Colo leg must peak under 28 MiB of
+# VmHWM (~21 MiB now).
 echo "=== flap-storm host memory (c3831@160 Colo leg, release) ==="
 cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 
@@ -262,7 +275,7 @@ cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 # 169 MiB here); a ring view is one slot per node id sharing each node's
 # token list, and the build sizes the per-peer tables once (as tree views
 # and doubling tables it peaked at ~74 MiB). The cell must peak under
-# 62 MiB of VmHWM (~50 MiB now).
+# 62 MiB of VmHWM (~47 MiB now).
 echo "=== steady-state host memory (baseline(512) Colo cell, release) ==="
 cargo test --release -q -p scalecheck-cluster --test steady_peak_rss -- --ignored
 

@@ -1,9 +1,11 @@
 //! Tree-map reference models of the gossip view and the failure
 //! detector: the layouts the crate used before it moved to
 //! index-addressed tables, kept here (and only here) as oracles for the
-//! differential proptests. They are written for obviousness, one
-//! ordered-map probe per peer, and make no assumption about peer ids
-//! being dense. Beside them, the modulo replica walk `RingTable` used
+//! differential proptests. The gossip model (in [`gossip`]) is also
+//! the exchange as it was before its bodies became 32-bit records:
+//! `u64` clocks and `Vec` bodies of `(Peer, delta)` pairs. They are
+//! written for obviousness, one ordered-map probe per peer, and make no
+//! assumption about peer ids being dense. Beside them, the modulo replica walk `RingTable` used
 //! before it split its token map at the key, and (in [`pending`]) the
 //! four pending-range calculators as literal loops — V1's full-ring walk
 //! per (range, node), the linear scans, a set per range and an output
@@ -13,16 +15,13 @@
 //! their tokens, before it addressed its nodes by id.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use scalecheck_gossip::{
-    Ack, Ack2, ApplyOutcome, Delta, Digest, EndpointState, HeartbeatState, Liveness, Peer,
-    PhiDetector, Syn,
-};
+use scalecheck_gossip::{Liveness, Peer, PhiDetector};
 use scalecheck_memo::{digest_bytes, Digest128};
 use scalecheck_ring::{write_changes_canonical, NodeId, RingTable, Token, TopologyChange};
 use scalecheck_sim::{SimDuration, SimTime};
 
+pub mod gossip;
 pub mod pending;
 pub mod ring;
 
@@ -57,179 +56,6 @@ pub fn calc_digest_from_scratch(ring: &RingTable, changes: &[TopologyChange]) ->
     ring.write_canonical(&mut bytes);
     write_changes_canonical(changes, &mut bytes);
     digest_bytes(&bytes)
-}
-
-/// `scalecheck_gossip::Gossiper` over a `BTreeMap<Peer, _>` view.
-pub struct TreeGossiper<A> {
-    me: Peer,
-    version_clock: u64,
-    map: BTreeMap<Peer, EndpointState<A>>,
-}
-
-impl<A: Clone + PartialEq> TreeGossiper<A> {
-    pub fn new(me: Peer, generation: u64, app: A) -> Self {
-        let hb = HeartbeatState {
-            generation,
-            version: 0,
-        };
-        TreeGossiper {
-            me,
-            version_clock: 0,
-            map: BTreeMap::from([(me, EndpointState::new(hb, 0, app))]),
-        }
-    }
-
-    pub fn endpoint(&self, peer: Peer) -> Option<&EndpointState<A>> {
-        self.map.get(&peer)
-    }
-
-    pub fn known(&self) -> Vec<Peer> {
-        self.map.keys().copied().collect()
-    }
-
-    pub fn seed_peer(&mut self, peer: Peer, state: EndpointState<A>) {
-        self.map.entry(peer).or_insert(state);
-    }
-
-    fn own_mut(&mut self) -> &mut EndpointState<A> {
-        self.map.get_mut(&self.me).expect("own state")
-    }
-
-    pub fn beat(&mut self) {
-        self.version_clock += 1;
-        self.own_mut().heartbeat.version = self.version_clock;
-    }
-
-    pub fn update_app(&mut self, app: A) {
-        self.version_clock += 1;
-        let version = self.version_clock;
-        let st = self.own_mut();
-        st.app = Arc::new(app);
-        st.app_version = version;
-    }
-
-    pub fn restart(&mut self) {
-        self.version_clock = 0;
-        let st = self.own_mut();
-        st.heartbeat.generation += 1;
-        st.heartbeat.version = 0;
-        st.app_version = 0;
-    }
-
-    pub fn make_syn(&self) -> Syn {
-        Syn {
-            digests: self
-                .map
-                .iter()
-                .map(|(&peer, st)| Digest {
-                    peer,
-                    generation: st.heartbeat.generation,
-                    max_version: st.max_version(),
-                })
-                .collect(),
-        }
-    }
-
-    pub fn handle_syn(&self, syn: &Syn) -> Ack<A> {
-        let mut deltas = Vec::new();
-        let mut requests = Vec::new();
-        for d in &syn.digests {
-            match self.map.get(&d.peer) {
-                Some(local) if local.newer_than(d.generation, d.max_version) => {
-                    deltas.push((d.peer, local.delta_against(d.generation, d.max_version)));
-                }
-                Some(local)
-                    if (local.heartbeat.generation, local.max_version())
-                        < (d.generation, d.max_version) =>
-                {
-                    requests.push(Digest {
-                        peer: d.peer,
-                        generation: local.heartbeat.generation,
-                        max_version: local.max_version(),
-                    });
-                }
-                Some(_) => {}
-                None => requests.push(Digest {
-                    peer: d.peer,
-                    generation: 0,
-                    max_version: 0,
-                }),
-            }
-        }
-        // Peers only we know about, in ascending order.
-        let claimed: BTreeSet<Peer> = syn.digests.iter().map(|d| d.peer).collect();
-        for (&peer, st) in &self.map {
-            if !claimed.contains(&peer) {
-                deltas.push((peer, Delta::Full(st.clone())));
-            }
-        }
-        Ack { deltas, requests }
-    }
-
-    pub fn handle_ack(&mut self, ack: &Ack<A>) -> (ApplyOutcome, Ack2<A>) {
-        let outcome = self.apply(&ack.deltas);
-        let mut deltas = Vec::new();
-        for req in &ack.requests {
-            if let Some(local) = self.map.get(&req.peer) {
-                if local.newer_than(req.generation, req.max_version) {
-                    deltas.push((
-                        req.peer,
-                        local.delta_against(req.generation, req.max_version),
-                    ));
-                }
-            }
-        }
-        (outcome, Ack2 { deltas })
-    }
-
-    pub fn handle_ack2(&mut self, ack2: &Ack2<A>) -> ApplyOutcome {
-        self.apply(&ack2.deltas)
-    }
-
-    pub fn apply(&mut self, deltas: &[(Peer, Delta<A>)]) -> ApplyOutcome {
-        let mut out = ApplyOutcome::default();
-        for (peer, delta) in deltas {
-            if *peer == self.me {
-                continue;
-            }
-            match delta {
-                Delta::Full(remote) => match self.map.get_mut(peer) {
-                    Some(local) => {
-                        let local_gen = local.heartbeat.generation;
-                        if remote.newer_than(local_gen, local.max_version()) {
-                            if remote.heartbeat.generation > local_gen
-                                || remote.heartbeat.version > local.heartbeat.version
-                            {
-                                out.heartbeat_advanced.push(*peer);
-                            }
-                            if remote.heartbeat.generation > local_gen
-                                || remote.app_version > local.app_version
-                            {
-                                out.app_advanced.push(*peer);
-                            }
-                            *local = remote.clone();
-                        }
-                    }
-                    None => {
-                        out.heartbeat_advanced.push(*peer);
-                        out.app_advanced.push(*peer);
-                        self.map.insert(*peer, remote.clone());
-                    }
-                },
-                Delta::Heartbeat(hb) => {
-                    if let Some(local) = self.map.get_mut(peer) {
-                        if hb.generation == local.heartbeat.generation
-                            && hb.version > local.max_version()
-                        {
-                            local.heartbeat.version = hb.version;
-                            out.heartbeat_advanced.push(*peer);
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// `scalecheck_gossip::FailureDetector` as one `PhiDetector` per peer

@@ -1046,22 +1046,41 @@ proptest! {
         prop_assert_eq!(dense.interpret_all(late), tree.interpret_all(late));
     }
 
-    /// Differential: gossipers over the dense `EndpointMap` and over a
-    /// `BTreeMap` exchange identical SYN/ACK/ACK2 values and report
-    /// identical `ApplyOutcome`s, round after round, across restarts,
-    /// app updates, an unsorted SYN, news of peers nobody hosts, and an
-    /// id space full of holes. Every ACK is built in one build space
-    /// that all nodes and steps share, as the runner builds them, and
-    /// each of its bodies is one allocation of exactly its length.
+    /// Differential: gossipers over the dense `EndpointMap` with 32-bit
+    /// record bodies, and the exchange they replaced (`model::gossip`:
+    /// a `BTreeMap` view, `u64` clocks, `Vec` bodies of `(Peer, delta)`
+    /// pairs), exchange the same SYN/ACK/ACK2 bodies entry by entry,
+    /// order included, report identical `ApplyOutcome`s and hold
+    /// identical views, round after round, across restarts, app
+    /// updates, an unsorted SYN, hearsay bodies that interleave full
+    /// and heartbeat-only entries about peers nobody hosts and about
+    /// the receiver itself, and an id space full of holes. Every body
+    /// is built in one build space that all nodes and steps share, as
+    /// the runner builds them, and holds exactly its entry count: one
+    /// record per entry and one payload per full entry.
     #[test]
     fn dense_endpoint_map_matches_the_tree_model(
         n in 2usize..13,
         ops in prop::collection::vec((0u8..12, 0usize..12, 0usize..12, any::<u32>()), 1..160),
     ) {
-        use model::TreeGossiper;
-        use scalecheck_gossip::{Ack, AckSpace, Delta, EndpointState, Gossiper, HeartbeatState, Peer};
-        fn exact(ack: &Ack<u32>) -> bool {
-            ack.deltas.capacity() == ack.deltas.len() && ack.requests.capacity() == ack.requests.len()
+        use model::gossip::{
+            widen_deltas, widen_digests, widen_state, TreeGossiper, WideDelta, WideHeartbeat, WideState,
+        };
+        use scalecheck_gossip::{AckSpace, Delta, Deltas, EndpointState, Gossiper, HeartbeatState, Peer};
+        /// Two bodies, entry by entry.
+        fn same_entries<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], what: &str) -> Result<(), TestCaseError> {
+            prop_assert_eq!(got.len(), want.len(), "{} entry count", what);
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                prop_assert_eq!(g, w, "{} entry {}", what, i);
+            }
+            Ok(())
+        }
+        /// A narrow delta body against the model's: it must hold exactly
+        /// its entries (a payload per full record, none left over), each
+        /// equal to the model's.
+        fn same_deltas(got: &Deltas<u32>, want: &[(Peer, WideDelta<u32>)], what: &str) -> Result<(), TestCaseError> {
+            let got = widen_deltas(got).map_err(|e| TestCaseError::Fail(format!("{what}: {e}")))?;
+            same_entries(&got, want, what)
         }
         let mut space = AckSpace::default();
         let ids = &PEER_IDS[..n];
@@ -1074,25 +1093,40 @@ proptest! {
             match kind {
                 0..=4 if a != b => {
                     let syn = dense[a].make_syn();
-                    prop_assert_eq!(&syn, &tree[a].make_syn());
+                    let wide_syn = tree[a].make_syn();
+                    same_entries(&widen_digests(&syn.digests), &wide_syn.digests, "SYN")?;
                     let ack = dense[b].handle_syn_in(&syn, &mut space);
-                    prop_assert_eq!(&ack, &tree[b].handle_syn(&syn));
-                    prop_assert!(exact(&ack), "an ACK body has spare capacity");
-                    let (out_a, ack2) = dense[a].handle_ack(&ack);
-                    let (model_out_a, model_ack2) = tree[a].handle_ack(&ack);
+                    let wide_ack = tree[b].handle_syn(&wide_syn);
+                    same_deltas(&ack.deltas, &wide_ack.deltas, "ACK deltas")?;
+                    same_entries(&widen_digests(&ack.requests), &wide_ack.requests, "ACK requests")?;
+                    // The runner's path, or fresh space.
+                    let (out_a, ack2) = if kind == 4 {
+                        dense[a].handle_ack(&ack)
+                    } else {
+                        dense[a].handle_ack_in(&ack, &mut space)
+                    };
+                    let (model_out_a, wide_ack2) = tree[a].handle_ack(&wide_ack);
                     prop_assert_eq!(&out_a, &model_out_a);
-                    prop_assert_eq!(&ack2, &model_ack2);
-                    prop_assert_eq!(dense[b].handle_ack2(&ack2), tree[b].handle_ack2(&ack2));
+                    same_deltas(&ack2.deltas, &wide_ack2.deltas, "ACK2")?;
+                    prop_assert_eq!(dense[b].handle_ack2(&ack2), tree[b].handle_ack2(&wide_ack2));
                 }
                 5 if a != b => {
                     // The wire type does not promise a sorted SYN.
                     let mut syn = dense[a].make_syn();
+                    let mut wide_syn = tree[a].make_syn();
                     let len = syn.digests.len();
                     syn.digests.rotate_left(x as usize % len);
                     syn.digests.reverse();
+                    wide_syn.digests.rotate_left(x as usize % len);
+                    wide_syn.digests.reverse();
                     let ack = dense[b].handle_syn_in(&syn, &mut space);
-                    prop_assert_eq!(&ack, &tree[b].handle_syn(&syn));
-                    prop_assert!(exact(&ack), "an ACK body has spare capacity");
+                    let wide_ack = tree[b].handle_syn(&wide_syn);
+                    same_deltas(&ack.deltas, &wide_ack.deltas, "ACK deltas (unsorted SYN)")?;
+                    same_entries(
+                        &widen_digests(&ack.requests),
+                        &wide_ack.requests,
+                        "ACK requests (unsorted SYN)",
+                    )?;
                 }
                 6 | 7 => {
                     dense[a].beat();
@@ -1107,23 +1141,45 @@ proptest! {
                     tree[a].restart();
                 }
                 10 => {
-                    // Hearsay about a peer that hosts no gossiper, full
-                    // state or (for a stranger: ignored) bare heartbeat.
-                    let ghost = Peer([9, 6000, 66][x as usize % 3]);
-                    let hb = HeartbeatState { generation: 1 + u64::from(x % 2), version: u64::from(x % 50) };
-                    let delta = if x % 5 == 0 {
-                        Delta::Heartbeat(hb)
-                    } else {
-                        Delta::Full(EndpointState::new(hb, u64::from(x % 7), x))
+                    // Hearsay: one to four entries, full states and bare
+                    // heartbeats interleaved, about peers that host no
+                    // gossiper (a bare heartbeat for a stranger is
+                    // ignored), hosted peers, and the receiver itself
+                    // (skipped, its payload with it).
+                    let mut bits = x;
+                    let mut take = |m: u32| {
+                        let v = bits % m;
+                        bits /= m;
+                        v
                     };
-                    let deltas = [(ghost, delta)];
-                    prop_assert_eq!(dense[a].apply(&deltas), tree[a].apply(&deltas));
+                    let entries = 1 + take(4);
+                    let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+                    for _ in 0..entries {
+                        let peer = match take(3) {
+                            0 => Peer([9, 6000, 66][take(3) as usize]),
+                            1 => Peer(ids[a]),
+                            _ => Peer(ids[take(n as u32) as usize]),
+                        };
+                        let (generation, version) = (1 + take(2), take(50));
+                        let hb = HeartbeatState { generation, version };
+                        let wide_hb = WideHeartbeat { generation: generation.into(), version: version.into() };
+                        if take(2) == 0 {
+                            narrow.push((peer, Delta::Heartbeat(hb)));
+                            wide.push((peer, WideDelta::Heartbeat(wide_hb)));
+                        } else {
+                            let app_version = take(7);
+                            narrow.push((peer, Delta::Full(EndpointState::new(hb, app_version, x))));
+                            wide.push((peer, WideDelta::Full(WideState::new(wide_hb, app_version.into(), x))));
+                        }
+                    }
+                    let body: Deltas<u32> = narrow.into_iter().collect();
+                    same_deltas(&body, &wide, "hearsay body")?;
+                    prop_assert_eq!(dense[a].apply(&body), tree[a].apply(&wide));
                 }
                 11 => {
-                    let st = EndpointState::new(HeartbeatState::default(), 0, x);
                     let peer = Peer(PEER_IDS[b]);
-                    dense[a].seed_peer(peer, st.clone());
-                    tree[a].seed_peer(peer, st);
+                    dense[a].seed_peer(peer, EndpointState::new(HeartbeatState::default(), 0, x));
+                    tree[a].seed_peer(peer, WideState::new(WideHeartbeat::default(), 0, x));
                 }
                 _ => {}
             }
@@ -1132,7 +1188,7 @@ proptest! {
             let view: Vec<Peer> = d.endpoints().iter().map(|(p, _)| p).collect();
             prop_assert_eq!(&view, &t.known());
             for p in view.into_iter().chain([Peer(6), Peer(6001), Peer(u32::MAX)]) {
-                prop_assert_eq!(d.endpoint(p), t.endpoint(p));
+                prop_assert_eq!(d.endpoint(p).map(widen_state), t.endpoint(p).cloned());
             }
         }
     }
