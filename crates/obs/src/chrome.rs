@@ -17,7 +17,7 @@
 //! serves both the viewer and the divergence analyzer.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use serde::json::{push_u64, Error, Kind, Reader};
@@ -59,6 +59,54 @@ enum Phase {
     Begin,
 }
 
+const PHASES: [Phase; 4] = [Phase::End, Phase::Instant, Phase::Counter, Phase::Begin];
+
+/// A row's sort key: its timestamp, phase and place in [`row_at`]'s
+/// listing packed into one integer, from the high bits down. The place
+/// breaks every tie, so an unstable sort of the keys gives the order a
+/// stable sort of the rows by `(ts, phase)` gives.
+fn key(ts: u64, phase: Phase, place: usize) -> u128 {
+    u128::from(ts) << 64 | (phase as u128) << 62 | place as u128
+}
+
+/// The `(ts, phase, place)` a [`key`] packs.
+fn unkey(key: u128) -> (u64, Phase, usize) {
+    let place = (key as u64 & ((1 << 62) - 1)) as usize;
+    ((key >> 64) as u64, PHASES[(key >> 62 & 3) as usize], place)
+}
+
+/// How many places the rows are listed at: span `k`'s begin (or
+/// instant) at place `2k` and its end at `2k + 1`, then the instants,
+/// then the counters.
+fn places(trace: &Trace) -> usize {
+    trace.spans.len() * 2 + trace.instants.len() + trace.counters.len()
+}
+
+/// Every row's key, sorted.
+fn sorted_keys(trace: &Trace) -> Vec<u128> {
+    assert!(places(trace) < 1 << 62, "a place takes 62 bits of a key");
+    let spans = trace.spans.len();
+    let mut keys = Vec::with_capacity(places(trace));
+    for (k, s) in trace.spans.iter().enumerate() {
+        if s.dur == 0 {
+            keys.push(key(s.ts, Phase::Instant, 2 * k));
+        } else {
+            keys.push(key(s.ts, Phase::Begin, 2 * k));
+            keys.push(key(s.ts + s.dur, Phase::End, 2 * k + 1));
+        }
+    }
+    let instants = trace.instants.iter().map(|i| i.ts);
+    let counters = trace.counters.iter().map(|c| c.ts);
+    for (place, ts) in (2 * spans..).zip(instants) {
+        keys.push(key(ts, Phase::Instant, place));
+    }
+    for (place, ts) in (2 * spans + trace.instants.len()..).zip(counters) {
+        keys.push(key(ts, Phase::Counter, place));
+    }
+    keys.sort_unstable();
+    keys
+}
+
 /// One `traceEvents` row; `arg` is the span/instant argument or the
 /// counter value (unused by `End`).
 struct Row {
@@ -70,49 +118,55 @@ struct Row {
     arg: u64,
 }
 
+/// The row listed at `place`.
+fn row_at(trace: &Trace, (ts, phase, place): (u64, Phase, usize)) -> Row {
+    let spans = trace.spans.len();
+    let (name, pid, tid, arg) = if place < 2 * spans {
+        let s = &trace.spans[place / 2];
+        (s.name, s.pid, s.tid, s.arg)
+    } else if place < 2 * spans + trace.instants.len() {
+        let i = &trace.instants[place - 2 * spans];
+        (i.name, i.pid, i.tid, i.arg)
+    } else {
+        let c = &trace.counters[place - 2 * spans - trace.instants.len()];
+        (c.name, c.pid, c.tid, c.value)
+    };
+    Row {
+        ts,
+        phase,
+        name,
+        pid,
+        tid,
+        arg,
+    }
+}
+
+/// Every `(pid, tid)` the rows use, sorted.
+fn tracks(trace: &Trace) -> Vec<(u32, u32)> {
+    let spans = trace.spans.iter().map(|s| (s.pid, s.tid));
+    let instants = trace.instants.iter().map(|i| (i.pid, i.tid));
+    let counters = trace.counters.iter().map(|c| (c.pid, c.tid));
+    let mut tracks: Vec<_> = spans.chain(instants).chain(counters).collect();
+    tracks.sort_unstable();
+    tracks.dedup();
+    tracks
+}
+
 /// Renders a trace as a Chrome `trace_event` JSON object string.
 pub fn to_chrome_json(trace: &Trace) -> String {
-    let mut rows: Vec<Row> =
-        Vec::with_capacity(trace.spans.len() * 2 + trace.instants.len() + trace.counters.len());
-    let mut row = |phase, name, pid, tid, ts, arg| {
-        rows.push(Row {
-            ts,
-            phase,
-            name,
-            pid,
-            tid,
-            arg,
-        })
-    };
-    for s in &trace.spans {
-        if s.dur == 0 {
-            row(Phase::Instant, s.name, s.pid, s.tid, s.ts, s.arg);
-        } else {
-            row(Phase::Begin, s.name, s.pid, s.tid, s.ts, s.arg);
-            row(Phase::End, s.name, s.pid, s.tid, s.ts + s.dur, 0);
-        }
-    }
-    for i in &trace.instants {
-        row(Phase::Instant, i.name, i.pid, i.tid, i.ts, i.arg);
-    }
-    for c in &trace.counters {
-        row(Phase::Counter, c.name, c.pid, c.tid, c.ts, c.value);
-    }
-    rows.sort_by_key(|r| (r.ts, r.phase));
-
-    let mut out = String::with_capacity(rows.len() * 96 + 4096);
+    let tracks = tracks(trace);
+    // Sized once from the counts: a row or a record of the native trace
+    // takes well under these many bytes in practice.
+    let records = trace.spans.len() + trace.instants.len() + trace.counters.len();
+    let mut out = String::with_capacity((tracks.len() + places(trace)) * 96 + records * 80 + 4096);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
     let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push(',');
-        }
-        out.push('\n');
+        out.push_str(if first { "\n" } else { ",\n" });
+        first = false;
     };
-    // Metadata rows for every (pid, tid) seen, in sorted order.
-    let tracks: BTreeSet<(u32, u32)> = rows.iter().map(|r| (r.pid, r.tid)).collect();
+    // Metadata rows for every (pid, tid) seen, in sorted order; the
+    // event rows follow them.
     let mut last_pid = None;
     for &(pid, tid) in &tracks {
         if last_pid != Some(pid) {
@@ -137,8 +191,18 @@ pub fn to_chrome_json(trace: &Trace) -> String {
             thread_label(pid, tid)
         );
     }
-    for r in &rows {
-        sep(&mut out);
+    push_rows(&mut out, trace, &sorted_keys(trace));
+    out.push_str("\n],\"displayTimeUnit\":\"ms\",\"scalecheck\":");
+    trace.serialize(&mut out);
+    out.push('}');
+    out
+}
+
+/// Appends the rows `keys` stand for, in their order.
+fn push_rows(out: &mut String, trace: &Trace, keys: &[u128]) {
+    for &k in keys {
+        let r = row_at(trace, unkey(k));
+        out.push_str(",\n");
         out.push_str("{\"name\":\"");
         out.push_str(match r.phase {
             Phase::Counter => counter_label(r.name, r.tid),
@@ -150,27 +214,23 @@ pub fn to_chrome_json(trace: &Trace) -> String {
             Phase::Instant => "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":",
             Phase::Counter => "\",\"ph\":\"C\",\"pid\":",
         });
-        push_u64(&mut out, u64::from(r.pid));
+        push_u64(out, u64::from(r.pid));
         out.push_str(",\"tid\":");
-        push_u64(&mut out, u64::from(r.tid));
+        push_u64(out, u64::from(r.tid));
         // Virtual µs with a fixed three-digit ns fraction.
         out.push_str(",\"ts\":");
-        push_u64(&mut out, r.ts / 1000);
+        push_u64(out, r.ts / 1000);
         out.push('.');
         for digit in [r.ts % 1000 / 100, r.ts % 100 / 10, r.ts % 10] {
             out.push(char::from(b'0' + digit as u8));
         }
         if r.phase != Phase::End {
             out.push_str(",\"args\":{\"v\":");
-            push_u64(&mut out, r.arg);
+            push_u64(out, r.arg);
             out.push('}');
         }
         out.push('}');
     }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\",\"scalecheck\":");
-    trace.serialize(&mut out);
-    out.push('}');
-    out
 }
 
 fn not_json(e: Error) -> String {
@@ -261,7 +321,7 @@ fn check_events<'a>(r: &mut Reader<'a>) -> Result<usize, String> {
     if r.kind().map_err(not_json)? != Kind::Array {
         return Err("missing traceEvents array".into());
     }
-    let mut stacks: BTreeMap<(u64, u64), Vec<Cow<'a, str>>> = BTreeMap::new();
+    let mut stacks: BTreeMap<Track, Vec<Cow<'a, str>>> = BTreeMap::new();
     let mut i = 0;
     let mut more = r.begin_array().map_err(not_json)?;
     while more {
@@ -292,19 +352,24 @@ fn check_events<'a>(r: &mut Reader<'a>) -> Result<usize, String> {
         let name = name
             .flatten()
             .ok_or_else(|| format!("event {i}: missing name"))?;
-        let pid = pid.flatten().unwrap_or(-1.0) as u64;
-        let tid = tid.flatten().unwrap_or(-1.0) as u64;
+        // A B/E event's track is its exact (pid, tid); one without both
+        // has no track to balance on.
+        let track = || match (pid.flatten(), tid.flatten()) {
+            (Some(pid), Some(tid)) => Ok(Track::new(pid, tid)),
+            _ => Err(format!("event {i}: {ph} without a numeric pid and tid")),
+        };
         match &*ph {
-            "B" => stacks.entry((pid, tid)).or_default().push(name),
+            "B" => stacks.entry(track()?).or_default().push(name),
             "E" => {
+                let track = track()?;
                 let open = stacks
-                    .entry((pid, tid))
+                    .entry(track)
                     .or_default()
                     .pop()
                     .ok_or_else(|| format!("event {i}: E \"{name}\" with no open B"))?;
                 if open != name {
                     return Err(format!(
-                        "event {i}: E \"{name}\" closes B \"{open}\" on track ({pid},{tid})"
+                        "event {i}: E \"{name}\" closes B \"{open}\" on track {track}"
                     ));
                 }
             }
@@ -314,12 +379,29 @@ fn check_events<'a>(r: &mut Reader<'a>) -> Result<usize, String> {
         i += 1;
         more = r.next_element().map_err(not_json)?;
     }
-    for ((pid, tid), stack) in &stacks {
+    for (track, stack) in &stacks {
         if let Some(open) = stack.last() {
-            return Err(format!("unclosed B \"{open}\" on track ({pid},{tid})"));
+            return Err(format!("unclosed B \"{open}\" on track {track}"));
         }
     }
     Ok(i)
+}
+
+/// A `(pid, tid)` track as the viewer reads it: two doubles, compared
+/// exactly (by their bits, `-0` taken as `0`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Track(u64, u64);
+
+impl Track {
+    fn new(pid: f64, tid: f64) -> Track {
+        Track((pid + 0.0).to_bits(), (tid + 0.0).to_bits())
+    }
+}
+
+impl std::fmt::Display for Track {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "({},{})", f64::from_bits(self.0), f64::from_bits(self.1))
+    }
 }
 
 #[cfg(test)]
@@ -463,5 +545,37 @@ mod tests {
             {\"name\":\"b\",\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":2}\
         ]}";
         assert!(validate_chrome(crossed).unwrap_err().contains("closes"));
+    }
+
+    /// Were `Ok(2)`: a missing pid and pid −3 both read as track pid 0.
+    #[test]
+    fn validator_keeps_tracks_apart() {
+        let pidless = "{\"traceEvents\":[\
+            {\"name\":\"a\",\"ph\":\"B\",\"pid\":0,\"tid\":0},\
+            {\"name\":\"a\",\"ph\":\"E\",\"tid\":0}\
+        ]}";
+        assert_eq!(
+            validate_chrome(pidless).unwrap_err(),
+            "event 1: E without a numeric pid and tid"
+        );
+        let negative = "{\"traceEvents\":[\
+            {\"name\":\"a\",\"ph\":\"B\",\"pid\":-3,\"tid\":0},\
+            {\"name\":\"a\",\"ph\":\"E\",\"pid\":0,\"tid\":0}\
+        ]}";
+        assert_eq!(
+            validate_chrome(negative).unwrap_err(),
+            "event 1: E \"a\" with no open B"
+        );
+        // The same track spelled two ways is one track.
+        let spelled = "{\"traceEvents\":[\
+            {\"name\":\"a\",\"ph\":\"B\",\"pid\":-0.0,\"tid\":1},\
+            {\"name\":\"a\",\"ph\":\"E\",\"pid\":0.0,\"tid\":1e0}\
+        ]}";
+        assert_eq!(validate_chrome(spelled), Ok(2));
+        let unclosed = "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"B\",\"pid\":-3,\"tid\":0.5}]}";
+        assert_eq!(
+            validate_chrome(unclosed).unwrap_err(),
+            "unclosed B \"a\" on track (-3,0.5)"
+        );
     }
 }

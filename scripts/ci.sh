@@ -145,12 +145,13 @@ echo "=== §6 divergence narrative (c3831@128, release) ==="
 cargo test --release -q -p scalecheck-bench --test obs_integration -- --ignored
 
 # Trace-pipeline smoke at the size the paper argues about: a real
-# 128-node run exports a Chrome trace (63-66 MB; and prints the
-# end-of-run obs summary), and the analyzer loads a pair of them end to
-# end through the CLI surface — inside a 512 MiB address-space limit.
-# Read through a document tree the pair needed 1.34 GiB (and aborts
-# here); the streaming reader peaks at 84 MiB, one file buffer plus the
-# two traces, so giving the DOM back fails locally.
+# 128-node run exports a Chrome trace (65.7 MB Real, 63.2 MB Colo, ~1 s
+# a run; and prints the end-of-run obs summary), and the analyzer loads
+# a pair of them end to end through the CLI surface — inside a 512 MiB
+# address-space limit. Read through a document tree the pair needed
+# 1.34 GiB (and aborts here); the streaming reader peaks at 84.7 MiB,
+# one file buffer plus the two traces, so giving the DOM back fails
+# locally.
 echo "=== trace export + analyzer smoke (c3831@128, diverge under ulimit -v 512 MiB) ==="
 CLI=target/release/scalecheck-cli
 "$CLI" run --bug c3831 --nodes 128 --mode real --trace-out target/ci_trace_real.json
@@ -169,13 +170,16 @@ CLI=target/release/scalecheck-cli
 # second system's run loop, whose only other guards are the four
 # HdfsReport pins in tests/run_pins.rs) and tbl_colocation_limit (~38 s:
 # the only artifact of the global-event-queue context-switch setting
-# and of single-process memory admission). The script prints each
-# step's wall time and names the steps it did not check
-# (tbl_memo_vs_replay, tbl_fix_ablation and fig_c6127, a minute or more
-# each — ROADMAP item 12), so a green gate vouches only for what it ran.
+# and of single-process memory admission). So is the opt-in
+# TBL_diverge.txt at the repo root (tbl_diverge, ~1.5 s: the §6
+# attribution from three traced 128-node runs). The script prints each
+# step's wall time and names what it did not check (tbl_memo_vs_replay,
+# tbl_fix_ablation and fig_c6127, a minute or more each, and the
+# opt-in TBL_scale, TBL_slo and TBL_explore artifacts — ROADMAP item
+# 12), so a green gate vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit,tbl_diverge
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy

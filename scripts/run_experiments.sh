@@ -6,11 +6,13 @@
 # Every step runs its command from scratch and prints its wall time; a
 # step that exits non-zero is reported at the end and the script exits 1
 # (its results/NAME.txt is then a truncated transcript, not an artifact).
-# --check LIST  freshness gate: run only the named default steps, into a
+# --check LIST  freshness gate: run only the named steps, into a
 #               temporary directory, and compare each transcript with
-#               the committed results/NAME.txt; prints `diff -u` and
-#               exits 1 on a mismatch, and names the steps it skipped.
-#               A name that is not a default step exits 2 before
+#               the committed results/NAME.txt — or, for the opt-in
+#               tbl_diverge, the TBL_diverge.txt it writes with the one
+#               at the repo root; prints `diff -u` and exits 1 on a
+#               mismatch, and names the steps it skipped. A name that is
+#               neither a default step nor tbl_diverge exits 2 before
 #               anything is built or run.
 # --quick       caps Figure 3 sweeps at N=96 for a fast smoke pass.
 # --jobs N      worker threads per experiment sweep (default: all cores).
@@ -18,7 +20,7 @@
 #               tbl_faults (default 0,0.3,0.7).
 # --diverge     also regenerate TBL_diverge.txt (the §6 divergence
 #               attribution at C3831/N=128: three traced runs + two
-#               analyzer passes — several extra minutes).
+#               analyzer passes, a few seconds).
 # --scale       also regenerate BENCH_scale.json / TBL_scale.txt (the
 #               256–4096-node harness-throughput sweep; minutes per
 #               big cell, ~14 GB of host memory for the 4096-node
@@ -81,19 +83,33 @@ fig_c6127 sweep fig3_flaps --bug c6127 ${FIG3_SCALES[*]-}
 tbl_faults sweep tbl_faults ${FAULT_INTENSITIES[*]-}
 EOF
 }
+# The opt-in steps --check can compare, one per line: NAME ARTIFACT —
+# the file the step writes at the repo root (into art/ of the temporary
+# directory under --check). The other opt-in artifacts are ROADMAP
+# item 12's remainder.
+checked_opt_in() {
+  cat <<EOF
+tbl_diverge TBL_diverge.txt
+EOF
+}
+# The root artifact NAME is compared by, if it is a checked opt-in step.
+artifact_of() { checked_opt_in | awk -v n="$1" '$1 == n { print $2 }'; }
+ART_DIR=.
 if [ -n "$CHECK" ]; then
-  # The opt-in steps write their artifacts at the repo root; checking
-  # those is ROADMAP item 8's remainder.
-  [ -z "$OPT_IN" ] || { echo "--check covers the default steps only, not$OPT_IN" >&2; exit 2; }
-  known=",$(default_steps | cut -d' ' -f1 | paste -sd,),"
+  [ -z "$OPT_IN" ] || { echo "--check takes step names, not$OPT_IN" >&2; exit 2; }
+  known=",$({ default_steps; checked_opt_in; } | cut -d' ' -f1 | paste -sd,),"
   for name in ${WANTED//,/ }; do
     case "$known" in
       *",$name,"*) ;;
-      *) echo "--check: no such default step: $name" >&2; exit 2 ;;
+      *) echo "--check: no such step: $name" >&2; exit 2 ;;
     esac
   done
   OUT=$(mktemp -d)
   trap 'rm -rf "$OUT"' EXIT
+  # Apart from the transcripts, so that no artifact name can clash with
+  # a NAME.txt on a case-insensitive file system.
+  ART_DIR=$OUT/art
+  mkdir "$ART_DIR"
 fi
 CLI=target/release/scalecheck-cli
 cargo build --release || exit 1
@@ -102,6 +118,8 @@ FAILED=()
 STALE=()
 SKIPPED=()
 # run NAME COMMAND ARGS...: stdout -> $OUT/NAME.txt, stderr -> $OUT/NAME.log.
+# Under --check the fresh copy is compared with the committed one:
+# results/NAME.txt, or the root artifact of a checked opt-in step.
 run() {
   name=$1; shift
   if [ -n "$CHECK" ]; then
@@ -121,6 +139,12 @@ run() {
     FAILED+=("$name")
   elif [ -z "$CHECK" ]; then
     echo "    -> results/$name.txt ($secs)"
+  elif artifact=$(artifact_of "$name") && [ -n "$artifact" ]; then
+    if diff -u "$artifact" "$ART_DIR/$artifact"; then
+      echo "    fresh ($secs)"
+    else
+      STALE+=("$name")
+    fi
   elif diff -u "results/$name.txt" "$OUT/$name.txt"; then
     echo "    fresh ($secs)"
   else
@@ -137,8 +161,8 @@ while read -r name kind args; do
 done < <(default_steps)
 # The opt-in steps (see the header) write tracked artifacts at the repo
 # root; results/ only gets their stdout transcript.
-if opted --diverge; then
-  sweep tbl_diverge tbl_diverge --out TBL_diverge.txt
+if opted --diverge || [ -n "$CHECK" ]; then
+  sweep tbl_diverge tbl_diverge --out "$ART_DIR/TBL_diverge.txt"
 fi
 # One cell at a time whatever --jobs says: the column being measured is
 # each cell's wall clock, and two 4096-node cells do not fit the host
@@ -159,11 +183,11 @@ if opted --explore; then
     --table-out TBL_explore.txt
 fi
 if [ -n "$CHECK" ]; then
-  echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts at the repo root"
+  echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts TBL_scale.txt/BENCH_scale.json, TBL_slo.txt/BENCH_slo.json, TBL_explore.txt"
 fi
 if [ ${#FAILED[@]} -gt 0 ] || [ ${#STALE[@]} -gt 0 ]; then
   [ ${#FAILED[@]} -eq 0 ] || echo "FAILED steps: ${FAILED[*]}" >&2
-  [ ${#STALE[@]} -eq 0 ] || echo "STALE (results/NAME.txt is not what this tree prints): ${STALE[*]}" >&2
+  [ ${#STALE[@]} -eq 0 ] || echo "STALE (the committed artifact is not what this tree prints): ${STALE[*]}" >&2
   exit 1
 fi
 [ -n "$CHECK" ] && echo "checked artifacts are fresh" || echo "all experiments done"

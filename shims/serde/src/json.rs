@@ -3,9 +3,9 @@
 //! * **Writing** is appending to a `String`: [`push_u64`] and friends
 //!   are what every `Serialize` impl (hand-written or derived) bottoms
 //!   out in.
-//! * **Reading** is pulling from a [`Reader`], a recursive-descent
-//!   tokenizer over a `&str` that hands out one token at a time and
-//!   never builds anything the caller did not ask for.
+//! * **Reading** is pulling from a [`Reader`], a tokenizer over a
+//!   `&str` that hands out one token at a time and never builds
+//!   anything the caller did not ask for.
 //! * [`Value`] is the document tree for callers that want one (`json!`,
 //!   untyped result files). It is an ordinary implementor of the two
 //!   traits: its `deserialize` *is* the DOM builder, so a tree and a
@@ -24,12 +24,15 @@
 //! `1.e3`, `-.5`; not `-`, `1e`, `.5`), raw control characters inside
 //! strings, duplicate object keys, and float overflow to `inf`. Integers
 //! beyond `u128`/`i128` are an error, as is a `\u` high surrogate not
-//! followed by a low one. [`Reader::skip_value`] and the typed readers
-//! share one number scanner and one string scanner, so what is skipped
-//! is validated exactly as what is kept.
+//! followed by a low one. [`Reader::skip_value`] steps over plain
+//! strings and numbers itself and hands every other token to the one
+//! number scanner and the one string scanner the typed readers use, so
+//! what is skipped is validated exactly as what is kept.
 //!
 //! Nesting deeper than [`MAX_DEPTH`] is an error (`recursion limit
-//! exceeded`), so hostile input ends in an `Err`, not a stack overflow.
+//! exceeded`), so hostile input ends in an `Err`, not a stack overflow;
+//! `skip_value` keeps its open containers on a bit stack, not the call
+//! stack.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -229,44 +232,31 @@ pub fn parse(s: &str) -> Result<Value, Error> {
 // ---------------------------------------------------------------------
 
 /// `"00" "01" … "99"`: two digits per division when rendering integers.
-const DIGIT_PAIRS: &[u8; 200] = b"\
+const DIGIT_PAIRS: &str = "\
 0001020304050607080910111213141516171819\
 2021222324252627282930313233343536373839\
 4041424344454647484950515253545556575859\
 6061626364656667686970717273747576777879\
 8081828384858687888990919293949596979899";
 
-/// Writes `v`'s decimal digits right-aligned into `buf`, returning the
-/// index of the first one. `buf` must hold 20 bytes or as many as `v`
-/// can need.
-fn fill_digits(buf: &mut [u8], mut v: u64) -> usize {
-    let mut i = buf.len();
+/// Appends `v` in decimal, two digits at a time: the pairs are found
+/// from the low end and pushed from the high end, each a slice of the
+/// pair table, so no byte is checked for UTF-8.
+#[inline]
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut pairs = [0u8; 10];
+    let mut n = 0;
     while v >= 100 {
-        let pair = (v % 100) as usize * 2;
+        pairs[n] = (v % 100) as u8;
         v /= 100;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        n += 1;
     }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        i -= 1;
-        buf[i] = b'0' + v as u8;
+    let lead = v as usize * 2;
+    out.push_str(&DIGIT_PAIRS[lead + usize::from(v < 10)..lead + 2]);
+    for &pair in pairs[..n].iter().rev() {
+        let at = usize::from(pair) * 2;
+        out.push_str(&DIGIT_PAIRS[at..at + 2]);
     }
-    i
-}
-
-fn push_ascii(out: &mut String, digits: &[u8]) {
-    out.push_str(std::str::from_utf8(digits).expect("ASCII digits"));
-}
-
-/// Appends `v` in decimal.
-pub fn push_u64(out: &mut String, v: u64) {
-    let mut buf = [0u8; 20];
-    let start = fill_digits(&mut buf, v);
-    push_ascii(out, &buf[start..]);
 }
 
 /// Appends `v` in decimal.
@@ -277,9 +267,10 @@ pub fn push_u128(out: &mut String, v: u128) {
         Ok(small) => push_u64(out, small),
         Err(_) => {
             push_u128(out, v / CHUNK);
-            let mut low = [b'0'; 19];
-            fill_digits(&mut low, (v % CHUNK) as u64);
-            push_ascii(out, &low);
+            let low = (v % CHUNK) as u64;
+            let digits = low.checked_ilog10().map_or(1, |d| d as usize + 1);
+            out.extend(std::iter::repeat_n('0', 19 - digits));
+            push_u64(out, low);
         }
     }
 }
@@ -468,6 +459,7 @@ impl<'a> Reader<'a> {
         self.pos
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
@@ -480,10 +472,9 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
+        self.pos = ws_end(self.src.as_bytes(), self.pos);
     }
 
     fn expect_byte(&mut self, b: u8) -> Result<(), Error> {
@@ -501,6 +492,7 @@ impl<'a> Reader<'a> {
 
     /// Skips whitespace and reports what the next token starts, without
     /// consuming it.
+    #[inline]
     pub fn kind(&mut self) -> Result<Kind, Error> {
         self.skip_ws();
         match self.peek() {
@@ -510,15 +502,23 @@ impl<'a> Reader<'a> {
             Some(b'[') => Ok(Kind::Array),
             Some(b'{') => Ok(Kind::Object),
             Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
-            Some(c) => Err(Error::msg(format!(
+            other => Err(self.no_token(other)),
+        }
+    }
+
+    #[cold]
+    fn no_token(&self, got: Option<u8>) -> Error {
+        match got {
+            Some(c) => Error::msg(format!(
                 "unexpected character '{}' at offset {}",
                 c as char, self.pos
-            ))),
-            None => Err(Error::msg("unexpected end of input")),
+            )),
+            None => Error::msg("unexpected end of input"),
         }
     }
 
     /// Checks that the next token starts a `want`.
+    #[inline]
     fn expect_kind(&mut self, want: Kind) -> Result<(), Error> {
         let got = self.kind()?;
         if got == want {
@@ -541,12 +541,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes `null`.
+    #[inline]
     pub fn null(&mut self) -> Result<(), Error> {
         self.expect_kind(Kind::Null)?;
         self.literal("null")
     }
 
     /// Consumes `true` or `false`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, Error> {
         self.expect_kind(Kind::Bool)?;
         if self.peek() == Some(b't') {
@@ -557,30 +559,32 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a number.
+    #[inline]
     pub fn number(&mut self) -> Result<Num, Error> {
         self.expect_kind(Kind::Number)?;
+        self.number_here()
+    }
+
+    /// The number scanner, on a reader that [`kind`](Reader::kind) has
+    /// just found at a number.
+    #[inline]
+    pub(crate) fn number_here(&mut self) -> Result<Num, Error> {
         let bytes = self.src.as_bytes();
-        let digits = |mut pos: usize| {
-            while matches!(bytes.get(pos), Some(b'0'..=b'9')) {
-                pos += 1;
-            }
-            pos
-        };
         let start = self.pos;
         let negative = bytes[start] == b'-';
         let int_start = start + usize::from(negative);
-        let mut pos = digits(int_start);
-        let int_end = pos;
-        if bytes.get(pos) == Some(&b'.') {
-            pos = digits(pos + 1);
+        let (int_end, small) = integer_at(bytes, int_start);
+        if let Some(small) =
+            small.filter(|_| !matches!(bytes.get(int_end), Some(b'.' | b'e' | b'E')))
+        {
+            self.pos = int_end;
+            return Ok(if negative {
+                Num::Neg(-i128::from(small))
+            } else {
+                Num::Pos(u128::from(small))
+            });
         }
-        if matches!(bytes.get(pos), Some(b'e' | b'E')) {
-            pos += 1;
-            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
-                pos += 1;
-            }
-            pos = digits(pos);
-        }
+        let pos = number_end(bytes, int_end);
         self.pos = pos;
         let text = &self.src[start..pos];
         if pos > int_end {
@@ -588,18 +592,6 @@ impl<'a> Reader<'a> {
                 .parse()
                 .map_err(|_| Error::msg(format!("invalid number '{text}'")))?;
             return Ok(Num::Float(f));
-        }
-        // Up to 19 digits fit a u64 without overflow: the common case,
-        // and several times cheaper than the 128-bit parser.
-        if (1..=19).contains(&(int_end - int_start)) {
-            let small = bytes[int_start..int_end]
-                .iter()
-                .fold(0u64, |acc, d| acc * 10 + u64::from(d - b'0'));
-            return Ok(if negative {
-                Num::Neg(-i128::from(small))
-            } else {
-                Num::Pos(u128::from(small))
-            });
         }
         let out_of_range = |_| Error::msg(format!("integer '{text}' out of range"));
         if negative {
@@ -611,7 +603,14 @@ impl<'a> Reader<'a> {
 
     /// Consumes a string: borrowed from the input when it holds no
     /// escapes, decoded into an owned one otherwise.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
+        self.skip_ws();
+        if let Some(end) = plain_string_end(self.src.as_bytes(), self.pos) {
+            let raw = &self.src[self.pos + 1..end - 1];
+            self.pos = end;
+            return Ok(Cow::Borrowed(raw));
+        }
         let mut decoded = String::new();
         Ok(match self.scan_string(Some(&mut decoded))? {
             Some(raw) => Cow::Borrowed(raw),
@@ -693,12 +692,10 @@ impl<'a> Reader<'a> {
         Ok(v)
     }
 
+    #[inline]
     fn enter(&mut self) -> Result<(), Error> {
         if self.depth == MAX_DEPTH {
-            return Err(Error::msg(format!(
-                "recursion limit exceeded at offset {}",
-                self.pos
-            )));
+            return Err(self.too_deep());
         }
         self.depth += 1;
         self.pos += 1;
@@ -706,8 +703,14 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
+    #[cold]
+    fn too_deep(&self) -> Error {
+        Error::msg(format!("recursion limit exceeded at offset {}", self.pos))
+    }
+
     /// After an opening bracket: `false` (and the container is closed)
     /// if `close` follows.
+    #[inline]
     fn first(&mut self, close: u8) -> bool {
         if self.peek() == Some(close) {
             self.pos += 1;
@@ -718,23 +721,37 @@ impl<'a> Reader<'a> {
     }
 
     /// After a member: `true` past a `,`, `false` past `close`.
+    #[inline]
     fn after_member(&mut self, close: u8) -> Result<bool, Error> {
         self.skip_ws();
-        match self.bump()? {
-            b',' => Ok(true),
-            b if b == close => {
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
                 self.depth -= 1;
                 Ok(false)
             }
-            other => Err(Error::msg(format!(
+            _ => Err(self.no_member_end(close)),
+        }
+    }
+
+    #[cold]
+    fn no_member_end(&mut self, close: u8) -> Error {
+        match self.bump() {
+            Ok(other) => Error::msg(format!(
                 "expected ',' or '{}', got '{}'",
                 close as char, other as char
-            ))),
+            )),
+            Err(e) => e,
         }
     }
 
     /// Consumes `[`. `false` means the array was empty and is already
     /// closed; `true` means an element follows.
+    #[inline]
     pub fn begin_array(&mut self) -> Result<bool, Error> {
         self.expect_kind(Kind::Array)?;
         self.enter()?;
@@ -743,12 +760,14 @@ impl<'a> Reader<'a> {
 
     /// After an element: `true` if another follows, `false` once the
     /// array is closed.
+    #[inline]
     pub fn next_element(&mut self) -> Result<bool, Error> {
         self.after_member(b']')
     }
 
     /// Consumes `{`. `false` means the object was empty and is already
     /// closed; `true` means a key follows.
+    #[inline]
     pub fn begin_object(&mut self) -> Result<bool, Error> {
         self.expect_kind(Kind::Object)?;
         self.enter()?;
@@ -757,50 +776,145 @@ impl<'a> Reader<'a> {
 
     /// Consumes an entry's key and its `:`, leaving the reader on the
     /// entry's value. Borrowed from the input when it holds no escapes.
+    #[inline]
     pub fn key(&mut self) -> Result<Cow<'a, str>, Error> {
         let key = self.string()?;
         self.colon()?;
         Ok(key)
     }
 
+    #[inline]
     fn colon(&mut self) -> Result<(), Error> {
         self.skip_ws();
+        if self.peek() == Some(b':') {
+            self.pos += 1;
+            return Ok(());
+        }
         self.expect_byte(b':')
     }
 
     /// After an entry's value: `true` if another entry follows, `false`
     /// once the object is closed.
+    #[inline]
     pub fn next_entry(&mut self) -> Result<bool, Error> {
         self.after_member(b'}')
     }
 
     /// Consumes one whole value of any kind, validating it exactly as
     /// the typed readers would, allocating nothing.
+    ///
+    /// One loop over the bytes, the open containers a bit stack beside
+    /// `depth`. Plain strings and numbers (see `plain_string_end` and
+    /// `plain_number_end`) and the structural bytes are stepped over
+    /// inline; anything else — an escape, a long integer, a lenient
+    /// spelling, every error — goes through the same scanner and helper
+    /// a typed read uses, from the same offset, so the outcome, the
+    /// error text and the end offset are theirs.
     pub fn skip_value(&mut self) -> Result<(), Error> {
-        match self.kind()? {
-            Kind::Null => self.null(),
-            Kind::Bool => self.bool().map(drop),
-            Kind::Number => self.number().map(drop),
-            Kind::String => self.scan_string(None).map(drop),
-            Kind::Array => {
-                let mut more = self.begin_array()?;
-                while more {
-                    self.skip_value()?;
-                    more = self.next_element()?;
+        const _: () = assert!(MAX_DEPTH <= u128::BITS as usize);
+        let bytes = self.src.as_bytes();
+        let base = self.depth;
+        // Bit `d - 1` is set when the container at depth `d` is an object.
+        let mut objects = 0u128;
+        let mut at = self.pos;
+        loop {
+            // One value.
+            at = ws_end(bytes, at);
+            match bytes.get(at) {
+                Some(b'"') => {
+                    at = match plain_string_end(bytes, at) {
+                        Some(end) => end,
+                        None => self.step_from(at, |r| r.scan_string(None).map(drop))?,
+                    }
                 }
-                Ok(())
+                Some(b'-' | b'0'..=b'9') => {
+                    at = match plain_number_end(bytes, at) {
+                        Some(end) => end,
+                        None => self.step_from(at, |r| r.number().map(drop))?,
+                    }
+                }
+                Some(&open @ (b'[' | b'{')) => {
+                    if self.depth == MAX_DEPTH {
+                        self.pos = at;
+                        return Err(self.too_deep());
+                    }
+                    self.depth += 1;
+                    at = ws_end(bytes, at + 1);
+                    // `]` and `}` are two past `[` and `{`.
+                    if bytes.get(at) == Some(&(open + 2)) {
+                        at += 1;
+                        self.depth -= 1;
+                    } else {
+                        let bit = 1u128 << (self.depth - 1);
+                        if open == b'{' {
+                            objects |= bit;
+                            at = self.skip_key(at)?;
+                        } else {
+                            objects &= !bit;
+                        }
+                        continue;
+                    }
+                }
+                Some(b't' | b'f') => at = self.step_from(at, |r| r.bool().map(drop))?,
+                _ => at = self.step_from(at, Reader::null)?,
             }
-            Kind::Object => {
-                let mut more = self.begin_object()?;
-                while more {
-                    self.scan_string(None)?;
-                    self.colon()?;
-                    self.skip_value()?;
-                    more = self.next_entry()?;
+            // Close what the value ended, up to the next member.
+            loop {
+                if self.depth == base {
+                    self.pos = at;
+                    return Ok(());
                 }
-                Ok(())
+                let object = objects >> (self.depth - 1) & 1 == 1;
+                let close = if object { b'}' } else { b']' };
+                at = ws_end(bytes, at);
+                match bytes.get(at) {
+                    Some(b',') if object => {
+                        at = self.skip_key(at + 1)?;
+                        break;
+                    }
+                    Some(b',') => {
+                        at += 1;
+                        break;
+                    }
+                    Some(&b) if b == close => {
+                        at += 1;
+                        self.depth -= 1;
+                    }
+                    _ => {
+                        self.pos = at;
+                        return Err(self.no_member_end(close));
+                    }
+                }
             }
         }
+    }
+
+    /// Past an object key and its `:` from `at`, without decoding the
+    /// key.
+    #[inline]
+    fn skip_key(&mut self, at: usize) -> Result<usize, Error> {
+        let bytes = self.src.as_bytes();
+        let at = ws_end(bytes, at);
+        let at = match plain_string_end(bytes, at) {
+            Some(end) => end,
+            None => self.step_from(at, |r| r.scan_string(None).map(drop))?,
+        };
+        let at = ws_end(bytes, at);
+        if bytes.get(at) == Some(&b':') {
+            return Ok(at + 1);
+        }
+        self.step_from(at, Reader::colon)
+    }
+
+    /// Runs one reader step from offset `at`; where it ends.
+    fn step_from(
+        &mut self,
+        at: usize,
+        step: impl FnOnce(&mut Self) -> Result<(), Error>,
+    ) -> Result<usize, Error> {
+        self.pos = at;
+        step(self)?;
+        Ok(self.pos)
     }
 
     /// Checks that nothing but whitespace is left.
@@ -814,4 +928,175 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+// Eight bytes at a time: `u64` words read little-endian, so the first
+// byte is the lowest. A flag is bit 7 of a byte; below the lowest flag
+// no carry or borrow has crossed a byte, so the lowest flag is exact.
+
+const ONES: u64 = 0x0101_0101_0101_0101;
+const HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// The eight bytes at `pos` as one word, if eight remain.
+#[inline]
+fn word_at(bytes: &[u8], pos: usize) -> Option<u64> {
+    let chunk = bytes.get(pos..pos.checked_add(8)?)?;
+    Some(u64::from_le_bytes(chunk.try_into().expect("eight bytes")))
+}
+
+/// How many of `word`'s bytes, from the first, are ASCII digits.
+#[inline]
+fn digit_prefix(word: u64) -> usize {
+    let flags = (word.wrapping_add(0x46 * ONES) | word.wrapping_sub(0x30 * ONES)) & HIGHS;
+    (flags.trailing_zeros() / 8) as usize
+}
+
+/// Flags the bytes of `word` equal to `b`.
+#[inline]
+fn bytes_equal(word: u64, b: u8) -> u64 {
+    let x = word ^ (u64::from(b) * ONES);
+    x.wrapping_sub(ONES) & !x & HIGHS
+}
+
+/// The value of the first `n` (1–8) ASCII digits of `word`.
+#[inline]
+fn digits_value(word: u64, n: usize) -> u64 {
+    // Left-pad to eight digits with zeros, then fold pairs, quads, octets.
+    let v = (word.wrapping_sub(0x30 * ONES)) << (8 * (8 - n));
+    let v = v.wrapping_mul(10) + (v >> 8);
+    let pairs = 0x0000_00FF_0000_00FF;
+    let quads = (v & pairs).wrapping_mul(100 + (1_000_000 << 32))
+        + ((v >> 16) & pairs).wrapping_mul(1 + (10_000 << 32));
+    quads >> 32 & 0xFFFF_FFFF
+}
+
+/// The end of the whitespace from `pos` on.
+#[inline]
+fn ws_end(bytes: &[u8], mut pos: usize) -> usize {
+    while matches!(bytes.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        pos += 1;
+    }
+    pos
+}
+
+/// The end of the digits from `pos` on.
+#[inline]
+fn digits_end(bytes: &[u8], mut pos: usize) -> usize {
+    while let Some(word) = word_at(bytes, pos) {
+        let n = digit_prefix(word);
+        pos += n;
+        if n < 8 {
+            return pos;
+        }
+    }
+    while matches!(bytes.get(pos), Some(b'0'..=b'9')) {
+        pos += 1;
+    }
+    pos
+}
+
+/// The end of the digits from `pos` on and, if there are 1–19 of them
+/// (so that they fit a `u64`), their value.
+#[inline]
+fn integer_at(bytes: &[u8], pos: usize) -> (usize, Option<u64>) {
+    const POW10: [u64; 9] = [
+        1,
+        10,
+        100,
+        1_000,
+        10_000,
+        100_000,
+        1_000_000,
+        10_000_000,
+        100_000_000,
+    ];
+    let mut value = 0u64;
+    let mut end = pos;
+    while let Some(word) = word_at(bytes, end) {
+        let n = digit_prefix(word);
+        if n == 0 || end - pos + n > 19 {
+            break;
+        }
+        value = value * POW10[n] + digits_value(word, n);
+        end += n;
+        if n < 8 {
+            return (end, Some(value));
+        }
+    }
+    while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
+        if end - pos == 19 {
+            return (digits_end(bytes, end), None);
+        }
+        value = value * 10 + u64::from(d - b'0');
+        end += 1;
+    }
+    (end, (end > pos).then_some(value))
+}
+
+/// The end of a number's fraction and exponent parts, from the end of
+/// its integer part: what the number scanner consumes, spelled well or
+/// not.
+fn number_end(bytes: &[u8], mut pos: usize) -> usize {
+    if bytes.get(pos) == Some(&b'.') {
+        pos = digits_end(bytes, pos + 1);
+    }
+    if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+        pos += 1;
+        if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+            pos += 1;
+        }
+        pos = digits_end(bytes, pos);
+    }
+    pos
+}
+
+/// One past the closing `"` of the string at `pos`, if `pos` holds a
+/// `"` and the string closes before any `\`. Such a string is valid
+/// as it stands: the input is UTF-8 and raw control characters are
+/// accepted.
+#[inline]
+fn plain_string_end(bytes: &[u8], pos: usize) -> Option<usize> {
+    if bytes.get(pos) != Some(&b'"') {
+        return None;
+    }
+    let mut at = pos + 1;
+    while let Some(word) = word_at(bytes, at) {
+        let flags = bytes_equal(word, b'"') | bytes_equal(word, b'\\');
+        if flags != 0 {
+            at += (flags.trailing_zeros() / 8) as usize;
+            return (bytes[at] == b'"').then_some(at + 1);
+        }
+        at += 8;
+    }
+    let len = bytes[at..].iter().position(|&b| b == b'"' || b == b'\\')?;
+    (bytes[at + len] == b'"').then_some(at + len + 1)
+}
+
+/// The end of the number at `pos`, if it is an integer of 1–19 digits
+/// or a float with at least one digit in each part it has: spellings
+/// the number scanner accepts as they stand, whatever their value.
+#[inline]
+fn plain_number_end(bytes: &[u8], pos: usize) -> Option<usize> {
+    let int_start = pos + usize::from(bytes.get(pos) == Some(&b'-'));
+    let int_end = digits_end(bytes, int_start);
+    let int_len = int_end - int_start;
+    let mut end = int_end;
+    if bytes.get(end) == Some(&b'.') {
+        end = digits_end(bytes, end + 1);
+        if end == int_end + 1 {
+            return None;
+        }
+    }
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        let mut from = end + 1;
+        if matches!(bytes.get(from), Some(b'+' | b'-')) {
+            from += 1;
+        }
+        end = digits_end(bytes, from);
+        if end == from {
+            return None;
+        }
+    }
+    let float = end > int_end;
+    (int_len > 0 && (float || int_len <= 19)).then_some(end)
 }

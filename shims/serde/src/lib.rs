@@ -75,9 +75,10 @@ pub use serde_derive::{Deserialize, Serialize};
 // ---------------------------------------------------------------------
 
 /// Reads a number for integer or float type `what`.
+#[inline]
 fn number(r: &mut Reader<'_>, what: &str) -> Result<Num, Error> {
     match r.kind()? {
-        Kind::Number => r.number(),
+        Kind::Number => r.number_here(),
         other => Err(Error::expected(what, other)),
     }
 }
@@ -90,6 +91,7 @@ macro_rules! impl_unsigned {
             }
         }
         impl Deserialize for $t {
+            #[inline]
             fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
                 match number(r, stringify!($t))? {
                     Num::Pos(p) => <$t>::try_from(p)

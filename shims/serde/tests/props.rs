@@ -1,9 +1,12 @@
 //! Properties of the streaming shim: the reader and the writer agree,
-//! `skip_value` and the DOM builder agree, a typed read agrees with the
-//! same read routed through a `Value`, and hostile input ends in `Err`.
+//! `skip_value` and the DOM builder agree, `skip_value` and its
+//! recursive model agree, a typed read agrees with the same read routed
+//! through a `Value`, and hostile input ends in `Err`.
 
+mod model;
 mod zoo;
 
+use model::ModelReader;
 use proptest::prelude::*;
 use proptest::TestRng;
 use serde::de::DeserializeOwned;
@@ -48,6 +51,214 @@ proptest! {
         if skip.is_ok() {
             prop_assert_eq!(built.offset(), skipped.offset(), "{:?}", doc);
             prop_assert_eq!(built.end().is_ok(), skipped.end().is_ok());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The iterative skip against the recursive one.
+// ---------------------------------------------------------------------
+
+/// Spellings on both sides of the skip's inline paths: integers of 19
+/// and 20 digits, floats with and without digits in each part, escapes,
+/// literals and their misspellings.
+const TOKENS: &[&str] = &[
+    "0",
+    "-0",
+    "007",
+    "1234567890123456789",
+    "-9999999999999999999",
+    "12345678901234567890",
+    "-12345678901234567890",
+    "340282366920938463463374607431768211455",
+    "340282366920938463463374607431768211456",
+    "1.5",
+    "-0.25e-3",
+    "1E+2",
+    "1e400",
+    "1.",
+    "1.e3",
+    "-.5",
+    "-",
+    "1e",
+    "1e+",
+    "--1",
+    "1.2.3",
+    "\"\"",
+    "\"plain\"",
+    "\"a\\\"b\"",
+    "\"\\u00e9\\ud83d\\ude00\"",
+    "\"\\ud800\"",
+    "\"\\x\"",
+    "\"\u{1}raw\"",
+    "\"ß😀\"",
+    "null",
+    "true",
+    "false",
+    "nul",
+    "tru",
+    "fals",
+    "[]",
+    "{}",
+    "[ ]",
+];
+
+/// A document built from [`TOKENS`], up to `depth` containers deep.
+fn token_doc(rng: &mut TestRng, depth: u32, out: &mut String) {
+    ws(rng, out);
+    match rng.below(if depth == 0 { 1 } else { 3 }) {
+        0 => out.push_str(pick(rng, TOKENS)),
+        1 => {
+            out.push('[');
+            for i in 0..rng.below(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                token_doc(rng, depth - 1, out);
+            }
+            ws(rng, out);
+            out.push(']');
+        }
+        _ => {
+            out.push('{');
+            for i in 0..rng.below(4) {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                out.push_str(pick(rng, &["\"k\"", "\"\\u006b\"", "\"\"", "k", "1"]));
+                ws(rng, out);
+                out.push(':');
+                token_doc(rng, depth - 1, out);
+            }
+            ws(rng, out);
+            out.push('}');
+        }
+    }
+    ws(rng, out);
+}
+
+/// `levels` containers, arrays and objects mixed, around one token.
+fn nested(rng: &mut TestRng, levels: usize) -> String {
+    let mut closers = Vec::new();
+    let mut doc = String::new();
+    for _ in 0..levels {
+        if rng.below(2) == 0 {
+            doc.push('[');
+            closers.push(']');
+        } else {
+            doc.push_str("{\"k\":");
+            closers.push('}');
+        }
+    }
+    doc.push_str(pick(rng, TOKENS));
+    doc.extend(closers.into_iter().rev());
+    doc
+}
+
+/// What the real reader and the model do with `doc` entered
+/// `start_depth` arrays deep: the outcome (error text included) and the
+/// end offset of every step, up to the first that fails.
+fn skip_outcomes(doc: &str, start_depth: usize) -> [Vec<(String, usize)>; 2] {
+    let text = format!("{}{doc}", "[".repeat(start_depth));
+    let (mut real, mut model) = (Reader::new(&text), ModelReader::new(&text));
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for _ in 0..start_depth {
+        let (a, b) = (real.begin_array(), model.begin_array());
+        got.push((format!("{a:?}"), real.offset()));
+        want.push((format!("{b:?}"), model.offset()));
+        if !matches!(b, Ok(true)) {
+            return [got, want];
+        }
+    }
+    let a = real.skip_value().map_err(|e| e.to_string());
+    let b = model.skip_value().map_err(|e| e.to_string());
+    got.push((format!("{a:?}"), real.offset()));
+    want.push((format!("{b:?}"), model.offset()));
+    [got, want]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn skip_value_matches_the_recursive_model(seed in any::<u64>()) {
+        let rng = &mut TestRng::new(seed);
+        let mut doc = match rng.below(3) {
+            0 => {
+                let v = gen_value(rng, 4);
+                loose(rng, &v)
+            }
+            1 => {
+                let mut doc = String::new();
+                token_doc(rng, 4, &mut doc);
+                doc
+            }
+            _ => {
+                let levels = rng.below(MAX_DEPTH as u64 + 3) as usize;
+                nested(rng, levels)
+            }
+        };
+        match rng.below(4) {
+            0 => {}
+            1 => doc = mutate(rng, &doc),
+            2 => {
+                let cuts: Vec<usize> = (0..doc.len()).filter(|&i| doc.is_char_boundary(i)).collect();
+                if !cuts.is_empty() {
+                    doc.truncate(pick(rng, &cuts));
+                }
+            }
+            _ => doc.push_str(pick(rng, &["x", ",1", "]", "}", " {}", "\"", "1"])),
+        }
+        let start_depth = rng.below(MAX_DEPTH as u64 + 1) as usize;
+        let [got, want] = skip_outcomes(&doc, start_depth);
+        prop_assert_eq!(got, want, "{:?} at depth {}", doc, start_depth);
+    }
+}
+
+/// The nesting limit counts from wherever the skip starts: at every
+/// start depth, one level short of it, at it and past it.
+#[test]
+fn skip_value_matches_the_model_at_every_start_depth() {
+    let rng = &mut TestRng::new(7);
+    for start_depth in 0..=MAX_DEPTH {
+        let room = MAX_DEPTH - start_depth;
+        for levels in [room.saturating_sub(1), room, room + 1] {
+            let doc = nested(rng, levels);
+            let [got, want] = skip_outcomes(&doc, start_depth);
+            assert_eq!(got, want, "{doc:?} at depth {start_depth}");
+        }
+    }
+}
+
+/// The digit writer and the integer reader against `std` at every width,
+/// with and without eight bytes of input left after the digits.
+#[test]
+fn integers_match_std_at_every_width() {
+    let mut values = vec![0, u64::MAX, u64::MAX - 1];
+    for p in 0..20 {
+        let t = 10u64.pow(p);
+        values.extend([t, t - 1, t + 1, t / 7 * 3]);
+    }
+    for v in values {
+        let mut out = String::new();
+        serde::json::push_u64(&mut out, v);
+        assert_eq!(out, v.to_string());
+        for (sign, zeros, tail) in [
+            ("", "", ""),
+            ("-", "", ",12345678]"),
+            ("", "00", " 99999999"),
+        ] {
+            let doc = format!("{sign}{zeros}{v}{tail}");
+            let text = &doc[..doc.len() - tail.len()];
+            let want = if sign.is_empty() {
+                Num::Pos(text.parse().unwrap())
+            } else {
+                Num::Neg(text.parse().unwrap())
+            };
+            let mut r = Reader::new(&doc);
+            assert_eq!(r.number().unwrap(), want, "{doc}");
+            assert_eq!(r.offset(), text.len(), "{doc}");
         }
     }
 }

@@ -12,7 +12,9 @@
 //! per prefix — before the crate billed those ops instead of running
 //! them; a calculation's memo digest hashed from scratch; and (in
 //! [`ring`]) the ring table as a `BTreeMap` of entries that each own
-//! their tokens, before it addressed its nodes by id.
+//! their tokens, before it addressed its nodes by id. And (in
+//! [`chrome`]) the Chrome trace exporter as it was before it sorted
+//! compact keys instead of whole rows.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,6 +23,7 @@ use scalecheck_memo::{digest_bytes, Digest128};
 use scalecheck_ring::{write_changes_canonical, NodeId, RingTable, Token, TopologyChange};
 use scalecheck_sim::{SimDuration, SimTime};
 
+pub mod chrome;
 pub mod gossip;
 pub mod pending;
 pub mod ring;

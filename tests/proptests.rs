@@ -1353,6 +1353,98 @@ proptest! {
     }
 }
 
+/// A trace built to crowd the exporter's ordering: timestamps from a
+/// handful of values (one shared by begins, ends, instants and counters
+/// alike), zero-length spans, the engine process, counters on every
+/// tid, names without a label, integers of every width, and timestamps
+/// at the top of their range. One seed in eight gives the empty trace.
+fn crowded_trace(seed: u64) -> scalecheck_obs::Trace {
+    use scalecheck_obs::{CounterSample, InstantEvent, SpanEvent, Trace, ENGINE_PID};
+    let rng = &mut proptest::TestRng::new(seed);
+    let mut trace = Trace::default();
+    if rng.below(8) == 0 {
+        return trace;
+    }
+    let tied = 1_000 * rng.below(5_000);
+    // One trace in four also has timestamps with the top bit set, one of
+    // them within a few ms of `u64::MAX` ns: every bit of a key's
+    // timestamp half takes part in the order.
+    let late = if rng.below(4) == 0 {
+        [1 << 63, u64::MAX - 2_000_000]
+    } else {
+        [1 << 40, 1 << 41]
+    };
+    let times = [
+        tied,
+        tied,
+        tied,
+        tied + 1,
+        0,
+        999,
+        1_234_567,
+        late[0],
+        late[1],
+    ];
+    // One trace in four spreads over ~8,000 tracks.
+    let wide = rng.below(4) == 0;
+    let mut pids = vec![0, 1, 2, 127, u64::from(ENGINE_PID), u64::from(u32::MAX)];
+    if wide {
+        pids.extend(3..2_000);
+    }
+    let tids = [0, 1, 2, 3];
+    let mut pick = |from: &[u64]| from[rng.below(from.len() as u64) as usize];
+    for _ in 0..pick(if wide { &[3_000] } else { &[0, 1, 5, 40] }) {
+        trace.spans.push(SpanEvent {
+            name: pick(&[0, 1, 2, 3, 5, 6, 11, 999, 65_535]) as u16,
+            pid: pick(&pids) as u32,
+            tid: pick(&tids) as u32,
+            ts: pick(&times),
+            dur: pick(&[0, 0, 1, 1_000, 1_234_567 - 999]),
+            arg: pick(&[0, 9, 10, 99, 100, 123_456_789, u64::MAX]),
+        });
+    }
+    for _ in 0..pick(&[0, 1, 6]) {
+        trace.instants.push(InstantEvent {
+            name: pick(&[7, 8, 9, 999]) as u16,
+            pid: pick(&pids) as u32,
+            tid: pick(&tids) as u32,
+            ts: pick(&times),
+            arg: pick(&[0, 7, u64::MAX]),
+        });
+    }
+    for _ in 0..pick(&[0, 2, 12]) {
+        trace.counters.push(CounterSample {
+            // Stage utilization (labelled by tid), engine events, and a
+            // name without a label.
+            name: pick(&[11, 12, 999]) as u16,
+            pid: pick(&pids) as u32,
+            tid: pick(&tids) as u32,
+            ts: pick(&times),
+            value: pick(&[0, 1_000, u64::MAX]),
+        });
+    }
+    trace.meta.label = "crowded \"trace\"".into();
+    trace.meta.end_ns = pick(&[0, u64::MAX]);
+    trace
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Differential: `to_chrome_json`, which sorts compact
+    /// `(ts, phase, place)` keys, writes every byte the exporter that
+    /// stable-sorted whole rows wrote (`model::chrome`), and the file
+    /// reads back as the trace it came from.
+    #[test]
+    fn chrome_export_matches_the_row_sorting_model(seed in any::<u64>()) {
+        let trace = crowded_trace(seed);
+        let json = scalecheck_obs::to_chrome_json(&trace);
+        prop_assert_eq!(&json, &model::chrome::to_chrome_json(&trace));
+        let back = scalecheck_obs::from_chrome_json(&json);
+        prop_assert_eq!(back.as_ref(), Ok(&trace));
+    }
+}
+
 // Full-cluster fault properties: each case is two complete simulation
 // runs, so the case count stays tiny.
 proptest! {
