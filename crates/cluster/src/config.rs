@@ -192,8 +192,9 @@ pub struct ScenarioConfig {
     /// scheduling order). A schedule witness stores the spec itself and
     /// sets it here on replay.
     pub tie_order: TieOrderSpec,
-    /// Record the engine fire log and the runner's event tags into the
-    /// report's [`scalecheck_sim::ScheduleProbe`] (explorer input).
+    /// Record the engine fire log and the kind of each runner handler
+    /// into the report's [`scalecheck_sim::ScheduleProbe`] (explorer
+    /// input).
     pub record_schedule: bool,
 }
 

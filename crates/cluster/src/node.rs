@@ -138,6 +138,10 @@ pub struct Node {
     /// Order-enforcement holding pen (replay only): messages waiting
     /// for their recorded turn, with a forced-release deadline.
     pub held: Vec<(SimTime, Envelope)>,
+    /// The message the gossip stage is processing: a stage runs one task
+    /// at a time, so at most one envelope waits on its receive
+    /// completion.
+    pub receiving: Option<Envelope>,
     /// Bytes currently allocated to rebalance partition services.
     pub rebalance_bytes: u64,
     /// Forward offset of this node's local clock (fault-injected clock
@@ -188,6 +192,7 @@ impl Node {
             lifecycle: Lifecycle::Down,
             parked: [None, None],
             held: Vec::new(),
+            receiving: None,
             rebalance_bytes: 0,
             clock_skew: SimDuration::ZERO,
             timer_epoch: 0,

@@ -70,9 +70,9 @@ pub struct RunReport {
     /// and metric histograms on virtual time (buffers empty unless
     /// `trace.enabled` was set; the metadata header is always stamped).
     pub obs: scalecheck_obs::Trace,
-    /// The engine fire log joined with the runner's event tags (present
-    /// only when `record_schedule` was set) — the schedule explorer's
-    /// raw material for tie-batch discovery.
+    /// The engine fire log with the kind of each of the runner's
+    /// handlers (present only when `record_schedule` was set) — the
+    /// schedule explorer's raw material for tie-batch discovery.
     pub schedule_probe: Option<ScheduleProbe>,
 }
 

@@ -39,7 +39,7 @@ use scalecheck_sim::tie::tag;
 use scalecheck_sim::{
     Acquire, Ctx, CtxSwitchModel, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault,
     HandlerId, LockId, LockTable, Machine, MachinePark, MemoryModel, ScheduleProbe, SchedulerKind,
-    SimDuration, SimTime, TagRec, TimeSeries,
+    SimDuration, SimTime, TimeSeries, TimerId,
 };
 
 use crate::calc::{CalcEngine, PendingWire};
@@ -82,10 +82,8 @@ struct ClusterState<'a> {
     /// order), or replay (enforcing the recorded order when handed it).
     pil: Pil<'a, PendingWire>,
     seeds: Vec<NodeId>,
-    /// Handler for periodic gossip rounds (payload packs node + epoch).
-    gossip_handler: HandlerId,
-    /// Handler for periodic failure-detector checks.
-    fd_handler: HandlerId,
+    /// The registered handler of each [`Ev`], by discriminant.
+    handlers: [HandlerId; Ev::ALL.len()],
     /// Periodic timers that fired after their node's epoch moved on.
     /// Crash/restart cancels timers eagerly, so this stays zero; the
     /// epoch guard remains as a backstop and this counts its catches.
@@ -96,8 +94,6 @@ struct ClusterState<'a> {
     /// trips ride the data plane; the uncoupled probe only reads
     /// coordinator state. Either way it owns its private RNG fork.
     traffic: scalecheck_traffic::TrafficState,
-    /// Handler for periodic traffic ticks.
-    traffic_handler: HandlerId,
     /// Cumulative per-node `[gossip, calc, request]` CPU demand
     /// submitted, in virtual ns, indexed by obs track id (`StageKind`,
     /// then `TID_REQUEST`) and billed by *work kind* (C3831 runs calc
@@ -111,8 +107,11 @@ struct ClusterState<'a> {
     /// Last sampled `work_busy` readings (the utilization sampler
     /// differences successive readings).
     busy_sampled: Vec<[u64; 3]>,
-    inflight: i64,
+    /// Messages the network accepted that have not arrived yet.
+    in_flight: InFlight,
     deliveries: u64,
+    /// Messages that arrived at a node that was not `Up`.
+    discarded: u64,
     forced_releases: u64,
     flap_series: TimeSeries,
     crashed: u64,
@@ -124,9 +123,141 @@ struct ClusterState<'a> {
     faults: FaultReport,
     /// When each currently fault-crashed node went down.
     fault_crash_at: BTreeMap<u32, SimTime>,
-    /// Semantic tags for scheduled events (deliveries, periodic timers),
-    /// collected only when `record_schedule` is set.
-    sched_tags: Option<Vec<TagRec>>,
+}
+
+/// What an engine event does. Each kind is one handler registered in
+/// [`build`] (in [`Ev::ALL`] order, so a handler's registration index is
+/// its kind's position), and every event's payload names the node it
+/// belongs to in its low word and carries the kind's argument, if any,
+/// in its high word ([`payload`]; a task completion's is a [`task_arg`]).
+#[derive(Clone, Copy)]
+#[repr(u32)]
+enum Ev {
+    /// A message arrives; argument: its [`InFlight`] slot.
+    Deliver,
+    /// A periodic gossip round; argument: the timer epoch.
+    GossipTimer,
+    /// A periodic failure-detector check; argument: the timer epoch.
+    FdTimer,
+    /// A received message is processed (stage, holds_lock).
+    RecvDone,
+    /// A send round's compute is done (stage).
+    SendDone,
+    /// The ring lock passes to a waiting stage (stage).
+    LockGranted,
+    /// A snapshot-mode ring clone is done (stage, holds_lock).
+    SnapshotTaken,
+    /// A calculation is done (stage, has_pending, release_lock_after).
+    CalcDone,
+    /// A held message's hold deadline passes.
+    HoldExpired,
+    /// A node starts: an initial member (`Joining` when bootstrapping
+    /// from scratch, else `Normal`) or a scale-out node (`Joining`).
+    Activate,
+    /// A joining node announces itself `Normal` (if still up).
+    Normal,
+    /// A decommissioned node announces `Leaving`.
+    Leaving,
+    /// A decommissioned node announces `Left`.
+    Left,
+    /// A decommissioned node departs for good.
+    Depart,
+    /// A fault-plan event fires; argument: its plan index.
+    Fault,
+    /// The flap-series sampler.
+    SampleFlaps,
+    /// The per-node utilization sampler (traced runs).
+    SampleUtilization,
+    /// A client-traffic tick.
+    TrafficTick,
+    /// The quiescence check.
+    QuiesceCheck,
+}
+
+impl Ev {
+    const ALL: [Ev; 19] = [
+        Ev::Deliver,
+        Ev::GossipTimer,
+        Ev::FdTimer,
+        Ev::RecvDone,
+        Ev::SendDone,
+        Ev::LockGranted,
+        Ev::SnapshotTaken,
+        Ev::CalcDone,
+        Ev::HoldExpired,
+        Ev::Activate,
+        Ev::Normal,
+        Ev::Leaving,
+        Ev::Left,
+        Ev::Depart,
+        Ev::Fault,
+        Ev::SampleFlaps,
+        Ev::SampleUtilization,
+        Ev::TrafficTick,
+        Ev::QuiesceCheck,
+    ];
+
+    /// The kind the schedule explorer reorders this event as: the
+    /// probe's kind table. Everything else is an internal continuation.
+    fn tie_kind(self) -> u64 {
+        match self {
+            Ev::Deliver => tag::DELIVER,
+            Ev::GossipTimer => tag::GOSSIP_TIMER,
+            Ev::FdTimer => tag::FD_TIMER,
+            Ev::RecvDone => tag::RECV_DONE,
+            Ev::SendDone => tag::SEND_DONE,
+            _ => tag::INTERNAL,
+        }
+    }
+}
+
+/// Packs an event payload: node index in the low word, the kind's
+/// argument in the high word.
+fn payload(i: usize, arg: u32) -> u64 {
+    debug_assert!(i < u32::MAX as usize);
+    (i as u64) | (arg as u64) << 32
+}
+
+/// A task completion's argument: its stage and up to two flags.
+fn task_arg(stage: StageKind, a: bool, b: bool) -> u32 {
+    u32::from(stage == StageKind::Calc) | u32::from(a) << 1 | u32::from(b) << 2
+}
+
+/// Unpacks [`task_arg`].
+fn task_bits(arg: u32) -> (StageKind, bool, bool) {
+    let stage = [StageKind::Gossip, StageKind::Calc][(arg & 1) as usize];
+    (stage, arg & 2 != 0, arg & 4 != 0)
+}
+
+/// The slot store of messages in flight: a `Deliver` event's argument
+/// names its envelope's slot. Its occupancy is the number of messages
+/// the network accepted that have not arrived.
+#[derive(Default)]
+struct InFlight {
+    slots: Vec<Option<Envelope>>,
+    free: Vec<u32>,
+}
+
+impl InFlight {
+    fn insert(&mut self, env: Envelope) -> u32 {
+        let k = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            u32::try_from(self.slots.len() - 1).expect("in-flight slot fits the payload")
+        });
+        self.slots[k as usize] = Some(env);
+        k
+    }
+
+    fn take(&mut self, k: u32) -> Envelope {
+        self.free.push(k);
+        self.slots[k as usize]
+            .take()
+            .expect("a delivery's envelope is in flight")
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
 }
 
 impl ClusterState<'_> {
@@ -134,8 +265,13 @@ impl ClusterState<'_> {
         self.nodes.iter().map(|n| n.fd.flaps()).sum()
     }
 
+    /// Schedules event `ev` for node `i` with argument `arg` at `at`.
+    fn schedule(&self, ctx: &mut Ctx<'_>, at: SimTime, ev: Ev, i: usize, arg: u32) -> TimerId {
+        ctx.schedule_handler_at(at, self.handlers[ev as usize], payload(i, arg))
+    }
+
     fn is_quiescent(&self) -> bool {
-        self.inflight == 0
+        self.in_flight.len() == 0
             && self.nodes.iter().all(|n| {
                 n.lifecycle != Lifecycle::Up
                     || (n.stages.iter().all(|s| s.depth() == 0 && !s.is_busy())
@@ -147,11 +283,80 @@ impl ClusterState<'_> {
     }
 }
 
+/// Runs one event: the one place an [`Ev`] meets the code it stands for.
+fn dispatch(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
+    let (i, arg) = (payload as u32 as usize, (payload >> 32) as u32);
+    let (stage, a, b) = task_bits(arg);
+    match ev {
+        Ev::Deliver => deliver(st, ctx, arg),
+        Ev::GossipTimer => gossip_round(st, ctx, i, arg.into()),
+        Ev::FdTimer => fd_check(st, ctx, i, arg.into()),
+        Ev::RecvDone => finish_receive(st, ctx, i, stage, a),
+        Ev::SendDone => finish_send_round(st, ctx, i, stage),
+        Ev::LockGranted => lock_granted(st, ctx, i, stage),
+        Ev::SnapshotTaken => begin_calc_compute(st, ctx, i, stage, a),
+        Ev::CalcDone => finish_calc(st, ctx, i, stage, a, b),
+        Ev::HoldExpired => flush_expired_held(st, ctx, i),
+        Ev::Activate => {
+            let tokens = spread_tokens(NodeId(i as u32), st.cfg.vnodes);
+            let bootstrap = matches!(st.cfg.workload, Workload::BootstrapFromScratch);
+            let info = if bootstrap || i >= st.cfg.n_nodes {
+                RingInfo::joining(tokens)
+            } else {
+                RingInfo::normal(tokens)
+            };
+            activate(st, ctx, i, info);
+            if bootstrap {
+                let normal_at = ctx.now() + st.cfg.rescale_window;
+                st.schedule(ctx, normal_at, Ev::Normal, i, 0);
+            }
+        }
+        Ev::Normal => {
+            if st.nodes[i].lifecycle == Lifecycle::Up {
+                let tokens = spread_tokens(NodeId(i as u32), st.cfg.vnodes);
+                st.nodes[i].announce(RingInfo::normal(tokens));
+            }
+        }
+        Ev::Leaving => {
+            let tokens = st.nodes[i]
+                .ring
+                .node(NodeId(i as u32))
+                .map(|s| s.tokens.to_vec())
+                .unwrap_or_default();
+            st.nodes[i].announce(RingInfo {
+                status: NodeStatus::Leaving,
+                tokens,
+            });
+        }
+        Ev::Left => st.nodes[i].announce(RingInfo {
+            status: NodeStatus::Left,
+            tokens: vec![],
+        }),
+        Ev::Depart => {
+            let node = &mut st.nodes[i];
+            node.lifecycle = Lifecycle::Departed;
+            for stage in &mut node.stages {
+                stage.clear();
+            }
+            cancel_node_timers(st, ctx, i);
+        }
+        Ev::Fault => {
+            let fault = st.cfg.faults.events[arg as usize].clone();
+            fire_fault(st, ctx, &fault, arg as usize);
+        }
+        Ev::SampleFlaps => sample_flaps(st, ctx),
+        Ev::SampleUtilization => sample_utilization(st, ctx),
+        Ev::TrafficTick => traffic_tick(st, ctx),
+        Ev::QuiesceCheck => quiesce_check(st, ctx),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Setup.
 // ---------------------------------------------------------------------
 
-/// Registers the runner's three handlers on `engine` and builds the
+/// Registers one handler per [`Ev`] on `engine` (a fresh one: the probe
+/// reads a handler's kind off its registration index) and builds the
 /// cluster.
 fn build<'a>(
     cfg: &ScenarioConfig,
@@ -159,19 +364,9 @@ fn build<'a>(
     pil: Pil<'a, PendingWire>,
     engine: &mut Engine<ClusterState<'a>>,
 ) -> ClusterState<'a> {
-    // Periodic per-node timers run as handler events: the payload packs
-    // (node, epoch), so steady-state rounds recur without boxing a new
-    // closure per fire.
-    let gossip_handler = engine.register_handler(|st: &mut ClusterState, ctx, payload| {
-        let (i, epoch) = unpack_timer(payload);
-        gossip_round(st, ctx, i, epoch);
+    let handlers = Ev::ALL.map(|ev| {
+        engine.register_handler(move |st: &mut ClusterState, ctx, p| dispatch(st, ctx, ev, p))
     });
-    let fd_handler = engine.register_handler(|st: &mut ClusterState, ctx, payload| {
-        let (i, epoch) = unpack_timer(payload);
-        fd_check(st, ctx, i, epoch);
-    });
-    let traffic_handler =
-        engine.register_handler(|st: &mut ClusterState, ctx, _payload| traffic_tick(st, ctx));
 
     let total = cfg.total_nodes();
     let mut park = MachinePark::new();
@@ -370,7 +565,6 @@ fn build<'a>(
     ClusterState {
         workload_end_at: (SimTime::ZERO + cfg.workload_end).max(fault_horizon),
         traffic,
-        traffic_handler,
         work_busy: vec![[0, 0, 0]; total],
         busy_sampled: vec![[0, 0, 0]; total],
         cfg: cfg.clone(),
@@ -385,22 +579,17 @@ fn build<'a>(
         calc: CalcEngine::new(cfg.calculator, cfg.ns_per_op),
         pil,
         seeds,
-        gossip_handler,
-        fd_handler,
+        handlers,
         stale_timer_fires: 0,
-        inflight: 0,
+        in_flight: InFlight::default(),
         deliveries: 0,
+        discarded: 0,
         forced_releases: 0,
         flap_series: TimeSeries::new(),
         crashed: 0,
         stopped_quiescent: false,
         faults: FaultReport::default(),
         fault_crash_at: BTreeMap::new(),
-        sched_tags: if cfg.record_schedule {
-            Some(Vec::new())
-        } else {
-            None
-        },
     }
 }
 
@@ -413,35 +602,10 @@ const FAULT_SETTLE: SimDuration = SimDuration::from_secs(45);
 // Node activation and per-node timers.
 // ---------------------------------------------------------------------
 
-/// Packs a periodic-timer payload: node index in the low word, timer
-/// epoch in the high word. Handler events carry this `u64` instead of a
-/// boxed closure, so steady-state rounds schedule allocation-free.
-fn timer_payload(i: usize, epoch: u64) -> u64 {
-    debug_assert!(i < u32::MAX as usize && epoch < u32::MAX as u64);
-    (i as u64) | (epoch << 32)
-}
-
-fn unpack_timer(payload: u64) -> (usize, u64) {
-    ((payload & 0xffff_ffff) as usize, payload >> 32)
-}
-
-/// Tags the most recently scheduled event with `(kind, node)` when
-/// schedule recording is on. Must be called immediately after the
-/// `schedule_*` call it describes (it reads [`Ctx::last_seq`]).
-#[inline]
-fn tag_sched(st: &mut ClusterState, ctx: &Ctx<'_, ClusterState>, kind: u64, node: u32) {
-    if let Some(tags) = st.sched_tags.as_mut() {
-        tags.push(TagRec {
-            seq: ctx.last_seq(),
-            tag: tag::pack(kind, node),
-        });
-    }
-}
-
 /// Cancels a node's pending periodic timers (crash, OOM death,
 /// decommission). The epoch guard in the handlers stays as a backstop,
 /// but after this no stale event remains queued for the old epoch.
-fn cancel_node_timers(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
+fn cancel_node_timers(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     if let Some(t) = st.nodes[i].gossip_timer.take() {
         ctx.cancel(t);
     }
@@ -450,7 +614,7 @@ fn cancel_node_timers(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i:
     }
 }
 
-fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, info: RingInfo) {
+fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) {
     // Memory admission: runtime overhead plus the node's ring table.
     let machine = st.nodes[i].machine.0;
     let mem = &mut st.machine_mem[machine];
@@ -487,21 +651,15 @@ fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, in
 /// Arms node `i`'s periodic timers under its current epoch: the first
 /// gossip round `after` from now, the first failure-detector check one
 /// `fd_interval` later.
-fn arm_node_timers(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    after: SimDuration,
-) {
-    let payload = timer_payload(i, st.nodes[i].timer_epoch);
-    st.nodes[i].gossip_timer = Some(ctx.schedule_handler_after(after, st.gossip_handler, payload));
-    tag_sched(st, ctx, tag::GOSSIP_TIMER, i as u32);
-    let fd_at = after + st.cfg.fd_interval;
-    st.nodes[i].fd_timer = Some(ctx.schedule_handler_after(fd_at, st.fd_handler, payload));
-    tag_sched(st, ctx, tag::FD_TIMER, i as u32);
+fn arm_node_timers(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, after: SimDuration) {
+    let epoch = u32::try_from(st.nodes[i].timer_epoch).expect("timer epoch fits the payload");
+    let gossip_at = ctx.now() + after;
+    st.nodes[i].gossip_timer = Some(st.schedule(ctx, gossip_at, Ev::GossipTimer, i, epoch));
+    let fd_at = gossip_at + st.cfg.fd_interval;
+    st.nodes[i].fd_timer = Some(st.schedule(ctx, fd_at, Ev::FdTimer, i, epoch));
 }
 
-fn gossip_round(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, epoch: u64) {
+fn gossip_round(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, epoch: u64) {
     let node = &mut st.nodes[i];
     node.gossip_timer = None;
     if node.timer_epoch != epoch {
@@ -513,14 +671,11 @@ fn gossip_round(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
     }
     node.stages[StageKind::Gossip as usize].push(ctx.now(), Task::SendRound);
     pump(st, ctx, i, StageKind::Gossip);
-    let interval = st.cfg.gossip_interval;
-    let payload = timer_payload(i, epoch);
-    st.nodes[i].gossip_timer =
-        Some(ctx.schedule_handler_after(interval, st.gossip_handler, payload));
-    tag_sched(st, ctx, tag::GOSSIP_TIMER, i as u32);
+    let next = ctx.now() + st.cfg.gossip_interval;
+    st.nodes[i].gossip_timer = Some(st.schedule(ctx, next, Ev::GossipTimer, i, epoch as u32));
 }
 
-fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, epoch: u64) {
+fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, epoch: u64) {
     let node = &mut st.nodes[i];
     node.fd_timer = None;
     if node.timer_epoch != epoch {
@@ -543,17 +698,15 @@ fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, ep
             crate::ringinfo::node_of(peer).0 as u64,
         );
     }
-    let interval = st.cfg.fd_interval;
-    let payload = timer_payload(i, epoch);
-    st.nodes[i].fd_timer = Some(ctx.schedule_handler_after(interval, st.fd_handler, payload));
-    tag_sched(st, ctx, tag::FD_TIMER, i as u32);
+    let next = ctx.now() + st.cfg.fd_interval;
+    st.nodes[i].fd_timer = Some(st.schedule(ctx, next, Ev::FdTimer, i, epoch as u32));
 }
 
 // ---------------------------------------------------------------------
 // Stage pump and task lifecycle.
 // ---------------------------------------------------------------------
 
-fn pump(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, stage: StageKind) {
+fn pump(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
     let now = ctx.now();
     let node = &mut st.nodes[i];
     if node.lifecycle != Lifecycle::Up {
@@ -577,13 +730,7 @@ fn needs_lock(cfg: &ScenarioConfig, stage: StageKind, task: &Task) -> bool {
     }
 }
 
-fn start_task(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    stage: StageKind,
-    task: Task,
-) {
+fn start_task(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind, task: Task) {
     if needs_lock(&st.cfg, stage, &task) {
         let now = ctx.now();
         match st.locks.acquire(LockId(i), stage as u64, now) {
@@ -599,27 +746,16 @@ fn start_task(
 /// waiter is the node's other stage (a stage stays busy from taking the
 /// lock until after releasing it, so it never waits for itself), which
 /// gets it next.
-fn release_ring_lock(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    stage: StageKind,
-) {
+fn release_ring_lock(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
     if let Some(holder) = st.locks.release(LockId(i), stage as u64, ctx.now()) {
         let next = stage.other();
         debug_assert_eq!(holder, next as u64);
-        ctx.schedule_after(SimDuration::ZERO, move |st, ctx| {
-            lock_granted(st, ctx, i, next)
-        });
+        let now = ctx.now();
+        st.schedule(ctx, now, Ev::LockGranted, i, task_arg(next, false, false));
     }
 }
 
-fn lock_granted(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    stage: StageKind,
-) {
+fn lock_granted(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
     match st.nodes[i].parked[stage as usize].take() {
         Some((task, since)) => {
             scalecheck_obs::span(
@@ -668,7 +804,7 @@ fn compute(
 
 fn run_task(
     st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
+    ctx: &mut Ctx<'_>,
     i: usize,
     stage: StageKind,
     task: Task,
@@ -688,10 +824,7 @@ fn run_task(
                 done_at.since(now).as_nanos(),
                 endpoints,
             );
-            ctx.schedule_at(done_at, move |st, ctx| {
-                finish_send_round(st, ctx, i, stage);
-            });
-            tag_sched(st, ctx, tag::SEND_DONE, i as u32);
+            st.schedule(ctx, done_at, Ev::SendDone, i, task_arg(stage, false, false));
         }
         Task::Receive(env) => {
             let entries = env.msg.entries() as u64;
@@ -705,10 +838,15 @@ fn run_task(
                 done_at.since(now).as_nanos(),
                 entries,
             );
-            ctx.schedule_at(done_at, move |st, ctx| {
-                finish_receive(st, ctx, i, stage, env, holds_lock);
-            });
-            tag_sched(st, ctx, tag::RECV_DONE, i as u32);
+            debug_assert!(st.nodes[i].receiving.is_none(), "one receive at a time");
+            st.nodes[i].receiving = Some(env);
+            st.schedule(
+                ctx,
+                done_at,
+                Ev::RecvDone,
+                i,
+                task_arg(stage, holds_lock, false),
+            );
         }
         Task::Recalculate => match st.cfg.locking {
             LockingMode::SnapshotThread => {
@@ -717,9 +855,8 @@ fn run_task(
                 let clone_cost =
                     SimDuration::from_nanos(100 * (st.cfg.total_nodes() * st.cfg.vnodes) as u64);
                 let done_at = compute(st, now, i, clone_cost, StageKind::Calc, false);
-                ctx.schedule_at(done_at, move |st, ctx| {
-                    begin_calc_compute(st, ctx, i, stage, holds_lock);
-                });
+                let arg = task_arg(stage, holds_lock, false);
+                st.schedule(ctx, done_at, Ev::SnapshotTaken, i, arg);
             }
             // Coarse mode: compute while holding the lock.
             _ => begin_calc_compute(st, ctx, i, stage, holds_lock),
@@ -734,7 +871,7 @@ fn run_task(
 /// this instant), and when the compute is done otherwise.
 fn begin_calc_compute(
     st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
+    ctx: &mut Ctx<'_>,
     i: usize,
     stage: StageKind,
     holds_lock: bool,
@@ -773,10 +910,8 @@ fn begin_calc_compute(
         );
         scalecheck_obs::metric(Metric::CalcDuration, done_at.since(now).as_nanos());
     }
-    let has_pending = !pending.0.is_empty();
-    ctx.schedule_at(done_at, move |st, ctx| {
-        finish_calc(st, ctx, i, stage, has_pending, release_lock_after);
-    });
+    let arg = task_arg(stage, !pending.0.is_empty(), release_lock_after);
+    st.schedule(ctx, done_at, Ev::CalcDone, i, arg);
 }
 
 fn changes_of(ring: &RingTable) -> Vec<scalecheck_ring::TopologyChange> {
@@ -798,12 +933,7 @@ fn changes_of(ring: &RingTable) -> Vec<scalecheck_ring::TopologyChange> {
 // Task completions.
 // ---------------------------------------------------------------------
 
-fn finish_send_round(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    stage: StageKind,
-) {
+fn finish_send_round(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
     let node = &mut st.nodes[i];
     if node.lifecycle == Lifecycle::Up {
         node.gossiper.beat();
@@ -834,13 +964,16 @@ fn finish_send_round(
 
 fn finish_receive(
     st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
+    ctx: &mut Ctx<'_>,
     i: usize,
     stage: StageKind,
-    env: Envelope,
     holds_lock: bool,
 ) {
     let now = ctx.now();
+    let env = st.nodes[i]
+        .receiving
+        .take()
+        .expect("a receive is in progress");
     // Order bookkeeping at processing time.
     st.pil.processed(st.nodes[i].id.0, env.key);
 
@@ -916,7 +1049,7 @@ fn finish_receive(
 
 fn finish_calc(
     st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
+    ctx: &mut Ctx<'_>,
     i: usize,
     stage: StageKind,
     has_pending: bool,
@@ -942,12 +1075,7 @@ fn finish_calc(
 
 /// Applies a computed pending-range set — whether it is non-empty is all
 /// that matters — by modelling the §6 rebalance allocation if configured.
-fn apply_pending(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    has_pending: bool,
-) {
+fn apply_pending(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, has_pending: bool) {
     let now = ctx.now();
     let Some(strategy) = st.cfg.memory.rebalance_alloc else {
         return;
@@ -993,7 +1121,7 @@ fn apply_pending(
 }
 
 /// Finishes the current stage task and pulls the next one.
-fn end_task(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, stage: StageKind) {
+fn end_task(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
     st.nodes[i].stages[stage as usize].finish();
     pump(st, ctx, i, stage);
 }
@@ -1002,13 +1130,7 @@ fn end_task(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize, st
 // Messaging.
 // ---------------------------------------------------------------------
 
-fn send_msg(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_, ClusterState>,
-    i: usize,
-    dst: NodeId,
-    msg: GossipMessage,
-) {
+fn send_msg(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, dst: NodeId, msg: GossipMessage) {
     // Only the order log and an order-enforcing replay read the key.
     let key = if st.pil.orders_messages() {
         st.nodes[i].next_key(dst, msg.kind())
@@ -1019,25 +1141,24 @@ fn send_msg(
     let now = ctx.now();
     if let Ok(d) = st.net.offer(now, ctx.rng(), addr_of(src), addr_of(dst)) {
         scalecheck_obs::metric(Metric::NetDelay, d.deliver_at.since(now).as_nanos());
-        st.inflight += 1;
         let env = Envelope { src, dst, key, msg };
+        let to = dst.0 as usize;
         if let Some(dup_at) = d.duplicate_at {
             // A duplication window fired: the same envelope arrives
             // twice (gossip application is idempotent on stale state).
-            st.inflight += 1;
-            let dup = env.clone();
-            ctx.schedule_at(dup_at, move |st, ctx| deliver(st, ctx, dup));
-            tag_sched(st, ctx, tag::DELIVER, dst.0);
+            let slot = st.in_flight.insert(env.clone());
+            st.schedule(ctx, dup_at, Ev::Deliver, to, slot);
         }
-        ctx.schedule_at(d.deliver_at, move |st, ctx| deliver(st, ctx, env));
-        tag_sched(st, ctx, tag::DELIVER, dst.0);
+        let slot = st.in_flight.insert(env);
+        st.schedule(ctx, d.deliver_at, Ev::Deliver, to, slot);
     }
 }
 
-fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, env: Envelope) {
-    st.inflight -= 1;
+fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_>, slot: u32) {
+    let env = st.in_flight.take(slot);
     let i = env.dst.0 as usize;
     if i >= st.nodes.len() || st.nodes[i].lifecycle != Lifecycle::Up {
+        st.discarded += 1;
         return;
     }
     st.deliveries += 1;
@@ -1051,7 +1172,7 @@ fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, env: Envelope
             OrderDecision::HoldForLater => {
                 let deadline = now + st.cfg.order_hold_timeout;
                 st.nodes[i].held.push((deadline, env));
-                ctx.schedule_at(deadline, move |st, ctx| flush_expired_held(st, ctx, i));
+                st.schedule(ctx, deadline, Ev::HoldExpired, i, 0);
                 return;
             }
         }
@@ -1062,7 +1183,7 @@ fn deliver(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, env: Envelope
 }
 
 /// Moves the next expected held message (if any) onto the stage.
-fn release_held(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
+fn release_held(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     let Some(enf) = st.pil.enforcer() else {
         return;
     };
@@ -1087,7 +1208,7 @@ fn release_held(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize
 
 /// Releases held messages whose hold deadline has passed: replay
 /// divergence must delay, not deadlock. Forced releases are counted.
-fn flush_expired_held(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
+fn flush_expired_held(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     let now = ctx.now();
     let mut released = false;
     let mut held = std::mem::take(&mut st.nodes[i].held);
@@ -1195,7 +1316,7 @@ impl scalecheck_traffic::ClusterFabric for LiveFabric<'_> {
 /// live fabric, and rearm the timer. Exactly one engine schedule per
 /// tick (first fire at 700 ms, then every arrival tick): committed
 /// schedule witnesses depend on this sequence numbering.
-fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
+fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_>) {
     let now = ctx.now();
     let (start, end) = st.cfg.rescale_phase_span();
     let phase = if now < SimTime::ZERO + start {
@@ -1226,14 +1347,17 @@ fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
         };
         traffic.tick(now, phase, &mut fabric);
     }
-    ctx.schedule_handler_after(st.traffic.config().arrival.tick, st.traffic_handler, 0);
+    let next = now + st.traffic.config().arrival.tick;
+    st.schedule(ctx, next, Ev::TrafficTick, 0, 0);
 }
 
 // ---------------------------------------------------------------------
 // Workload scheduling.
 // ---------------------------------------------------------------------
 
-fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
+/// Schedules, through `at(time, kind, node, argument)`, the workload's
+/// membership changes.
+fn schedule_workload(at: &mut impl FnMut(SimTime, Ev, usize, u32), cfg: &ScenarioConfig) {
     match cfg.workload {
         Workload::Decommission { count, gap } => {
             let first = SimTime::from_secs(40);
@@ -1241,31 +1365,9 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
             for k in 0..count.min(cfg.n_nodes.saturating_sub(1)) {
                 let i = cfg.n_nodes - 1 - k;
                 let t = first + gap.saturating_mul(k as u64);
-                engine.schedule_at(t, move |st: &mut ClusterState, _ctx| {
-                    let tokens = st.nodes[i]
-                        .ring
-                        .node(NodeId(i as u32))
-                        .map(|s| s.tokens.to_vec())
-                        .unwrap_or_default();
-                    st.nodes[i].announce(RingInfo {
-                        status: NodeStatus::Leaving,
-                        tokens,
-                    });
-                });
-                engine.schedule_at(t + window, move |st, _ctx| {
-                    st.nodes[i].announce(RingInfo {
-                        status: NodeStatus::Left,
-                        tokens: vec![],
-                    });
-                });
-                engine.schedule_at(t + window + SimDuration::from_secs(10), move |st, ctx| {
-                    let node = &mut st.nodes[i];
-                    node.lifecycle = Lifecycle::Departed;
-                    for stage in &mut node.stages {
-                        stage.clear();
-                    }
-                    cancel_node_timers(st, ctx, i);
-                });
+                at(t, Ev::Leaving, i, 0);
+                at(t + window, Ev::Left, i, 0);
+                at(t + window + SimDuration::from_secs(10), Ev::Depart, i, 0);
             }
         }
         Workload::ScaleOut { count, gap } => {
@@ -1274,17 +1376,8 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
             for k in 0..count {
                 let i = cfg.n_nodes + k;
                 let t = first + gap.saturating_mul(k as u64);
-                let vnodes = cfg.vnodes;
-                engine.schedule_at(t, move |st: &mut ClusterState, ctx| {
-                    let tokens = spread_tokens(NodeId(i as u32), vnodes);
-                    activate(st, ctx, i, RingInfo::joining(tokens));
-                });
-                engine.schedule_at(t + window, move |st, _ctx| {
-                    if st.nodes[i].lifecycle == Lifecycle::Up {
-                        let tokens = spread_tokens(NodeId(i as u32), vnodes);
-                        st.nodes[i].announce(RingInfo::normal(tokens));
-                    }
-                });
+                at(t, Ev::Activate, i, 0);
+                at(t + window, Ev::Normal, i, 0);
             }
         }
         Workload::BootstrapFromScratch => {
@@ -1302,15 +1395,14 @@ fn schedule_workload(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
 /// virtual clock. Same-time events fire in plan order (the engine
 /// breaks time ties by schedule sequence), so the fired-fault log is
 /// deterministic.
-fn schedule_faults(engine: &mut Engine<ClusterState>, cfg: &ScenarioConfig) {
-    for (idx, ev) in cfg.faults.events.clone().into_iter().enumerate() {
-        engine.schedule_at(ev.at(), move |st: &mut ClusterState, ctx| {
-            fire_fault(st, ctx, &ev, idx)
-        });
+fn schedule_faults(at: &mut impl FnMut(SimTime, Ev, usize, u32), cfg: &ScenarioConfig) {
+    for (idx, ev) in cfg.faults.events.iter().enumerate() {
+        let idx = u32::try_from(idx).expect("fault index fits the payload");
+        at(ev.at(), Ev::Fault, 0, idx);
     }
 }
 
-fn fire_fault(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, ev: &FaultEvent, idx: usize) {
+fn fire_fault(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: &FaultEvent, idx: usize) {
     let now = ctx.now();
     let label = ev.label();
     // The instant's argument is the fault's plan index into
@@ -1366,7 +1458,7 @@ fn set_partition(st: &mut ClusterState, a: &[u32], b: &[u32], up: bool) {
 /// but keeps its gossip identity for a later restart. Distinct from
 /// decommission (the node does not leave the ring) and from OOM death
 /// (which is permanent).
-fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
+fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     if st.nodes[i].lifecycle != Lifecycle::Up {
         return;
     }
@@ -1400,7 +1492,7 @@ fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) 
 /// Brings a fault-crashed node back: fresh gossip generation, empty
 /// failure-detection history, restarted timers. No-op unless the node
 /// is currently down from a [`FaultEvent::Crash`].
-fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>, i: usize) {
+fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     if st.nodes[i].lifecycle != Lifecycle::Down {
         return;
     }
@@ -1476,96 +1568,32 @@ fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunRep
     }
     let mut state = build(cfg, mode, pil, &mut engine);
 
+    let handlers = state.handlers;
+    let mut at = |t: SimTime, ev: Ev, i: usize, arg: u32| {
+        engine.schedule_handler_at(t, handlers[ev as usize], payload(i, arg));
+    };
     // Activate the initial population.
     let bootstrap = matches!(cfg.workload, Workload::BootstrapFromScratch);
     for i in 0..cfg.n_nodes {
-        let vnodes = cfg.vnodes;
         let stagger = if bootstrap {
             SimDuration::from_millis((i as u64 * 5000) / cfg.n_nodes.max(1) as u64)
         } else {
             SimDuration::ZERO
         };
-        engine.schedule_at(
-            SimTime::ZERO + stagger,
-            move |st: &mut ClusterState, ctx| {
-                let id = NodeId(i as u32);
-                let tokens = spread_tokens(id, vnodes);
-                let info = if matches!(st.cfg.workload, Workload::BootstrapFromScratch) {
-                    RingInfo::joining(tokens)
-                } else {
-                    RingInfo::normal(tokens)
-                };
-                activate(st, ctx, i, info);
-                if matches!(st.cfg.workload, Workload::BootstrapFromScratch) {
-                    let window = st.cfg.rescale_window;
-                    ctx.schedule_after(window, move |st: &mut ClusterState, _| {
-                        if st.nodes[i].lifecycle == Lifecycle::Up {
-                            let tokens = spread_tokens(NodeId(i as u32), st.cfg.vnodes);
-                            st.nodes[i].announce(RingInfo::normal(tokens));
-                        }
-                    });
-                }
-            },
-        );
+        at(SimTime::ZERO + stagger, Ev::Activate, i, 0);
     }
-    schedule_workload(&mut engine, cfg);
-    schedule_faults(&mut engine, cfg);
-
-    // Flap-series sampling.
-    fn sample_flaps(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
-        let flaps = st.total_flaps();
-        st.flap_series.push(ctx.now(), flaps as f64);
-        ctx.schedule_after(SimDuration::from_secs(5), sample_flaps);
-    }
-    engine.schedule_at(SimTime::ZERO, sample_flaps);
-
-    // Per-node per-work-kind utilization timelines (virtual-time
-    // sampled): each tick differences the cumulative CPU demand billed
-    // by `compute` and emits permille-of-interval counters. Demand is
-    // credited at submission, so a window in which a long recalculation
-    // starts can read above 1000‰. Pure observation — no RNG draws, no
-    // state the simulation reads — so enabling it cannot perturb a run.
-    fn sample_utilization(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
-        let ts = ctx.now().as_nanos();
-        let interval = st.cfg.trace.sample_every_ns;
-        for i in 0..st.nodes.len() {
-            let busy = st.work_busy[i];
-            let prev = std::mem::replace(&mut st.busy_sampled[i], busy);
-            // The slot is the track id: gossip, calc, request.
-            for (tid, (busy, prev)) in busy.into_iter().zip(prev).enumerate() {
-                let permille = busy.saturating_sub(prev) * 1000 / interval;
-                scalecheck_obs::counter(
-                    SpanName::StageUtilization,
-                    i as u32,
-                    tid as u32,
-                    ts,
-                    permille,
-                );
-            }
-        }
-        ctx.schedule_after(SimDuration::from_nanos(interval), sample_utilization);
-    }
+    schedule_workload(&mut at, cfg);
+    schedule_faults(&mut at, cfg);
+    at(SimTime::ZERO, Ev::SampleFlaps, 0, 0);
     if cfg.trace.enabled {
         let first = SimTime::ZERO + SimDuration::from_nanos(cfg.trace.sample_every_ns);
-        engine.schedule_at(first, sample_utilization);
+        at(first, Ev::SampleUtilization, 0, 0);
     }
-
-    // Client traffic (the user-visible impact of flapping): a handler
-    // timer so steady-state ticks recur without boxing a closure.
+    // Client traffic (the user-visible impact of flapping).
     if state.traffic.config().enabled() {
-        engine.schedule_handler_at(SimTime::from_millis(700), state.traffic_handler, 0);
+        at(SimTime::from_millis(700), Ev::TrafficTick, 0, 0);
     }
-
-    // Quiescence detection after the workload completes.
-    fn quiesce_check(st: &mut ClusterState, ctx: &mut Ctx<'_, ClusterState>) {
-        if ctx.now() >= st.workload_end_at && st.is_quiescent() {
-            st.stopped_quiescent = true;
-            ctx.stop();
-        } else {
-            ctx.schedule_after(SimDuration::from_millis(2300), quiesce_check);
-        }
-    }
-    engine.schedule_at(SimTime::from_millis(300), quiesce_check);
+    at(SimTime::from_millis(300), Ev::QuiesceCheck, 0, 0);
 
     // The thread-local tracer collects spans for this run only; per-thread
     // isolation keeps traces byte-identical at any sweep parallelism.
@@ -1580,17 +1608,60 @@ fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunRep
     let ended = engine.now();
 
     let tracer = scalecheck_obs::take();
-    let probe = if cfg.record_schedule {
-        Some(ScheduleProbe {
-            fires: engine.take_fire_log(),
-            tags: state.sched_tags.take().unwrap_or_default(),
-        })
-    } else {
-        None
-    };
+    let probe = cfg.record_schedule.then(|| ScheduleProbe {
+        fires: engine.take_fire_log(),
+        kinds: Ev::ALL.map(Ev::tie_kind).to_vec(),
+    });
     let mut report = assemble_report(&state, ended, engine.counters(), tracer);
     report.schedule_probe = probe;
     report
+}
+
+/// Flap-series sampling.
+fn sample_flaps(st: &mut ClusterState, ctx: &mut Ctx<'_>) {
+    let flaps = st.total_flaps();
+    st.flap_series.push(ctx.now(), flaps as f64);
+    let next = ctx.now() + SimDuration::from_secs(5);
+    st.schedule(ctx, next, Ev::SampleFlaps, 0, 0);
+}
+
+/// Per-node per-work-kind utilization timelines (virtual-time sampled):
+/// each tick differences the cumulative CPU demand billed by `compute`
+/// and emits permille-of-interval counters. Demand is credited at
+/// submission, so a window in which a long recalculation starts can read
+/// above 1000‰. Pure observation — no RNG draws, no state the simulation
+/// reads — so enabling it cannot perturb a run.
+fn sample_utilization(st: &mut ClusterState, ctx: &mut Ctx<'_>) {
+    let ts = ctx.now().as_nanos();
+    let interval = st.cfg.trace.sample_every_ns;
+    for i in 0..st.nodes.len() {
+        let busy = st.work_busy[i];
+        let prev = std::mem::replace(&mut st.busy_sampled[i], busy);
+        // The slot is the track id: gossip, calc, request.
+        for (tid, (busy, prev)) in busy.into_iter().zip(prev).enumerate() {
+            let permille = busy.saturating_sub(prev) * 1000 / interval;
+            scalecheck_obs::counter(
+                SpanName::StageUtilization,
+                i as u32,
+                tid as u32,
+                ts,
+                permille,
+            );
+        }
+    }
+    let next = ctx.now() + SimDuration::from_nanos(interval);
+    st.schedule(ctx, next, Ev::SampleUtilization, 0, 0);
+}
+
+/// Quiescence detection after the workload completes.
+fn quiesce_check(st: &mut ClusterState, ctx: &mut Ctx<'_>) {
+    if ctx.now() >= st.workload_end_at && st.is_quiescent() {
+        st.stopped_quiescent = true;
+        ctx.stop();
+    } else {
+        let next = ctx.now() + SimDuration::from_millis(2300);
+        st.schedule(ctx, next, Ev::QuiesceCheck, 0, 0);
+    }
 }
 
 fn assemble_report(
@@ -1614,6 +1685,14 @@ fn assemble_report(
         .map(|(_, m)| m.peak_runnable())
         .max()
         .unwrap_or(0);
+    // Every message the network accepted, duplicates included, arrived
+    // (delivered or discarded at a node that was not up) or is still in
+    // flight.
+    debug_assert_eq!(
+        st.net.sent() + st.net.fault_duplicated(),
+        st.deliveries + st.net.dropped() + st.discarded + st.in_flight.len() as u64,
+        "message conservation"
+    );
     let mem_peak_bytes = st.machine_mem.iter().map(|m| m.peak()).max().unwrap_or(0);
     let oom_events = st.machine_mem.iter().map(|m| m.oom_events()).sum();
 

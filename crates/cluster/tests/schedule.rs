@@ -1,5 +1,5 @@
 //! Schedule-probe and tie-order threading tests: recording a run
-//! yields real tie batches with semantic tags, perturbations stay
+//! yields real tie batches whose events name their kind, perturbations stay
 //! deterministic, and identity specs leave the run byte-identical.
 
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
@@ -13,38 +13,53 @@ fn probe_cfg(seed: u64) -> ScenarioConfig {
 }
 
 #[test]
-fn recorded_probe_has_tie_batches_and_tags() {
+fn recorded_probe_has_tie_batches_and_kinds() {
     let report = run_scenario(&probe_cfg(1), RunMode::Real);
     let probe = report.schedule_probe.expect("probe recorded");
     assert!(!probe.fires.is_empty(), "fires recorded");
-    assert!(!probe.tags.is_empty(), "runner tagged events");
     let groups = probe.tie_groups();
     assert!(
         !groups.is_empty(),
         "a gossiping cluster must produce same-timestamp ties"
     );
-    // Tags reference sequences the engine actually scheduled, and every
-    // kind the runner emits is one of the known constants.
-    let max_fired_seq = probe.fires.iter().map(|f| f.seq).max().unwrap();
-    for t in &probe.tags {
-        assert!(t.seq > 0);
+    // Every fired event names a registered handler; those of a kind the
+    // explorer reorders name a node in range.
+    let kinds: Vec<(u64, u32)> = probe
+        .fires
+        .iter()
+        .filter_map(|f| probe.kind_of(f))
+        .collect();
+    assert!(!kinds.is_empty(), "the explorer can name events");
+    for f in &probe.fires {
+        assert!(
+            (f.handler as usize) < probe.kinds.len(),
+            "unregistered handler"
+        );
+        assert!(f.seq > 0);
+    }
+    for &(kind, node) in &kinds {
         assert!(
             matches!(
-                tag::kind(t.tag),
+                kind,
                 tag::DELIVER | tag::GOSSIP_TIMER | tag::FD_TIMER | tag::RECV_DONE | tag::SEND_DONE
             ),
-            "unknown tag kind"
+            "unknown kind {kind}"
         );
-        assert!(tag::node(t.tag) < 8, "node id in range");
+        assert!(node < 8, "node id in range");
     }
-    assert!(max_fired_seq > 0);
-    // Send/receive stage completions are tagged too: they emit
-    // messages (drawing from the shared engine RNG), which is what
-    // makes their tie order explorable.
-    for kind in [tag::RECV_DONE, tag::SEND_DONE] {
+    // Every kind fires, stage completions included: they emit messages
+    // (drawing from the shared engine RNG), which is what makes their
+    // tie order explorable.
+    for kind in [
+        tag::DELIVER,
+        tag::GOSSIP_TIMER,
+        tag::FD_TIMER,
+        tag::RECV_DONE,
+        tag::SEND_DONE,
+    ] {
         assert!(
-            probe.tags.iter().any(|t| tag::kind(t.tag) == kind),
-            "stage completions must be tagged (kind {kind})"
+            kinds.iter().any(|&(k, _)| k == kind),
+            "kind {kind} never fired"
         );
     }
 }

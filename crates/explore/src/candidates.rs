@@ -6,7 +6,7 @@
 //! pair inside a tie batch is a potential swap, but most pairs provably
 //! commute in this model, and the frontier skips them:
 //!
-//! * **Same node, tagged kinds** — race. These are the classic
+//! * **Same node, known kinds** — race. These are the classic
 //!   scheduler-undefined orders: a processing completion applying
 //!   heartbeats vs the failure-detector sweep that convicts, a message
 //!   delivery vs a timer, two timers.
@@ -16,11 +16,9 @@
 //!   those draws even though node state is disjoint.
 //! * **Everything else** — skipped. Cross-node pairs that do not both
 //!   touch the shared RNG act on disjoint node state (per-node gossip
-//!   RNG streams), and untagged events are internal continuations
-//!   (stage bookkeeping, lock grants) whose intra-tick order the stage
-//!   machinery already fixes.
-
-use std::collections::HashMap;
+//!   RNG streams), and internal continuations (stage bookkeeping, lock
+//!   grants) are events whose intra-tick order the stage machinery
+//!   already fixes.
 
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{ScheduleProbe, TieSwap};
@@ -43,11 +41,11 @@ fn send_capable(kind: u64) -> bool {
     matches!(kind, tag::RECV_DONE | tag::SEND_DONE)
 }
 
-/// Whether two tagged events race (scheduler-undefined order with an
-/// observable effect): any two tagged kinds on one node, or two
-/// send-capable completions on different nodes (shared-RNG draw order).
-fn races(ta: u64, tb: u64) -> bool {
-    let (ka, kb) = (tag::kind(ta), tag::kind(tb));
+/// Whether two events, as `(kind, node)`, race (scheduler-undefined
+/// order with an observable effect): any two known kinds on one node,
+/// or two send-capable completions on different nodes (shared-RNG draw
+/// order).
+fn races((ka, na): (u64, u32), (kb, nb): (u64, u32)) -> bool {
     let known = |k| {
         matches!(
             k,
@@ -57,7 +55,7 @@ fn races(ta: u64, tb: u64) -> bool {
     if !known(ka) || !known(kb) {
         return false;
     }
-    if tag::node(ta) == tag::node(tb) {
+    if na == nb {
         return true;
     }
     send_capable(ka) && send_capable(kb)
@@ -94,7 +92,6 @@ fn class_of(ka: u64, kb: u64) -> usize {
 /// volatile and an early conviction cascades through the rest of the
 /// run.
 pub fn targeted_swaps(probe: &ScheduleProbe, max: usize) -> CandidateSet {
-    let tags: HashMap<u64, u64> = probe.tags.iter().map(|t| (t.seq, t.tag)).collect();
     let mut out = CandidateSet::default();
     let mut classes: [Vec<TieSwap>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for group in probe.tie_groups() {
@@ -107,7 +104,7 @@ pub fn targeted_swaps(probe: &ScheduleProbe, max: usize) -> CandidateSet {
                 pairs += 1;
                 out.considered += 1;
                 let (a, b) = (group[ai], group[bi]);
-                let (Some(&ta), Some(&tb)) = (tags.get(&a.seq), tags.get(&b.seq)) else {
+                let (Some(ta), Some(tb)) = (probe.kind_of(&a), probe.kind_of(&b)) else {
                     out.skipped_commuting += 1;
                     continue;
                 };
@@ -118,7 +115,7 @@ pub fn targeted_swaps(probe: &ScheduleProbe, max: usize) -> CandidateSet {
                 // Identity order fires ascending seq, so the swap that
                 // reverses the pair delays `a` past `b`.
                 if b.seq > a.seq {
-                    classes[class_of(tag::kind(ta), tag::kind(tb))].push(TieSwap {
+                    classes[class_of(ta.0, tb.0)].push(TieSwap {
                         seq: a.seq,
                         shift: b.seq - a.seq,
                     });
@@ -154,36 +151,33 @@ pub fn targeted_swaps(probe: &ScheduleProbe, max: usize) -> CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalecheck_sim::{FireRec, TagRec};
+    use scalecheck_sim::FireRec;
 
-    fn probe(fires: Vec<FireRec>, tags: Vec<TagRec>) -> ScheduleProbe {
-        ScheduleProbe { fires, tags }
+    /// A probe whose handler `k` has kind `k` (handler 0 is internal),
+    /// over `(at, seq, kind, node)` fires.
+    fn probe(fires: &[(u64, u64, u64, u32)]) -> ScheduleProbe {
+        ScheduleProbe {
+            fires: fires
+                .iter()
+                .map(|&(at, seq, kind, node)| FireRec {
+                    at,
+                    seq,
+                    handler: kind as u32,
+                    payload: node as u64 | 77 << 32,
+                })
+                .collect(),
+            kinds: (0..=tag::SEND_DONE).collect(),
+        }
     }
 
     #[test]
     fn same_node_races_are_candidates_cross_node_timers_are_skipped() {
-        let p = probe(
-            vec![
-                FireRec { at: 10, seq: 1 },
-                FireRec { at: 10, seq: 2 },
-                FireRec { at: 10, seq: 3 },
-                FireRec { at: 20, seq: 4 },
-            ],
-            vec![
-                TagRec {
-                    seq: 1,
-                    tag: tag::pack(tag::DELIVER, 5),
-                },
-                TagRec {
-                    seq: 2,
-                    tag: tag::pack(tag::FD_TIMER, 5),
-                },
-                TagRec {
-                    seq: 3,
-                    tag: tag::pack(tag::DELIVER, 9),
-                },
-            ],
-        );
+        let p = probe(&[
+            (10, 1, tag::DELIVER, 5),
+            (10, 2, tag::FD_TIMER, 5),
+            (10, 3, tag::DELIVER, 9),
+            (20, 4, tag::INTERNAL, 0),
+        ]);
         let c = targeted_swaps(&p, 100);
         assert_eq!(c.considered, 3, "all pairs in the batch");
         assert_eq!(c.swaps, vec![TieSwap { seq: 1, shift: 1 }]);
@@ -192,19 +186,7 @@ mod tests {
 
     #[test]
     fn cross_node_send_completions_race_via_the_shared_rng() {
-        let p = probe(
-            vec![FireRec { at: 10, seq: 1 }, FireRec { at: 10, seq: 2 }],
-            vec![
-                TagRec {
-                    seq: 1,
-                    tag: tag::pack(tag::SEND_DONE, 3),
-                },
-                TagRec {
-                    seq: 2,
-                    tag: tag::pack(tag::RECV_DONE, 7),
-                },
-            ],
-        );
+        let p = probe(&[(10, 1, tag::SEND_DONE, 3), (10, 2, tag::RECV_DONE, 7)]);
         let c = targeted_swaps(&p, 100);
         assert_eq!(c.swaps, vec![TieSwap { seq: 1, shift: 1 }]);
     }
@@ -213,41 +195,19 @@ mod tests {
     fn non_adjacent_same_node_pairs_are_candidates() {
         // fd timer ... deliver ... recv-done, all node 4: the fd-vs-
         // recv-done race needs shift 2, hopping past the deliver.
-        let p = probe(
-            vec![
-                FireRec { at: 10, seq: 1 },
-                FireRec { at: 10, seq: 2 },
-                FireRec { at: 10, seq: 3 },
-            ],
-            vec![
-                TagRec {
-                    seq: 1,
-                    tag: tag::pack(tag::FD_TIMER, 4),
-                },
-                TagRec {
-                    seq: 2,
-                    tag: tag::pack(tag::DELIVER, 4),
-                },
-                TagRec {
-                    seq: 3,
-                    tag: tag::pack(tag::RECV_DONE, 4),
-                },
-            ],
-        );
+        let p = probe(&[
+            (10, 1, tag::FD_TIMER, 4),
+            (10, 2, tag::DELIVER, 4),
+            (10, 3, tag::RECV_DONE, 4),
+        ]);
         let c = targeted_swaps(&p, 100);
         assert!(c.swaps.contains(&TieSwap { seq: 1, shift: 2 }));
         assert_eq!(c.swaps.len(), 3);
     }
 
     #[test]
-    fn untagged_members_are_internal_and_skipped() {
-        let p = probe(
-            vec![FireRec { at: 10, seq: 1 }, FireRec { at: 10, seq: 2 }],
-            vec![TagRec {
-                seq: 1,
-                tag: tag::pack(tag::DELIVER, 0),
-            }],
-        );
+    fn internal_members_are_skipped() {
+        let p = probe(&[(10, 1, tag::DELIVER, 0), (10, 2, tag::INTERNAL, 0)]);
         let c = targeted_swaps(&p, 100);
         assert!(c.swaps.is_empty());
         assert_eq!(c.skipped_commuting, 1);
@@ -255,16 +215,8 @@ mod tests {
 
     #[test]
     fn cap_bounds_the_frontier_but_keeps_counting() {
-        let mut fires = Vec::new();
-        let mut tags = Vec::new();
-        for s in 1..=10u64 {
-            fires.push(FireRec { at: 10, seq: s });
-            tags.push(TagRec {
-                seq: s,
-                tag: tag::pack(tag::DELIVER, 1),
-            });
-        }
-        let c = targeted_swaps(&probe(fires, tags), 3);
+        let fires: Vec<_> = (1..=10u64).map(|s| (10, s, tag::DELIVER, 1)).collect();
+        let c = targeted_swaps(&probe(&fires), 3);
         assert_eq!(c.swaps.len(), 3);
         assert_eq!(c.considered, 45, "all 10-choose-2 pairs");
     }

@@ -28,7 +28,7 @@ pub struct Evaluator {
     memo: MemoArtifacts,
     /// Identity-schedule flap triple.
     pub baseline: FlapTriple,
-    /// Schedule probe of the baseline target run (tie batches + tags).
+    /// Schedule probe of the baseline target run (tie batches + kinds).
     pub probe: ScheduleProbe,
     /// Scenario runs executed so far (baseline counts three).
     pub runs: usize,

@@ -20,7 +20,7 @@ use scalecheck_memo::{
 };
 use scalecheck_net::{LatencyModel, Network, NetworkConfig};
 use scalecheck_sim::{
-    Ctx, CtxSwitchModel, Engine, Machine, MachinePark, SimDuration, SimTime, Stage,
+    Ctx, CtxSwitchModel, Engine, HandlerId, Machine, MachinePark, SimDuration, SimTime, Stage,
 };
 use serde::Serialize;
 
@@ -111,6 +111,40 @@ enum MTask {
     Report(DnId, u64),
 }
 
+/// What an engine event does. Each kind is one registered handler; the
+/// payload's low word is the datanode, its high word a report's
+/// sequence number.
+#[derive(Clone, Copy)]
+#[repr(u32)]
+enum Ev {
+    /// A datanode's heartbeat timer.
+    Heartbeat,
+    /// A datanode's block-report timer.
+    Report,
+    /// A heartbeat reaches the master.
+    HeartbeatArrives,
+    /// The master applies a heartbeat once the namesystem lock is free.
+    HeartbeatApplies,
+    /// A block report reaches the master's call queue.
+    ReportArrives,
+    /// The master finishes processing a block report.
+    ReportDone,
+    /// The master's liveness sweep.
+    LivenessSweep,
+}
+
+impl Ev {
+    const ALL: [Ev; 7] = [
+        Ev::Heartbeat,
+        Ev::Report,
+        Ev::HeartbeatArrives,
+        Ev::HeartbeatApplies,
+        Ev::ReportArrives,
+        Ev::ReportDone,
+        Ev::LivenessSweep,
+    ];
+}
+
 struct HdfsState<'a> {
     cfg: HdfsConfig,
     mode: RunMode,
@@ -126,6 +160,52 @@ struct HdfsState<'a> {
     heartbeats_processed: u64,
     dropped_rpcs: u64,
     output_mismatches: u64,
+    /// The registered handler of each [`Ev`], by discriminant.
+    handlers: [HandlerId; Ev::ALL.len()],
+}
+
+impl HdfsState<'_> {
+    fn schedule(&self, ctx: &mut Ctx<'_>, at: SimTime, ev: Ev, payload: u64) {
+        ctx.schedule_handler_at(at, self.handlers[ev as usize], payload);
+    }
+}
+
+fn dispatch(st: &mut HdfsState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
+    let i = payload as u32 as usize;
+    let dn = DnId(i as u32);
+    match ev {
+        Ev::Heartbeat => dn_heartbeat(st, ctx, i),
+        Ev::Report => dn_report(st, ctx, i),
+        Ev::HeartbeatArrives => {
+            // The heartbeat needs the namesystem lock: it processes
+            // once the in-flight block report (if any) releases it.
+            let ready = ctx.now().max(st.lock_held_until);
+            st.schedule(ctx, ready, Ev::HeartbeatApplies, payload);
+        }
+        Ev::HeartbeatApplies => {
+            let mut ops = MasterOps::new();
+            st.master.process_heartbeat(dn, ctx.now(), &mut ops);
+            st.heartbeats_processed += 1;
+        }
+        Ev::ReportArrives => {
+            if st.stage.depth() >= st.cfg.queue_capacity {
+                st.dropped_rpcs += 1;
+                return;
+            }
+            st.stage.push(ctx.now(), MTask::Report(dn, payload >> 32));
+            pump(st, ctx);
+        }
+        Ev::ReportDone => {
+            st.reports_processed += 1;
+            st.stage.finish();
+            pump(st, ctx);
+        }
+        Ev::LivenessSweep => {
+            st.master.check_liveness(ctx.now());
+            let next = ctx.now() + SimDuration::from_secs(5);
+            st.schedule(ctx, next, Ev::LivenessSweep, 0);
+        }
+    }
 }
 
 fn report_digest(dn: DnId, seq: u64, version: ReportVersion, blocks_per_node: usize) -> Digest128 {
@@ -140,7 +220,7 @@ fn report_digest(dn: DnId, seq: u64, version: ReportVersion, blocks_per_node: us
     h.finish()
 }
 
-fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
+fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_>) {
     let now = ctx.now();
     let Some(task) = st.stage.try_begin(now) else {
         return;
@@ -161,11 +241,7 @@ fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
                     .finish
             };
             st.lock_held_until = finish;
-            ctx.schedule_at(finish, move |st: &mut HdfsState, ctx| {
-                st.reports_processed += 1;
-                st.stage.finish();
-                pump(st, ctx);
-            });
+            st.schedule(ctx, finish, Ev::ReportDone, 0);
         }
     }
 }
@@ -182,8 +258,7 @@ fn execute_report(cfg: &HdfsConfig, master: &mut Master, dn: DnId) -> (u64, SimD
     )
 }
 
-fn dn_heartbeat(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>, i: usize) {
-    let dn = DnId(i as u32);
+fn dn_heartbeat(st: &mut HdfsState, ctx: &mut Ctx<'_>, i: usize) {
     let now = ctx.now();
     if let Ok(d) = st.net.offer(
         now,
@@ -191,23 +266,13 @@ fn dn_heartbeat(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>, i: usize) {
         scalecheck_net::Addr(1 + i as u32),
         scalecheck_net::Addr(0),
     ) {
-        ctx.schedule_at(d.deliver_at, move |st: &mut HdfsState, ctx| {
-            // The heartbeat needs the namesystem lock: it processes
-            // once the in-flight block report (if any) releases it.
-            let ready = ctx.now().max(st.lock_held_until);
-            ctx.schedule_at(ready, move |st: &mut HdfsState, ctx| {
-                let mut ops = MasterOps::new();
-                st.master.process_heartbeat(dn, ctx.now(), &mut ops);
-                st.heartbeats_processed += 1;
-            });
-        });
+        st.schedule(ctx, d.deliver_at, Ev::HeartbeatArrives, i as u64);
     }
-    let interval = st.cfg.heartbeat_interval;
-    ctx.schedule_after(interval, move |st, ctx| dn_heartbeat(st, ctx, i));
+    let next = now + st.cfg.heartbeat_interval;
+    st.schedule(ctx, next, Ev::Heartbeat, i as u64);
 }
 
-fn dn_report(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>, i: usize) {
-    let dn = DnId(i as u32);
+fn dn_report(st: &mut HdfsState, ctx: &mut Ctx<'_>, i: usize) {
     let seq = st.report_seq[i];
     st.report_seq[i] += 1;
     let now = ctx.now();
@@ -217,22 +282,11 @@ fn dn_report(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>, i: usize) {
         scalecheck_net::Addr(1 + i as u32),
         scalecheck_net::Addr(0),
     ) {
-        ctx.schedule_at(d.deliver_at, move |st: &mut HdfsState, ctx| {
-            if st.stage.depth() >= st.cfg.queue_capacity {
-                st.dropped_rpcs += 1;
-                return;
-            }
-            st.stage.push(ctx.now(), MTask::Report(dn, seq));
-            pump(st, ctx);
-        });
+        debug_assert!(seq <= u32::MAX as u64);
+        st.schedule(ctx, d.deliver_at, Ev::ReportArrives, i as u64 | seq << 32);
     }
-    let interval = st.cfg.report_interval;
-    ctx.schedule_after(interval, move |st, ctx| dn_report(st, ctx, i));
-}
-
-fn liveness_sweep(st: &mut HdfsState, ctx: &mut Ctx<'_, HdfsState>) {
-    st.master.check_liveness(ctx.now());
-    ctx.schedule_after(SimDuration::from_secs(5), liveness_sweep);
+    let next = now + st.cfg.report_interval;
+    st.schedule(ctx, next, Ev::Report, i as u64);
 }
 
 /// Runs a scenario as `mode` with `pil` its PIL side. Only the master's
@@ -250,6 +304,10 @@ fn run(cfg: &HdfsConfig, mode: RunMode, pil: Pil<'_, u64>) -> HdfsReport {
         // is fully built (safe mode completed long ago).
         master.preload(dn, &blocks_of(dn, cfg.blocks_per_node));
     }
+    let mut engine: Engine<HdfsState> = Engine::new(cfg.seed);
+    let handlers = Ev::ALL.map(|ev| {
+        engine.register_handler(move |st: &mut HdfsState, ctx, p| dispatch(st, ctx, ev, p))
+    });
     let mut state = HdfsState {
         cfg: cfg.clone(),
         mode,
@@ -268,9 +326,10 @@ fn run(cfg: &HdfsConfig, mode: RunMode, pil: Pil<'_, u64>) -> HdfsReport {
         heartbeats_processed: 0,
         dropped_rpcs: 0,
         output_mismatches: 0,
+        handlers,
     };
 
-    let mut engine: Engine<HdfsState> = Engine::new(cfg.seed);
+    let h = |ev: Ev| handlers[ev as usize];
     for i in 0..cfg.n_datanodes {
         let hb_stagger = SimDuration::from_nanos(
             cfg.heartbeat_interval.as_nanos() * (i as u64) / cfg.n_datanodes.max(1) as u64,
@@ -279,16 +338,10 @@ fn run(cfg: &HdfsConfig, mode: RunMode, pil: Pil<'_, u64>) -> HdfsReport {
         // real HDFS incidents): every node reports at the same period
         // boundary, with only a small per-node jitter.
         let rp_stagger = cfg.report_interval + SimDuration::from_millis(20 * i as u64);
-        engine.schedule_at(
-            SimTime::ZERO + hb_stagger,
-            move |st: &mut HdfsState, ctx| dn_heartbeat(st, ctx, i),
-        );
-        engine.schedule_at(
-            SimTime::ZERO + rp_stagger,
-            move |st: &mut HdfsState, ctx| dn_report(st, ctx, i),
-        );
+        engine.schedule_handler_at(SimTime::ZERO + hb_stagger, h(Ev::Heartbeat), i as u64);
+        engine.schedule_handler_at(SimTime::ZERO + rp_stagger, h(Ev::Report), i as u64);
     }
-    engine.schedule_at(SimTime::from_secs(5), liveness_sweep);
+    engine.schedule_handler_at(SimTime::from_secs(5), h(Ev::LivenessSweep), 0);
     engine.run_until(&mut state, SimTime::ZERO + cfg.duration);
 
     HdfsReport {

@@ -1,25 +1,27 @@
 //! The discrete-event engine.
 //!
 //! [`Engine`] owns a scheduler of timestamped events; the simulated
-//! world state `S` lives outside the engine so event callbacks can
+//! world state `S` lives outside the engine so event handlers can
 //! mutate it freely while scheduling follow-up events through [`Ctx`].
 //!
-//! Two interchangeable schedulers exist behind the same API
+//! Events live in one slab with a free list; two interchangeable
+//! schedulers order references to them behind the same API
 //! ([`SchedulerKind`]):
 //!
 //! * **Wheel** (the default): a hierarchical timer wheel
-//!   ([`crate::wheel`]) with slab/free-list event storage and pooled
-//!   tie-batch `Vec`s. Steady-state periodic timers recycle storage, so
-//!   scheduling and firing stay allocation-free per event.
-//! * **Heap**: the original `BinaryHeap` scheduler, kept as the
-//!   differential reference (one boxed closure and an `O(log n)` sift
-//!   per event).
+//!   ([`crate::wheel`]) with pooled tie-batch `Vec`s. Steady-state
+//!   periodic timers recycle storage, so scheduling and firing stay
+//!   allocation-free per event.
+//! * **Heap**: a `BinaryHeap` of the same references, kept as the
+//!   differential ordering reference (an `O(log n)` sift per event).
 //!
-//! Events come in two shapes: one-shot boxed closures
-//! ([`Engine::schedule_at`]) and *handler events*
-//! ([`Engine::register_handler`] + [`Engine::schedule_handler_at`]) — a
-//! pre-registered `FnMut` dispatched with a `u64` payload, stored inline
-//! in the slab so periodic timers never box anything.
+//! Events have one shape: a handler registered once
+//! ([`Engine::register_handler`]) and a `u64` payload
+//! ([`Engine::schedule_handler_at`]), stored inline in the slab, so
+//! scheduling never boxes anything. Handler ids number registrations
+//! from 0, and the fire log ([`Engine::record_fires`]) reports each fired
+//! event's handler index and payload: a system that registers one
+//! handler per event kind lets the tie probe name every event it fires.
 //!
 //! Every schedule returns a [`TimerId`]; [`Engine::cancel`] removes the
 //! event before it fires (generation-checked, so stale ids are inert).
@@ -37,22 +39,14 @@
 //! perturbing policy for schedule exploration. An engine without a
 //! policy never calls one — the identity path is branch-only.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::metrics::EngineCounters;
 use crate::rng::DetRng;
 use crate::tie::{identity_key, FireRec, TieOrder, TieOrderSpec};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{EventRef, Slab, Wheel};
-
-/// A one-shot event callback: mutates the world and may schedule more
-/// events.
-pub type EventFn<S> = Box<dyn FnOnce(&mut S, &mut Ctx<'_, S>) + Send>;
-
-/// A registered handler: dispatched for every handler event scheduled
-/// against its [`HandlerId`], with the event's `u64` payload.
-pub type HandlerFn<S> = Box<dyn FnMut(&mut S, &mut Ctx<'_, S>, u64) + Send>;
 
 /// Handle to a pending event; pass to [`Engine::cancel`] /
 /// [`Ctx::cancel`] to remove it before it fires. Ids are generation-
@@ -63,61 +57,33 @@ pub struct TimerId {
     gen: u32,
 }
 
-/// Handle to a handler registered with [`Engine::register_handler`].
+/// Handle to a handler registered with [`Engine::register_handler`]:
+/// the registration's index, counting from 0.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HandlerId(u32);
 
 /// Which scheduler backs an [`Engine`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerKind {
-    /// Hierarchical timer wheel with slab storage (the default).
+    /// Hierarchical timer wheel (the default).
     #[default]
     Wheel,
-    /// The reference `BinaryHeap` scheduler.
+    /// The reference: a `BinaryHeap` over the same slab.
     Heap,
 }
 
-/// What a stored event does when it fires.
-enum Payload<S> {
-    Once(EventFn<S>),
-    Handler(HandlerId, u64),
-}
+/// A stored event: the handler it dispatches to and its payload.
+type Event = (HandlerId, u64);
 
-struct HeapEv<S> {
-    at: SimTime,
-    key: u64,
-    seq: u64,
-    id: u64,
-    ev: Payload<S>,
-}
+/// A registered handler, run with each of its events' payloads.
+type HandlerFn<S> = Box<dyn FnMut(&mut S, &mut Ctx<'_>, u64) + Send>;
 
-impl<S> PartialEq for HeapEv<S> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.key == other.key && self.seq == other.seq
-    }
-}
-impl<S> Eq for HeapEv<S> {}
-impl<S> PartialOrd for HeapEv<S> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<S> Ord for HeapEv<S> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest
-        // (time, key, seq) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.key.cmp(&self.key))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
+/// A heap entry: `(at, key, seq)`, then the event's slab address.
+type HeapRef = Reverse<(SimTime, u64, u64, u32, u32)>;
 
-enum Sched<S> {
+enum Sched {
     Wheel {
         wheel: Wheel,
-        slab: Slab<Payload<S>>,
         /// Current tick's batch, sorted by `(at, seq)`; survives across
         /// `run_until` calls when a deadline lands mid-granule.
         batch: Vec<EventRef>,
@@ -125,19 +91,12 @@ enum Sched<S> {
         batch_tick: u64,
         batch_live: bool,
     },
-    Heap {
-        queue: BinaryHeap<HeapEv<S>>,
-        /// Ids of pending (schedulable) events.
-        live_ids: HashSet<u64>,
-        /// Ids cancelled but not yet lazily popped. Only membership is
-        /// ever queried, so hash iteration order cannot leak into runs.
-        cancelled: HashSet<u64>,
-        next_id: u64,
-    },
+    /// Earliest `(at, key, seq)` on top.
+    Heap(BinaryHeap<HeapRef>),
 }
 
-/// Everything event callbacks may touch besides the RNG and stop flag.
-struct Core<S> {
+/// Everything event handlers may touch besides the RNG and stop flag.
+struct Core {
     now: SimTime,
     seq: u64,
     /// Pending (uncancelled, unfired) events.
@@ -145,17 +104,20 @@ struct Core<S> {
     counters: EngineCounters,
     /// Tie-order policy; `None` is the stock (scheduling-order) path.
     tie: Option<Box<dyn TieOrder>>,
-    sched: Sched<S>,
+    /// Every pending event; a fired or cancelled event's slot is freed,
+    /// so the schedulers' references to it go stale.
+    slab: Slab<Event>,
+    sched: Sched,
 }
 
-enum Pop<S> {
-    Fired(SimTime, u64, Payload<S>),
+enum Pop {
+    Fired(SimTime, u64, Event),
     Deadline,
     Drained,
 }
 
-impl<S> Core<S> {
-    fn schedule(&mut self, at: SimTime, payload: Payload<S>) -> TimerId {
+impl Core {
+    fn schedule(&mut self, at: SimTime, ev: Event) -> TimerId {
         let at = at.max(self.now);
         self.seq += 1;
         let seq = self.seq;
@@ -165,43 +127,21 @@ impl<S> Core<S> {
         };
         self.counters.scheduled += 1;
         self.live += 1;
+        let (idx, gen, reused) = self.slab.insert(ev);
+        if reused {
+            self.counters.pool_hits += 1;
+        } else {
+            self.counters.pool_misses += 1;
+        }
         match &mut self.sched {
-            Sched::Heap {
-                queue,
-                live_ids,
-                next_id,
-                ..
-            } => {
-                let id = *next_id;
-                *next_id += 1;
-                self.counters.pool_misses += 1;
-                live_ids.insert(id);
-                queue.push(HeapEv {
-                    at,
-                    key,
-                    seq,
-                    id,
-                    ev: payload,
-                });
-                TimerId {
-                    idx: id as u32,
-                    gen: (id >> 32) as u32,
-                }
-            }
+            Sched::Heap(queue) => queue.push(Reverse((at, key, seq, idx, gen))),
             Sched::Wheel {
                 wheel,
-                slab,
                 batch,
                 batch_pos,
                 batch_tick,
                 batch_live,
             } => {
-                let (idx, gen, reused) = slab.insert(payload);
-                if reused {
-                    self.counters.pool_hits += 1;
-                } else {
-                    self.counters.pool_misses += 1;
-                }
                 let r = EventRef {
                     at,
                     key,
@@ -218,23 +158,13 @@ impl<S> Core<S> {
                 } else {
                     wheel.insert(r);
                 }
-                TimerId { idx, gen }
             }
         }
+        TimerId { idx, gen }
     }
 
     fn cancel(&mut self, id: TimerId) -> bool {
-        let hit = match &mut self.sched {
-            Sched::Heap {
-                live_ids,
-                cancelled,
-                ..
-            } => {
-                let raw = ((id.gen as u64) << 32) | id.idx as u64;
-                live_ids.remove(&raw) && cancelled.insert(raw)
-            }
-            Sched::Wheel { slab, .. } => slab.take(id.idx, id.gen).is_some(),
-        };
+        let hit = self.slab.take(id.idx, id.gen).is_some();
         if hit {
             self.counters.cancelled += 1;
             self.live -= 1;
@@ -242,34 +172,25 @@ impl<S> Core<S> {
         hit
     }
 
-    fn pop_next(&mut self, deadline: SimTime) -> Pop<S> {
+    fn pop_next(&mut self, deadline: SimTime) -> Pop {
         if self.live == 0 {
             return Pop::Drained;
         }
         match &mut self.sched {
-            Sched::Heap {
-                queue,
-                live_ids,
-                cancelled,
-                ..
-            } => loop {
-                match queue.peek() {
-                    None => return Pop::Drained,
-                    Some(ev) if cancelled.contains(&ev.id) => {
-                        let ev = queue.pop().expect("peeked event present");
-                        cancelled.remove(&ev.id);
-                    }
-                    Some(ev) if ev.at > deadline => return Pop::Deadline,
-                    Some(_) => {
-                        let ev = queue.pop().expect("peeked event present");
-                        live_ids.remove(&ev.id);
-                        return Pop::Fired(ev.at, ev.seq, ev.ev);
-                    }
+            // live > 0 (checked above), so a live reference remains.
+            Sched::Heap(queue) => loop {
+                let Reverse((at, _, seq, idx, gen)) = *queue.peek().expect("a live event");
+                if at > deadline {
+                    return Pop::Deadline;
                 }
+                queue.pop();
+                if let Some(ev) = self.slab.take(idx, gen) {
+                    return Pop::Fired(at, seq, ev);
+                }
+                // Stale ref (cancelled event): skip.
             },
             Sched::Wheel {
                 wheel,
-                slab,
                 batch,
                 batch_pos,
                 batch_tick,
@@ -281,8 +202,8 @@ impl<S> Core<S> {
                         return Pop::Deadline;
                     }
                     *batch_pos += 1;
-                    if let Some(p) = slab.take(r.idx, r.gen) {
-                        return Pop::Fired(r.at, r.seq, p);
+                    if let Some(ev) = self.slab.take(r.idx, r.gen) {
+                        return Pop::Fired(r.at, r.seq, ev);
                     }
                     // Stale ref (cancelled event): skip.
                 }
@@ -328,40 +249,24 @@ pub struct RunStats {
     pub counters: EngineCounters,
 }
 
-/// Handle given to event callbacks for scheduling and randomness.
-pub struct Ctx<'a, S> {
-    core: &'a mut Core<S>,
+/// Handle given to event handlers for scheduling and randomness.
+pub struct Ctx<'a> {
+    core: &'a mut Core,
     rng: &'a mut DetRng,
     stop: &'a mut bool,
 }
 
-impl<'a, S> Ctx<'a, S> {
+impl Ctx<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.core.now
-    }
-
-    /// Schedules `f` to run at absolute time `at` (clamped to now).
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> TimerId
-    where
-        F: FnOnce(&mut S, &mut Ctx<'_, S>) + Send + 'static,
-    {
-        self.core.schedule(at, Payload::Once(Box::new(f)))
-    }
-
-    /// Schedules `f` to run after `delay`.
-    pub fn schedule_after<F>(&mut self, delay: SimDuration, f: F) -> TimerId
-    where
-        F: FnOnce(&mut S, &mut Ctx<'_, S>) + Send + 'static,
-    {
-        self.schedule_at(self.core.now + delay, f)
     }
 
     /// Schedules a handler event at absolute time `at` (clamped to now);
     /// the registered handler runs with `payload`. No allocation when
     /// the slab recycles a slot (the steady state).
     pub fn schedule_handler_at(&mut self, at: SimTime, h: HandlerId, payload: u64) -> TimerId {
-        self.core.schedule(at, Payload::Handler(h, payload))
+        self.core.schedule(at, (h, payload))
     }
 
     /// Schedules a handler event after `delay`.
@@ -385,13 +290,6 @@ impl<'a, S> Ctx<'a, S> {
         self.rng
     }
 
-    /// Sequence number of the most recently scheduled event. Immediately
-    /// after a `schedule_*` call this identifies that event for tie-order
-    /// perturbation targeting ([`crate::tie::TieSwap`]).
-    pub fn last_seq(&self) -> u64 {
-        self.core.seq
-    }
-
     /// Requests that the run loop stop after this event returns.
     pub fn stop(&mut self) {
         *self.stop = true;
@@ -400,10 +298,9 @@ impl<'a, S> Ctx<'a, S> {
 
 /// A deterministic discrete-event engine over world state `S`.
 pub struct Engine<S> {
-    core: Core<S>,
+    core: Core,
     rng: DetRng,
     stop: bool,
-    executed_total: u64,
     handlers: Vec<Option<HandlerFn<S>>>,
     fire_log: Option<Vec<FireRec>>,
 }
@@ -435,18 +332,12 @@ impl<S> Engine<S> {
         let sched = match kind {
             SchedulerKind::Wheel => Sched::Wheel {
                 wheel: Wheel::new(),
-                slab: Slab::new(),
                 batch: Vec::new(),
                 batch_pos: 0,
                 batch_tick: 0,
                 batch_live: false,
             },
-            SchedulerKind::Heap => Sched::Heap {
-                queue: BinaryHeap::new(),
-                live_ids: HashSet::new(),
-                cancelled: HashSet::new(),
-                next_id: 0,
-            },
+            SchedulerKind::Heap => Sched::Heap(BinaryHeap::new()),
         };
         Engine {
             core: Core {
@@ -455,11 +346,11 @@ impl<S> Engine<S> {
                 live: 0,
                 counters: EngineCounters::default(),
                 tie: None,
+                slab: Slab::new(),
                 sched,
             },
             rng: DetRng::new(seed),
             stop: false,
-            executed_total: 0,
             handlers: Vec::new(),
             fire_log: None,
         }
@@ -475,23 +366,14 @@ impl<S> Engine<S> {
         self.core.live
     }
 
-    /// Total events executed over the engine's lifetime.
-    pub fn executed_total(&self) -> u64 {
-        self.executed_total
-    }
-
     /// Engine-lifetime scheduling counters.
     pub fn counters(&self) -> EngineCounters {
         self.core.counters
     }
 
-    /// Sequence number of the most recently scheduled event.
-    pub fn last_seq(&self) -> u64 {
-        self.core.seq
-    }
-
-    /// Enables (or disables) recording of `(at, seq)` per fired event.
-    /// The log feeds [`crate::tie::ScheduleProbe::tie_groups`].
+    /// Enables (or disables) recording of each fired event's time,
+    /// sequence, handler and payload. The log is a
+    /// [`crate::tie::ScheduleProbe`]'s `fires`.
     pub fn record_fires(&mut self, on: bool) {
         self.fire_log = if on { Some(Vec::new()) } else { None };
     }
@@ -510,36 +392,20 @@ impl<S> Engine<S> {
     }
 
     /// Registers a reusable handler; events scheduled against the
-    /// returned id dispatch to it without boxing a fresh closure.
+    /// returned id dispatch to it with their payload.
     pub fn register_handler<F>(&mut self, f: F) -> HandlerId
     where
-        F: FnMut(&mut S, &mut Ctx<'_, S>, u64) + Send + 'static,
+        F: FnMut(&mut S, &mut Ctx<'_>, u64) + Send + 'static,
     {
         let id = u32::try_from(self.handlers.len()).expect("handler capacity");
         self.handlers.push(Some(Box::new(f)));
         HandlerId(id)
     }
 
-    /// Schedules `f` at absolute time `at` from outside an event
-    /// callback.
-    pub fn schedule_at<F>(&mut self, at: SimTime, f: F) -> TimerId
-    where
-        F: FnOnce(&mut S, &mut Ctx<'_, S>) + Send + 'static,
-    {
-        self.core.schedule(at, Payload::Once(Box::new(f)))
-    }
-
-    /// Schedules `f` after `delay` from outside an event callback.
-    pub fn schedule_after<F>(&mut self, delay: SimDuration, f: F) -> TimerId
-    where
-        F: FnOnce(&mut S, &mut Ctx<'_, S>) + Send + 'static,
-    {
-        self.schedule_at(self.core.now + delay, f)
-    }
-
-    /// Schedules a handler event at absolute time `at`.
+    /// Schedules a handler event at absolute time `at` from outside an
+    /// event handler.
     pub fn schedule_handler_at(&mut self, at: SimTime, h: HandlerId, payload: u64) -> TimerId {
-        self.core.schedule(at, Payload::Handler(h, payload))
+        self.core.schedule(at, (h, payload))
     }
 
     /// Schedules a handler event after `delay`.
@@ -582,16 +448,18 @@ impl<S> Engine<S> {
         let mut rate_sec = self.core.now.as_nanos() / 1_000_000_000;
         let mut rate_count = 0u64;
         let outcome = loop {
-            let (at, seq, payload) = match self.core.pop_next(deadline) {
+            let (at, seq, (h, payload)) = match self.core.pop_next(deadline) {
                 Pop::Drained => break RunOutcome::QueueDrained,
                 Pop::Deadline => break RunOutcome::DeadlineReached,
-                Pop::Fired(at, seq, payload) => (at, seq, payload),
+                Pop::Fired(at, seq, ev) => (at, seq, ev),
             };
             debug_assert!(at >= self.core.now, "event queue went backwards");
             if let Some(log) = self.fire_log.as_mut() {
                 log.push(FireRec {
                     at: at.as_nanos(),
                     seq,
+                    handler: h.0,
+                    payload,
                 });
             }
             if tracing {
@@ -614,30 +482,18 @@ impl<S> Engine<S> {
             self.core.now = at;
             self.core.live -= 1;
             self.core.counters.fired += 1;
-            match payload {
-                Payload::Once(f) => {
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        rng: &mut self.rng,
-                        stop: &mut self.stop,
-                    };
-                    f(state, &mut ctx);
-                }
-                Payload::Handler(h, arg) => {
-                    // Take the handler out for the call so it cannot
-                    // alias the engine borrow, then put it back.
-                    let mut f = self.handlers[h.0 as usize]
-                        .take()
-                        .expect("handler re-entered its own dispatch");
-                    let mut ctx = Ctx {
-                        core: &mut self.core,
-                        rng: &mut self.rng,
-                        stop: &mut self.stop,
-                    };
-                    f(state, &mut ctx, arg);
-                    self.handlers[h.0 as usize] = Some(f);
-                }
-            }
+            // Take the handler out for the call so it cannot alias the
+            // engine borrow, then put it back.
+            let mut f = self.handlers[h.0 as usize]
+                .take()
+                .expect("handler re-entered its own dispatch");
+            let mut ctx = Ctx {
+                core: &mut self.core,
+                rng: &mut self.rng,
+                stop: &mut self.stop,
+            };
+            f(state, &mut ctx, payload);
+            self.handlers[h.0 as usize] = Some(f);
             executed += 1;
             if self.stop {
                 break RunOutcome::Stopped;
@@ -661,7 +517,6 @@ impl<S> Engine<S> {
                 scalecheck_obs::with(|t| t.span_end(id, end, executed));
             }
         }
-        self.executed_total += executed;
         RunStats {
             executed,
             ended_at: self.core.now,
@@ -680,19 +535,26 @@ impl<S> Engine<S> {
 mod tests {
     use super::*;
 
-    fn both() -> [Engine<Vec<u32>>; 2] {
-        [
-            Engine::with_scheduler(1, SchedulerKind::Wheel),
-            Engine::with_scheduler(1, SchedulerKind::Heap),
-        ]
+    /// Registers the handler that pushes its payload onto the log.
+    fn pusher<T: From<u32> + Send + 'static>(eng: &mut Engine<Vec<T>>) -> HandlerId {
+        eng.register_handler(|s: &mut Vec<T>, _, p| s.push(T::from(p as u32)))
+    }
+
+    /// Wheel and heap engines, each with its pusher.
+    fn both() -> [(Engine<Vec<u32>>, HandlerId); 2] {
+        [SchedulerKind::Wheel, SchedulerKind::Heap].map(|kind| {
+            let mut eng = Engine::with_scheduler(1, kind);
+            let push = pusher(&mut eng);
+            (eng, push)
+        })
     }
 
     #[test]
     fn events_fire_in_time_order() {
-        for mut eng in both() {
-            eng.schedule_at(SimTime::from_secs(3), |s, _| s.push(3));
-            eng.schedule_at(SimTime::from_secs(1), |s, _| s.push(1));
-            eng.schedule_at(SimTime::from_secs(2), |s, _| s.push(2));
+        for (mut eng, push) in both() {
+            eng.schedule_handler_at(SimTime::from_secs(3), push, 3);
+            eng.schedule_handler_at(SimTime::from_secs(1), push, 1);
+            eng.schedule_handler_at(SimTime::from_secs(2), push, 2);
             let mut out = Vec::new();
             let stats = eng.run_to_completion(&mut out);
             assert_eq!(out, vec![1, 2, 3]);
@@ -703,15 +565,31 @@ mod tests {
 
     #[test]
     fn ties_fire_in_scheduling_order() {
-        for mut eng in both() {
+        for (mut eng, push) in both() {
             let t = SimTime::from_secs(1);
             for i in 0..10 {
-                eng.schedule_at(t, move |s, _| s.push(i));
+                eng.schedule_handler_at(t, push, i);
             }
             let mut out = Vec::new();
             eng.run_to_completion(&mut out);
             assert_eq!(out, (0..10).collect::<Vec<_>>());
         }
+    }
+
+    /// Runs `ties` same-time pushes of 0.. (plus one untied 99 when
+    /// `marker`) under `spec`.
+    fn tie_run(kind: SchedulerKind, spec: &TieOrderSpec, ties: u64, marker: bool) -> Vec<u32> {
+        let mut eng: Engine<Vec<u32>> = Engine::with_tie_order(1, kind, spec);
+        let push = pusher(&mut eng);
+        for i in 0..ties {
+            eng.schedule_handler_at(SimTime::from_secs(1), push, i);
+        }
+        if marker {
+            eng.schedule_handler_at(SimTime::from_secs(2), push, 99);
+        }
+        let mut out = Vec::new();
+        eng.run_to_completion(&mut out);
+        out
     }
 
     #[test]
@@ -721,14 +599,7 @@ mod tests {
             // Stock tie order for seqs 1..=4 is [0, 1, 2, 3]; swapping at
             // seq 2 exchanges the events scheduled 2nd and 3rd.
             let spec = TieOrderSpec::with_swaps(vec![TieSwap { seq: 2, shift: 1 }]);
-            let mut eng: Engine<Vec<u32>> = Engine::with_tie_order(1, kind, &spec);
-            let t = SimTime::from_secs(1);
-            for i in 0..4 {
-                eng.schedule_at(t, move |s, _| s.push(i));
-            }
-            let mut out = Vec::new();
-            eng.run_to_completion(&mut out);
-            assert_eq!(out, vec![0, 2, 1, 3]);
+            assert_eq!(tie_run(kind, &spec, 4, false), vec![0, 2, 1, 3]);
         }
     }
 
@@ -741,31 +612,15 @@ mod tests {
             // is installed (the spec is not structurally identity).
             let spec = TieOrderSpec::with_swaps(vec![TieSwap { seq: 3, shift: 0 }]);
             assert!(!spec.is_identity());
-            let mut eng: Engine<Vec<u32>> = Engine::with_tie_order(1, kind, &spec);
-            let t = SimTime::from_secs(1);
-            for i in 0..6 {
-                eng.schedule_at(t, move |s, _| s.push(i));
-            }
-            let mut out = Vec::new();
-            eng.run_to_completion(&mut out);
-            assert_eq!(out, (0..6).collect::<Vec<_>>());
+            assert_eq!(tie_run(kind, &spec, 6, false), (0..6).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn shuffled_ties_permute_deterministically_and_only_within_ties() {
         for kind in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let run = |spec: &TieOrderSpec| {
-                let mut eng: Engine<Vec<u32>> = Engine::with_tie_order(1, kind, spec);
-                for i in 0..8 {
-                    eng.schedule_at(SimTime::from_secs(1), move |s, _| s.push(i));
-                }
-                // A later, untied event must stay after every tie.
-                eng.schedule_at(SimTime::from_secs(2), |s, _| s.push(99));
-                let mut out = Vec::new();
-                eng.run_to_completion(&mut out);
-                out
-            };
+            // A later, untied event must stay after every tie.
+            let run = |spec: &TieOrderSpec| tie_run(kind, spec, 8, true);
             let a = run(&TieOrderSpec::shuffled(7));
             let b = run(&TieOrderSpec::shuffled(7));
             let c = run(&TieOrderSpec::shuffled(8));
@@ -783,45 +638,38 @@ mod tests {
     }
 
     #[test]
-    fn fire_log_records_at_seq_in_fired_order() {
+    fn fire_log_records_each_fired_event_in_fired_order() {
         let mut eng: Engine<Vec<u32>> = Engine::new(1);
+        let other = eng.register_handler(|_, _, _| {});
+        let push = pusher(&mut eng);
         eng.record_fires(true);
         let t = SimTime::from_secs(1);
-        eng.schedule_at(t, |s, _| s.push(0));
-        eng.schedule_at(t, |s, _| s.push(1));
-        assert_eq!(eng.last_seq(), 2);
-        eng.schedule_at(SimTime::from_secs(2), |s, _| s.push(2));
+        eng.schedule_handler_at(t, push, 7);
+        eng.schedule_handler_at(t, other, 1 << 40);
+        eng.schedule_handler_at(SimTime::from_secs(2), push, 8);
         let mut out = Vec::new();
         eng.run_to_completion(&mut out);
-        let log = eng.take_fire_log();
+        let fire = |at: u64, seq, handler, payload| FireRec {
+            at: at * 1_000_000_000,
+            seq,
+            handler,
+            payload,
+        };
         assert_eq!(
-            log,
-            vec![
-                FireRec {
-                    at: 1_000_000_000,
-                    seq: 1
-                },
-                FireRec {
-                    at: 1_000_000_000,
-                    seq: 2
-                },
-                FireRec {
-                    at: 2_000_000_000,
-                    seq: 3
-                },
-            ]
+            eng.take_fire_log(),
+            vec![fire(1, 1, 1, 7), fire(1, 2, 0, 1 << 40), fire(2, 3, 1, 8)]
         );
     }
 
     #[test]
     fn events_can_schedule_events() {
         let mut eng: Engine<Vec<u64>> = Engine::new(1);
-        eng.schedule_at(SimTime::from_secs(1), |s, ctx| {
+        let stamp = eng.register_handler(|s: &mut Vec<u64>, ctx, _| s.push(ctx.now().as_nanos()));
+        let first = eng.register_handler(move |s: &mut Vec<u64>, ctx, _| {
             s.push(ctx.now().as_nanos());
-            ctx.schedule_after(SimDuration::from_secs(2), |s, ctx| {
-                s.push(ctx.now().as_nanos());
-            });
+            ctx.schedule_handler_after(SimDuration::from_secs(2), stamp, 0);
         });
+        eng.schedule_handler_at(SimTime::from_secs(1), first, 0);
         let mut out = Vec::new();
         eng.run_to_completion(&mut out);
         assert_eq!(out, vec![1_000_000_000, 3_000_000_000]);
@@ -831,13 +679,14 @@ mod tests {
     fn same_granule_scheduling_keeps_tie_order() {
         // An event scheduling a same-time follow-up must see it fire
         // within the same wheel granule, after already-queued ties.
-        for mut eng in both() {
+        for (mut eng, push) in both() {
             let t = SimTime::from_secs(1);
-            eng.schedule_at(t, |s: &mut Vec<u32>, ctx: &mut Ctx<'_, Vec<u32>>| {
+            let first = eng.register_handler(move |s: &mut Vec<u32>, ctx, _| {
                 s.push(0);
-                ctx.schedule_at(ctx.now(), |s, _| s.push(9));
+                ctx.schedule_handler_at(ctx.now(), push, 9);
             });
-            eng.schedule_at(t, |s, _| s.push(1));
+            eng.schedule_handler_at(t, first, 0);
+            eng.schedule_handler_at(t, push, 1);
             let mut out = Vec::new();
             eng.run_to_completion(&mut out);
             assert_eq!(out, vec![0, 1, 9]);
@@ -846,9 +695,9 @@ mod tests {
 
     #[test]
     fn deadline_stops_and_clamps_clock() {
-        for mut eng in both() {
-            eng.schedule_at(SimTime::from_secs(1), |s, _| s.push(1));
-            eng.schedule_at(SimTime::from_secs(10), |s, _| s.push(10));
+        for (mut eng, push) in both() {
+            eng.schedule_handler_at(SimTime::from_secs(1), push, 1);
+            eng.schedule_handler_at(SimTime::from_secs(10), push, 10);
             let mut out = Vec::new();
             let stats = eng.run_until(&mut out, SimTime::from_secs(5));
             assert_eq!(out, vec![1]);
@@ -866,11 +715,9 @@ mod tests {
     fn mid_granule_deadline_preserves_remaining_ties() {
         // Two events in the same ~1 ms granule with a deadline between
         // them: the second must survive the deadline and fire on resume.
-        for mut eng in both() {
-            let a = SimTime::from_nanos(100);
-            let b = SimTime::from_nanos(300);
-            eng.schedule_at(a, |s, _| s.push(1));
-            eng.schedule_at(b, |s, _| s.push(2));
+        for (mut eng, push) in both() {
+            eng.schedule_handler_at(SimTime::from_nanos(100), push, 1);
+            eng.schedule_handler_at(SimTime::from_nanos(300), push, 2);
             let mut out = Vec::new();
             let stats = eng.run_until(&mut out, SimTime::from_nanos(200));
             assert_eq!(out, vec![1]);
@@ -883,12 +730,13 @@ mod tests {
 
     #[test]
     fn stop_halts_immediately() {
-        for mut eng in both() {
-            eng.schedule_at(SimTime::from_secs(1), |s, ctx| {
+        for (mut eng, push) in both() {
+            let stop = eng.register_handler(|s: &mut Vec<u32>, ctx, _| {
                 s.push(1);
                 ctx.stop();
             });
-            eng.schedule_at(SimTime::from_secs(2), |s, _| s.push(2));
+            eng.schedule_handler_at(SimTime::from_secs(1), stop, 0);
+            eng.schedule_handler_at(SimTime::from_secs(2), push, 2);
             let mut out = Vec::new();
             let stats = eng.run_to_completion(&mut out);
             assert_eq!(out, vec![1]);
@@ -900,13 +748,13 @@ mod tests {
     #[test]
     fn past_scheduling_clamps_to_now() {
         let mut eng: Engine<Vec<u64>> = Engine::new(1);
-        eng.schedule_at(SimTime::from_secs(5), |s, ctx| {
+        let stamp = eng.register_handler(|s: &mut Vec<u64>, ctx, _| s.push(ctx.now().as_nanos()));
+        let first = eng.register_handler(move |s: &mut Vec<u64>, ctx, _| {
             // Attempt to schedule in the past; must fire at `now`.
-            ctx.schedule_at(SimTime::from_secs(1), |s2, ctx2| {
-                s2.push(ctx2.now().as_nanos());
-            });
+            ctx.schedule_handler_at(SimTime::from_secs(1), stamp, 0);
             s.push(ctx.now().as_nanos());
         });
+        eng.schedule_handler_at(SimTime::from_secs(5), first, 0);
         let mut out = Vec::new();
         eng.run_to_completion(&mut out);
         assert_eq!(out, vec![5_000_000_000, 5_000_000_000]);
@@ -916,12 +764,15 @@ mod tests {
     fn identical_seeds_give_identical_runs() {
         fn run(seed: u64) -> Vec<u64> {
             let mut eng: Engine<Vec<u64>> = Engine::new(seed);
+            let stamp =
+                eng.register_handler(|s: &mut Vec<u64>, ctx, _| s.push(ctx.now().as_nanos()));
+            let draw = eng.register_handler(move |s: &mut Vec<u64>, ctx, _| {
+                let d = SimDuration::from_nanos(ctx.rng().gen_range(1000));
+                ctx.schedule_handler_after(d, stamp, 0);
+                s.push(d.as_nanos());
+            });
             for _ in 0..5 {
-                eng.schedule_at(SimTime::ZERO, |s, ctx| {
-                    let d = SimDuration::from_nanos(ctx.rng().gen_range(1000));
-                    ctx.schedule_after(d, move |s2, ctx2| s2.push(ctx2.now().as_nanos()));
-                    s.push(d.as_nanos());
-                });
+                eng.schedule_handler_at(SimTime::ZERO, draw, 0);
             }
             let mut out = Vec::new();
             eng.run_to_completion(&mut out);
@@ -932,21 +783,10 @@ mod tests {
     }
 
     #[test]
-    fn executed_total_accumulates() {
-        let mut eng: Engine<()> = Engine::new(1);
-        eng.schedule_at(SimTime::from_secs(1), |_, _| {});
-        eng.schedule_at(SimTime::from_secs(2), |_, _| {});
-        eng.run_until(&mut (), SimTime::from_secs(1));
-        assert_eq!(eng.executed_total(), 1);
-        eng.run_to_completion(&mut ());
-        assert_eq!(eng.executed_total(), 2);
-    }
-
-    #[test]
     fn cancel_removes_pending_events() {
-        for mut eng in both() {
-            let keep = eng.schedule_at(SimTime::from_secs(1), |s, _| s.push(1));
-            let kill = eng.schedule_at(SimTime::from_secs(2), |s, _| s.push(2));
+        for (mut eng, push) in both() {
+            let keep = eng.schedule_handler_at(SimTime::from_secs(1), push, 1);
+            let kill = eng.schedule_handler_at(SimTime::from_secs(2), push, 2);
             assert_eq!(eng.pending(), 2);
             assert!(eng.cancel(kill));
             assert!(!eng.cancel(kill), "double cancel is a no-op");
@@ -962,37 +802,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cancel_from_within_an_event_callback() {
-        for mut eng in both() {
-            let victim = eng.schedule_at(SimTime::from_secs(5), |s, _| s.push(99));
-            eng.schedule_at(SimTime::from_secs(1), move |s, ctx| {
-                assert!(ctx.cancel(victim));
+    /// The victim is the event scheduled `victim_at`; the killer fires
+    /// at 100 ns and cancels it by the id its payload packs.
+    fn cancel_from_a_handler(victim_at: SimTime) {
+        for (mut eng, push) in both() {
+            let victim = eng.schedule_handler_at(victim_at, push, 99);
+            let killer = eng.register_handler(|s: &mut Vec<u32>, ctx, p| {
+                let id = TimerId {
+                    idx: p as u32,
+                    gen: (p >> 32) as u32,
+                };
+                assert!(ctx.cancel(id));
                 s.push(1);
             });
-            let mut out = Vec::new();
-            eng.run_to_completion(&mut out);
-            assert_eq!(out, vec![1]);
-        }
-    }
-
-    #[test]
-    fn cancelling_a_same_tick_event_skips_it() {
-        // Cancel an event already pulled into the wheel's firing batch.
-        for mut eng in both() {
-            let t = SimTime::from_nanos(100);
-            let victim = eng.schedule_at(t + SimDuration::from_nanos(50), |s: &mut Vec<u32>, _| {
-                s.push(99)
-            });
-            eng.schedule_at(t, move |s, ctx| {
-                assert!(ctx.cancel(victim));
-                s.push(1);
-            });
+            let packed = (victim.gen as u64) << 32 | victim.idx as u64;
+            eng.schedule_handler_at(SimTime::from_nanos(100), killer, packed);
             let mut out = Vec::new();
             eng.run_to_completion(&mut out);
             assert_eq!(out, vec![1]);
             assert_eq!(eng.pending(), 0);
         }
+    }
+
+    #[test]
+    fn cancel_from_within_an_event_callback() {
+        cancel_from_a_handler(SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn cancelling_a_same_tick_event_skips_it() {
+        // Cancel an event already pulled into the wheel's firing batch.
+        cancel_from_a_handler(SimTime::from_nanos(150));
     }
 
     #[test]
@@ -1042,12 +882,19 @@ mod tests {
         );
     }
 
+    /// An engine that counts into a `u64`, with its counting handler.
+    fn counter() -> (Engine<u64>, HandlerId) {
+        let mut eng: Engine<u64> = Engine::new(1);
+        let count = eng.register_handler(|c: &mut u64, _, _| *c += 1);
+        (eng, count)
+    }
+
     #[test]
     fn run_until_emits_an_engine_span_when_traced() {
         scalecheck_obs::install(scalecheck_obs::Tracer::new());
-        let mut eng: Engine<u64> = Engine::new(1);
+        let (mut eng, h) = counter();
         for i in 0..5u64 {
-            eng.schedule_at(SimTime::from_secs(i), |c, _| *c += 1);
+            eng.schedule_handler_at(SimTime::from_secs(i), h, 0);
         }
         let mut count = 0u64;
         eng.run_to_completion(&mut count);
@@ -1069,8 +916,8 @@ mod tests {
     #[test]
     fn untraced_runs_emit_nothing() {
         scalecheck_obs::clear();
-        let mut eng: Engine<u64> = Engine::new(1);
-        eng.schedule_at(SimTime::from_secs(1), |c, _| *c += 1);
+        let (mut eng, h) = counter();
+        eng.schedule_handler_at(SimTime::from_secs(1), h, 0);
         let mut count = 0u64;
         eng.run_to_completion(&mut count);
         assert!(scalecheck_obs::take().is_none());
@@ -1080,17 +927,19 @@ mod tests {
     fn wheel_and_heap_agree_on_a_mixed_workload() {
         fn run(kind: SchedulerKind) -> (Vec<(u64, u64)>, EngineCounters) {
             let mut eng: Engine<Vec<(u64, u64)>> = Engine::with_scheduler(7, kind);
+            let stamp = eng.register_handler(|s: &mut Vec<(u64, u64)>, ctx, i| {
+                s.push((ctx.now().as_nanos(), i));
+            });
+            let root = eng.register_handler(move |s: &mut Vec<(u64, u64)>, ctx, i| {
+                s.push((ctx.now().as_nanos(), i));
+                if i % 3 == 0 {
+                    let d = SimDuration::from_nanos(ctx.rng().gen_range(5_000_000));
+                    ctx.schedule_handler_after(d, stamp, 1000 + i);
+                }
+            });
             for i in 0..200u64 {
                 let t = SimTime::from_nanos((i * 7_919_993) % 50_000_000);
-                eng.schedule_at(t, move |s, ctx| {
-                    s.push((ctx.now().as_nanos(), i));
-                    if i % 3 == 0 {
-                        let d = SimDuration::from_nanos(ctx.rng().gen_range(5_000_000));
-                        ctx.schedule_after(d, move |s, ctx| {
-                            s.push((ctx.now().as_nanos(), 1000 + i));
-                        });
-                    }
-                });
+                eng.schedule_handler_at(t, root, i);
             }
             let mut out = Vec::new();
             eng.run_to_completion(&mut out);

@@ -25,14 +25,19 @@
 //! ```
 //! use scalecheck_sim::{Engine, SimDuration, SimTime};
 //!
-//! let mut engine: Engine<u32> = Engine::new(42);
-//! engine.schedule_at(SimTime::from_secs(1), |count, ctx| {
-//!     *count += 1;
-//!     ctx.schedule_after(SimDuration::from_secs(1), |count, _| *count += 1);
+//! // Every event is a registered handler plus a `u64` payload: `add`
+//! // adds its payload, `add_twice` adds it and schedules an `add` of
+//! // the same payload a second later.
+//! let mut engine: Engine<u64> = Engine::new(42);
+//! let add = engine.register_handler(|count, _, n| *count += n);
+//! let add_twice = engine.register_handler(move |count, ctx, n| {
+//!     *count += n;
+//!     ctx.schedule_handler_after(SimDuration::from_secs(1), add, n);
 //! });
+//! engine.schedule_handler_at(SimTime::from_secs(1), add_twice, 5);
 //! let mut count = 0;
-//! engine.run_to_completion(&mut count);
-//! assert_eq!(count, 2);
+//! let stats = engine.run_to_completion(&mut count);
+//! assert_eq!((count, stats.executed), (10, 2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,14 +55,12 @@ pub mod time;
 mod wheel;
 
 pub use cpu::{ps_completions, CpuGrant, CtxSwitchModel, Machine, MachineId, MachinePark};
-pub use engine::{
-    Ctx, Engine, EventFn, HandlerFn, HandlerId, RunOutcome, RunStats, SchedulerKind, TimerId,
-};
+pub use engine::{Ctx, Engine, HandlerId, RunOutcome, RunStats, SchedulerKind, TimerId};
 pub use faults::{FaultEvent, FaultPlan, FaultReport, FiredFault};
 pub use lock::{Acquire, HolderToken, LockId, LockTable};
 pub use memory::{MemoryModel, OutOfMemory, MIB};
 pub use metrics::{EngineCounters, TimeSeries};
 pub use rng::DetRng;
 pub use stage::Stage;
-pub use tie::{FireRec, ScheduleProbe, TagRec, TieOrder, TieOrderSpec, TieSwap};
+pub use tie::{FireRec, ScheduleProbe, TieOrder, TieOrderSpec, TieSwap};
 pub use time::{SimDuration, SimTime};

@@ -9,9 +9,9 @@ use crate::time::SimTime;
 ///
 /// `pool_hits`/`pool_misses` track event-storage reuse: a hit means the
 /// event was stored in a recycled slab slot (no allocation for the slot
-/// itself), a miss means fresh storage was grown. The reference
-/// `BinaryHeap` scheduler has no pool, so every schedule there counts as
-/// a miss; the timer wheel reaches a 100% hit rate in steady state.
+/// itself), a miss means fresh storage was grown. Both schedulers store
+/// events in the same slab, which reaches a 100% hit rate in steady
+/// state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct EngineCounters {
     /// Events ever scheduled (including later-cancelled ones).

@@ -17,9 +17,9 @@
 //!
 //! [`TieOrderSpec`] is the serializable description (a schedule witness
 //! stores it, and replays the perturbation from its JSON).
-//! [`ScheduleProbe`] is the engine's fire log plus the runner's event
-//! tags, from which the explorer derives tie groups and targeted swap
-//! candidates.
+//! [`ScheduleProbe`] is the engine's fire log plus the kind of each
+//! registered handler, from which the explorer derives tie groups and
+//! targeted swap candidates.
 
 use serde::{Deserialize, Serialize};
 
@@ -154,30 +154,27 @@ impl TieOrder for SpecTieOrder {
 // Schedule probing: the raw material for targeted perturbation.
 // ---------------------------------------------------------------------
 
-/// One fired event: firing time (virtual nanoseconds) and scheduling
-/// sequence, in firing order.
+/// One fired event, in firing order: firing time (virtual
+/// nanoseconds), scheduling sequence, and the handler (by registration
+/// index) and payload it fired with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct FireRec {
     /// Firing time in virtual nanoseconds.
     pub at: u64,
     /// Scheduling sequence.
     pub seq: u64,
+    /// Registration index of the handler the event dispatched to.
+    pub handler: u32,
+    /// The event's payload; the low 32 bits name the node it belongs to.
+    pub payload: u64,
 }
 
-/// A semantic tag attached (by the scheduling layer) to an event's
-/// scheduling sequence: what kind of event it is and which node it
-/// belongs to. Untagged events are internal continuations (stage
-/// completions, lock grants) whose reordering the explorer skips.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
-pub struct TagRec {
-    /// Scheduling sequence the tag describes.
-    pub seq: u64,
-    /// Packed tag; see [`tag`].
-    pub tag: u64,
-}
-
-/// Tag packing: kind in the high 32 bits, node id in the low 32.
+/// The event kinds the explorer reasons about. A handler of any other
+/// kind ([`tag::INTERNAL`]) is an internal continuation (task
+/// bookkeeping, lock grants, samplers) whose reordering it skips.
 pub mod tag {
+    /// Not a kind the explorer reorders.
+    pub const INTERNAL: u64 = 0;
     /// A message delivery to a node's gossip stage.
     pub const DELIVER: u64 = 1;
     /// A periodic gossip-round timer.
@@ -190,34 +187,29 @@ pub mod tag {
     /// A gossip send-round completion (the outgoing Syn is sent here —
     /// which draws from the shared engine RNG).
     pub const SEND_DONE: u64 = 5;
-
-    /// Packs `(kind, node)` into a tag word.
-    pub fn pack(kind: u64, node: u32) -> u64 {
-        (kind << 32) | node as u64
-    }
-
-    /// The tag's kind.
-    pub fn kind(tag: u64) -> u64 {
-        tag >> 32
-    }
-
-    /// The tag's node id.
-    pub fn node(tag: u64) -> u32 {
-        (tag & 0xffff_ffff) as u32
-    }
 }
 
-/// The engine's fire log joined with the runner's event tags — enough
-/// to reconstruct every tie batch of a run and classify its members.
+/// The engine's fire log plus the [`tag`] kind of every registered
+/// handler — enough to reconstruct every tie batch of a run and
+/// classify its members.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ScheduleProbe {
     /// Every fired event, in firing order.
     pub fires: Vec<FireRec>,
-    /// Semantic tags for the scheduling sequences the runner tagged.
-    pub tags: Vec<TagRec>,
+    /// The kind of each handler, by registration index.
+    pub kinds: Vec<u64>,
 }
 
 impl ScheduleProbe {
+    /// What a fired event is: its kind and node, or `None` for an
+    /// internal continuation.
+    pub fn kind_of(&self, f: &FireRec) -> Option<(u64, u32)> {
+        match self.kinds.get(f.handler as usize) {
+            None | Some(&tag::INTERNAL) => None,
+            Some(&kind) => Some((kind, f.payload as u32)),
+        }
+    }
+
     /// Groups consecutive fired events that share a firing time;
     /// returns only groups of two or more (the tie batches).
     pub fn tie_groups(&self) -> Vec<&[FireRec]> {
@@ -315,19 +307,30 @@ mod tests {
         assert_eq!(back, spec);
     }
 
+    fn fire(at: u64, seq: u64, handler: u32, payload: u64) -> FireRec {
+        FireRec {
+            at,
+            seq,
+            handler,
+            payload,
+        }
+    }
+
     #[test]
     fn tie_groups_finds_batches() {
         let probe = ScheduleProbe {
-            fires: vec![
-                FireRec { at: 10, seq: 1 },
-                FireRec { at: 20, seq: 2 },
-                FireRec { at: 20, seq: 3 },
-                FireRec { at: 20, seq: 4 },
-                FireRec { at: 30, seq: 5 },
-                FireRec { at: 40, seq: 6 },
-                FireRec { at: 40, seq: 7 },
-            ],
-            tags: vec![],
+            fires: [
+                (10, 1),
+                (20, 2),
+                (20, 3),
+                (20, 4),
+                (30, 5),
+                (40, 6),
+                (40, 7),
+            ]
+            .map(|(at, seq)| fire(at, seq, 0, 0))
+            .to_vec(),
+            kinds: vec![],
         };
         let groups = probe.tie_groups();
         assert_eq!(groups.len(), 2);
@@ -336,9 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn tag_packing_round_trips() {
-        let t = tag::pack(tag::DELIVER, 77);
-        assert_eq!(tag::kind(t), tag::DELIVER);
-        assert_eq!(tag::node(t), 77);
+    fn kind_of_reads_the_handler_table_and_the_payload_low_word() {
+        let probe = ScheduleProbe {
+            fires: vec![],
+            kinds: vec![tag::INTERNAL, tag::DELIVER],
+        };
+        let deliver = fire(10, 1, 1, (9 << 32) | 77);
+        assert_eq!(probe.kind_of(&deliver), Some((tag::DELIVER, 77)));
+        assert_eq!(probe.kind_of(&fire(10, 2, 0, 77)), None, "internal");
+        assert_eq!(probe.kind_of(&fire(10, 3, 2, 77)), None, "unlisted");
     }
 }

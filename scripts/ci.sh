@@ -79,6 +79,18 @@ if grep -rnE 'parked_gossip|parked_calc|gossip_stage|calc_stage|fn lock_token|fn
   exit 1
 fi
 
+# One event shape: every engine event is a handler registered once plus
+# a u64 payload stored inline, so the tie probe names each fired event
+# by its handler and payload. No boxed one-shot closure, closure-taking
+# schedule call, hand-kept tag channel or message counter beside the
+# runner's in-flight slot store may grow back.
+echo "=== one event shape (grep gate) ==="
+if grep -rnE 'EventFn|Payload::Once|fn tag_sched|sched_tags|fn last_seq|\binflight\b|(\.|fn +)schedule_(at|after)[(<]' \
+  crates src tests examples; then
+  echo "error: engine events are registered handlers with a u64 payload; see the matches above" >&2
+  exit 1
+fi
+
 # One serialisation path and one deserialisation path: the serde shim's
 # traits stream (`serialize(&self, &mut String)`, `deserialize(&mut
 # Reader)`). No `Value`-returning `serialize` or `&Value`-taking

@@ -342,10 +342,11 @@ proptest! {
     fn engine_fires_in_time_order(times in prop::collection::vec(0u64..1_000_000, 1..100)) {
         use scalecheck_sim::Engine;
         let mut engine: Engine<Vec<u64>> = Engine::new(1);
+        let stamp = engine.register_handler(|out: &mut Vec<u64>, ctx, _| {
+            out.push(ctx.now().as_nanos());
+        });
         for &t in &times {
-            engine.schedule_at(SimTime::from_nanos(t), move |out, ctx| {
-                out.push(ctx.now().as_nanos());
-            });
+            engine.schedule_handler_at(SimTime::from_nanos(t), stamp, 0);
         }
         let mut fired: Vec<u64> = Vec::new();
         engine.run_to_completion(&mut fired);
@@ -358,13 +359,14 @@ proptest! {
     /// Differential scheduler property: the timer wheel and the
     /// reference binary heap fire the same events at the same times in
     /// the same order, draw the same RNG sequence, and agree on which
-    /// cancellations landed — for randomized schedule/cancel/handler
-    /// workloads including follow-ups scheduled from inside events.
+    /// cancellations landed — for randomized schedule/cancel workloads
+    /// including follow-ups scheduled from inside events.
     #[test]
     fn wheel_and_heap_schedulers_are_indistinguishable(
         ops in prop::collection::vec(
-            // (delay_ns, kind%3: 0 closure, 1 handler, 2 schedule-then-
-            //  cancel, spawn: follow-up from inside the event)
+            // (delay_ns, kind%3: 0 spawning handler, 1 plain handler,
+            //  2 schedule-then-cancel, spawn: follow-up from inside the
+            //  event)
             (0u64..50_000_000, 0u8..3, any::<bool>()),
             1..60,
         ),
@@ -372,44 +374,35 @@ proptest! {
     ) {
         use scalecheck_sim::{Engine, SchedulerKind};
 
-        #[derive(Default)]
-        struct Log {
-            // (virtual now, event tag, rng draw at fire time)
-            fired: Vec<(u64, u64, u64)>,
-            handler: Option<scalecheck_sim::HandlerId>,
-        }
-
+        // (virtual now, event tag, rng draw at fire time)
         type SchedLog = Vec<(u64, u64, u64)>;
+        /// The spawning handler's payload bit asking for a follow-up.
+        const SPAWN: u64 = 1 << 63;
         let run = |kind: SchedulerKind| -> Result<
             (SchedLog, scalecheck_sim::EngineCounters),
             TestCaseError,
         > {
-            let mut engine: Engine<Log> = Engine::with_scheduler(seed, kind);
-            let h = engine.register_handler(|log: &mut Log, ctx, tag| {
+            let mut engine: Engine<SchedLog> = Engine::with_scheduler(seed, kind);
+            let h = engine.register_handler(|log: &mut SchedLog, ctx, tag| {
                 let draw = ctx.rng().next_u64();
-                log.fired.push((ctx.now().as_nanos(), tag, draw));
+                log.push((ctx.now().as_nanos(), tag, draw));
             });
-            let mut log = Log {
-                handler: Some(h),
-                ..Default::default()
-            };
+            let spawner = engine.register_handler(move |log: &mut SchedLog, ctx, p| {
+                let tag = p & !SPAWN;
+                let draw = ctx.rng().next_u64();
+                log.push((ctx.now().as_nanos(), tag, draw));
+                if p & SPAWN != 0 {
+                    let follow_up = SimDuration::from_nanos(1_000_003);
+                    ctx.schedule_handler_after(follow_up, h, tag + 10_000);
+                }
+            });
             for (tag, &(delay, kind_op, spawn)) in ops.iter().enumerate() {
                 let tag = tag as u64;
                 let delay = SimDuration::from_nanos(delay);
                 match kind_op {
                     0 => {
-                        engine.schedule_after(delay, move |log: &mut Log, ctx| {
-                            let draw = ctx.rng().next_u64();
-                            log.fired.push((ctx.now().as_nanos(), tag, draw));
-                            if spawn {
-                                let h = log.handler.expect("registered");
-                                ctx.schedule_handler_after(
-                                    SimDuration::from_nanos(1_000_003),
-                                    h,
-                                    tag + 10_000,
-                                );
-                            }
-                        });
+                        let p = if spawn { tag | SPAWN } else { tag };
+                        engine.schedule_handler_after(delay, spawner, p);
                     }
                     1 => {
                         engine.schedule_handler_after(delay, h, tag);
@@ -417,17 +410,15 @@ proptest! {
                     _ => {
                         // Scheduled, then cancelled before running:
                         // must never fire and never perturb the rest.
-                        let id = engine.schedule_after(delay, move |log: &mut Log, ctx| {
-                            log.fired.push((ctx.now().as_nanos(), tag + 20_000, 0));
-                            let _ = ctx;
-                        });
+                        let id = engine.schedule_handler_after(delay, h, tag + 20_000);
                         prop_assert!(engine.cancel(id), "fresh timer must cancel");
                         prop_assert!(!engine.cancel(id), "double cancel must fail");
                     }
                 }
             }
+            let mut log = SchedLog::new();
             engine.run_to_completion(&mut log);
-            Ok((log.fired, engine.counters()))
+            Ok((log, engine.counters()))
         };
 
         let (wheel_log, wheel_counters) = run(SchedulerKind::Wheel)?;
@@ -483,12 +474,12 @@ proptest! {
                     e
                 }
             };
+            let h = engine.register_handler(|log: &mut FireLog, ctx, tag| {
+                let draw = ctx.rng().next_u64();
+                log.push((ctx.now().as_nanos(), tag, draw));
+            });
             for (tag, &t) in times.iter().enumerate() {
-                let tag = tag as u64;
-                engine.schedule_at(SimTime::from_nanos(t), move |log: &mut FireLog, ctx| {
-                    let draw = ctx.rng().next_u64();
-                    log.push((ctx.now().as_nanos(), tag, draw));
-                });
+                engine.schedule_handler_at(SimTime::from_nanos(t), h, tag as u64);
             }
             let mut log = FireLog::new();
             engine.run_to_completion(&mut log);
