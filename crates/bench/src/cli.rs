@@ -8,6 +8,8 @@
 //! never a silently different cell. Exit 1 is reserved for a command
 //! that ran and [`Failure::Failed`].
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -64,6 +66,16 @@ pub fn read_file(path: &str) -> Result<String, Failure> {
 /// Writes a file the command line named.
 pub fn write_file(path: &str, bytes: impl AsRef<[u8]>) -> Result<(), Failure> {
     std::fs::write(path, bytes).map_err(|e| Failure::Failed(format!("cannot write {path}: {e}")))
+}
+
+/// Creates `path` and has `write` fill it through a [`BufWriter`].
+pub fn write_file_with(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> Result<(), Failure> {
+    let failed = |e: io::Error| Failure::Failed(format!("cannot write {path}: {e}"));
+    let mut w = BufWriter::new(File::create(path).map_err(failed)?);
+    write(&mut w).and_then(|()| w.flush()).map_err(failed)
 }
 
 /// One subcommand: a table, a figure or a diagnostic.

@@ -7,7 +7,7 @@
 //! `"scalecheck"` key) and prints the end-of-run per-span / per-metric
 //! summary; `diverge` compares two such files.
 
-use crate::cli::{val, write_file, Args, Command, Failure, Flag, BUG, SEED};
+use crate::cli::{val, write_file_with, Args, Command, Failure, Flag, BUG, SEED};
 use scalecheck::Deployment;
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 
@@ -50,7 +50,7 @@ fn run(args: &Args) -> Result<(), Failure> {
     if let Some(path) = trace_out {
         let mut trace = r.obs;
         trace.meta.label = format!("{bug}@{n} {}", deployment.label());
-        write_file(path, scalecheck_obs::to_chrome_json(&trace))?;
+        write_file_with(path, |w| scalecheck_obs::write_chrome_json(&trace, w))?;
         println!(
             "trace: {} spans, {} instants, {} counter samples -> {path}",
             trace.spans.len(),

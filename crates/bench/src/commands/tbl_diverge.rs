@@ -12,7 +12,7 @@
 //! * **SC+PIL vs Real** — replacing the calculation with a PIL sleep
 //!   removes the inflation: no category should exceed tolerance.
 
-use crate::cli::{val, write_file, Args, Command, Failure, BUG, JOBS, SEED};
+use crate::cli::{val, write_file, write_file_with, Args, Command, Failure, BUG, JOBS, SEED};
 use crate::{jobs, run_triples};
 use scalecheck::Deployment;
 use scalecheck_cluster::ScenarioConfig;
@@ -56,7 +56,7 @@ fn run(args: &Args) -> Result<(), Failure> {
             .map_err(|e| Failure::Failed(format!("cannot create {dir}: {e}")))?;
         for (t, d) in traces.iter().zip(Deployment::ALL) {
             let path = format!("{dir}/{bug}_{n}_{}.json", d.label().to_lowercase());
-            write_file(&path, scalecheck_obs::to_chrome_json(t))?;
+            write_file_with(&path, |w| scalecheck_obs::write_chrome_json(t, w))?;
             eprintln!("[tbl_diverge] wrote {path}");
         }
     }

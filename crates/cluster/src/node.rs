@@ -234,7 +234,11 @@ impl Node {
     /// advances feed the failure detector, application advances update
     /// the local ring view. Returns whether the ring view changed in a
     /// way that requires recalculation.
-    pub fn apply_outcome(&mut self, outcome: &ApplyOutcome, now: SimTime) -> bool {
+    ///
+    /// Peers that have `Left` are dropped from
+    /// `outcome.heartbeat_advanced` (see below); the rest are reported to
+    /// the failure detector as one batch.
+    pub fn apply_outcome(&mut self, outcome: &mut ApplyOutcome, now: SimTime) -> bool {
         // Ordering hazard: "has this peer Left?" below must be answered
         // from the *post-apply* view — a `Left` full state carries a
         // heartbeat advance too, and reporting that last beat would
@@ -248,12 +252,12 @@ impl Node {
         }
         // Nearly always nobody in the view has `Left`, and the mirror
         // need not be probed per peer.
-        let nobody_left = self.left_in_view == 0;
-        for &peer in &outcome.heartbeat_advanced {
-            if nobody_left || !self.has_left(peer) {
-                self.fd.report(peer, now);
-            }
+        if self.left_in_view > 0 {
+            outcome
+                .heartbeat_advanced
+                .retain(|&peer| !self.has_left(peer));
         }
+        self.fd.report_all(&outcome.heartbeat_advanced, now);
         let mut topology_changed = false;
         for &peer in &outcome.app_advanced {
             topology_changed |= self.sync_ring_entry(peer);
@@ -465,9 +469,9 @@ mod tests {
     fn apply_outcome_reports_heartbeats_and_updates_ring() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
-        let outcome = apply_state(&mut n, peer, st);
+        let mut outcome = apply_state(&mut n, peer, st);
         assert!(
-            n.apply_outcome(&outcome, SimTime::from_secs(1)),
+            n.apply_outcome(&mut outcome, SimTime::from_secs(1)),
             "new node entered the ring view"
         );
         assert!(n.ring.node(NodeId(1)).is_some());
@@ -478,8 +482,8 @@ mod tests {
     fn joining_peer_opens_pending_window() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Joining, 5);
-        let outcome = apply_state(&mut n, peer, st);
-        n.apply_outcome(&outcome, SimTime::from_secs(1));
+        let mut outcome = apply_state(&mut n, peer, st);
+        n.apply_outcome(&mut outcome, SimTime::from_secs(1));
         assert!(n.pending_window_open());
     }
 
@@ -487,15 +491,15 @@ mod tests {
     fn left_peer_is_removed_and_forgotten() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
-        let outcome = apply_state(&mut n, peer, st);
-        n.apply_outcome(&outcome, SimTime::from_secs(1));
+        let mut outcome = apply_state(&mut n, peer, st);
+        n.apply_outcome(&mut outcome, SimTime::from_secs(1));
         assert!(n.fd.liveness(Peer(1)).is_some());
         // Now the peer leaves.
         let (peer, mut st) = remote_state(1, NodeStatus::Left, 6);
         st.app_version = 7;
         st.heartbeat.version = 7;
-        let outcome = apply_state(&mut n, peer, st);
-        assert!(n.apply_outcome(&outcome, SimTime::from_secs(2)));
+        let mut outcome = apply_state(&mut n, peer, st);
+        assert!(n.apply_outcome(&mut outcome, SimTime::from_secs(2)));
         assert!(n.ring.node(NodeId(1)).is_none());
         assert!(n.fd.liveness(Peer(1)).is_none(), "no flap for clean leave");
         assert_eq!((n.fd.flaps(), n.fd.monitored()), (0, 0));
@@ -510,16 +514,16 @@ mod tests {
     fn left_delta_for_a_convicted_peer_counts_no_recovery() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Normal, 5);
-        let outcome = apply_state(&mut n, peer, st);
-        n.apply_outcome(&outcome, SimTime::from_secs(1));
+        let mut outcome = apply_state(&mut n, peer, st);
+        n.apply_outcome(&mut outcome, SimTime::from_secs(1));
         assert_eq!(n.fd.interpret_all(SimTime::from_secs(60)), vec![peer]);
         assert_eq!(n.gossip_candidates(), vec![NodeId(1)]);
         let (peer, mut st) = remote_state(1, NodeStatus::Left, 9);
         st.app_version = 9;
-        let outcome = apply_state(&mut n, peer, st);
+        let mut outcome = apply_state(&mut n, peer, st);
         assert_eq!(outcome.heartbeat_advanced, vec![peer]);
         assert_eq!(outcome.app_advanced, vec![peer]);
-        n.apply_outcome(&outcome, SimTime::from_secs(61));
+        n.apply_outcome(&mut outcome, SimTime::from_secs(61));
         assert_eq!(n.fd.recoveries(), 0, "the farewell beat is not a recovery");
         assert_eq!(n.fd.liveness(peer), None, "monitor gone");
         assert_eq!((n.fd.flaps(), n.fd.monitored()), (1, 0));
@@ -557,8 +561,8 @@ mod tests {
         check(&n); // Ids 5..9 are a hole.
         let (peer, mut st) = remote_state(3, NodeStatus::Left, 7);
         st.app_version = 7;
-        let outcome = apply_state(&mut n, peer, st);
-        n.apply_outcome(&outcome, SimTime::from_secs(1));
+        let mut outcome = apply_state(&mut n, peer, st);
+        n.apply_outcome(&mut outcome, SimTime::from_secs(1));
         assert_eq!(n.gossip_candidates(), [0, 1, 4, 9].map(NodeId));
         check(&n);
     }
@@ -567,8 +571,8 @@ mod tests {
     fn heartbeat_of_left_peer_not_reported() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Left, 5);
-        let outcome = apply_state(&mut n, peer, st);
-        n.apply_outcome(&outcome, SimTime::from_secs(1));
+        let mut outcome = apply_state(&mut n, peer, st);
+        n.apply_outcome(&mut outcome, SimTime::from_secs(1));
         assert!(n.fd.liveness(Peer(1)).is_none());
     }
 
@@ -576,19 +580,19 @@ mod tests {
     fn status_change_flags_topology_but_same_status_does_not() {
         let mut n = node(0);
         let (peer, st) = remote_state(1, NodeStatus::Joining, 5);
-        let outcome = apply_state(&mut n, peer, st);
-        assert!(n.apply_outcome(&outcome, SimTime::from_secs(1)));
+        let mut outcome = apply_state(&mut n, peer, st);
+        assert!(n.apply_outcome(&mut outcome, SimTime::from_secs(1)));
         // Same status, newer version: no topology change.
         let (peer, mut st) = remote_state(1, NodeStatus::Joining, 9);
         st.app_version = 9;
-        let outcome = apply_state(&mut n, peer, st);
-        assert!(!n.apply_outcome(&outcome, SimTime::from_secs(2)));
+        let mut outcome = apply_state(&mut n, peer, st);
+        assert!(!n.apply_outcome(&mut outcome, SimTime::from_secs(2)));
         // Joining -> Normal: topology change again.
         let (peer, mut st) = remote_state(1, NodeStatus::Normal, 12);
         st.app_version = 12;
         st.heartbeat.version = 12;
-        let outcome = apply_state(&mut n, peer, st);
-        assert!(n.apply_outcome(&outcome, SimTime::from_secs(3)));
+        let mut outcome = apply_state(&mut n, peer, st);
+        assert!(n.apply_outcome(&mut outcome, SimTime::from_secs(3)));
         assert!(!n.pending_window_open());
     }
 

@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use scalecheck_gossip::{AckSpace, Liveness};
+use scalecheck_gossip::{AckSpace, ApplyOutcome, Liveness};
 use scalecheck_memo::{OrderDecision, Pil, RunMode};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
@@ -59,6 +59,9 @@ struct ClusterState<'a> {
     /// Where every node builds the ACK it answers a SYN with and the
     /// ACK2 it answers an ACK with.
     ack_space: AckSpace<RingInfo>,
+    /// Where every node's apply of an ACK or ACK2 body reports the peers
+    /// that advanced.
+    outcome: ApplyOutcome,
     /// The simulated network.
     net: Network,
     /// Machines (one per node in Real, a single shared one otherwise).
@@ -571,6 +574,7 @@ fn build<'a>(
         mode,
         nodes,
         ack_space: AckSpace::default(),
+        outcome: ApplyOutcome::default(),
         net,
         park,
         pil_request_park,
@@ -980,28 +984,37 @@ fn finish_receive(
     let mut trigger = false;
     if st.nodes[i].lifecycle == Lifecycle::Up {
         let src = env.src;
-        let outcome = match env.msg {
+        let applied = match env.msg {
             GossipMessage::Syn(ref syn) => {
                 let ack = st.nodes[i].gossiper.handle_syn_in(syn, &mut st.ack_space);
                 send_msg(st, ctx, i, src, GossipMessage::Ack(ack));
-                None
+                false
             }
             GossipMessage::Ack(ref ack) => {
-                let (outcome, ack2) = st.nodes[i].gossiper.handle_ack_in(ack, &mut st.ack_space);
+                let ack2 =
+                    st.nodes[i]
+                        .gossiper
+                        .handle_ack_in(ack, &mut st.ack_space, &mut st.outcome);
                 if !ack2.deltas.is_empty() {
                     send_msg(st, ctx, i, src, GossipMessage::Ack2(ack2));
                 }
-                Some(outcome)
+                true
             }
-            GossipMessage::Ack2(ref ack2) => Some(st.nodes[i].gossiper.handle_ack2(ack2)),
+            GossipMessage::Ack2(ref ack2) => {
+                st.nodes[i].gossiper.handle_ack2_in(ack2, &mut st.outcome);
+                true
+            }
         };
-        if let Some(outcome) = outcome {
+        if applied {
             let node = &mut st.nodes[i];
+            let outcome = &mut st.outcome;
             let local_now = now + node.clock_skew;
-            let topology_changed = node.apply_outcome(&outcome, local_now);
+            let topology_changed = node.apply_outcome(outcome, local_now);
             // While a join/leave is pending, any applied gossip that
             // touches a Joining/Leaving peer recalculates. Pure, so it
             // hides behind the (almost always false) window check.
+            // (`apply_outcome` dropped only peers that have `Left`,
+            // which are in no transition.)
             let touched_pending = || {
                 outcome
                     .heartbeat_advanced

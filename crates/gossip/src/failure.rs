@@ -77,17 +77,21 @@ impl EpochLog {
         self.stride = stride;
     }
 
-    /// Records that peer `idx` arrived at `now_ns`, in the newest epoch
-    /// or in a new one if the newest is at another time, and returns
-    /// that epoch's number.
-    fn arrive(&mut self, idx: usize, now_ns: u64) -> u32 {
+    /// Number of the newest epoch if it is at `now_ns`, else of a new
+    /// one opened at `now_ns` with no arrival yet.
+    fn open(&mut self, now_ns: u64) -> u32 {
         if self.at_ns.back() != Some(&now_ns) {
             self.at_ns.push_back(now_ns);
             self.arrived.resize(self.arrived.len() + self.stride, 0);
         }
-        let held = self.at_ns.len() - 1;
-        self.arrived[held * self.stride + idx / 64] |= 1 << (idx % 64);
-        u32::try_from(self.first as usize + held).expect("more than 2^32 arrival epochs")
+        u32::try_from(self.first as usize + self.at_ns.len() - 1)
+            .expect("more than 2^32 arrival epochs")
+    }
+
+    /// ORs `bits` into word `word` of the newest epoch's bitset.
+    fn mark_newest(&mut self, word: usize, bits: u64) {
+        let row = (self.at_ns.len() - 1) * self.stride;
+        self.arrived[row + word] |= bits;
     }
 
     /// Position of epoch `number` among the held epochs.
@@ -128,6 +132,50 @@ impl EpochLog {
         self.at_ns.clear();
         self.arrived.clear();
         self.first = 0;
+    }
+}
+
+/// The arrivals of one [`FailureDetector::report_all`] batch on their
+/// way into the epoch log: the epoch they share, opened at the first of
+/// them, and the bits of one bitset word not yet OR-ed into that
+/// epoch's row. A batch in peer order writes each word of the row once.
+struct BatchArrivals {
+    now_ns: u64,
+    /// The batch's epoch, once some peer arrived.
+    epoch: Option<u32>,
+    /// The row word `bits` belong to.
+    word: usize,
+    bits: u64,
+}
+
+impl BatchArrivals {
+    fn new(now_ns: u64) -> Self {
+        BatchArrivals {
+            now_ns,
+            epoch: None,
+            word: 0,
+            bits: 0,
+        }
+    }
+
+    /// Records that peer `idx` arrived, opening the batch's epoch at its
+    /// first arrival, and returns that epoch's number.
+    fn arrive(&mut self, log: &mut EpochLog, idx: usize) -> u32 {
+        let epoch = *self.epoch.get_or_insert_with(|| log.open(self.now_ns));
+        let word = idx / 64;
+        if word != self.word {
+            self.flush(log);
+            self.word = word;
+        }
+        self.bits |= 1 << (idx % 64);
+        epoch
+    }
+
+    /// ORs the pending bits into the epoch's row.
+    fn flush(&mut self, log: &mut EpochLog) {
+        if self.bits != 0 {
+            log.mark_newest(self.word, std::mem::take(&mut self.bits));
+        }
     }
 }
 
@@ -256,6 +304,11 @@ impl FailureDetector {
 
     /// Adds one accepted inter-arrival sample to peer `idx`'s window,
     /// evicting the oldest once `window_cap` are held.
+    ///
+    /// The eviction walk ends at the oldest held sample, which ends at
+    /// or before the peer's last arrival, so it never reaches the epoch
+    /// of the arrival being added: the bits a [`BatchArrivals`] still
+    /// holds back from that epoch's row are never read.
     fn push_sample(&mut self, idx: usize, interval_ns: u64) {
         if self.count[idx] as usize == self.params.window_cap {
             let mut from = self.since[idx];
@@ -300,25 +353,51 @@ impl FailureDetector {
     pub fn report(&mut self, peer: Peer, now: SimTime) {
         let idx = peer.0 as usize;
         self.ensure_slot(idx);
-        let now_ns = now.as_nanos();
-        if self.flags[idx] & MONITORED == 0 {
-            self.flags[idx] |= MONITORED;
+        let mut batch = BatchArrivals::new(now.as_nanos());
+        self.report_slot(idx, &mut batch);
+        batch.flush(&mut self.epochs);
+    }
+
+    /// Registers a heartbeat observation at `now` for each of `peers`,
+    /// in order: the same as a [`Self::report`] per peer, paid once per
+    /// batch where it can be. The columns are grown once, for the
+    /// largest id; the batch's epoch is opened at its first arrival (a
+    /// batch of late beats opens none); and its arrival bits are OR-ed
+    /// into the epoch's row a word at a time.
+    pub fn report_all(&mut self, peers: &[Peer], now: SimTime) {
+        let Some(top) = peers.iter().map(|p| p.0).max() else {
+            return;
+        };
+        self.ensure_slot(top as usize);
+        let mut batch = BatchArrivals::new(now.as_nanos());
+        for &peer in peers {
+            self.report_slot(peer.0 as usize, &mut batch);
+        }
+        batch.flush(&mut self.epochs);
+    }
+
+    /// One peer of a [`Self::report_all`] batch.
+    fn report_slot(&mut self, idx: usize, batch: &mut BatchArrivals) {
+        let now_ns = batch.now_ns;
+        let flags = self.flags[idx];
+        if flags & MONITORED == 0 {
+            self.flags[idx] = flags | MONITORED;
             self.monitored += 1;
             self.last_arrival_ns[idx] = now_ns;
-            self.since[idx] = self.epochs.arrive(idx, now_ns);
+            self.since[idx] = batch.arrive(&mut self.epochs, idx);
             return;
         }
         let last_ns = self.last_arrival_ns[idx];
         if now_ns > last_ns {
-            self.epochs.arrive(idx, now_ns);
+            batch.arrive(&mut self.epochs, idx);
             let interval_ns = now_ns - last_ns;
             if interval_ns <= self.params.max_interval_ns {
                 self.push_sample(idx, interval_ns);
             }
             self.last_arrival_ns[idx] = now_ns;
         }
-        if self.flags[idx] & DEAD != 0 {
-            self.flags[idx] &= !DEAD;
+        if flags & DEAD != 0 {
+            self.flags[idx] = flags & !DEAD;
             self.recoveries += 1;
         }
     }
@@ -682,6 +761,47 @@ mod tests {
 
         f.reset_monitoring();
         assert!(f.epochs.at_ns.is_empty() && f.epochs.arrived.is_empty());
+    }
+
+    /// A batch shares one epoch, opened at its first arrival (a batch
+    /// of late beats opens none), and leaves the columns a `report` per
+    /// peer leaves.
+    #[test]
+    fn a_batch_opens_one_epoch_at_its_first_arrival() {
+        let bodies: [(&[u32], u64); 5] = [
+            // First reports, unsorted, in three words, one twice.
+            (&[3, 200, 0, 3, 64], 1),
+            (&[0, 64, 3], 2),
+            // Late for both.
+            (&[64, 0], 1),
+            // At the newest epoch's time: into that epoch.
+            (&[200, 5], 2),
+            (&[5, 3, 0, 64, 200], 4),
+        ];
+        let (mut batched, mut single) = (fd(), fd());
+        for (ids, at) in bodies {
+            let peers: Vec<Peer> = ids.iter().map(|&id| Peer(id)).collect();
+            batched.report_all(&peers, secs(at));
+            for &peer in &peers {
+                single.report(peer, secs(at));
+            }
+        }
+        assert_eq!(batched.epochs.at_ns, [1, 2, 4].map(|s| s * 1_000_000_000));
+        assert_eq!(arrivals(&batched, 0), [0, 3, 64, 200]);
+        assert_eq!(arrivals(&batched, 1), [0, 3, 5, 64, 200]);
+        assert_eq!(arrivals(&batched, 2), [0, 3, 5, 64, 200]);
+        assert_eq!(batched.epochs.arrived, single.epochs.arrived);
+        assert_eq!(batched.last_arrival_ns, single.last_arrival_ns);
+        assert_eq!(batched.flags, single.flags);
+        assert_eq!(batched.count, single.count);
+        assert_eq!(batched.since, single.since);
+        assert_eq!(batched.sum_ns, single.sum_ns);
+        batched.report_all(&[], secs(9));
+        assert_eq!(
+            batched.epochs.at_ns.len(),
+            3,
+            "an empty batch opens nothing"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use crate::state::{
-    emit_exact, tick, Delta, DeltaBuild, Deltas, Digest, EndpointMap, EndpointState,
+    emit_exact, push_if, tick, watermark, DeltaBuild, Deltas, Digest, EndpointMap, EndpointState,
     HeartbeatState, Peer,
 };
 
@@ -193,17 +193,25 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 
     /// Builds a SYN covering everything this node knows.
     pub fn make_syn(&self) -> Syn {
-        // Sized up front: the view's iterator skips unknown slots, so
-        // it cannot promise a length and `collect` would regrow.
-        let mut digests = Vec::with_capacity(self.map.len());
-        digests.extend(self.map.iter().map(|(peer, st)| Digest {
-            peer,
-            generation: st.heartbeat.generation,
-            max_version: st.max_version(),
-        }));
-        Syn {
-            digests: digests.into_boxed_slice(),
+        // Filled in place: the view's iterator skips unknown slots, so
+        // it cannot promise a length; `collect` would regrow, and
+        // extending a vector sized up front still checks its capacity
+        // and stores its length per digest. Overwriting a body of
+        // exactly `len` blanks does neither.
+        let blank = Digest {
+            peer: Peer(0),
+            generation: 0,
+            max_version: 0,
+        };
+        let mut digests = vec![blank; self.map.len()].into_boxed_slice();
+        for (digest, (peer, st)) in digests.iter_mut().zip(self.map.iter()) {
+            *digest = Digest {
+                peer,
+                generation: st.heartbeat.generation,
+                max_version: st.max_version(),
+            };
         }
+        Syn { digests }
     }
 
     /// Handles a SYN, producing the ACK to send back, in fresh build
@@ -228,59 +236,65 @@ impl<A: Clone + PartialEq> Gossiper<A> {
             requests,
             claimed,
         } = space;
-        // Whether the digests arrive in peer order (see below).
-        let mut ascending = true;
-        let mut prev = Peer(0);
+        // Whether the digests arrive in peer order, and whether strictly
+        // (no peer twice): `after` is one past the previous digest's peer.
+        let (mut ascending, mut strict, mut after) = (true, true, 0u64);
+        // Digests that name a peer we know.
+        let mut named_known = 0;
         for d in &syn.digests {
-            ascending &= prev <= d.peer;
-            prev = d.peer;
-            match self.map.get(d.peer) {
-                Some(local) => {
-                    if local.newer_than(d.generation, d.max_version) {
-                        deltas.push(d.peer, local.delta_against(d.generation, d.max_version));
-                    } else if local.heartbeat.generation < d.generation
-                        || (local.heartbeat.generation == d.generation
-                            && local.max_version() < d.max_version)
-                    {
-                        requests.push(Digest {
-                            peer: d.peer,
-                            generation: local.heartbeat.generation,
-                            max_version: local.max_version(),
-                        });
-                    }
-                }
-                None => {
-                    // Never heard of this peer: ask for everything.
-                    requests.push(Digest {
-                        peer: d.peer,
-                        generation: 0,
-                        max_version: 0,
-                    });
-                }
-            }
+            let id = u64::from(d.peer.0);
+            ascending &= id + 1 >= after;
+            strict &= id >= after;
+            after = id + 1;
+            let Some(local) = self.map.get(d.peer) else {
+                // Never heard of this peer: ask for everything.
+                requests.push(Digest {
+                    peer: d.peer,
+                    generation: 0,
+                    max_version: 0,
+                });
+                continue;
+            };
+            named_known += 1;
+            // Either side may be the fresher, about equally often in the
+            // steady state: the entry is written as a delta and as a
+            // request and kept as at most one of them, with no branch on
+            // which (see `push_if`).
+            let (ours, theirs) = (local.watermark(), watermark(d.generation, d.max_version));
+            deltas.push_against_if(d.peer, local, d.generation, d.max_version, ours > theirs);
+            let request = Digest {
+                peer: d.peer,
+                generation: local.heartbeat.generation,
+                max_version: local.max_version(),
+            };
+            push_if(requests, request, ours < theirs);
         }
-        // Peers only we know about: volunteer them in full. SYNs built
-        // by `make_syn` list digests in peer order (the view iterates
-        // ascending), so a single merge pass against our own ordered
-        // view finds the gaps with no sort — with n-entry SYNs every
-        // round this is hot. A SYN that arrives unsorted (the wire type
-        // allows it) falls back to sort-and-probe with the identical
-        // result.
-        if ascending {
+        // Peers only we know about: volunteer them in full.
+        if strict && named_known == self.map.len() {
+            // A strictly ascending SYN names no peer twice, so if as
+            // many of its digests name a known peer as we know, every
+            // one of them is claimed and there is nothing to volunteer:
+            // the steady state, every round.
+        } else if ascending {
+            // SYNs built by `make_syn` list digests in peer order (the
+            // view iterates ascending), so a single merge pass against
+            // our own ordered view finds the gaps with no sort.
             let mut digests = syn.digests.iter().peekable();
             for (peer, st) in self.map.iter() {
                 while digests.next_if(|d| d.peer < peer).is_some() {}
                 if digests.peek().is_none_or(|d| d.peer != peer) {
-                    deltas.push(peer, Delta::Full(st.clone()));
+                    deltas.push_full(peer, st);
                 }
             }
         } else {
+            // A SYN that arrives unsorted (the wire type allows it)
+            // falls back to sort-and-probe with the identical result.
             claimed.clear();
             claimed.extend(syn.digests.iter().map(|d| d.peer));
             claimed.sort_unstable();
             for (peer, st) in self.map.iter() {
                 if claimed.binary_search(&peer).is_err() {
-                    deltas.push(peer, Delta::Full(st.clone()));
+                    deltas.push_full(peer, st);
                 }
             }
         }
@@ -297,36 +311,33 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     /// Handles an ACK: applies its deltas and answers its requests with
     /// an ACK2, in fresh build space (see [`Gossiper::handle_ack_in`]).
     pub fn handle_ack(&mut self, ack: &Ack<A>) -> (ApplyOutcome, Ack2<A>) {
-        self.handle_ack_in(ack, &mut AckSpace::default())
+        let mut outcome = ApplyOutcome::default();
+        let ack2 = self.handle_ack_in(ack, &mut AckSpace::default(), &mut outcome);
+        (outcome, ack2)
     }
 
-    /// Handles an ACK: applies its deltas and answers its requests with
-    /// an ACK2, written as records in `space` and emitted at exactly the
-    /// number of requests answered.
+    /// Handles an ACK: applies its deltas, reporting what advanced in
+    /// `outcome` (see [`Gossiper::apply_in`]), and answers its requests
+    /// with an ACK2, written as records in `space` and emitted at exactly
+    /// the number of requests answered.
     pub fn handle_ack_in(
         &mut self,
         ack: &Ack<A>,
         space: &mut AckSpace<A>,
-    ) -> (ApplyOutcome, Ack2<A>) {
-        let outcome = self.apply(&ack.deltas);
+        outcome: &mut ApplyOutcome,
+    ) -> Ack2<A> {
+        self.apply_in(&ack.deltas, outcome);
         let deltas = &mut space.deltas;
         for req in &ack.requests {
             if let Some(local) = self.map.get(req.peer) {
-                if local.newer_than(req.generation, req.max_version) {
-                    deltas.push(
-                        req.peer,
-                        local.delta_against(req.generation, req.max_version),
-                    );
-                }
+                let newer = local.newer_than(req.generation, req.max_version);
+                deltas.push_against_if(req.peer, local, req.generation, req.max_version, newer);
             }
         }
         scalecheck_obs::metric(scalecheck_obs::Metric::GossipDeltas, deltas.len() as u64);
-        (
-            outcome,
-            Ack2 {
-                deltas: deltas.emit(),
-            },
-        )
+        Ack2 {
+            deltas: deltas.emit(),
+        }
     }
 
     /// Handles an ACK2: applies its deltas.
@@ -334,12 +345,26 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         self.apply(&ack2.deltas)
     }
 
+    /// Handles an ACK2: applies its deltas, reporting what advanced in
+    /// `outcome` (see [`Gossiper::apply_in`]).
+    pub fn handle_ack2_in(&mut self, ack2: &Ack2<A>, outcome: &mut ApplyOutcome) {
+        self.apply_in(&ack2.deltas, outcome);
+    }
+
     /// Applies a batch of deltas, keeping only fresher information.
     pub fn apply(&mut self, deltas: &Deltas<A>) -> ApplyOutcome {
-        let mut out = ApplyOutcome {
-            heartbeat_advanced: Vec::with_capacity(deltas.len()),
-            app_advanced: Vec::new(),
-        };
+        let mut outcome = ApplyOutcome::default();
+        self.apply_in(deltas, &mut outcome);
+        outcome
+    }
+
+    /// Applies a batch of deltas, keeping only fresher information, and
+    /// reports what advanced in `out`, which is cleared first: its
+    /// vectors keep their capacity from one body to the next, so a run
+    /// that passes the same `out` to every apply allocates for none.
+    pub fn apply_in(&mut self, deltas: &Deltas<A>, out: &mut ApplyOutcome) {
+        out.heartbeat_advanced.clear();
+        out.app_advanced.clear();
         let mut payloads = deltas.payloads().iter();
         for rec in deltas.records() {
             let peer = rec.peer;
@@ -398,13 +423,13 @@ impl<A: Clone + PartialEq> Gossiper<A> {
                 }
             }
         }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::Delta;
 
     type G = Gossiper<u32>;
 

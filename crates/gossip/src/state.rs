@@ -104,8 +104,20 @@ impl<A> EndpointState<A> {
     /// Whether this state is strictly fresher than a `(generation,
     /// max_version)` watermark.
     pub fn newer_than(&self, generation: u32, max_version: u32) -> bool {
-        self.heartbeat.generation > generation
-            || (self.heartbeat.generation == generation && self.max_version() > max_version)
+        self.watermark() > watermark(generation, max_version)
+    }
+
+    /// This state's `(generation, max_version)` watermark as one number
+    /// (see [`watermark`]).
+    pub(crate) fn watermark(&self) -> u64 {
+        watermark(self.heartbeat.generation, self.max_version())
+    }
+
+    /// Whether a requester at the `(generation, max_version)` watermark
+    /// already holds this state's app state, so that only the heartbeat
+    /// need move (see [`Self::delta_against`]).
+    fn app_covered_by(&self, generation: u32, max_version: u32) -> bool {
+        self.heartbeat.generation == generation && self.app_version <= max_version
     }
 }
 
@@ -122,12 +134,19 @@ impl<A: Clone> EndpointState<A> {
     /// watermark covers `app_version` already holds this very app state
     /// (see [`Delta`]).
     pub fn delta_against(&self, generation: u32, max_version: u32) -> Delta<A> {
-        if self.heartbeat.generation == generation && self.app_version <= max_version {
+        if self.app_covered_by(generation, max_version) {
             Delta::Heartbeat(self.heartbeat)
         } else {
             Delta::Full(self.clone())
         }
     }
+}
+
+/// A `(generation, max_version)` watermark as one number that orders as
+/// the pair does, generation first: one compare tells which of two
+/// claims is fresher.
+pub(crate) fn watermark(generation: u32, max_version: u32) -> u64 {
+    u64::from(generation) << 32 | u64::from(max_version)
 }
 
 /// One peer's update inside an ack: either the full endpoint state or —
@@ -276,27 +295,54 @@ impl<A> DeltaBuild<A> {
 
     /// Appends one entry.
     pub(crate) fn push(&mut self, peer: Peer, delta: Delta<A>) {
-        let record = match delta {
-            Delta::Heartbeat(heartbeat) => DeltaRecord {
+        match delta {
+            Delta::Heartbeat(heartbeat) => self.records.push(DeltaRecord {
                 peer,
                 heartbeat,
                 app: 0,
-            },
-            Delta::Full(st) => {
-                assert!(
-                    st.app_version <= CLOCK_MAX,
-                    "app version {} is past the clock range",
-                    st.app_version
-                );
-                self.payloads.push(st.app);
-                DeltaRecord {
-                    peer,
-                    heartbeat: st.heartbeat,
-                    app: st.app_version | FULL,
-                }
-            }
-        };
-        self.records.push(record);
+            }),
+            Delta::Full(st) => self.push_full(peer, &st),
+        }
+    }
+
+    /// Appends the entry `st.delta_against(generation, max_version)` for
+    /// `peer` if `keep`, written as its record without building the
+    /// [`Delta`]: a heartbeat-only entry is the record alone, a full one
+    /// shares `st`'s payload. A heartbeat-only record is written whether
+    /// it is kept or not (see [`push_if`]).
+    pub(crate) fn push_against_if(
+        &mut self,
+        peer: Peer,
+        st: &EndpointState<A>,
+        generation: u32,
+        max_version: u32,
+        keep: bool,
+    ) {
+        if keep & !st.app_covered_by(generation, max_version) {
+            self.push_full(peer, st);
+        } else {
+            let record = DeltaRecord {
+                peer,
+                heartbeat: st.heartbeat,
+                app: 0,
+            };
+            push_if(&mut self.records, record, keep);
+        }
+    }
+
+    /// Appends a full-state entry for `peer` that shares `st`'s payload.
+    pub(crate) fn push_full(&mut self, peer: Peer, st: &EndpointState<A>) {
+        assert!(
+            st.app_version <= CLOCK_MAX,
+            "app version {} is past the clock range",
+            st.app_version
+        );
+        self.payloads.push(Arc::clone(&st.app));
+        self.records.push(DeltaRecord {
+            peer,
+            heartbeat: st.heartbeat,
+            app: st.app_version | FULL,
+        });
     }
 
     /// Moves what was written into a body of exactly its length, leaving
@@ -307,6 +353,16 @@ impl<A> DeltaBuild<A> {
             payloads: emit_exact(&mut self.payloads),
         }
     }
+}
+
+/// Appends `entry` to `build` if `keep`. The entry is written either way
+/// and then dropped again if not kept, so the call does not branch on
+/// `keep`: where a loop's `keep` goes either way about equally often (a
+/// SYN digest is older or newer than the receiver's view), a branch on
+/// it mispredicts every other entry, and a write costs less.
+pub(crate) fn push_if<T: Copy>(build: &mut Vec<T>, entry: T, keep: bool) {
+    build.push(entry);
+    build.truncate(build.len() - usize::from(!keep));
 }
 
 /// Moves what `build` holds into one allocation of exactly its length,

@@ -19,9 +19,10 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 
 use serde::json::{push_u64, Error, Kind, Reader};
-use serde::{Deserialize as _, Serialize as _};
+use serde::{Deserialize as _, Serialize};
 
 use crate::names::{SpanName, ENGINE_PID, TID_CALC, TID_GOSSIP, TID_REQUEST};
 use crate::tracer::Trace;
@@ -152,13 +153,48 @@ fn tracks(trace: &Trace) -> Vec<(u32, u32)> {
     tracks
 }
 
-/// Renders a trace as a Chrome `trace_event` JSON object string.
+/// How many bytes [`write_chrome_json`] renders before it hands them to
+/// its writer.
+const CHUNK: usize = 1 << 16;
+
+/// Renders a trace as a Chrome `trace_event` JSON object string (the
+/// bytes [`write_chrome_json`] writes).
 pub fn to_chrome_json(trace: &Trace) -> String {
-    let tracks = tracks(trace);
     // Sized once from the counts: a row or a record of the native trace
     // takes well under these many bytes in practice.
+    let tracks = tracks(trace);
     let records = trace.spans.len() + trace.instants.len() + trace.counters.len();
     let mut out = String::with_capacity((tracks.len() + places(trace)) * 96 + records * 80 + 4096);
+    let kept: io::Result<()> = render(trace, &tracks, &mut out, |_| Ok(()));
+    kept.expect("keeping the rendered bytes cannot fail");
+    out
+}
+
+/// Writes a trace to `w` as a Chrome `trace_event` JSON object, a chunk
+/// at a time: the export holds about [`CHUNK`] bytes of the file at
+/// once, never the whole file.
+pub fn write_chrome_json(trace: &Trace, w: &mut impl io::Write) -> io::Result<()> {
+    let mut chunk = String::with_capacity(2 * CHUNK);
+    render(trace, &tracks(trace), &mut chunk, |chunk| {
+        if chunk.len() >= CHUNK {
+            w.write_all(chunk.as_bytes())?;
+            chunk.clear();
+        }
+        Ok(())
+    })?;
+    w.write_all(chunk.as_bytes())
+}
+
+/// The one renderer: appends the file to `out`, calling `spill(out)`
+/// after each row and each record of the native trace, where a caller
+/// that streams moves the bytes on. `tracks` are the trace's
+/// [`tracks`].
+fn render(
+    trace: &Trace,
+    tracks: &[(u32, u32)],
+    out: &mut String,
+    mut spill: impl FnMut(&mut String) -> io::Result<()>,
+) -> io::Result<()> {
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
     let mut sep = |out: &mut String| {
@@ -168,10 +204,10 @@ pub fn to_chrome_json(trace: &Trace) -> String {
     // Metadata rows for every (pid, tid) seen, in sorted order; the
     // event rows follow them.
     let mut last_pid = None;
-    for &(pid, tid) in &tracks {
+    for &(pid, tid) in tracks {
         if last_pid != Some(pid) {
             last_pid = Some(pid);
-            sep(&mut out);
+            sep(out);
             let pname = if pid == ENGINE_PID {
                 "engine".to_string()
             } else {
@@ -183,7 +219,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                  \"args\":{{\"name\":\"{pname}\"}}}}"
             );
         }
-        sep(&mut out);
+        sep(out);
         let _ = write!(
             out,
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
@@ -191,15 +227,58 @@ pub fn to_chrome_json(trace: &Trace) -> String {
             thread_label(pid, tid)
         );
     }
-    push_rows(&mut out, trace, &sorted_keys(trace));
+    push_rows(out, trace, &sorted_keys(trace), &mut spill)?;
     out.push_str("\n],\"displayTimeUnit\":\"ms\",\"scalecheck\":");
-    trace.serialize(&mut out);
-    out.push('}');
-    out
+    // The native trace as its derived `Serialize` writes it, one record
+    // at a time. Naming every field makes a new one a compile error
+    // here.
+    let Trace {
+        meta,
+        spans,
+        instants,
+        counters,
+        metrics,
+    } = trace;
+    out.push_str("{\"meta\":");
+    meta.serialize(out);
+    out.push_str(",\"spans\":");
+    render_seq(out, spans, &mut spill)?;
+    out.push_str(",\"instants\":");
+    render_seq(out, instants, &mut spill)?;
+    out.push_str(",\"counters\":");
+    render_seq(out, counters, &mut spill)?;
+    out.push_str(",\"metrics\":");
+    render_seq(out, metrics, &mut spill)?;
+    out.push_str("}}");
+    spill(out)
 }
 
-/// Appends the rows `keys` stand for, in their order.
-fn push_rows(out: &mut String, trace: &Trace, keys: &[u128]) {
+/// Appends `items` as a JSON array, calling `spill` after each.
+fn render_seq<T: Serialize>(
+    out: &mut String,
+    items: &[T],
+    spill: &mut impl FnMut(&mut String) -> io::Result<()>,
+) -> io::Result<()> {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.serialize(out);
+        spill(out)?;
+    }
+    out.push(']');
+    Ok(())
+}
+
+/// Appends the rows `keys` stand for, in their order, calling `spill`
+/// after each.
+fn push_rows(
+    out: &mut String,
+    trace: &Trace,
+    keys: &[u128],
+    spill: &mut impl FnMut(&mut String) -> io::Result<()>,
+) -> io::Result<()> {
     for &k in keys {
         let r = row_at(trace, unkey(k));
         out.push_str(",\n");
@@ -230,7 +309,9 @@ fn push_rows(out: &mut String, trace: &Trace, keys: &[u128]) {
             out.push('}');
         }
         out.push('}');
+        spill(out)?;
     }
+    Ok(())
 }
 
 fn not_json(e: Error) -> String {

@@ -39,7 +39,7 @@ pub mod names;
 pub mod summary;
 pub mod tracer;
 
-pub use chrome::{from_chrome_json, to_chrome_json};
+pub use chrome::{from_chrome_json, to_chrome_json, write_chrome_json};
 pub use diverge::{diverge, DivergenceReport, DivergenceRow};
 pub use hist::LogHistogram;
 pub use names::{Metric, SpanName, ENGINE_PID, METRIC_COUNT, TID_CALC, TID_GOSSIP, TID_REQUEST};

@@ -163,11 +163,17 @@ cargo test --release -q -p scalecheck-bench --test obs_integration -- --ignored
 # address-space limit. Read through a document tree the pair needed
 # 1.34 GiB (and aborts here); the streaming reader peaks at 84.7 MiB,
 # one file buffer plus the two traces, so giving the DOM back fails
-# locally.
-echo "=== trace export + analyzer smoke (c3831@128, diverge under ulimit -v 512 MiB) ==="
+# locally. The export streams too, a 64 KiB chunk at a time: each run
+# fits in 33 MiB (Real) and 37 MiB (Colo) of address space and runs
+# here under 64 MiB, where rendering the whole file into one String
+# first needs 105 MiB and aborts.
+echo "=== trace export + analyzer smoke (c3831@128, run under ulimit -v 64 MiB, diverge under 512 MiB) ==="
 CLI=target/release/scalecheck-cli
-"$CLI" run --bug c3831 --nodes 128 --mode real --trace-out target/ci_trace_real.json
-"$CLI" run --bug c3831 --nodes 128 --mode colo --trace-out target/ci_trace_colo.json
+(
+  ulimit -v 65536
+  "$CLI" run --bug c3831 --nodes 128 --mode real --trace-out target/ci_trace_real.json
+  "$CLI" run --bug c3831 --nodes 128 --mode colo --trace-out target/ci_trace_colo.json
+)
 (
   ulimit -v 524288
   "$CLI" diverge target/ci_trace_real.json target/ci_trace_colo.json

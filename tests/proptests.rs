@@ -971,6 +971,88 @@ proptest! {
         prop_assert!(tree.flaps > 0 && tree.recoveries > 0);
     }
 
+    /// Differential: `FailureDetector::report_all` hands φ a body's
+    /// heartbeats as one batch, and must be a `report` per peer in
+    /// order. Against `model::TreeFailureDetector` fed one `report` per
+    /// batch entry: bodies of up to seven entries, unsorted, some peers
+    /// twice, over ids in three bitset words; first reports (at the
+    /// start and after a `forget`), recoveries of convicted peers (a
+    /// long silence now and then), bodies stamped before every peer's
+    /// last arrival (all stale: nothing may move; that they open no
+    /// epoch is a unit test of the detector's own), and enough rounds to
+    /// fill every window and evict from it. φ to the bit, every counter
+    /// and verdict, every round.
+    #[test]
+    fn batch_report_matches_the_tree_model(
+        rounds in prop::collection::vec((0u64..4000, any::<u64>(), 0u8..24), 2000..2600),
+    ) {
+        use model::TreeFailureDetector;
+        use scalecheck_gossip::{FailureDetector, Peer};
+        const PEERS: [Peer; 6] = [Peer(63), Peer(0), Peer(130), Peer(2), Peer(64), Peer(9)];
+        let interval = SimDuration::from_secs(1);
+        let part = |num: u64, den: u64| SimDuration::from_nanos(interval.as_nanos() * num / den);
+        let mut dense = FailureDetector::new(8.0, interval);
+        let mut tree = TreeFailureDetector::new(8.0, interval);
+        let mut now = SimTime::from_secs(3600);
+        let mut body = Vec::new();
+        let (mut evictions, mut all_stale) = (0u32, 0u32);
+        for (round, (step, picks, what)) in rounds.into_iter().enumerate() {
+            // 0.3–2.05 intervals, one round in 200 a 30-interval silence.
+            now += if step < 20 { part(30, 1) } else { part(300 + step % 1750, 1000) };
+            prop_assert_eq!(dense.interpret_all(now), tree.interpret_all(now));
+            if what == 0 && step < 40 {
+                let peer = PEERS[(picks % 6) as usize];
+                dense.forget(peer);
+                tree.forget(peer);
+            }
+            // Each peer with odds 7 in 8, rotated, one of them maybe
+            // twice.
+            body.clear();
+            body.extend(
+                (PEERS.iter().enumerate())
+                    .filter(|&(k, _)| picks >> (3 * k) & 7 != 0)
+                    .map(|(_, &peer)| peer),
+            );
+            if let len @ 1.. = body.len() {
+                body.rotate_left((picks >> 18) as usize % len);
+                if picks >> 24 & 1 != 0 {
+                    body.push(body[(picks >> 25) as usize % len]);
+                }
+            }
+            let at = if what == 1 {
+                // Before the last round's arrivals: stale for everyone
+                // monitored who was reported since.
+                SimTime::from_nanos(now.as_nanos() - part(5, 1).as_nanos())
+            } else {
+                now
+            };
+            if what == 1 && body.iter().all(|&p| tree.liveness(p).is_some()) {
+                all_stale += 1;
+            }
+            evictions += body.iter().filter(|&&p| tree.samples(p) == Some(1000)).count() as u32;
+            dense.report_all(&body, at);
+            for &peer in &body {
+                tree.report(peer, at);
+            }
+            let probe_at = now + part(1, 8);
+            prop_assert_eq!(dense.flaps(), tree.flaps);
+            prop_assert_eq!(dense.recoveries(), tree.recoveries);
+            prop_assert_eq!(dense.monitored(), tree.monitored());
+            prop_assert_eq!(dense.dead_peers(), tree.dead_peers());
+            for peer in PEERS {
+                prop_assert_eq!(dense.liveness(peer), tree.liveness(peer));
+                prop_assert_eq!(
+                    dense.phi(peer, probe_at).map(f64::to_bits),
+                    tree.phi(peer, probe_at).map(f64::to_bits),
+                    "round {} peer {:?}", round, peer
+                );
+            }
+        }
+        // The case did what it is here for.
+        prop_assert!(evictions > 100, "only {} reports into a full window", evictions);
+        prop_assert!(all_stale > 0 && tree.flaps > 0 && tree.recoveries > 0);
+    }
+
     /// Differential: the sweep's integer pre-filter never hides a
     /// conviction. Probed where it could: at sweep times within a few
     /// nanoseconds — and within an ulp of the float product — of
@@ -1048,16 +1130,26 @@ proptest! {
     /// the receiver itself, and an id space full of holes. Every body
     /// is built in one build space that all nodes and steps share, as
     /// the runner builds them, and holds exactly its entry count: one
-    /// record per entry and one payload per full entry.
+    /// record per entry and one payload per full entry; every outcome
+    /// is reported in one `ApplyOutcome` that all applies share, as the
+    /// runner reports them. Among the SYNs are ascending ones that name
+    /// a peer twice and leave another out, so that as many digests name
+    /// a known peer as the receiver knows while one of its peers is
+    /// unclaimed: the gap merge may be skipped only for a *strictly*
+    /// ascending SYN.
     #[test]
     fn dense_endpoint_map_matches_the_tree_model(
         n in 2usize..13,
-        ops in prop::collection::vec((0u8..12, 0usize..12, 0usize..12, any::<u32>()), 1..160),
+        ops in prop::collection::vec((0u8..13, 0usize..12, 0usize..12, any::<u32>()), 1..160),
     ) {
         use model::gossip::{
-            widen_deltas, widen_digests, widen_state, TreeGossiper, WideDelta, WideHeartbeat, WideState,
+            widen_deltas, widen_digests, widen_state, TreeGossiper, WideDelta, WideHeartbeat,
+            WideState, WideSyn,
         };
-        use scalecheck_gossip::{AckSpace, Delta, Deltas, EndpointState, Gossiper, HeartbeatState, Peer};
+        use scalecheck_gossip::{
+            AckSpace, ApplyOutcome, Delta, Deltas, EndpointState, Gossiper, HeartbeatState, Peer,
+            Syn,
+        };
         /// Two bodies, entry by entry.
         fn same_entries<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], what: &str) -> Result<(), TestCaseError> {
             prop_assert_eq!(got.len(), want.len(), "{} entry count", what);
@@ -1074,6 +1166,7 @@ proptest! {
             same_entries(&got, want, what)
         }
         let mut space = AckSpace::default();
+        let mut outcome = ApplyOutcome::default();
         let ids = &PEER_IDS[..n];
         let mut dense: Vec<Gossiper<u32>> =
             ids.iter().map(|&id| Gossiper::new(Peer(id), 1, id)).collect();
@@ -1090,16 +1183,24 @@ proptest! {
                     let wide_ack = tree[b].handle_syn(&wide_syn);
                     same_deltas(&ack.deltas, &wide_ack.deltas, "ACK deltas")?;
                     same_entries(&widen_digests(&ack.requests), &wide_ack.requests, "ACK requests")?;
-                    // The runner's path, or fresh space.
-                    let (out_a, ack2) = if kind == 4 {
-                        dense[a].handle_ack(&ack)
+                    // The runner's path, or fresh space and outcomes.
+                    let ack2 = if kind == 4 {
+                        let (out_a, ack2) = dense[a].handle_ack(&ack);
+                        outcome = out_a;
+                        ack2
                     } else {
-                        dense[a].handle_ack_in(&ack, &mut space)
+                        dense[a].handle_ack_in(&ack, &mut space, &mut outcome)
                     };
                     let (model_out_a, wide_ack2) = tree[a].handle_ack(&wide_ack);
-                    prop_assert_eq!(&out_a, &model_out_a);
+                    prop_assert_eq!(&outcome, &model_out_a);
                     same_deltas(&ack2.deltas, &wide_ack2.deltas, "ACK2")?;
-                    prop_assert_eq!(dense[b].handle_ack2(&ack2), tree[b].handle_ack2(&wide_ack2));
+                    let model_out_b = tree[b].handle_ack2(&wide_ack2);
+                    if kind == 4 {
+                        prop_assert_eq!(dense[b].handle_ack2(&ack2), model_out_b);
+                    } else {
+                        dense[b].handle_ack2_in(&ack2, &mut outcome);
+                        prop_assert_eq!(&outcome, &model_out_b);
+                    }
                 }
                 5 if a != b => {
                     // The wire type does not promise a sorted SYN.
@@ -1165,12 +1266,48 @@ proptest! {
                     }
                     let body: Deltas<u32> = narrow.into_iter().collect();
                     same_deltas(&body, &wide, "hearsay body")?;
-                    prop_assert_eq!(dense[a].apply(&body), tree[a].apply(&wide));
+                    dense[a].apply_in(&body, &mut outcome);
+                    prop_assert_eq!(&outcome, &tree[a].apply(&wide));
                 }
                 11 => {
                     let peer = Peer(PEER_IDS[b]);
                     dense[a].seed_peer(peer, EndpointState::new(HeartbeatState::default(), 0, x));
                     tree[a].seed_peer(peer, WideState::new(WideHeartbeat::default(), 0, x));
+                }
+                12 if a != b => {
+                    // Ascending, not strictly: one digest left out and
+                    // another named twice, so the count of digests stays
+                    // that of the sender's view.
+                    let syn = dense[a].make_syn();
+                    let wide_syn = tree[a].make_syn();
+                    let len = syn.digests.len();
+                    if len < 2 {
+                        continue;
+                    }
+                    let gone = x as usize % len;
+                    let twice = (gone + 1 + (x as usize / len) % (len - 1)) % len;
+                    fn repeat<T: Copy>(digests: &[T], gone: usize, twice: usize) -> Vec<T> {
+                        let mut out = Vec::with_capacity(digests.len());
+                        for (i, &d) in digests.iter().enumerate() {
+                            if i != gone {
+                                out.push(d);
+                            }
+                            if i == twice {
+                                out.push(d);
+                            }
+                        }
+                        out
+                    }
+                    let syn = Syn { digests: repeat(&syn.digests, gone, twice).into() };
+                    let wide_syn = WideSyn { digests: repeat(&wide_syn.digests, gone, twice) };
+                    let ack = dense[b].handle_syn_in(&syn, &mut space);
+                    let wide_ack = tree[b].handle_syn(&wide_syn);
+                    same_deltas(&ack.deltas, &wide_ack.deltas, "ACK deltas (repeating SYN)")?;
+                    same_entries(
+                        &widen_digests(&ack.requests),
+                        &wide_ack.requests,
+                        "ACK requests (repeating SYN)",
+                    )?;
                 }
                 _ => {}
             }
@@ -1424,13 +1561,18 @@ proptest! {
 
     /// Differential: `to_chrome_json`, which sorts compact
     /// `(ts, phase, place)` keys, writes every byte the exporter that
-    /// stable-sorted whole rows wrote (`model::chrome`), and the file
-    /// reads back as the trace it came from.
+    /// stable-sorted whole rows wrote (`model::chrome`), and so does
+    /// `write_chrome_json`, which hands them on a chunk at a time (the
+    /// wide traces run to several chunks); the file reads back as the
+    /// trace it came from.
     #[test]
     fn chrome_export_matches_the_row_sorting_model(seed in any::<u64>()) {
         let trace = crowded_trace(seed);
         let json = scalecheck_obs::to_chrome_json(&trace);
         prop_assert_eq!(&json, &model::chrome::to_chrome_json(&trace));
+        let mut file = Vec::new();
+        scalecheck_obs::write_chrome_json(&trace, &mut file).expect("a Vec takes every byte");
+        prop_assert_eq!(file.as_slice(), json.as_bytes());
         let back = scalecheck_obs::from_chrome_json(&json);
         prop_assert_eq!(back.as_ref(), Ok(&trace));
     }

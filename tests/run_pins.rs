@@ -365,7 +365,9 @@ fn hdfs_96_scale_check_reports_are_pinned() {
 /// event rows and embedded native trace alike, captured on the commit
 /// before the serde shim started streaming (the pins above hash
 /// `to_string(RunReport)` and are the `Serialize` oracle; this one adds
-/// the exporter's own integer and timestamp rendering).
+/// the exporter's own integer and timestamp rendering), and the same
+/// bytes written a chunk at a time by `write_chrome_json`, as
+/// `run --trace-out` writes them.
 #[test]
 fn c3831_24_traced_real_chrome_file_is_pinned() {
     let mut cfg = ScenarioConfig::c3831(24, 1);
@@ -373,11 +375,18 @@ fn c3831_24_traced_real_chrome_file_is_pinned() {
     let r = run_real(&cfg);
     assert!(!r.obs.spans.is_empty() && !r.obs.counters.is_empty());
     let json = scalecheck_obs::to_chrome_json(&r.obs);
-    assert_eq!(
-        format!("{:032x}", scalecheck_memo::digest_bytes(json.as_bytes()).0),
-        "4a76f7e5d8050e38bf84cebd4f98d506",
-        "Chrome trace file moved ({} bytes, {} spans)",
-        json.len(),
-        r.obs.spans.len()
-    );
+    let mut file = Vec::new();
+    scalecheck_obs::write_chrome_json(&r.obs, &mut file).expect("a Vec takes every byte");
+    for (how, bytes) in [
+        ("to_chrome_json", json.as_bytes()),
+        ("write_chrome_json", &file),
+    ] {
+        assert_eq!(
+            format!("{:032x}", scalecheck_memo::digest_bytes(bytes).0),
+            "4a76f7e5d8050e38bf84cebd4f98d506",
+            "Chrome trace file moved under {how} ({} bytes, {} spans)",
+            bytes.len(),
+            r.obs.spans.len()
+        );
+    }
 }
