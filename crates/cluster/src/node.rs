@@ -9,7 +9,7 @@ use scalecheck_gossip::{
     Ack, Ack2, ApplyOutcome, EndpointState, FailureDetector, Gossiper, Peer, Syn,
 };
 use scalecheck_memo::Hasher128;
-use scalecheck_obs::{TID_CALC, TID_GOSSIP};
+use scalecheck_obs::{Metric, TID_CALC, TID_GOSSIP};
 use scalecheck_ring::{NodeId, NodeStatus, RingTable};
 use scalecheck_sim::{cpu::MachineId, DetRng, SimDuration, SimTime, Stage, TimerId};
 
@@ -74,8 +74,7 @@ pub enum Task {
 
 /// One of a node's two serial stages. The discriminant is the stage's
 /// index into [`Node::stages`] and [`Node::parked`], its obs track id,
-/// its slot in the runner's per-work-kind CPU accounting, and its holder
-/// token on the node's ring lock.
+/// and its slot in the runner's per-work-kind CPU accounting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(u32)]
 pub enum StageKind {
@@ -99,12 +98,42 @@ impl StageKind {
 /// Where a node is in its life.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Lifecycle {
-    /// Not yet activated, or fault-crashed (a restart brings it back).
+    /// Not yet activated.
     Down,
     /// Participating: processing, sending and timing.
     Up,
-    /// Decommissioned or dead of OOM, for good.
-    Departed,
+    /// Fault-crashed at `since`; a restart brings it back.
+    Crashed {
+        /// When the node went down.
+        since: SimTime,
+    },
+    /// Decommissioned or dead of OOM, for good. A node that departs
+    /// while fault-crashed keeps its crash's start: that outage never
+    /// ends.
+    Departed {
+        /// When the node went down, if it departed while crashed.
+        down_since: Option<SimTime>,
+    },
+}
+
+impl Lifecycle {
+    /// Since when a fault crash has kept the node down, if one has.
+    pub fn down_since(self) -> Option<SimTime> {
+        match self {
+            Lifecycle::Crashed { since }
+            | Lifecycle::Departed {
+                down_since: Some(since),
+            } => Some(since),
+            _ => None,
+        }
+    }
+
+    /// The node leaves for good.
+    pub fn depart(&mut self) {
+        *self = Lifecycle::Departed {
+            down_since: self.down_since(),
+        };
+    }
 }
 
 /// One simulated node.
@@ -135,6 +164,10 @@ pub struct Node {
     /// Per stage ([`StageKind`]): the task parked waiting for the ring
     /// lock, and since when (lock-wait spans).
     pub parked: [Option<(Task, SimTime)>; 2],
+    /// The ring-table lock (C5456): the stage holding it and since when.
+    /// Each stage runs one task at a time, so the only stage that can
+    /// wait for it is the holder's [`StageKind::other`], in `parked`.
+    ring_lock: Option<(StageKind, SimTime)>,
     /// Order-enforcement holding pen (replay only): messages waiting
     /// for their recorded turn, with a forced-release deadline.
     pub held: Vec<(SimTime, Envelope)>,
@@ -191,6 +224,7 @@ impl Node {
             calc_invocations: 0,
             lifecycle: Lifecycle::Down,
             parked: [None, None],
+            ring_lock: None,
             held: Vec::new(),
             receiving: None,
             rebalance_bytes: 0,
@@ -398,6 +432,58 @@ impl Node {
             .map(|(p, _)| p)
             .filter(move |&p| p != me && !self.has_left(p))
             .map(node_of)
+    }
+
+    /// Takes the ring lock for `stage`'s `task` at `now` and hands the
+    /// task back to run, or, if the other stage holds the lock, parks
+    /// the task until that stage hands the lock over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` already holds the lock: the lock is not
+    /// reentrant, and re-taking it would deadlock the modelled stage.
+    pub fn lock_ring(&mut self, stage: StageKind, task: Task, now: SimTime) -> Option<Task> {
+        match self.ring_lock {
+            Some((holder, _)) => {
+                assert_ne!(
+                    holder, stage,
+                    "{stage:?} re-acquired the ring lock (self-deadlock)"
+                );
+                self.parked[stage as usize] = Some((task, now));
+                None
+            }
+            None => {
+                self.ring_lock = Some((stage, now));
+                scalecheck_obs::metric(Metric::LockWait, 0);
+                Some(task)
+            }
+        }
+    }
+
+    /// Whether `stage` holds the ring lock.
+    pub fn holds_ring_lock(&self, stage: StageKind) -> bool {
+        self.ring_lock.is_some_and(|(holder, _)| holder == stage)
+    }
+
+    /// Releases the ring lock `stage` holds at `now`. If the other stage
+    /// is parked waiting for it, that stage now holds the lock and is
+    /// returned, so the caller can run its parked task; a waiter a crash
+    /// dropped from `parked` is granted nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage` does not hold the lock.
+    pub fn unlock_ring(&mut self, stage: StageKind, now: SimTime) -> Option<StageKind> {
+        let Some((holder, since)) = self.ring_lock.filter(|&(holder, _)| holder == stage) else {
+            panic!("release of the ring lock by non-holder {stage:?}");
+        };
+        scalecheck_obs::metric(Metric::LockHold, now.since(since).as_nanos());
+        let next = holder.other();
+        self.ring_lock = self.parked[next as usize].as_ref().map(|&(_, queued)| {
+            scalecheck_obs::metric(Metric::LockWait, now.since(queued).as_nanos());
+            (next, now)
+        });
+        self.ring_lock.map(|(next, _)| next)
     }
 
     /// Updates this node's own gossiped ring state (and its own ring
@@ -635,5 +721,88 @@ mod tests {
         let syn = GossipMessage::Syn(n.gossiper.make_syn());
         assert_eq!(syn.kind(), 0);
         assert_eq!(syn.entries(), 1); // knows only itself
+    }
+
+    fn at_ms(v: u64) -> SimTime {
+        SimTime::from_millis(v)
+    }
+
+    #[test]
+    fn free_ring_lock_is_granted_at_once() {
+        let mut n = node(0);
+        let task = n.lock_ring(StageKind::Calc, Task::Recalculate, SimTime::ZERO);
+        assert!(matches!(task, Some(Task::Recalculate)));
+        assert!(n.holds_ring_lock(StageKind::Calc));
+        assert!(!n.holds_ring_lock(StageKind::Gossip));
+        assert!(n.parked.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn ring_lock_passes_to_the_parked_stage_with_its_wait_and_hold() {
+        use scalecheck_obs::Metric;
+        scalecheck_obs::install(scalecheck_obs::Tracer::new());
+        let mut n = node(0);
+        n.lock_ring(StageKind::Calc, Task::Recalculate, SimTime::ZERO);
+        assert!(n
+            .lock_ring(StageKind::Gossip, Task::SendRound, at_ms(5))
+            .is_none());
+        assert!(n.parked[StageKind::Gossip as usize].is_some());
+        assert_eq!(
+            n.unlock_ring(StageKind::Calc, at_ms(30)),
+            Some(StageKind::Gossip)
+        );
+        assert!(n.holds_ring_lock(StageKind::Gossip));
+        // The parked task stays for the grant's continuation to run.
+        assert!(n.parked[StageKind::Gossip as usize].take().is_some());
+        assert_eq!(n.unlock_ring(StageKind::Gossip, at_ms(40)), None);
+        let trace = scalecheck_obs::take().expect("installed above").finish();
+        // Calc held 30ms, then gossip 10ms; gossip waited 25ms.
+        let (hold, wait) = (
+            trace.metric(Metric::LockHold),
+            trace.metric(Metric::LockWait),
+        );
+        assert_eq!((hold.count, hold.max), (2, 30_000_000));
+        assert_eq!((wait.count, wait.max), (2, 25_000_000));
+    }
+
+    #[test]
+    fn release_without_a_waiter_frees_the_ring_lock() {
+        let mut n = node(0);
+        n.lock_ring(StageKind::Gossip, Task::SendRound, SimTime::ZERO);
+        assert_eq!(n.unlock_ring(StageKind::Gossip, at_ms(1)), None);
+        assert!(!n.holds_ring_lock(StageKind::Gossip));
+        assert!(!n.holds_ring_lock(StageKind::Calc));
+        assert!(n
+            .lock_ring(StageKind::Calc, Task::Recalculate, at_ms(2))
+            .is_some());
+    }
+
+    #[test]
+    fn release_after_a_crash_dropped_the_waiter_grants_nobody() {
+        let mut n = node(0);
+        n.lock_ring(StageKind::Calc, Task::Recalculate, SimTime::ZERO);
+        n.lock_ring(StageKind::Gossip, Task::SendRound, at_ms(1));
+        // A crash clears the parked tasks but leaves the holder, whose
+        // in-flight completion still releases.
+        n.parked = [None, None];
+        assert_eq!(n.unlock_ring(StageKind::Calc, at_ms(2)), None);
+        assert!(!n.holds_ring_lock(StageKind::Gossip));
+        assert!(!n.holds_ring_lock(StageKind::Calc));
+    }
+
+    #[test]
+    #[should_panic(expected = "self-deadlock")]
+    fn ring_lock_retaken_by_its_holder_panics() {
+        let mut n = node(0);
+        n.lock_ring(StageKind::Calc, Task::Recalculate, SimTime::ZERO);
+        n.lock_ring(StageKind::Calc, Task::Recalculate, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-holder")]
+    fn ring_lock_released_by_a_non_holder_panics() {
+        let mut n = node(0);
+        n.lock_ring(StageKind::Calc, Task::Recalculate, SimTime::ZERO);
+        n.unlock_ring(StageKind::Gossip, SimTime::ZERO);
     }
 }

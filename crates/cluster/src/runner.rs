@@ -24,11 +24,10 @@
 //! (C5456) unless it snapshots (the fix).
 //!
 //! Everything a node keeps per stage — its queue, the task parked for
-//! the ring lock, its obs track, its CPU-accounting slot, its holder
-//! token on the node's one ring lock — is indexed by [`StageKind`], and
-//! whether a node takes part at all is its one [`Lifecycle`].
-
-use std::collections::BTreeMap;
+//! the ring lock, its obs track, its CPU-accounting slot — is indexed by
+//! [`StageKind`]; the node's one ring lock names its holder by stage,
+//! and whether a node takes part at all, or when it crashed, is its one
+//! [`Lifecycle`].
 
 use scalecheck_gossip::{AckSpace, ApplyOutcome, Liveness};
 use scalecheck_memo::{OrderDecision, Pil, RunMode};
@@ -37,9 +36,9 @@ use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
 use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, RingTable, Token};
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{
-    Acquire, Ctx, CtxSwitchModel, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault,
-    HandlerId, LockId, LockTable, Machine, MachinePark, MemoryModel, ScheduleProbe, SchedulerKind,
-    SimDuration, SimTime, TimeSeries, TimerId,
+    Ctx, CtxSwitchModel, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault, HandlerId,
+    Machine, MachinePark, MemoryModel, ScheduleProbe, SchedulerKind, SimDuration, SimTime,
+    TimeSeries, TimerId,
 };
 
 use crate::calc::{CalcEngine, PendingWire};
@@ -76,9 +75,6 @@ struct ClusterState<'a> {
     pil_request_park: MachinePark,
     /// Memory budget per machine.
     machine_mem: Vec<MemoryModel>,
-    /// Virtual locks: node `i`'s ring lock is `LockId(i)`, held by one
-    /// of its stages (holder token `StageKind as u64`).
-    locks: LockTable,
     /// The calculation engine.
     calc: CalcEngine,
     /// The run's PIL side: execute, record (calculations and message
@@ -124,8 +120,6 @@ struct ClusterState<'a> {
     /// downtime of completed outages); the network's counters and the
     /// outages still open join it at report time.
     faults: FaultReport,
-    /// When each currently fault-crashed node went down.
-    fault_crash_at: BTreeMap<u32, SimTime>,
 }
 
 /// What an engine event does. Each kind is one handler registered in
@@ -142,15 +136,15 @@ enum Ev {
     GossipTimer,
     /// A periodic failure-detector check; argument: the timer epoch.
     FdTimer,
-    /// A received message is processed (stage, holds_lock).
+    /// A received message is processed (stage).
     RecvDone,
     /// A send round's compute is done (stage).
     SendDone,
     /// The ring lock passes to a waiting stage (stage).
     LockGranted,
-    /// A snapshot-mode ring clone is done (stage, holds_lock).
+    /// A snapshot-mode ring clone is done (stage).
     SnapshotTaken,
-    /// A calculation is done (stage, has_pending, release_lock_after).
+    /// A calculation is done (stage, has_pending).
     CalcDone,
     /// A held message's hold deadline passes.
     HoldExpired,
@@ -221,15 +215,16 @@ fn payload(i: usize, arg: u32) -> u64 {
     (i as u64) | (arg as u64) << 32
 }
 
-/// A task completion's argument: its stage and up to two flags.
-fn task_arg(stage: StageKind, a: bool, b: bool) -> u32 {
-    u32::from(stage == StageKind::Calc) | u32::from(a) << 1 | u32::from(b) << 2
+/// A task completion's argument: its stage and, for a calculation,
+/// whether it found pending ranges.
+fn task_arg(stage: StageKind, has_pending: bool) -> u32 {
+    u32::from(stage == StageKind::Calc) | u32::from(has_pending) << 1
 }
 
 /// Unpacks [`task_arg`].
-fn task_bits(arg: u32) -> (StageKind, bool, bool) {
+fn task_bits(arg: u32) -> (StageKind, bool) {
     let stage = [StageKind::Gossip, StageKind::Calc][(arg & 1) as usize];
-    (stage, arg & 2 != 0, arg & 4 != 0)
+    (stage, arg & 2 != 0)
 }
 
 /// The slot store of messages in flight: a `Deliver` event's argument
@@ -289,16 +284,16 @@ impl ClusterState<'_> {
 /// Runs one event: the one place an [`Ev`] meets the code it stands for.
 fn dispatch(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
     let (i, arg) = (payload as u32 as usize, (payload >> 32) as u32);
-    let (stage, a, b) = task_bits(arg);
+    let (stage, has_pending) = task_bits(arg);
     match ev {
         Ev::Deliver => deliver(st, ctx, arg),
         Ev::GossipTimer => gossip_round(st, ctx, i, arg.into()),
         Ev::FdTimer => fd_check(st, ctx, i, arg.into()),
-        Ev::RecvDone => finish_receive(st, ctx, i, stage, a),
+        Ev::RecvDone => finish_receive(st, ctx, i, stage),
         Ev::SendDone => finish_send_round(st, ctx, i, stage),
         Ev::LockGranted => lock_granted(st, ctx, i, stage),
-        Ev::SnapshotTaken => begin_calc_compute(st, ctx, i, stage, a),
-        Ev::CalcDone => finish_calc(st, ctx, i, stage, a, b),
+        Ev::SnapshotTaken => begin_calc_compute(st, ctx, i, stage),
+        Ev::CalcDone => finish_calc(st, ctx, i, stage, has_pending),
         Ev::HoldExpired => flush_expired_held(st, ctx, i),
         Ev::Activate => {
             let tokens = spread_tokens(NodeId(i as u32), st.cfg.vnodes);
@@ -337,7 +332,7 @@ fn dispatch(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
         }),
         Ev::Depart => {
             let node = &mut st.nodes[i];
-            node.lifecycle = Lifecycle::Departed;
+            node.lifecycle.depart();
             for stage in &mut node.stages {
                 stage.clear();
             }
@@ -424,7 +419,6 @@ fn build<'a>(
 
     let root_rng = scalecheck_sim::DetRng::new(cfg.seed);
     let mut nodes = Vec::with_capacity(total);
-    let mut locks = LockTable::new();
     for i in 0..total {
         let id = NodeId(i as u32);
         let machine = match mode {
@@ -449,8 +443,6 @@ fn build<'a>(
             cfg.phi_threshold,
             cfg.gossip_interval,
         ));
-        let ring_lock = locks.create();
-        debug_assert_eq!(ring_lock, LockId(i));
     }
 
     // Established members know each other; everyone knows the seeds.
@@ -579,7 +571,6 @@ fn build<'a>(
         park,
         pil_request_park,
         machine_mem,
-        locks,
         calc: CalcEngine::new(cfg.calculator, cfg.ns_per_op),
         pil,
         seeds,
@@ -593,7 +584,6 @@ fn build<'a>(
         crashed: 0,
         stopped_quiescent: false,
         faults: FaultReport::default(),
-        fault_crash_at: BTreeMap::new(),
     }
 }
 
@@ -622,7 +612,10 @@ fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) 
     // Memory admission: runtime overhead plus the node's ring table.
     let machine = st.nodes[i].machine.0;
     let mem = &mut st.machine_mem[machine];
-    let first_on_machine = mem.labelled("runtime") == 0;
+    // Runtime and ring bytes are never freed and a failed allocation
+    // records nothing, so a machine holding no bytes has not paid the
+    // runtime yet.
+    let first_on_machine = mem.in_use() == 0;
     let overhead = if st.cfg.memory.single_process {
         if first_on_machine {
             st.cfg.memory.per_process_overhead
@@ -634,11 +627,11 @@ fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) 
     };
     let ring_bytes =
         (st.cfg.total_nodes() * st.cfg.vnodes) as u64 * st.cfg.memory.bytes_per_ring_entry;
-    if mem.alloc("runtime", overhead).is_err() || mem.alloc("ring", ring_bytes).is_err() {
+    if mem.alloc(overhead).is_err() || mem.alloc(ring_bytes).is_err() {
         // The §8 symptom: "nodes receive out-of-memory exceptions and
         // crash".
         st.crashed += 1;
-        st.nodes[i].lifecycle = Lifecycle::Departed;
+        st.nodes[i].lifecycle.depart();
         return;
     }
 
@@ -735,14 +728,14 @@ fn needs_lock(cfg: &ScenarioConfig, stage: StageKind, task: &Task) -> bool {
 }
 
 fn start_task(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind, task: Task) {
-    if needs_lock(&st.cfg, stage, &task) {
-        let now = ctx.now();
-        match st.locks.acquire(LockId(i), stage as u64, now) {
-            Acquire::Granted => run_task(st, ctx, i, stage, task, true),
-            Acquire::Queued => st.nodes[i].parked[stage as usize] = Some((task, now)),
-        }
+    let task = if needs_lock(&st.cfg, stage, &task) {
+        // `None`: parked until the other stage hands the lock over.
+        st.nodes[i].lock_ring(stage, task, ctx.now())
     } else {
-        run_task(st, ctx, i, stage, task, false);
+        Some(task)
+    };
+    if let Some(task) = task {
+        run_task(st, ctx, i, stage, task);
     }
 }
 
@@ -751,11 +744,9 @@ fn start_task(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKi
 /// lock until after releasing it, so it never waits for itself), which
 /// gets it next.
 fn release_ring_lock(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
-    if let Some(holder) = st.locks.release(LockId(i), stage as u64, ctx.now()) {
-        let next = stage.other();
-        debug_assert_eq!(holder, next as u64);
-        let now = ctx.now();
-        st.schedule(ctx, now, Ev::LockGranted, i, task_arg(next, false, false));
+    let now = ctx.now();
+    if let Some(next) = st.nodes[i].unlock_ring(stage, now) {
+        st.schedule(ctx, now, Ev::LockGranted, i, task_arg(next, false));
     }
 }
 
@@ -770,7 +761,7 @@ fn lock_granted(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: Stage
                 ctx.now().since(since).as_nanos(),
                 0,
             );
-            run_task(st, ctx, i, stage, task, true)
+            run_task(st, ctx, i, stage, task)
         }
         None => {
             // The waiter vanished (node crashed/departed): release so the
@@ -806,14 +797,7 @@ fn compute(
     }
 }
 
-fn run_task(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_>,
-    i: usize,
-    stage: StageKind,
-    task: Task,
-    holds_lock: bool,
-) {
+fn run_task(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind, task: Task) {
     let now = ctx.now();
     match task {
         Task::SendRound => {
@@ -828,7 +812,7 @@ fn run_task(
                 done_at.since(now).as_nanos(),
                 endpoints,
             );
-            st.schedule(ctx, done_at, Ev::SendDone, i, task_arg(stage, false, false));
+            st.schedule(ctx, done_at, Ev::SendDone, i, task_arg(stage, false));
         }
         Task::Receive(env) => {
             let entries = env.msg.entries() as u64;
@@ -844,13 +828,7 @@ fn run_task(
             );
             debug_assert!(st.nodes[i].receiving.is_none(), "one receive at a time");
             st.nodes[i].receiving = Some(env);
-            st.schedule(
-                ctx,
-                done_at,
-                Ev::RecvDone,
-                i,
-                task_arg(stage, holds_lock, false),
-            );
+            st.schedule(ctx, done_at, Ev::RecvDone, i, task_arg(stage, false));
         }
         Task::Recalculate => match st.cfg.locking {
             LockingMode::SnapshotThread => {
@@ -859,27 +837,22 @@ fn run_task(
                 let clone_cost =
                     SimDuration::from_nanos(100 * (st.cfg.total_nodes() * st.cfg.vnodes) as u64);
                 let done_at = compute(st, now, i, clone_cost, StageKind::Calc, false);
-                let arg = task_arg(stage, holds_lock, false);
-                st.schedule(ctx, done_at, Ev::SnapshotTaken, i, arg);
+                st.schedule(ctx, done_at, Ev::SnapshotTaken, i, task_arg(stage, false));
             }
             // Coarse mode: compute while holding the lock.
-            _ => begin_calc_compute(st, ctx, i, stage, holds_lock),
+            _ => begin_calc_compute(st, ctx, i, stage),
         },
     }
 }
 
 /// Runs the pending-range calculation on node `i`'s ring view as it
-/// stands, bills its compute and schedules its application. A held ring
-/// lock is released as soon as the calculation has read the ring in
-/// [`LockingMode::SnapshotThread`] (the simulated snapshot is taken at
-/// this instant), and when the compute is done otherwise.
-fn begin_calc_compute(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_>,
-    i: usize,
-    stage: StageKind,
-    holds_lock: bool,
-) {
+/// stands, bills its compute and schedules its application. In
+/// [`LockingMode::SnapshotThread`] the calculation stage holds the ring
+/// lock here and releases it as soon as the calculation has read the
+/// ring (the simulated snapshot is taken at this instant); in
+/// [`LockingMode::CoarseLockThread`] it holds it until the compute is
+/// done ([`finish_calc`]).
+fn begin_calc_compute(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
     let now = ctx.now();
     let node = &mut st.nodes[i];
     let changes = changes_of(&node.ring);
@@ -888,11 +861,9 @@ fn begin_calc_compute(
     let (pending, duration) = st
         .calc
         .calculate(&mut st.pil, node.id.0, idx, &node.ring, &changes);
-    let snapshot = st.cfg.locking == LockingMode::SnapshotThread;
-    if holds_lock && snapshot {
+    if st.cfg.locking == LockingMode::SnapshotThread {
         release_ring_lock(st, ctx, i, StageKind::Calc);
     }
-    let release_lock_after = holds_lock && !snapshot;
     let done_at = compute(st, now, i, duration, StageKind::Calc, true);
     if scalecheck_obs::enabled() {
         let pil_mode = matches!(st.mode, RunMode::PilReplay { .. });
@@ -914,7 +885,7 @@ fn begin_calc_compute(
         );
         scalecheck_obs::metric(Metric::CalcDuration, done_at.since(now).as_nanos());
     }
-    let arg = task_arg(stage, !pending.0.is_empty(), release_lock_after);
+    let arg = task_arg(stage, !pending.0.is_empty());
     st.schedule(ctx, done_at, Ev::CalcDone, i, arg);
 }
 
@@ -966,13 +937,7 @@ fn finish_send_round(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: 
     end_task(st, ctx, i, stage);
 }
 
-fn finish_receive(
-    st: &mut ClusterState,
-    ctx: &mut Ctx<'_>,
-    i: usize,
-    stage: StageKind,
-    holds_lock: bool,
-) {
+fn finish_receive(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: StageKind) {
     let now = ctx.now();
     let env = st.nodes[i]
         .receiving
@@ -1036,7 +1001,7 @@ fn finish_receive(
                 // Cassandra's architecture: the calculation runs
                 // synchronously inside gossip application — the stage
                 // stays busy for the whole compute.
-                begin_calc_compute(st, ctx, i, stage, holds_lock);
+                begin_calc_compute(st, ctx, i, stage);
                 release_held(st, ctx, i);
                 return;
             }
@@ -1052,7 +1017,7 @@ fn finish_receive(
             }
         }
     }
-    if holds_lock {
+    if st.nodes[i].holds_ring_lock(stage) {
         release_ring_lock(st, ctx, i, stage);
     }
     end_task(st, ctx, i, stage);
@@ -1066,11 +1031,11 @@ fn finish_calc(
     i: usize,
     stage: StageKind,
     has_pending: bool,
-    release_lock_after: bool,
 ) {
     apply_pending(st, ctx, i, has_pending);
-    if release_lock_after {
-        release_ring_lock(st, ctx, i, StageKind::Calc);
+    // Only a coarse-lock calculation still holds the lock here.
+    if st.nodes[i].holds_ring_lock(stage) {
+        release_ring_lock(st, ctx, i, stage);
     }
     // Thread modes: honour the dirty flag.
     if stage == StageKind::Calc {
@@ -1107,14 +1072,11 @@ fn apply_pending(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, has_pending
     };
     let have = st.nodes[i].rebalance_bytes;
     if want > have {
-        if st.machine_mem[machine]
-            .alloc("rebalance", want - have)
-            .is_err()
-        {
+        if st.machine_mem[machine].alloc(want - have).is_err() {
             // OOM: the node crashes (§8).
-            st.machine_mem[machine].free("rebalance", have);
+            st.machine_mem[machine].free(have);
             st.nodes[i].rebalance_bytes = 0;
-            st.nodes[i].lifecycle = Lifecycle::Departed;
+            st.nodes[i].lifecycle.depart();
             cancel_node_timers(st, ctx, i);
             st.crashed += 1;
             scalecheck_obs::instant(
@@ -1128,7 +1090,7 @@ fn apply_pending(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, has_pending
         }
         st.nodes[i].rebalance_bytes = want;
     } else if want < have {
-        st.machine_mem[machine].free("rebalance", have - want);
+        st.machine_mem[machine].free(have - want);
         st.nodes[i].rebalance_bytes = want;
     }
 }
@@ -1481,7 +1443,7 @@ fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     // through the idle lifecycle checks.
     cancel_node_timers(st, ctx, i);
     let node = &mut st.nodes[i];
-    node.lifecycle = Lifecycle::Down;
+    node.lifecycle = Lifecycle::Crashed { since: now };
     node.timer_epoch += 1;
     for stage in &mut node.stages {
         stage.clear();
@@ -1492,7 +1454,6 @@ fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     node.calc_queued = false;
     let peer = peer_of(node.id);
     let id = node.id;
-    st.fault_crash_at.insert(i as u32, now);
     st.faults.crashes += 1;
     for k in 0..st.nodes.len() {
         if k != i {
@@ -1506,10 +1467,7 @@ fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
 /// failure-detection history, restarted timers. No-op unless the node
 /// is currently down from a [`FaultEvent::Crash`].
 fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
-    if st.nodes[i].lifecycle != Lifecycle::Down {
-        return;
-    }
-    let Some(down_at) = st.fault_crash_at.remove(&(i as u32)) else {
+    let Lifecycle::Crashed { since: down_at } = st.nodes[i].lifecycle else {
         return;
     };
     let now = ctx.now();
@@ -1761,8 +1719,10 @@ fn assemble_fault_report(st: &ClusterState, ended: SimTime) -> FaultReport {
         ..st.faults.clone()
     };
     // Nodes still down at run end accrue downtime through `ended`.
-    for (&node, &down_at) in &st.fault_crash_at {
-        *faults.downtime.entry(node).or_insert(SimDuration::ZERO) += ended.since(down_at);
+    for (i, node) in st.nodes.iter().enumerate() {
+        if let Some(since) = node.lifecycle.down_since() {
+            *faults.downtime.entry(i as u32).or_insert(SimDuration::ZERO) += ended.since(since);
+        }
     }
     faults
 }

@@ -10,7 +10,6 @@
 //! * CPU/machine models ([`Machine`], [`MachinePark`]) that realize the
 //!   paper's three deployment semantics (real-scale, basic colocation,
 //!   PIL replay);
-//! * virtual-time locks ([`LockTable`]) for the C5456 coarse-lock bug;
 //! * deterministic fault-injection plans and reports ([`FaultPlan`],
 //!   [`FaultReport`]) scheduled on the virtual clock;
 //! * SEDA-like serial stages ([`Stage`]) with event-lateness accounting;
@@ -45,7 +44,6 @@
 pub mod cpu;
 pub mod engine;
 pub mod faults;
-pub mod lock;
 pub mod memory;
 pub mod metrics;
 pub mod rng;
@@ -57,7 +55,6 @@ mod wheel;
 pub use cpu::{ps_completions, CpuGrant, CtxSwitchModel, Machine, MachineId, MachinePark};
 pub use engine::{Ctx, Engine, HandlerId, RunOutcome, RunStats, SchedulerKind, TimerId};
 pub use faults::{FaultEvent, FaultPlan, FaultReport, FiredFault};
-pub use lock::{Acquire, HolderToken, LockId, LockTable};
 pub use memory::{MemoryModel, OutOfMemory, MIB};
 pub use metrics::{EngineCounters, TimeSeries};
 pub use rng::DetRng;

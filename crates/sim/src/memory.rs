@@ -3,19 +3,16 @@
 //! §6 reports that memory is a first-class colocation bottleneck: managed
 //! runtimes cost ~70 MB per process, and space-oblivious code (the
 //! rebalance protocol's `(N-1) * P * 1.3 MB` over-allocation) blows up a
-//! colocated machine long before CPU does. [`MemoryModel`] tracks labelled
+//! colocated machine long before CPU does. [`MemoryModel`] tracks
 //! allocations against a fixed capacity and reports out-of-memory as a
 //! typed error, which the colocation-limit experiment (§8: nodes "receive
 //! out-of-memory exceptions and crash") surfaces.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Error returned when an allocation exceeds capacity.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OutOfMemory {
-    /// The label of the failing allocation.
-    pub label: String,
     /// Bytes requested.
     pub requested: u64,
     /// Bytes in use at the time of the request.
@@ -28,21 +25,20 @@ impl fmt::Display for OutOfMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "out of memory: '{}' requested {} B with {}/{} B in use",
-            self.label, self.requested, self.in_use, self.capacity
+            "out of memory: requested {} B with {}/{} B in use",
+            self.requested, self.in_use, self.capacity
         )
     }
 }
 
 impl std::error::Error for OutOfMemory {}
 
-/// A labelled memory budget for one machine.
+/// The memory budget of one machine.
 #[derive(Clone, Debug)]
 pub struct MemoryModel {
     capacity: u64,
     in_use: u64,
     peak: u64,
-    by_label: BTreeMap<String, u64>,
     oom_events: u64,
 }
 
@@ -53,17 +49,15 @@ impl MemoryModel {
             capacity,
             in_use: 0,
             peak: 0,
-            by_label: BTreeMap::new(),
             oom_events: 0,
         }
     }
 
-    /// Attempts to allocate `bytes` under `label`.
-    pub fn alloc(&mut self, label: &str, bytes: u64) -> Result<(), OutOfMemory> {
+    /// Attempts to allocate `bytes`.
+    pub fn alloc(&mut self, bytes: u64) -> Result<(), OutOfMemory> {
         if self.in_use.saturating_add(bytes) > self.capacity {
             self.oom_events += 1;
             return Err(OutOfMemory {
-                label: label.to_string(),
                 requested: bytes,
                 in_use: self.in_use,
                 capacity: self.capacity,
@@ -71,17 +65,13 @@ impl MemoryModel {
         }
         self.in_use += bytes;
         self.peak = self.peak.max(self.in_use);
-        *self.by_label.entry(label.to_string()).or_insert(0) += bytes;
         Ok(())
     }
 
-    /// Frees `bytes` under `label`, saturating at zero (double-free of the
-    /// model is a caller bug but must not poison the accounting).
-    pub fn free(&mut self, label: &str, bytes: u64) {
-        let e = self.by_label.entry(label.to_string()).or_insert(0);
-        let freed = bytes.min(*e);
-        *e -= freed;
-        self.in_use = self.in_use.saturating_sub(freed);
+    /// Frees `bytes`, saturating at zero (double-free of the model is a
+    /// caller bug but must not poison the accounting).
+    pub fn free(&mut self, bytes: u64) {
+        self.in_use = self.in_use.saturating_sub(bytes);
     }
 
     /// Bytes currently allocated.
@@ -103,11 +93,6 @@ impl MemoryModel {
     pub fn oom_events(&self) -> u64 {
         self.oom_events
     }
-
-    /// Bytes attributed to one label.
-    pub fn labelled(&self, label: &str) -> u64 {
-        self.by_label.get(label).copied().unwrap_or(0)
-    }
 }
 
 /// Bytes in one mebibyte.
@@ -120,22 +105,20 @@ mod tests {
     #[test]
     fn alloc_and_free_balance() {
         let mut m = MemoryModel::new(1000);
-        m.alloc("a", 400).unwrap();
-        m.alloc("b", 500).unwrap();
+        m.alloc(400).unwrap();
+        m.alloc(500).unwrap();
         assert_eq!(m.in_use(), 900);
         assert_eq!(m.peak(), 900);
-        m.free("a", 400);
+        m.free(400);
         assert_eq!(m.in_use(), 500);
         assert_eq!(m.peak(), 900);
-        assert_eq!(m.labelled("b"), 500);
-        assert_eq!(m.labelled("a"), 0);
     }
 
     #[test]
     fn oom_is_reported_and_counted() {
         let mut m = MemoryModel::new(100);
-        m.alloc("x", 90).unwrap();
-        let err = m.alloc("y", 20).unwrap_err();
+        m.alloc(90).unwrap();
+        let err = m.alloc(20).unwrap_err();
         assert_eq!(err.requested, 20);
         assert_eq!(err.in_use, 90);
         assert_eq!(err.capacity, 100);
@@ -148,10 +131,10 @@ mod tests {
     #[test]
     fn over_free_saturates() {
         let mut m = MemoryModel::new(100);
-        m.alloc("x", 50).unwrap();
-        m.free("x", 80);
+        m.alloc(50).unwrap();
+        m.free(80);
         assert_eq!(m.in_use(), 0);
-        m.free("never-allocated", 10);
+        m.free(10);
         assert_eq!(m.in_use(), 0);
     }
 }

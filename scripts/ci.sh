@@ -68,12 +68,15 @@ fi
 
 # One node record: a node's per-stage state (queue, task parked for the
 # ring lock) is indexed by `StageKind`, whose discriminant is also the
-# obs track, the CPU-accounting slot and the ring-lock holder token; a
-# node's life is one `Lifecycle`; a scenario's context-switch cost is one
-# `ContextSwitch`. No per-stage field pair, stage/token decoder, write-only
-# view-change record or context-switch bool may grow back.
+# obs track and the CPU-accounting slot; the ring lock is node state
+# naming its holder stage, and whether a stage holds it is read off the
+# node, never carried in an event payload; a node's life, a fault
+# crash's start included, is one `Lifecycle`; a scenario's
+# context-switch cost is one `ContextSwitch`. No per-stage field pair,
+# stage/token decoder, write-only view-change record, context-switch
+# bool, separate lock table, lock bit or crash-time map may grow back.
 echo "=== one node record (grep gate) ==="
-if grep -rnE 'parked_gossip|parked_calc|gossip_stage|calc_stage|fn lock_token|fn stage_of|ViewChanges|free_ctx_switch|global_event_queue' \
+if grep -rnE 'parked_gossip|parked_calc|gossip_stage|calc_stage|fn lock_token|fn stage_of|ViewChanges|free_ctx_switch|global_event_queue|LockTable|LockId|HolderToken|fault_crash_at|holds_lock|release_lock_after' \
   crates src tests examples; then
   echo "error: per-stage node state is indexed by StageKind; see the matches above" >&2
   exit 1

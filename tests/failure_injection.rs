@@ -77,6 +77,59 @@ fn fault_crash_restart_accounts_downtime_and_recovers() {
     );
 }
 
+/// A node crashed and never restarted is down from its crash to the
+/// end of the run.
+#[test]
+fn crash_without_restart_accrues_downtime_through_run_end() {
+    let mut cfg = base(12, 6);
+    cfg.faults = FaultPlan::new().crash(SimTime::from_secs(50), 3);
+    let r = run_real(&cfg);
+    assert_eq!((r.faults.crashes, r.faults.restarts), (1, 0));
+    assert_eq!(
+        r.faults.downtime.get(&3).copied(),
+        Some(r.duration - SimDuration::from_secs(50)),
+        "an open outage runs through the end of the run"
+    );
+}
+
+/// A node decommissioned while crashed stays down through the end of
+/// the run: it departs for good, and the restart after its departure
+/// does nothing.
+#[test]
+fn node_departing_while_crashed_stays_down_through_run_end() {
+    // `base` decommissions node 11: `Left` at 70 s, departure at 80 s.
+    let mut cfg = base(12, 6);
+    cfg.faults = FaultPlan::new()
+        .crash(SimTime::from_secs(75), 11)
+        .restart(SimTime::from_secs(90), 11);
+    let r = run_real(&cfg);
+    assert_eq!((r.faults.crashes, r.faults.restarts), (1, 0));
+    assert_eq!(
+        r.faults.downtime.get(&11).copied(),
+        Some(r.duration - SimDuration::from_secs(75))
+    );
+}
+
+/// A restart only revives a fault-crashed node: one naming a scale-out
+/// joiner before its activation changes nothing, and the joiner joins
+/// on schedule.
+#[test]
+fn restart_of_a_joiner_before_its_activation_is_a_no_op() {
+    let calm = ScenarioConfig::c3881(8, 1);
+    let joiner = calm.n_nodes as u32 + 1;
+    let cfg = calm
+        .clone()
+        .with_faults(FaultPlan::new().restart(SimTime::from_secs(50), joiner));
+    let (a, b) = (run_real(&calm), run_real(&cfg));
+    assert_eq!(a.faults.fired.len(), 0);
+    assert_eq!(b.faults.fired.len(), 1, "the restart fired");
+    assert_eq!((b.faults.crashes, b.faults.restarts), (0, 0));
+    assert!(b.faults.downtime.is_empty());
+    assert_eq!(b.total_flaps, a.total_flaps);
+    assert_eq!(b.messages_sent, a.messages_sent);
+    assert_eq!(b.messages_delivered, a.messages_delivered);
+}
+
 /// A crash cancels the dead node's periodic timers outright: nothing
 /// from the old timer epoch lingers in the schedule to fire as a stale
 /// no-op, and the engine's cancellation accounting shows the removals.

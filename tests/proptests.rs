@@ -784,12 +784,12 @@ proptest! {
         let mut ledger: u64 = 0;
         for (is_alloc, size) in ops {
             if is_alloc {
-                if m.alloc("x", size).is_ok() {
+                if m.alloc(size).is_ok() {
                     ledger += size;
                 }
             } else {
                 let take = size.min(ledger);
-                m.free("x", take);
+                m.free(take);
                 ledger -= take;
             }
             prop_assert_eq!(m.in_use(), ledger);
