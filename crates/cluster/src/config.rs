@@ -98,17 +98,20 @@ pub enum AllocStrategy {
     Frugal,
 }
 
+/// Fixed runtime overhead per node process (managed-runtime cost; ~70 MB
+/// for a JVM). In single-process mode ([`MemoryConfig::single_process`])
+/// it is paid once per machine.
+pub const PER_PROCESS_OVERHEAD: u64 = 70 << 20;
+
+/// Bytes per ring-table entry per node.
+pub const BYTES_PER_RING_ENTRY: u64 = 64;
+
 /// Memory-model parameters (§6, §8 colocation bottlenecks).
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryConfig {
-    /// Fixed runtime overhead per node process (managed-runtime cost;
-    /// ~70 MB for a JVM). In single-process mode this is paid once.
-    pub per_process_overhead: u64,
     /// Whether all nodes share one process (§6's scale-checkable
     /// redesign) or run one process each.
     pub single_process: bool,
-    /// Bytes per ring-table entry per node.
-    pub bytes_per_ring_entry: u64,
     /// Rebalance allocation strategy, if the experiment models it.
     pub rebalance_alloc: Option<AllocStrategy>,
     /// Capacity of each machine (the Nome boxes have 32 GB).
@@ -118,9 +121,7 @@ pub struct MemoryConfig {
 impl Default for MemoryConfig {
     fn default() -> Self {
         MemoryConfig {
-            per_process_overhead: 70 << 20,
             single_process: false,
-            bytes_per_ring_entry: 64,
             rebalance_alloc: None,
             machine_capacity: 32 << 30,
         }

@@ -44,6 +44,7 @@ pub mod runner;
 pub use calc::{CalcEngine, CalcStats, PendingWire};
 pub use config::{
     AllocStrategy, CalcVersion, ContextSwitch, LockingMode, MemoryConfig, ScenarioConfig, Workload,
+    BYTES_PER_RING_ENTRY, PER_PROCESS_OVERHEAD,
 };
 pub use node::{Envelope, GossipMessage, Node, Task};
 pub use report::RunReport;

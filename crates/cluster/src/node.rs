@@ -95,7 +95,8 @@ impl StageKind {
     }
 }
 
-/// Where a node is in its life.
+/// Where a node is in its life. Every way out of `Up` goes through
+/// `Node::stop`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Lifecycle {
     /// Not yet activated.
@@ -108,32 +109,8 @@ pub enum Lifecycle {
         since: SimTime,
     },
     /// Decommissioned or dead of OOM, for good. A node that departs
-    /// while fault-crashed keeps its crash's start: that outage never
-    /// ends.
-    Departed {
-        /// When the node went down, if it departed while crashed.
-        down_since: Option<SimTime>,
-    },
-}
-
-impl Lifecycle {
-    /// Since when a fault crash has kept the node down, if one has.
-    pub fn down_since(self) -> Option<SimTime> {
-        match self {
-            Lifecycle::Crashed { since }
-            | Lifecycle::Departed {
-                down_since: Some(since),
-            } => Some(since),
-            _ => None,
-        }
-    }
-
-    /// The node leaves for good.
-    pub fn depart(&mut self) {
-        *self = Lifecycle::Departed {
-            down_since: self.down_since(),
-        };
-    }
+    /// while fault-crashed has its outage closed at its departure.
+    Departed,
 }
 
 /// One simulated node.
@@ -180,12 +157,10 @@ pub struct Node {
     /// Forward offset of this node's local clock (fault-injected clock
     /// skew); failure detection reads `now + clock_skew`.
     pub clock_skew: SimDuration,
-    /// Bumped on fault crash/restart; periodic timer chains carry the
-    /// epoch they were scheduled under and die when it moves on.
-    pub timer_epoch: u64,
-    /// Pending periodic gossip-round timer, cancelled on crash/leave.
+    /// Pending periodic gossip-round timer, cancelled whenever the node
+    /// stops: only an `Up` node has one.
     pub gossip_timer: Option<TimerId>,
-    /// Pending periodic failure-detector timer, cancelled on crash/leave.
+    /// Pending periodic failure-detector timer, likewise.
     pub fd_timer: Option<TimerId>,
     /// Next per-link sequence number, `[syn, ack, ack2]` per
     /// destination id (node ids are dense indexes).
@@ -229,7 +204,6 @@ impl Node {
             receiving: None,
             rebalance_bytes: 0,
             clock_skew: SimDuration::ZERO,
-            timer_epoch: 0,
             gossip_timer: None,
             fd_timer: None,
             link_seq: Vec::new(),
@@ -484,6 +458,24 @@ impl Node {
             (next, now)
         });
         self.ring_lock.map(|(next, _)| next)
+    }
+
+    /// Stops the node's work and moves it to `to`: both stages' queues
+    /// and any queued calculation are dropped, and so is each task parked
+    /// for the ring lock, whose stage is finished (the task had begun on
+    /// it, and no completion is in flight to finish it). The lock's holder
+    /// is left alone: its completion is in flight and still releases the
+    /// lock, to nobody. The caller cancels the node's timers.
+    pub(crate) fn stop(&mut self, to: Lifecycle) {
+        self.lifecycle = to;
+        for (stage, parked) in self.stages.iter_mut().zip(&mut self.parked) {
+            stage.clear();
+            if parked.take().is_some() {
+                stage.finish();
+            }
+        }
+        self.calc_dirty = false;
+        self.calc_queued = false;
     }
 
     /// Updates this node's own gossiped ring state (and its own ring
@@ -778,14 +770,33 @@ mod tests {
     }
 
     #[test]
-    fn release_after_a_crash_dropped_the_waiter_grants_nobody() {
+    fn a_stop_frees_the_parked_stage_and_the_release_grants_nobody() {
         let mut n = node(0);
-        n.lock_ring(StageKind::Calc, Task::Recalculate, SimTime::ZERO);
-        n.lock_ring(StageKind::Gossip, Task::SendRound, at_ms(1));
-        // A crash clears the parked tasks but leaves the holder, whose
-        // in-flight completion still releases.
-        n.parked = [None, None];
-        assert_eq!(n.unlock_ring(StageKind::Calc, at_ms(2)), None);
+        let calc = &mut n.stages[StageKind::Calc as usize];
+        calc.push(SimTime::ZERO, Task::Recalculate);
+        let task = calc.try_begin(SimTime::ZERO).unwrap();
+        assert!(n.lock_ring(StageKind::Calc, task, SimTime::ZERO).is_some());
+        let gossip = &mut n.stages[StageKind::Gossip as usize];
+        gossip.push(at_ms(1), Task::SendRound);
+        let task = gossip.try_begin(at_ms(1)).unwrap();
+        assert!(n.lock_ring(StageKind::Gossip, task, at_ms(1)).is_none());
+        n.stages[StageKind::Gossip as usize].push(at_ms(1), Task::SendRound);
+        n.calc_queued = true;
+        n.stop(Lifecycle::Crashed { since: at_ms(2) });
+        assert_eq!(n.lifecycle, Lifecycle::Crashed { since: at_ms(2) });
+        assert!(n.parked.iter().all(Option::is_none));
+        assert!(!n.calc_queued);
+        let gossip = &n.stages[StageKind::Gossip as usize];
+        assert_eq!(
+            (gossip.is_busy(), gossip.depth()),
+            (false, 0),
+            "the waiter's stage is idle"
+        );
+        // The holder's completion is in flight: it keeps the lock and its
+        // stage until then, and its release grants nobody.
+        assert!(n.stages[StageKind::Calc as usize].is_busy());
+        assert!(n.holds_ring_lock(StageKind::Calc));
+        assert_eq!(n.unlock_ring(StageKind::Calc, at_ms(3)), None);
         assert!(!n.holds_ring_lock(StageKind::Gossip));
         assert!(!n.holds_ring_lock(StageKind::Calc));
     }

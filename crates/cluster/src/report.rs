@@ -60,8 +60,11 @@ pub struct RunReport {
     /// Event-engine counters: schedules, fires, cancellations, and slab
     /// pool hit/miss totals for the run.
     pub engine: EngineCounters,
-    /// Periodic timers that fired after their node's epoch moved on.
-    /// Crash/restart cancels timers eagerly, so this should be zero.
+    /// Periodic timers that fired for a node that had stopped. Always
+    /// zero: every way a node stops (crash, OOM death, decommission)
+    /// cancels its periodic timers, so one fires only for an `Up` node
+    /// (debug builds assert it). Kept so readers of the report, and
+    /// every report digest, keep their field.
     pub stale_timer_fires: u64,
     /// What the run's fault plan did (all zeros/empty under the default
     /// empty plan).

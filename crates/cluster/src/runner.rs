@@ -27,7 +27,10 @@
 //! the ring lock, its obs track, its CPU-accounting slot — is indexed by
 //! [`StageKind`]; the node's one ring lock names its holder by stage,
 //! and whether a node takes part at all, or when it crashed, is its one
-//! [`Lifecycle`].
+//! [`Lifecycle`]. A node leaves `Up` one way, [`stop_node`], whatever
+//! the cause (a fault crash, death of OOM, a decommissioned node's
+//! departure): its timers are cancelled and its queued and parked work
+//! dropped, so a periodic timer only ever fires for an `Up` node.
 
 use scalecheck_gossip::{AckSpace, ApplyOutcome, Liveness};
 use scalecheck_memo::{OrderDecision, Pil, RunMode};
@@ -42,7 +45,10 @@ use scalecheck_sim::{
 };
 
 use crate::calc::{CalcEngine, PendingWire};
-use crate::config::{AllocStrategy, ContextSwitch, LockingMode, ScenarioConfig, Workload};
+use crate::config::{
+    AllocStrategy, ContextSwitch, LockingMode, ScenarioConfig, Workload, BYTES_PER_RING_ENTRY,
+    PER_PROCESS_OVERHEAD,
+};
 use crate::node::{Envelope, GossipMessage, Lifecycle, Node, StageKind, Task};
 use crate::report::RunReport;
 use crate::ringinfo::{addr_of, peer_of, RingInfo};
@@ -83,10 +89,6 @@ struct ClusterState<'a> {
     seeds: Vec<NodeId>,
     /// The registered handler of each [`Ev`], by discriminant.
     handlers: [HandlerId; Ev::ALL.len()],
-    /// Periodic timers that fired after their node's epoch moved on.
-    /// Crash/restart cancels timers eagerly, so this stays zero; the
-    /// epoch guard remains as a backstop and this counts its catches.
-    stale_timer_fires: u64,
     /// The client-request datapath (open-loop arrivals, consistency
     /// levels, SLO accounting). In coupled mode it is a tenant of the
     /// simulation — request service bills node CPUs and replica round
@@ -132,9 +134,9 @@ struct ClusterState<'a> {
 enum Ev {
     /// A message arrives; argument: its [`InFlight`] slot.
     Deliver,
-    /// A periodic gossip round; argument: the timer epoch.
+    /// A periodic gossip round.
     GossipTimer,
-    /// A periodic failure-detector check; argument: the timer epoch.
+    /// A periodic failure-detector check.
     FdTimer,
     /// A received message is processed (stage).
     RecvDone,
@@ -287,8 +289,8 @@ fn dispatch(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
     let (stage, has_pending) = task_bits(arg);
     match ev {
         Ev::Deliver => deliver(st, ctx, arg),
-        Ev::GossipTimer => gossip_round(st, ctx, i, arg.into()),
-        Ev::FdTimer => fd_check(st, ctx, i, arg.into()),
+        Ev::GossipTimer => gossip_round(st, ctx, i),
+        Ev::FdTimer => fd_check(st, ctx, i),
         Ev::RecvDone => finish_receive(st, ctx, i, stage),
         Ev::SendDone => finish_send_round(st, ctx, i, stage),
         Ev::LockGranted => lock_granted(st, ctx, i, stage),
@@ -330,14 +332,7 @@ fn dispatch(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
             status: NodeStatus::Left,
             tokens: vec![],
         }),
-        Ev::Depart => {
-            let node = &mut st.nodes[i];
-            node.lifecycle.depart();
-            for stage in &mut node.stages {
-                stage.clear();
-            }
-            cancel_node_timers(st, ctx, i);
-        }
+        Ev::Depart => stop_node(st, ctx, i, StopCause::Decommission),
         Ev::Fault => {
             let fault = st.cfg.faults.events[arg as usize].clone();
             fire_fault(st, ctx, &fault, arg as usize);
@@ -575,7 +570,6 @@ fn build<'a>(
         pil,
         seeds,
         handlers,
-        stale_timer_fires: 0,
         in_flight: InFlight::default(),
         deliveries: 0,
         discarded: 0,
@@ -596,18 +590,6 @@ const FAULT_SETTLE: SimDuration = SimDuration::from_secs(45);
 // Node activation and per-node timers.
 // ---------------------------------------------------------------------
 
-/// Cancels a node's pending periodic timers (crash, OOM death,
-/// decommission). The epoch guard in the handlers stays as a backstop,
-/// but after this no stale event remains queued for the old epoch.
-fn cancel_node_timers(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
-    if let Some(t) = st.nodes[i].gossip_timer.take() {
-        ctx.cancel(t);
-    }
-    if let Some(t) = st.nodes[i].fd_timer.take() {
-        ctx.cancel(t);
-    }
-}
-
 fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) {
     // Memory admission: runtime overhead plus the node's ring table.
     let machine = st.nodes[i].machine.0;
@@ -616,22 +598,16 @@ fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) 
     // records nothing, so a machine holding no bytes has not paid the
     // runtime yet.
     let first_on_machine = mem.in_use() == 0;
-    let overhead = if st.cfg.memory.single_process {
-        if first_on_machine {
-            st.cfg.memory.per_process_overhead
-        } else {
-            0
-        }
+    let overhead = if st.cfg.memory.single_process && !first_on_machine {
+        0
     } else {
-        st.cfg.memory.per_process_overhead
+        PER_PROCESS_OVERHEAD
     };
-    let ring_bytes =
-        (st.cfg.total_nodes() * st.cfg.vnodes) as u64 * st.cfg.memory.bytes_per_ring_entry;
+    let ring_bytes = (st.cfg.total_nodes() * st.cfg.vnodes) as u64 * BYTES_PER_RING_ENTRY;
     if mem.alloc(overhead).is_err() || mem.alloc(ring_bytes).is_err() {
         // The §8 symptom: "nodes receive out-of-memory exceptions and
         // crash".
-        st.crashed += 1;
-        st.nodes[i].lifecycle.depart();
+        stop_node(st, ctx, i, StopCause::OutOfMemory);
         return;
     }
 
@@ -645,43 +621,30 @@ fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) 
     arm_node_timers(st, ctx, i, stagger);
 }
 
-/// Arms node `i`'s periodic timers under its current epoch: the first
-/// gossip round `after` from now, the first failure-detector check one
-/// `fd_interval` later.
+/// Arms node `i`'s periodic timers: the first gossip round `after` from
+/// now, the first failure-detector check one `fd_interval` later. Every
+/// [`stop_node`] cancels them, so they only ever fire for an `Up` node.
 fn arm_node_timers(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, after: SimDuration) {
-    let epoch = u32::try_from(st.nodes[i].timer_epoch).expect("timer epoch fits the payload");
     let gossip_at = ctx.now() + after;
-    st.nodes[i].gossip_timer = Some(st.schedule(ctx, gossip_at, Ev::GossipTimer, i, epoch));
+    st.nodes[i].gossip_timer = Some(st.schedule(ctx, gossip_at, Ev::GossipTimer, i, 0));
     let fd_at = gossip_at + st.cfg.fd_interval;
-    st.nodes[i].fd_timer = Some(st.schedule(ctx, fd_at, Ev::FdTimer, i, epoch));
+    st.nodes[i].fd_timer = Some(st.schedule(ctx, fd_at, Ev::FdTimer, i, 0));
 }
 
-fn gossip_round(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, epoch: u64) {
+fn gossip_round(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     let node = &mut st.nodes[i];
+    debug_assert_eq!(node.lifecycle, Lifecycle::Up, "timer of a stopped node");
     node.gossip_timer = None;
-    if node.timer_epoch != epoch {
-        st.stale_timer_fires += 1;
-        return;
-    }
-    if node.lifecycle != Lifecycle::Up {
-        return;
-    }
     node.stages[StageKind::Gossip as usize].push(ctx.now(), Task::SendRound);
     pump(st, ctx, i, StageKind::Gossip);
     let next = ctx.now() + st.cfg.gossip_interval;
-    st.nodes[i].gossip_timer = Some(st.schedule(ctx, next, Ev::GossipTimer, i, epoch as u32));
+    st.nodes[i].gossip_timer = Some(st.schedule(ctx, next, Ev::GossipTimer, i, 0));
 }
 
-fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, epoch: u64) {
+fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
     let node = &mut st.nodes[i];
+    debug_assert_eq!(node.lifecycle, Lifecycle::Up, "timer of a stopped node");
     node.fd_timer = None;
-    if node.timer_epoch != epoch {
-        st.stale_timer_fires += 1;
-        return;
-    }
-    if node.lifecycle != Lifecycle::Up {
-        return;
-    }
     // Failure detection runs on the node's local clock, which may be
     // fault-skewed ahead of virtual time.
     let newly_dead = node.fd.interpret_all(ctx.now() + node.clock_skew);
@@ -696,7 +659,7 @@ fn fd_check(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, epoch: u64) {
         );
     }
     let next = ctx.now() + st.cfg.fd_interval;
-    st.nodes[i].fd_timer = Some(st.schedule(ctx, next, Ev::FdTimer, i, epoch as u32));
+    st.nodes[i].fd_timer = Some(st.schedule(ctx, next, Ev::FdTimer, i, 0));
 }
 
 // ---------------------------------------------------------------------
@@ -1054,7 +1017,6 @@ fn finish_calc(
 /// Applies a computed pending-range set — whether it is non-empty is all
 /// that matters — by modelling the §6 rebalance allocation if configured.
 fn apply_pending(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, has_pending: bool) {
-    let now = ctx.now();
     let Some(strategy) = st.cfg.memory.rebalance_alloc else {
         return;
     };
@@ -1074,18 +1036,7 @@ fn apply_pending(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, has_pending
     if want > have {
         if st.machine_mem[machine].alloc(want - have).is_err() {
             // OOM: the node crashes (§8).
-            st.machine_mem[machine].free(have);
-            st.nodes[i].rebalance_bytes = 0;
-            st.nodes[i].lifecycle.depart();
-            cancel_node_timers(st, ctx, i);
-            st.crashed += 1;
-            scalecheck_obs::instant(
-                SpanName::NodeCrashed,
-                st.nodes[i].id.0,
-                TID_GOSSIP,
-                now.as_nanos(),
-                0,
-            );
+            stop_node(st, ctx, i, StopCause::OutOfMemory);
             return;
         }
         st.nodes[i].rebalance_bytes = want;
@@ -1393,7 +1344,12 @@ fn fire_fault(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: &FaultEvent, idx: us
     match ev {
         FaultEvent::Partition { a, b, .. } => set_partition(st, a, b, true),
         FaultEvent::Heal { a, b, .. } => set_partition(st, a, b, false),
-        FaultEvent::Crash { node, .. } => crash_node(st, ctx, *node as usize),
+        FaultEvent::Crash { node, .. } => {
+            let i = *node as usize;
+            if st.nodes[i].lifecycle == Lifecycle::Up {
+                stop_node(st, ctx, i, StopCause::Crash);
+            }
+        }
         FaultEvent::Restart { node, .. } => restart_node(st, ctx, *node as usize),
         FaultEvent::ClockSkew { node, skew, .. } => {
             let i = *node as usize;
@@ -1429,36 +1385,64 @@ fn set_partition(st: &mut ClusterState, a: &[u32], b: &[u32], up: bool) {
     }
 }
 
-/// Kills node `i`'s process: it stops processing, sending, and timing,
-/// but keeps its gossip identity for a later restart. Distinct from
-/// decommission (the node does not leave the ring) and from OOM death
-/// (which is permanent).
-fn crash_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
-    if st.nodes[i].lifecycle != Lifecycle::Up {
-        return;
-    }
+/// Why a node stops.
+#[derive(Clone, Copy)]
+enum StopCause {
+    /// A fault-plan crash of an `Up` node: it keeps its gossip identity
+    /// for a later restart and stays in the ring.
+    Crash,
+    /// The node ran out of memory, starting or rebalancing (§8), and is
+    /// gone for good.
+    OutOfMemory,
+    /// The decommissioned node departs for good.
+    Decommission,
+}
+
+/// Stops node `i`'s process: the one way a node leaves `Up`. Every cause
+/// cancels its periodic timers and drops its queued and parked work
+/// ([`Node::stop`]); a task already running still completes, on a node
+/// that no longer processes, sends or times. A crash also drops the
+/// messages held for their recorded turn and tells every peer that the
+/// convictions of this node are the fault's doing; a departure closes an
+/// outage the node was in.
+fn stop_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, cause: StopCause) {
     let now = ctx.now();
-    // Cancel the periodic timer chains outright — the bumped epoch
-    // below is only a backstop; in-flight stage completions still drain
-    // through the idle lifecycle checks.
-    cancel_node_timers(st, ctx, i);
     let node = &mut st.nodes[i];
-    node.lifecycle = Lifecycle::Crashed { since: now };
-    node.timer_epoch += 1;
-    for stage in &mut node.stages {
-        stage.clear();
+    let timers = [node.gossip_timer.take(), node.fd_timer.take()];
+    for t in timers.into_iter().flatten() {
+        ctx.cancel(t);
     }
-    node.parked = [None, None];
-    node.held.clear();
-    node.calc_dirty = false;
-    node.calc_queued = false;
-    let peer = peer_of(node.id);
+    let was = node.lifecycle;
+    node.stop(match cause {
+        StopCause::Crash => Lifecycle::Crashed { since: now },
+        StopCause::OutOfMemory | StopCause::Decommission => Lifecycle::Departed,
+    });
+    if let Lifecycle::Crashed { since } = was {
+        *st.faults.downtime.entry(i as u32).or_default() += now.since(since);
+    }
     let id = node.id;
-    st.faults.crashes += 1;
-    for k in 0..st.nodes.len() {
-        if k != i {
-            st.nodes[k].fd.set_fault_suspect(peer, true);
+    match cause {
+        StopCause::Crash => {
+            debug_assert_eq!(was, Lifecycle::Up, "only an up node crashes");
+            node.held.clear();
+            st.faults.crashes += 1;
+            for k in 0..st.nodes.len() {
+                if k != i {
+                    st.nodes[k].fd.set_fault_suspect(peer_of(id), true);
+                }
+            }
         }
+        StopCause::OutOfMemory => {
+            let machine = node.machine.0;
+            st.machine_mem[machine].free(std::mem::take(&mut node.rebalance_bytes));
+            st.crashed += 1;
+            // A node that dies of OOM as it starts never ran: its track
+            // shows no crash.
+            if was == Lifecycle::Down {
+                return;
+            }
+        }
+        StopCause::Decommission => return,
     }
     scalecheck_obs::instant(SpanName::NodeCrashed, id.0, TID_GOSSIP, now.as_nanos(), 0);
 }
@@ -1471,15 +1455,11 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
         return;
     };
     let now = ctx.now();
-    *st.faults
-        .downtime
-        .entry(i as u32)
-        .or_insert(SimDuration::ZERO) += now.since(down_at);
+    *st.faults.downtime.entry(i as u32).or_default() += now.since(down_at);
     st.faults.restarts += 1;
 
     let vnodes = st.cfg.vnodes;
     let node = &mut st.nodes[i];
-    node.timer_epoch += 1;
     node.lifecycle = Lifecycle::Up;
     node.clock_skew = SimDuration::ZERO;
     node.gossiper.restart();
@@ -1703,7 +1683,8 @@ fn assemble_report(
         order_forced_releases: st.forced_releases,
         traffic: st.traffic.report(),
         engine,
-        stale_timer_fires: st.stale_timer_fires,
+        // Every stop cancels the node's timers: none fires stale.
+        stale_timer_fires: 0,
         faults: assemble_fault_report(st, ended),
         obs,
         schedule_probe: None,
@@ -1718,10 +1699,10 @@ fn assemble_fault_report(st: &ClusterState, ended: SimTime) -> FaultReport {
         attributed_flaps: st.nodes.iter().map(|n| n.fd.fault_attributed_flaps()).sum(),
         ..st.faults.clone()
     };
-    // Nodes still down at run end accrue downtime through `ended`.
+    // Nodes still crashed at run end accrue downtime through `ended`.
     for (i, node) in st.nodes.iter().enumerate() {
-        if let Some(since) = node.lifecycle.down_since() {
-            *faults.downtime.entry(i as u32).or_insert(SimDuration::ZERO) += ended.since(since);
+        if let Lifecycle::Crashed { since } = node.lifecycle {
+            *faults.downtime.entry(i as u32).or_default() += ended.since(since);
         }
     }
     faults

@@ -10,7 +10,7 @@
 //! `tbl_colocation_limit` sweep applies it per colocation factor to
 //! reproduce the §8 limit experiment.
 
-use scalecheck_cluster::{RunReport, ScenarioConfig};
+use scalecheck_cluster::{RunReport, ScenarioConfig, BYTES_PER_RING_ENTRY, PER_PROCESS_OVERHEAD};
 use scalecheck_sim::SimDuration;
 
 /// The §8 colocation limits.
@@ -62,11 +62,11 @@ pub fn diagnose(report: &RunReport, thresholds: &BottleneckThresholds) -> Vec<Bo
 /// tables.
 pub fn colocation_memory_demand(cfg: &ScenarioConfig, nodes: usize) -> u64 {
     let runtime = if cfg.memory.single_process {
-        cfg.memory.per_process_overhead
+        PER_PROCESS_OVERHEAD
     } else {
-        cfg.memory.per_process_overhead * nodes as u64
+        PER_PROCESS_OVERHEAD * nodes as u64
     };
-    let ring = (nodes * nodes * cfg.vnodes) as u64 * cfg.memory.bytes_per_ring_entry;
+    let ring = (nodes * nodes * cfg.vnodes) as u64 * BYTES_PER_RING_ENTRY;
     runtime + ring
 }
 

@@ -2,9 +2,9 @@
 # The full local CI gate: format, lint, build, test.
 # Usage: scripts/ci.sh
 #
-# Note: the repo root is both a [workspace] and a [package], so plain
-# `cargo test` covers only the root crate; the --workspace forms below
-# cover every member. Both must stay green.
+# Note: the repo root is both a [workspace] and a [package], and the
+# root package is a workspace member: the --workspace forms below cover
+# it and every other member, each suite once.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -71,12 +71,15 @@ fi
 # obs track and the CPU-accounting slot; the ring lock is node state
 # naming its holder stage, and whether a stage holds it is read off the
 # node, never carried in an event payload; a node's life, a fault
-# crash's start included, is one `Lifecycle`; a scenario's
+# crash's start included, is one `Lifecycle`, and it leaves `Up` one way
+# (`runner::stop_node`, whatever the cause), which cancels its timers, so
+# no timer carries an epoch to be checked when it fires; a scenario's
 # context-switch cost is one `ContextSwitch`. No per-stage field pair,
 # stage/token decoder, write-only view-change record, context-switch
-# bool, separate lock table, lock bit or crash-time map may grow back.
+# bool, separate lock table, lock bit, crash-time map, timer epoch, outage
+# kept open past a departure or second stop path may grow back.
 echo "=== one node record (grep gate) ==="
-if grep -rnE 'parked_gossip|parked_calc|gossip_stage|calc_stage|fn lock_token|fn stage_of|ViewChanges|free_ctx_switch|global_event_queue|LockTable|LockId|HolderToken|fault_crash_at|holds_lock|release_lock_after' \
+if grep -rnE 'parked_gossip|parked_calc|gossip_stage|calc_stage|fn lock_token|fn stage_of|ViewChanges|free_ctx_switch|global_event_queue|LockTable|LockId|HolderToken|fault_crash_at|holds_lock|release_lock_after|timer_epoch|Departed \{ down_since|fn crash_node|fn cancel_node_timers' \
   crates src tests examples; then
   echo "error: per-stage node state is indexed by StageKind; see the matches above" >&2
   exit 1
@@ -123,8 +126,9 @@ for trait in Deserialize Serialize; do
   echo "$trait derives: $(grep -rhE "$(derive_re "$trait")" crates --include='*.rs' | wc -l)"
 done
 
-# The root package's integration suites are the behaviour contracts, each
-# run once here: paper shapes at pinned seeds (bug_regressions), fault
+# Every member's unit and integration suites, each run once. The root
+# package is a member, and its integration suites are the behaviour
+# contracts: paper shapes at pinned seeds (bug_regressions), fault
 # injection + byte-identical same-seed reports (failure_injection), the
 # property suites (proptests: wheel vs heap scheduler, steady-state
 # timers allocation-free, dense gossip/phi tables vs the tree-map oracles
@@ -132,16 +136,11 @@ done
 # link FIFO clocks vs a sparse model), whole-run report digests
 # (run_pins — every iteration order in gossip/cluster/hdfslike that a
 # refactor must preserve), and the traffic datapath differential
-# (traffic_slo).
-echo "=== cargo test (root package) ==="
-cargo test -q
-
-# Every member crate's unit and integration suites: obs (tracer,
-# histograms, exporters, analyzer), traffic, explore (tie order,
-# frontier, shrinker, witness), cluster's schedule tests, and bench's
-# command-line parser, sweep and obs-integration contracts (every flag a
-# command reads is declared, byte-identical traces across --jobs,
-# Chrome-export well-formedness).
+# (traffic_slo). The other members: obs (tracer, histograms, exporters,
+# analyzer), traffic, explore (tie order, frontier, shrinker, witness),
+# cluster's schedule tests, and bench's command-line parser, sweep and
+# obs-integration contracts (every flag a command reads is declared,
+# byte-identical traces across --jobs, Chrome-export well-formedness).
 echo "=== cargo test (workspace) ==="
 cargo test --workspace -q
 

@@ -7,6 +7,7 @@ use scalecheck_cluster::{
     run_colocated, run_scenario, AllocStrategy, FaultPlan, RunMode, ScenarioConfig, Workload,
 };
 use scalecheck_memo::{Pil, Replay};
+use scalecheck_obs::{SpanName, TraceConfig, TID_GOSSIP};
 use scalecheck_sim::{SimDuration, SimTime};
 
 fn base(n: usize, seed: u64) -> ScenarioConfig {
@@ -94,7 +95,8 @@ fn crash_without_restart_accrues_downtime_through_run_end() {
 
 /// A node decommissioned while crashed stays down through the end of
 /// the run: it departs for good, and the restart after its departure
-/// does nothing.
+/// does nothing. Its outage ends at its departure: it is billed no
+/// downtime once it has left the cluster.
 #[test]
 fn node_departing_while_crashed_stays_down_through_run_end() {
     // `base` decommissions node 11: `Left` at 70 s, departure at 80 s.
@@ -106,8 +108,79 @@ fn node_departing_while_crashed_stays_down_through_run_end() {
     assert_eq!((r.faults.crashes, r.faults.restarts), (1, 0));
     assert_eq!(
         r.faults.downtime.get(&11).copied(),
-        Some(r.duration - SimDuration::from_secs(75))
+        Some(SimDuration::from_secs(5))
     );
+}
+
+/// The c3831 workload decommissions its last three nodes, one every
+/// `gap`. The second of them, crashed between its `Left` and its
+/// departure, is billed downtime from its crash to its departure, and a
+/// node that stays is billed crash to restart beside it.
+#[test]
+fn downtime_of_a_node_departing_while_crashed_ends_at_its_departure() {
+    let mut cfg = ScenarioConfig::c3831(12, 1);
+    let Workload::Decommission { gap, .. } = cfg.workload else {
+        panic!("c3831 decommissions");
+    };
+    // Node 10 leaves second: `Leaving` at 40 s + gap, `Left` one rescale
+    // window later, departure 10 s after that.
+    let left = SimTime::from_secs(40) + gap + cfg.rescale_window;
+    let crash = left + SimDuration::from_secs(2);
+    let depart = left + SimDuration::from_secs(10);
+    cfg.faults = FaultPlan::new()
+        .crash(crash, 10)
+        .crash(crash, 4)
+        .restart(depart + SimDuration::from_secs(5), 10)
+        .restart(depart + SimDuration::from_secs(5), 4);
+    let r = run_real(&cfg);
+    assert!(r.quiesced);
+    assert_eq!((r.faults.crashes, r.faults.restarts), (2, 1));
+    assert_eq!(
+        r.faults.downtime.get(&10).copied(),
+        Some(depart.since(crash)),
+        "the departed node's outage ends at its departure"
+    );
+    assert_eq!(
+        r.faults.downtime.get(&4).copied(),
+        Some(SimDuration::from_secs(13))
+    );
+}
+
+/// A crash in the middle of a wait for the ring lock (C5456's coarse
+/// lock) must not wedge the waiting stage: the task parked on it goes,
+/// and after a restart the stage runs again. Found on a Real c5456 cell
+/// whose first gossip-stage `LockWait` names the node and the instant.
+#[test]
+fn crash_while_parked_for_the_ring_lock_leaves_the_stage_runnable() {
+    let lock_wait = SpanName::LockWait as u16;
+    let mut cfg = ScenarioConfig::c5456(32, 1);
+    cfg.trace = TraceConfig::enabled();
+    let calm = run_real(&cfg);
+    let wait = calm
+        .obs
+        .spans
+        .iter()
+        .find(|s| s.name == lock_wait && s.tid == TID_GOSSIP && s.dur > 0)
+        .expect("a gossip stage waits for the ring lock");
+    let crash = SimTime::from_nanos(wait.ts + wait.dur / 2);
+    let restart = crash + SimDuration::from_secs(10);
+    cfg.faults = FaultPlan::new()
+        .crash(crash, wait.pid)
+        .restart(restart, wait.pid);
+    let r = run_real(&cfg);
+    assert_eq!((r.faults.crashes, r.faults.restarts), (1, 1));
+    let after_restart = r
+        .obs
+        .spans
+        .iter()
+        .filter(|s| s.pid == wait.pid && s.tid == TID_GOSSIP && s.ts >= restart.as_nanos())
+        .count();
+    assert!(
+        after_restart > 0,
+        "node {}'s gossip stage never ran after its restart",
+        wait.pid
+    );
+    assert!(r.quiesced, "a wedged stage keeps the run from quiescing");
 }
 
 /// A restart only revives a fault-crashed node: one naming a scale-out
@@ -131,8 +204,8 @@ fn restart_of_a_joiner_before_its_activation_is_a_no_op() {
 }
 
 /// A crash cancels the dead node's periodic timers outright: nothing
-/// from the old timer epoch lingers in the schedule to fire as a stale
-/// no-op, and the engine's cancellation accounting shows the removals.
+/// from before the crash lingers in the schedule to fire for a stopped
+/// node, and the engine's cancellation accounting shows the removals.
 #[test]
 fn crash_restart_leaves_no_stale_timers_for_the_dead_epoch() {
     let mut cfg = base(12, 6);
@@ -143,7 +216,7 @@ fn crash_restart_leaves_no_stale_timers_for_the_dead_epoch() {
     assert!(r.quiesced, "the cluster must settle after the restart");
     assert_eq!(
         r.stale_timer_fires, 0,
-        "no timer from the pre-crash epoch may reach its fire time"
+        "no timer from before the crash may reach its fire time"
     );
     assert!(
         r.engine.cancelled >= 2,
