@@ -8,7 +8,10 @@
 //! eventually exceeds the heartbeat timeout: the master declares live
 //! datanodes dead, in waves (flapping). The incremental-diff fix
 //! removes the symptom; SC+PIL reproduces it with report processing
-//! replaced by `sleep(recorded duration)`.
+//! replaced by `sleep(recorded duration)`. Each report's lock hold is
+//! billed from the closed-form op count of the literal pass (the map
+//! itself is kept only as a test oracle), so the whole sweep takes a
+//! fraction of a second of host time.
 
 use crate::cli::{val, Args, Command, Failure, JOBS, SEED};
 use crate::{jobs, print_row, run_sweep, Cell};

@@ -14,6 +14,7 @@
 //! execute, record (memoize), and PIL replay (report processing replaced
 //! by `sleep(recorded duration)` with the recorded output — the
 //! block-map size — copied from the database and verified at the end).
+//! Executing a report bills [`Master::report_ops`] at `ns_per_op` per op.
 
 use scalecheck_memo::{
     Digest128, FnId, Hasher128, MemoDb, MemoStats, OrderRecorder, Pil, Replay, RunMode,
@@ -24,7 +25,7 @@ use scalecheck_sim::{
 };
 use serde::Serialize;
 
-use crate::master::{blocks_of, DnId, Master, MasterOps, ReportVersion};
+use crate::master::{DnId, Master, ReportVersion};
 
 /// Memo function id for block-report processing.
 pub const REPORT_FN: FnId = FnId(10);
@@ -107,10 +108,6 @@ pub struct HdfsReport {
     pub duration: SimDuration,
 }
 
-enum MTask {
-    Report(DnId, u64),
-}
-
 /// What an engine event does. Each kind is one registered handler; the
 /// payload's low word is the datanode, its high word a report's
 /// sequence number.
@@ -149,7 +146,8 @@ struct HdfsState<'a> {
     cfg: HdfsConfig,
     mode: RunMode,
     master: Master,
-    stage: Stage<MTask>,
+    /// Queued block reports: the reporter and its sequence number.
+    stage: Stage<(DnId, u64)>,
     park: MachinePark,
     master_machine: scalecheck_sim::cpu::MachineId,
     net: Network,
@@ -183,8 +181,7 @@ fn dispatch(st: &mut HdfsState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
             st.schedule(ctx, ready, Ev::HeartbeatApplies, payload);
         }
         Ev::HeartbeatApplies => {
-            let mut ops = MasterOps::new();
-            st.master.process_heartbeat(dn, ctx.now(), &mut ops);
+            st.master.process_heartbeat(dn, ctx.now());
             st.heartbeats_processed += 1;
         }
         Ev::ReportArrives => {
@@ -192,7 +189,7 @@ fn dispatch(st: &mut HdfsState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
                 st.dropped_rpcs += 1;
                 return;
             }
-            st.stage.push(ctx.now(), MTask::Report(dn, payload >> 32));
+            st.stage.push(ctx.now(), (dn, payload >> 32));
             pump(st, ctx);
         }
         Ev::ReportDone => {
@@ -222,39 +219,32 @@ fn report_digest(dn: DnId, seq: u64, version: ReportVersion, blocks_per_node: us
 
 fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_>) {
     let now = ctx.now();
-    let Some(task) = st.stage.try_begin(now) else {
+    let Some((dn, seq)) = st.stage.try_begin(now) else {
         return;
     };
-    match task {
-        MTask::Report(dn, seq) => {
-            let digest = report_digest(dn, seq, st.cfg.version, st.cfg.blocks_per_node);
-            let (cfg, master) = (&st.cfg, &mut st.master);
-            let (_, duration) = st.pil.call(dn.0, REPORT_FN, digest, None, || {
-                execute_report(cfg, master, dn)
-            });
-            let finish = if matches!(st.mode, RunMode::PilReplay { .. }) {
-                now + duration
-            } else {
-                st.park
-                    .get_mut(st.master_machine)
-                    .submit(now, duration)
-                    .finish
-            };
-            st.lock_held_until = finish;
-            st.schedule(ctx, finish, Ev::ReportDone, 0);
-        }
-    }
+    let digest = report_digest(dn, seq, st.cfg.version, st.cfg.blocks_per_node);
+    let (cfg, master) = (&st.cfg, &st.master);
+    let (_, duration) = st.pil.call(dn.0, REPORT_FN, digest, None, || {
+        execute_report(cfg, master)
+    });
+    let finish = if matches!(st.mode, RunMode::PilReplay { .. }) {
+        now + duration
+    } else {
+        st.park
+            .get_mut(st.master_machine)
+            .submit(now, duration)
+            .finish
+    };
+    st.lock_held_until = finish;
+    st.schedule(ctx, finish, Ev::ReportDone, 0);
 }
 
-/// Executes report processing for real, returning the resulting block
-/// count (the memoized output) and the virtual duration.
-fn execute_report(cfg: &HdfsConfig, master: &mut Master, dn: DnId) -> (u64, SimDuration) {
-    let blocks = blocks_of(dn, cfg.blocks_per_node);
-    let mut ops = MasterOps::new();
-    master.process_block_report(dn, &blocks, &mut ops);
+/// Executes report processing, returning the block count after it (the
+/// memoized output) and the virtual duration its billed ops take.
+fn execute_report(cfg: &HdfsConfig, master: &Master) -> (u64, SimDuration) {
     (
         master.block_count() as u64,
-        SimDuration::from_nanos(ops.ops().saturating_mul(cfg.ns_per_op)),
+        SimDuration::from_nanos(master.report_ops().saturating_mul(cfg.ns_per_op)),
     )
 }
 
@@ -296,13 +286,11 @@ fn run(cfg: &HdfsConfig, mode: RunMode, pil: Pil<'_, u64>) -> HdfsReport {
     let mut park = MachinePark::new();
     let cores = mode.colo_cores().map_or(2, |c| c.max(1));
     let master_machine = park.add(Machine::new(cores, CtxSwitchModel::commodity()));
-    let mut master = Master::new(cfg.version, cfg.heartbeat_timeout);
+    let mut master = Master::new(cfg.version, cfg.heartbeat_timeout, cfg.blocks_per_node);
     for i in 0..cfg.n_datanodes {
-        let dn = DnId(i as u32);
-        master.register(dn, SimTime::ZERO);
-        // The cluster was running before the experiment: the block map
-        // is fully built (safe mode completed long ago).
-        master.preload(dn, &blocks_of(dn, cfg.blocks_per_node));
+        // The cluster was running before the experiment: every datanode
+        // is registered with its blocks (safe mode completed long ago).
+        master.register(DnId(i as u32), SimTime::ZERO);
     }
     let mut engine: Engine<HdfsState> = Engine::new(cfg.seed);
     let handlers = Ev::ALL.map(|ev| {

@@ -19,6 +19,12 @@
 //! * [`ReportVersion::IncrementalDiff`] (the fix) diffs against the
 //!   previous report and the symptom vanishes.
 //!
+//! The master keeps liveness, not a block map: each report's cost is
+//! billed from the closed form of the literal pass's op count
+//! ([`Master::report_ops`]), as the ring calculators bill theirs. The
+//! literal block map and both passes live only in the root package's
+//! `tests/model/hdfs.rs`, the oracle the bill is checked against.
+//!
 //! The ScaleCheck pipelines apply unchanged: [`run_hdfs`] at real scale,
 //! and [`hdfs_scale_check`] to memoize once (the Colo run with a
 //! recorder) and PIL-replay with report processing replaced by
@@ -41,4 +47,4 @@ pub mod cluster;
 pub mod master;
 
 pub use cluster::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport, REPORT_FN};
-pub use master::{blocks_of, BlockId, DnId, DnRecord, Master, MasterOps, ReportVersion};
+pub use master::{DnId, DnRecord, Master, ReportVersion};

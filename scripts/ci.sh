@@ -97,6 +97,19 @@ if grep -rnE 'EventFn|Payload::Once|fn tag_sched|sched_tags|fn last_seq|\binflig
   exit 1
 fi
 
+# One namenode: hdfslike's master keeps liveness, not a block map. Every
+# report repeats the blocks its datanode registered with, so the master
+# bills a report's ops from the closed form of the literal pass. The
+# block map, both literal passes and the block ids live only in
+# tests/model/hdfs.rs, the oracle of
+# proptests::block_report_bill_matches_the_literal_master.
+echo "=== one namenode, billed reports (grep gate) ==="
+if grep -rnE 'block_map|process_block_report|MasterOps|fn preload|BlockId' \
+  crates/hdfslike/src; then
+  echo "error: the namenode bills block reports, it keeps no block map; see the matches above" >&2
+  exit 1
+fi
+
 # One serialisation path and one deserialisation path: the serde shim's
 # traits stream (`serialize(&self, &mut String)`, `deserialize(&mut
 # Reader)`). No `Value`-returning `serialize` or `&Value`-taking
@@ -134,8 +147,11 @@ done
 # timers allocation-free, dense gossip/phi tables vs the tree-map oracles
 # in tests/model, phi running sum, token-map and calc-digest caches,
 # link FIFO clocks vs a sparse model), whole-run report digests
-# (run_pins — every iteration order in gossip/cluster/hdfslike that a
-# refactor must preserve), and the traffic datapath differential
+# (run_pins — every iteration order in gossip/cluster that a refactor
+# must preserve, and hdfslike's runs on both report versions, whose
+# reports are billed from a closed form that proptests checks against
+# the literal block map in tests/model/hdfs.rs), and the traffic
+# datapath differential
 # (traffic_slo). The other members: obs (tracer, histograms, exporters,
 # analyzer), traffic, explore (tie order, frontier, shrinker, witness),
 # cluster's schedule tests, and bench's command-line parser, sweep and
@@ -186,20 +202,22 @@ CLI=target/release/scalecheck-cli
 # byte, and so are all three Figure 3 panels (fig3a, fig3b, fig3c:
 # ~24 s, ~21 s and ~18 s on a 2-vCPU host — the (Real, Colo, SC+PIL)
 # artifacts), tbl_baselines (~18 s: the §4 mini-cluster, extrapolation
-# and time-dilation baselines), ext_hdfs (~45 s: the
-# second system's run loop, whose only other guards are the four
-# HdfsReport pins in tests/run_pins.rs) and tbl_colocation_limit (~38 s:
-# the only artifact of the global-event-queue context-switch setting
-# and of single-process memory admission). So is the opt-in
-# TBL_diverge.txt at the repo root (tbl_diverge, ~1.5 s: the §6
-# attribution from three traced 128-node runs). The script prints each
-# step's wall time and names what it did not check (tbl_memo_vs_replay,
-# tbl_fix_ablation and fig_c6127, a minute or more each, and the
-# opt-in TBL_scale, TBL_slo and TBL_explore artifacts — ROADMAP item
-# 12), so a green gate vouches only for what it ran.
+# and time-dilation baselines), ext_hdfs (under 1 s since its reports
+# are billed, not run: the second system's run loop, also guarded by
+# the eight HdfsReport pins in tests/run_pins.rs), tbl_colocation_limit
+# (~38 s: the only artifact of the global-event-queue context-switch
+# setting and of single-process memory admission), tbl_fix_ablation
+# (~29 s: each fix at the scale that exposed its bug, plus the harness
+# ablations) and tbl_memo_vs_replay (~16 s: memoization cost against
+# replay). So is the opt-in TBL_diverge.txt at the repo root
+# (tbl_diverge, ~1.5 s: the §6 attribution from three traced 128-node
+# runs). The script prints each step's wall time and names what it did
+# not check (fig_c6127, minutes on its own, and the opt-in TBL_scale,
+# TBL_slo and TBL_explore artifacts — ROADMAP item 12), so a green gate
+# vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit,tbl_diverge
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit,tbl_fix_ablation,tbl_memo_vs_replay,tbl_diverge
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy

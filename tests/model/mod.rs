@@ -14,7 +14,10 @@
 //! [`ring`]) the ring table as a `BTreeMap` of entries that each own
 //! their tokens, before it addressed its nodes by id. And (in
 //! [`chrome`]) the Chrome trace exporter as it was before it sorted
-//! compact keys instead of whole rows.
+//! compact keys instead of whole rows. And (in [`hdfs`]) hdfslike's
+//! namenode block map with its full-rescan and incremental-diff report
+//! passes, before the master billed a report's ops instead of running
+//! it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -25,6 +28,7 @@ use scalecheck_sim::{SimDuration, SimTime};
 
 pub mod chrome;
 pub mod gossip;
+pub mod hdfs;
 pub mod pending;
 pub mod ring;
 

@@ -1578,6 +1578,42 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential: hdfslike's master bills each block report from a
+    /// closed form; the literal block map in `tests/model/hdfs.rs`,
+    /// preloaded with every datanode's blocks, executes the same reports
+    /// in any order and must count exactly the billed ops, and hold as
+    /// many blocks as the master says it tracks.
+    #[test]
+    fn block_report_bill_matches_the_literal_master(
+        n in 1u32..24,
+        blocks_per_node in 1usize..200,
+        fixed in any::<bool>(),
+        reporters in prop::collection::vec(any::<u32>(), 1..24),
+    ) {
+        use model::hdfs::{blocks_of, LiteralMaster, MasterOps};
+        use scalecheck_hdfslike::{DnId, Master, ReportVersion};
+
+        let version = if fixed { ReportVersion::IncrementalDiff } else { ReportVersion::FullRescan };
+        let mut oracle = LiteralMaster::new(version);
+        let mut master = Master::new(version, SimDuration::from_secs(60), blocks_per_node);
+        for i in 0..n {
+            oracle.preload(DnId(i), &blocks_of(DnId(i), blocks_per_node));
+            master.register(DnId(i), SimTime::ZERO);
+        }
+        prop_assert_eq!(master.block_count(), oracle.block_count());
+        for r in reporters {
+            let dn = DnId(r % n);
+            let mut ops = MasterOps::new();
+            oracle.process_block_report(dn, &blocks_of(dn, blocks_per_node), &mut ops);
+            prop_assert_eq!(master.report_ops(), ops.ops(), "{:?} report from {:?}", version, dn);
+            prop_assert_eq!(master.block_count(), oracle.block_count());
+        }
+    }
+}
+
 // Full-cluster fault properties: each case is two complete simulation
 // runs, so the case count stays tiny.
 proptest! {

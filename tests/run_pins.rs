@@ -361,6 +361,44 @@ fn hdfs_96_scale_check_reports_are_pinned() {
     );
 }
 
+/// The fix path: incremental-diff reports cost O(blocks of the reporter),
+/// so no cell flaps and only these digests hold its bill. They were
+/// captured on the commit before the master stopped keeping a block map.
+#[test]
+fn hdfs_fixed_real_reports_are_pinned() {
+    let small = run_hdfs(&HdfsConfig::fixed(64, 9));
+    assert_eq!(small.false_dead, 0);
+    pin_hdfs(
+        "hdfs fixed(64, 9)",
+        &small,
+        "606d53eb60e9ee465974fa111ace61cd",
+    );
+    let big = run_hdfs(&HdfsConfig::fixed(192, 1));
+    assert_eq!(big.false_dead, 0);
+    pin_hdfs(
+        "hdfs fixed(192, 1)",
+        &big,
+        "1c47db6f0a7c027e34cc233ce3b242e1",
+    );
+}
+
+/// Memoize then PIL replay on the fix path.
+#[test]
+fn hdfs_96_fixed_scale_check_reports_are_pinned() {
+    let (memoized, replayed) = hdfs_scale_check(&HdfsConfig::fixed(96, 1), 16);
+    assert!(memoized.memo.recorded > 0 && replayed.memo.hits > 0);
+    pin_hdfs(
+        "hdfs fixed(96, 1) memoize/16",
+        &memoized,
+        "2c65ef0ef505f988f51823f2d8d9d406",
+    );
+    pin_hdfs(
+        "hdfs fixed(96, 1) replay/16",
+        &replayed,
+        "27a3c860c06e95123c5cf98a69add0a9",
+    );
+}
+
 /// The exported trace *file*: `to_chrome_json` of a traced Real cell,
 /// event rows and embedded native trace alike, captured on the commit
 /// before the serde shim started streaming (the pins above hash
