@@ -5,6 +5,8 @@
 //! outcomes to the ring view, message keys for order determinism); the
 //! event orchestration lives in [`crate::runner`].
 
+use std::sync::Arc;
+
 use scalecheck_gossip::{
     Ack, Ack2, ApplyOutcome, EndpointState, FailureDetector, Gossiper, Peer, Syn,
 };
@@ -125,8 +127,12 @@ pub struct Node {
     pub gossiper: Gossiper<RingInfo>,
     /// Failure detector (flap accounting lives here).
     pub fd: FailureDetector,
-    /// Local ring view.
-    pub ring: RingTable,
+    /// Local ring view, copy-on-write: every write goes through
+    /// `Arc::make_mut`, so the table is copied only while another node
+    /// shares it. The runner hands a view that changed to the run's
+    /// [`scalecheck_ring::ViewStore`], so nodes whose views agree share
+    /// one table.
+    pub ring: Arc<RingTable>,
     /// The serial stages, indexed by [`StageKind`] (the calculation
     /// stage is used by the C5456 thread modes).
     pub stages: [Stage<Task>; 2],
@@ -176,7 +182,8 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates a node. The caller seeds the gossiper and ring afterwards.
+    /// Creates a node with an empty ring view of its own. The caller
+    /// seeds the gossiper and hands the node its view afterwards.
     pub fn new(
         id: NodeId,
         machine: MachineId,
@@ -192,7 +199,7 @@ impl Node {
             rng,
             gossiper: Gossiper::new(peer_of(id), 1, info),
             fd: FailureDetector::new(phi_threshold, gossip_interval),
-            ring: RingTable::new(rf),
+            ring: Arc::new(RingTable::new(rf)),
             stages: [Stage::new(), Stage::new()],
             calc_dirty: false,
             calc_queued: false,
@@ -213,12 +220,13 @@ impl Node {
     }
 
     /// Makes room in the per-peer tables (gossip view, failure
-    /// detector, ring view) for node ids `0..slots`, so a run of that
-    /// many nodes allocates each table once instead of doubling it.
+    /// detector) for node ids `0..slots`, so a run of that many nodes
+    /// allocates each table once instead of doubling it. The ring view is
+    /// sized by whoever builds the table it is handed
+    /// ([`RingTable::reserve_slots`]), since nodes share it.
     pub fn reserve_slots(&mut self, slots: usize) {
         self.gossiper.reserve_slots(slots);
         self.fd.reserve_slots(slots);
-        self.ring.reserve_slots(slots);
     }
 
     /// Next order key for a message to `dst` of the given kind.
@@ -240,8 +248,8 @@ impl Node {
 
     /// Applies a gossip [`ApplyOutcome`] at time `now`: heartbeat
     /// advances feed the failure detector, application advances update
-    /// the local ring view. Returns whether the ring view changed in a
-    /// way that requires recalculation.
+    /// the local ring view. Returns whether the ring view changed, which
+    /// is also whether it requires recalculation.
     ///
     /// Peers that have `Left` are dropped from
     /// `outcome.heartbeat_advanced` (see below); the rest are reported to
@@ -285,7 +293,9 @@ impl Node {
             NodeStatus::Left => {
                 let was_present = self.ring.node(node).is_some();
                 if was_present {
-                    self.ring.remove_node(node).expect("presence checked");
+                    Arc::make_mut(&mut self.ring)
+                        .remove_node(node)
+                        .expect("presence checked");
                 }
                 self.fd.forget(peer);
                 was_present
@@ -293,7 +303,9 @@ impl Node {
             _ => match self.ring.node(node) {
                 Some(st) => {
                     if st.status != status {
-                        self.ring.set_status(node, status).expect("node present");
+                        Arc::make_mut(&mut self.ring)
+                            .set_status(node, status)
+                            .expect("node present");
                         true
                     } else {
                         false
@@ -309,8 +321,11 @@ impl Node {
                         .unwrap_or_default();
                     // Ignore token collisions from replayed stale state:
                     // first writer wins, matching Cassandra's ownership
-                    // arbitration.
-                    self.ring.add_node(node, status, tokens).is_ok()
+                    // arbitration. (A refused add leaves an unshared copy
+                    // of an unchanged view.)
+                    Arc::make_mut(&mut self.ring)
+                        .add_node(node, status, tokens)
+                        .is_ok()
                 }
             },
         }
@@ -479,24 +494,32 @@ impl Node {
     }
 
     /// Updates this node's own gossiped ring state (and its own ring
-    /// view), e.g. when it starts leaving.
-    pub fn announce(&mut self, info: RingInfo) {
+    /// view), e.g. when it starts leaving. Returns whether the ring view
+    /// changed: announcing the status the view already holds for this
+    /// node leaves it (and any sharing of it) alone.
+    pub fn announce(&mut self, info: RingInfo) -> bool {
         let status = info.status;
         let tokens = info.tokens.clone();
         self.gossiper.update_app(info);
-        match status {
-            NodeStatus::Left => {
-                if self.ring.node(self.id).is_some() {
-                    self.ring.remove_node(self.id).expect("self present");
-                }
+        let held = self.ring.node(self.id).map(|st| st.status);
+        match (status, held) {
+            (NodeStatus::Left, None) => false,
+            (NodeStatus::Left, Some(_)) => {
+                Arc::make_mut(&mut self.ring)
+                    .remove_node(self.id)
+                    .expect("self present");
+                true
             }
-            _ => {
-                if self.ring.node(self.id).is_some() {
-                    self.ring.set_status(self.id, status).expect("self present");
-                } else {
-                    let _ = self.ring.add_node(self.id, status, tokens);
-                }
+            (_, Some(held)) if held == status => false,
+            (_, Some(_)) => {
+                Arc::make_mut(&mut self.ring)
+                    .set_status(self.id, status)
+                    .expect("self present");
+                true
             }
+            (_, None) => Arc::make_mut(&mut self.ring)
+                .add_node(self.id, status, tokens)
+                .is_ok(),
         }
     }
 }
@@ -690,6 +713,36 @@ mod tests {
             tokens: vec![],
         });
         assert!(n.ring.node(NodeId(0)).is_none());
+    }
+
+    #[test]
+    fn announce_writes_a_shared_view_only_when_it_changes() {
+        let mut n = node(0);
+        let tokens = spread_tokens(NodeId(0), 2);
+        let shared = Arc::clone(&n.ring);
+        assert!(!n.announce(RingInfo::normal(tokens.clone())));
+        assert!(
+            Arc::ptr_eq(&n.ring, &shared),
+            "the held status copies nothing"
+        );
+        assert!(n.announce(RingInfo {
+            status: NodeStatus::Leaving,
+            tokens,
+        }));
+        assert!(!Arc::ptr_eq(&n.ring, &shared), "the write copied the view");
+        assert_eq!(
+            shared.node(NodeId(0)).unwrap().status,
+            NodeStatus::Normal,
+            "the other holder's view is untouched"
+        );
+        assert!(n.announce(RingInfo {
+            status: NodeStatus::Left,
+            tokens: vec![],
+        }));
+        assert!(!n.announce(RingInfo {
+            status: NodeStatus::Left,
+            tokens: vec![],
+        }));
     }
 
     #[test]

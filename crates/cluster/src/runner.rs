@@ -31,12 +31,19 @@
 //! the cause (a fault crash, death of OOM, a decommissioned node's
 //! departure): its timers are cancelled and its queued and parked work
 //! dropped, so a periodic timer only ever fires for an `Up` node.
+//!
+//! Nodes whose ring views agree share one table: a node writes its view
+//! copy-on-write, and each apply or announce that changed a view hands
+//! it to the run's [`ViewStore`], which swaps in the table already
+//! holding those contents.
+
+use std::sync::Arc;
 
 use scalecheck_gossip::{AckSpace, ApplyOutcome, Liveness};
 use scalecheck_memo::{OrderDecision, Pil, RunMode};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
-use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, RingTable, Token};
+use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, RingTable, Token, ViewStore};
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{
     Ctx, CtxSwitchModel, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault, HandlerId,
@@ -61,6 +68,8 @@ struct ClusterState<'a> {
     mode: RunMode,
     /// All nodes (initial members first, then scale-out joiners).
     nodes: Vec<Node>,
+    /// The one table per distinct ring state the nodes' views hold.
+    views: ViewStore,
     /// Where every node builds the ACK it answers a SYN with and the
     /// ACK2 it answers an ACK with.
     ack_space: AckSpace<RingInfo>,
@@ -270,6 +279,14 @@ impl ClusterState<'_> {
         ctx.schedule_handler_at(at, self.handlers[ev as usize], payload(i, arg))
     }
 
+    /// Updates node `i`'s own ring state ([`Node::announce`]) and shares
+    /// its view if that changed it.
+    fn announce(&mut self, i: usize, info: RingInfo) {
+        if self.nodes[i].announce(info) {
+            self.views.share(&mut self.nodes[i].ring);
+        }
+    }
+
     fn is_quiescent(&self) -> bool {
         self.in_flight.len() == 0
             && self.nodes.iter().all(|n| {
@@ -314,7 +331,7 @@ fn dispatch(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
         Ev::Normal => {
             if st.nodes[i].lifecycle == Lifecycle::Up {
                 let tokens = spread_tokens(NodeId(i as u32), st.cfg.vnodes);
-                st.nodes[i].announce(RingInfo::normal(tokens));
+                st.announce(i, RingInfo::normal(tokens));
             }
         }
         Ev::Leaving => {
@@ -323,15 +340,21 @@ fn dispatch(st: &mut ClusterState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
                 .node(NodeId(i as u32))
                 .map(|s| s.tokens.to_vec())
                 .unwrap_or_default();
-            st.nodes[i].announce(RingInfo {
-                status: NodeStatus::Leaving,
-                tokens,
-            });
+            st.announce(
+                i,
+                RingInfo {
+                    status: NodeStatus::Leaving,
+                    tokens,
+                },
+            );
         }
-        Ev::Left => st.nodes[i].announce(RingInfo {
-            status: NodeStatus::Left,
-            tokens: vec![],
-        }),
+        Ev::Left => st.announce(
+            i,
+            RingInfo {
+                status: NodeStatus::Left,
+                tokens: vec![],
+            },
+        ),
         Ev::Depart => stop_node(st, ctx, i, StopCause::Decommission),
         Ev::Fault => {
             let fault = st.cfg.faults.events[arg as usize].clone();
@@ -440,6 +463,7 @@ fn build<'a>(
         ));
     }
 
+    let mut views = ViewStore::new();
     // Established members know each other; everyone knows the seeds.
     let seeds: Vec<NodeId> = (0..cfg.n_nodes.min(3)).map(|i| NodeId(i as u32)).collect();
     if !bootstrap {
@@ -459,25 +483,30 @@ fn build<'a>(
                 )
             })
             .collect();
-        // Each member's ring view is this table less the member itself.
-        // Cloning keeps the build quadratic: `add_node` checks every token
-        // against every node already in the table, so filling each view
-        // pair by pair is cubic in N. A clone shares every node's token
-        // list. Each node's per-peer tables are sized for all `total` ids
-        // once its view is in place and before its gossip view is seeded,
-        // here and for the joiners below, so none of them doubles.
+        // Every member's ring view is this one table of all members, the
+        // member itself included: its activation announces the status the
+        // table already holds, which changes nothing, and no view is read
+        // before its node is up. Building one table keeps the build
+        // quadratic (`add_node` checks every token against every node
+        // already in the table, so filling each view pair by pair is
+        // cubic in N), and sharing it keeps the members' views at one
+        // table until one of them changes. The table has a slot for all
+        // `total` ids, so no copy of it grows; each node's per-peer tables
+        // are sized once before its gossip view is seeded, here and for
+        // the joiners below, so none of them doubles.
         let mut members = RingTable::new(cfg.rf);
+        members.reserve_slots(total);
         for j in 0..cfg.n_nodes {
             let id = NodeId(j as u32);
             members
                 .add_node(id, NodeStatus::Normal, spread_tokens(id, cfg.vnodes))
                 .expect("distinct tokens");
         }
+        let mut members = Arc::new(members);
+        views.share(&mut members);
         #[allow(clippy::needless_range_loop)]
         for i in 0..cfg.n_nodes {
-            let view = &mut nodes[i].ring;
-            *view = members.clone();
-            view.remove_node(NodeId(i as u32)).expect("a member");
+            nodes[i].ring = Arc::clone(&members);
             nodes[i].reserve_slots(total);
             for (peer, st) in &member_states {
                 if peer.0 != i as u32 {
@@ -487,13 +516,19 @@ fn build<'a>(
         }
     }
     // Joiners (and everyone at fresh bootstrap) know the seed addresses
-    // only: a zeroed endpoint state that any real gossip supersedes.
+    // only: a zeroed endpoint state that any real gossip supersedes. They
+    // share one empty view until each announces itself.
     let joiner_range = if bootstrap {
         0..total
     } else {
         cfg.n_nodes..total
     };
+    let mut empty = RingTable::new(cfg.rf);
+    empty.reserve_slots(total);
+    let mut empty = Arc::new(empty);
+    views.share(&mut empty);
     for i in joiner_range {
+        nodes[i].ring = Arc::clone(&empty);
         nodes[i].reserve_slots(total);
         for &s in &seeds {
             if s != NodeId(i as u32) {
@@ -560,6 +595,7 @@ fn build<'a>(
         cfg: cfg.clone(),
         mode,
         nodes,
+        views,
         ack_space: AckSpace::default(),
         outcome: ApplyOutcome::default(),
         net,
@@ -612,7 +648,7 @@ fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) 
     }
 
     st.nodes[i].lifecycle = Lifecycle::Up;
-    st.nodes[i].announce(info);
+    st.announce(i, info);
     let interval = st.cfg.gossip_interval;
     let stagger = SimDuration::from_nanos(
         interval.as_nanos() * (i as u64 % st.cfg.total_nodes() as u64)
@@ -938,6 +974,9 @@ fn finish_receive(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: Sta
             let outcome = &mut st.outcome;
             let local_now = now + node.clock_skew;
             let topology_changed = node.apply_outcome(outcome, local_now);
+            if topology_changed {
+                st.views.share(&mut node.ring);
+            }
             // While a join/leave is pending, any applied gossip that
             // touches a Joining/Leaving peer recalculates. Pure, so it
             // hides behind the (almost always false) window check.
@@ -1472,8 +1511,9 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
         .map(|s| s.status)
         .unwrap_or(NodeStatus::Normal);
     let tokens = spread_tokens(node.id, vnodes);
-    node.announce(RingInfo { status, tokens });
-    let peer = peer_of(node.id);
+    let id = node.id;
+    st.announce(i, RingInfo { status, tokens });
+    let peer = peer_of(id);
     for k in 0..st.nodes.len() {
         if k != i {
             st.nodes[k].fd.set_fault_suspect(peer, false);
@@ -1509,6 +1549,26 @@ pub fn run_colocated(cfg: &ScenarioConfig, cores: usize, pil: Pil<'_, PendingWir
 }
 
 fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunReport {
+    let (mut engine, state) = simulate(cfg, mode, pil);
+    let ended = engine.now();
+    let tracer = scalecheck_obs::take();
+    let probe = cfg.record_schedule.then(|| ScheduleProbe {
+        fires: engine.take_fire_log(),
+        kinds: Ev::ALL.map(Ev::tie_kind).to_vec(),
+    });
+    let mut report = assemble_report(&state, ended, engine.counters(), tracer);
+    report.schedule_probe = probe;
+    report
+}
+
+/// Builds the cluster, schedules its workload and faults, and runs it to
+/// quiescence or the hard cap. The run's trace, if it is traced, is left
+/// installed for the caller to take.
+fn simulate<'a>(
+    cfg: &ScenarioConfig,
+    mode: RunMode,
+    pil: Pil<'a, PendingWire>,
+) -> (Engine<ClusterState<'a>>, ClusterState<'a>) {
     if let Err(msg) = cfg.validate() {
         panic!("invalid ScenarioConfig: {msg}");
     }
@@ -1556,16 +1616,7 @@ fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunRep
 
     let deadline = SimTime::ZERO + cfg.max_duration;
     engine.run_until(&mut state, deadline);
-    let ended = engine.now();
-
-    let tracer = scalecheck_obs::take();
-    let probe = cfg.record_schedule.then(|| ScheduleProbe {
-        fires: engine.take_fire_log(),
-        kinds: Ev::ALL.map(Ev::tie_kind).to_vec(),
-    });
-    let mut report = assemble_report(&state, ended, engine.counters(), tracer);
-    report.schedule_probe = probe;
-    report
+    (engine, state)
 }
 
 /// Flap-series sampling.
@@ -1713,14 +1764,19 @@ mod tests {
     use super::*;
 
     /// The construction `build` replaced, kept as the reference: an empty
-    /// view per node, then one checked `add_node` per other established
-    /// member. Joiners and bootstrapping nodes start with an empty view.
+    /// view per node, then one checked `add_node` per established member.
+    /// Joiners and bootstrapping nodes start with an empty view.
+    ///
+    /// Member `i` is in its own view: the view is read only once the
+    /// node is `Up`, and from its activation on (which announces `i` as
+    /// `Normal`) the view holds `i` whether the build put it there or
+    /// the announcement did.
     fn per_pair_view(cfg: &ScenarioConfig, i: usize) -> RingTable {
         let mut view = RingTable::new(cfg.rf);
         if matches!(cfg.workload, Workload::BootstrapFromScratch) || i >= cfg.n_nodes {
             return view;
         }
-        for j in (0..cfg.n_nodes).filter(|&j| j != i) {
+        for j in 0..cfg.n_nodes {
             let jid = NodeId(j as u32);
             view.add_node(jid, NodeStatus::Normal, spread_tokens(jid, cfg.vnodes))
                 .expect("distinct tokens");
@@ -1744,7 +1800,10 @@ mod tests {
 
     /// Differential: every node's pre-filled view is the per-pair one —
     /// on a 1-vnode baseline, on c3881 (32 vnodes, plus two joiners whose
-    /// views are not pre-filled) and on c6127 (bootstrap: none is).
+    /// views are not pre-filled) and on c6127 (bootstrap: none is). And
+    /// the views are two tables, not one per node: every established
+    /// member holds the one members table, every joiner the one empty
+    /// table.
     #[test]
     fn every_view_equals_the_per_pair_construction() {
         let cells = [
@@ -1773,6 +1832,40 @@ mod tests {
                 filled += usize::from(want.iter().next().is_some());
             }
             assert_eq!(filled, prefilled, "{name}: pre-filled views");
+            let (members, joiners) = state.nodes.split_at(prefilled);
+            for group in [members, joiners] {
+                assert!(
+                    group.iter().all(|n| Arc::ptr_eq(&n.ring, &group[0].ring)),
+                    "{name}: a group's views are not one table"
+                );
+            }
+            let groups = usize::from(!members.is_empty()) + usize::from(!joiners.is_empty());
+            assert_eq!(state.views.live_tables(), groups, "{name}: live tables");
         }
+    }
+
+    /// Views that diverge while a change spreads merge again once it has
+    /// spread: after a `baseline(64)` run has decommissioned its node and
+    /// quiesced, every `Up` node's view is one table. So is the departed
+    /// node's: its last write took itself out of its view.
+    #[test]
+    fn views_merge_again_after_a_decommission() {
+        let cfg = ScenarioConfig::baseline(64, 1);
+        let (_, state) = simulate(&cfg, RunMode::Real, Pil::Execute);
+        assert!(state.stopped_quiescent, "the run quiesced");
+        let (up, gone): (Vec<&Node>, Vec<&Node>) = state
+            .nodes
+            .iter()
+            .partition(|n| n.lifecycle == Lifecycle::Up);
+        assert_eq!((up.len(), gone.len()), (63, 1));
+        assert!(
+            up.iter().all(|n| Arc::ptr_eq(&n.ring, &up[0].ring)),
+            "the up nodes' views are {} tables",
+            state.views.live_tables() - 1
+        );
+        assert_eq!(up[0].ring.iter().count(), 63);
+        assert!(!up[0].ring.has_pending_change());
+        assert!(Arc::ptr_eq(&gone[0].ring, &up[0].ring));
+        assert_eq!(state.views.live_tables(), 1);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Implements the Cassandra-like ring that the paper's bugs live in:
 //! tokens and wrapping ranges ([`Token`], [`Range`]), virtual nodes, the
-//! `@scaledep` ring table ([`RingTable`]), and the four historical
+//! `@scaledep` ring table ([`RingTable`]) with one shared copy per ring
+//! state of a run ([`ViewStore`]), and the four historical
 //! versions of the pending key-range calculation
 //! ([`V1Cubic`], [`V2Quadratic`], [`V3VnodeAware`],
 //! [`FreshRingQuadratic`]), each billing through an [`OpCounter`] the ops
@@ -35,6 +36,7 @@
 pub mod pending;
 pub mod table;
 pub mod token;
+pub mod view;
 
 pub use pending::{
     all_calculators, FreshRingQuadratic, OpCounter, PendingRangeCalculator, PendingRanges, V1Cubic,
@@ -44,3 +46,4 @@ pub use table::{
     write_changes_canonical, NodeState, NodeStatus, RingError, RingTable, TopologyChange,
 };
 pub use token::{spread_tokens, NodeId, Range, Token};
+pub use view::ViewStore;

@@ -36,10 +36,11 @@ impl NodeStatus {
 /// Per-node ring state: one slot of a [`RingTable`], which addresses
 /// its slots by `NodeId.0` (see the dense-id contract there).
 ///
-/// The token list is shared, never mutated in place: a cloned view
-/// points at the same list, so N views of an N-node ring hold N lists,
-/// not N². A change of tokens is a `remove_node` and an `add_node`.
-#[derive(Clone, Debug)]
+/// The token list is shared, never mutated in place: a cloned table
+/// points at the same list, so the copy a shared view makes on its first
+/// write ([`crate::ViewStore`]) adds no lists. A change of tokens is a
+/// `remove_node` and an `add_node`.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NodeState {
     /// Lifecycle status.
     pub status: NodeStatus,
@@ -123,10 +124,19 @@ struct DerivedCache {
 /// Node ids are **dense node indexes**, the contract
 /// `scalecheck_gossip::EndpointMap` states for `Peer`: the cluster
 /// numbers its nodes `0..total_nodes`, and a table holds one slot per
-/// id up to the highest id added, present or not. Lookups are array
-/// indexing, and iteration is ascending by id. A sparse id
+/// id up to the highest id added or reserved, present or not. Lookups
+/// are array indexing, and iteration is ascending by id. A sparse id
 /// (`NodeId(5000)` in a three-node ring) is legal and costs 5001 slots
 /// of 24 bytes, not a panic. Slots are never given back.
+///
+/// Two tables are equal when their contents are: the replication
+/// factor and the present nodes, with their statuses and tokens, which
+/// is exactly what [`Self::write_canonical`] encodes. Slot counts and
+/// caches do not take part.
+///
+/// A cluster node holds its view as an `Arc<RingTable>` written through
+/// `Arc::make_mut`, and views with equal contents share one table
+/// ([`crate::ViewStore`]); nothing here depends on that.
 ///
 /// Deliberately not `Serialize`/`Deserialize`: nothing stores a ring
 /// (memo digests go through [`Self::write_canonical`]), and a
@@ -167,13 +177,16 @@ impl RingTable {
         self.rf
     }
 
-    /// Makes room for ids `0..slots` without reallocating later. In a
-    /// dense-id run, reserving the cluster's node count once keeps a
-    /// view at exactly one slot per node; a larger id still grows the
-    /// table.
+    /// Gives the table (empty) slots for ids `0..slots`, so that adding
+    /// any of them never reallocates, in this table or in any clone of
+    /// it: a clone copies the slots, not spare capacity. In a dense-id
+    /// run, reserving the cluster's node count once keeps every view at
+    /// exactly one slot per node; a larger id still grows the table.
     pub fn reserve_slots(&mut self, slots: usize) {
-        self.nodes
-            .reserve_exact(slots.saturating_sub(self.nodes.len()));
+        if slots > self.nodes.len() {
+            self.nodes.reserve_exact(slots - self.nodes.len());
+            self.nodes.resize_with(slots, || None);
+        }
     }
 
     /// Adds a node with the given status and tokens.
@@ -392,6 +405,14 @@ impl RingTable {
     }
 }
 
+impl PartialEq for RingTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.rf == other.rf && self.present == other.present && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for RingTable {}
+
 /// Canonical byte encoding of a change list (for memo digests).
 pub fn write_changes_canonical(changes: &[TopologyChange], out: &mut Vec<u8>) {
     out.extend_from_slice(&(changes.len() as u64).to_le_bytes());
@@ -600,6 +621,27 @@ mod tests {
         assert_eq!(*snap.current_token_map(), snap.rebuild_current_token_map());
         assert_eq!(*r.current_token_map(), r.rebuild_current_token_map());
         assert_ne!(*snap.current_token_map(), *r.current_token_map());
+    }
+
+    #[test]
+    fn equality_is_contents_only() {
+        let mut a = ring_of(4, 4);
+        let mut b = ring_of(4, 4);
+        b.reserve_slots(64);
+        let _ = a.current_token_map();
+        assert_eq!(a, b, "slots and caches do not take part");
+        assert_eq!(
+            b.clone().nodes.len(),
+            64,
+            "a clone keeps the reserved slots"
+        );
+        a.set_status(NodeId(1), NodeStatus::Leaving).unwrap();
+        assert_ne!(a, b);
+        b.set_status(NodeId(1), NodeStatus::Leaving).unwrap();
+        assert_eq!(a, b);
+        b.remove_node(NodeId(3)).unwrap();
+        assert_ne!(a, b);
+        assert_ne!(RingTable::new(3), RingTable::new(2));
     }
 
     #[test]

@@ -316,8 +316,10 @@ cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 # windows are gaps between (as per-peer sample rows it peaked at
 # 169 MiB here); a ring view is one slot per node id sharing each node's
 # token list, and the build sizes the per-peer tables once (as tree views
-# and doubling tables it peaked at ~74 MiB). The cell must peak under
-# 62 MiB of VmHWM (~47 MiB now).
+# and doubling tables it peaked at ~74 MiB); views that agree share one
+# table (one table per node peaked at ~47 MiB, and ~44 MiB when only the
+# build copied a table per node). The cell must peak under 40 MiB of
+# VmHWM (~37 MiB now).
 echo "=== steady-state host memory (baseline(512) Colo cell, release) ==="
 cargo test --release -q -p scalecheck-cluster --test steady_peak_rss -- --ignored
 

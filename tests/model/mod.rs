@@ -17,7 +17,8 @@
 //! compact keys instead of whole rows. And (in [`hdfs`]) hdfslike's
 //! namenode block map with its full-rescan and incremental-diff report
 //! passes, before the master billed a report's ops instead of running
-//! it.
+//! it. And (in [`views`]) a cluster's ring views as private tables,
+//! before views that agree shared one copy-on-write table.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,6 +32,7 @@ pub mod gossip;
 pub mod hdfs;
 pub mod pending;
 pub mod ring;
+pub mod views;
 
 /// `RingTable::replicas_of` as an index walk: start at the first token
 /// at or after `key` (modulo the map's length, so a key past the last

@@ -1481,6 +1481,142 @@ proptest! {
     }
 }
 
+/// Views in the copy-on-write differential.
+const VIEWS: usize = 4;
+/// Ids the views' writes name: few, so views often reach one state, and
+/// one far apart from the rest.
+const VIEW_IDS: [u32; 6] = [0, 1, 2, 3, 4, 40];
+
+/// A view and its private twin answer alike: canonical bytes, pending
+/// flag, current token map, and the replica sets of keys at, between and
+/// past the tokens.
+fn view_matches_private(
+    view: &RingTable,
+    private: &RingTable,
+    k: usize,
+) -> Result<(), TestCaseError> {
+    let (mut shared_bytes, mut private_bytes) = (Vec::new(), Vec::new());
+    view.write_canonical(&mut shared_bytes);
+    private.write_canonical(&mut private_bytes);
+    prop_assert_eq!(shared_bytes, private_bytes, "view {}: write_canonical", k);
+    prop_assert_eq!(
+        view.has_pending_change(),
+        private.has_pending_change(),
+        "view {}: has_pending_change",
+        k
+    );
+    let map = private.current_token_map();
+    prop_assert_eq!(
+        &*view.current_token_map(),
+        &*map,
+        "view {}: current_token_map",
+        k
+    );
+    let keys = map
+        .iter()
+        .flat_map(|&(t, _)| [t.0, t.0.wrapping_add(1)])
+        .chain([0, u64::MAX]);
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for key in keys {
+        view.replicas_of(Token(key), &mut got);
+        private.replicas_of(Token(key), &mut want);
+        prop_assert_eq!(&got, &want, "view {}: replicas_of({})", k, key);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Differential: K ring views that start as one shared table, each
+    /// written copy-on-write (`Arc::make_mut`) and handed to one
+    /// `ViewStore` after every write, answer as K private tables driven
+    /// through the same writes (`model::views`). The writes interleave
+    /// across views: `add_node`s of present and absent ids, with each
+    /// id's own tokens or tokens that collide, `set_status`es and
+    /// `remove_node`s. After every step each view matches its twin, so a
+    /// write through one view never shows in another; and two views are
+    /// one table exactly when their twins have equal contents, so views
+    /// that reach one state merge.
+    #[test]
+    fn shared_ring_views_match_private_tables(
+        start in 0u32..5,
+        writes in prop::collection::vec(
+            (
+                0usize..VIEWS,
+                0u8..10,
+                0usize..VIEW_IDS.len(),
+                0usize..4,
+                prop::collection::vec(0u64..64, 1..3),
+            ),
+            1..120,
+        ),
+    ) {
+        use model::views::{PrivateViews, ViewWrite};
+        use scalecheck_ring::{spread_tokens, ViewStore};
+        use std::sync::Arc;
+
+        let mut table = RingTable::new(3);
+        for id in 0..start {
+            table
+                .add_node(NodeId(id), NodeStatus::Normal, spread_tokens(NodeId(id), 2))
+                .unwrap();
+        }
+        let mut private = PrivateViews::new(&table, VIEWS);
+        let mut store = ViewStore::new();
+        let mut table = Arc::new(table);
+        store.share(&mut table);
+        let mut views = vec![table; VIEWS];
+        for (k, kind, who, status, tokens) in writes {
+            let node = NodeId(VIEW_IDS[who]);
+            let status = RING_STATUSES[status];
+            let write = match kind {
+                // One add in four draws tokens that may collide.
+                0..=3 => ViewWrite::Add {
+                    node,
+                    status,
+                    tokens: if kind > 0 {
+                        spread_tokens(node, 2)
+                    } else {
+                        tokens.into_iter().map(Token).collect()
+                    },
+                },
+                4..=6 => ViewWrite::SetStatus { node, status },
+                _ => ViewWrite::Remove { node },
+            };
+            let got = write.apply(Arc::make_mut(&mut views[k]));
+            prop_assert_eq!(got, private.apply(k, &write), "{:?} on view {}", write, k);
+            store.share(&mut views[k]);
+            for (k, (view, twin)) in views.iter().zip(&private.views).enumerate() {
+                view_matches_private(view, twin, k)?;
+            }
+            // Contents are judged by the twins' canonical bytes.
+            let contents: Vec<Vec<u8>> = private
+                .views
+                .iter()
+                .map(|twin| {
+                    let mut bytes = Vec::new();
+                    twin.write_canonical(&mut bytes);
+                    bytes
+                })
+                .collect();
+            for a in 0..VIEWS {
+                for b in a + 1..VIEWS {
+                    prop_assert_eq!(
+                        Arc::ptr_eq(&views[a], &views[b]),
+                        contents[a] == contents[b],
+                        "views {} and {}: one table exactly when equal",
+                        a,
+                        b
+                    );
+                }
+            }
+            let distinct: std::collections::BTreeSet<&Vec<u8>> = contents.iter().collect();
+            prop_assert_eq!(store.live_tables(), distinct.len(), "live tables");
+        }
+    }
+}
+
 /// A trace built to crowd the exporter's ordering: timestamps from a
 /// handful of values (one shared by begins, ends, instants and counters
 /// alike), zero-length spans, the engine process, counters on every
