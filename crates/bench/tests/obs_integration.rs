@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use scalecheck::COLO_CORES;
 use scalecheck_bench::{run_sweep, run_triples, Cell};
 use scalecheck_cluster::{run_scenario, RunMode, RunReport, ScenarioConfig};
+use scalecheck_memo::Pil;
 
 fn traced(bug: &str, n: usize, seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::bug(bug, n, seed).expect("known bug id");
@@ -20,7 +21,9 @@ fn sweep(cfg: &ScenarioConfig, modes: &[RunMode], jobs: usize) -> Vec<RunReport>
         .iter()
         .map(|&mode| {
             let cfg = cfg.clone();
-            Cell::new(format!("obs-it {mode:?}"), move || run_scenario(&cfg, mode))
+            Cell::new(format!("obs-it {mode:?}"), move || {
+                run_scenario(&cfg, mode, Pil::Execute)
+            })
         })
         .collect();
     run_sweep(cells, jobs)

@@ -1,8 +1,8 @@
 //! The calculation engine: runs the pending-range computation as the
-//! run's PIL handle ([`Pil`]) says — execute it (Real / Colo), execute
-//! and record it (the memoization run), or replay its recorded output
-//! and duration (PilReplay) — counting ops and converting them to
-//! virtual compute time via the calibration constant.
+//! run's PIL handle ([`Pil`]) says — execute it, execute and record it
+//! (the memoization run), or replay its recorded output and duration —
+//! counting ops and converting them to virtual compute time via the
+//! calibration constant. Where the run computes is not its business.
 //!
 //! On an unchanged ring an invocation costs the host O(change list): the
 //! input digest resumes the hash of the ring's canonical bytes that the

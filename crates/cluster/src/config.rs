@@ -4,12 +4,13 @@
 //! and vnode count, the pending-range calculator version (the bug), how
 //! the calculation is threaded/locked (C5456), the rescale workload, and
 //! the calibration constants that map counted operations to virtual
-//! compute time. How it is deployed — which of the paper's four runs
-//! ([`scalecheck_memo::RunMode`]) — is an argument of the run, not part
-//! of the scenario: the paper's comparison varies only that.
+//! compute time. How it is deployed — where its nodes compute
+//! ([`RunMode`]) and what its PIL-replaced function does (the run's
+//! `scalecheck_memo::Pil` handle) — are arguments of the run, not part
+//! of the scenario: the paper's comparison varies only those.
 
 use scalecheck_net::NetworkConfig;
-use scalecheck_sim::{FaultPlan, SimDuration, TieOrderSpec};
+use scalecheck_sim::{CtxSwitchModel, FaultPlan, RunMode, SimDuration, TieOrderSpec};
 use scalecheck_traffic::{Consistency, TrafficConfig};
 
 /// When the first rescale action (decommission or join) fires, for
@@ -87,6 +88,20 @@ pub enum ContextSwitch {
     /// exact-time collisions (and thus schedule races) far denser —
     /// the explorer's race-prone presets rely on this.
     Free,
+}
+
+impl ContextSwitch {
+    /// The switch cost of `mode`'s machines.
+    pub(crate) fn model(self, mode: RunMode) -> CtxSwitchModel {
+        match (self, mode) {
+            (ContextSwitch::Free, _) => CtxSwitchModel::FREE,
+            (ContextSwitch::GlobalEventQueue, RunMode::Colo { .. }) => CtxSwitchModel {
+                per_excess_load: SimDuration::ZERO,
+                ..CtxSwitchModel::commodity()
+            },
+            _ => CtxSwitchModel::commodity(),
+        }
+    }
 }
 
 /// Rebalance allocation strategy (§6's space-oblivious code).

@@ -12,21 +12,21 @@
 //! * **C6127** — bootstrap-from-scratch exercising the fresh-ring
 //!   quadratic path.
 //!
-//! A scenario runs as one of three single simulations — Real, Colo or
-//! PIL replay ([`RunMode`]) — through [`run_scenario`] (Real / Colo) or
-//! [`run_colocated`], whose PIL handle makes the run basic colocation,
-//! the memoization run (Colo with a recorder) or a PIL replay. Either
-//! yields a [`RunReport`] whose flap counts are the Figure 3
-//! measurements.
+//! A scenario runs through [`run_scenario`], handed two independent
+//! arguments: where its nodes compute ([`RunMode`]: Real or Colo) and
+//! what its PIL-replaced function does (a `scalecheck_memo::Pil` handle:
+//! execute, record — the memoization run — or replay). It yields a
+//! [`RunReport`] whose flap counts are the Figure 3 measurements.
 //!
 //! # Examples
 //!
 //! ```
 //! use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
+//! use scalecheck_memo::Pil;
 //!
 //! // A small healthy cluster decommissioning one node: no flapping.
 //! let cfg = ScenarioConfig::baseline(8, 42);
-//! let report = run_scenario(&cfg, RunMode::Real);
+//! let report = run_scenario(&cfg, RunMode::Real, Pil::Execute);
 //! assert_eq!(report.total_flaps, 0);
 //! assert!(report.quiesced);
 //! ```
@@ -49,9 +49,8 @@ pub use config::{
 pub use node::{Envelope, GossipMessage, Node, Task};
 pub use report::RunReport;
 pub use ringinfo::{addr_of, node_of, peer_of, RingInfo};
-pub use runner::{run_colocated, run_scenario};
-pub use scalecheck_memo::RunMode;
-pub use scalecheck_sim::{FaultEvent, FaultPlan, FaultReport, FiredFault};
+pub use runner::run_scenario;
+pub use scalecheck_sim::{FaultEvent, FaultPlan, FaultReport, FiredFault, RunMode};
 pub use scalecheck_traffic::{
     ArrivalConfig, ArrivalProcess, Consistency, SloSummary, SloTarget, TrafficConfig, TrafficReport,
 };

@@ -13,7 +13,7 @@ use scalecheck_gossip::{
 use scalecheck_memo::Hasher128;
 use scalecheck_obs::{Metric, TID_CALC, TID_GOSSIP};
 use scalecheck_ring::{NodeId, NodeStatus, RingTable};
-use scalecheck_sim::{cpu::MachineId, DetRng, SimDuration, SimTime, Stage, TimerId};
+use scalecheck_sim::{DetRng, SimDuration, SimTime, Stage, TimerId};
 
 use crate::ringinfo::{node_of, peer_of, RingInfo};
 
@@ -119,8 +119,6 @@ pub enum Lifecycle {
 pub struct Node {
     /// Node id (shared across ring / gossip / network id spaces).
     pub id: NodeId,
-    /// Machine this node's compute runs on.
-    pub machine: MachineId,
     /// Per-node deterministic RNG (gossip target selection).
     pub rng: DetRng,
     /// Gossip component.
@@ -186,7 +184,6 @@ impl Node {
     /// seeds the gossiper and hands the node its view afterwards.
     pub fn new(
         id: NodeId,
-        machine: MachineId,
         rng: DetRng,
         info: RingInfo,
         rf: usize,
@@ -195,7 +192,6 @@ impl Node {
     ) -> Self {
         Node {
             id,
-            machine,
             rng,
             gossiper: Gossiper::new(peer_of(id), 1, info),
             fd: FailureDetector::new(phi_threshold, gossip_interval),
@@ -533,7 +529,6 @@ mod tests {
     fn node(id: u32) -> Node {
         let mut n = Node::new(
             NodeId(id),
-            MachineId(0),
             DetRng::new(1).fork(id as u64),
             RingInfo::normal(spread_tokens(NodeId(id), 2)),
             3,

@@ -1,19 +1,20 @@
 //! Event orchestration: builds the cluster, drives it to quiescence,
 //! and reports.
 //!
-//! The run realizes the paper's execution semantics:
+//! A run takes two independent arguments, as the paper's Figures 1–2
+//! do. Its [`RunMode`] says where compute runs:
 //!
 //! * **Real**: every node owns a dedicated machine — compute never
 //!   contends across nodes (Figure 1a).
 //! * **Colo**: every node's compute is submitted to one shared machine —
 //!   queueing and context switching delay everything (Figure 1b).
-//! * **PilReplay**: like Colo, but the pending-range calculation (the
-//!   PIL-replaced function) *sleeps* its duration instead of occupying a
-//!   core (Figure 1c).
 //!
-//! The memoization run (Figure 2 step d) is a Colo run whose PIL handle
-//! records every calculation and the per-node message order
-//! ([`Pil::Record`]); nothing the simulation reads depends on it.
+//! Its [`Pil`] handle says what the pending-range calculation (the
+//! PIL-replaced function) does: execute; execute and record every
+//! calculation and the per-node message order (the memoization run,
+//! Figure 2 step d; nothing the simulation reads depends on it); or
+//! replay, *sleeping* the recorded duration instead of occupying a core
+//! (Figure 1c).
 //!
 //! The bug mechanism is modelled faithfully to Cassandra's architecture:
 //! in [`LockingMode::InlineOnGossipStage`], applying a gossip message
@@ -40,20 +41,19 @@
 use std::sync::Arc;
 
 use scalecheck_gossip::{AckSpace, ApplyOutcome, Liveness};
-use scalecheck_memo::{OrderDecision, Pil, RunMode};
+use scalecheck_memo::{OrderDecision, Pil};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
 use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, RingTable, Token, ViewStore};
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{
-    Ctx, CtxSwitchModel, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault, HandlerId,
-    Machine, MachinePark, MemoryModel, ScheduleProbe, SchedulerKind, SimDuration, SimTime,
-    TimeSeries, TimerId,
+    Ctx, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault, HandlerId, MachinePark,
+    MemoryModel, RunMode, ScheduleProbe, SchedulerKind, SimDuration, SimTime, TimeSeries, TimerId,
 };
 
 use crate::calc::{CalcEngine, PendingWire};
 use crate::config::{
-    AllocStrategy, ContextSwitch, LockingMode, ScenarioConfig, Workload, BYTES_PER_RING_ENTRY,
+    AllocStrategy, LockingMode, ScenarioConfig, Workload, BYTES_PER_RING_ENTRY,
     PER_PROCESS_OVERHEAD,
 };
 use crate::node::{Envelope, GossipMessage, Lifecycle, Node, StageKind, Task};
@@ -64,7 +64,7 @@ use crate::ringinfo::{addr_of, peer_of, RingInfo};
 struct ClusterState<'a> {
     /// Scenario configuration.
     cfg: ScenarioConfig,
-    /// Which of the three single simulations this is.
+    /// Where the nodes compute.
     mode: RunMode,
     /// All nodes (initial members first, then scale-out joiners).
     nodes: Vec<Node>,
@@ -78,15 +78,14 @@ struct ClusterState<'a> {
     outcome: ApplyOutcome,
     /// The simulated network.
     net: Network,
-    /// Machines (one per node in Real, a single shared one otherwise).
+    /// The mode's machines ([`RunMode::park`]).
     park: MachinePark,
-    /// PilReplay only: the *emulated* real-scale park (one two-core
-    /// machine per node, Real's context-switch model) that coupled
-    /// request service bills instead of the colocated `park`. The
+    /// A replay only: the *emulated* real-scale park (`RunMode::Real`'s)
+    /// that coupled request service bills instead of `park`. The
     /// processing illusion promises real-scale timing, and for the
     /// datapath that means real-scale *queueing* — per-node service
     /// contention included — not an uncontended sleep. Empty in every
-    /// other deployment mode.
+    /// other run.
     pil_request_park: MachinePark,
     /// Memory budget per machine.
     machine_mem: Vec<MemoryModel>,
@@ -109,8 +108,8 @@ struct ClusterState<'a> {
     /// then `TID_REQUEST`) and billed by *work kind* (C3831 runs calc
     /// work on the gossip stage; attribution needs the kind, not the
     /// host stage). PIL-replaced calc sleeps bill nothing — they do
-    /// not occupy a core. Request service bills in every mode; under
-    /// PilReplay it lands on the emulated real-scale park
+    /// not occupy a core. Request service bills in every run; in a
+    /// replay it lands on the emulated real-scale park
     /// (`pil_request_park`), so the slot reads as the real-scale
     /// prediction rather than colocated contention.
     work_busy: Vec<[u64; 3]>,
@@ -385,48 +384,14 @@ fn build<'a>(
     });
 
     let total = cfg.total_nodes();
-    let mut park = MachinePark::new();
-    let mut machine_mem = Vec::new();
-    // Real hardware — and the real-scale park PIL emulates below.
-    let real_cs = if cfg.context_switch == ContextSwitch::Free {
-        CtxSwitchModel::FREE
+    let park_of = |mode: RunMode| mode.park(total, cfg.context_switch.model(mode));
+    let park = park_of(mode);
+    let machine_mem = vec![MemoryModel::new(cfg.memory.machine_capacity); park.len()];
+    let pil_request_park = if pil.sleeps() {
+        park_of(RunMode::Real)
     } else {
-        CtxSwitchModel::commodity()
+        MachinePark::default()
     };
-    match mode.colo_cores() {
-        None => {
-            for _ in 0..total {
-                park.add(Machine::new(2, real_cs));
-                machine_mem.push(MemoryModel::new(cfg.memory.machine_capacity));
-            }
-        }
-        Some(cores) => {
-            // §6: per-node daemon threads amplify context switching with
-            // the multiprogramming level; the global-event-queue redesign
-            // pays only the fixed dispatch cost.
-            let cs = if cfg.context_switch == ContextSwitch::GlobalEventQueue {
-                CtxSwitchModel {
-                    base: SimDuration::from_micros(5),
-                    per_excess_load: SimDuration::ZERO,
-                }
-            } else {
-                real_cs
-            };
-            park.add(Machine::new(cores.max(1), cs));
-            machine_mem.push(MemoryModel::new(cfg.memory.machine_capacity));
-        }
-    }
-
-    // PIL bills coupled request service on an emulated real-scale park —
-    // the exact hardware shape the `Real` arm above builds — so the
-    // datapath sees real deployment's per-node service queueing instead
-    // of either the colocated contention or an uncontended sleep.
-    let mut pil_request_park = MachinePark::new();
-    if matches!(mode, RunMode::PilReplay { .. }) {
-        for _ in 0..total {
-            pil_request_park.add(Machine::new(2, real_cs));
-        }
-    }
 
     let bootstrap = matches!(cfg.workload, Workload::BootstrapFromScratch);
     let initial_status = if bootstrap {
@@ -439,10 +404,6 @@ fn build<'a>(
     let mut nodes = Vec::with_capacity(total);
     for i in 0..total {
         let id = NodeId(i as u32);
-        let machine = match mode {
-            RunMode::Real => scalecheck_sim::cpu::MachineId(i),
-            _ => scalecheck_sim::cpu::MachineId(0),
-        };
         let tokens = spread_tokens(id, cfg.vnodes);
         let info = RingInfo {
             status: if i < cfg.n_nodes {
@@ -454,7 +415,6 @@ fn build<'a>(
         };
         nodes.push(Node::new(
             id,
-            machine,
             root_rng.fork(1000 + i as u64),
             info,
             cfg.rf,
@@ -628,8 +588,7 @@ const FAULT_SETTLE: SimDuration = SimDuration::from_secs(45);
 
 fn activate(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, info: RingInfo) {
     // Memory admission: runtime overhead plus the node's ring table.
-    let machine = st.nodes[i].machine.0;
-    let mem = &mut st.machine_mem[machine];
+    let mem = &mut st.machine_mem[st.mode.machine_of(i).0];
     // Runtime and ring bytes are never freed and a failed allocation
     // records nothing, so a machine holding no bytes has not paid the
     // runtime yet.
@@ -771,7 +730,7 @@ fn lock_granted(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: Stage
 }
 
 /// Submits compute of `demand` for node `i`, returning its completion
-/// time. In PIL mode, PIL-replaced work (`pil_replaced = true`) sleeps
+/// time. In a replay, PIL-replaced work (`pil_replaced = true`) sleeps
 /// instead of occupying a core.
 ///
 /// `work` is the *kind* of work, not the stage hosting it: C3831 runs
@@ -786,12 +745,11 @@ fn compute(
     work: StageKind,
     pil_replaced: bool,
 ) -> SimTime {
-    let pil_mode = matches!(st.mode, RunMode::PilReplay { .. });
-    if pil_mode && pil_replaced {
+    if pil_replaced && st.pil.sleeps() {
         now + demand
     } else {
         st.work_busy[i][work as usize] += demand.as_nanos();
-        let machine = st.nodes[i].machine;
+        let machine = st.mode.machine_of(i);
         st.park.get_mut(machine).submit(now, demand).finish
     }
 }
@@ -865,8 +823,7 @@ fn begin_calc_compute(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage:
     }
     let done_at = compute(st, now, i, duration, StageKind::Calc, true);
     if scalecheck_obs::enabled() {
-        let pil_mode = matches!(st.mode, RunMode::PilReplay { .. });
-        let name = if pil_mode {
+        let name = if st.pil.sleeps() {
             SpanName::CalcPilSleep
         } else {
             SpanName::CalcRecalculate
@@ -1059,7 +1016,7 @@ fn apply_pending(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, has_pending
     let Some(strategy) = st.cfg.memory.rebalance_alloc else {
         return;
     };
-    let machine = st.nodes[i].machine.0;
+    let machine = st.mode.machine_of(i).0;
     let per_service = (13 << 20) / 10; // 1.3 MB
     let n = st.cfg.total_nodes() as u64;
     let p = st.cfg.vnodes as u64;
@@ -1209,14 +1166,13 @@ struct LiveFabric<'a> {
     net: &'a mut Network,
     park: &'a mut MachinePark,
     work_busy: &'a mut [[u64; 3]],
-    /// PIL mode: `park` is the emulated real-scale request park (one
-    /// machine per node) rather than the colocated one, and machine
-    /// lookup is by node index instead of the node's (shared) machine
-    /// id. The processing illusion promises real-scale timing on
-    /// colocated hardware — including real-scale per-node service
-    /// queueing — without charging the emulated cluster's load to
-    /// cores it is pretending to have more of.
-    pil: bool,
+    /// The deployment whose machines `park` holds: the run's own, or in
+    /// a replay `RunMode::Real` (the emulated real-scale request park).
+    /// The processing illusion promises real-scale timing on colocated
+    /// hardware — including real-scale per-node service queueing —
+    /// without charging the emulated cluster's load to cores it is
+    /// pretending to have more of.
+    mode: RunMode,
     scratch: Vec<NodeId>,
 }
 
@@ -1250,18 +1206,14 @@ impl scalecheck_traffic::ClusterFabric for LiveFabric<'_> {
     }
 
     fn bill_service(&mut self, node: u32, at: SimTime, demand: SimDuration) -> SimTime {
-        // Request service is real work in every deployment mode; under
-        // PIL it bills the emulated real-scale park (`self.park` is
-        // already swapped, machines indexed by node). The machine's
-        // core allocator is monotone in submission order, so billing at
-        // a future `at` (mid-request-lifecycle) is well-defined.
+        // Request service is real work in every run; in a replay it
+        // bills the emulated real-scale park (`self.park` and
+        // `self.mode` are already swapped). The machine's core
+        // allocator is monotone in submission order, so billing at a
+        // future `at` (mid-request-lifecycle) is well-defined.
         let i = node as usize;
         self.work_busy[i][TID_REQUEST as usize] += demand.as_nanos();
-        let machine = if self.pil {
-            scalecheck_sim::cpu::MachineId(i)
-        } else {
-            self.nodes[i].machine
-        };
+        let machine = self.mode.machine_of(i);
         self.park.get_mut(machine).submit(at, demand).finish
     }
 
@@ -1291,23 +1243,29 @@ fn traffic_tick(st: &mut ClusterState, ctx: &mut Ctx<'_>) {
     } else {
         scalecheck_traffic::Phase::Post
     };
-    let pil = matches!(st.mode, RunMode::PilReplay { .. });
     {
         let ClusterState {
             nodes,
             net,
+            mode,
             park,
             pil_request_park,
             work_busy,
             traffic,
+            pil,
             ..
         } = st;
+        let (park, mode) = if pil.sleeps() {
+            (pil_request_park, RunMode::Real)
+        } else {
+            (park, *mode)
+        };
         let mut fabric = LiveFabric {
             nodes,
             net,
-            park: if pil { pil_request_park } else { park },
+            park,
             work_busy,
-            pil,
+            mode,
             scratch: Vec::new(),
         };
         traffic.tick(now, phase, &mut fabric);
@@ -1472,7 +1430,7 @@ fn stop_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, cause: StopCaus
             }
         }
         StopCause::OutOfMemory => {
-            let machine = node.machine.0;
+            let machine = st.mode.machine_of(i).0;
             st.machine_mem[machine].free(std::mem::take(&mut node.rebalance_bytes));
             st.crashed += 1;
             // A node that dies of OOM as it starts never ran: its track
@@ -1526,29 +1484,12 @@ fn restart_node(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize) {
 // The run loop.
 // ---------------------------------------------------------------------
 
-/// Runs a scenario with every PIL-replaced function executing, `Real` or
-/// `Colo`, to quiescence (or the hard cap) and reports. Panics on
-/// `PilReplay`: a replay needs a recording ([`run_colocated`]).
-pub fn run_scenario(cfg: &ScenarioConfig, mode: RunMode) -> RunReport {
-    assert!(
-        !matches!(mode, RunMode::PilReplay { .. }),
-        "a PIL replay needs a recording: run_colocated(cfg, cores, Pil::Replay(..))"
-    );
-    run(cfg, mode, Pil::Execute)
-}
-
-/// Runs a scenario colocated on `cores` cores, `pil` deciding the PIL
-/// side: `Execute` is basic colocation, `Record` the memoization run
-/// (basic colocation with a recorder), `Replay` the PIL replay.
-pub fn run_colocated(cfg: &ScenarioConfig, cores: usize, pil: Pil<'_, PendingWire>) -> RunReport {
-    let mode = match pil {
-        Pil::Replay(_) => RunMode::PilReplay { cores },
-        Pil::Execute | Pil::Record(..) => RunMode::Colo { cores },
-    };
-    run(cfg, mode, pil)
-}
-
-fn run(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunReport {
+/// Runs a scenario with its nodes computing as `mode` says and its
+/// PIL-replaced function doing as `pil` says, to quiescence (or the hard
+/// cap), and reports. `Pil::Execute` is Real or basic colocation,
+/// `Pil::Record` the memoization run, `Pil::Replay` the PIL replay; any
+/// pair is a run.
+pub fn run_scenario(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWire>) -> RunReport {
     let (mut engine, state) = simulate(cfg, mode, pil);
     let ended = engine.now();
     let tracer = scalecheck_obs::take();

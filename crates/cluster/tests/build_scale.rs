@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
+use scalecheck_memo::Pil;
 use scalecheck_sim::SimDuration;
 
 #[test]
@@ -23,7 +24,7 @@ fn a_2048_node_cell_builds_in_seconds_not_minutes() {
     cfg.memory.single_process = true;
     cfg.max_duration = SimDuration::from_secs(1);
     let t0 = Instant::now();
-    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 }, Pil::Execute);
     let wall = t0.elapsed().as_secs_f64();
     assert!(r.engine.fired > 0, "the cell ran no events");
     assert!(

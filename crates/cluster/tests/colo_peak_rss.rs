@@ -26,6 +26,7 @@
 
 use scalecheck_cluster::config::RESCALE_FIRST_ACTION;
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig, Workload};
+use scalecheck_memo::Pil;
 use scalecheck_sim::SimDuration;
 
 const BUDGET_MIB: f64 = 28.0;
@@ -48,7 +49,7 @@ fn c3831_colo_leg_peaks_under_budget() {
     let gap = SimDuration::from_secs(140);
     cfg.workload = Workload::Decommission { count: 1, gap };
     cfg.workload_end = RESCALE_FIRST_ACTION + gap;
-    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 }, Pil::Execute);
     let peak = vm_hwm_mib();
     eprintln!("c3831@160 Colo leg: VmHWM {peak:.1} MiB");
     assert!(r.total_flaps > 0, "the cell had no flap storm");

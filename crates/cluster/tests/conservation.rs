@@ -6,12 +6,13 @@
 //! nothing in flight, so its report shows the discards exactly.
 
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
+use scalecheck_memo::Pil;
 use scalecheck_sim::{FaultPlan, SimTime};
 
 /// Runs `cfg` at real scale and returns the messages the network
 /// accepted that were not delivered (the discards, once quiesced).
 fn undelivered(name: &str, cfg: &ScenarioConfig) -> (u64, scalecheck_cluster::RunReport) {
-    let r = run_scenario(cfg, RunMode::Real);
+    let r = run_scenario(cfg, RunMode::Real, Pil::Execute);
     assert!(
         r.quiesced,
         "{name}: must quiesce, leaving nothing in flight"

@@ -6,8 +6,7 @@
 //! same mechanisms fire at N≈24–32 in seconds.
 
 use scalecheck_cluster::{
-    run_colocated, run_scenario, CalcVersion, ContextSwitch, LockingMode, RunMode, ScenarioConfig,
-    Workload,
+    run_scenario, CalcVersion, ContextSwitch, LockingMode, RunMode, ScenarioConfig, Workload,
 };
 use scalecheck_memo::{MemoDb, OrderRecorder, Pil, Replay};
 use scalecheck_net::{LatencyModel, NetworkConfig};
@@ -41,11 +40,11 @@ fn mini_lock_bug(seed: u64) -> ScenarioConfig {
 
 #[test]
 fn inline_bug_flaps_and_v3_fix_does_not() {
-    let buggy = run_scenario(&mini_inline_bug(1), RunMode::Real);
+    let buggy = run_scenario(&mini_inline_bug(1), RunMode::Real, Pil::Execute);
     assert!(buggy.total_flaps > 100, "flaps: {}", buggy.total_flaps);
     let mut fixed = mini_inline_bug(1);
     fixed.calculator = CalcVersion::V3VnodeAware;
-    let ok = run_scenario(&fixed, RunMode::Real);
+    let ok = run_scenario(&fixed, RunMode::Real, Pil::Execute);
     assert_eq!(ok.total_flaps, 0);
 }
 
@@ -53,7 +52,7 @@ fn inline_bug_flaps_and_v3_fix_does_not() {
 fn coarse_lock_starves_and_snapshot_fix_does_not() {
     // The C5456 pair: same workload, same calculator cost; only the
     // locking discipline changes.
-    let coarse = run_scenario(&mini_lock_bug(2), RunMode::Real);
+    let coarse = run_scenario(&mini_lock_bug(2), RunMode::Real, Pil::Execute);
     assert!(
         coarse.total_flaps > 50,
         "coarse lock must starve gossip: {} flaps",
@@ -61,7 +60,7 @@ fn coarse_lock_starves_and_snapshot_fix_does_not() {
     );
     let mut fixed = mini_lock_bug(2);
     fixed.locking = LockingMode::SnapshotThread;
-    let snap = run_scenario(&fixed, RunMode::Real);
+    let snap = run_scenario(&fixed, RunMode::Real, Pil::Execute);
     assert!(
         snap.total_flaps * 10 <= coarse.total_flaps,
         "snapshotting must (mostly) eliminate the starvation: {} vs {}",
@@ -76,7 +75,7 @@ fn bootstrap_from_scratch_exercises_fresh_ring_path() {
     cfg.rescale_window = SimDuration::from_secs(45);
     cfg.workload_end = SimDuration::from_secs(100);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg, RunMode::Real);
+    let r = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     assert!(r.quiesced);
     assert!(r.calc.invocations > 0);
     // A fresh 16-node bootstrap is healthy (the bug needs 500+ nodes).
@@ -95,7 +94,7 @@ fn decommissioned_nodes_depart_cleanly_without_convictions() {
     cfg.rescale_window = SimDuration::from_secs(30);
     cfg.workload_end = SimDuration::from_secs(220);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg, RunMode::Real);
+    let r = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     assert!(r.quiesced);
     assert_eq!(
         r.total_flaps, 0,
@@ -113,7 +112,7 @@ fn scale_out_joins_converge() {
     cfg.rescale_window = SimDuration::from_secs(30);
     cfg.workload_end = SimDuration::from_secs(180);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg, RunMode::Real);
+    let r = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     assert!(r.quiesced);
     assert_eq!(r.total_flaps, 0);
     // The joiners triggered pending-range calculations cluster-wide.
@@ -134,7 +133,7 @@ fn message_loss_does_not_wedge_the_cluster() {
     cfg.rescale_window = SimDuration::from_secs(30);
     cfg.workload_end = SimDuration::from_secs(120);
     cfg.max_duration = SimDuration::from_secs(900);
-    let r = run_scenario(&cfg, RunMode::Real);
+    let r = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     assert!(r.quiesced, "gossip is loss-tolerant; the run must settle");
     assert!(r.messages_dropped > 0, "loss must actually occur");
     // Anti-entropy keeps the cluster mostly stable even at 20% loss.
@@ -143,14 +142,22 @@ fn message_loss_does_not_wedge_the_cluster() {
 
 #[test]
 fn pil_replay_mode_uses_no_cpu_for_calcs() {
-    // In PIL mode the big computations sleep: CPU utilization of the
+    // In a PIL replay the big computations sleep: CPU utilization of the
     // shared box stays low even while the mini bug rages.
     let cfg = mini_inline_bug(7);
     // The memoization run is a Colo run; feed the database it recorded
     // into a replay (no order log: nothing to enforce).
     let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
-    let colo = run_colocated(&cfg, 4, Pil::Record(&mut db, &mut order));
-    let pil = run_colocated(&cfg, 4, Pil::Replay(Replay::new(&db, None)));
+    let colo = run_scenario(
+        &cfg,
+        RunMode::Colo { cores: 4 },
+        Pil::Record(&mut db, &mut order),
+    );
+    let pil = run_scenario(
+        &cfg,
+        RunMode::Colo { cores: 4 },
+        Pil::Replay(Replay::new(&db, None)),
+    );
     assert!(
         pil.cpu_utilization < colo.cpu_utilization / 2.0,
         "PIL {} vs Colo {}",
@@ -167,7 +174,7 @@ fn flapping_causes_user_visible_unavailability() {
     // cost) must surface as failed quorums.
     let mut storm = mini_inline_bug(1);
     storm.ns_per_op = 500_000;
-    let buggy = run_scenario(&storm, RunMode::Real);
+    let buggy = run_scenario(&storm, RunMode::Real, Pil::Execute);
     assert!(buggy.total_flaps > 100);
     assert!(buggy.traffic.attempted > 100);
     assert!(
@@ -178,15 +185,15 @@ fn flapping_causes_user_visible_unavailability() {
     // The fixed cluster serves everything.
     let mut fixed = storm.clone();
     fixed.calculator = CalcVersion::V3VnodeAware;
-    let ok = run_scenario(&fixed, RunMode::Real);
+    let ok = run_scenario(&fixed, RunMode::Real, Pil::Execute);
     assert_eq!(ok.unavailability(), 0.0);
 }
 
 #[test]
 fn real_mode_gives_every_node_its_own_machine() {
     let cfg = ScenarioConfig::baseline(8, 8);
-    let real = run_scenario(&cfg, RunMode::Real);
-    let colo = run_scenario(&cfg, RunMode::Colo { cores: 2 });
+    let real = run_scenario(&cfg, RunMode::Real, Pil::Execute);
+    let colo = run_scenario(&cfg, RunMode::Colo { cores: 2 }, Pil::Execute);
     // Both healthy, but the shared 2-core box works much harder.
     assert_eq!(real.total_flaps, 0);
     assert_eq!(colo.total_flaps, 0);
@@ -204,10 +211,10 @@ fn one_event_queue_reduces_contention_penalty() {
         count: 1,
         gap: SimDuration::from_secs(60),
     };
-    let threads = run_scenario(&cfg, RunMode::Colo { cores: 4 });
+    let threads = run_scenario(&cfg, RunMode::Colo { cores: 4 }, Pil::Execute);
     let mut redesigned = cfg.clone();
     redesigned.context_switch = ContextSwitch::GlobalEventQueue;
-    let global = run_scenario(&redesigned, RunMode::Colo { cores: 4 });
+    let global = run_scenario(&redesigned, RunMode::Colo { cores: 4 }, Pil::Execute);
     assert!(
         global.duration <= threads.duration,
         "global queue must not be slower: {} vs {}",

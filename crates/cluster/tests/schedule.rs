@@ -3,6 +3,7 @@
 //! deterministic, and identity specs leave the run byte-identical.
 
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
+use scalecheck_memo::Pil;
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{TieOrderSpec, TieSwap};
 
@@ -14,7 +15,7 @@ fn probe_cfg(seed: u64) -> ScenarioConfig {
 
 #[test]
 fn recorded_probe_has_tie_batches_and_kinds() {
-    let report = run_scenario(&probe_cfg(1), RunMode::Real);
+    let report = run_scenario(&probe_cfg(1), RunMode::Real, Pil::Execute);
     let probe = report.schedule_probe.expect("probe recorded");
     assert!(!probe.fires.is_empty(), "fires recorded");
     let groups = probe.tie_groups();
@@ -66,16 +67,16 @@ fn recorded_probe_has_tie_batches_and_kinds() {
 
 #[test]
 fn probe_absent_unless_requested() {
-    let report = run_scenario(&ScenarioConfig::baseline(8, 1), RunMode::Real);
+    let report = run_scenario(&ScenarioConfig::baseline(8, 1), RunMode::Real, Pil::Execute);
     assert!(report.schedule_probe.is_none());
 }
 
 #[test]
 fn identity_tie_order_is_byte_identical_to_stock() {
-    let stock = run_scenario(&probe_cfg(1), RunMode::Real);
+    let stock = run_scenario(&probe_cfg(1), RunMode::Real, Pil::Execute);
     let mut cfg = probe_cfg(1);
     cfg.tie_order = TieOrderSpec::identity();
-    let ident = run_scenario(&cfg, RunMode::Real);
+    let ident = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     assert_eq!(
         stock.schedule_probe, ident.schedule_probe,
         "identity spec must not move a single event"
@@ -89,7 +90,7 @@ fn identity_tie_order_is_byte_identical_to_stock() {
     let mut cfg = probe_cfg(1);
     cfg.tie_order = TieOrderSpec::with_swaps(vec![TieSwap { seq: 1, shift: 0 }]);
     assert!(!cfg.tie_order.is_identity());
-    let zero = run_scenario(&cfg, RunMode::Real);
+    let zero = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     assert_eq!(
         stock.schedule_probe, zero.schedule_probe,
         "zero-shift policy path must not move a single event"
@@ -102,8 +103,8 @@ fn identity_tie_order_is_byte_identical_to_stock() {
 fn perturbed_runs_are_deterministic_per_spec() {
     let mut cfg = probe_cfg(3);
     cfg.tie_order = TieOrderSpec::shuffled(17);
-    let a = run_scenario(&cfg, RunMode::Real);
-    let b = run_scenario(&cfg, RunMode::Real);
+    let a = run_scenario(&cfg, RunMode::Real, Pil::Execute);
+    let b = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     assert_eq!(a.schedule_probe, b.schedule_probe);
     assert_eq!(a.total_flaps, b.total_flaps);
     assert_eq!(a.duration, b.duration);
@@ -113,7 +114,7 @@ fn perturbed_runs_are_deterministic_per_spec() {
 fn a_targeted_swap_reorders_a_real_tie_batch() {
     // Find a tie batch in the stock schedule, swap its first two
     // members, and check the perturbed schedule fires them reversed.
-    let stock = run_scenario(&probe_cfg(1), RunMode::Real);
+    let stock = run_scenario(&probe_cfg(1), RunMode::Real, Pil::Execute);
     let stock_probe = stock.schedule_probe.expect("probe");
     let groups = stock_probe.tie_groups();
     let g = groups.first().expect("at least one tie batch");
@@ -124,7 +125,7 @@ fn a_targeted_swap_reorders_a_real_tie_batch() {
         seq: a.min(b),
         shift: 1,
     }]);
-    let swapped = run_scenario(&cfg, RunMode::Real);
+    let swapped = run_scenario(&cfg, RunMode::Real, Pil::Execute);
     let probe = swapped.schedule_probe.expect("probe");
     let at = g[0].at;
     let batch: Vec<u64> = probe

@@ -31,6 +31,7 @@
 //! second test would share it.
 
 use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig};
+use scalecheck_memo::Pil;
 use scalecheck_sim::SimDuration;
 
 const BUDGET_MIB: f64 = 40.0;
@@ -53,7 +54,7 @@ fn baseline_512_colo_cell_peaks_under_budget() {
     let mut cfg = ScenarioConfig::baseline(512, 1);
     cfg.memory.single_process = true;
     cfg.max_duration = SimDuration::from_secs(150);
-    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 }, Pil::Execute);
     let peak = vm_hwm_mib();
     eprintln!("baseline(512) Colo, 150 s: VmHWM {peak:.1} MiB");
     assert_eq!(r.total_flaps, 0, "the steady-state cell flapped");

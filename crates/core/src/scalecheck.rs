@@ -17,12 +17,10 @@
 //!   one of them on its own.
 //!
 //! The scenario never carries its deployment: each call hands the runner
-//! its [`RunMode`] or PIL handle ([`Pil`]), so one [`ScenarioConfig`]
-//! serves all of them unchanged.
+//! where its nodes compute ([`RunMode`]) and its PIL handle ([`Pil`]),
+//! so one [`ScenarioConfig`] serves all of them unchanged.
 
-use scalecheck_cluster::{
-    run_colocated, run_scenario, PendingWire, RunMode, RunReport, ScenarioConfig,
-};
+use scalecheck_cluster::{run_scenario, PendingWire, RunMode, RunReport, ScenarioConfig};
 use scalecheck_memo::{MemoDb, OrderRecorder, Pil, Replay};
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +88,7 @@ impl Triple {
 
 /// The three deployments the paper compares one scenario under — the
 /// columns of a [`Triple`], in order. Not a [`RunMode`], which names
-/// what one simulation does: SC+PIL is two simulations (memoize — Colo
+/// only where one simulation computes: SC+PIL is two simulations (memoize — Colo
 /// with a recorder — then replay), and a comparison that wants Colo
 /// beside it takes Colo from the memoization run ([`Triple::run`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,19 +163,23 @@ impl Deployment {
 
 /// Runs the scenario at real scale (every node on its own machine).
 pub fn run_real(cfg: &ScenarioConfig) -> RunReport {
-    run_scenario(cfg, RunMode::Real)
+    run_scenario(cfg, RunMode::Real, Pil::Execute)
 }
 
 /// Runs the scenario under basic colocation on `cores` cores.
 pub fn run_colo(cfg: &ScenarioConfig, cores: usize) -> RunReport {
-    run_colocated(cfg, cores, Pil::Execute)
+    run_scenario(cfg, RunMode::Colo { cores }, Pil::Execute)
 }
 
 /// The one-time memoization run: basic colocation with input/output/
 /// duration recording and order logging.
 pub fn memoize(cfg: &ScenarioConfig, cores: usize) -> MemoArtifacts {
     let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
-    let report = run_colocated(cfg, cores, Pil::Record(&mut db, &mut order));
+    let report = run_scenario(
+        cfg,
+        RunMode::Colo { cores },
+        Pil::Record(&mut db, &mut order),
+    );
     MemoArtifacts { db, order, report }
 }
 
@@ -191,7 +193,11 @@ pub fn memoize(cfg: &ScenarioConfig, cores: usize) -> MemoArtifacts {
 /// is left off by default; it is implemented and measurable — see
 /// [`replay_ordered`] and the fix-ablation experiment.
 pub fn replay(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
-    run_colocated(cfg, cores, Pil::Replay(Replay::new(&memo.db, None)))
+    run_scenario(
+        cfg,
+        RunMode::Colo { cores },
+        Pil::Replay(Replay::new(&memo.db, None)),
+    )
 }
 
 /// A PIL-infused replay that also enforces the recorded per-node
@@ -199,7 +205,7 @@ pub fn replay(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunRe
 /// hold timeout bounding divergence damage.
 pub fn replay_ordered(cfg: &ScenarioConfig, cores: usize, memo: &MemoArtifacts) -> RunReport {
     let replay = Replay::new(&memo.db, Some(&memo.order));
-    run_colocated(cfg, cores, Pil::Replay(replay))
+    run_scenario(cfg, RunMode::Colo { cores }, Pil::Replay(replay))
 }
 
 /// The full SC+PIL pipeline: memoize once, replay once.

@@ -10,18 +10,19 @@
 //! the paper's §7 goal of integrating scale check with systems beyond
 //! Cassandra.
 //!
-//! The same simulations ([`RunMode`]) and PIL handle ([`Pil`]) apply:
-//! execute, record (memoize), and PIL replay (report processing replaced
-//! by `sleep(recorded duration)` with the recorded output — the
-//! block-map size — copied from the database and verified at the end).
-//! Executing a report bills [`Master::report_ops`] at `ns_per_op` per op.
+//! A run takes the same two arguments as the Cassandra runner: where the
+//! master computes ([`RunMode`]) and what report processing does (its
+//! [`Pil`] handle): execute, record (memoize), or PIL replay (processing
+//! replaced by `sleep(recorded duration)` with the recorded output — the
+//! block count — copied from the database and checked against the live
+//! one). Executing a report bills [`Master::report_ops`] at `ns_per_op`
+//! per op.
 
-use scalecheck_memo::{
-    Digest128, FnId, Hasher128, MemoDb, MemoStats, OrderRecorder, Pil, Replay, RunMode,
-};
+use scalecheck_memo::{Digest128, FnId, Hasher128, MemoDb, MemoStats, OrderRecorder, Pil, Replay};
 use scalecheck_net::{LatencyModel, Network, NetworkConfig};
 use scalecheck_sim::{
-    Ctx, CtxSwitchModel, Engine, HandlerId, Machine, MachinePark, SimDuration, SimTime, Stage,
+    cpu::MachineId, Ctx, CtxSwitchModel, Engine, HandlerId, MachinePark, RunMode, SimDuration,
+    SimTime, Stage,
 };
 use serde::Serialize;
 
@@ -98,9 +99,10 @@ pub struct HdfsReport {
     /// RPCs rejected by the full call queue (dropped heartbeats and
     /// reports).
     pub dropped_rpcs: u64,
-    /// Blocks tracked at run end (replay verification input).
+    /// Blocks tracked at run end.
     pub final_block_count: usize,
-    /// Replay verification: recorded vs replayed block counts diverged.
+    /// Replay verification: reports whose copied output differed from
+    /// the live block count.
     pub output_mismatches: u64,
     /// Memo statistics.
     pub memo: MemoStats,
@@ -144,12 +146,11 @@ impl Ev {
 
 struct HdfsState<'a> {
     cfg: HdfsConfig,
-    mode: RunMode,
     master: Master,
     /// Queued block reports: the reporter and its sequence number.
     stage: Stage<(DnId, u64)>,
     park: MachinePark,
-    master_machine: scalecheck_sim::cpu::MachineId,
+    master_machine: MachineId,
     net: Network,
     pil: Pil<'a, u64>,
     report_seq: Vec<u64>,
@@ -205,15 +206,19 @@ fn dispatch(st: &mut HdfsState, ctx: &mut Ctx<'_>, ev: Ev, payload: u64) {
     }
 }
 
-fn report_digest(dn: DnId, seq: u64, version: ReportVersion, blocks_per_node: usize) -> Digest128 {
+/// The memo key of a report: every input of its bill and its output —
+/// the reporter, its sequence number, the master's version, the
+/// blocks per report B and the blocks the master tracks M.
+fn report_digest(st: &HdfsState, dn: DnId, seq: u64) -> Digest128 {
     let mut h = Hasher128::new();
     h.update_u64(dn.0 as u64)
         .update_u64(seq)
-        .update_u64(match version {
+        .update_u64(match st.cfg.version {
             ReportVersion::FullRescan => 0,
             ReportVersion::IncrementalDiff => 1,
         })
-        .update_u64(blocks_per_node as u64);
+        .update_u64(st.cfg.blocks_per_node as u64)
+        .update_u64(st.master.block_count() as u64);
     h.finish()
 }
 
@@ -222,12 +227,17 @@ fn pump(st: &mut HdfsState, ctx: &mut Ctx<'_>) {
     let Some((dn, seq)) = st.stage.try_begin(now) else {
         return;
     };
-    let digest = report_digest(dn, seq, st.cfg.version, st.cfg.blocks_per_node);
+    let digest = report_digest(st, dn, seq);
     let (cfg, master) = (&st.cfg, &st.master);
-    let (_, duration) = st.pil.call(dn.0, REPORT_FN, digest, None, || {
+    let (blocks, duration) = st.pil.call(dn.0, REPORT_FN, digest, None, || {
         execute_report(cfg, master)
     });
-    let finish = if matches!(st.mode, RunMode::PilReplay { .. }) {
+    // The PIL contract: a copied output is the one the live master
+    // would have computed.
+    if blocks != master.block_count() as u64 {
+        st.output_mismatches += 1;
+    }
+    let finish = if st.pil.sleeps() {
         now + duration
     } else {
         st.park
@@ -279,13 +289,13 @@ fn dn_report(st: &mut HdfsState, ctx: &mut Ctx<'_>, i: usize) {
     st.schedule(ctx, next, Ev::Report, i as u64);
 }
 
-/// Runs a scenario as `mode` with `pil` its PIL side. Only the master's
-/// report processing bills CPU: Real gives it a dedicated two-core
-/// machine, the other modes the shared colocation box.
+/// Runs a scenario with the master computing as `mode` says and report
+/// processing doing as `pil` says. Only the master's report processing
+/// bills CPU, so it is the park's one node: Real gives it a dedicated
+/// machine, Colo the shared colocation box.
 fn run(cfg: &HdfsConfig, mode: RunMode, pil: Pil<'_, u64>) -> HdfsReport {
-    let mut park = MachinePark::new();
-    let cores = mode.colo_cores().map_or(2, |c| c.max(1));
-    let master_machine = park.add(Machine::new(cores, CtxSwitchModel::commodity()));
+    let park = mode.park(1, CtxSwitchModel::commodity());
+    let master_machine = mode.machine_of(0);
     let mut master = Master::new(cfg.version, cfg.heartbeat_timeout, cfg.blocks_per_node);
     for i in 0..cfg.n_datanodes {
         // The cluster was running before the experiment: every datanode
@@ -298,7 +308,6 @@ fn run(cfg: &HdfsConfig, mode: RunMode, pil: Pil<'_, u64>) -> HdfsReport {
     });
     let mut state = HdfsState {
         cfg: cfg.clone(),
-        mode,
         master,
         stage: Stage::new(),
         park,
@@ -359,21 +368,7 @@ pub fn hdfs_scale_check(cfg: &HdfsConfig, cores: usize) -> (HdfsReport, HdfsRepo
     let recorder = Pil::Record(&mut db, &mut order);
     let rec_report = run(cfg, RunMode::Colo { cores }, recorder);
     let replay = Pil::Replay(Replay::new(&db, None));
-    let mut rep_report = run(cfg, RunMode::PilReplay { cores }, replay);
-
-    // Output verification (the PIL contract): the replay's copied
-    // outputs must reach the same final block count the memoization run
-    // computed for real.
-    let replayed_final = db
-        .iter_records()
-        .map(|(_, _, rec)| rec.output)
-        .max()
-        .unwrap_or(0);
-    if replayed_final != rec_report.final_block_count as u64 {
-        rep_report.output_mismatches += 1;
-    }
-    rep_report.final_block_count = replayed_final as usize;
-    (rec_report, rep_report)
+    (rec_report, run(cfg, RunMode::Colo { cores }, replay))
 }
 
 #[cfg(test)]
@@ -430,6 +425,31 @@ mod tests {
             real.false_dead
         );
         assert_eq!(replayed.output_mismatches, 0);
+    }
+
+    /// The memo key covers the block count: a recording made at 96
+    /// datanodes and replayed at 128 never hits, so no output or
+    /// duration of the smaller cluster is copied, and every replayed
+    /// report's output matches the live master's.
+    #[test]
+    fn a_recording_replayed_at_another_size_only_misses() {
+        let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+        let colo = RunMode::Colo { cores: 16 };
+        run(
+            &HdfsConfig::bug(96, 1),
+            colo,
+            Pil::Record(&mut db, &mut order),
+        );
+        let replay = Pil::Replay(Replay::new(&db, None));
+        let r = run(&HdfsConfig::bug(128, 1), colo, replay);
+        assert_eq!(r.output_mismatches, 0);
+        assert_eq!(
+            (r.memo.hits, r.memo.index_fallbacks),
+            (0, 0),
+            "{:?}",
+            r.memo
+        );
+        assert!(r.memo.misses > 0, "{:?}", r.memo);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! `sleep(t)` plus its memoized output. This crate stores what that
 //! needs:
 //!
-//! * the three single simulations a scale check is made of
-//!   ([`RunMode`]) and the PIL side of a run ([`Pil`]): execute, record
-//!   (the memoization run is Colo with a recorder), or replay a borrowed
-//!   recording ([`Replay`]);
+//! * the PIL side of a run ([`Pil`]): execute, record (the memoization
+//!   run is Colo with a recorder), or replay a borrowed recording
+//!   ([`Replay`]), whose calls sleep instead of occupying a core;
 //! * content digests for inputs ([`digest_bytes`], [`Hasher128`]);
 //! * the input → (output, duration) database ([`MemoDb`]) with
 //!   invocation-order fallback and honest hit/miss statistics;
@@ -47,4 +46,4 @@ pub use order::{OrderDecision, OrderEnforcer, OrderRecorder};
 pub use orderspace::{
     log10_ordering_space, log10_recorded_space, ordering_space_digits, savings_orders_of_magnitude,
 };
-pub use pil::{Pil, Replay, RunMode};
+pub use pil::{Pil, Replay};

@@ -1,7 +1,8 @@
-//! One run vocabulary: what a single simulation is ([`RunMode`]) and
-//! what it does with the PIL-replaced functions ([`Pil`]). The
-//! memoization run (Figure 2 step d) is the Colo run with a recorder; a
-//! replay borrows the recording and counts its own lookups.
+//! The PIL side of one run ([`Pil`]): what its PIL-replaced functions
+//! do. Where its nodes compute is the other argument of a run
+//! (`scalecheck_sim::RunMode`). The memoization run (Figure 2 step d) is
+//! the Colo run with a recorder; a replay borrows the recording and
+//! counts its own lookups.
 
 use scalecheck_sim::SimDuration;
 
@@ -9,47 +10,16 @@ use crate::db::{FnId, MemoDb, MemoStats};
 use crate::digest::Digest128;
 use crate::order::{OrderEnforcer, OrderRecorder};
 
-/// The three single simulations: where nodes' compute executes and
-/// whether PIL-replaced functions compute or sleep. Shared by every
-/// scale-checked system.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RunMode {
-    /// Real-scale testing: every node has its own machine; PIL-replaced
-    /// functions execute (Figure 1a).
-    Real,
-    /// Basic colocation: all nodes share one machine; PIL-replaced
-    /// functions execute (Figure 1b), or are recorded (Figure 2 step d).
-    Colo {
-        /// Cores on the shared machine (the paper's Nome box has 16).
-        cores: usize,
-    },
-    /// PIL-infused replay: colocated, but PIL-replaced functions sleep
-    /// their recorded duration and copy the recorded output instead of
-    /// computing (Figure 1c, Figure 2 steps e–f).
-    PilReplay {
-        /// Cores on the shared machine.
-        cores: usize,
-    },
-}
-
-impl RunMode {
-    /// Cores of the shared colocation machine; `None` at real scale.
-    pub fn colo_cores(self) -> Option<usize> {
-        match self {
-            RunMode::Real => None,
-            RunMode::Colo { cores } | RunMode::PilReplay { cores } => Some(cores),
-        }
-    }
-}
-
 /// The PIL side of one run — the one handle a system's runner is given.
 pub enum Pil<'a, O> {
-    /// PIL-replaced functions execute (Real, Colo).
+    /// PIL-replaced functions execute (Figure 1a, 1b).
     Execute,
     /// The memoization run: they execute, and every call and processed
     /// message is recorded into a caller-owned memo db and order log.
     Record(&'a mut MemoDb<O>, &'a mut OrderRecorder),
-    /// PIL replay from a borrowed recording.
+    /// PIL replay from a borrowed recording: PIL-replaced functions
+    /// sleep their recorded duration and copy the recorded output
+    /// (Figure 1c, Figure 2 steps e–f).
     Replay(Replay<'a, O>),
 }
 
@@ -105,6 +75,12 @@ impl<'a, O: Clone> Pil<'a, O> {
         }
         r.stats.misses += 1;
         exec()
+    }
+
+    /// Whether a PIL-replaced call sleeps its duration instead of
+    /// occupying a core: only a replay's does (Figure 1c).
+    pub fn sleeps(&self) -> bool {
+        matches!(self, Pil::Replay(_))
     }
 
     /// Order bookkeeping as `node` processes message `key`: the
@@ -184,7 +160,7 @@ mod tests {
         };
         // Real and Colo execute; an execute run has no database to fill.
         let mut pil = Pil::Execute;
-        assert!(!pil.orders_messages());
+        assert!(!pil.orders_messages() && !pil.sleeps());
         let answer = pil.call(7, FnId(0), d("a"), Some(0), &mut exec);
         assert_eq!(answer, (vec![1], ms(10)));
         assert_eq!(pil.stats(), MemoStats::default());
@@ -192,7 +168,7 @@ mod tests {
         // Record executes and records.
         let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
         let mut pil = Pil::Record(&mut db, &mut order);
-        assert!(pil.orders_messages());
+        assert!(pil.orders_messages() && !pil.sleeps());
         assert_eq!(pil.call(7, FnId(0), d("a"), Some(0), &mut exec).0, vec![2]);
         pil.processed(7, 42);
         assert_eq!((pil.stats().recorded, lookups(&pil)), (1, (0, 0, 0)));
@@ -202,6 +178,7 @@ mod tests {
         // borrowed recording is left exactly as it was.
         let before = db.to_json().unwrap();
         let mut pil = Pil::Replay(Replay::new(&db, None));
+        assert!(pil.sleeps());
         let answer = pil.call(9, FnId(0), d("a"), None, &mut exec);
         assert_eq!((answer, lookups(&pil)), ((vec![2], ms(10)), (1, 0, 0)));
         let answer = pil.call(7, FnId(0), d("zzz"), Some(0), &mut exec);

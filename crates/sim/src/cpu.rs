@@ -1,14 +1,16 @@
 //! CPU and machine models.
 //!
-//! The paper's three test setups differ only in where compute runs:
+//! The paper's test setups differ in where compute runs ([`RunMode`]):
 //!
 //! * **Real-scale testing** — every node has its own machine, so compute
 //!   blocks never contend across nodes (Figure 1a).
 //! * **Basic colocation** — all nodes share one machine with a small number
 //!   of cores; CPU-bound tasks queue behind each other and suffer
 //!   context-switch overhead (Figure 1b).
-//! * **PIL replay** — expensive blocks become `sleep(t)` and never occupy a
-//!   core at all (Figure 1c).
+//!
+//! and in what the expensive blocks do, which is not a machine's
+//! business: under PIL replay they become `sleep(t)` and never occupy a
+//! core at all (Figure 1c).
 //!
 //! [`Machine`] implements a non-preemptive FIFO-per-core model: a submitted
 //! task starts on the earliest-free core and holds it for its whole demand.
@@ -156,27 +158,49 @@ impl Machine {
     }
 }
 
-/// A fleet of machines; nodes are placed onto machines by the deployment
-/// mode (dedicated machines for Real, one shared machine for Colo).
+/// Where a run's nodes compute: the first of a run's two arguments. The
+/// second, what its PIL-replaced functions do (execute, record, or sleep
+/// a recorded duration), is the run's PIL handle, not a mode.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunMode {
+    /// Real-scale testing: every node has its own machine (Figure 1a).
+    Real,
+    /// Colocation: all nodes share one machine (Figure 1b, and Figure 1c
+    /// when the run replays).
+    Colo {
+        /// Cores on the shared machine (the paper's Nome box has 16).
+        cores: usize,
+    },
+}
+
+impl RunMode {
+    /// This deployment's machines for `nodes` nodes, every one with the
+    /// `ctx_switch` model: Real, one two-core machine per node; Colo, one
+    /// shared machine with `cores` cores (at least one).
+    pub fn park(self, nodes: usize, ctx_switch: CtxSwitchModel) -> MachinePark {
+        let machines = match self {
+            RunMode::Real => vec![Machine::new(2, ctx_switch); nodes],
+            RunMode::Colo { cores } => vec![Machine::new(cores.max(1), ctx_switch)],
+        };
+        MachinePark { machines }
+    }
+
+    /// The machine of [`RunMode::park`] that node `node` computes on.
+    pub fn machine_of(self, node: usize) -> MachineId {
+        match self {
+            RunMode::Real => MachineId(node),
+            RunMode::Colo { .. } => MachineId(0),
+        }
+    }
+}
+
+/// A fleet of machines, built by [`RunMode::park`].
 #[derive(Clone, Debug, Default)]
 pub struct MachinePark {
     machines: Vec<Machine>,
 }
 
 impl MachinePark {
-    /// Creates an empty park.
-    pub fn new() -> Self {
-        MachinePark {
-            machines: Vec::new(),
-        }
-    }
-
-    /// Adds a machine and returns its id.
-    pub fn add(&mut self, m: Machine) -> MachineId {
-        self.machines.push(m);
-        MachineId(self.machines.len() - 1)
-    }
-
     /// Shared access to a machine.
     pub fn get(&self, id: MachineId) -> &Machine {
         &self.machines[id.0]
@@ -365,16 +389,29 @@ mod tests {
     }
 
     #[test]
-    fn machine_park_addressing() {
-        let mut park = MachinePark::new();
-        assert!(park.is_empty());
-        let a = park.add(Machine::new(1, CtxSwitchModel::FREE));
-        let b = park.add(Machine::new(2, CtxSwitchModel::FREE));
-        assert_eq!(park.len(), 2);
-        park.get_mut(a).submit(SimTime::ZERO, ms(1));
-        assert_eq!(park.get(a).peak_runnable(), 1);
-        assert_eq!(park.get(b).peak_runnable(), 0);
-        assert_eq!(park.iter().count(), 2);
+    fn each_deployment_builds_its_park() {
+        let mut real = RunMode::Real.park(3, CtxSwitchModel::FREE);
+        assert_eq!(real.len(), 3);
+        let a = RunMode::Real.machine_of(1);
+        real.get_mut(a).submit(SimTime::ZERO, ms(1));
+        real.get_mut(a).submit(SimTime::ZERO, ms(1));
+        // Two cores: only the third task queues.
+        let g = real.get_mut(a).submit(SimTime::ZERO, ms(1));
+        assert_eq!(g.start, at_ms(1));
+        assert_eq!(real.get(a).peak_runnable(), 3);
+        assert_eq!(real.get(RunMode::Real.machine_of(2)).peak_runnable(), 0);
+        let colo = RunMode::Colo { cores: 16 };
+        assert_eq!(colo.park(3, CtxSwitchModel::FREE).len(), 1);
+        assert_eq!(
+            (colo.machine_of(0), colo.machine_of(2)),
+            (MachineId(0), MachineId(0))
+        );
+        // Zero cores is clamped to one.
+        let mut one = RunMode::Colo { cores: 0 }.park(3, CtxSwitchModel::FREE);
+        let m = one.get_mut(MachineId(0));
+        m.submit(SimTime::ZERO, ms(1));
+        assert_eq!(m.submit(SimTime::ZERO, ms(1)).start, at_ms(1));
+        assert_eq!(one.iter().count(), 1);
     }
 
     #[test]

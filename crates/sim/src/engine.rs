@@ -44,7 +44,7 @@ use std::collections::BinaryHeap;
 
 use crate::metrics::EngineCounters;
 use crate::rng::DetRng;
-use crate::tie::{identity_key, FireRec, TieOrder, TieOrderSpec};
+use crate::tie::{identity_key, FireRec, SpecTieOrder, TieOrderSpec};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{EventRef, Slab, Wheel};
 
@@ -103,7 +103,7 @@ struct Core {
     live: usize,
     counters: EngineCounters,
     /// Tie-order policy; `None` is the stock (scheduling-order) path.
-    tie: Option<Box<dyn TieOrder>>,
+    tie: Option<SpecTieOrder>,
     /// Every pending event; a fired or cancelled event's slot is freed,
     /// so the schedulers' references to it go stale.
     slab: Slab<Event>,
@@ -123,7 +123,7 @@ impl Core {
         let seq = self.seq;
         let key = match self.tie.as_mut() {
             None => identity_key(seq),
-            Some(p) => p.tie_key(at, seq),
+            Some(p) => p.tie_key(seq),
         };
         self.counters.scheduled += 1;
         self.live += 1;
@@ -317,14 +317,9 @@ impl<S> Engine<S> {
     pub fn with_tie_order(seed: u64, kind: SchedulerKind, spec: &TieOrderSpec) -> Self {
         let mut eng = Self::with_scheduler(seed, kind);
         if !spec.is_identity() {
-            eng.core.tie = Some(Box::new(spec.policy()));
+            eng.core.tie = Some(spec.policy());
         }
         eng
-    }
-
-    /// Installs an arbitrary tie-order policy (testing hook).
-    pub fn set_tie_policy(&mut self, policy: Box<dyn TieOrder>) {
-        self.core.tie = Some(policy);
     }
 
     /// Creates an engine backed by the chosen scheduler.

@@ -7,9 +7,9 @@
 //! * virtual time ([`SimTime`], [`SimDuration`]);
 //! * a deterministic event engine ([`Engine`]) with seeded randomness
 //!   ([`DetRng`]);
-//! * CPU/machine models ([`Machine`], [`MachinePark`]) that realize the
-//!   paper's three deployment semantics (real-scale, basic colocation,
-//!   PIL replay);
+//! * CPU/machine models ([`Machine`], [`MachinePark`]) and where a run
+//!   computes ([`RunMode`]: one machine per node, or one shared box),
+//!   each deployment's park built in one place;
 //! * deterministic fault-injection plans and reports ([`FaultPlan`],
 //!   [`FaultReport`]) scheduled on the virtual clock;
 //! * SEDA-like serial stages ([`Stage`]) with event-lateness accounting;
@@ -52,12 +52,12 @@ pub mod tie;
 pub mod time;
 mod wheel;
 
-pub use cpu::{ps_completions, CpuGrant, CtxSwitchModel, Machine, MachineId, MachinePark};
+pub use cpu::{ps_completions, CpuGrant, CtxSwitchModel, Machine, MachineId, MachinePark, RunMode};
 pub use engine::{Ctx, Engine, HandlerId, RunOutcome, RunStats, SchedulerKind, TimerId};
 pub use faults::{FaultEvent, FaultPlan, FaultReport, FiredFault};
 pub use memory::{MemoryModel, OutOfMemory, MIB};
 pub use metrics::{EngineCounters, TimeSeries};
 pub use rng::DetRng;
 pub use stage::Stage;
-pub use tie::{FireRec, ScheduleProbe, TieOrder, TieOrderSpec, TieSwap};
+pub use tie::{FireRec, ScheduleProbe, TieOrderSpec, TieSwap};
 pub use time::{SimDuration, SimTime};

@@ -5,7 +5,7 @@
 //! time resolve by scheduling sequence. That rule is *one* legal
 //! interleaving of a distributed execution; any permutation of a tie
 //! batch is equally legal (the events are concurrent by construction).
-//! A [`TieOrder`] policy chooses which one: every schedule call is
+//! A [`SpecTieOrder`] policy chooses which one: every schedule call is
 //! assigned a *tie key*, and ties fire in ascending `(key, seq)` order.
 //!
 //! The stock order is the monotone key `seq << 1`. Perturbations only
@@ -24,20 +24,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::rng::DetRng;
-use crate::time::SimTime;
-
-/// A tie-order policy: maps each schedule call to a tie-break key.
-///
-/// Events with equal firing time fire in ascending `(key, seq)` order;
-/// the key has no effect across distinct firing times. The stock
-/// (identity) policy returns [`identity_key`]`(seq)`. Policies may keep
-/// internal state (e.g. a seeded RNG) but must be deterministic: the
-/// same sequence of `tie_key` calls yields the same keys.
-pub trait TieOrder: Send {
-    /// Returns the tie-break key for the event scheduled at `at` with
-    /// scheduling sequence `seq`.
-    fn tie_key(&mut self, at: SimTime, seq: u64) -> u64;
-}
 
 /// The stock tie key: monotone in `seq`, so ties fire in scheduling
 /// order. Left-shifted so targeted swaps can land *between* stock keys
@@ -130,15 +116,19 @@ impl TieOrderSpec {
     }
 }
 
-/// The runtime policy behind a [`TieOrderSpec`].
+/// The runtime policy behind a [`TieOrderSpec`]: maps each schedule
+/// call to a tie-break key. Events with equal firing time fire in
+/// ascending `(key, seq)` order; the key has no effect across distinct
+/// firing times.
 pub struct SpecTieOrder {
     rng: Option<DetRng>,
     /// Sorted by `seq` for binary search.
     swaps: Vec<TieSwap>,
 }
 
-impl TieOrder for SpecTieOrder {
-    fn tie_key(&mut self, _at: SimTime, seq: u64) -> u64 {
+impl SpecTieOrder {
+    /// The tie-break key of the event with scheduling sequence `seq`.
+    pub fn tie_key(&mut self, seq: u64) -> u64 {
         // Swaps pin their sequences regardless of the shuffle; the
         // shuffle stream still advances once per schedule call so that
         // adding a swap does not shift every later shuffled key.
@@ -232,7 +222,7 @@ mod tests {
     use super::*;
 
     fn key_of(spec: &TieOrderSpec, seq: u64) -> u64 {
-        spec.policy().tie_key(SimTime::ZERO, seq)
+        spec.policy().tie_key(seq)
     }
 
     #[test]
@@ -270,15 +260,15 @@ mod tests {
     fn shuffle_is_deterministic_per_seed() {
         let a: Vec<u64> = {
             let mut p = TieOrderSpec::shuffled(7).policy();
-            (0..16).map(|s| p.tie_key(SimTime::ZERO, s)).collect()
+            (0..16).map(|s| p.tie_key(s)).collect()
         };
         let b: Vec<u64> = {
             let mut p = TieOrderSpec::shuffled(7).policy();
-            (0..16).map(|s| p.tie_key(SimTime::ZERO, s)).collect()
+            (0..16).map(|s| p.tie_key(s)).collect()
         };
         let c: Vec<u64> = {
             let mut p = TieOrderSpec::shuffled(8).policy();
-            (0..16).map(|s| p.tie_key(SimTime::ZERO, s)).collect()
+            (0..16).map(|s| p.tie_key(s)).collect()
         };
         assert_eq!(a, b);
         assert_ne!(a, c);

@@ -44,11 +44,12 @@ if grep -rnE 'no-cache|use_cache|cache_dir|results/cache|CellSpec|spec_cell' \
 fi
 
 # One deployment vocabulary: a scenario does not carry its deployment
-# (a run is handed its `RunMode` or its PIL handle: `run_scenario`,
-# `run_colocated`), `scalecheck::Deployment` is the one name for the
-# Real / Colo / SC+PIL columns with the one parser of their command-line
-# names, and `RunMode` the one name for what a single simulation does.
-# No second enum, cell runner, config setter or name parser may grow back.
+# (a run is handed where it computes, its `RunMode`, and its PIL handle:
+# `run_scenario(cfg, mode, pil)`), `scalecheck::Deployment` is the one
+# name for the Real / Colo / SC+PIL columns with the one parser of their
+# command-line names, and `RunMode` the one name for where a single
+# simulation computes. No second enum, cell runner, config setter or
+# name parser may grow back.
 echo "=== one deployment vocabulary (grep gate) ==="
 if grep -rnE 'enum ExecMode|fn run_cell|fn with_mode|fn parse_modes|fn parse_target|MODE_NAMES|pub mode: RunMode' \
   crates src tests examples; then
@@ -56,11 +57,16 @@ if grep -rnE 'enum ExecMode|fn run_cell|fn with_mode|fn parse_modes|fn parse_tar
   exit 1
 fi
 
-# One run vocabulary: the memoization run is Colo with a recorder
-# (`memo::Pil::Record`), not a fourth `RunMode`, and a run's PIL side is
-# one handle, not a memo db threaded in and out of the runner.
+# One run vocabulary: where a run computes (`sim::RunMode`: Real, Colo)
+# and what its PIL-replaced functions do (`memo::Pil`: execute, record,
+# replay) are two arguments of one entry point. The memoization run is
+# Colo with a recorder, not a `RunMode`; a replay is a `Pil`, not a
+# `RunMode` either, so no second entry derives one from the other; a
+# run's PIL side is one handle, not a memo db threaded in and out of the
+# runner; and the engine's tie order is its one concrete policy, not an
+# extension point.
 echo "=== one run vocabulary (grep gate) ==="
-if grep -rnE 'RunMode::Memoize|Memoize \{|run_scenario_with_db|run_hdfs_with_db|fn with_db|fn into_db' \
+if grep -rnE 'RunMode::Memoize|Memoize \{|PilReplay|fn run_colocated|run_scenario_with_db|run_hdfs_with_db|fn with_db|fn into_db|trait TieOrder' \
   crates src tests examples; then
   echo "error: RunMode and memo::Pil are the run vocabulary; see the matches above" >&2
   exit 1

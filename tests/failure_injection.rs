@@ -4,7 +4,7 @@
 
 use scalecheck::{content_digest, memoize, run_real, COLO_CORES};
 use scalecheck_cluster::{
-    run_colocated, run_scenario, AllocStrategy, FaultPlan, RunMode, ScenarioConfig, Workload,
+    run_scenario, AllocStrategy, FaultPlan, RunMode, ScenarioConfig, Workload,
 };
 use scalecheck_memo::{Pil, Replay};
 use scalecheck_obs::{SpanName, TraceConfig, TID_GOSSIP};
@@ -306,14 +306,14 @@ fn naive_rebalance_allocation_crashes_nodes_under_colocation() {
     };
     cfg.memory.rebalance_alloc = Some(AllocStrategy::Naive);
     cfg.memory.single_process = true;
-    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 }, Pil::Execute);
     assert!(r.oom_events > 0, "naive allocation must hit the wall");
     assert!(r.crashed_nodes > 0, "OOM crashes nodes (S8)");
 
     // The frugal strategy survives the identical workload.
     let mut frugal = cfg.clone();
     frugal.memory.rebalance_alloc = Some(AllocStrategy::Frugal);
-    let r2 = run_scenario(&frugal, RunMode::Colo { cores: 16 });
+    let r2 = run_scenario(&frugal, RunMode::Colo { cores: 16 }, Pil::Execute);
     assert_eq!(r2.oom_events, 0);
     assert_eq!(r2.crashed_nodes, 0);
 }
@@ -332,7 +332,7 @@ fn crashed_nodes_get_convicted_by_the_rest() {
     cfg.memory.single_process = true;
     // Capacity sized so that a couple of rebalance allocations blow up.
     cfg.memory.machine_capacity = 1 << 30;
-    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 });
+    let r = run_scenario(&cfg, RunMode::Colo { cores: 16 }, Pil::Execute);
     assert!(r.crashed_nodes > 0);
     assert!(
         r.total_flaps as usize >= (cfg.n_nodes - r.crashed_nodes as usize) / 2,
@@ -356,7 +356,11 @@ fn replay_with_truncated_db_falls_back_and_completes() {
     }
 
     let replay = Replay::new(&damaged, Some(&memo.order));
-    let r = run_colocated(&cfg, COLO_CORES, Pil::Replay(replay));
+    let r = run_scenario(
+        &cfg,
+        RunMode::Colo { cores: COLO_CORES },
+        Pil::Replay(replay),
+    );
     assert!(r.quiesced, "replay must not wedge on missing records");
     assert!(
         r.memo.misses + r.memo.index_fallbacks > 0,
@@ -373,7 +377,11 @@ fn order_log_from_wrong_run_is_survivable() {
     let memo = memoize(&cfg, COLO_CORES);
     let other = memoize(&base(12, 99), COLO_CORES);
     let replay = Replay::new(&memo.db, Some(&other.order));
-    let pil = run_colocated(&cfg, COLO_CORES, Pil::Replay(replay));
+    let pil = run_scenario(
+        &cfg,
+        RunMode::Colo { cores: COLO_CORES },
+        Pil::Replay(replay),
+    );
     assert!(pil.quiesced, "mismatched order log must not deadlock");
     assert!(
         pil.order_out_of_log > 0 || pil.order_forced_releases > 0,

@@ -7,7 +7,9 @@
 //! so the same starvation mechanism fires at N≈32 in seconds.
 
 use scalecheck::{memoize, replay, replay_ordered, run_colo, run_real, Triple, COLO_CORES};
-use scalecheck_cluster::{run_colocated, CalcVersion, PendingWire, ScenarioConfig, Workload};
+use scalecheck_cluster::{
+    run_scenario, CalcVersion, PendingWire, RunMode, ScenarioConfig, Workload,
+};
 use scalecheck_memo::{MemoDb, Pil, Replay};
 use scalecheck_sim::SimDuration;
 
@@ -100,7 +102,11 @@ fn memo_db_survives_persistence_round_trip() {
     // Replaying against the reloaded DB behaves identically.
     let r1 = replay_ordered(&cfg, COLO_CORES, &memo);
     let reloaded = Replay::new(&db2, Some(&memo.order));
-    let r2 = run_colocated(&cfg, COLO_CORES, Pil::Replay(reloaded));
+    let r2 = run_scenario(
+        &cfg,
+        RunMode::Colo { cores: COLO_CORES },
+        Pil::Replay(reloaded),
+    );
     assert_eq!(r1.total_flaps, r2.total_flaps);
     assert_eq!(r1.duration, r2.duration);
 }
@@ -151,7 +157,11 @@ fn replay_without_db_degrades_gracefully() {
     // back to genuine execution) and report the misses honestly.
     let cfg = healthy(10, 4);
     let empty = MemoDb::new();
-    let r = run_colocated(&cfg, COLO_CORES, Pil::Replay(Replay::new(&empty, None)));
+    let r = run_scenario(
+        &cfg,
+        RunMode::Colo { cores: COLO_CORES },
+        Pil::Replay(Replay::new(&empty, None)),
+    );
     assert!(r.quiesced);
     assert!(r.memo.misses > 0);
     assert_eq!(r.memo.hits, 0);

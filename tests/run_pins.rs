@@ -32,9 +32,11 @@ use scalecheck::{
     content_digest, memoize, replay, replay_ordered, run_colo, run_real, time_dilated,
 };
 use scalecheck_cluster::{
-    ContextSwitch, FaultPlan, LockingMode, RunReport, ScenarioConfig, TrafficConfig,
+    run_scenario, ContextSwitch, FaultPlan, LockingMode, RunMode, RunReport, ScenarioConfig,
+    TrafficConfig,
 };
 use scalecheck_hdfslike::{hdfs_scale_check, run_hdfs, HdfsConfig, HdfsReport};
+use scalecheck_memo::{MemoDb, OrderRecorder, Pil};
 use scalecheck_sim::{SimDuration, SimTime};
 
 fn pin(name: &str, report: &RunReport, flaps_expected: bool, want: &str) {
@@ -283,6 +285,38 @@ fn memoization_run_is_the_colo_run() {
     }
     assert!(flapped >= 2, "the cells must include flapping runs");
     assert_eq!(exercised, [true; 4], "spans, traffic, faults, probe");
+}
+
+/// Where a run computes and what its PIL handle does are independent
+/// arguments, so a recording at real scale is a run like any other: on
+/// three presets it simulates exactly what `run_real` does, and its
+/// report may differ in `memo.recorded` / `memo.duplicate_inputs` and
+/// nowhere else.
+#[test]
+fn recording_at_real_scale_is_the_real_run() {
+    for (bug, n) in [("baseline", 24), ("c3881", 24), ("c6127", 24)] {
+        let cfg = scalecheck_explore::scenario_for(bug, n, 1).expect("known preset");
+        let real = run_real(&cfg);
+        let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+        let mut rec = run_scenario(&cfg, RunMode::Real, Pil::Record(&mut db, &mut order));
+        assert!(rec.memo.recorded > 0, "{bug}({n}): nothing was recorded");
+        assert_eq!(
+            real.memo.recorded, 0,
+            "{bug}({n}): a Real run records nothing"
+        );
+        rec.memo.recorded = real.memo.recorded;
+        rec.memo.duplicate_inputs = real.memo.duplicate_inputs;
+        assert_eq!(
+            content_digest(&rec),
+            content_digest(&real),
+            "{bug}({n}): the recording at real scale is no longer the Real run \
+             (flaps {} vs {}, fired {} vs {})",
+            rec.total_flaps,
+            real.total_flaps,
+            rec.engine.fired,
+            real.engine.fired
+        );
+    }
 }
 
 /// SC+PIL's second leg: c6127(24) on one core is the smallest preset
