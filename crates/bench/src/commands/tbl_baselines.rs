@@ -134,11 +134,13 @@ fn run(args: &Args) -> Result<(), Failure> {
     );
     println!();
     println!(
-        "time dilation is accurate but each iteration takes ~{tdf}x the real test \
-         time ({:.0}s vs {:.0}s); SC+PIL is accurate at ~1x after the one-time \
+        "time dilation reads {} and each iteration takes ~{tdf}x the real test \
+         time ({:.0}s vs {:.0}s); SC+PIL reads {} after the one-time \
          memoization ({:.0}s).",
+        verdict(diecast.total_flaps),
         diecast.duration.as_secs_f64(),
         real.duration.as_secs_f64(),
+        verdict(pil.total_flaps),
         colo.duration.as_secs_f64()
     );
     Ok(())

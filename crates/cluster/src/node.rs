@@ -41,9 +41,9 @@ impl GossipMessage {
     /// Number of endpoint entries carried (sizes the processing cost).
     pub fn entries(&self) -> usize {
         match self {
-            GossipMessage::Syn(s) => s.digests.len(),
-            GossipMessage::Ack(a) => a.deltas.len() + a.requests.len(),
-            GossipMessage::Ack2(a) => a.deltas.len(),
+            GossipMessage::Syn(s) => s.entries(),
+            GossipMessage::Ack(a) => a.entries(),
+            GossipMessage::Ack2(a) => a.entries(),
         }
     }
 }
@@ -523,7 +523,7 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scalecheck_gossip::{Delta, Deltas, HeartbeatState};
+    use scalecheck_gossip::{Delta, HeartbeatState};
     use scalecheck_ring::spread_tokens;
 
     fn node(id: u32) -> Node {
@@ -540,8 +540,7 @@ mod tests {
     }
 
     fn apply_state(n: &mut Node, peer: Peer, st: EndpointState<RingInfo>) -> ApplyOutcome {
-        n.gossiper
-            .apply(&Deltas::from_iter([(peer, Delta::Full(st))]))
+        n.gossiper.apply(&[(peer, Delta::Full(st))])
     }
 
     fn remote_state(id: u32, status: NodeStatus, hb: u32) -> (Peer, EndpointState<RingInfo>) {

@@ -70,7 +70,7 @@ struct ClusterState<'a> {
     nodes: Vec<Node>,
     /// The one table per distinct ring state the nodes' views hold.
     views: ViewStore,
-    /// Where every node builds the ACK it answers a SYN with and the
+    /// Where every node gathers the ACK it answers a SYN with and the
     /// ACK2 it answers an ACK with.
     ack_space: AckSpace<RingInfo>,
     /// Where every node's apply of an ACK or ACK2 body reports the peers
@@ -916,7 +916,7 @@ fn finish_receive(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: Sta
                     st.nodes[i]
                         .gossiper
                         .handle_ack_in(ack, &mut st.ack_space, &mut st.outcome);
-                if !ack2.deltas.is_empty() {
+                if !ack2.is_empty() {
                     send_msg(st, ctx, i, src, GossipMessage::Ack2(ack2));
                 }
                 true

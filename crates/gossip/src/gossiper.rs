@@ -8,75 +8,331 @@
 //! peer's heartbeat moved (feeds the failure detector) and whether its
 //! application state moved (triggers the pending-range calculation — the
 //! offending path of §2).
+//!
+//! # Bodies in words
+//!
+//! A body names its peers in bits rather than ids, and keeps each entry's
+//! clocks as one word: a SYN is a bit per claimed peer plus its
+//! watermark (8 bytes a digest), an ACK or ACK2 two bits per peer plus a
+//! heartbeat per delta and a watermark per request (8 bytes an entry),
+//! and each full delta's app version and payload beside (`Deltas`).
+//! Queued bodies are most of the host memory of a colocated flap storm;
+//! the entries a body carries, and their order, are those a list of
+//! `(peer, entry)` pairs would carry.
 
 use std::sync::Arc;
 
 use crate::state::{
-    emit_exact, push_if, tick, watermark, DeltaBuild, Deltas, Digest, EndpointMap, EndpointState,
-    HeartbeatState, Peer,
+    tick, watermark, Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer,
 };
 
 /// Gossip SYN: freshness claims for every peer the sender knows.
 ///
-/// The body is one 12-byte [`Digest`] per known peer, allocated at
-/// exactly its length. How many entries a message carries is simulated
-/// (it sets the receiver's CPU demand); the bytes each entry takes on
-/// the host are not.
+/// The body is a bit per peer id the sender knows, 64 a word, followed by
+/// one word per known peer, ascending: its `(generation, max_version)`
+/// watermark. It is allocated at exactly its length. How many entries a
+/// message carries is simulated (it sets the receiver's CPU demand); the
+/// bytes each entry takes on the host are not.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Syn {
-    /// One digest per known peer, in ascending peer order when built by
-    /// [`Gossiper::make_syn`] (the wire type does not promise it).
-    pub digests: Box<[Digest]>,
+    words: Box<[u64]>,
+    /// How many of `words` are the bitset of claimed peers.
+    claims: u32,
 }
 
 /// Gossip ACK: deltas the receiver is fresher on, plus requests for
 /// peers the SYN sender is fresher on.
 ///
-/// Both bodies are allocated at exactly their length: the deltas as
-/// 16-byte records with a side list of full-state payloads
-/// ([`Deltas`]), the requests as 12-byte [`Digest`]s. It carries
-/// `deltas.len() + requests.len()` entries.
+/// Its deltas are a [`Deltas`]: those on claimed peers ascending, then
+/// those volunteered for peers the SYN did not claim, ascending. Its
+/// requests are a bit per peer (the `aux` plane of the deltas' codes on
+/// peers without a delta) and a watermark word each, ascending (zero for
+/// a peer the ACK's sender never heard of), kept after the deltas'
+/// heartbeats. It carries the deltas and the requests as entries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ack<A> {
-    /// Updates the ACK sender believes are fresher (heartbeat-only in
-    /// the steady state, full states around topology changes).
-    pub deltas: Deltas<A>,
-    /// Watermarks the ACK sender wants newer data for.
-    pub requests: Box<[Digest]>,
+    deltas: Deltas<A>,
+    /// A bit per peer whose full delta is volunteered; empty if none is.
+    volunteered: Box<[u64]>,
 }
 
-/// Gossip ACK2: the deltas answering an ACK's requests, as 16-byte
-/// records with a side list of full-state payloads ([`Deltas`]),
-/// allocated at exactly the number answered.
+/// Gossip ACK2: the deltas answering an ACK's requests, ascending by
+/// peer ([`Deltas`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ack2<A> {
-    /// Updates answering the requests.
-    pub deltas: Deltas<A>,
+    deltas: Deltas<A>,
+}
+
+/// The deltas of an ACK or ACK2, and an ACK's requests.
+///
+/// `words` holds the codes, then the clocks, in one allocation of
+/// exactly their length. The codes are two bit planes per 64 peers:
+/// `delta` marks a peer with a delta, and `aux` marks a delta that is full
+/// or, on a peer without a delta, a request — two bits a peer, so the
+/// deltas and the requests are each walked as set bits without testing
+/// every entry's kind. The clocks are one word per delta in the order
+/// they apply (its heartbeat, generation in the high half), then one per
+/// request (its watermark). `fulls` holds each full delta's app version
+/// and payload, in the order they apply, allocated at exactly its length.
+#[derive(Clone, Debug, PartialEq)]
+struct Deltas<A> {
+    words: Box<[u64]>,
+    /// How many of `words` are codes.
+    codes: u32,
+    /// How many of the clocks are the deltas' heartbeats.
+    deltas: u32,
+    fulls: Box<[(u32, Arc<A>)]>,
 }
 
 /// Where [`Gossiper::handle_syn_in`] and [`Gossiper::handle_ack_in`]
-/// build a body before emitting it.
-///
-/// How many deltas and requests a message yields is known only once
-/// every digest has been compared, so the bodies are built here, in
-/// vectors that keep their capacity from call to call, and each is then
-/// emitted as one allocation of exactly its length. One space serves
-/// every gossiper of a run: a build leaves it empty of entries.
+/// gather a body's clocks and full states before moving each part into
+/// one allocation of exactly its length: vectors that keep their
+/// capacity from one body to the next. One space serves every gossiper
+/// of a run.
 #[derive(Debug)]
 pub struct AckSpace<A> {
-    deltas: DeltaBuild<A>,
-    requests: Vec<Digest>,
-    /// The peers an unsorted SYN claims, sorted for the probe.
-    claimed: Vec<Peer>,
+    codes: Vec<u64>,
+    clocks: Vec<u64>,
+    requests: Vec<u64>,
+    fulls: Vec<(u32, Arc<A>)>,
 }
 
 impl<A> Default for AckSpace<A> {
     fn default() -> Self {
         AckSpace {
-            deltas: DeltaBuild::default(),
+            codes: Vec::new(),
+            clocks: Vec::new(),
             requests: Vec::new(),
-            claimed: Vec::new(),
+            fulls: Vec::new(),
         }
+    }
+}
+
+/// Calls `f` with each set bit of a bitset given word by word, ascending.
+fn for_each_bit(words: impl IntoIterator<Item = u64>, mut f: impl FnMut(usize)) {
+    for (w, word) in words.into_iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// A heartbeat as one word, generation in the high half.
+fn pack(heartbeat: HeartbeatState) -> u64 {
+    watermark(heartbeat.generation, heartbeat.version)
+}
+
+/// The two clocks of a word, high half first.
+fn unpack(word: u64) -> (u32, u32) {
+    ((word >> 32) as u32, word as u32)
+}
+
+/// A delta a body carries, read back.
+enum Entry<'b, A> {
+    Heartbeat(HeartbeatState),
+    Full(HeartbeatState, u32, &'b Arc<A>),
+}
+
+/// Calls `f` with each peer `codes` gives a delta, in the order the
+/// deltas apply — those not in `volunteered` (a bitset) ascending, then
+/// those in it ascending — and whether its delta is full.
+fn for_each_delta(codes: &[u64], volunteered: &[u64], mut f: impl FnMut(usize, bool)) {
+    for (block, planes) in codes.chunks_exact(2).enumerate() {
+        let mut rest = planes[0] & !volunteered.get(block).copied().unwrap_or(0);
+        while rest != 0 {
+            let at = rest.trailing_zeros();
+            f(block * 64 + at as usize, planes[1] >> at & 1 == 1);
+            rest &= rest - 1;
+        }
+    }
+    for_each_bit(volunteered.iter().copied(), |p| f(p, true));
+}
+
+impl<A> Deltas<A> {
+    /// The body gathered in `space`: the codes, the deltas' clocks (in
+    /// the order the deltas apply), the requests' watermarks and the full
+    /// states, moved into allocations of exactly their length; the space
+    /// is left empty with its capacity.
+    fn emit(space: &mut AckSpace<A>) -> Self {
+        let AckSpace {
+            codes,
+            clocks,
+            requests,
+            fulls,
+        } = space;
+        let (n_codes, deltas) = (codes.len() as u32, clocks.len() as u32);
+        let mut words = Vec::with_capacity(codes.len() + clocks.len() + requests.len());
+        words.append(codes);
+        words.append(clocks);
+        words.append(requests);
+        let mut full_states = Vec::with_capacity(fulls.len());
+        full_states.append(fulls);
+        Deltas {
+            words: words.into_boxed_slice(),
+            codes: n_codes,
+            deltas,
+            fulls: full_states.into_boxed_slice(),
+        }
+    }
+
+    fn codes(&self) -> &[u64] {
+        &self.words[..self.codes as usize]
+    }
+
+    fn clocks(&self) -> &[u64] {
+        &self.words[self.codes as usize..]
+    }
+
+    /// Calls `f` with each delta, in the order they apply (see
+    /// [`for_each_delta`]).
+    fn for_each(&self, volunteered: &[u64], mut f: impl FnMut(usize, Entry<'_, A>)) {
+        let (mut clocks, mut fulls) = (self.clocks().iter(), self.fulls.iter());
+        for_each_delta(self.codes(), volunteered, |p, full| {
+            let (generation, version) = unpack(*clocks.next().expect("a heartbeat per delta"));
+            let heartbeat = HeartbeatState {
+                generation,
+                version,
+            };
+            let entry = if full {
+                let (app_version, app) = fulls.next().expect("a payload per full delta");
+                Entry::Full(heartbeat, *app_version, app)
+            } else {
+                Entry::Heartbeat(heartbeat)
+            };
+            f(p, entry);
+        });
+    }
+
+    /// The requests, ascending by peer.
+    fn requests(&self) -> impl Iterator<Item = Digest> + '_ {
+        let mut watermarks = self.clocks()[self.deltas as usize..].iter();
+        let (mut block, mut rest) = (0, self.request_bits(0));
+        std::iter::from_fn(move || {
+            while rest == 0 {
+                block += 1;
+                if 2 * block >= self.codes().len() {
+                    return None;
+                }
+                rest = self.request_bits(block);
+            }
+            let p = block * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let (generation, max_version) =
+                unpack(*watermarks.next().expect("a watermark per request"));
+            Some(Digest {
+                peer: Peer(p as u32),
+                generation,
+                max_version,
+            })
+        })
+    }
+
+    /// The request bits of block `block` (peers `64 * block ..`).
+    fn request_bits(&self, block: usize) -> u64 {
+        self.codes()
+            .get(2 * block..2 * block + 2)
+            .map_or(0, |planes| planes[1] & !planes[0])
+    }
+
+    /// Number of entries: deltas and requests.
+    fn entries(&self) -> usize {
+        self.clocks().len()
+    }
+}
+
+impl<A: Clone> Entry<'_, A> {
+    fn to_delta(&self) -> Delta<A> {
+        match *self {
+            Entry::Heartbeat(heartbeat) => Delta::Heartbeat(heartbeat),
+            Entry::Full(heartbeat, app_version, app) => Delta::Full(EndpointState {
+                heartbeat,
+                app_version,
+                app: Arc::clone(app),
+            }),
+        }
+    }
+}
+
+impl Syn {
+    /// Number of entries (digests) carried.
+    pub fn entries(&self) -> usize {
+        self.words.len() - self.claims as usize
+    }
+
+    /// The claimed peers, ascending, with their watermarks.
+    fn claims(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (bits, watermarks) = self.words.split_at(self.claims as usize);
+        let mut watermarks = watermarks.iter().copied();
+        let (mut block, mut rest) = (0, bits.first().copied().unwrap_or(0));
+        std::iter::from_fn(move || {
+            while rest == 0 {
+                block += 1;
+                rest = *bits.get(block)?;
+            }
+            let p = block * 64 + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some((p, watermarks.next().expect("a watermark per claim")))
+        })
+    }
+
+    /// The digests: one per peer the sender knew, ascending by id.
+    pub fn digests(&self) -> Vec<Digest> {
+        self.claims()
+            .map(|(p, claim)| {
+                let (generation, max_version) = unpack(claim);
+                Digest {
+                    peer: Peer(p as u32),
+                    generation,
+                    max_version,
+                }
+            })
+            .collect()
+    }
+}
+
+impl<A: Clone> Ack<A> {
+    /// Number of entries (deltas and requests) carried.
+    pub fn entries(&self) -> usize {
+        self.deltas.entries()
+    }
+
+    /// The deltas, in the order they apply: those on claimed peers,
+    /// ascending, then the volunteered ones, ascending.
+    pub fn deltas(&self) -> Vec<(Peer, Delta<A>)> {
+        let mut out = Vec::new();
+        self.deltas.for_each(&self.volunteered, |p, entry| {
+            out.push((Peer(p as u32), entry.to_delta()));
+        });
+        out
+    }
+
+    /// The requests, ascending by peer.
+    pub fn requests(&self) -> Vec<Digest> {
+        self.deltas.requests().collect()
+    }
+}
+
+impl<A> Ack2<A> {
+    /// Number of entries (deltas) carried.
+    pub fn entries(&self) -> usize {
+        self.deltas.entries()
+    }
+
+    /// Whether the body carries no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries() == 0
+    }
+}
+
+impl<A: Clone> Ack2<A> {
+    /// The deltas, ascending by peer.
+    pub fn deltas(&self) -> Vec<(Peer, Delta<A>)> {
+        let mut out = Vec::new();
+        self.deltas
+            .for_each(&[], |p, entry| out.push((Peer(p as u32), entry.to_delta())));
+        out
     }
 }
 
@@ -88,6 +344,13 @@ pub struct ApplyOutcome {
     /// Peers whose application state advanced (may carry topology
     /// changes; triggers scale-dependent processing).
     pub app_advanced: Vec<Peer>,
+}
+
+impl ApplyOutcome {
+    fn clear(&mut self) {
+        self.heartbeat_advanced.clear();
+        self.app_advanced.clear();
+    }
 }
 
 /// One node's gossip component.
@@ -193,25 +456,18 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 
     /// Builds a SYN covering everything this node knows.
     pub fn make_syn(&self) -> Syn {
-        // Filled in place: the view's iterator skips unknown slots, so
-        // it cannot promise a length; `collect` would regrow, and
-        // extending a vector sized up front still checks its capacity
-        // and stores its length per digest. Overwriting a body of
-        // exactly `len` blanks does neither.
-        let blank = Digest {
-            peer: Peer(0),
-            generation: 0,
-            max_version: 0,
-        };
-        let mut digests = vec![blank; self.map.len()].into_boxed_slice();
-        for (digest, (peer, st)) in digests.iter_mut().zip(self.map.iter()) {
-            *digest = Digest {
-                peer,
-                generation: st.heartbeat.generation,
-                max_version: st.max_version(),
-            };
+        let claims = self.map.ids().div_ceil(64);
+        let mut words = vec![0; claims + self.map.len()].into_boxed_slice();
+        let (bits, watermarks) = words.split_at_mut(claims);
+        for ((peer, st), slot) in self.map.iter().zip(watermarks) {
+            let p = peer.0 as usize;
+            bits[p / 64] |= 1 << (p % 64);
+            *slot = st.watermark();
         }
-        Syn { digests }
+        Syn {
+            words,
+            claims: claims as u32,
+        }
     }
 
     /// Handles a SYN, producing the ACK to send back, in fresh build
@@ -220,205 +476,224 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         self.handle_syn_in(syn, &mut AckSpace::default())
     }
 
-    /// Handles a SYN, producing the ACK to send back; the bodies are
-    /// written as records in `space` and each emitted at exactly its
-    /// length.
-    ///
-    /// Not reserved from the SYN: a digest yields a delta, a request or
-    /// neither, and an ACK reserved for one of each per digest holds
-    /// twice what it carries for as long as it queues at a saturated
-    /// receiver (at 4096 nodes the cell no longer fits the host). Nor
-    /// grown in place: a body grown by doubling costs a reallocation per
-    /// doubling and queues with up to twice its length in capacity.
+    /// Handles a SYN, producing the ACK to send back: for each peer, a
+    /// delta where this view is the fresher, a request where the SYN is,
+    /// and a full delta volunteered for a peer only this view knows. The
+    /// clocks are gathered in `space` as the codes are, and each part of
+    /// the body is then allocated at exactly its length.
     pub fn handle_syn_in(&self, syn: &Syn, space: &mut AckSpace<A>) -> Ack<A> {
         let AckSpace {
-            deltas,
+            codes,
+            clocks,
             requests,
-            claimed,
+            fulls,
         } = space;
-        // Whether the digests arrive in peer order, and whether strictly
-        // (no peer twice): `after` is one past the previous digest's peer.
-        let (mut ascending, mut strict, mut after) = (true, true, 0u64);
-        // Digests that name a peer we know.
-        let mut named_known = 0;
-        for d in &syn.digests {
-            let id = u64::from(d.peer.0);
-            ascending &= id + 1 >= after;
-            strict &= id >= after;
-            after = id + 1;
-            let Some(local) = self.map.get(d.peer) else {
-                // Never heard of this peer: ask for everything.
-                requests.push(Digest {
-                    peer: d.peer,
-                    generation: 0,
-                    max_version: 0,
-                });
-                continue;
-            };
-            named_known += 1;
-            // Either side may be the fresher, about equally often in the
-            // steady state: the entry is written as a delta and as a
-            // request and kept as at most one of them, with no branch on
-            // which (see `push_if`).
-            let (ours, theirs) = (local.watermark(), watermark(d.generation, d.max_version));
-            deltas.push_against_if(d.peer, local, d.generation, d.max_version, ours > theirs);
-            let request = Digest {
-                peer: d.peer,
-                generation: local.heartbeat.generation,
-                max_version: local.max_version(),
-            };
-            push_if(requests, request, ours < theirs);
-        }
-        // Peers only we know about: volunteer them in full.
-        if strict && named_known == self.map.len() {
-            // A strictly ascending SYN names no peer twice, so if as
-            // many of its digests name a known peer as we know, every
-            // one of them is claimed and there is nothing to volunteer:
-            // the steady state, every round.
-        } else if ascending {
-            // SYNs built by `make_syn` list digests in peer order (the
-            // view iterates ascending), so a single merge pass against
-            // our own ordered view finds the gaps with no sort.
-            let mut digests = syn.digests.iter().peekable();
-            for (peer, st) in self.map.iter() {
-                while digests.next_if(|d| d.peer < peer).is_some() {}
-                if digests.peek().is_none_or(|d| d.peer != peer) {
-                    deltas.push_full(peer, st);
+        let (claims, watermarks) = syn.words.split_at(syn.claims as usize);
+        let mut watermarks = watermarks.iter();
+        let ids = self.map.ids().max(claims.len() * 64);
+        codes.resize(2 * ids.div_ceil(64), 0);
+        let mut volunteered = Vec::new();
+        for (block, planes) in codes.chunks_exact_mut(2).enumerate() {
+            let claimed = claims.get(block).copied().unwrap_or(0);
+            let (mut delta, mut aux, mut volunteers) = (0u64, 0u64, 0u64);
+            for bit in 0..64.min(ids - block * 64) {
+                let local = self.map.get(Peer((block * 64 + bit) as u32));
+                if claimed >> bit & 1 == 0 {
+                    // Only we know this peer: volunteer it in full.
+                    volunteers |= u64::from(local.is_some()) << bit;
+                    continue;
                 }
+                let theirs = *watermarks.next().expect("a watermark per claim");
+                let Some(local) = local else {
+                    // Never heard of this peer: ask for everything.
+                    aux |= 1 << bit;
+                    continue;
+                };
+                // Either side may be the fresher, about equally often in
+                // the steady state: the code is computed, not branched on.
+                let ours = local.watermark();
+                let (generation, max_version) = unpack(theirs);
+                let fresher = u64::from(ours > theirs);
+                let staler = u64::from(ours < theirs);
+                let full = u64::from(!local.app_covered_by(generation, max_version));
+                delta |= fresher << bit;
+                aux |= (fresher & full | staler) << bit;
             }
-        } else {
-            // A SYN that arrives unsorted (the wire type allows it)
-            // falls back to sort-and-probe with the identical result.
-            claimed.clear();
-            claimed.extend(syn.digests.iter().map(|d| d.peer));
-            claimed.sort_unstable();
-            for (peer, st) in self.map.iter() {
-                if claimed.binary_search(&peer).is_err() {
-                    deltas.push_full(peer, st);
+            if volunteers != 0 {
+                if volunteered.is_empty() {
+                    volunteered = vec![0u64; ids.div_ceil(64)];
                 }
+                volunteered[block] = volunteers;
             }
+            planes.copy_from_slice(&[delta | volunteers, aux | volunteers]);
         }
+        // The clocks the codes send, from this view: the deltas'
+        // heartbeats in the order they apply, then the requests'
+        // watermarks (zero for a peer never heard of).
+        for_each_delta(codes, &volunteered, |p, full| {
+            let st = self
+                .map
+                .get(Peer(p as u32))
+                .expect("a delta's peer is known");
+            clocks.push(pack(st.heartbeat));
+            if full {
+                fulls.push((st.app_version, Arc::clone(&st.app)));
+            }
+        });
+        let requested = codes.chunks_exact(2).map(|planes| planes[1] & !planes[0]);
+        for_each_bit(requested, |p| {
+            requests.push(
+                self.map
+                    .get(Peer(p as u32))
+                    .map_or(0, EndpointState::watermark),
+            );
+        });
+        let deltas = Deltas::emit(space);
         scalecheck_obs::metric(
             scalecheck_obs::Metric::GossipDeltas,
-            (deltas.len() + requests.len()) as u64,
+            deltas.entries() as u64,
         );
         Ack {
-            deltas: deltas.emit(),
-            requests: emit_exact(requests),
+            deltas,
+            volunteered: volunteered.into_boxed_slice(),
         }
     }
 
     /// Handles an ACK: applies its deltas and answers its requests with
-    /// an ACK2, in fresh build space (see [`Gossiper::handle_ack_in`]).
+    /// an ACK2 (see [`Gossiper::handle_ack_in`]).
     pub fn handle_ack(&mut self, ack: &Ack<A>) -> (ApplyOutcome, Ack2<A>) {
         let mut outcome = ApplyOutcome::default();
         let ack2 = self.handle_ack_in(ack, &mut AckSpace::default(), &mut outcome);
         (outcome, ack2)
     }
 
-    /// Handles an ACK: applies its deltas, reporting what advanced in
-    /// `outcome` (see [`Gossiper::apply_in`]), and answers its requests
-    /// with an ACK2, written as records in `space` and emitted at exactly
-    /// the number of requests answered.
+    /// Handles an ACK: applies its deltas and answers its requests with
+    /// an ACK2 of this view after the apply, gathered in `space` and
+    /// allocated at exactly the number of requests answered.
+    ///
+    /// `outcome` is cleared, then reports the peers whose heartbeat
+    /// advanced and those whose app state did, in entry order; its
+    /// vectors keep their capacity from one apply to the next, so a run
+    /// that passes the same `outcome` to every apply allocates for none.
     pub fn handle_ack_in(
         &mut self,
         ack: &Ack<A>,
         space: &mut AckSpace<A>,
         outcome: &mut ApplyOutcome,
     ) -> Ack2<A> {
-        self.apply_in(&ack.deltas, outcome);
-        let deltas = &mut space.deltas;
-        for req in &ack.requests {
-            if let Some(local) = self.map.get(req.peer) {
-                let newer = local.newer_than(req.generation, req.max_version);
-                deltas.push_against_if(req.peer, local, req.generation, req.max_version, newer);
+        outcome.clear();
+        ack.deltas.for_each(&ack.volunteered, |p, entry| {
+            self.apply_entry(p, entry, outcome)
+        });
+        // Answer each request this view holds fresher state for; the
+        // codes are allocated at the first answer.
+        let AckSpace {
+            codes,
+            clocks,
+            fulls,
+            ..
+        } = space;
+        for req in ack.deltas.requests() {
+            let Some(local) = self.map.get(req.peer) else {
+                continue;
+            };
+            if local.newer_than(req.generation, req.max_version) {
+                if codes.is_empty() {
+                    codes.resize(ack.deltas.codes().len(), 0);
+                }
+                let full = !local.app_covered_by(req.generation, req.max_version);
+                let (p, bit) = (req.peer.0 as usize, 1 << (req.peer.0 % 64));
+                codes[2 * (p / 64)] |= bit;
+                codes[2 * (p / 64) + 1] |= bit * u64::from(full);
+                clocks.push(pack(local.heartbeat));
+                if full {
+                    fulls.push((local.app_version, Arc::clone(&local.app)));
+                }
             }
         }
-        scalecheck_obs::metric(scalecheck_obs::Metric::GossipDeltas, deltas.len() as u64);
-        Ack2 {
-            deltas: deltas.emit(),
-        }
+        let deltas = Deltas::emit(space);
+        scalecheck_obs::metric(
+            scalecheck_obs::Metric::GossipDeltas,
+            deltas.entries() as u64,
+        );
+        Ack2 { deltas }
     }
 
     /// Handles an ACK2: applies its deltas.
     pub fn handle_ack2(&mut self, ack2: &Ack2<A>) -> ApplyOutcome {
-        self.apply(&ack2.deltas)
-    }
-
-    /// Handles an ACK2: applies its deltas, reporting what advanced in
-    /// `outcome` (see [`Gossiper::apply_in`]).
-    pub fn handle_ack2_in(&mut self, ack2: &Ack2<A>, outcome: &mut ApplyOutcome) {
-        self.apply_in(&ack2.deltas, outcome);
-    }
-
-    /// Applies a batch of deltas, keeping only fresher information.
-    pub fn apply(&mut self, deltas: &Deltas<A>) -> ApplyOutcome {
         let mut outcome = ApplyOutcome::default();
-        self.apply_in(deltas, &mut outcome);
+        self.handle_ack2_in(ack2, &mut outcome);
         outcome
     }
 
-    /// Applies a batch of deltas, keeping only fresher information, and
-    /// reports what advanced in `out`, which is cleared first: its
-    /// vectors keep their capacity from one body to the next, so a run
-    /// that passes the same `out` to every apply allocates for none.
-    pub fn apply_in(&mut self, deltas: &Deltas<A>, out: &mut ApplyOutcome) {
-        out.heartbeat_advanced.clear();
-        out.app_advanced.clear();
-        let mut payloads = deltas.payloads().iter();
-        for rec in deltas.records() {
-            let peer = rec.peer;
-            let hb = rec.heartbeat;
-            // A full entry's payload is the next in the side list; take
-            // it even for an entry about us, so the rest stay aligned.
-            let full = rec.app_version().map(|app_version| {
-                let app = payloads.next().expect("a payload per full entry");
-                (app_version, app)
-            });
-            if peer == self.me {
-                // Nobody overrides our own state.
-                continue;
-            }
-            match full {
-                Some((app_version, app)) => {
-                    let remote = || EndpointState {
-                        heartbeat: hb,
-                        app_version,
-                        app: Arc::clone(app),
-                    };
-                    match self.map.get_mut(peer) {
-                        Some(local) => {
-                            let local_gen = local.heartbeat.generation;
-                            let fresher = (hb.generation, hb.version.max(app_version));
-                            if fresher > (local_gen, local.max_version()) {
-                                if hb.generation > local_gen || hb.version > local.heartbeat.version
-                                {
-                                    out.heartbeat_advanced.push(peer);
-                                }
-                                if hb.generation > local_gen || app_version > local.app_version {
-                                    out.app_advanced.push(peer);
-                                }
-                                *local = remote();
+    /// Handles an ACK2: applies its deltas, reporting what advanced in
+    /// `outcome` (see [`Gossiper::handle_ack_in`]).
+    pub fn handle_ack2_in(&mut self, ack2: &Ack2<A>, outcome: &mut ApplyOutcome) {
+        outcome.clear();
+        ack2.deltas
+            .for_each(&[], |p, entry| self.apply_entry(p, entry, outcome));
+    }
+
+    /// Applies deltas known out of band, in order, keeping only fresher
+    /// information, exactly as a body's deltas apply.
+    pub fn apply(&mut self, deltas: &[(Peer, Delta<A>)]) -> ApplyOutcome {
+        let mut out = ApplyOutcome::default();
+        for (peer, delta) in deltas {
+            let entry = match delta {
+                Delta::Heartbeat(heartbeat) => Entry::Heartbeat(*heartbeat),
+                Delta::Full(st) => Entry::Full(st.heartbeat, st.app_version, &st.app),
+            };
+            self.apply_entry(peer.0 as usize, entry, &mut out);
+        }
+        out
+    }
+
+    /// Applies one delta about peer `p`, keeping only fresher
+    /// information, and reports what advanced in `out`.
+    fn apply_entry(&mut self, p: usize, entry: Entry<'_, A>, out: &mut ApplyOutcome) {
+        let peer = Peer(p as u32);
+        if peer == self.me {
+            // Nobody overrides our own state.
+            return;
+        }
+        match entry {
+            Entry::Full(hb, app_version, app) => {
+                let remote = || EndpointState {
+                    heartbeat: hb,
+                    app_version,
+                    app: Arc::clone(app),
+                };
+                match self.map.get_mut(peer) {
+                    Some(local) => {
+                        let local_gen = local.heartbeat.generation;
+                        let fresher = (hb.generation, hb.version.max(app_version));
+                        if fresher > (local_gen, local.max_version()) {
+                            if hb.generation > local_gen || hb.version > local.heartbeat.version {
+                                out.heartbeat_advanced.push(peer);
                             }
-                        }
-                        None => {
-                            out.heartbeat_advanced.push(peer);
-                            out.app_advanced.push(peer);
-                            self.map.insert(peer, remote());
+                            if hb.generation > local_gen || app_version > local.app_version {
+                                out.app_advanced.push(peer);
+                            }
+                            *local = remote();
                         }
                     }
+                    None => {
+                        out.heartbeat_advanced.push(peer);
+                        out.app_advanced.push(peer);
+                        self.map.insert(peer, remote());
+                    }
                 }
-                None => {
-                    // Only meaningful against a known state in the same
-                    // generation; anything else would have been sent as a
-                    // full state (or is stale and must be ignored).
-                    if let Some(local) = self.map.get_mut(peer) {
-                        if hb.generation == local.heartbeat.generation
-                            && hb.version > local.max_version()
-                        {
-                            local.heartbeat.version = hb.version;
-                            out.heartbeat_advanced.push(peer);
-                        }
+            }
+            // Only meaningful against a known state in the same
+            // generation; anything else would have been sent as a full
+            // state (or is stale and must be ignored).
+            Entry::Heartbeat(hb) => {
+                if let Some(local) = self.map.get_mut(peer) {
+                    if hb.generation == local.heartbeat.generation
+                        && hb.version > local.max_version()
+                    {
+                        local.heartbeat.version = hb.version;
+                        out.heartbeat_advanced.push(peer);
                     }
                 }
             }
@@ -429,7 +704,6 @@ impl<A: Clone + PartialEq> Gossiper<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::Delta;
 
     type G = Gossiper<u32>;
 
@@ -494,11 +768,10 @@ mod tests {
         b.beat();
         let syn = a.make_syn();
         let ack = b.handle_syn(&syn);
-        assert_eq!(ack.deltas.len(), 1);
-        let rec = ack.deltas.records()[0];
+        let deltas = ack.deltas();
         assert!(
-            rec.peer == Peer(1) && !rec.is_full() && ack.deltas.payloads().is_empty(),
-            "converged peers exchange heartbeats, not full states: {rec:?}"
+            matches!(deltas[..], [(Peer(1), Delta::Heartbeat(_))]) && ack.requests().is_empty(),
+            "converged peers exchange heartbeats, not full states: {deltas:?}"
         );
         let (out_a, _) = a.handle_ack(&ack);
         assert_eq!(out_a.heartbeat_advanced, vec![Peer(1)]);
@@ -517,22 +790,22 @@ mod tests {
         b.beat();
         round(&mut a, &mut b);
         // Replay an old heartbeat: must be a no-op.
-        let out = a.apply(&Deltas::from_iter([(
+        let out = a.apply(&[(
             Peer(1),
             Delta::Heartbeat(HeartbeatState {
                 generation: 1,
                 version: 1,
             }),
-        )]));
+        )]);
         assert!(out.heartbeat_advanced.is_empty());
         // A heartbeat for an unknown peer is dropped, not fabricated.
-        let out = a.apply(&Deltas::from_iter([(
+        let out = a.apply(&[(
             Peer(9),
             Delta::Heartbeat(HeartbeatState {
                 generation: 1,
                 version: 5,
             }),
-        )]));
+        )]);
         assert!(out.heartbeat_advanced.is_empty());
         assert!(a.endpoint(Peer(9)).is_none());
     }
@@ -573,7 +846,7 @@ mod tests {
             99,
             12345,
         );
-        let out = a.apply(&Deltas::from_iter([(Peer(0), Delta::Full(bogus))]));
+        let out = a.apply(&[(Peer(0), Delta::Full(bogus))]);
         assert!(out.heartbeat_advanced.is_empty());
         assert_eq!(*a.my_app(), 100);
         let _ = b;

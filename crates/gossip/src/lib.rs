@@ -5,7 +5,8 @@
 //! * heartbeat/endpoint state with generation + version freshness
 //!   ([`state`]);
 //! * the three-way SYN/ACK/ACK2 anti-entropy exchange
-//!   ([`Gossiper`]);
+//!   ([`Gossiper`]), whose bodies name peers in bits and keep each
+//!   entry's clocks in one word;
 //! * the φ accrual failure detector ([`PhiDetector`]);
 //! * per-node conviction state and flap accounting
 //!   ([`FailureDetector`]) — a *flap* is one node marking a live peer
@@ -27,6 +28,4 @@ pub mod state;
 pub use failure::{FailureDetector, Liveness};
 pub use gossiper::{Ack, Ack2, AckSpace, ApplyOutcome, Gossiper, Syn};
 pub use phi::PhiDetector;
-pub use state::{
-    Delta, DeltaRecord, Deltas, Digest, EndpointMap, EndpointState, HeartbeatState, Peer, CLOCK_MAX,
-};
+pub use state::{Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer, CLOCK_MAX};

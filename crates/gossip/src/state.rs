@@ -29,10 +29,10 @@ impl std::fmt::Display for Peer {
 
 /// The largest value a generation or version clock may hold: 2³¹ − 1.
 ///
-/// Clocks are `u32`, and the top bit of a [`DeltaRecord`]'s app-version
-/// word marks a full-state entry, so a clock must stay below 2³¹. A
-/// clock advances with [`tick`], which panics past this value; a
-/// scenario whose clocks could get there is rejected before it runs.
+/// Clocks are `u32` and keep their top bit free, so that a clock and a
+/// one-bit mark can share a word. A clock advances with [`tick`], which
+/// panics past this value; a scenario whose clocks could get there is
+/// rejected before it runs.
 pub const CLOCK_MAX: u32 = (1 << 31) - 1;
 
 /// Advances a generation or version clock by one.
@@ -116,7 +116,7 @@ impl<A> EndpointState<A> {
     /// Whether a requester at the `(generation, max_version)` watermark
     /// already holds this state's app state, so that only the heartbeat
     /// need move (see [`Self::delta_against`]).
-    fn app_covered_by(&self, generation: u32, max_version: u32) -> bool {
+    pub(crate) fn app_covered_by(&self, generation: u32, max_version: u32) -> bool {
         self.heartbeat.generation == generation && self.app_version <= max_version
     }
 }
@@ -168,8 +168,9 @@ pub enum Delta<A> {
     Heartbeat(HeartbeatState),
 }
 
-/// A compact claim about a peer's freshness, exchanged in gossip SYNs
-/// and as an ACK's requests: 12 bytes.
+/// A claim about a peer's freshness: what a SYN says of each peer its
+/// sender knows, and what an ACK asks for. A body keeps a claim as its
+/// [`watermark`] word; this is its readable form.
 ///
 /// Its clocks follow [`HeartbeatState`]'s width contract: `u32`, never
 /// above [`CLOCK_MAX`].
@@ -181,197 +182,6 @@ pub struct Digest {
     pub generation: u32,
     /// Claimed max version.
     pub max_version: u32,
-}
-
-/// The bit of [`DeltaRecord`]'s app-version word that marks a full-state
-/// entry; clocks never reach it ([`CLOCK_MAX`]).
-const FULL: u32 = 1 << 31;
-
-/// One entry of an ACK or ACK2 body ([`Deltas`]): 16 bytes, four `u32`s.
-///
-/// A heartbeat-only entry is the record alone. A full-state entry is the
-/// record, marked full, plus its payload, which sits in the body's side
-/// list of payloads in entry order.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct DeltaRecord {
-    /// The peer the entry is about.
-    pub peer: Peer,
-    /// The peer's heartbeat as the sender knows it.
-    pub heartbeat: HeartbeatState,
-    /// A full entry's app version with [`FULL`] set; 0 for a
-    /// heartbeat-only entry.
-    app: u32,
-}
-
-impl DeltaRecord {
-    /// Whether the entry is a full state (its payload is the next one in
-    /// the body's side list).
-    pub fn is_full(&self) -> bool {
-        self.app & FULL != 0
-    }
-
-    /// A full entry's app version; `None` for a heartbeat-only entry.
-    pub fn app_version(&self) -> Option<u32> {
-        self.is_full().then_some(self.app & !FULL)
-    }
-}
-
-/// The delta entries of an ACK or ACK2: one [`DeltaRecord`] per entry,
-/// plus the payload of each full-state entry in a side list, in entry
-/// order.
-///
-/// Both lists are allocated at exactly their length. Build one from
-/// `(Peer, Delta)` pairs with `collect`; the gossiper writes its bodies
-/// as records directly.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Deltas<A> {
-    records: Box<[DeltaRecord]>,
-    payloads: Box<[Arc<A>]>,
-}
-
-impl<A> Default for Deltas<A> {
-    fn default() -> Self {
-        Deltas {
-            records: Box::default(),
-            payloads: Box::default(),
-        }
-    }
-}
-
-impl<A> Deltas<A> {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the body carries no entry.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The entries, in order.
-    pub fn records(&self) -> &[DeltaRecord] {
-        &self.records
-    }
-
-    /// The payloads of the full-state entries, in entry order.
-    pub fn payloads(&self) -> &[Arc<A>] {
-        &self.payloads
-    }
-}
-
-impl<A> FromIterator<(Peer, Delta<A>)> for Deltas<A> {
-    fn from_iter<I: IntoIterator<Item = (Peer, Delta<A>)>>(entries: I) -> Self {
-        let mut build = DeltaBuild::default();
-        for (peer, delta) in entries {
-            build.push(peer, delta);
-        }
-        build.emit()
-    }
-}
-
-/// Where a [`Deltas`] body is written before it is emitted: vectors that
-/// keep their capacity from one body to the next.
-#[derive(Debug)]
-pub(crate) struct DeltaBuild<A> {
-    records: Vec<DeltaRecord>,
-    payloads: Vec<Arc<A>>,
-}
-
-impl<A> Default for DeltaBuild<A> {
-    fn default() -> Self {
-        DeltaBuild {
-            records: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-}
-
-impl<A> DeltaBuild<A> {
-    /// Entries written so far.
-    pub(crate) fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Appends one entry.
-    pub(crate) fn push(&mut self, peer: Peer, delta: Delta<A>) {
-        match delta {
-            Delta::Heartbeat(heartbeat) => self.records.push(DeltaRecord {
-                peer,
-                heartbeat,
-                app: 0,
-            }),
-            Delta::Full(st) => self.push_full(peer, &st),
-        }
-    }
-
-    /// Appends the entry `st.delta_against(generation, max_version)` for
-    /// `peer` if `keep`, written as its record without building the
-    /// [`Delta`]: a heartbeat-only entry is the record alone, a full one
-    /// shares `st`'s payload. A heartbeat-only record is written whether
-    /// it is kept or not (see [`push_if`]).
-    pub(crate) fn push_against_if(
-        &mut self,
-        peer: Peer,
-        st: &EndpointState<A>,
-        generation: u32,
-        max_version: u32,
-        keep: bool,
-    ) {
-        if keep & !st.app_covered_by(generation, max_version) {
-            self.push_full(peer, st);
-        } else {
-            let record = DeltaRecord {
-                peer,
-                heartbeat: st.heartbeat,
-                app: 0,
-            };
-            push_if(&mut self.records, record, keep);
-        }
-    }
-
-    /// Appends a full-state entry for `peer` that shares `st`'s payload.
-    pub(crate) fn push_full(&mut self, peer: Peer, st: &EndpointState<A>) {
-        assert!(
-            st.app_version <= CLOCK_MAX,
-            "app version {} is past the clock range",
-            st.app_version
-        );
-        self.payloads.push(Arc::clone(&st.app));
-        self.records.push(DeltaRecord {
-            peer,
-            heartbeat: st.heartbeat,
-            app: st.app_version | FULL,
-        });
-    }
-
-    /// Moves what was written into a body of exactly its length, leaving
-    /// the build empty with its capacity.
-    pub(crate) fn emit(&mut self) -> Deltas<A> {
-        Deltas {
-            records: emit_exact(&mut self.records),
-            payloads: emit_exact(&mut self.payloads),
-        }
-    }
-}
-
-/// Appends `entry` to `build` if `keep`. The entry is written either way
-/// and then dropped again if not kept, so the call does not branch on
-/// `keep`: where a loop's `keep` goes either way about equally often (a
-/// SYN digest is older or newer than the receiver's view), a branch on
-/// it mispredicts every other entry, and a write costs less.
-pub(crate) fn push_if<T: Copy>(build: &mut Vec<T>, entry: T, keep: bool) {
-    build.push(entry);
-    build.truncate(build.len() - usize::from(!keep));
-}
-
-/// Moves what `build` holds into one allocation of exactly its length,
-/// leaving `build` empty with its capacity for the next build. Handing
-/// out `build` itself (`mem::take`) would ship its spare capacity too.
-pub(crate) fn emit_exact<T>(build: &mut Vec<T>) -> Box<[T]> {
-    let mut body = Vec::with_capacity(build.len());
-    body.append(build);
-    body.into_boxed_slice()
 }
 
 /// A node's full gossip view: one [`EndpointState`] per known peer, in
@@ -418,6 +228,11 @@ impl<A> EndpointMap<A> {
     pub fn reserve_slots(&mut self, slots: usize) {
         self.slots
             .reserve_exact(slots.saturating_sub(self.slots.len()));
+    }
+
+    /// One past the highest peer id the table has a slot for.
+    pub(crate) fn ids(&self) -> usize {
+        self.slots.len()
     }
 
     /// Whether no peer is known.
@@ -516,9 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn wire_entries_are_narrow() {
+    fn slots_stay_narrow() {
         assert_eq!(std::mem::size_of::<Digest>(), 12);
-        assert_eq!(std::mem::size_of::<DeltaRecord>(), 16);
         assert_eq!(std::mem::size_of::<Option<EndpointState<u8>>>(), 24);
     }
 
@@ -529,44 +343,6 @@ mod tests {
         for past in [CLOCK_MAX, u32::MAX] {
             assert!(std::panic::catch_unwind(|| tick(past)).is_err(), "{past}");
         }
-    }
-
-    #[test]
-    fn a_body_keeps_each_payload_with_its_full_entry() {
-        let hb = |version| HeartbeatState {
-            generation: 1,
-            version,
-        };
-        let body: Deltas<u8> = [
-            (
-                Peer(4),
-                Delta::Full(EndpointState::new(hb(2), CLOCK_MAX, 7)),
-            ),
-            (Peer(2), Delta::Heartbeat(hb(3))),
-            (Peer(9), Delta::Full(EndpointState::new(hb(0), 0, 9))),
-            (Peer(0), Delta::Heartbeat(hb(CLOCK_MAX))),
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(body.len(), 4);
-        let got: Vec<(Peer, bool, Option<u32>)> = body
-            .records()
-            .iter()
-            .map(|r| (r.peer, r.is_full(), r.app_version()))
-            .collect();
-        assert_eq!(
-            got,
-            [
-                (Peer(4), true, Some(CLOCK_MAX)),
-                (Peer(2), false, None),
-                (Peer(9), true, Some(0)),
-                (Peer(0), false, None),
-            ]
-        );
-        let payloads: Vec<u8> = body.payloads().iter().map(|a| **a).collect();
-        assert_eq!(payloads, [7, 9]);
-        assert_eq!(body.records()[3].heartbeat.version, CLOCK_MAX);
-        assert!(Deltas::<u8>::default().is_empty());
     }
 
     #[test]

@@ -296,9 +296,9 @@ if grep -n 'BTreeMap' crates/ring/src/table.rs; then
 fi
 
 # One gossip width: clocks are u32 (validate bounds them below 2^31) and
-# SYN/ACK/ACK2 bodies are 12- and 16-byte records. The u64, Vec-bodied
-# exchange they replaced lives only in tests/model/gossip.rs, the oracle
-# of proptests::dense_endpoint_map_matches_the_tree_model.
+# SYN/ACK/ACK2 bodies are words (peers in bits, a clock word an entry).
+# The u64, Vec-bodied exchange they replaced lives only in
+# tests/model/gossip.rs, the oracle of the gossip body differentials.
 echo "=== one gossip width (grep gate) ==="
 if grep -rnE '(generation|version|app_version|max_version|version_clock) *: *u64|Vec<\(Peer, *Delta' \
   crates/gossip/src; then
@@ -308,12 +308,12 @@ fi
 
 # Host memory in a flap storm: 160 nodes on 16 cores queue gossip
 # messages at starved receivers, and that queue sets the peak of the
-# verdict benchmark. Each body is built in a space the run owns and
-# emitted at exactly its length, as 12-byte digests and 16-byte delta
-# records; grown by doubling the ACKs peaked at 46.7 MiB here, and with
-# exact but wide bodies (24-byte digests, 40-byte deltas) at 34.2 MiB.
-# The c3831@160 one-decommission Colo leg must peak under 28 MiB of
-# VmHWM (~21 MiB now).
+# verdict benchmark. Each body is allocated at exactly its length, in
+# words: peers in bits and a clock word an entry. Grown by doubling the
+# ACKs peaked at 46.7 MiB here, with exact but wide bodies (24-byte
+# digests, 40-byte deltas) at 34.2 MiB, and with 12-byte digests and
+# 16-byte delta records at ~20 MiB. The c3831@160 one-decommission Colo
+# leg must peak under 19 MiB of VmHWM (~16.1 MiB now).
 echo "=== flap-storm host memory (c3831@160 Colo leg, release) ==="
 cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 

@@ -1,15 +1,15 @@
-//! The gossip exchange as it was before its bodies became 32-bit
-//! records, over a `BTreeMap<Peer, _>` view: `u64` clocks, a SYN of
-//! 24-byte digests, and ACK/ACK2 bodies as `Vec`s of `(Peer, delta)`
-//! pairs whose full-state deltas each carry their own payload. Beside
-//! it, the widening of the crate's narrow messages and states into
-//! these types, which is how the differential compares the two entry by
-//! entry.
+//! The gossip exchange as it was before its bodies became words, over a
+//! `BTreeMap<Peer, _>` view: `u64` clocks, a SYN of 24-byte digests, and
+//! ACK/ACK2 bodies as `Vec`s of `(Peer, delta)` pairs whose full-state
+//! deltas each carry their own payload — a flat copy of every entry, made
+//! when the body is built. Beside it, the widening of the crate's narrow
+//! entries and states into these types, which is how the differentials
+//! compare the two entry by entry.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use scalecheck_gossip::{ApplyOutcome, Deltas, Digest, EndpointState, Peer};
+use scalecheck_gossip::{ApplyOutcome, Delta, Digest, EndpointState, Peer};
 
 /// A heartbeat with `u64` clocks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -69,15 +69,18 @@ pub enum WideDelta<A> {
     Heartbeat(WideHeartbeat),
 }
 
+#[derive(Clone)]
 pub struct WideSyn {
     pub digests: Vec<WideDigest>,
 }
 
+#[derive(Clone)]
 pub struct WideAck<A> {
     pub deltas: Vec<(Peer, WideDelta<A>)>,
     pub requests: Vec<WideDigest>,
 }
 
+#[derive(Clone)]
 pub struct WideAck2<A> {
     pub deltas: Vec<(Peer, WideDelta<A>)>,
 }
@@ -106,40 +109,21 @@ pub fn widen_digests(digests: &[Digest]) -> Vec<WideDigest> {
         .collect()
 }
 
-/// A narrow delta body, widened: each record in order, a full one
-/// joined with the next payload of the side list. An error if a full
-/// record finds the side list spent, or payloads are left over once
-/// every record has been read.
-pub fn widen_deltas<A>(deltas: &Deltas<A>) -> Result<Vec<(Peer, WideDelta<A>)>, String> {
-    let mut payloads = deltas.payloads().iter();
-    let mut out = Vec::with_capacity(deltas.len());
-    for (i, rec) in deltas.records().iter().enumerate() {
-        let heartbeat = WideHeartbeat {
-            generation: rec.heartbeat.generation.into(),
-            version: rec.heartbeat.version.into(),
-        };
-        let delta = match rec.app_version() {
-            Some(app_version) => {
-                let app = payloads
-                    .next()
-                    .ok_or_else(|| format!("full entry {i} has no payload"))?;
-                WideDelta::Full(WideState {
-                    heartbeat,
-                    app_version: app_version.into(),
-                    app: Arc::clone(app),
-                })
-            }
-            None => WideDelta::Heartbeat(heartbeat),
-        };
-        out.push((rec.peer, delta));
-    }
-    match payloads.len() {
-        0 => Ok(out),
-        left => Err(format!(
-            "{left} payloads left over after {} entries",
-            out.len()
-        )),
-    }
+/// Narrow deltas, widened, in order.
+pub fn widen_deltas<A>(deltas: &[(Peer, Delta<A>)]) -> Vec<(Peer, WideDelta<A>)> {
+    deltas
+        .iter()
+        .map(|(peer, delta)| {
+            let delta = match delta {
+                Delta::Heartbeat(hb) => WideDelta::Heartbeat(WideHeartbeat {
+                    generation: hb.generation.into(),
+                    version: hb.version.into(),
+                }),
+                Delta::Full(st) => WideDelta::Full(widen_state(st)),
+            };
+            (*peer, delta)
+        })
+        .collect()
 }
 
 /// The gossiper before its bodies became records, over a tree view.

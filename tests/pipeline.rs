@@ -196,3 +196,50 @@ fn replay_traces_are_bit_identical() {
         assert!(w[0].ts <= w[1].ts);
     }
 }
+
+/// R1, colocation with room to spare is the real deployment: with two
+/// cores per node nobody waits for a core, so a Colo run simulates what
+/// the Real run does, field for field, on every preset at small scale
+/// and three seeds. The resource readings are left out: they describe
+/// the machines, not the run — Colo packs the nodes onto one machine,
+/// so its peak memory (`mem_peak_bytes`) sums them, and its utilization
+/// (`cpu_utilization`) divides the same demand by a different core
+/// count (EXPERIMENTS.md, "Colo with room to spare").
+#[test]
+fn colo_with_room_to_spare_is_the_real_run() {
+    type Preset = fn(usize, u64) -> ScenarioConfig;
+    let presets: [(&str, Preset, usize); 5] = [
+        ("baseline", ScenarioConfig::baseline, 16),
+        ("c3831", ScenarioConfig::c3831, 12),
+        ("c3881", ScenarioConfig::c3881, 16),
+        ("c5456", ScenarioConfig::c5456, 12),
+        ("c6127", ScenarioConfig::c6127, 12),
+    ];
+    for (name, preset, n) in presets {
+        for seed in 1..=3 {
+            let cfg = preset(n, seed);
+            let real = run_scenario(&cfg, RunMode::Real, Pil::Execute);
+            let colo = run_scenario(&cfg, RunMode::Colo { cores: 2 * n }, Pil::Execute);
+            let fields = |r: &scalecheck_cluster::RunReport| {
+                format!(
+                    "{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}",
+                    r.per_node_flaps,
+                    r.flap_series,
+                    r.recoveries,
+                    r.duration,
+                    r.quiesced,
+                    r.total_flaps,
+                    r.calc,
+                    r.messages_sent,
+                    r.messages_dropped,
+                    r.messages_delivered,
+                    (r.max_stage_lateness, r.p99_stage_lateness),
+                    r.engine,
+                    r.traffic,
+                    r.faults,
+                )
+            };
+            assert_eq!(fields(&real), fields(&colo), "{name}({n}) seed {seed}");
+        }
+    }
+}

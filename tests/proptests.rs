@@ -1105,24 +1105,20 @@ proptest! {
         prop_assert_eq!(dense.interpret_all(late), tree.interpret_all(late));
     }
 
-    /// Differential: gossipers over the dense `EndpointMap` with 32-bit
-    /// record bodies, and the exchange they replaced (`model::gossip`:
-    /// a `BTreeMap` view, `u64` clocks, `Vec` bodies of `(Peer, delta)`
-    /// pairs), exchange the same SYN/ACK/ACK2 bodies entry by entry,
-    /// order included, report identical `ApplyOutcome`s and hold
-    /// identical views, round after round, across restarts, app
-    /// updates, an unsorted SYN, hearsay bodies that interleave full
-    /// and heartbeat-only entries about peers nobody hosts and about
-    /// the receiver itself, and an id space full of holes. Every body
-    /// is built in one build space that all nodes and steps share, as
-    /// the runner builds them, and holds exactly its entry count: one
-    /// record per entry and one payload per full entry; every outcome
-    /// is reported in one `ApplyOutcome` that all applies share, as the
-    /// runner reports them. Among the SYNs are ascending ones that name
-    /// a peer twice and leave another out, so that as many digests name
-    /// a known peer as the receiver knows while one of its peers is
-    /// unclaimed: the gap merge may be skipped only for a *strictly*
-    /// ascending SYN.
+    /// Differential: gossipers over the dense `EndpointMap` with bodies
+    /// in words (peers in bits, clocks one word an entry), and the
+    /// exchange they replaced (`model::gossip`: a `BTreeMap` view, `u64`
+    /// clocks, `Vec` bodies of `(Peer, delta)` pairs), exchange the same
+    /// SYN/ACK/ACK2 bodies entry by entry, order included, report
+    /// identical `ApplyOutcome`s and hold identical views, round after
+    /// round, across restarts, app updates, hearsay deltas that
+    /// interleave full and heartbeat-only entries about peers nobody
+    /// hosts and about the receiver itself, and an id space full of
+    /// holes. Every body is gathered in one build space and every outcome
+    /// reported in one `ApplyOutcome` that all nodes and steps share, as
+    /// the runner does it. Among the SYNs are
+    /// ones handled after their sender has moved on, and ones handled
+    /// twice (a duplicate), with the ACK they draw also applied twice.
     #[test]
     fn dense_endpoint_map_matches_the_tree_model(
         n in 2usize..13,
@@ -1130,11 +1126,10 @@ proptest! {
     ) {
         use model::gossip::{
             widen_deltas, widen_digests, widen_state, TreeGossiper, WideDelta, WideHeartbeat,
-            WideState, WideSyn,
+            WideState,
         };
         use scalecheck_gossip::{
-            AckSpace, ApplyOutcome, Delta, Deltas, EndpointState, Gossiper, HeartbeatState, Peer,
-            Syn,
+            AckSpace, ApplyOutcome, Delta, EndpointState, Gossiper, HeartbeatState, Peer,
         };
         /// Two bodies, entry by entry.
         fn same_entries<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], what: &str) -> Result<(), TestCaseError> {
@@ -1143,13 +1138,6 @@ proptest! {
                 prop_assert_eq!(g, w, "{} entry {}", what, i);
             }
             Ok(())
-        }
-        /// A narrow delta body against the model's: it must hold exactly
-        /// its entries (a payload per full record, none left over), each
-        /// equal to the model's.
-        fn same_deltas(got: &Deltas<u32>, want: &[(Peer, WideDelta<u32>)], what: &str) -> Result<(), TestCaseError> {
-            let got = widen_deltas(got).map_err(|e| TestCaseError::Fail(format!("{what}: {e}")))?;
-            same_entries(&got, want, what)
         }
         let mut space = AckSpace::default();
         let mut outcome = ApplyOutcome::default();
@@ -1161,49 +1149,62 @@ proptest! {
         for (kind, a, b, x) in ops {
             let (a, b) = (a % n, b % n);
             match kind {
-                0..=4 if a != b => {
+                0..=4 | 12 if a != b => {
                     let syn = dense[a].make_syn();
                     let wide_syn = tree[a].make_syn();
-                    same_entries(&widen_digests(&syn.digests), &wide_syn.digests, "SYN")?;
-                    let ack = dense[b].handle_syn_in(&syn, &mut space);
-                    let wide_ack = tree[b].handle_syn(&wide_syn);
-                    same_deltas(&ack.deltas, &wide_ack.deltas, "ACK deltas")?;
-                    same_entries(&widen_digests(&ack.requests), &wide_ack.requests, "ACK requests")?;
-                    // The runner's path, or fresh space and outcomes.
-                    let ack2 = if kind == 4 {
-                        let (out_a, ack2) = dense[a].handle_ack(&ack);
-                        outcome = out_a;
-                        ack2
-                    } else {
-                        dense[a].handle_ack_in(&ack, &mut space, &mut outcome)
-                    };
-                    let (model_out_a, wide_ack2) = tree[a].handle_ack(&wide_ack);
-                    prop_assert_eq!(&outcome, &model_out_a);
-                    same_deltas(&ack2.deltas, &wide_ack2.deltas, "ACK2")?;
-                    let model_out_b = tree[b].handle_ack2(&wide_ack2);
-                    if kind == 4 {
-                        prop_assert_eq!(dense[b].handle_ack2(&ack2), model_out_b);
-                    } else {
-                        dense[b].handle_ack2_in(&ack2, &mut outcome);
-                        prop_assert_eq!(&outcome, &model_out_b);
+                    same_entries(&widen_digests(&syn.digests()), &wide_syn.digests, "SYN")?;
+                    prop_assert_eq!(syn.entries(), wide_syn.digests.len());
+                    // A duplicate SYN draws the same ACK twice; the
+                    // second applies to a view the first already moved.
+                    let copies = if kind == 12 { 2 } else { 1 };
+                    for _ in 0..copies {
+                        // The runner's path, or fresh build space.
+                        let ack = if kind == 4 {
+                            dense[b].handle_syn(&syn.clone())
+                        } else {
+                            dense[b].handle_syn_in(&syn.clone(), &mut space)
+                        };
+                        let wide_ack = tree[b].handle_syn(&wide_syn);
+                        same_entries(&widen_deltas(&ack.deltas()), &wide_ack.deltas, "ACK deltas")?;
+                        same_entries(&widen_digests(&ack.requests()), &wide_ack.requests, "ACK requests")?;
+                        prop_assert_eq!(ack.entries(), wide_ack.deltas.len() + wide_ack.requests.len());
+                        let ack2 = if kind == 4 {
+                            let (out_a, ack2) = dense[a].handle_ack(&ack);
+                            outcome = out_a;
+                            ack2
+                        } else {
+                            dense[a].handle_ack_in(&ack, &mut space, &mut outcome)
+                        };
+                        let (model_out_a, wide_ack2) = tree[a].handle_ack(&wide_ack);
+                        prop_assert_eq!(&outcome, &model_out_a);
+                        same_entries(&widen_deltas(&ack2.deltas()), &wide_ack2.deltas, "ACK2")?;
+                        prop_assert_eq!(ack2.is_empty(), wide_ack2.deltas.is_empty());
+                        let model_out_b = tree[b].handle_ack2(&wide_ack2);
+                        if kind == 4 {
+                            prop_assert_eq!(dense[b].handle_ack2(&ack2), model_out_b);
+                        } else {
+                            dense[b].handle_ack2_in(&ack2, &mut outcome);
+                            prop_assert_eq!(&outcome, &model_out_b);
+                        }
                     }
                 }
                 5 if a != b => {
-                    // The wire type does not promise a sorted SYN.
-                    let mut syn = dense[a].make_syn();
-                    let mut wide_syn = tree[a].make_syn();
-                    let len = syn.digests.len();
-                    syn.digests.rotate_left(x as usize % len);
-                    syn.digests.reverse();
-                    wide_syn.digests.rotate_left(x as usize % len);
-                    wide_syn.digests.reverse();
-                    let ack = dense[b].handle_syn_in(&syn, &mut space);
+                    // A SYN handled after its sender moved on: it carries
+                    // what the sender knew when it was built.
+                    let syn = dense[a].make_syn();
+                    let wide_syn = tree[a].make_syn();
+                    dense[a].beat();
+                    tree[a].beat();
+                    dense[a].update_app(x);
+                    tree[a].update_app(x);
+                    same_entries(&widen_digests(&syn.digests()), &wide_syn.digests, "SYN (sender moved on)")?;
+                    let ack = dense[b].handle_syn(&syn);
                     let wide_ack = tree[b].handle_syn(&wide_syn);
-                    same_deltas(&ack.deltas, &wide_ack.deltas, "ACK deltas (unsorted SYN)")?;
+                    same_entries(&widen_deltas(&ack.deltas()), &wide_ack.deltas, "ACK deltas (sender moved on)")?;
                     same_entries(
-                        &widen_digests(&ack.requests),
+                        &widen_digests(&ack.requests()),
                         &wide_ack.requests,
-                        "ACK requests (unsorted SYN)",
+                        "ACK requests (sender moved on)",
                     )?;
                 }
                 6 | 7 => {
@@ -1223,7 +1224,7 @@ proptest! {
                     // heartbeats interleaved, about peers that host no
                     // gossiper (a bare heartbeat for a stranger is
                     // ignored), hosted peers, and the receiver itself
-                    // (skipped, its payload with it).
+                    // (skipped).
                     let mut bits = x;
                     let mut take = |m: u32| {
                         let v = bits % m;
@@ -1250,50 +1251,13 @@ proptest! {
                             wide.push((peer, WideDelta::Full(WideState::new(wide_hb, app_version.into(), x))));
                         }
                     }
-                    let body: Deltas<u32> = narrow.into_iter().collect();
-                    same_deltas(&body, &wide, "hearsay body")?;
-                    dense[a].apply_in(&body, &mut outcome);
-                    prop_assert_eq!(&outcome, &tree[a].apply(&wide));
+                    same_entries(&widen_deltas(&narrow), &wide, "hearsay")?;
+                    prop_assert_eq!(dense[a].apply(&narrow), tree[a].apply(&wide));
                 }
                 11 => {
                     let peer = Peer(PEER_IDS[b]);
                     dense[a].seed_peer(peer, EndpointState::new(HeartbeatState::default(), 0, x));
                     tree[a].seed_peer(peer, WideState::new(WideHeartbeat::default(), 0, x));
-                }
-                12 if a != b => {
-                    // Ascending, not strictly: one digest left out and
-                    // another named twice, so the count of digests stays
-                    // that of the sender's view.
-                    let syn = dense[a].make_syn();
-                    let wide_syn = tree[a].make_syn();
-                    let len = syn.digests.len();
-                    if len < 2 {
-                        continue;
-                    }
-                    let gone = x as usize % len;
-                    let twice = (gone + 1 + (x as usize / len) % (len - 1)) % len;
-                    fn repeat<T: Copy>(digests: &[T], gone: usize, twice: usize) -> Vec<T> {
-                        let mut out = Vec::with_capacity(digests.len());
-                        for (i, &d) in digests.iter().enumerate() {
-                            if i != gone {
-                                out.push(d);
-                            }
-                            if i == twice {
-                                out.push(d);
-                            }
-                        }
-                        out
-                    }
-                    let syn = Syn { digests: repeat(&syn.digests, gone, twice).into() };
-                    let wide_syn = WideSyn { digests: repeat(&wide_syn.digests, gone, twice) };
-                    let ack = dense[b].handle_syn_in(&syn, &mut space);
-                    let wide_ack = tree[b].handle_syn(&wide_syn);
-                    same_deltas(&ack.deltas, &wide_ack.deltas, "ACK deltas (repeating SYN)")?;
-                    same_entries(
-                        &widen_digests(&ack.requests),
-                        &wide_ack.requests,
-                        "ACK requests (repeating SYN)",
-                    )?;
                 }
                 _ => {}
             }
@@ -1303,6 +1267,109 @@ proptest! {
             prop_assert_eq!(&view, &t.known());
             for p in view.into_iter().chain([Peer(6), Peer(6001), Peer(u32::MAX)]) {
                 prop_assert_eq!(d.endpoint(p).map(widen_state), t.endpoint(p).cloned());
+            }
+        }
+    }
+
+    /// Differential: bodies that queue carry what a flat copy taken when
+    /// they were built carries (`model::gossip`'s `Vec` bodies, built in
+    /// lockstep by tree-map gossipers), through everything that happens
+    /// while they wait. SYNs, the ACKs they draw and the ACK2s those
+    /// draw queue together; each step builds a body, handles one taken
+    /// out of order (an ACK or ACK2 applies to its receiver, SYNs and
+    /// ACKs draw the next body), drops one, duplicates one, or moves a
+    /// sender on: a beat, an app update, a crash and restart, or a
+    /// departure (a `Left`-style app update and no further sends). After
+    /// every step, every queued body's entries equal its copy's.
+    #[test]
+    fn queued_bodies_carry_what_a_copy_would(
+        n in 2usize..7,
+        ops in prop::collection::vec((0u8..9, 0usize..6, 0usize..6, any::<u32>()), 1..120),
+    ) {
+        use model::gossip::{widen_deltas, widen_digests, TreeGossiper, WideAck, WideAck2, WideSyn};
+        use scalecheck_gossip::{Ack, Ack2, Gossiper, Peer, Syn};
+        enum Body {
+            Syn(usize, usize, Syn, WideSyn),
+            Ack(usize, usize, Ack<u32>, WideAck<u32>),
+            Ack2(usize, Ack2<u32>, WideAck2<u32>),
+        }
+        fn check(body: &Body) -> Result<(), TestCaseError> {
+            match body {
+                Body::Syn(_, _, syn, wide) => {
+                    prop_assert_eq!(widen_digests(&syn.digests()), wide.digests.clone());
+                }
+                Body::Ack(_, _, ack, wide) => {
+                    prop_assert_eq!(widen_deltas(&ack.deltas()), wide.deltas.clone());
+                    prop_assert_eq!(widen_digests(&ack.requests()), wide.requests.clone());
+                }
+                Body::Ack2(_, ack2, wide) => {
+                    prop_assert_eq!(widen_deltas(&ack2.deltas()), wide.deltas.clone());
+                }
+            }
+            Ok(())
+        }
+        let ids = &PEER_IDS[..n];
+        let mut dense: Vec<Gossiper<u32>> =
+            ids.iter().map(|&id| Gossiper::new(Peer(id), 1, id)).collect();
+        let mut tree: Vec<TreeGossiper<u32>> =
+            ids.iter().map(|&id| TreeGossiper::new(Peer(id), 1, id)).collect();
+        let mut departed = vec![false; n];
+        let mut queue: Vec<Body> = Vec::new();
+        for (kind, a, b, x) in ops {
+            let (a, b) = (a % n, b % n);
+            match kind {
+                0 | 1 if a != b && !departed[a] => {
+                    queue.push(Body::Syn(a, b, dense[a].make_syn(), tree[a].make_syn()));
+                }
+                2 | 3 if !queue.is_empty() => {
+                    // Handle a body taken out of order.
+                    match queue.remove(x as usize % queue.len()) {
+                        Body::Syn(from, to, syn, wide) => {
+                            let ack = dense[to].handle_syn(&syn);
+                            let wide_ack = tree[to].handle_syn(&wide);
+                            queue.push(Body::Ack(to, from, ack, wide_ack));
+                        }
+                        Body::Ack(from, to, ack, wide) => {
+                            let (out, ack2) = dense[to].handle_ack(&ack);
+                            let (model_out, wide_ack2) = tree[to].handle_ack(&wide);
+                            prop_assert_eq!(out, model_out);
+                            queue.push(Body::Ack2(from, ack2, wide_ack2));
+                        }
+                        Body::Ack2(to, ack2, wide) => {
+                            prop_assert_eq!(dense[to].handle_ack2(&ack2), tree[to].handle_ack2(&wide));
+                        }
+                    }
+                }
+                4 if !queue.is_empty() => {
+                    queue.remove(x as usize % queue.len());
+                }
+                5 if !queue.is_empty() => {
+                    let dup = match &queue[x as usize % queue.len()] {
+                        Body::Syn(f, t, s, w) => Body::Syn(*f, *t, s.clone(), w.clone()),
+                        Body::Ack(f, t, s, w) => Body::Ack(*f, *t, s.clone(), w.clone()),
+                        Body::Ack2(t, s, w) => Body::Ack2(*t, s.clone(), w.clone()),
+                    };
+                    queue.push(dup);
+                }
+                6 => {
+                    dense[a].beat();
+                    tree[a].beat();
+                }
+                7 => {
+                    // A crash and restart: a new generation.
+                    dense[a].restart();
+                    tree[a].restart();
+                }
+                8 => {
+                    // An app update; one in four is a departure.
+                    dense[a].update_app(x);
+                    tree[a].update_app(x);
+                    departed[a] |= x % 4 == 0;
+                }
+                _ => {}
+            }
+            for body in &queue {
+                check(body)?;
             }
         }
     }
