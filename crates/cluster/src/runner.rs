@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use scalecheck_gossip::{AckSpace, ApplyOutcome, Liveness};
+use scalecheck_gossip::{ApplyOutcome, BodySpace, Liveness};
 use scalecheck_memo::{OrderDecision, Pil};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
@@ -72,7 +72,7 @@ struct ClusterState<'a> {
     views: ViewStore,
     /// Where every node gathers the ACK it answers a SYN with and the
     /// ACK2 it answers an ACK with.
-    ack_space: AckSpace<RingInfo>,
+    body_space: BodySpace<RingInfo>,
     /// Where every node's apply of an ACK or ACK2 body reports the peers
     /// that advanced.
     outcome: ApplyOutcome,
@@ -556,7 +556,7 @@ fn build<'a>(
         mode,
         nodes,
         views,
-        ack_space: AckSpace::default(),
+        body_space: BodySpace::default(),
         outcome: ApplyOutcome::default(),
         net,
         park,
@@ -886,7 +886,7 @@ fn finish_send_round(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: 
             }
         };
         if let Some(target) = target {
-            let syn = node.gossiper.make_syn();
+            let syn = node.gossiper.make_syn_in(&mut st.body_space);
             send_msg(st, ctx, i, target, GossipMessage::Syn(syn));
         }
     }
@@ -907,7 +907,7 @@ fn finish_receive(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: Sta
         let src = env.src;
         let applied = match env.msg {
             GossipMessage::Syn(ref syn) => {
-                let ack = st.nodes[i].gossiper.handle_syn_in(syn, &mut st.ack_space);
+                let ack = st.nodes[i].gossiper.handle_syn_in(syn, &mut st.body_space);
                 send_msg(st, ctx, i, src, GossipMessage::Ack(ack));
                 false
             }
@@ -915,14 +915,16 @@ fn finish_receive(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: Sta
                 let ack2 =
                     st.nodes[i]
                         .gossiper
-                        .handle_ack_in(ack, &mut st.ack_space, &mut st.outcome);
+                        .handle_ack_in(ack, &mut st.body_space, &mut st.outcome);
                 if !ack2.is_empty() {
                     send_msg(st, ctx, i, src, GossipMessage::Ack2(ack2));
                 }
                 true
             }
             GossipMessage::Ack2(ref ack2) => {
-                st.nodes[i].gossiper.handle_ack2_in(ack2, &mut st.outcome);
+                st.nodes[i]
+                    .gossiper
+                    .handle_ack2_in(ack2, &mut st.body_space, &mut st.outcome);
                 true
             }
         };

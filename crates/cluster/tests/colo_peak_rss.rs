@@ -9,10 +9,14 @@
 //! owned and emitted at exactly their length, with narrow entries: a SYN
 //! of 12-byte digests, an ACK or ACK2 of 16-byte delta records plus a
 //! side list of full-state payloads (24-byte digests and 40-byte deltas
-//! before). Now a body names its peers in bits and keeps one 8-byte word
-//! of clocks per entry: a SYN is a bit per claimed peer and a watermark
-//! each, an ACK or ACK2 two bits per peer and a heartbeat or watermark
-//! per entry, with each full delta's app version and payload beside.
+//! before), then with peers in bits and one 8-byte word of clocks per
+//! entry. Now a body names its peers in bits and keeps one byte of clocks
+//! per entry: one base word per body, each entry's version as an offset
+//! from it, and the rare entry a byte cannot say (another generation, a
+//! zero request, a version far from the base) as a word in an escape
+//! list. A SYN is a bit per claimed peer and a byte a watermark, an ACK
+//! or ACK2 two bits per peer and a byte per heartbeat or watermark, with
+//! each full delta's app version and payload beside.
 //!
 //! This is the leg that sets the peak of the benchmark's
 //! `verdict_c3831_160`. On a 2-vCPU container this binary's `VmHWM`
@@ -21,10 +25,11 @@
 //! as arrival epochs, 34.1–34.3 MiB once the ring views were dense
 //! slots and the per-peer tables sized once, 21.1–21.3 MiB with
 //! narrow gossip bodies (three runs each; 19.9–20.2 MiB on a later
-//! host), and 16.0–16.2 MiB with bodies in words (three runs). The
-//! 19 MiB budget leaves 3 MiB to spare above today's peak and sits below
-//! the narrow records' peak; a SYN four times wider fails it at
-//! 24.9 MiB (`tests/mutants/wide_syn_words.patch`).
+//! host), 16.0–16.2 MiB with bodies in words (three runs), and
+//! 11.4–11.5 MiB with a byte a clock (three runs). The 14.5 MiB budget
+//! leaves 3 MiB to spare above today's peak and sits below the words'
+//! peak; bodies back at a word an entry fail it
+//! (`tests/mutants/wide_syn_words.patch`).
 //!
 //! The test is alone in its binary: `VmHWM` is per process, and a
 //! second test would share it.
@@ -34,7 +39,7 @@ use scalecheck_cluster::{run_scenario, RunMode, ScenarioConfig, Workload};
 use scalecheck_memo::Pil;
 use scalecheck_sim::SimDuration;
 
-const BUDGET_MIB: f64 = 19.0;
+const BUDGET_MIB: f64 = 14.5;
 
 /// This process's peak resident set so far, MiB.
 fn vm_hwm_mib() -> f64 {
@@ -61,7 +66,7 @@ fn c3831_colo_leg_peaks_under_budget() {
     assert!(
         peak <= BUDGET_MIB,
         "the c3831@160 Colo leg peaked at {peak:.1} MiB (budget {BUDGET_MIB} MiB): \
-         are queued gossip bodies (SYN watermarks, ACK/ACK2 codes and clocks) wide \
-         again, or do they carry spare capacity?"
+         are queued gossip bodies (SYN watermarks, ACK/ACK2 codes and clocks) wider \
+         than a byte a clock again, or do they carry spare capacity?"
     );
 }

@@ -9,16 +9,22 @@
 //! application state moved (triggers the pending-range calculation — the
 //! offending path of §2).
 //!
-//! # Bodies in words
+//! # Bodies in bytes
 //!
-//! A body names its peers in bits rather than ids, and keeps each entry's
-//! clocks as one word: a SYN is a bit per claimed peer plus its
-//! watermark (8 bytes a digest), an ACK or ACK2 two bits per peer plus a
-//! heartbeat per delta and a watermark per request (8 bytes an entry),
-//! and each full delta's app version and payload beside (`Deltas`).
-//! Queued bodies are most of the host memory of a colocated flap storm;
-//! the entries a body carries, and their order, are those a list of
-//! `(peer, entry)` pairs would carry.
+//! A body names its peers in bits rather than ids, and codes each entry's
+//! clocks (a `(generation, version)` word) in one byte. It carries one
+//! base word, the generation most of its entries have and the least
+//! version among them, and each entry keeps its version's offset from the
+//! base. An entry the byte cannot say — another generation (a restarted
+//! peer, or a zero request for a peer never heard of), or a version below
+//! the base or more than 254 past it — keeps the offset `0xFF` (an
+//! escape), and its word comes next from the body's escape list, in
+//! entry order ([`encode`], [`decode`]). A SYN is a bit per claimed peer
+//! plus a byte a watermark, an ACK or ACK2 two bits per peer plus a byte
+//! per heartbeat or watermark, and each full delta's app version and
+//! payload beside (`Deltas`). Queued bodies are most of the host memory
+//! of a colocated flap storm; the entries a body carries, and their
+//! order, are those a list of `(peer, entry)` pairs would carry.
 
 use std::sync::Arc;
 
@@ -29,15 +35,18 @@ use crate::state::{
 /// Gossip SYN: freshness claims for every peer the sender knows.
 ///
 /// The body is a bit per peer id the sender knows, 64 a word, followed by
-/// one word per known peer, ascending: its `(generation, max_version)`
-/// watermark. It is allocated at exactly its length. How many entries a
-/// message carries is simulated (it sets the receiver's CPU demand); the
-/// bytes each entry takes on the host are not.
+/// the `(generation, max_version)` watermark of each known peer,
+/// ascending, coded a byte each ([`encode`]). It is allocated at exactly
+/// its length. How many entries a message carries is simulated (it sets
+/// the receiver's CPU demand); the bytes each entry takes on the host are
+/// not.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Syn {
     words: Box<[u64]>,
     /// How many of `words` are the bitset of claimed peers.
     claims: u32,
+    /// How many watermarks the rest of `words` codes.
+    entries: u32,
 }
 
 /// Gossip ACK: deltas the receiver is fresher on, plus requests for
@@ -46,8 +55,8 @@ pub struct Syn {
 /// Its deltas are a [`Deltas`]: those on claimed peers ascending, then
 /// those volunteered for peers the SYN did not claim, ascending. Its
 /// requests are a bit per peer (the `aux` plane of the deltas' codes on
-/// peers without a delta) and a watermark word each, ascending (zero for
-/// a peer the ACK's sender never heard of), kept after the deltas'
+/// peers without a delta) and a watermark each, ascending (zero for a
+/// peer the ACK's sender never heard of), coded after the deltas'
 /// heartbeats. It carries the deltas and the requests as entries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Ack<A> {
@@ -70,40 +79,43 @@ pub struct Ack2<A> {
 /// `delta` marks a peer with a delta, and `aux` marks a delta that is full
 /// or, on a peer without a delta, a request — two bits a peer, so the
 /// deltas and the requests are each walked as set bits without testing
-/// every entry's kind. The clocks are one word per delta in the order
-/// they apply (its heartbeat, generation in the high half), then one per
-/// request (its watermark). `fulls` holds each full delta's app version
-/// and payload, in the order they apply, allocated at exactly its length.
+/// every entry's kind. The clocks are each delta's heartbeat in the order
+/// they apply, then each request's watermark, coded a byte each
+/// ([`encode`]). `fulls` holds each full delta's app version and payload,
+/// in the order they apply, allocated at exactly its length.
 #[derive(Clone, Debug, PartialEq)]
 struct Deltas<A> {
     words: Box<[u64]>,
     /// How many of `words` are codes.
     codes: u32,
-    /// How many of the clocks are the deltas' heartbeats.
-    deltas: u32,
+    /// How many clocks the words code: deltas and requests.
+    entries: u32,
     fulls: Box<[(u32, Arc<A>)]>,
 }
 
-/// Where [`Gossiper::handle_syn_in`] and [`Gossiper::handle_ack_in`]
-/// gather a body's clocks and full states before moving each part into
-/// one allocation of exactly its length: vectors that keep their
-/// capacity from one body to the next. One space serves every gossiper
-/// of a run.
+/// Where a gossiper builds and reads bodies: [`Gossiper::make_syn_in`],
+/// [`Gossiper::handle_syn_in`] and [`Gossiper::handle_ack_in`] gather a
+/// body's codes, clocks and full states before moving each part into one
+/// allocation of exactly its length, and the handlers decode the clocks
+/// of the body they read. Its vectors keep their capacity from one body
+/// to the next; one space serves every gossiper of a run.
 #[derive(Debug)]
-pub struct AckSpace<A> {
+pub struct BodySpace<A> {
     codes: Vec<u64>,
-    clocks: Vec<u64>,
-    requests: Vec<u64>,
+    /// The clocks of the body being built, in order.
+    clocks: Gathered,
     fulls: Vec<(u32, Arc<A>)>,
+    /// The clocks of the body being read, decoded.
+    read: Vec<u64>,
 }
 
-impl<A> Default for AckSpace<A> {
+impl<A> Default for BodySpace<A> {
     fn default() -> Self {
-        AckSpace {
+        BodySpace {
             codes: Vec::new(),
-            clocks: Vec::new(),
-            requests: Vec::new(),
+            clocks: Gathered::default(),
             fulls: Vec::new(),
+            read: Vec::new(),
         }
     }
 }
@@ -119,14 +131,187 @@ fn for_each_bit(words: impl IntoIterator<Item = u64>, mut f: impl FnMut(usize)) 
     }
 }
 
-/// A heartbeat as one word, generation in the high half.
-fn pack(heartbeat: HeartbeatState) -> u64 {
-    watermark(heartbeat.generation, heartbeat.version)
-}
-
 /// The two clocks of a word, high half first.
 fn unpack(word: u64) -> (u32, u32) {
     ((word >> 32) as u32, word as u32)
+}
+
+/// The offset byte of an entry whose word is in the escape list.
+const ESCAPE: u64 = 0xFF;
+
+/// A body's clocks as they are gathered, in order, with the least and
+/// the most of them so far.
+#[derive(Debug)]
+struct Gathered {
+    words: Vec<u64>,
+    least: u64,
+    most: u64,
+}
+
+impl Default for Gathered {
+    fn default() -> Self {
+        Gathered {
+            words: Vec::new(),
+            least: u64::MAX,
+            most: 0,
+        }
+    }
+}
+
+impl Gathered {
+    fn push(&mut self, word: u64) {
+        self.least = self.least.min(word);
+        self.most = self.most.max(word);
+        self.words.push(word);
+    }
+
+    fn len(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The base word the clocks are coded against, and how many of them
+    /// it escapes.
+    ///
+    /// Clocks that all lie within 254 of the least (every body of a run
+    /// without restarts, in practice) are coded against that least word
+    /// and escape none, which the gathering already knows. Any others
+    /// take two passes: a majority vote over the generations, keeping the
+    /// least word seen with the winner since the vote last took it up
+    /// (when more than half the clocks share a generation the vote picks
+    /// it), and a count of what that base escapes.
+    fn choose(&self) -> (u64, usize) {
+        if self.most.wrapping_sub(self.least) < ESCAPE {
+            return (self.least, 0);
+        }
+        let (mut base, mut votes) = (0u64, 0u32);
+        for &word in &self.words {
+            if votes == 0 {
+                (base, votes) = (word, 1);
+            } else if word >> 32 == base >> 32 {
+                (base, votes) = (base.min(word), votes + 1);
+            } else {
+                votes -= 1;
+            }
+        }
+        let escapes = self
+            .words
+            .iter()
+            .filter(|&&word| offset(word, base) >= ESCAPE)
+            .count();
+        (base, escapes)
+    }
+
+    /// Empties the clocks, keeping their capacity.
+    fn clear(&mut self) {
+        self.words.clear();
+        (self.least, self.most) = (u64::MAX, 0);
+    }
+}
+
+/// The offset `word` is coded at against `base`: [`ESCAPE`] or more when
+/// its generation differs from the base's, or its version is below the
+/// base's or more than 254 past it.
+fn offset(word: u64, base: u64) -> u64 {
+    word.wrapping_sub(base)
+}
+
+/// The words `entries` clocks take coded with `escapes` of them escaped:
+/// the base word, the offsets eight a word and the escape list; none
+/// without entries.
+fn coded_len(entries: usize, escapes: usize) -> usize {
+    if entries == 0 {
+        0
+    } else {
+        1 + entries.div_ceil(8) + escapes
+    }
+}
+
+/// Codes `clocks` against `base` into `out`, zeroed and [`coded_len`]
+/// words long: `base`, then a byte per clock in order, its offset or
+/// [`ESCAPE`], eight a word, then each escaped clock's word, in order.
+fn encode(clocks: &[u64], base: u64, out: &mut [u64]) {
+    let Some((head, rest)) = out.split_first_mut() else {
+        return;
+    };
+    *head = base;
+    let (offsets, escaped) = rest.split_at_mut(clocks.len().div_ceil(8));
+    if escaped.is_empty() {
+        let eights = clocks.chunks_exact(8);
+        let last = eights.remainder();
+        for (eight, slot) in eights.zip(offsets.iter_mut()) {
+            for (k, &word) in eight.iter().enumerate() {
+                *slot |= offset(word, base) << (8 * k);
+            }
+        }
+        if let Some(slot) = offsets.last_mut().filter(|_| !last.is_empty()) {
+            for (k, &word) in last.iter().enumerate() {
+                *slot |= offset(word, base) << (8 * k);
+            }
+        }
+        return;
+    }
+    let mut escaped = escaped.iter_mut();
+    for (eight, slot) in clocks.chunks(8).zip(offsets) {
+        for (k, &word) in eight.iter().enumerate() {
+            let mut byte = offset(word, base);
+            if byte >= ESCAPE {
+                byte = ESCAPE;
+                *escaped.next().expect("a slot per escaped clock") = word;
+            }
+            *slot |= byte << (8 * k);
+        }
+    }
+}
+
+/// Moves `head` and then `clocks`, coded against the base they choose
+/// ([`Gathered::choose`], [`encode`]), into one allocation of exactly
+/// their length; both are left empty with their capacity.
+fn emit_words(head: &mut Vec<u64>, clocks: &mut Gathered) -> Box<[u64]> {
+    let n_head = head.len();
+    let (base, escapes) = clocks.choose();
+    let len = n_head + coded_len(clocks.len(), escapes);
+    let mut words = Vec::with_capacity(len);
+    words.append(head);
+    words.resize(len, 0);
+    encode(&clocks.words, base, &mut words[n_head..]);
+    clocks.clear();
+    words.into_boxed_slice()
+}
+
+/// Whether any byte of `word` is [`ESCAPE`].
+fn has_escape(word: u64) -> bool {
+    const ONES: u64 = u64::MAX / 0xFF;
+    let flipped = !word;
+    flipped.wrapping_sub(ONES) & !flipped & ONES << 7 != 0
+}
+
+/// Decodes into `out`, cleared first, the `entries` clocks [`encode`]
+/// wrote into `words`, in order: each offset byte added to the base word,
+/// or on [`ESCAPE`] the next word of the escape list.
+fn decode(words: &[u64], entries: usize, out: &mut Vec<u64>) {
+    out.clear();
+    let Some((&base, rest)) = words.split_first() else {
+        return;
+    };
+    let (offsets, escaped) = rest.split_at(entries.div_ceil(8));
+    let mut escaped = escaped.iter();
+    out.reserve(8 * offsets.len());
+    for &word in offsets {
+        let bytes = word.to_le_bytes().map(u64::from);
+        let eight = if has_escape(word) {
+            bytes.map(|byte| {
+                if byte == ESCAPE {
+                    *escaped.next().expect("a word per escape")
+                } else {
+                    base + byte
+                }
+            })
+        } else {
+            bytes.map(|byte| base + byte)
+        };
+        out.extend_from_slice(&eight);
+    }
+    out.truncate(entries);
 }
 
 /// A delta a body carries, read back.
@@ -151,28 +336,25 @@ fn for_each_delta(codes: &[u64], volunteered: &[u64], mut f: impl FnMut(usize, b
 }
 
 impl<A> Deltas<A> {
-    /// The body gathered in `space`: the codes, the deltas' clocks (in
-    /// the order the deltas apply), the requests' watermarks and the full
-    /// states, moved into allocations of exactly their length; the space
-    /// is left empty with its capacity.
-    fn emit(space: &mut AckSpace<A>) -> Self {
-        let AckSpace {
+    /// The body gathered in `space`: the codes, then the clocks coded
+    /// against the base they choose, and the full states, moved into
+    /// allocations of exactly their length; the space is left empty with
+    /// its capacity.
+    fn emit(space: &mut BodySpace<A>) -> Self {
+        let BodySpace {
             codes,
             clocks,
-            requests,
             fulls,
+            ..
         } = space;
-        let (n_codes, deltas) = (codes.len() as u32, clocks.len() as u32);
-        let mut words = Vec::with_capacity(codes.len() + clocks.len() + requests.len());
-        words.append(codes);
-        words.append(clocks);
-        words.append(requests);
+        let (n_codes, entries) = (codes.len() as u32, clocks.len() as u32);
+        let words = emit_words(codes, clocks);
         let mut full_states = Vec::with_capacity(fulls.len());
         full_states.append(fulls);
         Deltas {
-            words: words.into_boxed_slice(),
+            words,
             codes: n_codes,
-            deltas,
+            entries,
             fulls: full_states.into_boxed_slice(),
         }
     }
@@ -181,14 +363,22 @@ impl<A> Deltas<A> {
         &self.words[..self.codes as usize]
     }
 
-    fn clocks(&self) -> &[u64] {
-        &self.words[self.codes as usize..]
+    /// Decodes the deltas' heartbeats, then the requests' watermarks,
+    /// into `read`.
+    fn clocks(&self, read: &mut Vec<u64>) {
+        decode(&self.words[self.codes as usize..], self.entries(), read);
     }
 
     /// Calls `f` with each delta, in the order they apply (see
-    /// [`for_each_delta`]).
-    fn for_each(&self, volunteered: &[u64], mut f: impl FnMut(usize, Entry<'_, A>)) {
-        let (mut clocks, mut fulls) = (self.clocks().iter(), self.fulls.iter());
+    /// [`for_each_delta`]), taking its heartbeat from `clocks` (see
+    /// [`Self::clocks`]).
+    fn for_each<'c>(
+        &self,
+        volunteered: &[u64],
+        clocks: &mut impl Iterator<Item = &'c u64>,
+        mut f: impl FnMut(usize, Entry<'_, A>),
+    ) {
+        let mut fulls = self.fulls.iter();
         for_each_delta(self.codes(), volunteered, |p, full| {
             let (generation, version) = unpack(*clocks.next().expect("a heartbeat per delta"));
             let heartbeat = HeartbeatState {
@@ -205,9 +395,12 @@ impl<A> Deltas<A> {
         });
     }
 
-    /// The requests, ascending by peer.
-    fn requests(&self) -> impl Iterator<Item = Digest> + '_ {
-        let mut watermarks = self.clocks()[self.deltas as usize..].iter();
+    /// The requests, ascending by peer, given their `watermarks` (the
+    /// clocks [`Self::for_each`] leaves).
+    fn requests<'b>(
+        &'b self,
+        mut watermarks: impl Iterator<Item = &'b u64> + 'b,
+    ) -> impl Iterator<Item = Digest> + 'b {
         let (mut block, mut rest) = (0, self.request_bits(0));
         std::iter::from_fn(move || {
             while rest == 0 {
@@ -238,7 +431,19 @@ impl<A> Deltas<A> {
 
     /// Number of entries: deltas and requests.
     fn entries(&self) -> usize {
-        self.clocks().len()
+        self.entries as usize
+    }
+}
+
+impl<A: Clone> Deltas<A> {
+    /// The deltas, in the order they apply, as a list.
+    fn to_vec(&self, volunteered: &[u64]) -> Vec<(Peer, Delta<A>)> {
+        let (mut out, mut read) = (Vec::new(), Vec::new());
+        self.clocks(&mut read);
+        self.for_each(volunteered, &mut read.iter(), |p, entry| {
+            out.push((Peer(p as u32), entry.to_delta()));
+        });
+        out
     }
 }
 
@@ -258,13 +463,21 @@ impl<A: Clone> Entry<'_, A> {
 impl Syn {
     /// Number of entries (digests) carried.
     pub fn entries(&self) -> usize {
-        self.words.len() - self.claims as usize
+        self.entries as usize
+    }
+
+    /// Decodes the claimed peers' watermarks, ascending by peer, into
+    /// `read`.
+    fn watermarks(&self, read: &mut Vec<u64>) {
+        decode(&self.words[self.claims as usize..], self.entries(), read);
     }
 
     /// The claimed peers, ascending, with their watermarks.
     fn claims(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let (bits, watermarks) = self.words.split_at(self.claims as usize);
-        let mut watermarks = watermarks.iter().copied();
+        let bits = &self.words[..self.claims as usize];
+        let mut read = Vec::new();
+        self.watermarks(&mut read);
+        let mut watermarks = read.into_iter();
         let (mut block, mut rest) = (0, bits.first().copied().unwrap_or(0));
         std::iter::from_fn(move || {
             while rest == 0 {
@@ -301,16 +514,17 @@ impl<A: Clone> Ack<A> {
     /// The deltas, in the order they apply: those on claimed peers,
     /// ascending, then the volunteered ones, ascending.
     pub fn deltas(&self) -> Vec<(Peer, Delta<A>)> {
-        let mut out = Vec::new();
-        self.deltas.for_each(&self.volunteered, |p, entry| {
-            out.push((Peer(p as u32), entry.to_delta()));
-        });
-        out
+        self.deltas.to_vec(&self.volunteered)
     }
 
     /// The requests, ascending by peer.
     pub fn requests(&self) -> Vec<Digest> {
-        self.deltas.requests().collect()
+        let mut read = Vec::new();
+        self.deltas.clocks(&mut read);
+        let mut clocks = read.iter();
+        self.deltas
+            .for_each(&self.volunteered, &mut clocks, |_, _| {});
+        self.deltas.requests(clocks).collect()
     }
 }
 
@@ -329,10 +543,7 @@ impl<A> Ack2<A> {
 impl<A: Clone> Ack2<A> {
     /// The deltas, ascending by peer.
     pub fn deltas(&self) -> Vec<(Peer, Delta<A>)> {
-        let mut out = Vec::new();
-        self.deltas
-            .for_each(&[], |p, entry| out.push((Peer(p as u32), entry.to_delta())));
-        out
+        self.deltas.to_vec(&[])
     }
 }
 
@@ -454,26 +665,35 @@ impl<A: Clone + PartialEq> Gossiper<A> {
         st.app_version = 0;
     }
 
-    /// Builds a SYN covering everything this node knows.
+    /// Builds a SYN covering everything this node knows, in fresh build
+    /// space (see [`Gossiper::make_syn_in`]).
     pub fn make_syn(&self) -> Syn {
-        let claims = self.map.ids().div_ceil(64);
-        let mut words = vec![0; claims + self.map.len()].into_boxed_slice();
-        let (bits, watermarks) = words.split_at_mut(claims);
-        for ((peer, st), slot) in self.map.iter().zip(watermarks) {
+        self.make_syn_in(&mut BodySpace::default())
+    }
+
+    /// Builds a SYN covering everything this node knows: the view is
+    /// walked once, gathering the claims and watermarks in `space`, and
+    /// the body is then allocated at exactly its length.
+    pub fn make_syn_in(&self, space: &mut BodySpace<A>) -> Syn {
+        let BodySpace { codes, clocks, .. } = space;
+        codes.resize(self.map.ids().div_ceil(64), 0);
+        for (peer, st) in self.map.iter() {
             let p = peer.0 as usize;
-            bits[p / 64] |= 1 << (p % 64);
-            *slot = st.watermark();
+            codes[p / 64] |= 1 << (p % 64);
+            clocks.push(st.watermark());
         }
+        let (claims, entries) = (codes.len() as u32, clocks.len() as u32);
         Syn {
-            words,
-            claims: claims as u32,
+            words: emit_words(codes, clocks),
+            claims,
+            entries,
         }
     }
 
     /// Handles a SYN, producing the ACK to send back, in fresh build
     /// space (see [`Gossiper::handle_syn_in`]).
     pub fn handle_syn(&self, syn: &Syn) -> Ack<A> {
-        self.handle_syn_in(syn, &mut AckSpace::default())
+        self.handle_syn_in(syn, &mut BodySpace::default())
     }
 
     /// Handles a SYN, producing the ACK to send back: for each peer, a
@@ -481,15 +701,16 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     /// and a full delta volunteered for a peer only this view knows. The
     /// clocks are gathered in `space` as the codes are, and each part of
     /// the body is then allocated at exactly its length.
-    pub fn handle_syn_in(&self, syn: &Syn, space: &mut AckSpace<A>) -> Ack<A> {
-        let AckSpace {
+    pub fn handle_syn_in(&self, syn: &Syn, space: &mut BodySpace<A>) -> Ack<A> {
+        let BodySpace {
             codes,
             clocks,
-            requests,
             fulls,
+            read,
         } = space;
-        let (claims, watermarks) = syn.words.split_at(syn.claims as usize);
-        let mut watermarks = watermarks.iter();
+        let claims = &syn.words[..syn.claims as usize];
+        syn.watermarks(read);
+        let mut watermarks = read.iter();
         let ids = self.map.ids().max(claims.len() * 64);
         codes.resize(2 * ids.div_ceil(64), 0);
         let mut volunteered = Vec::new();
@@ -535,14 +756,14 @@ impl<A: Clone + PartialEq> Gossiper<A> {
                 .map
                 .get(Peer(p as u32))
                 .expect("a delta's peer is known");
-            clocks.push(pack(st.heartbeat));
+            clocks.push(watermark(st.heartbeat.generation, st.heartbeat.version));
             if full {
                 fulls.push((st.app_version, Arc::clone(&st.app)));
             }
         });
         let requested = codes.chunks_exact(2).map(|planes| planes[1] & !planes[0]);
         for_each_bit(requested, |p| {
-            requests.push(
+            clocks.push(
                 self.map
                     .get(Peer(p as u32))
                     .map_or(0, EndpointState::watermark),
@@ -563,7 +784,7 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     /// an ACK2 (see [`Gossiper::handle_ack_in`]).
     pub fn handle_ack(&mut self, ack: &Ack<A>) -> (ApplyOutcome, Ack2<A>) {
         let mut outcome = ApplyOutcome::default();
-        let ack2 = self.handle_ack_in(ack, &mut AckSpace::default(), &mut outcome);
+        let ack2 = self.handle_ack_in(ack, &mut BodySpace::default(), &mut outcome);
         (outcome, ack2)
     }
 
@@ -578,22 +799,25 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     pub fn handle_ack_in(
         &mut self,
         ack: &Ack<A>,
-        space: &mut AckSpace<A>,
+        space: &mut BodySpace<A>,
         outcome: &mut ApplyOutcome,
     ) -> Ack2<A> {
         outcome.clear();
-        ack.deltas.for_each(&ack.volunteered, |p, entry| {
-            self.apply_entry(p, entry, outcome)
-        });
-        // Answer each request this view holds fresher state for; the
-        // codes are allocated at the first answer.
-        let AckSpace {
+        let BodySpace {
             codes,
             clocks,
             fulls,
-            ..
+            read,
         } = space;
-        for req in ack.deltas.requests() {
+        ack.deltas.clocks(read);
+        let mut read = read.iter();
+        ack.deltas
+            .for_each(&ack.volunteered, &mut read, |p, entry| {
+                self.apply_entry(p, entry, outcome)
+            });
+        // Answer each request this view holds fresher state for; the
+        // codes are allocated at the first answer.
+        for req in ack.deltas.requests(read) {
             let Some(local) = self.map.get(req.peer) else {
                 continue;
             };
@@ -605,7 +829,10 @@ impl<A: Clone + PartialEq> Gossiper<A> {
                 let (p, bit) = (req.peer.0 as usize, 1 << (req.peer.0 % 64));
                 codes[2 * (p / 64)] |= bit;
                 codes[2 * (p / 64) + 1] |= bit * u64::from(full);
-                clocks.push(pack(local.heartbeat));
+                clocks.push(watermark(
+                    local.heartbeat.generation,
+                    local.heartbeat.version,
+                ));
                 if full {
                     fulls.push((local.app_version, Arc::clone(&local.app)));
                 }
@@ -622,16 +849,25 @@ impl<A: Clone + PartialEq> Gossiper<A> {
     /// Handles an ACK2: applies its deltas.
     pub fn handle_ack2(&mut self, ack2: &Ack2<A>) -> ApplyOutcome {
         let mut outcome = ApplyOutcome::default();
-        self.handle_ack2_in(ack2, &mut outcome);
+        self.handle_ack2_in(ack2, &mut BodySpace::default(), &mut outcome);
         outcome
     }
 
-    /// Handles an ACK2: applies its deltas, reporting what advanced in
-    /// `outcome` (see [`Gossiper::handle_ack_in`]).
-    pub fn handle_ack2_in(&mut self, ack2: &Ack2<A>, outcome: &mut ApplyOutcome) {
+    /// Handles an ACK2: applies its deltas, their clocks decoded in
+    /// `space`, reporting what advanced in `outcome` (see
+    /// [`Gossiper::handle_ack_in`]).
+    pub fn handle_ack2_in(
+        &mut self,
+        ack2: &Ack2<A>,
+        space: &mut BodySpace<A>,
+        outcome: &mut ApplyOutcome,
+    ) {
         outcome.clear();
+        ack2.deltas.clocks(&mut space.read);
         ack2.deltas
-            .for_each(&[], |p, entry| self.apply_entry(p, entry, outcome));
+            .for_each(&[], &mut space.read.iter(), |p, entry| {
+                self.apply_entry(p, entry, outcome)
+            });
     }
 
     /// Applies deltas known out of band, in order, keeping only fresher
@@ -722,6 +958,35 @@ mod tests {
         let (out_a, ack2) = a.handle_ack(&ack);
         let out_b = b.handle_ack2(&ack2);
         (out_a, out_b)
+    }
+
+    #[test]
+    fn clocks_round_trip_through_a_byte_and_escapes() {
+        let (g1, g2) = (1u64 << 32, 2u64 << 32);
+        // (clocks, the base chosen, how many are escaped)
+        let cases: [(&[u64], u64, usize); 5] = [
+            (&[], u64::MAX, 0),
+            // 254 past the least: one pass, nothing escaped.
+            (&[g1 | 10, g1 | 264], g1 | 10, 0),
+            // 255 past it: the vote keeps the least, which escapes the other.
+            (&[g1 | 10, g1 | 265], g1 | 10, 1),
+            // Generation 1 wins the vote from its third clock on, so the
+            // base is 8 and the earlier 7 lies below it; generation 2 and
+            // the zero watermark of a never-heard-of peer escape too.
+            (&[g2 | 5, g1 | 7, g1 | 8, g1 | 9, 0], g1 | 8, 3),
+            // Nine clocks: the escape is the first byte of the second word.
+            (&[g1, g1, g1, g1, g1, g1, g1, g1 | 3, g2], g1, 1),
+        ];
+        for (clocks, base, escaped) in cases {
+            let mut gathered = Gathered::default();
+            clocks.iter().for_each(|&word| gathered.push(word));
+            assert_eq!(gathered.choose(), (base, escaped), "{clocks:x?}");
+            let mut coded = vec![0; coded_len(clocks.len(), escaped)];
+            encode(clocks, base, &mut coded);
+            let mut read = vec![42];
+            decode(&coded, clocks.len(), &mut read);
+            assert_eq!(read, clocks, "{coded:x?}");
+        }
     }
 
     #[test]

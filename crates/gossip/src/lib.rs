@@ -26,6 +26,6 @@ pub mod phi;
 pub mod state;
 
 pub use failure::{FailureDetector, Liveness};
-pub use gossiper::{Ack, Ack2, AckSpace, ApplyOutcome, Gossiper, Syn};
+pub use gossiper::{Ack, Ack2, ApplyOutcome, BodySpace, Gossiper, Syn};
 pub use phi::PhiDetector;
 pub use state::{Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer, CLOCK_MAX};

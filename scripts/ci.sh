@@ -215,15 +215,16 @@ CLI=target/release/scalecheck-cli
 # setting and of single-process memory admission), tbl_fix_ablation
 # (~29 s: each fix at the scale that exposed its bug, plus the harness
 # ablations) and tbl_memo_vs_replay (~16 s: memoization cost against
-# replay). So is the opt-in TBL_diverge.txt at the repo root
+# replay). So are two opt-in artifacts at the repo root: TBL_diverge.txt
 # (tbl_diverge, ~1.5 s: the §6 attribution from three traced 128-node
-# runs). The script prints each step's wall time and names what it did
-# not check (fig_c6127, minutes on its own, and the opt-in TBL_scale,
-# TBL_slo and TBL_explore artifacts — ROADMAP item 12), so a green gate
-# vouches only for what it ran.
+# runs) and TBL_explore.txt (tbl_explore, ~19 s: schedule-exploration
+# outcomes, cut by the eval cap, so deterministic). The script prints
+# each step's wall time and names what it did not check (fig_c6127,
+# minutes on its own, and the opt-in TBL_scale and TBL_slo artifacts —
+# ROADMAP item 12), so a green gate vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit,tbl_fix_ablation,tbl_memo_vs_replay,tbl_diverge
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit,tbl_fix_ablation,tbl_memo_vs_replay,tbl_diverge,tbl_explore
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy
@@ -296,24 +297,27 @@ if grep -n 'BTreeMap' crates/ring/src/table.rs; then
 fi
 
 # One gossip width: clocks are u32 (validate bounds them below 2^31) and
-# SYN/ACK/ACK2 bodies are words (peers in bits, a clock word an entry).
-# The u64, Vec-bodied exchange they replaced lives only in
-# tests/model/gossip.rs, the oracle of the gossip body differentials.
+# SYN/ACK/ACK2 bodies are bits and bytes (peers in bits, a byte a clock
+# against one base word, escapes as words). The u64, Vec-bodied exchange
+# they replaced lives only in tests/model/gossip.rs, the oracle of the
+# gossip body differentials.
 echo "=== one gossip width (grep gate) ==="
 if grep -rnE '(generation|version|app_version|max_version|version_clock) *: *u64|Vec<\(Peer, *Delta' \
   crates/gossip/src; then
-  echo "error: gossip clocks are u32 and bodies are records; see the matches above" >&2
+  echo "error: gossip clocks are u32 and bodies are not lists of (peer, delta) records; see the matches above" >&2
   exit 1
 fi
 
 # Host memory in a flap storm: 160 nodes on 16 cores queue gossip
 # messages at starved receivers, and that queue sets the peak of the
-# verdict benchmark. Each body is allocated at exactly its length, in
-# words: peers in bits and a clock word an entry. Grown by doubling the
-# ACKs peaked at 46.7 MiB here, with exact but wide bodies (24-byte
-# digests, 40-byte deltas) at 34.2 MiB, and with 12-byte digests and
-# 16-byte delta records at ~20 MiB. The c3831@160 one-decommission Colo
-# leg must peak under 19 MiB of VmHWM (~16.1 MiB now).
+# verdict benchmark. Each body is allocated at exactly its length:
+# peers in bits and a byte a clock (an offset from one base word per
+# body, escapes as words). Grown by doubling the ACKs peaked at 46.7 MiB
+# here, with exact but wide bodies (24-byte digests, 40-byte deltas) at
+# 34.2 MiB, with 12-byte digests and 16-byte delta records at ~20 MiB,
+# and with a clock word an entry at ~16.1 MiB. The c3831@160
+# one-decommission Colo leg must peak under 14.5 MiB of VmHWM
+# (~11.5 MiB now).
 echo "=== flap-storm host memory (c3831@160 Colo leg, release) ==="
 cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 

@@ -8,12 +8,13 @@
 # (its results/NAME.txt is then a truncated transcript, not an artifact).
 # --check LIST  freshness gate: run only the named steps, into a
 #               temporary directory, and compare each transcript with
-#               the committed results/NAME.txt — or, for the opt-in
-#               tbl_diverge, the TBL_diverge.txt it writes with the one
+#               the committed results/NAME.txt — or, for a checked
+#               opt-in step (tbl_diverge, tbl_explore), the artifact it
+#               writes (TBL_diverge.txt, TBL_explore.txt) with the one
 #               at the repo root; prints `diff -u` and exits 1 on a
 #               mismatch, and names the steps it skipped. A name that is
-#               neither a default step nor tbl_diverge exits 2 before
-#               anything is built or run.
+#               neither a default step nor a checked opt-in step exits 2
+#               before anything is built or run.
 # --quick       caps Figure 3 sweeps at N=96 for a fast smoke pass.
 # --jobs N      worker threads per experiment sweep (default: all cores).
 # --faults LIST comma-separated storm intensities passed through to
@@ -90,6 +91,7 @@ EOF
 checked_opt_in() {
   cat <<EOF
 tbl_diverge TBL_diverge.txt
+tbl_explore TBL_explore.txt
 EOF
 }
 # The root artifact NAME is compared by, if it is a checked opt-in step.
@@ -176,14 +178,14 @@ fi
 # Deterministic: the eval cap (not the wall budget, which is sized never
 # to bind) cuts every cell, so regeneration reproduces the committed
 # table byte-for-byte.
-if opted --explore; then
+if opted --explore || [ -n "$CHECK" ]; then
   run tbl_explore explore \
     --cells c3831:64:1:colo,c3881:48:1:colo,c5456:48:1:colo,race:40:1:real,race:40:2:real,race:40:3:real,race:40:4:real \
     --max-evals 64 --max-swaps 1024 --shuffles 8 --budget-secs 1200 \
-    --table-out TBL_explore.txt
+    --table-out "$ART_DIR/TBL_explore.txt"
 fi
 if [ -n "$CHECK" ]; then
-  echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts TBL_scale.txt/BENCH_scale.json, TBL_slo.txt/BENCH_slo.json, TBL_explore.txt"
+  echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts TBL_scale.txt/BENCH_scale.json, TBL_slo.txt/BENCH_slo.json"
 fi
 if [ ${#FAILED[@]} -gt 0 ] || [ ${#STALE[@]} -gt 0 ]; then
   [ ${#FAILED[@]} -eq 0 ] || echo "FAILED steps: ${FAILED[*]}" >&2

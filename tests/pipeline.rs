@@ -10,7 +10,7 @@ use scalecheck::{memoize, replay, replay_ordered, run_colo, run_real, Triple, CO
 use scalecheck_cluster::{
     run_scenario, CalcVersion, PendingWire, RunMode, ScenarioConfig, Workload,
 };
-use scalecheck_memo::{MemoDb, Pil, Replay};
+use scalecheck_memo::{MemoDb, OrderRecorder, Pil, Replay};
 use scalecheck_sim::SimDuration;
 
 /// A healthy little cluster: nothing should flap anywhere.
@@ -205,6 +205,22 @@ fn replay_traces_are_bit_identical() {
 /// so its peak memory (`mem_peak_bytes`) sums them, and its utilization
 /// (`cpu_utilization`) divides the same demand by a different core
 /// count (EXPERIMENTS.md, "Colo with room to spare").
+///
+/// R2, a replay of a Real recording is the Real run: the Real run
+/// records (a recording at real scale is the Real run,
+/// `run_pins::recording_at_real_scale_is_the_real_run`), and replaying
+/// it at two cores per node answers every calculation by digest and
+/// compares as R1 does. Of the calculation stats it compares
+/// `invocations`, `total_compute` and `max_compute`: a replay counts
+/// memo hits where Real counts executions. On c6127 it leaves out
+/// `max_stage_lateness`, which the replay reads exactly 10 µs lower
+/// (390,674 ns against 400,674 ns at seed 1): an executed calculation
+/// is a grant on its node's machine, which adds the commodity context
+/// switch (5 µs base) to it, while a replayed one sleeps exactly its
+/// recorded demand. c6127 is the only cell here whose stages queue
+/// work at all (every other cell's lateness is 0), and with
+/// `ContextSwitch::Free` the two agree (EXPERIMENTS.md, "R2: a replay
+/// of a Real recording").
 #[test]
 fn colo_with_room_to_spare_is_the_real_run() {
     type Preset = fn(usize, u64) -> ScenarioConfig;
@@ -215,31 +231,57 @@ fn colo_with_room_to_spare_is_the_real_run() {
         ("c5456", ScenarioConfig::c5456, 12),
         ("c6127", ScenarioConfig::c6127, 12),
     ];
+    // Everything R1 and R2 compare but the calculation stats, and the
+    // stage lateness if `lateness`.
+    let fields = |r: &scalecheck_cluster::RunReport, lateness: bool| {
+        format!(
+            "{:?}|{:?}|{}|{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}",
+            r.per_node_flaps,
+            r.flap_series,
+            r.recoveries,
+            r.duration,
+            r.quiesced,
+            r.total_flaps,
+            r.messages_sent,
+            r.messages_dropped,
+            r.messages_delivered,
+            lateness.then_some((r.max_stage_lateness, r.p99_stage_lateness)),
+            r.engine,
+            r.traffic,
+            r.faults,
+        )
+    };
     for (name, preset, n) in presets {
         for seed in 1..=3 {
             let cfg = preset(n, seed);
-            let real = run_scenario(&cfg, RunMode::Real, Pil::Execute);
+            let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+            let real = run_scenario(&cfg, RunMode::Real, Pil::Record(&mut db, &mut order));
             let colo = run_scenario(&cfg, RunMode::Colo { cores: 2 * n }, Pil::Execute);
-            let fields = |r: &scalecheck_cluster::RunReport| {
-                format!(
-                    "{:?}|{:?}|{}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}",
-                    r.per_node_flaps,
-                    r.flap_series,
-                    r.recoveries,
-                    r.duration,
-                    r.quiesced,
-                    r.total_flaps,
-                    r.calc,
-                    r.messages_sent,
-                    r.messages_dropped,
-                    r.messages_delivered,
-                    (r.max_stage_lateness, r.p99_stage_lateness),
-                    r.engine,
-                    r.traffic,
-                    r.faults,
-                )
+            assert_eq!(
+                (fields(&real, true), format!("{:?}", real.calc)),
+                (fields(&colo, true), format!("{:?}", colo.calc)),
+                "R1: {name}({n}) seed {seed}"
+            );
+            let replayed = run_scenario(
+                &cfg,
+                RunMode::Colo { cores: 2 * n },
+                Pil::Replay(Replay::new(&db, None)),
+            );
+            let m = replayed.memo;
+            assert_eq!(
+                (m.hits, m.index_fallbacks, m.misses),
+                (real.calc.invocations, 0, 0),
+                "R2: {name}({n}) seed {seed}: every calculation a digest hit"
+            );
+            let calc = |r: &scalecheck_cluster::RunReport| {
+                (r.calc.invocations, r.calc.total_compute, r.calc.max_compute)
             };
-            assert_eq!(fields(&real), fields(&colo), "{name}({n}) seed {seed}");
+            let lateness = name != "c6127";
+            assert_eq!(
+                (fields(&real, lateness), calc(&real)),
+                (fields(&replayed, lateness), calc(&replayed)),
+                "R2: {name}({n}) seed {seed}"
+            );
         }
     }
 }

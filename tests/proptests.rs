@@ -1129,7 +1129,7 @@ proptest! {
             WideState,
         };
         use scalecheck_gossip::{
-            AckSpace, ApplyOutcome, Delta, EndpointState, Gossiper, HeartbeatState, Peer,
+            BodySpace, ApplyOutcome, Delta, EndpointState, Gossiper, HeartbeatState, Peer,
         };
         /// Two bodies, entry by entry.
         fn same_entries<T: PartialEq + std::fmt::Debug>(got: &[T], want: &[T], what: &str) -> Result<(), TestCaseError> {
@@ -1139,7 +1139,7 @@ proptest! {
             }
             Ok(())
         }
-        let mut space = AckSpace::default();
+        let mut space = BodySpace::default();
         let mut outcome = ApplyOutcome::default();
         let ids = &PEER_IDS[..n];
         let mut dense: Vec<Gossiper<u32>> =
@@ -1150,7 +1150,12 @@ proptest! {
             let (a, b) = (a % n, b % n);
             match kind {
                 0..=4 | 12 if a != b => {
-                    let syn = dense[a].make_syn();
+                    // The runner's path, or fresh build space.
+                    let syn = if kind == 4 {
+                        dense[a].make_syn()
+                    } else {
+                        dense[a].make_syn_in(&mut space)
+                    };
                     let wide_syn = tree[a].make_syn();
                     same_entries(&widen_digests(&syn.digests()), &wide_syn.digests, "SYN")?;
                     prop_assert_eq!(syn.entries(), wide_syn.digests.len());
@@ -1183,7 +1188,7 @@ proptest! {
                         if kind == 4 {
                             prop_assert_eq!(dense[b].handle_ack2(&ack2), model_out_b);
                         } else {
-                            dense[b].handle_ack2_in(&ack2, &mut outcome);
+                            dense[b].handle_ack2_in(&ack2, &mut space, &mut outcome);
                             prop_assert_eq!(&outcome, &model_out_b);
                         }
                     }
@@ -1278,16 +1283,25 @@ proptest! {
     /// draw queue together; each step builds a body, handles one taken
     /// out of order (an ACK or ACK2 applies to its receiver, SYNs and
     /// ACKs draw the next body), drops one, duplicates one, or moves a
-    /// sender on: a beat, an app update, a crash and restart, or a
-    /// departure (a `Left`-style app update and no further sends). After
-    /// every step, every queued body's entries equal its copy's.
+    /// sender on: a beat, a long silence (hundreds of beats, so a view's
+    /// versions span more than a byte), an app update, a crash and
+    /// restart, or a departure (a `Left`-style app update and no further
+    /// sends). Bodies are built and read in one shared space, as the
+    /// runner does. After every step, every queued body's entries equal
+    /// its copy's.
+    ///
+    /// Every case starts with three bodies a one-byte clock cannot code
+    /// alone, queued: an ACK carrying a zero request (for a peer its
+    /// sender never heard of), a SYN whose versions span more than 254,
+    /// and a SYN that mixes generations (its sender restarted, its peer
+    /// did not).
     #[test]
     fn queued_bodies_carry_what_a_copy_would(
         n in 2usize..7,
-        ops in prop::collection::vec((0u8..9, 0usize..6, 0usize..6, any::<u32>()), 1..120),
+        ops in prop::collection::vec((0u8..10, 0usize..6, 0usize..6, any::<u32>()), 1..120),
     ) {
         use model::gossip::{widen_deltas, widen_digests, TreeGossiper, WideAck, WideAck2, WideSyn};
-        use scalecheck_gossip::{Ack, Ack2, Gossiper, Peer, Syn};
+        use scalecheck_gossip::{Ack, Ack2, BodySpace, Gossiper, Peer, Syn};
         enum Body {
             Syn(usize, usize, Syn, WideSyn),
             Ack(usize, usize, Ack<u32>, WideAck<u32>),
@@ -1297,13 +1311,16 @@ proptest! {
             match body {
                 Body::Syn(_, _, syn, wide) => {
                     prop_assert_eq!(widen_digests(&syn.digests()), wide.digests.clone());
+                    prop_assert_eq!(syn.entries(), wide.digests.len());
                 }
                 Body::Ack(_, _, ack, wide) => {
                     prop_assert_eq!(widen_deltas(&ack.deltas()), wide.deltas.clone());
                     prop_assert_eq!(widen_digests(&ack.requests()), wide.requests.clone());
+                    prop_assert_eq!(ack.entries(), wide.deltas.len() + wide.requests.len());
                 }
                 Body::Ack2(_, ack2, wide) => {
                     prop_assert_eq!(widen_deltas(&ack2.deltas()), wide.deltas.clone());
+                    prop_assert_eq!(ack2.entries(), wide.deltas.len());
                 }
             }
             Ok(())
@@ -1313,30 +1330,66 @@ proptest! {
             ids.iter().map(|&id| Gossiper::new(Peer(id), 1, id)).collect();
         let mut tree: Vec<TreeGossiper<u32>> =
             ids.iter().map(|&id| TreeGossiper::new(Peer(id), 1, id)).collect();
+        let mut space = BodySpace::default();
+        let mut outcome = scalecheck_gossip::ApplyOutcome::default();
         let mut departed = vec![false; n];
         let mut queue: Vec<Body> = Vec::new();
+
+        // The escapes, queued up front. Node 1 goes quiet for 300
+        // beats; node 0, which never heard of it, sends a SYN.
+        for _ in 0..300 {
+            dense[1].beat();
+            tree[1].beat();
+        }
+        let (syn, wide_syn) = (dense[0].make_syn_in(&mut space), tree[0].make_syn());
+        // Node 1's ACK asks for node 0 at a zero watermark.
+        let ack = dense[1].handle_syn_in(&syn, &mut space);
+        let wide_ack = tree[1].handle_syn(&wide_syn);
+        prop_assert!(wide_ack.requests.iter().any(|d| (d.generation, d.max_version) == (0, 0)));
+        queue.push(Body::Ack(1, 0, ack.clone(), wide_ack.clone()));
+        let ack2 = dense[0].handle_ack_in(&ack, &mut space, &mut outcome);
+        let (model_out, wide_ack2) = tree[0].handle_ack(&wide_ack);
+        prop_assert_eq!(&outcome, &model_out);
+        queue.push(Body::Ack2(1, ack2, wide_ack2));
+        // Node 0 now knows itself at version 0 and node 1 at 300.
+        let (syn, wide_syn) = (dense[0].make_syn_in(&mut space), tree[0].make_syn());
+        let versions = wide_syn.digests.iter().map(|d| d.max_version);
+        prop_assert!(versions.clone().max().unwrap() - versions.min().unwrap() > 254);
+        queue.push(Body::Syn(0, 1, syn, wide_syn));
+        // Node 0 restarts into generation 2; node 1 stays in 1.
+        dense[0].restart();
+        tree[0].restart();
+        let (syn, wide_syn) = (dense[0].make_syn_in(&mut space), tree[0].make_syn());
+        prop_assert!(wide_syn.digests.iter().any(|d| d.generation != wide_syn.digests[0].generation));
+        queue.push(Body::Syn(0, 1, syn, wide_syn));
+        for body in &queue {
+            check(body)?;
+        }
+
         for (kind, a, b, x) in ops {
             let (a, b) = (a % n, b % n);
             match kind {
                 0 | 1 if a != b && !departed[a] => {
-                    queue.push(Body::Syn(a, b, dense[a].make_syn(), tree[a].make_syn()));
+                    let syn = dense[a].make_syn_in(&mut space);
+                    queue.push(Body::Syn(a, b, syn, tree[a].make_syn()));
                 }
                 2 | 3 if !queue.is_empty() => {
                     // Handle a body taken out of order.
                     match queue.remove(x as usize % queue.len()) {
                         Body::Syn(from, to, syn, wide) => {
-                            let ack = dense[to].handle_syn(&syn);
+                            let ack = dense[to].handle_syn_in(&syn, &mut space);
                             let wide_ack = tree[to].handle_syn(&wide);
                             queue.push(Body::Ack(to, from, ack, wide_ack));
                         }
                         Body::Ack(from, to, ack, wide) => {
-                            let (out, ack2) = dense[to].handle_ack(&ack);
+                            let ack2 = dense[to].handle_ack_in(&ack, &mut space, &mut outcome);
                             let (model_out, wide_ack2) = tree[to].handle_ack(&wide);
-                            prop_assert_eq!(out, model_out);
+                            prop_assert_eq!(&outcome, &model_out);
                             queue.push(Body::Ack2(from, ack2, wide_ack2));
                         }
                         Body::Ack2(to, ack2, wide) => {
-                            prop_assert_eq!(dense[to].handle_ack2(&ack2), tree[to].handle_ack2(&wide));
+                            dense[to].handle_ack2_in(&ack2, &mut space, &mut outcome);
+                            prop_assert_eq!(&outcome, &tree[to].handle_ack2(&wide));
                         }
                     }
                 }
@@ -1365,6 +1418,13 @@ proptest! {
                     dense[a].update_app(x);
                     tree[a].update_app(x);
                     departed[a] |= x % 4 == 0;
+                }
+                9 => {
+                    // A long silence: 255 to 510 beats.
+                    for _ in 0..255 + x % 256 {
+                        dense[a].beat();
+                        tree[a].beat();
+                    }
                 }
                 _ => {}
             }
