@@ -180,21 +180,15 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates a node with an empty ring view of its own. The caller
-    /// seeds the gossiper and hands the node its view afterwards.
-    pub fn new(
-        id: NodeId,
-        rng: DetRng,
-        info: RingInfo,
-        rf: usize,
-        phi_threshold: f64,
-        gossip_interval: SimDuration,
-    ) -> Self {
+    /// Creates a node with an empty ring view of its own, judging its
+    /// peers with `fd`. The caller seeds the gossiper and hands the node
+    /// its view afterwards.
+    pub fn new(id: NodeId, rng: DetRng, info: RingInfo, rf: usize, fd: FailureDetector) -> Self {
         Node {
             id,
             rng,
             gossiper: Gossiper::new(peer_of(id), 1, info),
-            fd: FailureDetector::new(phi_threshold, gossip_interval),
+            fd,
             ring: Arc::new(RingTable::new(rf)),
             stages: [Stage::new(), Stage::new()],
             calc_dirty: false,
@@ -532,8 +526,7 @@ mod tests {
             DetRng::new(1).fork(id as u64),
             RingInfo::normal(spread_tokens(NodeId(id), 2)),
             3,
-            8.0,
-            SimDuration::from_secs(1),
+            FailureDetector::new(8.0, SimDuration::from_secs(1)),
         );
         n.announce(RingInfo::normal(spread_tokens(NodeId(id), 2)));
         n

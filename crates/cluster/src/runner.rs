@@ -40,7 +40,7 @@
 
 use std::sync::Arc;
 
-use scalecheck_gossip::{ApplyOutcome, BodySpace, Liveness};
+use scalecheck_gossip::{ApplyOutcome, BodySpace, FailureDetector, Liveness};
 use scalecheck_memo::{OrderDecision, Pil};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_GOSSIP, TID_REQUEST};
@@ -377,6 +377,7 @@ fn build<'a>(
     cfg: &ScenarioConfig,
     mode: RunMode,
     pil: Pil<'a, PendingWire>,
+    log_arrivals: bool,
     engine: &mut Engine<ClusterState<'a>>,
 ) -> ClusterState<'a> {
     let handlers = Ev::ALL.map(|ev| {
@@ -401,6 +402,11 @@ fn build<'a>(
     };
 
     let root_rng = scalecheck_sim::DetRng::new(cfg.seed);
+    let detector = if log_arrivals {
+        FailureDetector::new
+    } else {
+        FailureDetector::without_log
+    };
     let mut nodes = Vec::with_capacity(total);
     for i in 0..total {
         let id = NodeId(i as u32);
@@ -418,8 +424,7 @@ fn build<'a>(
             root_rng.fork(1000 + i as u64),
             info,
             cfg.rf,
-            cfg.phi_threshold,
-            cfg.gossip_interval,
+            detector(cfg.phi_threshold, cfg.gossip_interval),
         ));
     }
 
@@ -933,6 +938,10 @@ fn finish_receive(st: &mut ClusterState, ctx: &mut Ctx<'_>, i: usize, stage: Sta
             let outcome = &mut st.outcome;
             let local_now = now + node.clock_skew;
             let topology_changed = node.apply_outcome(outcome, local_now);
+            if node.fd.needs_log() {
+                // A window filled without the log: `simulate` starts over.
+                ctx.stop();
+            }
             if topology_changed {
                 st.views.share(&mut node.ring);
             }
@@ -1507,6 +1516,13 @@ pub fn run_scenario(cfg: &ScenarioConfig, mode: RunMode, pil: Pil<'_, PendingWir
 /// Builds the cluster, schedules its workload and faults, and runs it to
 /// quiescence or the hard cap. The run's trace, if it is traced, is left
 /// installed for the caller to take.
+///
+/// The nodes' failure detectors start without their arrival-epoch log,
+/// which a window reads only to evict once it is full. If some window
+/// fills, the run stops there and starts over from t = 0 with logging
+/// detectors and the PIL handle as it was handed in; runs are
+/// deterministic and the log changes nothing before the first eviction,
+/// so the second attempt is the run a logging one would have been.
 fn simulate<'a>(
     cfg: &ScenarioConfig,
     mode: RunMode,
@@ -1515,12 +1531,32 @@ fn simulate<'a>(
     if let Err(msg) = cfg.validate() {
         panic!("invalid ScenarioConfig: {msg}");
     }
+    let checkpoint = pil.checkpoint();
+    let (engine, mut state) = attempt(cfg, mode, pil, false);
+    if !state.nodes.iter().any(|n| n.fd.needs_log()) {
+        return (engine, state);
+    }
+    let pil = checkpoint.restore(std::mem::replace(&mut state.pil, Pil::Execute));
+    drop((engine, state));
+    scalecheck_obs::clear();
+    attempt(cfg, mode, pil, true)
+}
+
+/// One attempt at a run, its failure detectors logging arrivals or not
+/// (`log_arrivals`); one without the log stops at the first window that
+/// fills.
+fn attempt<'a>(
+    cfg: &ScenarioConfig,
+    mode: RunMode,
+    pil: Pil<'a, PendingWire>,
+    log_arrivals: bool,
+) -> (Engine<ClusterState<'a>>, ClusterState<'a>) {
     let mut engine: Engine<ClusterState> =
         Engine::with_tie_order(cfg.seed, SchedulerKind::Wheel, &cfg.tie_order);
     if cfg.record_schedule {
         engine.record_fires(true);
     }
-    let mut state = build(cfg, mode, pil, &mut engine);
+    let mut state = build(cfg, mode, pil, log_arrivals, &mut engine);
 
     let handlers = state.handlers;
     let mut at = |t: SimTime, ev: Ev, i: usize, arg: u32| {
@@ -1759,6 +1795,7 @@ mod tests {
                 &cfg,
                 RunMode::Real,
                 Pil::Execute,
+                false,
                 &mut Engine::new(cfg.seed),
             );
             assert_eq!(state.nodes.len(), cfg.total_nodes(), "{name}");

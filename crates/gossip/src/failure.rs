@@ -179,6 +179,17 @@ impl BatchArrivals {
     }
 }
 
+/// What one report did to its peer's arrivals.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Arrival {
+    /// The peer was not monitored: its first arrival.
+    First,
+    /// The report moved the peer's last arrival.
+    Moved,
+    /// A late beat: nothing arrived.
+    Late,
+}
+
 /// One node's failure-detection state over all its peers.
 ///
 /// # Layout
@@ -212,17 +223,28 @@ impl BatchArrivals {
 /// nanosecond clock. Epoch times are that clock, so time-dilated runs,
 /// whose samples pass 2³² ns, take the same path as the rest.
 ///
-/// The columns and bitsets grow to the highest id seen, or the columns
-/// to the ids reserved up front, so a detector costs O(highest id)
-/// slots of 25 bytes, plus `8 + 8 · ⌈slots / 64⌉`
-/// bytes for each epoch that some window reaches back to (a window that
-/// has not evicted yet reaches back to its peer's first arrival, so a
-/// peer that falls silent holds the log until its window fills or it
-/// is forgotten). A sparse id
-/// is paid for in every epoch: `Peer(5000)` alone makes each epoch
-/// 640 bytes. The same contract `scalecheck_net`'s tiled link clocks
-/// state for `Addr`. The detector constants are held once here, not
-/// once per peer.
+/// The columns grow to the highest id seen, or to the ids reserved up
+/// front, so a detector costs O(highest id) slots of 21 bytes. The log
+/// is what a window's samples cost, and only an eviction reads it, so
+/// it is kept only by a detector that will evict: [`Self::new`] keeps
+/// it, [`Self::without_log`] keeps neither it nor the `since` column
+/// and, at the first report that would evict, changes nothing and sets
+/// [`Self::needs_log`] instead. A cluster run starts with detectors
+/// without the log and, if some window fills (1000 samples), starts
+/// over with logging ones. With the log a detector costs 4 bytes more
+/// a slot (`since`), plus
+/// `8 + 8 · ⌈slots / 64⌉` bytes for each epoch that some window
+/// reaches back to (a window that has not evicted yet reaches back to
+/// its peer's first arrival, so a peer that falls silent holds the log
+/// until its window fills or it is forgotten). A node opens an epoch
+/// for each gossip body that moves some heartbeat, so the log outgrows
+/// the columns within seconds: in `tbl_scale`'s 512-node cell, 150 s
+/// long, starting without it took the process's peak resident set from
+/// 36.9 to 19.4 MiB (2-vCPU host). A sparse id is paid for in every slot, and with
+/// the log in every epoch: `Peer(5000)` alone makes each epoch 640
+/// bytes. The same contract `scalecheck_net`'s tiled link clocks state
+/// for `Addr`. The detector constants are held once here, not once per
+/// peer.
 #[derive(Clone, Debug)]
 pub struct FailureDetector {
     threshold: f64,
@@ -238,14 +260,18 @@ pub struct FailureDetector {
     /// Column: samples held, `0..=window_cap`.
     count: Vec<u32>,
     /// Column: number of the epoch the oldest held sample is measured
-    /// from (while the window fills, the peer's first arrival).
+    /// from (while the window fills, the peer's first arrival). Empty
+    /// without the log.
     since: Vec<u32>,
     /// Column: exact sum of the samples held, in nanoseconds.
     sum_ns: Vec<u64>,
-    /// The arrivals the windows are gaps between.
-    epochs: EpochLog,
+    /// The arrivals the windows are gaps between; `None` in a detector
+    /// made by [`Self::without_log`].
+    epochs: Option<EpochLog>,
     /// Some window evicted since the last trim of `epochs`.
     evicted: bool,
+    /// A window of a detector without the log reached `window_cap`.
+    needs_log: bool,
     monitored: usize,
     flaps: u64,
     recoveries: u64,
@@ -254,7 +280,8 @@ pub struct FailureDetector {
 
 impl FailureDetector {
     /// Creates a detector with the given conviction threshold (Cassandra
-    /// default: 8.0) and expected heartbeat interval.
+    /// default: 8.0) and expected heartbeat interval, keeping the
+    /// arrival-epoch log its windows evict from.
     pub fn new(threshold: f64, gossip_interval: SimDuration) -> Self {
         let params = PhiParams::cassandra(gossip_interval);
         FailureDetector {
@@ -266,13 +293,33 @@ impl FailureDetector {
             count: Vec::new(),
             since: Vec::new(),
             sum_ns: Vec::new(),
-            epochs: EpochLog::default(),
+            epochs: Some(EpochLog::default()),
             evicted: false,
+            needs_log: false,
             monitored: 0,
             flaps: 0,
             recoveries: 0,
             fault_attributed: 0,
         }
+    }
+
+    /// A detector like [`Self::new`]'s that keeps no arrival-epoch log
+    /// and no `since` column. It equals that detector until some window
+    /// holds `window_cap` samples; the report that would then evict the
+    /// oldest changes nothing and sets [`Self::needs_log`] instead, after
+    /// which its verdicts are no longer the logging detector's.
+    pub fn without_log(threshold: f64, gossip_interval: SimDuration) -> Self {
+        FailureDetector {
+            epochs: None,
+            ..FailureDetector::new(threshold, gossip_interval)
+        }
+    }
+
+    /// Whether a window filled in a detector made by
+    /// [`Self::without_log`]: a run whose detectors need the log must
+    /// start over with logging ones.
+    pub fn needs_log(&self) -> bool {
+        self.needs_log
     }
 
     /// Makes room in every column for peer ids `0..slots` without
@@ -283,8 +330,10 @@ impl FailureDetector {
         self.last_arrival_ns.reserve_exact(extra);
         self.flags.reserve_exact(extra);
         self.count.reserve_exact(extra);
-        self.since.reserve_exact(extra);
         self.sum_ns.reserve_exact(extra);
+        if self.epochs.is_some() {
+            self.since.reserve_exact(extra);
+        }
     }
 
     /// Extends every column (amortised: `Vec` doubles its capacity
@@ -296,25 +345,33 @@ impl FailureDetector {
             self.last_arrival_ns.resize(slots, NEVER);
             self.flags.resize(slots, 0);
             self.count.resize(slots, 0);
-            self.since.resize(slots, 0);
             self.sum_ns.resize(slots, 0);
-            self.epochs.widen(slots);
+            if let Some(epochs) = &mut self.epochs {
+                self.since.resize(slots, 0);
+                epochs.widen(slots);
+            }
         }
     }
 
     /// Adds one accepted inter-arrival sample to peer `idx`'s window,
-    /// evicting the oldest once `window_cap` are held.
+    /// evicting the oldest once `window_cap` are held. Without the log
+    /// a full window takes no sample and asks for the log instead.
     ///
     /// The eviction walk ends at the oldest held sample, which ends at
     /// or before the peer's last arrival, so it never reaches the epoch
-    /// of the arrival being added: the bits a [`BatchArrivals`] still
-    /// holds back from that epoch's row are never read.
+    /// of the arrival being added: whether that epoch is open yet, and
+    /// the bits a [`BatchArrivals`] still holds back from its row, do
+    /// not matter.
     fn push_sample(&mut self, idx: usize, interval_ns: u64) {
         if self.count[idx] as usize == self.params.window_cap {
+            let Some(epochs) = &self.epochs else {
+                self.needs_log = true;
+                return;
+            };
             let mut from = self.since[idx];
             loop {
-                let to = self.epochs.next_arrival(idx, from);
-                let gap_ns = self.epochs.time_ns(to) - self.epochs.time_ns(from);
+                let to = epochs.next_arrival(idx, from);
+                let gap_ns = epochs.time_ns(to) - epochs.time_ns(from);
                 from = to;
                 if gap_ns <= self.params.max_interval_ns {
                     self.sum_ns[idx] -= gap_ns;
@@ -351,11 +408,7 @@ impl FailureDetector {
     /// last arrival — contributes no sample and does not move the last
     /// arrival, but still revives a convicted peer.
     pub fn report(&mut self, peer: Peer, now: SimTime) {
-        let idx = peer.0 as usize;
-        self.ensure_slot(idx);
-        let mut batch = BatchArrivals::new(now.as_nanos());
-        self.report_slot(idx, &mut batch);
-        batch.flush(&mut self.epochs);
+        self.report_all(&[peer], now);
     }
 
     /// Registers a heartbeat observation at `now` for each of `peers`,
@@ -363,43 +416,65 @@ impl FailureDetector {
     /// batch where it can be. The columns are grown once, for the
     /// largest id; the batch's epoch is opened at its first arrival (a
     /// batch of late beats opens none); and its arrival bits are OR-ed
-    /// into the epoch's row a word at a time.
+    /// into the epoch's row a word at a time. Without the log there is
+    /// no epoch to open.
     pub fn report_all(&mut self, peers: &[Peer], now: SimTime) {
         let Some(top) = peers.iter().map(|p| p.0).max() else {
             return;
         };
         self.ensure_slot(top as usize);
-        let mut batch = BatchArrivals::new(now.as_nanos());
-        for &peer in peers {
-            self.report_slot(peer.0 as usize, &mut batch);
+        let now_ns = now.as_nanos();
+        if self.epochs.is_none() {
+            for &peer in peers {
+                self.report_slot(peer.0 as usize, now_ns);
+            }
+            return;
         }
-        batch.flush(&mut self.epochs);
+        let mut batch = BatchArrivals::new(now_ns);
+        for &peer in peers {
+            let idx = peer.0 as usize;
+            let arrival = self.report_slot(idx, now_ns);
+            if arrival != Arrival::Late {
+                let epoch = batch.arrive(self.log_mut(), idx);
+                if arrival == Arrival::First {
+                    self.since[idx] = epoch;
+                }
+            }
+        }
+        batch.flush(self.log_mut());
     }
 
-    /// One peer of a [`Self::report_all`] batch.
-    fn report_slot(&mut self, idx: usize, batch: &mut BatchArrivals) {
-        let now_ns = batch.now_ns;
+    /// The arrival-epoch log of a detector that keeps one.
+    fn log_mut(&mut self) -> &mut EpochLog {
+        self.epochs.as_mut().expect("a logging detector")
+    }
+
+    /// One peer of a [`Self::report_all`] batch: its window, last
+    /// arrival and verdict. The caller records the arrival in the log.
+    fn report_slot(&mut self, idx: usize, now_ns: u64) -> Arrival {
         let flags = self.flags[idx];
         if flags & MONITORED == 0 {
             self.flags[idx] = flags | MONITORED;
             self.monitored += 1;
             self.last_arrival_ns[idx] = now_ns;
-            self.since[idx] = batch.arrive(&mut self.epochs, idx);
-            return;
+            return Arrival::First;
         }
         let last_ns = self.last_arrival_ns[idx];
-        if now_ns > last_ns {
-            batch.arrive(&mut self.epochs, idx);
+        let arrival = if now_ns > last_ns {
             let interval_ns = now_ns - last_ns;
             if interval_ns <= self.params.max_interval_ns {
                 self.push_sample(idx, interval_ns);
             }
             self.last_arrival_ns[idx] = now_ns;
-        }
+            Arrival::Moved
+        } else {
+            Arrival::Late
+        };
         if flags & DEAD != 0 {
             self.flags[idx] = flags & !DEAD;
             self.recoveries += 1;
         }
+        arrival
     }
 
     /// Evaluates every monitored peer at `now`; newly convicted peers are
@@ -419,7 +494,7 @@ impl FailureDetector {
                 .filter(|&(_, &flags)| flags & MONITORED != 0)
                 .map(|(&since, _)| since)
                 .min();
-            self.epochs.trim_before(oldest.unwrap_or(u32::MAX));
+            self.log_mut().trim_before(oldest.unwrap_or(u32::MAX));
         }
         let now_ns = now.as_nanos();
         let mut newly_dead = Vec::new();
@@ -513,7 +588,9 @@ impl FailureDetector {
         self.flags.fill(0);
         self.count.fill(0);
         self.sum_ns.fill(0);
-        self.epochs.clear();
+        if let Some(epochs) = &mut self.epochs {
+            epochs.clear();
+        }
         self.evicted = false;
         self.monitored = 0;
     }
@@ -687,9 +764,13 @@ mod tests {
         assert_eq!(f.liveness(Peer(4999)), None, "a hole is not a peer");
     }
 
+    fn log(f: &FailureDetector) -> &EpochLog {
+        f.epochs.as_ref().expect("a logging detector")
+    }
+
     /// Peers whose bit is set in epoch `number`.
     fn arrivals(f: &FailureDetector, number: u32) -> Vec<u32> {
-        let log = &f.epochs;
+        let log = log(f);
         let held = log.offset(number);
         (0..log.stride * 64)
             .filter(|&idx| log.arrived[held * log.stride + idx / 64] & 1 << (idx % 64) != 0)
@@ -713,16 +794,16 @@ mod tests {
             f.interpret_all(secs(s));
         }
         f.report(Peer(3), secs(5)); // A late beat moves nobody.
-        assert_eq!(f.epochs.at_ns.len(), 31);
-        assert_eq!((f.epochs.first, f.epochs.stride), (0, 1));
-        assert_eq!(f.epochs.time_ns(7), 7_000_000_000);
+        assert_eq!(log(&f).at_ns.len(), 31);
+        assert_eq!((log(&f).first, log(&f).stride), (0, 1));
+        assert_eq!(log(&f).time_ns(7), 7_000_000_000);
         assert_eq!(arrivals(&f, 7), [0, 3]);
         assert_eq!(arrivals(&f, 11), [0]);
 
         // A higher id widens every epoch and keeps its bits.
         f.report(Peer(200), secs(31));
-        assert_eq!(f.epochs.stride, 4);
-        assert_eq!(f.epochs.arrived.len(), 32 * 4);
+        assert_eq!(log(&f).stride, 4);
+        assert_eq!(log(&f).arrived.len(), 32 * 4);
         assert_eq!(arrivals(&f, 7), [0, 3]);
         assert_eq!(arrivals(&f, 31), [200]);
 
@@ -739,13 +820,13 @@ mod tests {
             assert_eq!((f.count[peer], f.since[peer]), (1000, 531));
             assert_eq!(f.sum_ns[peer], 1000 * 1_000_000_000);
         }
-        assert_eq!((f.epochs.first, f.epochs.at_ns.len()), (31, 1501));
+        assert_eq!((log(&f).first, log(&f).at_ns.len()), (31, 1501));
         // Forgotten, it holds nothing: the next sweep after an eviction
         // trims to the windows.
         f.forget(Peer(200));
         feed(&mut f, Peer(0), 1532, 1533);
-        assert_eq!((f.epochs.first, f.epochs.at_ns.len()), (531, 1002));
-        assert_eq!(f.epochs.time_ns(531), 531_000_000_000);
+        assert_eq!((log(&f).first, log(&f).at_ns.len()), (531, 1002));
+        assert_eq!(log(&f).time_ns(531), 531_000_000_000);
 
         // 8 s beats (a time-dilated run) take the same path: samples
         // past 2³² ns, evicted like any other.
@@ -756,11 +837,34 @@ mod tests {
         }
         assert_eq!(wide.count[1], 1000);
         assert_eq!(wide.sum_ns[1], 1000 * 8_000_000_000);
-        assert_eq!((wide.since[1], wide.epochs.first), (4, 4));
-        assert_eq!(wide.epochs.time_ns(4), 32_000_000_000);
+        assert_eq!((wide.since[1], log(&wide).first), (4, 4));
+        assert_eq!(log(&wide).time_ns(4), 32_000_000_000);
 
         f.reset_monitoring();
-        assert!(f.epochs.at_ns.is_empty() && f.epochs.arrived.is_empty());
+        assert!(log(&f).at_ns.is_empty() && log(&f).arrived.is_empty());
+    }
+
+    /// Without the log a detector holds no epochs and no `since`
+    /// column, and the report that would evict from a full window takes
+    /// no sample and asks for the log instead.
+    #[test]
+    fn without_the_log_a_full_window_asks_for_it() {
+        let mut f = FailureDetector::without_log(8.0, SimDuration::from_secs(1));
+        for s in 0..1001 {
+            f.report_all(&[Peer(0), Peer(70)], secs(s));
+            f.interpret_all(secs(s));
+        }
+        assert!(f.epochs.is_none() && f.since.is_empty());
+        assert_eq!(
+            (f.count[0], f.count[70], f.needs_log()),
+            (1000, 1000, false)
+        );
+        f.report(Peer(70), secs(1000)); // Late: nothing to evict.
+        f.report(Peer(70), secs(1003)); // Outsize: not a sample.
+        assert!(!f.needs_log());
+        f.report(Peer(0), secs(1001));
+        assert!(f.needs_log());
+        assert_eq!((f.count[0], f.sum_ns[0]), (1000, 1000 * 1_000_000_000));
     }
 
     /// A batch shares one epoch, opened at its first arrival (a batch
@@ -786,22 +890,18 @@ mod tests {
                 single.report(peer, secs(at));
             }
         }
-        assert_eq!(batched.epochs.at_ns, [1, 2, 4].map(|s| s * 1_000_000_000));
+        assert_eq!(log(&batched).at_ns, [1, 2, 4].map(|s| s * 1_000_000_000));
         assert_eq!(arrivals(&batched, 0), [0, 3, 64, 200]);
         assert_eq!(arrivals(&batched, 1), [0, 3, 5, 64, 200]);
         assert_eq!(arrivals(&batched, 2), [0, 3, 5, 64, 200]);
-        assert_eq!(batched.epochs.arrived, single.epochs.arrived);
+        assert_eq!(log(&batched).arrived, log(&single).arrived);
         assert_eq!(batched.last_arrival_ns, single.last_arrival_ns);
         assert_eq!(batched.flags, single.flags);
         assert_eq!(batched.count, single.count);
         assert_eq!(batched.since, single.since);
         assert_eq!(batched.sum_ns, single.sum_ns);
         batched.report_all(&[], secs(9));
-        assert_eq!(
-            batched.epochs.at_ns.len(),
-            3,
-            "an empty batch opens nothing"
-        );
+        assert_eq!(log(&batched).at_ns.len(), 3, "an empty batch opens nothing");
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use order::{OrderDecision, OrderEnforcer, OrderRecorder};
 pub use orderspace::{
     log10_ordering_space, log10_recorded_space, ordering_space_digits, savings_orders_of_magnitude,
 };
-pub use pil::{Pil, Replay};
+pub use pil::{Pil, PilCheckpoint, Replay};

@@ -26,6 +26,7 @@ pub enum Pil<'a, O> {
 /// PIL replay from a borrowed recording: lookups go by input digest,
 /// then by the node's invocation index, and as a last resort the real
 /// function executes. Every lookup is counted here, once.
+#[derive(Clone)]
 pub struct Replay<'a, O> {
     db: &'a MemoDb<O>,
     order: Option<OrderEnforcer<'a>>,
@@ -41,7 +42,47 @@ impl<'a, O: Clone> Replay<'a, O> {
     }
 }
 
+/// What a [`Pil`] handle held when [`Pil::checkpoint`] was taken, so
+/// that a run can start over from there ([`PilCheckpoint::restore`]).
+pub struct PilCheckpoint<'a, O>(Held<'a, O>);
+
+enum Held<'a, O> {
+    Execute,
+    Record(MemoDb<O>, OrderRecorder),
+    Replay(Replay<'a, O>),
+}
+
+impl<'a, O: Clone> PilCheckpoint<'a, O> {
+    /// Puts `pil`, the handle this checkpoint was taken of after a run
+    /// used it, back as it was: a recording's memo db and order log
+    /// hold again what they held, and a replay's lookup counts and order
+    /// cursors start again.
+    pub fn restore(self, pil: Pil<'a, O>) -> Pil<'a, O> {
+        match (self.0, pil) {
+            (Held::Record(held_db, held_order), Pil::Record(db, order)) => {
+                *db = held_db;
+                *order = held_order;
+                Pil::Record(db, order)
+            }
+            (Held::Replay(replay), Pil::Replay(_)) => Pil::Replay(replay),
+            (Held::Execute, pil @ Pil::Execute) => pil,
+            _ => panic!("a PIL checkpoint restores the handle it was taken of"),
+        }
+    }
+}
+
 impl<'a, O: Clone> Pil<'a, O> {
+    /// A checkpoint of this handle to restore it from. A recording's
+    /// checkpoint copies its memo db and order log (nothing when they
+    /// are empty, as a memoization run's are at its start).
+    pub fn checkpoint(&self) -> PilCheckpoint<'a, O> {
+        PilCheckpoint(match self {
+            Pil::Execute => Held::Execute,
+            Pil::Record(db, order) => Held::Record((*db).clone(), (*order).clone()),
+            Pil::Replay(replay) => Held::Replay(replay.clone()),
+        })
+    }
+
     /// One call of a PIL-replaced function on `node` with input digest
     /// `input`. Execute runs `exec`; Record runs it and records the
     /// result; Replay looks the digest up, falls back to `node`'s
@@ -197,5 +238,34 @@ mod tests {
         assert_eq!(pil.enforcer().and_then(|e| e.expected(7)), Some(42));
         pil.processed(7, 42);
         assert_eq!(pil.enforcer().and_then(|e| e.expected(7)), None);
+    }
+
+    /// A restored handle is the handle as its checkpoint found it: the
+    /// recording made since is gone, and a replay counts its lookups and
+    /// walks its order log from the start again.
+    #[test]
+    fn a_checkpoint_restores_the_handle_it_was_taken_of() {
+        let exec = || (vec![1], ms(10));
+        let (mut db, mut order) = (MemoDb::new(), OrderRecorder::new());
+        let mut pil = Pil::Record(&mut db, &mut order);
+        pil.call(7, FnId(0), d("a"), None, exec);
+        pil.processed(7, 42);
+        let checkpoint = pil.checkpoint();
+        pil.call(7, FnId(0), d("b"), None, exec);
+        pil.processed(7, 43);
+        let pil = checkpoint.restore(pil);
+        assert_eq!(pil.stats().recorded, 1);
+        drop(pil);
+        assert_eq!((db.len(), order.total()), (1, 1));
+        assert!(db.lookup(FnId(0), d("b")).is_none());
+
+        let mut pil = Pil::Replay(Replay::new(&db, Some(&order)));
+        let checkpoint = pil.checkpoint();
+        pil.call(7, FnId(0), d("a"), None, exec);
+        pil.processed(7, 42);
+        assert_eq!(pil.enforcer().and_then(|e| e.expected(7)), None);
+        let mut pil = checkpoint.restore(pil);
+        assert_eq!(pil.stats().hits, 0);
+        assert_eq!(pil.enforcer().and_then(|e| e.expected(7)), Some(42));
     }
 }

@@ -215,16 +215,18 @@ CLI=target/release/scalecheck-cli
 # setting and of single-process memory admission), tbl_fix_ablation
 # (~29 s: each fix at the scale that exposed its bug, plus the harness
 # ablations) and tbl_memo_vs_replay (~16 s: memoization cost against
-# replay). So are two opt-in artifacts at the repo root: TBL_diverge.txt
-# (tbl_diverge, ~1.5 s: the §6 attribution from three traced 128-node
-# runs) and TBL_explore.txt (tbl_explore, ~19 s: schedule-exploration
-# outcomes, cut by the eval cap, so deterministic). The script prints
-# each step's wall time and names what it did not check (fig_c6127,
-# minutes on its own, and the opt-in TBL_scale and TBL_slo artifacts —
+# replay). So are three opt-in steps' artifacts at the repo root:
+# TBL_diverge.txt (tbl_diverge, ~1.5 s: the §6 attribution from three
+# traced 128-node runs), TBL_explore.txt (tbl_explore, ~19 s:
+# schedule-exploration outcomes, cut by the eval cap, so deterministic)
+# and TBL_slo.txt with BENCH_slo.json (tbl_slo, ~12 s: the client-traffic
+# SLO triples and verdicts). The script prints each step's wall time and
+# names what it did not check (fig_c6127, minutes on its own, and the
+# opt-in TBL_scale artifacts, whose clock columns are each run's own —
 # ROADMAP item 12), so a green gate vouches only for what it ran.
 echo "=== committed results are fresh (run_experiments.sh --check) ==="
 scripts/run_experiments.sh --check \
-  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit,tbl_fix_ablation,tbl_memo_vs_replay,tbl_diverge,tbl_explore
+  tbl_bugstudy,tbl_finder,tbl_statespace,tbl_complexity,tbl_memory,fig1_testtime,tbl_faults,fig3a_c3831,fig3b_c3881,fig3c_c5456,tbl_baselines,ext_hdfs,tbl_colocation_limit,tbl_fix_ablation,tbl_memo_vs_replay,tbl_diverge,tbl_explore,tbl_slo
 
 # Scale smoke: the harness must still *reach* the scales the paper
 # argues for. One 1024-node SC+PIL cell must run, its row must satisfy
@@ -315,9 +317,10 @@ fi
 # body, escapes as words). Grown by doubling the ACKs peaked at 46.7 MiB
 # here, with exact but wide bodies (24-byte digests, 40-byte deltas) at
 # 34.2 MiB, with 12-byte digests and 16-byte delta records at ~20 MiB,
-# and with a clock word an entry at ~16.1 MiB. The c3831@160
-# one-decommission Colo leg must peak under 14.5 MiB of VmHWM
-# (~11.5 MiB now).
+# with a clock word an entry at ~16.1 MiB, and with a byte a clock but
+# the φ arrival log kept in every run at ~11.5 MiB. The c3831@160
+# one-decommission Colo leg must peak under 11.3 MiB of VmHWM
+# (~8.3 MiB now).
 echo "=== flap-storm host memory (c3831@160 Colo leg, release) ==="
 cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 
@@ -328,8 +331,9 @@ cargo test --release -q -p scalecheck-cluster --test colo_peak_rss -- --ignored
 # token list, and the build sizes the per-peer tables once (as tree views
 # and doubling tables it peaked at ~74 MiB); views that agree share one
 # table (one table per node peaked at ~47 MiB, and ~44 MiB when only the
-# build copied a table per node). The cell must peak under 40 MiB of
-# VmHWM (~37 MiB now).
+# build copied a table per node); a run keeps the arrival log only if a
+# window fills, which this cell never does (~37 MiB with the log). The
+# cell must peak under 22.4 MiB of VmHWM (~19.4 MiB now).
 echo "=== steady-state host memory (baseline(512) Colo cell, release) ==="
 cargo test --release -q -p scalecheck-cluster --test steady_peak_rss -- --ignored
 

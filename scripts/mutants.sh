@@ -30,6 +30,13 @@ if [ $# -gt 0 ]; then
   done
 fi
 
+# The files some patch mutates. The archive's files all carry the
+# commit's time, older than anything in the shared target, so cargo
+# would take an unpatched copy of a file an earlier mutant patched for
+# unchanged and keep that mutant's build. Touching them in every copy
+# makes cargo rebuild them (and what depends on them) from the copy.
+mutated=$(sed -n 's|^+++ b/||p' "$root"/tests/mutants/*.patch | sort -u)
+
 status=0
 while IFS=$'\t' read -r name command expect; do
   [ -n "$name" ] || continue
@@ -39,6 +46,8 @@ while IFS=$'\t' read -r name command expect; do
   copy="$work/$name"
   mkdir -p "$copy"
   git -C "$root" archive HEAD | tar -x -C "$copy"
+  # shellcheck disable=SC2086 # one path a word
+  (cd "$copy" && touch $mutated)
   if ! (cd "$copy" && git apply "$root/tests/mutants/$name.patch"); then
     echo "$name: patch does not apply"
     status=1

@@ -9,9 +9,10 @@
 # --check LIST  freshness gate: run only the named steps, into a
 #               temporary directory, and compare each transcript with
 #               the committed results/NAME.txt — or, for a checked
-#               opt-in step (tbl_diverge, tbl_explore), the artifact it
-#               writes (TBL_diverge.txt, TBL_explore.txt) with the one
-#               at the repo root; prints `diff -u` and exits 1 on a
+#               opt-in step (tbl_diverge, tbl_explore, tbl_slo), the
+#               artifacts it writes (TBL_diverge.txt, TBL_explore.txt,
+#               TBL_slo.txt and BENCH_slo.json) with the ones at the
+#               repo root; prints `diff -u` and exits 1 on a
 #               mismatch, and names the steps it skipped. A name that is
 #               neither a default step nor a checked opt-in step exits 2
 #               before anything is built or run.
@@ -84,18 +85,19 @@ fig_c6127 sweep fig3_flaps --bug c6127 ${FIG3_SCALES[*]-}
 tbl_faults sweep tbl_faults ${FAULT_INTENSITIES[*]-}
 EOF
 }
-# The opt-in steps --check can compare, one per line: NAME ARTIFACT —
-# the file the step writes at the repo root (into art/ of the temporary
-# directory under --check). The other opt-in artifacts are ROADMAP
-# item 12's remainder.
+# The opt-in steps --check can compare, one per line: NAME ARTIFACT... —
+# the files the step writes at the repo root (into art/ of the temporary
+# directory under --check). The other opt-in artifacts (TBL_scale.txt,
+# BENCH_scale.json) are ROADMAP item 12's remainder.
 checked_opt_in() {
   cat <<EOF
 tbl_diverge TBL_diverge.txt
 tbl_explore TBL_explore.txt
+tbl_slo TBL_slo.txt BENCH_slo.json
 EOF
 }
-# The root artifact NAME is compared by, if it is a checked opt-in step.
-artifact_of() { checked_opt_in | awk -v n="$1" '$1 == n { print $2 }'; }
+# The root artifacts NAME is compared by, if it is a checked opt-in step.
+artifacts_of() { checked_opt_in | awk -v n="$1" '$1 == n { $1 = ""; print }'; }
 ART_DIR=.
 if [ -n "$CHECK" ]; then
   [ -z "$OPT_IN" ] || { echo "--check takes step names, not$OPT_IN" >&2; exit 2; }
@@ -121,7 +123,7 @@ STALE=()
 SKIPPED=()
 # run NAME COMMAND ARGS...: stdout -> $OUT/NAME.txt, stderr -> $OUT/NAME.log.
 # Under --check the fresh copy is compared with the committed one:
-# results/NAME.txt, or the root artifact of a checked opt-in step.
+# results/NAME.txt, or the root artifacts of a checked opt-in step.
 run() {
   name=$1; shift
   if [ -n "$CHECK" ]; then
@@ -141,8 +143,12 @@ run() {
     FAILED+=("$name")
   elif [ -z "$CHECK" ]; then
     echo "    -> results/$name.txt ($secs)"
-  elif artifact=$(artifact_of "$name") && [ -n "$artifact" ]; then
-    if diff -u "$artifact" "$ART_DIR/$artifact"; then
+  elif artifacts=$(artifacts_of "$name") && [ -n "$artifacts" ]; then
+    fresh=1
+    for artifact in $artifacts; do
+      diff -u "$artifact" "$ART_DIR/$artifact" || fresh=""
+    done
+    if [ -n "$fresh" ]; then
       echo "    fresh ($secs)"
     else
       STALE+=("$name")
@@ -172,8 +178,8 @@ fi
 if opted --scale; then
   run tbl_scale tbl_scale --scales 256,512,1024,2048,4096 --jobs 1
 fi
-if opted --slo; then
-  sweep tbl_slo tbl_slo
+if opted --slo || [ -n "$CHECK" ]; then
+  sweep tbl_slo tbl_slo --table-out "$ART_DIR/TBL_slo.txt" --json-out "$ART_DIR/BENCH_slo.json"
 fi
 # Deterministic: the eval cap (not the wall budget, which is sized never
 # to bind) cuts every cell, so regeneration reproduces the committed
@@ -185,7 +191,7 @@ if opted --explore || [ -n "$CHECK" ]; then
     --table-out "$ART_DIR/TBL_explore.txt"
 fi
 if [ -n "$CHECK" ]; then
-  echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts TBL_scale.txt/BENCH_scale.json, TBL_slo.txt/BENCH_slo.json"
+  echo "not checked: ${SKIPPED[*]-} and the opt-in artifacts TBL_scale.txt/BENCH_scale.json"
 fi
 if [ ${#FAILED[@]} -gt 0 ] || [ ${#STALE[@]} -gt 0 ]; then
   [ ${#FAILED[@]} -eq 0 ] || echo "FAILED steps: ${FAILED[*]}" >&2

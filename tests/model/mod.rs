@@ -166,4 +166,18 @@ impl TreeFailureDetector {
     pub fn samples(&self, peer: Peer) -> Option<usize> {
         self.monitors.get(&peer).map(|m| m.0.samples())
     }
+
+    /// Whether a report of `peer` at `at` takes a sample into a full
+    /// window, evicting its oldest: the window holds 1000 samples and
+    /// `at` is a new arrival at most `max_interval` (two gossip
+    /// intervals) after the last.
+    pub fn would_evict(&self, peer: Peer, at: SimTime) -> bool {
+        let max_interval_ns = 2 * self.gossip_interval.as_nanos();
+        self.monitors.get(&peer).is_some_and(|(det, _)| {
+            det.samples() == 1000
+                && det
+                    .last_arrival()
+                    .is_some_and(|last| at > last && at.since(last).as_nanos() <= max_interval_ns)
+        })
+    }
 }

@@ -1039,6 +1039,123 @@ proptest! {
         prop_assert!(all_stale > 0 && tree.flaps > 0 && tree.recoveries > 0);
     }
 
+    /// Differential: a detector without the arrival-epoch log
+    /// (`FailureDetector::without_log`, what a run's nodes start with)
+    /// is the logging one (`FailureDetector::new`) until a window fills:
+    /// `interpret_all` lists, every counter and verdict, φ to the bit,
+    /// every round, over bodies reported as one batch (even rounds) or a
+    /// `report` per peer (odd rounds), sweeps, long silences, forgets,
+    /// resets, fault marks and stale bodies. It asks for the log exactly
+    /// at the first report that would evict, as the tree model predicts
+    /// it (a full window, a new arrival inside `max_interval`): after
+    /// that report when it came alone, after its body when batched, and
+    /// never before. Every case runs until it does.
+    #[test]
+    fn a_detector_without_the_log_is_the_logging_one_until_a_window_fills(
+        interval_idx in 0usize..2,
+        rounds in prop::collection::vec((0u64..4000, any::<u64>(), 0u8..24), 1600),
+    ) {
+        use model::TreeFailureDetector;
+        use scalecheck_gossip::{FailureDetector, Peer};
+        const PEERS: [Peer; 6] = [Peer(63), Peer(0), Peer(130), Peer(2), Peer(64), Peer(9)];
+        let interval = SimDuration::from_millis([1_000, 2_500][interval_idx]);
+        let part = |num: u64, den: u64| SimDuration::from_nanos(interval.as_nanos() * num / den);
+        let mut logless = FailureDetector::without_log(8.0, interval);
+        let mut logging = FailureDetector::new(8.0, interval);
+        let mut tree = TreeFailureDetector::new(8.0, interval);
+        let mut now = SimTime::from_secs(3600);
+        let mut body = Vec::new();
+        let mut filled = None;
+        'rounds: for (round, (step, picks, what)) in rounds.into_iter().enumerate() {
+            // 0.3–2.05 intervals, one round in 200 a 30-interval silence.
+            now += if step < 20 { part(30, 1) } else { part(300 + step % 1750, 1000) };
+            let swept = logless.interpret_all(now);
+            prop_assert_eq!(&swept, &logging.interpret_all(now));
+            prop_assert_eq!(swept, tree.interpret_all(now));
+            let peer = PEERS[(picks % 6) as usize];
+            match (what, step) {
+                (0, ..40) => {
+                    logless.forget(peer);
+                    logging.forget(peer);
+                    tree.forget(peer);
+                }
+                (2, ..4) if round < 200 => {
+                    logless.reset_monitoring();
+                    logging.reset_monitoring();
+                    tree.reset_monitoring();
+                }
+                (3, ..40) => {
+                    logless.set_fault_suspect(peer, step < 20);
+                    logging.set_fault_suspect(peer, step < 20);
+                    tree.set_fault_suspect(peer, step < 20);
+                }
+                (4, ..10) => {
+                    logless.mark_all_fault_suspects();
+                    logging.mark_all_fault_suspects();
+                    tree.mark_all_fault_suspects();
+                }
+                _ => {}
+            }
+            body.clear();
+            body.extend(
+                (PEERS.iter().enumerate())
+                    .filter(|&(k, _)| picks >> (3 * k) & 7 != 0)
+                    .map(|(_, &peer)| peer),
+            );
+            if let len @ 1.. = body.len() {
+                body.rotate_left((picks >> 18) as usize % len);
+            }
+            let at = if what == 1 {
+                SimTime::from_nanos(now.as_nanos() - part(5, 1).as_nanos())
+            } else {
+                now
+            };
+            if round % 2 == 0 {
+                let mut evicts = false;
+                for &peer in &body {
+                    evicts |= tree.would_evict(peer, at);
+                    tree.report(peer, at);
+                }
+                logless.report_all(&body, at);
+                logging.report_all(&body, at);
+                prop_assert_eq!(logless.needs_log(), evicts, "round {}", round);
+                if evicts {
+                    filled = Some(round);
+                    break 'rounds;
+                }
+            } else {
+                for &peer in &body {
+                    let evicts = tree.would_evict(peer, at);
+                    tree.report(peer, at);
+                    logless.report(peer, at);
+                    logging.report(peer, at);
+                    prop_assert_eq!(logless.needs_log(), evicts, "round {} {:?}", round, peer);
+                    if evicts {
+                        filled = Some(round);
+                        break 'rounds;
+                    }
+                }
+            }
+            let probe_at = now + part(1, 8);
+            prop_assert_eq!(logless.flaps(), logging.flaps());
+            prop_assert_eq!(logless.recoveries(), logging.recoveries());
+            prop_assert_eq!(logless.fault_attributed_flaps(), logging.fault_attributed_flaps());
+            prop_assert_eq!(logless.monitored(), logging.monitored());
+            prop_assert_eq!(logless.dead_peers(), logging.dead_peers());
+            for peer in PEERS {
+                prop_assert_eq!(logless.liveness(peer), logging.liveness(peer));
+                prop_assert_eq!(
+                    logless.phi(peer, probe_at).map(f64::to_bits),
+                    logging.phi(peer, probe_at).map(f64::to_bits),
+                    "round {} peer {:?}", round, peer
+                );
+            }
+        }
+        // The case did what it is here for.
+        prop_assert!(filled.is_some(), "no window filled");
+        prop_assert!(logging.flaps() > 0 && logging.recoveries() > 0);
+    }
+
     /// Differential: the sweep's integer pre-filter never hides a
     /// conviction. Probed where it could: at sweep times within a few
     /// nanoseconds — and within an ulp of the float product — of

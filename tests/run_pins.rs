@@ -89,6 +89,62 @@ fn baseline_16_long_colo_report_is_pinned() {
     );
 }
 
+/// A cell whose φ windows fill, under every PIL handle: the baseline(8)
+/// held to 1500 s, so windows reach their 1000 samples at about
+/// 1200 s. A run starts without the arrival-epoch log and, at the first
+/// report that would evict, runs again from t = 0 with it; these pins
+/// hold that second attempt to what one logging run reports. The Real
+/// leg is traced (the first attempt's trace is dropped); the
+/// memoization run's recording and the replays' lookups and order
+/// cursors are put back before the second attempt. Captured on the
+/// commit before runs began without the log.
+#[test]
+fn baseline_8_windows_fill_reports_are_pinned() {
+    let mut cfg = ScenarioConfig::baseline(8, 1);
+    cfg.workload_end = SimDuration::from_secs(1500);
+    cfg.max_duration = cfg.workload_end;
+    let mut traced = cfg.clone();
+    traced.trace = scalecheck_obs::TraceConfig::enabled();
+    let real = run_real(&traced);
+    assert!(!real.obs.spans.is_empty());
+    pin(
+        "baseline(8) real traced, 1500 s",
+        &real,
+        false,
+        "d7dfe9609c78d25d6a18df93c41071cd",
+    );
+    let memo = memoize(&cfg, 1);
+    assert!(memo.report.memo.recorded > 0, "nothing was memoized");
+    assert_eq!(
+        (
+            content_digest(&memo.db.to_json().expect("serialize")),
+            memo.order.total()
+        ),
+        ("f69aa4a7a0d8fe2bf82ab24244f3add3".to_string(), 31725),
+        "the recording moved"
+    );
+    pin(
+        "baseline(8) memoize/1, 1500 s",
+        &memo.report,
+        false,
+        "c328bea703ce779aa76787a6124ccd98",
+    );
+    let plain = replay(&cfg, 1, &memo);
+    assert!(plain.memo.hits > 0, "{:?}", plain.memo);
+    pin(
+        "baseline(8) replay/1, 1500 s",
+        &plain,
+        false,
+        "0627b9afbefdd0dd5ddfd8fd9861ba11",
+    );
+    pin(
+        "baseline(8) replay_ordered/1, 1500 s",
+        &replay_ordered(&cfg, 1, &memo),
+        false,
+        "0627b9afbefdd0dd5ddfd8fd9861ba11",
+    );
+}
+
 /// A time-dilated baseline (§4's alternative to scale-check): every
 /// clock × 8, so heartbeats arrive 8 s apart — the only committed run
 /// shape whose φ samples exceed 2³² ns (a 4-byte sample layout once
